@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -103,14 +103,26 @@ obs-cluster-smoke:
 	rm -rf $$tmp
 
 # megaset-smoke is the compiled-state residency gate: compile the
-# deterministic ClamAV-style signature megaset at 1k/10k/100k patterns,
-# both uncompressed (boxed IR) and compressed (packed + shared basis),
-# and require the 100k compressed engine to (1) undercut the baseline by
-# at least 2x, (2) stay under a 160 MiB resident ceiling, and (3) compile
-# within a 180s budget (measured 71.2 MiB / 42s; the headroom absorbs
-# slower CI hosts). Writes results/BENCH_mem.json.
+# deterministic ClamAV-style signature megaset at 1k/10k/100k patterns
+# and require the 100k engine to (1) stay under a 160 MiB resident
+# ceiling and (2) compile within a 180s budget (measured 71.2 MiB / 42s;
+# the headroom absorbs slower CI hosts). Writes results/BENCH_mem.json.
 megaset-smoke:
-	$(GO) run ./cmd/bitbench -exp mem -mem-min-ratio 2 -mem-ceiling-mb 160 -mem-budget 180s -json results
+	$(GO) run ./cmd/bitbench -exp mem -mem-ceiling-mb 160 -mem-budget 180s -json results
+
+# loc writes results/loc.json: non-test, non-generated .go lines per
+# package directory ("." is the root package) plus the total, stamped
+# with the commit (suffixed -dirty when the tree has uncommitted changes).
+# "Least code" is a trajectory like any other; diff this file across PRs.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | \
+	xargs grep -L '^// Code generated' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; print d, $$1 }' | sort | \
+	awk -v commit="$$(git describe --always --dirty)" ' \
+		{ if ($$1 != last) { if (last != "") rows = rows sprintf("    \"%s\": %d,\n", last, n); last = $$1; n = 0 } n += $$2; total += $$2 } \
+		END { printf "{\n  \"commit\": \"%s\",\n  \"total\": %d,\n  \"packages\": {\n%s    \"%s\": %d\n  }\n}\n", commit, total, rows, last, n }' \
+	> results/loc.json
+	@echo "loc: wrote results/loc.json"
 
 # bench-serve regenerates results/BENCH_serve.json: a 1-node baseline vs
 # a 3-node cluster with a mid-run replica kill, reporting p50/p99
@@ -120,9 +132,9 @@ bench-serve:
 
 # ci is the tier-1 verification gate: vet, lint/vuln (when the tools are
 # installed), build, the full suite under the race detector, the
-# fault-injection suite, and the observability, bench, service and
-# cluster smokes.
-ci: vet lint vuln build race fault obs-smoke bench-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke
+# fault-injection suite, the observability, bench, service and cluster
+# smokes, and the per-package line count.
+ci: vet lint vuln build race fault obs-smoke bench-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke loc
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -130,7 +142,7 @@ bench:
 # bench-smoke is the fast perf gate: short runs of the streaming-scan and
 # bitstream hot-path benchmarks (catching gross regressions and alloc
 # creep in the pipelined scanner), a short-mode run of the bitbench
-# matrix (single-core, batched, and GOMAXPROCS x workers multicore rows)
+# matrix (single-core and GOMAXPROCS x workers multicore rows)
 # with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
 # pre-superblock seed baseline, so any regression back to it fails the
 # build — then a real pipelined streaming scan with tracing on, its

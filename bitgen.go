@@ -33,7 +33,6 @@ package bitgen
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -71,14 +70,6 @@ type Options struct {
 	MergeSize int
 	// IntervalSize is the zero-block-skipping guard spacing (default 8).
 	IntervalSize int
-	// DisableStateCompression turns off compiled-state compression: group
-	// programs stay as boxed pointer IR instead of packed byte blobs, and
-	// character classes used by multiple CTA groups are compiled per group
-	// instead of once into a shared extended-basis program. Matching
-	// behavior is identical either way; the flag exists for baseline
-	// memory measurements and debugging. It is compile-relevant, so it is
-	// folded into the snapshot options fingerprint and PatternSetKey.
-	DisableStateCompression bool
 	// Limits bounds resource use; the zero value applies the documented
 	// defaults (see Limits). Violations return errors satisfying
 	// errors.Is(err, ErrLimit).
@@ -102,16 +93,6 @@ type Options struct {
 	// the reader stays a chunk ahead of execution. Ignored when
 	// Resilience is set (ladder scans run chunk-at-a-time).
 	ScanWorkers int
-	// ScanBatch lets each pipeline worker drain up to this many queued
-	// chunks and execute them through one batched kernel launch per CTA
-	// group (single plan traversal for the whole batch). 0 or 1 disables
-	// batching. Batching is opportunistic — a worker never waits for a
-	// batch to fill, so latency is unchanged when the pipeline is not
-	// backlogged. Like ScanWorkers this is a runtime execution knob, not a
-	// compile-time option: it is deliberately excluded from the snapshot
-	// options fingerprint so existing snapshots keep loading when it
-	// changes.
-	ScanBatch int
 }
 
 // Default resource limits, applied when the corresponding Limits field is
@@ -259,8 +240,6 @@ type Engine struct {
 	obs *obs.Observer
 	// scanWorkers is Options.ScanWorkers; <=0 means GOMAXPROCS.
 	scanWorkers int
-	// scanBatch is Options.ScanBatch; <=1 means no batching.
-	scanBatch int
 	// scanArena overrides the pipelined scanner's buffer pool; nil selects
 	// arena.Default. Tests set it to assert get/put balance.
 	scanArena *arena.Arena
@@ -354,7 +333,6 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 		maxLen: maxLen, unbounded: unbounded,
 		obs:         observer,
 		scanWorkers: opts.ScanWorkers,
-		scanBatch:   opts.ScanBatch,
 		foldCase:    opts.FoldCase,
 		optsHash:    optionsHash(opts),
 	}
@@ -421,7 +399,6 @@ func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer
 	if opts.IntervalSize > 0 {
 		cfg.IntervalSize = opts.IntervalSize
 	}
-	cfg.NoStateCompression = opts.DisableStateCompression
 	if limits.MaxProgramInstructions > 0 {
 		cfg.MaxProgramInstructions = limits.MaxProgramInstructions
 	}
@@ -454,25 +431,13 @@ func PatternSetKey(patterns []string, opts *Options) string {
 	}
 	sort.Strings(uniq)
 	h := sha256.New()
-	field := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	field("bitgen-pattern-set-v1")
+	hashField(h, "bitgen-pattern-set-v2")
 	for _, p := range uniq {
-		field(p)
+		hashField(h, p)
 	}
-	field(fmt.Sprintf("%t|%s|%d|%d|%t|%t|%d|%d|%d|%t",
-		opts.FoldCase, opts.Device, opts.CTAs, opts.Threads,
-		opts.DisableShiftRebalancing, opts.DisableZeroBlockSkipping,
-		opts.MergeSize, opts.IntervalSize, opts.ScanWorkers,
-		opts.DisableStateCompression))
-	field(fmt.Sprintf("%d|%d|%d|%d|%d",
-		opts.Limits.MaxInputBytes, opts.Limits.MaxPatterns,
-		opts.Limits.MaxProgramInstructions, opts.Limits.MaxWhileIterations,
-		opts.Limits.MaxDeviceMemoryBytes))
+	hashCompileOptions(h, opts)
+	// Not compile-relevant, but a cached *Engine carries its worker count.
+	hashField(h, fmt.Sprint(opts.ScanWorkers))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -490,7 +455,7 @@ func MustCompile(patterns []string, opts *Options) *Engine {
 func (e *Engine) Patterns() []string { return append([]string(nil), e.patterns...) }
 
 // ResidentBytes reports the measured bytes of durable compiled state this
-// engine keeps resident: packed (or boxed) group programs, output tables,
+// engine keeps resident: packed group programs, output tables,
 // the shared character-class program, and — with Resilience enabled — the
 // fallback rungs' compacted NFA/DFA tables. Transient per-scan buffers are
 // excluded. This is the value the serve layer's refcount-aware cache

@@ -141,23 +141,6 @@ func runBench(benchTime string, minScanMBs float64) (renderable, error) {
 			}
 		}))
 
-	// Batched launches at one core: workers drain queued chunks into
-	// multi-stream kernel launches (Options.ScanBatch), amortizing plan
-	// traversal without any extra parallelism.
-	beng, err := bitgen.Compile(benchPatterns, &bitgen.Options{CTAs: 4, ScanWorkers: 1, ScanBatch: 4})
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, row("scanreader_batched", "streaming scan, batched launches (batch=4, 1 worker)",
-		chunk, func(b *testing.B) {
-			src := &chunkSource{data: input, limit: int64(b.N) * chunk}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := beng.ScanReader(src, chunk, func(bitgen.Match) {}); err != nil {
-				b.Fatal(err)
-			}
-		}))
-
 	// Multicore matrix: GOMAXPROCS x pipeline workers. Scaling beyond the
 	// host's real core count is necessarily flat — each row's note records
 	// the host cores so artifacts from narrow CI hosts read honestly.

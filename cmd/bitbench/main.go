@@ -77,9 +77,8 @@ func main() {
 	benchTime := flag.String("bench-time", "3s", "per-benchmark measuring time for -exp bench (e.g. 200ms for CI smoke)")
 	minScanMBs := flag.Float64("min-scan-mbs", 0, "fail -exp bench when the pipelined scan falls below this MB/s (0 = no gate)")
 	memSizes := flag.String("mem-sizes", "1000,10000,100000", "comma-separated megaset pattern counts for -exp mem")
-	memMinRatio := flag.Float64("mem-min-ratio", 2.0, "fail -exp mem when the largest size's compression ratio falls below this (0 = no gate)")
-	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "fail -exp mem when the largest size's compressed resident bytes exceed this many MiB (0 = no gate)")
-	memBudget := flag.Duration("mem-budget", 0, "fail -exp mem when the largest size's compressed compile exceeds this duration (0 = no gate)")
+	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "fail -exp mem when the largest size's resident bytes exceed this many MiB (0 = no gate)")
+	memBudget := flag.Duration("mem-budget", 0, "fail -exp mem when the largest size's compile exceeds this duration (0 = no gate)")
 	flag.Parse()
 
 	opts := experiments.Options{
@@ -110,7 +109,7 @@ func main() {
 			return runBench(*benchTime, *minScanMBs)
 		}, file: "BENCH_scan"},
 		{name: "mem", run: func(*experiments.Suite) (renderable, error) {
-			return runMem(*memSizes, *seed, *memMinRatio, *memCeilingMB<<20, *memBudget)
+			return runMem(*memSizes, *seed, *memCeilingMB<<20, *memBudget)
 		}, file: "BENCH_mem"},
 	}
 	var selected []artifact

@@ -13,31 +13,24 @@ import (
 
 // The mem artifact measures compiled-state residency at ClamAV-database
 // scale: it generates the deterministic signature megaset at each size,
-// compiles it twice — once with state compression disabled (boxed pointer
-// IR, per-group charclass lowering) and once with the default compressed
-// state (packed programs, shared charclass basis) — and records measured
-// resident bytes per engine and compile wall time for both. Unlike the
-// table/figure artifacts these are real host numbers, not modeled GPU
-// time; they are the trajectory behind results/BENCH_mem.json and the
-// megaset-smoke CI gate.
+// compiles it, and records the engine's measured resident bytes and the
+// compile wall time. Unlike the table/figure artifacts these are real host
+// numbers, not modeled GPU time; they are the trajectory behind
+// results/BENCH_mem.json and the megaset-smoke CI gate.
 
-// memRow is one megaset size measured both ways.
+// memRow is one megaset size.
 type memRow struct {
-	Patterns          int     `json:"patterns"`
-	BaselineBytes     int64   `json:"baseline_resident_bytes"`
-	CompressedBytes   int64   `json:"compressed_resident_bytes"`
-	Ratio             float64 `json:"compression_ratio"`
-	BaselineCompileS  float64 `json:"baseline_compile_s"`
-	CompressedCompile float64 `json:"compressed_compile_s"`
+	Patterns      int     `json:"patterns"`
+	ResidentBytes int64   `json:"resident_bytes"`
+	CompileS      float64 `json:"compile_s"`
 }
 
 // memReport is the BENCH_mem artifact.
 type memReport struct {
-	Seed     int64    `json:"seed"`
-	Rows     []memRow `json:"sizes"`
-	MinRatio float64  `json:"min_ratio_gate"`
-	Ceiling  int64    `json:"ceiling_bytes_gate,omitempty"`
-	BudgetS  float64  `json:"compile_budget_s_gate,omitempty"`
+	Seed    int64    `json:"seed"`
+	Rows    []memRow `json:"sizes"`
+	Ceiling int64    `json:"ceiling_bytes_gate,omitempty"`
+	BudgetS float64  `json:"compile_budget_s_gate,omitempty"`
 }
 
 // parseMemSizes parses the -mem-sizes flag ("1000,10000,100000").
@@ -64,68 +57,43 @@ func parseMemSizes(s string) ([]int, error) {
 // cap is lifted (the whole point is exceeding DefaultMaxPatterns) and
 // everything else stays at the paper defaults so the measured state is
 // the state a real deployment would hold.
-func memOptions(baseline bool) *bitgen.Options {
-	return &bitgen.Options{
-		DisableStateCompression: baseline,
-		Limits:                  bitgen.Limits{MaxPatterns: -1},
-	}
-}
+var memOptions = &bitgen.Options{Limits: bitgen.Limits{MaxPatterns: -1}}
 
-// runMem executes the megaset residency measurement. The gates — ratio
-// floor, resident-bytes ceiling, compile-time budget — apply to the
-// largest size only (the smoke's 100k point); smaller sizes are recorded
-// for the trajectory.
-func runMem(sizesSpec string, seed int64, minRatio float64, ceilingBytes int64, budget time.Duration) (renderable, error) {
+// runMem executes the megaset residency measurement. The gates —
+// resident-bytes ceiling, compile-time budget — apply to the largest size
+// only (the smoke's 100k point); smaller sizes are recorded for the
+// trajectory.
+func runMem(sizesSpec string, seed int64, ceilingBytes int64, budget time.Duration) (renderable, error) {
 	sizes, err := parseMemSizes(sizesSpec)
 	if err != nil {
 		return nil, err
 	}
-	rep := &memReport{Seed: seed, MinRatio: minRatio, Ceiling: ceilingBytes, BudgetS: budget.Seconds()}
+	rep := &memReport{Seed: seed, Ceiling: ceilingBytes, BudgetS: budget.Seconds()}
 	for _, size := range sizes {
 		app, err := workload.Megaset(size, seed, 0)
 		if err != nil {
 			return nil, err
 		}
-		row := memRow{Patterns: size}
-
 		start := time.Now()
-		base, err := bitgen.Compile(app.Patterns, memOptions(true))
+		eng, err := bitgen.Compile(app.Patterns, memOptions)
 		if err != nil {
-			return nil, fmt.Errorf("megaset %d baseline compile: %w", size, err)
+			return nil, fmt.Errorf("megaset %d compile: %w", size, err)
 		}
-		row.BaselineCompileS = time.Since(start).Seconds()
-		row.BaselineBytes = base.ResidentBytes()
-
-		start = time.Now()
-		comp, err := bitgen.Compile(app.Patterns, memOptions(false))
-		if err != nil {
-			return nil, fmt.Errorf("megaset %d compressed compile: %w", size, err)
-		}
-		row.CompressedCompile = time.Since(start).Seconds()
-		row.CompressedBytes = comp.ResidentBytes()
-
-		if row.CompressedBytes > 0 {
-			row.Ratio = float64(row.BaselineBytes) / float64(row.CompressedBytes)
-		}
+		row := memRow{Patterns: size, CompileS: time.Since(start).Seconds(), ResidentBytes: eng.ResidentBytes()}
 		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("    megaset %d: baseline %.1f MiB in %.1fs, compressed %.1f MiB in %.1fs (%.1fx)\n",
-			size, float64(row.BaselineBytes)/(1<<20), row.BaselineCompileS,
-			float64(row.CompressedBytes)/(1<<20), row.CompressedCompile, row.Ratio)
+		fmt.Printf("    megaset %d: %.1f MiB resident, compiled in %.1fs\n",
+			size, float64(row.ResidentBytes)/(1<<20), row.CompileS)
 	}
 
 	// Gates on the largest size.
 	last := rep.Rows[len(rep.Rows)-1]
-	if minRatio > 0 && last.Ratio < minRatio {
-		return nil, fmt.Errorf("megaset %d compression ratio %.2fx is below the %.2fx floor",
-			last.Patterns, last.Ratio, minRatio)
+	if ceilingBytes > 0 && last.ResidentBytes > ceilingBytes {
+		return nil, fmt.Errorf("megaset %d resident %d bytes exceeds the %d-byte ceiling",
+			last.Patterns, last.ResidentBytes, ceilingBytes)
 	}
-	if ceilingBytes > 0 && last.CompressedBytes > ceilingBytes {
-		return nil, fmt.Errorf("megaset %d compressed resident %d bytes exceeds the %d-byte ceiling",
-			last.Patterns, last.CompressedBytes, ceilingBytes)
-	}
-	if budget > 0 && last.CompressedCompile > budget.Seconds() {
+	if budget > 0 && last.CompileS > budget.Seconds() {
 		return nil, fmt.Errorf("megaset %d compile took %.1fs, over the %.1fs budget",
-			last.Patterns, last.CompressedCompile, budget.Seconds())
+			last.Patterns, last.CompileS, budget.Seconds())
 	}
 	return rep, nil
 }
@@ -133,23 +101,18 @@ func runMem(sizesSpec string, seed int64, minRatio float64, ceilingBytes int64, 
 func (r *memReport) Render() string {
 	var b strings.Builder
 	b.WriteString("compiled-state residency, megaset trajectory (measured host bytes)\n")
-	fmt.Fprintf(&b, "%10s %18s %18s %8s %12s %12s\n",
-		"patterns", "baseline bytes", "compressed bytes", "ratio", "base cmpl s", "comp cmpl s")
+	fmt.Fprintf(&b, "%10s %18s %12s\n", "patterns", "resident bytes", "compile s")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%10d %18d %18d %7.1fx %12.2f %12.2f\n",
-			row.Patterns, row.BaselineBytes, row.CompressedBytes, row.Ratio,
-			row.BaselineCompileS, row.CompressedCompile)
+		fmt.Fprintf(&b, "%10d %18d %12.2f\n", row.Patterns, row.ResidentBytes, row.CompileS)
 	}
 	return b.String()
 }
 
 func (r *memReport) CSV() string {
 	var b strings.Builder
-	b.WriteString("patterns,baseline_resident_bytes,compressed_resident_bytes,compression_ratio,baseline_compile_s,compressed_compile_s\n")
+	b.WriteString("patterns,resident_bytes,compile_s\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%d,%d,%d,%.3f,%.3f,%.3f\n",
-			row.Patterns, row.BaselineBytes, row.CompressedBytes, row.Ratio,
-			row.BaselineCompileS, row.CompressedCompile)
+		fmt.Fprintf(&b, "%d,%d,%.3f\n", row.Patterns, row.ResidentBytes, row.CompileS)
 	}
 	return b.String()
 }

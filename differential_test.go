@@ -124,21 +124,21 @@ func FuzzBackendsAgree(f *testing.F) {
 			}
 		}
 
-		// Streaming leg: when the pattern set is streamable, the batched
+		// Streaming leg: when the pattern set is streamable, the
 		// pipelined scanner — over chunk sizes hugging the overlap boundary,
 		// where carried prefixes are nearly whole chunks — must emit exactly
 		// the NFA-verified whole-input match sequence, order included.
-		se, err := Compile(patterns, &Options{ScanWorkers: 2, ScanBatch: 3})
+		se, err := Compile(patterns, &Options{ScanWorkers: 2})
 		if err != nil || len(se.unbounded) > 0 || len(se.nullable) > 0 || se.maxLen == 0 || len(input) == 0 {
 			return
 		}
 		for _, cs := range []int{se.maxLen + 1, 2 * se.maxLen} {
 			var got []Match
 			if err := se.ScanReader(bytes.NewReader(input), cs, func(m Match) { got = append(got, m) }); err != nil {
-				t.Fatalf("patterns %v chunk %d: batched ScanReader: %v", patterns, cs, err)
+				t.Fatalf("patterns %v chunk %d: ScanReader: %v", patterns, cs, err)
 			}
 			if len(got) != len(ref.matches) {
-				t.Fatalf("patterns %v chunk %d: batched stream emitted %d matches, nfa reference %d\nstream: %v\nnfa: %v",
+				t.Fatalf("patterns %v chunk %d: stream emitted %d matches, nfa reference %d\nstream: %v\nnfa: %v",
 					patterns, cs, len(got), len(ref.matches), got, ref.matches)
 			}
 			for i := range got {

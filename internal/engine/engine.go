@@ -76,12 +76,6 @@ type Config struct {
 	// bitstreams exceed this budget — the enforceable form of
 	// Result.ExceedsDeviceMemory (0 = report-only, no enforcement).
 	MemoryBudgetBytes int64
-	// NoStateCompression keeps compiled groups in boxed pointer-IR form and
-	// disables cross-group character-class sharing — the uncompressed
-	// baseline. By default groups are stored packed (a few bytes per
-	// instruction) and classes used by several CTA groups are computed once
-	// per scan as shared extended basis streams.
-	NoStateCompression bool
 	// Inject is an optional fault injector (tests only). Nil never fires.
 	Inject *faultinject.Injector
 	// Obs, when non-nil, records compile and launch spans, aggregates
@@ -122,14 +116,12 @@ func BitGenDefault() Config {
 	}
 }
 
-// Group is one CTA's compiled workload. Exactly one of Program and Packed
-// is set: Program is the boxed pointer-IR form (the uncompressed baseline),
-// Packed the compact byte form (the default; ~10× smaller resident). Use
-// Prog to materialize and EncodedProgram for the canonical bytes.
+// Group is one CTA's compiled workload. The transformed bitstream program
+// is resident only as Packed, the compact byte form (~10× smaller than the
+// boxed pointer IR); Prog materializes it for execution.
 type Group struct {
-	// Program is the transformed bitstream program; nil in packed mode.
-	Program *ir.Program
-	// Packed is the program's packed byte form; nil in boxed mode.
+	// Packed is the program's packed byte form: the resident state, the
+	// snapshot payload and the content unit the serve layer interns.
 	Packed []byte
 	// Outputs mirrors the program's output table so match fan-out and rank
 	// tables never pay a decode.
@@ -141,34 +133,16 @@ type Group struct {
 }
 
 // Prog returns the group's program, decoding the packed form on demand.
-// Each call in packed mode materializes a fresh program, so callers own the
-// result; decode cannot fail for bytes the engine packed itself.
+// Each call materializes a fresh program, so callers own the result; decode
+// cannot fail for bytes the engine packed itself.
 func (g *Group) Prog() *ir.Program {
-	if g.Program != nil {
-		return g.Program
-	}
 	return ir.MustDecodeProgram(g.Packed)
 }
 
-// EncodedProgram returns the canonical packed bytes of the group's program
-// (the content unit snapshots persist and the serve layer interns).
-func (g *Group) EncodedProgram() []byte {
-	if g.Packed != nil {
-		return g.Packed
-	}
-	return ir.EncodeProgram(g.Program)
-}
-
-// SizeBytes measures the group's resident state: the stored program form
-// plus names and the output table.
+// SizeBytes measures the group's resident state: the packed program plus
+// names and the output table.
 func (g *Group) SizeBytes() int64 {
-	var sz int64
-	if g.Packed != nil {
-		sz += int64(len(g.Packed)) + 24
-	}
-	if g.Program != nil {
-		sz += ir.ProgramSizeBytes(g.Program)
-	}
+	sz := int64(len(g.Packed)) + 24
 	for _, n := range g.Names {
 		sz += 16 + int64(len(n))
 	}
@@ -181,18 +155,12 @@ func (g *Group) SizeBytes() int64 {
 // Clone deep-copies the group so callers can hold it without aliasing the
 // engine's internal state.
 func (g *Group) Clone() Group {
-	ng := Group{
+	return Group{
+		Packed:  append([]byte(nil), g.Packed...),
 		Names:   append([]string(nil), g.Names...),
 		Outputs: append([]ir.Output(nil), g.Outputs...),
 		Chars:   g.Chars,
 	}
-	if g.Packed != nil {
-		ng.Packed = append([]byte(nil), g.Packed...)
-	}
-	if g.Program != nil {
-		ng.Program = g.Program.Clone()
-	}
-	return ng
 }
 
 // Engine is a compiled multi-regex matcher.
@@ -322,15 +290,11 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 		if err != nil {
 			return nil, err
 		}
-		g := Group{Names: names, Chars: part.chars, Outputs: prog.Outputs}
-		if cfg.NoStateCompression {
-			g.Program = prog
-		} else {
-			// Packed mode: the compact byte form is the resident state; the
-			// boxed program becomes garbage once sessions decode their own.
-			g.Packed = ir.EncodeProgram(prog)
-		}
-		e.groups = append(e.groups, g)
+		// The compact byte form is the resident state; the boxed program
+		// becomes garbage once sessions decode their own.
+		e.groups = append(e.groups, Group{
+			Packed: ir.EncodeProgram(prog), Names: names, Chars: part.chars, Outputs: prog.Outputs,
+		})
 	}
 	e.initMatchRanks()
 	e.initRunPool()
@@ -352,9 +316,9 @@ const maxSharedClasses = 256
 // initShared selects the character classes worth computing once per scan —
 // those expanded by at least two CTA groups — in deterministic first-use
 // order, and builds the shared program producing their match streams.
-// Single-group engines and the uncompressed baseline share nothing.
+// Single-group engines share nothing.
 func (e *Engine) initShared(parts []part) (map[charclass.Class]int, error) {
-	if e.cfg.NoStateCompression || len(parts) < 2 {
+	if len(parts) < 2 {
 		return nil, nil
 	}
 	counts := make(map[charclass.Class]int)
@@ -450,39 +414,33 @@ func (e *Engine) ResidentBytes() int64 {
 	return sz
 }
 
-// PackedBlocks returns the packed program bytes of every compressed group,
-// the content units a cross-engine store deduplicates. Boxed-mode groups
-// contribute nothing (their state is not content-addressed).
+// PackedBlocks returns the packed program bytes of every group, the content
+// units a cross-engine store deduplicates.
 func (e *Engine) PackedBlocks() [][]byte {
-	var out [][]byte
+	out := make([][]byte, len(e.groups))
 	for i := range e.groups {
-		if e.groups[i].Packed != nil {
-			out = append(out, e.groups[i].Packed)
-		}
+		out[i] = e.groups[i].Packed
 	}
 	return out
 }
 
-// RebindPackedBlocks replaces each compressed group's packed bytes with the
-// canonical slice canon returns for it, letting engines with identical
-// compiled groups share one backing array. canon must return bytes equal to
-// its argument; it is called once per packed group in order. The serve
-// layer calls this before publishing a newly built engine.
+// RebindPackedBlocks replaces each group's packed bytes with the canonical
+// slice canon returns for it, letting engines with identical compiled groups
+// share one backing array. canon must return bytes equal to its argument; it
+// is called once per group in order. The serve layer calls this before
+// publishing a newly built engine.
 func (e *Engine) RebindPackedBlocks(canon func([]byte) []byte) {
 	for i := range e.groups {
-		if e.groups[i].Packed != nil {
-			e.groups[i].Packed = canon(e.groups[i].Packed)
-		}
+		e.groups[i].Packed = canon(e.groups[i].Packed)
 	}
 }
 
 // Restore reconstructs an Engine from previously compiled groups — the
 // snapshot-load path. No lowering or passes run; the groups carry their
-// already-transformed programs (boxed or packed). Every program is
-// re-validated so a decoded snapshot that passed checksums but violates IR
-// invariants is still refused before it can execute, and each group is
-// normalized to the configuration's storage mode. shared, when non-nil, is
-// the engine's shared-class program; groups whose programs read extended
+// already-transformed packed programs. Every program is decoded and
+// re-validated so a snapshot that passed checksums but violates IR
+// invariants is still refused before it can execute. shared, when non-nil,
+// is the engine's shared-class program; groups whose programs read extended
 // basis bits require it.
 func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Engine, error) {
 	cfg = cfg.withDefaults()
@@ -501,16 +459,9 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 	}
 	for i := range groups {
 		g := &groups[i]
-		if g.Program == nil && g.Packed == nil {
-			return nil, fmt.Errorf("engine: group %d has no program", i)
-		}
-		prog := g.Program
-		if prog == nil {
-			p, err := ir.DecodeProgram(g.Packed)
-			if err != nil {
-				return nil, fmt.Errorf("engine: restored group %d: %w", i, err)
-			}
-			prog = p
+		prog, err := ir.DecodeProgram(g.Packed)
+		if err != nil {
+			return nil, fmt.Errorf("engine: restored group %d: %w", i, err)
 		}
 		if err := ir.Validate(prog); err != nil {
 			return nil, fmt.Errorf("engine: restored group %d invalid: %w", i, err)
@@ -520,15 +471,6 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 				i, prog.ExtBits, sharedOutputs)
 		}
 		g.Outputs = prog.Outputs
-		// Normalize to the configured storage mode regardless of how the
-		// snapshot shipped the group.
-		if cfg.NoStateCompression {
-			g.Program, g.Packed = prog, nil
-		} else if g.Packed == nil {
-			g.Program, g.Packed = nil, ir.EncodeProgram(prog)
-		} else {
-			g.Program = nil
-		}
 	}
 	e := &Engine{cfg: cfg, groups: groups, shared: shared, PassStats: ps}
 	e.initMatchRanks()

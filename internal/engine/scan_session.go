@@ -42,14 +42,6 @@ type ScanSession struct {
 	heap  []scanCursor          // merge heap scratch, reused across chunks
 	tr    *arena.Tracker
 	lane  int
-
-	// Batched-scan state (ScanBatch): one transpose basis per in-flight
-	// chunk plus per-lane parked outputs, created on first use. bases[0]
-	// is the session's own basis. maxChunkBytes sizes lazily added bases.
-	maxChunkBytes int
-	bases         []*transpose.Basis
-	louts         [][][]*bitstream.Stream // [lane][group][output]
-	footprints    []int64
 }
 
 // scanCursor walks one output stream during the match merge. end is the
@@ -70,11 +62,10 @@ type scanCursor struct {
 // trace lane the session's kernel spans land on.
 func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*ScanSession, error) {
 	ss := &ScanSession{
-		e:             e,
-		basis:         &transpose.Basis{},
-		tr:            arena.NewTracker(a),
-		lane:          lane,
-		maxChunkBytes: maxChunkBytes,
+		e:     e,
+		basis: &transpose.Basis{},
+		tr:    arena.NewTracker(a),
+		lane:  lane,
 	}
 	// Basis backing from the arena: one bit per input byte, eight planes.
 	nw := bitstream.WordsFor(maxChunkBytes)
@@ -141,7 +132,7 @@ func (ss *ScanSession) Scan(ctx context.Context, chunk []byte, base, newFrom int
 			Value: footprint, Max: e.cfg.MemoryBudgetBytes,
 		}
 	}
-	dst = ss.mergeMatches(ss.outs, base, newFrom, dst)
+	dst = ss.mergeMatches(base, newFrom, dst)
 	ss.clearOuts()
 	return dst, nil
 }
@@ -178,14 +169,14 @@ func (ss *ScanSession) scanGroup(ctx context.Context, gi int) (st gpusim.CTAStat
 // (end, rank) yields matches in exactly the (End, Pattern) order the
 // sequential path's sort produced — on integer comparisons, without the
 // per-chunk O(n log n) string sort that used to dominate the scan profile.
-func (ss *ScanSession) mergeMatches(gouts [][]*bitstream.Stream, base, newFrom int64, dst []ScanMatch) []ScanMatch {
+func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []ScanMatch {
 	startBit := 0
 	if newFrom > base {
 		// Positions inside the carried-over overlap were already reported
 		// by the previous chunk.
 		startBit = int(newFrom - base)
 	}
-	h := ss.heap[:0]
+	h, gouts := ss.heap[:0], ss.outs
 	for gi, outs := range gouts {
 		ranks := ss.e.outRanks[gi]
 		for oi, s := range outs {
@@ -260,126 +251,6 @@ func siftDown(h []scanCursor, i int) {
 func (ss *ScanSession) clearOuts() {
 	for gi := range ss.outs {
 		ss.outs[gi] = nil
-	}
-}
-
-// ScanChunk is one chunk of a batched scan: Data at absolute offset Base,
-// with matches before NewFrom suppressed (carried-over overlap). Matches
-// and Err are outputs — Matches reuses its own backing array across calls.
-type ScanChunk struct {
-	Data          []byte
-	Base, NewFrom int64
-	Matches       []ScanMatch
-	Err           error
-}
-
-// ScanBatch scans K chunks through one batched kernel launch per CTA
-// group: every group's plan is traversed once for all K transposed inputs
-// (kernel.Session.RunBatch) instead of once per chunk. Each chunk's
-// Matches and Err are exactly what Scan would have produced for it.
-//
-// Fallback and resilience semantics are unchanged: if the batched launch
-// fails for any reason, every chunk is replayed through the sequential
-// per-chunk path, which reproduces per-chunk error attribution (and panic
-// containment) bit-for-bit.
-func (ss *ScanSession) ScanBatch(ctx context.Context, chunks []*ScanChunk) {
-	if len(chunks) == 1 {
-		c := chunks[0]
-		c.Matches, c.Err = ss.Scan(ctx, c.Data, c.Base, c.NewFrom, c.Matches)
-		return
-	}
-	if len(chunks) == 0 {
-		return
-	}
-	if !ss.scanBatched(ctx, chunks) {
-		for _, c := range chunks {
-			c.Matches, c.Err = ss.Scan(ctx, c.Data, c.Base, c.NewFrom, c.Matches)
-		}
-	}
-}
-
-// scanBatched attempts the batched path, reporting whether it completed.
-// Any failure — kernel error, budget overflow, contained panic — rolls the
-// whole batch back to the sequential path.
-func (ss *ScanSession) scanBatched(ctx context.Context, chunks []*ScanChunk) (done bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			ss.clearBatchOuts(len(chunks))
-			done = false
-		}
-	}()
-	e := ss.e
-	k := len(chunks)
-	ss.growLanes(k)
-	for i, c := range chunks {
-		transpose.TransposeInto(ss.bases[i], c.Data)
-		if err := e.bindShared(ss.bases[i]); err != nil {
-			ss.clearBatchOuts(k)
-			return false
-		}
-		ss.footprints[i] = 0
-	}
-	for gi := range ss.sess {
-		if err := gpusim.CheckLaunch(e.cfg.Inject, gi); err != nil {
-			ss.clearBatchOuts(k)
-			return false
-		}
-		outs, stats, err := ss.sess[gi].RunBatch(ctx, ss.bases[:k])
-		if err != nil {
-			ss.clearBatchOuts(k)
-			return false
-		}
-		for lane := 0; lane < k; lane++ {
-			ss.louts[lane][gi] = outs[lane]
-			ss.footprints[lane] += gpusim.IntermediateFootprintBytes(
-				stats[lane].IntermediateStreams, int64(len(chunks[lane].Data)))
-		}
-	}
-	if e.cfg.MemoryBudgetBytes > 0 {
-		for lane := 0; lane < k; lane++ {
-			if ss.footprints[lane] > e.cfg.MemoryBudgetBytes {
-				ss.clearBatchOuts(k)
-				return false
-			}
-		}
-	}
-	for lane, c := range chunks {
-		c.Matches = ss.mergeMatches(ss.louts[lane], c.Base, c.NewFrom, c.Matches[:0])
-		c.Err = nil
-	}
-	ss.clearBatchOuts(k)
-	return true
-}
-
-// growLanes ensures batch state exists for k lanes. Lane 0 aliases the
-// session's own basis, so single-chunk and batched scans share buffers.
-func (ss *ScanSession) growLanes(k int) {
-	if len(ss.bases) == 0 {
-		ss.bases = append(ss.bases, ss.basis)
-	}
-	for len(ss.bases) < k {
-		b := &transpose.Basis{}
-		if nw := bitstream.WordsFor(ss.maxChunkBytes); nw > 0 {
-			for j := 0; j < transpose.NumBasis; j++ {
-				b.SetWords(j, ss.tr.Words(nw))
-			}
-		}
-		ss.bases = append(ss.bases, b)
-	}
-	for len(ss.louts) < k {
-		ss.louts = append(ss.louts, make([][]*bitstream.Stream, len(ss.sess)))
-	}
-	for len(ss.footprints) < k {
-		ss.footprints = append(ss.footprints, 0)
-	}
-}
-
-// clearBatchOuts drops parked batch stream references (mirrors clearOuts).
-func (ss *ScanSession) clearBatchOuts(k int) {
-	for lane := 0; lane < k && lane < len(ss.louts); lane++ {
-		for gi := range ss.louts[lane] {
-			ss.louts[lane][gi] = nil
-		}
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 
 // Packed program codec: a compact, deterministic byte form of a Program.
 //
-// The packed form is the engine's resident representation in compressed
-// mode (a handful of bytes per instruction instead of ~72 bytes of boxed
-// pointer IR), the payload the snapshot format persists per group, and the
-// content unit the serve layer's intern store deduplicates across engines
-// (content address = hash of the packed bytes). Those three uses share one
+// The packed form is the engine's resident representation (a handful of
+// bytes per instruction instead of ~72 bytes of boxed pointer IR), the
+// payload the snapshot format persists per group, and the content unit the
+// serve layer's intern store deduplicates across engines (content address
+// = hash of the packed bytes). Those three uses share one
 // invariant: EncodeProgram is a pure function of program structure, so
 // EncodeProgram(DecodeProgram(b)) == b and structurally identical programs
 // encode byte-identically.
@@ -147,8 +147,8 @@ func MustDecodeProgram(data []byte) *Program {
 
 // ProgramSizeBytes estimates the resident heap footprint of the boxed
 // pointer-IR form of p: statement nodes, boxed expressions, slice headers,
-// outputs, and the barrier schedule. It is the "uncompressed" side of the
-// residency accounting; the compressed side is len(EncodeProgram(p)).
+// outputs, and the barrier schedule. The engine's shared-class program is
+// resident in this form; group programs are resident packed.
 func ProgramSizeBytes(p *Program) int64 {
 	if p == nil {
 		return 0

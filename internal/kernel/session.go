@@ -41,12 +41,6 @@ type Session struct {
 	staticDelta   int64
 
 	outs []*bitstream.Stream // reused result slice, aligned with prog.Outputs
-
-	// Batched-launch state (see batch.go): per-input executor lanes plus
-	// retained result slices, created on first RunBatch. lanes[0] is ex.
-	lanes      []*ctaExec
-	batchOuts  [][]*bitstream.Stream
-	batchStats []gpusim.CTAStats
 }
 
 // NewSession validates the program and builds the executor state. Buffers

@@ -138,7 +138,7 @@ const (
 	HOverlapFallback = "Loops or carries that overflowed the overlap limit and were materialized stream-wise."
 
 	HCompileSeconds      = "Wall-clock seconds to compile a pattern set into an engine (lowering, passes, state packing)."
-	HEngineResidentBytes = "Measured resident bytes of durable compiled state per engine (packed or boxed programs, output tables, shared class program)."
+	HEngineResidentBytes = "Measured resident bytes of durable compiled state per engine (packed programs, output tables, shared class program)."
 
 	HServeRequests        = "HTTP requests admitted, per endpoint."
 	HServeErrors          = "HTTP requests that returned an error status, per endpoint."

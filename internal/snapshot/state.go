@@ -39,8 +39,7 @@ type EngineState struct {
 	// its packed byte blob — the same content unit the engine keeps resident
 	// and the serve layer interns — so snapshots of compressed engines
 	// round-trip byte-identically. Decode materializes and validates every
-	// blob and leaves both Packed and Program populated; engine.Restore
-	// normalizes to the target storage mode.
+	// blob but keeps only the packed bytes and the output table.
 	Groups []engine.Group
 	// Shared is the engine-wide character-class program whose outputs bind
 	// the extended basis bits (MatchBasis ≥ 8) that group programs may read.
@@ -81,10 +80,9 @@ func Encode(st *EngineState) []byte {
 		g := &st.Groups[i]
 		groups.strs(g.Names)
 		groups.varint(int64(g.Chars))
-		// EncodedProgram returns the stored packed bytes verbatim for a
-		// compressed engine, so re-encoding a decoded snapshot reproduces
-		// the group section byte for byte.
-		groups.blob(g.EncodedProgram())
+		// The stored packed bytes go out verbatim, so re-encoding a decoded
+		// snapshot reproduces the group section byte for byte.
+		groups.blob(g.Packed)
 	}
 
 	var shared enc
@@ -199,7 +197,6 @@ func Decode(data []byte) (*EngineState, error) {
 			return nil, corrupt("group %d reads %d extended basis bits, shared program provides %d",
 				i, p.ExtBits, sharedOutputs)
 		}
-		st.Groups[i].Program = p
 		st.Groups[i].Outputs = p.Outputs
 	}
 	return st, nil

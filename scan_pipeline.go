@@ -58,13 +58,8 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	if ar == nil {
 		ar = arena.Default
 	}
-	batch := e.scanBatch
-	if batch < 1 {
-		batch = 1
-	}
-	// Bounded look-ahead: jobs in flight at once. With batching the queue
-	// must hold enough completed reads for workers to find batchmates.
-	depth := workers*batch + 2
+	// Bounded look-ahead: jobs in flight at once.
+	depth := workers + 2
 
 	e.obs.NameLane(scanLaneEmit, "scan/emit")
 	e.obs.NameLane(scanLaneReader, "scan/reader")
@@ -157,59 +152,20 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			if ss != nil {
 				defer ss.Close()
 			}
-			// Opportunistic batching: after taking one job, drain whatever
-			// is already queued (up to the batch size) without waiting, and
-			// run the whole set through one batched launch per CTA group.
-			// An idle pipeline degrades to plain chunk-at-a-time scanning.
-			jobs := make([]*scanJob, 0, batch)
-			chunks := make([]engine.ScanChunk, batch)
-			chunkPtrs := make([]*engine.ScanChunk, 0, batch)
 			for j := range work {
-				jobs = append(jobs[:0], j)
-			drain:
-				for len(jobs) < batch {
-					select {
-					case j2, ok := <-work:
-						if !ok {
-							break drain
-						}
-						jobs = append(jobs, j2)
-					default:
-						break drain
-					}
-				}
 				start := time.Now()
 				var cspan *obs.Span
 				if traced {
-					cspan = e.obs.Span("scan", "scan-chunk", lane).
-						Arg("seq", j.seq).Arg("batch", len(jobs))
+					cspan = e.obs.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
 				}
-				if len(jobs) == 1 {
-					j.scan(pctx, ss, ssErr)
-				} else {
-					chunkPtrs = chunkPtrs[:0]
-					for i, jb := range jobs {
-						chunks[i] = engine.ScanChunk{
-							Data: jb.data, Base: jb.offset, NewFrom: jb.newFrom,
-							Matches: jb.matches[:0],
-						}
-						chunkPtrs = append(chunkPtrs, &chunks[i])
-					}
-					scanJobsBatched(pctx, ss, ssErr, chunkPtrs)
-					for i, jb := range jobs {
-						jb.matches, jb.err = chunks[i].Matches, chunks[i].Err
-						chunks[i] = engine.ScanChunk{}
-					}
-				}
+				j.scan(pctx, ss, ssErr)
 				if traced {
 					cspan.Arg("matches", len(j.matches)).End()
 				}
-				for _, jb := range jobs {
-					e.observeScan(start, len(jb.data), len(jb.matches), jb.err)
-					ar.PutBytes(jb.buf)
-					jb.buf = nil
-					results <- jb // never blocks: at most depth jobs exist
-				}
+				e.observeScan(start, len(j.data), len(j.matches), j.err)
+				ar.PutBytes(j.buf)
+				j.buf = nil
+				results <- j // never blocks: at most depth jobs exist
 			}
 		}(w)
 	}
@@ -263,28 +219,6 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	}
 	// All dispatched chunks emitted; surface how the reader stopped.
 	return readerErr
-}
-
-// scanJobsBatched runs a drained batch through the session's batched path,
-// containing any panic as a typed internal error on every affected chunk
-// (mirroring scan's containment) so one poisoned batch cannot take down
-// the pipeline.
-func scanJobsBatched(ctx context.Context, ss *engine.ScanSession, ssErr error, chunks []*engine.ScanChunk) {
-	defer func() {
-		if r := recover(); r != nil {
-			err := &bgerr.InternalError{Op: "scan", Value: r, Stack: debug.Stack()}
-			for _, c := range chunks {
-				c.Matches, c.Err = c.Matches[:0], err
-			}
-		}
-	}()
-	if ssErr != nil {
-		for _, c := range chunks {
-			c.Matches, c.Err = c.Matches[:0], ssErr
-		}
-		return
-	}
-	ss.ScanBatch(ctx, chunks)
 }
 
 // scan runs the job's chunk through the worker's session, containing any

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/faultinject"
 )
 
 // TestScanPipelinedMatchesSequential is the pipeline's differential oracle:
@@ -94,86 +96,6 @@ func (r *trickleReader) Read(p []byte) (int, error) {
 // while the reader still has endless input: the scan must return
 // ErrCanceled promptly and hand back every pooled buffer (run under -race
 // this also shakes out reader/worker/emit data races).
-// TestScanBatchedPipelineMatchesSequential is the batched pipeline's
-// differential oracle: with Options.ScanBatch enabled, workers drain queued
-// chunks into multi-stream launches — and must still emit a byte-identical
-// match sequence to the sequential chunk-at-a-time path, over chunk sizes
-// straddling the overlap boundary, while returning every pooled buffer.
-// Run under -race with workers > 1, it also pins that concurrent batched
-// sessions share no state.
-func TestScanBatchedPipelineMatchesSequential(t *testing.T) {
-	patterns := []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", "0\\d{3}"}
-	eng := MustCompile(patterns, &Options{CTAs: 2, Threads: 64})
-	maxLen := eng.maxLen
-
-	rng := rand.New(rand.NewSource(43))
-	words := []string{"fox", "dog", "quik", "quxyzk", "lazy", "l zy", "0123", "0999", "xx", " ", "quak"}
-	var sb strings.Builder
-	for sb.Len() < 30_000 {
-		sb.WriteString(words[rng.Intn(len(words))])
-	}
-	input := []byte(sb.String())
-
-	chunkSizes := []int{maxLen + 1, 2 * maxLen, 97, 1024}
-	for _, cs := range chunkSizes {
-		var want []Match
-		err := eng.scanSequential(context.Background(), bytes.NewReader(input), cs, maxLen,
-			func(m Match) { want = append(want, m) })
-		if err != nil {
-			t.Fatalf("chunk %d: sequential: %v", cs, err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("chunk %d: degenerate corpus, no matches", cs)
-		}
-		for _, workers := range []int{1, 3} {
-			for _, batch := range []int{2, 4} {
-				a := &arena.Arena{}
-				eng.scanArena, eng.scanWorkers, eng.scanBatch = a, workers, batch
-				var got []Match
-				err := eng.ScanReader(bytes.NewReader(input), cs, func(m Match) { got = append(got, m) })
-				eng.scanArena, eng.scanWorkers, eng.scanBatch = nil, 0, 0
-				if err != nil {
-					t.Fatalf("chunk %d workers %d batch %d: batched: %v", cs, workers, batch, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("chunk %d workers %d batch %d: batched emitted %d matches, sequential %d",
-						cs, workers, batch, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("chunk %d workers %d batch %d: match %d = %+v, sequential emitted %+v",
-							cs, workers, batch, i, got[i], want[i])
-					}
-				}
-				if err := a.CheckBalanced(); err != nil {
-					t.Fatalf("chunk %d workers %d batch %d: %v", cs, workers, batch, err)
-				}
-			}
-		}
-	}
-}
-
-// TestScanBatchOption pins that Options.ScanBatch reaches the scanner and
-// survives a snapshot round-trip (it is runtime-only: excluded from the
-// options fingerprint, applied by the loading process's own Options).
-func TestScanBatchOption(t *testing.T) {
-	eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, Threads: 32, ScanBatch: 4})
-	if eng.scanBatch != 4 {
-		t.Fatalf("scanBatch = %d, want 4", eng.scanBatch)
-	}
-	var buf bytes.Buffer
-	if err := SaveEngine(&buf, eng); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadEngine(&buf, &Options{CTAs: 1, Threads: 32, ScanBatch: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.scanBatch != 7 {
-		t.Fatalf("restored scanBatch = %d, want the loader's 7", restored.scanBatch)
-	}
-}
-
 func TestScanPipelinedCancellation(t *testing.T) {
 	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, Threads: 32})
 	for _, workers := range []int{1, 4} {
@@ -197,6 +119,123 @@ func TestScanPipelinedCancellation(t *testing.T) {
 		}
 		if err := a.CheckBalanced(); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
+		}
+	}
+}
+
+// gatedReader serves data freely up to gateAt bytes, then holds the next
+// byte back until release closes (or a generous timeout, so a failing run
+// reports instead of hanging).
+type gatedReader struct {
+	r       *bytes.Reader
+	gateAt  int
+	release <-chan struct{}
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	if g.gateAt == 0 {
+		select {
+		case <-g.release:
+		case <-time.After(10 * time.Second):
+		}
+		g.gateAt = -1
+	}
+	if g.gateAt > 0 && len(p) > g.gateAt {
+		p = p[:g.gateAt]
+	}
+	n, err := g.r.Read(p)
+	if g.gateAt > 0 {
+		g.gateAt -= n
+	}
+	return n, err
+}
+
+// TestScanPipelinedContainsInjectedKernelPanic arms a one-shot kernel panic
+// on a pipelined, non-ladder ScanReader. The reader holds chunk k back
+// until every earlier chunk has been emitted, and the fault is armed for
+// the first launch after that: it lands on group 0 of chunk k or — the
+// launch counter is global — of a later chunk racing through another
+// worker. Whichever chunk f that is, the panic must be contained: every
+// match of the chunks before f emitted exactly once and in order, nothing
+// from f or later (chunks past f are in flight or done by then), a typed
+// *InternalError naming the poisoned group, a balanced arena, and an
+// engine that scans cleanly afterwards.
+func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
+	const chunk, k, chunks = 512, 3, 12
+	unit := "the quick fox, a lazy dog; "
+	input := []byte(strings.Repeat(unit, chunks*chunk/len(unit)+1))[:chunks*chunk]
+
+	for _, workers := range []int{1, 2, 4} {
+		eng := MustCompile([]string{"fox|dog", "l.zy"}, &Options{CTAs: 2, Threads: 64, ScanWorkers: workers})
+		groups := eng.inner.Groups()
+		if len(groups) != 2 {
+			t.Fatalf("compiled %d groups, test assumes 2", len(groups))
+		}
+		var ref []Match
+		if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { ref = append(ref, m) }); err != nil {
+			t.Fatalf("workers %d: clean scan: %v", workers, err)
+		}
+		before := 0 // matches belonging to chunks ahead of chunk k
+		for before < len(ref) && ref[before].End < k*chunk {
+			before++
+		}
+		if before == 0 {
+			t.Fatalf("degenerate corpus: no match precedes chunk %d", k)
+		}
+
+		// Two launches per chunk (one per group): chunks 0..k-1 account
+		// for 2k, the next one is the first launch after the gate.
+		inj := faultinject.New(1).ArmNth(faultinject.KernelPanic, 2*k+1)
+		eng.inner = eng.inner.WithInjector(inj)
+		a := &arena.Arena{}
+		eng.scanArena = a
+
+		release := make(chan struct{})
+		var got []Match
+		err := eng.ScanReader(&gatedReader{r: bytes.NewReader(input), gateAt: k * chunk, release: release}, chunk,
+			func(m Match) {
+				got = append(got, m)
+				if len(got) == before {
+					close(release)
+				}
+			})
+		var ie *InternalError
+		if !errors.As(err, &ie) {
+			t.Fatalf("workers %d: err = %v, want *InternalError", workers, err)
+		}
+		if ie.Group != 0 || !reflect.DeepEqual(ie.Patterns, groups[0].Names) {
+			t.Fatalf("workers %d: error attributes group %d %v, want group 0 %v",
+				workers, ie.Group, ie.Patterns, groups[0].Names)
+		}
+		if len(got) < before || len(got) >= len(ref) {
+			t.Fatalf("workers %d: emitted %d matches, want at least the %d preceding chunk %d and fewer than all %d",
+				workers, len(got), before, k, len(ref))
+		}
+		// f is the chunk the first withheld match belongs to: the emitted
+		// sequence must be the reference cut exactly at f's start.
+		f := ref[len(got)].End / chunk
+		if f < k || f >= k+workers {
+			t.Fatalf("workers %d: output stops at chunk %d, want one of the %d chunks in flight from chunk %d",
+				workers, f, workers, k)
+		}
+		if !reflect.DeepEqual(got, ref[:len(got)]) || got[len(got)-1].End >= f*chunk {
+			t.Fatalf("workers %d: emitted %d matches, want exactly those preceding chunk %d\ngot:  %v\nwant a prefix of: %v",
+				workers, len(got), f, got, ref)
+		}
+		if err := a.CheckBalanced(); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+
+		// The one-shot fault is spent; the same engine scans cleanly.
+		got = got[:0]
+		if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) }); err != nil {
+			t.Fatalf("workers %d: scan after contained panic: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers %d: scan after contained panic emitted %d matches, want %d", workers, len(got), len(ref))
+		}
+		if err := a.CheckBalanced(); err != nil {
+			t.Fatalf("workers %d: after recovery: %v", workers, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 
 	"bitgen/internal/bgerr"
@@ -13,29 +14,40 @@ import (
 	"bitgen/internal/snapshot"
 )
 
-// optionsHash fingerprints every compile-relevant option: a snapshot may
-// only be loaded under Options that would have compiled the identical
-// engine. Runtime-only options — ScanWorkers, ScanBatch, Resilience,
-// Observability — are deliberately excluded: they reconfigure execution,
-// not compilation, so a snapshot saved by a plain process warm-starts a
-// traced, batched or resilience-laddered one.
-func optionsHash(opts *Options) string {
-	h := sha256.New()
-	field := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	field("bitgen-snapshot-options-v2")
-	field(fmt.Sprintf("%t|%s|%d|%d|%t|%t|%d|%d|%t",
+// hashField writes one length-prefixed field, so adjacent fields cannot
+// run together into the same digest input.
+func hashField(h hash.Hash, s string) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+	h.Write(n[:])
+	h.Write([]byte(s))
+}
+
+// hashCompileOptions folds every compile-relevant Options field into h.
+// It is the single spelling of that list: optionsHash and PatternSetKey
+// both call it, so a new Options field that changes the compiled engine
+// is added here once and reaches both hashes.
+func hashCompileOptions(h hash.Hash, opts *Options) {
+	hashField(h, fmt.Sprintf("%t|%s|%d|%d|%t|%t|%d|%d",
 		opts.FoldCase, opts.Device, opts.CTAs, opts.Threads,
 		opts.DisableShiftRebalancing, opts.DisableZeroBlockSkipping,
-		opts.MergeSize, opts.IntervalSize, opts.DisableStateCompression))
-	field(fmt.Sprintf("%d|%d|%d|%d|%d",
+		opts.MergeSize, opts.IntervalSize))
+	hashField(h, fmt.Sprintf("%d|%d|%d|%d|%d",
 		opts.Limits.MaxInputBytes, opts.Limits.MaxPatterns,
 		opts.Limits.MaxProgramInstructions, opts.Limits.MaxWhileIterations,
 		opts.Limits.MaxDeviceMemoryBytes))
+}
+
+// optionsHash fingerprints every compile-relevant option: a snapshot may
+// only be loaded under Options that would have compiled the identical
+// engine. Runtime-only options — ScanWorkers, Resilience, Observability —
+// are deliberately excluded: they reconfigure execution, not compilation,
+// so a snapshot saved by a plain process warm-starts a traced or
+// resilience-laddered one.
+func optionsHash(opts *Options) string {
+	h := sha256.New()
+	hashField(h, "bitgen-snapshot-options-v3")
+	hashCompileOptions(h, opts)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -147,7 +159,6 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 		maxLen: st.MaxLen, unbounded: st.Unbounded,
 		obs:         observer,
 		scanWorkers: opts.ScanWorkers,
-		scanBatch:   opts.ScanBatch,
 		foldCase:    st.FoldCase,
 		optsHash:    st.OptionsHash,
 	}

@@ -2,11 +2,15 @@ package bitgen
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
+
+	"bitgen/internal/snapshot"
 )
 
 // snapPatterns exercises the interesting compile paths: duplicates,
@@ -124,6 +128,26 @@ func TestSnapshotOptionsMismatch(t *testing.T) {
 		if _, err := DecodeEngine(buf.Bytes(), opts); err != nil {
 			t.Fatalf("runtime-only opts %+v refused: %v", opts, err)
 		}
+	}
+
+	// A snapshot written before the options-hash domain moved to v3 is
+	// otherwise intact (same container, same packed groups): patch in the
+	// hash the v2 formula stored for default options. It must be refused
+	// as options-mismatch — a negotiation refusal that leaves the file in
+	// place for recompilation — never as corrupt, which would quarantine.
+	st, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashField(h, "bitgen-snapshot-options-v2")
+	hashField(h, "false||0|0|false|false|0|0|false")
+	hashField(h, "0|0|0|0|0")
+	st.OptionsHash = hex.EncodeToString(h.Sum(nil))
+	_, err = DecodeEngine(snapshot.Encode(st), nil)
+	var se *SnapshotError
+	if !errors.As(err, &se) || se.Reason != "options-mismatch" {
+		t.Fatalf("pre-v3 options hash: want options-mismatch, got %v", err)
 	}
 }
 
