@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also gates formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: unformatted files:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

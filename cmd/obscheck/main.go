@@ -85,10 +85,10 @@ func main() {
 // traceEvent mirrors the trace_event fields obscheck validates; unknown
 // fields are tolerated (the format is extensible).
 type traceEvent struct {
-	Name string           `json:"name"`
-	Ph   string           `json:"ph"`
-	Ts   *float64         `json:"ts"`
-	Dur  *float64         `json:"dur"`
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   *float64       `json:"ts"`
+	Dur  *float64       `json:"dur"`
 	Pid  *int           `json:"pid"`
 	Tid  *int           `json:"tid"`
 	Args map[string]any `json:"args"`

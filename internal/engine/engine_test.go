@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
 	"bitgen/internal/kernel"
@@ -56,6 +58,32 @@ func TestCompileAndRunMatchesInterpreter(t *testing.T) {
 	}
 	if res.ThroughputMBs <= 0 {
 		t.Error("no throughput modeled")
+	}
+
+	// Run and ScanSession launch from one kernel configuration: the same
+	// bytes as one chunk model the same per-group cost.
+	ss, err := e.NewScanSession(len(input), &arena.Arena{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	matches, err := ss.Scan(context.Background(), input, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(matches)) != res.TotalMatches {
+		t.Errorf("Scan found %d matches, Run %d", len(matches), res.TotalMatches)
+	}
+	for gi := range e.groups {
+		// Scan keeps no stats; a session re-run over the chunk it just
+		// scanned reports what that scan charged.
+		stats, err := ss.scanGroup(context.Background(), gi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != res.Stats.PerCTA[gi] {
+			t.Errorf("group %d: Scan stats %+v != Run stats %+v", gi, stats, res.Stats.PerCTA[gi])
+		}
 	}
 }
 

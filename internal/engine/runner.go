@@ -34,6 +34,22 @@ func (e *Engine) initRunPool() {
 	e.runArena = &arena.Arena{}
 }
 
+// kernelConfig is the one kernel configuration this engine launches with,
+// for Run and ScanSession alike, so both model the same kernel. lane is the
+// trace lane the launch's spans land on.
+func (e *Engine) kernelConfig(lane int) kernel.Config {
+	return kernel.Config{
+		Grid:               e.cfg.Grid,
+		Mode:               e.cfg.Mode,
+		HonorGuards:        e.cfg.ZeroBlockSkipping,
+		SharedInputCTAs:    len(e.groups),
+		MaxWhileIterations: e.cfg.MaxWhileIterations,
+		Inject:             e.cfg.Inject,
+		Obs:                e.cfg.Obs,
+		TraceLane:          lane,
+	}
+}
+
 // getRunner returns a pooled runner or builds one. Construction cannot fail
 // for an engine that compiled — the programs already validated — but the
 // error is surfaced rather than swallowed for defense in depth.
@@ -45,19 +61,9 @@ func (e *Engine) getRunner() (*runner, error) {
 	}
 	r := &runner{basis: &transpose.Basis{}}
 	for gi := range e.groups {
-		kcfg := kernel.Config{
-			Grid:               e.cfg.Grid,
-			Mode:               e.cfg.Mode,
-			HonorGuards:        e.cfg.ZeroBlockSkipping,
-			SharedInputCTAs:    len(e.groups),
-			MaxWhileIterations: e.cfg.MaxWhileIterations,
-			Inject:             e.cfg.Inject,
-			Obs:                e.cfg.Obs,
-			// One trace lane per CTA group: concurrent launches render as
-			// parallel tracks in the trace viewer.
-			TraceLane: 1 + gi,
-		}
-		ks, err := kernel.NewSession(e.groups[gi].Prog(), kcfg, e.runArena)
+		// One trace lane per CTA group: concurrent launches render as
+		// parallel tracks in the trace viewer.
+		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(1+gi), e.runArena)
 		if err != nil {
 			return nil, fmt.Errorf("engine: group %d: %w", gi, err)
 		}

@@ -74,16 +74,7 @@ func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*S
 			ss.basis.SetWords(j, ss.tr.Words(nw))
 		}
 	}
-	kcfg := kernel.Config{
-		Grid:               e.cfg.Grid,
-		Mode:               e.cfg.Mode,
-		HonorGuards:        e.cfg.ZeroBlockSkipping,
-		SharedInputCTAs:    len(e.groups),
-		MaxWhileIterations: e.cfg.MaxWhileIterations,
-		Inject:             e.cfg.Inject,
-		Obs:                e.cfg.Obs,
-		TraceLane:          lane,
-	}
+	kcfg := e.kernelConfig(lane)
 	for gi := range e.groups {
 		ks, err := kernel.NewSession(e.groups[gi].Prog(), kcfg, a)
 		if err != nil {

@@ -38,11 +38,6 @@ type Config struct {
 	// Hitting the cap returns an error satisfying errors.Is(err,
 	// bgerr.ErrLimit) — never silent truncation.
 	MaxWhileIterations int
-	// DisableSuperblocks falls back to the statement-at-a-time windowed
-	// interpreter instead of compiled superblock µops. Outputs and CTAStats
-	// are bit-identical either way (superblock_test.go enforces it); the
-	// toggle exists for differential testing and debugging.
-	DisableSuperblocks bool
 	// Inject is an optional fault injector (tests only). Nil never fires.
 	Inject *faultinject.Injector
 	// Obs, when non-nil, records one span per execution attempt and an
@@ -97,43 +92,27 @@ func Run(p *ir.Program, basis *transpose.Basis, cfg Config) (*RunResult, error) 
 	return RunContext(context.Background(), p, basis, cfg)
 }
 
-// RunContext is Run honoring a context: cancellation is checked at every
-// block-window boundary, global while-loop iteration, and fixpoint retry,
-// so a caller deadline interrupts even a pathological input promptly. A
-// canceled run returns an error satisfying errors.Is(err, bgerr.ErrCanceled)
-// (and errors.Is against the underlying context error).
+// RunContext is Run honoring a context, as a one-shot Session (see
+// Session.Run for the cancellation contract); the result owns its streams.
 func RunContext(ctx context.Context, p *ir.Program, basis *transpose.Basis, cfg Config) (*RunResult, error) {
-	cfg = cfg.withDefaults(basis.N)
-	if err := cfg.Grid.Validate(); err != nil {
+	s, err := NewSession(p, cfg, nil)
+	if err != nil {
 		return nil, err
 	}
-	if err := ir.Validate(p); err != nil {
+	defer s.Close()
+	outs, stats, err := s.Run(ctx, basis)
+	if err != nil {
 		return nil, err
 	}
-	materialize := make(map[ir.Stmt]bool)
-	for attempt := 0; ; attempt++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		span := cfg.Obs.Span("kernel", "kernel-attempt", cfg.TraceLane).Arg("attempt", attempt)
-		res, err := runOnce(ctx, p, basis, cfg, materialize)
-		span.End()
-		var ovf *overflowError
-		fusedMode := cfg.Mode == ModeDTM || cfg.Mode == ModeDTMStatic
-		if errors.As(err, &ovf) && fusedMode && ovf.stmt != nil && !materialize[ovf.stmt] && attempt < 1+len(p.Stmts) {
-			// Section 8.2 fallback: execute the offending loop or carry
-			// sequentially (materialized) and re-run interleaved around it.
-			materialize[ovf.stmt] = true
-			cfg.Obs.Instant("kernel", "overlap-fallback", cfg.TraceLane, obs.A("need_bits", ovf.need))
-			cfg.Obs.Reg().Counter(obs.MOverlapFallback, obs.HOverlapFallback).Inc()
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.FallbackSegments = len(materialize)
-		return res, nil
+	res := &RunResult{
+		Outputs:          make(map[string]*bitstream.Stream, len(outs)),
+		Stats:            stats,
+		FallbackSegments: s.Fallbacks(),
 	}
+	for i, o := range p.Outputs {
+		res.Outputs[o.Name] = outs[i].Clone()
+	}
+	return res, nil
 }
 
 // ctxErr converts a done context into the taxonomy's canceled error.
@@ -183,11 +162,11 @@ type ctaExec struct {
 	needBits           int
 	saturate           bool
 	culprit            ir.Stmt
-	loopRan            bool
-	// barrier-merge schedule
-	groupOf    map[*ir.Assign]int
-	groupFirst map[int]*ir.Assign
-	groupSrcs  map[int]map[ir.VarID]bool
+	// barrier-merge schedule, read by sbCompiler.baseOp: segments compile
+	// lazily on first execution (and again after an overlap fallback
+	// rebuilds the plan), so the index outlives construction.
+	groupOf   map[*ir.Assign]int
+	groupSrcs map[int]map[ir.VarID]bool
 	// per-window group tracking: gid was charged this window iff
 	// wgChargedAt[gid] == wgGen (epoch tagging, no per-window map).
 	wgGen       uint32
@@ -196,7 +175,7 @@ type ctaExec struct {
 
 // newExec builds the per-program executor state (allocated once; reusable
 // across runs via reset).
-func newExec(p *ir.Program, cfg Config) *ctaExec {
+func newExec(p *ir.Program) *ctaExec {
 	ex := &ctaExec{
 		prog:    p,
 		globals: make([]*bitstream.Stream, p.NumVars),
@@ -217,7 +196,6 @@ func newExec(p *ir.Program, cfg Config) *ctaExec {
 		}
 		ex.wgChargedAt = make([]uint32, maxGid+1)
 	}
-	_ = cfg
 	return ex
 }
 
@@ -276,45 +254,10 @@ func (ex *ctaExec) ensureGlobal(v ir.VarID) *bitstream.Stream {
 	return s
 }
 
-func runOnce(ctx context.Context, p *ir.Program, basis *transpose.Basis, cfg Config, materialize map[ir.Stmt]bool) (*RunResult, error) {
-	if cfg.Inject.Fire(faultinject.KernelPanic) {
-		panic("faultinject: injected kernel panic")
-	}
-	pl := buildPlan(p.Stmts, cfg.Mode, materialize)
-	ex := newExec(p, cfg)
-	ex.reset(ctx, basis, cfg)
-	var intermediates int
-	ex.isMat, intermediates = liveness(pl, p)
-	ex.stats.Loops = int64(pl.countLoops())
-	ex.stats.IntermediateStreams = int64(intermediates)
-	progAn := dfg.Analyze(p)
-	ex.stats.StaticDelta = int64(progAn.StaticDelta)
-
-	if err := ex.execPlan(pl); err != nil {
-		return nil, err
-	}
-
-	res := &RunResult{Outputs: make(map[string]*bitstream.Stream, len(p.Outputs))}
-	for _, o := range p.Outputs {
-		s := ex.globals[o.Var]
-		if s == nil {
-			s = bitstream.New(ex.n)
-		}
-		res.Outputs[o.Name] = s
-		if !cfg.FullOutputWrites {
-			// Compact outputs: one 32-bit position per match.
-			ex.stats.DRAMWriteBytes += 4 * int64(s.Popcount())
-		}
-	}
-	res.Stats = ex.stats
-	return res, nil
-}
-
 // buildBarrierSchedule indexes the program's barrier schedule (produced by
 // the Shift Rebalancing pass) for O(1) lookup during execution.
 func (ex *ctaExec) buildBarrierSchedule() {
 	ex.groupOf = make(map[*ir.Assign]int)
-	ex.groupFirst = make(map[int]*ir.Assign)
 	ex.groupSrcs = make(map[int]map[ir.VarID]bool)
 	sched := ex.prog.Barriers
 	if sched == nil {
@@ -325,11 +268,8 @@ func (ex *ctaExec) buildBarrierSchedule() {
 			continue // singleton groups behave like unscheduled shifts
 		}
 		srcs := make(map[ir.VarID]bool)
-		for i, a := range group {
+		for _, a := range group {
 			ex.groupOf[a] = gid
-			if i == 0 {
-				ex.groupFirst[gid] = a
-			}
 			if sh, ok := a.Expr.(ir.Shift); ok {
 				srcs[sh.Src] = true
 			}
@@ -521,22 +461,18 @@ func (ex *ctaExec) execFused(seg *fusedSeg) error {
 	// Compile the segment to superblock µops on first execution (the
 	// compiler needs the resolved analysis for loop growth and the
 	// executor's materialization/barrier state, both fixed by now).
-	if seg.sprog == nil && !ex.cfg.DisableSuperblocks {
+	if seg.sprog == nil {
 		seg.sprog = ex.compileSeg(seg.stmts, an)
 	}
 
 	if ex.n == 0 {
 		return nil
 	}
-	// Fused superblocks collapse per-instruction dispatch, so the segment
-	// reports one span carrying the op counts instead of relying on
-	// statement-level accounting.
-	var sbSpan *obs.Span
+	// One span per segment carrying the op counts: superblocks have no
+	// per-instruction dispatch to hang finer spans on.
 	startWindows := ex.stats.Windows
-	if seg.sprog != nil {
-		sbSpan = ex.cfg.Obs.Span("kernel", "superblock", ex.cfg.TraceLane).
-			Arg("ops", seg.sprog.nOps).Arg("fused", seg.sprog.nFused)
-	}
+	sbSpan := ex.cfg.Obs.Span("kernel", "superblock", ex.cfg.TraceLane).
+		Arg("ops", seg.sprog.nOps).Arg("fused", seg.sprog.nFused)
 	defer func() {
 		sbSpan.Arg("windows", ex.stats.Windows-startWindows).End()
 	}()
@@ -596,7 +532,6 @@ func (ex *ctaExec) segmentLiveOut(seg *fusedSeg) []ir.VarID {
 // the committed bits are provably independent of unseen history, then
 // commits live-out values. It returns the converged left-overlap in bits.
 func (ex *ctaExec) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, dl, dr int, dynamic bool, liveOut []ir.VarID) (int, error) {
-	_ = an
 	if ex.cfg.Inject.Fire(faultinject.ForceFallback) {
 		// Injected Section 8.2 overflow: push the segment's loop or carry
 		// onto the materialized fallback path.
@@ -849,16 +784,12 @@ func (ex *ctaExec) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, c
 	ex.regs.beginWindow(ex.ww)
 	ex.needBits = 0
 	ex.culprit = nil
-	ex.loopRan = false
 	ex.saturate = saturate
 	ex.wgGen++ // invalidates wgChargedAt without clearing
 	ex.ensureScratch(ex.ww)
 	ex.tmpT = ex.tmpT[:ex.ww]
 	ex.tmpS = ex.tmpS[:ex.ww]
-	if seg.sprog != nil {
-		return ex.execSBProg(seg.sprog, charge)
-	}
-	return ex.execStmtsWindowed(seg.stmts, charge)
+	return ex.execSBProg(seg.sprog, charge)
 }
 
 // windowUnits is the op count of one full-window pass.
@@ -909,213 +840,6 @@ func (ex *ctaExec) saturateMargins(buf []uint64) {
 			buf[w] = ^uint64(0)
 		}
 	}
-}
-
-func (ex *ctaExec) execStmtsWindowed(stmts []ir.Stmt, charge bool) error {
-	for i := 0; i < len(stmts); i++ {
-		switch x := stmts[i].(type) {
-		case *ir.Assign:
-			if err := ex.execAssignWindowed(x, charge); err != nil {
-				return err
-			}
-		case *ir.Guard:
-			cond := ex.readWindowed(x.Cond, charge)
-			if charge {
-				// The guard's zero test piggybacks on the producing
-				// instruction's atomicOr flag (Section 6): it costs a
-				// block-wide reduction but no extra barrier.
-				ex.stats.UnitOps += ex.windowUnits()
-				ex.stats.SMemWriteBytes += int64(ex.cfg.Grid.Threads) * 4
-				ex.stats.GuardChecks++
-			}
-			if ex.cfg.HonorGuards && !anyWords(cond) {
-				for _, s := range stmts[i+1 : i+1+x.Skip] {
-					ex.zeroDefsWindowed(s, charge)
-				}
-				if charge {
-					ex.stats.GuardSkips++
-					ex.stats.SkippedStmts += int64(x.Skip)
-				}
-				i += x.Skip
-			}
-		case *ir.If:
-			cond := ex.readWindowed(x.Cond, charge)
-			if charge {
-				ex.stats.UnitOps += ex.windowUnits()
-				ex.stats.Barriers++
-			}
-			if anyWords(cond) {
-				if err := ex.execStmtsWindowed(x.Body, charge); err != nil {
-					return err
-				}
-			}
-		case *ir.While:
-			if err := ex.execWhileWindowed(x, charge); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("kernel: unexpected statement %T in fused segment", stmts[i])
-		}
-	}
-	return nil
-}
-
-func (ex *ctaExec) execWhileWindowed(w *ir.While, charge bool) error {
-	growth := ex.curAnalysis.LoopGrowth[w]
-	iters := 0
-	maxIters := ex.weBits - ex.ws + 16
-	for {
-		cond := ex.readWindowed(w.Cond, charge)
-		if ex.saturate && iters == 0 {
-			// Probe pass: flood the margins of the loop condition so any
-			// possible cross-boundary propagation is triggered.
-			ex.saturateMargins(cond)
-		}
-		if charge {
-			ex.stats.UnitOps += ex.windowUnits()
-			ex.stats.Barriers++
-		}
-		if !anyWords(cond) {
-			break
-		}
-		if iters++; iters > maxIters {
-			ex.culprit = w
-			return &overflowError{stmt: w, need: ex.cfg.MaxOverlapBits + 1}
-		}
-		ex.loopRan = true
-		if charge {
-			ex.stats.WhileIterations++
-		}
-		if growth > 0 {
-			ex.needBits += growth
-			if ex.culprit == nil {
-				ex.culprit = w
-			}
-		}
-		if err := ex.execStmtsWindowed(w.Body, charge); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// zeroDefsWindowed zeroes the destinations of a skipped statement (taken
-// zero-block guard).
-func (ex *ctaExec) zeroDefsWindowed(s ir.Stmt, charge bool) {
-	switch x := s.(type) {
-	case *ir.Assign:
-		ex.regs.zero(x.Dst)
-		if charge {
-			ex.stats.UnitOps += ex.windowUnits()
-		}
-	case *ir.If:
-		for _, b := range x.Body {
-			ex.zeroDefsWindowed(b, charge)
-		}
-	case *ir.While:
-		for _, b := range x.Body {
-			ex.zeroDefsWindowed(b, charge)
-		}
-	}
-}
-
-func (ex *ctaExec) execAssignWindowed(a *ir.Assign, charge bool) error {
-	units := ex.windowUnits()
-	switch e := a.Expr.(type) {
-	case ir.Zero:
-		ex.regs.zero(a.Dst)
-		if charge {
-			ex.stats.UnitOps += units
-		}
-	case ir.Ones:
-		dst := ex.regs.buf(a.Dst)
-		for i := range dst {
-			dst[i] = ^uint64(0)
-		}
-		ex.maskWindowTail(dst)
-		if charge {
-			ex.stats.UnitOps += units
-		}
-	case ir.Copy:
-		src := ex.readWindowed(e.Src, charge)
-		dst := ex.regs.buf(a.Dst)
-		copyWords(dst, src)
-		if charge {
-			ex.stats.UnitOps += units
-		}
-	case ir.Not:
-		src := ex.readWindowed(e.Src, charge)
-		dst := ex.regs.buf(a.Dst)
-		notWords(dst, src)
-		ex.maskWindowTail(dst)
-		if charge {
-			ex.stats.UnitOps += units
-		}
-	case ir.Bin:
-		x := ex.readWindowed(e.X, charge)
-		y := ex.readWindowed(e.Y, charge)
-		dst := ex.regs.buf(a.Dst)
-		switch e.Op {
-		case ir.OpAnd:
-			andWords(dst, x, y)
-		case ir.OpOr:
-			orWords(dst, x, y)
-		case ir.OpXor:
-			xorWords(dst, x, y)
-		case ir.OpAndNot:
-			andNotWords(dst, x, y)
-		}
-		if charge {
-			ex.stats.UnitOps += units
-		}
-	case ir.Shift:
-		src := ex.readWindowed(e.Src, charge)
-		dst := ex.regs.buf(a.Dst)
-		// Window-local shift: zeros enter at the window edges. When the
-		// window starts at the true beginning of the stream this is exact;
-		// otherwise the overlap margin keeps the affected bits out of the
-		// committed range.
-		bitstream.ShiftWords(dst, src, e.K)
-		ex.maskWindowTail(dst)
-		if charge {
-			ex.chargeShift(a, units)
-		}
-	case ir.Add:
-		x := ex.readWindowed(e.X, charge)
-		y := ex.readWindowed(e.Y, charge)
-		dst := ex.regs.buf(a.Dst)
-		bitstream.AddWords(dst, x, y)
-		ex.maskWindowTail(dst)
-		ex.checkCarryBoundary(a, x, y)
-		if charge {
-			ex.stats.UnitOps += 3 * units
-			ex.stats.Barriers++ // carry exchange across threads
-			ex.stats.SMemWriteBytes += int64(ex.cfg.Grid.Threads) * 8
-		}
-	case ir.StarThru:
-		m := ex.readWindowed(e.M, charge)
-		c := ex.readWindowed(e.C, charge)
-		dst := ex.regs.buf(a.Dst)
-		starThruWords(dst, m, c, ex.tmpT, ex.tmpS)
-		ex.maskWindowTail(dst)
-		ex.checkCarryBoundary(a, c, nil)
-		if charge {
-			ex.stats.UnitOps += 7 * units
-			ex.stats.Barriers += 2 // marker-shift neighborhood + carry exchange
-			ex.stats.ShiftBarriers++
-			ex.stats.SMemWriteBytes += ex.windowBytes() + int64(ex.cfg.Grid.Threads)*8
-			ex.stats.SMemReadBytes += ex.windowBytes()
-		}
-	case ir.MatchBasis:
-		dst := ex.regs.buf(a.Dst)
-		loadWindow(dst, ex.basis.Bit(e.Bit), ex.ws/64)
-		if charge {
-			ex.stats.DRAMReadBytes += ex.windowBytes() / int64(ex.cfg.SharedInputCTAs)
-		}
-	default:
-		return fmt.Errorf("kernel: unknown expression %T", a.Expr)
-	}
-	return nil
 }
 
 // maskWindowTail zeroes bits beyond the end of the stream in the final
@@ -1172,31 +896,6 @@ func (ex *ctaExec) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
 	if int64(runLen) > ex.stats.DynDeltaMax {
 		ex.stats.DynDeltaMax = int64(runLen)
 	}
-}
-
-// chargeShift accounts a windowed shift's synchronization and shared-memory
-// traffic, honoring the barrier-merge schedule.
-func (ex *ctaExec) chargeShift(a *ir.Assign, units int64) {
-	ex.stats.UnitOps += 2 * units
-	gid, grouped := ex.groupOf[a]
-	if !grouped {
-		ex.stats.Barriers += 2
-		ex.stats.ShiftBarriers += 2
-		ex.stats.SMemWriteBytes += ex.windowBytes()
-		ex.stats.SMemReadBytes += ex.windowBytes()
-		ex.trackSMemPeak(1)
-		return
-	}
-	if ex.wgChargedAt[gid] != ex.wgGen {
-		ex.wgChargedAt[gid] = ex.wgGen
-		ex.stats.Barriers += 2
-		ex.stats.ShiftBarriers += 2
-		// One shared-memory store per distinct source in the group
-		// (redundant-copy elimination, Section 5.3).
-		ex.stats.SMemWriteBytes += int64(len(ex.groupSrcs[gid])) * ex.windowBytes()
-		ex.trackSMemPeak(len(ex.groupSrcs[gid]))
-	}
-	ex.stats.SMemReadBytes += ex.windowBytes()
 }
 
 // trackSMemPeak records the high-water shared-memory footprint: streams

@@ -68,7 +68,6 @@ type fusedSeg struct {
 	liveOutSet bool
 	// sprog is the segment's compiled superblock program (see superblock.go),
 	// built lazily on first execution and reused across windows and chunks.
-	// Nil when superblock compilation is disabled.
 	sprog *sbProgram
 }
 

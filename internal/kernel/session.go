@@ -58,7 +58,7 @@ func NewSession(p *ir.Program, cfg Config, a *arena.Arena) (*Session, error) {
 		tr:   arena.NewTracker(a),
 		outs: make([]*bitstream.Stream, len(p.Outputs)),
 	}
-	s.ex = newExec(p, cfg)
+	s.ex = newExec(p)
 	s.ex.alloc = s.tr.Words
 	s.staticDelta = int64(dfg.Analyze(p).StaticDelta)
 	s.rebuild()
@@ -80,8 +80,10 @@ func (s *Session) Fallbacks() int { return len(s.materialize) }
 
 // Run executes the program over basis on one simulated CTA. The returned
 // streams align with the program's Outputs and are owned by the session:
-// they are valid, read-only, until the next Run or Close. Stats match what
-// RunContext would report for the same input and configuration.
+// they are valid, read-only, until the next Run or Close. Cancellation is
+// checked at every block-window boundary, global while-loop iteration and
+// fixpoint retry; a canceled run returns an error satisfying
+// errors.Is(err, bgerr.ErrCanceled).
 func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]*bitstream.Stream, gpusim.CTAStats, error) {
 	cfg := s.base.withDefaults(basis.N)
 	for attempt := 0; ; attempt++ {
@@ -97,6 +99,8 @@ func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]*bitstream
 			var ovf *overflowError
 			fusedMode := cfg.Mode == ModeDTM || cfg.Mode == ModeDTMStatic
 			if errors.As(err, &ovf) && fusedMode && ovf.stmt != nil && !s.materialize[ovf.stmt] && attempt < 1+len(s.prog.Stmts) {
+				// Section 8.2 fallback: execute the offending loop or carry
+				// sequentially (materialized) and re-run interleaved around it.
 				if s.materialize == nil {
 					s.materialize = make(map[ir.Stmt]bool)
 				}

@@ -10,9 +10,11 @@ import (
 	"bitgen/internal/transpose"
 )
 
-// TestSessionMatchesRunContext pins the reusable session to the one-shot
-// path: same outputs, same stats, across repeated runs over fresh inputs.
-func TestSessionMatchesRunContext(t *testing.T) {
+// TestSessionReuseMatchesFreshSession is the reuse contract: whatever a
+// session retains between runs (plan, analyses, compiled segments, stream
+// and window buffers) is invisible — the Nth Run on a reused session equals
+// the first Run on a fresh one in outputs and CTAStats.
+func TestSessionReuseMatchesFreshSession(t *testing.T) {
 	cases := []struct {
 		pattern string
 		inputs  []string
@@ -31,37 +33,43 @@ func TestSessionMatchesRunContext(t *testing.T) {
 			strings.Repeat("zzz", 40) + "xy",
 		}},
 	}
+	ctx := context.Background()
 	for _, mode := range allModes {
 		for _, c := range cases {
 			p := lower.MustSingle("re", c.pattern)
 			cfg := Config{Grid: tinyGrid, Mode: mode}
 			a := &arena.Arena{}
-			sess, err := NewSession(p, cfg, a)
+			reused, err := NewSession(p, cfg, a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, input := range c.inputs {
 				basis := transpose.Transpose([]byte(input))
-				want, err := RunContext(context.Background(), p, basis, cfg)
+				fresh, err := NewSession(p, cfg, a)
 				if err != nil {
-					t.Fatalf("%v RunContext %q: %v", mode, c.pattern, err)
+					t.Fatal(err)
 				}
-				outs, stats, err := sess.Run(context.Background(), basis)
+				want, wantStats, err := fresh.Run(ctx, basis)
 				if err != nil {
-					t.Fatalf("%v session %q: %v", mode, c.pattern, err)
+					t.Fatalf("%v fresh session %q: %v", mode, c.pattern, err)
+				}
+				outs, stats, err := reused.Run(ctx, basis)
+				if err != nil {
+					t.Fatalf("%v reused session %q: %v", mode, c.pattern, err)
 				}
 				for i, o := range p.Outputs {
-					if !outs[i].Equal(want.Outputs[o.Name]) {
-						t.Fatalf("%v %q input %q: output %s diverges from RunContext",
+					if !outs[i].Equal(want[i]) {
+						t.Fatalf("%v %q input %q: output %s diverges from a fresh session",
 							mode, c.pattern, input, o.Name)
 					}
 				}
-				if stats != want.Stats {
-					t.Errorf("%v %q: session stats %+v != one-shot stats %+v",
-						mode, c.pattern, stats, want.Stats)
+				if stats != wantStats {
+					t.Errorf("%v %q: reused session stats %+v != fresh session stats %+v",
+						mode, c.pattern, stats, wantStats)
 				}
+				fresh.Close()
 			}
-			sess.Close()
+			reused.Close()
 			if err := a.CheckBalanced(); err != nil {
 				t.Fatalf("%v %q: %v", mode, c.pattern, err)
 			}

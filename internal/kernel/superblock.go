@@ -2,24 +2,30 @@ package kernel
 
 // Superblock compilation of fused segments.
 //
-// The windowed executor's inner loop used to walk the IR statement list per
-// window: one interface type switch, one operand resolution and one charge
-// computation per instruction per window. A superblock is the compiled form
-// of that walk: runs of straight-line assignments between guards and
-// control statements become flat µop arrays with integer opcodes, resolved
-// operand slots and precomputed barrier-merge charge descriptors, executed
-// word-block-at-a-time over the window register file.
+// A fused segment executes window by window as a superblock program, the
+// compiled form of its IR statement list: runs of straight-line assignments
+// between guards and control statements become flat µop arrays with integer
+// opcodes, resolved operand slots and precomputed barrier-merge charge
+// descriptors, executed word-block-at-a-time over the window register file.
+// This is the only executor of fused segments; internal/ir's whole-stream
+// interpreter is the reference for its outputs.
 //
 // On top of the flat encoding, the compiler fuses single-def single-use
 // temporaries (found by dfg.CountUseDef) into their consumer: an
 // advance-then-mask pair like T = S >> k; M = T & CC — the hot step of
 // bitstream regex matching — becomes one µop whose intermediate lives in a
 // register tile inside the fused loop and never touches a window buffer,
-// halving that pair's memory traffic. Fused µops charge the cost model
-// exactly what the two source instructions would have charged, so modeled
-// kernel time is invariant under fusion (the differential tests in
-// superblock_test.go compare CTAStats field-by-field against the
-// interpreter path).
+// halving that pair's memory traffic.
+//
+// Charging contract. Modeled cost is a function of the IR program and the
+// window geometry, never of how the segment was compiled. Every source
+// assignment charges what execSBRun lists for its unfused opcode, and a
+// fused µop charges the sum of its two source assignments. A merged barrier
+// group pays its barrier pair and one shared-memory store per distinct
+// source once per window (chargeShift). A taken guard charges one unit pass
+// per assignment it skips, nested bodies included. The saturation probe
+// pass (charge == false) charges nothing. testdata/ctastats.golden pins
+// these rules case by case.
 
 import (
 	"bitgen/internal/bitstream"
@@ -80,7 +86,7 @@ type sbOp struct {
 
 	// nStmts counts the source assignments folded into this µop (2 for a
 	// fused pair); a taken guard charges one zeroing pass per source
-	// statement, exactly as the interpreter does.
+	// statement.
 	nStmts int32
 
 	// stmt is the originating assignment, kept for carry-boundary and
@@ -101,11 +107,11 @@ const (
 // of µops, or a guard/if/while control point between runs.
 type sbNode struct {
 	kind   sbNodeKind
-	lo, hi int32     // ops[lo:hi] for sbRunNode
-	cond   ir.VarID  // guard/if/while condition
-	skip   int32     // guard: following nodes covered by the skip range
-	skipN  int32     // guard: skipped top-level statement count (SkippedStmts)
-	growth int       // while: marker growth per iteration (from dfg analysis)
+	lo, hi int32    // ops[lo:hi] for sbRunNode
+	cond   ir.VarID // guard/if/while condition
+	skip   int32    // guard: following nodes covered by the skip range
+	skipN  int32    // guard: skipped top-level statement count (SkippedStmts)
+	growth int      // while: marker growth per iteration (from dfg analysis)
 	body   *sbProgram
 	while  *ir.While // while: overflow culprit
 
@@ -394,8 +400,7 @@ func (c *sbCompiler) tryFuse(p *sbProgram, a *ir.Assign) bool {
 // ---------- execution ----------
 
 // execSBProg runs a compiled segment program over the current window,
-// mirroring execStmtsWindowed exactly — outputs and CTAStats charges are
-// bit-identical; only the dispatch is compiled.
+// charging per the contract in this file's header when charge is set.
 func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 	nodes := p.nodes
 	for i := 0; i < len(nodes); i++ {
@@ -445,7 +450,8 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 	return nil
 }
 
-// execSBWhile mirrors execWhileWindowed over a compiled body.
+// execSBWhile iterates a compiled loop body until its condition is zero
+// over the whole window, recording the overlap the iterations demand.
 func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 	iters := 0
 	maxIters := ex.weBits - ex.ws + 16
@@ -467,7 +473,6 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 			ex.culprit = nd.while
 			return &overflowError{stmt: nd.while, need: ex.cfg.MaxOverlapBits + 1}
 		}
-		ex.loopRan = true
 		if charge {
 			ex.stats.WhileIterations++
 		}
@@ -485,9 +490,8 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 
 // zeroSBNode applies a taken guard to one covered node: zero every
 // destination later code may read and charge one unit pass per source
-// assignment, as the interpreter's zeroDefsWindowed does. Fused
-// temporaries are dead past their (also skipped) consumer and get no
-// buffer at all.
+// assignment. Fused temporaries are dead past their (also skipped) consumer
+// and get no buffer at all.
 func (ex *ctaExec) zeroSBNode(nd *sbNode, charge bool) {
 	for _, v := range nd.zeroDsts {
 		ex.regs.zero(v)
@@ -554,7 +558,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			bitstream.ShiftWords(dst, src, int(op.k))
 			ex.maskWindowTail(dst)
 			if charge {
-				ex.chargeShiftSB(op, units)
+				ex.chargeShift(op, units)
 			}
 		case sbAdd:
 			x := ex.readWindowed(op.a, charge)
@@ -597,7 +601,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if charge {
 				// The shift's charges (incl. barrier-merge) plus the
 				// bitwise op's unit pass: identical to the unfused pair.
-				ex.chargeShiftSB(op, units)
+				ex.chargeShift(op, units)
 				ex.stats.UnitOps += units
 			}
 		case sbFuse2:
@@ -615,9 +619,10 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 	return nil
 }
 
-// chargeShiftSB is chargeShift with the merge-group descriptor resolved at
-// compile time instead of through the per-assign maps.
-func (ex *ctaExec) chargeShiftSB(op *sbOp, units int64) {
+// chargeShift accounts a windowed shift's synchronization and shared-memory
+// traffic, honoring the barrier-merge schedule (the group descriptor was
+// resolved at compile time).
+func (ex *ctaExec) chargeShift(op *sbOp, units int64) {
 	ex.stats.UnitOps += 2 * units
 	if op.gid < 0 {
 		ex.stats.Barriers += 2

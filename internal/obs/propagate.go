@@ -1,8 +1,8 @@
 package obs
 
 import (
-	crand "crypto/rand"
 	"context"
+	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"sync/atomic"

@@ -194,8 +194,8 @@ type chromeEvent struct {
 }
 
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent  `json:"traceEvents"`
+	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
