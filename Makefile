@@ -143,15 +143,18 @@ bench:
 
 # bench-smoke is the fast perf gate: short runs of the streaming-scan and
 # bitstream hot-path benchmarks (catching gross regressions and alloc
-# creep in the pipelined scanner), a short-mode run of the bitbench
-# matrix (single-core and GOMAXPROCS x workers multicore rows)
-# with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
+# creep in the pipelined scanner; ScanReader also selects
+# BenchmarkScanReaderSigs, the signature-set scan whose -cpuprofile is the
+# superblock executor's profile — no floor on it, the repo benchmark is
+# the gate — and ShiftWords is the shift kernels' cost per word), a
+# short-mode run of the bitbench matrix (single-core and GOMAXPROCS x
+# workers multicore rows) with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
 # pre-superblock seed baseline, so any regression back to it fails the
 # build — then a real pipelined streaming scan with tracing on, its
 # trace validated by obscheck (the pipeline stage lanes ride the same
 # schema the whole-input scan does).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ScanReader|TransposeInto|IntoOps|NextSetBitSweep|Positions' \
+	$(GO) test -run '^$$' -bench 'ScanReader|TransposeInto|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
 	@tmp=$$(mktemp -d) && \

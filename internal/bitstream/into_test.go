@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -148,6 +149,28 @@ func BenchmarkIntoOps(b *testing.B) {
 				bench.run()
 			}
 		})
+	}
+}
+
+// BenchmarkShiftWords puts the shift kernels' cost per word in the tree, at
+// the two sizes the window executor runs them (a default-grid window with its
+// overlap margins, and eight of them) and at a bit-granular and a
+// word-crossing distance in each direction.
+func BenchmarkShiftWords(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{258, 2050} {
+		src, dst := make([]uint64, n), make([]uint64, n)
+		for i := range src {
+			src[i] = rng.Uint64()
+		}
+		for _, k := range []int{3, 67, -3, -67} {
+			b.Run(fmt.Sprintf("words=%d/k=%d", n, k), func(b *testing.B) {
+				b.SetBytes(int64(n) * 8)
+				for i := 0; i < b.N; i++ {
+					ShiftWords(dst, src, k)
+				}
+			})
+		}
 	}
 }
 

@@ -387,65 +387,84 @@ func MatchStar(m, c *Stream) *Stream {
 	return t.Add(c).Xor(c).Or(t).And(c).Or(m)
 }
 
-// AdvanceWords shifts src k bit positions toward higher indices into dst
-// (dst and src must have equal length; dst may alias src only when k == 0).
-// Zeros fill the vacated low positions.
+// AdvanceWords shifts src k bit positions toward higher indices into dst.
+// Zeros fill the vacated low positions; k >= len(src)*64 clears dst. dst and
+// src must have equal length — a mismatch panics rather than leaving part of
+// dst untouched. dst may alias src exactly (the window executor shifts a
+// register into itself): whole words move by copy, the bit loop runs
+// downward, so every word is read before it is overwritten.
 func AdvanceWords(dst, src []uint64, k int) {
 	if k < 0 {
 		panic("bitstream: AdvanceWords with negative k")
 	}
-	wordOff, bitOff := k/WordBits, uint(k%WordBits)
-	n := len(src)
-	if bitOff == 0 {
-		for i := n - 1; i >= 0; i-- {
-			if j := i - wordOff; j >= 0 {
-				dst[i] = src[j]
-			} else {
-				dst[i] = 0
-			}
-		}
+	wordOff := checkShift(dst, src, k)
+	if wordOff < 0 {
 		return
 	}
-	for i := n - 1; i >= 0; i-- {
-		var w uint64
-		if j := i - wordOff; j >= 0 {
-			w = src[j] << bitOff
-			if j > 0 {
-				w |= src[j-1] >> (WordBits - bitOff)
-			}
+	// dst[wordOff+i] takes src[i] (and the bits src[i-1] spills upward).
+	d, s := dst[wordOff:], src[:len(src)-wordOff]
+	if bitOff := uint(k) % WordBits; bitOff == 0 {
+		copy(d, s)
+	} else {
+		// Each source word is loaded once and carried to its neighbour. The
+		// modulo tells the compiler r < 64 too, so the loop's shifts compile
+		// to single instructions; the reslice, that d is as long as s.
+		r := (WordBits - bitOff) % WordBits
+		d = d[:len(s)]
+		hi := s[len(s)-1]
+		for i := len(s) - 1; i >= 1; i-- {
+			lo := s[i-1]
+			d[i] = hi<<bitOff | lo>>r
+			hi = lo
 		}
-		dst[i] = w
+		d[0] = hi << bitOff
 	}
+	clear(dst[:wordOff])
 }
 
 // LookbackWords shifts src k bit positions toward lower indices into dst.
-// Zeros fill the vacated high positions.
+// Zeros fill the vacated high positions. Lengths and aliasing are as for
+// AdvanceWords (the bit loop runs upward here).
 func LookbackWords(dst, src []uint64, k int) {
 	if k < 0 {
 		panic("bitstream: LookbackWords with negative k")
 	}
-	wordOff, bitOff := k/WordBits, uint(k%WordBits)
-	n := len(src)
-	if bitOff == 0 {
-		for i := 0; i < n; i++ {
-			if j := i + wordOff; j < n {
-				dst[i] = src[j]
-			} else {
-				dst[i] = 0
-			}
-		}
+	wordOff := checkShift(dst, src, k)
+	if wordOff < 0 {
 		return
 	}
-	for i := 0; i < n; i++ {
-		var w uint64
-		if j := i + wordOff; j < n {
-			w = src[j] >> bitOff
-			if j+1 < n {
-				w |= src[j+1] << (WordBits - bitOff)
-			}
+	// dst[i] takes src[wordOff+i] (and the bits src[wordOff+i+1] spills
+	// downward).
+	m := len(src) - wordOff
+	d, s := dst[:m], src[wordOff:]
+	if bitOff := uint(k) % WordBits; bitOff == 0 {
+		copy(d, s)
+	} else {
+		r := (WordBits - bitOff) % WordBits
+		d = d[:len(s)]
+		lo := s[0]
+		for i, hi := range s[1:] {
+			d[i] = lo>>bitOff | hi<<r
+			lo = hi
 		}
-		dst[i] = w
+		d[m-1] = lo >> bitOff
 	}
+	clear(dst[m:])
+}
+
+// checkShift validates a word shift's operands and resolves its whole-word
+// offset. It returns -1 when nothing is left to move (empty operands, or a
+// shift of at least the full length, for which dst has been cleared).
+func checkShift(dst, src []uint64, k int) int {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("bitstream: shift of %d words into %d", len(src), len(dst)))
+	}
+	wordOff := k / WordBits
+	if wordOff >= len(src) {
+		clear(dst)
+		return -1
+	}
+	return wordOff
 }
 
 // ShiftWords applies a signed paper-style shift over raw words: k > 0

@@ -2,6 +2,7 @@ package bitstream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -302,4 +303,80 @@ func TestFromWordsPanicsWhenTooShort(t *testing.T) {
 		}
 	}()
 	FromWords(make([]uint64, 1), 65)
+}
+
+// TestShiftWordsTable checks AdvanceWords and LookbackWords bit for bit
+// against a one-bit-at-a-time reference at every boundary the kernels
+// special-case: no shift, within a word, exactly whole words, one past, a
+// shift of the full length and beyond it; over lengths that straddle nothing,
+// one word, a register tile and a window. Each case also runs with dst
+// aliasing src, which the window executor relies on, and checks that src is
+// otherwise left alone.
+func TestShiftWordsTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260930))
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 33, 258} {
+		src := make([]uint64, n)
+		for i := range src {
+			src[i] = rng.Uint64()
+		}
+		bit := func(i int) bool { return i >= 0 && i < n*64 && src[i/64]&(1<<(uint(i)%64)) != 0 }
+		ks := []int{0, 1, 63, 64, 65, 127, 128, 64 * n, 64*n + 1}
+		if n > 1 {
+			ks = append(ks, 64*(n-1), 64*(n-1)+1, 64*n-1)
+		}
+		for _, k := range ks {
+			for _, dir := range []struct {
+				name  string
+				shift func(dst, src []uint64, k int)
+				from  int // out[i] = in[i+from*k]
+			}{
+				{"AdvanceWords", AdvanceWords, -1},
+				{"LookbackWords", LookbackWords, +1},
+			} {
+				want := make([]uint64, n)
+				for i := 0; i < n*64; i++ {
+					if bit(i + dir.from*k) {
+						want[i/64] |= 1 << (uint(i) % 64)
+					}
+				}
+				// A dirty destination: every word must be written.
+				dst := make([]uint64, n)
+				for i := range dst {
+					dst[i] = ^uint64(0)
+				}
+				keep := slices.Clone(src)
+				dir.shift(dst, src, k)
+				if !slices.Equal(dst, want) {
+					t.Fatalf("%s n=%d k=%d diverges from the bitwise reference", dir.name, n, k)
+				}
+				if !slices.Equal(src, keep) {
+					t.Fatalf("%s n=%d k=%d wrote its source", dir.name, n, k)
+				}
+				inPlace := slices.Clone(src)
+				dir.shift(inPlace, inPlace, k)
+				if !slices.Equal(inPlace, want) {
+					t.Fatalf("%s n=%d k=%d diverges when dst aliases src", dir.name, n, k)
+				}
+			}
+		}
+	}
+}
+
+// TestShiftWordsRejectsLengthMismatch pins the chosen behaviour for operands
+// of different lengths: a panic, never a partially written dst.
+func TestShiftWordsRejectsLengthMismatch(t *testing.T) {
+	for _, tc := range []struct{ dst, src int }{{3, 2}, {2, 3}, {1, 0}} {
+		for name, shift := range map[string]func(dst, src []uint64, k int){
+			"AdvanceWords": AdvanceWords, "LookbackWords": LookbackWords,
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(dst[%d], src[%d]) did not panic", name, tc.dst, tc.src)
+					}
+				}()
+				shift(make([]uint64, tc.dst), make([]uint64, tc.src), 1)
+			}()
+		}
+	}
 }

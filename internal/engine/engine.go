@@ -168,8 +168,9 @@ type Engine struct {
 	cfg    Config
 	groups []Group
 	// shared, when non-nil, computes the match streams of character classes
-	// used by several CTA groups; runs interpret it once per scan chunk
-	// over the raw basis and bind its outputs as extended basis streams.
+	// used by several CTA groups; every runner and scan session executes it
+	// once per input over the raw basis (bindShared) and binds its outputs as
+	// extended basis streams.
 	shared *ir.Program
 	// matchNames lists every output name across groups in ascending order;
 	// a name's index is its rank, the integer stand-in for byte-wise string
@@ -363,25 +364,35 @@ func (e *Engine) extBits() int {
 	return len(e.shared.Outputs)
 }
 
-// bindShared interprets the shared-class program over the freshly transposed
-// raw basis and binds its outputs as extended basis streams. No-op without
-// shared classes.
-func (e *Engine) bindShared(basis *transpose.Basis) error {
+// newSharedSession builds the kernel session that computes the shared-class
+// streams for one runner or scan session, or nil without shared classes. It
+// is host-side precomputation, not a modeled launch: always the fused
+// executor, no fault injector (its launches must not consume armed faults
+// meant for the CTA groups) and no observer; bindShared discards its stats.
+func (e *Engine) newSharedSession(a *arena.Arena) (*kernel.Session, error) {
 	if e.shared == nil {
+		return nil, nil
+	}
+	ks, err := kernel.NewSession(e.shared, kernel.Config{Grid: e.cfg.Grid, Mode: kernel.ModeDTM}, a)
+	if err != nil {
+		return nil, fmt.Errorf("engine: shared-class streams: %w", err)
+	}
+	return ks, nil
+}
+
+// bindShared runs the shared-class program over the freshly transposed raw
+// basis and binds its outputs as extended basis streams. The streams alias
+// ks's buffers: they stay valid until ks runs again, i.e. for the rest of
+// this chunk. No-op when ks is nil (no shared classes).
+func bindShared(ctx context.Context, ks *kernel.Session, basis *transpose.Basis) error {
+	if ks == nil {
 		return nil
 	}
-	res, err := ir.Interpret(e.shared, basis, ir.InterpOptions{})
+	outs, _, err := ks.Run(ctx, basis) // reads the eight raw planes only
 	if err != nil {
 		return fmt.Errorf("engine: shared-class streams: %w", err)
 	}
-	n := len(e.shared.Outputs)
-	if cap(basis.Ext) < n {
-		basis.Ext = make([]*bitstream.Stream, n)
-	}
-	basis.Ext = basis.Ext[:n]
-	for i, o := range e.shared.Outputs {
-		basis.Ext[i] = res.Outputs[o.Name]
-	}
+	basis.Ext = append(basis.Ext[:0], outs...)
 	return nil
 }
 
@@ -638,7 +649,7 @@ func (e *Engine) run(ctx context.Context, input []byte, keepOutputs bool) (*Resu
 	tspan := e.cfg.Obs.Span("scan", "transpose", 0).Arg("input_bytes", len(input))
 	transpose.TransposeInto(rn.basis, input)
 	tspan.End()
-	if err := e.bindShared(rn.basis); err != nil {
+	if err := bindShared(ctx, rn.shared, rn.basis); err != nil {
 		return nil, err
 	}
 	basis := rn.basis

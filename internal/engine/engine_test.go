@@ -87,6 +87,170 @@ func TestCompileAndRunMatchesInterpreter(t *testing.T) {
 	}
 }
 
+// TestSharedClassesMatchInterpreterAndAllocateNothing covers the engines
+// bindShared serves: several groups reading classes one shared program
+// computes. Run, RunCounts and a chunked ScanSession must equal the reference
+// interpreter, and — the shared program running on a retained kernel session
+// like every group — a warmed-up Scan allocates nothing per chunk.
+func TestSharedClassesMatchInterpreterAndAllocateNothing(t *testing.T) {
+	regexes := mustRegexes(t, "[a-f]x[0-9]", "[a-f]y[0-9]", "z[0-9][a-f]", "[0-9]+q", "w[a-f]{2}")
+	cfg := BitGenDefault()
+	cfg.Grid = smallGrid
+	cfg.KeepOutputs = true
+	e, err := Compile(regexes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.shared == nil || len(e.groups) < 2 {
+		t.Fatalf("want >= 2 groups sharing a class, got %d groups, shared=%v", len(e.groups), e.shared != nil)
+	}
+	input := []byte(strings.Repeat("ax1 by22q z3c wab cy9 77q zz4f wfx0 ", 40))
+	prog, err := lower.Group(regexes, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ir.Interpret(prog, transpose.Transpose(input), ir.InterpOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := e.RunCounts(context.Background(), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, r := range regexes {
+		n := ref.Outputs[r.Name].Popcount()
+		want += n
+		if !res.Outputs[r.Name].Equal(ref.Outputs[r.Name]) {
+			t.Errorf("Run: %s diverges from the interpreter", r.Name)
+		}
+		if counts.MatchCounts[r.Name] != n {
+			t.Errorf("RunCounts: %s = %d, want %d", r.Name, counts.MatchCounts[r.Name], n)
+		}
+	}
+	if want == 0 {
+		t.Fatal("reference found no matches")
+	}
+
+	// The same bytes in two chunks (no match straddles the cut: it falls
+	// after a space), then the steady state.
+	a := &arena.Arena{}
+	ss, err := e.NewScanSession(len(input), a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(input) / 2
+	for input[cut-1] != ' ' {
+		cut++
+	}
+	ctx := context.Background()
+	matches, err := ss.Scan(ctx, input[:cut], 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matches, err = ss.Scan(ctx, input[cut:], int64(cut), int64(cut), matches); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range matches {
+		if !ref.Outputs[m.Pattern].Test(int(m.End)) {
+			t.Errorf("Scan reported %s ending at %d; the interpreter did not", m.Pattern, m.End)
+		}
+	}
+	if len(matches) != want {
+		t.Errorf("Scan found %d matches, the interpreter %d", len(matches), want)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if matches, err = ss.Scan(ctx, input, 0, 0, matches[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Scan with shared classes allocates %.1f times per chunk, want 0", allocs)
+	}
+	ss.Close()
+	if err := a.CheckBalanced(); err != nil {
+		t.Errorf("arena unbalanced after Close: %v", err)
+	}
+}
+
+// TestSparseInputsMatchInterpreter drives the inputs on which the kernel's
+// known-zero registers carry the run — whole class streams empty — through
+// the three entry points that share the executor: a two-letter input over an
+// alphabet disjoint from the patterns', an all-NUL chunk, and a chunk whose
+// only match straddles the start of its last window (4099 bytes is two
+// windows of the grid plus three bytes).
+func TestSparseInputsMatchInterpreter(t *testing.T) {
+	regexes := mustRegexes(t, "abcd", "ab+c", "a[bc]{2,4}d", "(ab|cd)+a", "d.{3}a", "b[ab]{1,3}c")
+	cfg := BitGenDefault()
+	cfg.Grid = gpusim.Grid{CTAs: 3, Threads: 64, UnitBits: 32, UnitsPerThread: 1}
+	cfg.KeepOutputs = true
+	e, err := Compile(regexes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lower.Group(regexes, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4099
+	disjoint := make([]byte, n)
+	for i := range disjoint {
+		disjoint[i] = "xy"[i*7%3%2]
+	}
+	straddle := []byte(strings.Repeat("x", n))
+	copy(straddle[4094:], "abcd")
+	ss, err := e.NewScanSession(n, &arena.Arena{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	ctx := context.Background()
+	for name, input := range map[string][]byte{"disjoint": disjoint, "nul": make([]byte, n), "straddle": straddle} {
+		ref, err := ir.Interpret(prog, transpose.Transpose(input), ir.InterpOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(input)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		counts, err := e.RunCounts(ctx, input)
+		if err != nil {
+			t.Fatalf("%s: RunCounts: %v", name, err)
+		}
+		matches, err := ss.Scan(ctx, input, 0, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: Scan: %v", name, err)
+		}
+		want := 0
+		for _, r := range regexes {
+			w := ref.Outputs[r.Name]
+			want += w.Popcount()
+			if !res.Outputs[r.Name].Equal(w) {
+				t.Errorf("%s: Run: %s diverges from the interpreter", name, r.Name)
+			}
+			if counts.MatchCounts[r.Name] != w.Popcount() {
+				t.Errorf("%s: RunCounts: %s = %d, want %d", name, r.Name, counts.MatchCounts[r.Name], w.Popcount())
+			}
+		}
+		for _, m := range matches {
+			if !ref.Outputs[m.Pattern].Test(int(m.End)) {
+				t.Errorf("%s: Scan reported %s ending at %d; the interpreter did not", name, m.Pattern, m.End)
+			}
+		}
+		if len(matches) != want {
+			t.Errorf("%s: Scan found %d matches, the interpreter %d", name, len(matches), want)
+		}
+		if wantAny := name == "straddle"; (want > 0) != wantAny {
+			t.Errorf("%s: the interpreter found %d matches", name, want)
+		}
+	}
+}
+
 func TestPartitionBalancesByLength(t *testing.T) {
 	var regexes []lower.Regex
 	for i := 0; i < 40; i++ {

@@ -17,8 +17,9 @@ import (
 // while keeping Run's semantics — the pool only ever hands back runners in
 // the same state a fresh one starts in (see putRunner).
 type runner struct {
-	basis *transpose.Basis
-	sess  []*kernel.Session
+	basis  *transpose.Basis
+	sess   []*kernel.Session
+	shared *kernel.Session // computes the shared-class streams; nil without any
 }
 
 // initRunPool installs a fresh runner pool. Called at construction and by
@@ -59,7 +60,11 @@ func (e *Engine) getRunner() (*runner, error) {
 			return r, nil
 		}
 	}
-	r := &runner{basis: &transpose.Basis{}}
+	shared, err := e.newSharedSession(e.runArena)
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{basis: &transpose.Basis{}, shared: shared}
 	for gi := range e.groups {
 		// One trace lane per CTA group: concurrent launches render as
 		// parallel tracks in the trace viewer.

@@ -35,13 +35,14 @@ type ScanMatch struct {
 // groups, which keeps the per-chunk path allocation-free (no goroutine or
 // channel churn) while still scaling on multi-core hosts.
 type ScanSession struct {
-	e     *Engine
-	basis *transpose.Basis
-	sess  []*kernel.Session
-	outs  [][]*bitstream.Stream // per-group output streams of the last run
-	heap  []scanCursor          // merge heap scratch, reused across chunks
-	tr    *arena.Tracker
-	lane  int
+	e      *Engine
+	basis  *transpose.Basis
+	sess   []*kernel.Session
+	shared *kernel.Session       // computes the shared-class streams; nil without any
+	outs   [][]*bitstream.Stream // per-group output streams of the last run
+	heap   []scanCursor          // merge heap scratch, reused across chunks
+	tr     *arena.Tracker
+	lane   int
 }
 
 // scanCursor walks one output stream during the match merge. end is the
@@ -74,6 +75,11 @@ func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*S
 			ss.basis.SetWords(j, ss.tr.Words(nw))
 		}
 	}
+	var err error
+	if ss.shared, err = e.newSharedSession(a); err != nil {
+		ss.Close()
+		return nil, err
+	}
 	kcfg := e.kernelConfig(lane)
 	for gi := range e.groups {
 		ks, err := kernel.NewSession(e.groups[gi].Prog(), kcfg, a)
@@ -104,7 +110,7 @@ func (ss *ScanSession) Scan(ctx context.Context, chunk []byte, base, newFrom int
 		transpose.TransposeInto(ss.basis, chunk)
 	}
 	start := len(dst)
-	if err := e.bindShared(ss.basis); err != nil {
+	if err := bindShared(ctx, ss.shared, ss.basis); err != nil {
 		return dst[:start], err
 	}
 	var footprint int64
@@ -252,5 +258,9 @@ func (ss *ScanSession) Close() {
 		ks.Close()
 	}
 	ss.sess = nil
+	if ss.shared != nil {
+		ss.shared.Close()
+		ss.shared = nil
+	}
 	ss.tr.Close()
 }

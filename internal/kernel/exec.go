@@ -710,15 +710,8 @@ func (ex *ctaExec) restoreSnapshot(liveOut []ir.VarID, cs, ce int, snap map[ir.V
 	fromWord := cs / 64
 	wsWord := ex.ws / 64
 	for _, v := range liveOut {
-		words := snap[v]
-		reg := ex.regs.get(v)
-		if reg == nil {
-			reg = ex.regs.buf(v)
-			for i := range reg {
-				reg[i] = 0
-			}
-		}
-		for i, w := range words {
+		reg := ex.regs.mut(v)
+		for i, w := range snap[v] {
 			j := fromWord + i - wsWord
 			if j >= 0 && j < len(reg) {
 				reg[j] = w
@@ -735,7 +728,8 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 		// in the first live-out register before it is committed. The fault
 		// is contained — outputs may be wrong for this run, but execution
 		// completes and the engine stays usable.
-		if reg := ex.regs.get(liveOut[0]); reg != nil {
+		if v := liveOut[0]; ex.regs.has(v) {
+			reg := ex.regs.mut(v)
 			ex.cfg.Inject.Corrupt(faultinject.TileCorrupt, reg)
 			ex.maskWindowTail(reg)
 		}
@@ -745,17 +739,14 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 	wsWord := ex.ws / 64
 	for _, v := range liveOut {
 		g := ex.ensureGlobal(v)
-		reg := ex.regs.get(v)
-		if reg == nil {
-			// Variable not computed this window (e.g. guarded off):
-			// committed value is zero.
+		if !ex.regs.has(v) || ex.regs.isZero(v) {
+			// Not computed this window (an untaken if) or known zero (guarded
+			// off, or produced all zero): the committed value is zero.
 			words := g.Words()
-			for i := fromWord; i < toWord && i < len(words); i++ {
-				words[i] = 0
-			}
+			clear(words[min(fromWord, len(words)):min(toWord, len(words))])
 			maskStreamTail(g)
 		} else {
-			storeWindow(g, fromWord, reg, fromWord-wsWord, toWord-fromWord)
+			storeWindow(g, fromWord, ex.regs.get(v), fromWord-wsWord, toWord-fromWord)
 		}
 		if ex.isOut[v] && !ex.cfg.FullOutputWrites {
 			continue // compact outputs are charged at the end
@@ -798,25 +789,23 @@ func (ex *ctaExec) windowUnits() int64 { return int64(ex.ww) * ex.unitsPerWord }
 // windowBytes is the byte size of one window buffer.
 func (ex *ctaExec) windowBytes() int64 { return int64(ex.ww) * 8 }
 
-// readWindowed returns the window buffer of operand v, loading it from
-// global memory or the basis if it is not register-resident.
+// readWindowed returns operand v's window value for reading. A variable that
+// is not register-resident is bound as a view of its materialized stream —
+// charged as the load it models, but not copied — or tagged known zero when
+// it was never materialized.
 func (ex *ctaExec) readWindowed(v ir.VarID, charge bool) []uint64 {
 	if b := ex.regs.get(v); b != nil {
 		return b
 	}
-	b := ex.regs.buf(v)
 	if g := ex.globals[v]; g != nil {
-		loadWindow(b, g, ex.ws/64)
 		if charge {
 			ex.stats.DRAMReadBytes += ex.windowBytes()
 		}
-		return b
+		return ex.regs.view(v, g, ex.ws/64)
 	}
 	// Never materialized: semantically zero (validated conditional defs).
-	for i := range b {
-		b[i] = 0
-	}
-	return b
+	ex.regs.zero(v)
+	return ex.regs.get(v)
 }
 
 // marginMask sets the margin bits (outside the committed range) in buf.

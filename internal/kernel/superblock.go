@@ -15,17 +15,31 @@ package kernel
 // advance-then-mask pair like T = S >> k; M = T & CC — the hot step of
 // bitstream regex matching — becomes one µop whose intermediate lives in a
 // register tile inside the fused loop and never touches a window buffer,
-// halving that pair's memory traffic.
+// halving that pair's memory traffic. A shift fuses from anywhere earlier in
+// its run (it sinks to its consumer, see tryFuse), so the batches Shift
+// Rebalancing emits execute link by link.
+//
+// The executor also skips work the data makes moot — host-side Zero Block
+// Skipping. Registers carry a known-zero tag (window.go): a taken guard tags
+// what it skips instead of clearing it, the AND-type kernels report the OR of
+// what they stored (the host analog of the atomicOr flag of Section 6) and
+// tag an all-zero result, and a µop with a known-zero absorbing operand —
+// either side of an AND, the left of an AND-NOT, the source of a copy or
+// shift — tags its destination and moves no words. Operands that are not
+// register-resident are bound as read-only views of their stream, not copied.
 //
 // Charging contract. Modeled cost is a function of the IR program and the
-// window geometry, never of how the segment was compiled. Every source
-// assignment charges what execSBRun lists for its unfused opcode, and a
-// fused µop charges the sum of its two source assignments. A merged barrier
-// group pays its barrier pair and one shared-memory store per distinct
-// source once per window (chargeShift). A taken guard charges one unit pass
-// per assignment it skips, nested bodies included. The saturation probe
-// pass (charge == false) charges nothing. testdata/ctastats.golden pins
-// these rules case by case.
+// window geometry, never of how the segment was compiled or of what the data
+// let the host skip. Every source assignment charges what execSBRun lists for
+// its unfused opcode, and a fused µop charges the sum of its two source
+// assignments. A merged barrier group pays its barrier pair and one
+// shared-memory store per distinct source once per window (chargeShift). A
+// taken guard charges one unit pass per assignment it skips, nested bodies
+// included. A short-circuited µop reads its operands first, so residency is
+// what it would have been, and charges exactly what the executed one does; a
+// view load charges the DRAM read the copy did. The saturation probe pass
+// (charge == false) charges nothing. testdata/ctastats.golden pins these
+// rules case by case.
 
 import (
 	"bitgen/internal/bitstream"
@@ -140,6 +154,9 @@ type sbCompiler struct {
 	ex *ctaExec
 	ud dfg.UseDef
 	an *dfg.Analysis
+	// noSink limits fusion to adjacent statements. Never set outside tests:
+	// TestSinkMatchesUnsunk compiles the unsunk µop list to compare against.
+	noSink bool
 }
 
 // compileSeg compiles a fused segment's statements into a superblock
@@ -264,15 +281,14 @@ func zeroInfoStmts(stmts []ir.Stmt) (dsts []ir.VarID, charge int32) {
 }
 
 // compileRun translates a straight-line assignment run into µops, fusing
-// single-use temporaries into their immediately-following consumer.
-// runStart bounds fusion to this run: folding a statement into a µop of an
-// earlier node would move it across a guard or control boundary and corrupt
-// the skip/zero bookkeeping.
+// single-use temporaries into their consumer. runStart bounds fusion to this
+// run: folding a statement into a µop of an earlier node would move it across
+// a guard or control boundary and corrupt the skip/zero bookkeeping.
 func (c *sbCompiler) compileRun(p *sbProgram, stmts []ir.Stmt) {
 	runStart := len(p.ops)
 	for _, s := range stmts {
 		a := s.(*ir.Assign)
-		if len(p.ops) > runStart && c.tryFuse(p, a) {
+		if c.tryFuse(p, runStart, a) {
 			continue
 		}
 		p.ops = append(p.ops, c.baseOp(a))
@@ -319,80 +335,97 @@ func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
 	return op
 }
 
-// tryFuse attempts to fold a into the previously emitted µop: the previous
-// op must define a single-def single-use temporary that a consumes as one
-// operand of a bitwise op, and the temporary must not be live out of the
-// segment (materialized or an output). The caller guarantees the previous
-// µop belongs to the same run as a. On success the previous µop is replaced
-// in place by the fused form.
-func (c *sbCompiler) tryFuse(p *sbProgram, a *ir.Assign) bool {
-	prev := &p.ops[len(p.ops)-1]
-	if prev.nStmts != 1 {
-		return false // pairs only; no chains
-	}
-	t := prev.dst
-	if !c.ud.SingleUseTemp(t) || c.ex.isMat[t] || c.ex.isOut[t] {
-		return false
-	}
+// tryFuse attempts to fold the bitwise assignment a into the µop of this run
+// (p.ops[runStart:]) that defines one of its operands. That operand must be a
+// single-def single-use temporary that is not live out of the segment
+// (materialized or an output), defined by a still-unfused µop — pairs only,
+// no chains. Two shapes fuse:
+//
+//   - a bit-granular shift (|k| in 1..63) anywhere earlier in the run, as
+//     long as its source is not redefined before a. The shift sinks to its
+//     consumer: a rebalanced batch T1..T8 = shifts; M1 = M0 & T1; ... becomes
+//     one shift-and per link, and each shift dies with the chain when the
+//     running conjunction is known zero.
+//   - a bitwise op immediately before a, whose result is then staged through
+//     a register tile.
+//
+// On success the defining µop is removed and the fused µop appended in a's
+// position.
+func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 	bin, ok := a.Expr.(ir.Bin)
-	if !ok {
+	if !ok || bin.X == bin.Y {
 		return false
 	}
-	var other ir.VarID
-	var tIsX bool
-	switch {
-	case bin.X == t && bin.Y != t:
-		other, tIsX = bin.Y, true
-	case bin.Y == t && bin.X != t:
-		other, tIsX = bin.X, false
-	default:
-		return false
-	}
-	switch prev.code {
-	case sbShift:
-		k := int(prev.k)
-		if k == 0 || k > 63 || k < -63 {
-			return false // word-offset shifts stay standalone
+	last := len(p.ops) - 1
+	for di := last; di >= runStart; di-- {
+		def := &p.ops[di]
+		t := def.dst
+		if t != bin.X && t != bin.Y {
+			continue
 		}
-		fused := sbOp{
-			dst: a.Dst, a: prev.a, c: other, k: prev.k,
-			gid: prev.gid, nsrcs: prev.nsrcs, nStmts: 2, stmt: prev.stmt,
+		if def.nStmts != 1 || !c.ud.SingleUseTemp(t) || c.ex.isMat[t] || c.ex.isOut[t] {
+			continue
 		}
-		switch bin.Op {
-		case ir.OpAnd:
-			fused.code = sbShiftAnd
-		case ir.OpOr:
-			fused.code = sbShiftOr
-		case ir.OpXor:
-			fused.code = sbShiftXor
-		case ir.OpAndNot:
-			if tIsX {
-				fused.code = sbShiftAndNot
-			} else {
-				fused.code = sbShiftUnderAndNot
+		other, tIsX := bin.Y, true
+		if bin.Y == t {
+			other, tIsX = bin.X, false
+		}
+		fused := sbOp{dst: a.Dst, a: def.a, c: other, nStmts: 2, stmt: def.stmt}
+		switch def.code {
+		case sbShift:
+			k := int(def.k)
+			if k == 0 || k > 63 || k < -63 {
+				continue // word-offset shifts stay standalone
 			}
+			if di < last && (c.noSink || redefines(p.ops[di+1:], def.a)) {
+				continue
+			}
+			fused.k, fused.gid, fused.nsrcs = def.k, def.gid, def.nsrcs
+			switch bin.Op {
+			case ir.OpAnd:
+				fused.code = sbShiftAnd
+			case ir.OpOr:
+				fused.code = sbShiftOr
+			case ir.OpXor:
+				fused.code = sbShiftXor
+			case ir.OpAndNot:
+				if tIsX {
+					fused.code = sbShiftAndNot
+				} else {
+					fused.code = sbShiftUnderAndNot
+				}
+			}
+		case sbAnd, sbOr, sbXor, sbAndNot:
+			if di < last {
+				continue
+			}
+			fused.code, fused.inner, fused.b, fused.gid = sbFuse2, def.code, def.b, -1
+			switch bin.Op {
+			case ir.OpAnd:
+				fused.outer = sbAnd
+			case ir.OpOr:
+				fused.outer = sbOr
+			case ir.OpXor:
+				fused.outer = sbXor
+			case ir.OpAndNot:
+				fused.outer = sbAndNot
+				fused.swap = !tIsX // dst = c &^ inner
+			}
+		default:
+			continue
 		}
-		*prev = fused
+		p.ops = append(append(p.ops[:di], p.ops[di+1:]...), fused)
 		return true
-	case sbAnd, sbOr, sbXor, sbAndNot:
-		fused := sbOp{
-			code: sbFuse2, inner: prev.code,
-			dst: a.Dst, a: prev.a, b: prev.b, c: other,
-			gid: -1, nStmts: 2, stmt: prev.stmt,
+	}
+	return false
+}
+
+// redefines reports whether any µop in ops writes v.
+func redefines(ops []sbOp, v ir.VarID) bool {
+	for i := range ops {
+		if ops[i].dst == v {
+			return true
 		}
-		switch bin.Op {
-		case ir.OpAnd:
-			fused.outer = sbAnd
-		case ir.OpOr:
-			fused.outer = sbOr
-		case ir.OpXor:
-			fused.outer = sbXor
-		case ir.OpAndNot:
-			fused.outer = sbAndNot
-			fused.swap = !tIsX // dst = c &^ inner
-		}
-		*prev = fused
-		return true
 	}
 	return false
 }
@@ -420,7 +453,7 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 				ex.stats.SMemWriteBytes += int64(ex.cfg.Grid.Threads) * 4
 				ex.stats.GuardChecks++
 			}
-			if ex.cfg.HonorGuards && !anyWords(cond) {
+			if ex.cfg.HonorGuards && (ex.regs.isZero(nd.cond) || !anyWords(cond)) {
 				for k := i + 1; k <= i+int(nd.skip); k++ {
 					ex.zeroSBNode(&nodes[k], charge)
 				}
@@ -436,7 +469,7 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 				ex.stats.UnitOps += ex.windowUnits()
 				ex.stats.Barriers++
 			}
-			if anyWords(cond) {
+			if !ex.regs.isZero(nd.cond) && anyWords(cond) {
 				if err := ex.execSBProg(nd.body, charge); err != nil {
 					return err
 				}
@@ -459,14 +492,16 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 		cond := ex.readWindowed(nd.cond, charge)
 		if ex.saturate && iters == 0 {
 			// Probe pass: flood the margins of the loop condition so any
-			// possible cross-boundary propagation is triggered.
+			// possible cross-boundary propagation is triggered. The
+			// condition may be a view of its global: flood a private copy.
+			cond = ex.regs.mut(nd.cond)
 			ex.saturateMargins(cond)
 		}
 		if charge {
 			ex.stats.UnitOps += ex.windowUnits()
 			ex.stats.Barriers++
 		}
-		if !anyWords(cond) {
+		if ex.regs.isZero(nd.cond) || !anyWords(cond) {
 			return nil
 		}
 		if iters++; iters > maxIters {
@@ -488,10 +523,10 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 	}
 }
 
-// zeroSBNode applies a taken guard to one covered node: zero every
-// destination later code may read and charge one unit pass per source
-// assignment. Fused temporaries are dead past their (also skipped) consumer
-// and get no buffer at all.
+// zeroSBNode applies a taken guard to one covered node: tag every
+// destination later code may read as known zero — no memory is written — and
+// charge one unit pass per source assignment. Fused temporaries are dead past
+// their (also skipped) consumer and get no register at all.
 func (ex *ctaExec) zeroSBNode(nd *sbNode, charge bool) {
 	for _, v := range nd.zeroDsts {
 		ex.regs.zero(v)
@@ -523,7 +558,11 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			}
 		case sbCopy:
 			src := ex.readWindowed(op.a, charge)
-			copyWords(ex.regs.buf(op.dst), src)
+			if ex.regs.isZero(op.a) {
+				ex.regs.zero(op.dst)
+			} else {
+				copyWords(ex.regs.buf(op.dst), src)
+			}
 			if charge {
 				ex.stats.UnitOps += units
 			}
@@ -535,28 +574,44 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if charge {
 				ex.stats.UnitOps += units
 			}
-		case sbAnd, sbOr, sbXor, sbAndNot:
+		case sbAnd, sbAndNot:
 			x := ex.readWindowed(op.a, charge)
 			y := ex.readWindowed(op.b, charge)
-			dst := ex.regs.buf(op.dst)
-			switch op.code {
-			case sbAnd:
-				andWords(dst, x, y)
-			case sbOr:
+			// x absorbs both ops, y absorbs the AND.
+			or := uint64(0)
+			if !ex.regs.isZero(op.a) && (op.code == sbAndNot || !ex.regs.isZero(op.b)) {
+				if dst := ex.regs.buf(op.dst); op.code == sbAnd {
+					or = andWords(dst, x, y)
+				} else {
+					or = andNotWords(dst, x, y)
+				}
+			}
+			if or == 0 {
+				ex.regs.zero(op.dst)
+			}
+			if charge {
+				ex.stats.UnitOps += units
+			}
+		case sbOr, sbXor:
+			x := ex.readWindowed(op.a, charge)
+			y := ex.readWindowed(op.b, charge)
+			if dst := ex.regs.buf(op.dst); op.code == sbOr {
 				orWords(dst, x, y)
-			case sbXor:
+			} else {
 				xorWords(dst, x, y)
-			case sbAndNot:
-				andNotWords(dst, x, y)
 			}
 			if charge {
 				ex.stats.UnitOps += units
 			}
 		case sbShift:
 			src := ex.readWindowed(op.a, charge)
-			dst := ex.regs.buf(op.dst)
-			bitstream.ShiftWords(dst, src, int(op.k))
-			ex.maskWindowTail(dst)
+			if ex.regs.isZero(op.a) {
+				ex.regs.zero(op.dst)
+			} else {
+				dst := ex.regs.buf(op.dst)
+				bitstream.ShiftWords(dst, src, int(op.k))
+				ex.maskWindowTail(dst)
+			}
 			if charge {
 				ex.chargeShift(op, units)
 			}
@@ -587,17 +642,20 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 				ex.stats.SMemReadBytes += ex.windowBytes()
 			}
 		case sbMatchBasis:
-			dst := ex.regs.buf(op.dst)
-			loadWindow(dst, ex.basis.Bit(int(op.k)), ex.ws/64)
+			ex.regs.view(op.dst, ex.basis.Bit(int(op.k)), ex.ws/64)
 			if charge {
 				ex.stats.DRAMReadBytes += ex.windowBytes() / int64(ex.cfg.SharedInputCTAs)
 			}
 		case sbShiftAnd, sbShiftOr, sbShiftXor, sbShiftAndNot, sbShiftUnderAndNot:
 			a := ex.readWindowed(op.a, charge)
 			cw := ex.readWindowed(op.c, charge)
-			dst := ex.regs.buf(op.dst)
-			fusedShiftBin(op.code, dst, a, cw, int(op.k))
-			ex.maskWindowTail(dst)
+			if ex.shiftBinAbsorbed(op) {
+				ex.regs.zero(op.dst)
+			} else if dst := ex.regs.buf(op.dst); fusedShiftBin(op.code, dst, a, cw, int(op.k)) == 0 {
+				ex.regs.zero(op.dst)
+			} else {
+				ex.maskWindowTail(dst)
+			}
 			if charge {
 				// The shift's charges (incl. barrier-merge) plus the
 				// bitwise op's unit pass: identical to the unfused pair.
@@ -608,15 +666,32 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			a := ex.readWindowed(op.a, charge)
 			b := ex.readWindowed(op.b, charge)
 			cw := ex.readWindowed(op.c, charge)
-			dst := ex.regs.buf(op.dst)
-			fused2(op, dst, a, b, cw)
-			ex.maskWindowTail(dst)
+			if dst := ex.regs.buf(op.dst); fused2(op, dst, a, b, cw) == 0 {
+				ex.regs.zero(op.dst)
+			} else {
+				ex.maskWindowTail(dst)
+			}
 			if charge {
 				ex.stats.UnitOps += 2 * units
 			}
 		}
 	}
 	return nil
+}
+
+// shiftBinAbsorbed reports whether a fused shift+bitwise µop has a known-zero
+// operand that forces a zero result: the shifted source under AND and
+// AND-NOT, the plain operand under AND and as the minuend of c &^ shift(a).
+func (ex *ctaExec) shiftBinAbsorbed(op *sbOp) bool {
+	switch op.code {
+	case sbShiftAnd:
+		return ex.regs.isZero(op.a) || ex.regs.isZero(op.c)
+	case sbShiftAndNot:
+		return ex.regs.isZero(op.a)
+	case sbShiftUnderAndNot:
+		return ex.regs.isZero(op.c)
+	}
+	return false
 }
 
 // chargeShift accounts a windowed shift's synchronization and shared-memory
@@ -646,81 +721,127 @@ func (ex *ctaExec) chargeShift(op *sbOp, units int64) {
 }
 
 // fusedShiftBin computes dst = op(shift(a, k), c) in one pass, |k| in
-// 1..63. Iteration order follows AdvanceWords/LookbackWords (downward for
-// advances, upward for lookbacks) so dst may alias a or c.
-func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) {
+// 1..63, and returns the OR of every word it stored (zero: dst is all zero).
+// Iteration order follows AdvanceWords/LookbackWords (downward for advances,
+// upward for lookbacks) so dst may alias a or c. The shift counts are reduced
+// mod 64 — a no-op for these k — so the compiler sees them bounded and emits
+// bare shift instructions.
+func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 	n := len(dst)
 	if n == 0 {
-		return
+		return 0
 	}
+	a, c = a[:n], c[:n]
 	if k > 0 {
-		s := uint(k)
-		r := 64 - s
+		s := uint(k) % 64
+		r := (64 - s) % 64
 		switch code {
 		case sbShiftAnd:
 			for i := n - 1; i >= 1; i-- {
-				dst[i] = ((a[i] << s) | (a[i-1] >> r)) & c[i]
+				w := ((a[i] << s) | (a[i-1] >> r)) & c[i]
+				dst[i] = w
+				or |= w
 			}
-			dst[0] = (a[0] << s) & c[0]
+			w := (a[0] << s) & c[0]
+			dst[0] = w
+			or |= w
 		case sbShiftOr:
 			for i := n - 1; i >= 1; i-- {
-				dst[i] = ((a[i] << s) | (a[i-1] >> r)) | c[i]
+				w := ((a[i] << s) | (a[i-1] >> r)) | c[i]
+				dst[i] = w
+				or |= w
 			}
-			dst[0] = (a[0] << s) | c[0]
+			w := (a[0] << s) | c[0]
+			dst[0] = w
+			or |= w
 		case sbShiftXor:
 			for i := n - 1; i >= 1; i-- {
-				dst[i] = ((a[i] << s) | (a[i-1] >> r)) ^ c[i]
+				w := ((a[i] << s) | (a[i-1] >> r)) ^ c[i]
+				dst[i] = w
+				or |= w
 			}
-			dst[0] = (a[0] << s) ^ c[0]
+			w := (a[0] << s) ^ c[0]
+			dst[0] = w
+			or |= w
 		case sbShiftAndNot:
 			for i := n - 1; i >= 1; i-- {
-				dst[i] = ((a[i] << s) | (a[i-1] >> r)) &^ c[i]
+				w := ((a[i] << s) | (a[i-1] >> r)) &^ c[i]
+				dst[i] = w
+				or |= w
 			}
-			dst[0] = (a[0] << s) &^ c[0]
+			w := (a[0] << s) &^ c[0]
+			dst[0] = w
+			or |= w
 		case sbShiftUnderAndNot:
 			for i := n - 1; i >= 1; i-- {
-				dst[i] = c[i] &^ ((a[i] << s) | (a[i-1] >> r))
+				w := c[i] &^ ((a[i] << s) | (a[i-1] >> r))
+				dst[i] = w
+				or |= w
 			}
-			dst[0] = c[0] &^ (a[0] << s)
+			w := c[0] &^ (a[0] << s)
+			dst[0] = w
+			or |= w
 		}
-		return
+		return or
 	}
-	s := uint(-k)
-	r := 64 - s
+	s := uint(-k) % 64
+	r := (64 - s) % 64
 	switch code {
 	case sbShiftAnd:
 		for i := 0; i < n-1; i++ {
-			dst[i] = ((a[i] >> s) | (a[i+1] << r)) & c[i]
+			w := ((a[i] >> s) | (a[i+1] << r)) & c[i]
+			dst[i] = w
+			or |= w
 		}
-		dst[n-1] = (a[n-1] >> s) & c[n-1]
+		w := (a[n-1] >> s) & c[n-1]
+		dst[n-1] = w
+		or |= w
 	case sbShiftOr:
 		for i := 0; i < n-1; i++ {
-			dst[i] = ((a[i] >> s) | (a[i+1] << r)) | c[i]
+			w := ((a[i] >> s) | (a[i+1] << r)) | c[i]
+			dst[i] = w
+			or |= w
 		}
-		dst[n-1] = (a[n-1] >> s) | c[n-1]
+		w := (a[n-1] >> s) | c[n-1]
+		dst[n-1] = w
+		or |= w
 	case sbShiftXor:
 		for i := 0; i < n-1; i++ {
-			dst[i] = ((a[i] >> s) | (a[i+1] << r)) ^ c[i]
+			w := ((a[i] >> s) | (a[i+1] << r)) ^ c[i]
+			dst[i] = w
+			or |= w
 		}
-		dst[n-1] = (a[n-1] >> s) ^ c[n-1]
+		w := (a[n-1] >> s) ^ c[n-1]
+		dst[n-1] = w
+		or |= w
 	case sbShiftAndNot:
 		for i := 0; i < n-1; i++ {
-			dst[i] = ((a[i] >> s) | (a[i+1] << r)) &^ c[i]
+			w := ((a[i] >> s) | (a[i+1] << r)) &^ c[i]
+			dst[i] = w
+			or |= w
 		}
-		dst[n-1] = (a[n-1] >> s) &^ c[n-1]
+		w := (a[n-1] >> s) &^ c[n-1]
+		dst[n-1] = w
+		or |= w
 	case sbShiftUnderAndNot:
 		for i := 0; i < n-1; i++ {
-			dst[i] = c[i] &^ ((a[i] >> s) | (a[i+1] << r))
+			w := c[i] &^ ((a[i] >> s) | (a[i+1] << r))
+			dst[i] = w
+			or |= w
 		}
-		dst[n-1] = c[n-1] &^ (a[n-1] >> s)
+		w := c[n-1] &^ (a[n-1] >> s)
+		dst[n-1] = w
+		or |= w
 	}
+	return or
 }
 
 // fused2 computes dst = outer(inner(a,b), c) (or outer(c, inner) when swap)
 // tile-at-a-time: the inner result is staged through a register tile, never
 // a window buffer. Pure elementwise, so aliasing dst with any operand is
-// safe within a tile.
-func fused2(op *sbOp, dst, a, b, c []uint64) {
+// safe within a tile. Returns the OR of every word stored, like
+// fusedShiftBin.
+func fused2(op *sbOp, dst, a, b, c []uint64) (or uint64) {
 	var t [sbTileWords]uint64
 	n := len(dst)
 	for base := 0; base < n; base += sbTileWords {
@@ -749,26 +870,37 @@ func fused2(op *sbOp, dst, a, b, c []uint64) {
 		switch op.outer {
 		case sbAnd:
 			for i := 0; i < m; i++ {
-				dst[base+i] = t[i] & c[base+i]
+				w := t[i] & c[base+i]
+				dst[base+i] = w
+				or |= w
 			}
 		case sbOr:
 			for i := 0; i < m; i++ {
-				dst[base+i] = t[i] | c[base+i]
+				w := t[i] | c[base+i]
+				dst[base+i] = w
+				or |= w
 			}
 		case sbXor:
 			for i := 0; i < m; i++ {
-				dst[base+i] = t[i] ^ c[base+i]
+				w := t[i] ^ c[base+i]
+				dst[base+i] = w
+				or |= w
 			}
 		case sbAndNot:
 			if op.swap {
 				for i := 0; i < m; i++ {
-					dst[base+i] = c[base+i] &^ t[i]
+					w := c[base+i] &^ t[i]
+					dst[base+i] = w
+					or |= w
 				}
 			} else {
 				for i := 0; i < m; i++ {
-					dst[base+i] = t[i] &^ c[base+i]
+					w := t[i] &^ c[base+i]
+					dst[base+i] = w
+					or |= w
 				}
 			}
 		}
 	}
+	return or
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -10,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
+	"bitgen/internal/charclass"
+	"bitgen/internal/dfg"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
 	"bitgen/internal/lower"
@@ -202,11 +206,14 @@ func TestCTAStatsGolden(t *testing.T) {
 // TestFusedWordKernels checks the two fused µop kernels word for word
 // against the unfused composition they replace, including dst aliasing an
 // operand (the window register file hands out aliased buffers when a
-// statement overwrites its own source).
+// statement overwrites its own source), and that the OR-reduction they return
+// is zero exactly when they stored all zeros (an all-zero operand forces that
+// for the absorbing ops).
 func TestFusedWordKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	binary := map[sbOpCode]func(dst, x, y []uint64){
-		sbAnd: andWords, sbOr: orWords, sbXor: xorWords, sbAndNot: andNotWords,
+		sbAnd: func(dst, x, y []uint64) { andWords(dst, x, y) }, sbOr: orWords,
+		sbXor: xorWords, sbAndNot: func(dst, x, y []uint64) { andNotWords(dst, x, y) },
 	}
 	random := func(n int) []uint64 {
 		w := make([]uint64, n)
@@ -218,61 +225,306 @@ func TestFusedWordKernels(t *testing.T) {
 	clone, equal := slices.Clone[[]uint64], slices.Equal[[]uint64]
 	// Lengths straddle the sbTileWords register tile.
 	for _, n := range []int{0, 1, 7, 8, 9, 33} {
-		a, b, c := random(n), random(n), random(n)
-		shifted, want := make([]uint64, n), make([]uint64, n)
-
-		shiftOps := []struct {
-			code  sbOpCode
-			apply func(dst, shifted, c []uint64)
-		}{
-			{sbShiftAnd, andWords},
-			{sbShiftOr, orWords},
-			{sbShiftXor, xorWords},
-			{sbShiftAndNot, andNotWords},
-			{sbShiftUnderAndNot, func(dst, s, c []uint64) { andNotWords(dst, c, s) }},
-		}
-		for _, op := range shiftOps {
-			for k := -63; k <= 63; k++ {
-				if k == 0 {
-					continue
-				}
-				bitstream.ShiftWords(shifted, a, k)
-				op.apply(want, shifted, c)
-				fresh := make([]uint64, n)
-				fusedShiftBin(op.code, fresh, a, c, k)
-				onA, onC := clone(a), clone(c)
-				fusedShiftBin(op.code, onA, onA, c, k)
-				fusedShiftBin(op.code, onC, a, onC, k)
-				if !equal(fresh, want) || !equal(onA, want) || !equal(onC, want) {
-					t.Fatalf("fusedShiftBin code=%d k=%d n=%d diverges (fresh=%v dst==a %v dst==c %v)",
-						op.code, k, n, equal(fresh, want), equal(onA, want), equal(onC, want))
-				}
+		for _, zeroC := range []bool{false, true} {
+			a, b, c := random(n), random(n), random(n)
+			if zeroC {
+				clear(c)
 			}
-		}
+			shifted, want := make([]uint64, n), make([]uint64, n)
 
-		inner := make([]uint64, n)
-		for ic, innerFn := range binary {
-			for oc, outerFn := range binary {
-				for _, swap := range []bool{false, true} {
-					innerFn(inner, a, b)
-					if swap && oc == sbAndNot {
-						outerFn(want, c, inner)
-					} else {
-						// swap only has meaning for the one non-commutative
-						// outer op; the compiler never sets it otherwise.
-						outerFn(want, inner, c)
+			shiftOps := []struct {
+				code  sbOpCode
+				apply func(dst, shifted, c []uint64)
+			}{
+				{sbShiftAnd, binary[sbAnd]},
+				{sbShiftOr, orWords},
+				{sbShiftXor, xorWords},
+				{sbShiftAndNot, binary[sbAndNot]},
+				{sbShiftUnderAndNot, func(dst, s, c []uint64) { andNotWords(dst, c, s) }},
+			}
+			for _, op := range shiftOps {
+				for k := -63; k <= 63; k++ {
+					if k == 0 {
+						continue
 					}
-					op := &sbOp{code: sbFuse2, inner: ic, outer: oc, swap: swap}
+					bitstream.ShiftWords(shifted, a, k)
+					op.apply(want, shifted, c)
 					fresh := make([]uint64, n)
-					fused2(op, fresh, a, b, c)
+					if or := fusedShiftBin(op.code, fresh, a, c, k); (or != 0) != anyWords(want) {
+						t.Fatalf("fusedShiftBin code=%d k=%d n=%d returned OR %#x for result any=%v", op.code, k, n, or, anyWords(want))
+					}
 					onA, onC := clone(a), clone(c)
-					fused2(op, onA, onA, b, c)
-					fused2(op, onC, a, b, onC)
+					fusedShiftBin(op.code, onA, onA, c, k)
+					fusedShiftBin(op.code, onC, a, onC, k)
 					if !equal(fresh, want) || !equal(onA, want) || !equal(onC, want) {
-						t.Fatalf("fused2 inner=%d outer=%d swap=%v n=%d diverges", ic, oc, swap, n)
+						t.Fatalf("fusedShiftBin code=%d k=%d n=%d diverges (fresh=%v dst==a %v dst==c %v)",
+							op.code, k, n, equal(fresh, want), equal(onA, want), equal(onC, want))
+					}
+				}
+			}
+
+			inner := make([]uint64, n)
+			for ic, innerFn := range binary {
+				for oc, outerFn := range binary {
+					for _, swap := range []bool{false, true} {
+						innerFn(inner, a, b)
+						if swap && oc == sbAndNot {
+							outerFn(want, c, inner)
+						} else {
+							// swap only has meaning for the one non-commutative
+							// outer op; the compiler never sets it otherwise.
+							outerFn(want, inner, c)
+						}
+						op := &sbOp{code: sbFuse2, inner: ic, outer: oc, swap: swap}
+						fresh := make([]uint64, n)
+						if or := fused2(op, fresh, a, b, c); (or != 0) != anyWords(want) {
+							t.Fatalf("fused2 inner=%d outer=%d swap=%v n=%d returned OR %#x for result any=%v", ic, oc, swap, n, or, anyWords(want))
+						}
+						onA, onC := clone(a), clone(c)
+						fused2(op, onA, onA, b, c)
+						fused2(op, onC, a, b, onC)
+						if !equal(fresh, want) || !equal(onA, want) || !equal(onC, want) {
+							t.Fatalf("fused2 inner=%d outer=%d swap=%v n=%d diverges", ic, oc, swap, n)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// sparseCases are inputs on which whole class streams are empty, so most
+// registers are all zero and the known-zero short-circuits carry the run: a
+// two-letter input over an alphabet disjoint from the patterns', an all-NUL
+// chunk, and a chunk whose only match straddles the start of the last window.
+// 4099 bytes is three windows of the middle grid plus three bytes.
+func sparseCases(t *testing.T) []pinnedCase {
+	var group []lower.Regex
+	for _, pat := range []string{"abcd", "ab+c", "a[bc]{2,4}d", "(ab|cd)+a", "d.{3}a", "b[ab]*c"} {
+		group = append(group, lower.Regex{Name: pat, AST: rx.MustParse(pat)})
+	}
+	const n = 4099
+	rng := rand.New(rand.NewSource(20260930))
+	disjoint := make([]byte, n)
+	for i := range disjoint {
+		disjoint[i] = "xy"[rng.Intn(2)]
+	}
+	straddle := bytes.Repeat([]byte{'x'}, n)
+	copy(straddle[4094:], "abcd")
+	midGrid := gpusim.Grid{CTAs: 4, Threads: 64, UnitBits: 32, UnitsPerThread: 1}
+	var out []pinnedCase
+	for _, g := range []gpusim.Grid{tinyGrid, midGrid, gpusim.DefaultGrid()} {
+		for _, in := range []struct {
+			name  string
+			bytes []byte
+		}{{"disjoint", disjoint}, {"nul", make([]byte, n)}, {"straddle", straddle}} {
+			p, err := lower.Group(group, lower.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, pinnedCase{
+				label: fmt.Sprintf("sparse-%s/%dx%d", in.name, g.CTAs, g.Threads),
+				prog:  optimize(p, true),
+				input: in.bytes,
+				cfg:   Config{Grid: g, Mode: ModeDTM, HonorGuards: true},
+			})
+		}
+	}
+	return out
+}
+
+// TestSparseInputsChargeTheSameOnEitherZeroPath runs the sparse cases twice:
+// as shipped, where guards and absorbing operands turn registers into
+// known-zero tags and µops short-circuit on them, and with the tag disabled,
+// where every zero is real words and every µop executes in full. Outputs must
+// equal the interpreter's both times and the CTAStats must be identical:
+// modeled cost does not depend on which path produced a zero.
+func TestSparseInputsChargeTheSameOnEitherZeroPath(t *testing.T) {
+	for _, c := range sparseCases(t) {
+		basis := transpose.Transpose(c.input)
+		want := interpRef(t, c.prog, basis)
+		var stats [2]gpusim.CTAStats
+		for i, noTag := range []bool{false, true} {
+			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			s.ex.regs.noZeroTag = noTag
+			outs, st, err := s.Run(context.Background(), basis)
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			for oi, o := range c.prog.Outputs {
+				if o.Nullable {
+					t.Fatalf("%s: nullable output %s", c.label, o.Name)
+				}
+				if !outs[oi].Equal(want[o.Name]) {
+					t.Errorf("%s (noZeroTag=%v): %s diverges from the interpreter", c.label, noTag, o.Name)
+				}
+			}
+			if s.Fallbacks() != 0 {
+				t.Errorf("%s: %d fallbacks on a sparse input", c.label, s.Fallbacks())
+			}
+			stats[i] = st
+			s.Close()
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s: CTAStats depend on the zero path:\n tagged   %+v\n untagged %+v", c.label, stats[0], stats[1])
+		}
+		if stats[0].GuardSkips == 0 {
+			t.Errorf("%s: no guard fired; the case does not exercise known-zero registers", c.label)
+		}
+	}
+}
+
+// TestSinkMatchesUnsunk checks shift sinking run by run. Every straight-line
+// run of the pinned cases in which the compiler sank a shift to its consumer
+// is executed over one window from identical random register contents, once
+// as compiled and once compiled with fusion limited to adjacent statements
+// (where every shift sits where the IR put it): every destination both runs
+// define must hold the same words, and the charges must be equal.
+func TestSinkMatchesUnsunk(t *testing.T) {
+	sunk := 0
+	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases()} {
+		for _, c := range set {
+			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			// One run compiles every executed segment and leaves the
+			// executor configured for this program and input.
+			if _, _, err := s.Run(context.Background(), transpose.Transpose(c.input)); err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			var walk func(pl *plan)
+			walk = func(pl *plan) {
+				for _, node := range pl.nodes {
+					switch x := node.(type) {
+					case *fusedSeg:
+						if x.sprog == nil {
+							continue
+						}
+						ref := &sbCompiler{ex: s.ex, ud: dfg.CountUseDef(x.stmts, c.prog.NumVars), an: x.an, noSink: true}
+						sunk += compareSunkRuns(t, c.label, s.ex, x.sprog, ref.compile(x.stmts))
+					case *ctlSeg:
+						walk(x.body)
+					}
+				}
+			}
+			walk(s.pl)
+			s.Close()
+		}
+	}
+	if sunk == 0 {
+		t.Fatal("no run of the case set has a sunk shift")
+	}
+	t.Logf("%d runs with sunk shifts compared", sunk)
+}
+
+// compareSunkRuns walks two compilations of one statement list in step and
+// executes every pair of runs that differ; it returns how many did.
+func compareSunkRuns(t *testing.T, label string, ex *ctaExec, got, ref *sbProgram) int {
+	t.Helper()
+	if len(got.nodes) != len(ref.nodes) {
+		t.Fatalf("%s: %d nodes with sinking, %d without", label, len(got.nodes), len(ref.nodes))
+	}
+	differ := 0
+	for ni := range got.nodes {
+		g, r := &got.nodes[ni], &ref.nodes[ni]
+		if g.kind != r.kind || g.zeroCharge != r.zeroCharge {
+			t.Fatalf("%s: node %d compiled differently: %+v vs %+v", label, ni, g, r)
+		}
+		if g.body != nil {
+			differ += compareSunkRuns(t, label, ex, g.body, r.body)
+		}
+		if g.kind != sbRunNode || g.hi-g.lo == r.hi-r.lo {
+			continue // sinking a shift removes a µop; equal counts mean none sank
+		}
+		differ++
+		const ww = 3
+		exec := func(p *sbProgram, nd *sbNode) (map[ir.VarID][]uint64, gpusim.CTAStats) {
+			rng := rand.New(rand.NewSource(int64(ni)))
+			ex.ws, ex.cs, ex.ce, ex.weBits, ex.ww = 0, 0, ww*64, ww*64, ww
+			ex.regs.beginWindow(ww)
+			ex.wgGen++
+			ex.ensureScratch(ww)
+			ex.tmpT, ex.tmpS = ex.tmpT[:ww], ex.tmpS[:ww]
+			ex.stats = gpusim.CTAStats{}
+			for v := 0; v < ex.prog.NumVars; v++ {
+				for i, b := 0, ex.regs.buf(ir.VarID(v)); i < ww; i++ {
+					b[i] = rng.Uint64()
+				}
+			}
+			if err := ex.execSBRun(p, nd.lo, nd.hi, true); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			// Live destinations: defined by both runs. A temporary either
+			// compilation fused away is dead past its consumer and has no
+			// register there.
+			regs := make(map[ir.VarID][]uint64)
+			for _, v := range g.zeroDsts {
+				if slices.Contains(r.zeroDsts, v) {
+					regs[v] = slices.Clone(ex.regs.get(v))
+				}
+			}
+			return regs, ex.stats
+		}
+		gotRegs, gotStats := exec(got, g)
+		refRegs, refStats := exec(ref, r)
+		for v, words := range gotRegs {
+			if !slices.Equal(words, refRegs[v]) {
+				t.Errorf("%s: node %d: S%d differs between the sunk and the unsunk run", label, ni, v)
+			}
+		}
+		if gotStats != refStats {
+			t.Errorf("%s: node %d: charges differ:\n sunk   %+v\n unsunk %+v", label, ni, gotStats, refStats)
+		}
+	}
+	return differ
+}
+
+// TestSinkRespectsSourceRedefinition builds the one shape sinking must
+// refuse: the shift's source is overwritten between the shift and the
+// statement that consumes it. (Lowered regex programs are single-assignment
+// outside loops, so the differential sets never contain it.) The shift must
+// stay where the IR put it; a neighbouring shift whose source is left alone
+// still sinks.
+func TestSinkRespectsSourceRedefinition(t *testing.T) {
+	b := ir.NewBuilder()
+	x := b.MatchClass(charclass.Single('a'))
+	y := b.MatchClass(charclass.Single('b'))
+	src := b.Or(x, y)
+	t1 := b.Advance(src, 1)                           // reads src before ...
+	t2 := b.Advance(y, 2)                             // (sinkable: y is never rewritten)
+	b.EmitTo(src, ir.Bin{Op: ir.OpAnd, X: src, Y: x}) // ... src is overwritten
+	m := b.And(t1, y)
+	b.Output("re", b.Or(m, b.And(t2, x)))
+	p := b.Program()
+
+	basis := transpose.Transpose([]byte(strings.Repeat("abba bab aab ", 40)))
+	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	outs, _, err := s.Run(context.Background(), basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := interpRef(t, p, basis)["re"]; !outs[0].Equal(want) {
+		t.Fatalf("output diverges from the interpreter:\n got  %s\n want %s", outs[0], want)
+	}
+	var standalone, fused []ir.VarID
+	sp := s.pl.nodes[0].(*fusedSeg).sprog
+	for _, op := range sp.ops {
+		switch op.code {
+		case sbShift:
+			standalone = append(standalone, op.dst)
+		case sbShiftAnd:
+			fused = append(fused, op.stmt.Dst)
+		}
+	}
+	if !slices.Equal(standalone, []ir.VarID{t1}) || !slices.Equal(fused, []ir.VarID{t2}) {
+		t.Fatalf("standalone shifts %v, sunk shifts %v; want [S%d] and [S%d]", standalone, fused, t1, t2)
 	}
 }

@@ -5,27 +5,64 @@ import (
 	"bitgen/internal/ir"
 )
 
-// regFile holds the per-window register state of a fused segment: one
-// window-sized word buffer per variable, with epoch tagging so buffers are
-// invalidated between windows without clearing.
+// regFile holds the per-window register state of a fused segment: one value
+// per variable, epoch-tagged so every register is invalidated between
+// windows without clearing. A register present in the current window is in
+// one of three states:
+//
+//   - owned: ww words of storage the executor may write (what buf returns);
+//   - view: a read-only alias of a materialized stream's words — the window
+//     operand of a basis or global load, bound without copying;
+//   - known zero: a tag with no words behind it, the host analog of the
+//     all-zero flag a producing instruction leaves for Zero Block Skipping.
+//
+// get returns a slice to READ in every state. Code that writes a register it
+// did not just obtain from buf goes through mut, the copy-on-write accessor;
+// a view or the shared zero words are never written.
 type regFile struct {
-	bufs  [][]uint64
+	own   [][]uint64 // owned storage, retained across windows
+	val   [][]uint64 // current value when state is regOwned or regView
+	state []regState
 	epoch []uint32
 	cur   uint32
 	ww    int // words per window
+	// zeros is the shared read-only all-zero operand get hands out for
+	// known-zero registers (at least ww words once anyone asked).
+	zeros []uint64
 	// alloc provides backing storage for register buffers; nil means plain
 	// make. Sessions wire it to a pooled arena tracker.
 	alloc func(n int) []uint64
+	// noZeroTag makes zero write real zeros instead of tagging, so no µop
+	// ever short-circuits. Never set outside tests: they run a program both
+	// ways to show outputs and charges do not depend on the tag.
+	noZeroTag bool
 }
+
+type regState uint8
+
+const (
+	regOwned regState = iota
+	regView
+	regZero
+)
 
 func newRegFile(numVars int) *regFile {
 	return &regFile{
-		bufs:  make([][]uint64, numVars),
+		own:   make([][]uint64, numVars),
+		val:   make([][]uint64, numVars),
+		state: make([]regState, numVars),
 		epoch: make([]uint32, numVars),
 	}
 }
 
-// beginWindow invalidates all registers and (re)sizes buffers to ww words.
+func (r *regFile) newWords(n int) []uint64 {
+	if r.alloc != nil {
+		return r.alloc(n)
+	}
+	return make([]uint64, n)
+}
+
+// beginWindow invalidates all registers and sets the window size to ww words.
 func (r *regFile) beginWindow(ww int) {
 	r.cur++
 	r.ww = ww
@@ -33,70 +70,114 @@ func (r *regFile) beginWindow(ww int) {
 
 // has reports whether v holds a value in the current window.
 func (r *regFile) has(v ir.VarID) bool {
-	return r.epoch[v] == r.cur && r.bufs[v] != nil
+	return r.epoch[v] == r.cur
 }
 
-// buf returns v's buffer for writing, allocating or resizing as needed and
-// marking it valid in the current window. Contents are unspecified.
+// isZero reports whether v is known to be all zero in the current window. A
+// false answer says nothing: only producers that track it set the tag.
+func (r *regFile) isZero(v ir.VarID) bool {
+	return r.epoch[v] == r.cur && r.state[v] == regZero
+}
+
+// buf returns owned storage for writing v, allocating or resizing as needed
+// and marking v present (and neither a view nor known zero) in the current
+// window. Contents are unspecified. When v was already owned this window the
+// same words come back, so an elementwise op may overwrite its own operand.
 func (r *regFile) buf(v ir.VarID) []uint64 {
-	b := r.bufs[v]
+	b := r.own[v]
 	if cap(b) < r.ww {
-		if r.alloc != nil {
-			b = r.alloc(r.ww)
-		} else {
-			b = make([]uint64, r.ww)
-		}
-		r.bufs[v] = b
+		b = r.newWords(r.ww)
 	}
 	b = b[:r.ww]
-	r.bufs[v] = b
+	r.own[v], r.val[v] = b, b
+	r.state[v] = regOwned
 	r.epoch[v] = r.cur
 	return b
 }
 
-// get returns v's current-window buffer or nil.
+// get returns v's current-window value for reading, or nil when v is absent.
 func (r *regFile) get(v ir.VarID) []uint64 {
-	if !r.has(v) {
+	if r.epoch[v] != r.cur {
 		return nil
 	}
-	return r.bufs[v][:r.ww]
-}
-
-// zero fills v's buffer with zeros.
-func (r *regFile) zero(v ir.VarID) {
-	b := r.buf(v)
-	for i := range b {
-		b[i] = 0
+	if r.state[v] == regZero {
+		if len(r.zeros) < r.ww {
+			r.zeros = r.newWords(r.ww)
+			clear(r.zeros)
+		}
+		return r.zeros[:r.ww]
 	}
+	return r.val[v]
 }
 
-// loadWindow copies words [fromWord, fromWord+ww) of a stream into dst,
-// zero-filling beyond the stream's backing words.
+// mut returns v's value in owned storage, for the few sites that modify a
+// register in place: a view is copied, a known-zero or absent register is
+// zero-filled, an owned one is returned as is.
+func (r *regFile) mut(v ir.VarID) []uint64 {
+	switch {
+	case !r.has(v) || r.state[v] == regZero:
+		b := r.buf(v)
+		clear(b)
+		return b
+	case r.state[v] == regView:
+		src := r.val[v]
+		b := r.buf(v)
+		copy(b, src)
+		return b
+	}
+	return r.val[v]
+}
+
+// zero marks v known zero in the current window without touching memory.
+func (r *regFile) zero(v ir.VarID) {
+	if r.noZeroTag {
+		clear(r.buf(v))
+		return
+	}
+	r.state[v] = regZero
+	r.epoch[v] = r.cur
+}
+
+// view binds v to words [fromWord, fromWord+ww) of s without copying. Only
+// a window that sticks out of the stream's backing words is copied (and
+// zero-padded) into owned storage instead.
+func (r *regFile) view(v ir.VarID, s *bitstream.Stream, fromWord int) []uint64 {
+	words := s.Words()
+	if fromWord < 0 || fromWord+r.ww > len(words) {
+		b := r.buf(v)
+		loadWindow(b, s, fromWord)
+		return b
+	}
+	b := words[fromWord : fromWord+r.ww : fromWord+r.ww]
+	r.val[v] = b
+	r.state[v] = regView
+	r.epoch[v] = r.cur
+	return b
+}
+
+// loadWindow copies words [fromWord, fromWord+len(dst)) of a stream into
+// dst, zero-filling positions outside the stream's backing words.
 func loadWindow(dst []uint64, s *bitstream.Stream, fromWord int) {
 	words := s.Words()
-	for i := range dst {
-		j := fromWord + i
-		if j >= 0 && j < len(words) {
-			dst[i] = words[j]
-		} else {
-			dst[i] = 0
-		}
+	lo, hi := max(fromWord, 0), min(fromWord+len(dst), len(words))
+	if lo >= hi {
+		clear(dst)
+		return
 	}
+	clear(dst[:lo-fromWord])
+	copy(dst[lo-fromWord:], words[lo:hi])
+	clear(dst[hi-fromWord:])
 }
 
 // storeWindow copies src's words [srcOff, srcOff+nWords) into stream words
 // starting at dstWord, clipping to the stream's length.
 func storeWindow(s *bitstream.Stream, dstWord int, src []uint64, srcOff, nWords int) {
 	words := s.Words()
-	for i := 0; i < nWords; i++ {
-		j := dstWord + i
-		if j < 0 || j >= len(words) {
-			continue
-		}
-		words[j] = src[srcOff+i]
+	lo, hi := max(dstWord, 0), min(dstWord+nWords, len(words))
+	if lo < hi {
+		copy(words[lo:hi], src[srcOff+lo-dstWord:])
 	}
-	// Re-mask the tail by rebuilding via FromWords semantics: the stream
-	// keeps bits past Len zero.
+	// The stream keeps bits past Len zero.
 	maskStreamTail(s)
 }
 
@@ -120,10 +201,18 @@ func anyWords(w []uint64) bool {
 
 // andWords / orWords / xorWords / andNotWords / notWords are the word-level
 // kernels of the bitwise instructions.
-func andWords(dst, x, y []uint64) {
+//
+// andWords and andNotWords — the ops that can turn non-zero operands into an
+// all-zero result — return the OR of every word they stored, the host analog
+// of the atomicOr flag a producing instruction leaves for the guards
+// (Section 6): zero means dst is known zero.
+func andWords(dst, x, y []uint64) (or uint64) {
 	for i := range dst {
-		dst[i] = x[i] & y[i]
+		w := x[i] & y[i]
+		dst[i] = w
+		or |= w
 	}
+	return or
 }
 
 func orWords(dst, x, y []uint64) {
@@ -138,10 +227,13 @@ func xorWords(dst, x, y []uint64) {
 	}
 }
 
-func andNotWords(dst, x, y []uint64) {
+func andNotWords(dst, x, y []uint64) (or uint64) {
 	for i := range dst {
-		dst[i] = x[i] &^ y[i]
+		w := x[i] &^ y[i]
+		dst[i] = w
+		or |= w
 	}
+	return or
 }
 
 func notWords(dst, x []uint64) {

@@ -1,9 +1,15 @@
 package kernel
 
 import (
+	"context"
+	"slices"
 	"testing"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
+	"bitgen/internal/ir"
+	"bitgen/internal/lower"
+	"bitgen/internal/transpose"
 )
 
 func TestRegFileEpochInvalidation(t *testing.T) {
@@ -156,9 +162,11 @@ func TestWordKernels(t *testing.T) {
 	x := []uint64{0b1100, 0}
 	y := []uint64{0b1010, ^uint64(0)}
 	dst := make([]uint64, 2)
-	andWords(dst, x, y)
-	if dst[0] != 0b1000 || dst[1] != 0 {
+	if or := andWords(dst, x, y); dst[0] != 0b1000 || dst[1] != 0 || or != 0b1000 {
 		t.Fatal("andWords")
+	}
+	if andWords(dst, x, []uint64{0b0011, 0}) != 0 || andNotWords(dst, x, []uint64{0b1100, 0}) != 0 {
+		t.Fatal("all-zero result not reported")
 	}
 	orWords(dst, x, y)
 	if dst[0] != 0b1110 {
@@ -168,8 +176,7 @@ func TestWordKernels(t *testing.T) {
 	if dst[0] != 0b0110 {
 		t.Fatal("xorWords")
 	}
-	andNotWords(dst, x, y)
-	if dst[0] != 0b0100 {
+	if or := andNotWords(dst, x, y); dst[0] != 0b0100 || or != 0b0100 {
 		t.Fatal("andNotWords")
 	}
 	notWords(dst, x)
@@ -182,5 +189,171 @@ func TestWordKernels(t *testing.T) {
 	}
 	if anyWords([]uint64{0, 0}) || !anyWords([]uint64{0, 4}) {
 		t.Fatal("anyWords")
+	}
+}
+
+// ---------- the view / known-zero register contract ----------
+
+func TestRegFileKnownZero(t *testing.T) {
+	r := newRegFile(2)
+	r.beginWindow(3)
+	r.buf(0)[1] = 42
+	r.zero(0)
+	if !r.has(0) || !r.isZero(0) {
+		t.Fatal("zeroed register not present and known zero")
+	}
+	if got := r.get(0); len(got) != 3 || anyWords(got) {
+		t.Fatalf("known-zero register reads as %v, want 3 zero words", got)
+	}
+	if r.own[0][1] != 42 {
+		t.Fatal("zero wrote the register's storage; the tag must cost no memory traffic")
+	}
+	// A wider window still reads as all zero.
+	r.beginWindow(9)
+	if r.has(0) || r.isZero(0) || r.get(0) != nil {
+		t.Fatal("known-zero tag survived the window change")
+	}
+	r.zero(1)
+	if got := r.get(1); len(got) != 9 || anyWords(got) {
+		t.Fatalf("known-zero register reads as %v, want 9 zero words", got)
+	}
+	// Writing a register that was known zero hands out owned storage and
+	// drops the tag.
+	b := r.buf(1)
+	b[0] = 7
+	if r.isZero(1) || r.get(1)[0] != 7 {
+		t.Fatal("buf after zero did not clear the tag")
+	}
+	if anyWords(r.zeros) {
+		t.Fatal("the shared zero words were written")
+	}
+}
+
+func TestRegFileViewAndCopyOnWrite(t *testing.T) {
+	s := bitstream.FromPositions(64*6, 70, 200, 300)
+	before := slices.Clone(s.Words())
+	r := newRegFile(3)
+	r.beginWindow(2)
+
+	v := r.view(0, s, 1) // words 1..2
+	if &v[0] != &s.Words()[1] || len(v) != 2 || cap(v) != 2 {
+		t.Fatal("in-range view is not a length-capped alias of the stream words")
+	}
+	if r.get(0)[0] != 1<<6 || r.isZero(0) {
+		t.Fatal("view does not read the stream's words")
+	}
+	// mut copies: same contents, storage that is not the stream's.
+	m := r.mut(0)
+	if &m[0] == &v[0] || !slices.Equal(m, v) {
+		t.Fatal("copy-on-write accessor returned the view itself or different contents")
+	}
+	m[0] = ^uint64(0)
+	if r.get(0)[0] != ^uint64(0) || &r.mut(0)[0] != &m[0] {
+		t.Fatal("register does not hold its private copy after mut")
+	}
+	// buf after view: owned storage, never the stream's.
+	r.view(1, s, 4)
+	if b := r.buf(1); &b[0] == &s.Words()[4] {
+		t.Fatal("buf after view returned the viewed words for writing")
+	}
+	// A window sticking out of the stream is copied and zero-padded.
+	out := r.view(2, s, 5)
+	if &out[0] == &s.Words()[5] || out[0] != s.Words()[5] || out[1] != 0 {
+		t.Fatalf("out-of-range view = %v, want an owned zero-padded copy", out)
+	}
+	// mut of a known-zero and of an absent register: zero-filled storage.
+	r.beginWindow(2)
+	r.own[0][0], r.own[0][1] = 5, 5
+	r.zero(0)
+	if z := r.mut(0); anyWords(z) || r.isZero(0) {
+		t.Fatal("mut of a known-zero register is not zero-filled owned storage")
+	}
+	r.own[1][0] = 5
+	if z := r.mut(1); anyWords(z) || !r.has(1) {
+		t.Fatal("mut of an absent register is not zero-filled owned storage")
+	}
+	if !slices.Equal(s.Words(), before) {
+		t.Fatal("the viewed stream was written")
+	}
+}
+
+// TestKnownZeroLiveOutCommitsZeros drives commitWindow directly: a live-out
+// register tagged known zero must clear exactly the committed range of its
+// global, like an absent one.
+func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
+	p := lower.MustSingle("re", "ab")
+	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	basis := transpose.Transpose(make([]byte, 64*4))
+	ex := s.ex
+	ex.reset(context.Background(), basis, s.base.withDefaults(basis.N))
+	ex.isMat = s.isMat
+	v := p.Outputs[0].Var
+	g := ex.ensureGlobal(v)
+	g.OnesInto()
+	ex.ws, ex.weBits, ex.ww = 64, 64*3, 2
+	ex.regs.beginWindow(ex.ww)
+	ex.regs.zero(v)
+	ex.commitWindow([]ir.VarID{v}, 64, 128)
+	want := []uint64{^uint64(0), 0, ^uint64(0), ^uint64(0)}
+	if !slices.Equal(g.Words(), want) {
+		t.Fatalf("global after committing a known-zero register = %x, want %x", g.Words(), want)
+	}
+}
+
+// checksumWords folds word slices into one FNV-1a value.
+func checksumWords(streams ...*bitstream.Stream) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range streams {
+		if s == nil {
+			continue
+		}
+		for _, w := range s.Words() {
+			h = (h ^ w) * 1099511628211
+		}
+	}
+	return h
+}
+
+// TestViewsAreNeverWritten runs the whole pinned case set — the 9 patterns in
+// 3 modes, the 120 random trials, the three grids — and checks around every
+// Session.Run that nothing a register may alias was written through it: the
+// basis planes, the shared zero words, and (on a second run over the same
+// input) every materialized global, which must come out word for word as the
+// first run left it.
+func TestViewsAreNeverWritten(t *testing.T) {
+	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases()} {
+		for _, c := range set {
+			basis := transpose.Transpose(c.input)
+			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			basisSum := checksumWords(basis.Streams[:]...)
+			var globals []uint64
+			for run := 0; run < 2; run++ {
+				if _, _, err := s.Run(context.Background(), basis); err != nil {
+					t.Fatalf("%s: %v", c.label, err)
+				}
+				if checksumWords(basis.Streams[:]...) != basisSum {
+					t.Fatalf("%s: run %d wrote the basis", c.label, run)
+				}
+				if anyWords(s.ex.regs.zeros) {
+					t.Fatalf("%s: run %d wrote the shared zero words", c.label, run)
+				}
+				for v, g := range s.ex.globals {
+					sum := checksumWords(g)
+					if run == 0 {
+						globals = append(globals, sum)
+					} else if globals[v] != sum {
+						t.Fatalf("%s: materialized S%d differs between two runs over one input", c.label, v)
+					}
+				}
+			}
+			s.Close()
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"testing"
+
+	"bitgen/internal/workload"
 )
 
 // chunkSource serves an endless repetition of data capped at limit bytes —
@@ -70,5 +72,31 @@ func BenchmarkScanReaderSequential(b *testing.B) {
 	}
 	if matches == 0 {
 		b.Fatal("no matches")
+	}
+}
+
+// BenchmarkScanReaderSigs is the repo benchmark's stream_sigs op as a Go
+// benchmark: the Yara-style signature set (168 shift/literal-heavy bounded
+// patterns, sparse matches) over 4 MiB of its generated 128 KiB input served
+// cyclically, default options. The kernel layer is >99 % of it, so
+//
+//	go test -run '^$' -bench ScanReaderSigs -benchtime 15x -cpuprofile cpu.prof .
+//
+// gives the superblock executor's profile without a scratch main.
+func BenchmarkScanReaderSigs(b *testing.B) {
+	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := MustCompile(app.Patterns, nil)
+	const slice = 4 << 20
+	b.SetBytes(slice)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := &chunkSource{data: app.Input, limit: slice}
+		if err := eng.ScanReader(src, 0, func(Match) {}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
