@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -135,11 +135,19 @@ bench-serve:
 # ci is the tier-1 verification gate: vet, lint/vuln (when the tools are
 # installed), build, the full suite under the race detector, the
 # fault-injection suite, the observability, bench, service and cluster
-# smokes, and the per-package line count.
-ci: vet lint vuln build race fault obs-smoke bench-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke loc
+# smokes, a quick pass of the repo benchmark, and the per-package line
+# count.
+ci: vet lint vuln build race fault obs-smoke bench-smoke bench-quick serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke loc
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# bench-quick proves the repo benchmark (BENCHMARK.json, benchmark/) — the
+# gate every PR is judged by — still builds and passes its own oracle: a
+# short pass of all five workloads, exit 1 when any op differs from the NFA
+# reference or fails. Its timings are too short to mean anything.
+bench-quick:
+	$(GO) run ./benchmark -quick -seed 1
 
 # bench-smoke is the fast perf gate: short runs of the streaming-scan and
 # bitstream hot-path benchmarks (catching gross regressions and alloc

@@ -88,10 +88,11 @@ type Options struct {
 	// Engine.MetricsSnapshot, Engine.WritePrometheus). Nil — the default
 	// — compiles every instrumentation hook down to a pointer check.
 	Observability *ObservabilityOptions
-	// ScanWorkers sets how many chunk workers the pipelined ScanReader
-	// runs concurrently (default GOMAXPROCS). Even one worker pipelines:
-	// the reader stays a chunk ahead of execution. Ignored when
-	// Resilience is set (ladder scans run chunk-at-a-time).
+	// ScanWorkers sets how many chunk workers ScanReader's pipeline runs
+	// concurrently (default GOMAXPROCS). Even one worker pipelines: the
+	// reader stays a chunk ahead of execution. With Resilience set the
+	// pipeline always runs one worker: the ladder's retry, breaker and
+	// cross-check-sampling sequence is defined in chunk order.
 	ScanWorkers int
 }
 
@@ -219,8 +220,8 @@ type Engine struct {
 	// patterns, ascending.
 	indexesOf map[string][]int
 	// rankIndexes is indexesOf keyed by the inner engine's match rank
-	// instead of the pattern string — the pipelined scanner's emit stage
-	// fans out on the integer, skipping a map lookup per match.
+	// instead of the pattern string — Run and the streaming emit stage fan
+	// out on the integer, skipping a map lookup per match.
 	rankIndexes [][]int
 	// nullable lists the unique patterns that match the empty string;
 	// ScanReader refuses them (an empty match "ends" at every stream
@@ -310,7 +311,7 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 		regexes = append(regexes, lower.Regex{Name: p, AST: ast})
 		// Cache the streaming bound and nullability now — ScanReader must
 		// not re-parse.
-		if l := patternMaxLen(ast); l == rx.Unbounded {
+		if l := rx.MaxLength(ast); l == rx.Unbounded {
 			unbounded = append(unbounded, p)
 		} else if l > maxLen {
 			maxLen = l
@@ -350,8 +351,8 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 }
 
 // initRankIndexes aligns the duplicate-index fan-out with the inner
-// engine's rank order so the streaming emit stage can index a slice
-// instead of hashing pattern strings.
+// engine's rank order so match fan-out can index a slice instead of
+// hashing pattern strings.
 func (e *Engine) initRankIndexes() {
 	names := e.inner.MatchNames()
 	e.rankIndexes = make([][]int, len(names))
@@ -377,7 +378,6 @@ func resolveDevice(opts *Options) (gpusim.Device, error) {
 // snapshot executes under exactly the configuration a fresh compile would.
 func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer *obs.Observer) engine.Config {
 	cfg := engine.BitGenDefault()
-	cfg.KeepOutputs = true
 	cfg.Device = dev
 	grid := gpusim.DefaultGrid()
 	if opts.CTAs > 0 {
@@ -496,6 +496,8 @@ func (e *Engine) checkInput(input []byte) error {
 }
 
 // sortMatches orders matches by end position, then pattern, then index.
+// Only the ladder's fallback rungs need it: they report per-pattern
+// position maps, while the bitstream engine's matches arrive merged.
 func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].End != ms[j].End {
@@ -525,28 +527,34 @@ func (e *Engine) fanOutCounts(inner map[string]int) (map[string]int, []int) {
 }
 
 // toResult converts an internal run result to the public form, fanning
-// each unique pattern's matches out to every duplicate index.
+// each unique pattern's matches out to every duplicate index, ascending.
+// inner.Matches arrives in (End, rank) order and ranks follow pattern
+// order, so the fan-out is already in (End, Pattern, Index) order — the
+// same walk the streaming emit stage does per chunk.
 func (e *Engine) toResult(inner *engine.Result) *Result {
 	res := &Result{}
 	res.Counts, res.IndexCounts = e.fanOutCounts(inner.MatchCounts)
-	for pattern, stream := range inner.Outputs {
-		idxs := e.indexesOf[pattern]
-		for _, end := range stream.Positions() {
-			for _, idx := range idxs {
-				res.Matches = append(res.Matches, Match{Pattern: pattern, Index: idx, End: end})
-			}
+	total := 0
+	for _, c := range res.IndexCounts {
+		total += c
+	}
+	if total > 0 {
+		res.Matches = make([]Match, 0, total)
+	}
+	for _, m := range inner.Matches {
+		for _, idx := range e.rankIndexes[m.Rank] {
+			res.Matches = append(res.Matches, Match{Pattern: m.Pattern, Index: idx, End: int(m.End)})
 		}
 	}
-	sortMatches(res.Matches)
-	total := inner.Stats.Total()
+	stats := inner.Stats.Total()
 	res.Stats = Stats{
 		ModeledTime:      time.Duration(inner.Time.TotalSec * float64(time.Second)),
 		ThroughputMBs:    inner.ThroughputMBs,
-		DRAMReadBytes:    total.DRAMReadBytes,
-		DRAMWriteBytes:   total.DRAMWriteBytes,
-		Barriers:         total.Barriers,
-		RecomputePercent: total.RecomputePercent(),
-		GuardSkips:       total.GuardSkips,
+		DRAMReadBytes:    stats.DRAMReadBytes,
+		DRAMWriteBytes:   stats.DRAMWriteBytes,
+		Barriers:         stats.Barriers,
+		RecomputePercent: stats.RecomputePercent(),
+		GuardSkips:       stats.GuardSkips,
 	}
 	res.Profile = inner.Profile
 	return res
@@ -594,10 +602,9 @@ func (e *Engine) runContext(ctx context.Context, input []byte) (*Result, error) 
 }
 
 // CountOnly scans the input and returns only per-pattern match counts.
-// Unlike Run, no match streams are retained and no position list is
-// materialized — each group's output becomes garbage as soon as its count
-// is taken — so it is cheaper than Run for large inputs when positions
-// are not needed.
+// Unlike Run, no match list is materialized — each group's output stream
+// is only counted — so it is cheaper than Run on match-dense inputs when
+// positions are not needed.
 func (e *Engine) CountOnly(input []byte) (map[string]int, error) {
 	return e.CountOnlyContext(context.Background(), input)
 }

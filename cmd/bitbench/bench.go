@@ -131,15 +131,6 @@ func runBench(benchTime string, minScanMBs float64) (renderable, error) {
 				b.Fatal(err)
 			}
 		}))
-	rep.Rows = append(rep.Rows, row("scanreader_sequential_ref", "chunk-at-a-time Run+carry reference",
-		chunk, func(b *testing.B) {
-			src := &chunkSource{data: input, limit: int64(b.N) * chunk}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := scanSequentialRef(eng, src, chunk, func(bitgen.Match) {}); err != nil {
-				b.Fatal(err)
-			}
-		}))
 
 	// Multicore matrix: GOMAXPROCS x pipeline workers. Scaling beyond the
 	// host's real core count is necessarily flat — each row's note records
@@ -180,50 +171,6 @@ func runBench(benchTime string, minScanMBs float64) (renderable, error) {
 		}
 	}
 	return rep, nil
-}
-
-// scanSequentialRef is the pre-pipeline streaming loop — read a chunk, Run
-// it, emit new ends, carry the overlap — kept here as the benchmark's
-// reference point (the library's internal sequential path is equivalent).
-func scanSequentialRef(eng *bitgen.Engine, r io.Reader, chunkSize int, emit func(bitgen.Match)) error {
-	// Longest pattern in benchPatterns is qu[a-z]{2,6}k: 9 bytes.
-	const maxLen = 9
-	overlap := maxLen - 1
-	buf := make([]byte, 0, chunkSize+overlap)
-	var offset, emittedThrough int64
-	emittedThrough = -1
-	for {
-		start := len(buf)
-		buf = buf[:cap(buf)]
-		n, err := io.ReadFull(r, buf[start:start+chunkSize])
-		buf = buf[:start+n]
-		eof := err == io.EOF || err == io.ErrUnexpectedEOF
-		if err != nil && !eof {
-			return err
-		}
-		if len(buf) > 0 {
-			res, rerr := eng.Run(buf)
-			if rerr != nil {
-				return rerr
-			}
-			for _, m := range res.Matches {
-				if abs := offset + int64(m.End); abs > emittedThrough {
-					emit(bitgen.Match{Pattern: m.Pattern, End: int(abs)})
-				}
-			}
-			emittedThrough = offset + int64(len(buf)) - 1
-			keep := overlap
-			if keep > len(buf) {
-				keep = len(buf)
-			}
-			copy(buf[:keep], buf[len(buf)-keep:])
-			offset += int64(len(buf) - keep)
-			buf = buf[:keep]
-		}
-		if eof {
-			return nil
-		}
-	}
 }
 
 func (r *benchReport) Render() string {

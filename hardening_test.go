@@ -163,7 +163,8 @@ func TestInternalErrorSurfacesThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{inner: inner, patterns: patterns}
+	e := &Engine{inner: inner, patterns: patterns, indexesOf: map[string][]int{"cat": {0}, "dog": {1}}}
+	e.initRankIndexes()
 	_, err = e.Run([]byte("cat dog"))
 	var ie *InternalError
 	if !errors.As(err, &ie) {

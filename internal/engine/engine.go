@@ -7,10 +7,9 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,8 +55,9 @@ type Config struct {
 	ZeroBlockSkipping bool
 	// IntervalSize is ZBS's guard spacing; 0 means 8.
 	IntervalSize int
-	// KeepOutputs retains full match streams in the result (tests and
-	// small inputs); otherwise only match counts are kept.
+	// KeepOutputs makes Run also retain full match streams in
+	// Result.Outputs, for tests and cross-checks that compare whole streams;
+	// the public engine reads Result.Matches and leaves it off.
 	KeepOutputs bool
 	// TransposeShare scales the transpose kernel's charged traffic; the
 	// reduced-scale experiment methodology runs k% of the workload on a
@@ -168,9 +168,9 @@ type Engine struct {
 	cfg    Config
 	groups []Group
 	// shared, when non-nil, computes the match streams of character classes
-	// used by several CTA groups; every runner and scan session executes it
-	// once per input over the raw basis (bindShared) and binds its outputs as
-	// extended basis streams.
+	// used by several CTA groups; every scan session executes it once per
+	// chunk over the raw basis (bindShared) and binds its outputs as extended
+	// basis streams.
 	shared *ir.Program
 	// matchNames lists every output name across groups in ascending order;
 	// a name's index is its rank, the integer stand-in for byte-wise string
@@ -180,9 +180,9 @@ type Engine struct {
 	outRanks [][]int32
 	// PassStats aggregates what the optimization passes did.
 	PassStats PassStats
-	// runPool recycles one-shot Run state (transpose basis + per-group
-	// kernel sessions) across calls; runArena backs those sessions so
-	// their retained buffers never imbalance arena.Default. See runner.go.
+	// runPool recycles the ScanSessions one-shot Run executes on; runArena
+	// backs them so their retained buffers never imbalance arena.Default.
+	// See initRunPool.
 	runPool  *sync.Pool
 	runArena *arena.Arena
 }
@@ -227,6 +227,10 @@ type PassStats struct {
 
 // Result is the outcome of one Run.
 type Result struct {
+	// Matches lists every match in (End, Rank) order — (End, Pattern) order,
+	// see Engine.MatchNames. A nullable regex's empty match at end-of-input
+	// reports End == len(input). Nil from RunCounts.
+	Matches []ScanMatch
 	// Outputs holds full match streams when Config.KeepOutputs is set.
 	Outputs map[string]*bitstream.Stream
 	// MatchCounts maps each regex to its number of match end positions.
@@ -365,7 +369,7 @@ func (e *Engine) extBits() int {
 }
 
 // newSharedSession builds the kernel session that computes the shared-class
-// streams for one runner or scan session, or nil without shared classes. It
+// streams for one scan session, or nil without shared classes. It
 // is host-side precomputation, not a modeled launch: always the fused
 // executor, no fault injector (its launches must not consume armed faults
 // meant for the CTA groups) and no observer; bindShared discards its stats.
@@ -408,8 +412,8 @@ func (e *Engine) Shared() *ir.Program {
 
 // ResidentBytes measures the engine's durable compiled state: every group's
 // stored program form, names and output tables, the shared-class program,
-// and the rank tables. Transient scan state (kernel sessions, pooled
-// runners, arenas) is excluded — it exists only while scans run.
+// and the rank tables. Transient scan state (scan sessions, pooled
+// or not, and their arenas) is excluded — it exists only while scans run.
 func (e *Engine) ResidentBytes() int64 {
 	var sz int64 = 128
 	for i := range e.groups {
@@ -571,7 +575,7 @@ func (e *Engine) Groups() []Group {
 func (e *Engine) WithInjector(inj *faultinject.Injector) *Engine {
 	ne := *e
 	ne.cfg.Inject = inj
-	// Pooled runners capture the injector inside their kernel sessions; the
+	// Pooled sessions capture the injector inside their kernel sessions; the
 	// copy must build its own, not share armed-or-not state with e.
 	ne.initRunPool()
 	return &ne
@@ -630,29 +634,32 @@ func (e *Engine) Run(input []byte) (*Result, error) {
 // index, its pattern names and the stack, while other groups (and other
 // concurrent runs on this immutable Engine) are unaffected.
 func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) {
-	return e.run(ctx, input, e.cfg.KeepOutputs)
+	return e.run(ctx, input, true)
 }
 
-// RunCounts is RunContext without retaining match streams, regardless of
-// Config.KeepOutputs: per-group output streams become garbage as soon as
-// their counts are taken, which is what makes counts-only scans cheaper
-// than full runs on large inputs.
+// RunCounts is RunContext without materializing anything per match: no
+// Result.Matches and, regardless of Config.KeepOutputs, no match streams.
+// The session's output streams are only counted, which is what makes
+// counts-only scans cheaper than full runs on match-dense inputs.
 func (e *Engine) RunCounts(ctx context.Context, input []byte) (*Result, error) {
 	return e.run(ctx, input, false)
 }
 
-func (e *Engine) run(ctx context.Context, input []byte, keepOutputs bool) (*Result, error) {
-	rn, err := e.getRunner()
+// run is the one-shot entry into the chunk executor: the whole input is one
+// chunk on a pooled ScanSession, launched group-parallel. collect selects
+// whether matches (and, under Config.KeepOutputs, streams) are copied out
+// of the session before it returns to the pool.
+func (e *Engine) run(ctx context.Context, input []byte, collect bool) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ss, err := e.getSession()
 	if err != nil {
 		return nil, err
 	}
-	tspan := e.cfg.Obs.Span("scan", "transpose", 0).Arg("input_bytes", len(input))
-	transpose.TransposeInto(rn.basis, input)
-	tspan.End()
-	if err := bindShared(ctx, rn.shared, rn.basis); err != nil {
-		return nil, err
+	if err := ss.execute(ctx, input, true); err != nil {
+		return nil, err // ss is deliberately not pooled; see putSession
 	}
-	basis := rn.basis
 	share := e.cfg.TransposeShare
 	if share == 0 {
 		share = 1
@@ -660,144 +667,67 @@ func (e *Engine) run(ctx context.Context, input []byte, keepOutputs bool) (*Resu
 	res := &Result{
 		MatchCounts: make(map[string]int),
 		Stats: gpusim.KernelStats{
-			PerCTA:         make([]gpusim.CTAStats, len(e.groups)),
+			PerCTA:         append([]gpusim.CTAStats(nil), ss.stats...),
 			InputBytes:     int64(len(input)),
-			TransposeBytes: int64(float64(basis.BytesMoved()) * share),
+			TransposeBytes: int64(float64(ss.basis.BytesMoved()) * share),
 		},
 	}
+	keepOutputs := collect && e.cfg.KeepOutputs
 	if keepOutputs {
 		res.Outputs = make(map[string]*bitstream.Stream)
 	}
-	type groupOut struct {
-		outs      []*bitstream.Stream
-		stats     gpusim.CTAStats
-		fallbacks int
-		err       error
-	}
-	outs := make([]groupOut, len(e.groups))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for gi := range e.groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			// Panic containment: one poisoned group degrades to a typed
-			// error; the WaitGroup and semaphore are released on every
-			// path, so the launch never deadlocks and the process (and
-			// concurrent runs on this Engine) survive.
-			defer func() {
-				if r := recover(); r != nil {
-					outs[gi] = groupOut{err: &bgerr.InternalError{
-						Op: "run", Group: gi, Patterns: e.groups[gi].Names,
-						Value: r, Stack: debug.Stack(),
-					}}
-				}
-			}()
-			if ctx != nil {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					outs[gi] = groupOut{err: bgerr.Canceled(ctx.Err())}
-					return
-				}
-			} else {
-				sem <- struct{}{}
-			}
-			defer func() { <-sem }()
-			if err := gpusim.CheckLaunch(e.cfg.Inject, gi); err != nil {
-				outs[gi] = groupOut{err: fmt.Errorf("engine: group %d: %w", gi, err)}
-				return
-			}
-			// One trace lane per CTA group: concurrent launches render as
-			// parallel tracks in the trace viewer.
-			lane := 1 + gi
-			e.cfg.Obs.NameLane(lane, fmt.Sprintf("kernel/group-%d", gi))
-			lspan := e.cfg.Obs.Span("scan", "kernel-launch", lane).
-				Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
-			gouts, stats, err := rn.sess[gi].Run(ctx, basis)
-			if err != nil {
-				err = fmt.Errorf("engine: group %d: %w", gi, err)
-				lspan.Arg("error", err.Error())
-			} else {
-				lspan.Arg("windows", stats.Windows).
-					Arg("dram_bytes", stats.DRAMReadBytes+stats.DRAMWriteBytes).
-					Arg("barriers", stats.Barriers).
-					Arg("guard_skips", stats.GuardSkips)
-			}
-			lspan.End()
-			outs[gi] = groupOut{gouts, stats, rn.sess[gi].Fallbacks(), err}
-		}(gi)
-	}
-	wg.Wait()
-	// Prefer a substantive failure over a cancellation echo: when one
-	// group hits a real error while others are canceled, report the real
-	// one.
-	var firstErr error
-	for _, out := range outs {
-		if out.err == nil {
-			continue
-		}
-		if firstErr == nil || (isCanceled(firstErr) && !isCanceled(out.err)) {
-			firstErr = out.err
-		}
-	}
-	if firstErr != nil {
-		// The runner is deliberately not pooled: a session that errored or
-		// contained a panic may hold inconsistent retained state.
-		return nil, firstErr
-	}
-	for gi, out := range outs {
-		res.Stats.PerCTA[gi] = out.stats
-		res.Fallbacks += out.fallbacks
+	var nullRanks []int32
+	for gi, outs := range ss.outs {
+		res.Fallbacks += ss.sess[gi].Fallbacks()
 		// Walk the program's output table: it carries the Nullable flag, and
 		// nullable regexes own one extra match — the empty match at the
 		// end-of-input offset, which sits one position past the kernel's
 		// input-length streams. The session's streams align with this table.
 		for oi, o := range e.groups[gi].Outputs {
-			s := out.outs[oi]
-			if s == nil {
-				continue
-			}
+			s := outs[oi]
 			n := s.Popcount()
 			if o.Nullable {
 				n++
+				nullRanks = append(nullRanks, e.outRanks[gi][oi])
 			}
 			res.MatchCounts[o.Name] = n
 			res.TotalMatches += int64(n)
 			if keepOutputs {
+				// The session owns (and will overwrite) its stream buffers;
+				// retained outputs must not alias them. Extend copies too.
 				if o.Nullable {
-					// Extend copies; kernel sessions pool and reuse their
-					// output buffers, so never grow them in place.
-					ext := s.Extend(1)
-					ext.Set(ext.Len() - 1)
-					s = ext
+					s = s.Extend(1)
+					s.Set(s.Len() - 1)
 				} else {
-					// The session owns (and will overwrite) its stream
-					// buffers; retained outputs must not alias them.
 					s = s.Clone()
 				}
 				res.Outputs[o.Name] = s
 			}
 		}
 	}
-	// Every session-owned stream has been counted or copied: the runner can
-	// serve the next Run (unless a fallback made it non-fresh; see putRunner).
-	e.putRunner(rn)
+	if collect {
+		// The merged ScanMatch values hold no reference into the session.
+		// The end-of-input matches go after the merge: their offset is past
+		// every stream bit, so in rank order they sort last by construction.
+		res.Matches = ss.mergeMatches(0, 0, make([]ScanMatch, 0, res.TotalMatches))
+		slices.Sort(nullRanks)
+		for _, rank := range nullRanks {
+			res.Matches = append(res.Matches, ScanMatch{Pattern: e.matchNames[rank], End: int64(len(input)), Rank: rank})
+		}
+	}
+	res.IntermediateFootprintBytes, err = ss.checkBudget(len(input))
+	// Every session-owned stream has been counted or copied: the session can
+	// serve the next Run (unless a fallback made it non-fresh; see putSession).
+	ss.clearOuts()
+	e.putSession(ss)
+	if err != nil {
+		return nil, err
+	}
 	espan := e.cfg.Obs.Span("scan", "estimate", 0)
 	res.Time = gpusim.EstimateTime(e.cfg.Device, e.cfg.Grid, &res.Stats)
 	res.ThroughputMBs = gpusim.ThroughputMBs(res.Stats.InputBytes, res.Time.TotalSec)
 	espan.Arg("modeled_sec", res.Time.TotalSec).End()
-	for i := range res.Stats.PerCTA {
-		res.IntermediateFootprintBytes += gpusim.IntermediateFootprintBytes(
-			res.Stats.PerCTA[i].IntermediateStreams, int64(len(input)))
-	}
 	res.ExceedsDeviceMemory = float64(res.IntermediateFootprintBytes) > e.cfg.Device.MemoryGB*1e9
-	if e.cfg.MemoryBudgetBytes > 0 && res.IntermediateFootprintBytes > e.cfg.MemoryBudgetBytes {
-		return nil, &bgerr.LimitError{
-			Limit: "device-memory-bytes",
-			Value: res.IntermediateFootprintBytes, Max: e.cfg.MemoryBudgetBytes,
-		}
-	}
 	if e.cfg.Obs.Enabled() {
 		gpusim.RecordKernelStats(e.cfg.Obs.Reg(), &res.Stats, res.Time)
 		names := make([][]string, len(e.groups))
@@ -808,8 +738,6 @@ func (e *Engine) run(ctx context.Context, input []byte, keepOutputs bool) (*Resu
 	}
 	return res, nil
 }
-
-func isCanceled(err error) bool { return errors.Is(err, bgerr.ErrCanceled) }
 
 // MultiResult is the outcome of a MIMD multi-stream launch.
 type MultiResult struct {

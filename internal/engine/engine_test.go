@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,13 +75,10 @@ func TestCompileAndRunMatchesInterpreter(t *testing.T) {
 	if int64(len(matches)) != res.TotalMatches {
 		t.Errorf("Scan found %d matches, Run %d", len(matches), res.TotalMatches)
 	}
-	for gi := range e.groups {
-		// Scan keeps no stats; a session re-run over the chunk it just
-		// scanned reports what that scan charged.
-		stats, err := ss.scanGroup(context.Background(), gi)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if !reflect.DeepEqual(matches, res.Matches) {
+		t.Errorf("Scan and Run collect through one merge but list different matches:\n%v\n%v", matches, res.Matches)
+	}
+	for gi, stats := range ss.stats {
 		if stats != res.Stats.PerCTA[gi] {
 			t.Errorf("group %d: Scan stats %+v != Run stats %+v", gi, stats, res.Stats.PerCTA[gi])
 		}

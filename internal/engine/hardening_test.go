@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"bitgen/internal/bgerr"
 	"bitgen/internal/faultinject"
+	"bitgen/internal/gpusim"
 	"bitgen/internal/kernel"
 )
 
@@ -164,5 +166,48 @@ func TestMaxWhileIterationsDefaultIsWired(t *testing.T) {
 	explicit := Config{MaxWhileIterations: 37}.withDefaults()
 	if explicit.MaxWhileIterations != 37 {
 		t.Fatalf("explicit cap rewritten to %d", explicit.MaxWhileIterations)
+	}
+}
+
+// TestPooledSessionNotReusedAfterFallbackOrError pins the run pool's policy:
+// only a session indistinguishable from a fresh one goes back. One whose
+// kernels took an overlap fallback would carry it (and its modeled-time
+// delta) into the next Run; one that failed mid-launch may hold
+// inconsistent retained state.
+func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
+	cfg := BitGenDefault()
+	// A 128-bit block: the b* carry chain below outgrows the overlap cap.
+	cfg.Grid = gpusim.Grid{CTAs: 1, Threads: 4, UnitBits: 32, UnitsPerThread: 1}
+	e, err := Compile(mustRegexes(t, "ab*c"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run([]byte("a" + strings.Repeat("b", 2000) + "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fallbacks == 0 {
+		t.Fatal("input did not force an overlap fallback")
+	}
+	if ss := e.runPool.Get(); ss != nil {
+		t.Fatal("a session that took a fallback went back to the pool")
+	}
+	if res, err = e.Run([]byte("abc abbc")); err != nil {
+		t.Fatal(err)
+	}
+	if res.Fallbacks != 0 || res.TotalMatches != 2 {
+		t.Fatalf("run after a fallback: %d fallbacks, %d matches; want a fresh session's 0 and 2",
+			res.Fallbacks, res.TotalMatches)
+	}
+
+	cfg.Inject = faultinject.New(3).ArmNth(faultinject.LaunchFail, 1)
+	if e, err = Compile(mustRegexes(t, "ab*c"), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run([]byte("abc")); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want the injected launch failure", err)
+	}
+	if ss := e.runPool.Get(); ss != nil {
+		t.Fatal("a session whose launch failed went back to the pool")
 	}
 }

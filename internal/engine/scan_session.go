@@ -2,14 +2,18 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"sync"
 
 	"bitgen/internal/arena"
 	"bitgen/internal/bgerr"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/kernel"
+	"bitgen/internal/obs"
 	"bitgen/internal/transpose"
 )
 
@@ -23,26 +27,35 @@ type ScanMatch struct {
 	Rank    int32
 }
 
-// ScanSession is a reusable chunk executor for streaming scans: it owns a
-// pooled transpose basis and one kernel session per CTA group, so a
-// steady-state scan of same-sized chunks performs zero heap allocations per
-// chunk. One session serves one goroutine (the scanner runs one per
-// pipeline worker); concurrency comes from running several sessions over
-// different chunks.
+// ScanSession is the engine's only chunk executor: a transpose basis, one
+// kernel session per CTA group and the shared-class session, reused from
+// chunk to chunk so a steady-state scan of same-sized chunks performs zero
+// heap allocations. Streaming scans own one session per pipeline worker
+// (NewScanSession) and call Scan; one-shot Run borrows one from the engine's
+// pool (getSession). Both reach the kernels through execute and launch and
+// collect matches through mergeMatches. One session serves one call at a
+// time; concurrency comes from running several sessions.
 //
-// Unlike Engine.Run, the groups of one chunk execute sequentially in the
-// calling goroutine: the pipeline parallelizes across chunks, not across
-// groups, which keeps the per-chunk path allocation-free (no goroutine or
-// channel churn) while still scaling on multi-core hosts.
+// The two entry points differ only in how wide they launch. Scan runs the
+// groups of a chunk one after another in the calling goroutine — the
+// pipeline parallelizes across chunks, which keeps the per-chunk path free
+// of goroutine and channel churn. Run has a single block of input, so it
+// fans the groups out over GOMAXPROCS goroutines.
 type ScanSession struct {
 	e      *Engine
 	basis  *transpose.Basis
 	sess   []*kernel.Session
 	shared *kernel.Session       // computes the shared-class streams; nil without any
-	outs   [][]*bitstream.Stream // per-group output streams of the last run
+	outs   [][]*bitstream.Stream // per-group output streams of the last execute
+	stats  []gpusim.CTAStats     // per-group counters of the last execute
 	heap   []scanCursor          // merge heap scratch, reused across chunks
 	tr     *arena.Tracker
-	lane   int
+	// lane carries the session's transpose spans and, unless groupLanes is
+	// set, its kernel spans. With groupLanes every CTA group traces on its
+	// own lane 1+gi and gets a kernel-launch span there, so the concurrent
+	// launches of one Run render as parallel tracks.
+	lane       int
+	groupLanes bool
 }
 
 // scanCursor walks one output stream during the match merge. end is the
@@ -60,13 +73,18 @@ type scanCursor struct {
 // NewScanSession builds a session for chunks up to maxChunkBytes (larger
 // chunks still work; they just grow the buffers once). Buffers are borrowed
 // from a (nil selects arena.Default) and released by Close. lane is the
-// trace lane the session's kernel spans land on.
+// trace lane the session's spans land on.
 func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*ScanSession, error) {
+	return e.newSession(maxChunkBytes, a, lane, false)
+}
+
+func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena, lane int, groupLanes bool) (*ScanSession, error) {
 	ss := &ScanSession{
-		e:     e,
-		basis: &transpose.Basis{},
-		tr:    arena.NewTracker(a),
-		lane:  lane,
+		e:          e,
+		basis:      &transpose.Basis{},
+		tr:         arena.NewTracker(a),
+		lane:       lane,
+		groupLanes: groupLanes,
 	}
 	// Basis backing from the arena: one bit per input byte, eight planes.
 	nw := bitstream.WordsFor(maxChunkBytes)
@@ -80,9 +98,12 @@ func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*S
 		ss.Close()
 		return nil, err
 	}
-	kcfg := e.kernelConfig(lane)
 	for gi := range e.groups {
-		ks, err := kernel.NewSession(e.groups[gi].Prog(), kcfg, a)
+		klane := lane
+		if groupLanes {
+			klane = 1 + gi
+		}
+		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(klane), a)
 		if err != nil {
 			ss.Close()
 			return nil, fmt.Errorf("engine: group %d: %w", gi, err)
@@ -90,82 +111,210 @@ func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*S
 		ss.sess = append(ss.sess, ks)
 	}
 	ss.outs = make([][]*bitstream.Stream, len(ss.sess))
+	ss.stats = make([]gpusim.CTAStats, len(ss.sess))
 	return ss, nil
 }
 
-// Scan runs every CTA group over chunk and appends each match whose
-// absolute end offset is >= newFrom to dst, sorted by (End, Pattern) — the
-// exact order and dedup semantics of the sequential per-chunk path. base is
-// chunk[0]'s absolute stream offset. The returned slice reuses dst's
-// backing array (steady state appends allocate nothing once the capacity
-// has stabilized).
-func (ss *ScanSession) Scan(ctx context.Context, chunk []byte, base, newFrom int64, dst []ScanMatch) ([]ScanMatch, error) {
-	e := ss.e
-	// Arg boxes its value even on a nil span; keep the hot path free of it.
-	if e.cfg.Obs.Enabled() {
-		tspan := e.cfg.Obs.Span("scan", "transpose", ss.lane).Arg("input_bytes", len(chunk))
-		transpose.TransposeInto(ss.basis, chunk)
-		tspan.End()
-	} else {
-		transpose.TransposeInto(ss.basis, chunk)
+// kernelConfig is the one kernel configuration this engine launches with,
+// so Run and Scan model the same kernel. lane is the trace lane the
+// launch's spans land on.
+func (e *Engine) kernelConfig(lane int) kernel.Config {
+	return kernel.Config{
+		Grid:               e.cfg.Grid,
+		Mode:               e.cfg.Mode,
+		HonorGuards:        e.cfg.ZeroBlockSkipping,
+		SharedInputCTAs:    len(e.groups),
+		MaxWhileIterations: e.cfg.MaxWhileIterations,
+		Inject:             e.cfg.Inject,
+		Obs:                e.cfg.Obs,
+		TraceLane:          lane,
 	}
-	start := len(dst)
-	if err := bindShared(ctx, ss.shared, ss.basis); err != nil {
-		return dst[:start], err
-	}
-	var footprint int64
-	for gi := range ss.sess {
-		stats, err := ss.scanGroup(ctx, gi)
-		if err != nil {
-			ss.clearOuts()
-			return dst[:start], err
-		}
-		footprint += gpusim.IntermediateFootprintBytes(stats.IntermediateStreams, int64(len(chunk)))
-	}
-	if e.cfg.MemoryBudgetBytes > 0 && footprint > e.cfg.MemoryBudgetBytes {
-		ss.clearOuts()
-		return dst[:start], &bgerr.LimitError{
-			Limit: "device-memory-bytes",
-			Value: footprint, Max: e.cfg.MemoryBudgetBytes,
-		}
-	}
-	dst = ss.mergeMatches(base, newFrom, dst)
-	ss.clearOuts()
-	return dst, nil
 }
 
-// scanGroup executes one CTA group over the current basis, parking its
-// output streams in ss.outs[gi] for the merge. A panic inside the kernel is
-// contained as a typed internal error, mirroring Engine.Run's per-group
-// containment.
-func (ss *ScanSession) scanGroup(ctx context.Context, gi int) (st gpusim.CTAStats, err error) {
+// initRunPool installs a fresh pool of one-shot sessions. Called at
+// construction and by WithInjector: kernel sessions capture the engine's
+// fault injector, so an engine copy with a different injector must not
+// share pooled sessions.
+//
+// Pooled sessions borrow from a private per-engine arena, not
+// arena.Default: they retain their buffers indefinitely (they are dropped,
+// never Closed), which would read as a leak to anything auditing the global
+// arena's balance (the serving layer does, after every aborted scan).
+func (e *Engine) initRunPool() {
+	e.runPool = &sync.Pool{}
+	e.runArena = &arena.Arena{}
+}
+
+// getSession returns a pooled one-shot session or builds one. Before
+// pooling, every Run rebuilt the plan, liveness, barrier schedule and all
+// stream buffers from scratch (~700 allocations per call). Construction
+// cannot fail for an engine that compiled — the programs already validated
+// — but the error is surfaced rather than swallowed for defense in depth.
+func (e *Engine) getSession() (*ScanSession, error) {
+	if ss, ok := e.runPool.Get().(*ScanSession); ok {
+		return ss, nil
+	}
+	return e.newSession(0, e.runArena, 0, true)
+}
+
+// putSession returns a one-shot session to the pool — unless it is no
+// longer indistinguishable from a fresh one. A session whose kernels took a
+// materialization fallback would carry that fallback (and its modeled-time
+// delta) into an unrelated future Run, where a fresh one-shot would not;
+// such sessions are dropped and rebuilt on demand. run also skips the put
+// entirely on errors and contained panics: a session that failed mid-launch
+// may hold inconsistent retained state.
+func (e *Engine) putSession(ss *ScanSession) {
+	for _, ks := range ss.sess {
+		if ks.Fallbacks() > 0 {
+			return
+		}
+	}
+	e.runPool.Put(ss)
+}
+
+// execute transposes chunk, binds the shared-class streams and launches
+// every CTA group over the result, leaving the output streams in ss.outs
+// and the counters in ss.stats until clearOuts. fanOut selects the launch
+// width (see ScanSession). On error nothing is left parked.
+func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) error {
+	e := ss.e
+	// Arg boxes its value even on a nil span; keep the hot path free of it.
+	var tspan *obs.Span
+	if e.cfg.Obs.Enabled() {
+		tspan = e.cfg.Obs.Span("scan", "transpose", ss.lane).Arg("input_bytes", len(chunk))
+	}
+	transpose.TransposeInto(ss.basis, chunk)
+	tspan.End()
+	if err := bindShared(ctx, ss.shared, ss.basis); err != nil {
+		return err
+	}
+	var err error
+	if fanOut {
+		err = ss.launchAll(ctx)
+	} else {
+		for gi := 0; gi < len(ss.sess) && err == nil; gi++ {
+			err = ss.launch(ctx, gi)
+		}
+	}
+	if err != nil {
+		ss.clearOuts()
+	}
+	return err
+}
+
+// launchAll runs every group's launch concurrently, at most GOMAXPROCS at a
+// time, and reports the most telling failure: when one group hits a real
+// error while others are canceled, the real one.
+func (ss *ScanSession) launchAll(ctx context.Context) error {
+	errs := make([]error, len(ss.sess))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for gi := range ss.sess {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				errs[gi] = bgerr.Canceled(ctx.Err())
+				return
+			}
+			defer func() { <-sem }()
+			errs[gi] = ss.launch(ctx, gi)
+		}(gi)
+	}
+	wg.Wait()
+	var first error
+	for _, err := range errs {
+		if err != nil && (first == nil || (isCanceled(first) && !isCanceled(err))) {
+			first = err
+		}
+	}
+	return first
+}
+
+func isCanceled(err error) bool { return errors.Is(err, bgerr.ErrCanceled) }
+
+// launch executes one CTA group over the current basis, parking its output
+// streams in ss.outs[gi] and its counters in ss.stats[gi]. It is the only
+// place the engine launches a kernel. A panic inside the kernel is
+// contained: it surfaces as a *bgerr.InternalError carrying the group
+// index, its pattern names and the stack, and neither the other groups nor
+// the calling goroutine (launchAll's WaitGroup and semaphore included) see
+// it.
+func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 	e := ss.e
 	defer func() {
 		if r := recover(); r != nil {
 			err = &bgerr.InternalError{
-				Op: "scan", Group: gi, Patterns: e.groups[gi].Names,
+				Op: "run", Group: gi, Patterns: e.groups[gi].Names,
 				Value: r, Stack: debug.Stack(),
 			}
 		}
 	}()
 	if err := gpusim.CheckLaunch(e.cfg.Inject, gi); err != nil {
-		return st, fmt.Errorf("engine: group %d: %w", gi, err)
+		return fmt.Errorf("engine: group %d: %w", gi, err)
+	}
+	var lspan *obs.Span
+	if ss.groupLanes && e.cfg.Obs.Enabled() {
+		lane := 1 + gi
+		e.cfg.Obs.NameLane(lane, fmt.Sprintf("kernel/group-%d", gi))
+		lspan = e.cfg.Obs.Span("scan", "kernel-launch", lane).
+			Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
 	}
 	outs, stats, err := ss.sess[gi].Run(ctx, ss.basis)
 	if err != nil {
-		return st, fmt.Errorf("engine: group %d: %w", gi, err)
+		err = fmt.Errorf("engine: group %d: %w", gi, err)
+		lspan.Arg("error", err.Error()).End()
+		return err
+	}
+	if lspan != nil {
+		lspan.Arg("windows", stats.Windows).
+			Arg("dram_bytes", stats.DRAMReadBytes+stats.DRAMWriteBytes).
+			Arg("barriers", stats.Barriers).
+			Arg("guard_skips", stats.GuardSkips).End()
 	}
 	// The streams stay valid until this group's session runs again — i.e.
 	// across the remaining groups of this chunk and the merge that follows.
-	ss.outs[gi] = outs
-	return stats, nil
+	ss.outs[gi], ss.stats[gi] = outs, stats
+	return nil
 }
 
-// mergeMatches k-way-merges the per-output match runs into dst. Each
-// stream's set bits are already ascending, so a binary min-heap keyed by
-// (end, rank) yields matches in exactly the (End, Pattern) order the
-// sequential path's sort produced — on integer comparisons, without the
-// per-chunk O(n log n) string sort that used to dominate the scan profile.
+// checkBudget enforces Config.MemoryBudgetBytes on the last execute of an
+// n-byte chunk and returns the intermediate-bitstream footprint it modeled.
+func (ss *ScanSession) checkBudget(n int) (int64, error) {
+	var footprint int64
+	for gi := range ss.stats {
+		footprint += gpusim.IntermediateFootprintBytes(ss.stats[gi].IntermediateStreams, int64(n))
+	}
+	if budget := ss.e.cfg.MemoryBudgetBytes; budget > 0 && footprint > budget {
+		return footprint, &bgerr.LimitError{Limit: "device-memory-bytes", Value: footprint, Max: budget}
+	}
+	return footprint, nil
+}
+
+// Scan runs every CTA group over chunk and appends each match whose
+// absolute end offset is >= newFrom to dst, ordered by (End, Rank). base is
+// chunk[0]'s absolute stream offset. The returned slice reuses dst's
+// backing array (steady state appends allocate nothing once the capacity
+// has stabilized); on error it is dst unchanged.
+func (ss *ScanSession) Scan(ctx context.Context, chunk []byte, base, newFrom int64, dst []ScanMatch) ([]ScanMatch, error) {
+	if err := ss.execute(ctx, chunk, false); err != nil {
+		return dst, err
+	}
+	defer ss.clearOuts()
+	if _, err := ss.checkBudget(len(chunk)); err != nil {
+		return dst, err
+	}
+	return ss.mergeMatches(base, newFrom, dst), nil
+}
+
+// mergeMatches is the engine's only match collector: it k-way-merges the
+// parked per-output match runs into dst. Each stream's set bits are already
+// ascending, so a binary min-heap keyed by (end, rank) yields matches in
+// (End, Pattern) order on integer comparisons alone — no position lists, no
+// string sort.
 func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []ScanMatch {
 	startBit := 0
 	if newFrom > base {
@@ -244,7 +393,7 @@ func siftDown(h []scanCursor, i int) {
 }
 
 // clearOuts drops the parked stream references so a failed or finished
-// chunk cannot alias buffers the next Run will overwrite.
+// chunk cannot alias buffers the next execute will overwrite.
 func (ss *ScanSession) clearOuts() {
 	for gi := range ss.outs {
 		ss.outs[gi] = nil

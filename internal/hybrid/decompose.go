@@ -27,56 +27,12 @@ func Decompose(ast rx.Node, minLiteral int) Factors {
 	if lit, ok := rx.LiteralString(ast); ok && len(lit) >= minLiteral {
 		return Factors{Literals: []string{lit}, Exact: true, MaxLen: len(lit)}
 	}
-	f := Factors{MaxLen: maxLen(ast)}
+	f := Factors{MaxLen: rx.MaxLength(ast)}
 	lits, ok := requiredLiterals(ast, minLiteral)
 	if ok {
 		f.Literals = lits
 	}
 	return f
-}
-
-// maxLen computes the longest match length, or rx.Unbounded.
-func maxLen(n rx.Node) int {
-	switch x := n.(type) {
-	case rx.CC:
-		return 1
-	case rx.Concat:
-		total := 0
-		for _, p := range x.Parts {
-			l := maxLen(p)
-			if l == rx.Unbounded {
-				return rx.Unbounded
-			}
-			total += l
-		}
-		return total
-	case rx.Alt:
-		best := 0
-		for _, a := range x.Alts {
-			l := maxLen(a)
-			if l == rx.Unbounded {
-				return rx.Unbounded
-			}
-			if l > best {
-				best = l
-			}
-		}
-		return best
-	case rx.Star, rx.Plus:
-		return rx.Unbounded
-	case rx.Opt:
-		return maxLen(x.Sub)
-	case rx.Repeat:
-		if x.Max == rx.Unbounded {
-			return rx.Unbounded
-		}
-		l := maxLen(x.Sub)
-		if l == rx.Unbounded {
-			return rx.Unbounded
-		}
-		return l * x.Max
-	}
-	return 0
 }
 
 // requiredLiterals returns strings such that every match of n contains at

@@ -218,6 +218,53 @@ func MinLength(n Node) int {
 // MatchesEmpty reports whether the node can match the empty string.
 func MatchesEmpty(n Node) bool { return MinLength(n) == 0 }
 
+// MaxLength returns the length in bytes of the longest string the node can
+// match, or Unbounded when there is none ('*', '+', '{n,}' anywhere the
+// match must pass through). Streaming overlap and the hybrid engine's
+// confirmation regions are both sized from it.
+func MaxLength(n Node) int {
+	switch x := n.(type) {
+	case CC:
+		return 1
+	case Concat:
+		total := 0
+		for _, p := range x.Parts {
+			l := MaxLength(p)
+			if l == Unbounded {
+				return Unbounded
+			}
+			total += l
+		}
+		return total
+	case Alt:
+		best := 0
+		for _, a := range x.Alts {
+			l := MaxLength(a)
+			if l == Unbounded {
+				return Unbounded
+			}
+			if l > best {
+				best = l
+			}
+		}
+		return best
+	case Star, Plus:
+		return Unbounded
+	case Opt:
+		return MaxLength(x.Sub)
+	case Repeat:
+		if x.Max == Unbounded {
+			return Unbounded
+		}
+		l := MaxLength(x.Sub)
+		if l == Unbounded {
+			return Unbounded
+		}
+		return l * x.Max
+	}
+	return 0
+}
+
 // LiteralString reports whether the node is an exact literal (a Concat of
 // singleton classes) and returns it.
 func LiteralString(n Node) (string, bool) {

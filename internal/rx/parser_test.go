@@ -185,6 +185,36 @@ func TestMinLength(t *testing.T) {
 	}
 }
 
+// TestMaxLength pins the bound the streaming overlap and the hybrid
+// engine's confirmation regions are both sized from.
+func TestMaxLength(t *testing.T) {
+	for pattern, want := range map[string]int{
+		"abc":             3, // literal
+		"[a-f]":           1, // class
+		".\\d[^x]":        3,
+		"ab|cde|f":        3, // Alt takes the longest arm
+		"ab?c":            3, // Opt counts its operand
+		"(ab)?":           2,
+		"a{3,5}":          5,
+		"a{0}":            0,
+		"(a{2,3}b){1,4}":  16, // nested bounded Repeat multiplies
+		"x(ab|c{2,3})?y":  5,
+		"a*":              Unbounded,
+		"a+":              Unbounded,
+		"a{2,}":           Unbounded,
+		"xa*y":            Unbounded, // ... through Concat
+		"b|a+":            Unbounded, // ... through Alt
+		"(a|b+)c":         Unbounded,
+		"(a*){2,3}":       Unbounded, // ... through Repeat
+		"(xa{1,}){3}":     Unbounded,
+		"(x(y|z*)){1,2}w": Unbounded,
+	} {
+		if got := MaxLength(MustParse(pattern)); got != want {
+			t.Errorf("MaxLength(%q) = %d, want %d", pattern, got, want)
+		}
+	}
+}
+
 func TestRoundTripThroughString(t *testing.T) {
 	patterns := []string{
 		"cat", "a(bc)*d", "(abc)|d", "[a-z0-9]+@[a-z0-9]+", "a{2,5}",

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bitgen/internal/bgerr"
-	"bitgen/internal/bitstream"
 	"bitgen/internal/engine"
 	"bitgen/internal/hybrid"
 	"bitgen/internal/nfa"
@@ -176,18 +175,6 @@ func (e *Engine) runLadder(ctx context.Context, input []byte) (*Result, error) {
 	return res, nil
 }
 
-// streamPositions converts named match streams to the resilience Backend
-// contract's position map (empty streams omitted).
-func streamPositions(outputs map[string]*bitstream.Stream) map[string][]int {
-	m := make(map[string][]int, len(outputs))
-	for name, s := range outputs {
-		if p := s.Positions(); len(p) > 0 {
-			m[name] = p
-		}
-	}
-	return m
-}
-
 // gpuBackend adapts the bitstream engine. It reads e.inner at call time
 // (not capture time) so hardening tests can swap in an injector-armed
 // engine copy. Panic containment lives inside engine.RunContext.
@@ -200,7 +187,13 @@ func (g *gpuBackend) Run(ctx context.Context, input []byte) (map[string][]int, a
 	if err != nil {
 		return nil, nil, err
 	}
-	return streamPositions(inner.Outputs), inner, nil
+	// The contract's position map (patterns without matches omitted), for
+	// cross-checks; matches are End-ordered, so each list is ascending.
+	pos := make(map[string][]int)
+	for _, m := range inner.Matches {
+		pos[m.Pattern] = append(pos[m.Pattern], int(m.End))
+	}
+	return pos, inner, nil
 }
 
 // hybridBackend adapts the hybrid Aho-Corasick engine, containing its

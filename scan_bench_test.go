@@ -1,7 +1,6 @@
 package bitgen
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -48,26 +47,6 @@ func BenchmarkScanReader(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := eng.ScanReader(src, chunk, func(Match) { matches++ }); err != nil {
-		b.Fatal(err)
-	}
-	if matches == 0 {
-		b.Fatal("no matches")
-	}
-}
-
-// BenchmarkScanReaderSequential measures the retained chunk-at-a-time
-// reference path (what every scan was before pipelining, and what
-// ladder-enabled scans still use) over the identical stream, for a direct
-// speedup readout against BenchmarkScanReader.
-func BenchmarkScanReaderSequential(b *testing.B) {
-	eng := MustCompile(scanBenchPatterns, &Options{CTAs: 4})
-	const chunk = 256 << 10
-	src := &chunkSource{data: benchInput, limit: int64(b.N) * chunk}
-	matches := 0
-	b.SetBytes(chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := eng.scanSequential(context.Background(), src, chunk, eng.maxLen, func(Match) { matches++ }); err != nil {
 		b.Fatal(err)
 	}
 	if matches == 0 {

@@ -3,9 +3,11 @@ package bitgen
 import (
 	"context"
 	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bitgen/internal/arena"
@@ -28,31 +30,42 @@ const (
 // freelist, so the steady-state chunk loop allocates nothing.
 type scanJob struct {
 	seq     int64
-	buf     *arena.Bytes       // pooled chunk storage (overlap prefix + new bytes)
-	data    []byte             // valid view of buf.B
-	offset  int64              // absolute stream offset of data[0]
-	newFrom int64              // first absolute offset not yet emitted
-	matches []engine.ScanMatch // worker output, sorted (End, Pattern)
+	buf     *arena.Bytes // pooled chunk storage (overlap prefix + new bytes)
+	data    []byte       // valid view of buf.B
+	offset  int64        // absolute stream offset of data[0]
+	newFrom int64        // first absolute offset not yet emitted
+	// Worker output, at absolute offsets >= newFrom: matches in (End, rank)
+	// order from an engine session, or — on a ladder-enabled engine —
+	// ladder in (End, Pattern, Index) order from whichever rung served.
+	matches []engine.ScanMatch
+	ladder  []Match
 	err     error
 }
 
-// scanPipelined is the bounded three-stage streaming scanner:
+// scanPipelined is the streaming loop, a bounded three-stage pipeline:
 //
-//	reader ──work──▶ workers (transpose + kernels) ──results──▶ in-order emit
+//	reader ──work──▶ workers (one chunk each) ──results──▶ in-order emit
 //
-// The reader fills pooled chunk buffers and carries the overlap; each
-// worker owns an engine.ScanSession (pooled basis + per-group kernel
-// sessions) and scans whole chunks; the emit stage reorders completed
-// chunks by sequence number so matches appear in exactly the sequential
-// path's order. Chunk N+1 is being read and scanned while chunk N's
-// matches are emitted. All stages shut down — and every pooled buffer is
-// returned — before the call returns, on success, error and cancellation
-// alike.
+// The reader cuts the stream into chunks overlapping by maxLen-1 bytes, in
+// pooled buffers; each worker runs whole chunks — on its own
+// engine.ScanSession (pooled basis + per-group kernel sessions), or through
+// the backend ladder when one is configured — and keeps the matches ending
+// in the chunk's fresh bytes; the emit stage reorders completed chunks by
+// sequence number, so matches appear in (End, Pattern, Index) order
+// whatever the worker count. Chunk N+1 is being read and scanned while
+// chunk N's matches are emitted. All stages shut down — and every pooled
+// buffer is returned — before the call returns, on success, error and
+// cancellation alike.
 func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxLen int, emit func(Match)) error {
 	overlap := maxLen - 1
 	workers := e.scanWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if e.ladder != nil {
+		// The ladder's retry, breaker and cross-check-sampling sequence is
+		// defined in chunk order: one worker, taking chunks as they were cut.
+		workers = 1
 	}
 	ar := e.scanArena
 	if ar == nil {
@@ -81,6 +94,15 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	// closes order the accesses.
 	var readerErr error
 	traced := e.obs.Enabled()
+	// failedSeq is the lowest sequence number whose chunk failed, published
+	// by the failing worker before it takes more work. Workers pass every
+	// later chunk on unscanned: with one worker nothing past the first
+	// failing chunk reaches the engine or the ladder. Earlier chunks still in
+	// flight on other workers must finish — the emit stage owes their
+	// matches — which is why the worker does not cancel pctx; the emit stage
+	// does, once it reaches the failed chunk.
+	var failedSeq atomic.Int64
+	failedSeq.Store(math.MaxInt64)
 
 	go func() { // stage 1: reader
 		defer close(work)
@@ -148,21 +170,35 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			defer wg.Done()
 			lane := scanLaneWorker + w
 			e.obs.NameLane(lane, "scan/worker")
-			ss, ssErr := e.inner.NewScanSession(overlap+chunkSize, ar, lane)
-			if ss != nil {
-				defer ss.Close()
+			var ss *engine.ScanSession
+			var ssErr error
+			if e.ladder == nil {
+				if ss, ssErr = e.inner.NewScanSession(overlap+chunkSize, ar, lane); ss != nil {
+					defer ss.Close()
+				}
 			}
 			for j := range work {
-				start := time.Now()
-				var cspan *obs.Span
-				if traced {
-					cspan = e.obs.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
+				j.matches, j.ladder = j.matches[:0], j.ladder[:0]
+				if j.seq > failedSeq.Load() {
+					j.err = bgerr.Canceled(context.Canceled)
+				} else {
+					start := time.Now()
+					var cspan *obs.Span
+					if traced {
+						cspan = e.obs.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
+					}
+					j.scan(pctx, e, ss, ssErr)
+					n := len(j.matches) + len(j.ladder)
+					if traced {
+						cspan.Arg("matches", n).End()
+					}
+					e.observeScan(start, len(j.data), n, j.err)
+					if j.err != nil { // lower failedSeq to j.seq
+						for f := failedSeq.Load(); j.seq < f && !failedSeq.CompareAndSwap(f, j.seq); {
+							f = failedSeq.Load()
+						}
+					}
 				}
-				j.scan(pctx, ss, ssErr)
-				if traced {
-					cspan.Arg("matches", len(j.matches)).End()
-				}
-				e.observeScan(start, len(j.data), len(j.matches), j.err)
 				ar.PutBytes(j.buf)
 				j.buf = nil
 				results <- j // never blocks: at most depth jobs exist
@@ -175,10 +211,9 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	}()
 
 	// Stage 3: in-order emit. Jobs complete out of order; a ring keyed by
-	// seq modulo depth (in-flight seqs always span < depth) restores the
-	// sequential order. The earliest failing chunk decides the returned
-	// error, exactly as the sequential path — which never scans past its
-	// first failure — would.
+	// seq modulo depth (in-flight seqs always span < depth) restores chunk
+	// order. The earliest failing chunk decides the returned error; nothing
+	// of it or of any later chunk is emitted.
 	ring := make([]*scanJob, depth)
 	next := int64(0)
 	var termErr error
@@ -197,16 +232,19 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 				} else {
 					for _, m := range k.matches {
 						// Fan each unique pattern's match out to every
-						// duplicate index, ascending — the same order the
-						// sequential path's sorted Matches produce. The rank
-						// indexes the precomputed fan-out table directly.
+						// duplicate index, ascending, as Run's result does.
+						// The rank indexes the precomputed fan-out table
+						// directly.
 						for _, idx := range e.rankIndexes[m.Rank] {
 							emit(Match{Pattern: m.Pattern, Index: idx, End: int(m.End)})
 						}
 					}
+					for _, m := range k.ladder {
+						emit(m)
+					}
 					if traced {
 						e.obs.Instant("scan", "emit-chunk", scanLaneEmit,
-							obs.A("seq", k.seq), obs.A("matches", len(k.matches)))
+							obs.A("seq", k.seq), obs.A("matches", len(k.matches)+len(k.ladder)))
 					}
 				}
 			}
@@ -221,18 +259,34 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	return readerErr
 }
 
-// scan runs the job's chunk through the worker's session, containing any
-// panic as a typed internal error (mirroring Run's containment) so one
-// poisoned chunk cannot take down the pipeline.
-func (j *scanJob) scan(ctx context.Context, ss *engine.ScanSession, ssErr error) {
+// scan runs the job's chunk — through the backend ladder when the engine
+// has one, else on the worker's session — containing any panic as a typed
+// internal error (mirroring Run's containment) so one poisoned chunk cannot
+// take down the pipeline.
+func (j *scanJob) scan(ctx context.Context, e *Engine, ss *engine.ScanSession, ssErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.err = &bgerr.InternalError{Op: "scan", Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if ssErr != nil {
-		j.matches, j.err = j.matches[:0], ssErr
+		j.err = ssErr
 		return
 	}
-	j.matches, j.err = ss.Scan(ctx, j.data, j.offset, j.newFrom, j.matches[:0])
+	if e.ladder == nil {
+		j.matches, j.err = ss.Scan(ctx, j.data, j.offset, j.newFrom, j.matches)
+		return
+	}
+	res, err := e.runLadder(ctx, j.data)
+	if j.err = err; err != nil {
+		return
+	}
+	for _, m := range res.Matches {
+		// Ends inside the carried-over overlap were reported by the
+		// previous chunk.
+		if abs := j.offset + int64(m.End); abs >= j.newFrom {
+			m.End = int(abs)
+			j.ladder = append(j.ladder, m)
+		}
+	}
 }

@@ -16,11 +16,39 @@ import (
 	"bitgen/internal/faultinject"
 )
 
+// scanSequential is the streaming oracle, kept deliberately naive: cut the
+// input every chunkSize bytes, Run each piece whole with the maxLen-1 bytes
+// before it in front, and keep the matches that end in the piece's own
+// bytes. It shares nothing with the pipeline but Engine.Run.
+func scanSequential(t *testing.T, eng *Engine, input []byte, chunkSize, maxLen int) []Match {
+	t.Helper()
+	var out []Match
+	for pos := 0; pos < len(input); pos += chunkSize {
+		start, end := pos-(maxLen-1), pos+chunkSize
+		if start < 0 {
+			start = 0
+		}
+		if end > len(input) {
+			end = len(input)
+		}
+		res, err := eng.Run(input[start:end])
+		if err != nil {
+			t.Fatalf("chunk %d: sequential oracle at offset %d: %v", chunkSize, pos, err)
+		}
+		for _, m := range res.Matches {
+			if m.End += start; m.End >= pos {
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
 // TestScanPipelinedMatchesSequential is the pipeline's differential oracle:
 // over a spread of chunk sizes straddling the overlap boundary and several
-// worker counts, the pipelined scanner must emit a byte-identical match
-// sequence — order included — to the sequential chunk-at-a-time path, and
-// return every pooled buffer it borrowed.
+// worker counts, ScanReader must emit a byte-identical match sequence —
+// order included — to the naive chunk-at-a-time oracle above, and return
+// every pooled buffer it borrowed.
 func TestScanPipelinedMatchesSequential(t *testing.T) {
 	patterns := []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", "0\\d{3}"}
 	eng := MustCompile(patterns, &Options{CTAs: 2, Threads: 64})
@@ -46,12 +74,7 @@ func TestScanPipelinedMatchesSequential(t *testing.T) {
 	}
 
 	for _, cs := range chunkSizes {
-		var want []Match
-		err := eng.scanSequential(context.Background(), bytes.NewReader(input), cs, maxLen,
-			func(m Match) { want = append(want, m) })
-		if err != nil {
-			t.Fatalf("chunk %d: sequential: %v", cs, err)
-		}
+		want := scanSequential(t, eng, input, cs, maxLen)
 		if len(want) == 0 {
 			t.Fatalf("chunk %d: degenerate corpus, no matches", cs)
 		}
@@ -311,5 +334,129 @@ func TestScanWorkersOption(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("workers=%d diverges from workers=0", workers)
 		}
+	}
+}
+
+// straddleCorpus returns patterns (one duplicated, so Index fan-out is
+// exercised) and an input of 5*units bytes so dense that some match starts
+// before and ends at or after every byte offset: whatever the chunk size,
+// every chunk boundary is straddled.
+func straddleCorpus(units int) ([]string, []byte) {
+	return []string{"abcde", "c.e", "abcde", "e[ab]{1,3}"}, []byte(strings.Repeat("abcde", units))
+}
+
+// TestScanReaderLadderMatchesRunAcrossChunkSizes sends ladder-enabled scans
+// down the one streaming loop: for every rung and for chunk sizes from the
+// smallest legal one up, ScanReader must emit exactly Run's (End, Pattern,
+// Index) sequence on the whole input, one ladder call per chunk.
+func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
+	patterns, input := straddleCorpus(2463) // three 4099-byte chunks and a bit
+	minLen := []int{5, 3, 5, 2}
+	for _, backend := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
+		eng, err := Compile(patterns, &Options{
+			CTAs: 2, Threads: 64, ScanWorkers: 4, // the ladder pins the pipeline to one worker
+			Resilience: &ResilienceOptions{ForceBackend: backend},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		want, err := eng.Run(input)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", backend, err)
+		}
+		for _, chunk := range []int{eng.maxLen + 1, 64, 4099} {
+			for b := chunk; b < len(input); b += chunk {
+				straddled := false
+				for _, m := range want.Matches {
+					// A match is at least minLen bytes long, so it starts at
+					// or before End-minLen+1.
+					if m.End >= b && m.End-minLen[m.Index]+1 < b {
+						straddled = true
+						break
+					}
+				}
+				if !straddled {
+					t.Fatalf("chunk %d: no match straddles the boundary at %d", chunk, b)
+				}
+			}
+			a := &arena.Arena{}
+			eng.scanArena = a
+			calls := eng.Health().Calls
+			var got []Match
+			if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) }); err != nil {
+				t.Fatalf("%s chunk %d: %v", backend, chunk, err)
+			}
+			if !reflect.DeepEqual(got, want.Matches) {
+				t.Fatalf("%s chunk %d: streamed %d matches, Run %d; first difference at %d",
+					backend, chunk, len(got), len(want.Matches), firstDiff(got, want.Matches))
+			}
+			k := uint64((len(input) + chunk - 1) / chunk)
+			if n := eng.Health().Calls - calls; n != k {
+				t.Fatalf("%s chunk %d: %d ladder calls for %d chunks", backend, chunk, n, k)
+			}
+			if err := a.CheckBalanced(); err != nil {
+				t.Fatalf("%s chunk %d: %v", backend, chunk, err)
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []Match) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestScanReaderLadderStopsAtFirstFailingChunk pins first-failure semantics
+// where they matter most: with a ladder, a chunk past the failing one must
+// not feed the breaker or the cross-check sampler. Every launch from chunk
+// j's on fails and there is no lower rung, so the scan must end with chunk
+// j's error after exactly j+1 ladder calls — although the reader has chunks
+// j+1 and j+2 queued by then — having emitted every match that ends before
+// chunk j's fresh bytes and nothing else.
+func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
+	const chunk, j = 64, 5
+	patterns, input := straddleCorpus(154) // 13 chunks
+	eng, err := Compile(patterns, &Options{
+		CTAs: 1, Threads: 64, // one group: one launch per chunk
+		Resilience: &ResilienceOptions{ForceBackend: BackendBitstream, MaxRetries: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := 0
+	for before < len(want.Matches) && want.Matches[before].End < j*chunk {
+		before++
+	}
+	inj := faultinject.New(1).Arm(faultinject.LaunchFail, faultinject.Spec{Nth: j + 1, Repeat: true})
+	eng.inner = eng.inner.WithInjector(inj)
+	a := &arena.Arena{}
+	eng.scanArena = a
+	calls := eng.Health().Calls
+
+	var got []Match
+	err = eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) })
+	var fe *faultinject.FaultError
+	if !errors.As(err, &fe) || fe.Hit != j+1 {
+		t.Fatalf("err = %v, want the launch failure of chunk %d (hit %d)", err, j, j+1)
+	}
+	if n := eng.Health().Calls - calls; n != j+1 {
+		t.Fatalf("%d ladder calls, want %d: no chunk after the failing one may reach the ladder", n, j+1)
+	}
+	if hits := inj.Hits(faultinject.LaunchFail); hits != j+1 {
+		t.Fatalf("%d launches, want %d", hits, j+1)
+	}
+	if !reflect.DeepEqual(got, want.Matches[:before]) {
+		t.Fatalf("emitted %d matches, want exactly the %d ending before offset %d", len(got), before, j*chunk)
+	}
+	if err := a.CheckBalanced(); err != nil {
+		t.Fatal(err)
 	}
 }

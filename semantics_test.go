@@ -1,6 +1,8 @@
 package bitgen
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -266,5 +268,80 @@ func TestRunMultiEdgeCases(t *testing.T) {
 	}
 	if got := endsOf(mr.PerStream[0].Matches, 0); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("a* on empty input ends = %v, want [0]", got)
+	}
+}
+
+// TestRunCollectsLikeTheReference drives one-shot Run through the engine's
+// shared match collector on the inputs that stress it — duplicates next to
+// a nullable pattern, a match-dense input with several patterns ending at
+// the same offset (the rank tie-break), and an input that pushes a carry
+// chain onto the overlap fallback — and compares each with the NFA
+// reference in (End, Pattern, Index) order. CountOnly must agree with the
+// per-pattern match counts, and a result must survive the next Run: its
+// Matches never alias the pooled session's buffers.
+func TestRunCollectsLikeTheReference(t *testing.T) {
+	cases := []struct {
+		name     string
+		patterns []string
+		input    string
+		matches  int // at least this many
+		threads  int
+		fallback bool // the bitstream engine must take an overlap fallback
+	}{
+		{name: "duplicates+nullable", patterns: []string{"abc", "a?", "abc"}, input: "xabcabca", matches: 4 + 9, threads: 32},
+		{name: "dense", patterns: []string{"ab", "b", "[ab]", "b"}, input: strings.Repeat("ab", 15_000), matches: 50_001, threads: 32},
+		// A 128-bit block: the b* carry chain outgrows the overlap cap.
+		{name: "fallback", patterns: []string{"ab*c", "bc", "b{3}"}, input: "a" + strings.Repeat("b", 2000) + "c abc abbbc",
+			matches: 3, threads: 4, fallback: true},
+	}
+	for _, c := range cases {
+		input := []byte(c.input)
+		eng := MustCompile(c.patterns, &Options{CTAs: 2, Threads: c.threads})
+		ref := MustCompile(c.patterns, &Options{Resilience: &ResilienceOptions{ForceBackend: BackendNFA}})
+		want, err := ref.Run(input)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if len(want.Matches) < c.matches {
+			t.Fatalf("%s: reference found %d matches, the case needs %d", c.name, len(want.Matches), c.matches)
+		}
+		if c.fallback {
+			inner, err := eng.inner.RunCounts(context.Background(), input)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if inner.Fallbacks == 0 {
+				t.Fatalf("%s: input did not force an overlap fallback", c.name)
+			}
+		}
+		first, err := eng.Run(input)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(first.Matches, want.Matches) {
+			t.Fatalf("%s: Run diverges from the NFA reference at match %d of %d (reference has %d)",
+				c.name, firstDiff(first.Matches, want.Matches), len(first.Matches), len(want.Matches))
+		}
+		kept := append([]Match(nil), first.Matches...)
+		// A different input through the same pooled session.
+		if _, err := eng.Run(bytes.Repeat([]byte("cab"), len(input)/3+1)); err != nil {
+			t.Fatalf("%s: second run: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(first.Matches, kept) {
+			t.Fatalf("%s: the next Run rewrote an earlier result's Matches", c.name)
+		}
+		counts, err := eng.CountOnly(input)
+		if err != nil {
+			t.Fatalf("%s: CountOnly: %v", c.name, err)
+		}
+		perPattern := map[string]int{}
+		for _, m := range first.Matches {
+			perPattern[m.Pattern]++
+		}
+		for _, p := range c.patterns {
+			if counts[p] != perPattern[p] {
+				t.Errorf("%s: CountOnly[%q] = %d, Run lists %d", c.name, p, counts[p], perPattern[p])
+			}
+		}
 	}
 }

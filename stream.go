@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"bitgen/internal/bgerr"
-	"bitgen/internal/rx"
 )
 
 // ReadError reports that ScanReader's input reader failed mid-stream.
@@ -43,14 +40,16 @@ func (e *Engine) ScanReader(r io.Reader, chunkSize int, emit func(Match)) error 
 }
 
 // ScanReaderContext is ScanReader honoring a context, checked before each
-// chunk scan and inside the per-chunk run (see RunContext).
+// chunk is read and inside the per-chunk run (see RunContext).
 //
-// Without resilience enabled, chunks flow through a bounded three-stage
-// pipeline (read → transpose+kernel workers → in-order emit) whose workers
-// reuse pooled scratch buffers, so the steady-state chunk loop performs no
-// heap allocation; matches are emitted in exactly the order the sequential
-// per-chunk path would produce. With Options.Resilience set, chunks ride
-// the backend ladder sequentially.
+// Chunks flow through a bounded three-stage pipeline (read → chunk workers
+// → in-order emit). Matches are emitted in (End, Pattern, Index) order, as
+// Run on the whole stream would list them; a chunk that fails ends the scan
+// with its error after every match of the chunks before it was emitted.
+// Without resilience each worker runs its chunks on a reusable engine
+// session, so the steady-state chunk loop performs no heap allocation.
+// With Options.Resilience set, one worker sends each chunk down the backend
+// ladder, in chunk order.
 func (e *Engine) ScanReaderContext(ctx context.Context, r io.Reader, chunkSize int, emit func(Match)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -83,10 +82,7 @@ func (e *Engine) ScanReaderContext(ctx context.Context, r io.Reader, chunkSize i
 	if e.limits.MaxInputBytes > 0 && int64(chunkSize+maxLen-1) > e.limits.MaxInputBytes {
 		return &LimitError{Limit: "input-bytes", Value: int64(chunkSize + maxLen - 1), Max: e.limits.MaxInputBytes}
 	}
-	if e.ladder == nil {
-		return e.scanPipelined(ctx, r, chunkSize, maxLen, emit)
-	}
-	return e.scanSequential(ctx, r, chunkSize, maxLen, emit)
+	return e.scanPipelined(ctx, r, chunkSize, maxLen, emit)
 }
 
 // dedupePatterns returns the list with duplicates removed, first
@@ -105,120 +101,4 @@ func dedupePatterns(ps []string) []string {
 		}
 	}
 	return out
-}
-
-// scanSequential is the chunk-at-a-time scanner: read a chunk, run it
-// through the full engine (or the resilience ladder), emit, carry the
-// overlap. It is the reference implementation the pipelined scanner is
-// differentially tested against, and the path every ladder-enabled scan
-// takes.
-func (e *Engine) scanSequential(ctx context.Context, r io.Reader, chunkSize, maxLen int, emit func(Match)) error {
-	overlap := maxLen - 1
-	buf := make([]byte, 0, chunkSize+overlap)
-	var offset int64 // stream offset of buf[0]
-	var emittedThrough int64 = -1
-
-	flush := func(final bool) error {
-		if len(buf) == 0 {
-			return nil
-		}
-		res, err := e.RunContext(ctx, buf)
-		if err != nil {
-			return err
-		}
-		for _, m := range res.Matches {
-			abs := offset + int64(m.End)
-			// Positions inside the carried-over overlap were already
-			// reported by the previous flush.
-			if abs <= emittedThrough {
-				continue
-			}
-			emit(Match{Pattern: m.Pattern, Index: m.Index, End: int(abs)})
-		}
-		last := offset + int64(len(buf)) - 1
-		if final {
-			emittedThrough = last
-			return nil
-		}
-		// A match ending within the last `overlap` bytes may extend with
-		// data from the next chunk only if it STARTS there too — but end
-		// positions are final: a match ending at position p is complete.
-		// All ends in this buffer are therefore safely emitted; carry the
-		// overlap so matches *starting* near the edge are still seen.
-		emittedThrough = last
-		keep := overlap
-		if keep > len(buf) {
-			keep = len(buf)
-		}
-		carried := buf[len(buf)-keep:]
-		offset += int64(len(buf) - keep)
-		copy(buf[:keep], carried)
-		buf = buf[:keep]
-		return nil
-	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return bgerr.Canceled(err)
-		}
-		start := len(buf)
-		buf = buf[:cap(buf)]
-		n, err := io.ReadFull(r, buf[start:start+chunkSize])
-		buf = buf[:start+n]
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return flush(true)
-		}
-		if err != nil {
-			// offset is buf[0]'s stream position and buf holds start+n
-			// valid bytes, so the failed read began at offset+len(buf).
-			return &ReadError{Offset: offset + int64(len(buf)), Err: err}
-		}
-		if err := flush(false); err != nil {
-			return err
-		}
-	}
-}
-
-// patternMaxLen mirrors the hybrid engine's bound computation.
-func patternMaxLen(n rx.Node) int {
-	switch x := n.(type) {
-	case rx.CC:
-		return 1
-	case rx.Concat:
-		total := 0
-		for _, p := range x.Parts {
-			l := patternMaxLen(p)
-			if l == rx.Unbounded {
-				return rx.Unbounded
-			}
-			total += l
-		}
-		return total
-	case rx.Alt:
-		best := 0
-		for _, a := range x.Alts {
-			l := patternMaxLen(a)
-			if l == rx.Unbounded {
-				return rx.Unbounded
-			}
-			if l > best {
-				best = l
-			}
-		}
-		return best
-	case rx.Star, rx.Plus:
-		return rx.Unbounded
-	case rx.Opt:
-		return patternMaxLen(x.Sub)
-	case rx.Repeat:
-		if x.Max == rx.Unbounded {
-			return rx.Unbounded
-		}
-		l := patternMaxLen(x.Sub)
-		if l == rx.Unbounded {
-			return rx.Unbounded
-		}
-		return l * x.Max
-	}
-	return 0
 }
