@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -149,12 +149,28 @@ bench:
 bench-quick:
 	$(GO) run ./benchmark -quick -seed 1
 
+# profile-sigs is the superblock executor's CPU profile as a command: the
+# repo benchmark's stream_sigs op as a Go benchmark (BenchmarkScanReaderSigs,
+# kernel layer >90 % of it), 30 iterations from a test binary built once, top
+# 25 by flat time. The binary and the profile stay in PROFILE_DIR for
+# `go tool pprof -list` / -peek; run it on the parent commit and the change
+# for a before/after pair.
+PROFILE_DIR ?= /tmp/bitgen-profile
+profile-sigs:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderSigs -test.benchtime 30x \
+		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
+
 # bench-smoke is the fast perf gate: short runs of the streaming-scan and
 # bitstream hot-path benchmarks (catching gross regressions and alloc
 # creep in the pipelined scanner; ScanReader also selects
 # BenchmarkScanReaderSigs, the signature-set scan whose -cpuprofile is the
 # superblock executor's profile — no floor on it, the repo benchmark is
-# the gate — and ShiftWords is the shift kernels' cost per word), a
+# the gate — and ShiftWords is the shift kernels' cost per word, in
+# internal/kernel one link of an AND chain with the shift moved, folded
+# and only tested: what deferral saves per link), a
 # short-mode run of the bitbench matrix (single-core and GOMAXPROCS x
 # workers multicore rows) with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
 # pre-superblock seed baseline, so any regression back to it fails the
@@ -163,7 +179,7 @@ bench-quick:
 # schema the whole-input scan does).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'ScanReader|TransposeInto|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
-		-benchtime 100ms . ./internal/bitstream ./internal/transpose
+		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/kernel
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
 	@tmp=$$(mktemp -d) && \
 	i=0; while [ $$i -lt 2000 ]; do echo "error: timeout after 30ms on line $$i; retry ok"; i=$$((i+1)); done > $$tmp/input.txt && \

@@ -180,9 +180,9 @@ type Engine struct {
 	outRanks [][]int32
 	// PassStats aggregates what the optimization passes did.
 	PassStats PassStats
-	// runPool recycles the ScanSessions one-shot Run executes on; runArena
-	// backs them so their retained buffers never imbalance arena.Default.
-	// See initRunPool.
+	// runPool recycles the ScanSessions Run and streaming scans execute on;
+	// runArena backs them so their retained buffers never imbalance
+	// arena.Default. See initRunPool.
 	runPool  *sync.Pool
 	runArena *arena.Arena
 }
@@ -653,12 +653,13 @@ func (e *Engine) run(ctx context.Context, input []byte, collect bool) (*Result, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ss, err := e.getSession()
+	ss, err := e.GetSession(0, true)
 	if err != nil {
 		return nil, err
 	}
 	if err := ss.execute(ctx, input, true); err != nil {
-		return nil, err // ss is deliberately not pooled; see putSession
+		e.PutSession(ss) // which drops it unless err is a cancellation
+		return nil, err
 	}
 	share := e.cfg.TransposeShare
 	if share == 0 {
@@ -685,7 +686,10 @@ func (e *Engine) run(ctx context.Context, input []byte, collect bool) (*Result, 
 		// input-length streams. The session's streams align with this table.
 		for oi, o := range e.groups[gi].Outputs {
 			s := outs[oi]
-			n := s.Popcount()
+			n := 0
+			if !ss.sess[gi].IsZero(s) {
+				n = s.Popcount()
+			}
 			if o.Nullable {
 				n++
 				nullRanks = append(nullRanks, e.outRanks[gi][oi])
@@ -717,9 +721,9 @@ func (e *Engine) run(ctx context.Context, input []byte, collect bool) (*Result, 
 	}
 	res.IntermediateFootprintBytes, err = ss.checkBudget(len(input))
 	// Every session-owned stream has been counted or copied: the session can
-	// serve the next Run (unless a fallback made it non-fresh; see putSession).
+	// serve the next call (unless a fallback made it non-fresh; see PutSession).
 	ss.clearOuts()
-	e.putSession(ss)
+	e.PutSession(ss)
 	if err != nil {
 		return nil, err
 	}

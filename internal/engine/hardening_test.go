@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bgerr"
 	"bitgen/internal/faultinject"
 	"bitgen/internal/gpusim"
@@ -209,5 +211,144 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 	}
 	if ss := e.runPool.Get(); ss != nil {
 		t.Fatal("a session whose launch failed went back to the pool")
+	}
+
+	// A streaming borrower puts its session back whatever happened; the chunk
+	// that met a kernel panic left its mark and the pool refuses it.
+	cfg.Inject = faultinject.New(3).ArmNth(faultinject.KernelPanic, 2)
+	if e, err = Compile(mustRegexes(t, "ab*c"), cfg); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := e.GetSession(7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms, err := ss.Scan(context.Background(), []byte("abc abbc"), 0, 0, nil); err != nil || len(ms) != 2 {
+		t.Fatalf("clean chunk: %d matches, err %v", len(ms), err)
+	}
+	var ie *bgerr.InternalError
+	if _, err := ss.Scan(context.Background(), []byte("abc"), 0, 0, nil); !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want the contained kernel panic", err)
+	}
+	e.PutSession(ss)
+	if ss := e.runPool.Get(); ss != nil {
+		t.Fatal("a session that saw a kernel panic went back to the pool")
+	}
+
+	// A cancellation — a client hanging up — or a budget refusal is not a
+	// failure of the session: it keeps no mark and scans the next chunk like a
+	// fresh one. Two groups, cancelled between the first and the second; a
+	// one-byte budget no scan fits (sync.Pool may drop a Put under the race
+	// detector, so the mark is read, not the pool).
+	cfg.Inject = nil
+	cfg.Grid.CTAs = 2
+	for _, budget := range []int64{0, 1} {
+		if cfg.MemoryBudgetBytes = budget; budget > 0 {
+			cfg.Mode = kernel.ModeSequential // materializes every intermediate
+		}
+		if e, err = Compile(mustRegexes(t, "ab*c", "b+c"), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if ss, err = e.GetSession(7, false); err != nil {
+			t.Fatal(err)
+		}
+		chunk := []byte("abc abbc bc")
+		ctx, want := context.Context(&doneAfter{Context: context.Background(), open: 1}), bgerr.ErrCanceled
+		if budget > 0 {
+			ctx, want = context.Background(), bgerr.ErrLimit
+		}
+		if _, err := ss.Scan(ctx, chunk, 0, 0, nil); !errors.Is(err, want) {
+			t.Fatalf("budget %d: err = %v, want %v", budget, err, want)
+		}
+		if ss.failed {
+			t.Fatalf("budget %d: %v marked the session failed", budget, want)
+		}
+		ss.e.cfg.MemoryBudgetBytes = 0
+		got, err := ss.Scan(context.Background(), chunk, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := e.Run(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 5 || !reflect.DeepEqual(got, fresh.Matches) {
+			t.Fatalf("budget %d: the reused session lists %v, a fresh one %v", budget, got, fresh.Matches)
+		}
+	}
+}
+
+// doneAfter is a context that cancels itself between kernel runs: each run
+// captures Done once, the first open callers get a channel that never closes
+// and later ones a closed one.
+type doneAfter struct {
+	context.Context
+	open int
+}
+
+func (c *doneAfter) Done() <-chan struct{} {
+	if c.open--; c.open >= 0 {
+		return nil
+	}
+	closed := make(chan struct{})
+	close(closed)
+	return closed
+}
+
+func (c *doneAfter) Err() error {
+	if c.open >= 0 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestMatchlessOutputIsNeverMaterialized: an output no window committed a set
+// bit to comes back as the kernel session's shared zero stream, which the
+// collectors skip: no matches, a count of zero, and the same answer from the
+// pattern that does match beside it.
+func TestMatchlessOutputIsNeverMaterialized(t *testing.T) {
+	cfg := BitGenDefault()
+	cfg.Grid = smallGrid
+	e, err := Compile(mustRegexes(t, "cat", "zebra"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte(strings.Repeat("the cat sat on the mat. ", 300))
+	ss, err := e.NewScanSession(len(input), &arena.Arena{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if err := ss.execute(context.Background(), input, false); err != nil {
+		t.Fatal(err)
+	}
+	for gi, outs := range ss.outs {
+		for oi, o := range e.groups[gi].Outputs {
+			if zero := ss.sess[gi].IsZero(outs[oi]); zero != (o.Name == "zebra") {
+				t.Errorf("output %s: shared zero stream = %v", o.Name, zero)
+			}
+		}
+	}
+	matches := ss.mergeMatches(0, 0, nil)
+	ss.clearOuts()
+	if len(matches) != 300 {
+		t.Fatalf("merged %d matches, want the 300 of cat", len(matches))
+	}
+	for _, run := range []func(context.Context, []byte) (*Result, error){e.RunContext, e.RunCounts} {
+		res, err := run(context.Background(), input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MatchCounts["zebra"] != 0 || res.MatchCounts["cat"] != 300 || res.TotalMatches != 300 {
+			t.Fatalf("counts %v, total %d; want cat 300 and zebra 0", res.MatchCounts, res.TotalMatches)
+		}
+		if _, ok := res.MatchCounts["zebra"]; !ok {
+			t.Fatal("the matchless pattern has no count entry")
+		}
+		for _, m := range res.Matches {
+			if m.Pattern != "cat" {
+				t.Fatalf("match %+v from a pattern that cannot match", m)
+			}
+		}
 	}
 }

@@ -30,11 +30,14 @@ type ScanMatch struct {
 // ScanSession is the engine's only chunk executor: a transpose basis, one
 // kernel session per CTA group and the shared-class session, reused from
 // chunk to chunk so a steady-state scan of same-sized chunks performs zero
-// heap allocations. Streaming scans own one session per pipeline worker
-// (NewScanSession) and call Scan; one-shot Run borrows one from the engine's
-// pool (getSession). Both reach the kernels through execute and launch and
-// collect matches through mergeMatches. One session serves one call at a
-// time; concurrency comes from running several sessions.
+// heap allocations. Both entry points borrow theirs from the engine's pool
+// (GetSession) — a streaming scan one per pipeline worker for the length of
+// the call, one-shot Run one per call — so compiled superblock programs,
+// dataflow analyses and window buffers outlive the call that built them.
+// NewScanSession builds an unpooled one on the caller's arena. All reach the
+// kernels through execute and launch and collect matches through
+// mergeMatches. One session serves one call at a time; concurrency comes from
+// running several sessions.
 //
 // The two entry points differ only in how wide they launch. Scan runs the
 // groups of a chunk one after another in the calling goroutine — the
@@ -53,9 +56,13 @@ type ScanSession struct {
 	// lane carries the session's transpose spans and, unless groupLanes is
 	// set, its kernel spans. With groupLanes every CTA group traces on its
 	// own lane 1+gi and gets a kernel-launch span there, so the concurrent
-	// launches of one Run render as parallel tracks.
+	// launches of one Run render as parallel tracks. Both are the borrower's
+	// choice (GetSession), not the session's.
 	lane       int
 	groupLanes bool
+	// failed is set once an execute ended in a kernel error or a panic; see
+	// PutSession.
+	failed bool
 }
 
 // scanCursor walks one output stream during the match merge. end is the
@@ -75,17 +82,16 @@ type scanCursor struct {
 // from a (nil selects arena.Default) and released by Close. lane is the
 // trace lane the session's spans land on.
 func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*ScanSession, error) {
-	return e.newSession(maxChunkBytes, a, lane, false)
+	ss, err := e.newSession(maxChunkBytes, a)
+	if err != nil {
+		return nil, err
+	}
+	ss.lane = lane
+	return ss, nil
 }
 
-func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena, lane int, groupLanes bool) (*ScanSession, error) {
-	ss := &ScanSession{
-		e:          e,
-		basis:      &transpose.Basis{},
-		tr:         arena.NewTracker(a),
-		lane:       lane,
-		groupLanes: groupLanes,
-	}
+func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, error) {
+	ss := &ScanSession{e: e, basis: &transpose.Basis{}, tr: arena.NewTracker(a)}
 	// Basis backing from the arena: one bit per input byte, eight planes.
 	nw := bitstream.WordsFor(maxChunkBytes)
 	if nw > 0 {
@@ -99,11 +105,7 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena, lane int, groupLa
 		return nil, err
 	}
 	for gi := range e.groups {
-		klane := lane
-		if groupLanes {
-			klane = 1 + gi
-		}
-		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(klane), a)
+		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(), a)
 		if err != nil {
 			ss.Close()
 			return nil, fmt.Errorf("engine: group %d: %w", gi, err)
@@ -116,9 +118,9 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena, lane int, groupLa
 }
 
 // kernelConfig is the one kernel configuration this engine launches with,
-// so Run and Scan model the same kernel. lane is the trace lane the
-// launch's spans land on.
-func (e *Engine) kernelConfig(lane int) kernel.Config {
+// so Run and Scan model the same kernel. The trace lane is not part of it:
+// launch sets it per call.
+func (e *Engine) kernelConfig() kernel.Config {
 	return kernel.Config{
 		Grid:               e.cfg.Grid,
 		Mode:               e.cfg.Mode,
@@ -127,14 +129,12 @@ func (e *Engine) kernelConfig(lane int) kernel.Config {
 		MaxWhileIterations: e.cfg.MaxWhileIterations,
 		Inject:             e.cfg.Inject,
 		Obs:                e.cfg.Obs,
-		TraceLane:          lane,
 	}
 }
 
-// initRunPool installs a fresh pool of one-shot sessions. Called at
-// construction and by WithInjector: kernel sessions capture the engine's
-// fault injector, so an engine copy with a different injector must not
-// share pooled sessions.
+// initRunPool installs a fresh session pool. Called at construction and by
+// WithInjector: kernel sessions capture the engine's fault injector, so an
+// engine copy with a different injector must not share pooled sessions.
 //
 // Pooled sessions borrow from a private per-engine arena, not
 // arena.Default: they retain their buffers indefinitely (they are dropped,
@@ -145,26 +145,37 @@ func (e *Engine) initRunPool() {
 	e.runArena = &arena.Arena{}
 }
 
-// getSession returns a pooled one-shot session or builds one. Before
-// pooling, every Run rebuilt the plan, liveness, barrier schedule and all
-// stream buffers from scratch (~700 allocations per call). Construction
-// cannot fail for an engine that compiled — the programs already validated
-// — but the error is surfaced rather than swallowed for defense in depth.
-func (e *Engine) getSession() (*ScanSession, error) {
-	if ss, ok := e.runPool.Get().(*ScanSession); ok {
-		return ss, nil
+// GetSession borrows a session from the pool, or builds one (~700
+// allocations, then every segment's superblock compile on first use — what
+// pooling saves each Run and each ScanReader worker). Its spans land on lane,
+// or with groupLanes each group's on its own (see ScanSession). Construction
+// cannot fail for an engine that compiled — the programs already validated —
+// but the error is surfaced rather than swallowed for defense in depth.
+func (e *Engine) GetSession(lane int, groupLanes bool) (*ScanSession, error) {
+	ss, ok := e.runPool.Get().(*ScanSession)
+	if !ok {
+		var err error
+		if ss, err = e.newSession(0, e.runArena); err != nil {
+			return nil, err
+		}
 	}
-	return e.newSession(0, e.runArena, 0, true)
+	ss.lane, ss.groupLanes = lane, groupLanes
+	return ss, nil
 }
 
-// putSession returns a one-shot session to the pool — unless it is no
-// longer indistinguishable from a fresh one. A session whose kernels took a
-// materialization fallback would carry that fallback (and its modeled-time
-// delta) into an unrelated future Run, where a fresh one-shot would not;
-// such sessions are dropped and rebuilt on demand. run also skips the put
-// entirely on errors and contained panics: a session that failed mid-launch
-// may hold inconsistent retained state.
-func (e *Engine) putSession(ss *ScanSession) {
+// PutSession returns a borrowed session to the pool — unless it is no longer
+// indistinguishable from a fresh one; such sessions are dropped and rebuilt
+// on demand. A session whose kernels took a materialization fallback would
+// carry that fallback (and its modeled-time delta) into an unrelated future
+// call, where a fresh session would not. One that failed mid-launch — a
+// kernel error, a contained panic, a panic unwinding through execute, which
+// sets the mark — may hold inconsistent retained state. A cancellation or a
+// memory-budget refusal is neither: kernels stop at a window boundary, every
+// run re-initialises its state, and a client hanging up is routine.
+func (e *Engine) PutSession(ss *ScanSession) {
+	if ss.failed {
+		return
+	}
 	for _, ks := range ss.sess {
 		if ks.Fallbacks() > 0 {
 			return
@@ -179,6 +190,10 @@ func (e *Engine) putSession(ss *ScanSession) {
 // width (see ScanSession). On error nothing is left parked.
 func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) error {
 	e := ss.e
+	// Marked failed while it runs, so a panic unwinding from here leaves the
+	// mark; once set it stays.
+	failed := ss.failed
+	ss.failed = true
 	// Arg boxes its value even on a nil span; keep the hot path free of it.
 	var tspan *obs.Span
 	if e.cfg.Obs.Enabled() {
@@ -186,13 +201,12 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) e
 	}
 	transpose.TransposeInto(ss.basis, chunk)
 	tspan.End()
-	if err := bindShared(ctx, ss.shared, ss.basis); err != nil {
-		return err
-	}
-	var err error
-	if fanOut {
+	err := bindShared(ctx, ss.shared, ss.basis)
+	switch {
+	case err != nil:
+	case fanOut:
 		err = ss.launchAll(ctx)
-	} else {
+	default:
 		for gi := 0; gi < len(ss.sess) && err == nil; gi++ {
 			err = ss.launch(ctx, gi)
 		}
@@ -200,6 +214,7 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) e
 	if err != nil {
 		ss.clearOuts()
 	}
+	ss.failed = failed || (err != nil && !isCanceled(err))
 	return err
 }
 
@@ -257,12 +272,16 @@ func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 		return fmt.Errorf("engine: group %d: %w", gi, err)
 	}
 	var lspan *obs.Span
-	if ss.groupLanes && e.cfg.Obs.Enabled() {
-		lane := 1 + gi
-		e.cfg.Obs.NameLane(lane, fmt.Sprintf("kernel/group-%d", gi))
-		lspan = e.cfg.Obs.Span("scan", "kernel-launch", lane).
-			Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
+	lane := ss.lane
+	if ss.groupLanes {
+		lane = 1 + gi
+		if e.cfg.Obs.Enabled() {
+			e.cfg.Obs.NameLane(lane, fmt.Sprintf("kernel/group-%d", gi))
+			lspan = e.cfg.Obs.Span("scan", "kernel-launch", lane).
+				Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
+		}
 	}
+	ss.sess[gi].SetTraceLane(lane)
 	outs, stats, err := ss.sess[gi].Run(ctx, ss.basis)
 	if err != nil {
 		err = fmt.Errorf("engine: group %d: %w", gi, err)
@@ -326,6 +345,9 @@ func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []Scan
 	for gi, outs := range gouts {
 		ranks := ss.e.outRanks[gi]
 		for oi, s := range outs {
+			if ss.sess[gi].IsZero(s) {
+				continue // matchless and never materialized: nothing to walk
+			}
 			p := s.NextSetBit(startBit)
 			if p < 0 {
 				continue

@@ -115,19 +115,20 @@ func RunContext(ctx context.Context, p *ir.Program, basis *transpose.Basis, cfg 
 	return res, nil
 }
 
-// ctxErr converts a done context into the taxonomy's canceled error.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
+// canceled converts the run's done context into the taxonomy's canceled error,
+// polling the Done channel reset captured: ctx.Err takes a mutex per window.
+func (ex *ctaExec) canceled() error {
+	select {
+	case <-ex.done:
+		return bgerr.Canceled(ex.ctx.Err())
+	default:
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return bgerr.Canceled(err)
-	}
-	return nil
 }
 
 type ctaExec struct {
 	ctx    context.Context
+	done   <-chan struct{} // ctx.Done(), nil for a context that cannot end
 	cfg    Config
 	prog   *ir.Program
 	basis  *transpose.Basis
@@ -140,6 +141,10 @@ type ctaExec struct {
 	// streaming scan allocates nothing.
 	globals []*bitstream.Stream
 	bufs    []*bitstream.Stream
+	// committed marks the variables a fused segment has committed this run: a
+	// later read is charged as a load even while only zeros were committed and
+	// the global is still nil (commitWindow).
+	committed []bool
 	// zero is a shared read-only all-zero stream returned for never-written
 	// reads; it is never stored into globals and never written.
 	zero  *bitstream.Stream
@@ -177,11 +182,12 @@ type ctaExec struct {
 // across runs via reset).
 func newExec(p *ir.Program) *ctaExec {
 	ex := &ctaExec{
-		prog:    p,
-		globals: make([]*bitstream.Stream, p.NumVars),
-		bufs:    make([]*bitstream.Stream, p.NumVars),
-		isOut:   make([]bool, p.NumVars),
-		regs:    newRegFile(p.NumVars),
+		prog:      p,
+		globals:   make([]*bitstream.Stream, p.NumVars),
+		bufs:      make([]*bitstream.Stream, p.NumVars),
+		committed: make([]bool, p.NumVars),
+		isOut:     make([]bool, p.NumVars),
+		regs:      newRegFile(p.NumVars),
 	}
 	for _, o := range p.Outputs {
 		ex.isOut[o.Var] = true
@@ -203,7 +209,10 @@ func newExec(p *ir.Program) *ctaExec {
 // bufs, regs and the scratch slices are reused; only the n-dependent
 // headers are re-pointed when the input size changes.
 func (ex *ctaExec) reset(ctx context.Context, basis *transpose.Basis, cfg Config) {
-	ex.ctx = ctx
+	ex.ctx, ex.done = ctx, nil
+	if ctx != nil {
+		ex.done = ctx.Done()
+	}
 	ex.cfg = cfg
 	ex.basis = basis
 	ex.n = basis.N
@@ -211,6 +220,7 @@ func (ex *ctaExec) reset(ctx context.Context, basis *transpose.Basis, cfg Config
 	ex.stats = gpusim.CTAStats{}
 	ex.unitsPerWord = int64(64 / cfg.Grid.UnitBits)
 	clear(ex.globals)
+	clear(ex.committed)
 	ex.regs.alloc = ex.alloc
 	if ex.zero == nil || ex.zero.Len() != ex.n {
 		ex.zero = ex.reinitStream(ex.zero, ex.n)
@@ -335,7 +345,7 @@ func (ex *ctaExec) execCtl(c *ctlSeg) error {
 	}
 	iters := 0
 	for evalCond() {
-		if err := ctxErr(ex.ctx); err != nil {
+		if err := ex.canceled(); err != nil {
 			return err
 		}
 		iters++
@@ -462,7 +472,7 @@ func (ex *ctaExec) execFused(seg *fusedSeg) error {
 	// compiler needs the resolved analysis for loop growth and the
 	// executor's materialization/barrier state, both fixed by now).
 	if seg.sprog == nil {
-		seg.sprog = ex.compileSeg(seg.stmts, an)
+		seg.sprog = ex.newSBCompiler(seg.stmts, an).compile(seg.stmts)
 	}
 
 	if ex.n == 0 {
@@ -478,7 +488,7 @@ func (ex *ctaExec) execFused(seg *fusedSeg) error {
 	}()
 	dl := baseDL
 	for cs := 0; cs < ex.n; cs += blockBits {
-		if err := ctxErr(ex.ctx); err != nil {
+		if err := ex.canceled(); err != nil {
 			return err
 		}
 		ce := cs + blockBits
@@ -538,7 +548,7 @@ func (ex *ctaExec) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, 
 		return 0, &overflowError{stmt: findDynamicStmt(seg.stmts), need: ex.cfg.MaxOverlapBits + 1}
 	}
 	for {
-		if err := ctxErr(ex.ctx); err != nil {
+		if err := ex.canceled(); err != nil {
 			return 0, err
 		}
 		if err := ex.execWindowOnce(seg, cs, ce, dl, dr, false, true); err != nil {
@@ -731,21 +741,30 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 		if v := liveOut[0]; ex.regs.has(v) {
 			reg := ex.regs.mut(v)
 			ex.cfg.Inject.Corrupt(faultinject.TileCorrupt, reg)
-			ex.maskWindowTail(reg)
+			ex.regs.maskTail(reg)
 		}
 	}
 	fromWord := cs / 64
 	toWord := (ce + 63) / 64
 	wsWord := ex.ws / 64
 	for _, v := range liveOut {
-		g := ex.ensureGlobal(v)
+		ex.committed[v] = true
+		g := ex.globals[v]
 		if !ex.regs.has(v) || ex.regs.isZero(v) {
 			// Not computed this window (an untaken if) or known zero (guarded
-			// off, or produced all zero): the committed value is zero.
-			words := g.Words()
-			clear(words[min(fromWord, len(words)):min(toWord, len(words))])
-			maskStreamTail(g)
+			// off, or produced all zero): the committed value is zero, which a
+			// global no window has stored to yet says by staying nil.
+			if g != nil {
+				words := g.Words()
+				clear(words[min(fromWord, len(words)):min(toWord, len(words))])
+				maskStreamTail(g)
+			}
 		} else {
+			if g == nil {
+				// First non-zero commit: the windows before this one were zero.
+				g = ex.ensureGlobal(v)
+				clear(g.Words()[:min(fromWord, ex.nWords)])
+			}
 			storeWindow(g, fromWord, ex.regs.get(v), fromWord-wsWord, toWord-fromWord)
 		}
 		if ex.isOut[v] && !ex.cfg.FullOutputWrites {
@@ -773,6 +792,7 @@ func (ex *ctaExec) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, c
 	weWord := (ex.weBits + 63) / 64
 	ex.ww = weWord - wsWord
 	ex.regs.beginWindow(ex.ww)
+	ex.regs.endBit = ex.weBits - ex.ws
 	ex.needBits = 0
 	ex.culprit = nil
 	ex.saturate = saturate
@@ -789,22 +809,28 @@ func (ex *ctaExec) windowUnits() int64 { return int64(ex.ww) * ex.unitsPerWord }
 // windowBytes is the byte size of one window buffer.
 func (ex *ctaExec) windowBytes() int64 { return int64(ex.ww) * 8 }
 
-// readWindowed returns operand v's window value for reading. A variable that
-// is not register-resident is bound as a view of its materialized stream —
-// charged as the load it models, but not copied — or tagged known zero when
-// it was never materialized.
+// bind makes operand v register-resident without reading it: a view of its
+// materialized stream, not copied, or the known-zero tag when nothing stored
+// to it — only zeros were committed so far, which is charged as the load it
+// models all the same, or it was never written (validated conditional defs).
+func (ex *ctaExec) bind(v ir.VarID, charge bool) {
+	if ex.regs.has(v) {
+		return
+	}
+	g := ex.globals[v]
+	if charge && (g != nil || ex.committed[v]) {
+		ex.stats.DRAMReadBytes += ex.windowBytes()
+	}
+	if g == nil {
+		ex.regs.zero(v)
+		return
+	}
+	ex.regs.view(v, g, ex.ws/64)
+}
+
+// readWindowed binds operand v and returns its window value for reading.
 func (ex *ctaExec) readWindowed(v ir.VarID, charge bool) []uint64 {
-	if b := ex.regs.get(v); b != nil {
-		return b
-	}
-	if g := ex.globals[v]; g != nil {
-		if charge {
-			ex.stats.DRAMReadBytes += ex.windowBytes()
-		}
-		return ex.regs.view(v, g, ex.ws/64)
-	}
-	// Never materialized: semantically zero (validated conditional defs).
-	ex.regs.zero(v)
+	ex.bind(v, charge)
 	return ex.regs.get(v)
 }
 
@@ -828,23 +854,6 @@ func (ex *ctaExec) saturateMargins(buf []uint64) {
 		for ; w < len(buf); w++ {
 			buf[w] = ^uint64(0)
 		}
-	}
-}
-
-// maskWindowTail zeroes bits beyond the end of the stream in the final
-// window.
-func (ex *ctaExec) maskWindowTail(buf []uint64) {
-	endBit := ex.weBits - ex.ws
-	if endBit >= len(buf)*64 {
-		return
-	}
-	w := endBit / 64
-	if endBit%64 != 0 {
-		buf[w] &= (1 << (uint(endBit) % 64)) - 1
-		w++
-	}
-	for ; w < len(buf); w++ {
-		buf[w] = 0
 	}
 }
 

@@ -73,6 +73,9 @@ func (s *Session) rebuild() {
 	s.loops = s.pl.countLoops()
 }
 
+// SetTraceLane moves later Runs' spans to lane: pooled sessions change hands.
+func (s *Session) SetTraceLane(lane int) { s.base.TraceLane = lane }
+
 // Fallbacks reports how many loops/carries have been pushed onto the
 // materialized fallback path over the session's lifetime (RunResult's
 // FallbackSegments equivalent; fallbacks persist across runs).
@@ -87,9 +90,6 @@ func (s *Session) Fallbacks() int { return len(s.materialize) }
 func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]*bitstream.Stream, gpusim.CTAStats, error) {
 	cfg := s.base.withDefaults(basis.N)
 	for attempt := 0; ; attempt++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, gpusim.CTAStats{}, err
-		}
 		span := cfg.Obs.Span("kernel", "kernel-attempt", cfg.TraceLane).Arg("attempt", attempt)
 		outs, stats, err := s.runOnce(ctx, basis, cfg)
 		span.End()
@@ -117,11 +117,14 @@ func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]*bitstream
 }
 
 func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Config) ([]*bitstream.Stream, gpusim.CTAStats, error) {
+	ex := s.ex
+	ex.reset(ctx, basis, cfg)
+	if err := ex.canceled(); err != nil {
+		return nil, gpusim.CTAStats{}, err
+	}
 	if cfg.Inject.Fire(faultinject.KernelPanic) {
 		panic("faultinject: injected kernel panic")
 	}
-	ex := s.ex
-	ex.reset(ctx, basis, cfg)
 	ex.isMat = s.isMat
 	ex.stats.Loops = int64(s.loops)
 	ex.stats.IntermediateStreams = int64(s.intermediates)
@@ -134,17 +137,20 @@ func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Confi
 	for i, o := range s.prog.Outputs {
 		str := ex.globals[o.Var]
 		if str == nil {
-			// Never written on the taken path: the shared read-only zero.
+			// No window committed a set bit: the shared read-only zero.
 			str = ex.zero
-		}
-		s.outs[i] = str
-		if !cfg.FullOutputWrites {
+		} else if !cfg.FullOutputWrites {
 			// Compact outputs: one 32-bit position per match.
 			ex.stats.DRAMWriteBytes += 4 * int64(str.Popcount())
 		}
+		s.outs[i] = str
 	}
 	return s.outs, ex.stats, nil
 }
+
+// IsZero reports whether str is the shared zero stream Run returns for an
+// output nothing was committed to; collectors skip those unscanned.
+func (s *Session) IsZero(str *bitstream.Stream) bool { return str == s.ex.zero }
 
 // Close releases every pooled buffer the session borrowed. The session —
 // and any streams Run returned — must not be used afterwards.

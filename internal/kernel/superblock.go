@@ -15,9 +15,24 @@ package kernel
 // advance-then-mask pair like T = S >> k; M = T & CC — the hot step of
 // bitstream regex matching — becomes one µop whose intermediate lives in a
 // register tile inside the fused loop and never touches a window buffer,
-// halving that pair's memory traffic. A shift fuses from anywhere earlier in
-// its run (it sinks to its consumer, see tryFuse), so the batches Shift
-// Rebalancing emits execute link by link.
+// halving that pair's memory traffic.
+//
+// Two mechanisms move a shift to its reader; each covers shifts the other
+// cannot. Compile-time sinking (tryFuse): a single-use bit-distance shift fuses
+// into its consumer from anywhere earlier in its run, while bodies included
+// (without it oneshot_control's op_p50_ms goes 7.1 -> 9.5 ms) — but not across
+// a cut, and InsertGuards guards a rebalanced batch's own shifts. Run-time
+// deferral (compileRun, window.go): a shift left standalone — consumer behind a
+// cut, several readers, a word distance — records "shift(src, k), not computed"
+// instead of moving words. Plain bitwise µops fold it into their own pass after
+// the known-zero absorption test (execBin), a guard or if answers from the
+// source words (regFile.any), every other reader forces it (regFile.get/mut),
+// and two bitwise ops over a deferred operand are not pair-fused: a conjunction
+// over a guard-cut batch stops at its first zero link and the shifts behind it
+// are never computed. Invariant: a deferred shift yields the words its source
+// held at the shift's position — proved at compile time (compileRun has the
+// conditions), not policed at run time; any other shift runs where the IR put
+// it.
 //
 // The executor also skips work the data makes moot — host-side Zero Block
 // Skipping. Registers carry a known-zero tag (window.go): a taken guard tags
@@ -35,11 +50,13 @@ package kernel
 // assignments. A merged barrier group pays its barrier pair and one
 // shared-memory store per distinct source once per window (chargeShift). A
 // taken guard charges one unit pass per assignment it skips, nested bodies
-// included. A short-circuited µop reads its operands first, so residency is
+// included. A short-circuited µop binds its operands first, so residency is
 // what it would have been, and charges exactly what the executed one does; a
-// view load charges the DRAM read the copy did. The saturation probe pass
-// (charge == false) charges nothing. testdata/ctastats.golden pins these
-// rules case by case.
+// view load charges the DRAM read the copy did, and so does the read of a
+// live-out whose commits were all zero and never materialized it. A deferred
+// shift binds its source and charges at its own position; whoever folds or
+// forces it charges only itself. The saturation probe pass (charge == false)
+// charges nothing. testdata/ctastats.golden pins these rules case by case.
 
 import (
 	"bitgen/internal/bitstream"
@@ -82,6 +99,15 @@ const (
 // registers for one W-bit unit block.
 const sbTileWords = 8
 
+// sbBinCode maps an IR bitwise operator to its plain µop, sbShiftCode a plain
+// bitwise µop to the fused dst = op(shift(a,k), c) with the shifted operand on
+// the left. AND-NOT alone does not commute: shifted on the right it is
+// sbShiftUnderAndNot.
+var (
+	sbBinCode   = [...]sbOpCode{ir.OpAnd: sbAnd, ir.OpOr: sbOr, ir.OpXor: sbXor, ir.OpAndNot: sbAndNot}
+	sbShiftCode = [...]sbOpCode{sbAnd: sbShiftAnd, sbOr: sbShiftOr, sbXor: sbShiftXor, sbAndNot: sbShiftAndNot}
+)
+
 // sbOp is one compiled µop.
 type sbOp struct {
 	code  sbOpCode
@@ -91,6 +117,7 @@ type sbOp struct {
 
 	dst, a, b, c ir.VarID
 	k            int32 // shift distance, or basis bit for sbMatchBasis
+	lazy         bool  // sbShift: record a deferral instead of moving words
 
 	// Precomputed barrier-merge charge descriptor for shift µops: gid < 0
 	// means unscheduled (each shift pays its own barrier pair), otherwise
@@ -129,19 +156,19 @@ type sbNode struct {
 	body   *sbProgram
 	while  *ir.While // while: overflow culprit
 
-	// zeroDsts/zeroCharge implement guard zeroing for this node when a
-	// preceding guard skips it: every destination that later code may read
-	// is zeroed, and one unit pass is charged per source assignment. Fused
-	// temporaries are dead past their consumer by construction, so they
-	// need no zeroing.
-	zeroDsts   []ir.VarID
+	// Guard zeroing. A run/if/while node owns zeroDsts[zlo:zhi] of its program
+	// — every destination later code may read; fused temporaries are dead past
+	// their consumer and need none — and zeroCharge source assignments, one
+	// unit pass each. A guard's range is resolved to cover every node it skips.
+	zlo, zhi   int32
 	zeroCharge int32
 }
 
 // sbProgram is the compiled form of one fused segment's statement list.
 type sbProgram struct {
-	ops   []sbOp
-	nodes []sbNode
+	ops      []sbOp
+	nodes    []sbNode
+	zeroDsts []ir.VarID // what taken guards tag known zero, node after node
 	// nOps and nFused total the µops and fused pairs across nested bodies
 	// (the superblock span's attributes).
 	nOps   int
@@ -154,21 +181,26 @@ type sbCompiler struct {
 	ex *ctaExec
 	ud dfg.UseDef
 	an *dfg.Analysis
+	// Deferrable shifts (see compileRun): definitions passed so far per
+	// variable, enclosing while bodies, destinations that qualified.
+	seen  []int32
+	loops int
+	lazy  []bool
 	// noSink limits fusion to adjacent statements. Never set outside tests:
 	// TestSinkMatchesUnsunk compiles the unsunk µop list to compare against.
 	noSink bool
 }
 
-// compileSeg compiles a fused segment's statements into a superblock
-// program. an must be the segment's dataflow analysis (loop growth is baked
-// into while nodes).
-func (ex *ctaExec) compileSeg(stmts []ir.Stmt, an *dfg.Analysis) *sbProgram {
-	c := &sbCompiler{
-		ex: ex,
-		ud: dfg.CountUseDef(stmts, ex.prog.NumVars),
-		an: an,
+// newSBCompiler prepares the compilation of a fused segment's statements; an
+// is the segment's dataflow analysis (while nodes bake in its loop growth).
+func (ex *ctaExec) newSBCompiler(stmts []ir.Stmt, an *dfg.Analysis) *sbCompiler {
+	return &sbCompiler{
+		ex:   ex,
+		ud:   dfg.CountUseDef(stmts, ex.prog.NumVars),
+		an:   an,
+		seen: make([]int32, ex.prog.NumVars),
+		lazy: make([]bool, ex.prog.NumVars),
 	}
-	return c.compile(stmts)
 }
 
 func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
@@ -190,36 +222,38 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 			cut[i], cut[i+1] = true, true
 		}
 	}
-	// stmtLo/stmtHi record each node's statement range for resolving guard
+	// stmtHi records each node's statement range end for resolving guard
 	// skip counts into node counts afterwards.
-	var stmtLo, stmtHi []int
-	emit := func(n sbNode, lo, hi int) {
+	var stmtHi []int
+	emit := func(n sbNode, dsts []ir.VarID, hi int) {
+		n.zlo = int32(len(p.zeroDsts))
+		p.zeroDsts = append(p.zeroDsts, dsts...)
+		n.zhi = int32(len(p.zeroDsts))
 		p.nodes = append(p.nodes, n)
-		stmtLo = append(stmtLo, lo)
 		stmtHi = append(stmtHi, hi)
 	}
 	i := 0
 	for i < len(stmts) {
 		switch x := stmts[i].(type) {
 		case *ir.Guard:
-			emit(sbNode{kind: sbGuardNode, cond: x.Cond, skipN: int32(x.Skip)}, i, i+1)
+			emit(sbNode{kind: sbGuardNode, cond: x.Cond, skipN: int32(x.Skip)}, nil, i+1)
 			i++
 		case *ir.If:
 			body := c.compile(x.Body)
 			p.nOps += body.nOps
 			p.nFused += body.nFused
 			dsts, charge := zeroInfoStmts(x.Body)
-			emit(sbNode{kind: sbIfNode, cond: x.Cond, body: body,
-				zeroDsts: dsts, zeroCharge: charge}, i, i+1)
+			emit(sbNode{kind: sbIfNode, cond: x.Cond, body: body, zeroCharge: charge}, dsts, i+1)
 			i++
 		case *ir.While:
+			c.loops++
 			body := c.compile(x.Body)
+			c.loops--
 			p.nOps += body.nOps
 			p.nFused += body.nFused
 			dsts, charge := zeroInfoStmts(x.Body)
 			emit(sbNode{kind: sbWhileNode, cond: x.Cond, body: body,
-				growth: c.an.LoopGrowth[x], while: x,
-				zeroDsts: dsts, zeroCharge: charge}, i, i+1)
+				growth: c.an.LoopGrowth[x], while: x, zeroCharge: charge}, dsts, i+1)
 			i++
 		default:
 			// Maximal straight-line run up to the next cut point.
@@ -229,14 +263,13 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 			}
 			lo := int32(len(p.ops))
 			c.compileRun(p, stmts[i:j])
-			hi := int32(len(p.ops))
-			nd := sbNode{kind: sbRunNode, lo: lo, hi: hi}
-			for oi := lo; oi < hi; oi++ {
-				op := &p.ops[oi]
-				nd.zeroDsts = append(nd.zeroDsts, op.dst)
-				nd.zeroCharge += op.nStmts
+			nd := sbNode{kind: sbRunNode, lo: lo, hi: int32(len(p.ops))}
+			var dsts []ir.VarID
+			for oi := nd.lo; oi < nd.hi; oi++ {
+				dsts = append(dsts, p.ops[oi].dst)
+				nd.zeroCharge += p.ops[oi].nStmts
 			}
-			emit(nd, i, j)
+			emit(nd, dsts, j)
 			i = j
 		}
 	}
@@ -248,15 +281,15 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		if nd.kind != sbGuardNode {
 			continue
 		}
-		end := stmtHi[ni] + int(nd.skipN)
-		if end > len(stmts) {
-			end = len(stmts)
-		}
+		end := min(stmtHi[ni]+int(nd.skipN), len(stmts))
 		k := ni + 1
-		for k < len(p.nodes) && stmtHi[k] <= end {
-			k++
+		for ; k < len(p.nodes) && stmtHi[k] <= end; k++ {
+			if p.nodes[k].kind != sbGuardNode {
+				nd.zeroCharge += p.nodes[k].zeroCharge
+			}
 		}
 		nd.skip = int32(k - ni - 1)
+		nd.zhi = p.nodes[k-1].zhi
 	}
 	p.nOps += len(p.ops)
 	for oi := range p.ops {
@@ -284,10 +317,19 @@ func zeroInfoStmts(stmts []ir.Stmt) (dsts []ir.VarID, charge int32) {
 // single-use temporaries into their consumer. runStart bounds fusion to this
 // run: folding a statement into a µop of an earlier node would move it across
 // a guard or control boundary and corrupt the skip/zero bookkeeping.
+//
+// T = shift(S, k) is deferrable when T is defined nowhere else, every
+// definition of S in the segment is already behind it, and it is not inside a
+// while body (an iteration may rewrite S ahead of a reader that kept T from an
+// earlier one): nothing then writes S's register before the window ends.
 func (c *sbCompiler) compileRun(p *sbProgram, stmts []ir.Stmt) {
 	runStart := len(p.ops)
 	for _, s := range stmts {
 		a := s.(*ir.Assign)
+		if sh, ok := a.Expr.(ir.Shift); ok && c.loops == 0 && c.ud.Defs[a.Dst] == 1 && c.seen[sh.Src] == c.ud.Defs[sh.Src] {
+			c.lazy[a.Dst] = true
+		}
+		c.seen[a.Dst]++
 		if c.tryFuse(p, runStart, a) {
 			continue
 		}
@@ -308,19 +350,9 @@ func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
 	case ir.Not:
 		op.code, op.a = sbNot, e.Src
 	case ir.Bin:
-		op.a, op.b = e.X, e.Y
-		switch e.Op {
-		case ir.OpAnd:
-			op.code = sbAnd
-		case ir.OpOr:
-			op.code = sbOr
-		case ir.OpXor:
-			op.code = sbXor
-		case ir.OpAndNot:
-			op.code = sbAndNot
-		}
+		op.code, op.a, op.b = sbBinCode[e.Op], e.X, e.Y
 	case ir.Shift:
-		op.code, op.a, op.k = sbShift, e.Src, int32(e.K)
+		op.code, op.a, op.k, op.lazy = sbShift, e.Src, int32(e.K), c.lazy[a.Dst]
 		if gid, ok := c.ex.groupOf[a]; ok {
 			op.gid = int32(gid)
 			op.nsrcs = int32(len(c.ex.groupSrcs[gid]))
@@ -381,36 +413,19 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 				continue
 			}
 			fused.k, fused.gid, fused.nsrcs = def.k, def.gid, def.nsrcs
-			switch bin.Op {
-			case ir.OpAnd:
-				fused.code = sbShiftAnd
-			case ir.OpOr:
-				fused.code = sbShiftOr
-			case ir.OpXor:
-				fused.code = sbShiftXor
-			case ir.OpAndNot:
-				if tIsX {
-					fused.code = sbShiftAndNot
-				} else {
-					fused.code = sbShiftUnderAndNot
-				}
+			fused.code = sbShiftCode[sbBinCode[bin.Op]]
+			if bin.Op == ir.OpAndNot && !tIsX {
+				fused.code = sbShiftUnderAndNot
 			}
 		case sbAnd, sbOr, sbXor, sbAndNot:
-			if di < last {
+			// A pair reads all three operands at once; over a deferred shift
+			// the two ops stay apart so the first can end the chain.
+			if di < last || c.lazy[def.a] || c.lazy[def.b] || c.lazy[other] {
 				continue
 			}
 			fused.code, fused.inner, fused.b, fused.gid = sbFuse2, def.code, def.b, -1
-			switch bin.Op {
-			case ir.OpAnd:
-				fused.outer = sbAnd
-			case ir.OpOr:
-				fused.outer = sbOr
-			case ir.OpXor:
-				fused.outer = sbXor
-			case ir.OpAndNot:
-				fused.outer = sbAndNot
-				fused.swap = !tIsX // dst = c &^ inner
-			}
+			fused.outer = sbBinCode[bin.Op]
+			fused.swap = bin.Op == ir.OpAndNot && !tIsX // dst = c &^ inner
 		default:
 			continue
 		}
@@ -444,7 +459,7 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 				return err
 			}
 		case sbGuardNode:
-			cond := ex.readWindowed(nd.cond, charge)
+			ex.bind(nd.cond, charge)
 			if charge {
 				// The guard's zero test piggybacks on the producing
 				// instruction's atomicOr flag (Section 6): it costs a
@@ -453,23 +468,25 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 				ex.stats.SMemWriteBytes += int64(ex.cfg.Grid.Threads) * 4
 				ex.stats.GuardChecks++
 			}
-			if ex.cfg.HonorGuards && (ex.regs.isZero(nd.cond) || !anyWords(cond)) {
-				for k := i + 1; k <= i+int(nd.skip); k++ {
-					ex.zeroSBNode(&nodes[k], charge)
+			if ex.cfg.HonorGuards && !ex.regs.any(nd.cond) {
+				// Taken: tag what it skips known zero, writing no memory.
+				for _, v := range p.zeroDsts[nd.zlo:nd.zhi] {
+					ex.regs.zero(v)
 				}
 				if charge {
+					ex.stats.UnitOps += int64(nd.zeroCharge) * ex.windowUnits()
 					ex.stats.GuardSkips++
 					ex.stats.SkippedStmts += int64(nd.skipN)
 				}
 				i += int(nd.skip)
 			}
 		case sbIfNode:
-			cond := ex.readWindowed(nd.cond, charge)
+			ex.bind(nd.cond, charge)
 			if charge {
 				ex.stats.UnitOps += ex.windowUnits()
 				ex.stats.Barriers++
 			}
-			if !ex.regs.isZero(nd.cond) && anyWords(cond) {
+			if ex.regs.any(nd.cond) {
 				if err := ex.execSBProg(nd.body, charge); err != nil {
 					return err
 				}
@@ -523,19 +540,6 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 	}
 }
 
-// zeroSBNode applies a taken guard to one covered node: tag every
-// destination later code may read as known zero — no memory is written — and
-// charge one unit pass per source assignment. Fused temporaries are dead past
-// their (also skipped) consumer and get no register at all.
-func (ex *ctaExec) zeroSBNode(nd *sbNode, charge bool) {
-	for _, v := range nd.zeroDsts {
-		ex.regs.zero(v)
-	}
-	if charge {
-		ex.stats.UnitOps += int64(nd.zeroCharge) * ex.windowUnits()
-	}
-}
-
 // execSBRun executes one superblock's µops over the current window.
 func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 	units := ex.windowUnits()
@@ -552,7 +556,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			for i := range dst {
 				dst[i] = ^uint64(0)
 			}
-			ex.maskWindowTail(dst)
+			ex.regs.maskTail(dst)
 			if charge {
 				ex.stats.UnitOps += units
 			}
@@ -561,7 +565,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if ex.regs.isZero(op.a) {
 				ex.regs.zero(op.dst)
 			} else {
-				copyWords(ex.regs.buf(op.dst), src)
+				copy(ex.regs.buf(op.dst), src)
 			}
 			if charge {
 				ex.stats.UnitOps += units
@@ -570,36 +574,12 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			src := ex.readWindowed(op.a, charge)
 			dst := ex.regs.buf(op.dst)
 			notWords(dst, src)
-			ex.maskWindowTail(dst)
+			ex.regs.maskTail(dst)
 			if charge {
 				ex.stats.UnitOps += units
 			}
-		case sbAnd, sbAndNot:
-			x := ex.readWindowed(op.a, charge)
-			y := ex.readWindowed(op.b, charge)
-			// x absorbs both ops, y absorbs the AND.
-			or := uint64(0)
-			if !ex.regs.isZero(op.a) && (op.code == sbAndNot || !ex.regs.isZero(op.b)) {
-				if dst := ex.regs.buf(op.dst); op.code == sbAnd {
-					or = andWords(dst, x, y)
-				} else {
-					or = andNotWords(dst, x, y)
-				}
-			}
-			if or == 0 {
-				ex.regs.zero(op.dst)
-			}
-			if charge {
-				ex.stats.UnitOps += units
-			}
-		case sbOr, sbXor:
-			x := ex.readWindowed(op.a, charge)
-			y := ex.readWindowed(op.b, charge)
-			if dst := ex.regs.buf(op.dst); op.code == sbOr {
-				orWords(dst, x, y)
-			} else {
-				xorWords(dst, x, y)
-			}
+		case sbAnd, sbOr, sbXor, sbAndNot:
+			ex.execBin(op, charge)
 			if charge {
 				ex.stats.UnitOps += units
 			}
@@ -608,9 +588,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if ex.regs.isZero(op.a) {
 				ex.regs.zero(op.dst)
 			} else {
-				dst := ex.regs.buf(op.dst)
-				bitstream.ShiftWords(dst, src, int(op.k))
-				ex.maskWindowTail(dst)
+				ex.regs.shift(op.dst, src, op.k, op.lazy)
 			}
 			if charge {
 				ex.chargeShift(op, units)
@@ -620,7 +598,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			y := ex.readWindowed(op.b, charge)
 			dst := ex.regs.buf(op.dst)
 			bitstream.AddWords(dst, x, y)
-			ex.maskWindowTail(dst)
+			ex.regs.maskTail(dst)
 			ex.checkCarryBoundary(op.stmt, x, y)
 			if charge {
 				ex.stats.UnitOps += 3 * units
@@ -632,7 +610,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			cc := ex.readWindowed(op.b, charge)
 			dst := ex.regs.buf(op.dst)
 			starThruWords(dst, m, cc, ex.tmpT, ex.tmpS)
-			ex.maskWindowTail(dst)
+			ex.regs.maskTail(dst)
 			ex.checkCarryBoundary(op.stmt, cc, nil)
 			if charge {
 				ex.stats.UnitOps += 7 * units
@@ -647,14 +625,12 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 				ex.stats.DRAMReadBytes += ex.windowBytes() / int64(ex.cfg.SharedInputCTAs)
 			}
 		case sbShiftAnd, sbShiftOr, sbShiftXor, sbShiftAndNot, sbShiftUnderAndNot:
-			a := ex.readWindowed(op.a, charge)
-			cw := ex.readWindowed(op.c, charge)
-			if ex.shiftBinAbsorbed(op) {
-				ex.regs.zero(op.dst)
-			} else if dst := ex.regs.buf(op.dst); fusedShiftBin(op.code, dst, a, cw, int(op.k)) == 0 {
+			ex.bind(op.a, charge)
+			ex.bind(op.c, charge)
+			if ex.regs.absorbed(op.code, op.a, op.c) {
 				ex.regs.zero(op.dst)
 			} else {
-				ex.maskWindowTail(dst)
+				ex.shiftBin(op.code, op.dst, ex.regs.get(op.a), int(op.k), op.c)
 			}
 			if charge {
 				// The shift's charges (incl. barrier-merge) plus the
@@ -669,7 +645,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if dst := ex.regs.buf(op.dst); fused2(op, dst, a, b, cw) == 0 {
 				ex.regs.zero(op.dst)
 			} else {
-				ex.maskWindowTail(dst)
+				ex.regs.maskTail(dst)
 			}
 			if charge {
 				ex.stats.UnitOps += 2 * units
@@ -679,17 +655,66 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 	return nil
 }
 
-// shiftBinAbsorbed reports whether a fused shift+bitwise µop has a known-zero
-// operand that forces a zero result: the shifted source under AND and
-// AND-NOT, the plain operand under AND and as the minuend of c &^ shift(a).
-func (ex *ctaExec) shiftBinAbsorbed(op *sbOp) bool {
+// execBin executes dst = a op b for the four plain bitwise µops. Operands are
+// bound first, as a load would, and absorption tested before either is read: a
+// dead conjunction computes nothing, a live one folds a deferred operand in.
+func (ex *ctaExec) execBin(op *sbOp, charge bool) {
+	r := ex.regs
+	ex.bind(op.a, charge)
+	ex.bind(op.b, charge)
+	if r.absorbed(op.code, op.a, op.b) {
+		r.zero(op.dst)
+		return
+	}
+	if src, k, ok := r.deferredSrc(op.a); ok {
+		ex.shiftBin(sbShiftCode[op.code], op.dst, src, k, op.b)
+		return
+	}
+	if src, k, ok := r.deferredSrc(op.b); ok {
+		code := sbShiftCode[op.code]
+		if op.code == sbAndNot {
+			code = sbShiftUnderAndNot
+		}
+		ex.shiftBin(code, op.dst, src, k, op.a)
+		return
+	}
+	x, y := r.get(op.a), r.get(op.b)
+	dst := r.buf(op.dst)
+	or := ^uint64(0) // OR and XOR do not report theirs
 	switch op.code {
-	case sbShiftAnd:
-		return ex.regs.isZero(op.a) || ex.regs.isZero(op.c)
-	case sbShiftAndNot:
-		return ex.regs.isZero(op.a)
+	case sbAnd:
+		or = andWords(dst, x, y)
+	case sbAndNot:
+		or = andNotWords(dst, x, y)
+	case sbOr:
+		orWords(dst, x, y)
+	case sbXor:
+		xorWords(dst, x, y)
+	}
+	if or == 0 {
+		r.zero(op.dst)
+	}
+}
+
+// shiftBin stores dst = code(shift(a, k), c) and tags an all-zero result.
+func (ex *ctaExec) shiftBin(code sbOpCode, dst ir.VarID, a []uint64, k int, c ir.VarID) {
+	cw := ex.regs.get(c)
+	if b := ex.regs.buf(dst); fusedShiftBin(code, b, a, cw, k) == 0 {
+		ex.regs.zero(dst)
+	} else {
+		ex.regs.maskTail(b)
+	}
+}
+
+// absorbed reports whether a known-zero operand forces code(x, y) to zero.
+func (r *regFile) absorbed(code sbOpCode, x, y ir.VarID) bool {
+	switch code {
+	case sbAnd, sbShiftAnd:
+		return r.isZero(x) || r.isZero(y)
+	case sbAndNot, sbShiftAndNot:
+		return r.isZero(x)
 	case sbShiftUnderAndNot:
-		return ex.regs.isZero(op.c)
+		return r.isZero(y)
 	}
 	return false
 }

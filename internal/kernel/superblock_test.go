@@ -14,7 +14,6 @@ import (
 	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/charclass"
-	"bitgen/internal/dfg"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
 	"bitgen/internal/lower"
@@ -318,38 +317,48 @@ func sparseCases(t *testing.T) []pinnedCase {
 			name  string
 			bytes []byte
 		}{{"disjoint", disjoint}, {"nul", make([]byte, n)}, {"straddle", straddle}} {
-			p, err := lower.Group(group, lower.Options{})
-			if err != nil {
-				t.Fatal(err)
+			// Base and DTM- cut the program into several fused segments, so
+			// all-zero values also cross segment boundaries through globals.
+			for _, mode := range []Mode{ModeDTM, ModeDTMStatic, ModeBase} {
+				p, err := lower.Group(group, lower.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, pinnedCase{
+					label: fmt.Sprintf("sparse-%s/%s/%dx%d", in.name, mode, g.CTAs, g.Threads),
+					prog:  optimize(p, true),
+					input: in.bytes,
+					cfg:   Config{Grid: g, Mode: mode, HonorGuards: true},
+				})
 			}
-			out = append(out, pinnedCase{
-				label: fmt.Sprintf("sparse-%s/%dx%d", in.name, g.CTAs, g.Threads),
-				prog:  optimize(p, true),
-				input: in.bytes,
-				cfg:   Config{Grid: g, Mode: ModeDTM, HonorGuards: true},
-			})
 		}
 	}
 	return out
 }
 
-// TestSparseInputsChargeTheSameOnEitherZeroPath runs the sparse cases twice:
-// as shipped, where guards and absorbing operands turn registers into
-// known-zero tags and µops short-circuit on them, and with the tag disabled,
-// where every zero is real words and every µop executes in full. Outputs must
-// equal the interpreter's both times and the CTAStats must be identical:
-// modeled cost does not depend on which path produced a zero.
+// TestSparseInputsChargeTheSameOnEitherZeroPath runs the sparse cases three
+// times: as shipped, where guards and absorbing operands turn registers into
+// known-zero tags, µops short-circuit on them and batch shifts are deferred
+// until something reads them; with the tag disabled, where every zero is real
+// words and every µop executes in full; and with deferral disabled, where every
+// shift moves its words where the IR put it. Outputs must equal the
+// interpreter's each time and the CTAStats must be identical: modeled cost does
+// not depend on which path produced a zero or on when a shift ran.
 func TestSparseInputsChargeTheSameOnEitherZeroPath(t *testing.T) {
+	legs := []struct {
+		name           string
+		noTag, noDefer bool
+	}{{"shipped", false, false}, {"noZeroTag", true, false}, {"noDefer", false, true}}
 	for _, c := range sparseCases(t) {
 		basis := transpose.Transpose(c.input)
 		want := interpRef(t, c.prog, basis)
-		var stats [2]gpusim.CTAStats
-		for i, noTag := range []bool{false, true} {
+		var stats []gpusim.CTAStats
+		for _, leg := range legs {
 			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)
 			}
-			s.ex.regs.noZeroTag = noTag
+			s.ex.regs.noZeroTag, s.ex.regs.noDefer = leg.noTag, leg.noDefer
 			outs, st, err := s.Run(context.Background(), basis)
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)
@@ -359,22 +368,169 @@ func TestSparseInputsChargeTheSameOnEitherZeroPath(t *testing.T) {
 					t.Fatalf("%s: nullable output %s", c.label, o.Name)
 				}
 				if !outs[oi].Equal(want[o.Name]) {
-					t.Errorf("%s (noZeroTag=%v): %s diverges from the interpreter", c.label, noTag, o.Name)
+					t.Errorf("%s (%s): %s diverges from the interpreter", c.label, leg.name, o.Name)
 				}
 			}
 			if s.Fallbacks() != 0 {
 				t.Errorf("%s: %d fallbacks on a sparse input", c.label, s.Fallbacks())
 			}
-			stats[i] = st
+			stats = append(stats, st)
 			s.Close()
 		}
-		if stats[0] != stats[1] {
-			t.Errorf("%s: CTAStats depend on the zero path:\n tagged   %+v\n untagged %+v", c.label, stats[0], stats[1])
+		for i, leg := range legs[1:] {
+			if stats[0] != stats[i+1] {
+				t.Errorf("%s: CTAStats differ between the shipped and the %s leg:\n shipped %+v\n %s %+v", c.label, leg.name, stats[0], leg.name, stats[i+1])
+			}
 		}
-		if stats[0].GuardSkips == 0 {
+		if stats[0].GuardSkips == 0 && c.cfg.Mode != ModeBase { // Base plans carry no guards
 			t.Errorf("%s: no guard fired; the case does not exercise known-zero registers", c.label)
 		}
 	}
+}
+
+// eachProgram visits every compiled superblock program of a plan, nested
+// bodies included.
+func eachProgram(pl *plan, visit func(*sbProgram)) {
+	var nested func(p *sbProgram)
+	nested = func(p *sbProgram) {
+		visit(p)
+		for i := range p.nodes {
+			if p.nodes[i].body != nil {
+				nested(p.nodes[i].body)
+			}
+		}
+	}
+	for _, node := range pl.nodes {
+		switch x := node.(type) {
+		case *fusedSeg:
+			if x.sprog != nil {
+				nested(x.sprog)
+			}
+		case *ctlSeg:
+			eachProgram(x.body, visit)
+		}
+	}
+}
+
+// shiftOps indexes the standalone shift µops a session compiled by their
+// destination.
+func shiftOps(s *Session) map[ir.VarID]*sbOp {
+	ops := make(map[ir.VarID]*sbOp)
+	eachProgram(s.pl, func(p *sbProgram) {
+		for i := range p.ops {
+			if p.ops[i].code == sbShift {
+				ops[p.ops[i].dst] = &p.ops[i]
+			}
+		}
+	})
+	return ops
+}
+
+// runHandBuilt executes p over input in DTM on tiny blocks, asserts every
+// output equals the interpreter's and returns the session, its last window's
+// registers still in place.
+func runHandBuilt(t *testing.T, p *ir.Program, input string) *Session {
+	t.Helper()
+	basis := transpose.Transpose([]byte(input))
+	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	outs, _, err := s.Run(context.Background(), basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := interpRef(t, p, basis)
+	for i, o := range p.Outputs {
+		if !outs[i].Equal(want[o.Name]) {
+			t.Fatalf("output %s diverges from the interpreter:\n got  %s\n want %s", o.Name, outs[i], want[o.Name])
+		}
+	}
+	return s
+}
+
+// TestDeferredShiftBehindDeadChainIsNeverComputed is the guard-cut batch in
+// miniature: T = S << 7; if (!T) skip 2; M = Z & T; M2 = M & B with Z all
+// zero. The guard answers from S's words, the AND is absorbed by Z before T is
+// read, and the bitwise pair behind the cut is not fused into a µop that would
+// read all three operands first — so the window ends with T still deferred.
+func TestDeferredShiftBehindDeadChainIsNeverComputed(t *testing.T) {
+	b := ir.NewBuilder()
+	sa, sb := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
+	z := b.And(sa, sb) // no byte is both
+	tt := b.Advance(sa, 7)
+	m := b.And(z, tt)
+	m2 := b.And(m, sb)
+	b.Output("re", b.Or(m2, sa))
+	p := b.Program()
+	// Guard the chain on the shift's own result, as InsertGuards does.
+	at := slices.IndexFunc(p.Stmts, func(s ir.Stmt) bool { a, ok := s.(*ir.Assign); return ok && a.Dst == m })
+	p.Stmts = slices.Insert(p.Stmts, at, ir.Stmt(&ir.Guard{Cond: tt, Skip: 2}))
+
+	s := runHandBuilt(t, p, strings.Repeat("a man, a plan, a canal ", 20))
+	if op := shiftOps(s)[tt]; op == nil || !op.lazy {
+		t.Fatalf("S%d = S%d << 7 did not compile to a deferrable standalone shift", tt, sa)
+	}
+	r := s.ex.regs
+	if !r.has(tt) || r.state[tt] != regDeferred {
+		t.Fatalf("S%d ended the window in state %d; want it deferred, never computed", tt, r.state[tt])
+	}
+	if !r.isZero(m) || !r.isZero(m2) {
+		t.Fatalf("the chain S%d, S%d behind zero & S%d is not tagged known zero", m, m2, tt)
+	}
+}
+
+// TestDeferralKeepsSourceWords covers the shapes on which the proof behind
+// deferral (markLazy) matters: the words a deferred shift yields are the ones
+// its source held where the IR put the shift.
+func TestDeferralKeepsSourceWords(t *testing.T) {
+	t.Run("a shift in a while body stays eager", func(t *testing.T) {
+		// A marker walks a run of b's behind each a. T is assigned under an if
+		// only the first iteration takes, from a source S that every iteration
+		// rewrites first — so later iterations read the T of the first, and a
+		// T left deferred on S's register would have moved with the marker.
+		b := ir.NewBuilder()
+		sa, sb := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
+		m, acc := b.NewVar(), b.NewVar()
+		b.EmitTo(m, ir.Copy{Src: sa})
+		b.EmitTo(acc, ir.Zero{})
+		var tt ir.VarID
+		b.While(m, func() {
+			s := b.Emit(ir.Copy{Src: m})
+			b.If(b.And(s, sa), func() { tt = b.Advance(s, 1) })
+			b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: tt})
+			b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: sb})
+		})
+		after := b.Advance(acc, 2) // every definition of acc is behind it: deferrable
+		b.Output("acc", acc)
+		b.Output("after", b.Or(after, b.And(after, sb)))
+		s := runHandBuilt(t, b.Program(), strings.Repeat("abbb ab xa abbbbbb ", 12))
+		ops := shiftOps(s)
+		if op := ops[tt]; op == nil || op.lazy {
+			t.Fatalf("the loop body's shift S%d: op %+v, want standalone and eager", tt, op)
+		}
+		if op := ops[after]; op == nil || !op.lazy {
+			t.Fatalf("the shift after the loop S%d: op %+v, want standalone and deferrable", after, op)
+		}
+	})
+	t.Run("a deferred shift that is a live-out is computed at commit", func(t *testing.T) {
+		b := ir.NewBuilder()
+		sa := b.MatchClass(charclass.Single('a'))
+		adv, back := b.Advance(sa, 3), b.Emit(ir.Shift{Src: sa, K: -70})
+		b.Output("adv", adv)
+		b.Output("back", back)
+		// 203 bytes: the last window ends inside a word, so the tail mask matters.
+		s := runHandBuilt(t, b.Program(), strings.Repeat("banana ", 29))
+		for _, v := range []ir.VarID{adv, back} {
+			if op := shiftOps(s)[v]; op == nil || !op.lazy {
+				t.Fatalf("output shift S%d: op %+v, want standalone and deferrable", v, op)
+			}
+			if s.ex.regs.state[v] != regOwned {
+				t.Fatalf("output shift S%d was committed from state %d, want forced into owned storage", v, s.ex.regs.state[v])
+			}
+		}
+	})
 }
 
 // TestSinkMatchesUnsunk checks shift sinking run by run. Every straight-line
@@ -404,7 +560,8 @@ func TestSinkMatchesUnsunk(t *testing.T) {
 						if x.sprog == nil {
 							continue
 						}
-						ref := &sbCompiler{ex: s.ex, ud: dfg.CountUseDef(x.stmts, c.prog.NumVars), an: x.an, noSink: true}
+						ref := s.ex.newSBCompiler(x.stmts, x.an)
+						ref.noSink = true
 						sunk += compareSunkRuns(t, c.label, s.ex, x.sprog, ref.compile(x.stmts))
 					case *ctlSeg:
 						walk(x.body)
@@ -462,8 +619,8 @@ func compareSunkRuns(t *testing.T, label string, ex *ctaExec, got, ref *sbProgra
 			// compilation fused away is dead past its consumer and has no
 			// register there.
 			regs := make(map[ir.VarID][]uint64)
-			for _, v := range g.zeroDsts {
-				if slices.Contains(r.zeroDsts, v) {
+			for _, v := range got.zeroDsts[g.zlo:g.zhi] {
+				if slices.Contains(ref.zeroDsts[r.zlo:r.zhi], v) {
 					regs[v] = slices.Clone(ex.regs.get(v))
 				}
 			}

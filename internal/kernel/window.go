@@ -8,24 +8,30 @@ import (
 // regFile holds the per-window register state of a fused segment: one value
 // per variable, epoch-tagged so every register is invalidated between
 // windows without clearing. A register present in the current window is in
-// one of three states:
+// one of four states:
 //
 //   - owned: ww words of storage the executor may write (what buf returns);
 //   - view: a read-only alias of a materialized stream's words — the window
 //     operand of a basis or global load, bound without copying;
 //   - known zero: a tag with no words behind it, the host analog of the
-//     all-zero flag a producing instruction leaves for Zero Block Skipping.
+//     all-zero flag a producing instruction leaves for Zero Block Skipping;
+//   - deferred: shift(src, k) not yet computed, the source's words and the
+//     distance left by a shift the compiler proved safe to delay (compileRun).
+//     Readers that fold it (deferredSrc) or answer from the source (any)
+//     never compute it; get and mut force it into owned storage, once.
 //
 // get returns a slice to READ in every state. Code that writes a register it
-// did not just obtain from buf goes through mut, the copy-on-write accessor;
-// a view or the shared zero words are never written.
+// did not just obtain from buf goes through mut, the copy-on-write accessor; a
+// view, a deferred register's source and the shared zero words are never written.
 type regFile struct {
-	own   [][]uint64 // owned storage, retained across windows
-	val   [][]uint64 // current value when state is regOwned or regView
-	state []regState
-	epoch []uint32
-	cur   uint32
-	ww    int // words per window
+	own    [][]uint64 // owned storage, retained across windows
+	val    [][]uint64 // current value (owned, view) or source words (deferred)
+	shiftK []int32    // shift distance of a deferred register
+	state  []regState
+	epoch  []uint32
+	cur    uint32
+	ww     int // words per window
+	endBit int // valid bits per window; registers hold zeros from there on
 	// zeros is the shared read-only all-zero operand get hands out for
 	// known-zero registers (at least ww words once anyone asked).
 	zeros []uint64
@@ -36,6 +42,8 @@ type regFile struct {
 	// ever short-circuits. Never set outside tests: they run a program both
 	// ways to show outputs and charges do not depend on the tag.
 	noZeroTag bool
+	// noDefer makes every shift compute at once: the same seam for deferral.
+	noDefer bool
 }
 
 type regState uint8
@@ -44,14 +52,16 @@ const (
 	regOwned regState = iota
 	regView
 	regZero
+	regDeferred
 )
 
 func newRegFile(numVars int) *regFile {
 	return &regFile{
-		own:   make([][]uint64, numVars),
-		val:   make([][]uint64, numVars),
-		state: make([]regState, numVars),
-		epoch: make([]uint32, numVars),
+		own:    make([][]uint64, numVars),
+		val:    make([][]uint64, numVars),
+		shiftK: make([]int32, numVars),
+		state:  make([]regState, numVars),
+		epoch:  make([]uint32, numVars),
 	}
 }
 
@@ -66,6 +76,7 @@ func (r *regFile) newWords(n int) []uint64 {
 func (r *regFile) beginWindow(ww int) {
 	r.cur++
 	r.ww = ww
+	r.endBit = ww * 64
 }
 
 // has reports whether v holds a value in the current window.
@@ -100,19 +111,22 @@ func (r *regFile) get(v ir.VarID) []uint64 {
 	if r.epoch[v] != r.cur {
 		return nil
 	}
-	if r.state[v] == regZero {
+	switch r.state[v] {
+	case regZero:
 		if len(r.zeros) < r.ww {
 			r.zeros = r.newWords(r.ww)
 			clear(r.zeros)
 		}
 		return r.zeros[:r.ww]
+	case regDeferred:
+		return r.force(v)
 	}
 	return r.val[v]
 }
 
 // mut returns v's value in owned storage, for the few sites that modify a
 // register in place: a view is copied, a known-zero or absent register is
-// zero-filled, an owned one is returned as is.
+// zero-filled, a deferred shift computed, an owned one returned as is.
 func (r *regFile) mut(v ir.VarID) []uint64 {
 	switch {
 	case !r.has(v) || r.state[v] == regZero:
@@ -125,7 +139,58 @@ func (r *regFile) mut(v ir.VarID) []uint64 {
 		copy(b, src)
 		return b
 	}
-	return r.val[v]
+	return r.get(v) // owned as is, a deferred shift computed
+}
+
+// shift sets v = shift(src, k): computed at once, or when lazy only recorded —
+// src must then stay unwritten while v can be read this window.
+func (r *regFile) shift(v ir.VarID, src []uint64, k int32, lazy bool) {
+	r.val[v] = src
+	r.shiftK[v] = k
+	r.state[v] = regDeferred
+	r.epoch[v] = r.cur
+	if !lazy || r.noDefer {
+		r.force(v)
+	}
+}
+
+// deferredSrc returns the source and distance of a deferred v, present this
+// window, that fusedShiftBin can fold: |k| in 1..63 (ir.Validate admits no 0).
+func (r *regFile) deferredSrc(v ir.VarID) (src []uint64, k int, ok bool) {
+	k = int(r.shiftK[v])
+	return r.val[v], k, r.state[v] == regDeferred && -64 < k && k < 64
+}
+
+// force computes a deferred v into its owned storage, window tail masked.
+func (r *regFile) force(v ir.VarID) []uint64 {
+	src, k := r.val[v], int(r.shiftK[v])
+	b := r.buf(v)
+	bitstream.ShiftWords(b, src, k)
+	r.maskTail(b)
+	return b
+}
+
+// any reports whether v, present this window, has a bit set. A deferred shift
+// moves bit i to i+k and keeps [0, endBit): source bits [-k, endBit-k) count.
+func (r *regFile) any(v ir.VarID) bool {
+	if r.state[v] == regDeferred {
+		k := int(r.shiftK[v])
+		return anyBits(r.val[v], max(-k, 0), min(r.endBit-k, r.ww*64))
+	}
+	return r.state[v] != regZero && anyWords(r.val[v])
+}
+
+// maskTail zeroes buf from endBit on: the stream's end in the final window.
+func (r *regFile) maskTail(buf []uint64) {
+	if r.endBit >= len(buf)*64 {
+		return
+	}
+	w := r.endBit / 64
+	if r.endBit%64 != 0 {
+		buf[w] &= (1 << (uint(r.endBit) % 64)) - 1
+		w++
+	}
+	clear(buf[w:])
 }
 
 // zero marks v known zero in the current window without touching memory.
@@ -199,6 +264,19 @@ func anyWords(w []uint64) bool {
 	return false
 }
 
+// anyBits reports whether any of w's bits [lo, hi) is set.
+func anyBits(w []uint64, lo, hi int) bool {
+	if lo >= hi {
+		return false
+	}
+	first, last := lo/64, (hi-1)/64
+	loMask, hiMask := ^uint64(0)<<(uint(lo)%64), ^uint64(0)>>(63-uint(hi-1)%64)
+	if first == last {
+		return w[first]&loMask&hiMask != 0
+	}
+	return w[first]&loMask != 0 || anyWords(w[first+1:last]) || w[last]&hiMask != 0
+}
+
 // andWords / orWords / xorWords / andNotWords / notWords are the word-level
 // kernels of the bitwise instructions.
 //
@@ -240,10 +318,6 @@ func notWords(dst, x []uint64) {
 	for i := range dst {
 		dst[i] = ^x[i]
 	}
-}
-
-func copyWords(dst, x []uint64) {
-	copy(dst, x)
 }
 
 // onesRunCrossing inspects the class window c and the boundary bit position

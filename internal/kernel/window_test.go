@@ -183,10 +183,6 @@ func TestWordKernels(t *testing.T) {
 	if dst[0] != ^uint64(0b1100) {
 		t.Fatal("notWords")
 	}
-	copyWords(dst, x)
-	if dst[0] != 0b1100 {
-		t.Fatal("copyWords")
-	}
 	if anyWords([]uint64{0, 0}) || !anyWords([]uint64{0, 4}) {
 		t.Fatal("anyWords")
 	}
@@ -277,6 +273,136 @@ func TestRegFileViewAndCopyOnWrite(t *testing.T) {
 	}
 }
 
+// ---------- the deferred-shift register contract ----------
+
+// TestDeferredAnyMatchesMaterializedShift checks the any-bit test a guard runs
+// on a deferred register against anyWords of the shift it stands for, over
+// every single-bit source — so each bit the shift drops at either window edge
+// or past endBit is seen not to count — plus an empty and a full source, for
+// bit, word and whole-window distances, window end aligned and not.
+func TestDeferredAnyMatchesMaterializedShift(t *testing.T) {
+	const ww = 3
+	dropped := 0
+	for _, endBit := range []int{ww * 64, ww*64 - 23} {
+		for _, dist := range []int{1, 7, 63, 64, 65, ww * 64} {
+			for _, k := range []int{dist, -dist} {
+				for bit := -2; bit < ww*64; bit++ {
+					src := make([]uint64, ww)
+					switch {
+					case bit == -1:
+						for i := range src {
+							src[i] = ^uint64(0)
+						}
+					case bit >= 0:
+						src[bit/64] = 1 << (uint(bit) % 64)
+					}
+					r := newRegFile(1)
+					r.beginWindow(ww)
+					r.endBit = endBit
+					r.shift(0, src, int32(k), true)
+					got := r.any(0)
+					if r.state[0] != regDeferred {
+						t.Fatal("the any-bit test computed the shift")
+					}
+					want := anyWords(r.get(0))
+					if got != want {
+						t.Fatalf("endBit %d k %d source bit %d: any = %v, the materialized shift has any = %v", endBit, k, bit, got, want)
+					}
+					if bit >= 0 && !want {
+						dropped++
+					}
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no source had bits only in the dropped margin")
+	}
+}
+
+// TestDeferredForcesOnceIntoOwnedStorage: get and mut compute a deferred
+// register once, into its own storage with the window tail masked, and never
+// write the source — here a view of a stream.
+func TestDeferredForcesOnceIntoOwnedStorage(t *testing.T) {
+	s := bitstream.New(64 * 4)
+	s.OnesInto()
+	before := slices.Clone(s.Words())
+	r := newRegFile(3)
+	r.beginWindow(2)
+	r.endBit = 100
+	src := r.view(0, s, 1)
+
+	r.shift(1, src, 3, true)
+	if w, k, ok := r.deferredSrc(1); !ok || k != 3 || &w[0] != &src[0] {
+		t.Fatal("a bit-distance deferral does not offer its source for folding")
+	}
+	ones := ^uint64(0)
+	got := r.get(1)
+	if want := []uint64{ones << 3, 1<<36 - 1}; !slices.Equal(got, want) {
+		t.Fatalf("forced shift = %x, want %x (tail masked at bit 100)", got, want)
+	}
+	if r.state[1] != regOwned || &got[0] != &r.own[1][0] || &r.get(1)[0] != &got[0] || &r.mut(1)[0] != &got[0] {
+		t.Fatal("a forced register is not owned storage that later reads return as is")
+	}
+	if _, _, ok := r.deferredSrc(1); ok {
+		t.Fatal("a forced register still reads as deferred")
+	}
+
+	// A word-distance deferral is not foldable; mut computes it.
+	r.shift(2, src, -70, true)
+	if _, _, ok := r.deferredSrc(2); ok {
+		t.Fatal("a word-distance deferral was offered to the bit-shift kernels")
+	}
+	m := r.mut(2)
+	if want := []uint64{ones >> 6, 0}; !slices.Equal(m, want) || &m[0] != &r.own[2][0] {
+		t.Fatalf("mut of a deferred register = %x, want %x in owned storage", m, want)
+	}
+	m[0] = 5
+	if !slices.Equal(s.Words(), before) {
+		t.Fatal("forcing or writing a deferred register wrote its source")
+	}
+
+	// The test seam computes at the shift's position.
+	r.beginWindow(2)
+	r.noDefer = true
+	r.shift(1, r.view(0, s, 1), 3, true)
+	if r.state[1] != regOwned || r.own[1][0] != ones<<3 {
+		t.Fatal("noDefer left the register deferred")
+	}
+}
+
+// BenchmarkShiftWordsLink is one link of a literal's AND chain over a 2 KB
+// window, three ways: the shift moved into its own buffer and then ANDed (a
+// guard-cut batch before deferral), folded into the AND's pass (a deferred or
+// sunk shift), and the guard's any-bit test over the source — all a link
+// behind a dead chain costs now.
+func BenchmarkShiftWordsLink(b *testing.B) {
+	const ww = 256
+	src, c, tmp, dst := make([]uint64, ww), make([]uint64, ww), make([]uint64, ww), make([]uint64, ww)
+	for i := range src {
+		src[i], c[i] = uint64(i)*0x9e3779b97f4a7c15, ^uint64(i)
+	}
+	run := func(name string, link func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(ww * 8)
+			for i := 0; i < b.N; i++ {
+				link()
+			}
+		})
+	}
+	run("moved", func() {
+		bitstream.ShiftWords(tmp, src, -7)
+		andWords(dst, tmp, c)
+	})
+	run("folded", func() { fusedShiftBin(sbShiftAnd, dst, src, c, -7) })
+	clear(tmp) // an empty source is scanned to its end
+	run("tested", func() {
+		if anyBits(tmp, 7, ww*64) {
+			b.Fatal("a bit in an empty source")
+		}
+	})
+}
+
 // TestKnownZeroLiveOutCommitsZeros drives commitWindow directly: a live-out
 // register tagged known zero must clear exactly the committed range of its
 // global, like an absent one.
@@ -323,8 +449,16 @@ func checksumWords(streams ...*bitstream.Stream) uint64 {
 // Session.Run that nothing a register may alias was written through it: the
 // basis planes, the shared zero words, and (on a second run over the same
 // input) every materialized global, which must come out word for word as the
-// first run left it.
+// first run left it. The same goes for what a deferred register reads its shift
+// from — views and other registers — and the set must keep deferring shifts
+// for the check to mean that.
 func TestViewsAreNeverWritten(t *testing.T) {
+	lazy := 0
+	defer func() {
+		if lazy == 0 && !t.Failed() {
+			t.Fatal("no case compiled a deferrable shift")
+		}
+	}()
 	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases()} {
 		for _, c := range set {
 			basis := transpose.Transpose(c.input)
@@ -353,6 +487,13 @@ func TestViewsAreNeverWritten(t *testing.T) {
 					}
 				}
 			}
+			eachProgram(s.pl, func(p *sbProgram) {
+				for i := range p.ops {
+					if p.ops[i].lazy {
+						lazy++
+					}
+				}
+			})
 			s.Close()
 		}
 	}

@@ -38,8 +38,8 @@ type EngineState struct {
 	// Groups are the per-CTA compiled programs. v2 persists each program as
 	// its packed byte blob — the same content unit the engine keeps resident
 	// and the serve layer interns — so snapshots of compressed engines
-	// round-trip byte-identically. Decode materializes and validates every
-	// blob but keeps only the packed bytes and the output table.
+	// round-trip byte-identically. Decode leaves Outputs empty; Restore fills
+	// them from the validated programs.
 	Groups []engine.Group
 	// Shared is the engine-wide character-class program whose outputs bind
 	// the extended basis bits (MatchBasis ≥ 8) that group programs may read.
@@ -101,12 +101,10 @@ func Encode(st *EngineState) []byte {
 	})
 }
 
-// Decode parses and fully validates a snapshot: framing and CRCs first
-// (splitContainer), then semantic decode of every section including
-// ir.Validate over the shared program and each group's program (with its
-// extended-basis bits checked against the shared program's outputs). Any
-// failure is a typed *bgerr.SnapshotError; a successfully decoded state is
-// safe to execute.
+// Decode parses a snapshot: framing and CRCs first (splitContainer), then
+// the structure of every section. The group programs stay packed bytes — they
+// are decoded and validated once, by Restore, and a state is safe to execute
+// only through it. Any failure is a typed *bgerr.SnapshotError.
 func Decode(data []byte) (*EngineState, error) {
 	sections, err := splitContainer(data)
 	if err != nil {
@@ -175,31 +173,19 @@ func Decode(data []byte) (*EngineState, error) {
 	if err := sd.done(); err != nil {
 		return nil, err
 	}
-	if st.Shared != nil {
-		if err := ir.Validate(st.Shared); err != nil {
-			return nil, corrupt("shared program invalid: %v", err)
-		}
-	}
-
-	sharedOutputs := 0
-	if st.Shared != nil {
-		sharedOutputs = len(st.Shared.Outputs)
-	}
-	for i := range st.Groups {
-		p, err := ir.DecodeProgram(st.Groups[i].Packed)
-		if err != nil {
-			return nil, corrupt("group %d program undecodable: %v", i, err)
-		}
-		if err := ir.Validate(p); err != nil {
-			return nil, corrupt("group %d program invalid: %v", i, err)
-		}
-		if p.ExtBits > sharedOutputs {
-			return nil, corrupt("group %d reads %d extended basis bits, shared program provides %d",
-				i, p.ExtBits, sharedOutputs)
-		}
-		st.Groups[i].Outputs = p.Outputs
-	}
 	return st, nil
+}
+
+// Restore builds the engine the state describes. engine.Restore is the trust
+// boundary — every program decoded and validated, each group's extended-basis
+// bits checked against the shared program's outputs — and its refusal of a
+// checksummed snapshot is reported as corruption.
+func (st *EngineState) Restore(cfg engine.Config) (*engine.Engine, error) {
+	e, err := engine.Restore(cfg, st.Groups, st.Shared, st.PassStats)
+	if err != nil {
+		return nil, corrupt("%v", err)
+	}
+	return e, nil
 }
 
 // PeekMeta decodes only the header and the (CRC-verified) first section —

@@ -47,9 +47,9 @@ type scanJob struct {
 //	reader ──work──▶ workers (one chunk each) ──results──▶ in-order emit
 //
 // The reader cuts the stream into chunks overlapping by maxLen-1 bytes, in
-// pooled buffers; each worker runs whole chunks — on its own
-// engine.ScanSession (pooled basis + per-group kernel sessions), or through
-// the backend ladder when one is configured — and keeps the matches ending
+// pooled buffers; each worker runs whole chunks — on an engine.ScanSession
+// borrowed from the engine's pool for the call (the one Run borrows from), or
+// through the backend ladder when one is configured — and keeps the matches ending
 // in the chunk's fresh bytes; the emit stage reorders completed chunks by
 // sequence number, so matches appear in (End, Pattern, Index) order
 // whatever the worker count. Chunk N+1 is being read and scanned while
@@ -170,11 +170,12 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			defer wg.Done()
 			lane := scanLaneWorker + w
 			e.obs.NameLane(lane, "scan/worker")
+			// PutSession drops the session if a chunk failed on it.
 			var ss *engine.ScanSession
 			var ssErr error
 			if e.ladder == nil {
-				if ss, ssErr = e.inner.NewScanSession(overlap+chunkSize, ar, lane); ss != nil {
-					defer ss.Close()
+				if ss, ssErr = e.inner.GetSession(lane, false); ss != nil {
+					defer e.inner.PutSession(ss)
 				}
 			}
 			for j := range work {

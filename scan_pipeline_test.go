@@ -5,15 +5,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/engine"
 	"bitgen/internal/faultinject"
+	"bitgen/internal/workload"
 )
 
 // scanSequential is the streaming oracle, kept deliberately naive: cut the
@@ -245,8 +249,14 @@ func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
 			t.Fatalf("workers %d: emitted %d matches, want exactly those preceding chunk %d\ngot:  %v\nwant a prefix of: %v",
 				workers, len(got), f, got, ref)
 		}
+		// The worker whose chunk panicked drops its session (the engine's
+		// TestPooledSessionNotReusedAfterFallbackOrError pins that); neither
+		// it nor the ones returned hold anything from these two arenas.
 		if err := a.CheckBalanced(); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if err := arena.Default.CheckBalanced(); err != nil {
+			t.Fatalf("workers %d: arena.Default: %v", workers, err)
 		}
 
 		// The one-shot fault is spent; the same engine scans cleanly.
@@ -260,6 +270,98 @@ func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
 		if err := a.CheckBalanced(); err != nil {
 			t.Fatalf("workers %d: after recovery: %v", workers, err)
 		}
+	}
+}
+
+// TestSignatureSetEntryPointsEqualNFA scans the repo benchmark's signature set
+// — 168 literal-heavy bounded patterns whose groups are guard-cut shift
+// batches, most outputs matchless — through every entry point that borrows a
+// pooled session, twice so the second pass runs on returned sessions: Run,
+// CountOnly and a ScanReader in 4099-byte chunks must list what the NFA rung
+// lists.
+func TestSignatureSetEntryPointsEqualNFA(t *testing.T) {
+	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 48 << 10, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := MustCompile(app.Patterns, &Options{Resilience: &ResilienceOptions{ForceBackend: BackendNFA}}).Run(app.Input)
+	if err != nil || ref.Backend != BackendNFA {
+		t.Fatalf("reference run: backend %q, err %v", ref.Backend, err)
+	}
+	matchless := 0
+	for _, n := range ref.IndexCounts {
+		if n == 0 {
+			matchless++
+		}
+	}
+	if len(ref.Matches) == 0 || matchless == 0 {
+		t.Fatalf("degenerate corpus: %d matches, %d matchless patterns", len(ref.Matches), matchless)
+	}
+	eng := MustCompile(app.Patterns, nil)
+	for pass := 0; pass < 2; pass++ {
+		res, err := eng.Run(app.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Matches, ref.Matches) {
+			t.Fatalf("pass %d: Run lists %d matches, the NFA rung %d; first difference at %d",
+				pass, len(res.Matches), len(ref.Matches), firstDiff(res.Matches, ref.Matches))
+		}
+		counts, err := eng.CountOnly(app.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range app.Patterns { // the NFA rung lists no zero counts
+			if counts[p] != ref.Counts[p] {
+				t.Fatalf("pass %d: CountOnly %q = %d, the NFA rung counts %d", pass, p, counts[p], ref.Counts[p])
+			}
+		}
+		var streamed []Match
+		if err := eng.ScanReader(bytes.NewReader(app.Input), 4099, func(m Match) { streamed = append(streamed, m) }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(streamed, ref.Matches) {
+			t.Fatalf("pass %d: ScanReader emits %d matches, the NFA rung %d; first difference at %d",
+				pass, len(streamed), len(ref.Matches), firstDiff(streamed, ref.Matches))
+		}
+	}
+}
+
+// TestScanReaderBorrowsPooledSessions: a streaming scan builds no session of
+// its own when the engine's pool has one. With the collector off — a GC cycle
+// may empty a sync.Pool — the second of two back-to-back scans allocates only
+// the pipeline's per-call plumbing, where building and compiling one session
+// for this set takes tens of thousands of objects; and nothing it borrows
+// counts against the scan arena or arena.Default.
+func TestScanReaderBorrowsPooledSessions(t *testing.T) {
+	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 16 << 10, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := MustCompile(app.Patterns, &Options{ScanWorkers: 1})
+	a := &arena.Arena{}
+	eng.scanArena = a
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	scan := func() {
+		if err := eng.ScanReader(bytes.NewReader(app.Input), 4099, func(Match) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun(1, f) calls f twice and counts the second call. The pool is
+	// allowed to lose a session now and then (under the race detector it drops
+	// one Put in four on purpose), so a few attempts may be needed.
+	allocs := math.Inf(1)
+	for try := 0; try < 8 && allocs >= 500; try++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, scan))
+	}
+	if allocs >= 500 {
+		t.Fatalf("the second of two back-to-back ScanReader calls allocates %.0f objects, want < 500", allocs)
+	}
+	if err := a.CheckBalanced(); err != nil {
+		t.Fatalf("scan arena: %v", err)
+	}
+	if err := arena.Default.CheckBalanced(); err != nil {
+		t.Fatalf("arena.Default: %v", err)
 	}
 }
 
@@ -284,13 +386,34 @@ func TestScanPipelinedReadFailureReturnsBuffers(t *testing.T) {
 
 // TestScanPipelinedSteadyStateAllocs pins the arena contract end to end:
 // scanning more chunks must not allocate more. Per-call setup (goroutines,
-// channels, sessions) is constant, so the alloc delta between a short and a
+// channels, borrowing sessions) is constant, so the alloc delta between a short and a
 // long stream, normalized per extra chunk, must be ~zero. The strict
 // zero-allocs/op proof is BenchmarkScanReader, where setup amortizes away.
 func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
 	eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, Threads: 32})
 	unit := []byte(strings.Repeat("the cat sat on the dog ", 180)) // ~4KB ≈ one chunk
 	const chunk = 4096
+	// A scan that finds the engine's session pool short builds a session:
+	// set-up, not the chunk loop, and TestScanReaderBorrowsPooledSessions'
+	// subject. The pool is taken out of the figure rather than averaged or
+	// minimised away: no GC cycle empties it, and it is stocked with more
+	// warmed-up sessions than the scans below can lose (under the race
+	// detector sync.Pool drops one Put in four on purpose).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var stock []*engine.ScanSession
+	for len(stock) < 32 {
+		ss, err := eng.inner.GetSession(0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ss.Scan(context.Background(), unit, 0, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		stock = append(stock, ss)
+	}
+	for _, ss := range stock {
+		eng.inner.PutSession(ss)
+	}
 	allocsFor := func(chunks int) float64 {
 		data := bytes.Repeat(unit, chunks)
 		return testing.AllocsPerRun(5, func() {
@@ -305,8 +428,8 @@ func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
 	}
 	short, long := allocsFor(4), allocsFor(24)
 	perChunk := (long - short) / 20
-	// Allow a sliver of slack: a GC pass during the long run can empty the
-	// sync.Pool classes and force a handful of refills.
+	// Allow a sliver of slack: under the race detector the arena's sync.Pool
+	// classes lose a buffer now and then and refill.
 	if perChunk > 2 {
 		t.Fatalf("pipelined scan allocates %.1f per steady-state chunk (short=%v long=%v), want ~0",
 			perChunk, short, long)

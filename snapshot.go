@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"bitgen/internal/bgerr"
-	"bitgen/internal/engine"
 	"bitgen/internal/rx"
 	"bitgen/internal/snapshot"
 )
@@ -137,9 +136,9 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 	limits := opts.Limits.withDefaults(dev)
 	observer := opts.Observability.observer()
 	cfg := buildEngineConfig(opts, dev, limits, observer)
-	inner, err := engine.Restore(cfg, st.Groups, st.Shared, st.PassStats)
+	inner, err := st.Restore(cfg)
 	if err != nil {
-		return nil, &bgerr.SnapshotError{Reason: snapshot.ReasonCorrupt, Detail: err.Error()}
+		return nil, err
 	}
 	// The duplicate-index fan-out is derived from the persisted pattern
 	// list, not re-parsed: identical inputs produce identical indexes.

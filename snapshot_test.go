@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bitgen/internal/ir"
 	"bitgen/internal/snapshot"
 )
 
@@ -170,6 +171,34 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	for _, n := range []int{0, 4, 15, 16, len(data) / 2, len(data) - 1} {
 		if _, err := DecodeEngine(data[:n], nil); !errors.Is(err, ErrSnapshot) {
 			t.Fatalf("truncate to %d: want ErrSnapshot, got %v", n, err)
+		}
+	}
+}
+
+// TestSnapshotInvalidProgramBehindValidChecksums: the programs are decoded
+// and validated once, by engine.Restore, not by snapshot.Decode. A snapshot
+// whose framing and CRCs are intact but whose group program violates IR
+// invariants — or is not a program at all — still never becomes an engine,
+// and is refused as corrupt, the reason that quarantines the file.
+func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
+	good := EncodeEngine(compileFresh(t, nil))
+	for name, damage := range map[string]func(packed []byte) []byte{
+		"outputs name never-assigned variables": func(packed []byte) []byte {
+			p := ir.MustDecodeProgram(packed)
+			p.Stmts = nil
+			return ir.EncodeProgram(p)
+		},
+		"not a program": func([]byte) []byte { return []byte{0xff, 0xfe, 0xfd} },
+	} {
+		st, err := snapshot.Decode(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Groups[0].Packed = damage(st.Groups[0].Packed)
+		_, err = DecodeEngine(snapshot.Encode(st), nil)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt {
+			t.Fatalf("%s: want a corrupt refusal, got %v", name, err)
 		}
 	}
 }
