@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -107,7 +107,8 @@ obs-cluster-smoke:
 # megaset-smoke is the compiled-state residency gate: compile the
 # deterministic ClamAV-style signature megaset at 1k/10k/100k patterns
 # and require the 100k engine to (1) stay under a 160 MiB resident
-# ceiling and (2) compile within a 180s budget (measured 71.2 MiB / 42s;
+# ceiling and (2) compile within a 180s budget (measured 71.2 MiB / 12s on
+# two cores — groups compile GOMAXPROCS wide, each row records the width;
 # the headroom absorbs slower CI hosts). Writes results/BENCH_mem.json.
 megaset-smoke:
 	$(GO) run ./cmd/bitbench -exp mem -mem-ceiling-mb 160 -mem-budget 180s -json results
@@ -163,6 +164,26 @@ profile-sigs:
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
 
+# profile-compile is the compile path's CPU and allocation profile as a
+# command: the repo benchmark's compile_megaset op as a Go benchmark
+# (BenchmarkCompileMegaset/500: compile 500 signatures, snapshot, load, first
+# scan), 30 iterations from a test binary built once, top 25 by flat CPU time
+# and by allocated bytes. The two profiles come from two runs: at a sampling
+# rate fine enough to attribute 4 KB tables (-memprofilerate 4096) the heap
+# profiler's stack walks are a fifth of the CPU profile. BENCH_SIZE=10000 is
+# the regime where a group holds ~39 patterns and the passes dominate. Run it
+# on the parent commit and the change for a before/after pair.
+BENCH_SIZE ?= 500
+profile-compile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench 'CompileMegaset/$(BENCH_SIZE)$$' -test.benchtime 30x \
+		-test.cpuprofile $(PROFILE_DIR)/compile.prof
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench 'CompileMegaset/$(BENCH_SIZE)$$' -test.benchtime 30x \
+		-test.memprofile $(PROFILE_DIR)/compile-mem.prof -test.memprofilerate 4096
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile-mem.prof
+
 # bench-smoke is the fast perf gate: short runs of the streaming-scan and
 # bitstream hot-path benchmarks (catching gross regressions and alloc
 # creep in the pipelined scanner; ScanReader also selects
@@ -170,7 +191,10 @@ profile-sigs:
 # superblock executor's profile — no floor on it, the repo benchmark is
 # the gate — and ShiftWords is the shift kernels' cost per word, in
 # internal/kernel one link of an AND chain with the shift moved, folded
-# and only tested: what deferral saves per link), a
+# and only tested: what deferral saves per link), one
+# iteration of BenchmarkCompileMegaset/500 (the compile_megaset op with its
+# allocation count; a line of its own because a slash in -bench filters every
+# other benchmark's sub-benchmarks), a
 # short-mode run of the bitbench matrix (single-core and GOMAXPROCS x
 # workers multicore rows) with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
 # pre-superblock seed baseline, so any regression back to it fails the
@@ -180,6 +204,7 @@ profile-sigs:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'ScanReader|TransposeInto|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/kernel
+	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
 	@tmp=$$(mktemp -d) && \
 	i=0; while [ $$i -lt 2000 ]; do echo "error: timeout after 30ms on line $$i; retry ok"; i=$$((i+1)); done > $$tmp/input.txt && \

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -23,6 +24,9 @@ type memRow struct {
 	Patterns      int     `json:"patterns"`
 	ResidentBytes int64   `json:"resident_bytes"`
 	CompileS      float64 `json:"compile_s"`
+	// Gomaxprocs is how wide the compile ran: CTA groups compile concurrently,
+	// so compile_s is comparable only between rows of equal width.
+	Gomaxprocs int `json:"gomaxprocs"`
 }
 
 // memReport is the BENCH_mem artifact.
@@ -79,7 +83,7 @@ func runMem(sizesSpec string, seed int64, ceilingBytes int64, budget time.Durati
 		if err != nil {
 			return nil, fmt.Errorf("megaset %d compile: %w", size, err)
 		}
-		row := memRow{Patterns: size, CompileS: time.Since(start).Seconds(), ResidentBytes: eng.ResidentBytes()}
+		row := memRow{Patterns: size, CompileS: time.Since(start).Seconds(), Gomaxprocs: runtime.GOMAXPROCS(0), ResidentBytes: eng.ResidentBytes()}
 		rep.Rows = append(rep.Rows, row)
 		fmt.Printf("    megaset %d: %.1f MiB resident, compiled in %.1fs\n",
 			size, float64(row.ResidentBytes)/(1<<20), row.CompileS)

@@ -1,0 +1,80 @@
+package bitgen
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"bitgen/internal/workload"
+)
+
+// goldenSet is one pattern set whose compiled artifact is pinned.
+type goldenSet struct {
+	name     string
+	patterns []string
+	opts     *Options
+}
+
+// goldenSets are the sets the repo benchmark compiles (the megaset, Yara,
+// Brill, the four stream_light patterns) plus Snort and ClamAV's long
+// signatures.
+func goldenSets(t testing.TB) []goldenSet {
+	mega, err := workload.Megaset(500, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []goldenSet{{"megaset500", mega.Patterns, &Options{Limits: Limits{MaxPatterns: -1}}}}
+	for _, name := range []string{"Yara", "Brill", "Snort", "ClamAV"} {
+		app, err := workload.Load(name, workload.Options{RegexScale: 0.05, InputBytes: 4096, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, goldenSet{strings.ToLower(name), app.Patterns, nil})
+	}
+	return append(sets, goldenSet{"stream_light", []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`}, nil})
+}
+
+// TestCompiledArtifactGolden pins what Compile produces, byte for byte: the
+// sha256 of each set's snapshot (packed group programs, shared-class program,
+// pass statistics, public metadata) and its PassStats, generated at bb67ef7 —
+// before CTA groups compiled concurrently on reused pass scratch. The
+// artifact must not depend on how wide the host is, so every set compiles
+// under GOMAXPROCS 1, 2 and 4 against the same line. Rewrite the golden
+// (-update-golden) only for a deliberate change to lowering or a pass.
+func TestCompiledArtifactGolden(t *testing.T) {
+	const golden = "testdata/compile.golden"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var got strings.Builder
+	for _, set := range goldenSets(t) {
+		line := ""
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			eng, err := Compile(set.patterns, set.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", set.name, err)
+			}
+			l := fmt.Sprintf("%s patterns=%d groups=%d sha256=%x %+v\n", set.name, len(set.patterns),
+				len(eng.inner.PackedBlocks()), sha256.Sum256(EncodeEngine(eng)), eng.inner.PassStats)
+			if line != "" && l != line {
+				t.Errorf("%s compiles differently at GOMAXPROCS %d:\n%s%s", set.name, procs, line, l)
+			}
+			line = l
+		}
+		got.WriteString(line)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run `go test -run TestCompiledArtifactGolden -update-golden .` to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("compiled artifact drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.String(), want)
+	}
+}

@@ -53,13 +53,19 @@ func exprDepth(e ir.Expr, varDepth []int) int {
 	return 0
 }
 
-// VarDepthsAt computes the depth of each variable at the end of a
+// VarDepthsInto computes the depth of each variable at the end of a
 // straight-line prefix of assignments (used by the rebalancer when deciding
-// which operand is shallower).
-func VarDepthsAt(stmts []*ir.Assign, numVars int) []int {
-	varDepth := make([]int, numVars)
-	for _, a := range stmts {
-		varDepth[a.Dst] = exprDepth(a.Expr, varDepth)
+// which operand is shallower) into buf, a table the caller reuses from run to
+// run: it is resized to numVars entries, reallocated only to grow, and
+// cleared first.
+func VarDepthsInto(buf []int, stmts []*ir.Assign, numVars int) []int {
+	if cap(buf) < numVars {
+		buf = make([]int, numVars, numVars+numVars/2+8)
 	}
-	return varDepth
+	buf = buf[:numVars]
+	clear(buf)
+	for _, a := range stmts {
+		buf[a.Dst] = exprDepth(a.Expr, buf)
+	}
+	return buf
 }

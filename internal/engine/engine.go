@@ -262,10 +262,11 @@ func Compile(regexes []lower.Regex, cfg Config) (*Engine, error) {
 	return CompileContext(context.Background(), regexes, cfg)
 }
 
-// CompileContext is Compile honoring a context (checked between CTA
-// groups) and containing compiler panics: an invariant violation anywhere
-// in the lower/passes pipeline surfaces as a *bgerr.InternalError naming
-// the group's patterns instead of crashing the process.
+// CompileContext is Compile honoring a context (checked as each CTA group
+// is claimed by a fanOut worker) and containing compiler panics: an
+// invariant violation anywhere in the lower/passes pipeline surfaces as a
+// *bgerr.InternalError naming the group's patterns instead of crashing the
+// process. When several groups fail, the lowest one's error is returned.
 func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Grid.Validate(); err != nil {
@@ -281,25 +282,40 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 	if err != nil {
 		return nil, err
 	}
-	for gi, part := range parts {
+	// The groups are independent by construction (that is what lets the GPU
+	// run them as separate CTAs): nothing in a group's output depends on which
+	// worker compiled it or when.
+	e.groups = make([]Group, len(parts))
+	stats := make([]PassStats, len(parts))
+	err = fanOut(len(parts), func(gi int) error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, bgerr.Canceled(err)
+				return bgerr.Canceled(err)
 			}
 		}
+		part := parts[gi]
 		names := make([]string, len(part.regexes))
 		for i, r := range part.regexes {
 			names[i] = r.Name
 		}
-		prog, err := compileGroup(part.regexes, names, gi, cfg, &e.PassStats, sharedCC, e.extBits())
+		prog, err := compileGroup(part.regexes, names, gi, cfg, &stats[gi], sharedCC, e.extBits())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The compact byte form is the resident state; the boxed program
 		// becomes garbage once sessions decode their own.
-		e.groups = append(e.groups, Group{
-			Packed: ir.EncodeProgram(prog), Names: names, Chars: part.chars, Outputs: prog.Outputs,
-		})
+		e.groups[gi] = Group{Packed: ir.EncodeProgram(prog), Names: names, Chars: part.chars, Outputs: prog.Outputs}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range stats {
+		e.PassStats.Rewrites += s.Rewrites
+		e.PassStats.MergedGroups += s.MergedGroups
+		e.PassStats.DedupedCopies += s.DedupedCopies
+		e.PassStats.ZeroPaths += s.ZeroPaths
+		e.PassStats.GuardsInserted += s.GuardsInserted
 	}
 	e.initMatchRanks()
 	e.initRunPool()
@@ -472,20 +488,24 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 		}
 		sharedOutputs = len(shared.Outputs)
 	}
-	for i := range groups {
+	err := fanOut(len(groups), func(i int) error {
 		g := &groups[i]
 		prog, err := ir.DecodeProgram(g.Packed)
 		if err != nil {
-			return nil, fmt.Errorf("engine: restored group %d: %w", i, err)
+			return fmt.Errorf("engine: restored group %d: %w", i, err)
 		}
 		if err := ir.Validate(prog); err != nil {
-			return nil, fmt.Errorf("engine: restored group %d invalid: %w", i, err)
+			return fmt.Errorf("engine: restored group %d invalid: %w", i, err)
 		}
 		if prog.ExtBits > sharedOutputs {
-			return nil, fmt.Errorf("engine: restored group %d reads %d shared streams, shared program provides %d",
+			return fmt.Errorf("engine: restored group %d reads %d shared streams, shared program provides %d",
 				i, prog.ExtBits, sharedOutputs)
 		}
 		g.Outputs = prog.Outputs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{cfg: cfg, groups: groups, shared: shared, PassStats: ps}
 	e.initMatchRanks()
@@ -506,10 +526,11 @@ func compileGroup(regexes []lower.Regex, names []string, gi int, cfg Config, ps 
 			}
 		}
 	}()
-	gspan := cfg.Obs.Span("compile", "compile-group", 0).
+	lane := groupLane(cfg.Obs, gi) // groups compile concurrently: their spans must not share a track
+	gspan := cfg.Obs.Span("compile", "compile-group", lane).
 		Arg("group", gi).Arg("patterns", len(names))
 	defer gspan.End()
-	prog, err = lower.Group(regexes, lower.Options{Obs: cfg.Obs, SharedCC: sharedCC, SharedExtBits: extBits})
+	prog, err = lower.Group(regexes, lower.Options{Obs: cfg.Obs, Lane: lane, SharedCC: sharedCC, SharedExtBits: extBits})
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +538,7 @@ func compileGroup(regexes []lower.Regex, names []string, gi int, cfg Config, ps 
 		return nil, fmt.Errorf("engine: group %d: %w", gi,
 			&bgerr.LimitError{Limit: "program-instructions", Value: int64(n), Max: int64(cfg.MaxProgramInstructions)})
 	}
-	pspan := cfg.Obs.Span("compile", "passes", 0).Arg("group", gi)
+	pspan := cfg.Obs.Span("compile", "passes", lane).Arg("group", gi)
 	if cfg.ShiftRebalancing {
 		r := passes.Rebalance(prog, passes.RebalanceOptions{})
 		ps.Rewrites += r.Rewrites
@@ -541,6 +562,15 @@ func compileGroup(regexes []lower.Regex, names []string, gi int, cfg Config, ps 
 		return nil, fmt.Errorf("engine: pass pipeline produced invalid program: %w", err)
 	}
 	return prog, nil
+}
+
+// groupLane is CTA group gi's trace lane — 1+gi, lane 0 being the pipeline's —
+// labelled for the trace viewer when tracing is on.
+func groupLane(o *obs.Observer, gi int) int {
+	if o.Enabled() {
+		o.NameLane(1+gi, fmt.Sprintf("kernel/group-%d", gi))
+	}
+	return 1 + gi
 }
 
 // clampMergeSize bounds the merge size by shared-memory capacity: each

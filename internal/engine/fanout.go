@@ -1,0 +1,61 @@
+package engine
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// fanOut runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n) goroutines,
+// the caller's among them (with one: no goroutine, no hand-off). It is the
+// engine's only way to run CTA groups concurrently; each fn writes its result
+// to a slot its caller indexes by i. Indices are claimed in ascending order
+// from one counter; after a failure nothing more is claimed and whatever was
+// claimed runs to completion, so every index below a claimed one ran and the
+// error returned is the lowest failing index's — the one a serial loop would
+// have stopped at — whichever failed first on the clock. fanOut returns once
+// every goroutine it started has exited; a panic in fn ends the claims too and
+// is re-raised on the caller's goroutine, where the containment a serial
+// loop's panic would have reached still sees it (DESIGN §8, §15).
+func fanOut(n int, fn func(i int) error) error {
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		lowest   = n // lowest failing index so far, and its error
+		first    error
+		panicked any
+		wg       sync.WaitGroup
+	)
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				next.Store(int64(n))
+				mu.Lock()
+				panicked = r
+				mu.Unlock()
+			}
+			wg.Done()
+		}()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if err := fn(i); err != nil {
+				next.Store(int64(n)) // no further claims
+				mu.Lock()
+				if i < lowest {
+					lowest, first = i, err
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	w := max(1, min(runtime.GOMAXPROCS(0), n))
+	wg.Add(w)
+	for ; w > 1; w-- {
+		go work()
+	}
+	work()
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return first
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 
@@ -43,7 +42,7 @@ type ScanMatch struct {
 // groups of a chunk one after another in the calling goroutine — the
 // pipeline parallelizes across chunks, which keeps the per-chunk path free
 // of goroutine and channel churn. Run has a single block of input, so it
-// fans the groups out over GOMAXPROCS goroutines.
+// launches the groups through fanOut, at the width of the host.
 type ScanSession struct {
 	e      *Engine
 	basis  *transpose.Basis
@@ -104,13 +103,18 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, er
 		ss.Close()
 		return nil, err
 	}
-	for gi := range e.groups {
+	ss.sess = make([]*kernel.Session, len(e.groups))
+	err = fanOut(len(e.groups), func(gi int) error {
 		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(), a)
 		if err != nil {
-			ss.Close()
-			return nil, fmt.Errorf("engine: group %d: %w", gi, err)
+			return fmt.Errorf("engine: group %d: %w", gi, err)
 		}
-		ss.sess = append(ss.sess, ks)
+		ss.sess[gi] = ks
+		return nil
+	})
+	if err != nil {
+		ss.Close()
+		return nil, err
 	}
 	ss.outs = make([][]*bitstream.Stream, len(ss.sess))
 	ss.stats = make([]gpusim.CTAStats, len(ss.sess))
@@ -145,9 +149,11 @@ func (e *Engine) initRunPool() {
 	e.runArena = &arena.Arena{}
 }
 
-// GetSession borrows a session from the pool, or builds one (~700
-// allocations, then every segment's superblock compile on first use — what
-// pooling saves each Run and each ScanReader worker). Its spans land on lane,
+// GetSession borrows a session from the pool, or builds one: a kernel session
+// per CTA group, built through fanOut (≈ 300 allocations a group — 1.3 k for
+// four groups, 76 k for the 256 of a 500-signature set), then every segment's
+// superblock compile on first use — what pooling saves each Run and each
+// ScanReader worker. Its spans land on lane,
 // or with groupLanes each group's on its own (see ScanSession). Construction
 // cannot fail for an engine that compiled — the programs already validated —
 // but the error is surfaced rather than swallowed for defense in depth.
@@ -186,9 +192,9 @@ func (e *Engine) PutSession(ss *ScanSession) {
 
 // execute transposes chunk, binds the shared-class streams and launches
 // every CTA group over the result, leaving the output streams in ss.outs
-// and the counters in ss.stats until clearOuts. fanOut selects the launch
+// and the counters in ss.stats until clearOuts. wide selects the launch
 // width (see ScanSession). On error nothing is left parked.
-func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) error {
+func (ss *ScanSession) execute(ctx context.Context, chunk []byte, wide bool) error {
 	e := ss.e
 	// Marked failed while it runs, so a panic unwinding from here leaves the
 	// mark; once set it stays.
@@ -204,7 +210,7 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) e
 	err := bindShared(ctx, ss.shared, ss.basis)
 	switch {
 	case err != nil:
-	case fanOut:
+	case wide:
 		err = ss.launchAll(ctx)
 	default:
 		for gi := 0; gi < len(ss.sess) && err == nil; gi++ {
@@ -218,28 +224,21 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, fanOut bool) e
 	return err
 }
 
-// launchAll runs every group's launch concurrently, at most GOMAXPROCS at a
-// time, and reports the most telling failure: when one group hits a real
-// error while others are canceled, the real one.
+// launchAll launches every group through fanOut and reports the most telling
+// failure: when one group hits a real error while others are canceled, the
+// real one. Unlike a compile it attempts every group whatever failed before
+// (its fn never reports an error to fanOut); a group claimed after ctx is
+// done records the cancellation instead of launching.
 func (ss *ScanSession) launchAll(ctx context.Context) error {
 	errs := make([]error, len(ss.sess))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for gi := range ss.sess {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[gi] = bgerr.Canceled(ctx.Err())
-				return
-			}
-			defer func() { <-sem }()
+	fanOut(len(ss.sess), func(gi int) error {
+		if err := ctx.Err(); err != nil {
+			errs[gi] = bgerr.Canceled(err)
+		} else {
 			errs[gi] = ss.launch(ctx, gi)
-		}(gi)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	var first error
 	for _, err := range errs {
 		if err != nil && (first == nil || (isCanceled(first) && !isCanceled(err))) {
@@ -256,8 +255,7 @@ func isCanceled(err error) bool { return errors.Is(err, bgerr.ErrCanceled) }
 // place the engine launches a kernel. A panic inside the kernel is
 // contained: it surfaces as a *bgerr.InternalError carrying the group
 // index, its pattern names and the stack, and neither the other groups nor
-// the calling goroutine (launchAll's WaitGroup and semaphore included) see
-// it.
+// the goroutine that called it (a fanOut worker, under launchAll) see it.
 func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 	e := ss.e
 	defer func() {
@@ -274,9 +272,8 @@ func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 	var lspan *obs.Span
 	lane := ss.lane
 	if ss.groupLanes {
-		lane = 1 + gi
+		lane = groupLane(e.cfg.Obs, gi)
 		if e.cfg.Obs.Enabled() {
-			e.cfg.Obs.NameLane(lane, fmt.Sprintf("kernel/group-%d", gi))
 			lspan = e.cfg.Obs.Span("scan", "kernel-launch", lane).
 				Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
 		}
@@ -426,7 +423,9 @@ func (ss *ScanSession) clearOuts() {
 // not be used afterwards.
 func (ss *ScanSession) Close() {
 	for _, ks := range ss.sess {
-		ks.Close()
+		if ks != nil { // a failed newSession leaves the unbuilt groups' slots empty
+			ks.Close()
+		}
 	}
 	ss.sess = nil
 	if ss.shared != nil {

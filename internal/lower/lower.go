@@ -35,6 +35,9 @@ type Options struct {
 	MaxUnroll int
 	// Obs, when non-nil, records a span per lowered group. Nil is free.
 	Obs *obs.Observer
+	// Lane is the trace lane of that span: groups lower concurrently, each
+	// on its own (zero, the pipeline lane, for a caller lowering one).
+	Lane int
 	// SharedCC maps character classes the engine computes once per scan to
 	// their extended-basis slot; groups read MatchBasis{8+slot} for them
 	// instead of expanding the class inline. SharedExtBits is the engine's
@@ -53,7 +56,7 @@ func Group(regexes []Regex, opts Options) (*ir.Program, error) {
 	if opts.MaxUnroll == 0 {
 		opts.MaxUnroll = defaultMaxUnroll
 	}
-	span := opts.Obs.Span("compile", "lower-group", 0).Arg("regexes", len(regexes))
+	span := opts.Obs.Span("compile", "lower-group", opts.Lane).Arg("regexes", len(regexes))
 	defer span.End()
 	b := ir.NewBuilder()
 	if opts.SharedCC != nil || opts.SharedExtBits > 0 {

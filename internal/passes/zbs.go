@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
 )
@@ -42,128 +44,107 @@ func InsertGuards(p *ir.Program, opts ZBSOptions) ZBSResult {
 		opts.MinSkip = 2
 	}
 	var res ZBSResult
-	ext := globalUses(p)
-	guardBody(p, &p.Stmts, opts, &res, ext)
+	s := getScratch()
+	// Every textual use in the program plus outputs, counted once up front:
+	// a skipped definition escapes its range when a use lies outside it.
+	s.analyze(p)
+	s.reads = grown(s.reads[:0], p.NumVars, runReads{})
+	s.guardBody(p, &p.Stmts, opts, &res)
+	s.release()
 	return res
 }
 
-// globalUses records, per variable, every textual use in the program plus
-// outputs (used to decide whether a skipped definition escapes its range).
-// A nil entry marks an output use. Indexed by VarID (dense).
-func globalUses(p *ir.Program) [][]ir.Stmt {
-	uses := make([][]ir.Stmt, p.NumVars)
-	var buf [2]ir.VarID
-	ir.WalkStmts(p.Stmts, func(s ir.Stmt) {
-		switch x := s.(type) {
-		case *ir.Assign:
-			for _, v := range ir.OperandsInto(x.Expr, &buf) {
-				uses[v] = append(uses[v], s)
-			}
-		case *ir.If:
-			uses[x.Cond] = append(uses[x.Cond], s)
-		case *ir.While:
-			uses[x.Cond] = append(uses[x.Cond], s)
-		case *ir.Guard:
-			uses[x.Cond] = append(uses[x.Cond], s)
-		}
-	})
-	for _, o := range p.Outputs {
-		uses[o.Var] = append(uses[o.Var], nil)
-	}
-	return uses
-}
-
-// insertion describes one guard to place: right after `after`, skipping
-// through `last`, conditioned on `cond`.
+// insertion describes one guard to place: right after body position after,
+// skipping through body position last, conditioned on cond.
 type insertion struct {
-	after *ir.Assign
-	last  *ir.Assign
-	cond  ir.VarID
+	after, last int32
+	cond        ir.VarID
 }
 
-func guardBody(p *ir.Program, body *[]ir.Stmt, opts ZBSOptions, res *ZBSResult, ext [][]ir.Stmt) {
-	for _, s := range *body {
-		switch x := s.(type) {
+func (s *scratch) guardBody(p *ir.Program, body *[]ir.Stmt, opts ZBSOptions, res *ZBSResult) {
+	for _, st := range *body {
+		switch x := st.(type) {
 		case *ir.If:
-			guardBody(p, &x.Body, opts, res, ext)
+			s.guardBody(p, &x.Body, opts, res)
 		case *ir.While:
-			guardBody(p, &x.Body, opts, res, ext)
+			s.guardBody(p, &x.Body, opts, res)
 		}
 	}
-	var inserts []insertion
-	var run []*ir.Assign
-	flush := func() {
-		if len(run) > 1 {
-			inserts = append(inserts, planRunGuards(run, p.NumVars, opts, res, ext)...)
-		}
-		run = nil
-	}
-	for _, s := range *body {
-		if a, ok := s.(*ir.Assign); ok {
+	// The nested bodies are done with the insertion list.
+	s.inserts = s.inserts[:0]
+	b := *body
+	for i := 0; i < len(b); i++ {
+		start := i
+		run := s.run[:0]
+		for ; i < len(b); i++ {
+			a, ok := b[i].(*ir.Assign)
+			if !ok {
+				break
+			}
 			run = append(run, a)
-			continue
 		}
-		flush()
+		s.run = run
+		if len(run) > 1 {
+			s.planRunGuards(run, start, p.NumVars, opts, res)
+		}
 	}
-	flush()
-	if len(inserts) == 0 {
+	if len(s.inserts) == 0 {
 		return
 	}
-	// Rebuild the body with guards placed after their anchor statements.
-	byAnchor := make(map[*ir.Assign][]insertion)
-	for _, ins := range inserts {
-		byAnchor[ins.after] = append(byAnchor[ins.after], ins)
+	// At most one guard follows a statement (planRunGuards takes an anchor
+	// once), so a per-position table orders the insertions, planned path by
+	// path, by where they go.
+	n := len(b)
+	s.guardAt = grown(s.guardAt[:0], n, -1)
+	for k, ins := range s.inserts {
+		s.guardAt[ins.after] = int32(k)
 	}
-	rebuilt := make([]ir.Stmt, 0, len(*body)+len(inserts))
-	guardOf := make(map[*ir.Guard]*ir.Assign)
-	for _, s := range *body {
-		rebuilt = append(rebuilt, s)
-		if a, ok := s.(*ir.Assign); ok {
-			for _, ins := range byAnchor[a] {
-				g := &ir.Guard{Cond: ins.cond, Skip: 1}
-				guardOf[g] = ins.last
-				rebuilt = append(rebuilt, g)
-				res.GuardsInserted++
-			}
+	// Walk backwards moving every statement to its final position in place,
+	// each anchor followed by its guard. w is where the next statement lands;
+	// a guard's skip count is the distance to its range's last statement,
+	// whose final position the walk has already fixed (it lies after the
+	// anchor) and left in s.guardAt.
+	b = slices.Grow(b, len(s.inserts))[:n+len(s.inserts)]
+	w := len(b)
+	for r := n - 1; w > r+1; r-- {
+		k := s.guardAt[r]
+		if k >= 0 {
+			w--
+			ins := s.inserts[k]
+			b[w] = &ir.Guard{Cond: ins.cond, Skip: int(s.guardAt[ins.last]) - w}
+			res.GuardsInserted++
 		}
+		w--
+		b[w] = b[r]
+		s.guardAt[r] = int32(w)
 	}
-	// Fix skip counts now that final positions are known.
-	pos := make(map[ir.Stmt]int, len(rebuilt))
-	for i, s := range rebuilt {
-		pos[s] = i
-	}
-	kept := rebuilt[:0]
-	for _, s := range rebuilt {
-		if g, ok := s.(*ir.Guard); ok {
-			if target, tracked := guardOf[g]; tracked {
-				tp, ok := pos[target]
-				if !ok || tp <= pos[g] {
-					continue // degenerate: drop the guard
-				}
-				g.Skip = tp - pos[g]
-			}
-		}
-		kept = append(kept, s)
-	}
-	*body = kept
+	*body = b
 }
 
-// planRunGuards finds valid guard insertions for one straight-line run.
-// The run-position index and the on-path stamps are built once per run /
+// planRunGuards finds valid guard insertions for one straight-line run that
+// starts at position base of its body, appending them to s.inserts. The
+// per-variable read summary and the on-path stamps are built once per run /
 // per path so candidate validation never allocates — at ClamAV megaset
 // scale a run holds the whole group program and every AND chain is a path.
-func planRunGuards(run []*ir.Assign, numVars int, opts ZBSOptions, res *ZBSResult, ext [][]ir.Stmt) []insertion {
-	var out []insertion
-	taken := make(map[*ir.Assign]bool)
+func (s *scratch) planRunGuards(run []*ir.Assign, base, numVars int, opts ZBSOptions, res *ZBSResult) {
 	paths := dfg.ZeroPaths(run, numVars)
 	res.PathsFound += len(paths)
-	// idxOf maps a statement to its run position; statements from other
-	// bodies (or outputs, as nil) are absent, i.e. external to any range.
-	idxOf := make(map[ir.Stmt]int32, len(run))
+	// Where the run reads each variable. Reads elsewhere — another body, a
+	// condition, an output — show as a shortfall against s.uses.
+	var buf [2]ir.VarID
 	for i, a := range run {
-		idxOf[a] = int32(i)
+		for _, v := range ir.OperandsInto(a.Expr, &buf) {
+			r := &s.reads[v]
+			if r.n == 0 {
+				r.first = int32(i)
+			}
+			r.n++
+			r.last = int32(i)
+		}
 	}
-	onPath := make([]int32, len(run)) // stamp = path ordinal + 1
+	s.taken = grown(s.taken[:0], len(run), false)
+	s.onPath = grown(s.onPath[:0], len(run), 0) // stamp = path ordinal + 1
+	onPath := s.onPath
 	for pi, path := range paths {
 		stamp := int32(pi + 1)
 		endIdx := path.Stmts[len(path.Stmts)-1]
@@ -171,14 +152,15 @@ func planRunGuards(run []*ir.Assign, numVars int, opts ZBSOptions, res *ZBSResul
 		for _, idx := range path.Stmts {
 			onPath[idx] = stamp
 		}
-		candidates := []int{path.Head}
-		for j := opts.Interval; j < len(path.Stmts); j += opts.Interval {
-			candidates = append(candidates, path.Stmts[j-1])
-		}
-		for _, condPos := range candidates {
+		// Candidates: the path head, then every Interval statements along it.
+		for j := 0; j < len(path.Stmts); j += opts.Interval {
+			condPos := path.Head
+			if j > 0 {
+				condPos = path.Stmts[j-1]
+			}
 			// Advance past rejections, as the paper's algorithm does.
 			for condPos < endIdx {
-				if validSkipRange(run, condPos+1, endIdx, onPath, stamp, ext, idxOf) {
+				if s.validSkipRange(run, condPos+1, endIdx, stamp) {
 					break
 				}
 				res.Rejected++
@@ -198,33 +180,36 @@ func planRunGuards(run []*ir.Assign, numVars int, opts ZBSOptions, res *ZBSResul
 			if condPos >= endIdx || endIdx-condPos < opts.MinSkip {
 				continue
 			}
-			anchor := run[condPos]
-			if taken[anchor] {
+			if s.taken[condPos] {
 				continue
 			}
-			taken[anchor] = true
-			out = append(out, insertion{after: anchor, last: run[endIdx], cond: anchor.Dst})
+			s.taken[condPos] = true
+			s.inserts = append(s.inserts, insertion{after: int32(base + condPos), last: int32(base + endIdx), cond: run[condPos].Dst})
 		}
 	}
-	return out
+	// Reset the run-local summary for the next run.
+	for _, a := range run {
+		for _, v := range ir.OperandsInto(a.Expr, &buf) {
+			s.reads[v].n = 0
+		}
+	}
 }
 
 // validSkipRange checks the paper's rejection rule: every non-path
 // statement inside the candidate range must not define a variable used
-// outside the range.
-func validSkipRange(run []*ir.Assign, from, to int, onPath []int32, stamp int32, ext [][]ir.Stmt, idxOf map[ir.Stmt]int32) bool {
+// outside the range — every read of it is in this run, between from and to.
+func (s *scratch) validSkipRange(run []*ir.Assign, from, to int, stamp int32) bool {
 	for i := from; i <= to; i++ {
-		if onPath[i] == stamp {
+		if s.onPath[i] == stamp {
 			continue // on-path values are provably zero when skipped
 		}
-		for _, use := range ext[run[i].Dst] {
-			if use == nil {
-				return false // output use escapes any range
-			}
-			idx, ok := idxOf[use]
-			if !ok || int(idx) < from || int(idx) > to {
-				return false
-			}
+		v := run[i].Dst
+		r := s.reads[v]
+		if r.n != s.uses[v] {
+			return false // read by an output, a condition or another body
+		}
+		if r.n > 0 && (int(r.first) < from || int(r.last) > to) {
+			return false
 		}
 	}
 	return true

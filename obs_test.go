@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"bitgen/internal/faultinject"
 	"bitgen/internal/obs"
+	"bitgen/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -127,6 +129,64 @@ func TestTraceContainsPipelineSpans(t *testing.T) {
 	} {
 		if !seen[want] {
 			t.Errorf("trace is missing span/event %q (have %v)", want, keys(seen))
+		}
+	}
+}
+
+// TestCompileSpansKeepToTheirGroupLanes: CTA groups compile concurrently, so
+// a group's compile-group / lower-group / passes spans sit on its own lane —
+// 1+g, the track its kernel launches use — never on the pipeline lane, where
+// the spans of two groups would partially overlap and the complete-event model
+// cannot draw that. parse and the outer compile span stay on lane 0, and on
+// every lane any two spans are nested or disjoint.
+func TestCompileSpansKeepToTheirGroupLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	app, err := workload.Megaset(64, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Compile(app.Patterns, &Options{Observability: &ObservabilityOptions{Trace: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLane := map[int][]obs.Event{}
+	perGroup := 0
+	for _, ev := range eng.obs.Tracer.Events() {
+		if ev.Ph != 'X' {
+			continue
+		}
+		switch ev.Name {
+		case "compile", "parse":
+			if ev.Lane != 0 {
+				t.Errorf("%s span on lane %d, want the pipeline lane", ev.Name, ev.Lane)
+			}
+		case "compile-group", "passes":
+			perGroup++
+			if g := ev.Args[0]; g.Key != "group" || ev.Lane != 1+g.Val.(int) {
+				t.Errorf("%s span of %s %v on lane %d", ev.Name, g.Key, g.Val, ev.Lane)
+			}
+		case "lower-group":
+			perGroup++
+			if ev.Lane == 0 {
+				t.Error("lower-group span on the pipeline lane")
+			}
+		}
+		byLane[ev.Lane] = append(byLane[ev.Lane], ev)
+	}
+	if perGroup != 3*64 {
+		t.Fatalf("%d per-group compile spans, want three for each of 64 groups", perGroup)
+	}
+	for lane, evs := range byLane {
+		for i, a := range evs {
+			for _, b := range evs[i+1:] {
+				if a.Sta > b.Sta {
+					a, b = b, a
+				}
+				if b.Sta < a.Sta+a.Dur && b.Sta+b.Dur > a.Sta+a.Dur {
+					t.Errorf("lane %d: %s [%v, +%v] and %s [%v, +%v] partially overlap",
+						lane, a.Name, a.Sta, a.Dur, b.Name, b.Sta, b.Dur)
+				}
+			}
 		}
 	}
 }

@@ -8,10 +8,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"bitgen/internal/ir"
 	"bitgen/internal/snapshot"
+	"bitgen/internal/workload"
 )
 
 // snapPatterns exercises the interesting compile paths: duplicates,
@@ -199,6 +202,40 @@ func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
 		var se *SnapshotError
 		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt {
 			t.Fatalf("%s: want a corrupt refusal, got %v", name, err)
+		}
+	}
+}
+
+// TestSnapshotNamesLowestBadGroup: the loader decodes and validates the group
+// programs concurrently; a checksummed snapshot with several bad groups is
+// refused as corrupt naming the lowest of them — the one a serial loader
+// stops at — every time.
+func TestSnapshotNamesLowestBadGroup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	app, err := workload.Megaset(64, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Compile(app.Patterns, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(EncodeEngine(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ir.MustDecodeProgram(st.Groups[21].Packed)
+	p.Stmts, p.Barriers = nil, nil // outputs name never-assigned variables: decodes, fails ir.Validate
+	st.Groups[21].Packed = ir.EncodeProgram(p)
+	for _, gi := range []int{22, 40, 63} {
+		st.Groups[gi].Packed = []byte{0xff, 0xfe, 0xfd}
+	}
+	hostile := snapshot.Encode(st)
+	for i := 0; i < 50; i++ {
+		_, err := DecodeEngine(hostile, nil)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt || !strings.Contains(se.Detail, "group 21 invalid") {
+			t.Fatalf("load %d: want a corrupt refusal naming group 21, got %v", i, err)
 		}
 	}
 }
