@@ -63,32 +63,18 @@ obs-smoke:
 	$(GO) run ./cmd/obscheck -trace $$tmp/trace.json -metrics $$tmp/metrics.txt && \
 	rm -rf $$tmp
 
-# serve-smoke boots the bitgend matching service in-process and exercises
-# the full request surface: cold compile + warm cache hit (no recompile),
-# duplicate and nullable patterns through the wire format, streaming NDJSON
-# scan across chunk boundaries, serve + per-set metrics, graceful drain.
+# serve-smoke, cluster-smoke and snapshot-smoke are developer shortcuts:
+# each runs one acceptance scenario of internal/serve alone and verbosely
+# (scenario_test.go says what each asserts). `make race` already runs all
+# of them, so `make ci` does not repeat them.
 serve-smoke:
-	$(GO) run ./cmd/bitgend -selftest
+	$(GO) test -count=1 -run '^TestSelfTest$$' -v ./internal/serve
 
-# cluster-smoke boots a 3-replica loopback cluster and runs the full
-# fault-injection acceptance: consistent-hash routing (every replica
-# answers every key identically to a single-node server), an abrupt
-# replica kill with ZERO failed requests once the victim's breakers
-# settle, a network partition that forces degraded local serves
-# (cluster.degraded_serves > 0) with differentially-correct answers, and
-# breaker recovery within one cooldown window after the partition heals.
 cluster-smoke:
-	$(GO) run ./cmd/bitgend -cluster-selftest
+	$(GO) test -count=1 -run '^TestClusterSelfTest$$' -v ./internal/serve
 
-# snapshot-smoke runs the persistence acceptance: save a compiled engine,
-# flip a byte, and require the restarted server to detect the corruption,
-# quarantine the file to a .bad sidecar, and serve the request by
-# recompiling; then warm start (zero compiles), torn write (crash before
-# rename leaves no file), stale format version refused as version-mismatch,
-# short read refused as truncated, and the background scrubber catching
-# resting corruption.
 snapshot-smoke:
-	$(GO) run ./cmd/bitgend -snapshot-selftest
+	$(GO) test -count=1 -run '^TestSnapshotSelfTest$$' -v ./internal/serve
 
 # obs-cluster-smoke is the distributed-observability acceptance: boot a
 # 3-replica loopback cluster, cut one peer path mid-response, and require
@@ -97,10 +83,12 @@ snapshot-smoke:
 # the successor that served the failover; (2) the ensuing breaker-open
 # Warn event to trip the anomaly flight recorder into a sha256-sealed
 # bundle containing that event; (3) /v1/slo to report the served traffic.
-# obscheck then structurally validates both artifacts.
+# The scenario is TestObsClusterSelfTest (`make race` runs it too); here
+# its -obs-out test flag hands the two artifacts to obscheck, which
+# validates them structurally.
 obs-cluster-smoke:
 	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/bitgend -obs-cluster-selftest -obs-out $$tmp && \
+	$(GO) test -count=1 -run '^TestObsClusterSelfTest$$' ./internal/serve -obs-out $$tmp && \
 	$(GO) run ./cmd/obscheck -stitched $$tmp/stitched.json -stitch-nodes 3 -bundle $$tmp/bundle.json && \
 	rm -rf $$tmp
 
@@ -135,10 +123,10 @@ bench-serve:
 
 # ci is the tier-1 verification gate: vet, lint/vuln (when the tools are
 # installed), build, the full suite under the race detector, the
-# fault-injection suite, the observability, bench, service and cluster
-# smokes, a quick pass of the repo benchmark, and the per-package line
-# count.
-ci: vet lint vuln build race fault obs-smoke bench-smoke bench-quick serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke loc
+# fault-injection suite, the observability and bench smokes (the service,
+# cluster and snapshot scenarios run inside `race`), a quick pass of the
+# repo benchmark, and the per-package line count.
+ci: vet lint vuln build race fault obs-smoke bench-smoke bench-quick obs-cluster-smoke megaset-smoke loc
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -1,7 +1,6 @@
 // Command bitgend serves multi-pattern regex matching over HTTP/JSON:
 // a multi-tenant front end over the bitgen engine with a compiled-engine
-// LRU cache, bounded admission, same-engine batch coalescing through
-// RunMulti, and graceful drain on SIGTERM.
+// LRU cache, bounded admission, and graceful drain on SIGTERM.
 //
 // Endpoints:
 //
@@ -12,8 +11,8 @@
 //	GET  /v1/cluster ring membership + per-peer breaker health
 //	GET  /healthz    200 ok / 503 draining
 //	GET  /metrics    serve-layer Prometheus; ?set=<key> for one engine
-//	GET  /trace      ?set=<key> Chrome trace_event JSON for one engine;
-//	                 ?cluster=1 the cluster layer's per-forward spans
+//	GET  /trace      ?set=<key> Chrome trace_event JSON for one engine
+//	GET  /v1/trace/  <trace-id>: this replica's spans and events of one request
 //
 // Cluster mode: pass -peers with every replica's base URL (the same set,
 // in any order, on every replica) and -advertise with this replica's own
@@ -49,17 +48,14 @@ func main() {
 		cacheSize  = flag.Int("cache", 32, "max cached compiled engines (LRU)")
 		maxQueue   = flag.Int("queue", 64, "max requests waiting for an execution slot")
 		maxConc    = flag.Int("concurrency", 0, "max requests executing at once (0 = 2*GOMAXPROCS)")
-		maxBatch   = flag.Int("batch", 16, "max match requests coalesced into one RunMulti launch")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout = flag.Duration("max-timeout", 30*time.Second, "cap on client-requested (and peer-propagated) deadlines")
 		maxBody    = flag.Int64("max-body", 8<<20, "max /v1/match body bytes")
 		device     = flag.String("device", "", "GPU profile for the cost model (default RTX 3090)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-		selftest   = flag.Bool("selftest", false, "boot on a loopback port, exercise match/scan/metrics/drain/warm-start, exit")
 
 		snapDir   = flag.String("snapshot-dir", "", "directory for compiled-engine snapshots: engines persist there write-behind and the cache warm-starts from it at boot (created if missing; empty disables persistence)")
 		snapScrub = flag.Duration("snapshot-scrub-interval", time.Minute, "how often the background scrubber re-verifies resting snapshots and quarantines corrupt ones (negative disables)")
-		snapTest  = flag.Bool("snapshot-selftest", false, "exercise the persistence fault matrix (corruption, torn write, short read, stale version) against a temp snapshot dir, exit")
 
 		peers        = flag.String("peers", "", "comma-separated replica base URLs (every replica, same set everywhere) — enables cluster mode")
 		advertise    = flag.String("advertise", "", "this replica's base URL as peers reach it (default http://<addr>)")
@@ -67,7 +63,6 @@ func main() {
 		hedge        = flag.Duration("hedge", 25*time.Millisecond, "delay before hedging a forward to the warm standby (negative disables)")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive peer failures before its breaker opens")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe (jittered)")
-		clusterTest  = flag.Bool("cluster-selftest", false, "boot a 3-replica loopback cluster, inject faults (kill, partition), verify zero failures, exit")
 
 		sloMatchP99 = flag.Duration("slo-match-p99", 250*time.Millisecond, "/v1/match latency objective: slower successes spend error budget (negative disables)")
 		sloScanP99  = flag.Duration("slo-scan-p99", 2*time.Second, "/v1/scan latency objective (negative disables)")
@@ -75,42 +70,9 @@ func main() {
 		bundleDir   = flag.String("bundle-dir", "", "directory for anomaly flight-recorder bundles (created if missing; empty keeps bundles inline-only via /debug/bundle)")
 		stitch      = flag.String("stitch", "", "trace ID to stitch: fetch /v1/trace/<id> from every -peers replica, merge into one Chrome trace, exit")
 		stitchOut   = flag.String("o", "", "output file for -stitch (default stdout)")
-		obsTest     = flag.Bool("obs-cluster-selftest", false, "boot a 3-replica loopback cluster, inject a peer fault, verify stitched tracing + anomaly bundles + SLO reporting, exit")
-		obsOut      = flag.String("obs-out", "", "artifact directory for -obs-cluster-selftest (default a temp dir)")
 	)
 	flag.Parse()
 
-	if *selftest {
-		if err := serve.SelfTest(context.Background(), os.Stdout); err != nil {
-			log.Fatalf("selftest failed: %v", err)
-		}
-		return
-	}
-	if *clusterTest {
-		if err := serve.ClusterSelfTest(context.Background(), os.Stdout); err != nil {
-			log.Fatalf("cluster selftest failed: %v", err)
-		}
-		return
-	}
-	if *snapTest {
-		if err := serve.SnapshotSelfTest(context.Background(), os.Stdout); err != nil {
-			log.Fatalf("snapshot selftest failed: %v", err)
-		}
-		return
-	}
-	if *obsTest {
-		dir := *obsOut
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "bitgen-obs-selftest-"); err != nil {
-				log.Fatalf("obs cluster selftest: %v", err)
-			}
-		}
-		if err := serve.ObsClusterSelfTest(context.Background(), os.Stdout, dir); err != nil {
-			log.Fatalf("obs cluster selftest failed: %v", err)
-		}
-		return
-	}
 	if *stitch != "" {
 		if err := runStitch(*peers, *stitch, *stitchOut); err != nil {
 			fmt.Fprintln(os.Stderr, "bitgend: stitch:", err)
@@ -132,7 +94,6 @@ func main() {
 		MaxCachedEngines:      *cacheSize,
 		MaxQueue:              *maxQueue,
 		MaxConcurrent:         *maxConc,
-		MaxBatch:              *maxBatch,
 		DefaultTimeout:        *timeout,
 		MaxTimeout:            *maxTimeout,
 		MaxBodyBytes:          *maxBody,
@@ -194,8 +155,8 @@ func main() {
 	}
 
 	// Drain first: /healthz flips to 503 so load balancers stop routing,
-	// in-flight matches and scans run to completion, batch loops stop.
-	// Then shut the listener down.
+	// in-flight matches and scans run to completion. Then shut the
+	// listener down.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {

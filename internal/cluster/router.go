@@ -36,9 +36,6 @@ type Config struct {
 	// launching a hedged duplicate to the successor (default 25ms;
 	// negative disables hedging — failover stays sequential).
 	HedgeDelay time.Duration
-	// ForwardTimeout caps one buffered forward attempt (default 5s).
-	// Streaming forwards are bounded by the request deadline instead.
-	ForwardTimeout time.Duration
 	// Seed drives breaker-cooldown jitter.
 	Seed uint64
 	// Inject arms deterministic network faults on the transport.
@@ -52,6 +49,10 @@ type Config struct {
 	// Now is the breaker clock; nil means time.Now.
 	Now func() time.Time
 }
+
+// forwardTimeout caps one buffered forward attempt or snapshot fetch;
+// streaming forwards are bounded by the request deadline instead.
+const forwardTimeout = 5 * time.Second
 
 // Route is the ring's placement decision for one key.
 type Route struct {
@@ -93,8 +94,8 @@ type Router struct {
 }
 
 // New builds a Router. ob carries the serve-layer registry (for the
-// cluster.* metric families) and optionally a tracer for per-forward
-// spans; a nil ob disables both.
+// cluster.* metric families), the event log and the request-span store
+// that record each forward; a nil ob disables all three.
 func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self is required")
@@ -111,9 +112,6 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	}
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = 25 * time.Millisecond
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 5 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -175,9 +173,6 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 			Cooldown:   cfg.BreakerCooldown,
 			JitterSeed: cfg.Seed ^ hashKey(n),
 			OnState: func(from, to resilience.State, reason string) {
-				ob.Instant("cluster", "breaker:"+host, 0,
-					obs.A("from", from.String()), obs.A("to", to.String()),
-					obs.A("reason", reason))
 				reg.Counter(obs.MClusterPeerFlips, obs.HClusterPeerFlips,
 					obs.L("peer", host), obs.L("to", to.String())).Inc()
 				level := obs.LevelInfo
@@ -194,6 +189,10 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	}
 	return r, nil
 }
+
+// Close drops the idle peer connections, whose read and write loops
+// would otherwise outlive a drained server until the peers hang up.
+func (r *Router) Close() { r.client.CloseIdleConnections() }
 
 // Ring exposes the router's ring (read-only).
 func (r *Router) Ring() *Ring { return r.ring }
@@ -283,21 +282,13 @@ func (e *errPeerStatus) Error() string {
 func (r *Router) Forward(ctx context.Context, route Route, path, contentType string, body []byte, stream bool) (res *ForwardResult, ok bool) {
 	tc, _ := obs.TraceContextFrom(ctx)
 	start := r.now()
-	span := r.ob.Span("cluster", "forward", 0).
-		Arg("key", short(route.Key)).Arg("owner", route.Owner).Arg("path", path).
-		Arg("trace", tc.Trace.String())
 	defer func() {
 		outcome := "degraded-local"
 		if res != nil {
-			span.Arg("served_by", res.Peer).Arg("status", res.Status)
 			outcome = "served"
 		} else if route.SelfStandby {
 			outcome = "standby-local"
 		}
-		if res == nil {
-			span.Arg("outcome", outcome)
-		}
-		span.End()
 		sp := obs.ReqSpan{
 			Trace:          tc.Trace.String(),
 			Span:           obs.NewSpanID().String(),
@@ -337,7 +328,6 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 			obs.FStr("key", short(route.Key)))
 	} else {
 		r.degraded.Inc()
-		r.ob.Instant("cluster", "degraded-serve", 0, obs.A("key", short(route.Key)))
 		r.ob.Event(obs.LevelWarn, "degraded-serve", tc.Trace,
 			obs.FStr("key", short(route.Key)), obs.FStr("owner", route.Owner))
 	}
@@ -373,7 +363,6 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 			}
 			if hedged {
 				r.hedges.Inc()
-				r.ob.Instant("cluster", "hedge", 0, obs.A("to", p.host))
 				r.ob.Event(obs.LevelInfo, "hedge", trace,
 					obs.FStr("to", p.host), obs.FStr("path", path))
 			}
@@ -381,7 +370,7 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 			launched++
 			actx, cancel := context.WithCancel(ctx)
 			if !stream {
-				actx, cancel = context.WithTimeout(ctx, r.cfg.ForwardTimeout)
+				actx, cancel = context.WithTimeout(ctx, forwardTimeout)
 			}
 			pending[p] = cancel
 			inflight++
@@ -418,8 +407,6 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 				} else {
 					o.p.fails.Inc()
 					o.p.br.Failure(r.now(), o.err)
-					r.ob.Instant("cluster", "forward-error", 0,
-						obs.A("peer", o.p.host), obs.A("error", o.err.Error()))
 					r.ob.Event(obs.LevelWarn, "forward-error", trace,
 						obs.FStr("peer", o.p.host), obs.FStr("error", o.err.Error()),
 						obs.FBool("hedged", o.hedged))
@@ -487,10 +474,7 @@ const maxSnapshotFetchBytes = 64 << 20
 func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, from string, err error) {
 	tc, _ := obs.TraceContextFrom(ctx)
 	start := r.now()
-	span := r.ob.Span("cluster", "snapshot-fetch", 0).Arg("key", short(key)).
-		Arg("trace", tc.Trace.String())
 	defer func() {
-		span.Arg("from", from).End()
 		attrs := map[string]string{"key": short(key), "from": from}
 		if err != nil {
 			attrs["error"] = err.Error()
@@ -528,8 +512,6 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 				return nil, "", aerr
 			}
 			p.br.Failure(r.now(), aerr)
-			r.ob.Instant("cluster", "snapshot-fetch-error", 0,
-				obs.A("peer", p.host), obs.A("error", aerr.Error()))
 			r.ob.Event(obs.LevelWarn, "snapshot-fetch-error", tc.Trace,
 				obs.FStr("peer", p.host), obs.FStr("error", aerr.Error()))
 			lastErr = aerr
@@ -548,7 +530,7 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 // a successful answer (status returned, nil error); anything else
 // non-200 is a peer fault.
 func (r *Router) fetchSnapshotFrom(ctx context.Context, p *peer, key string) ([]byte, int, error) {
-	actx, cancel := context.WithTimeout(ctx, r.cfg.ForwardTimeout)
+	actx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, p.url+"/v1/snapshot?set="+url.QueryEscape(key), nil)
 	if err != nil {
@@ -634,7 +616,7 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// short abbreviates a pattern-set key for span args.
+// short abbreviates a pattern-set key for span attributes and events.
 func short(key string) string {
 	if len(key) > 12 {
 		return key[:12]

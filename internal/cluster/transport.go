@@ -96,6 +96,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// CloseIdleConnections lets http.Client.CloseIdleConnections reach Base.
+func (t *Transport) CloseIdleConnections() {
+	if c, ok := t.Base.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 // droppingBody cuts a response stream after a fixed number of bytes,
 // modeling a connection reset mid-relay.
 type droppingBody struct {

@@ -18,9 +18,6 @@ type Interval struct {
 	Lo, Hi int
 }
 
-// Width returns Hi - Lo, the value's contribution to the overlap distance.
-func (iv Interval) Width() int { return iv.Hi - iv.Lo }
-
 func (iv Interval) union(other Interval) Interval {
 	if other.Lo < iv.Lo {
 		iv.Lo = other.Lo

@@ -43,7 +43,7 @@ type SimResult struct {
 	Stats   SimStats
 }
 
-// simCheckEvery is how many input bytes SimulateContext processes between
+// simCheckEvery is how many input bytes simulate processes between
 // context checks: frequent enough that a deadline interrupts promptly,
 // cheap enough (one masked compare per byte) to be invisible on the scan
 // hot path.
@@ -58,17 +58,13 @@ func Simulate(n *NFA, input []byte) *SimResult {
 	return res
 }
 
-// SimulateContext is Simulate honoring a context: cancellation is
+// SimulateObserved is Simulate honoring a context — cancellation is
 // observed every simCheckEvery input bytes and returns an error
-// satisfying errors.Is(err, bgerr.ErrCanceled). It is the reference rung
-// of the resilience backend ladder (see internal/resilience.Backend).
-func SimulateContext(ctx context.Context, n *NFA, input []byte) (*SimResult, error) {
-	return simulate(ctx, n, input)
-}
-
-// SimulateObserved is SimulateContext wrapped in an "nfa-simulate" span
-// carrying the SimStats work counters as arguments. A nil observer adds
-// nothing to the scan path.
+// satisfying errors.Is(err, bgerr.ErrCanceled) — wrapped in an
+// "nfa-simulate" span carrying the SimStats work counters as arguments.
+// It is the reference rung of the resilience backend ladder (see
+// internal/resilience.Backend). A nil observer adds nothing to the scan
+// path.
 func SimulateObserved(ctx context.Context, o *obs.Observer, n *NFA, input []byte) (*SimResult, error) {
 	span := o.Span("nfa", "nfa-simulate", 0).Arg("input_bytes", len(input))
 	res, err := simulate(ctx, n, input)

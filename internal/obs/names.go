@@ -149,8 +149,8 @@ const (
 	HServeCacheMisses     = "Engine-cache lookups that had to compile (or wait for a compile)."
 	HServeCacheEvictions  = "Compiled engines evicted from the LRU cache."
 	HServeCompiles        = "Pattern-set compilations executed (singleflight: concurrent first requests share one)."
-	HServeBatches         = "Coalesced same-engine batches executed through RunMulti."
-	HServeBatchedRequests = "Match requests served through a coalesced batch."
+	HServeBatches         = "Match requests executed, one launch each: batched_requests / batches is 1 exactly (kept for the repo benchmark's serve.batch_mean)."
+	HServeBatchedRequests = "Match requests executed; always equal to bitgen_serve_batches_total (kept for the repo benchmark's serve.batch_mean)."
 	HServeDrains          = "Graceful drains initiated."
 	HServeResidentBytes   = "Measured resident bytes of the engines in the LRU cache: per-engine private state plus each interned shared block counted once (refcount-aware; decremented on evict and release)."
 

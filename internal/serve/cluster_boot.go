@@ -2,17 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strings"
-	"time"
 
-	"bitgen"
 	"bitgen/internal/cluster"
-	"bitgen/internal/faultinject"
 )
 
 // ClusterNode is one in-process bitgend replica booted by BootCluster.
@@ -100,222 +93,4 @@ func BootCluster(n int, cfg Config, mutate func(i int, cc *cluster.Config)) ([]*
 		go nd.hs.Serve(nd.ln)
 	}
 	return nodes, nil
-}
-
-// ClusterSelfTest is the cluster acceptance smoke behind
-// `bitgend -cluster-selftest` and `make cluster-smoke`. It boots three
-// replicas, proves routing and differential correctness, kills one
-// replica mid-load and requires zero failed requests once the victim's
-// breakers settle, then partitions a surviving pair so the degraded
-// local-serve path (cluster.degraded_serves) demonstrably fires — and
-// still answers byte-identically to a single-node server.
-func ClusterSelfTest(ctx context.Context, out io.Writer) error {
-	const (
-		breakerThreshold = 2
-		breakerCooldown  = 300 * time.Millisecond
-	)
-	injs := make([]*faultinject.Injector, 3)
-	nodes, err := BootCluster(3, Config{MaxBatch: 4}, func(i int, cc *cluster.Config) {
-		injs[i] = faultinject.New(uint64(42 + i))
-		cc.Inject = injs[i]
-		cc.BreakerThreshold = breakerThreshold
-		cc.BreakerCooldown = breakerCooldown
-		cc.HedgeDelay = -1 // sequential failover keeps accounting exact
-		cc.Seed = uint64(7 * (i + 1))
-	})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Kill()
-		}
-	}()
-
-	// A single-node reference server answers every differential check.
-	ref, err := New(Config{})
-	if err != nil {
-		return err
-	}
-	defer ref.Close()
-	refLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	refHS := &http.Server{Handler: ref.Handler()}
-	go refHS.Serve(refLn)
-	defer refHS.Close()
-	refURL := "http://" + refLn.Addr().String()
-
-	client := &http.Client{Timeout: 10 * time.Second}
-	post := func(base, path, body string) (int, []byte, error) {
-		resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, b, err
-	}
-	// matchedEverywhere sends one match body to target and the reference
-	// node and requires identical match sets.
-	check := func(target, body string) error {
-		code, got, err := post(target, "/v1/match", body)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("status %d: %s", code, got)
-		}
-		refCode, want, err := post(refURL, "/v1/match", body)
-		if err != nil || refCode != http.StatusOK {
-			return fmt.Errorf("reference: status %d err %v", refCode, err)
-		}
-		var g, w matchResponse
-		if err := json.Unmarshal(got, &g); err != nil {
-			return err
-		}
-		if err := json.Unmarshal(want, &w); err != nil {
-			return err
-		}
-		if len(g.Matches) != len(w.Matches) {
-			return fmt.Errorf("differential mismatch: %d matches vs single-node %d", len(g.Matches), len(w.Matches))
-		}
-		for i := range g.Matches {
-			if g.Matches[i] != w.Matches[i] {
-				return fmt.Errorf("differential mismatch at %d: %v vs %v", i, g.Matches[i], w.Matches[i])
-			}
-		}
-		return nil
-	}
-
-	// keysByOwner groups generated pattern sets by owning replica.
-	router := nodes[0].Server.Cluster()
-	keysByOwner := map[string][][]string{}
-	opts := nodes[0].Server.engineOptions(false)
-	for i := 0; ; i++ {
-		if len(keysByOwner[nodes[0].URL]) >= 4 && len(keysByOwner[nodes[1].URL]) >= 4 && len(keysByOwner[nodes[2].URL]) >= 4 {
-			break
-		}
-		pats := []string{fmt.Sprintf("smoke%dpat", i)}
-		rt := router.Route(bitgen.PatternSetKey(pats, &opts))
-		keysByOwner[rt.Owner] = append(keysByOwner[rt.Owner], pats)
-	}
-	body := func(pats []string) string {
-		b, _ := json.Marshal(matchRequest{Patterns: pats, Input: "x" + pats[0] + "y" + pats[0]})
-		return string(b)
-	}
-
-	// Phase 1: every replica answers every key, differentially correct.
-	for _, nd := range nodes {
-		for _, sets := range keysByOwner {
-			for _, pats := range sets {
-				if err := check(nd.URL, body(pats)); err != nil {
-					return fmt.Errorf("phase 1 (healthy cluster) via %s: %w", nd.URL, err)
-				}
-			}
-		}
-	}
-	fmt.Fprintln(out, "cluster routing ok: 3 replicas, all keys answer identically to single-node")
-
-	// Phase 2: kill replica 2 abruptly. Its keys' standbys take over; the
-	// first few forwards fail while breakers trip, so drive traffic until
-	// the victim's breaker opens, then require ZERO failed requests.
-	victim := nodes[2]
-	victim.Kill()
-	fmt.Fprintf(out, "killed replica %s\n", victim.URL)
-	survivors := nodes[:2]
-	// Settle: push the dead peer's breaker past its threshold from both
-	// survivors (these requests may legitimately be slow, not failed —
-	// failover hides the crash — but they charge the breaker).
-	for _, nd := range survivors {
-		for i := 0; i < breakerThreshold+1; i++ {
-			for _, pats := range keysByOwner[victim.URL] {
-				code, msg, err := post(nd.URL, "/v1/match", body(pats))
-				if err != nil {
-					return fmt.Errorf("settling via %s: %w", nd.URL, err)
-				}
-				if code != http.StatusOK {
-					return fmt.Errorf("settling via %s: status %d: %s", nd.URL, code, msg)
-				}
-			}
-		}
-	}
-	failed := 0
-	total := 0
-	for round := 0; round < 5; round++ {
-		for _, nd := range survivors {
-			for _, sets := range keysByOwner {
-				for _, pats := range sets {
-					total++
-					if err := check(nd.URL, body(pats)); err != nil {
-						failed++
-						fmt.Fprintf(out, "post-kill failure via %s: %v\n", nd.URL, err)
-					}
-				}
-			}
-		}
-	}
-	if failed != 0 {
-		return fmt.Errorf("replica kill: %d of %d requests failed after breakers settled", failed, total)
-	}
-	snap0 := survivors[0].Server.Metrics().Snapshot()
-	skips := 0.0
-	for k, v := range snap0.Counters {
-		if strings.HasPrefix(k, "bitgen_cluster_peer_skips_total") {
-			skips += v
-		}
-	}
-	if skips == 0 {
-		return fmt.Errorf("replica kill: breaker never opened (no peer skips recorded)")
-	}
-	fmt.Fprintf(out, "replica kill ok: %d/%d requests served, breaker open (%v skips)\n", total, total, skips)
-
-	// Phase 3: double fault — on top of the dead replica, partition
-	// survivor 0 from survivor 1. Keys owned by the dead replica with
-	// survivor 1 as standby now have no reachable candidate from survivor
-	// 0: it must compile locally and count a degraded serve.
-	injs[0].Arm(faultinject.PeerPartition.For(strings.TrimPrefix(nodes[1].URL, "http://")),
-		faultinject.Spec{Nth: 1, Repeat: true})
-	for _, pats := range keysByOwner[victim.URL] {
-		if err := check(nodes[0].URL, body(pats)); err != nil {
-			return fmt.Errorf("degraded serve via %s: %w", nodes[0].URL, err)
-		}
-	}
-	for _, pats := range keysByOwner[nodes[1].URL] {
-		if err := check(nodes[0].URL, body(pats)); err != nil {
-			return fmt.Errorf("degraded serve via %s: %w", nodes[0].URL, err)
-		}
-	}
-	snap0 = survivors[0].Server.Metrics().Snapshot()
-	degraded := snap0.Counter("bitgen_cluster_degraded_serves_total")
-	if degraded == 0 {
-		return fmt.Errorf("partition: cluster.degraded_serves = 0, want > 0")
-	}
-	fmt.Fprintf(out, "partition ok: %v degraded serves, every answer still correct\n", degraded)
-
-	// Phase 4: heal the partition and wait out one breaker cooldown; the
-	// half-open probe must recover the peer (requests flow remotely again).
-	injs[0].Disarm(faultinject.PeerPartition.For(strings.TrimPrefix(nodes[1].URL, "http://")))
-	time.Sleep(2 * breakerCooldown)
-	recovered := false
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !recovered {
-		for _, pats := range keysByOwner[nodes[1].URL] {
-			if err := check(nodes[0].URL, body(pats)); err != nil {
-				return fmt.Errorf("recovery via %s: %w", nodes[0].URL, err)
-			}
-		}
-		for _, h := range nodes[0].Server.Cluster().Health() {
-			if h.URL == nodes[1].URL && h.State.String() == "closed" {
-				recovered = true
-			}
-		}
-	}
-	if !recovered {
-		return fmt.Errorf("recovery: peer breaker never closed after the partition healed")
-	}
-	fmt.Fprintln(out, "recovery ok: healed peer's breaker closed within one cooldown window")
-	fmt.Fprintln(out, "cluster selftest passed")
-	return nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -364,18 +363,5 @@ func TestClusterEndpointDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/v1/cluster without cluster mode: %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestClusterSelfTest runs the full fault-injection acceptance smoke:
-// 3 replicas, replica kill, partition, differential correctness, breaker
-// recovery. This is the same path `bitgend -cluster-selftest` and
-// `make cluster-smoke` execute.
-func TestClusterSelfTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second cluster smoke")
-	}
-	if err := ClusterSelfTest(context.Background(), io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }

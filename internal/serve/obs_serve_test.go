@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bitgen"
+	"bitgen/internal/cluster"
 	"bitgen/internal/obs"
 )
 
@@ -142,6 +143,57 @@ func TestTracePropagation3Nodes(t *testing.T) {
 	}
 	if len(doc.TraceEvents) < 3 {
 		t.Fatalf("Chrome trace has %d events, want >= 3", len(doc.TraceEvents))
+	}
+}
+
+// TestForwardRecordedOnce: a forwarded match leaves exactly one forward
+// span on the entry node and one match span on each node that handled it
+// — the flight recorder is the one place a forward is recorded — and
+// /trace has no cluster view: ?cluster=1 is a /trace request without
+// ?set=.
+func TestForwardRecordedOnce(t *testing.T) {
+	nodes, err := BootCluster(3, Config{}, func(i int, cc *cluster.Config) { cc.HedgeDelay = -1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Kill()
+		}
+	})
+	pats := findPatterns(t, nodes[0].Server, nodes[1].URL, nodes[2].URL)
+	tc := obs.NewTraceContext()
+	trace := tc.Trace.String()
+	code, msg, _, err := send(http.DefaultClient, http.MethodPost, nodes[0].URL+"/v1/match", "application/json",
+		matchBody(pats, "a"+pats[0]+"b"), map[string]string{obs.TraceHeader: tc.Header()})
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("forwarded match: status %d err %v: %s", code, err, msg)
+	}
+
+	// The entry node records its match span as its handler returns, just
+	// after the client has the response.
+	count := func(nd *ClusterNode, name string) int {
+		n := 0
+		for _, sp := range nd.Server.Flight().ByTrace(trace) {
+			if sp.Name == name {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for count(nodes[0], "match") == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i, want := range []struct{ forward, match int }{{1, 1}, {0, 1}, {0, 0}} {
+		if f, m := count(nodes[i], "forward"), count(nodes[i], "match"); f != want.forward || m != want.match {
+			t.Errorf("node %d: %d forward and %d match spans, want %d and %d", i, f, m, want.forward, want.match)
+		}
+	}
+
+	code, _, _, err = send(http.DefaultClient, http.MethodGet, nodes[0].URL+"/trace?cluster=1", "", "", nil)
+	if err != nil || code != http.StatusBadRequest {
+		t.Errorf("/trace?cluster=1: status %d err %v, want 400 like any /trace without ?set=", code, err)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package serve is the multi-tenant matching service behind cmd/bitgend:
 // an HTTP/JSON front end over the bitgen library with a compiled-engine
 // LRU cache (singleflight compilation per canonical pattern-set key),
-// bounded request admission, same-engine batch coalescing through
-// RunMulti, and graceful drain. It depends only on the standard library
-// and the bitgen module itself.
+// bounded request admission and graceful drain. It depends only on the
+// standard library and the bitgen module itself.
 package serve
 
 import (
@@ -68,7 +67,6 @@ type entry struct {
 	// released on evict.
 	blockKeys []intern.Key
 	lastUse   int64
-	batcher   *batcher
 }
 
 func newRegistry(capacity int, reg *obs.Registry,
@@ -212,9 +210,6 @@ func (r *registry) evictLocked() {
 			return
 		}
 		delete(r.entries, victim.key)
-		if victim.batcher != nil {
-			victim.batcher.stop()
-		}
 		if victim.err == nil {
 			uncharged := r.releaseLocked(victim)
 			r.resident.Add(-float64(victim.bytes + uncharged))
@@ -231,7 +226,8 @@ func (r *registry) evictLocked() {
 
 // insertReady installs an already-built engine (snapshot warm start at
 // boot). Existing entries win: a concurrent request may have compiled
-// first, and replacing its entry would orphan the batcher waiters. The
+// first, and replacing its entry would strand the bytes and block
+// references it charged. The
 // engine's blocks are interned only once the entry actually enters the
 // cache, so a losing insert takes no store references.
 func (r *registry) insertReady(key string, patterns []string, foldCase bool, eng *bitgen.Engine) bool {
@@ -293,15 +289,4 @@ func (r *registry) keys() []string {
 		}
 	}
 	return out
-}
-
-// stopAll stops every entry's batcher (drain shutdown).
-func (r *registry) stopAll() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.batcher != nil {
-			e.batcher.stop()
-		}
-	}
 }

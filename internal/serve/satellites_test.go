@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"bitgen"
 	"bitgen/internal/arena"
 	"bitgen/internal/cluster"
+	"bitgen/internal/faultinject"
 )
 
 // TestRetryAfterHeaders: 429 (queue full) and 503 (draining) rejections
@@ -111,11 +115,9 @@ func TestMaxTimeoutClamp(t *testing.T) {
 // a 50ms MaxTimeout server comes back 504 promptly.
 func TestMaxTimeoutClampEndToEnd(t *testing.T) {
 	s := mustNew(t, Config{MaxTimeout: 50 * time.Millisecond})
-	s.batchRun = func(eng *bitgen.Engine) func(context.Context, [][]byte) (*bitgen.MultiResult, error) {
-		return func(ctx context.Context, inputs [][]byte) (*bitgen.MultiResult, error) {
-			<-ctx.Done()
-			return nil, bitgen.ErrCanceled
-		}
+	s.matchRun = func(ctx context.Context, eng *bitgen.Engine, input []byte) (*bitgen.Result, error) {
+		<-ctx.Done()
+		return nil, bitgen.ErrCanceled
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -195,4 +197,172 @@ func TestScanClientDisconnect(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// TestAdmissionWaitHonoursDeadline: a request waiting for an execution
+// slot gives up at its own deadline — 504, class canceled — without ever
+// counting as in flight, and the request holding the slot is unaffected.
+func TestAdmissionWaitHonoursDeadline(t *testing.T) {
+	s := mustNew(t, Config{MaxConcurrent: 1})
+	gate := make(chan struct{})
+	s.matchRun = func(ctx context.Context, eng *bitgen.Engine, input []byte) (*bitgen.Result, error) {
+		<-gate
+		return eng.RunContext(ctx, input)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	defer s.Close()
+	inFlight := func() float64 { return s.Metrics().Snapshot().Gauges["bitgen_serve_in_flight"] }
+
+	var heldCode int
+	var held matchResponse
+	heldDone := make(chan struct{})
+	go func() {
+		defer close(heldDone)
+		heldCode, held, _ = postMatch(t, hs.URL, `{"patterns":["ab"],"input":"abxab"}`)
+	}()
+	deadline := time.After(5 * time.Second)
+	for inFlight() < 1 {
+		select {
+		case <-deadline:
+			t.Fatal("held request never took the slot")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	start := time.Now()
+	code, _, er := postMatch(t, hs.URL, `{"patterns":["ab"],"input":"ab","timeout_ms":30}`)
+	if code != http.StatusGatewayTimeout || er.Class != "canceled" {
+		t.Errorf("waiting match: status %d class %q, want 504 canceled", code, er.Class)
+	}
+	resp, err := http.Post(hs.URL+"/v1/scan?pattern=ab&timeout_ms=30", "application/octet-stream", strings.NewReader("ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	er = errorResponse{}
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || er.Class != "canceled" {
+		t.Errorf("waiting scan: status %d class %q, want 504 canceled", resp.StatusCode, er.Class)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("two 30ms waits took %v: admission ignored the request deadline", elapsed)
+	}
+	if got := inFlight(); got != 1 {
+		t.Errorf("in_flight = %v after two timed-out waits, want 1 (the held request only)", got)
+	}
+
+	close(gate)
+	<-heldDone
+	if heldCode != http.StatusOK || len(held.Matches) != 2 {
+		t.Errorf("held request: status %d matches %v, want 200 with 2 matches", heldCode, held.Matches)
+	}
+}
+
+// TestNoGoroutineOutlivesServer: a cached engine owns no goroutine, so
+// once a server that compiled, matched and scanned three sets is drained
+// or closed, the process is back at the goroutine count it had before
+// New; a cluster node that forwarded them takes its router's peer
+// connections with it while its peers stay up.
+func TestNoGoroutineOutlivesServer(t *testing.T) {
+	sets := [][]string{{"alpha"}, {"be{1,3}ta", "t"}, {"gam.a"}}
+	input := "alpha beeta gamma gamxa"
+	// baseline waits out goroutines earlier tests left winding down.
+	baseline := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	settled := func(t *testing.T, base int) {
+		t.Helper()
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// drive sends one match and one scan per set through do.
+	drive := func(t *testing.T, do func(path, body string) int) {
+		t.Helper()
+		for _, pats := range sets {
+			if code := do("/v1/match", matchBody(pats, input)); code != http.StatusOK {
+				t.Fatalf("match %v: status %d", pats, code)
+			}
+			if code := do("/v1/scan?"+url.Values{"pattern": pats}.Encode(), input); code != http.StatusOK {
+				t.Fatalf("scan %v: status %d", pats, code)
+			}
+		}
+	}
+	single := func(stop func(*Server)) func(*testing.T) {
+		return func(t *testing.T) {
+			dir := t.TempDir()
+			base := baseline()
+			s := mustNew(t, Config{SnapshotDir: dir}) // with the scrubber running
+			h := s.Handler()
+			drive(t, func(path, body string) int {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				return w.Code
+			})
+			stop(s)
+			settled(t, base)
+		}
+	}
+	t.Run("drain", single(func(s *Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}))
+	t.Run("close", single((*Server).Close))
+	t.Run("cluster", func(t *testing.T) {
+		base := baseline()
+		// Nodes 1 and 2 are partitioned from their peers (their snapshot
+		// fetches fail fast), so every peer connection is node 0's router's.
+		nodes, err := BootCluster(3, Config{}, func(i int, cc *cluster.Config) {
+			if i > 0 {
+				cc.Inject = faultinject.New(uint64(i))
+				cc.Inject.Arm(faultinject.PeerPartition, faultinject.Spec{Nth: 1, Repeat: true})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted := baseline() // the three accept loops
+		// One set per owner, all through node 0: two of the three are
+		// forwarded over connections node 0's router then keeps idle.
+		sets = nil
+		for _, nd := range nodes {
+			sets = append(sets, findPatterns(t, nodes[0].Server, nd.URL, ""))
+		}
+		client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+		drive(t, func(path, body string) int {
+			code, _, _, err := send(client, http.MethodPost, nodes[0].URL+path, "", body, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return code
+		})
+		// Node 0 goes while its peers stay up: its accept loop and every
+		// goroutine the traffic started, on either end of a forward, ends.
+		for i, want := range []int{booted - 1, booted - 2, base} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			if err := nodes[i].Shutdown(ctx); err != nil {
+				t.Error(err)
+			}
+			cancel()
+			settled(t, want)
+		}
+	})
 }

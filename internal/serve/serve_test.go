@@ -96,6 +96,22 @@ func TestMatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestMatchServedThroughLadder: /v1/match runs through Engine.RunContext,
+// so a ladder configured in Config.Engine.Resilience serves it and the
+// response names the rung.
+func TestMatchServedThroughLadder(t *testing.T) {
+	_, hs := newTestServer(t, Config{Engine: bitgen.Options{
+		Resilience: &bitgen.ResilienceOptions{ForceBackend: bitgen.BackendNFA},
+	}})
+	code, mr, er := postMatch(t, hs.URL, `{"patterns":["ab+"],"input":"xabbx"}`)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d (%+v)", code, er)
+	}
+	if mr.Backend != bitgen.BackendNFA || len(mr.Matches) != 2 {
+		t.Errorf("backend = %q with %d matches, want %q with 2", mr.Backend, len(mr.Matches), bitgen.BackendNFA)
+	}
+}
+
 func TestMatchErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 
@@ -168,99 +184,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if keys := s.cache.keys(); len(keys) != 2 {
 		t.Errorf("cached sets = %d, want 2", len(keys))
-	}
-}
-
-// TestBatchCoalescing gates the batch executor so queued requests pile up
-// behind a running batch, then verifies they ride one RunMulti launch.
-func TestBatchCoalescing(t *testing.T) {
-	s := mustNew(t, Config{MaxBatch: 8, MaxConcurrent: 16})
-	defer s.Close()
-
-	gate := make(chan struct{})
-	var launches atomic.Int64
-	var maxBatch atomic.Int64
-	s.batchRun = func(eng *bitgen.Engine) func(context.Context, [][]byte) (*bitgen.MultiResult, error) {
-		return func(ctx context.Context, inputs [][]byte) (*bitgen.MultiResult, error) {
-			<-gate
-			launches.Add(1)
-			if n := int64(len(inputs)); n > maxBatch.Load() {
-				maxBatch.Store(n)
-			}
-			return eng.RunMultiContext(ctx, inputs)
-		}
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-
-	// First request occupies the batch loop at the gate; the rest queue
-	// behind it and must coalesce into the second launch.
-	const riders = 5
-	var wg sync.WaitGroup
-	results := make([]matchResponse, 1+riders)
-	codes := make([]int, 1+riders)
-	launch := func(i int) {
-		defer wg.Done()
-		codes[i], results[i], _ = postMatch(t, hs.URL, `{"patterns":["ab"],"input":"abab"}`)
-	}
-	wg.Add(1)
-	go launch(0)
-
-	// Wait until the first request is inside the (gated) batch executor.
-	deadline := time.After(5 * time.Second)
-	for s.Metrics().Snapshot().Counter("bitgen_serve_batches_total") < 1 {
-		select {
-		case <-deadline:
-			t.Fatal("first batch never launched")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	for i := 1; i <= riders; i++ {
-		wg.Add(1)
-		go launch(i)
-	}
-	// Let the riders reach the queue, then open the gate.
-	for {
-		s.cache.mu.Lock()
-		var queued int
-		for _, e := range s.cache.entries {
-			if e.batcher != nil {
-				queued = len(e.batcher.queue)
-			}
-		}
-		s.cache.mu.Unlock()
-		if queued == riders {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("riders never queued (have %d)", queued)
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(gate)
-	wg.Wait()
-
-	for i, c := range codes {
-		if c != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, c)
-		}
-		if got := results[i].Counts["ab"]; got != 2 {
-			t.Fatalf("request %d: Counts[ab] = %d, want 2", i, got)
-		}
-	}
-	if got := launches.Load(); got != 2 {
-		t.Errorf("launches = %d, want 2 (first alone, riders coalesced)", got)
-	}
-	if got := maxBatch.Load(); got != riders {
-		t.Errorf("largest batch = %d, want %d", got, riders)
-	}
-	snap := s.Metrics().Snapshot()
-	if got := snap.Counter("bitgen_serve_batches_total"); got != 2 {
-		t.Errorf("serve batches metric = %v, want 2", got)
-	}
-	if got := snap.Counter("bitgen_serve_batched_requests_total"); got != 1+riders {
-		t.Errorf("batched requests metric = %v, want %d", got, 1+riders)
 	}
 }
 
@@ -364,13 +287,11 @@ func TestAdmissionQueueFull(t *testing.T) {
 // TestDrain verifies the drain contract: in-flight requests finish with
 // their full match sets, new requests get 503, healthz flips.
 func TestDrain(t *testing.T) {
-	s := mustNew(t, Config{MaxBatch: 4})
+	s := mustNew(t, Config{})
 	gate := make(chan struct{})
-	s.batchRun = func(eng *bitgen.Engine) func(context.Context, [][]byte) (*bitgen.MultiResult, error) {
-		return func(ctx context.Context, inputs [][]byte) (*bitgen.MultiResult, error) {
-			<-gate
-			return eng.RunMultiContext(ctx, inputs)
-		}
+	s.matchRun = func(ctx context.Context, eng *bitgen.Engine, input []byte) (*bitgen.Result, error) {
+		<-gate
+		return eng.RunContext(ctx, input)
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -447,11 +368,79 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestSameSetMatchesRunConcurrently: requests for one pattern set execute
+// side by side up to MaxConcurrent — a cached engine owns no loop that
+// would run them one behind another — and each still answers with the
+// reference (NFA rung) match sequence. Run under -race in CI.
+func TestSameSetMatchesRunConcurrently(t *testing.T) {
+	s := mustNew(t, Config{MaxConcurrent: 4})
+	defer s.Close()
+	// Every run waits until two runs have been inside the executor at
+	// once: the first for the second, the rest not at all.
+	var inRun atomic.Int32
+	var once sync.Once
+	overlap := make(chan struct{})
+	s.matchRun = func(ctx context.Context, eng *bitgen.Engine, input []byte) (*bitgen.Result, error) {
+		if inRun.Add(1) >= 2 {
+			once.Do(func() { close(overlap) })
+		}
+		defer inRun.Add(-1)
+		select {
+		case <-overlap:
+		case <-time.After(5 * time.Second):
+		}
+		return eng.RunContext(ctx, input)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	pats := []string{"ab+", "b", "ab+", "y.a"}
+	input := strings.Repeat("xabbbyza", 64)
+	ref, err := bitgen.Compile(pats, &bitgen.Options{Resilience: &bitgen.ResilienceOptions{ForceBackend: "nfa"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.Run([]byte(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]jsonMatch, len(refRes.Matches))
+	for i, m := range refRes.Matches {
+		want[i] = jsonMatch{Pattern: m.Pattern, Index: m.Index, End: m.End}
+	}
+
+	const n = 16
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	results := make([]matchResponse, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i], results[i], _ = postMatch(t, hs.URL, matchBody(pats, input))
+		}(i)
+	}
+	wg.Wait()
+	for i := range codes {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, codes[i])
+		}
+		if err := sameMatches(results[i].Matches, want); err != nil {
+			t.Fatalf("request %d differs from the NFA rung: %v", i, err)
+		}
+	}
+	select {
+	case <-overlap:
+	default:
+		t.Error("no two same-set runs overlapped in time")
+	}
+}
+
 // TestLoadSmoke is the ISSUE's load smoke: concurrent mixed traffic on a
-// warm cache must compile each set exactly once and coalesce at least
-// some batches. Run under -race in CI.
+// warm cache must compile each set exactly once and count every executed
+// match. Run under -race in CI.
 func TestLoadSmoke(t *testing.T) {
-	s, hs := newTestServer(t, Config{MaxBatch: 8})
+	s, hs := newTestServer(t, Config{})
 
 	sets := []string{
 		`{"patterns":["abc","a?","abc"],"input":"zabczabc"}`,
@@ -496,17 +485,10 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	batches := snap.Counter("bitgen_serve_batches_total")
 	ridden := snap.Counter("bitgen_serve_batched_requests_total")
-	if ridden <= batches {
-		t.Logf("note: no coalescing observed under this scheduling (batches=%v requests=%v)", batches, ridden)
+	if ridden != batches {
+		t.Errorf("batches = %v, batched requests = %v: every match is a launch of its own", batches, ridden)
 	}
 	if ridden != float64(len(sets)+workers*perWorker) {
 		t.Errorf("batched requests = %v, want %d", ridden, len(sets)+workers*perWorker)
-	}
-}
-
-// TestSelfTest runs the bitgend -selftest path in-process.
-func TestSelfTest(t *testing.T) {
-	if err := SelfTest(context.Background(), io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -34,9 +34,6 @@ type Config struct {
 	// MaxConcurrent bounds requests executing at once (default
 	// 2*GOMAXPROCS).
 	MaxConcurrent int
-	// MaxBatch bounds how many same-engine match requests one RunMulti
-	// launch coalesces (default 16).
-	MaxBatch int
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 10s); MaxTimeout caps client-requested timeouts (default
 	// 30s) so no request — local or forwarded from a peer — can pin an
@@ -47,10 +44,6 @@ type Config struct {
 	// /v1/scan bodies stream unbounded; the engine's per-chunk
 	// Limits.MaxInputBytes still applies to every chunk.
 	MaxBodyBytes int64
-	// MaxScanForwardBytes bounds how much of a /v1/scan body is buffered
-	// for cluster forwarding (default 1 MiB): buffered bodies can be
-	// replayed across hedged attempts, larger streams are served locally.
-	MaxScanForwardBytes int64
 	// Engine is the base bitgen.Options every compiled engine starts
 	// from; per-request knobs (fold_case) overlay it and Observability
 	// is always enabled so /metrics?set= and /trace?set= have data.
@@ -62,10 +55,10 @@ type Config struct {
 	SnapshotDir string
 	// SnapshotScrubInterval paces the background integrity scrubber over
 	// SnapshotDir (default 1m when persistence is on; negative disables
-	// the scrubber, ScrubNow still works).
+	// the scrubber).
 	SnapshotScrubInterval time.Duration
 	// Inject arms deterministic persistence faults on the snapshot store
-	// (tests and bitgend -selftest).
+	// (tests).
 	Inject *faultinject.Injector
 	// BundleDir, when set, enables the anomaly flight recorder's disk
 	// dumps: on a breaker open, snapshot quarantine, degraded serve or
@@ -88,14 +81,6 @@ type Config struct {
 	// SLOAvailability is the good-request objective shared by both
 	// endpoints (default 0.999 — an error budget of 0.1%).
 	SLOAvailability float64
-	// SLOFastBurnThreshold is the fast-window burn rate that flags an
-	// anomaly (default 14.4).
-	SLOFastBurnThreshold float64
-	// EventCapacity / FlightCapacity size the structured-event ring and
-	// the request-span flight-recorder ring (defaults
-	// obs.DefaultEventCapacity / obs.DefaultSpanCapacity).
-	EventCapacity  int
-	FlightCapacity int
 	// tuneSLO, when set (tests), adjusts the SLO tracker's window
 	// configuration before construction.
 	tuneSLO func(*obs.SLOConfig)
@@ -111,9 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
@@ -122,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxScanForwardBytes <= 0 {
-		c.MaxScanForwardBytes = 1 << 20
 	}
 	if c.BundleMinInterval == 0 {
 		c.BundleMinInterval = 30 * time.Second
@@ -138,21 +117,12 @@ func (c Config) withDefaults() Config {
 	if c.SLOAvailability <= 0 || c.SLOAvailability >= 1 {
 		c.SLOAvailability = obs.DefaultAvailability
 	}
-	if c.SLOFastBurnThreshold <= 0 {
-		c.SLOFastBurnThreshold = obs.DefaultFastBurnThreshold
-	}
-	if c.EventCapacity <= 0 {
-		c.EventCapacity = obs.DefaultEventCapacity
-	}
-	if c.FlightCapacity <= 0 {
-		c.FlightCapacity = obs.DefaultSpanCapacity
-	}
 	return c
 }
 
 // Server is the multi-tenant matching service: engine cache, bounded
-// admission, batch coalescing, graceful drain. Create with New, mount
-// Handler on an http.Server, call Drain on shutdown.
+// admission, graceful drain. Create with New, mount Handler on an
+// http.Server, call Drain on shutdown.
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
@@ -177,10 +147,8 @@ type Server struct {
 	// snap is the engine persistence store; nil when SnapshotDir is unset.
 	snap *snapshot.Store
 
-	// cluster, when non-nil, routes pattern-set keys across replicas;
-	// ctrace records the cluster layer's per-forward spans.
+	// cluster, when non-nil, routes pattern-set keys across replicas.
 	cluster *cluster.Router
-	ctrace  *obs.Tracer
 
 	// Observability plane: the structured event log, the request-span
 	// flight recorder, and the SLO tracker. All three are always on —
@@ -195,13 +163,13 @@ type Server struct {
 	lastBundleUnixNano int64 // atomic
 	bundleBusy         int32 // atomic
 
-	// batchRun, when non-nil, replaces an engine's RunMultiContext as the
-	// batch executor — a test seam for deterministic coalescing.
-	batchRun func(eng *bitgen.Engine) func(ctx context.Context, inputs [][]byte) (*bitgen.MultiResult, error)
+	// matchRun, when non-nil (tests), replaces Engine.RunContext as
+	// /v1/match's executor, to hold a request in flight.
+	matchRun func(ctx context.Context, eng *bitgen.Engine, input []byte) (*bitgen.Result, error)
 }
 
 // New builds a Server. The returned server owns a background context for
-// batch loops and singleflight compiles; Drain (or Close) releases it.
+// admission waits and the snapshot scrubber; Drain (or Close) releases it.
 // New fails only when SnapshotDir is set but unusable — a server that
 // cannot honor its persistence contract should not boot.
 func New(cfg Config) (*Server, error) {
@@ -216,20 +184,18 @@ func New(cfg Config) (*Server, error) {
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
 		idle:    make(chan struct{}),
 	}
-	s.flight = obs.NewSpanStore(cfg.FlightCapacity)
+	s.flight = obs.NewSpanStore(obs.DefaultSpanCapacity)
 	s.events = obs.NewEventLog(obs.EventLogConfig{
-		Capacity: cfg.EventCapacity,
-		Metrics:  s.reg,
-		OnEvent:  s.onAnomalyEvent,
+		Metrics: s.reg,
+		OnEvent: s.onAnomalyEvent,
 	})
 	sloCfg := obs.SLOConfig{
 		Objectives: map[string]obs.SLOObjective{
 			"match": {LatencyP99: cfg.SLOMatchP99, Availability: cfg.SLOAvailability},
 			"scan":  {LatencyP99: cfg.SLOScanP99, Availability: cfg.SLOAvailability},
 		},
-		FastBurnThreshold: cfg.SLOFastBurnThreshold,
-		Metrics:           s.reg,
-		OnFastBurn:        s.onFastBurn,
+		Metrics:    s.reg,
+		OnFastBurn: s.onFastBurn,
 	}
 	if cfg.tuneSLO != nil {
 		cfg.tuneSLO(&sloCfg)
@@ -312,13 +278,11 @@ func New(cfg Config) (*Server, error) {
 
 // EnableCluster wires consistent-hash routing across the configured
 // replicas. Call once, before serving traffic. The router registers its
-// cluster.* families into this server's registry and records per-forward
-// spans on a dedicated tracer (exported via /trace?cluster=1).
+// cluster.* families into this server's registry and records each forward
+// in the flight recorder and the event log (/v1/trace/{id}).
 func (s *Server) EnableCluster(cc cluster.Config) error {
-	s.ctrace = obs.NewTracer(obs.TracerConfig{})
-	r, err := cluster.New(cc, &obs.Observer{Tracer: s.ctrace, Metrics: s.reg, Events: s.events, Spans: s.flight})
+	r, err := cluster.New(cc, &obs.Observer{Metrics: s.reg, Events: s.events, Spans: s.flight})
 	if err != nil {
-		s.ctrace = nil
 		return err
 	}
 	s.cluster = r
@@ -350,21 +314,6 @@ func (s *Server) engineOptions(foldCase bool) bitgen.Options {
 	return o
 }
 
-// batcherFor lazily starts the entry's batch loop; the test seam
-// batchRun substitutes the executor when set.
-func (s *Server) batcherFor(e *entry) *batcher {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	if e.batcher == nil {
-		run := e.eng.RunMultiContext
-		if s.batchRun != nil {
-			run = s.batchRun(e.eng)
-		}
-		e.batcher = newBatcher(s.baseCtx, s.cfg.MaxBatch, s.cfg.MaxQueue, s.reg, run)
-	}
-	return e.batcher
-}
-
 // Draining reports whether a drain has started.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
@@ -374,9 +323,9 @@ func (s *Server) Draining() bool {
 
 // Drain starts a graceful drain: new requests are rejected with 503 (and
 // /healthz flips to 503, so load balancers stop routing), in-flight
-// requests run to completion, then batch loops stop and the server
-// context is canceled. Returns ctx.Err() if ctx expires first; the drain
-// state persists either way.
+// requests run to completion, then the server context is canceled.
+// Returns ctx.Err() if ctx expires first; the drain state persists either
+// way.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -391,8 +340,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	s.cache.stopAll()
-	s.cancel()
+	s.release()
 	return nil
 }
 
@@ -403,8 +351,16 @@ func (s *Server) Close() {
 	s.draining = true
 	s.maybeIdleLocked()
 	s.mu.Unlock()
-	s.cache.stopAll()
+	s.release()
+}
+
+// release ends what outlives requests: the server context (admission
+// waits, the scrubber) and the router's idle peer connections.
+func (s *Server) release() {
 	s.cancel()
+	if s.cluster != nil {
+		s.cluster.Close()
+	}
 }
 
 func (s *Server) maybeIdleLocked() {
@@ -413,6 +369,11 @@ func (s *Server) maybeIdleLocked() {
 		close(s.idle)
 	}
 }
+
+// maxScanForwardBytes bounds how much of a /v1/scan body is buffered for
+// cluster forwarding: buffered bodies can be replayed across hedged
+// attempts, larger streams are served locally.
+const maxScanForwardBytes = 1 << 20
 
 var (
 	errDraining  = errors.New("server is draining")
@@ -596,7 +557,7 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, status int, err er
 }
 
 // Back-off hints for rejected requests: a full queue usually clears
-// within a batch launch or two (1s), a drain means this replica is going
+// within a request or two (1s), a drain means this replica is going
 // away and clients should re-resolve (5s). Clients and bitload honor
 // Retry-After; the cluster router fails straight over to the successor
 // instead of waiting.
@@ -692,7 +653,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		// or degraded serve): fall through and compile locally.
 	}
 
-	release, status, err := s.admit(r.Context())
+	release, status, err := s.admit(ctx)
 	if err != nil {
 		s.reject(w, "match", status, err)
 		return
@@ -705,7 +666,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := s.batcherFor(e).submit(ctx, input)
+	// Both counters step once per executed match (batch_mean = 1): they
+	// stay only because benchmark/serve.go reads them.
+	s.reg.Counter(obs.MServeBatches, obs.HServeBatches).Inc()
+	s.reg.Counter(obs.MServeBatchedRequests, obs.HServeBatchedRequests).Inc()
+	var res *bitgen.Result
+	if s.matchRun != nil {
+		res, err = s.matchRun(ctx, e.eng, input)
+	} else {
+		res, err = e.eng.RunContext(ctx, input)
+	}
 	if err != nil {
 		s.fail(w, "match", statusOf(err, false), err, false)
 		return
@@ -781,14 +751,14 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			s.reject(w, "scan", http.StatusServiceUnavailable, errDraining)
 			return
 		} else {
-			// Buffer up to MaxScanForwardBytes so hedged attempts can
+			// Buffer up to maxScanForwardBytes so hedged attempts can
 			// replay the body; larger streams are served locally instead.
-			buf, rerr := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxScanForwardBytes+1))
+			buf, rerr := io.ReadAll(io.LimitReader(r.Body, maxScanForwardBytes+1))
 			if rerr != nil {
 				s.fail(w, "scan", http.StatusBadRequest, rerr, false)
 				return
 			}
-			if int64(len(buf)) <= s.cfg.MaxScanForwardBytes {
+			if len(buf) <= maxScanForwardBytes {
 				if res, ok := s.cluster.Forward(ctx, route, r.URL.RequestURI(), "application/octet-stream", buf, true); ok {
 					s.relayScan(w, res)
 					return
@@ -800,7 +770,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	release, status, err := s.admit(r.Context())
+	release, status, err := s.admit(ctx)
 	if err != nil {
 		s.reject(w, "scan", status, err)
 		return
@@ -967,18 +937,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves a cached engine's span trace (Chrome trace_event
-// JSON) via Engine.WriteTrace, or the cluster layer's per-forward spans
-// with ?cluster=1.
+// JSON) via Engine.WriteTrace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if v := r.URL.Query().Get("cluster"); v == "1" || v == "true" {
-		if s.ctrace == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "cluster mode is not enabled", Class: "not_found"})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = s.ctrace.WriteChromeTrace(w)
-		return
-	}
 	key := r.URL.Query().Get("set")
 	if key == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "?set=<pattern-set-key> is required", Class: "bad_request"})

@@ -201,29 +201,17 @@ func (s *Server) scrubLoop(interval time.Duration) {
 		case <-s.baseCtx.Done():
 			return
 		case <-t.C:
-			res, err := s.snap.Scrub()
-			s.noteScrub(res, err)
+			s.scrub()
 		}
 	}
 }
 
-// ScrubNow runs one integrity scrub synchronously — the background
-// scrubber's unit of work, exposed for bitgend's selftest and operators
-// who want an on-demand pass. A server without a snapshot store scrubs
-// nothing.
-func (s *Server) ScrubNow() (snapshot.ScrubResult, error) {
-	if s.snap == nil {
-		return snapshot.ScrubResult{}, nil
-	}
-	res, err := s.snap.Scrub()
-	s.noteScrub(res, err)
-	return res, err
-}
-
-// noteScrub records a scrub verdict: Info when the pass was clean, Warn
+// scrub runs one integrity pass over the store — the scrubber's unit of
+// work — and records its verdict: Info when the pass was clean, Warn
 // when it condemned snapshots (resting corruption is an anomaly worth a
 // look even though serving already routed around it).
-func (s *Server) noteScrub(res snapshot.ScrubResult, err error) {
+func (s *Server) scrub() (snapshot.ScrubResult, error) {
+	res, err := s.snap.Scrub()
 	level := obs.LevelInfo
 	if res.Quarantined > 0 || err != nil {
 		level = obs.LevelWarn
@@ -236,11 +224,8 @@ func (s *Server) noteScrub(res snapshot.ScrubResult, err error) {
 		fields = append(fields, obs.FStr("error", err.Error()))
 	}
 	s.events.Emit(level, "snapshot-scrub", obs.TraceID{}, fields...)
+	return res, err
 }
-
-// SnapshotStore exposes the store (nil when persistence is off) for
-// bitgend's selftest.
-func (s *Server) SnapshotStore() *snapshot.Store { return s.snap }
 
 // handleSnapshot serves a pattern set's snapshot bytes to cluster peers
 // (GET /v1/snapshot?set=<key>). A cached engine is the authority and is

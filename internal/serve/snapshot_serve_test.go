@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -281,16 +280,5 @@ func TestSnapshotEndpointValidation(t *testing.T) {
 	}
 	if err := snapshot.Verify(data); err != nil {
 		t.Errorf("served snapshot fails verification: %v", err)
-	}
-}
-
-// TestSnapshotSelfTest runs the full persistence fault-matrix smoke — the
-// same path `bitgend -snapshot-selftest` and `make snapshot-smoke` take.
-func TestSnapshotSelfTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-server persistence smoke")
-	}
-	if err := SnapshotSelfTest(context.Background(), io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }

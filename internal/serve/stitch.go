@@ -16,7 +16,7 @@ import (
 // and event-ring entries tagged with that ID); StitchTrace fetches the
 // fragment from every ring peer and merges them into one Chrome
 // trace_event timeline with a lane per node. `bitgend -stitch` and the
-// obs-cluster selftest drive it.
+// observability cluster scenario (scenario_test.go) drive it.
 
 // TraceFragment is one node's slice of a distributed trace.
 type TraceFragment struct {

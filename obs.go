@@ -21,12 +21,10 @@ type ObservabilityOptions struct {
 	// Engine.WritePrometheus, Engine.PublishExpvar) and the per-scan
 	// Profile artifact on Result.
 	Metrics bool
-	// Trace enables the span tracer (Engine.WriteTrace).
+	// Trace enables the span tracer (Engine.WriteTrace): a ring of
+	// obs.DefaultTraceCapacity (65536) events; when full, the oldest are
+	// overwritten and counted as dropped.
 	Trace bool
-	// TraceEventCapacity bounds the trace ring buffer; when full, the
-	// oldest events are overwritten and counted as dropped. Zero means
-	// obs.DefaultTraceCapacity (65536 events).
-	TraceEventCapacity int
 }
 
 // observer builds the internal Observer, or nil when nothing is enabled.
@@ -36,7 +34,7 @@ func (o *ObservabilityOptions) observer() *obs.Observer {
 	}
 	ob := &obs.Observer{}
 	if o.Trace {
-		ob.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: o.TraceEventCapacity})
+		ob.Tracer = obs.NewTracer(obs.TracerConfig{})
 	}
 	if o.Metrics {
 		ob.Metrics = obs.NewRegistry()
