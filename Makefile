@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs profile-control profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -152,6 +152,22 @@ profile-sigs:
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
 
+# profile-control is the control path's CPU profile as a command: the repo
+# benchmark's oneshot_control op as a Go benchmark (BenchmarkRunControl: one
+# Run of 92 unbounded patterns, nearly every window re-executed by the
+# saturation probe), 300 iterations from a test binary built once, top 25 by
+# flat time, then runWindowToFixpoint line by line: the execWindowOnce call
+# with (false, true) is the real pass, the one with (true, false) the probe
+# pass, saveCommitted / probeAgrees the probe's bookkeeping.
+profile-control:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench RunControl -test.benchtime 300x \
+		-test.cpuprofile $(PROFILE_DIR)/control.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof
+	$(GO) tool pprof -list 'ctaExec..runWindowToFixpoint' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof | \
+		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s'
+
 # profile-compile is the compile path's CPU and allocation profile as a
 # command: the repo benchmark's compile_megaset op as a Go benchmark
 # (BenchmarkCompileMegaset/500: compile 500 signatures, snapshot, load, first
@@ -177,7 +193,8 @@ profile-compile:
 # creep in the pipelined scanner; ScanReader also selects
 # BenchmarkScanReaderSigs, the signature-set scan whose -cpuprofile is the
 # superblock executor's profile — no floor on it, the repo benchmark is
-# the gate — and ShiftWords is the shift kernels' cost per word, in
+# the gate — RunControl is the probed one-shot path with its allocation
+# count, and ShiftWords is the shift kernels' cost per word, in
 # internal/kernel one link of an AND chain with the shift moved, folded
 # and only tested: what deferral saves per link), one
 # iteration of BenchmarkCompileMegaset/500 (the compile_megaset op with its
@@ -190,7 +207,7 @@ profile-compile:
 # trace validated by obscheck (the pipeline stage lanes ride the same
 # schema the whole-input scan does).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ScanReader|TransposeInto|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
+	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/kernel
 	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1

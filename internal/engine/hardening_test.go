@@ -12,6 +12,7 @@ import (
 	"bitgen/internal/faultinject"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/kernel"
+	"bitgen/internal/workload"
 )
 
 func hardenedInput() []byte {
@@ -300,6 +301,57 @@ func (c *doneAfter) Err() error {
 		return nil
 	}
 	return context.Canceled
+}
+
+// TestMatchlessUnboundedOutputSurvivesTheProbe is the same promise for patterns
+// with a general star, whose windows the kernel re-executes with flooded
+// margins (the saturation probe) before committing them: the probe computes
+// the output — all zero where it is committed — and must leave it the
+// never-materialized zero the real pass made it. The set is a slice of the
+// Brill generator's (lower-case words); the input has none of its letters.
+func TestMatchlessUnboundedOutputSurvivesTheProbe(t *testing.T) {
+	app, err := workload.Load("Brill", workload.Options{RegexScale: 0.05, InputBytes: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := BitGenDefault()
+	cfg.Grid = smallGrid
+	e, err := Compile(app.Regexes[:8], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte(strings.Repeat("0123 456 789. ", 300))
+	ss, err := e.NewScanSession(len(input), &arena.Arena{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if err := ss.execute(context.Background(), input, false); err != nil {
+		t.Fatal(err)
+	}
+	loops := int64(0)
+	for gi, outs := range ss.outs {
+		loops += ss.stats[gi].Loops
+		for oi, o := range e.groups[gi].Outputs {
+			if !ss.sess[gi].IsZero(outs[oi]) {
+				t.Errorf("output %s was materialized: %d set bits", o.Name, outs[oi].Popcount())
+			}
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no group has a loop; nothing was probed")
+	}
+	if matches := ss.mergeMatches(0, 0, nil); len(matches) != 0 {
+		t.Fatalf("merged %d matches from an input that has none", len(matches))
+	}
+	ss.clearOuts()
+	res, err := e.RunContext(context.Background(), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalMatches != 0 || len(res.Matches) != 0 || len(res.MatchCounts) != 8 {
+		t.Fatalf("%d matches, %d counted over %d patterns; want none over 8", len(res.Matches), res.TotalMatches, len(res.MatchCounts))
+	}
 }
 
 // TestMatchlessOutputIsNeverMaterialized: an output no window committed a set

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"bitgen/internal/bgerr"
 	"bitgen/internal/bitstream"
@@ -161,6 +162,8 @@ type ctaExec struct {
 	curAnalysis *dfg.Analysis
 	// scratch buffers for StarThru and for aliased whole-stream shifts
 	tmpT, tmpS []uint64
+	// saturation-probe scratch, retained: each live-out's committed words.
+	probeWords []uint64
 	// window state
 	ws, cs, ce, weBits int
 	ww                 int
@@ -176,6 +179,9 @@ type ctaExec struct {
 	// wgChargedAt[gid] == wgGen (epoch tagging, no per-window map).
 	wgGen       uint32
 	wgChargedAt []uint32
+	// afterOp, when set, runs after every µop. Never set outside tests: they
+	// check the register file's mask invariants there.
+	afterOp func()
 }
 
 // newExec builds the per-program executor state (allocated once; reusable
@@ -583,18 +589,17 @@ func (ex *ctaExec) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, 
 			ex.commitWindow(liveOut, cs, ce)
 			return dl, nil
 		}
-		// Save the committed slices, then run the saturation probe: the
+		// Save the committed words, then run the saturation probe: the
 		// same window with the overlap margins flooded with markers at
 		// every loop head. By monotonicity of the closure loops, equality
 		// of committed bits proves no history beyond the margin could
 		// change them.
-		cur := ex.snapshotCommitted(liveOut, cs, ce)
+		lo, hi := (cs-ex.ws)/64, (ce+63)/64-ex.ws/64
+		ex.saveCommitted(liveOut, lo, hi)
 		if err := ex.execWindowOnce(seg, cs, ce, dl, dr, true, false); err != nil {
 			return 0, err
 		}
-		sat := ex.snapshotCommitted(liveOut, cs, ce)
-		if equalSnapshots(cur, sat) {
-			ex.restoreSnapshot(liveOut, cs, ce, cur)
+		if ex.probeAgrees(liveOut, lo, hi) {
 			ex.commitWindow(liveOut, cs, ce)
 			return dl, nil
 		}
@@ -667,67 +672,43 @@ func (ex *ctaExec) growOverlap(dl, cs int) (int, error) {
 	return grown, nil
 }
 
-// snapshotCommitted copies the committed word range of each live-out var.
-func (ex *ctaExec) snapshotCommitted(liveOut []ir.VarID, cs, ce int) map[ir.VarID][]uint64 {
-	fromWord := cs / 64
-	toWord := (ce + 63) / 64
-	snap := make(map[ir.VarID][]uint64, len(liveOut))
-	for _, v := range liveOut {
-		buf := ex.windowSlice(v, fromWord, toWord)
-		cp := make([]uint64, len(buf))
-		copy(cp, buf)
-		snap[v] = cp
+// committedWords returns words [lo, hi) — the committed range — of live-out
+// v's register, zeros for one that is absent (an untaken if) or known zero.
+func (ex *ctaExec) committedWords(v ir.VarID, lo, hi int) []uint64 {
+	if w := ex.regs.get(v); w != nil {
+		return w[lo:hi]
 	}
-	return snap
+	return ex.regs.zeroWords()[lo:hi]
 }
 
-// windowSlice returns the words [fromWord, toWord) of v's current window
-// register (zeros if the variable was not computed this window).
-func (ex *ctaExec) windowSlice(v ir.VarID, fromWord, toWord int) []uint64 {
-	out := make([]uint64, toWord-fromWord)
-	reg := ex.regs.get(v)
-	if reg == nil {
-		return out
+// saveCommitted keeps every live-out's committed words in the probe scratch.
+func (ex *ctaExec) saveCommitted(liveOut []ir.VarID, lo, hi int) {
+	n := hi - lo
+	if len(ex.probeWords) < n*len(liveOut) {
+		ex.probeWords = ex.newWords(n * len(liveOut))
 	}
-	wsWord := ex.ws / 64
-	for i := range out {
-		j := fromWord + i - wsWord
-		if j >= 0 && j < len(reg) {
-			out[i] = reg[j]
-		}
+	for i, v := range liveOut {
+		copy(ex.probeWords[i*n:], ex.committedWords(v, lo, hi))
 	}
-	return out
 }
 
-func equalSnapshots(a, b map[ir.VarID][]uint64) bool {
-	for v, aw := range a {
-		bw := b[v]
-		if len(aw) != len(bw) {
+// probeAgrees reports whether the registers the probe pass left hold, in the
+// committed range, what saveCommitted kept of the real pass. Then they are what
+// commitWindow must store — except that a live-out all zero there is made known
+// zero: the real pass may have known it, and committing the zero words the probe
+// computed would materialize a global no window has a set bit for.
+func (ex *ctaExec) probeAgrees(liveOut []ir.VarID, lo, hi int) bool {
+	n := hi - lo
+	for i, v := range liveOut {
+		saved := ex.probeWords[i*n : (i+1)*n]
+		if !slices.Equal(ex.committedWords(v, lo, hi), saved) {
 			return false
 		}
-		for i := range aw {
-			if aw[i] != bw[i] {
-				return false
-			}
+		if !anyWords(saved) {
+			ex.regs.zero(v)
 		}
 	}
 	return true
-}
-
-// restoreSnapshot writes saved committed words back into the registers so
-// commitWindow stores the unsaturated values.
-func (ex *ctaExec) restoreSnapshot(liveOut []ir.VarID, cs, ce int, snap map[ir.VarID][]uint64) {
-	fromWord := cs / 64
-	wsWord := ex.ws / 64
-	for _, v := range liveOut {
-		reg := ex.regs.mut(v)
-		for i, w := range snap[v] {
-			j := fromWord + i - wsWord
-			if j >= 0 && j < len(reg) {
-				reg[j] = w
-			}
-		}
-	}
 }
 
 // commitWindow stores the committed range of live-out variables to global
@@ -832,29 +813,6 @@ func (ex *ctaExec) bind(v ir.VarID, charge bool) {
 func (ex *ctaExec) readWindowed(v ir.VarID, charge bool) []uint64 {
 	ex.bind(v, charge)
 	return ex.regs.get(v)
-}
-
-// marginMask sets the margin bits (outside the committed range) in buf.
-func (ex *ctaExec) saturateMargins(buf []uint64) {
-	left := ex.cs - ex.ws // bits of left margin
-	for i := 0; i < left/64; i++ {
-		buf[i] = ^uint64(0)
-	}
-	if left%64 != 0 {
-		buf[left/64] |= (1 << (uint(left) % 64)) - 1
-	}
-	// Right margin.
-	rightStart := ex.ce - ex.ws
-	if rightStart < ex.weBits-ex.ws {
-		w := rightStart / 64
-		if rightStart%64 != 0 {
-			buf[w] |= ^uint64(0) << (uint(rightStart) % 64)
-			w++
-		}
-		for ; w < len(buf); w++ {
-			buf[w] = ^uint64(0)
-		}
-	}
 }
 
 // checkCarryBoundary inspects whether a carry chain could have entered the

@@ -24,9 +24,9 @@ package kernel
 // a cut, and InsertGuards guards a rebalanced batch's own shifts. Run-time
 // deferral (compileRun, window.go): a shift left standalone — consumer behind a
 // cut, several readers, a word distance — records "shift(src, k), not computed"
-// instead of moving words. Plain bitwise µops fold it into their own pass after
-// the known-zero absorption test (execBin), a guard or if answers from the
-// source words (regFile.any), every other reader forces it (regFile.get/mut),
+// instead of moving words. Plain bitwise µops fold it into their own pass once
+// the result's mask is known not to be 0 (execBin), a guard or if answers from
+// the source words (regFile.any), every other reader forces it (regFile.get/mut),
 // and two bitwise ops over a deferred operand are not pair-fused: a conjunction
 // over a guard-cut batch stops at its first zero link and the shifts behind it
 // are never computed. Invariant: a deferred shift yields the words its source
@@ -35,13 +35,23 @@ package kernel
 // it.
 //
 // The executor also skips work the data makes moot — host-side Zero Block
-// Skipping. Registers carry a known-zero tag (window.go): a taken guard tags
-// what it skips instead of clearing it, the AND-type kernels report the OR of
-// what they stored (the host analog of the atomicOr flag of Section 6) and
-// tag an all-zero result, and a µop with a known-zero absorbing operand —
-// either side of an AND, the left of an AND-NOT, the source of a copy or
-// shift — tags its destination and moves no words. Operands that are not
-// register-resident are bound as read-only views of their stream, not copied.
+// Skipping, at the granularity of a tile, a 64th of the window or more. Every
+// register carries a live-tile mask (window.go) and mask 0 is the known-zero
+// register: a taken guard gives what it skips mask 0 instead of clearing it.
+// The plain bitwise µops and the shift-binaries bound their result's mask by
+// their operands' before reading a word (binMask) — 0 when an absorbing operand
+// is known zero or the two are live in different tiles, and then the destination
+// is known zero and no word moves. Otherwise the word kernel runs over the runs
+// of live tiles only (regFile.bin); the AND-type kernels report the OR of what
+// they stored (the host analog of the atomicOr flag of Section 6), a run that
+// stored zeros leaves the mask, and a result whose OR has few bit columns is
+// rescanned for the tiles it occupies, so the match of two dense class streams
+// hands a two-tile mask down its literal chain. A full mask takes the path there
+// was before masks: one kernel call over the window. Copies and shifts hand
+// their source's mask on; guards, ifs and while heads scan live tiles only;
+// every other µop reads and writes whole windows, which window.go's storage
+// invariant keeps correct. Operands that are not register-resident are bound
+// as read-only views of their stream, not copied.
 //
 // Charging contract. Modeled cost is a function of the IR program and the
 // window geometry, never of how the segment was compiled or of what the data
@@ -506,19 +516,17 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 	iters := 0
 	maxIters := ex.weBits - ex.ws + 16
 	for {
-		cond := ex.readWindowed(nd.cond, charge)
+		ex.bind(nd.cond, charge)
 		if ex.saturate && iters == 0 {
 			// Probe pass: flood the margins of the loop condition so any
-			// possible cross-boundary propagation is triggered. The
-			// condition may be a view of its global: flood a private copy.
-			cond = ex.regs.mut(nd.cond)
-			ex.saturateMargins(cond)
+			// possible cross-boundary propagation is triggered.
+			ex.regs.flood(nd.cond, ex.cs-ex.ws, ex.ce-ex.ws)
 		}
 		if charge {
 			ex.stats.UnitOps += ex.windowUnits()
 			ex.stats.Barriers++
 		}
-		if ex.regs.isZero(nd.cond) || !anyWords(cond) {
+		if !ex.regs.any(nd.cond) {
 			return nil
 		}
 		if iters++; iters > maxIters {
@@ -561,11 +569,11 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 				ex.stats.UnitOps += units
 			}
 		case sbCopy:
-			src := ex.readWindowed(op.a, charge)
-			if ex.regs.isZero(op.a) {
-				ex.regs.zero(op.dst)
+			ex.bind(op.a, charge)
+			if r, src := ex.regs, ex.regs.get(op.a); r.live[op.a] == 0 {
+				r.zero(op.dst)
 			} else {
-				copy(ex.regs.buf(op.dst), src)
+				r.bin(sbOr, op.dst, src, 0, src, r.live[op.a]) // x | x: the live tiles copied
 			}
 			if charge {
 				ex.stats.UnitOps += units
@@ -585,11 +593,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			}
 		case sbShift:
 			src := ex.readWindowed(op.a, charge)
-			if ex.regs.isZero(op.a) {
-				ex.regs.zero(op.dst)
-			} else {
-				ex.regs.shift(op.dst, src, op.k, op.lazy)
-			}
+			ex.regs.shift(op.dst, src, ex.regs.live[op.a], op.k, op.lazy)
 			if charge {
 				ex.chargeShift(op, units)
 			}
@@ -627,10 +631,11 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 		case sbShiftAnd, sbShiftOr, sbShiftXor, sbShiftAndNot, sbShiftUnderAndNot:
 			ex.bind(op.a, charge)
 			ex.bind(op.c, charge)
-			if ex.regs.absorbed(op.code, op.a, op.c) {
-				ex.regs.zero(op.dst)
+			r := ex.regs
+			if m := binMask(op.code, r.shiftMask(r.live[op.a], int(op.k)), r.live[op.c]); m == 0 {
+				r.zero(op.dst)
 			} else {
-				ex.shiftBin(op.code, op.dst, ex.regs.get(op.a), int(op.k), op.c)
+				r.bin(op.code, op.dst, r.get(op.a), int(op.k), r.get(op.c), m)
 			}
 			if charge {
 				// The shift's charges (incl. barrier-merge) plus the
@@ -651,23 +656,28 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 				ex.stats.UnitOps += 2 * units
 			}
 		}
+		if ex.afterOp != nil {
+			ex.afterOp()
+		}
 	}
 	return nil
 }
 
 // execBin executes dst = a op b for the four plain bitwise µops. Operands are
-// bound first, as a load would, and absorption tested before either is read: a
-// dead conjunction computes nothing, a live one folds a deferred operand in.
+// bound first, as a load would, and the result's mask taken before either is
+// read: a dead conjunction computes nothing, a live one folds a deferred
+// operand in.
 func (ex *ctaExec) execBin(op *sbOp, charge bool) {
 	r := ex.regs
 	ex.bind(op.a, charge)
 	ex.bind(op.b, charge)
-	if r.absorbed(op.code, op.a, op.b) {
+	m := binMask(op.code, r.live[op.a], r.live[op.b])
+	if m == 0 {
 		r.zero(op.dst)
 		return
 	}
 	if src, k, ok := r.deferredSrc(op.a); ok {
-		ex.shiftBin(sbShiftCode[op.code], op.dst, src, k, op.b)
+		r.bin(sbShiftCode[op.code], op.dst, src, k, r.get(op.b), m)
 		return
 	}
 	if src, k, ok := r.deferredSrc(op.b); ok {
@@ -675,48 +685,47 @@ func (ex *ctaExec) execBin(op *sbOp, charge bool) {
 		if op.code == sbAndNot {
 			code = sbShiftUnderAndNot
 		}
-		ex.shiftBin(code, op.dst, src, k, op.a)
+		r.bin(code, op.dst, src, k, r.get(op.a), m)
 		return
 	}
-	x, y := r.get(op.a), r.get(op.b)
-	dst := r.buf(op.dst)
-	or := ^uint64(0) // OR and XOR do not report theirs
-	switch op.code {
-	case sbAnd:
-		or = andWords(dst, x, y)
-	case sbAndNot:
-		or = andNotWords(dst, x, y)
-	case sbOr:
-		orWords(dst, x, y)
-	case sbXor:
-		xorWords(dst, x, y)
-	}
-	if or == 0 {
-		r.zero(op.dst)
-	}
+	r.bin(op.code, op.dst, r.get(op.a), 0, r.get(op.b), m)
 }
 
-// shiftBin stores dst = code(shift(a, k), c) and tags an all-zero result.
-func (ex *ctaExec) shiftBin(code sbOpCode, dst ir.VarID, a []uint64, k int, c ir.VarID) {
-	cw := ex.regs.get(c)
-	if b := ex.regs.buf(dst); fusedShiftBin(code, b, a, cw, k) == 0 {
-		ex.regs.zero(dst)
-	} else {
-		ex.regs.maskTail(b)
-	}
-}
-
-// absorbed reports whether a known-zero operand forces code(x, y) to zero.
-func (r *regFile) absorbed(code sbOpCode, x, y ir.VarID) bool {
+// binMask bounds the live tiles of code(x, y) by its operands' masks, a shifted
+// x's already moved by the shift (shiftMask). 0 says the result is known zero
+// before a word is read: an absorbing operand is — either side of an AND, the
+// left of an AND-NOT — or the two are live in disjoint tiles.
+func binMask(code sbOpCode, mx, my uint64) uint64 {
 	switch code {
 	case sbAnd, sbShiftAnd:
-		return r.isZero(x) || r.isZero(y)
+		return mx & my
 	case sbAndNot, sbShiftAndNot:
-		return r.isZero(x)
+		return mx
 	case sbShiftUnderAndNot:
-		return r.isZero(y)
+		return my
 	}
-	return false
+	return mx | my
+}
+
+// binWords is the word kernel of a bitwise µop over one run of words: for the
+// five shift codes dst = code(shift(a, k), c), in being a's neighbour word
+// across the edge the shift pulls from, for the four plain ones dst =
+// code(a, c). It returns the OR of the words it stored; OR and XOR, which keep
+// none, report every column set.
+func binWords(code sbOpCode, dst, a, c []uint64, k int, in uint64) uint64 {
+	switch code {
+	case sbAnd:
+		return andWords(dst, a, c)
+	case sbAndNot:
+		return andNotWords(dst, a, c)
+	case sbOr:
+		orWords(dst, a, c)
+		return ^uint64(0)
+	case sbXor:
+		xorWords(dst, a, c)
+		return ^uint64(0)
+	}
+	return fusedShiftBin(code, dst, a, c, k, in)
 }
 
 // chargeShift accounts a windowed shift's synchronization and shared-memory
@@ -747,11 +756,13 @@ func (ex *ctaExec) chargeShift(op *sbOp, units int64) {
 
 // fusedShiftBin computes dst = op(shift(a, k), c) in one pass, |k| in
 // 1..63, and returns the OR of every word it stored (zero: dst is all zero).
-// Iteration order follows AdvanceWords/LookbackWords (downward for advances,
-// upward for lookbacks) so dst may alias a or c. The shift counts are reduced
-// mod 64 — a no-op for these k — so the compiler sees them bounded and emits
-// bare shift instructions.
-func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
+// in is the word of a just outside the pass — below a[0] for an advance, above
+// a[n-1] for a lookback — whose bits the shift pulls in: 0 at a window's edge,
+// the neighbour's word for a run of tiles inside one. Iteration order follows
+// AdvanceWords/LookbackWords (downward for advances, upward for lookbacks) so
+// dst may alias a or c. The shift counts are reduced mod 64 — a no-op for these
+// k — so the compiler sees them bounded and emits bare shift instructions.
+func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int, in uint64) (or uint64) {
 	n := len(dst)
 	if n == 0 {
 		return 0
@@ -767,7 +778,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 				dst[i] = w
 				or |= w
 			}
-			w := (a[0] << s) & c[0]
+			w := ((a[0] << s) | (in >> r)) & c[0]
 			dst[0] = w
 			or |= w
 		case sbShiftOr:
@@ -776,7 +787,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 				dst[i] = w
 				or |= w
 			}
-			w := (a[0] << s) | c[0]
+			w := ((a[0] << s) | (in >> r)) | c[0]
 			dst[0] = w
 			or |= w
 		case sbShiftXor:
@@ -785,7 +796,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 				dst[i] = w
 				or |= w
 			}
-			w := (a[0] << s) ^ c[0]
+			w := ((a[0] << s) | (in >> r)) ^ c[0]
 			dst[0] = w
 			or |= w
 		case sbShiftAndNot:
@@ -794,7 +805,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 				dst[i] = w
 				or |= w
 			}
-			w := (a[0] << s) &^ c[0]
+			w := ((a[0] << s) | (in >> r)) &^ c[0]
 			dst[0] = w
 			or |= w
 		case sbShiftUnderAndNot:
@@ -803,7 +814,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 				dst[i] = w
 				or |= w
 			}
-			w := c[0] &^ (a[0] << s)
+			w := c[0] &^ ((a[0] << s) | (in >> r))
 			dst[0] = w
 			or |= w
 		}
@@ -818,7 +829,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 			dst[i] = w
 			or |= w
 		}
-		w := (a[n-1] >> s) & c[n-1]
+		w := ((a[n-1] >> s) | (in << r)) & c[n-1]
 		dst[n-1] = w
 		or |= w
 	case sbShiftOr:
@@ -827,7 +838,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 			dst[i] = w
 			or |= w
 		}
-		w := (a[n-1] >> s) | c[n-1]
+		w := ((a[n-1] >> s) | (in << r)) | c[n-1]
 		dst[n-1] = w
 		or |= w
 	case sbShiftXor:
@@ -836,7 +847,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 			dst[i] = w
 			or |= w
 		}
-		w := (a[n-1] >> s) ^ c[n-1]
+		w := ((a[n-1] >> s) | (in << r)) ^ c[n-1]
 		dst[n-1] = w
 		or |= w
 	case sbShiftAndNot:
@@ -845,7 +856,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 			dst[i] = w
 			or |= w
 		}
-		w := (a[n-1] >> s) &^ c[n-1]
+		w := ((a[n-1] >> s) | (in << r)) &^ c[n-1]
 		dst[n-1] = w
 		or |= w
 	case sbShiftUnderAndNot:
@@ -854,7 +865,7 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int) (or uint64) {
 			dst[i] = w
 			or |= w
 		}
-		w := c[n-1] &^ (a[n-1] >> s)
+		w := c[n-1] &^ ((a[n-1] >> s) | (in << r))
 		dst[n-1] = w
 		or |= w
 	}

@@ -207,7 +207,8 @@ func TestCTAStatsGolden(t *testing.T) {
 // operand (the window register file hands out aliased buffers when a
 // statement overwrites its own source), and that the OR-reduction they return
 // is zero exactly when they stored all zeros (an all-zero operand forces that
-// for the absorbing ops).
+// for the absorbing ops). The shift kernel is also run over every run of words
+// with its carry-in, as regFile.bin runs it over a run of live tiles.
 func TestFusedWordKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	binary := map[sbOpCode]func(dst, x, y []uint64){
@@ -249,15 +250,45 @@ func TestFusedWordKernels(t *testing.T) {
 					bitstream.ShiftWords(shifted, a, k)
 					op.apply(want, shifted, c)
 					fresh := make([]uint64, n)
-					if or := fusedShiftBin(op.code, fresh, a, c, k); (or != 0) != anyWords(want) {
+					if or := fusedShiftBin(op.code, fresh, a, c, k, 0); (or != 0) != anyWords(want) {
 						t.Fatalf("fusedShiftBin code=%d k=%d n=%d returned OR %#x for result any=%v", op.code, k, n, or, anyWords(want))
 					}
 					onA, onC := clone(a), clone(c)
-					fusedShiftBin(op.code, onA, onA, c, k)
-					fusedShiftBin(op.code, onC, a, onC, k)
+					fusedShiftBin(op.code, onA, onA, c, k, 0)
+					fusedShiftBin(op.code, onC, a, onC, k, 0)
 					if !equal(fresh, want) || !equal(onA, want) || !equal(onC, want) {
 						t.Fatalf("fusedShiftBin code=%d k=%d n=%d diverges (fresh=%v dst==a %v dst==c %v)",
 							op.code, k, n, equal(fresh, want), equal(onA, want), equal(onC, want))
+					}
+				}
+			}
+
+			// Tile runs: the kernel over words [lo, hi) with a's word across the
+			// edge carried in equals that stretch of the whole-window pass, for
+			// every run edge — random words, so the neighbour word has set bits
+			// to pull — fresh, and with dst the run of a or of c itself.
+			for _, op := range shiftOps {
+				for _, k := range []int{1, 7, 63, -1, -7, -63} {
+					whole := make([]uint64, n)
+					fusedShiftBin(op.code, whole, a, c, k, 0)
+					for lo := 0; lo < n; lo++ {
+						for hi := lo + 1; hi <= n; hi++ {
+							var in uint64
+							if k > 0 && lo > 0 {
+								in = a[lo-1]
+							} else if k < 0 && hi < n {
+								in = a[hi]
+							}
+							fresh, onA, onC := make([]uint64, n), clone(a), clone(c)
+							or := fusedShiftBin(op.code, fresh[lo:hi], a[lo:hi], c[lo:hi], k, in)
+							fusedShiftBin(op.code, onA[lo:hi], onA[lo:hi], c[lo:hi], k, in)
+							fusedShiftBin(op.code, onC[lo:hi], a[lo:hi], onC[lo:hi], k, in)
+							want := whole[lo:hi]
+							if !equal(fresh[lo:hi], want) || !equal(onA[lo:hi], want) || !equal(onC[lo:hi], want) || (or != 0) != anyWords(want) {
+								t.Fatalf("fusedShiftBin code=%d k=%d over words [%d, %d) of %d diverges from the whole-window pass (fresh=%v dst==a %v dst==c %v, OR %#x)",
+									op.code, k, lo, hi, n, equal(fresh[lo:hi], want), equal(onA[lo:hi], want), equal(onC[lo:hi], want), or)
+							}
+						}
 					}
 				}
 			}
@@ -337,13 +368,15 @@ func sparseCases(t *testing.T) []pinnedCase {
 }
 
 // TestSparseInputsChargeTheSameOnEitherZeroPath runs the sparse cases three
-// times: as shipped, where guards and absorbing operands turn registers into
-// known-zero tags, µops short-circuit on them and batch shifts are deferred
-// until something reads them; with the tag disabled, where every zero is real
-// words and every µop executes in full; and with deferral disabled, where every
-// shift moves its words where the IR put it. Outputs must equal the
-// interpreter's each time and the CTAStats must be identical: modeled cost does
-// not depend on which path produced a zero or on when a shift ran.
+// times: as shipped, where guards and empty result masks make registers known
+// zero, µops short-circuit on them or compute the live tiles only, probed
+// windows flood two tiles of a loop condition, and batch shifts are deferred
+// until something reads them; with noZeroTag, where every mask is full, every
+// zero is real words and every µop executes over the whole window; and with
+// deferral disabled, where every shift moves its words where the IR put it.
+// Outputs must equal the interpreter's each time and the CTAStats must be
+// identical: modeled cost does not depend on which path produced a zero, on
+// how many tiles a µop touched, or on when a shift ran.
 func TestSparseInputsChargeTheSameOnEitherZeroPath(t *testing.T) {
 	legs := []struct {
 		name           string
@@ -359,6 +392,15 @@ func TestSparseInputsChargeTheSameOnEitherZeroPath(t *testing.T) {
 				t.Fatalf("%s: %v", c.label, err)
 			}
 			s.ex.regs.noZeroTag, s.ex.regs.noDefer = leg.noTag, leg.noDefer
+			if r := s.ex.regs; leg.noTag {
+				s.ex.afterOp = func() {
+					for v := range r.live {
+						if r.has(ir.VarID(v)) && r.live[v] != r.full && !t.Failed() {
+							t.Errorf("%s (%s): S%d has the mask %#x of %#x; the leg must execute every µop in full", c.label, leg.name, v, r.live[v], r.full)
+						}
+					}
+				}
+			}
 			outs, st, err := s.Run(context.Background(), basis)
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)

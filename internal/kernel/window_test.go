@@ -2,14 +2,18 @@ package kernel
 
 import (
 	"context"
+	"math/bits"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
+	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
 	"bitgen/internal/lower"
 	"bitgen/internal/transpose"
+	"bitgen/internal/workload"
 )
 
 func TestRegFileEpochInvalidation(t *testing.T) {
@@ -299,9 +303,9 @@ func TestDeferredAnyMatchesMaterializedShift(t *testing.T) {
 					r := newRegFile(1)
 					r.beginWindow(ww)
 					r.endBit = endBit
-					r.shift(0, src, int32(k), true)
+					r.shift(0, src, r.full, int32(k), true)
 					got := r.any(0)
-					if r.state[0] != regDeferred {
+					if r.own[0] != nil { // a mask shifted off the window needs no source either
 						t.Fatal("the any-bit test computed the shift")
 					}
 					want := anyWords(r.get(0))
@@ -332,7 +336,7 @@ func TestDeferredForcesOnceIntoOwnedStorage(t *testing.T) {
 	r.endBit = 100
 	src := r.view(0, s, 1)
 
-	r.shift(1, src, 3, true)
+	r.shift(1, src, r.full, 3, true)
 	if w, k, ok := r.deferredSrc(1); !ok || k != 3 || &w[0] != &src[0] {
 		t.Fatal("a bit-distance deferral does not offer its source for folding")
 	}
@@ -349,7 +353,7 @@ func TestDeferredForcesOnceIntoOwnedStorage(t *testing.T) {
 	}
 
 	// A word-distance deferral is not foldable; mut computes it.
-	r.shift(2, src, -70, true)
+	r.shift(2, src, r.full, -70, true)
 	if _, _, ok := r.deferredSrc(2); ok {
 		t.Fatal("a word-distance deferral was offered to the bit-shift kernels")
 	}
@@ -365,7 +369,7 @@ func TestDeferredForcesOnceIntoOwnedStorage(t *testing.T) {
 	// The test seam computes at the shift's position.
 	r.beginWindow(2)
 	r.noDefer = true
-	r.shift(1, r.view(0, s, 1), 3, true)
+	r.shift(1, r.view(0, s, 1), r.full, 3, true)
 	if r.state[1] != regOwned || r.own[1][0] != ones<<3 {
 		t.Fatal("noDefer left the register deferred")
 	}
@@ -394,7 +398,7 @@ func BenchmarkShiftWordsLink(b *testing.B) {
 		bitstream.ShiftWords(tmp, src, -7)
 		andWords(dst, tmp, c)
 	})
-	run("folded", func() { fusedShiftBin(sbShiftAnd, dst, src, c, -7) })
+	run("folded", func() { fusedShiftBin(sbShiftAnd, dst, src, c, -7, 0) })
 	clear(tmp) // an empty source is scanned to its end
 	run("tested", func() {
 		if anyBits(tmp, 7, ww*64) {
@@ -427,6 +431,243 @@ func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 	want := []uint64{^uint64(0), 0, ^uint64(0), ^uint64(0)}
 	if !slices.Equal(g.Words(), want) {
 		t.Fatalf("global after committing a known-zero register = %x, want %x", g.Words(), want)
+	}
+}
+
+// ---------- the live-tile mask contract ----------
+
+// maskAudit checks the register file's mask invariants wherever ctaExec.afterOp
+// fires — after every µop, a probe's flooded loop condition still in place —
+// and records what the run covered, so a case set that never reaches a partial mask, a probe pass or a
+// second window width fails instead of passing vacuously.
+type maskAudit struct {
+	probeOps, partial int // hook calls in probe passes, partial masks seen
+	tileWords         int // widest tile
+	widths            map[int]bool
+	regrown           bool // a window re-executed from a grown overlap
+	lastCS, lastWS    int
+}
+
+// attach installs the audit on s; every violation is a test error under label.
+func (a *maskAudit) attach(t *testing.T, label string, s *Session) {
+	ex := s.ex
+	if a.widths == nil {
+		a.widths = make(map[int]bool)
+	}
+	a.lastCS = -1
+	ex.afterOp = func() {
+		r := ex.regs
+		if ex.saturate {
+			a.probeOps++
+		}
+		a.widths[r.ww] = true
+		a.tileWords = max(a.tileWords, r.tw)
+		if ex.cs == a.lastCS && ex.ws < a.lastWS {
+			a.regrown = true
+		}
+		a.lastCS, a.lastWS = ex.cs, ex.ws
+		tileOf := func(w int) uint64 { return 1 << (w / r.tw) }
+		for v := range r.own {
+			id := ir.VarID(v)
+			// A clean tile the buffer holds whole is all zero, whether or not
+			// the register is present: the next writer will not clear it. The
+			// window's last tile and those past it are never taken for clean.
+			own := r.own[v][:cap(r.own[v])]
+			for w, x := range own[:min(len(own), (r.ww+r.tw-1)/r.tw*r.tw-r.tw)] {
+				if x != 0 && r.dirty[v]&tileOf(w) == 0 {
+					t.Errorf("%s: S%d storage word %d is %#x in a tile marked clean (dirty %#x)", label, v, w, x, r.dirty[v])
+					return
+				}
+			}
+			if !r.has(id) || r.live[v] == 0 {
+				continue
+			}
+			live := r.live[v]
+			if live&^r.full != 0 {
+				t.Errorf("%s: S%d live mask %#x has tiles past the window's %#x", label, v, live, r.full)
+				return
+			}
+			if live != r.full {
+				a.partial++
+			}
+			words := r.val[v]
+			switch r.state[v] {
+			case regView:
+				if live != r.full {
+					t.Errorf("%s: view S%d has the partial mask %#x", label, v, live)
+					return
+				}
+			case regOwned:
+				if &words[0] != &r.own[v][0] || live&^r.dirty[v] != 0 {
+					t.Errorf("%s: owned S%d is not its own storage, or live %#x outside dirty %#x", label, v, live, r.dirty[v])
+					return
+				}
+			case regDeferred:
+				words = make([]uint64, r.ww)
+				bitstream.ShiftWords(words, r.val[v], int(r.shiftK[v]))
+				r.maskTail(words)
+			}
+			for w, x := range words {
+				if x != 0 && live&tileOf(w) == 0 {
+					t.Errorf("%s: S%d (state %d) word %d is %#x outside its live tiles %#x", label, v, r.state[v], w, x, live)
+					return
+				}
+			}
+		}
+	}
+}
+
+// TestMasksHoldAfterEveryOp runs the pinned case set, the sparse inputs and a
+// group each of the Brill (unbounded: probed windows), Yara and Bro217
+// generators on the default grid — 258-word windows, five-word tiles — under
+// the mask audit: after every µop, in real and probe passes, every non-zero word of every
+// present register lies in one of its live tiles, owned storage reads zero
+// outside them, and no buffer holds a non-zero word in a tile it calls clean.
+// Outputs are checked against the interpreter by the pinned cases' own run.
+func TestMasksHoldAfterEveryOp(t *testing.T) {
+	cases := slices.Concat(handpickedCases(), randomCases(t), gridCases(), sparseCases(t))
+	for _, name := range []string{"Brill", "Yara", "Bro217"} {
+		app, err := workload.Load(name, workload.Options{RegexScale: 0.05, InputBytes: 10 << 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := lower.Group(app.Regexes[:min(len(app.Regexes), 4)], lower.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, pinnedCase{
+			label: "generated-" + name,
+			prog:  optimize(p, true),
+			input: app.Input,
+			cfg:   Config{Grid: gpusim.DefaultGrid(), Mode: ModeDTM, HonorGuards: true},
+		})
+	}
+	var audit maskAudit
+	for _, c := range cases {
+		basis := transpose.Transpose(c.input)
+		s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		audit.attach(t, c.label, s)
+		want := interpRef(t, c.prog, basis)
+		// Twice: the second run starts on the buffers and dirty masks of the
+		// first, its first window narrower than the last one before it.
+		for run := 0; run < 2; run++ {
+			outs, _, err := s.Run(context.Background(), basis)
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			for oi, o := range c.prog.Outputs {
+				if got := outs[oi]; !o.Nullable && !got.Equal(want[o.Name]) {
+					t.Errorf("%s: run %d: output %s diverges from the interpreter", c.label, run, o.Name)
+				}
+			}
+		}
+		s.Close()
+		if t.Failed() {
+			return
+		}
+	}
+	if audit.probeOps == 0 || audit.partial == 0 || audit.tileWords < 2 || len(audit.widths) < 4 || !audit.regrown {
+		t.Fatalf("the case set does not exercise the masks: %d µops in probe passes, %d partial masks, tiles of %d words, %d window widths, regrown overlap %v",
+			audit.probeOps, audit.partial, audit.tileWords, len(audit.widths), audit.regrown)
+	}
+	t.Logf("%d µops audited in probe passes, %d partial masks, %d window widths", audit.probeOps, audit.partial, len(audit.widths))
+}
+
+// TestBinOverTileRunsMatchesWholeWindow drives regFile.bin the way execBin and
+// the shift-binaries do — the result mask from binMask over the operands' masks,
+// a shifted one's moved by shiftMask — for all nine codes, k in ±{1, 7, 63},
+// and operand masks that put a run edge on every tile boundary: one operand
+// live everywhere, so the word just outside a run has bits for the shift to
+// pull, the other in one run of tiles; and both in runs of their own. The
+// destination is a third register, a's or c's, drawn per case. The register must read word for
+// word what one kernel pass over whole windows stores, inside a mask that
+// covers every non-zero word, with its storage zero outside it. 71 words cut
+// into two-word tiles leave the last tile half in the window and endBit inside
+// its only word.
+func TestBinOverTileRunsMatchesWholeWindow(t *testing.T) {
+	const ww = 71
+	rng := rand.New(rand.NewSource(71))
+	r := newRegFile(3)
+	r.beginWindow(ww)
+	r.endBit = ww*64 - 13
+	nt := bits.Len64(r.full)
+	if r.tw != 2 || nt != 36 {
+		t.Fatalf("%d words cut into %d tiles of %d words, want 36 of 2", ww, nt, r.tw)
+	}
+	// fill makes v an owned register with random words in the tiles m.
+	fill := func(v ir.VarID, m uint64) {
+		b := r.storage(v)
+		for w := range b {
+			b[w] = 0
+			if m>>(w/r.tw)&1 != 0 {
+				b[w] = rng.Uint64() | 1<<uint(rng.Intn(64))
+			}
+		}
+		r.maskTail(b)
+		r.setOwned(v, r.full, m)
+	}
+	type opcase struct {
+		code sbOpCode
+		k    int
+	}
+	ops := []opcase{{sbAnd, 0}, {sbOr, 0}, {sbXor, 0}, {sbAndNot, 0}}
+	for _, code := range []sbOpCode{sbShiftAnd, sbShiftOr, sbShiftXor, sbShiftAndNot, sbShiftUnderAndNot} {
+		for _, k := range []int{1, 7, 63, -1, -7, -63} {
+			ops = append(ops, opcase{code, k})
+		}
+	}
+	partial := 0
+	for t0 := 0; t0 < nt; t0++ {
+		for t1 := t0 + 1; t1 <= nt; t1++ {
+			run := runMask(t0, t1-t0)
+			u0 := rng.Intn(nt)
+			other := runMask(u0, 1+rng.Intn(nt-u0))
+			for _, masks := range [][2]uint64{{r.full, run}, {run, r.full}, {run, other}} {
+				for _, op := range ops {
+					dst := ir.VarID(rng.Intn(3)) // 0: a itself, 1: c itself, 2: neither
+					fill(0, masks[0])
+					fill(1, masks[1])
+					fill(2, r.full) // what dst held before is not to show through
+					a, c := r.get(0), r.get(1)
+					want := make([]uint64, ww)
+					binWords(op.code, want, a, c, op.k, 0)
+					r.maskTail(want)
+					ma := r.live[0]
+					if op.k != 0 {
+						ma = r.shiftMask(ma, op.k)
+					}
+					m := binMask(op.code, ma, r.live[1])
+					if m == 0 {
+						if anyWords(want) {
+							t.Fatalf("code %d k %d masks %#x: result mask 0 for a non-zero result", op.code, op.k, masks)
+						}
+						continue
+					}
+					r.bin(op.code, dst, a, op.k, c, m)
+					got, live := r.get(dst), r.live[dst]
+					if !slices.Equal(got, want) {
+						t.Fatalf("code %d k %d masks %#x dst S%d: the register differs from the whole-window pass", op.code, op.k, masks, dst)
+					}
+					if live != r.full {
+						partial++
+					}
+					for w, x := range want {
+						if x != 0 && live>>(w/r.tw)&1 == 0 {
+							t.Fatalf("code %d k %d masks %#x dst S%d: word %d is %#x outside the live tiles %#x", op.code, op.k, masks, dst, w, x, live)
+						}
+					}
+					if live != 0 && !slices.Equal(r.own[dst], want) {
+						t.Fatalf("code %d k %d masks %#x dst S%d: owned storage is not the value — stale tiles were not cleared", op.code, op.k, masks, dst)
+					}
+				}
+			}
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no result kept a partial mask")
 	}
 }
 

@@ -79,3 +79,28 @@ func BenchmarkScanReaderSigs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunControl is the repo benchmark's oneshot_control op as a Go
+// benchmark: one Engine.Run of the Brill-style set (92 unbounded, while-heavy
+// patterns ScanReader refuses) over its generated 128 KiB input, default
+// options, the session pool warm. Most windows are re-executed by the
+// saturation probe (DESIGN §6), so `make profile-control` reads real pass,
+// probe pass and probe bookkeeping off runWindowToFixpoint's listing.
+func BenchmarkRunControl(b *testing.B) {
+	app, err := workload.Load("Brill", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := MustCompile(app.Patterns, nil)
+	if _, err := eng.Run(app.Input); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(app.Input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(app.Input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -363,6 +364,43 @@ func TestScanReaderBorrowsPooledSessions(t *testing.T) {
 	if err := arena.Default.CheckBalanced(); err != nil {
 		t.Fatalf("arena.Default: %v", err)
 	}
+}
+
+// TestRunUnboundedAllocs is the allocation ceiling of the one-shot control
+// path: one Run of the repo benchmark's oneshot_control set — 92 unbounded
+// Brill-style patterns, nearly every window re-executed by the saturation
+// probe — over its 128 KiB input, on a warm pooled session with the collector
+// off, allocates under 600 objects and 512 KiB: the result, not the windows.
+// (A map pair and four 2 KB slices per probed window made it 5 400 objects
+// and 5.9 MB.)
+func TestRunUnboundedAllocs(t *testing.T) {
+	app, err := workload.Load("Brill", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := MustCompile(app.Patterns, nil)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The pool may lose the session now and then (under the race detector it
+	// drops one Put in four on purpose): best of a few tries, each after a
+	// Run that leaves a session behind.
+	objects, size := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for try := 0; try < 8 && (objects >= 600 || size >= 512<<10); try++ {
+		var before, after runtime.MemStats
+		if _, err := eng.Run(app.Input); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := eng.Run(app.Input); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		size = min(size, after.TotalAlloc-before.TotalAlloc)
+	}
+	if objects >= 600 || size >= 512<<10 {
+		t.Fatalf("one warm Run allocates %d objects and %d bytes, want < 600 and < %d", objects, size, 512<<10)
+	}
+	t.Logf("one warm Run: %d objects, %d bytes", objects, size)
 }
 
 // TestScanPipelinedReadFailureReturnsBuffers drives the mid-stream
