@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"bitgen"
-	"bitgen/internal/cuda"
 	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
 	"bitgen/internal/lower"
@@ -40,7 +39,6 @@ func main() {
 	dump := flag.Bool("dump", false, "print the lowered bitstream program and exit")
 	dumpPasses := flag.Bool("dump-passes", false, "print the program after each optimization pass and exit")
 	dumpDot := flag.Bool("dot", false, "print the Glushkov NFA of the patterns in Graphviz DOT form and exit")
-	dumpCUDA := flag.Bool("cuda", false, "print the generated CUDA kernel source (post-optimization) and exit")
 	device := flag.String("device", "RTX 3090", "GPU profile: 'RTX 3090', 'H100 NVL', 'L40S'")
 	countOnly := flag.Bool("count", false, "print only per-pattern match counts")
 	explain := flag.Bool("explain", false, "print the compilation report before scanning")
@@ -84,29 +82,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(nfa.ToDot(n))
-		return
-	}
-	if *dumpCUDA {
-		regexes := make([]lower.Regex, len(pats))
-		for i, p := range pats {
-			ast, err := rx.Parse(p)
-			if err != nil {
-				fatal(err)
-			}
-			regexes[i] = lower.Regex{Name: p, AST: ast}
-		}
-		prog, err := lower.Group(regexes, lower.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		passes.Rebalance(prog, passes.RebalanceOptions{})
-		passes.MergeBarriers(prog, passes.MergeOptions{MergeSize: 8})
-		passes.InsertGuards(prog, passes.ZBSOptions{})
-		src, err := cuda.Options{}.Generate(prog)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(src)
 		return
 	}
 	if *dump || *dumpPasses {
