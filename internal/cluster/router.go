@@ -40,11 +40,7 @@ type Config struct {
 	Seed uint64
 	// Inject arms deterministic network faults on the transport.
 	Inject *faultinject.Injector
-	// Transport is the base RoundTripper under the fault layer (nil
-	// means http.DefaultTransport). SlowDelay tunes the PeerSlow fault;
 	// DropAfter tunes PeerDrop's cut point in response-body bytes.
-	Transport http.RoundTripper
-	SlowDelay time.Duration
 	DropAfter int64
 	// Now is the breaker clock; nil means time.Now.
 	Now func() time.Time
@@ -116,17 +112,14 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	base := cfg.Transport
-	if base == nil {
-		// http.DefaultTransport keeps only 2 idle connections per host —
-		// a replica forwarding a saturating load to its handful of peers
-		// would churn a fresh TCP connection per request. Pool generously:
-		// peers are few and long-lived.
-		base = &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-			IdleConnTimeout:     90 * time.Second,
-		}
+	// http.DefaultTransport keeps only 2 idle connections per host — a
+	// replica forwarding a saturating load to its handful of peers would
+	// churn a fresh TCP connection per request. Pool generously: peers are
+	// few and long-lived.
+	base := &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 256,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	r := &Router{
 		cfg:   cfg,
@@ -137,7 +130,6 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 		client: &http.Client{Transport: &Transport{
 			Base:      base,
 			Inject:    cfg.Inject,
-			SlowDelay: cfg.SlowDelay,
 			DropAfter: cfg.DropAfter,
 		}},
 	}
