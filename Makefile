@@ -89,7 +89,7 @@ snapshot-smoke:
 obs-cluster-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) test -count=1 -run '^TestObsClusterSelfTest$$' ./internal/serve -obs-out $$tmp && \
-	$(GO) run ./cmd/obscheck -stitched $$tmp/stitched.json -stitch-nodes 3 -bundle $$tmp/bundle.json && \
+	$(GO) run ./cmd/obscheck -trace $$tmp/stitched.json -nodes 3 -bundle $$tmp/bundle.json && \
 	rm -rf $$tmp
 
 # megaset-smoke is the compiled-state residency gate: compile the

@@ -236,7 +236,7 @@ type Engine struct {
 	// ladder is the self-healing backend ladder; nil when
 	// Options.Resilience was not set.
 	ladder *resilience.Ladder
-	// obs carries the tracer and metrics registry; nil when
+	// obs carries the engine's own span ring and metrics registry; nil when
 	// Options.Observability was not set (every hook is nil-safe).
 	obs *obs.Observer
 	// scanWorkers is Options.ScanWorkers; <=0 means GOMAXPROCS.
@@ -576,7 +576,7 @@ func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) 
 		return nil, err
 	}
 	start := time.Now()
-	span := e.obs.Span("scan", "run", 0).Arg("input_bytes", len(input))
+	span := e.obs.For(ctx).Span("scan", "run", 0).Arg("input_bytes", len(input))
 	res, err := e.runContext(ctx, input)
 	if err != nil {
 		span.Arg("error", err.Error()).End()
@@ -617,7 +617,7 @@ func (e *Engine) CountOnlyContext(ctx context.Context, input []byte) (map[string
 		return nil, err
 	}
 	start := time.Now()
-	span := e.obs.Span("scan", "count-only", 0).Arg("input_bytes", len(input))
+	span := e.obs.For(ctx).Span("scan", "count-only", 0).Arg("input_bytes", len(input))
 	counts, err := e.countOnlyContext(ctx, input)
 	if err != nil {
 		span.Arg("error", err.Error()).End()

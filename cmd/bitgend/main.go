@@ -11,8 +11,8 @@
 //	GET  /v1/cluster ring membership + per-peer breaker health
 //	GET  /healthz    200 ok / 503 draining
 //	GET  /metrics    serve-layer Prometheus; ?set=<key> for one engine
-//	GET  /trace      ?set=<key> Chrome trace_event JSON for one engine
 //	GET  /v1/trace/  <trace-id>: this replica's spans and events of one request
+//	                 (with the engine's spans when the caller tagged it)
 //
 // Cluster mode: pass -peers with every replica's base URL (the same set,
 // in any order, on every replica) and -advertise with this replica's own

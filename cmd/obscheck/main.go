@@ -1,16 +1,17 @@
 // Command obscheck validates observability artifacts: Chrome trace_event
-// JSON files (as produced by rxgrep -trace / Engine.WriteTrace),
+// JSON files (the one format obs.WriteChromeTrace writes: an engine's own
+// trace from rxgrep -trace / Engine.WriteTrace, or with -nodes a stitched
+// multi-node cluster trace from bitgend -stitch / serve.StitchTrace),
 // Prometheus text-exposition dumps (rxgrep -metrics /
-// Engine.WritePrometheus), stitched multi-node cluster traces
-// (bitgend -stitch / serve.StitchTrace), and anomaly flight-recorder
-// bundles (bitgend /debug/bundle). It is the checker behind
-// `make obs-smoke` and `make obs-cluster-smoke`.
+// Engine.WritePrometheus), and anomaly flight-recorder bundles (bitgend
+// /debug/bundle). It is the checker behind `make obs-smoke` and
+// `make obs-cluster-smoke`.
 //
 // Usage:
 //
 //	obscheck -trace out.json
+//	obscheck -trace stitched.json -nodes 3
 //	obscheck -metrics metrics.txt
-//	obscheck -stitched stitched.json -stitch-nodes 3
 //	obscheck -bundle bundle.json
 //
 // Exit status 0 when every given artifact is well-formed; 1 with a
@@ -36,17 +37,16 @@ import (
 func main() {
 	tracePath := flag.String("trace", "", "Chrome trace_event JSON file to validate")
 	metricsPath := flag.String("metrics", "", "Prometheus text-exposition file to validate")
-	stitchedPath := flag.String("stitched", "", "stitched multi-node cluster trace (bitgend -stitch output) to validate")
-	stitchNodes := flag.Int("stitch-nodes", 2, "minimum distinct node lanes a stitched trace must span")
+	nodes := flag.Int("nodes", 0, "with -trace: the file is a stitched cluster trace (bitgend -stitch output) whose spans share one trace ID across at least this many nodes")
 	bundlePath := flag.String("bundle", "", "anomaly flight-recorder bundle (sha256-sealed JSON) to validate")
 	flag.Parse()
-	if *tracePath == "" && *metricsPath == "" && *stitchedPath == "" && *bundlePath == "" {
-		fmt.Fprintln(os.Stderr, "usage: obscheck [-trace FILE] [-metrics FILE] [-stitched FILE [-stitch-nodes N]] [-bundle FILE]")
+	if *tracePath == "" && *metricsPath == "" && *bundlePath == "" {
+		fmt.Fprintln(os.Stderr, "usage: obscheck [-trace FILE [-nodes N]] [-metrics FILE] [-bundle FILE]")
 		os.Exit(2)
 	}
 	ok := true
 	if *tracePath != "" {
-		if err := checkTrace(*tracePath); err != nil {
+		if err := checkTrace(*tracePath, *nodes); err != nil {
 			fmt.Fprintf(os.Stderr, "obscheck: %s: %s\n", *tracePath, err)
 			ok = false
 		} else {
@@ -59,14 +59,6 @@ func main() {
 			ok = false
 		} else {
 			fmt.Printf("obscheck: %s: valid Prometheus exposition\n", *metricsPath)
-		}
-	}
-	if *stitchedPath != "" {
-		if err := checkStitched(*stitchedPath, *stitchNodes); err != nil {
-			fmt.Fprintf(os.Stderr, "obscheck: %s: %s\n", *stitchedPath, err)
-			ok = false
-		} else {
-			fmt.Printf("obscheck: %s: valid stitched cluster trace (>= %d node lanes, one trace ID)\n", *stitchedPath, *stitchNodes)
 		}
 	}
 	if *bundlePath != "" {
@@ -98,54 +90,82 @@ type traceDoc struct {
 	TraceEvents []traceEvent `json:"traceEvents"`
 }
 
-// checkTrace validates the trace_event JSON schema: a traceEvents array
-// whose entries carry name/ph/ts/pid, with complete ("X") events also
-// carrying a non-negative dur.
-func checkTrace(path string) error {
+// checkTrace validates the one trace format: the trace_event JSON schema
+// (a traceEvents array whose entries carry name/ph/ts/pid, complete ("X")
+// events also a non-negative dur), at least one span, and for every span a
+// process_name record for its pid and a thread_name record for its
+// (pid, tid). With minNodes > 0 the file is a stitched cluster trace: its
+// spans all carry one and the same non-empty args.trace and are spread
+// across at least minNodes processes.
+func checkTrace(path string, minNodes int) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	var doc traceDoc
-	dec := json.NewDecoder(strings.NewReader(string(buf)))
-	if err := dec.Decode(&doc); err != nil {
+	if err := json.Unmarshal(buf, &doc); err != nil {
 		return fmt.Errorf("not valid JSON: %w", err)
 	}
 	if doc.TraceEvents == nil {
 		return fmt.Errorf("missing traceEvents array")
 	}
-	spans := 0
+	type thread struct{ pid, tid int }
+	procs, threads := map[int]bool{}, map[thread]bool{} // named by metadata
+	spans := map[thread]string{}                        // holding spans → one span's name
+	traceID := ""
 	for i, ev := range doc.TraceEvents {
-		where := fmt.Sprintf("traceEvents[%d]", i)
-		if ev.Name == "" {
-			return fmt.Errorf("%s: missing name", where)
+		where := fmt.Sprintf("traceEvents[%d] (%q)", i, ev.Name)
+		switch {
+		case ev.Name == "":
+			return fmt.Errorf("traceEvents[%d]: missing name", i)
+		case ev.Ph == "":
+			return fmt.Errorf("%s: missing ph", where)
+		case ev.Ts == nil:
+			return fmt.Errorf("%s: missing ts", where)
+		case ev.Pid == nil:
+			return fmt.Errorf("%s: missing pid", where)
 		}
-		if ev.Ph == "" {
-			return fmt.Errorf("%s (%q): missing ph", where, ev.Name)
-		}
-		if ev.Ts == nil {
-			return fmt.Errorf("%s (%q): missing ts", where, ev.Name)
-		}
-		if ev.Pid == nil {
-			return fmt.Errorf("%s (%q): missing pid", where, ev.Name)
+		tid := 0
+		if ev.Tid != nil {
+			tid = *ev.Tid
 		}
 		switch ev.Ph {
 		case "X":
-			if ev.Dur == nil {
-				return fmt.Errorf("%s (%q): complete event missing dur", where, ev.Name)
+			if ev.Dur == nil || *ev.Dur < 0 {
+				return fmt.Errorf("%s: complete event without a non-negative dur", where)
 			}
-			if *ev.Dur < 0 {
-				return fmt.Errorf("%s (%q): negative dur", where, ev.Name)
+			spans[thread{*ev.Pid, tid}] = ev.Name
+			if minNodes > 0 {
+				id, _ := ev.Args["trace"].(string)
+				if id == "" || (traceID != "" && id != traceID) {
+					return fmt.Errorf("%s: trace %q where the others carry %q — a stitched view holds exactly one trace", where, id, traceID)
+				}
+				traceID = id
 			}
-			spans++
-		case "i", "I", "M", "B", "E":
-			// instant / metadata / duration-begin / duration-end: fine.
+		case "M":
+			if name, _ := ev.Args["name"].(string); name == "" {
+				return fmt.Errorf("%s: metadata without args.name", where)
+			}
+			procs[*ev.Pid] = procs[*ev.Pid] || ev.Name == "process_name"
+			threads[thread{*ev.Pid, tid}] = threads[thread{*ev.Pid, tid}] || ev.Name == "thread_name"
+		case "i", "I", "B", "E":
+			// instant / duration-begin / duration-end: fine.
 		default:
-			return fmt.Errorf("%s (%q): unknown phase %q", where, ev.Name, ev.Ph)
+			return fmt.Errorf("%s: unknown phase %q", where, ev.Ph)
 		}
 	}
-	if spans == 0 {
+	if len(spans) == 0 {
 		return fmt.Errorf("no complete (ph=X) spans recorded")
+	}
+	pids := map[int]bool{}
+	for th, name := range spans {
+		pids[th.pid] = true
+		if !procs[th.pid] || !threads[th] {
+			return fmt.Errorf("span %q on pid %d tid %d, which no process_name / thread_name record names", name, th.pid, th.tid)
+		}
+	}
+	if len(pids) < minNodes {
+		return fmt.Errorf("spans cover %d nodes, want >= %d", len(pids), minNodes)
 	}
 	return nil
 }
@@ -282,66 +302,6 @@ func checkMetricsReader(f io.Reader) error {
 		}
 		if c, ok := counts[key]; ok && bs[les[len(les)-1]] != c {
 			return fmt.Errorf("histogram %s: +Inf bucket %g != count %g", key.name, bs[les[len(les)-1]], c)
-		}
-	}
-	return nil
-}
-
-// checkStitched validates a stitched multi-node cluster trace: it must
-// be a valid Chrome trace whose complete (ph=X) spans all carry one and
-// the same non-empty args.trace ID, spread across at least minNodes
-// distinct process lanes, each lane named by a process_name metadata
-// record.
-func checkStitched(path string, minNodes int) error {
-	if err := checkTrace(path); err != nil {
-		return err
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc traceDoc
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return err
-	}
-	named := map[int]string{} // pid → process name
-	spanPids := map[int]int{} // pid → span count
-	traceID := ""
-	for i, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Name != "process_name" || ev.Pid == nil {
-				continue
-			}
-			name, _ := ev.Args["name"].(string)
-			if name == "" {
-				return fmt.Errorf("traceEvents[%d]: process_name metadata without args.name", i)
-			}
-			named[*ev.Pid] = name
-		case "X":
-			id, _ := ev.Args["trace"].(string)
-			if id == "" {
-				return fmt.Errorf("traceEvents[%d] (%q): span missing args.trace", i, ev.Name)
-			}
-			if traceID == "" {
-				traceID = id
-			} else if id != traceID {
-				return fmt.Errorf("traceEvents[%d] (%q): trace %s differs from %s — a stitched view must hold exactly one trace", i, ev.Name, id, traceID)
-			}
-			if ev.Pid != nil {
-				spanPids[*ev.Pid]++
-			}
-		}
-	}
-	if traceID == "" {
-		return fmt.Errorf("no spans carry a trace ID")
-	}
-	if len(spanPids) < minNodes {
-		return fmt.Errorf("spans cover %d node lanes, want >= %d", len(spanPids), minNodes)
-	}
-	for pid := range spanPids {
-		if named[pid] == "" {
-			return fmt.Errorf("pid %d has spans but no process_name metadata", pid)
 		}
 	}
 	return nil

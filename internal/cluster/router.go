@@ -281,24 +281,15 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 		} else if route.SelfStandby {
 			outcome = "standby-local"
 		}
-		sp := obs.ReqSpan{
-			Trace:          tc.Trace.String(),
-			Span:           obs.NewSpanID().String(),
-			Parent:         tc.Span.String(),
-			Name:           "forward",
-			Node:           r.cfg.Self,
-			StartUnixMicro: start.UnixMicro(),
-			DurMicro:       r.now().Sub(start).Microseconds(),
-			Attrs: map[string]string{
-				"key":     short(route.Key),
-				"owner":   route.Owner,
-				"path":    path,
-				"outcome": outcome,
-			},
+		sp := obs.Span{
+			Trace: tc.Trace, ID: obs.NewSpanID(), Parent: tc.Span, Name: "forward", Node: r.cfg.Self,
+			Start: obs.SpanTime(start), Dur: int64(r.now().Sub(start)),
+			Args: []obs.Arg{{Key: "key", Val: short(route.Key)}, {Key: "owner", Val: route.Owner},
+				{Key: "path", Val: path}, {Key: "outcome", Val: outcome}},
 		}
 		if res != nil {
 			sp.Status = res.Status
-			sp.Attrs["served_by"] = res.Peer
+			sp.Args = append(sp.Args, obs.A("served_by", res.Peer))
 		}
 		r.ob.RecordSpan(sp)
 	}()
@@ -467,19 +458,13 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 	tc, _ := obs.TraceContextFrom(ctx)
 	start := r.now()
 	defer func() {
-		attrs := map[string]string{"key": short(key), "from": from}
+		args := []obs.Arg{{Key: "key", Val: short(key)}, {Key: "from", Val: from}}
 		if err != nil {
-			attrs["error"] = err.Error()
+			args = append(args, obs.A("error", err.Error()))
 		}
-		r.ob.RecordSpan(obs.ReqSpan{
-			Trace:          tc.Trace.String(),
-			Span:           obs.NewSpanID().String(),
-			Parent:         tc.Span.String(),
-			Name:           "snapshot-fetch",
-			Node:           r.cfg.Self,
-			StartUnixMicro: start.UnixMicro(),
-			DurMicro:       r.now().Sub(start).Microseconds(),
-			Attrs:          attrs,
+		r.ob.RecordSpan(obs.Span{
+			Trace: tc.Trace, ID: obs.NewSpanID(), Parent: tc.Span, Name: "snapshot-fetch", Node: r.cfg.Self,
+			Start: obs.SpanTime(start), Dur: int64(r.now().Sub(start)), Args: args,
 		})
 	}()
 	route := r.Route(key)

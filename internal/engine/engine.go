@@ -253,7 +253,7 @@ type Result struct {
 	// execution from the paper's baseline comparison.
 	ExceedsDeviceMemory bool
 	// Profile joins the cost model with the per-kernel counters; non-nil
-	// only when Config.Obs is set.
+	// only when Config.Obs carries a metrics registry.
 	Profile *gpusim.Profile
 }
 
@@ -319,8 +319,7 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 	}
 	e.initMatchRanks()
 	e.initRunPool()
-	if cfg.Obs.Enabled() {
-		reg := cfg.Obs.Reg()
+	if reg := cfg.Obs.Reg(); reg != nil {
 		reg.Histogram(obs.MCompileSeconds, obs.HCompileSeconds, obs.CompileSecondsBuckets).
 			Observe(time.Since(start).Seconds())
 		reg.Histogram(obs.MEngineResidentBytes, obs.HEngineResidentBytes, obs.ResidentBytesBuckets).
@@ -567,7 +566,7 @@ func compileGroup(regexes []lower.Regex, names []string, gi int, cfg Config, ps 
 // groupLane is CTA group gi's trace lane — 1+gi, lane 0 being the pipeline's —
 // labelled for the trace viewer when tracing is on.
 func groupLane(o *obs.Observer, gi int) int {
-	if o.Enabled() {
+	if o.Tracing() {
 		o.NameLane(1+gi, fmt.Sprintf("kernel/group-%d", gi))
 	}
 	return 1 + gi
@@ -664,7 +663,7 @@ func (e *Engine) Run(input []byte) (*Result, error) {
 // index, its pattern names and the stack, while other groups (and other
 // concurrent runs on this immutable Engine) are unaffected.
 func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) {
-	return e.run(ctx, input, true)
+	return e.run(ctx, e.cfg.Obs.For(ctx), input, true)
 }
 
 // RunCounts is RunContext without materializing anything per match: no
@@ -672,18 +671,19 @@ func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) 
 // The session's output streams are only counted, which is what makes
 // counts-only scans cheaper than full runs on match-dense inputs.
 func (e *Engine) RunCounts(ctx context.Context, input []byte) (*Result, error) {
-	return e.run(ctx, input, false)
+	return e.run(ctx, e.cfg.Obs.For(ctx), input, false)
 }
 
 // run is the one-shot entry into the chunk executor: the whole input is one
 // chunk on a pooled ScanSession, launched group-parallel. collect selects
 // whether matches (and, under Config.KeepOutputs, streams) are copied out
-// of the session before it returns to the pool.
-func (e *Engine) run(ctx context.Context, input []byte, collect bool) (*Result, error) {
+// of the session before it returns to the pool. o is the observer the public
+// caller resolved for this call (Observer.For).
+func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ss, err := e.GetSession(0, true)
+	ss, err := e.GetSession(o, 0, true)
 	if err != nil {
 		return nil, err
 	}
@@ -757,13 +757,13 @@ func (e *Engine) run(ctx context.Context, input []byte, collect bool) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	espan := e.cfg.Obs.Span("scan", "estimate", 0)
+	espan := o.Span("scan", "estimate", 0)
 	res.Time = gpusim.EstimateTime(e.cfg.Device, e.cfg.Grid, &res.Stats)
 	res.ThroughputMBs = gpusim.ThroughputMBs(res.Stats.InputBytes, res.Time.TotalSec)
 	espan.Arg("modeled_sec", res.Time.TotalSec).End()
 	res.ExceedsDeviceMemory = float64(res.IntermediateFootprintBytes) > e.cfg.Device.MemoryGB*1e9
-	if e.cfg.Obs.Enabled() {
-		gpusim.RecordKernelStats(e.cfg.Obs.Reg(), &res.Stats, res.Time)
+	if reg := o.Reg(); reg != nil {
+		gpusim.RecordKernelStats(reg, &res.Stats, res.Time)
 		names := make([][]string, len(e.groups))
 		for gi := range e.groups {
 			names[gi] = e.groups[gi].Names
@@ -799,8 +799,9 @@ func (e *Engine) RunMultiContext(ctx context.Context, inputs [][]byte) (*MultiRe
 	out := &MultiResult{}
 	combined := gpusim.KernelStats{}
 	var total int64
+	o := e.cfg.Obs.For(ctx)
 	for _, input := range inputs {
-		res, err := e.RunContext(ctx, input)
+		res, err := e.run(ctx, o, input, true)
 		if err != nil {
 			return nil, err
 		}

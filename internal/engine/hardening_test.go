@@ -220,7 +220,7 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 	if e, err = Compile(mustRegexes(t, "ab*c"), cfg); err != nil {
 		t.Fatal(err)
 	}
-	ss, err := e.GetSession(7, false)
+	ss, err := e.GetSession(nil, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 		if e, err = Compile(mustRegexes(t, "ab*c", "b+c"), cfg); err != nil {
 			t.Fatal(err)
 		}
-		if ss, err = e.GetSession(7, false); err != nil {
+		if ss, err = e.GetSession(nil, 7, false); err != nil {
 			t.Fatal(err)
 		}
 		chunk := []byte("abc abbc bc")

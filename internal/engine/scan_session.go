@@ -52,6 +52,9 @@ type ScanSession struct {
 	stats  []gpusim.CTAStats     // per-group counters of the last execute
 	heap   []scanCursor          // merge heap scratch, reused across chunks
 	tr     *arena.Tracker
+	// obs is the borrowing call's observer (Observer.For), set by GetSession
+	// and dropped by PutSession: a pooled session never carries a call's sink.
+	obs *obs.Observer
 	// lane carries the session's transpose spans and, unless groupLanes is
 	// set, its kernel spans. With groupLanes every CTA group traces on its
 	// own lane 1+gi and gets a kernel-launch span there, so the concurrent
@@ -79,13 +82,13 @@ type scanCursor struct {
 // NewScanSession builds a session for chunks up to maxChunkBytes (larger
 // chunks still work; they just grow the buffers once). Buffers are borrowed
 // from a (nil selects arena.Default) and released by Close. lane is the
-// trace lane the session's spans land on.
+// trace lane the session's spans land on, in the engine's own observer.
 func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*ScanSession, error) {
 	ss, err := e.newSession(maxChunkBytes, a)
 	if err != nil {
 		return nil, err
 	}
-	ss.lane = lane
+	ss.obs, ss.lane = e.cfg.Obs, lane
 	return ss, nil
 }
 
@@ -122,8 +125,8 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, er
 }
 
 // kernelConfig is the one kernel configuration this engine launches with,
-// so Run and Scan model the same kernel. The trace lane is not part of it:
-// launch sets it per call.
+// so Run and Scan model the same kernel. Observer and trace lane are not part
+// of it: launch sets them per call.
 func (e *Engine) kernelConfig() kernel.Config {
 	return kernel.Config{
 		Grid:               e.cfg.Grid,
@@ -132,7 +135,6 @@ func (e *Engine) kernelConfig() kernel.Config {
 		SharedInputCTAs:    len(e.groups),
 		MaxWhileIterations: e.cfg.MaxWhileIterations,
 		Inject:             e.cfg.Inject,
-		Obs:                e.cfg.Obs,
 	}
 }
 
@@ -153,11 +155,12 @@ func (e *Engine) initRunPool() {
 // per CTA group, built through fanOut (≈ 300 allocations a group — 1.3 k for
 // four groups, 76 k for the 256 of a 500-signature set), then every segment's
 // superblock compile on first use — what pooling saves each Run and each
-// ScanReader worker. Its spans land on lane,
-// or with groupLanes each group's on its own (see ScanSession). Construction
-// cannot fail for an engine that compiled — the programs already validated —
-// but the error is surfaced rather than swallowed for defense in depth.
-func (e *Engine) GetSession(lane int, groupLanes bool) (*ScanSession, error) {
+// ScanReader worker. Its spans are recorded through o, the borrowing call's
+// observer, on lane, or with groupLanes each group's on its own (see
+// ScanSession). Construction cannot fail for an engine that compiled — the
+// programs already validated — but the error is surfaced rather than
+// swallowed for defense in depth.
+func (e *Engine) GetSession(o *obs.Observer, lane int, groupLanes bool) (*ScanSession, error) {
 	ss, ok := e.runPool.Get().(*ScanSession)
 	if !ok {
 		var err error
@@ -165,7 +168,7 @@ func (e *Engine) GetSession(lane int, groupLanes bool) (*ScanSession, error) {
 			return nil, err
 		}
 	}
-	ss.lane, ss.groupLanes = lane, groupLanes
+	ss.obs, ss.lane, ss.groupLanes = o, lane, groupLanes
 	return ss, nil
 }
 
@@ -182,10 +185,12 @@ func (e *Engine) PutSession(ss *ScanSession) {
 	if ss.failed {
 		return
 	}
+	ss.obs = nil
 	for _, ks := range ss.sess {
 		if ks.Fallbacks() > 0 {
 			return
 		}
+		ks.SetTrace(nil, 0)
 	}
 	e.runPool.Put(ss)
 }
@@ -195,15 +200,14 @@ func (e *Engine) PutSession(ss *ScanSession) {
 // and the counters in ss.stats until clearOuts. wide selects the launch
 // width (see ScanSession). On error nothing is left parked.
 func (ss *ScanSession) execute(ctx context.Context, chunk []byte, wide bool) error {
-	e := ss.e
 	// Marked failed while it runs, so a panic unwinding from here leaves the
 	// mark; once set it stays.
 	failed := ss.failed
 	ss.failed = true
 	// Arg boxes its value even on a nil span; keep the hot path free of it.
 	var tspan *obs.Span
-	if e.cfg.Obs.Enabled() {
-		tspan = e.cfg.Obs.Span("scan", "transpose", ss.lane).Arg("input_bytes", len(chunk))
+	if ss.obs.Tracing() {
+		tspan = ss.obs.Span("scan", "transpose", ss.lane).Arg("input_bytes", len(chunk))
 	}
 	transpose.TransposeInto(ss.basis, chunk)
 	tspan.End()
@@ -272,13 +276,13 @@ func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 	var lspan *obs.Span
 	lane := ss.lane
 	if ss.groupLanes {
-		lane = groupLane(e.cfg.Obs, gi)
-		if e.cfg.Obs.Enabled() {
-			lspan = e.cfg.Obs.Span("scan", "kernel-launch", lane).
+		lane = groupLane(ss.obs, gi)
+		if ss.obs.Tracing() {
+			lspan = ss.obs.Span("scan", "kernel-launch", lane).
 				Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
 		}
 	}
-	ss.sess[gi].SetTraceLane(lane)
+	ss.sess[gi].SetTrace(ss.obs, lane)
 	outs, stats, err := ss.sess[gi].Run(ctx, ss.basis)
 	if err != nil {
 		err = fmt.Errorf("engine: group %d: %w", gi, err)

@@ -206,7 +206,7 @@ func (e *Engine) ScanContext(ctx context.Context, input []byte) (*ScanResult, er
 			return nil, bgerr.Canceled(err)
 		}
 	}
-	span := e.opts.Obs.Span("hybrid", "hybrid-scan", 0).Arg("input_bytes", len(input))
+	span := e.opts.Obs.For(ctx).Span("hybrid", "hybrid-scan", 0).Arg("input_bytes", len(input))
 	res := e.Scan(input)
 	span.Arg("literal_hits", res.Stats.LiteralHits).
 		Arg("confirmed_bytes", res.Stats.ConfirmedBytes).

@@ -73,8 +73,8 @@ func (s *Session) rebuild() {
 	s.loops = s.pl.countLoops()
 }
 
-// SetTraceLane moves later Runs' spans to lane: pooled sessions change hands.
-func (s *Session) SetTraceLane(lane int) { s.base.TraceLane = lane }
+// SetTrace makes later Runs record through o on lane: pooled sessions change hands.
+func (s *Session) SetTrace(o *obs.Observer, lane int) { s.base.Obs, s.base.TraceLane = o, lane }
 
 // Fallbacks reports how many loops/carries have been pushed onto the
 // materialized fallback path over the session's lifetime (RunResult's

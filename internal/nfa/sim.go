@@ -66,7 +66,7 @@ func Simulate(n *NFA, input []byte) *SimResult {
 // internal/resilience.Backend). A nil observer adds nothing to the scan
 // path.
 func SimulateObserved(ctx context.Context, o *obs.Observer, n *NFA, input []byte) (*SimResult, error) {
-	span := o.Span("nfa", "nfa-simulate", 0).Arg("input_bytes", len(input))
+	span := o.For(ctx).Span("nfa", "nfa-simulate", 0).Arg("input_bytes", len(input))
 	res, err := simulate(ctx, n, input)
 	if err != nil {
 		span.Arg("error", err.Error()).End()

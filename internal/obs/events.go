@@ -2,16 +2,14 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
 // The structured event log records the decision points the metrics only
-// count and the tracer only times: breaker state transitions, hedge
+// count and spans only time: breaker state transitions, hedge
 // winners and losers, degraded/standby serves, snapshot quarantines and
 // scrub verdicts, cache evictions. Events are leveled, ring-buffered
 // (newest overwrite oldest), rate-limited below Warn, tagged with the
@@ -157,41 +155,26 @@ func (e LogEvent) MarshalJSON() ([]byte, error) {
 // so round-tripped events render identically.
 func (e *LogEvent) UnmarshalJSON(data []byte) error {
 	var v struct {
-		TimeUnixMicro int64          `json:"t_us"`
-		Level         string         `json:"level"`
-		Type          string         `json:"type"`
-		Trace         string         `json:"trace"`
-		Fields        map[string]any `json:"fields"`
+		TimeUnixMicro int64   `json:"t_us"`
+		Level         string  `json:"level"`
+		Type          string  `json:"type"`
+		Trace         TraceID `json:"trace"`
+		Fields        Args    `json:"fields"` // sorted by key: a stable field order
 	}
 	if err := json.Unmarshal(data, &v); err != nil {
 		return err
 	}
-	*e = LogEvent{TimeUnixMicro: v.TimeUnixMicro, Type: v.Type}
-	switch v.Level {
-	case "debug":
-		e.Level = LevelDebug
-	case "info":
-		e.Level = LevelInfo
-	case "warn":
-		e.Level = LevelWarn
-	default:
-		e.Level = LevelError
+	*e = LogEvent{TimeUnixMicro: v.TimeUnixMicro, Type: v.Type, Trace: v.Trace}
+	for e.Level < LevelError && e.Level.String() != v.Level {
+		e.Level++
 	}
-	if t, ok := ParseTraceID(v.Trace); ok {
-		e.Trace = t
-	}
-	// Map iteration is unordered; sort keys so the field order is stable.
-	keys := make([]string, 0, len(v.Fields))
-	for k := range v.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, a := range v.Fields {
 		if int(e.NFields) == MaxEventFields {
 			break
 		}
+		k := a.Key
 		var f Field
-		switch val := v.Fields[k].(type) {
+		switch val := a.Val.(type) {
 		case bool:
 			f = FBool(k, val)
 		case float64:
@@ -246,50 +229,33 @@ type EventLogConfig struct {
 // EventLog is the ring-buffered structured event log. All methods are
 // safe on a nil receiver and for concurrent use.
 type EventLog struct {
-	now      func() time.Time
-	minLevel Level
-	onEvent  func(LogEvent)
+	cfg      EventLogConfig // defaults filled in
 	emitted  [4]*Counter
 	droppedC *Counter
 
-	mu      sync.Mutex
-	ring    []LogEvent
-	total   uint64 // events ever admitted
-	dropped uint64 // rate-limited drops
+	ring Ring[LogEvent] // the admitted events
+
+	mu      sync.Mutex // guards the rate limiter below
+	dropped uint64     // rate-limited drops
 	tokens  float64
-	rate    float64
-	burst   float64
 	last    time.Time
 }
 
 // NewEventLog builds an event log; see EventLogConfig.
 func NewEventLog(cfg EventLogConfig) *EventLog {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultEventCapacity
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = DefaultEventCapacity
 	}
-	rate := cfg.RatePerSec
-	if rate == 0 {
-		rate = DefaultEventRate
+	if cfg.RatePerSec == 0 {
+		cfg.RatePerSec = DefaultEventRate
 	}
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = 2 * rate
+	if cfg.Burst <= 0 {
+		cfg.Burst = 2 * cfg.RatePerSec
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	l := &EventLog{
-		now:      now,
-		minLevel: cfg.MinLevel,
-		onEvent:  cfg.OnEvent,
-		ring:     make([]LogEvent, 0, capacity),
-		rate:     rate,
-		burst:    burst,
-		tokens:   burst,
-		last:     now(),
-	}
+	l := &EventLog{cfg: cfg, ring: Ring[LogEvent]{max: cfg.Capacity}, tokens: cfg.Burst, last: cfg.Now()}
 	if cfg.Metrics != nil {
 		for lv := LevelDebug; lv <= LevelError; lv++ {
 			l.emitted[lv] = cfg.Metrics.Counter(MObsEvents, HObsEvents, L("level", lv.String()))
@@ -303,7 +269,7 @@ func NewEventLog(cfg EventLogConfig) *EventLog {
 // immediately; Debug/Info events beyond the rate limit are counted as
 // dropped. The variadic fields never escape on the disabled path.
 func (l *EventLog) Emit(level Level, typ string, trace TraceID, fields ...Field) {
-	if l == nil || level < l.minLevel {
+	if l == nil || level < l.cfg.MinLevel {
 		return
 	}
 	var ev LogEvent
@@ -313,17 +279,14 @@ func (l *EventLog) Emit(level Level, typ string, trace TraceID, fields ...Field)
 	n := copy(ev.Fields[:], fields)
 	ev.NFields = uint8(n)
 
-	now := l.now()
+	now := l.cfg.Now()
 	ev.TimeUnixMicro = now.UnixMicro()
 
-	l.mu.Lock()
-	if l.rate > 0 && level < LevelWarn {
+	if l.cfg.RatePerSec > 0 && level < LevelWarn {
+		l.mu.Lock()
 		dt := now.Sub(l.last).Seconds()
 		if dt > 0 {
-			l.tokens += dt * l.rate
-			if l.tokens > l.burst {
-				l.tokens = l.burst
-			}
+			l.tokens = min(l.tokens+dt*l.cfg.RatePerSec, l.cfg.Burst)
 			l.last = now
 		}
 		if l.tokens < 1 {
@@ -333,20 +296,15 @@ func (l *EventLog) Emit(level Level, typ string, trace TraceID, fields ...Field)
 			return
 		}
 		l.tokens--
+		l.mu.Unlock()
 	}
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.total%uint64(cap(l.ring))] = ev
-	}
-	l.total++
-	l.mu.Unlock()
+	l.ring.Add(ev)
 
 	if c := l.emitted[level]; c != nil {
 		c.Inc()
 	}
-	if l.onEvent != nil && level >= LevelWarn {
-		l.onEvent(ev)
+	if l.cfg.OnEvent != nil && level >= LevelWarn {
+		l.cfg.OnEvent(ev)
 	}
 }
 
@@ -355,17 +313,7 @@ func (l *EventLog) Events() []LogEvent {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]LogEvent, 0, len(l.ring))
-	if len(l.ring) < cap(l.ring) || l.total <= uint64(len(l.ring)) {
-		out = append(out, l.ring...)
-		return out
-	}
-	head := int(l.total % uint64(cap(l.ring)))
-	out = append(out, l.ring[head:]...)
-	out = append(out, l.ring[:head]...)
-	return out
+	return l.ring.Snapshot(nil)
 }
 
 // ByTrace returns the buffered events carrying the given trace ID,
@@ -374,14 +322,7 @@ func (l *EventLog) ByTrace(t TraceID) []LogEvent {
 	if l == nil || t.IsZero() {
 		return nil
 	}
-	all := l.Events()
-	out := all[:0]
-	for _, e := range all {
-		if e.Trace == t {
-			out = append(out, e)
-		}
-	}
-	return out
+	return l.ring.Snapshot(func(e *LogEvent) bool { return e.Trace == t })
 }
 
 // Dropped returns the number of rate-limited events.
@@ -399,17 +340,5 @@ func (l *EventLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// WriteJSON writes the buffered events as one JSON array, oldest first.
-func (l *EventLog) WriteJSON(w io.Writer) error {
-	evs := l.Events()
-	if evs == nil {
-		evs = []LogEvent{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(evs)
+	return l.ring.Total()
 }

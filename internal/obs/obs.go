@@ -1,9 +1,9 @@
-// Package obs is the zero-dependency observability core: a span tracer
-// (hierarchical spans over a lock-cheap ring buffer, exportable as Chrome
-// trace_event JSON for chrome://tracing / Perfetto), a metrics registry
-// (counters, gauges, histograms with a Prometheus text-exposition writer
-// and an expvar bridge), and the Observer that carries both through the
-// pipeline.
+// Package obs is the zero-dependency observability core: one span model
+// (one record in one lock-cheap ring, exportable as Chrome trace_event JSON
+// for chrome://tracing / Perfetto), a metrics registry (counters, gauges,
+// histograms with a Prometheus text-exposition writer and an expvar
+// bridge), a structured event log, and the Observer that carries them
+// through the pipeline.
 //
 // Every hook is nil-safe: instrumented packages call methods on a possibly
 // nil *Observer / *Span / *Counter, and a nil receiver compiles down to a
@@ -12,21 +12,48 @@
 // obs imports only the standard library.
 package obs
 
+import "context"
+
 // Observer bundles the observability sinks threaded through the
-// pipeline: tracer and metrics (the original pair), plus the serving
-// layer's structured event log and request-span store. Any field may be
-// nil to enable a subset; a nil *Observer disables everything.
+// pipeline: the metrics registry, the structured event log and the span
+// ring. Any field may be nil to enable a subset; a nil *Observer disables
+// everything.
 type Observer struct {
-	Tracer  *Tracer
 	Metrics *Registry
 	Events  *EventLog
-	Spans   *SpanStore
+	Spans   *SpanRing
+
+	// Set on the per-call observer For returns for a deep trace: the
+	// trace, the parent span and the node its spans are stamped with.
+	tc   TraceContext
+	node string
 }
 
-// Enabled reports whether any sink is attached.
-func (o *Observer) Enabled() bool {
-	return o != nil && (o.Tracer != nil || o.Metrics != nil || o.Events != nil || o.Spans != nil)
+// For returns the observer one public call records through, chosen from the
+// call's input: when ctx carries a deep trace with a span sink
+// (WithTraceContext) a per-call copy writing to that ring under that trace's
+// span, else o itself — its own ring in library mode, metrics alone, or
+// nil. Callers resolve it once per call and hand it down; nothing per-call
+// is stored on an engine.
+func (o *Observer) For(ctx context.Context) *Observer {
+	if ctx == nil {
+		return o
+	}
+	ct, _ := ctx.Value(traceCtxKey{}).(ctxTrace)
+	if !ct.Deep || ct.ring == nil {
+		return o
+	}
+	per := &Observer{Spans: ct.ring, tc: ct.TraceContext, node: ct.node}
+	if o != nil {
+		per.Metrics, per.Events = o.Metrics, o.Events
+	}
+	return per
 }
+
+// Tracing reports whether a span sink is attached. Guard span construction
+// on it where the arguments cost something: Span.Arg boxes its value even
+// for a nil span.
+func (o *Observer) Tracing() bool { return o != nil && o.Spans != nil }
 
 // Event records a structured event on the observer's event log;
 // nil-safe and free when the log is absent.
@@ -37,30 +64,33 @@ func (o *Observer) Event(level Level, typ string, trace TraceID, fields ...Field
 	o.Events.Emit(level, typ, trace, fields...)
 }
 
-// RecordSpan adds a completed request span to the flight-recorder ring;
-// nil-safe.
-func (o *Observer) RecordSpan(sp ReqSpan) {
-	if o == nil || o.Spans == nil {
-		return
+// RecordSpan adds a completed span to the ring; nil-safe.
+func (o *Observer) RecordSpan(sp Span) {
+	if o.Tracing() {
+		o.Spans.Add(sp)
 	}
-	o.Spans.Add(sp)
 }
 
-// Span starts a span on the observer's tracer; nil-safe (returns a nil
-// span that ignores End/Arg when tracing is off).
+// Span opens a span on a lane (see Span.Lane); it is recorded when End is
+// called. Nil-safe: without a span sink it returns a nil span that ignores
+// Arg and End.
 func (o *Observer) Span(cat, name string, lane int) *Span {
-	if o == nil || o.Tracer == nil {
+	if !o.Tracing() {
 		return nil
 	}
-	return o.Tracer.Start(cat, name, lane)
+	s := &Span{Trace: o.tc.Trace, Parent: o.tc.Span, Cat: cat, Name: name, Node: o.node, Lane: lane, Start: spanNow(), ring: o.Spans}
+	if !s.Trace.IsZero() {
+		s.ID = NewSpanID()
+	}
+	return s
 }
 
-// Instant records a zero-duration event; nil-safe.
+// Instant records a zero-duration span (breaker flips, failovers); nil-safe.
 func (o *Observer) Instant(cat, name string, lane int, args ...Arg) {
-	if o == nil || o.Tracer == nil {
-		return
+	if s := o.Span(cat, name, lane); s != nil {
+		s.Instant, s.Args = true, args
+		s.End()
 	}
-	o.Tracer.Instant(cat, name, lane, args...)
 }
 
 // Reg returns the metrics registry, or nil when metrics are off. Registry
@@ -75,8 +105,7 @@ func (o *Observer) Reg() *Registry {
 
 // NameLane labels a trace lane; nil-safe.
 func (o *Observer) NameLane(lane int, name string) {
-	if o == nil || o.Tracer == nil {
-		return
+	if o.Tracing() {
+		o.Spans.NameLane(lane, name)
 	}
-	o.Tracer.NameLane(lane, name)
 }

@@ -2,16 +2,17 @@ package obs
 
 import (
 	"context"
-	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"sync/atomic"
+	"math/rand/v2"
 )
 
 // TraceHeader is the cross-node trace-propagation header. Its value is
-// "<32-hex trace id>-<16-hex span id>": the 128-bit trace ID names the
-// whole distributed request, the 64-bit span ID is the sender's span so
-// the receiver can parent its own span under it. It travels alongside
+// "<32-hex trace id>-<16-hex span id>[-<0|1>]": the 128-bit trace ID names
+// the whole distributed request, the 64-bit span ID is the sender's span so
+// the receiver can parent its own span under it, and the optional third
+// field is the deep bit (TraceContext.Deep; absent means 0, which is what a
+// peer from before the field existed sends). It travels alongside
 // X-Bitgen-Forwarded and X-Bitgen-Deadline-Ms on every cluster forward,
 // hedge and snapshot fetch.
 const TraceHeader = "X-Bitgen-Trace"
@@ -45,6 +46,19 @@ func (s SpanID) String() string {
 	return hex.EncodeToString(s[:])
 }
 
+// MarshalText / UnmarshalText put the IDs into JSON as their hex strings; an
+// absent or malformed one reads back as zero.
+func (t TraceID) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+func (s SpanID) MarshalText() ([]byte, error)  { return []byte(s.String()), nil }
+func (t *TraceID) UnmarshalText(b []byte) error {
+	*t, _ = ParseTraceID(string(b))
+	return nil
+}
+func (s *SpanID) UnmarshalText(b []byte) error {
+	*s, _ = parseSpanID(string(b))
+	return nil
+}
+
 // ParseTraceID parses a 32-hex-digit trace ID.
 func ParseTraceID(s string) (TraceID, bool) {
 	var t TraceID
@@ -57,62 +71,32 @@ func ParseTraceID(s string) (TraceID, bool) {
 	return t, true
 }
 
-// idState seeds the process-local ID generator: a random base drawn once
-// from crypto/rand, mixed with an atomic counter through a splitmix64
-// finalizer. IDs are unique per process and collision-resistant across
-// nodes without a syscall per request.
-var idState struct {
-	hi, lo uint64
-	ctr    atomic.Uint64
-}
-
-func init() {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// Degrade to a fixed base: counter mixing still yields unique
-		// per-process IDs.
-		copy(b[:], "bitgen-obs-seed!")
-	}
-	idState.hi = binary.LittleEndian.Uint64(b[0:8])
-	idState.lo = binary.LittleEndian.Uint64(b[8:16])
-}
-
-// mix64 is the splitmix64 finalizer (same avalanche core the cluster
-// ring uses for key hashing).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func nextID() (uint64, uint64) {
-	c := idState.ctr.Add(1)
-	return mix64(idState.hi + c), mix64(idState.lo ^ (c * 0x9e3779b97f4a7c15))
-}
-
-// NewTraceID returns a fresh non-zero 128-bit trace ID.
+// NewTraceID returns a fresh non-zero 128-bit trace ID. IDs are drawn from
+// math/rand/v2's randomly seeded per-thread generator: collision-resistant
+// across nodes, no syscall and no shared counter per request.
 func NewTraceID() TraceID {
 	var t TraceID
-	a, b := nextID()
-	binary.LittleEndian.PutUint64(t[0:8], a)
-	binary.LittleEndian.PutUint64(t[8:16], b|1) // never zero
+	binary.LittleEndian.PutUint64(t[0:8], rand.Uint64())
+	binary.LittleEndian.PutUint64(t[8:16], rand.Uint64()|1) // never zero
 	return t
 }
 
 // NewSpanID returns a fresh non-zero 64-bit span ID.
 func NewSpanID() SpanID {
 	var s SpanID
-	a, _ := nextID()
-	binary.LittleEndian.PutUint64(s[:], a|1)
+	binary.LittleEndian.PutUint64(s[:], rand.Uint64()|1)
 	return s
 }
 
-// TraceContext is the propagated pair: the request's trace ID and the
-// current node's span within it.
+// TraceContext is what propagates: the request's trace ID, the current
+// node's span within it, and whether the trace is deep — its caller tagged
+// the request with a trace ID of its own choosing, so whoever serves it
+// records the engine's spans under the request span (Observer.For), not the
+// request span alone. The bit is read from the request, never configured.
 type TraceContext struct {
 	Trace TraceID
 	Span  SpanID
+	Deep  bool
 }
 
 // NewTraceContext mints a fresh trace with a root span.
@@ -122,7 +106,7 @@ func NewTraceContext() TraceContext {
 
 // Child returns a new span in the same trace.
 func (tc TraceContext) Child() TraceContext {
-	return TraceContext{Trace: tc.Trace, Span: NewSpanID()}
+	return TraceContext{Trace: tc.Trace, Span: NewSpanID(), Deep: tc.Deep}
 }
 
 // Header renders the X-Bitgen-Trace wire value ("" for a zero context).
@@ -130,38 +114,62 @@ func (tc TraceContext) Header() string {
 	if tc.Trace.IsZero() {
 		return ""
 	}
-	return tc.Trace.String() + "-" + tc.Span.String()
+	h := tc.Trace.String() + "-" + tc.Span.String()
+	if tc.Deep {
+		h += "-1"
+	}
+	return h
 }
 
 // ParseTraceHeader parses an X-Bitgen-Trace value. A missing or
 // malformed value returns ok=false: the receiver starts a fresh trace
 // rather than failing the request.
 func ParseTraceHeader(v string) (TraceContext, bool) {
+	deep := false
+	if len(v) == 51 && v[49] == '-' && (v[50] == '0' || v[50] == '1') {
+		deep, v = v[50] == '1', v[:49]
+	}
 	if len(v) != 49 || v[32] != '-' {
 		return TraceContext{}, false
 	}
 	t, ok := ParseTraceID(v[:32])
-	if !ok {
+	s, sok := parseSpanID(v[33:])
+	if !ok || !sok {
 		return TraceContext{}, false
 	}
+	return TraceContext{Trace: t, Span: s, Deep: deep}, true
+}
+
+// parseSpanID parses a 16-hex-digit non-zero span ID.
+func parseSpanID(v string) (SpanID, bool) {
 	var s SpanID
-	if _, err := hex.Decode(s[:], []byte(v[33:])); err != nil || s.IsZero() {
-		return TraceContext{}, false
+	if _, err := hex.Decode(s[:], []byte(v)); len(v) != 16 || err != nil || s.IsZero() {
+		return SpanID{}, false
 	}
-	return TraceContext{Trace: t, Span: s}, true
+	return s, true
 }
 
 type traceCtxKey struct{}
 
+// ctxTrace is what a context carries: the propagated triple and, for a deep
+// trace, the ring and node name its callee's spans are recorded with.
+type ctxTrace struct {
+	TraceContext
+	ring *SpanRing
+	node string
+}
+
 // WithTraceContext attaches the trace context to ctx; the cluster
 // transport reads it back to stamp TraceHeader on outbound forwards,
-// hedges and snapshot fetches.
-func WithTraceContext(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
+// hedges and snapshot fetches. ring and node are the span ring, and the node
+// name to stamp, that Observer.For hands to calls made under ctx when tc is
+// deep; nil and "" elsewhere.
+func WithTraceContext(ctx context.Context, tc TraceContext, ring *SpanRing, node string) context.Context {
+	return context.WithValue(ctx, traceCtxKey{}, ctxTrace{tc, ring, node})
 }
 
 // TraceContextFrom extracts the trace context placed by WithTraceContext.
 func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok && !tc.Trace.IsZero()
+	ct, ok := ctx.Value(traceCtxKey{}).(ctxTrace)
+	return ct.TraceContext, ok && !ct.Trace.IsZero()
 }

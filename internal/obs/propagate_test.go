@@ -19,6 +19,22 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	if !ok || back != tc {
 		t.Fatalf("round trip: got %+v ok=%v, want %+v", back, ok, tc)
 	}
+	// The deep bit is an optional third field: 51 bytes with it, and the
+	// 49-byte form — all a peer from before the field sends — is not deep.
+	tc.Deep = true
+	deep := tc.Header()
+	if deep != h+"-1" {
+		t.Fatalf("deep header %q, want %q", deep, h+"-1")
+	}
+	if back, ok := ParseTraceHeader(deep); !ok || back != tc {
+		t.Fatalf("deep round trip: got %+v ok=%v, want %+v", back, ok, tc)
+	}
+	if back, ok := ParseTraceHeader(h + "-0"); !ok || back.Deep || back.Trace != tc.Trace || back.Span != tc.Span {
+		t.Fatalf("explicit shallow form: got %+v ok=%v", back, ok)
+	}
+	if child := tc.Child(); !child.Deep {
+		t.Fatal("a child span of a deep trace is not deep")
+	}
 }
 
 func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
@@ -32,6 +48,11 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 		"bad span hex":  valid[:47] + "zz",
 		"zero trace":    strings.Repeat("0", 32) + "-" + valid[33:],
 		"zero span":     valid[:33] + strings.Repeat("0", 16),
+		"bad deep bit":  valid + "-2",
+		"no deep dash":  valid + "01",
+		"deep, short":   valid[:47] + "-1",
+		"deep, bad hex": "zz" + valid[2:] + "-1",
+		"two deep bits": valid + "-1-1",
 	}
 	for name, v := range cases {
 		if _, ok := ParseTraceHeader(v); ok {
@@ -86,12 +107,12 @@ func TestTraceContextOnContext(t *testing.T) {
 		t.Fatal("empty context claimed a trace")
 	}
 	tc := NewTraceContext()
-	ctx := WithTraceContext(context.Background(), tc)
+	ctx := WithTraceContext(context.Background(), tc, nil, "")
 	back, ok := TraceContextFrom(ctx)
 	if !ok || back != tc {
 		t.Fatalf("context round trip: %+v ok=%v", back, ok)
 	}
-	zero := WithTraceContext(context.Background(), TraceContext{})
+	zero := WithTraceContext(context.Background(), TraceContext{}, nil, "")
 	if _, ok := TraceContextFrom(zero); ok {
 		t.Fatal("zero trace context should read back as absent")
 	}

@@ -263,8 +263,7 @@ func New(backends []Backend, cfg Config) (*Ladder, error) {
 			reg.Counter(obs.MBreakerFlips, obs.HBreakerFlips,
 				obs.L("backend", name), obs.L("to", to.String()))
 		}
-		if cfg.Obs.Enabled() {
-			o := cfg.Obs
+		if o := cfg.Obs; o != nil {
 			br.onState = func(from, to State, reason string) {
 				o.Instant("resilience", "breaker:"+name, 0,
 					obs.A("from", from.String()), obs.A("to", to.String()),
@@ -301,7 +300,8 @@ func (l *Ladder) Backends() []string {
 func (l *Ladder) Run(ctx context.Context, input []byte) (*Outcome, error) {
 	l.calls.Add(1)
 	l.m.calls.Inc()
-	rspan := l.cfg.Obs.Span("resilience", "ladder-run", 0).Arg("input_bytes", len(input))
+	o := l.cfg.Obs.For(ctx)
+	rspan := o.Span("resilience", "ladder-run", 0).Arg("input_bytes", len(input))
 	defer rspan.End()
 	ref := len(l.backends) - 1
 	attempts := 0
@@ -309,11 +309,11 @@ func (l *Ladder) Run(ctx context.Context, input []byte) (*Outcome, error) {
 	for i, b := range l.backends {
 		br := l.breakers[i]
 		if !br.allow(l.cfg.Now()) {
-			l.cfg.Obs.Instant("resilience", "rung-skipped", 0, obs.A("backend", b.Name()))
+			o.Instant("resilience", "rung-skipped", 0, obs.A("backend", b.Name()))
 			continue
 		}
-		aspan := l.cfg.Obs.Span("resilience", "rung:"+b.Name(), 0)
-		pos, aux, err := l.attempt(ctx, i, input, &attempts)
+		aspan := o.Span("resilience", "rung:"+b.Name(), 0)
+		pos, aux, err := l.attempt(ctx, o, i, input, &attempts)
 		if err == nil {
 			aspan.End()
 			out := &Outcome{Backend: b.Name(), Positions: pos, Aux: aux, Attempts: attempts}
@@ -321,7 +321,7 @@ func (l *Ladder) Run(ctx context.Context, input []byte) (*Outcome, error) {
 				out.CrossChecked = true
 				l.crossChecks.Add(1)
 				l.m.crossChecks.Inc()
-				cspan := l.cfg.Obs.Span("resilience", "cross-check", 0).
+				cspan := o.Span("resilience", "cross-check", 0).
 					Arg("serving", b.Name()).Arg("reference", l.backends[ref].Name())
 				refPos, _, refErr := l.backends[ref].Run(ctx, input)
 				if refErr == nil && !Equal(pos, refPos) {
@@ -358,7 +358,7 @@ func (l *Ladder) Run(ctx context.Context, input []byte) (*Outcome, error) {
 			return nil, err
 		}
 		aspan.Arg("error", "failover").End()
-		l.cfg.Obs.Instant("resilience", "failover", 0,
+		o.Instant("resilience", "failover", 0,
 			obs.A("from", b.Name()), obs.A("error", err.Error()))
 		l.m.failures[i].Inc()
 		br.failure(l.cfg.Now(), err)
@@ -374,7 +374,7 @@ func (l *Ladder) Run(ctx context.Context, input []byte) (*Outcome, error) {
 // attempt runs one backend, retrying transient faults with jittered
 // exponential backoff. It returns the first non-transient error, the
 // error after retry exhaustion, or the successful result.
-func (l *Ladder) attempt(ctx context.Context, i int, input []byte, attempts *int) (map[string][]int, any, error) {
+func (l *Ladder) attempt(ctx context.Context, o *obs.Observer, i int, input []byte, attempts *int) (map[string][]int, any, error) {
 	b := l.backends[i]
 	for try := 0; ; try++ {
 		*attempts++
@@ -389,7 +389,7 @@ func (l *Ladder) attempt(ctx context.Context, i int, input []byte, attempts *int
 		l.breakers[i].retries++
 		l.breakers[i].mu.Unlock()
 		l.m.retries.Inc()
-		l.cfg.Obs.Instant("resilience", "retry", 0,
+		o.Instant("resilience", "retry", 0,
 			obs.A("backend", b.Name()), obs.A("try", try))
 		l.cfg.Sleep(l.backoff(try))
 		if ctx != nil && ctx.Err() != nil {

@@ -43,7 +43,7 @@ type bundleBody struct {
 	Trace              string         `json:"trace,omitempty"`
 	Node               string         `json:"node"`
 	GeneratedUnixMicro int64          `json:"generated_us"`
-	Spans              []obs.ReqSpan  `json:"spans"`
+	Spans              []obs.Span     `json:"spans"`
 	Events             []obs.LogEvent `json:"events"`
 	SLO                obs.SLOReport  `json:"slo"`
 	Metrics            string         `json:"metrics"`
@@ -69,14 +69,11 @@ func (s *Server) buildBundle(reason string, trace obs.TraceID) ([]byte, error) {
 		Trace:              trace.String(),
 		Node:               s.nodeName(),
 		GeneratedUnixMicro: time.Now().UnixMicro(),
-		Spans:              s.flight.Spans(),
+		Spans:              s.spans.Snapshot(nil),
 		Events:             s.events.Events(),
 		SLO:                s.slo.Report(),
 		Metrics:            metrics.String(),
 		Goroutines:         string(stack),
-	}
-	if body.Spans == nil {
-		body.Spans = []obs.ReqSpan{}
 	}
 	if body.Events == nil {
 		body.Events = []obs.LogEvent{}

@@ -58,10 +58,10 @@ func bootCluster(t *testing.T, n int, mutate func(i int, cc *cluster.Config)) ([
 // findPatterns searches for a single-pattern set whose key is owned by
 // ownerURL (and, when succURL != "", whose warm standby is succURL). All
 // ring views agree, so any server's router can answer.
-func findPatterns(t *testing.T, s *Server, ownerURL, succURL string) []string {
+func findPatterns(t *testing.T, s *Server, ownerURL, succURL string, more ...string) []string {
 	t.Helper()
 	for i := 0; i < 8192; i++ {
-		pats := []string{fmt.Sprintf("clu%dster", i)}
+		pats := append([]string{fmt.Sprintf("clu%dster", i)}, more...)
 		opts := s.engineOptions(false)
 		key := bitgen.PatternSetKey(pats, &opts)
 		rt := s.Cluster().Route(key)

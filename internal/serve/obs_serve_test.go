@@ -6,17 +6,23 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"bitgen"
 	"bitgen/internal/cluster"
 	"bitgen/internal/obs"
+	"bitgen/internal/workload"
 )
 
 // TestTraceHeaderMintedAndEchoed: a request without X-Bitgen-Trace gets a
@@ -60,12 +66,13 @@ func TestTraceHeaderMintedAndEchoed(t *testing.T) {
 		t.Fatalf("malformed inbound header should mint a fresh trace, got %q", replaced)
 	}
 
-	// The flight recorder kept the spans, retrievable by trace.
-	spans := s.Flight().ByTrace(tc.Trace.String())
+	// The span ring kept the request's span, retrievable by trace (the
+	// request was tagged, so the engine's spans sit beside it).
+	spans := requestSpans(s, tc.Trace)
 	if len(spans) != 1 || spans[0].Name != "match" {
 		t.Fatalf("flight spans for trace = %+v, want one match span", spans)
 	}
-	if spans[0].Parent != tc.Span.String() {
+	if spans[0].Parent != tc.Span {
 		t.Fatalf("span parent = %q, want the client's span %s", spans[0].Parent, tc.Span)
 	}
 }
@@ -95,11 +102,11 @@ func TestTracePropagation3Nodes(t *testing.T) {
 
 	// Spans are recorded as each node's handler returns; the owner's span
 	// lands before the entry's response, but poll to be safe.
-	trace := tc.Trace.String()
+	trace := tc.Trace
 	deadline := time.Now().Add(5 * time.Second)
 	var st *StitchedTrace
 	for {
-		st, err = StitchTrace(context.Background(), http.DefaultClient, urls, trace)
+		st, err = StitchTrace(context.Background(), http.DefaultClient, urls, trace.String())
 		if err == nil && len(st.NodesWithSpans()) >= 2 {
 			break
 		}
@@ -148,9 +155,11 @@ func TestTracePropagation3Nodes(t *testing.T) {
 
 // TestForwardRecordedOnce: a forwarded match leaves exactly one forward
 // span on the entry node and one match span on each node that handled it
-// — the flight recorder is the one place a forward is recorded — and
-// /trace has no cluster view: ?cluster=1 is a /trace request without
-// ?set=.
+// — the span ring is the one place a forward is recorded — and the request
+// descends across the forward: the client's trace ID makes it deep, the
+// transport carries the bit, and the serving node records the engine's spans
+// under its match span while the idle third node records nothing. /trace, the
+// per-engine trace endpoint of the second span model, is gone.
 func TestForwardRecordedOnce(t *testing.T) {
 	nodes, err := BootCluster(3, Config{}, func(i int, cc *cluster.Config) { cc.HedgeDelay = -1 })
 	if err != nil {
@@ -161,9 +170,9 @@ func TestForwardRecordedOnce(t *testing.T) {
 			nd.Kill()
 		}
 	})
-	pats := findPatterns(t, nodes[0].Server, nodes[1].URL, nodes[2].URL)
+	pats := findPatterns(t, nodes[0].Server, nodes[1].URL, nodes[2].URL, "fwd[0-9]x", "descen(d|t)") // three CTA groups
 	tc := obs.NewTraceContext()
-	trace := tc.Trace.String()
+	trace := tc.Trace
 	code, msg, _, err := send(http.DefaultClient, http.MethodPost, nodes[0].URL+"/v1/match", "application/json",
 		matchBody(pats, "a"+pats[0]+"b"), map[string]string{obs.TraceHeader: tc.Header()})
 	if err != nil || code != http.StatusOK {
@@ -174,7 +183,7 @@ func TestForwardRecordedOnce(t *testing.T) {
 	// after the client has the response.
 	count := func(nd *ClusterNode, name string) int {
 		n := 0
-		for _, sp := range nd.Server.Flight().ByTrace(trace) {
+		for _, sp := range nd.Server.Spans().Fragment("", trace).Spans {
 			if sp.Name == name {
 				n++
 			}
@@ -191,10 +200,71 @@ func TestForwardRecordedOnce(t *testing.T) {
 		}
 	}
 
-	code, _, _, err = send(http.DefaultClient, http.MethodGet, nodes[0].URL+"/trace?cluster=1", "", "", nil)
-	if err != nil || code != http.StatusBadRequest {
-		t.Errorf("/trace?cluster=1: status %d err %v, want 400 like any /trace without ?set=", code, err)
+	// Descent: under the serving node's match span, by parent chain, the
+	// transpose and one kernel-launch per CTA group; all three nodes' spans
+	// in one stitched fetch, every one with the client's trace ID.
+	st, err := StitchTrace(context.Background(), http.DefaultClient, []string{nodes[0].URL, nodes[1].URL, nodes[2].URL}, trace.String())
+	if err != nil {
+		t.Fatal(err)
 	}
+	var match obs.SpanID
+	under := map[string]int{} // engine span name → how many descend from the serving node's match
+	parentOf := map[obs.SpanID]obs.SpanID{}
+	for _, f := range st.Fragments {
+		for _, sp := range f.Spans {
+			if sp.Trace != trace {
+				t.Errorf("span %s/%s carries trace %s, want %s", sp.Node, sp.Name, sp.Trace, trace)
+			}
+			if sp.Node == nodes[1].URL && sp.Name == "match" {
+				match = sp.ID
+			}
+			if sp.Cat != "" && sp.Node != nodes[1].URL {
+				t.Errorf("engine span %s/%s on %s, which did not serve the request", sp.Cat, sp.Name, sp.Node)
+			}
+			parentOf[sp.ID] = sp.Parent
+		}
+	}
+	for _, f := range st.Fragments {
+		for _, sp := range f.Spans {
+			for id := sp.Parent; sp.Cat != "" && !id.IsZero(); id = parentOf[id] {
+				if id == match {
+					under[sp.Name]++
+					break
+				}
+			}
+		}
+	}
+	if under["transpose"] != 1 || under["kernel-launch"] != len(pats) || under["run"] != 1 {
+		t.Errorf("under the serving node's match span: %v; want one run, one transpose and a kernel-launch for each of the %d CTA groups", under, len(pats))
+	}
+
+	code, _, _, err = send(http.DefaultClient, http.MethodGet, nodes[0].URL+"/trace?set=x", "", "", nil)
+	if err != nil || code != http.StatusNotFound {
+		t.Errorf("/trace?set=x: status %d err %v, want 404: the route is gone", code, err)
+	}
+}
+
+// requestSpans returns the request spans (no category: match, scan, forward …)
+// the server's ring holds for one trace, leaving out the engine spans a
+// tagged request records beside them.
+func requestSpans(s *Server, trace obs.TraceID) []obs.Span {
+	var out []obs.Span
+	for _, sp := range s.Spans().Fragment("", trace).Spans {
+		if sp.Cat == "" {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// argOf returns the named annotation of a span (nil when absent).
+func argOf(sp *obs.Span, key string) any {
+	for _, a := range sp.Args {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return nil
 }
 
 // TestDebugBundleEndpoint: /debug/bundle returns a sha256-sealed envelope
@@ -413,7 +483,7 @@ func TestScanStreamingSurvivesObsMiddleware(t *testing.T) {
 	if !strings.Contains(buf.String(), `"match"`) && !strings.Contains(buf.String(), "foo") {
 		t.Fatalf("scan stream looks wrong: %q", buf.String())
 	}
-	spans := s.Flight().Spans()
+	spans := s.Spans().Snapshot(nil)
 	sawScan := false
 	for _, sp := range spans {
 		if sp.Name == "scan" {
@@ -422,5 +492,174 @@ func TestScanStreamingSurvivesObsMiddleware(t *testing.T) {
 	}
 	if !sawScan {
 		t.Fatal("no scan span recorded")
+	}
+}
+
+// bro9 is the serve_mixed match op of the repo benchmark: nine Bro217-style
+// patterns and one 4 KiB window of their input.
+func bro9(t *testing.T) ([]string, []byte) {
+	t.Helper()
+	app, err := workload.Load("Bro217", workload.Options{RegexScale: 9.0 / 227, InputBytes: 4096, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app.Patterns, app.Input
+}
+
+// TestUntaggedTrafficPaysNothing: a request nobody tagged records its one
+// request span and nothing else — no engine span reaches the ring — and the
+// engine call under its context allocates what an engine with metrics alone
+// allocates: 43 objects for this op at the commit that still compiled every
+// served engine with a tracer of its own (158 with it), plus at most 2.
+func TestUntaggedTrafficPaysNothing(t *testing.T) {
+	s := mustNew(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	pats, input := bro9(t)
+	body := matchBody(pats, string(input))
+	for i := 0; i < 100; i++ {
+		if code, msg, _, err := send(http.DefaultClient, http.MethodPost, ts.URL+"/v1/match", "application/json", body, nil); err != nil || code != http.StatusOK {
+			t.Fatalf("match %d: status %d err %v: %s", i, code, err, msg)
+		}
+	}
+	spans := s.Spans().Snapshot(nil)
+	for _, sp := range spans {
+		if sp.Name != "match" || sp.Cat != "" {
+			t.Fatalf("untagged traffic recorded a %s/%s span", sp.Cat, sp.Name)
+		}
+	}
+	if len(spans) != 100 || s.Spans().Total() != 100 {
+		t.Fatalf("ring holds %d spans of %d recorded, want exactly the 100 request spans", len(spans), s.Spans().Total())
+	}
+
+	opts := s.engineOptions(false)
+	e := s.cache.lookup(bitgen.PatternSetKey(pats, &opts))
+	if e == nil {
+		t.Fatal("served engine not in the cache")
+	}
+	plain, err := bitgen.Compile(pats, &bitgen.Options{Observability: &bitgen.ObservabilityOptions{Metrics: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What withObs hands an untagged request: a minted, shallow trace.
+	ctx := obs.WithTraceContext(context.Background(), obs.NewTraceContext(), s.Spans(), s.nodeName())
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC cycle empties the session pool
+	// The pool may still lose the session (under the race detector it drops
+	// one Put in four on purpose): best of a few tries, each after a run that
+	// leaves a session behind.
+	allocs := func(eng *bitgen.Engine, ctx context.Context) uint64 {
+		best := uint64(math.MaxUint64)
+		for try := 0; try < 8; try++ {
+			var before, after runtime.MemStats
+			for i := 0; i < 2; i++ {
+				runtime.ReadMemStats(&before)
+				if _, err := eng.RunContext(ctx, input); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+			}
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	served, base := allocs(e.eng, ctx), allocs(plain, context.Background())
+	if served > base+2 || served > 43+2 {
+		t.Errorf("RunContext under an untagged request allocates %d objects; an engine with metrics alone %d, and 43 before", served, base)
+	}
+	if got := s.Spans().Total(); got != 100 {
+		t.Errorf("%d engine spans reached the ring under an untagged context", got-100)
+	}
+}
+
+// TestPooledSessionNeverCarriesAPreviousSink: scan sessions are pooled per
+// engine and handed the borrowing call's observer; a session a tagged request
+// warmed must record nothing for the untagged request that borrows it next.
+// First in sequence on one warm engine, then 16 goroutines mixing the two
+// kinds on both endpoints (-race): every engine span in the ring carries a
+// tagged request's trace ID, none an untagged request's.
+func TestPooledSessionNeverCarriesAPreviousSink(t *testing.T) {
+	s := mustNew(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	pats, input := bro9(t)
+	body := matchBody(pats, string(input))
+	scanURL := ts.URL + "/v1/scan?" + url.Values{"pattern": {"foo[0-9]x", "barbaz"}}.Encode()
+	// do sends one request, tagged with a fresh trace or not, and returns
+	// the trace ID the server filed it under.
+	do := func(scan, tagged bool) obs.TraceID {
+		var hdr map[string]string
+		if tagged {
+			hdr = map[string]string{obs.TraceHeader: obs.NewTraceContext().Header()}
+		}
+		target, ctype, payload := ts.URL+"/v1/match", "application/json", body
+		if scan {
+			target, ctype, payload = scanURL, "application/octet-stream", "xxfoo7xyybarbazzz"
+		}
+		code, msg, h, err := send(http.DefaultClient, http.MethodPost, target, ctype, payload, hdr)
+		if err != nil || code != http.StatusOK {
+			t.Errorf("request: status %d err %v: %s", code, err, msg)
+		}
+		tc, _ := obs.ParseTraceHeader(h.Get(obs.TraceHeader))
+		return tc.Trace
+	}
+	engineSpans := func(trace obs.TraceID) int {
+		n := 0
+		for _, sp := range s.Spans().Fragment("", trace).Spans {
+			if sp.Cat != "" {
+				n++
+			}
+		}
+		return n
+	}
+	// One P makes the pool hand the next call the session the last one
+	// returned (but for the Put in four the race detector drops).
+	restore := runtime.GOMAXPROCS(1)
+	do(false, false) // warm: compile, build and pool a session
+	first, firstScan := do(false, true), do(true, true)
+	perKind := map[bool]int{false: engineSpans(first), true: engineSpans(firstScan)} // scan? → engine spans of one tagged request
+	if perKind[false] == 0 || perKind[true] == 0 {
+		t.Fatalf("a tagged request recorded no engine spans: %v", perKind)
+	}
+	for _, scan := range []bool{false, true} {
+		before := s.Spans().Total()
+		untagged := do(scan, false)
+		if got := s.Spans().Total() - before; got != 1 || engineSpans(untagged) != 0 {
+			t.Fatalf("the untagged request after a tagged one recorded %d spans, %d of them engine spans; want its request span alone", got, engineSpans(untagged))
+		}
+	}
+	runtime.GOMAXPROCS(restore)
+
+	var mu sync.Mutex
+	tagged := map[obs.TraceID]bool{first: false, firstScan: true} // tagged trace → scan?
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				scan := i%3 == 2
+				if id := do(scan, (g+i)%2 == 0); (g+i)%2 == 0 {
+					mu.Lock()
+					tagged[id] = scan
+					mu.Unlock()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if d := s.Spans().Dropped(); d != 0 {
+		t.Fatalf("the ring dropped %d spans: the check below would miss them", d)
+	}
+	for _, sp := range s.Spans().Snapshot(nil) {
+		if _, ok := tagged[sp.Trace]; sp.Cat != "" && !ok {
+			t.Fatalf("engine span %s/%s carries trace %s, which no tagged request has", sp.Cat, sp.Name, sp.Trace)
+		}
+	}
+	// A session that kept a tagged call's sink would file a later call's
+	// spans under that call's trace.
+	for id, scan := range tagged {
+		if got := engineSpans(id); got != perKind[scan] {
+			t.Errorf("tagged trace %s (scan=%v) holds %d engine spans, want %d", id, scan, got, perKind[scan])
+		}
 	}
 }

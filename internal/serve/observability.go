@@ -11,9 +11,9 @@ import (
 
 // This file is the serve layer's half of the distributed observability
 // plane: the per-request middleware that parses or mints the trace
-// context, records completed requests into the flight recorder and the
-// SLO tracker, and the /v1/trace/{id} and /v1/slo endpoints the
-// cross-node stitcher and dashboards read.
+// context, records completed requests into the span ring and the SLO
+// tracker, and the /v1/trace/{id} and /v1/slo endpoints the cross-node
+// stitcher and dashboards read.
 
 // nodeName is this replica's identity on spans and bundles: the cluster
 // advertised URL, or "local" standalone.
@@ -36,7 +36,7 @@ func sloEndpointOf(path string) string {
 	return ""
 }
 
-// spanNameOf maps a request path to its flight-recorder span name (""
+// spanNameOf maps a request path to its request span's name (""
 // for paths not recorded — metrics scrapes and health probes would
 // drown the ring).
 func spanNameOf(path string) string {
@@ -84,18 +84,24 @@ func (w *flushWriter) Flush() { w.f.Flush() }
 // withObs wraps the mux: every request gets a trace context (continued
 // from X-Bitgen-Trace when a peer or client supplied one, minted
 // otherwise) injected into the request context, the response echoes the
-// trace ID, and completed match/scan/snapshot requests land in the
-// flight recorder — match and scan also in the SLO tracker.
+// trace ID, and completed match/scan/snapshot requests land in the span
+// ring — match and scan also in the SLO tracker. A trace is deep when the
+// caller chose its ID (the header arrived on a request no peer forwarded)
+// or the forwarding peer says so: then the context also carries the ring,
+// and the engine records its spans there under the request's (obs.For).
+// Untagged traffic pays one span per request and nothing else.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		forwarded := r.Header.Get(cluster.HeaderForwarded) == "1"
 		parent, hadParent := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
 		var tc obs.TraceContext
 		if hadParent {
 			tc = parent.Child()
+			tc.Deep = parent.Deep || !forwarded
 		} else {
 			tc = obs.NewTraceContext()
 		}
-		r = r.WithContext(obs.WithTraceContext(r.Context(), tc))
+		r = r.WithContext(obs.WithTraceContext(r.Context(), tc, s.spans, s.nodeName()))
 		w.Header().Set(obs.TraceHeader, tc.Header())
 
 		sw := &statusWriter{ResponseWriter: w}
@@ -116,29 +122,21 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			s.slo.Observe(ep, dur, status >= 500)
 		}
 		if name := spanNameOf(r.URL.Path); name != "" {
-			sp := obs.ReqSpan{
-				Trace:          tc.Trace.String(),
-				Span:           tc.Span.String(),
-				Name:           name,
-				Node:           s.nodeName(),
-				StartUnixMicro: start.UnixMicro(),
-				DurMicro:       dur.Microseconds(),
-				Status:         status,
-				Attrs:          map[string]string{"path": r.URL.Path},
+			sp := obs.Span{
+				Trace: tc.Trace, ID: tc.Span, Parent: parent.Span, Name: name, Node: s.nodeName(),
+				Start: obs.SpanTime(start), Dur: int64(dur), Status: status,
+				Args: []obs.Arg{{Key: "path", Val: r.URL.Path}},
 			}
-			if hadParent {
-				sp.Parent = parent.Span.String()
+			if forwarded {
+				sp.Args = append(sp.Args, obs.A("forwarded", "1"))
 			}
-			if r.Header.Get(cluster.HeaderForwarded) == "1" {
-				sp.Attrs["forwarded"] = "1"
-			}
-			s.flight.Add(sp)
+			s.spans.Add(sp)
 		}
 	})
 }
 
 // handleTraceFragment serves GET /v1/trace/{traceID}: this node's
-// fragment of one distributed trace — its flight-recorder spans and
+// fragment of one distributed trace — the spans in its ring and the
 // event-ring entries for that trace ID. The stitcher (bitgend -stitch,
 // StitchTrace) merges fragments from every ring peer into one timeline.
 func (s *Server) handleTraceFragment(w http.ResponseWriter, r *http.Request) {
@@ -150,18 +148,8 @@ func (s *Server) handleTraceFragment(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	frag := TraceFragment{
-		Node:    s.nodeName(),
-		TraceID: tid.String(),
-		Spans:   s.flight.ByTrace(tid.String()),
-		Events:  s.events.ByTrace(tid),
-	}
-	if frag.Spans == nil {
-		frag.Spans = []obs.ReqSpan{}
-	}
-	if frag.Events == nil {
-		frag.Events = []obs.LogEvent{}
-	}
+	frag := s.spans.Fragment(s.nodeName(), tid)
+	frag.Events = s.events.ByTrace(tid)
 	writeJSON(w, http.StatusOK, frag)
 }
 

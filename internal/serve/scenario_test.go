@@ -724,11 +724,11 @@ func TestObsClusterSelfTest(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	var forwardSpan *obs.ReqSpan
+	var forwardSpan *obs.Span
 	for _, f := range st.Fragments {
 		for i := range f.Spans {
 			sp := f.Spans[i]
-			if sp.Trace != tc.Trace.String() {
+			if sp.Trace != tc.Trace {
 				t.Fatalf("span %s/%s carries trace %s, want %s", sp.Node, sp.Name, sp.Trace, tc.Trace.String())
 			}
 			if sp.Name == "forward" && sp.Node == nodes[entry].URL {
@@ -739,7 +739,7 @@ func TestObsClusterSelfTest(t *testing.T) {
 	if forwardSpan == nil {
 		t.Fatal("no forward span recorded on the entry node")
 	}
-	if got := forwardSpan.Attrs["served_by"]; got != nodes[successor].URL {
+	if got := argOf(forwardSpan, "served_by"); got != nodes[successor].URL {
 		t.Fatalf("forward span served_by = %q, want the successor %s (failover)", got, nodes[successor].URL)
 	}
 	chrome, err := st.Chrome()

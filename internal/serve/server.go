@@ -45,8 +45,8 @@ type Config struct {
 	// Limits.MaxInputBytes still applies to every chunk.
 	MaxBodyBytes int64
 	// Engine is the base bitgen.Options every compiled engine starts
-	// from; per-request knobs (fold_case) overlay it and Observability
-	// is always enabled so /metrics?set= and /trace?set= have data.
+	// from; per-request knobs (fold_case) overlay it and its metrics are
+	// always enabled so /metrics?set= has data.
 	Engine bitgen.Options
 	// SnapshotDir, when set, enables engine persistence: compiled engines
 	// are saved there write-behind, the cache warm-starts from it at boot,
@@ -150,12 +150,13 @@ type Server struct {
 	// cluster, when non-nil, routes pattern-set keys across replicas.
 	cluster *cluster.Router
 
-	// Observability plane: the structured event log, the request-span
-	// flight recorder, and the SLO tracker. All three are always on —
-	// they are rings, not I/O — and feed /v1/trace/{id}, /v1/slo and the
-	// anomaly bundle dumps.
+	// Observability plane: the structured event log, the span ring (one
+	// span per request, plus the engine's spans of a request that arrived
+	// tagged), and the SLO tracker. All three are always on — they are
+	// rings, not I/O — and feed /v1/trace/{id}, /v1/slo and the anomaly
+	// bundle dumps.
 	events *obs.EventLog
-	flight *obs.SpanStore
+	spans  *obs.SpanRing
 	slo    *obs.SLO
 
 	// Anomaly bundle state: lastBundleUnixNano rate-limits triggered
@@ -184,7 +185,7 @@ func New(cfg Config) (*Server, error) {
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
 		idle:    make(chan struct{}),
 	}
-	s.flight = obs.NewSpanStore(obs.DefaultSpanCapacity)
+	s.spans = obs.NewSpanRing(spanRingCapacity)
 	s.events = obs.NewEventLog(obs.EventLogConfig{
 		Metrics: s.reg,
 		OnEvent: s.onAnomalyEvent,
@@ -269,7 +270,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/trace", s.handleTrace)
 	s.mux.HandleFunc("/v1/trace/", s.handleTraceFragment)
 	s.mux.HandleFunc("/v1/slo", s.handleSLO)
 	s.mux.HandleFunc("/debug/bundle", s.handleBundle)
@@ -279,9 +279,9 @@ func New(cfg Config) (*Server, error) {
 // EnableCluster wires consistent-hash routing across the configured
 // replicas. Call once, before serving traffic. The router registers its
 // cluster.* families into this server's registry and records each forward
-// in the flight recorder and the event log (/v1/trace/{id}).
+// in the span ring and the event log (/v1/trace/{id}).
 func (s *Server) EnableCluster(cc cluster.Config) error {
-	r, err := cluster.New(cc, &obs.Observer{Metrics: s.reg, Events: s.events, Spans: s.flight})
+	r, err := cluster.New(cc, &obs.Observer{Metrics: s.reg, Events: s.events, Spans: s.spans})
 	if err != nil {
 		return err
 	}
@@ -294,15 +294,15 @@ func (s *Server) Cluster() *cluster.Router { return s.cluster }
 
 // Handler returns the service's HTTP handler, wrapped in the
 // observability middleware: every request gets a trace context (parsed
-// from X-Bitgen-Trace or minted), a flight-recorder span, and — for the
+// from X-Bitgen-Trace or minted), a request span, and — for the
 // match/scan endpoints — an SLO observation.
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
 // Events returns the structured event log (tests and bundle dumps).
 func (s *Server) Events() *obs.EventLog { return s.events }
 
-// Flight returns the request-span flight recorder.
-func (s *Server) Flight() *obs.SpanStore { return s.flight }
+// Spans returns the span ring.
+func (s *Server) Spans() *obs.SpanRing { return s.spans }
 
 // Metrics returns the serve-layer registry (for tests and expvar export).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
@@ -310,7 +310,7 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 func (s *Server) engineOptions(foldCase bool) bitgen.Options {
 	o := s.cfg.Engine
 	o.FoldCase = foldCase
-	o.Observability = &bitgen.ObservabilityOptions{Metrics: true, Trace: true}
+	o.Observability = &bitgen.ObservabilityOptions{Metrics: true}
 	return o
 }
 
@@ -369,6 +369,11 @@ func (s *Server) maybeIdleLocked() {
 		close(s.idle)
 	}
 }
+
+// spanRingCapacity bounds the span ring, and with it the spans section of a
+// bundle: seconds of untagged traffic, or the engine spans of a few tagged
+// scans. The ring grows towards it by append.
+const spanRingCapacity = 8192
 
 // maxScanForwardBytes bounds how much of a /v1/scan body is buffered for
 // cluster forwarding: buffered bodies can be replayed across hedged
@@ -934,21 +939,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.WritePrometheus(w)
-}
-
-// handleTrace serves a cached engine's span trace (Chrome trace_event
-// JSON) via Engine.WriteTrace.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("set")
-	if key == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "?set=<pattern-set-key> is required", Class: "bad_request"})
-		return
-	}
-	e := s.cache.lookup(key)
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown pattern set " + key, Class: "not_found"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = e.eng.WriteTrace(w)
 }

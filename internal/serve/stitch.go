@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,25 +13,17 @@ import (
 )
 
 // Cross-node trace stitching: each replica serves its fragment of a
-// distributed trace at /v1/trace/{traceID} (its flight-recorder spans
-// and event-ring entries tagged with that ID); StitchTrace fetches the
-// fragment from every ring peer and merges them into one Chrome
-// trace_event timeline with a lane per node. `bitgend -stitch` and the
-// observability cluster scenario (scenario_test.go) drive it.
-
-// TraceFragment is one node's slice of a distributed trace.
-type TraceFragment struct {
-	Node    string         `json:"node"`
-	TraceID string         `json:"trace_id"`
-	Spans   []obs.ReqSpan  `json:"spans"`
-	Events  []obs.LogEvent `json:"events"`
-}
+// distributed trace at /v1/trace/{traceID} (the spans in its ring and the
+// event-ring entries tagged with that ID); StitchTrace fetches the
+// fragment from every ring peer and obs.WriteChromeTrace draws them as one
+// timeline with a process per node. `bitgend -stitch` and the observability
+// cluster scenario (scenario_test.go) drive it.
 
 // StitchedTrace is the merged view of one trace across a cluster.
 type StitchedTrace struct {
 	TraceID   string
-	Fragments []TraceFragment // one per node that answered, request order
-	Errors    []string        // nodes that could not be fetched
+	Fragments []obs.Fragment // one per node that answered, request order
+	Errors    []string       // nodes that could not be fetched
 }
 
 // StitchTrace fetches the trace's fragment from every node and merges
@@ -59,26 +52,26 @@ func StitchTrace(ctx context.Context, client *http.Client, nodes []string, trace
 	return st, nil
 }
 
-func fetchFragment(ctx context.Context, client *http.Client, node, traceID string) (TraceFragment, error) {
+func fetchFragment(ctx context.Context, client *http.Client, node, traceID string) (obs.Fragment, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/trace/"+traceID, nil)
 	if err != nil {
-		return TraceFragment{}, err
+		return obs.Fragment{}, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return TraceFragment{}, err
+		return obs.Fragment{}, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return TraceFragment{}, err
+		return obs.Fragment{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return TraceFragment{}, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		return obs.Fragment{}, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
-	var frag TraceFragment
+	var frag obs.Fragment
 	if err := json.Unmarshal(body, &frag); err != nil {
-		return TraceFragment{}, err
+		return obs.Fragment{}, err
 	}
 	if frag.Node == "" {
 		frag.Node = node
@@ -112,83 +105,9 @@ func (st *StitchedTrace) SpanCount() int {
 	return n
 }
 
-// chromeEvent is one trace_event entry (the subset Chrome's viewer and
-// cmd/obscheck read).
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// Chrome renders the stitched trace as Chrome trace_event JSON: one
-// process lane per node (pid = fragment index + 1, named by a
-// process_name metadata record), complete spans as ph "X", events as
-// ph "i" instants. Timestamps are wall-clock microseconds normalized to
-// the earliest span so the viewer opens at t=0.
+// Chrome renders the stitched trace as Chrome trace_event JSON.
 func (st *StitchedTrace) Chrome() ([]byte, error) {
-	var t0 int64 = -1
-	for _, f := range st.Fragments {
-		for _, sp := range f.Spans {
-			if t0 < 0 || sp.StartUnixMicro < t0 {
-				t0 = sp.StartUnixMicro
-			}
-		}
-		for _, ev := range f.Events {
-			if t0 < 0 || ev.TimeUnixMicro < t0 {
-				t0 = ev.TimeUnixMicro
-			}
-		}
-	}
-	if t0 < 0 {
-		t0 = 0
-	}
-	var events []chromeEvent
-	for i, f := range st.Fragments {
-		pid := i + 1
-		events = append(events, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": f.Node},
-		})
-		for _, sp := range f.Spans {
-			args := map[string]any{
-				"trace": sp.Trace,
-				"span":  sp.Span,
-			}
-			if sp.Parent != "" {
-				args["parent"] = sp.Parent
-			}
-			if sp.Status != 0 {
-				args["status"] = sp.Status
-			}
-			for k, v := range sp.Attrs {
-				args[k] = v
-			}
-			events = append(events, chromeEvent{
-				Name: sp.Name, Phase: "X", PID: pid, TID: 1,
-				TS: sp.StartUnixMicro - t0, Dur: sp.DurMicro, Args: args,
-			})
-		}
-		for _, ev := range f.Events {
-			args := map[string]any{"level": ev.Level.String()}
-			if !ev.Trace.IsZero() {
-				args["trace"] = ev.Trace.String()
-			}
-			for j := 0; j < int(ev.NFields); j++ {
-				args[ev.Fields[j].Key] = ev.Fields[j].Value()
-			}
-			events = append(events, chromeEvent{
-				Name: ev.Type, Phase: "i", PID: pid, TID: 1,
-				TS: ev.TimeUnixMicro - t0, Scope: "p", Args: args,
-			})
-		}
-	}
-	return json.MarshalIndent(map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ms",
-	}, "", " ")
+	var buf bytes.Buffer
+	err := obs.WriteChromeTrace(&buf, st.Fragments)
+	return buf.Bytes(), err
 }

@@ -21,8 +21,8 @@ type ObservabilityOptions struct {
 	// Engine.WritePrometheus, Engine.PublishExpvar) and the per-scan
 	// Profile artifact on Result.
 	Metrics bool
-	// Trace enables the span tracer (Engine.WriteTrace): a ring of
-	// obs.DefaultTraceCapacity (65536) events; when full, the oldest are
+	// Trace gives the engine a span ring of its own (Engine.WriteTrace):
+	// obs.DefaultSpanCapacity (65536) spans; when full, the oldest are
 	// overwritten and counted as dropped.
 	Trace bool
 }
@@ -34,7 +34,7 @@ func (o *ObservabilityOptions) observer() *obs.Observer {
 	}
 	ob := &obs.Observer{}
 	if o.Trace {
-		ob.Tracer = obs.NewTracer(obs.TracerConfig{})
+		ob.Spans = obs.NewSpanRing(obs.DefaultSpanCapacity)
 	}
 	if o.Metrics {
 		ob.Metrics = obs.NewRegistry()
@@ -74,11 +74,10 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 // loadable in chrome://tracing or https://ui.perfetto.dev. With tracing
 // disabled it writes an empty trace document.
 func (e *Engine) WriteTrace(w io.Writer) error {
-	if e.obs == nil || e.obs.Tracer == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[]}`+"\n")
-		return err
+	if !e.obs.Tracing() {
+		return obs.WriteChromeTrace(w, nil)
 	}
-	return e.obs.Tracer.WriteChromeTrace(w)
+	return obs.WriteChromeTrace(w, []obs.Fragment{e.obs.Spans.Fragment("bitgen", obs.TraceID{})})
 }
 
 // PublishExpvar exposes the metrics registry as one expvar variable

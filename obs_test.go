@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -138,56 +140,112 @@ func TestTraceContainsPipelineSpans(t *testing.T) {
 // 1+g, the track its kernel launches use — never on the pipeline lane, where
 // the spans of two groups would partially overlap and the complete-event model
 // cannot draw that. parse and the outer compile span stay on lane 0, and on
-// every lane any two spans are nested or disjoint.
+// every lane any two spans are nested or disjoint. The second input has more
+// groups than the streaming pipeline's stage lanes once had room for (emit was
+// lane 100, so group 99 compiled and launched on the emit track): after one
+// ScanReader and one Run every lane still holds only the spans its thread_name
+// promises.
 func TestCompileSpansKeepToTheirGroupLanes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	app, err := workload.Megaset(64, 1, 0)
+	mega, err := workload.Megaset(64, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Compile(app.Patterns, &Options{Observability: &ObservabilityOptions{Trace: true}})
+	sigs, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLane := map[int][]obs.Event{}
-	perGroup := 0
-	for _, ev := range eng.obs.Tracer.Events() {
-		if ev.Ph != 'X' {
-			continue
-		}
-		switch ev.Name {
-		case "compile", "parse":
-			if ev.Lane != 0 {
-				t.Errorf("%s span on lane %d, want the pipeline lane", ev.Name, ev.Lane)
-			}
-		case "compile-group", "passes":
-			perGroup++
-			if g := ev.Args[0]; g.Key != "group" || ev.Lane != 1+g.Val.(int) {
-				t.Errorf("%s span of %s %v on lane %d", ev.Name, g.Key, g.Val, ev.Lane)
-			}
-		case "lower-group":
-			perGroup++
-			if ev.Lane == 0 {
-				t.Error("lower-group span on the pipeline lane")
-			}
-		}
-		byLane[ev.Lane] = append(byLane[ev.Lane], ev)
+	laneHolds := map[string][]string{ // thread_name prefix → span names allowed on it
+		"pipeline":      {"compile", "parse", "run", "transpose", "estimate"},
+		"kernel/group-": {"compile-group", "lower-group", "passes", "kernel-launch", "kernel-attempt", "superblock"},
+		"scan/reader":   {"read-chunk"},
+		"scan/worker":   {"scan-chunk", "transpose", "kernel-attempt", "superblock"},
+		"scan/emit":     {"emit-chunk"},
 	}
-	if perGroup != 3*64 {
-		t.Fatalf("%d per-group compile spans, want three for each of 64 groups", perGroup)
-	}
-	for lane, evs := range byLane {
-		for i, a := range evs {
-			for _, b := range evs[i+1:] {
-				if a.Sta > b.Sta {
-					a, b = b, a
+	for _, tc := range []struct {
+		name     string
+		patterns []string
+		input    []byte // scanned once by ScanReader and once by Run when set
+		groups   int
+	}{
+		{"megaset-64", mega.Patterns, nil, 64},
+		{"sigs-168", sigs.Patterns, sigs.Input, 168},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := Compile(tc.patterns, &Options{Observability: &ObservabilityOptions{Trace: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.input != nil {
+				if err := eng.ScanReader(bytes.NewReader(tc.input), 32<<10, func(Match) {}); err != nil {
+					t.Fatal(err)
 				}
-				if b.Sta < a.Sta+a.Dur && b.Sta+b.Dur > a.Sta+a.Dur {
-					t.Errorf("lane %d: %s [%v, +%v] and %s [%v, +%v] partially overlap",
-						lane, a.Name, a.Sta, a.Dur, b.Name, b.Sta, b.Dur)
+				if _, err := eng.Run(tc.input); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
+			frag := eng.obs.Spans.Fragment("", obs.TraceID{})
+			byLane := map[int][]obs.Span{}
+			perGroup := 0
+			for _, ev := range frag.Spans {
+				name := frag.Lanes[ev.Lane]
+				if name == "" && ev.Lane == 0 {
+					name = "pipeline"
+				}
+				ok := false
+				for prefix, holds := range laneHolds {
+					ok = ok || (strings.HasPrefix(name, prefix) && slices.Contains(holds, ev.Name))
+				}
+				if !ok {
+					t.Errorf("lane %d (thread_name %q) holds a %s/%s span", ev.Lane, name, ev.Cat, ev.Name)
+				}
+				if ev.Instant {
+					continue
+				}
+				switch ev.Name {
+				case "compile", "parse":
+					if ev.Lane != 0 {
+						t.Errorf("%s span on lane %d, want the pipeline lane", ev.Name, ev.Lane)
+					}
+				case "compile-group", "passes", "kernel-launch":
+					if ev.Name != "kernel-launch" {
+						perGroup++
+					}
+					if g := ev.Args[0]; g.Key != "group" || ev.Lane != 1+g.Val.(int) {
+						t.Errorf("%s span of %s %v on lane %d", ev.Name, g.Key, g.Val, ev.Lane)
+					}
+				case "lower-group":
+					perGroup++
+					if ev.Lane == 0 {
+						t.Error("lower-group span on the pipeline lane")
+					}
+				}
+				byLane[ev.Lane] = append(byLane[ev.Lane], ev)
+			}
+			if perGroup != 3*tc.groups {
+				t.Fatalf("%d per-group compile spans, want three for each of %d groups", perGroup, tc.groups)
+			}
+			for lane, evs := range byLane {
+				// Sorted by start (the longer first on a tie), a partial overlap
+				// always shows against the innermost span still open.
+				sort.Slice(evs, func(i, j int) bool {
+					return evs[i].Start < evs[j].Start || (evs[i].Start == evs[j].Start && evs[i].Dur > evs[j].Dur)
+				})
+				var open []obs.Span
+				for _, b := range evs {
+					for len(open) > 0 && open[len(open)-1].Start+open[len(open)-1].Dur <= b.Start {
+						open = open[:len(open)-1]
+					}
+					if len(open) > 0 {
+						if a := open[len(open)-1]; b.Start+b.Dur > a.Start+a.Dur {
+							t.Errorf("lane %d: %s [%v, +%v] and %s [%v, +%v] partially overlap",
+								lane, a.Name, a.Start, a.Dur, b.Name, b.Start, b.Dur)
+						}
+					}
+					open = append(open, b)
+				}
+			}
+		})
 	}
 }
 

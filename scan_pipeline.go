@@ -18,11 +18,12 @@ import (
 
 // Trace lanes for the pipeline stages: each stage renders as its own track
 // so reads, chunk executions and emission are visibly overlapped. Kernel
-// spans from worker i land on that worker's lane.
+// spans from worker i land on that worker's lane. They are negative because
+// CTA group g owns lane 1+g and an engine may have any number of groups.
 const (
-	scanLaneEmit   = 100
-	scanLaneReader = 101
-	scanLaneWorker = 102 // worker i uses scanLaneWorker + i
+	scanLaneEmit   = -1
+	scanLaneReader = -2
+	scanLaneWorker = -3 // worker i uses scanLaneWorker - i
 )
 
 // scanJob is one chunk moving through the pipeline. The job struct, its
@@ -74,8 +75,10 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	// Bounded look-ahead: jobs in flight at once.
 	depth := workers + 2
 
-	e.obs.NameLane(scanLaneEmit, "scan/emit")
-	e.obs.NameLane(scanLaneReader, "scan/reader")
+	o := e.obs.For(ctx) // the call's one sink lookup; workers hand it to their sessions
+	traced := o.Tracing()
+	o.NameLane(scanLaneEmit, "scan/emit")
+	o.NameLane(scanLaneReader, "scan/reader")
 
 	free := make(chan *scanJob, depth)
 	work := make(chan *scanJob, depth)
@@ -93,7 +96,6 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	// and read by this goroutine only after results closes — the channel
 	// closes order the accesses.
 	var readerErr error
-	traced := e.obs.Enabled()
 	// failedSeq is the lowest sequence number whose chunk failed, published
 	// by the failing worker before it takes more work. Workers pass every
 	// later chunk on unscanned: with one worker nothing past the first
@@ -123,7 +125,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			copy(b, carry)
 			var rspan *obs.Span
 			if traced {
-				rspan = e.obs.Span("scan", "read-chunk", scanLaneReader).Arg("seq", seq)
+				rspan = o.Span("scan", "read-chunk", scanLaneReader).Arg("seq", seq)
 			}
 			n, err := io.ReadFull(r, b[len(carry):len(carry)+chunkSize])
 			if traced {
@@ -168,13 +170,13 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lane := scanLaneWorker + w
-			e.obs.NameLane(lane, "scan/worker")
+			lane := scanLaneWorker - w
+			o.NameLane(lane, "scan/worker")
 			// PutSession drops the session if a chunk failed on it.
 			var ss *engine.ScanSession
 			var ssErr error
 			if e.ladder == nil {
-				if ss, ssErr = e.inner.GetSession(lane, false); ss != nil {
+				if ss, ssErr = e.inner.GetSession(o, lane, false); ss != nil {
 					defer e.inner.PutSession(ss)
 				}
 			}
@@ -186,7 +188,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 					start := time.Now()
 					var cspan *obs.Span
 					if traced {
-						cspan = e.obs.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
+						cspan = o.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
 					}
 					j.scan(pctx, e, ss, ssErr)
 					n := len(j.matches) + len(j.ladder)
@@ -244,7 +246,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 						emit(m)
 					}
 					if traced {
-						e.obs.Instant("scan", "emit-chunk", scanLaneEmit,
+						o.Instant("scan", "emit-chunk", scanLaneEmit,
 							obs.A("seq", k.seq), obs.A("matches", len(k.matches)+len(k.ladder)))
 					}
 				}

@@ -440,7 +440,7 @@ func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var stock []*engine.ScanSession
 	for len(stock) < 32 {
-		ss, err := eng.inner.GetSession(0, false)
+		ss, err := eng.inner.GetSession(nil, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
