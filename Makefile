@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs profile-control profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs profile-light profile-control profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -152,6 +152,20 @@ profile-sigs:
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
 
+# profile-light is the host layers' CPU profile as a command: the repo
+# benchmark's stream_light op as a Go benchmark (BenchmarkScanReaderLight: a
+# match every ~16 B, so the S2P transpose, the match collector and the emit
+# stage are over half of it), 40 iterations from a test binary built once, top
+# 25 by flat time, then the collector and the transpose line by line.
+profile-light:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderLight -test.benchtime 40x \
+		-test.cpuprofile $(PROFILE_DIR)/light.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/light.prof
+	$(GO) tool pprof -list 'ScanSession..mergeMatches|transpose.transpose(Words|Block)' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/light.prof | \
+		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
+
 # profile-control is the control path's CPU profile as a command: the repo
 # benchmark's oneshot_control op as a Go benchmark (BenchmarkRunControl: one
 # Run of 92 unbounded patterns, nearly every window re-executed by the
@@ -193,10 +207,13 @@ profile-compile:
 # creep in the pipelined scanner; ScanReader also selects
 # BenchmarkScanReaderSigs, the signature-set scan whose -cpuprofile is the
 # superblock executor's profile — no floor on it, the repo benchmark is
-# the gate — RunControl is the probed one-shot path with its allocation
-# count, and ShiftWords is the shift kernels' cost per word, in
-# internal/kernel one link of an AND chain with the shift moved, folded
-# and only tested: what deferral saves per link), one
+# the gate — and BenchmarkScanReaderLight, the match-dense scan `make
+# profile-light` profiles; RunControl is the probed one-shot path with its
+# allocation count, MergeMatches the match collector alone in ns per match
+# (dense4, sparse168, and live1000 for the many-live-outputs case), and
+# ShiftWords is the shift kernels' cost per word, in internal/kernel one link
+# of an AND chain with the shift moved, folded and only tested: what deferral
+# saves per link), one
 # iteration of BenchmarkCompileMegaset/500 (the compile_megaset op with its
 # allocation count; a line of its own because a slash in -bench filters every
 # other benchmark's sub-benchmarks), a
@@ -207,8 +224,8 @@ profile-compile:
 # trace validated by obscheck (the pipeline stage lanes ride the same
 # schema the whole-input scan does).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
-		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/kernel
+	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
+		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/engine ./internal/kernel
 	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
 	@tmp=$$(mktemp -d) && \

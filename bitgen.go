@@ -221,8 +221,10 @@ type Engine struct {
 	indexesOf map[string][]int
 	// rankIndexes is indexesOf keyed by the inner engine's match rank
 	// instead of the pattern string — Run and the streaming emit stage fan
-	// out on the integer, skipping a map lookup per match.
+	// out on the integer, skipping a map lookup per match; rankNames is the
+	// pattern string of a rank, which is all an engine match record carries.
 	rankIndexes [][]int
+	rankNames   []string
 	// nullable lists the unique patterns that match the empty string;
 	// ScanReader refuses them (an empty match "ends" at every stream
 	// offset, which has no useful streaming semantics).
@@ -354,9 +356,9 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 // engine's rank order so match fan-out can index a slice instead of
 // hashing pattern strings.
 func (e *Engine) initRankIndexes() {
-	names := e.inner.MatchNames()
-	e.rankIndexes = make([][]int, len(names))
-	for rank, name := range names {
+	e.rankNames = e.inner.MatchNames()
+	e.rankIndexes = make([][]int, len(e.rankNames))
+	for rank, name := range e.rankNames {
 		e.rankIndexes[rank] = e.indexesOf[name]
 	}
 }
@@ -543,7 +545,7 @@ func (e *Engine) toResult(inner *engine.Result) *Result {
 	}
 	for _, m := range inner.Matches {
 		for _, idx := range e.rankIndexes[m.Rank] {
-			res.Matches = append(res.Matches, Match{Pattern: m.Pattern, Index: idx, End: int(m.End)})
+			res.Matches = append(res.Matches, Match{Pattern: e.rankNames[m.Rank], Index: idx, End: int(m.End)})
 		}
 	}
 	stats := inner.Stats.Total()

@@ -262,7 +262,7 @@ func TestConcurrentUseOneEngine(t *testing.T) {
 // input at any legal chunk size reports exactly the matches of a
 // whole-input Run.
 func FuzzScanReaderChunkBoundaries(f *testing.F) {
-	e, err := Compile([]string{"abc", "a.c", "\\d{2}", "q[^u]{1,3}k"}, nil)
+	e, err := Compile([]string{"abc", "a.c", "\\d{2}", "q[^u]{1,3}k", "\\d", "[0-9]"}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -270,6 +270,10 @@ func FuzzScanReaderChunkBoundaries(f *testing.F) {
 	f.Add([]byte(strings.Repeat("abcabc12", 40)), uint16(16))
 	f.Add([]byte("qk q12k ab"), uint16(5))
 	f.Add([]byte{}, uint16(9))
+	// Every byte ends a match of two patterns (and all but the first of a
+	// third): the collector's several-outputs-one-position path, in every
+	// word and across every chunk cut.
+	f.Add([]byte(strings.Repeat("7", 300)), uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, rawChunk uint16) {
 		// maxLen is 5 (q[^u]{1,3}k); chunk must exceed it.
 		chunkSize := 6 + int(rawChunk%512)

@@ -743,10 +743,10 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 		// The merged ScanMatch values hold no reference into the session.
 		// The end-of-input matches go after the merge: their offset is past
 		// every stream bit, so in rank order they sort last by construction.
-		res.Matches = ss.mergeMatches(0, 0, make([]ScanMatch, 0, res.TotalMatches))
+		res.Matches = ss.mergeMatches(0, 0, make([]ScanMatch, 0, res.TotalMatches+1)) // +1: the collector's spare slot
 		slices.Sort(nullRanks)
 		for _, rank := range nullRanks {
-			res.Matches = append(res.Matches, ScanMatch{Pattern: e.matchNames[rank], End: int64(len(input)), Rank: rank})
+			res.Matches = append(res.Matches, ScanMatch{End: int64(len(input)), Rank: rank})
 		}
 	}
 	res.IntermediateFootprintBytes, err = ss.checkBudget(len(input))

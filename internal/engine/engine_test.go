@@ -15,7 +15,7 @@ import (
 	"bitgen/internal/transpose"
 )
 
-func mustRegexes(t *testing.T, patterns ...string) []lower.Regex {
+func mustRegexes(t testing.TB, patterns ...string) []lower.Regex {
 	t.Helper()
 	out := make([]lower.Regex, len(patterns))
 	for i, p := range patterns {
@@ -154,8 +154,8 @@ func TestSharedClassesMatchInterpreterAndAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range matches {
-		if !ref.Outputs[m.Pattern].Test(int(m.End)) {
-			t.Errorf("Scan reported %s ending at %d; the interpreter did not", m.Pattern, m.End)
+		if name := e.matchNames[m.Rank]; !ref.Outputs[name].Test(int(m.End)) {
+			t.Errorf("Scan reported %s ending at %d; the interpreter did not", name, m.End)
 		}
 	}
 	if len(matches) != want {
@@ -236,8 +236,8 @@ func TestSparseInputsMatchInterpreter(t *testing.T) {
 			}
 		}
 		for _, m := range matches {
-			if !ref.Outputs[m.Pattern].Test(int(m.End)) {
-				t.Errorf("%s: Scan reported %s ending at %d; the interpreter did not", name, m.Pattern, m.End)
+			if pat := e.matchNames[m.Rank]; !ref.Outputs[pat].Test(int(m.End)) {
+				t.Errorf("%s: Scan reported %s ending at %d; the interpreter did not", name, pat, m.End)
 			}
 		}
 		if len(matches) != want {

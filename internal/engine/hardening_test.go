@@ -398,7 +398,7 @@ func TestMatchlessOutputIsNeverMaterialized(t *testing.T) {
 			t.Fatal("the matchless pattern has no count entry")
 		}
 		for _, m := range res.Matches {
-			if m.Pattern != "cat" {
+			if e.matchNames[m.Rank] != "cat" {
 				t.Fatalf("match %+v from a pattern that cannot match", m)
 			}
 		}

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"bitgen/internal/arena"
@@ -16,14 +19,13 @@ import (
 	"bitgen/internal/transpose"
 )
 
-// ScanMatch is one match found by a ScanSession: Pattern matched ending at
-// absolute stream offset End (inclusive). Rank is Pattern's index in the
-// engine's MatchNames table — callers on the hot path dispatch on the
-// integer instead of hashing the string.
+// ScanMatch is one match found by a ScanSession: the output of rank Rank —
+// its index in the engine's MatchNames table, through which callers resolve
+// the name — matched ending at absolute stream offset End (inclusive). 16
+// bytes and pointer-free: the garbage collector never scans a chunk's matches.
 type ScanMatch struct {
-	Pattern string
-	End     int64
-	Rank    int32
+	End  int64
+	Rank int32
 }
 
 // ScanSession is the engine's only chunk executor: a transpose basis, one
@@ -50,7 +52,9 @@ type ScanSession struct {
 	shared *kernel.Session       // computes the shared-class streams; nil without any
 	outs   [][]*bitstream.Stream // per-group output streams of the last execute
 	stats  []gpusim.CTAStats     // per-group counters of the last execute
-	heap   []scanCursor          // merge heap scratch, reused across chunks
+	live   []liveOut             // mergeMatches scratch, with active and hits, reused across chunks
+	active []liveOut
+	hits   []liveWord
 	tr     *arena.Tracker
 	// obs is the borrowing call's observer (Observer.For), set by GetSession
 	// and dropped by PutSession: a pooled session never carries a call's sink.
@@ -67,17 +71,20 @@ type ScanSession struct {
 	failed bool
 }
 
-// scanCursor walks one output stream during the match merge. end is the
-// absolute offset of the cursor's current set bit; the heap orders by
-// (end, rank), which is exactly (End, Pattern) order because ranks are
-// assigned in ascending name order.
-type scanCursor struct {
-	end  int64
-	pos  int // current bit position within the stream
-	rank int32
-	gi   int32
-	oi   int32
-}
+// liveOut is one materialized output stream during the match merge, and
+// liveWord one of its words that has a set bit.
+type (
+	liveOut struct {
+		s     *bitstream.Stream
+		words []uint64 // s.Words()
+		next  int      // s's next set bit past the tiles merged so far, -1 for none
+		rank  int32
+	}
+	liveWord struct {
+		word uint64
+		rank int32
+	}
+)
 
 // NewScanSession builds a session for chunks up to maxChunkBytes (larger
 // chunks still work; they just grow the buffers once). Buffers are borrowed
@@ -330,89 +337,68 @@ func (ss *ScanSession) Scan(ctx context.Context, chunk []byte, base, newFrom int
 	return ss.mergeMatches(base, newFrom, dst), nil
 }
 
-// mergeMatches is the engine's only match collector: it k-way-merges the
-// parked per-output match runs into dst. Each stream's set bits are already
-// ascending, so a binary min-heap keyed by (end, rank) yields matches in
-// (End, Pattern) order on integer comparisons alone — no position lists, no
-// string sort.
+// mergeMatches is the engine's only match collector: a word-synchronous
+// merge of the parked output streams into dst. The live outputs — a matchless
+// one's shared zero is never walked — are collected once, in rank order, each
+// with the position of its next set bit. A tile of words is walked, all at
+// once, by the outputs that have a bit in it: word w of each is ORed and the
+// union's set bits are emitted ascending, each with the outputs that hit it in
+// rank order; the others scan ahead on their own (NextSetBit). That is (End,
+// Rank) — (End, Pattern) — order by construction, in O(live words + matches).
 func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []ScanMatch {
-	startBit := 0
-	if newFrom > base {
-		// Positions inside the carried-over overlap were already reported
-		// by the previous chunk.
-		startBit = int(newFrom - base)
-	}
-	h, gouts := ss.heap[:0], ss.outs
-	for gi, outs := range gouts {
-		ranks := ss.e.outRanks[gi]
+	// Short enough that a sparse output is rarely walked through words it has
+	// nothing in; long enough that polling every live output costs little.
+	const mergeTile = 64
+	// Positions inside the carried-over overlap were already reported by the
+	// previous chunk: start at newFrom's word, with the bits below it masked.
+	start := int(max(newFrom-base, 0))
+	w0, mask := start>>6, ^uint64(0)<<(uint(start)&63)
+	live, active, hits := ss.live[:0], ss.active, ss.hits
+	for gi, outs := range ss.outs {
 		for oi, s := range outs {
-			if ss.sess[gi].IsZero(s) {
-				continue // matchless and never materialized: nothing to walk
+			if !ss.sess[gi].IsZero(s) {
+				live = append(live, liveOut{s: s, words: s.Words(), next: s.NextSetBit(start), rank: ss.e.outRanks[gi][oi]})
 			}
-			p := s.NextSetBit(startBit)
-			if p < 0 {
-				continue
-			}
-			h = append(h, scanCursor{
-				end: base + int64(p), pos: p,
-				rank: ranks[oi], gi: int32(gi), oi: int32(oi),
-			})
-			siftUp(h, len(h)-1)
 		}
 	}
-	names := ss.e.matchNames
-	for len(h) > 0 {
-		c := h[0]
-		dst = append(dst, ScanMatch{Pattern: names[c.rank], End: c.end, Rank: c.rank})
-		p := gouts[c.gi][c.oi].NextSetBit(c.pos + 1)
-		if p < 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		} else {
-			c.pos, c.end = p, base+int64(p)
-			h[0] = c
+	slices.SortFunc(live, func(a, b liveOut) int { return cmp.Compare(a.rank, b.rank) })
+	for t, nw := w0, bitstream.WordsFor(ss.basis.N); t < nw; t += mergeTile {
+		hi := min(t+mergeTile, nw)
+		active = active[:0]
+		for i := range live {
+			if o := &live[i]; uint(o.next) < uint(hi)<<6 { // -1: no bit left
+				active = append(active, *o)
+				o.next = o.s.NextSetBit(hi << 6)
+			}
 		}
-		siftDown(h, 0)
+		for w := t; w < hi && len(active) > 0; w++ {
+			union, room := uint64(0), 1
+			hits = hits[:0]
+			for i := range active {
+				if x := active[i].words[w]; x != 0 {
+					union, room = union|x, room+bits.OnesCount64(x)
+					hits = append(hits, liveWord{word: x, rank: active[i].rank})
+				}
+			}
+			if w == w0 {
+				union &= mask
+			}
+			// Every (bit, output) pair is stored and kept only if the output has
+			// the bit — no branch to mispredict; room's spare slot takes the last.
+			n := len(dst)
+			dst = slices.Grow(dst, room)[:n+room]
+			for end := base + int64(w)<<6; union != 0; union &= union - 1 {
+				b := uint(bits.TrailingZeros64(union))
+				for _, h := range hits {
+					dst[n] = ScanMatch{End: end + int64(b), Rank: h.rank}
+					n += int(h.word >> b & 1)
+				}
+			}
+			dst = dst[:n]
+		}
 	}
-	ss.heap = h[:0]
+	ss.live, ss.active, ss.hits = live[:0], active[:0], hits[:0]
 	return dst
-}
-
-func cursorLess(a, b scanCursor) bool {
-	if a.end != b.end {
-		return a.end < b.end
-	}
-	return a.rank < b.rank
-}
-
-func siftUp(h []scanCursor, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !cursorLess(h[i], h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func siftDown(h []scanCursor, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && cursorLess(h[r], h[l]) {
-			m = r
-		}
-		if !cursorLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // clearOuts drops the parked stream references so a failed or finished

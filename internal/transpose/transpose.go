@@ -7,10 +7,12 @@
 // the preprocessing kernel the paper runs on the GPU before bitstream
 // execution; here it is a pure CPU routine that the simulator charges for.
 //
-// The transform is computed word-parallel: each run of 8 input bytes is an
-// 8×8 bit matrix transposed with the Hacker's Delight shuffle (the same
-// trick Parabix's s2p kernel uses), so the hot loop touches whole 64-bit
-// words instead of scattering individual bits.
+// The transform is computed word-parallel, in two levels per 64-byte block.
+// Each run of 8 input bytes is an 8×8 bit matrix transposed with the Hacker's
+// Delight shuffle (the same trick Parabix's s2p kernel uses); the eight
+// resulting words are then an 8×8 byte matrix, transposed by the same three
+// exchanges one level up, whose rows are the block's eight basis words. The
+// hot loop touches whole 64-bit words and never gathers a byte.
 package transpose
 
 import (
@@ -95,51 +97,59 @@ func transpose8(x uint64) uint64 {
 }
 
 // transposeWords fills the eight basis word vectors from text, 64 input
-// bytes per output word. Rows of each 8-byte group become the group's bit
-// columns: after transpose8, output byte p holds bit position p of each of
-// the 8 input bytes, so basis stream j (MSB-first convention) is byte 7-j.
+// bytes per output word; a final partial block is zero-padded.
 func transposeWords(words *[NumBasis][]uint64, text []byte) {
-	n := len(text)
-	full := n &^ 63 // bytes covered by complete 64-byte blocks
-	for base := 0; base < full; base += 64 {
-		blk := text[base : base+64 : base+64]
-		w := base >> 6
-		var acc [NumBasis]uint64
-		for g := 0; g < 8; g++ {
-			y := transpose8(binary.LittleEndian.Uint64(blk[g*8:]))
-			sh := uint(8 * g)
-			acc[0] |= (y >> 56) & 0xff << sh
-			acc[1] |= (y >> 48) & 0xff << sh
-			acc[2] |= (y >> 40) & 0xff << sh
-			acc[3] |= (y >> 32) & 0xff << sh
-			acc[4] |= (y >> 24) & 0xff << sh
-			acc[5] |= (y >> 16) & 0xff << sh
-			acc[6] |= (y >> 8) & 0xff << sh
-			acc[7] |= y & 0xff << sh
-		}
-		for j := 0; j < NumBasis; j++ {
-			words[j][w] = acc[j]
-		}
+	w := 0
+	for ; len(text) >= 64; w, text = w+1, text[64:] {
+		transposeBlock(words, w, (*[64]byte)(text))
 	}
-	if full == n {
-		return
+	if len(text) > 0 {
+		var pad [64]byte
+		copy(pad[:], text)
+		transposeBlock(words, w, &pad)
 	}
-	// Tail: pad the final partial block with zeros and run the same path.
-	var pad [64]byte
-	copy(pad[:], text[full:])
-	var acc [NumBasis]uint64
-	for g := 0; g < 8; g++ {
-		y := transpose8(binary.LittleEndian.Uint64(pad[g*8:]))
-		sh := uint(8 * g)
-		for j := 0; j < NumBasis; j++ {
-			acc[j] |= (y >> uint(8*(7-j))) & 0xff << sh
-		}
-	}
-	w := full >> 6
-	for j := 0; j < NumBasis; j++ {
-		words[j][w] = acc[j]
-		// Words past the last are absent: nw == w+1 for a partial tail.
-	}
+}
+
+// transposeBlock writes word w of every basis stream from the 64 bytes of
+// blk, in two levels. transpose8 turns each 8-byte group g into a word whose
+// byte p holds bit p of the group's bytes; basis word p wants that byte from
+// every group, at byte g — the transpose of the 8×8 byte matrix of the eight
+// words, done by three delta-swap stages over row pairs 4, 2 and 1 apart. Row
+// p is then bit p of all 64 bytes, which the MSB-first convention calls basis 7-p.
+func transposeBlock(words *[NumBasis][]uint64, w int, blk *[64]byte) {
+	r0 := transpose8(binary.LittleEndian.Uint64(blk[0:]))
+	r1 := transpose8(binary.LittleEndian.Uint64(blk[8:]))
+	r2 := transpose8(binary.LittleEndian.Uint64(blk[16:]))
+	r3 := transpose8(binary.LittleEndian.Uint64(blk[24:]))
+	r4 := transpose8(binary.LittleEndian.Uint64(blk[32:]))
+	r5 := transpose8(binary.LittleEndian.Uint64(blk[40:]))
+	r6 := transpose8(binary.LittleEndian.Uint64(blk[48:]))
+	r7 := transpose8(binary.LittleEndian.Uint64(blk[56:]))
+
+	const m4, m2, m1 = 0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF
+	r0, r4 = swapBlocks(r0, r4, 32, m4)
+	r1, r5 = swapBlocks(r1, r5, 32, m4)
+	r2, r6 = swapBlocks(r2, r6, 32, m4)
+	r3, r7 = swapBlocks(r3, r7, 32, m4)
+
+	r0, r2 = swapBlocks(r0, r2, 16, m2)
+	r1, r3 = swapBlocks(r1, r3, 16, m2)
+	r4, r6 = swapBlocks(r4, r6, 16, m2)
+	r5, r7 = swapBlocks(r5, r7, 16, m2)
+
+	r0, r1 = swapBlocks(r0, r1, 8, m1)
+	r2, r3 = swapBlocks(r2, r3, 8, m1)
+	r4, r5 = swapBlocks(r4, r5, 8, m1)
+	r6, r7 = swapBlocks(r6, r7, 8, m1)
+
+	words[7][w], words[6][w], words[5][w], words[4][w] = r0, r1, r2, r3
+	words[3][w], words[2][w], words[1][w], words[0][w] = r4, r5, r6, r7
+}
+
+// swapBlocks is one delta swap: a's fields under m<<s trade places with b's under m.
+func swapBlocks(a, b uint64, s uint, m uint64) (uint64, uint64) {
+	t := (a>>s ^ b) & m
+	return a ^ t<<s, b ^ t
 }
 
 // Inverse reconstructs the byte stream from the basis (parallel-to-serial).

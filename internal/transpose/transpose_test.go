@@ -2,6 +2,7 @@ package transpose
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,22 +90,43 @@ func naiveTranspose(text []byte) *Basis {
 	return b
 }
 
-// TestWordParallelMatchesNaive differentially checks the 8×8 block
-// transpose against the scalar reference at sizes straddling every word and
-// block boundary.
+// sameBasis fails the test, naming the case by format and args, unless got and
+// want agree on all eight streams.
+func sameBasis(t *testing.T, got, want *Basis, format string, args ...any) {
+	t.Helper()
+	for j := 0; j < NumBasis; j++ {
+		if !got.Bit(j).Equal(want.Bit(j)) {
+			t.Fatalf("%s: basis %d mismatch:\ngot  %s\nwant %s", fmt.Sprintf(format, args...), j, got.Bit(j), want.Bit(j))
+		}
+	}
+}
+
+// TestWordParallelMatchesNaive differentially checks the two-level block
+// transpose against the scalar reference, exhaustively where it can be: every
+// length through four blocks and a byte (each tail length of the zero-padded
+// last block, at each block count), and within one block every byte value at
+// every position — each input bit alone and with every neighbour, through all
+// three bit stages and all three byte stages.
 func TestWordParallelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	sizes := []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 192, 1000, 4096, 4097}
-	for _, n := range sizes {
+	for n := 0; n <= 257; n++ {
 		data := make([]byte, n)
 		rng.Read(data)
-		got, want := Transpose(data), naiveTranspose(data)
-		for j := 0; j < NumBasis; j++ {
-			if !got.Bit(j).Equal(want.Bit(j)) {
-				t.Fatalf("n=%d basis %d mismatch:\ngot  %s\nwant %s",
-					n, j, got.Bit(j), want.Bit(j))
-			}
+		sameBasis(t, Transpose(data), naiveTranspose(data), "n=%d", n)
+	}
+	for _, n := range []int{1000, 4096, 4097} {
+		data := make([]byte, n)
+		rng.Read(data)
+		sameBasis(t, Transpose(data), naiveTranspose(data), "n=%d", n)
+	}
+	var block [64]byte
+	dst := &Basis{}
+	for pos := range block {
+		for v := 0; v < 256; v++ {
+			block[pos] = byte(v)
+			sameBasis(t, TransposeInto(dst, block[:]), naiveTranspose(block[:]), "byte %#02x at %d", v, pos)
 		}
+		block[pos] = 0
 	}
 }
 
@@ -137,10 +159,13 @@ func TestTransposeIntoReuse(t *testing.T) {
 	short := make([]byte, 130)
 	rng.Read(short)
 	TransposeInto(b, short)
-	want := naiveTranspose(short)
+	sameBasis(t, b, naiveTranspose(short), "reused")
+	// Equal stops at N; a stale bit past it, in the last word or in a word
+	// the shorter input no longer covers, would still reach word-level readers.
 	for j := 0; j < NumBasis; j++ {
-		if !b.Bit(j).Equal(want.Bit(j)) {
-			t.Fatalf("reused basis %d mismatch", j)
+		words := b.Bit(j).Words()
+		if len(words) != 3 || words[2]>>(130-128) != 0 {
+			t.Fatalf("reused basis %d keeps stale bits past its %d: %d words, last %#x", j, b.N, len(words), words[len(words)-1])
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {

@@ -80,6 +80,33 @@ func TestMetricsEqualKernelStats(t *testing.T) {
 	}
 }
 
+// TestScanReaderCountsEachInputByteOnce: a chunk begins with the maxLen-1
+// bytes carried over from the previous one, which that chunk already counted;
+// bitgen_scan_input_bytes_total is the stream's length whatever the chunk
+// size — at maxLen+1 the carried bytes are most of every chunk.
+func TestScanReaderCountsEachInputByteOnce(t *testing.T) {
+	input := []byte(strings.Repeat("abc a5c 42 qiik abc q12k ", 4001)) // not a multiple of any chunk size
+	for _, chunk := range []int{6, 64, 256 << 10} {                    // maxLen is 5 (q[^u]{1,3}k)
+		eng, err := Compile([]string{"abc", "q[^u]{1,3}k"}, &Options{
+			Observability: &ObservabilityOptions{Metrics: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := 0
+		if err := eng.ScanReader(bytes.NewReader(input), chunk, func(Match) { matches++ }); err != nil {
+			t.Fatal(err)
+		}
+		snap := eng.MetricsSnapshot()
+		if got := snap.Counter(obs.MScanInputBytes); got != float64(len(input)) {
+			t.Errorf("chunk %d: %s = %g over a %d-byte stream", chunk, obs.MScanInputBytes, got, len(input))
+		}
+		if got := snap.Counter(obs.MMatches); got != float64(matches) || matches == 0 {
+			t.Errorf("chunk %d: %s = %g, %d emitted", chunk, obs.MMatches, got, matches)
+		}
+	}
+}
+
 // TestTraceContainsPipelineSpans drives a full compile + scan + failover
 // with tracing on and asserts the exported Chrome trace carries spans for
 // the compile phases, the kernel launch, and the ladder rung transitions.

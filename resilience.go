@@ -191,7 +191,8 @@ func (g *gpuBackend) Run(ctx context.Context, input []byte) (map[string][]int, a
 	// cross-checks; matches are End-ordered, so each list is ascending.
 	pos := make(map[string][]int)
 	for _, m := range inner.Matches {
-		pos[m.Pattern] = append(pos[m.Pattern], int(m.End))
+		name := g.e.rankNames[m.Rank]
+		pos[name] = append(pos[name], int(m.End))
 	}
 	return pos, inner, nil
 }

@@ -1,7 +1,10 @@
 package bitgen
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"bitgen/internal/workload"
@@ -77,6 +80,54 @@ func BenchmarkScanReaderSigs(b *testing.B) {
 		if err := eng.ScanReader(src, 0, func(Match) {}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// lightLogBlock is the repo benchmark's stream_light input (its logText):
+// seeded English-like log text in which about one word in four matches a
+// scanBenchPattern — a match every ~16 bytes.
+func lightLogBlock(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	plain := []string{"the", "brown", "jumps", "over", "request", "served", "cache", "miss", "user", "login",
+		"from", "host", "session", "closed", "after", "retry", "worker", "queue", "flush", "done"}
+	hot := []string{"fox", "dog", "quick", "quack", "lazy", "lizy", "quirk"}
+	var b bytes.Buffer
+	for b.Len() < n {
+		fmt.Fprintf(&b, "%02d:%02d:%02d id=%04d ", rng.Intn(24), rng.Intn(60), rng.Intn(60), rng.Intn(2500))
+		for w, words := 0, 6+rng.Intn(8); w < words; w++ {
+			if rng.Intn(3) == 0 {
+				b.WriteString(hot[rng.Intn(len(hot))])
+			} else {
+				b.WriteString(plain[rng.Intn(len(plain))])
+			}
+			b.WriteByte(' ')
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()[:n]
+}
+
+// BenchmarkScanReaderLight is the repo benchmark's stream_light op as a Go
+// benchmark: the four log-grep patterns over 32 MiB of a 128 KiB log block
+// served cyclically, default options. The kernel is under half of it — the
+// S2P transpose, the match collector and the emit stage are the rest — so
+// `make profile-light` is the host layers' profile.
+func BenchmarkScanReaderLight(b *testing.B) {
+	eng := MustCompile(scanBenchPatterns, nil)
+	block := lightLogBlock(1, 128<<10)
+	const slice = 32 << 20
+	matches := 0
+	b.SetBytes(slice)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := &chunkSource{data: block, limit: slice}
+		if err := eng.ScanReader(src, 0, func(Match) { matches++ }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if matches == 0 {
+		b.Fatal("no matches")
 	}
 }
 

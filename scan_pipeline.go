@@ -195,7 +195,8 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 					if traced {
 						cspan.Arg("matches", n).End()
 					}
-					e.observeScan(start, len(j.data), n, j.err)
+					// The carried overlap was counted with the previous chunk.
+					e.observeScan(start, len(j.data)-int(j.newFrom-j.offset), n, j.err)
 					if j.err != nil { // lower failedSeq to j.seq
 						for f := failedSeq.Load(); j.seq < f && !failedSeq.CompareAndSwap(f, j.seq); {
 							f = failedSeq.Load()
@@ -236,10 +237,10 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 					for _, m := range k.matches {
 						// Fan each unique pattern's match out to every
 						// duplicate index, ascending, as Run's result does.
-						// The rank indexes the precomputed fan-out table
-						// directly.
+						// The rank indexes the precomputed name and
+						// fan-out tables directly.
 						for _, idx := range e.rankIndexes[m.Rank] {
-							emit(Match{Pattern: m.Pattern, Index: idx, End: int(m.End)})
+							emit(Match{Pattern: e.rankNames[m.Rank], Index: idx, End: int(m.End)})
 						}
 					}
 					for _, m := range k.ladder {
