@@ -189,15 +189,18 @@ profile-control:
 # and by allocated bytes. The two profiles come from two runs: at a sampling
 # rate fine enough to attribute 4 KB tables (-memprofilerate 4096) the heap
 # profiler's stack walks are a fifth of the CPU profile. BENCH_SIZE=10000 is
-# the regime where a group holds ~39 patterns and the passes dominate. Run it
-# on the parent commit and the change for a before/after pair.
+# the regime where a group holds ~39 patterns and the passes dominate;
+# BENCH=CompileSigs is what setup_s times on stream_sigs (BenchmarkCompileSigs:
+# a cold compile of the 168-signature set plus its first 256 KiB ScanReader).
+# Run it on the parent commit and the change for a before/after pair.
 BENCH_SIZE ?= 500
+BENCH ?= CompileMegaset/$(BENCH_SIZE)
 profile-compile:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
-	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench 'CompileMegaset/$(BENCH_SIZE)$$' -test.benchtime 30x \
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench '$(BENCH)$$' -test.benchtime 30x \
 		-test.cpuprofile $(PROFILE_DIR)/compile.prof
-	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench 'CompileMegaset/$(BENCH_SIZE)$$' -test.benchtime 30x \
+	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench '$(BENCH)$$' -test.benchtime 30x \
 		-test.memprofile $(PROFILE_DIR)/compile-mem.prof -test.memprofilerate 4096
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile-mem.prof
@@ -216,7 +219,8 @@ profile-compile:
 # saves per link), one
 # iteration of BenchmarkCompileMegaset/500 (the compile_megaset op with its
 # allocation count; a line of its own because a slash in -bench filters every
-# other benchmark's sub-benchmarks), a
+# other benchmark's sub-benchmarks) and of BenchmarkCompileSigs (what setup_s
+# times on stream_sigs), a
 # short-mode run of the bitbench matrix (single-core and GOMAXPROCS x
 # workers multicore rows) with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
 # pre-superblock seed baseline, so any regression back to it fails the
@@ -227,6 +231,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/engine ./internal/kernel
 	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'CompileSigs$$' -benchtime 1x .
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
 	@tmp=$$(mktemp -d) && \
 	i=0; while [ $$i -lt 2000 ]; do echo "error: timeout after 30ms on line $$i; retry ok"; i=$$((i+1)); done > $$tmp/input.txt && \

@@ -2,37 +2,9 @@ package dfg
 
 import "bitgen/internal/ir"
 
-// Depths assigns every assignment its topological depth in the dataflow
-// graph: sources (constants, basis reads) have depth 0 and every other
-// assignment is one more than the deepest operand definition at that point
-// in program order. The Shift Rebalancing pass moves shifts toward
-// shallower operands to shorten dependency chains (Section 5.2).
-func Depths(p *ir.Program) map[*ir.Assign]int {
-	depth := make(map[*ir.Assign]int)
-	varDepth := make([]int, p.NumVars)
-	var walk func(body []ir.Stmt)
-	walk = func(body []ir.Stmt) {
-		for _, s := range body {
-			switch x := s.(type) {
-			case *ir.Assign:
-				d := exprDepth(x.Expr, varDepth)
-				depth[x] = d
-				varDepth[x.Dst] = d
-			case *ir.If:
-				walk(x.Body)
-			case *ir.While:
-				// Loop-carried variables stabilize after two passes for
-				// depth purposes; one extra pass keeps the ordering
-				// useful without a full fixpoint.
-				walk(x.Body)
-				walk(x.Body)
-			}
-		}
-	}
-	walk(p.Stmts)
-	return depth
-}
-
+// exprDepth is an expression's topological depth in the dataflow graph:
+// sources (constants, basis reads) are 0, anything else one more than its
+// deepest operand (a Copy as deep as its source).
 func exprDepth(e ir.Expr, varDepth []int) int {
 	switch x := e.(type) {
 	case ir.Zero, ir.Ones, ir.MatchBasis:

@@ -24,10 +24,11 @@ func (ud UseDef) SingleUseTemp(v ir.VarID) bool {
 // if/while bodies). numVars bounds the variable space.
 func CountUseDef(stmts []ir.Stmt, numVars int) UseDef {
 	ud := UseDef{Defs: make([]int32, numVars), Uses: make([]int32, numVars)}
+	var buf [2]ir.VarID
 	ir.WalkStmts(stmts, func(s ir.Stmt) {
 		switch x := s.(type) {
 		case *ir.Assign:
-			for _, v := range ir.Operands(x.Expr) {
+			for _, v := range ir.OperandsInto(x.Expr, &buf) {
 				ud.Uses[v]++
 			}
 			ud.Defs[x.Dst]++

@@ -261,21 +261,8 @@ func cloneStmts(list []Stmt) []Stmt {
 
 // Operands returns the variables read by an expression.
 func Operands(e Expr) []VarID {
-	switch x := e.(type) {
-	case Copy:
-		return []VarID{x.Src}
-	case Not:
-		return []VarID{x.Src}
-	case Bin:
-		return []VarID{x.X, x.Y}
-	case Shift:
-		return []VarID{x.Src}
-	case Add:
-		return []VarID{x.X, x.Y}
-	case StarThru:
-		return []VarID{x.M, x.C}
-	}
-	return nil
+	var buf [2]VarID
+	return append([]VarID(nil), OperandsInto(e, &buf)...)
 }
 
 // OperandsInto is Operands without the per-call allocation: it writes the

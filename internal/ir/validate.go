@@ -24,10 +24,11 @@ func Validate(p *Program) error {
 }
 
 func validateBody(p *Program, body []Stmt, defined []bool) error {
+	var buf [2]VarID
 	for i, s := range body {
 		switch x := s.(type) {
 		case *Assign:
-			for _, v := range Operands(x.Expr) {
+			for _, v := range OperandsInto(x.Expr, &buf) {
 				if err := checkUse(p, v, defined); err != nil {
 					return err
 				}

@@ -74,6 +74,7 @@ type sloEndpoint struct {
 
 	good, total uint64 // lifetime
 	ring        []sloBucket
+	fast, slow  sloBucket // sums of the newest nfast buckets and of the whole ring
 	head        int       // index of the current bucket
 	headStart   time.Time // start of the current bucket
 	burning     bool      // inside a fast-burn episode (edge trigger)
@@ -181,6 +182,10 @@ func (s *SLO) rotateLocked(ep *sloEndpoint, now time.Time) {
 	for now.Sub(ep.headStart) >= s.cfg.BucketDur {
 		ep.headStart = ep.headStart.Add(s.cfg.BucketDur)
 		ep.head = (ep.head + 1) % s.nwin
+		// The new head's old contents leave the slow window, the bucket nfast
+		// back the fast one (the same bucket when the windows are equal).
+		ep.slow.sub(ep.ring[ep.head])
+		ep.fast.sub(ep.ring[(ep.head-s.nfast+s.nwin)%s.nwin])
 		ep.ring[ep.head] = sloBucket{}
 		if steps++; steps > s.nwin {
 			// Idle longer than the whole window: the ring is all-zero
@@ -191,14 +196,13 @@ func (s *SLO) rotateLocked(ep *sloEndpoint, now time.Time) {
 	}
 }
 
-// windowLocked sums the most recent n buckets.
-func (ep *sloEndpoint) windowLocked(n int) (good, total uint64) {
-	for i := 0; i < n; i++ {
-		b := ep.ring[(ep.head-i+len(ep.ring))%len(ep.ring)]
-		good += b.good
-		total += b.total
+func (b *sloBucket) sub(o sloBucket) { b.good, b.total = b.good-o.good, b.total-o.total }
+
+func (b *sloBucket) add(good bool) {
+	b.total++
+	if good {
+		b.good++
 	}
-	return good, total
 }
 
 func burnRate(good, total uint64, availability float64) float64 {
@@ -230,16 +234,16 @@ func (s *SLO) Observe(endpoint string, d time.Duration, failed bool) {
 		good = false
 	}
 	s.rotateLocked(ep, now)
-	ep.ring[ep.head].total++
+	ep.ring[ep.head].add(good)
+	ep.fast.add(good)
+	ep.slow.add(good)
 	ep.total++
 	if good {
-		ep.ring[ep.head].good++
 		ep.good++
 	}
-	fg, ft := ep.windowLocked(s.nfast)
-	sg, st := ep.windowLocked(s.nwin)
-	fast := burnRate(fg, ft, ep.obj.Availability)
-	slow := burnRate(sg, st, ep.obj.Availability)
+	ft := ep.fast.total
+	fast := burnRate(ep.fast.good, ft, ep.obj.Availability)
+	slow := burnRate(ep.slow.good, ep.slow.total, ep.obj.Availability)
 	ep.burnFast.Set(fast)
 	ep.burnSlow.Set(slow)
 	ep.budget.Set(budgetRemaining(ep.good, ep.total, ep.obj.Availability))
@@ -335,8 +339,6 @@ func (s *SLO) Report() SLOReport {
 	for _, n := range names {
 		ep := s.eps[n]
 		s.rotateLocked(ep, now)
-		fg, ft := ep.windowLocked(s.nfast)
-		sg, st := ep.windowLocked(s.nwin)
 		er := SLOEndpointReport{
 			Endpoint:             n,
 			ObjectiveP99MS:       float64(ep.obj.LatencyP99) / float64(time.Millisecond),
@@ -345,8 +347,8 @@ func (s *SLO) Report() SLOReport {
 			Good:                 ep.good,
 			Compliance:           float64(ep.good) / maxU(ep.total),
 			ErrorBudgetRemaining: budgetRemaining(ep.good, ep.total, ep.obj.Availability),
-			BurnRateFast:         burnRate(fg, ft, ep.obj.Availability),
-			BurnRateSlow:         burnRate(sg, st, ep.obj.Availability),
+			BurnRateFast:         burnRate(ep.fast.good, ep.fast.total, ep.obj.Availability),
+			BurnRateSlow:         burnRate(ep.slow.good, ep.slow.total, ep.obj.Availability),
 			FastBurn:             ep.burning,
 		}
 		if ep.hist != nil {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -191,5 +192,39 @@ func TestSLOMetricsRegistered(t *testing.T) {
 	h, ok := snap.Histograms[MSLOLatency+`{endpoint="match"}`]
 	if !ok || h.Count != 2 {
 		t.Fatalf("latency histogram = %+v ok=%v", h, ok)
+	}
+}
+
+// TestSLORunningWindowsMatchResum: the fast and slow sums Observe keeps
+// current equal a re-sum of the ring's newest buckets, through rotations past
+// both window lengths, idle gaps shorter and longer than either, and with the
+// two windows equal (one bucket leaves both at once).
+func TestSLORunningWindowsMatchResum(t *testing.T) {
+	resum := func(ep *sloEndpoint, n int) (w sloBucket) {
+		for i := 0; i < n; i++ {
+			b := ep.ring[(ep.head-i+len(ep.ring))%len(ep.ring)]
+			w.good += b.good
+			w.total += b.total
+		}
+		return w
+	}
+	for _, fast := range []time.Duration{3 * time.Second, 12 * time.Second} {
+		clk := &manualClock{t: time.Unix(9000, 0)}
+		s := NewSLO(SLOConfig{BucketDur: time.Second, FastWindow: fast, SlowWindow: 12 * time.Second, Now: clk.now})
+		rng := rand.New(rand.NewSource(int64(fast)))
+		for i := 0; i < 2000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 60: // same bucket
+			case r < 97:
+				clk.advance(time.Duration(1+rng.Intn(2500)) * time.Millisecond)
+			default:
+				clk.advance(time.Duration(10+rng.Intn(8)) * time.Second) // around the slow window
+			}
+			s.Observe("match", time.Millisecond, rng.Intn(3) == 0)
+			ep := s.eps["match"]
+			if f, w := resum(ep, s.nfast), resum(ep, s.nwin); ep.fast != f || ep.slow != w {
+				t.Fatalf("fast window %v, step %d: running sums fast %+v slow %+v, re-sum %+v %+v", fast, i, ep.fast, ep.slow, f, w)
+			}
+		}
 	}
 }

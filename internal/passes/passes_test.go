@@ -74,15 +74,11 @@ func TestRebalanceShortensCriticalPath(t *testing.T) {
 	// rebalancing (shifts move onto the shallow CC operands).
 	p := buildABB()
 	depthOfOutput := func(p *ir.Program) int {
-		depths := dfg.Depths(p)
-		var want ir.VarID = p.Outputs[0].Var
-		best := -1
-		ir.WalkStmts(p.Stmts, func(s ir.Stmt) {
-			if a, ok := s.(*ir.Assign); ok && a.Dst == want {
-				best = depths[a]
-			}
-		})
-		return best
+		var run []*ir.Assign // the program is one straight-line run
+		for _, s := range p.Stmts {
+			run = append(run, s.(*ir.Assign))
+		}
+		return dfg.VarDepthsInto(nil, run, p.NumVars)[p.Outputs[0].Var]
 	}
 	before := depthOfOutput(p)
 	// Give the CC matches depth by rebuilding: in this toy program the CC

@@ -11,13 +11,8 @@ import (
 	"bitgen/internal/ir"
 )
 
-// RebalanceOptions control the Shift Rebalancing pass.
-type RebalanceOptions struct {
-	// MaxIterations bounds the rewrite fixpoint; zero means 4n+64 for an
-	// n-statement program (a safety valve: rounds normally stop long
-	// before via the no-change exit).
-	MaxIterations int
-}
+// RebalanceOptions is empty; the type stays for the pass's callers.
+type RebalanceOptions struct{}
 
 // RebalanceResult reports what the pass did.
 type RebalanceResult struct {
@@ -40,21 +35,15 @@ type RebalanceResult struct {
 //
 // Each round applies every profitable rewrite found in one forward scan
 // (bookkeeping is updated incrementally), so the round count is bounded
-// by the longest def-use chain — not by the rewrite total. ClamAV-class
-// group programs run to 10^5 statements; the earlier one-rewrite-per-
-// round formulation was quadratic in group size and dominated megaset
-// compiles.
-func Rebalance(p *ir.Program, opts RebalanceOptions) RebalanceResult {
-	if opts.MaxIterations == 0 {
-		n := 0
-		ir.WalkStmts(p.Stmts, func(ir.Stmt) { n++ })
-		opts.MaxIterations = 4*n + 64
-	}
-	rb := &rebalancer{p: p, scratch: getScratch()}
-	// The run-local tables are kept all-clear between runs; start them so.
-	rb.defIdx, rb.redef = rb.defIdx[:0], rb.redef[:0]
+// by the longest def-use chain — not by the rewrite total; 4n+64 rounds for
+// an n-statement program is a safety valve. A round walks live code only:
+// the shifts its rewrites orphan leave their bodies (liftOrphans).
+func Rebalance(p *ir.Program, _ RebalanceOptions) RebalanceResult {
+	n := 0
+	ir.WalkStmts(p.Stmts, func(ir.Stmt) { n++ })
+	rb := newRebalancer(p, getScratch())
 	var res RebalanceResult
-	for round := 0; round < opts.MaxIterations; round++ {
+	for round := 0; round < 4*n+64; round++ {
 		res.Iterations++
 		if _, changed := rb.round(&res); !changed {
 			break
@@ -66,31 +55,31 @@ func Rebalance(p *ir.Program, opts RebalanceOptions) RebalanceResult {
 	return res
 }
 
-// rebalancer holds the per-round analysis state in pooled scratch, so a
-// round allocates only the statements its rewrites mint. All tables are
-// indexed by VarID (dense) and grown in lockstep with NewVar as rewrites mint
-// fresh variables:
+// rebalancer holds the analysis state in pooled scratch, so a round allocates
+// only the statements its rewrites mint. All tables are indexed by VarID and
+// grown in lockstep with NewVar as rewrites mint fresh variables.
 //
-// uses counts every read of a variable program-wide: assignment operands,
-// If/While/Guard conditions, and outputs. A shift value is rewritable only
-// while uses == 1 (its single use is the AND at hand), which folds the old
-// run-local count and external-use check into one.
-//
-// defIdx/redef are run-local: the defining statement index within the
-// current run (-1 outside it) and whether the variable is assigned more than
-// once. Entries touched by a run are reset when it ends.
+// uses (scratch.analyze, plus the reads of lifted orphans) is counted once per
+// call and kept current by every rewrite and fusion. A shift value is
+// rewritable only while uses == 1 (its single use is the AND at hand), which
+// folds the old run-local count and external-use check into one.
 type rebalancer struct {
 	p *ir.Program
 	*scratch
 }
 
-// round runs one fixpoint round — recount global uses and re-record
-// definitions, rewrite every run, fuse shift chains — and reports how many
-// shifts it fused and whether anything changed.
+func newRebalancer(p *ir.Program, s *scratch) *rebalancer {
+	s.analyze(p)
+	// The run-local tables are kept all-clear between runs; start them so.
+	s.defIdx = grown(s.defIdx[:0], p.NumVars, -1)
+	s.redef = grown(s.redef[:0], p.NumVars, false)
+	s.orphanReads, s.offered = grown(s.orphanReads[:0], 2*p.NumVars, 0), s.offered[:0]
+	return &rebalancer{p: p, scratch: s}
+}
+
+// round runs one fixpoint round — rewrite every run, fuse shift chains — and
+// reports how many shifts it fused and whether anything changed.
 func (rb *rebalancer) round(res *RebalanceResult) (fused int, changed bool) {
-	rb.analyze(rb.p)
-	rb.defIdx = grown(rb.defIdx, rb.p.NumVars, -1)
-	rb.redef = grown(rb.redef, rb.p.NumVars, false)
 	changed = rb.body(&rb.p.Stmts, res)
 	fused = rb.fuseShiftChains()
 	return fused, changed || fused > 0
@@ -117,6 +106,9 @@ func (rb *rebalancer) body(body *[]ir.Stmt, res *RebalanceResult) bool {
 	}
 	// The nested bodies are done with the pre-statement list.
 	rb.preAt, rb.pre = rb.preAt[:0], rb.pre[:0]
+	if !holdsGuard(*body) {
+		*body = rb.liftOrphans(*body)
+	}
 	b := *body
 	for i := 0; i < len(b); {
 		if _, ok := b[i].(*ir.Assign); !ok {
@@ -240,6 +232,7 @@ func (rb *rebalancer) tryRewrite(run []*ir.Assign, idx int, shiftVar, other ir.V
 	rb.defIdx = grown(rb.defIdx, int(inner)+1, -1)
 	rb.redef = grown(rb.redef, int(inner)+1, false)
 	rb.defOf = grown(rb.defOf, int(inner)+1, nil)
+	rb.orphanReads = grown(rb.orphanReads, 2*int(inner)+2, 0)
 	rb.uses[sh.Src]++
 	rb.uses[counter], rb.defOf[counter] = 1, counterDef
 	rb.uses[inner], rb.defOf[inner] = 1, innerDef
@@ -248,43 +241,98 @@ func (rb *rebalancer) tryRewrite(run []*ir.Assign, idx int, shiftVar, other ir.V
 	depth[counter] = depth[other] + 1
 	depth[inner] = max(depth[sh.Src], depth[counter]) + 1
 	depth[a.Dst] = depth[inner] + 1
+	// a.Dst's definition turned into a shift: offer the orphans reading it.
+	rb.offered = append(rb.offered, readKey(a.Dst, sh.K))
 	return true
+}
+
+// readKey indexes orphanReads: variable v as read by a shift in k's direction.
+func readKey(v ir.VarID, k int) int32 { return 2*int32(v) + int32(uint64(k)>>63) }
+
+// liftOrphans takes the unread single-definition shifts out of a guard-free
+// body. What is left of one is its read of its source, still counted in uses
+// and, by direction, in orphanReads, which fusion keeps retargeting: dropped
+// before the fixpoint, a counter shift becomes a single-use shiftVar and extra
+// mixed-direction rewrites fire. Nothing else about it matters — a variable
+// without reads never gets one — so rounds need not walk it.
+func (rb *rebalancer) liftOrphans(b []ir.Stmt) []ir.Stmt {
+	return slices.DeleteFunc(b, func(s ir.Stmt) bool {
+		a, ok := s.(*ir.Assign)
+		if !ok || rb.uses[a.Dst] != 0 || rb.defOf[a.Dst] != a {
+			return false
+		}
+		sh, ok := a.Expr.(ir.Shift)
+		if ok {
+			key := readKey(sh.Src, sh.K)
+			rb.orphanReads[key]++
+			rb.offered = append(rb.offered, key)
+		}
+		return ok
+	})
 }
 
 // fuseShiftChains composes same-direction shift pairs: a single-use
 // X = A >> a feeding Y = X >> b becomes Y = A >> (a+b) (and likewise for
 // lookbacks). This is the "merged after the last AND" step of Figure 8's
 // second iteration; it is exact on bounded streams only for same-sign
-// shifts, so mixed directions are left alone.
+// shifts, so mixed directions are left alone. Retargeting is always sound:
+// the inner shift stays for any other users and is orphaned if unused.
+// Live statements go first, in program order, then the orphan reads on offer:
+// nothing reads an orphan, so when it composes changes nothing else, and the
+// orphans of one source and direction compose alike, so they move as a count.
 func (rb *rebalancer) fuseShiftChains() int {
-	def := rb.defOf
 	fused := 0
 	ir.WalkStmts(rb.p.Stmts, func(s ir.Stmt) {
 		a, ok := s.(*ir.Assign)
 		if !ok {
 			return
 		}
-		outer, ok := a.Expr.(ir.Shift)
-		if !ok {
-			return
+		if outer, ok := a.Expr.(ir.Shift); ok {
+			if inner, ok := rb.retarget(outer.Src, outer.K, 1); ok {
+				a.Expr = ir.Shift{Src: inner.Src, K: inner.K + outer.K}
+				fused++
+			}
 		}
-		innerDef := def[outer.Src]
-		if innerDef == nil {
-			return
-		}
-		inner, ok := innerDef.Expr.(ir.Shift) // never when outer.Src is redefined
-		if !ok || def[inner.Src] == redefined {
-			return
-		}
-		if (inner.K > 0) != (outer.K > 0) {
-			return // mixed directions do not compose exactly
-		}
-		// Retargeting is always sound: the inner shift stays for any
-		// other users and dead-code elimination removes it if unused.
-		a.Expr = ir.Shift{Src: inner.Src, K: inner.K + outer.K}
-		fused++
 	})
+	offered := rb.offered
+	rb.offered = offered[:0]
+	for _, key := range offered {
+		n, src := rb.orphanReads[key], ir.VarID(key>>1)
+		if n == 0 {
+			continue
+		}
+		if inner, ok := rb.retarget(src, 1-2*int(key&1), n); ok {
+			// Offered again next round, as the statements would be walked again.
+			to := readKey(inner.Src, inner.K)
+			rb.orphanReads[key] = 0
+			rb.orphanReads[to] += n
+			rb.offered = append(rb.offered, to)
+			fused += int(n)
+		}
+	}
 	return fused
+}
+
+// retarget returns the shift defining src when a shift of src in k's direction
+// composes with it, and moves the n reads of src being composed onto its source.
+func (rb *rebalancer) retarget(src ir.VarID, k int, n int32) (ir.Shift, bool) {
+	def := rb.defOf
+	if def[src] == nil {
+		return ir.Shift{}, false
+	}
+	inner, ok := def[src].Expr.(ir.Shift) // never when src is redefined
+	// Mixed directions do not compose exactly.
+	if !ok || def[inner.Src] == redefined || (inner.K > 0) != (k > 0) {
+		return inner, false
+	}
+	rb.uses[src] -= n
+	rb.uses[inner.Src] += n
+	return inner, true
+}
+
+// A body that holdsGuard keeps every statement: skip counts must stay aligned.
+func holdsGuard(body []ir.Stmt) bool {
+	return slices.ContainsFunc(body, func(s ir.Stmt) bool { _, ok := s.(*ir.Guard); return ok })
 }
 
 // Bits of scratch.mark, per variable with a single definition.
@@ -295,24 +343,15 @@ const (
 
 // eliminateDeadCode removes assignments whose results are never read
 // (transitively), keeping outputs, conditions and guard sources alive.
-// It returns the number of statements removed. The transitive closure is
-// computed with a worklist over use counts — one pass regardless of dead-
-// chain depth — instead of sweeping to a fixpoint.
-func (s *scratch) eliminateDeadCode(p *ir.Program) int {
+// The transitive closure is computed with a worklist over use counts — one
+// pass regardless of dead-chain depth — instead of sweeping to a fixpoint.
+func (s *scratch) eliminateDeadCode(p *ir.Program) {
 	uses, defOf := s.analyze(p)
 	s.mark = grown(s.mark[:0], p.NumVars, 0)
 	mark := s.mark
-	// Assignments in a body containing guards are pinned: removing them
-	// would desynchronize guard skip counts.
 	var markPinnedIn func(body []ir.Stmt)
 	markPinnedIn = func(body []ir.Stmt) {
-		hasGuard := false
-		for _, st := range body {
-			if _, ok := st.(*ir.Guard); ok {
-				hasGuard = true
-				break
-			}
-		}
+		hasGuard := holdsGuard(body)
 		for _, st := range body {
 			switch x := st.(type) {
 			case *ir.Assign:
@@ -341,7 +380,6 @@ func (s *scratch) eliminateDeadCode(p *ir.Program) int {
 		}
 	}
 	var buf [2]ir.VarID
-	dead := 0
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -349,7 +387,6 @@ func (s *scratch) eliminateDeadCode(p *ir.Program) int {
 			continue
 		}
 		mark[v] |= markDead
-		dead++
 		for _, u := range ir.OperandsInto(defOf[v].Expr, &buf) {
 			uses[u]--
 			if removable(u) {
@@ -358,28 +395,65 @@ func (s *scratch) eliminateDeadCode(p *ir.Program) int {
 		}
 	}
 	s.stack = stack
-	if dead > 0 {
-		sweepDead(&p.Stmts, mark)
-	}
-	return dead
+	s.sweep(p)
 }
 
-// sweepDead drops the dead assignments from every body. Pinned (guarded)
-// assignments were never marked, so guard skip counts stay aligned.
-func sweepDead(body *[]ir.Stmt, mark []uint8) {
-	kept := (*body)[:0]
-	for _, s := range *body {
-		switch x := s.(type) {
-		case *ir.Assign:
-			if mark[x.Dst]&markDead != 0 {
-				continue
-			}
-		case *ir.If:
-			sweepDead(&x.Body, mark)
-		case *ir.While:
-			sweepDead(&x.Body, mark)
+// sweep drops the dead assignments from every body — pinned ones were never
+// marked — and renames the variables densely in order of first appearance
+// (first definition, in a valid program), leaving their count in NumVars:
+// Rebalance alone mints variables after lowering, two a rewrite, most of them
+// dead by now, and everything downstream sizes its tables by NumVars.
+func (s *scratch) sweep(p *ir.Program) {
+	id := grown(s.defIdx[:0], p.NumVars, -1)
+	s.defIdx = id
+	n := 0
+	re := func(v ir.VarID) ir.VarID {
+		if id[v] < 0 {
+			id[v] = int32(n)
+			n++
 		}
-		kept = append(kept, s)
+		return ir.VarID(id[v])
 	}
-	*body = kept
+	var sweepBody func(body *[]ir.Stmt)
+	sweepBody = func(body *[]ir.Stmt) {
+		kept := (*body)[:0]
+		for _, st := range *body {
+			switch x := st.(type) {
+			case *ir.Assign:
+				if s.mark[x.Dst]&markDead != 0 {
+					continue
+				}
+				switch e := x.Expr.(type) {
+				case ir.Copy:
+					x.Expr = ir.Copy{Src: re(e.Src)}
+				case ir.Not:
+					x.Expr = ir.Not{Src: re(e.Src)}
+				case ir.Bin:
+					x.Expr = ir.Bin{Op: e.Op, X: re(e.X), Y: re(e.Y)}
+				case ir.Shift:
+					x.Expr = ir.Shift{Src: re(e.Src), K: e.K}
+				case ir.Add:
+					x.Expr = ir.Add{X: re(e.X), Y: re(e.Y)}
+				case ir.StarThru:
+					x.Expr = ir.StarThru{M: re(e.M), C: re(e.C)}
+				}
+				x.Dst = re(x.Dst)
+			case *ir.If:
+				x.Cond = re(x.Cond)
+				sweepBody(&x.Body)
+			case *ir.While:
+				x.Cond = re(x.Cond)
+				sweepBody(&x.Body)
+			case *ir.Guard:
+				x.Cond = re(x.Cond)
+			}
+			kept = append(kept, st)
+		}
+		*body = kept
+	}
+	sweepBody(&p.Stmts)
+	for i := range p.Outputs {
+		p.Outputs[i].Var = re(p.Outputs[i].Var)
+	}
+	p.NumVars = n
 }

@@ -29,6 +29,10 @@ type scratch struct {
 	mark   []uint8      // dead-code elimination: pinned / dead bits of that one definition
 	reads  []runReads   // InsertGuards: where the current run reads the variable
 	stack  []ir.VarID   // dead-code worklist
+	// Rebalance, indexed by readKey (variable and shift direction): how many
+	// lifted orphans read the variable, and the keys fusion looks at this round.
+	orphanReads []int32
+	offered     []int32
 	// Position-indexed.
 	run     []*ir.Assign // the current straight-line run
 	preAt   []int32      // Rebalance: body positions that get pre-statements, ascending,

@@ -11,7 +11,8 @@ import (
 // the scratch, a fixpoint round allocates what its rewrites leave in the
 // program and nothing else. A rewrite mints two assignments and boxes three
 // expressions (the counter shift, the inner AND and the rewritten statement's
-// new shift), a fusion boxes one; the constant covers the body's and the
+// new shift), a fusion of a live statement boxes one and one of lifted orphan
+// reads none (fused counts both); the constant covers the body's and the
 // tables' amortized growth. Before the scratch a round rebuilt its run list,
 // depth table, pre-statement lists and the body (twice) every time.
 func TestRebalanceRoundAllocatesOnlyWhatItMints(t *testing.T) {
@@ -23,7 +24,7 @@ func TestRebalanceRoundAllocatesOnlyWhatItMints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := &rebalancer{p: p, scratch: new(scratch)}
+	rb := newRebalancer(p, new(scratch))
 	var res RebalanceResult
 	rb.round(&res)
 	if res.Rewrites == 0 {

@@ -265,9 +265,6 @@ func New(backends []Backend, cfg Config) (*Ladder, error) {
 		}
 		if o := cfg.Obs; o != nil {
 			br.onState = func(from, to State, reason string) {
-				o.Instant("resilience", "breaker:"+name, 0,
-					obs.A("from", from.String()), obs.A("to", to.String()),
-					obs.A("reason", reason))
 				o.Reg().Counter(obs.MBreakerFlips, obs.HBreakerFlips,
 					obs.L("backend", name), obs.L("to", to.String())).Inc()
 				level := obs.LevelInfo

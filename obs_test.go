@@ -120,8 +120,9 @@ func TestTraceContainsPipelineSpans(t *testing.T) {
 	}
 	// First scan: served by the bitstream rung. Then persistent kernel
 	// panics force failovers to the hybrid rung until the bitstream
-	// breaker opens (threshold 3) — the rung-transition spans and the
-	// breaker instant all land in the trace.
+	// breaker opens (threshold 3) — the rung-transition spans land in the
+	// trace, the breaker's flip in its counter (and, where an event log is
+	// attached, as one "breaker" event: the serve scenarios read that).
 	if _, err := eng.Run([]byte(ladderInput)); err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,15 @@ func TestTraceContainsPipelineSpans(t *testing.T) {
 		"compile", "parse", "compile-group", "lower-group", "passes", // compile phases
 		"run", "transpose", "kernel-launch", "kernel-attempt", "estimate", // scan + kernel launches
 		"ladder-run", "rung:bitstream", "rung:hybrid", "hybrid-scan", // ladder rungs
-		"failover", "breaker:bitstream", // rung transition events
+		"failover", // rung transition events
 	} {
 		if !seen[want] {
 			t.Errorf("trace is missing span/event %q (have %v)", want, keys(seen))
 		}
+	}
+	flips := obs.MBreakerFlips + `{backend="bitstream",to="open"}`
+	if got := eng.MetricsSnapshot().Counter(flips); got != 1 {
+		t.Errorf("%s = %g, want 1 (have %v)", flips, got, eng.MetricsSnapshot().Counters)
 	}
 }
 
