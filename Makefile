@@ -33,13 +33,13 @@ vuln:
 		echo "vuln: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# The fault-injection, hardening and resilience suites, race-exercised:
-# typed error paths, panic containment, cancellation, chunk-boundary
-# streaming, and the backend ladder (retry, breaker, cross-checking).
+# The fault-injection and hardening suites, race-exercised: typed error
+# classes, panic containment, cancellation, first-failure streaming, the
+# backend pin, the cluster's peer breaker, and the backend-agreement and
+# chunk-boundary fuzz seeds.
 fault:
-	$(GO) test -race -run 'Injected|Hardened|WhileCap|Cancel|Limit|Concurrent' ./internal/faultinject/ ./internal/kernel/ ./internal/engine/ .
-	$(GO) test -race ./internal/resilience/
-	$(GO) test -race -run 'Resilient|Persistent|Transient|Breaker|ForceBackend|CrossCheck|TileCorruption|Quarantine|Ladder|Classify' ./internal/kernel/ .
+	$(GO) test -race -run 'Injected|Hardened|WhileCap|Cancel|Limit|Concurrent|ErrorClass|Faults|ForceBackend|Pinned|AcrossChunkSizes|FailingChunk|Terminal|Breaker' \
+		./internal/faultinject/ ./internal/kernel/ ./internal/engine/ ./internal/cluster/ .
 	$(GO) test -race -run 'FuzzScanReaderChunkBoundaries|FuzzBackendsAgree' .
 
 # Short smoke runs of the fuzz targets: the streaming chunk-boundary

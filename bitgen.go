@@ -44,7 +44,6 @@ import (
 	"bitgen/internal/gpusim"
 	"bitgen/internal/lower"
 	"bitgen/internal/obs"
-	"bitgen/internal/resilience"
 	"bitgen/internal/rx"
 )
 
@@ -74,14 +73,9 @@ type Options struct {
 	// defaults (see Limits). Violations return errors satisfying
 	// errors.Is(err, ErrLimit).
 	Limits Limits
-	// Resilience, when non-nil, enables the self-healing backend ladder
-	// (bitstream → hybrid → NFA reference): transient faults are retried
-	// with backoff, persistently failing backends are circuit-broken,
-	// and a sampled fraction of calls is differentially cross-checked
-	// against the NFA reference. Applies to Run, CountOnly and
-	// ScanReader (per chunk); RunMulti models a combined MIMD launch and
-	// always runs the bitstream engine. See ResilienceOptions and
-	// Engine.Health.
+	// Resilience, when non-nil, pins Run, CountOnly and ScanReader to one
+	// backend — the bitstream engine, the hybrid baseline or the NFA
+	// reference — and names it in Result.Backend. See ResilienceOptions.
 	Resilience *ResilienceOptions
 	// Observability, when non-nil, enables scan tracing and/or metrics
 	// collection (see ObservabilityOptions, Engine.WriteTrace,
@@ -90,9 +84,7 @@ type Options struct {
 	Observability *ObservabilityOptions
 	// ScanWorkers sets how many chunk workers ScanReader's pipeline runs
 	// concurrently (default GOMAXPROCS). Even one worker pipelines: the
-	// reader stays a chunk ahead of execution. With Resilience set the
-	// pipeline always runs one worker: the ladder's retry, breaker and
-	// cross-check-sampling sequence is defined in chunk order.
+	// reader stays a chunk ahead of execution.
 	ScanWorkers int
 }
 
@@ -189,13 +181,13 @@ type Result struct {
 	// number of match end positions — the per-entry view that keeps
 	// duplicate patterns distinguishable.
 	IndexCounts []int
-	// Stats is the modeled execution summary. Zero when a resilience
-	// fallback rung served the call: only the bitstream engine models
-	// GPU execution.
+	// Stats is the modeled execution summary. Zero on an engine pinned to
+	// the hybrid or NFA backend: only the bitstream engine models GPU
+	// execution.
 	Stats Stats
-	// Backend names the resilience ladder rung that served this call
+	// Backend names the backend Options.Resilience pinned
 	// (BackendBitstream, BackendHybrid or BackendNFA). Empty when
-	// resilience is disabled.
+	// Options.Resilience is nil.
 	Backend string
 	// Profile is the per-scan profile artifact joining the cost-model
 	// time breakdown with observed per-kernel counters. Non-nil only
@@ -235,9 +227,11 @@ type Engine struct {
 	// lists every pattern with no finite bound (streaming refusal).
 	maxLen    int
 	unbounded []string
-	// ladder is the self-healing backend ladder; nil when
-	// Options.Resilience was not set.
-	ladder *resilience.Ladder
+	// backend is the Options.Resilience pin ("" without one), reported in
+	// Result.Backend; fallback is the pinned hybrid or NFA automaton, nil
+	// when the bitstream engine serves.
+	backend  string
+	fallback *fallback
 	// obs carries the engine's own span ring and metrics registry; nil when
 	// Options.Observability was not set (every hook is nil-safe).
 	obs *obs.Observer
@@ -340,14 +334,15 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 		optsHash:    optionsHash(opts),
 	}
 	e.initRankIndexes()
-	if opts.Resilience != nil {
+	err = e.pinBackend(opts.Resilience, func() ([]rx.Node, error) {
 		asts := make([]rx.Node, len(regexes))
 		for i := range regexes {
 			asts[i] = regexes[i].AST
 		}
-		if err := buildLadder(e, asts, opts.Resilience); err != nil {
-			return nil, err
-		}
+		return asts, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -458,14 +453,14 @@ func (e *Engine) Patterns() []string { return append([]string(nil), e.patterns..
 
 // ResidentBytes reports the measured bytes of durable compiled state this
 // engine keeps resident: packed group programs, output tables,
-// the shared character-class program, and — with Resilience enabled — the
-// fallback rungs' compacted NFA/DFA tables. Transient per-scan buffers are
+// the shared character-class program, and — when pinned to the hybrid or NFA
+// backend — that automaton's tables. Transient per-scan buffers are
 // excluded. This is the value the serve layer's refcount-aware cache
 // accounting starts from.
 func (e *Engine) ResidentBytes() int64 {
 	n := e.inner.ResidentBytes()
-	if e.ladder != nil {
-		n += e.ladder.ResidentBytes()
+	if e.fallback != nil {
+		n += e.fallback.resident
 	}
 	return n
 }
@@ -495,21 +490,6 @@ func (e *Engine) checkInput(input []byte) error {
 		return &LimitError{Limit: "input-bytes", Value: int64(len(input)), Max: e.limits.MaxInputBytes}
 	}
 	return nil
-}
-
-// sortMatches orders matches by end position, then pattern, then index.
-// Only the ladder's fallback rungs need it: they report per-pattern
-// position maps, while the bitstream engine's matches arrive merged.
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].End != ms[j].End {
-			return ms[i].End < ms[j].End
-		}
-		if ms[i].Pattern != ms[j].Pattern {
-			return ms[i].Pattern < ms[j].Pattern
-		}
-		return ms[i].Index < ms[j].Index
-	})
 }
 
 // fanOutCounts expands per-unique-pattern match counts into the public
@@ -590,17 +570,21 @@ func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) 
 	return res, nil
 }
 
-// runContext dispatches one scan to the ladder or directly to the
-// bitstream engine.
+// runContext runs one scan on the pinned backend.
 func (e *Engine) runContext(ctx context.Context, input []byte) (*Result, error) {
-	if e.ladder != nil {
-		return e.runLadder(ctx, input)
+	var inner *engine.Result
+	var err error
+	if e.fallback != nil {
+		inner, err = e.runFallback(ctx, input)
+	} else {
+		inner, err = e.inner.RunContext(ctx, input)
 	}
-	inner, err := e.inner.RunContext(ctx, input)
 	if err != nil {
 		return nil, err
 	}
-	return e.toResult(inner), nil
+	res := e.toResult(inner)
+	res.Backend = e.backend
+	return res, nil
 }
 
 // CountOnly scans the input and returns only per-pattern match counts.
@@ -611,9 +595,9 @@ func (e *Engine) CountOnly(input []byte) (map[string]int, error) {
 	return e.CountOnlyContext(context.Background(), input)
 }
 
-// CountOnlyContext is CountOnly honoring a context (see RunContext).
-// With resilience enabled the call rides the backend ladder (positions
-// are materialized by the serving rung, then counted).
+// CountOnlyContext is CountOnly honoring a context (see RunContext). On
+// an engine pinned to the hybrid or NFA backend that automaton lists the
+// matches and they are counted.
 func (e *Engine) CountOnlyContext(ctx context.Context, input []byte) (map[string]int, error) {
 	if err := e.checkInput(input); err != nil {
 		return nil, err
@@ -636,14 +620,13 @@ func (e *Engine) CountOnlyContext(ctx context.Context, input []byte) (map[string
 }
 
 func (e *Engine) countOnlyContext(ctx context.Context, input []byte) (map[string]int, error) {
-	if e.ladder != nil {
-		res, err := e.runLadder(ctx, input)
-		if err != nil {
-			return nil, err
-		}
-		return res.Counts, nil
+	var res *engine.Result
+	var err error
+	if e.fallback != nil {
+		res, err = e.runFallback(ctx, input)
+	} else {
+		res, err = e.inner.RunCounts(ctx, input)
 	}
-	res, err := e.inner.RunCounts(ctx, input)
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,7 @@
 //	bitbench -exp fig12 -apps Yara,Brill -csv out/
 //
 // Experiments: table1, fig11 (alias table2), fig12 (alias table3), table4,
-// table5, fig13 (alias table6), fig14, fig15, all. The extra "ladder"
-// artifact (not part of "all") scans each application through the public
-// resilience ladder and reports which backend served; combine with
-// -backend to pin a single rung.
+// table5, fig13 (alias table6), fig14, fig15, all.
 package main
 
 import (
@@ -73,7 +70,6 @@ func main() {
 	hsThreads := flag.Int("hs-threads", 8, "HS-MT goroutine count")
 	csvDir := flag.String("csv", "", "directory to also write CSV files into")
 	jsonDir := flag.String("json", "", "directory to also write JSON artifacts into (artifacts that support it)")
-	backend := flag.String("backend", "", cli.BackendUsage)
 	benchTime := flag.String("bench-time", "3s", "per-benchmark measuring time for -exp bench (e.g. 200ms for CI smoke)")
 	minScanMBs := flag.Float64("min-scan-mbs", 0, "fail -exp bench when the pipelined scan falls below this MB/s (0 = no gate)")
 	memSizes := flag.String("mem-sizes", "1000,10000,100000", "comma-separated megaset pattern counts for -exp mem")
@@ -96,12 +92,9 @@ func main() {
 	if canonical, ok := aliases[name]; ok {
 		name = canonical
 	}
-	// The ladder and profile artifacts exercise the public API rather
+	// The profile, bench and mem artifacts exercise the public API rather
 	// than the experiment harness; they are opt-in and not part of "all".
 	extraArtifacts := []artifact{
-		{name: "ladder", run: func(s *experiments.Suite) (renderable, error) {
-			return runLadder(s, *backend)
-		}},
 		{name: "profile", run: func(s *experiments.Suite) (renderable, error) {
 			return runProfile(s)
 		}},

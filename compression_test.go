@@ -43,8 +43,8 @@ var compressionInputs = [][]byte{
 
 // TestStateCompressionDifferential checks the packed, shared-basis
 // compiled state against the NFA reference: on class-sharing and
-// duplicate-heavy sets, every backend of the ladder (and the plain engine
-// with no ladder) must report the reference's matches, counts and
+// duplicate-heavy sets, every pinned backend (and the plain engine with no
+// pin) must report the reference's matches, counts and
 // per-index counts. The nfa leg recompiles the reference itself, pinning
 // that it is deterministic.
 func TestStateCompressionDifferential(t *testing.T) {
@@ -85,8 +85,6 @@ func TestStateCompressionDifferential(t *testing.T) {
 						t.Fatalf("input %q: matches %v, nfa reference %v",
 							input, got.Matches, want.Matches)
 					}
-					// Backends differ on whether a pattern with no match
-					// gets a zero entry; compare per pattern.
 					for _, p := range patterns {
 						if got.Counts[p] != want.Counts[p] {
 							t.Fatalf("input %q: counts %v, nfa reference %v",

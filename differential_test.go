@@ -45,10 +45,10 @@ func fuzzInput(data []byte) []byte {
 	return in
 }
 
-// FuzzBackendsAgree is the differential oracle behind the resilience
-// ladder: for random bounded patterns and random inputs, the bitstream
-// kernel, the hybrid AC engine, and the NFA reference must produce
-// identical match sets — otherwise falling over silently changes results.
+// FuzzBackendsAgree is the differential oracle behind the backend pin: for
+// random bounded patterns and random inputs, the bitstream kernel, the
+// hybrid AC engine, and the NFA reference must produce identical match
+// sets — otherwise pinning a backend silently changes results.
 func FuzzBackendsAgree(f *testing.F) {
 	f.Add(uint64(1), []byte("abcabcddef aabbcc"))
 	f.Add(uint64(7), []byte("jjjjiihhaa gggff"))

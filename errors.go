@@ -19,9 +19,7 @@ import "bitgen/internal/bgerr"
 //     in the chain, so errors.Is(err, context.Canceled) and
 //     errors.Is(err, context.DeadlineExceeded) also work.
 //   - errors.Is(err, ErrTransient): an environmental fault worth retrying
-//     (a failed kernel launch). With resilience enabled these are retried
-//     with backoff automatically and rarely surface; without it the
-//     caller may retry.
+//     (a failed kernel launch); the caller may retry.
 //   - errors.As(&*InternalError): an engine invariant was violated — a
 //     contained panic. The process survives, the Engine remains usable,
 //     and the error carries the CTA group index, the group's patterns and

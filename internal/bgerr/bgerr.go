@@ -14,10 +14,10 @@
 //     expired; the run was abandoned at a safe boundary.
 //   - ErrTransient: an environmental fault that may succeed if simply
 //     retried (a failed kernel launch — sticky context errors, ECC
-//     events, launch-queue hiccups on a real device). The resilience
-//     layer retries these with backoff before falling over to another
-//     backend; everything else is either terminal (the three classes
-//     above, never retried) or failover-eligible (*InternalError).
+//     events, launch-queue hiccups on a real device; a refused or dropped
+//     peer connection in internal/cluster, whose router fails over to the
+//     next replica). The three classes above are terminal: retrying
+//     cannot change the answer.
 //   - *InternalError: an invariant was violated inside the engine (a
 //     contained panic). These indicate bugs, carry the recovered value
 //     and stack, and should be reported — but they do not crash the

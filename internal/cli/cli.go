@@ -10,8 +10,8 @@ import (
 	"bitgen"
 )
 
-// BackendUsage documents the -backend flag shared by the commands.
-const BackendUsage = "force a single resilience backend (bitstream, hybrid or nfa); empty runs the bitstream kernel directly"
+// BackendUsage documents the -backend flag.
+const BackendUsage = "pin the backend (bitstream, hybrid or nfa); empty runs the bitstream kernel unpinned"
 
 // Describe renders err as a one-line message that leads with the error's
 // class from the public taxonomy, so scripts (and humans) can tell a
@@ -60,8 +60,8 @@ func Describe(err error) string {
 }
 
 // Resilience translates the -backend flag value into engine options: empty
-// means no ladder (direct bitstream execution), anything else forces that
-// single rung. Unknown names surface as ErrUnsupported at Compile.
+// means no pin (the bitstream engine, Result.Backend empty), anything else
+// pins that backend. Unknown names surface as ErrUnsupported at Compile.
 func Resilience(backend string) *bitgen.ResilienceOptions {
 	if backend == "" {
 		return nil

@@ -5,9 +5,9 @@
 // each engine is compiled once, on its owner, no matter which replica a
 // request enters through.
 //
-// Forwarding is guarded per peer by internal/resilience's circuit
-// breaker (closed/open/half-open with deterministically jittered
-// cooldowns) and hedged to the successor replica when the owner is slow
+// Forwarding is guarded per peer by a circuit breaker (breaker.go:
+// closed/open/half-open with deterministically jittered cooldowns) and
+// hedged to the successor replica when the owner is slow
 // or faulting. When no live owner is reachable the receiving node
 // degrades gracefully: it compiles locally and counts a degraded serve
 // instead of erroring. The transport consults internal/faultinject's

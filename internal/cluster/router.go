@@ -12,7 +12,6 @@ import (
 
 	"bitgen/internal/faultinject"
 	"bitgen/internal/obs"
-	"bitgen/internal/resilience"
 )
 
 // Config parameterizes a Router. Self and Peers are replica base URLs
@@ -27,9 +26,10 @@ type Config struct {
 	// VNodes is the virtual nodes per replica on the hash ring
 	// (default DefaultVNodes, clamped to MaxVNodes).
 	VNodes int
-	// BreakerThreshold / BreakerCooldown parameterize the per-peer health
-	// ladder (defaults 3 failures / 5s), with cooldowns jittered
-	// deterministically from Seed.
+	// BreakerThreshold / BreakerCooldown parameterize the per-peer
+	// breakers (defaults 3 failures / 5s; a negative threshold never opens
+	// on a failure streak), with cooldowns jittered deterministically from
+	// Seed.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// HedgeDelay is how long a forward waits on the owner before
@@ -65,7 +65,7 @@ type Route struct {
 type peer struct {
 	url   string
 	host  string
-	br    *resilience.Breaker
+	br    *breaker
 	fwd   *obs.Counter
 	fails *obs.Counter
 	skips *obs.Counter
@@ -102,6 +102,9 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	ring, err := NewRing(append(append([]string(nil), cfg.Peers...), cfg.Self), cfg.VNodes)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.BreakerThreshold == 0 {
+		cfg.BreakerThreshold = 3
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
@@ -156,19 +159,19 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 			fails: reg.Counter(obs.MClusterForwardErrors, obs.HClusterForwardErrors, obs.L("peer", host)),
 			skips: reg.Counter(obs.MClusterPeerSkips, obs.HClusterPeerSkips, obs.L("peer", host)),
 		}
-		for _, to := range []resilience.State{resilience.Closed, resilience.Open, resilience.HalfOpen} {
+		for _, to := range []BreakerState{breakerClosed, breakerOpen, breakerHalfOpen} {
 			reg.Counter(obs.MClusterPeerFlips, obs.HClusterPeerFlips,
 				obs.L("peer", host), obs.L("to", to.String()))
 		}
-		p.br = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold:  cfg.BreakerThreshold,
-			Cooldown:   cfg.BreakerCooldown,
-			JitterSeed: cfg.Seed ^ hashKey(n),
-			OnState: func(from, to resilience.State, reason string) {
+		p.br = &breaker{
+			threshold:  cfg.BreakerThreshold,
+			cooldown:   cfg.BreakerCooldown,
+			jitterSeed: cfg.Seed ^ hashKey(n),
+			onState: func(from, to BreakerState, reason string) {
 				reg.Counter(obs.MClusterPeerFlips, obs.HClusterPeerFlips,
 					obs.L("peer", host), obs.L("to", to.String())).Inc()
 				level := obs.LevelInfo
-				if to == resilience.Open {
+				if to == breakerOpen {
 					level = obs.LevelWarn
 				}
 				ob.Event(level, "breaker", obs.TraceID{},
@@ -176,7 +179,7 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 					obs.FStr("from", from.String()), obs.FStr("to", to.String()),
 					obs.FStr("reason", reason))
 			},
-		})
+		}
 		r.peers[n] = p
 	}
 	return r, nil
@@ -213,7 +216,15 @@ func (r *Router) NoteReceivedForward() { r.received.Inc() }
 // PeerHealth is one peer's breaker snapshot.
 type PeerHealth struct {
 	URL string
-	resilience.BackendHealth
+	// Name is the peer's host, the label its metrics carry.
+	Name                string
+	State               BreakerState
+	ConsecutiveFailures int
+	// Attempts counts the forwards the breaker admitted, Successes and
+	// Failures their outcomes, Skips the attempts it refused.
+	Attempts, Successes, Failures, Skips uint64
+	// LastFailure is the most recent failure's error text.
+	LastFailure string
 }
 
 // Health snapshots every remote peer's breaker, in ring order.
@@ -224,9 +235,9 @@ func (r *Router) Health() []PeerHealth {
 		if p == nil {
 			continue
 		}
-		h := p.br.Snapshot()
-		h.Name = p.host
-		out = append(out, PeerHealth{URL: n, BackendHealth: h})
+		h := p.br.snapshot()
+		h.URL, h.Name = n, p.host
+		out = append(out, h)
 	}
 	return out
 }
@@ -340,7 +351,7 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 		for next < len(candidates) {
 			p := candidates[next]
 			next++
-			if !p.br.Allow(r.now()) {
+			if !p.br.allow(r.now()) {
 				p.skips.Inc()
 				continue
 			}
@@ -386,10 +397,10 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 			if o.err != nil {
 				if ctx.Err() != nil {
 					// Caller gave up: don't judge the peer.
-					o.p.br.Abandon()
+					o.p.br.abandon()
 				} else {
 					o.p.fails.Inc()
-					o.p.br.Failure(r.now(), o.err)
+					o.p.br.failure(r.now(), o.err)
 					r.ob.Event(obs.LevelWarn, "forward-error", trace,
 						obs.FStr("peer", o.p.host), obs.FStr("error", o.err.Error()),
 						obs.FBool("hedged", o.hedged))
@@ -400,7 +411,7 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 			}
 			// Winner: cancel the losers and drain their outcomes
 			// off-thread so a slow loser never delays the response.
-			o.p.br.Success()
+			o.p.br.success()
 			if launched > 1 {
 				// More than one attempt ran: record who won the race (the
 				// hedged duplicate or the failover retry, vs the owner).
@@ -416,9 +427,9 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 						lo := <-resc
 						if lo.err != nil {
 							// We canceled it — no verdict on the peer.
-							lo.p.br.Abandon()
+							lo.p.br.abandon()
 						} else {
-							lo.p.br.Success()
+							lo.p.br.success()
 							if lo.res.Stream != nil {
 								lo.res.Stream.Close()
 							}
@@ -477,7 +488,7 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 	}
 	var lastErr error
 	for _, p := range candidates {
-		if !p.br.Allow(r.now()) {
+		if !p.br.allow(r.now()) {
 			p.skips.Inc()
 			continue
 		}
@@ -485,16 +496,16 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 		if aerr != nil {
 			if ctx.Err() != nil {
 				// Caller gave up mid-fetch: no verdict on the peer.
-				p.br.Abandon()
+				p.br.abandon()
 				return nil, "", aerr
 			}
-			p.br.Failure(r.now(), aerr)
+			p.br.failure(r.now(), aerr)
 			r.ob.Event(obs.LevelWarn, "snapshot-fetch-error", tc.Trace,
 				obs.FStr("peer", p.host), obs.FStr("error", aerr.Error()))
 			lastErr = aerr
 			continue
 		}
-		p.br.Success()
+		p.br.success()
 		if status == http.StatusOK {
 			return b, p.url, nil
 		}

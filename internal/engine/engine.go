@@ -599,7 +599,7 @@ func (e *Engine) Groups() []Group {
 
 // WithInjector returns a shallow copy of the engine whose runs consult the
 // given fault injector (the compiled groups are shared; a compiled Engine
-// is immutable). Hardening and resilience tests use it to arm faults on an
+// is immutable). Hardening and pipeline tests use it to arm faults on an
 // already-compiled engine without re-running the pipeline.
 func (e *Engine) WithInjector(inj *faultinject.Injector) *Engine {
 	ne := *e

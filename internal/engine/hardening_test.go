@@ -96,6 +96,37 @@ func TestInjectedLaunchFailureIsTypedAndSurvivable(t *testing.T) {
 	}
 }
 
+// TestKernelFaultsCarryTheirErrorClass pins the class each kernel fault
+// reaches a caller with through the launch boundary: a failed launch is
+// ErrTransient (environmental, a caller may retry it), a kernel panic a
+// contained *bgerr.InternalError, a tripped while-iteration cap ErrLimit (a
+// deterministic refusal no retry changes). Callers branch on these classes,
+// so a fault that changes class changes their behavior with it.
+func TestKernelFaultsCarryTheirErrorClass(t *testing.T) {
+	var ie *bgerr.InternalError
+	for _, tc := range []struct {
+		point faultinject.Point
+		class func(error) bool
+	}{
+		{faultinject.LaunchFail, func(err error) bool { return errors.Is(err, bgerr.ErrTransient) }},
+		{faultinject.KernelPanic, func(err error) bool { return errors.As(err, &ie) }},
+		{faultinject.WhileCap, func(err error) bool { return errors.Is(err, bgerr.ErrLimit) }},
+	} {
+		// Sequential mode runs the loop as a global while, where the cap sits.
+		inj := faultinject.New(1).ArmNth(tc.point, 1)
+		e, err := Compile(mustRegexes(t, "x(de)*y"), Config{Mode: kernel.ModeSequential, Grid: smallGrid, Inject: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run([]byte("xdededededey")); !tc.class(err) {
+			t.Errorf("%s: run returned %v", tc.point, err)
+		}
+		if inj.Fired(tc.point) == 0 {
+			t.Errorf("%s never fired", tc.point)
+		}
+	}
+}
+
 func TestRunContextCanceledReturnsErrCanceled(t *testing.T) {
 	regexes := mustRegexes(t, "cat", "dog")
 	cfg := BitGenDefault()

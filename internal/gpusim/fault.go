@@ -16,8 +16,7 @@ import (
 // Launch failures are classified transient (errors.Is(err, bgerr.
 // ErrTransient)): on a real device a failed launch is an environmental
 // fault worth retrying, unlike a kernel invariant violation or a resource
-// refusal. The resilience ladder retries transient faults with backoff
-// before falling over to another backend.
+// refusal.
 func CheckLaunch(inj *faultinject.Injector, cta int) error {
 	if err := inj.Err(faultinject.LaunchFail); err != nil {
 		return bgerr.Transient(fmt.Errorf("gpusim: launch of CTA group %d failed: %w", cta, err))

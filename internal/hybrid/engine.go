@@ -198,8 +198,8 @@ func compileShard(names []string, asts []rx.Node, idx []int, opts Options) (*sha
 
 // ScanContext is Scan honoring a context, checked before the scan and
 // between shard joins; cancellation returns an error satisfying
-// errors.Is(err, bgerr.ErrCanceled). It is the hybrid engine's rung of
-// the resilience backend ladder (see internal/resilience.Backend).
+// errors.Is(err, bgerr.ErrCanceled). It is what an engine pinned to the
+// hybrid backend runs (bitgen.BackendHybrid).
 func (e *Engine) ScanContext(ctx context.Context, input []byte) (*ScanResult, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -218,18 +218,6 @@ func (e *Engine) ScanContext(ctx context.Context, input []byte) (*ScanResult, er
 		}
 	}
 	return res, nil
-}
-
-// MatchPositions adapts a scan to the resilience Backend contract:
-// pattern → sorted match end positions, empty streams omitted.
-func (r *ScanResult) MatchPositions() map[string][]int {
-	out := make(map[string][]int, len(r.Outputs))
-	for name, s := range r.Outputs {
-		if p := s.Positions(); len(p) > 0 {
-			out[name] = p
-		}
-	}
-	return out
 }
 
 // Scan matches all regexes over input. With Threads > 1 the shards run
@@ -273,9 +261,9 @@ func (sh *shard) scan(input []byte) (map[string]*bitstream.Stream, Stats) {
 		out[name] = bitstream.New(len(input))
 	}
 	// Per-scan region lists live on the stack, not the shard: a compiled
-	// Engine is immutable during Scan, so concurrent scans (the resilience
-	// ladder runs the hybrid rung from a concurrency-safe public Engine)
-	// do not race.
+	// Engine is immutable during Scan, so concurrent scans (a public Engine
+	// pinned to the hybrid backend runs one per call and per ScanReader
+	// worker) do not race.
 	regions := make([][]region, len(sh.prefilt))
 	// Pass 1: prefilter.
 	sh.ac.Scan(input, func(h Hit) {

@@ -8,10 +8,8 @@ import (
 
 	"bitgen/internal/bgerr"
 	"bitgen/internal/faultinject"
-	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
 	"bitgen/internal/lower"
-	"bitgen/internal/resilience"
 	"bitgen/internal/transpose"
 )
 
@@ -143,45 +141,5 @@ func TestInjectedTileCorruptionIsContained(t *testing.T) {
 	}
 	if !clean.Outputs["re"].Equal(want) {
 		t.Fatal("clean rerun diverges from interpreter")
-	}
-}
-
-// TestKernelFaultsClassifyForResilience pins the mapping between the
-// errors this layer (and its launch boundary) produces and the resilience
-// ladder's retry/failover decision. If a kernel error ever changes class,
-// the ladder's behavior changes with it — this test makes that explicit.
-func TestKernelFaultsClassifyForResilience(t *testing.T) {
-	// A tripped while-iteration cap is a deterministic resource refusal:
-	// retrying or falling over to another backend would either refuse
-	// again or silently launder the limit away.
-	basis := transpose.Transpose([]byte("0123456789abcdef"))
-	_, err := Run(spinProgram(), basis, Config{Grid: tinyGrid, Mode: ModeSequential, MaxWhileIterations: 8})
-	if got := resilience.Classify(err); got != resilience.ClassAbort {
-		t.Fatalf("while-cap error classifies as %v, want ClassAbort", got)
-	}
-
-	// A failed launch is environmental and transient: retry it.
-	inj := faultinject.New(7).ArmNth(faultinject.LaunchFail, 1)
-	err = gpusim.CheckLaunch(inj, 0)
-	if err == nil {
-		t.Fatal("armed launch failure did not fire")
-	}
-	if !errors.Is(err, bgerr.ErrTransient) {
-		t.Fatalf("launch failure %v does not satisfy errors.Is(_, bgerr.ErrTransient)", err)
-	}
-	if got := resilience.Classify(err); got != resilience.ClassRetry {
-		t.Fatalf("launch failure classifies as %v, want ClassRetry", got)
-	}
-
-	// A contained kernel panic is an invariant violation in this backend:
-	// retrying the same broken code is pointless, the next rung is not.
-	var internal error = &bgerr.InternalError{Op: "run", Group: 0, Value: "index out of range"}
-	if got := resilience.Classify(internal); got != resilience.ClassFailover {
-		t.Fatalf("contained panic classifies as %v, want ClassFailover", got)
-	}
-
-	// Cancellation reflects caller intent, never backend fault.
-	if got := resilience.Classify(bgerr.Canceled(context.Canceled)); got != resilience.ClassAbort {
-		t.Fatalf("cancellation classifies as %v, want ClassAbort", got)
 	}
 }

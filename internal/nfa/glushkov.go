@@ -21,8 +21,8 @@ import (
 // Build. At ClamAV-megaset scale the per-state []int32 boxing this
 // replaces cost 48+ bytes of slice-header and allocator overhead per
 // state on top of the edges themselves; CSR stores exactly
-// 4·(states+1) + 4·edges bytes per table, which is what keeps the
-// resilience ladder's reference rung resident at 100k patterns.
+// 4·(states+1) + 4·edges bytes per table, which is what keeps an
+// NFA-pinned engine's reference automaton resident at 100k patterns.
 type NFA struct {
 	// Class[s] is the class consumed when entering state s (undefined for
 	// state 0).

@@ -62,9 +62,8 @@ func Simulate(n *NFA, input []byte) *SimResult {
 // observed every simCheckEvery input bytes and returns an error
 // satisfying errors.Is(err, bgerr.ErrCanceled) — wrapped in an
 // "nfa-simulate" span carrying the SimStats work counters as arguments.
-// It is the reference rung of the resilience backend ladder (see
-// internal/resilience.Backend). A nil observer adds nothing to the scan
-// path.
+// It is what an engine pinned to the NFA reference runs
+// (bitgen.BackendNFA). A nil observer adds nothing to the scan path.
 func SimulateObserved(ctx context.Context, o *obs.Observer, n *NFA, input []byte) (*SimResult, error) {
 	span := o.For(ctx).Span("nfa", "nfa-simulate", 0).Arg("input_bytes", len(input))
 	res, err := simulate(ctx, n, input)

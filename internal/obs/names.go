@@ -98,16 +98,6 @@ const (
 	MSLOBurnFast = "bitgen_slo_burn_rate_fast"
 	MSLOBurnSlow = "bitgen_slo_burn_rate_slow"
 	MSLOBudget   = "bitgen_slo_error_budget_remaining"
-
-	// Resilience ladder (mirrors internal/resilience counters).
-	MLadderCalls       = "bitgen_ladder_calls_total"
-	MLadderFallbacks   = "bitgen_ladder_fallbacks_total"
-	MLadderRetries     = "bitgen_ladder_retries_total"
-	MLadderCrossChecks = "bitgen_ladder_crosschecks_total"
-	MLadderMismatches  = "bitgen_ladder_mismatches_total"
-	MBackendServed     = "bitgen_backend_served_total"
-	MBackendFailures   = "bitgen_backend_failures_total"
-	MBreakerFlips      = "bitgen_breaker_transitions_total"
 )
 
 // Help strings, exposed so registration sites stay consistent.
@@ -188,15 +178,6 @@ const (
 	HSLOBurnFast = "Error-budget burn rate over the fast (short) window, per endpoint."
 	HSLOBurnSlow = "Error-budget burn rate over the slow (long) window, per endpoint."
 	HSLOBudget   = "Fraction of the error budget remaining since process start, per endpoint."
-
-	HLadderCalls       = "Resilience ladder invocations."
-	HLadderFallbacks   = "Calls served by a rung other than the first."
-	HLadderRetries     = "Transient-fault retries across all rungs."
-	HLadderCrossChecks = "Sampled differential cross-checks executed."
-	HLadderMismatches  = "Cross-checks that caught a wrong match set."
-	HBackendServed     = "Calls served, per ladder rung."
-	HBackendFailures   = "Failover-class failures, per ladder rung."
-	HBreakerFlips      = "Circuit-breaker state transitions, per rung and destination state."
 )
 
 // ScanSecondsBuckets are the histogram bounds for per-scan host latency:
@@ -223,8 +204,7 @@ var ResidentBytesBuckets = []float64{
 // RegisterBase eagerly registers every scan-level and modeled-kernel
 // family, so a scrape taken before the first scan (or before the first
 // rare event, like an overlap fallback) still exposes the full schema.
-// The resilience families are registered by resilience.New, which knows
-// the backend label values. Nil-safe on r.
+// Nil-safe on r.
 func RegisterBase(r *Registry) {
 	r.Counter(MScans, HScans)
 	r.Counter(MScanErrors, HScanErrors)

@@ -121,7 +121,7 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	}
 }
 
-// TestClusterFailoverAndDegraded walks the health ladder end to end: a
+// TestClusterFailoverAndDegraded walks the peer breakers end to end: a
 // refused owner fails over to the warm standby; with both candidates
 // partitioned the routing node serves locally (degraded), and its answer
 // is differentially identical to a single-node server's.

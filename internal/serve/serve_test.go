@@ -97,8 +97,8 @@ func TestMatchEndpoint(t *testing.T) {
 }
 
 // TestMatchServedThroughLadder: /v1/match runs through Engine.RunContext,
-// so a ladder configured in Config.Engine.Resilience serves it and the
-// response names the rung.
+// so the backend Config.Engine.Resilience pins serves it and the response
+// names it.
 func TestMatchServedThroughLadder(t *testing.T) {
 	_, hs := newTestServer(t, Config{Engine: bitgen.Options{
 		Resilience: &bitgen.ResilienceOptions{ForceBackend: bitgen.BackendNFA},

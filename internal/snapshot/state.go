@@ -18,7 +18,7 @@ const (
 // lowered, optimized bitstream programs plus the compile-time metadata the
 // root API derives from the pattern list (duplicate indexes, nullable set,
 // streaming bounds). Everything runtime-only — observers, arenas, the
-// resilience ladder — is reconstructed at load, not persisted.
+// backend pin — is reconstructed at load, not persisted.
 type EngineState struct {
 	// Patterns is the caller's pattern list verbatim, duplicates and order
 	// preserved, so a loaded engine fans match indexes out identically.

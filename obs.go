@@ -9,8 +9,8 @@ import (
 )
 
 // ObservabilityOptions enable the engine's observability layer: a span
-// tracer over the full pipeline (compile phases, per-kernel launches,
-// ladder rung transitions, cross-checks) exportable as Chrome trace_event
+// tracer over the full pipeline (compile phases, per-kernel launches, the
+// streaming stages, a pinned fallback's scans) exportable as Chrome trace_event
 // JSON (chrome://tracing, Perfetto), and a metrics registry (counters,
 // gauges, histograms) with a Prometheus text-exposition writer and an
 // expvar bridge. With Options.Observability nil (the default) every

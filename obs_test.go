@@ -11,9 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"bitgen/internal/faultinject"
 	"bitgen/internal/obs"
 	"bitgen/internal/workload"
 )
@@ -25,13 +23,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // per-kernel gpusim.KernelStats of that scan (surfaced on Result.Stats
 // and Result.Profile).
 func TestMetricsEqualKernelStats(t *testing.T) {
-	eng, err := Compile(ladderPatterns, &Options{
+	eng, err := Compile(pinPatterns, &Options{
 		Observability: &ObservabilityOptions{Metrics: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run([]byte(ladderInput))
+	res, err := eng.Run([]byte(pinInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +53,7 @@ func TestMetricsEqualKernelStats(t *testing.T) {
 		{obs.MKernelLaunches, float64(len(res.Profile.Kernels))},
 		{obs.MTransposeBytes, float64(res.Profile.TransposeBytes)},
 		{obs.MModeledSecs, res.Profile.Time.TotalSec},
-		{obs.MScanInputBytes, float64(len(ladderInput))},
+		{obs.MScanInputBytes, float64(len(pinInput))},
 		{obs.MMatches, float64(len(res.Matches))},
 		{obs.MScans, 1},
 	}
@@ -107,63 +105,55 @@ func TestScanReaderCountsEachInputByteOnce(t *testing.T) {
 	}
 }
 
-// TestTraceContainsPipelineSpans drives a full compile + scan + failover
-// with tracing on and asserts the exported Chrome trace carries spans for
-// the compile phases, the kernel launch, and the ladder rung transitions.
+// TestTraceContainsPipelineSpans drives a full compile + scan with tracing
+// on and asserts the exported Chrome trace carries spans for the compile
+// phases and the kernel launch — and, on an engine pinned to the hybrid or
+// NFA backend, for that automaton's scan.
 func TestTraceContainsPipelineSpans(t *testing.T) {
-	eng, err := Compile(ladderPatterns, &Options{
-		Observability: &ObservabilityOptions{Trace: true, Metrics: true},
-		Resilience:    &ResilienceOptions{RetryBaseDelay: time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First scan: served by the bitstream rung. Then persistent kernel
-	// panics force failovers to the hybrid rung until the bitstream
-	// breaker opens (threshold 3) — the rung-transition spans land in the
-	// trace, the breaker's flip in its counter (and, where an event log is
-	// attached, as one "breaker" event: the serve scenarios read that).
-	if _, err := eng.Run([]byte(ladderInput)); err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(1).Arm(faultinject.KernelPanic, faultinject.Spec{Nth: 1, Repeat: true})
-	eng.inner = eng.inner.WithInjector(inj)
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Run([]byte(ladderInput)); err != nil {
+	for _, tc := range []struct {
+		backend string
+		want    []string
+	}{
+		{"", []string{
+			"compile", "parse", "compile-group", "lower-group", "passes", // compile phases
+			"run", "transpose", "kernel-launch", "kernel-attempt", "estimate", // scan + kernel launches
+		}},
+		{BackendHybrid, []string{"compile", "run", "hybrid-scan"}},
+		{BackendNFA, []string{"compile", "run", "nfa-simulate"}},
+	} {
+		opts := &Options{Observability: &ObservabilityOptions{Trace: true}}
+		if tc.backend != "" {
+			opts.Resilience = &ResilienceOptions{ForceBackend: tc.backend}
+		}
+		eng, err := Compile(pinPatterns, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	var buf bytes.Buffer
-	if err := eng.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		seen[ev.Name] = true
-	}
-	for _, want := range []string{
-		"compile", "parse", "compile-group", "lower-group", "passes", // compile phases
-		"run", "transpose", "kernel-launch", "kernel-attempt", "estimate", // scan + kernel launches
-		"ladder-run", "rung:bitstream", "rung:hybrid", "hybrid-scan", // ladder rungs
-		"failover", // rung transition events
-	} {
-		if !seen[want] {
-			t.Errorf("trace is missing span/event %q (have %v)", want, keys(seen))
+		if _, err := eng.Run([]byte(pinInput)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	flips := obs.MBreakerFlips + `{backend="bitstream",to="open"}`
-	if got := eng.MetricsSnapshot().Counter(flips); got != 1 {
-		t.Errorf("%s = %g, want 1 (have %v)", flips, got, eng.MetricsSnapshot().Counters)
+		var buf bytes.Buffer
+		if err := eng.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("%q: trace is not valid JSON: %v", tc.backend, err)
+		}
+		seen := map[string]bool{}
+		for _, ev := range doc.TraceEvents {
+			seen[ev.Name] = true
+		}
+		for _, want := range tc.want {
+			if !seen[want] {
+				t.Errorf("%q: trace is missing span/event %q (have %v)", tc.backend, want, keys(seen))
+			}
+		}
 	}
 }
 
@@ -289,100 +279,40 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-// TestHealthUnderConcurrentScans hammers a failing-over engine from many
-// goroutines while concurrently snapshotting Health, asserting (under
-// -race) that successive snapshots are monotone and internally
-// consistent even mid-failover.
-func TestHealthUnderConcurrentScans(t *testing.T) {
-	eng, err := Compile(ladderPatterns, &Options{
-		Observability: &ObservabilityOptions{Metrics: true},
-		Resilience:    &ResilienceOptions{BreakerThreshold: 3, RetryBaseDelay: time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Persistent kernel panic: every scan fails over bitstream → hybrid.
-	inj := faultinject.New(7).Arm(faultinject.KernelPanic, faultinject.Spec{Nth: 1, Repeat: true})
-	eng.inner = eng.inner.WithInjector(inj)
-
-	const scanners = 8
-	const scansPer = 25
-	var samplerWG, scanWG sync.WaitGroup
-	stop := make(chan struct{})
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		prev := eng.Health()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			h := eng.Health()
-			if h.Calls < prev.Calls || h.Fallbacks < prev.Fallbacks ||
-				h.CrossChecks < prev.CrossChecks || h.Mismatches < prev.Mismatches {
-				t.Errorf("ladder counters went backwards: %+v -> %+v", prev, h)
-				return
-			}
-			if h.Fallbacks > h.Calls {
-				t.Errorf("fallbacks %d > calls %d", h.Fallbacks, h.Calls)
-				return
-			}
-			for i, b := range h.Backends {
-				p := prev.Backends[i]
-				if b.Attempts < p.Attempts || b.Successes < p.Successes ||
-					b.Failures < p.Failures || b.Retries < p.Retries || b.Skips < p.Skips {
-					t.Errorf("backend %s counters went backwards: %+v -> %+v", b.Name, p, b)
-					return
+// TestPinnedBackendsUnderConcurrentRuns hammers an engine pinned to each
+// backend from many goroutines (run it with -race): the hybrid and NFA
+// automata are re-entrant like the bitstream engine, every Run returns the
+// unpinned engine's matches, and the scan counter sees every one.
+func TestPinnedBackendsUnderConcurrentRuns(t *testing.T) {
+	_, want := compilePinned(t, nil)
+	for _, name := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
+		eng := MustCompile(pinPatterns, &Options{
+			Observability: &ObservabilityOptions{Metrics: true},
+			Resilience:    &ResilienceOptions{ForceBackend: name},
+		})
+		const scanners, scansPer = 8, 25
+		var wg sync.WaitGroup
+		for g := 0; g < scanners; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < scansPer; i++ {
+					res, err := eng.Run([]byte(pinInput))
+					if err != nil {
+						t.Errorf("%s: concurrent run: %v", name, err)
+						return
+					}
+					if res.Backend != name || !slices.Equal(res.Matches, want) {
+						t.Errorf("%s: served by %q, %d matches, want %d", name, res.Backend, len(res.Matches), len(want))
+						return
+					}
 				}
-				if b.Successes > b.Attempts || b.Failures > b.Attempts {
-					t.Errorf("backend %s inconsistent: %+v", b.Name, b)
-					return
-				}
-			}
-			prev = h
+			}()
 		}
-	}()
-	for g := 0; g < scanners; g++ {
-		scanWG.Add(1)
-		go func() {
-			defer scanWG.Done()
-			for i := 0; i < scansPer; i++ {
-				res, err := eng.Run([]byte(ladderInput))
-				if err != nil {
-					t.Errorf("concurrent run: %v", err)
-					return
-				}
-				if res.Backend != BackendHybrid {
-					t.Errorf("served by %q, want %q", res.Backend, BackendHybrid)
-					return
-				}
-			}
-		}()
-	}
-	scanWG.Wait()
-	close(stop)
-	samplerWG.Wait()
-
-	h := eng.Health()
-	if h.Calls != scanners*scansPer {
-		t.Fatalf("calls = %d, want %d", h.Calls, scanners*scansPer)
-	}
-	if h.Fallbacks != h.Calls {
-		t.Fatalf("every scan should have fallen over: fallbacks %d, calls %d", h.Fallbacks, h.Calls)
-	}
-	gpu := h.Backends[0]
-	if gpu.Failures == 0 || gpu.Skips == 0 {
-		t.Fatalf("GPU rung should have failures and breaker skips: %+v", gpu)
-	}
-	// Metrics mirror: ladder counters in the registry agree with Health.
-	snap := eng.MetricsSnapshot()
-	if got := snap.Counter(obs.MLadderCalls); got != float64(h.Calls) {
-		t.Errorf("%s = %g, want %d", obs.MLadderCalls, got, h.Calls)
-	}
-	if got := snap.Counter(obs.MLadderFallbacks); got != float64(h.Fallbacks) {
-		t.Errorf("%s = %g, want %d", obs.MLadderFallbacks, got, h.Fallbacks)
+		wg.Wait()
+		if got := eng.MetricsSnapshot().Counter(obs.MScans); got != scanners*scansPer {
+			t.Errorf("%s: %s = %g, want %d", name, obs.MScans, got, scanners*scansPer)
+		}
 	}
 }
 
@@ -409,20 +339,19 @@ func prometheusSchema(exposition string) string {
 }
 
 // TestPrometheusGoldenMetricNames renders the full exposition of an
-// engine with metrics and resilience enabled and compares its schema —
+// engine with metrics enabled and compares its schema —
 // help text, type lines, and every series key including histogram bucket
 // bounds and label order — against the checked-in golden. Adding or
 // renaming a metric, changing help text, or reordering labels must update
 // testdata/metrics.golden deliberately (run with -update-golden).
 func TestPrometheusGoldenMetricNames(t *testing.T) {
-	eng, err := Compile(ladderPatterns, &Options{
+	eng, err := Compile(pinPatterns, &Options{
 		Observability: &ObservabilityOptions{Metrics: true},
-		Resilience:    &ResilienceOptions{CrossCheckFraction: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run([]byte(ladderInput)); err != nil {
+	if _, err := eng.Run([]byte(pinInput)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -452,14 +381,13 @@ func TestPrometheusGoldenMetricNames(t *testing.T) {
 // opposite orders) render the same bytes, with the histogram `le` label
 // merged into its sorted position rather than appended last.
 func TestPrometheusDeterministicRender(t *testing.T) {
-	eng, err := Compile(ladderPatterns, &Options{
+	eng, err := Compile(pinPatterns, &Options{
 		Observability: &ObservabilityOptions{Metrics: true},
-		Resilience:    &ResilienceOptions{CrossCheckFraction: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run([]byte(ladderInput)); err != nil {
+	if _, err := eng.Run([]byte(pinInput)); err != nil {
 		t.Fatal(err)
 	}
 	var first, second bytes.Buffer
@@ -515,11 +443,11 @@ func TestPrometheusDeterministicRender(t *testing.T) {
 // TestDisabledObservabilityIsInert: with Options.Observability nil, the
 // accessors are safe no-ops and results carry no profile.
 func TestDisabledObservabilityIsInert(t *testing.T) {
-	eng, err := Compile(ladderPatterns, nil)
+	eng, err := Compile(pinPatterns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run([]byte(ladderInput))
+	res, err := eng.Run([]byte(pinInput))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,34 +3,31 @@ package bitgen
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
-	"time"
 
 	"bitgen/internal/faultinject"
-	"bitgen/internal/resilience"
 )
 
-var ladderPatterns = []string{"cat", "d.g", "\\d{2}"}
+var pinPatterns = []string{"cat", "d.g", "\\d{2}"}
 
-const ladderInput = "cat 42 dog dig 7 catalog dug 19 cat"
+const pinInput = "cat 42 dog dig 7 catalog dug 19 cat"
 
-// compileResilient compiles with the ladder enabled and returns the
-// engine plus the expected (fault-free) match set.
-func compileResilient(t *testing.T, ropts *ResilienceOptions) (*Engine, []Match) {
+// compilePinned compiles with the given pin and returns the engine plus the
+// expected match set: an unpinned engine's.
+func compilePinned(t *testing.T, ropts *ResilienceOptions) (*Engine, []Match) {
 	t.Helper()
-	baseline, err := Compile(ladderPatterns, nil)
+	baseline, err := Compile(pinPatterns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := baseline.Run([]byte(ladderInput))
+	want, err := baseline.Run([]byte(pinInput))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Matches) == 0 {
 		t.Fatal("baseline found no matches; test input is broken")
 	}
-	e, err := Compile(ladderPatterns, &Options{Resilience: ropts})
+	e, err := Compile(pinPatterns, &Options{Resilience: ropts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +46,11 @@ func sameMatches(t *testing.T, got []Match, want []Match) {
 	}
 }
 
+// TestResilientRunHappyPathServesBitstream: an empty pin is the bitstream
+// engine — with its modeled stats, named in Result.Backend.
 func TestResilientRunHappyPathServesBitstream(t *testing.T) {
-	e, want := compileResilient(t, &ResilienceOptions{})
-	res, err := e.Run([]byte(ladderInput))
+	e, want := compilePinned(t, &ResilienceOptions{})
+	res, err := e.Run([]byte(pinInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,202 +61,39 @@ func TestResilientRunHappyPathServesBitstream(t *testing.T) {
 	if res.Stats.ModeledTime <= 0 {
 		t.Fatal("bitstream-served result lost its modeled stats")
 	}
-	h := e.Health()
-	if len(h.Backends) != 3 || h.Backends[0].Name != BackendBitstream ||
-		h.Backends[1].Name != BackendHybrid || h.Backends[2].Name != BackendNFA {
-		t.Fatalf("ladder rungs = %+v", h.Backends)
-	}
-	if h.Calls != 1 || h.Fallbacks != 0 {
-		t.Fatalf("health = %+v", h)
+	if e.fallback != nil {
+		t.Fatal("a bitstream pin compiled a fallback automaton")
 	}
 }
 
-// TestPersistentKernelFailureFallsOverAndOpensBreaker is the acceptance
-// test for the ISSUE: with faultinject forcing persistent kernel failure,
-// Run still returns the correct match set via fallback and Health reports
-// the GPU backend open.
-func TestPersistentKernelFailureFallsOverAndOpensBreaker(t *testing.T) {
-	e, want := compileResilient(t, &ResilienceOptions{BreakerThreshold: 3})
-	inj := faultinject.New(1).Arm(faultinject.KernelPanic, faultinject.Spec{Nth: 1, Repeat: true})
-	e.inner = e.inner.WithInjector(inj)
-
-	for i := 0; i < 5; i++ {
-		res, err := e.Run([]byte(ladderInput))
-		if err != nil {
-			t.Fatalf("run %d under persistent kernel panic: %v", i, err)
-		}
-		sameMatches(t, res.Matches, want)
-		if res.Backend != BackendHybrid {
-			t.Fatalf("run %d served by %q, want %q", i, res.Backend, BackendHybrid)
-		}
-	}
-	h := e.Health()
-	gpu := h.Backends[0]
-	if gpu.State != resilience.Open {
-		t.Fatalf("GPU backend state = %v, want open", gpu.State)
-	}
-	if gpu.ConsecutiveFailures < 3 || gpu.Failures < 3 {
-		t.Fatalf("GPU failure accounting = %+v", gpu)
-	}
-	if gpu.Skips == 0 {
-		t.Fatal("open breaker never skipped the GPU backend")
-	}
-	if h.Fallbacks != 5 {
-		t.Fatalf("fallbacks = %d, want 5", h.Fallbacks)
-	}
-	// CountOnly rides the same ladder.
-	counts, err := e.CountOnly([]byte(ladderInput))
+// TestHealthZeroWhenResilienceDisabled: an engine compiled without
+// Options.Resilience names no backend in Result.Backend and carries no
+// fallback automaton.
+func TestHealthZeroWhenResilienceDisabled(t *testing.T) {
+	plain, err := Compile(pinPatterns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ladderPatterns {
-		n := 0
-		for _, m := range want {
-			if m.Pattern == p {
-				n++
-			}
-		}
-		if counts[p] != n {
-			t.Fatalf("CountOnly[%s] = %d, want %d", p, counts[p], n)
-		}
+	if plain.fallback != nil {
+		t.Fatal("an unpinned engine compiled a fallback automaton")
+	}
+	res, err := plain.Run([]byte(pinInput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Backend != "" {
+		t.Fatalf("Result.Backend = %q without Options.Resilience, want empty", res.Backend)
 	}
 }
 
-func TestTransientLaunchFailureIsRetriedOnPrimary(t *testing.T) {
-	e, want := compileResilient(t, &ResilienceOptions{RetryBaseDelay: time.Microsecond})
-	inj := faultinject.New(1).ArmNth(faultinject.LaunchFail, 1)
-	e.inner = e.inner.WithInjector(inj)
-
-	res, err := e.Run([]byte(ladderInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, res.Matches, want)
-	if res.Backend != BackendBitstream {
-		t.Fatalf("transient fault fell over to %q instead of retrying the primary", res.Backend)
-	}
-	h := e.Health()
-	if h.Backends[0].Retries == 0 {
-		t.Fatal("no retry recorded for the transient launch failure")
-	}
-	if h.Fallbacks != 0 {
-		t.Fatalf("fallbacks = %d, want 0", h.Fallbacks)
-	}
-}
-
-func TestScanReaderRidesLadderPerChunk(t *testing.T) {
-	e, want := compileResilient(t, &ResilienceOptions{
-		MaxRetries: -1, BreakerThreshold: 3,
-	})
-	inj := faultinject.New(1).Arm(faultinject.LaunchFail, faultinject.Spec{Nth: 1, Repeat: true})
-	e.inner = e.inner.WithInjector(inj)
-
-	var got []Match
-	if err := e.ScanReader(strings.NewReader(ladderInput), 8, func(m Match) { got = append(got, m) }); err != nil {
-		t.Fatalf("ScanReader under persistent launch failure: %v", err)
-	}
-	sameMatches(t, got, want)
-	h := e.Health()
-	if h.Fallbacks == 0 {
-		t.Fatal("no chunk fell over despite persistent launch failure")
-	}
-	if h.Backends[0].State != resilience.Open {
-		t.Fatalf("GPU backend state = %v, want open after persistent chunk failures", h.Backends[0].State)
-	}
-}
-
-// TestTileCorruptionCaughtByCrossCheck is the acceptance test for sampled
-// differential cross-checking: an injected silent data fault (corrupted
-// shared-memory tile) is detected by comparison against the NFA
-// reference, the primary is quarantined, and the caller still receives
-// the correct match set.
-func TestTileCorruptionCaughtByCrossCheck(t *testing.T) {
-	e, want := compileResilient(t, &ResilienceOptions{CrossCheckFraction: 1})
-	inj := faultinject.New(21).ArmNth(faultinject.TileCorrupt, 1)
-	e.inner = e.inner.WithInjector(inj)
-
-	res, err := e.Run([]byte(ladderInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Fired(faultinject.TileCorrupt) == 0 {
-		t.Fatal("tile-corrupt point never fired")
-	}
-	sameMatches(t, res.Matches, want)
-	if res.Backend != BackendNFA {
-		t.Fatalf("mismatching call served by %q, want the NFA reference", res.Backend)
-	}
-	h := e.Health()
-	if h.CrossChecks != 1 || h.Mismatches != 1 {
-		t.Fatalf("cross-check accounting = %+v", h)
-	}
-	gpu := h.Backends[0]
-	if !gpu.Quarantined || gpu.State != resilience.Open {
-		t.Fatalf("corrupted backend not quarantined: %+v", gpu)
-	}
-	if !strings.Contains(gpu.LastFailure, "cross-check") {
-		t.Fatalf("quarantine reason = %q", gpu.LastFailure)
-	}
-	// The quarantined primary is out of the ladder: the next call is
-	// served by the hybrid rung (and agrees with the reference).
-	res, err = e.Run([]byte(ladderInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, res.Matches, want)
-	if res.Backend != BackendHybrid {
-		t.Fatalf("post-quarantine call served by %q, want %q", res.Backend, BackendHybrid)
-	}
-	// An operator reset (after fixing the fault) restores the primary.
-	if !e.ResetBackend(BackendBitstream) {
-		t.Fatal("ResetBackend did not find the bitstream rung")
-	}
-	res, err = e.Run([]byte(ladderInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, res.Matches, want)
-	if res.Backend != BackendBitstream {
-		t.Fatalf("post-reset call served by %q, want %q", res.Backend, BackendBitstream)
-	}
-}
-
-func TestBreakerRecoversAfterCooldownProbe(t *testing.T) {
-	e, want := compileResilient(t, &ResilienceOptions{
-		BreakerThreshold: 2, BreakerCooldown: 30 * time.Millisecond,
-	})
-	inj := faultinject.New(1).Arm(faultinject.KernelPanic, faultinject.Spec{Nth: 1, Repeat: true})
-	e.inner = e.inner.WithInjector(inj)
-
-	for i := 0; i < 3; i++ {
-		if _, err := e.Run([]byte(ladderInput)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h := e.Health(); h.Backends[0].State != resilience.Open {
-		t.Fatalf("state = %v, want open", h.Backends[0].State)
-	}
-	// The environmental fault clears; after the cooldown the half-open
-	// probe succeeds and the primary serves again.
-	inj.Disarm(faultinject.KernelPanic)
-	time.Sleep(40 * time.Millisecond)
-	res, err := e.Run([]byte(ladderInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, res.Matches, want)
-	if res.Backend != BackendBitstream {
-		t.Fatalf("recovery probe served by %q, want %q", res.Backend, BackendBitstream)
-	}
-	if h := e.Health(); h.Backends[0].State != resilience.Closed {
-		t.Fatalf("state after successful probe = %v, want closed", h.Backends[0].State)
-	}
-}
-
+// TestForceBackendPinsTheLadder: every pin serves Run and CountOnly with the
+// unpinned engine's answer and names itself; a hybrid or NFA pin compiles
+// that one automaton and counts it resident; an unknown name is refused.
 func TestForceBackendPinsTheLadder(t *testing.T) {
+	plain := MustCompile(pinPatterns, nil)
 	for _, name := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-		e, want := compileResilient(t, &ResilienceOptions{ForceBackend: name})
-		res, err := e.Run([]byte(ladderInput))
+		e, want := compilePinned(t, &ResilienceOptions{ForceBackend: name})
+		res, err := e.Run([]byte(pinInput))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -265,49 +101,75 @@ func TestForceBackendPinsTheLadder(t *testing.T) {
 		if res.Backend != name {
 			t.Fatalf("forced %q but served by %q", name, res.Backend)
 		}
-		if h := e.Health(); len(h.Backends) != 1 || h.Backends[0].Name != name {
-			t.Fatalf("forced ladder rungs = %+v", h.Backends)
+		counts, err := e.CountOnly([]byte(pinInput))
+		if err != nil {
+			t.Fatalf("%s: CountOnly: %v", name, err)
+		}
+		for _, p := range pinPatterns {
+			if counts[p] != res.Counts[p] {
+				t.Fatalf("%s: CountOnly[%s] = %d, Run counts %d", name, p, counts[p], res.Counts[p])
+			}
+		}
+		if fallback := e.fallback != nil; fallback != (name != BackendBitstream) {
+			t.Fatalf("%s: fallback automaton compiled = %v", name, fallback)
+		}
+		if grew := e.ResidentBytes() > plain.ResidentBytes(); grew != (name != BackendBitstream) {
+			t.Fatalf("%s: resident %d bytes, unpinned %d", name, e.ResidentBytes(), plain.ResidentBytes())
 		}
 	}
-	if _, err := Compile(ladderPatterns, &Options{
+	if _, err := Compile(pinPatterns, &Options{
 		Resilience: &ResilienceOptions{ForceBackend: "abacus"},
 	}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("unknown forced backend returned %v, want ErrUnsupported", err)
 	}
 }
 
-func TestTerminalErrorsDoNotFailOver(t *testing.T) {
-	e, err := Compile(ladderPatterns, &Options{
-		Resilience: &ResilienceOptions{},
-		Limits:     Limits{MaxInputBytes: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestPinnedBitstreamFaultsSurfaceTyped: nothing retries or falls over on
+// the caller's behalf. A failed launch reaches the caller as ErrTransient,
+// a kernel panic as *InternalError — through Run, CountOnly and a
+// ScanReader chunk alike — and the engine serves the next call.
+func TestPinnedBitstreamFaultsSurfaceTyped(t *testing.T) {
+	e, want := compilePinned(t, &ResilienceOptions{ForceBackend: BackendBitstream})
+	clean := e.inner
+	calls := map[string]func() error{
+		"Run": func() error { _, err := e.Run([]byte(pinInput)); return err },
+		"CountOnly": func() error {
+			_, err := e.CountOnly([]byte(pinInput))
+			return err
+		},
+		"ScanReader": func() error {
+			return e.ScanReader(bytes.NewReader([]byte(pinInput)), 16, func(Match) {})
+		},
 	}
-	if _, err := e.Run(bytes.Repeat([]byte("x"), 9)); !errors.Is(err, ErrLimit) {
-		t.Fatalf("oversized input returned %v, want ErrLimit (no fallback laundering)", err)
-	}
-	if h := e.Health(); h.Calls != 0 {
-		t.Fatalf("limit refusal consumed a ladder call: %+v", h)
+	for name, call := range calls {
+		e.inner = clean.WithInjector(faultinject.New(1).ArmNth(faultinject.LaunchFail, 1))
+		if err := call(); !errors.Is(err, ErrTransient) {
+			t.Fatalf("%s under a failed launch: %v, want ErrTransient", name, err)
+		}
+		e.inner = clean.WithInjector(faultinject.New(1).ArmNth(faultinject.KernelPanic, 1))
+		var ie *InternalError
+		if err := call(); !errors.As(err, &ie) {
+			t.Fatalf("%s under a kernel panic: %v, want *InternalError", name, err)
+		}
+		res, err := e.Run([]byte(pinInput))
+		if err != nil {
+			t.Fatalf("%s: engine unusable after the faults: %v", name, err)
+		}
+		sameMatches(t, res.Matches, want)
 	}
 }
 
-func TestHealthZeroWhenResilienceDisabled(t *testing.T) {
-	e, err := Compile(ladderPatterns, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := e.Health(); len(h.Backends) != 0 || h.Calls != 0 {
-		t.Fatalf("disabled resilience health = %+v, want zero", h)
-	}
-	if e.ResetBackend(BackendBitstream) {
-		t.Fatal("ResetBackend succeeded without a ladder")
-	}
-	res, err := e.Run([]byte(ladderInput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "" {
-		t.Fatalf("Result.Backend = %q without resilience, want empty", res.Backend)
+func TestTerminalErrorsDoNotFailOver(t *testing.T) {
+	for _, name := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
+		e, err := Compile(pinPatterns, &Options{
+			Resilience: &ResilienceOptions{ForceBackend: name},
+			Limits:     Limits{MaxInputBytes: 8},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(bytes.Repeat([]byte("x"), 9)); !errors.Is(err, ErrLimit) {
+			t.Fatalf("%s: oversized input returned %v, want ErrLimit", name, err)
+		}
 	}
 }

@@ -35,11 +35,9 @@ type scanJob struct {
 	data    []byte       // valid view of buf.B
 	offset  int64        // absolute stream offset of data[0]
 	newFrom int64        // first absolute offset not yet emitted
-	// Worker output, at absolute offsets >= newFrom: matches in (End, rank)
-	// order from an engine session, or — on a ladder-enabled engine —
-	// ladder in (End, Pattern, Index) order from whichever rung served.
+	// Worker output: the matches at absolute offsets >= newFrom, in (End,
+	// rank) order, from an engine session or the pinned fallback automaton.
 	matches []engine.ScanMatch
-	ladder  []Match
 	err     error
 }
 
@@ -50,8 +48,8 @@ type scanJob struct {
 // The reader cuts the stream into chunks overlapping by maxLen-1 bytes, in
 // pooled buffers; each worker runs whole chunks — on an engine.ScanSession
 // borrowed from the engine's pool for the call (the one Run borrows from), or
-// through the backend ladder when one is configured — and keeps the matches ending
-// in the chunk's fresh bytes; the emit stage reorders completed chunks by
+// on the pinned hybrid or NFA automaton — and keeps the matches ending in the
+// chunk's fresh bytes; the emit stage reorders completed chunks by
 // sequence number, so matches appear in (End, Pattern, Index) order
 // whatever the worker count. Chunk N+1 is being read and scanned while
 // chunk N's matches are emitted. All stages shut down — and every pooled
@@ -62,11 +60,6 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	workers := e.scanWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if e.ladder != nil {
-		// The ladder's retry, breaker and cross-check-sampling sequence is
-		// defined in chunk order: one worker, taking chunks as they were cut.
-		workers = 1
 	}
 	ar := e.scanArena
 	if ar == nil {
@@ -99,7 +92,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	// failedSeq is the lowest sequence number whose chunk failed, published
 	// by the failing worker before it takes more work. Workers pass every
 	// later chunk on unscanned: with one worker nothing past the first
-	// failing chunk reaches the engine or the ladder. Earlier chunks still in
+	// failing chunk reaches the engine. Earlier chunks still in
 	// flight on other workers must finish — the emit stage owes their
 	// matches — which is why the worker does not cancel pctx; the emit stage
 	// does, once it reaches the failed chunk.
@@ -175,13 +168,13 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			// PutSession drops the session if a chunk failed on it.
 			var ss *engine.ScanSession
 			var ssErr error
-			if e.ladder == nil {
+			if e.fallback == nil {
 				if ss, ssErr = e.inner.GetSession(o, lane, false); ss != nil {
 					defer e.inner.PutSession(ss)
 				}
 			}
 			for j := range work {
-				j.matches, j.ladder = j.matches[:0], j.ladder[:0]
+				j.matches = j.matches[:0]
 				if j.seq > failedSeq.Load() {
 					j.err = bgerr.Canceled(context.Canceled)
 				} else {
@@ -191,7 +184,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 						cspan = o.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
 					}
 					j.scan(pctx, e, ss, ssErr)
-					n := len(j.matches) + len(j.ladder)
+					n := len(j.matches)
 					if traced {
 						cspan.Arg("matches", n).End()
 					}
@@ -243,12 +236,9 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 							emit(Match{Pattern: e.rankNames[m.Rank], Index: idx, End: int(m.End)})
 						}
 					}
-					for _, m := range k.ladder {
-						emit(m)
-					}
 					if traced {
 						o.Instant("scan", "emit-chunk", scanLaneEmit,
-							obs.A("seq", k.seq), obs.A("matches", len(k.matches)+len(k.ladder)))
+							obs.A("seq", k.seq), obs.A("matches", len(k.matches)))
 					}
 				}
 			}
@@ -263,34 +253,22 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	return readerErr
 }
 
-// scan runs the job's chunk — through the backend ladder when the engine
-// has one, else on the worker's session — containing any panic as a typed
-// internal error (mirroring Run's containment) so one poisoned chunk cannot
-// take down the pipeline.
+// scan runs the job's chunk — on the pinned fallback automaton when the
+// engine has one, else on the worker's session — containing any panic as a
+// typed internal error (mirroring Run's containment) so one poisoned chunk
+// cannot take down the pipeline.
 func (j *scanJob) scan(ctx context.Context, e *Engine, ss *engine.ScanSession, ssErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.err = &bgerr.InternalError{Op: "scan", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if ssErr != nil {
+	switch {
+	case ssErr != nil:
 		j.err = ssErr
-		return
-	}
-	if e.ladder == nil {
+	case e.fallback != nil:
+		j.matches, j.err = e.scanFallback(ctx, j.data, j.offset, j.newFrom, j.matches)
+	default:
 		j.matches, j.err = ss.Scan(ctx, j.data, j.offset, j.newFrom, j.matches)
-		return
-	}
-	res, err := e.runLadder(ctx, j.data)
-	if j.err = err; err != nil {
-		return
-	}
-	for _, m := range res.Matches {
-		// Ends inside the carried-over overlap were reported by the
-		// previous chunk.
-		if abs := j.offset + int64(m.End); abs >= j.newFrom {
-			m.End = int(abs)
-			j.ladder = append(j.ladder, m)
-		}
 	}
 }

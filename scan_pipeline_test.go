@@ -179,7 +179,7 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 }
 
 // TestScanPipelinedContainsInjectedKernelPanic arms a one-shot kernel panic
-// on a pipelined, non-ladder ScanReader. The reader holds chunk k back
+// on a pipelined ScanReader. The reader holds chunk k back
 // until every earlier chunk has been emitted, and the fault is armed for
 // the first launch after that: it lands on group 0 of chunk k or — the
 // launch counter is global — of a later chunk racing through another
@@ -312,7 +312,7 @@ func TestSignatureSetEntryPointsEqualNFA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range app.Patterns { // the NFA rung lists no zero counts
+		for _, p := range app.Patterns {
 			if counts[p] != ref.Counts[p] {
 				t.Fatalf("pass %d: CountOnly %q = %d, the NFA rung counts %d", pass, p, counts[p], ref.Counts[p])
 			}
@@ -506,57 +506,60 @@ func straddleCorpus(units int) ([]string, []byte) {
 	return []string{"abcde", "c.e", "abcde", "e[ab]{1,3}"}, []byte(strings.Repeat("abcde", units))
 }
 
-// TestScanReaderLadderMatchesRunAcrossChunkSizes sends ladder-enabled scans
-// down the one streaming loop: for every rung and for chunk sizes from the
-// smallest legal one up, ScanReader must emit exactly Run's (End, Pattern,
-// Index) sequence on the whole input, one ladder call per chunk.
+// TestScanReaderLadderMatchesRunAcrossChunkSizes streams on every pinned
+// backend down the one streaming loop: for each backend, with one worker and
+// with four (the hybrid and NFA automata are re-entrant, so a pinned fallback
+// streams on ScanWorkers like the bitstream engine), and for chunk sizes from
+// the smallest legal one up, ScanReader must emit exactly the bitstream
+// engine's whole-input Run (End, Pattern, Index) sequence.
 func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
 	patterns, input := straddleCorpus(2463) // three 4099-byte chunks and a bit
 	minLen := []int{5, 3, 5, 2}
+	plain := MustCompile(patterns, &Options{CTAs: 2, Threads: 64})
+	want, err := plain.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := []int{plain.maxLen + 1, 64, 4099}
+	for _, chunk := range chunks {
+		for b := chunk; b < len(input); b += chunk {
+			straddled := false
+			for _, m := range want.Matches {
+				// A match is at least minLen bytes long, so it starts at or
+				// before End-minLen+1.
+				if m.End >= b && m.End-minLen[m.Index]+1 < b {
+					straddled = true
+					break
+				}
+			}
+			if !straddled {
+				t.Fatalf("chunk %d: no match straddles the boundary at %d", chunk, b)
+			}
+		}
+	}
 	for _, backend := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-		eng, err := Compile(patterns, &Options{
-			CTAs: 2, Threads: 64, ScanWorkers: 4, // the ladder pins the pipeline to one worker
-			Resilience: &ResilienceOptions{ForceBackend: backend},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		want, err := eng.Run(input)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", backend, err)
-		}
-		for _, chunk := range []int{eng.maxLen + 1, 64, 4099} {
-			for b := chunk; b < len(input); b += chunk {
-				straddled := false
-				for _, m := range want.Matches {
-					// A match is at least minLen bytes long, so it starts at
-					// or before End-minLen+1.
-					if m.End >= b && m.End-minLen[m.Index]+1 < b {
-						straddled = true
-						break
-					}
+		for _, workers := range []int{1, 4} {
+			eng, err := Compile(patterns, &Options{
+				CTAs: 2, Threads: 64, ScanWorkers: workers,
+				Resilience: &ResilienceOptions{ForceBackend: backend},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", backend, err)
+			}
+			for _, chunk := range chunks {
+				a := &arena.Arena{}
+				eng.scanArena = a
+				var got []Match
+				if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) }); err != nil {
+					t.Fatalf("%s workers %d chunk %d: %v", backend, workers, chunk, err)
 				}
-				if !straddled {
-					t.Fatalf("chunk %d: no match straddles the boundary at %d", chunk, b)
+				if !reflect.DeepEqual(got, want.Matches) {
+					t.Fatalf("%s workers %d chunk %d: streamed %d matches, Run %d; first difference at %d",
+						backend, workers, chunk, len(got), len(want.Matches), firstDiff(got, want.Matches))
 				}
-			}
-			a := &arena.Arena{}
-			eng.scanArena = a
-			calls := eng.Health().Calls
-			var got []Match
-			if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) }); err != nil {
-				t.Fatalf("%s chunk %d: %v", backend, chunk, err)
-			}
-			if !reflect.DeepEqual(got, want.Matches) {
-				t.Fatalf("%s chunk %d: streamed %d matches, Run %d; first difference at %d",
-					backend, chunk, len(got), len(want.Matches), firstDiff(got, want.Matches))
-			}
-			k := uint64((len(input) + chunk - 1) / chunk)
-			if n := eng.Health().Calls - calls; n != k {
-				t.Fatalf("%s chunk %d: %d ladder calls for %d chunks", backend, chunk, n, k)
-			}
-			if err := a.CheckBalanced(); err != nil {
-				t.Fatalf("%s chunk %d: %v", backend, chunk, err)
+				if err := a.CheckBalanced(); err != nil {
+					t.Fatalf("%s workers %d chunk %d: %v", backend, workers, chunk, err)
+				}
 			}
 		}
 	}
@@ -572,18 +575,17 @@ func firstDiff(a, b []Match) int {
 }
 
 // TestScanReaderLadderStopsAtFirstFailingChunk pins first-failure semantics
-// where they matter most: with a ladder, a chunk past the failing one must
-// not feed the breaker or the cross-check sampler. Every launch from chunk
-// j's on fails and there is no lower rung, so the scan must end with chunk
-// j's error after exactly j+1 ladder calls — although the reader has chunks
+// on a pinned engine with one worker: no chunk past the failing one may reach
+// the engine. Every launch from chunk j's on fails, so the scan must end with
+// chunk j's error after exactly j+1 launches — although the reader has chunks
 // j+1 and j+2 queued by then — having emitted every match that ends before
 // chunk j's fresh bytes and nothing else.
 func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
 	const chunk, j = 64, 5
 	patterns, input := straddleCorpus(154) // 13 chunks
 	eng, err := Compile(patterns, &Options{
-		CTAs: 1, Threads: 64, // one group: one launch per chunk
-		Resilience: &ResilienceOptions{ForceBackend: BackendBitstream, MaxRetries: -1},
+		CTAs: 1, Threads: 64, ScanWorkers: 1, // one group: one launch per chunk
+		Resilience: &ResilienceOptions{ForceBackend: BackendBitstream},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -600,7 +602,6 @@ func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
 	eng.inner = eng.inner.WithInjector(inj)
 	a := &arena.Arena{}
 	eng.scanArena = a
-	calls := eng.Health().Calls
 
 	var got []Match
 	err = eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) })
@@ -608,11 +609,8 @@ func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Hit != j+1 {
 		t.Fatalf("err = %v, want the launch failure of chunk %d (hit %d)", err, j, j+1)
 	}
-	if n := eng.Health().Calls - calls; n != j+1 {
-		t.Fatalf("%d ladder calls, want %d: no chunk after the failing one may reach the ladder", n, j+1)
-	}
 	if hits := inj.Hits(faultinject.LaunchFail); hits != j+1 {
-		t.Fatalf("%d launches, want %d", hits, j+1)
+		t.Fatalf("%d launches, want %d: no chunk after the failing one may reach the engine", hits, j+1)
 	}
 	if !reflect.DeepEqual(got, want.Matches[:before]) {
 		t.Fatalf("emitted %d matches, want exactly the %d ending before offset %d", len(got), before, j*chunk)

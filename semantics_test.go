@@ -63,7 +63,7 @@ func TestNullableEndOfInputMatch(t *testing.T) {
 }
 
 // TestNullableEndOfInputAcrossBackends pins the EOF empty-match fix to all
-// three ladder rungs: the bitstream kernel, the hybrid engine and the NFA
+// three backends: the bitstream kernel, the hybrid engine and the NFA
 // reference must each report the end-of-input position.
 func TestNullableEndOfInputAcrossBackends(t *testing.T) {
 	patterns := []string{"a{0}", "ab", "c*"}
@@ -156,7 +156,7 @@ func TestDuplicatePatternsMixedSet(t *testing.T) {
 }
 
 // TestDuplicatePatternsAcrossBackends pins duplicate fan-out to every
-// ladder rung.
+// backend.
 func TestDuplicatePatternsAcrossBackends(t *testing.T) {
 	patterns := []string{"abc", "abc", "z"}
 	input := []byte("zabcz")
@@ -186,8 +186,8 @@ func TestDuplicatePatternsAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestScanReaderDuplicatePatterns verifies both streaming paths (pipelined
-// and ladder-sequential) fan duplicates out per index in sorted order.
+// TestScanReaderDuplicatePatterns verifies streaming on every backend fans
+// duplicates out per index in sorted order.
 func TestScanReaderDuplicatePatterns(t *testing.T) {
 	input := strings.Repeat("xxabcxx", 3)
 	want := []Match{
@@ -200,7 +200,9 @@ func TestScanReaderDuplicatePatterns(t *testing.T) {
 	}
 	for name, opts := range map[string]*Options{
 		"pipelined": nil,
-		"ladder":    {Resilience: &ResilienceOptions{}},
+		"bitstream": {Resilience: &ResilienceOptions{}},
+		"hybrid":    {Resilience: &ResilienceOptions{ForceBackend: BackendHybrid}},
+		"nfa":       {Resilience: &ResilienceOptions{ForceBackend: BackendNFA}},
 	} {
 		e := MustCompile([]string{"abc", "abc"}, opts)
 		var got []Match

@@ -42,7 +42,7 @@ func hashCompileOptions(h hash.Hash, opts *Options) {
 // engine. Runtime-only options — ScanWorkers, Resilience, Observability —
 // are deliberately excluded: they reconfigure execution, not compilation,
 // so a snapshot saved by a plain process warm-starts a traced or
-// resilience-laddered one.
+// backend-pinned one.
 func optionsHash(opts *Options) string {
 	h := sha256.New()
 	hashField(h, "bitgen-snapshot-options-v3")
@@ -56,10 +56,10 @@ func optionsHash(opts *Options) string {
 // bounds) the public API derives from the pattern list. LoadEngine
 // restores it without recompiling.
 //
-// Runtime-only state — the resilience ladder, observability hooks, scan
-// arenas — is not persisted; LoadEngine rebuilds it from its own Options.
-// Engines compiled with Resilience save fine: only the bitstream rung's
-// compiled form is persisted, and the loader reconstructs the other rungs.
+// Runtime-only state — the backend pin, observability hooks, scan arenas —
+// is not persisted; LoadEngine rebuilds it from its own Options. Engines
+// compiled with Resilience save fine: only the bitstream engine's compiled
+// form is persisted, and the loader rebuilds a hybrid or NFA pin.
 func SaveEngine(w io.Writer, e *Engine) error {
 	if e == nil || e.inner == nil {
 		return fmt.Errorf("bitgen: SaveEngine: nil engine")
@@ -162,10 +162,10 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 		optsHash:    st.OptionsHash,
 	}
 	e.initRankIndexes()
-	if opts.Resilience != nil {
-		// The fallback rungs (hybrid, NFA) are runtime constructions over
-		// the pattern ASTs; snapshots persist only the bitstream programs,
-		// so rebuild the ladder by re-parsing — cheap next to lowering.
+	// A hybrid or NFA pin is a runtime construction over the pattern ASTs;
+	// snapshots persist only the bitstream programs, so it is rebuilt by
+	// re-parsing — cheap next to lowering.
+	err = e.pinBackend(opts.Resilience, func() ([]rx.Node, error) {
 		asts := make([]rx.Node, len(unique))
 		for i, p := range unique {
 			ast, err := rx.ParseWith(p, rx.Options{FoldCase: st.FoldCase})
@@ -177,9 +177,10 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 			}
 			asts[i] = ast
 		}
-		if err := buildLadder(e, asts, opts.Resilience); err != nil {
-			return nil, err
-		}
+		return asts, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }

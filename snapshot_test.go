@@ -78,8 +78,8 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripBackends loads under resilience and forces each
-// backend rung: the snapshot path must preserve cross-backend agreement.
+// TestSnapshotRoundTripBackends loads under each backend pin: the snapshot
+// path must preserve cross-backend agreement.
 func TestSnapshotRoundTripBackends(t *testing.T) {
 	fresh := compileFresh(t, nil)
 	want, err := fresh.Run(snapInput)
@@ -331,8 +331,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSnapshotResilienceSaved saves an engine that was compiled WITH
-// resilience and loads it plain: only compiled state persists.
+// TestSnapshotResilienceSaved saves an engine that was compiled WITH a
+// backend pin and loads it plain: only compiled state persists.
 func TestSnapshotResilienceSaved(t *testing.T) {
 	fresh := compileFresh(t, &Options{Resilience: &ResilienceOptions{}})
 	loaded := roundTrip(t, fresh, nil)

@@ -46,10 +46,9 @@ func (e *Engine) ScanReader(r io.Reader, chunkSize int, emit func(Match)) error 
 // → in-order emit). Matches are emitted in (End, Pattern, Index) order, as
 // Run on the whole stream would list them; a chunk that fails ends the scan
 // with its error after every match of the chunks before it was emitted.
-// Without resilience each worker runs its chunks on a reusable engine
-// session, so the steady-state chunk loop performs no heap allocation.
-// With Options.Resilience set, one worker sends each chunk down the backend
-// ladder, in chunk order.
+// Each worker runs its chunks on a reusable engine session, so the
+// steady-state chunk loop performs no heap allocation — or, on an engine
+// pinned to the hybrid or NFA backend, on that automaton.
 func (e *Engine) ScanReaderContext(ctx context.Context, r io.Reader, chunkSize int, emit func(Match)) error {
 	if ctx == nil {
 		ctx = context.Background()
