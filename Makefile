@@ -139,11 +139,12 @@ bench-quick:
 	$(GO) run ./benchmark -quick -seed 1
 
 # profile-sigs is the superblock executor's CPU profile as a command: the
-# repo benchmark's stream_sigs op as a Go benchmark (BenchmarkScanReaderSigs,
-# kernel layer >90 % of it), 30 iterations from a test binary built once, top
-# 25 by flat time. The binary and the profile stay in PROFILE_DIR for
-# `go tool pprof -list` / -peek; run it on the parent commit and the change
-# for a before/after pair.
+# repo benchmark's stream_sigs op as a Go benchmark (BenchmarkScanReaderSigs:
+# the kernel's execFused ≈ 3/4 of the samples, the shared-class evaluator
+# ≈ 6 %, on two cores), 30 iterations from a test binary built once, top 25 by
+# flat time, then the shared-class evaluator line by line. The binary and the
+# profile stay in PROFILE_DIR for `go tool pprof -list` / -peek; run it on the
+# parent commit and the change for a before/after pair.
 PROFILE_DIR ?= /tmp/bitgen-profile
 profile-sigs:
 	@mkdir -p $(PROFILE_DIR)
@@ -151,6 +152,8 @@ profile-sigs:
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderSigs -test.benchtime 30x \
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
+	$(GO) tool pprof -list 'classEval..run' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
+		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-light is the host layers' CPU profile as a command: the repo
 # benchmark's stream_light op as a Go benchmark (BenchmarkScanReaderLight: a
@@ -213,7 +216,9 @@ profile-compile:
 # the gate — and BenchmarkScanReaderLight, the match-dense scan `make
 # profile-light` profiles; RunControl is the probed one-shot path with its
 # allocation count, MergeMatches the match collector alone in ns per match
-# (dense4, sparse168, and live1000 for the many-live-outputs case), and
+# (dense4, sparse168, and live1000 for the many-live-outputs case),
+# SharedClasses the shared-class evaluator alone in ns per byte (stream_sigs'
+# classes over one 256 KiB chunk), and
 # ShiftWords is the shift kernels' cost per word, in internal/kernel one link
 # of an AND chain with the shift moved, folded and only tested: what deferral
 # saves per link), one
@@ -228,7 +233,7 @@ profile-compile:
 # trace validated by obscheck (the pipeline stage lanes ride the same
 # schema the whole-input scan does).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
+	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|SharedClasses|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/engine ./internal/kernel
 	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'CompileSigs$$' -benchtime 1x .

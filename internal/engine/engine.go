@@ -25,7 +25,6 @@ import (
 	"bitgen/internal/lower"
 	"bitgen/internal/obs"
 	"bitgen/internal/passes"
-	"bitgen/internal/transpose"
 )
 
 // DefaultMaxWhileIterations is the real default cap on global while-loop
@@ -168,10 +167,12 @@ type Engine struct {
 	cfg    Config
 	groups []Group
 	// shared, when non-nil, computes the match streams of character classes
-	// used by several CTA groups; every scan session executes it once per
-	// chunk over the raw basis (bindShared) and binds its outputs as extended
-	// basis streams.
-	shared *ir.Program
+	// used by several CTA groups. It is the stored form (snapshots, resident
+	// bytes); classes is what runs it: every scan session evaluates it once
+	// per chunk over the raw basis and binds its outputs as extended basis
+	// streams.
+	shared  *ir.Program
+	classes *classEval
 	// matchNames lists every output name across groups in ascending order;
 	// a name's index is its rank, the integer stand-in for byte-wise string
 	// comparison on the streaming hot path.
@@ -298,7 +299,7 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 		for i, r := range part.regexes {
 			names[i] = r.Name
 		}
-		prog, err := compileGroup(part.regexes, names, gi, cfg, &stats[gi], sharedCC, e.extBits())
+		prog, err := compileGroup(part.regexes, names, gi, cfg, &stats[gi], sharedCC)
 		if err != nil {
 			return err
 		}
@@ -329,7 +330,8 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 }
 
 // maxSharedClasses caps the extended basis streams per engine: each shared
-// class costs one materialized bitstream per scan chunk, so sharing is
+// class is one stream every scan session keeps and rewrites per chunk, one
+// bit per input byte (8 MiB a 256 KiB chunk at the cap), so sharing is
 // bounded to the classes that repay it most.
 const maxSharedClasses = 256
 
@@ -364,6 +366,9 @@ func (e *Engine) initShared(parts []part) (map[charclass.Class]int, error) {
 		return nil, nil
 	}
 	prog, err := lower.SharedProgram(classes)
+	if err == nil {
+		e.classes, err = newClassEval(prog)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -373,46 +378,6 @@ func (e *Engine) initShared(parts []part) (map[charclass.Class]int, error) {
 		slots[cl] = i
 	}
 	return slots, nil
-}
-
-// extBits is the number of extended basis streams the engine binds per scan.
-func (e *Engine) extBits() int {
-	if e.shared == nil {
-		return 0
-	}
-	return len(e.shared.Outputs)
-}
-
-// newSharedSession builds the kernel session that computes the shared-class
-// streams for one scan session, or nil without shared classes. It
-// is host-side precomputation, not a modeled launch: always the fused
-// executor, no fault injector (its launches must not consume armed faults
-// meant for the CTA groups) and no observer; bindShared discards its stats.
-func (e *Engine) newSharedSession(a *arena.Arena) (*kernel.Session, error) {
-	if e.shared == nil {
-		return nil, nil
-	}
-	ks, err := kernel.NewSession(e.shared, kernel.Config{Grid: e.cfg.Grid, Mode: kernel.ModeDTM}, a)
-	if err != nil {
-		return nil, fmt.Errorf("engine: shared-class streams: %w", err)
-	}
-	return ks, nil
-}
-
-// bindShared runs the shared-class program over the freshly transposed raw
-// basis and binds its outputs as extended basis streams. The streams alias
-// ks's buffers: they stay valid until ks runs again, i.e. for the rest of
-// this chunk. No-op when ks is nil (no shared classes).
-func bindShared(ctx context.Context, ks *kernel.Session, basis *transpose.Basis) error {
-	if ks == nil {
-		return nil
-	}
-	outs, _, err := ks.Run(ctx, basis) // reads the eight raw planes only
-	if err != nil {
-		return fmt.Errorf("engine: shared-class streams: %w", err)
-	}
-	basis.Ext = append(basis.Ext[:0], outs...)
-	return nil
 }
 
 // Shared returns a copy of the shared-class program, or nil when the engine
@@ -470,8 +435,9 @@ func (e *Engine) RebindPackedBlocks(canon func([]byte) []byte) {
 // already-transformed packed programs. Every program is decoded and
 // re-validated so a snapshot that passed checksums but violates IR
 // invariants is still refused before it can execute. shared, when non-nil,
-// is the engine's shared-class program; groups whose programs read extended
-// basis bits require it.
+// is the engine's shared-class program — refused unless it is the
+// straight-line class program Compile builds; groups whose programs read
+// extended basis bits require it.
 func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Grid.Validate(); err != nil {
@@ -480,9 +446,11 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("engine: no groups")
 	}
+	var classes *classEval
 	sharedOutputs := 0
 	if shared != nil {
-		if err := ir.Validate(shared); err != nil {
+		var err error
+		if classes, err = newClassEval(shared); err != nil {
 			return nil, fmt.Errorf("engine: restored shared program invalid: %w", err)
 		}
 		sharedOutputs = len(shared.Outputs)
@@ -506,16 +474,17 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, groups: groups, shared: shared, PassStats: ps}
+	e := &Engine{cfg: cfg, groups: groups, shared: shared, classes: classes, PassStats: ps}
 	e.initMatchRanks()
 	e.initRunPool()
 	return e, nil
 }
 
 // compileGroup lowers and optimizes one CTA group's regexes, converting
-// any panic in the pipeline into a typed internal error.
+// any panic in the pipeline into a typed internal error. sharedCC maps every
+// class the engine shares to its extended basis slot.
 func compileGroup(regexes []lower.Regex, names []string, gi int, cfg Config, ps *PassStats,
-	sharedCC map[charclass.Class]int, extBits int) (prog *ir.Program, err error) {
+	sharedCC map[charclass.Class]int) (prog *ir.Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			prog = nil
@@ -529,7 +498,7 @@ func compileGroup(regexes []lower.Regex, names []string, gi int, cfg Config, ps 
 	gspan := cfg.Obs.Span("compile", "compile-group", lane).
 		Arg("group", gi).Arg("patterns", len(names))
 	defer gspan.End()
-	prog, err = lower.Group(regexes, lower.Options{Obs: cfg.Obs, Lane: lane, SharedCC: sharedCC, SharedExtBits: extBits})
+	prog, err = lower.Group(regexes, lower.Options{Obs: cfg.Obs, Lane: lane, SharedCC: sharedCC, SharedExtBits: len(sharedCC)})
 	if err != nil {
 		return nil, err
 	}

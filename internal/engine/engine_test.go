@@ -86,10 +86,10 @@ func TestCompileAndRunMatchesInterpreter(t *testing.T) {
 }
 
 // TestSharedClassesMatchInterpreterAndAllocateNothing covers the engines
-// bindShared serves: several groups reading classes one shared program
-// computes. Run, RunCounts and a chunked ScanSession must equal the reference
-// interpreter, and — the shared program running on a retained kernel session
-// like every group — a warmed-up Scan allocates nothing per chunk.
+// whose groups read classes one shared program computes. Run, RunCounts and
+// a chunked ScanSession must equal the reference interpreter, and — the class
+// streams and registers retained by the session like every group's buffers —
+// a warmed-up Scan allocates nothing per chunk.
 func TestSharedClassesMatchInterpreterAndAllocateNothing(t *testing.T) {
 	regexes := mustRegexes(t, "[a-f]x[0-9]", "[a-f]y[0-9]", "z[0-9][a-f]", "[0-9]+q", "w[a-f]{2}")
 	cfg := BitGenDefault()

@@ -28,8 +28,8 @@ type ScanMatch struct {
 	Rank int32
 }
 
-// ScanSession is the engine's only chunk executor: a transpose basis, one
-// kernel session per CTA group and the shared-class session, reused from
+// ScanSession is the engine's only chunk executor: a transpose basis, the
+// shared-class streams and one kernel session per CTA group, reused from
 // chunk to chunk so a steady-state scan of same-sized chunks performs zero
 // heap allocations. Both entry points borrow theirs from the engine's pool
 // (GetSession) — a streaming scan one per pipeline worker for the length of
@@ -46,16 +46,16 @@ type ScanMatch struct {
 // of goroutine and channel churn. Run has a single block of input, so it
 // launches the groups through fanOut, at the width of the host.
 type ScanSession struct {
-	e      *Engine
-	basis  *transpose.Basis
-	sess   []*kernel.Session
-	shared *kernel.Session       // computes the shared-class streams; nil without any
-	outs   [][]*bitstream.Stream // per-group output streams of the last execute
-	stats  []gpusim.CTAStats     // per-group counters of the last execute
-	live   []liveOut             // mergeMatches scratch, with active and hits, reused across chunks
-	active []liveOut
-	hits   []liveWord
-	tr     *arena.Tracker
+	e       *Engine
+	basis   *transpose.Basis
+	classes *classStreams // the shared-class streams, bound as basis.Ext; nil without any
+	sess    []*kernel.Session
+	outs    [][]*bitstream.Stream // per-group output streams of the last execute
+	stats   []gpusim.CTAStats     // per-group counters of the last execute
+	live    []liveOut             // mergeMatches scratch, with active and hits, reused across chunks
+	active  []liveOut
+	hits    []liveWord
+	tr      *arena.Tracker
 	// obs is the borrowing call's observer (Observer.For), set by GetSession
 	// and dropped by PutSession: a pooled session never carries a call's sink.
 	obs *obs.Observer
@@ -108,13 +108,11 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, er
 			ss.basis.SetWords(j, ss.tr.Words(nw))
 		}
 	}
-	var err error
-	if ss.shared, err = e.newSharedSession(a); err != nil {
-		ss.Close()
-		return nil, err
+	if e.classes != nil {
+		ss.classes = newClassStreams(e.classes, ss.basis, ss.tr)
 	}
 	ss.sess = make([]*kernel.Session, len(e.groups))
-	err = fanOut(len(e.groups), func(gi int) error {
+	err := fanOut(len(e.groups), func(gi int) error {
 		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(), a)
 		if err != nil {
 			return fmt.Errorf("engine: group %d: %w", gi, err)
@@ -202,7 +200,7 @@ func (e *Engine) PutSession(ss *ScanSession) {
 	e.runPool.Put(ss)
 }
 
-// execute transposes chunk, binds the shared-class streams and launches
+// execute transposes chunk, computes the shared-class streams and launches
 // every CTA group over the result, leaving the output streams in ss.outs
 // and the counters in ss.stats until clearOuts. wide selects the launch
 // width (see ScanSession). On error nothing is left parked.
@@ -212,15 +210,22 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, wide bool) err
 	failed := ss.failed
 	ss.failed = true
 	// Arg boxes its value even on a nil span; keep the hot path free of it.
-	var tspan *obs.Span
-	if ss.obs.Tracing() {
-		tspan = ss.obs.Span("scan", "transpose", ss.lane).Arg("input_bytes", len(chunk))
+	tracing := ss.obs.Tracing()
+	var span *obs.Span
+	if tracing {
+		span = ss.obs.Span("scan", "transpose", ss.lane).Arg("input_bytes", len(chunk))
 	}
 	transpose.TransposeInto(ss.basis, chunk)
-	tspan.End()
-	err := bindShared(ctx, ss.shared, ss.basis)
+	span.End()
+	if ev := ss.e.classes; ev != nil {
+		if tracing {
+			span = ss.obs.Span("scan", "shared-classes", ss.lane).Arg("classes", ev.outs).Arg("ops", len(ev.ops))
+		}
+		ss.classes.compute(ev, ss.basis, ss.tr)
+		span.End()
+	}
+	var err error
 	switch {
-	case err != nil:
 	case wide:
 		err = ss.launchAll(ctx)
 	default:
@@ -418,9 +423,5 @@ func (ss *ScanSession) Close() {
 		}
 	}
 	ss.sess = nil
-	if ss.shared != nil {
-		ss.shared.Close()
-		ss.shared = nil
-	}
 	ss.tr.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"runtime"
 	"slices"
@@ -157,6 +158,58 @@ func TestTraceContainsPipelineSpans(t *testing.T) {
 	}
 }
 
+// TestSharedClassSpanPerChunk: every chunk a shared-class engine executes
+// computes its class streams once, beside its transpose and on the same lane,
+// and says how much it computed; an engine sharing no class records no such
+// span.
+func TestSharedClassSpanPerChunk(t *testing.T) {
+	sigs, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		patterns []string
+		input    []byte
+		shared   bool
+	}{
+		{"sigs-168", sigs.Patterns, sigs.Input, true},
+		{"light-4", scanBenchPatterns, lightLogBlock(1, 128<<10), false},
+	} {
+		eng, err := Compile(tc.patterns, &Options{Observability: &ObservabilityOptions{Trace: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.ScanReader(bytes.NewReader(tc.input), 32<<10, func(Match) {}); err != nil {
+			t.Fatal(err)
+		}
+		transposes := map[int]int{}
+		classes := map[int]int{}
+		for _, sp := range eng.obs.Spans.Fragment("", obs.TraceID{}).Spans {
+			switch sp.Name {
+			case "transpose":
+				transposes[sp.Lane]++
+			case "shared-classes":
+				classes[sp.Lane]++
+				if len(sp.Args) != 2 || sp.Args[0].Key != "classes" || sp.Args[0].Val.(int) == 0 ||
+					sp.Args[1].Key != "ops" || sp.Args[1].Val.(int) == 0 {
+					t.Errorf("%s: shared-classes span args %v", tc.name, sp.Args)
+				}
+			}
+		}
+		if len(transposes) == 0 {
+			t.Fatalf("%s: no transpose spans", tc.name)
+		}
+		want := transposes
+		if !tc.shared {
+			want = map[int]int{}
+		}
+		if !maps.Equal(classes, want) {
+			t.Errorf("%s: shared-classes spans per lane %v, transposes %v", tc.name, classes, transposes)
+		}
+	}
+}
+
 // TestCompileSpansKeepToTheirGroupLanes: CTA groups compile concurrently, so
 // a group's compile-group / lower-group / passes spans sit on its own lane —
 // 1+g, the track its kernel launches use — never on the pipeline lane, where
@@ -178,10 +231,10 @@ func TestCompileSpansKeepToTheirGroupLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	laneHolds := map[string][]string{ // thread_name prefix → span names allowed on it
-		"pipeline":      {"compile", "parse", "run", "transpose", "estimate"},
+		"pipeline":      {"compile", "parse", "run", "transpose", "shared-classes", "estimate"},
 		"kernel/group-": {"compile-group", "lower-group", "passes", "kernel-launch", "kernel-attempt", "superblock"},
 		"scan/reader":   {"read-chunk"},
-		"scan/worker":   {"scan-chunk", "transpose", "kernel-attempt", "superblock"},
+		"scan/worker":   {"scan-chunk", "transpose", "shared-classes", "kernel-attempt", "superblock"},
 		"scan/emit":     {"emit-chunk"},
 	}
 	for _, tc := range []struct {

@@ -60,7 +60,7 @@ func BenchmarkScanReader(b *testing.B) {
 // BenchmarkScanReaderSigs is the repo benchmark's stream_sigs op as a Go
 // benchmark: the Yara-style signature set (168 shift/literal-heavy bounded
 // patterns, sparse matches) over 4 MiB of its generated 128 KiB input served
-// cyclically, default options. The kernel layer is >99 % of it, so
+// cyclically, default options. The kernel layer is most of it, so
 //
 //	go test -run '^$' -bench ScanReaderSigs -benchtime 15x -cpuprofile cpu.prof .
 //

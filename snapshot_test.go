@@ -182,22 +182,44 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 // and validated once, by engine.Restore, not by snapshot.Decode. A snapshot
 // whose framing and CRCs are intact but whose group program violates IR
 // invariants — or is not a program at all — still never becomes an engine,
-// and is refused as corrupt, the reason that quarantines the file.
+// and is refused as corrupt, the reason that quarantines the file. So is a
+// valid shared-class program that is not the straight-line class program
+// Compile builds: it would run on the host evaluator, which reads raw basis
+// planes only.
 func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
 	good := EncodeEngine(compileFresh(t, nil))
-	for name, damage := range map[string]func(packed []byte) []byte{
-		"outputs name never-assigned variables": func(packed []byte) []byte {
-			p := ir.MustDecodeProgram(packed)
+	// shared replaces the shared-class program with one of as many outputs,
+	// each naming variable 0, so every group still finds its streams.
+	shared := func(st *snapshot.EngineState, extBits int, stmts ...ir.Stmt) {
+		p := &ir.Program{NumVars: 1, ExtBits: extBits, Stmts: stmts}
+		for _, o := range st.Shared.Outputs {
+			p.Outputs = append(p.Outputs, ir.Output{Name: o.Name})
+		}
+		st.Shared = p
+	}
+	for name, damage := range map[string]func(st *snapshot.EngineState){
+		"outputs name never-assigned variables": func(st *snapshot.EngineState) {
+			p := ir.MustDecodeProgram(st.Groups[0].Packed)
 			p.Stmts = nil
-			return ir.EncodeProgram(p)
+			st.Groups[0].Packed = ir.EncodeProgram(p)
 		},
-		"not a program": func([]byte) []byte { return []byte{0xff, 0xfe, 0xfd} },
+		"not a program": func(st *snapshot.EngineState) { st.Groups[0].Packed = []byte{0xff, 0xfe, 0xfd} },
+		"shared program reads an extended basis stream": func(st *snapshot.EngineState) {
+			shared(st, 1, &ir.Assign{Dst: 0, Expr: ir.MatchBasis{Bit: 8}})
+		},
+		"shared program loops": func(st *snapshot.EngineState) {
+			shared(st, 0, &ir.Assign{Dst: 0, Expr: ir.MatchBasis{Bit: 1}},
+				&ir.While{Cond: 0, Body: []ir.Stmt{&ir.Assign{Dst: 0, Expr: ir.Zero{}}}})
+		},
 	} {
 		st, err := snapshot.Decode(good)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Groups[0].Packed = damage(st.Groups[0].Packed)
+		if st.Shared == nil {
+			t.Fatal("the snapshot shares no classes")
+		}
+		damage(st)
 		_, err = DecodeEngine(snapshot.Encode(st), nil)
 		var se *SnapshotError
 		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt {
