@@ -35,21 +35,24 @@ vuln:
 
 # The fault-injection and hardening suites, race-exercised: typed error
 # classes, panic containment, cancellation, first-failure streaming, the
-# backend pin, the cluster's peer breaker, and the backend-agreement and
-# chunk-boundary fuzz seeds.
+# backend pin and the cluster's peer breaker; then every test that runs the
+# conformance harness (its fault plans included), fuzz seeds too.
+HARNESS = Conformance|BackendsAgree|FuzzSnapshotRoundTrip|ChunkBoundaries|CountOnlyMatchesRunCounts|DuplicatePatterns|NullableEndOfInputAcross|RunCollectsLike|SignatureSet|ScanPipelinedMatchesSequential|ScanReaderBoundaryStraddle|ScanReaderMatchesWholeInput|ScanReaderLadderMatchesRun|ScanWorkersOption|StateCompressionDifferential
 fault:
-	$(GO) test -race -run 'Injected|Hardened|WhileCap|Cancel|Limit|Concurrent|ErrorClass|Faults|ForceBackend|Pinned|AcrossChunkSizes|FailingChunk|Terminal|Breaker' \
+	$(GO) test -race -run 'Injected|Hardened|WhileCap|Cancel|Limit|Concurrent|ErrorClass|Faults|ForceBackend|Pinned|FailingChunk|Terminal|Breaker' \
 		./internal/faultinject/ ./internal/kernel/ ./internal/engine/ ./internal/cluster/ .
-	$(GO) test -race -run 'FuzzScanReaderChunkBoundaries|FuzzBackendsAgree' .
+	$(GO) test -race -run '$(HARNESS)' .
 
-# Short smoke runs of the fuzz targets: the streaming chunk-boundary
-# oracle and the three-backend differential oracle. FUZZTIME=2m for a
-# longer local soak.
+# Short smoke runs of the fuzz targets: the conformance harness on generated
+# pattern sets, on their snapshots and at fuzzed chunk sizes; lowering; and
+# the parser. FUZZTIME=2m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzBackendsAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzBackendsAgree$$' .
-	$(GO) test -fuzz '^FuzzScanReaderChunkBoundaries$$' -fuzztime $(FUZZTIME) -run '^FuzzScanReaderChunkBoundaries$$' .
 	$(GO) test -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME) -run '^FuzzSnapshotRoundTrip$$' .
+	$(GO) test -fuzz '^FuzzScanReaderChunkBoundaries$$' -fuzztime $(FUZZTIME) -run '^FuzzScanReaderChunkBoundaries$$' .
+	$(GO) test -fuzz '^FuzzLower$$' -fuzztime $(FUZZTIME) -run '^FuzzLower$$' ./internal/lower
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run '^FuzzParse$$' ./internal/rx
 
 # obs-smoke runs a real scan with tracing and metrics on and validates
 # the exported artifacts: the Chrome trace_event JSON schema (loadable in

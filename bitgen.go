@@ -35,7 +35,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"time"
 
 	"bitgen/internal/arena"
@@ -172,7 +171,7 @@ type Stats struct {
 // Result is the outcome of Engine.Run.
 type Result struct {
 	// Matches lists every (pattern, end-position) pair, ordered by end
-	// position, then pattern, then pattern index.
+	// position, then pattern string (byte order), then pattern index.
 	Matches []Match
 	// Counts maps each pattern string to its number of match end
 	// positions, summed across duplicate entries of the same string.
@@ -407,29 +406,20 @@ func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer
 	return cfg
 }
 
-// PatternSetKey returns a canonical content hash identifying a compiled
-// pattern set: duplicate pattern strings collapse, pattern order is
-// irrelevant, and every Options field that changes the compiled engine
-// (syntax flags, device, launch geometry, optimization toggles, limits) is
-// folded in. Two (patterns, opts) pairs with equal keys compile to engines
-// with identical match behavior, so serving layers use the key to share
-// one cached *Engine across equivalent requests.
+// PatternSetKey returns a content hash identifying a compiled pattern set:
+// the pattern list as given — order and duplicates included, since
+// Match.Index and Result.IndexCounts number the entries — and every Options
+// field that changes the compiled engine (syntax flags, device, launch
+// geometry, optimization toggles, limits). Two (patterns, opts) pairs with
+// equal keys compile to engines with identical results, so serving layers use
+// the key to share one cached *Engine across identical requests.
 func PatternSetKey(patterns []string, opts *Options) string {
 	if opts == nil {
 		opts = &Options{}
 	}
-	uniq := make([]string, 0, len(patterns))
-	seen := make(map[string]bool, len(patterns))
-	for _, p := range patterns {
-		if !seen[p] {
-			seen[p] = true
-			uniq = append(uniq, p)
-		}
-	}
-	sort.Strings(uniq)
 	h := sha256.New()
-	hashField(h, "bitgen-pattern-set-v2")
-	for _, p := range uniq {
+	hashField(h, "bitgen-pattern-set-v3")
+	for _, p := range patterns {
 		hashField(h, p)
 	}
 	hashCompileOptions(h, opts)
@@ -510,9 +500,9 @@ func (e *Engine) fanOutCounts(inner map[string]int) (map[string]int, []int) {
 
 // toResult converts an internal run result to the public form, fanning
 // each unique pattern's matches out to every duplicate index, ascending.
-// inner.Matches arrives in (End, rank) order and ranks follow pattern
-// order, so the fan-out is already in (End, Pattern, Index) order — the
-// same walk the streaming emit stage does per chunk.
+// inner.Matches arrives in (End, rank) order and ranks follow the byte order
+// of the pattern strings, so the fan-out is already in (End, Pattern, Index)
+// order — the same walk the streaming emit stage does per chunk.
 func (e *Engine) toResult(inner *engine.Result) *Result {
 	res := &Result{}
 	res.Counts, res.IndexCounts = e.fanOutCounts(inner.MatchCounts)

@@ -19,28 +19,38 @@ type goldenSet struct {
 }
 
 // goldenSets are the sets the repo benchmark compiles (the megaset, Yara,
-// Brill, the four stream_light patterns) plus Snort and ClamAV's long
-// signatures.
+// Brill, the four stream_light patterns), Snort and ClamAV's long
+// signatures, then the other six workload generators — among them the
+// Protomata and Bro217 groups whose programs change when Shift Rebalancing
+// drops the reads of orphaned shifts.
 func goldenSets(t testing.TB) []goldenSet {
 	mega, err := workload.Megaset(500, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sets := []goldenSet{{"megaset500", mega.Patterns, &Options{Limits: Limits{MaxPatterns: -1}}}}
-	for _, name := range []string{"Yara", "Brill", "Snort", "ClamAV"} {
+	generated := func(name string) goldenSet {
 		app, err := workload.Load(name, workload.Options{RegexScale: 0.05, InputBytes: 4096, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets = append(sets, goldenSet{strings.ToLower(name), app.Patterns, nil})
+		return goldenSet{strings.ToLower(name), app.Patterns, nil}
 	}
-	return append(sets, goldenSet{"stream_light", []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`}, nil})
+	for _, name := range []string{"Yara", "Brill", "Snort", "ClamAV"} {
+		sets = append(sets, generated(name))
+	}
+	sets = append(sets, goldenSet{"stream_light", []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`}, nil})
+	for _, name := range []string{"Dotstar", "Protomata", "Bro217", "ExactMatch", "Ranges1", "TCP"} {
+		sets = append(sets, generated(name))
+	}
+	return sets
 }
 
 // TestCompiledArtifactGolden pins what Compile produces, byte for byte: the
 // sha256 of each set's snapshot (packed group programs, shared-class program,
 // pass statistics, public metadata) and its PassStats, generated at bb67ef7 —
-// before CTA groups compiled concurrently on reused pass scratch. The
+// before CTA groups compiled concurrently on reused pass scratch — and, for
+// the six generators after stream_light, at 0945957. The
 // artifact must not depend on how wide the host is, so every set compiles
 // under GOMAXPROCS 1, 2 and 4 against the same line. Rewrite the golden
 // (-update-golden) only for a deliberate change to lowering or a pass.

@@ -100,26 +100,11 @@ func TestScanReaderUsesCompileTimeBound(t *testing.T) {
 	}
 }
 
+// TestCountOnlyMatchesRunCounts: on a set with an optional suffix and a
+// counted repeat, every backend's CountOnly and Run counts are the reference's.
 func TestCountOnlyMatchesRunCounts(t *testing.T) {
-	patterns := []string{"cat", "dog(gy)?", "\\d{2,4}"}
-	e, err := Compile(patterns, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	input := []byte(strings.Repeat("cat doggy 1234 dog 56 catalog ", 40))
-	full, err := e.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := e.CountOnly(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range patterns {
-		if counts[p] != full.Counts[p] {
-			t.Fatalf("CountOnly %s = %d, Run = %d", p, counts[p], full.Counts[p])
-		}
-	}
+	(&conformance{t: t}).row(corpus{patterns: []string{"cat", "dog(gy)?", "\\d{2,4}"}, input: input, wide: true})
 }
 
 func TestRunContextCancellation(t *testing.T) {
@@ -258,14 +243,10 @@ func TestConcurrentUseOneEngine(t *testing.T) {
 	}
 }
 
-// FuzzScanReaderChunkBoundaries asserts that chunked streaming over any
-// input at any legal chunk size reports exactly the matches of a
-// whole-input Run.
+// FuzzScanReaderChunkBoundaries streams any input through the harness's cells
+// on a fixed set whose maxLen is 5, at a fuzzed legal chunk size besides the
+// fixed ones.
 func FuzzScanReaderChunkBoundaries(f *testing.F) {
-	e, err := Compile([]string{"abc", "a.c", "\\d{2}", "q[^u]{1,3}k", "\\d", "[0-9]"}, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add([]byte("abc a5c 42 qiik abc"), uint16(8))
 	f.Add([]byte(strings.Repeat("abcabc12", 40)), uint16(16))
 	f.Add([]byte("qk q12k ab"), uint16(5))
@@ -275,26 +256,7 @@ func FuzzScanReaderChunkBoundaries(f *testing.F) {
 	// word and across every chunk cut.
 	f.Add([]byte(strings.Repeat("7", 300)), uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, rawChunk uint16) {
-		// maxLen is 5 (q[^u]{1,3}k); chunk must exceed it.
-		chunkSize := 6 + int(rawChunk%512)
-		want, err := e.Run(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Match
-		if err := e.ScanReader(bytes.NewReader(data), chunkSize, func(m Match) { got = append(got, m) }); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want.Matches) {
-			t.Fatalf("chunked scan (chunk %d) found %d matches, whole-input Run found %d",
-				chunkSize, len(got), len(want.Matches))
-		}
-		// ScanReader emits in per-chunk order, which matches Run's order
-		// (end position, then pattern) within and across chunks.
-		for i := range got {
-			if got[i] != want.Matches[i] {
-				t.Fatalf("match %d: chunked %+v != whole %+v (chunk %d)", i, got[i], want.Matches[i], chunkSize)
-			}
-		}
+		patterns := []string{"abc", "a.c", "\\d{2}", "q[^u]{1,3}k", "\\d", "[0-9]"}
+		(&conformance{t: t}).set("as given", corpus{patterns: patterns, input: data, extra: []int{1 + int(rawChunk%512)}})
 	})
 }

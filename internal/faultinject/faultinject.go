@@ -32,7 +32,8 @@ const (
 	// just before commit — exercises containment of silent data faults.
 	TileCorrupt Point = "tile-corrupt"
 	// ForceFallback forces a Section 8.2 overlap overflow, pushing the
-	// offending loop or carry onto the materialized fallback path.
+	// offending loop or carry onto the materialized fallback path. Only a
+	// window of a segment that has a loop or a carry consults it.
 	ForceFallback Point = "force-fallback"
 	// WhileCap trips the global while-iteration cap regardless of the
 	// configured bound.

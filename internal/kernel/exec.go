@@ -548,7 +548,7 @@ func (ex *ctaExec) segmentLiveOut(seg *fusedSeg) []ir.VarID {
 // the committed bits are provably independent of unseen history, then
 // commits live-out values. It returns the converged left-overlap in bits.
 func (ex *ctaExec) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, dl, dr int, dynamic bool, liveOut []ir.VarID) (int, error) {
-	if ex.cfg.Inject.Fire(faultinject.ForceFallback) {
+	if dynamic && ex.cfg.Inject.Fire(faultinject.ForceFallback) {
 		// Injected Section 8.2 overflow: push the segment's loop or carry
 		// onto the materialized fallback path.
 		return 0, &overflowError{stmt: findDynamicStmt(seg.stmts), need: ex.cfg.MaxOverlapBits + 1}

@@ -196,9 +196,6 @@ type sbCompiler struct {
 	seen  []int32
 	loops int
 	lazy  []bool
-	// noSink limits fusion to adjacent statements. Never set outside tests:
-	// TestSinkMatchesUnsunk compiles the unsunk µop list to compare against.
-	noSink bool
 }
 
 // newSBCompiler prepares the compilation of a fused segment's statements; an
@@ -419,7 +416,7 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 			if k == 0 || k > 63 || k < -63 {
 				continue // word-offset shifts stay standalone
 			}
-			if di < last && (c.noSink || redefines(p.ops[di+1:], def.a)) {
+			if di < last && redefines(p.ops[di+1:], def.a) {
 				continue
 			}
 			fused.k, fused.gid, fused.nsrcs = def.k, def.gid, def.nsrcs

@@ -181,7 +181,7 @@ func TestSuperblocksAcrossGridSizesMatchReference(t *testing.T) { checkPinned(t,
 // deliberate cost-model change.
 func TestCTAStatsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases()} {
+	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases(), sparseCases(t)} {
 		for _, c := range set {
 			buf.WriteString(c.run(t))
 			buf.WriteByte('\n')
@@ -367,68 +367,7 @@ func sparseCases(t *testing.T) []pinnedCase {
 	return out
 }
 
-// TestSparseInputsChargeTheSameOnEitherZeroPath runs the sparse cases three
-// times: as shipped, where guards and empty result masks make registers known
-// zero, µops short-circuit on them or compute the live tiles only, probed
-// windows flood two tiles of a loop condition, and batch shifts are deferred
-// until something reads them; with noZeroTag, where every mask is full, every
-// zero is real words and every µop executes over the whole window; and with
-// deferral disabled, where every shift moves its words where the IR put it.
-// Outputs must equal the interpreter's each time and the CTAStats must be
-// identical: modeled cost does not depend on which path produced a zero, on
-// how many tiles a µop touched, or on when a shift ran.
-func TestSparseInputsChargeTheSameOnEitherZeroPath(t *testing.T) {
-	legs := []struct {
-		name           string
-		noTag, noDefer bool
-	}{{"shipped", false, false}, {"noZeroTag", true, false}, {"noDefer", false, true}}
-	for _, c := range sparseCases(t) {
-		basis := transpose.Transpose(c.input)
-		want := interpRef(t, c.prog, basis)
-		var stats []gpusim.CTAStats
-		for _, leg := range legs {
-			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
-			if err != nil {
-				t.Fatalf("%s: %v", c.label, err)
-			}
-			s.ex.regs.noZeroTag, s.ex.regs.noDefer = leg.noTag, leg.noDefer
-			if r := s.ex.regs; leg.noTag {
-				s.ex.afterOp = func() {
-					for v := range r.live {
-						if r.has(ir.VarID(v)) && r.live[v] != r.full && !t.Failed() {
-							t.Errorf("%s (%s): S%d has the mask %#x of %#x; the leg must execute every µop in full", c.label, leg.name, v, r.live[v], r.full)
-						}
-					}
-				}
-			}
-			outs, st, err := s.Run(context.Background(), basis)
-			if err != nil {
-				t.Fatalf("%s: %v", c.label, err)
-			}
-			for oi, o := range c.prog.Outputs {
-				if o.Nullable {
-					t.Fatalf("%s: nullable output %s", c.label, o.Name)
-				}
-				if !outs[oi].Equal(want[o.Name]) {
-					t.Errorf("%s (%s): %s diverges from the interpreter", c.label, leg.name, o.Name)
-				}
-			}
-			if s.Fallbacks() != 0 {
-				t.Errorf("%s: %d fallbacks on a sparse input", c.label, s.Fallbacks())
-			}
-			stats = append(stats, st)
-			s.Close()
-		}
-		for i, leg := range legs[1:] {
-			if stats[0] != stats[i+1] {
-				t.Errorf("%s: CTAStats differ between the shipped and the %s leg:\n shipped %+v\n %s %+v", c.label, leg.name, stats[0], leg.name, stats[i+1])
-			}
-		}
-		if stats[0].GuardSkips == 0 && c.cfg.Mode != ModeBase { // Base plans carry no guards
-			t.Errorf("%s: no guard fired; the case does not exercise known-zero registers", c.label)
-		}
-	}
-}
+func TestSuperblocksOnSparseInputsMatchReference(t *testing.T) { checkPinned(t, sparseCases(t)) }
 
 // eachProgram visits every compiled superblock program of a plan, nested
 // bodies included.
@@ -573,113 +512,6 @@ func TestDeferralKeepsSourceWords(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSinkMatchesUnsunk checks shift sinking run by run. Every straight-line
-// run of the pinned cases in which the compiler sank a shift to its consumer
-// is executed over one window from identical random register contents, once
-// as compiled and once compiled with fusion limited to adjacent statements
-// (where every shift sits where the IR put it): every destination both runs
-// define must hold the same words, and the charges must be equal.
-func TestSinkMatchesUnsunk(t *testing.T) {
-	sunk := 0
-	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases()} {
-		for _, c := range set {
-			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
-			if err != nil {
-				t.Fatalf("%s: %v", c.label, err)
-			}
-			// One run compiles every executed segment and leaves the
-			// executor configured for this program and input.
-			if _, _, err := s.Run(context.Background(), transpose.Transpose(c.input)); err != nil {
-				t.Fatalf("%s: %v", c.label, err)
-			}
-			var walk func(pl *plan)
-			walk = func(pl *plan) {
-				for _, node := range pl.nodes {
-					switch x := node.(type) {
-					case *fusedSeg:
-						if x.sprog == nil {
-							continue
-						}
-						ref := s.ex.newSBCompiler(x.stmts, x.an)
-						ref.noSink = true
-						sunk += compareSunkRuns(t, c.label, s.ex, x.sprog, ref.compile(x.stmts))
-					case *ctlSeg:
-						walk(x.body)
-					}
-				}
-			}
-			walk(s.pl)
-			s.Close()
-		}
-	}
-	if sunk == 0 {
-		t.Fatal("no run of the case set has a sunk shift")
-	}
-	t.Logf("%d runs with sunk shifts compared", sunk)
-}
-
-// compareSunkRuns walks two compilations of one statement list in step and
-// executes every pair of runs that differ; it returns how many did.
-func compareSunkRuns(t *testing.T, label string, ex *ctaExec, got, ref *sbProgram) int {
-	t.Helper()
-	if len(got.nodes) != len(ref.nodes) {
-		t.Fatalf("%s: %d nodes with sinking, %d without", label, len(got.nodes), len(ref.nodes))
-	}
-	differ := 0
-	for ni := range got.nodes {
-		g, r := &got.nodes[ni], &ref.nodes[ni]
-		if g.kind != r.kind || g.zeroCharge != r.zeroCharge {
-			t.Fatalf("%s: node %d compiled differently: %+v vs %+v", label, ni, g, r)
-		}
-		if g.body != nil {
-			differ += compareSunkRuns(t, label, ex, g.body, r.body)
-		}
-		if g.kind != sbRunNode || g.hi-g.lo == r.hi-r.lo {
-			continue // sinking a shift removes a µop; equal counts mean none sank
-		}
-		differ++
-		const ww = 3
-		exec := func(p *sbProgram, nd *sbNode) (map[ir.VarID][]uint64, gpusim.CTAStats) {
-			rng := rand.New(rand.NewSource(int64(ni)))
-			ex.ws, ex.cs, ex.ce, ex.weBits, ex.ww = 0, 0, ww*64, ww*64, ww
-			ex.regs.beginWindow(ww)
-			ex.wgGen++
-			ex.ensureScratch(ww)
-			ex.tmpT, ex.tmpS = ex.tmpT[:ww], ex.tmpS[:ww]
-			ex.stats = gpusim.CTAStats{}
-			for v := 0; v < ex.prog.NumVars; v++ {
-				for i, b := 0, ex.regs.buf(ir.VarID(v)); i < ww; i++ {
-					b[i] = rng.Uint64()
-				}
-			}
-			if err := ex.execSBRun(p, nd.lo, nd.hi, true); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			// Live destinations: defined by both runs. A temporary either
-			// compilation fused away is dead past its consumer and has no
-			// register there.
-			regs := make(map[ir.VarID][]uint64)
-			for _, v := range got.zeroDsts[g.zlo:g.zhi] {
-				if slices.Contains(ref.zeroDsts[r.zlo:r.zhi], v) {
-					regs[v] = slices.Clone(ex.regs.get(v))
-				}
-			}
-			return regs, ex.stats
-		}
-		gotRegs, gotStats := exec(got, g)
-		refRegs, refStats := exec(ref, r)
-		for v, words := range gotRegs {
-			if !slices.Equal(words, refRegs[v]) {
-				t.Errorf("%s: node %d: S%d differs between the sunk and the unsunk run", label, ni, v)
-			}
-		}
-		if gotStats != refStats {
-			t.Errorf("%s: node %d: charges differ:\n sunk   %+v\n unsunk %+v", label, ni, gotStats, refStats)
-		}
-	}
-	return differ
 }
 
 // TestSinkRespectsSourceRedefinition builds the one shape sinking must

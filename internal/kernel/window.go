@@ -62,13 +62,6 @@ type regFile struct {
 	// alloc provides backing storage for register buffers; nil means plain
 	// make. Sessions wire it to a pooled arena tracker.
 	alloc func(n int) []uint64
-	// noZeroTag keeps every mask full: zero writes real zeros, a shift's mask
-	// is not moved, no result is tightened, so no µop ever short-circuits or
-	// skips a tile. Never set outside tests: they run a program both ways to
-	// show outputs and charges do not depend on the masks.
-	noZeroTag bool
-	// noDefer makes every shift compute at once: the same seam for deferral.
-	noDefer bool
 }
 
 // regState says what val holds for a register whose mask is not 0; it means
@@ -236,16 +229,13 @@ func (r *regFile) shiftMask(m uint64, k int) uint64 {
 // when lazy only recorded — src must then stay unwritten while v can be read
 // this window.
 func (r *regFile) shift(v ir.VarID, src []uint64, m uint64, k int32, lazy bool) {
-	if m = r.shiftMask(m, int(k)); r.noZeroTag {
-		m = r.full
-	}
-	if m == 0 {
+	if m = r.shiftMask(m, int(k)); m == 0 {
 		r.zero(v)
 		return
 	}
 	r.val[v], r.state[v], r.epoch[v] = src, regDeferred, r.cur
 	r.shiftK[v], r.live[v] = k, m
-	if !lazy || r.noDefer {
+	if !lazy {
 		r.force(v)
 	}
 }
@@ -349,7 +339,7 @@ func (r *regFile) tighten(b []uint64, m, or uint64) uint64 {
 	if or == 0 {
 		return 0
 	}
-	if bits.OnesCount64(or) > sparseColumns || r.noZeroTag {
+	if bits.OnesCount64(or) > sparseColumns {
 		return m
 	}
 	m = 0
@@ -368,7 +358,7 @@ func (r *regFile) tighten(b []uint64, m, or uint64) uint64 {
 // held, not of the window, and what the probe computes from it stays as narrow.
 func (r *regFile) flood(v ir.VarID, left, right int) {
 	switch {
-	case r.noZeroTag || r.has(v) && r.live[v] != 0 && r.state[v] != regOwned:
+	case r.has(v) && r.live[v] != 0 && r.state[v] != regOwned:
 		r.mut(v) // every tile live: a view copied, a deferred shift computed
 	case !r.has(v) || r.live[v] == 0:
 		b := r.storage(v)
@@ -438,10 +428,6 @@ func (r *regFile) maskTail(buf []uint64) {
 
 // zero marks v known zero in the current window without touching memory.
 func (r *regFile) zero(v ir.VarID) {
-	if r.noZeroTag {
-		clear(r.buf(v))
-		return
-	}
 	r.live[v], r.epoch[v] = 0, r.cur
 }
 

@@ -365,14 +365,6 @@ func TestDeferredForcesOnceIntoOwnedStorage(t *testing.T) {
 	if !slices.Equal(s.Words(), before) {
 		t.Fatal("forcing or writing a deferred register wrote its source")
 	}
-
-	// The test seam computes at the shift's position.
-	r.beginWindow(2)
-	r.noDefer = true
-	r.shift(1, r.view(0, s, 1), r.full, 3, true)
-	if r.state[1] != regOwned || r.own[1][0] != ones<<3 {
-		t.Fatal("noDefer left the register deferred")
-	}
 }
 
 // BenchmarkShiftWordsLink is one link of a literal's AND chain over a 2 KB

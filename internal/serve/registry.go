@@ -1,6 +1,6 @@
 // Package serve is the multi-tenant matching service behind cmd/bitgend:
 // an HTTP/JSON front end over the bitgen library with a compiled-engine
-// LRU cache (singleflight compilation per canonical pattern-set key),
+// LRU cache (singleflight compilation per pattern-set key),
 // bounded request admission and graceful drain. It depends only on the
 // standard library and the bitgen module itself.
 package serve

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,22 +229,45 @@ func TestScanEndpoint(t *testing.T) {
 		t.Errorf("trailer = %+v, want done with 4 matches", tr)
 	}
 
-	// Nullable patterns are refused for streaming, mapped to 400.
-	resp, err = http.Post(hs.URL+"/v1/scan?pattern=a%3F", "application/octet-stream",
-		strings.NewReader("aaa"))
-	if err != nil {
-		t.Fatal(err)
+	// Nullable patterns, and a chunk no longer than the longest match, are
+	// refused for streaming: 400 unsupported.
+	for _, query := range []string{"pattern=a%3F", "pattern=abcdefghij&chunk=5"} {
+		resp, err := http.Post(hs.URL+"/v1/scan?"+query, "application/octet-stream", strings.NewReader("aaa"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Class != "unsupported" {
+			t.Errorf("scan?%s: status %d class %q, want 400 unsupported", query, resp.StatusCode, er.Class)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("nullable scan: status = %d, want 400", resp.StatusCode)
-	}
-	var er errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Class != "unsupported" {
-		t.Errorf("nullable scan class = %q, want unsupported", er.Class)
+}
+
+// TestCacheSharesEnginesOnlyBetweenIdenticalLists posts one pattern set as
+// three lists — as first compiled, reordered, with a duplicate entry — and
+// each answer numbers the matches by its own list.
+func TestCacheSharesEnginesOnlyBetweenIdenticalLists(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for _, c := range []struct {
+		patterns    string
+		matches     []jsonMatch
+		indexCounts []int
+	}{
+		{`["cat","dog"]`, []jsonMatch{{"cat", 0, 2}}, []int{1, 0}},
+		{`["dog","cat"]`, []jsonMatch{{"cat", 1, 2}}, []int{0, 1}},
+		{`["cat","cat","dog"]`, []jsonMatch{{"cat", 0, 2}, {"cat", 1, 2}}, []int{1, 1, 0}},
+	} {
+		code, mr, er := postMatch(t, hs.URL, `{"patterns":`+c.patterns+`,"input":"cat"}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d (%+v)", c.patterns, code, er)
+		}
+		if !slices.Equal(mr.Matches, c.matches) || !slices.Equal(mr.IndexCounts, c.indexCounts) {
+			t.Errorf("%s: matches %v, index_counts %v; want %v, %v", c.patterns, mr.Matches, mr.IndexCounts, c.matches, c.indexCounts)
+		}
 	}
 }
 

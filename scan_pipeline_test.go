@@ -21,94 +21,6 @@ import (
 	"bitgen/internal/workload"
 )
 
-// scanSequential is the streaming oracle, kept deliberately naive: cut the
-// input every chunkSize bytes, Run each piece whole with the maxLen-1 bytes
-// before it in front, and keep the matches that end in the piece's own
-// bytes. It shares nothing with the pipeline but Engine.Run.
-func scanSequential(t *testing.T, eng *Engine, input []byte, chunkSize, maxLen int) []Match {
-	t.Helper()
-	var out []Match
-	for pos := 0; pos < len(input); pos += chunkSize {
-		start, end := pos-(maxLen-1), pos+chunkSize
-		if start < 0 {
-			start = 0
-		}
-		if end > len(input) {
-			end = len(input)
-		}
-		res, err := eng.Run(input[start:end])
-		if err != nil {
-			t.Fatalf("chunk %d: sequential oracle at offset %d: %v", chunkSize, pos, err)
-		}
-		for _, m := range res.Matches {
-			if m.End += start; m.End >= pos {
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
-// TestScanPipelinedMatchesSequential is the pipeline's differential oracle:
-// over a spread of chunk sizes straddling the overlap boundary and several
-// worker counts, ScanReader must emit a byte-identical match sequence —
-// order included — to the naive chunk-at-a-time oracle above, and return
-// every pooled buffer it borrowed.
-func TestScanPipelinedMatchesSequential(t *testing.T) {
-	patterns := []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", "0\\d{3}"}
-	eng := MustCompile(patterns, &Options{CTAs: 2, Threads: 64})
-	maxLen := eng.maxLen
-	if maxLen < 4 {
-		t.Fatalf("maxLen = %d, test assumes longer patterns", maxLen)
-	}
-
-	rng := rand.New(rand.NewSource(41))
-	words := []string{"fox", "dog", "quik", "quxyzk", "lazy", "l zy", "0123", "0999", "xx", " ", "quak"}
-	var sb strings.Builder
-	for sb.Len() < 20_000 {
-		sb.WriteString(words[rng.Intn(len(words))])
-	}
-	input := []byte(sb.String())
-
-	// Chunk sizes hugging the minimum legal size (overlap+2 bytes of buffer)
-	// exercise carries that are nearly the whole chunk; larger ones exercise
-	// the steady state. A few random sizes widen the net.
-	chunkSizes := []int{maxLen + 1, maxLen + 2, 2*maxLen - 1, 2 * maxLen, 97, 1024}
-	for i := 0; i < 3; i++ {
-		chunkSizes = append(chunkSizes, maxLen+1+rng.Intn(300))
-	}
-
-	for _, cs := range chunkSizes {
-		want := scanSequential(t, eng, input, cs, maxLen)
-		if len(want) == 0 {
-			t.Fatalf("chunk %d: degenerate corpus, no matches", cs)
-		}
-		for _, workers := range []int{1, 3} {
-			a := &arena.Arena{}
-			eng.scanArena, eng.scanWorkers = a, workers
-			var got []Match
-			err := eng.ScanReader(bytes.NewReader(input), cs, func(m Match) { got = append(got, m) })
-			eng.scanArena, eng.scanWorkers = nil, 0
-			if err != nil {
-				t.Fatalf("chunk %d workers %d: pipelined: %v", cs, workers, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("chunk %d workers %d: pipelined emitted %d matches, sequential %d",
-					cs, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("chunk %d workers %d: match %d = %+v, sequential emitted %+v",
-						cs, workers, i, got[i], want[i])
-				}
-			}
-			if err := a.CheckBalanced(); err != nil {
-				t.Fatalf("chunk %d workers %d: %v", cs, workers, err)
-			}
-		}
-	}
-}
-
 // trickleReader serves an endless repetition of unit, one unit per Read,
 // pausing briefly so cancellation has room to land mid-stream.
 type trickleReader struct {
@@ -274,60 +186,6 @@ func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
 	}
 }
 
-// TestSignatureSetEntryPointsEqualNFA scans the repo benchmark's signature set
-// — 168 literal-heavy bounded patterns whose groups are guard-cut shift
-// batches, most outputs matchless — through every entry point that borrows a
-// pooled session, twice so the second pass runs on returned sessions: Run,
-// CountOnly and a ScanReader in 4099-byte chunks must list what the NFA rung
-// lists.
-func TestSignatureSetEntryPointsEqualNFA(t *testing.T) {
-	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 48 << 10, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := MustCompile(app.Patterns, &Options{Resilience: &ResilienceOptions{ForceBackend: BackendNFA}}).Run(app.Input)
-	if err != nil || ref.Backend != BackendNFA {
-		t.Fatalf("reference run: backend %q, err %v", ref.Backend, err)
-	}
-	matchless := 0
-	for _, n := range ref.IndexCounts {
-		if n == 0 {
-			matchless++
-		}
-	}
-	if len(ref.Matches) == 0 || matchless == 0 {
-		t.Fatalf("degenerate corpus: %d matches, %d matchless patterns", len(ref.Matches), matchless)
-	}
-	eng := MustCompile(app.Patterns, nil)
-	for pass := 0; pass < 2; pass++ {
-		res, err := eng.Run(app.Input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Matches, ref.Matches) {
-			t.Fatalf("pass %d: Run lists %d matches, the NFA rung %d; first difference at %d",
-				pass, len(res.Matches), len(ref.Matches), firstDiff(res.Matches, ref.Matches))
-		}
-		counts, err := eng.CountOnly(app.Input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range app.Patterns {
-			if counts[p] != ref.Counts[p] {
-				t.Fatalf("pass %d: CountOnly %q = %d, the NFA rung counts %d", pass, p, counts[p], ref.Counts[p])
-			}
-		}
-		var streamed []Match
-		if err := eng.ScanReader(bytes.NewReader(app.Input), 4099, func(m Match) { streamed = append(streamed, m) }); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(streamed, ref.Matches) {
-			t.Fatalf("pass %d: ScanReader emits %d matches, the NFA rung %d; first difference at %d",
-				pass, len(streamed), len(ref.Matches), firstDiff(streamed, ref.Matches))
-		}
-	}
-}
-
 // TestScanReaderBorrowsPooledSessions: a streaming scan builds no session of
 // its own when the engine's pool has one. With the collector off — a GC cycle
 // may empty a sync.Pool — the second of two back-to-back scans allocates only
@@ -474,11 +332,43 @@ func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestScanPipelinedMatchesSequential streams a word corpus at chunk sizes
+// hugging the overlap boundary, where carried prefixes are nearly whole
+// chunks, and at steady-state ones: maxLen is 9, so the extra chunks are
+// maxLen+2, 2*maxLen-1, 2*maxLen, 97, 1024 and three random sizes.
+func TestScanPipelinedMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	words := []string{"fox", "dog", "quik", "quxyzk", "lazy", "l zy", "0123", "0999", "xx", " ", "quak"}
+	var sb strings.Builder
+	for sb.Len() < 20_000 {
+		sb.WriteString(words[rng.Intn(len(words))])
+	}
+	extra := []int{2, 8, 9, 88, 1015, 1 + rng.Intn(300), 1 + rng.Intn(300), 1 + rng.Intn(300)}
+	c := &conformance{t: t}
+	c.set("as given", corpus{patterns: []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", "0\\d{3}"}, input: []byte(sb.String()),
+		opts: &Options{CTAs: 2, Threads: 64}, extra: extra})
+	if c.straddled == 0 {
+		t.Fatal("degenerate corpus: no match straddles a chunk boundary")
+	}
+}
+
+// TestSignatureSetEntryPointsEqualNFA runs the repo benchmark's signature set —
+// 168 literal-heavy bounded patterns whose groups are guard-cut shift batches,
+// most outputs matchless — through the harness's cells, every later call on
+// sessions an earlier one returned to the pool.
+func TestSignatureSetEntryPointsEqualNFA(t *testing.T) {
+	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 8 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&conformance{t: t}).row(corpus{patterns: app.Patterns, input: app.Input})
+}
+
 // TestScanWorkersOption pins that Options.ScanWorkers reaches the scanner
-// and that any worker count produces identical output.
+// and that any worker count streams the reference's matches.
 func TestScanWorkersOption(t *testing.T) {
 	input := []byte(strings.Repeat("a cat, a dog. ", 2000))
-	var want []Match
+	want := reference(t, []string{"cat|dog"}, input)
 	for _, workers := range []int{0, 1, 2, 8} {
 		eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, Threads: 32, ScanWorkers: workers})
 		if eng.scanWorkers != workers {
@@ -488,13 +378,7 @@ func TestScanWorkersOption(t *testing.T) {
 		if err := eng.ScanReader(bytes.NewReader(input), 1024, func(m Match) { got = append(got, m) }); err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("workers=%d diverges from workers=0", workers)
-		}
+		same(t, fmt.Sprintf("workers %d", workers), got, want)
 	}
 }
 
@@ -506,72 +390,19 @@ func straddleCorpus(units int) ([]string, []byte) {
 	return []string{"abcde", "c.e", "abcde", "e[ab]{1,3}"}, []byte(strings.Repeat("abcde", units))
 }
 
-// TestScanReaderLadderMatchesRunAcrossChunkSizes streams on every pinned
-// backend down the one streaming loop: for each backend, with one worker and
-// with four (the hybrid and NFA automata are re-entrant, so a pinned fallback
-// streams on ScanWorkers like the bitstream engine), and for chunk sizes from
-// the smallest legal one up, ScanReader must emit exactly the bitstream
-// engine's whole-input Run (End, Pattern, Index) sequence.
+// TestScanReaderLadderMatchesRunAcrossChunkSizes streams the straddle corpus,
+// three 4099-byte chunks and a bit, on every backend pin, worker count and
+// chunk size; at the smallest legal chunk (maxLen is 5), 64 and 4099 bytes
+// every chunk boundary must be straddled.
 func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
-	patterns, input := straddleCorpus(2463) // three 4099-byte chunks and a bit
-	minLen := []int{5, 3, 5, 2}
-	plain := MustCompile(patterns, &Options{CTAs: 2, Threads: 64})
-	want, err := plain.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := []int{plain.maxLen + 1, 64, 4099}
-	for _, chunk := range chunks {
-		for b := chunk; b < len(input); b += chunk {
-			straddled := false
-			for _, m := range want.Matches {
-				// A match is at least minLen bytes long, so it starts at or
-				// before End-minLen+1.
-				if m.End >= b && m.End-minLen[m.Index]+1 < b {
-					straddled = true
-					break
-				}
-			}
-			if !straddled {
-				t.Fatalf("chunk %d: no match straddles the boundary at %d", chunk, b)
-			}
+	patterns, input := straddleCorpus(2463)
+	want := reference(t, patterns, input)
+	for _, chunk := range []int{6, 64, 4099} {
+		if n, all := straddles(want, chunk), (len(input)-1)/chunk; n != all {
+			t.Fatalf("chunk %d: %d of the %d boundaries straddled", chunk, n, all)
 		}
 	}
-	for _, backend := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-		for _, workers := range []int{1, 4} {
-			eng, err := Compile(patterns, &Options{
-				CTAs: 2, Threads: 64, ScanWorkers: workers,
-				Resilience: &ResilienceOptions{ForceBackend: backend},
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", backend, err)
-			}
-			for _, chunk := range chunks {
-				a := &arena.Arena{}
-				eng.scanArena = a
-				var got []Match
-				if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) { got = append(got, m) }); err != nil {
-					t.Fatalf("%s workers %d chunk %d: %v", backend, workers, chunk, err)
-				}
-				if !reflect.DeepEqual(got, want.Matches) {
-					t.Fatalf("%s workers %d chunk %d: streamed %d matches, Run %d; first difference at %d",
-						backend, workers, chunk, len(got), len(want.Matches), firstDiff(got, want.Matches))
-				}
-				if err := a.CheckBalanced(); err != nil {
-					t.Fatalf("%s workers %d chunk %d: %v", backend, workers, chunk, err)
-				}
-			}
-		}
-	}
-}
-
-func firstDiff(a, b []Match) int {
-	for i := range a {
-		if i >= len(b) || a[i] != b[i] {
-			return i
-		}
-	}
-	return len(a)
+	(&conformance{t: t}).row(corpus{patterns: patterns, input: input, opts: &Options{CTAs: 2, Threads: 64}, wide: true})
 }
 
 // TestScanReaderLadderStopsAtFirstFailingChunk pins first-failure semantics

@@ -2,9 +2,9 @@ package bitgen
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,42 +62,17 @@ func TestNullableEndOfInputMatch(t *testing.T) {
 	}
 }
 
-// TestNullableEndOfInputAcrossBackends pins the EOF empty-match fix to all
-// three backends: the bitstream kernel, the hybrid engine and the NFA
-// reference must each report the end-of-input position.
+// TestNullableEndOfInputAcrossBackends pins the end-of-input empty match to
+// every backend, and ScanReader's refusal of the nullable set to all alike.
 func TestNullableEndOfInputAcrossBackends(t *testing.T) {
-	patterns := []string{"a{0}", "ab", "c*"}
-	input := []byte("cab")
-	var ref []Match
-	for _, backend := range []string{BackendNFA, BackendHybrid, BackendBitstream} {
-		e, err := Compile(patterns, &Options{Resilience: &ResilienceOptions{ForceBackend: backend}})
-		if err != nil {
-			t.Fatalf("compile for %s: %v", backend, err)
-		}
-		res, err := e.Run(input)
-		if err != nil {
-			t.Fatalf("%s run: %v", backend, err)
-		}
-		// Every pattern is nullable except "ab": both nullable patterns
-		// must include End == len(input).
-		for _, p := range []string{"a{0}", "c*"} {
-			found := false
-			for _, m := range res.Matches {
-				if m.Pattern == p && m.End == len(input) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("%s: %q missing end-of-input match at %d: %v",
-					backend, p, len(input), res.Matches)
-			}
-		}
-		if ref == nil {
-			ref = res.Matches
-		} else if !reflect.DeepEqual(res.Matches, ref) {
-			t.Errorf("%s diverges from reference:\n got  %v\n want %v",
-				backend, res.Matches, ref)
-		}
+	patterns, input := []string{"a{0}", "ab", "c*"}, []byte("cab")
+	if n := len(slices.DeleteFunc(reference(t, patterns, input), func(m Match) bool { return m.End != len(input) })); n != 2 {
+		t.Fatalf("the reference lists %d end-of-input matches, want one per nullable pattern", n)
+	}
+	c := &conformance{t: t}
+	c.row(corpus{patterns: patterns, input: input, wide: true})
+	if c.nullable == 0 || c.refused == 0 {
+		t.Fatalf("%d nullable sets, %d refusals: the corpus must reach both", c.nullable, c.refused)
 	}
 }
 
@@ -155,64 +130,30 @@ func TestDuplicatePatternsMixedSet(t *testing.T) {
 	}
 }
 
-// TestDuplicatePatternsAcrossBackends pins duplicate fan-out to every
-// backend.
+// TestDuplicatePatternsAcrossBackends pins duplicate fan-out to every backend.
 func TestDuplicatePatternsAcrossBackends(t *testing.T) {
-	patterns := []string{"abc", "abc", "z"}
-	input := []byte("zabcz")
-	var ref *Result
-	for _, backend := range []string{BackendNFA, BackendHybrid, BackendBitstream} {
-		e, err := Compile(patterns, &Options{Resilience: &ResilienceOptions{ForceBackend: backend}})
-		if err != nil {
-			t.Fatalf("compile for %s: %v", backend, err)
-		}
-		res, err := e.Run(input)
-		if err != nil {
-			t.Fatalf("%s run: %v", backend, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Matches, ref.Matches) {
-			t.Errorf("%s Matches diverge:\n got  %v\n want %v", backend, res.Matches, ref.Matches)
-		}
-		if !reflect.DeepEqual(res.IndexCounts, ref.IndexCounts) {
-			t.Errorf("%s IndexCounts diverge: %v vs %v", backend, res.IndexCounts, ref.IndexCounts)
-		}
-	}
-	if !reflect.DeepEqual(ref.IndexCounts, []int{1, 1, 2}) {
-		t.Errorf("IndexCounts = %v, want [1 1 2]", ref.IndexCounts)
-	}
+	(&conformance{t: t}).row(corpus{patterns: []string{"abc", "abc", "z"}, input: []byte("zabcz"), wide: true})
 }
 
-// TestScanReaderDuplicatePatterns verifies streaming on every backend fans
-// duplicates out per index in sorted order.
+// TestScanReaderDuplicatePatterns streams a duplicated pattern on every
+// backend, in 8-byte chunks among others: each match fans out per index.
 func TestScanReaderDuplicatePatterns(t *testing.T) {
-	input := strings.Repeat("xxabcxx", 3)
-	want := []Match{
-		{Pattern: "abc", Index: 0, End: 4},
-		{Pattern: "abc", Index: 1, End: 4},
-		{Pattern: "abc", Index: 0, End: 11},
-		{Pattern: "abc", Index: 1, End: 11},
-		{Pattern: "abc", Index: 0, End: 18},
-		{Pattern: "abc", Index: 1, End: 18},
-	}
-	for name, opts := range map[string]*Options{
-		"pipelined": nil,
-		"bitstream": {Resilience: &ResilienceOptions{}},
-		"hybrid":    {Resilience: &ResilienceOptions{ForceBackend: BackendHybrid}},
-		"nfa":       {Resilience: &ResilienceOptions{ForceBackend: BackendNFA}},
-	} {
-		e := MustCompile([]string{"abc", "abc"}, opts)
-		var got []Match
-		err := e.ScanReader(strings.NewReader(input), 8, func(m Match) { got = append(got, m) })
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: matches = %v, want %v", name, got, want)
-		}
+	(&conformance{t: t}).row(corpus{patterns: []string{"abc", "abc"}, input: []byte(strings.Repeat("xxabcxx", 3)), wide: true, extra: []int{5}})
+}
+
+// TestRunCollectsLikeTheReference drives the engine's shared match collector
+// on the inputs that stress it: duplicates next to a nullable pattern, a
+// match-dense input with several patterns ending at the same offset (the
+// rank tie-break), and a carry chain that takes the overlap fallback on
+// tinyGeometry. Every cell also checks that no later call rewrote an earlier
+// result's Matches.
+func TestRunCollectsLikeTheReference(t *testing.T) {
+	c := &conformance{t: t}
+	c.row(corpus{patterns: []string{"abc", "a?", "abc"}, input: []byte("xabcabca"), wide: true})
+	c.row(corpus{patterns: []string{"ab", "b", "[ab]", "b"}, input: bytes.Repeat([]byte("ab"), 2048), wide: true})
+	c.row(corpus{patterns: []string{"ab*c", "bc", "b{3}"}, input: []byte("a" + strings.Repeat("b", 2000) + "c abc abbbc"), wide: true})
+	if c.fallback == 0 {
+		t.Fatal("the carry chain no longer takes the overlap fallback")
 	}
 }
 
@@ -270,80 +211,5 @@ func TestRunMultiEdgeCases(t *testing.T) {
 	}
 	if got := endsOf(mr.PerStream[0].Matches, 0); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("a* on empty input ends = %v, want [0]", got)
-	}
-}
-
-// TestRunCollectsLikeTheReference drives one-shot Run through the engine's
-// shared match collector on the inputs that stress it — duplicates next to
-// a nullable pattern, a match-dense input with several patterns ending at
-// the same offset (the rank tie-break), and an input that pushes a carry
-// chain onto the overlap fallback — and compares each with the NFA
-// reference in (End, Pattern, Index) order. CountOnly must agree with the
-// per-pattern match counts, and a result must survive the next Run: its
-// Matches never alias the pooled session's buffers.
-func TestRunCollectsLikeTheReference(t *testing.T) {
-	cases := []struct {
-		name     string
-		patterns []string
-		input    string
-		matches  int // at least this many
-		threads  int
-		fallback bool // the bitstream engine must take an overlap fallback
-	}{
-		{name: "duplicates+nullable", patterns: []string{"abc", "a?", "abc"}, input: "xabcabca", matches: 4 + 9, threads: 32},
-		{name: "dense", patterns: []string{"ab", "b", "[ab]", "b"}, input: strings.Repeat("ab", 15_000), matches: 50_001, threads: 32},
-		// A 128-bit block: the b* carry chain outgrows the overlap cap.
-		{name: "fallback", patterns: []string{"ab*c", "bc", "b{3}"}, input: "a" + strings.Repeat("b", 2000) + "c abc abbbc",
-			matches: 3, threads: 4, fallback: true},
-	}
-	for _, c := range cases {
-		input := []byte(c.input)
-		eng := MustCompile(c.patterns, &Options{CTAs: 2, Threads: c.threads})
-		ref := MustCompile(c.patterns, &Options{Resilience: &ResilienceOptions{ForceBackend: BackendNFA}})
-		want, err := ref.Run(input)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", c.name, err)
-		}
-		if len(want.Matches) < c.matches {
-			t.Fatalf("%s: reference found %d matches, the case needs %d", c.name, len(want.Matches), c.matches)
-		}
-		if c.fallback {
-			inner, err := eng.inner.RunCounts(context.Background(), input)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if inner.Fallbacks == 0 {
-				t.Fatalf("%s: input did not force an overlap fallback", c.name)
-			}
-		}
-		first, err := eng.Run(input)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !reflect.DeepEqual(first.Matches, want.Matches) {
-			t.Fatalf("%s: Run diverges from the NFA reference at match %d of %d (reference has %d)",
-				c.name, firstDiff(first.Matches, want.Matches), len(first.Matches), len(want.Matches))
-		}
-		kept := append([]Match(nil), first.Matches...)
-		// A different input through the same pooled session.
-		if _, err := eng.Run(bytes.Repeat([]byte("cab"), len(input)/3+1)); err != nil {
-			t.Fatalf("%s: second run: %v", c.name, err)
-		}
-		if !reflect.DeepEqual(first.Matches, kept) {
-			t.Fatalf("%s: the next Run rewrote an earlier result's Matches", c.name)
-		}
-		counts, err := eng.CountOnly(input)
-		if err != nil {
-			t.Fatalf("%s: CountOnly: %v", c.name, err)
-		}
-		perPattern := map[string]int{}
-		for _, m := range first.Matches {
-			perPattern[m.Pattern]++
-		}
-		for _, p := range c.patterns {
-			if counts[p] != perPattern[p] {
-				t.Errorf("%s: CountOnly[%q] = %d, Run lists %d", c.name, p, counts[p], perPattern[p])
-			}
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,94 +263,26 @@ func TestSnapshotNamesLowestBadGroup(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotRoundTrip asserts, for generated pattern sets and inputs,
-// that load(save(engine)) produces byte-identical match results to the
-// fresh engine across all three backends, and that flipping any single
-// byte of the snapshot always yields a typed refusal, never a served
-// engine with drifted state.
+// FuzzSnapshotRoundTrip saves generated pattern sets' engines: a snapshot with
+// one byte flipped, or with a section length near MaxUint64 (which an additive
+// bounds check would wrap), is ErrSnapshot, and the intact one, decoded under
+// each backend pin, passes the harness's cells.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add(uint64(1), []byte("abcabcddef aabbcc"))
-	f.Add(uint64(7), []byte("jjjjiihhaa gggff"))
-	f.Add(uint64(42), []byte{})
-	f.Add(uint64(99), []byte("a"))
-	// Duplicate-heavy / shared-charclass seeds (odd seeds trigger the
-	// amplification below): snapshots of shared-basis engines must round-
-	// trip exactly like plain ones.
-	f.Add(uint64(101), []byte("abcfgj afgj aafjgg"))
-	f.Add(uint64(203), []byte("ffgjffgj aaa jgfa"))
+	for _, s := range fuzzSeeds {
+		f.Add(s.seed, []byte(s.data))
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
-		patterns := fuzzPatterns(seed, 4)
-		if len(patterns) == 0 {
-			t.Skip("generator produced no usable patterns")
-		}
-		patterns = append(patterns, patterns[0]) // duplicate fan-out
-		if seed%2 == 1 {
-			// Shared-charclass pressure: identical class-heavy entries
-			// promoted to the shared extended basis by the compressed compile.
-			patterns = append(patterns, "[a-f][g-j]", "[a-f][g-j]", patterns[len(patterns)/2])
-		}
-		input := fuzzInput(data)
-
-		fresh, err := Compile(patterns, nil)
-		if errors.Is(err, ErrLimit) || errors.Is(err, ErrUnsupported) {
-			t.Skip(err)
-		}
-		if err != nil {
-			t.Fatalf("compile %v: %v", patterns, err)
-		}
-		want, err := fresh.Run(input)
-		if errors.Is(err, ErrLimit) {
-			t.Skip(err)
-		}
-		if err != nil {
-			t.Fatalf("fresh run: %v", err)
-		}
-		snap := EncodeEngine(fresh)
-
-		for _, backend := range []string{"", BackendBitstream, BackendHybrid, BackendNFA} {
-			opts := &Options{}
-			if backend != "" {
-				opts.Resilience = &ResilienceOptions{ForceBackend: backend}
-			}
-			loaded, err := DecodeEngine(snap, opts)
-			if err != nil {
-				t.Fatalf("load for backend %q: %v", backend, err)
-			}
-			got, err := loaded.Run(input)
-			if err != nil {
-				t.Fatalf("loaded run via %q: %v", backend, err)
-			}
-			if !reflect.DeepEqual(got.Matches, want.Matches) {
-				t.Fatalf("patterns %v backend %q: loaded matches %v, fresh %v", patterns, backend, got.Matches, want.Matches)
-			}
-			if !reflect.DeepEqual(got.IndexCounts, want.IndexCounts) {
-				t.Fatalf("patterns %v backend %q: loaded IndexCounts %v, fresh %v", patterns, backend, got.IndexCounts, want.IndexCounts)
+		patterns, e := fuzzSet(t, seed)
+		snap := EncodeEngine(e)
+		flipped, huge := slices.Clone(snap), slices.Clone(snap)
+		flipped[seed%uint64(len(snap))] ^= 0x10
+		binary.LittleEndian.PutUint64(huge[18+int(binary.LittleEndian.Uint16(huge[16:18])):], math.MaxUint64-seed%5)
+		for _, hostile := range [][]byte{flipped, huge} {
+			if _, err := DecodeEngine(hostile, nil); !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("a damaged snapshot: want ErrSnapshot, got %v", err)
 			}
 		}
-
-		// A crafted section length near MaxUint64 must be refused as a
-		// typed error: an additive bounds check (payLen+4) would wrap,
-		// pass, and panic the decoder on hostile bytes.
-		huge := append([]byte(nil), snap...)
-		nameLen := int(binary.LittleEndian.Uint16(huge[16:18]))
-		binary.LittleEndian.PutUint64(huge[18+nameLen:], math.MaxUint64-seed%5)
-		if _, err := DecodeEngine(huge, nil); !errors.Is(err, ErrSnapshot) {
-			t.Fatalf("overflow payLen: want ErrSnapshot, got %v", err)
-		}
-
-		// One deterministic single-byte flip per fuzz case: corrupted
-		// snapshots must always be refused.
-		off := int(seed % uint64(len(snap)))
-		bad := append([]byte(nil), snap...)
-		bad[off] ^= 0x10
-		if eng, err := DecodeEngine(bad, nil); err == nil {
-			// An undetected flip is only acceptable if it is semantically
-			// invisible — and our CRCs make that impossible.
-			_ = eng
-			t.Fatalf("flip at %d of %d went undetected", off, len(snap))
-		} else if !errors.Is(err, ErrSnapshot) {
-			t.Fatalf("flip at %d: want ErrSnapshot, got %v", off, err)
-		}
+		(&conformance{t: t}).set("as given", corpus{patterns: patterns, input: fuzzInput(data), wide: true})
 	})
 }
 

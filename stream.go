@@ -76,7 +76,7 @@ func (e *Engine) ScanReaderContext(ctx context.Context, r io.Reader, chunkSize i
 		return &UnsupportedError{Feature: "streaming empty patterns"}
 	}
 	if chunkSize <= maxLen {
-		return fmt.Errorf("bitgen: chunk size %d must exceed the longest match length %d", chunkSize, maxLen)
+		return &UnsupportedError{Feature: fmt.Sprintf("chunk size %d, not above the longest match length %d", chunkSize, maxLen)}
 	}
 	if e.limits.MaxInputBytes > 0 && int64(chunkSize+maxLen-1) > e.limits.MaxInputBytes {
 		return &LimitError{Limit: "input-bytes", Value: int64(chunkSize + maxLen - 1), Max: e.limits.MaxInputBytes}

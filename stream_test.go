@@ -1,70 +1,36 @@
 package bitgen
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
+// TestScanReaderMatchesWholeInput streams 50 KB of random words, 4096-byte
+// chunks among others, on a 2×32 geometry.
 func TestScanReaderMatchesWholeInput(t *testing.T) {
-	patterns := []string{"cat", "d[ou]g{1,2}", "bird?"}
-	eng := MustCompile(patterns, &Options{CTAs: 2, Threads: 32})
-
 	rng := rand.New(rand.NewSource(9))
 	words := []string{"cat", "dog", "dugg", "bird", "bir", "fish", "xxxx", " "}
 	var b strings.Builder
 	for b.Len() < 50_000 {
 		b.WriteString(words[rng.Intn(len(words))])
 	}
-	input := []byte(b.String())
-
-	want, err := eng.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Match
-	if err := eng.ScanReader(bytes.NewReader(input), 4096, func(m Match) {
-		got = append(got, m)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want.Matches) {
-		t.Fatalf("streamed %d matches, whole-input %d", len(got), len(want.Matches))
-	}
-	// Compare as sets keyed by (pattern, end).
-	seen := make(map[Match]bool, len(want.Matches))
-	for _, m := range want.Matches {
-		seen[m] = true
-	}
-	for _, m := range got {
-		if !seen[m] {
-			t.Fatalf("streamed spurious match %+v", m)
-		}
-	}
+	(&conformance{t: t}).set("as given", corpus{patterns: []string{"cat", "d[ou]g{1,2}", "bird?"}, input: []byte(b.String()),
+		opts: &Options{CTAs: 2, Threads: 32}, extra: []int{4092}})
 }
 
+// TestScanReaderBoundaryStraddle places a match across every 1000-byte chunk
+// boundary.
 func TestScanReaderBoundaryStraddle(t *testing.T) {
-	// Place a match exactly across every chunk boundary.
-	eng := MustCompile([]string{"abcde"}, &Options{CTAs: 1, Threads: 32})
-	chunk := 1000
-	input := make([]byte, 5*chunk)
-	for i := range input {
-		input[i] = 'x'
-	}
-	for _, pos := range []int{chunk - 2, 2*chunk - 3, 3*chunk - 1, 4*chunk - 4} {
+	input := []byte(strings.Repeat("x", 5000))
+	for _, pos := range []int{998, 1997, 2999, 3996} {
 		copy(input[pos:], "abcde")
 	}
-	var ends []int
-	if err := eng.ScanReader(bytes.NewReader(input), chunk, func(m Match) {
-		ends = append(ends, m.End)
-	}); err != nil {
-		t.Fatal(err)
+	if n := straddles(reference(t, []string{"abcde"}, input), 1000); n != 4 {
+		t.Fatalf("the corpus straddles %d of the 4 chunk boundaries", n)
 	}
-	if len(ends) != 4 {
-		t.Fatalf("ends = %v, want 4 straddling matches", ends)
-	}
+	(&conformance{t: t}).row(corpus{patterns: []string{"abcde"}, input: input, opts: &Options{CTAs: 1, Threads: 32}, wide: true, extra: []int{995}})
 }
 
 func TestScanReaderRejectsUnbounded(t *testing.T) {
