@@ -46,7 +46,7 @@ type phaseStats struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 	// LatencyHist is the served-request latency histogram (cumulative
 	// counts per upper bound, +Inf last), the same classic-histogram shape
-	// the server's bitgen_slo_latency_seconds family exposes — so a bench
+	// the server's bitgen_slo_request_seconds family exposes — so a bench
 	// report and a scrape are directly comparable.
 	LatencyHist []latencyBucket `json:"latency_hist,omitempty"`
 	// SLO is the client-observed compliance against the match/scan latency

@@ -320,16 +320,27 @@ type bundleBody struct {
 	Node               string            `json:"node"`
 	GeneratedUnixMicro int64             `json:"generated_us"`
 	Spans              []json.RawMessage `json:"spans"`
-	Events             []json.RawMessage `json:"events"`
+	Decisions          []decision        `json:"decisions"`
 	Metrics            string            `json:"metrics"`
 	Goroutines         string            `json:"goroutines"`
+}
+
+// decision is the part of an instant span a bundle's decision must carry.
+type decision struct {
+	Name    string `json:"name"`
+	Start   *int64 `json:"start_us"`
+	Instant bool   `json:"instant"`
+	Attrs   struct {
+		Level string `json:"level"`
+	} `json:"attrs"`
 }
 
 // checkBundle validates an anomaly flight-recorder bundle: the envelope
 // checksum must match the body bytes, and the body must carry every
 // diagnostic section — a reason, the recording node, a timestamp, at
-// least one event, a goroutine dump, and a metrics snapshot that is
-// itself valid Prometheus exposition.
+// least one decision, a goroutine dump, and a metrics snapshot that is
+// itself valid Prometheus exposition. Every decision must be an instant
+// span with a name, a start_us and a level among debug/info/warn/error.
 func checkBundle(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -359,8 +370,16 @@ func checkBundle(path string) error {
 	if body.GeneratedUnixMicro <= 0 {
 		return fmt.Errorf("body missing generated_us")
 	}
-	if len(body.Events) == 0 {
-		return fmt.Errorf("body has no events — a bundle must capture the event ring")
+	if len(body.Decisions) == 0 {
+		return fmt.Errorf("body has no decisions — a bundle must capture the decision ring")
+	}
+	for i, d := range body.Decisions {
+		switch {
+		case d.Name == "" || d.Start == nil || !d.Instant:
+			return fmt.Errorf("decisions[%d] (%q): not an instant span with a name and start_us", i, d.Name)
+		case d.Attrs.Level != "debug" && d.Attrs.Level != "info" && d.Attrs.Level != "warn" && d.Attrs.Level != "error":
+			return fmt.Errorf("decisions[%d] (%q): level %q is not debug/info/warn/error", i, d.Name, d.Attrs.Level)
+		}
 	}
 	if body.Spans == nil {
 		return fmt.Errorf("body missing spans section")

@@ -90,7 +90,7 @@ type Router struct {
 }
 
 // New builds a Router. ob carries the serve-layer registry (for the
-// cluster.* metric families), the event log and the request-span store
+// cluster.* metric families), the decision ring and the request-span ring
 // that record each forward; a nil ob disables all three.
 func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	if cfg.Self == "" {
@@ -175,9 +175,9 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 					level = obs.LevelWarn
 				}
 				ob.Event(level, "breaker", obs.TraceID{},
-					obs.FStr("layer", "cluster"), obs.FStr("peer", host),
-					obs.FStr("from", from.String()), obs.FStr("to", to.String()),
-					obs.FStr("reason", reason))
+					obs.A("layer", "cluster"), obs.A("peer", host),
+					obs.A("from", from.String()), obs.A("to", to.String()),
+					obs.A("reason", reason))
 			},
 		}
 		r.peers[n] = p
@@ -319,11 +319,11 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 	if route.SelfStandby {
 		r.standby.Inc()
 		r.ob.Event(obs.LevelInfo, "standby-serve", tc.Trace,
-			obs.FStr("key", short(route.Key)))
+			obs.A("key", short(route.Key)))
 	} else {
 		r.degraded.Inc()
 		r.ob.Event(obs.LevelWarn, "degraded-serve", tc.Trace,
-			obs.FStr("key", short(route.Key)), obs.FStr("owner", route.Owner))
+			obs.A("key", short(route.Key)), obs.A("owner", route.Owner))
 	}
 	return nil, false
 }
@@ -358,7 +358,7 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 			if hedged {
 				r.hedges.Inc()
 				r.ob.Event(obs.LevelInfo, "hedge", trace,
-					obs.FStr("to", p.host), obs.FStr("path", path))
+					obs.A("to", p.host), obs.A("path", path))
 			}
 			p.fwd.Inc()
 			launched++
@@ -402,8 +402,8 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 					o.p.fails.Inc()
 					o.p.br.failure(r.now(), o.err)
 					r.ob.Event(obs.LevelWarn, "forward-error", trace,
-						obs.FStr("peer", o.p.host), obs.FStr("error", o.err.Error()),
-						obs.FBool("hedged", o.hedged))
+						obs.A("peer", o.p.host), obs.A("error", o.err.Error()),
+						obs.A("hedged", o.hedged))
 				}
 				o.cancel()
 				launch(false) // immediate failover if a candidate remains
@@ -416,7 +416,7 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 				// More than one attempt ran: record who won the race (the
 				// hedged duplicate or the failover retry, vs the owner).
 				r.ob.Event(obs.LevelInfo, "hedge-win", trace,
-					obs.FStr("peer", o.p.host), obs.FBool("hedged", o.hedged))
+					obs.A("peer", o.p.host), obs.A("hedged", o.hedged))
 			}
 			for _, cancel := range pending {
 				cancel()
@@ -435,7 +435,7 @@ func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer
 							}
 						}
 						r.ob.Event(obs.LevelDebug, "hedge-loss", trace,
-							obs.FStr("peer", lo.p.host), obs.FBool("hedged", lo.hedged))
+							obs.A("peer", lo.p.host), obs.A("hedged", lo.hedged))
 						lo.cancel()
 					}
 				}()
@@ -501,7 +501,7 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 			}
 			p.br.failure(r.now(), aerr)
 			r.ob.Event(obs.LevelWarn, "snapshot-fetch-error", tc.Trace,
-				obs.FStr("peer", p.host), obs.FStr("error", aerr.Error()))
+				obs.A("peer", p.host), obs.A("error", aerr.Error()))
 			lastErr = aerr
 			continue
 		}

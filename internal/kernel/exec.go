@@ -24,10 +24,6 @@ type Config struct {
 	Mode Mode
 	// HonorGuards executes Zero Block Skipping guards.
 	HonorGuards bool
-	// MaxOverlapBits caps the dynamic overlap distance Δ; beyond it the
-	// executor falls back to materializing the offending loop or carry
-	// (Section 8.2). Zero means one block (the paper's T·W·U limit).
-	MaxOverlapBits int
 	// SharedInputCTAs amortizes DRAM charges for the shared basis input
 	// across this many CTAs (the L2 effect of every CTA reading the same
 	// transposed input). Zero means 1 (no sharing).
@@ -52,9 +48,6 @@ type Config struct {
 func (c Config) withDefaults(n int) Config {
 	if c.Grid == (gpusim.Grid{}) {
 		c.Grid = gpusim.DefaultGrid()
-	}
-	if c.MaxOverlapBits == 0 {
-		c.MaxOverlapBits = c.Grid.BlockBits()
 	}
 	if c.SharedInputCTAs == 0 {
 		c.SharedInputCTAs = 1
@@ -551,7 +544,7 @@ func (ex *ctaExec) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, 
 	if dynamic && ex.cfg.Inject.Fire(faultinject.ForceFallback) {
 		// Injected Section 8.2 overflow: push the segment's loop or carry
 		// onto the materialized fallback path.
-		return 0, &overflowError{stmt: findDynamicStmt(seg.stmts), need: ex.cfg.MaxOverlapBits + 1}
+		return 0, &overflowError{stmt: findDynamicStmt(seg.stmts), need: ex.cfg.Grid.BlockBits() + 1}
 	}
 	for {
 		if err := ex.canceled(); err != nil {
@@ -650,8 +643,11 @@ func findDynamicStmt(stmts []ir.Stmt) ir.Stmt {
 	return found
 }
 
-// growOverlap doubles the left overlap, honoring the block-size limit.
+// growOverlap doubles the left overlap, honoring the block-size limit: the
+// overlap distance Δ is capped at one block (the paper's T·W·U), beyond which
+// the offending loop or carry is materialized stream-wise (Section 8.2).
 func (ex *ctaExec) growOverlap(dl, cs int) (int, error) {
+	limit := ex.cfg.Grid.BlockBits()
 	grown := dl * 2
 	if grown < 64 {
 		grown = 64
@@ -660,11 +656,11 @@ func (ex *ctaExec) growOverlap(dl, cs int) (int, error) {
 		// No point extending past the stream start.
 		grown = align64(cs)
 	}
-	if dl >= ex.cfg.MaxOverlapBits || (grown == dl && dl >= cs) {
+	if dl >= limit || (grown == dl && dl >= cs) {
 		return 0, &overflowError{stmt: ex.culprit, need: grown}
 	}
-	if grown > ex.cfg.MaxOverlapBits {
-		grown = align64(ex.cfg.MaxOverlapBits)
+	if grown > limit {
+		grown = align64(limit)
 	}
 	if grown <= dl {
 		return 0, &overflowError{stmt: ex.culprit, need: grown}

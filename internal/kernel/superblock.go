@@ -528,7 +528,7 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 		}
 		if iters++; iters > maxIters {
 			ex.culprit = nd.while
-			return &overflowError{stmt: nd.while, need: ex.cfg.MaxOverlapBits + 1}
+			return &overflowError{stmt: nd.while, need: ex.cfg.Grid.BlockBits() + 1}
 		}
 		if charge {
 			ex.stats.WhileIterations++

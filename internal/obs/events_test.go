@@ -29,162 +29,108 @@ func (c *manualClock) advance(d time.Duration) {
 
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
-	l.Emit(LevelError, "x", TraceID{}, FStr("k", "v"))
-	if l.Events() != nil || l.ByTrace(NewTraceID()) != nil {
-		t.Fatal("nil log returned events")
-	}
-	if l.Total() != 0 || l.Dropped() != 0 {
-		t.Fatal("nil log has counts")
-	}
+	l.Emit(LevelError, "x", TraceID{}, A("k", "v"))
+	(*Observer)(nil).Event(LevelError, "x", TraceID{})
+	(&Observer{}).Event(LevelError, "x", TraceID{})
 }
 
-// TestEventLogDisabledZeroAlloc is the ISSUE's cost contract: emitting
-// into a nil (disabled) event log must not allocate — the variadic field
-// slice stays on the caller's stack. Guarded here as a test so -race CI
-// runs it; BenchmarkEventLogDisabled reports the same number.
-func TestEventLogDisabledZeroAlloc(t *testing.T) {
-	var l *EventLog
-	tr := NewTraceID()
-	allocs := testing.AllocsPerRun(1000, func() {
-		l.Emit(LevelWarn, "breaker", tr,
-			FStr("peer", "p"), FStr("from", "closed"), FStr("to", "open"),
-			FInt("streak", 3), FFloat("burn", 1.5), FBool("hedged", true))
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled Emit allocates %v times per call, want 0", allocs)
-	}
-}
-
-func BenchmarkEventLogDisabled(b *testing.B) {
-	var l *EventLog
-	tr := NewTraceID()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Emit(LevelWarn, "breaker", tr,
-			FStr("peer", "p"), FStr("from", "closed"), FStr("to", "open"),
-			FInt("streak", 3))
-	}
-}
-
+// TestEventLogRingRotation: the decision ring keeps the newest
+// decisionCapacity decisions, oldest first.
 func TestEventLogRingRotation(t *testing.T) {
-	l := NewEventLog(EventLogConfig{Capacity: 4, RatePerSec: -1})
-	for i := 0; i < 7; i++ {
-		l.Emit(LevelInfo, fmt.Sprintf("ev%d", i), TraceID{})
-	}
-	if l.Total() != 7 {
-		t.Fatalf("total = %d, want 7", l.Total())
+	l := NewEventLog(EventLogConfig{})
+	for i := 0; i < decisionCapacity+3; i++ {
+		l.Emit(LevelWarn, fmt.Sprintf("ev%d", i), TraceID{})
 	}
 	evs := l.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(evs))
+	if len(evs) != decisionCapacity || l.ring.Dropped() != 3 {
+		t.Fatalf("ring holds %d, dropped %d; want %d and 3", len(evs), l.ring.Dropped(), decisionCapacity)
 	}
-	for i, ev := range evs {
-		if want := fmt.Sprintf("ev%d", i+3); ev.Type != want {
-			t.Fatalf("evs[%d] = %q, want %q (oldest first)", i, ev.Type, want)
+	for i, ev := range []Span{evs[0], evs[len(evs)-1]} {
+		if want := fmt.Sprintf("ev%d", 3+i*(decisionCapacity-1)); ev.Name != want || !ev.Instant {
+			t.Fatalf("kept %q (instant %v), want %q", ev.Name, ev.Instant, want)
 		}
 	}
 }
 
-func TestEventLogMinLevel(t *testing.T) {
-	l := NewEventLog(EventLogConfig{Capacity: 8, MinLevel: LevelWarn, RatePerSec: -1})
-	l.Emit(LevelDebug, "d", TraceID{})
-	l.Emit(LevelInfo, "i", TraceID{})
-	l.Emit(LevelWarn, "w", TraceID{})
-	l.Emit(LevelError, "e", TraceID{})
-	evs := l.Events()
-	if len(evs) != 2 || evs[0].Type != "w" || evs[1].Type != "e" {
-		t.Fatalf("MinLevel=warn admitted %v", evs)
-	}
-}
-
+// TestEventLogRateLimitSparesWarnings: an Info flood never sheds or evicts a
+// Warn decision. The bucket admits a burst and then decisionRate per second;
+// Warn and Error bypass it even with no tokens left, and the flood a second
+// of refill admits stays far below the ring's capacity.
 func TestEventLogRateLimitSparesWarnings(t *testing.T) {
 	clk := &manualClock{t: time.Unix(1000, 0)}
-	l := NewEventLog(EventLogConfig{Capacity: 64, RatePerSec: 2, Burst: 2, Now: clk.now})
-	for i := 0; i < 5; i++ {
-		l.Emit(LevelInfo, "chatty", TraceID{})
-	}
-	if got := l.Total(); got != 2 {
-		t.Fatalf("admitted %d info events with burst 2, want 2", got)
-	}
-	if got := l.Dropped(); got != 3 {
-		t.Fatalf("dropped = %d, want 3", got)
-	}
-	// Warn and Error bypass the limiter even with zero tokens.
+	l := NewEventLog(EventLogConfig{Now: clk.now})
 	l.Emit(LevelWarn, "anomaly", TraceID{})
-	l.Emit(LevelError, "worse", TraceID{})
-	if got := l.Total(); got != 4 {
-		t.Fatalf("warn/error were shed: total %d, want 4", got)
+	infos := func(n int) {
+		for i := 0; i < n; i++ {
+			l.Emit(LevelInfo, "chatty", TraceID{})
+		}
 	}
-	// Tokens refill with time: 1s at 2/s admits two more info events.
+	count := func(name string) (n int) {
+		for _, ev := range l.Events() {
+			if ev.Name == name {
+				n++
+			}
+		}
+		return n
+	}
+	infos(10 * decisionBurst)
+	if got := count("chatty"); got != decisionBurst {
+		t.Fatalf("admitted %d of a 10×burst flood, want the burst %d", got, decisionBurst)
+	}
+	l.Emit(LevelError, "worse", TraceID{})
 	clk.advance(time.Second)
-	l.Emit(LevelInfo, "later1", TraceID{})
-	l.Emit(LevelInfo, "later2", TraceID{})
-	l.Emit(LevelInfo, "later3", TraceID{})
-	if got := l.Total(); got != 6 {
-		t.Fatalf("after refill total = %d, want 6", got)
+	infos(10 * decisionRate)
+	if got := count("chatty"); got != decisionBurst+decisionRate {
+		t.Fatalf("after 1 s of refill admitted %d, want %d", got, decisionBurst+decisionRate)
+	}
+	if count("anomaly") != 1 || count("worse") != 1 {
+		t.Fatalf("the flood shed or evicted a Warn+ decision: %d anomaly, %d worse", count("anomaly"), count("worse"))
+	}
+	if lv := l.Events()[0].Args.Get("level"); lv != "warn" {
+		t.Fatalf("first decision's level = %v, want warn", lv)
 	}
 }
 
 func TestEventLogOnEventFiresWarnAndAbove(t *testing.T) {
 	var fired []string
-	l := NewEventLog(EventLogConfig{
-		Capacity:   8,
-		RatePerSec: -1,
-		OnEvent:    func(ev LogEvent) { fired = append(fired, ev.Type) },
-	})
+	l := NewEventLog(EventLogConfig{OnEvent: func(sp Span) { fired = append(fired, sp.Name+":"+sp.Args.Get("level").(string)) }})
 	l.Emit(LevelDebug, "d", TraceID{})
 	l.Emit(LevelInfo, "i", TraceID{})
 	l.Emit(LevelWarn, "w", TraceID{})
 	l.Emit(LevelError, "e", TraceID{})
-	if len(fired) != 2 || fired[0] != "w" || fired[1] != "e" {
-		t.Fatalf("OnEvent fired for %v, want [w e]", fired)
+	if len(fired) != 2 || fired[0] != "w:warn" || fired[1] != "e:error" {
+		t.Fatalf("OnEvent fired for %v, want [w:warn e:error]", fired)
 	}
 }
 
 func TestEventLogByTrace(t *testing.T) {
-	l := NewEventLog(EventLogConfig{Capacity: 16, RatePerSec: -1})
+	l := NewEventLog(EventLogConfig{})
 	tr := NewTraceID()
 	l.Emit(LevelInfo, "other", NewTraceID())
 	l.Emit(LevelWarn, "mine1", tr)
 	l.Emit(LevelInfo, "untraced", TraceID{})
 	l.Emit(LevelWarn, "mine2", tr)
 	got := l.ByTrace(tr)
-	if len(got) != 2 || got[0].Type != "mine1" || got[1].Type != "mine2" {
+	if len(got) != 2 || got[0].Name != "mine1" || got[1].Name != "mine2" {
 		t.Fatalf("ByTrace = %v", got)
 	}
-	if l.ByTrace(TraceID{}) != nil {
-		t.Fatal("ByTrace(zero) should return nothing")
+	if got[0].ID.IsZero() || got[0].ID == got[1].ID {
+		t.Fatalf("traced decisions carry span IDs %v %v, want fresh non-zero ones", got[0].ID, got[1].ID)
 	}
 }
 
-func TestEventLogFieldOverflowTruncates(t *testing.T) {
-	l := NewEventLog(EventLogConfig{Capacity: 4, RatePerSec: -1})
-	fields := make([]Field, MaxEventFields+3)
-	for i := range fields {
-		fields[i] = FInt(fmt.Sprintf("f%d", i), int64(i))
-	}
-	l.Emit(LevelInfo, "wide", TraceID{}, fields...)
-	evs := l.Events()
-	if len(evs) != 1 || int(evs[0].NFields) != MaxEventFields {
-		t.Fatalf("wide event kept %d fields, want %d", evs[0].NFields, MaxEventFields)
-	}
-}
-
-// TestEventJSONRoundTrip: MarshalJSON → UnmarshalJSON → MarshalJSON is
-// byte-identical, so stitched fragments from other nodes render the same
-// as local events (integral floats come back as ints, field order is
-// canonical because the JSON object is rendered from a sorted map).
+// TestEventJSONRoundTrip: a decision is written in the one Span JSON form —
+// level and details as attrs — and Span → JSON → Span → JSON is
+// byte-identical, so stitched remote decisions render like local ones.
 func TestEventJSONRoundTrip(t *testing.T) {
-	l := NewEventLog(EventLogConfig{Capacity: 4, RatePerSec: -1})
+	l := NewEventLog(EventLogConfig{})
 	l.Emit(LevelWarn, "breaker", NewTraceID(),
-		FStr("peer", "127.0.0.1:9"), FInt("streak", 3),
-		FFloat("burn", 14.4), FBool("open", true))
-	ev := l.Events()[0]
-	first, err := json.Marshal(ev)
+		A("peer", "127.0.0.1:9"), A("streak", 3), A("burn", 14.4), A("open", true))
+	first, err := json.Marshal(l.Events()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back LogEvent
+	var back Span
 	if err := json.Unmarshal(first, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +141,17 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("round trip drifted:\n first %s\nsecond %s", first, second)
 	}
-	if v, ok := back.Field("streak"); !ok || v != "3" {
-		t.Fatalf("streak came back %q", v)
-	}
-	if v, ok := back.Field("burn"); !ok || v != "14.4" {
-		t.Fatalf("burn came back %q", v)
+	if back.Name != "breaker" || !back.Instant || back.Args.Get("level") != "warn" ||
+		back.Args.Get("streak") != 3.0 || back.Args.Get("burn") != 14.4 || back.Args.Get("open") != true {
+		t.Fatalf("decision came back as %+v", back)
 	}
 }
 
-// TestEventLogConcurrentEmitAndDump is the -race satellite: writers
-// hammer the ring from many goroutines while readers snapshot, filter,
-// and JSON-dump it concurrently (the flight recorder's bundle path).
+// TestEventLogConcurrentEmitAndDump is the -race check: writers hammer the
+// ring from many goroutines while readers snapshot, filter, and JSON-dump it
+// concurrently (the flight recorder's bundle path).
 func TestEventLogConcurrentEmitAndDump(t *testing.T) {
-	l := NewEventLog(EventLogConfig{Capacity: 128, RatePerSec: -1})
+	l := NewEventLog(EventLogConfig{})
 	tr := NewTraceID()
 	const writers, readers, perWriter = 8, 4, 200
 	var wg sync.WaitGroup
@@ -216,8 +160,7 @@ func TestEventLogConcurrentEmitAndDump(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				l.Emit(LevelWarn, "load", tr,
-					FInt("writer", int64(w)), FInt("seq", int64(i)))
+				l.Emit(LevelWarn, "load", tr, A("writer", w), A("seq", i))
 			}
 		}(w)
 	}
@@ -226,7 +169,6 @@ func TestEventLogConcurrentEmitAndDump(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_ = l.Events()
 				_ = l.ByTrace(tr)
 				if _, err := json.Marshal(l.Events()); err != nil {
 					t.Error(err)
@@ -236,10 +178,10 @@ func TestEventLogConcurrentEmitAndDump(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := l.Total(); got != writers*perWriter {
+	if got := l.ring.Total(); got != writers*perWriter {
 		t.Fatalf("total = %d, want %d", got, writers*perWriter)
 	}
-	if got := len(l.Events()); got != 128 {
-		t.Fatalf("ring holds %d, want capacity 128", got)
+	if got := len(l.ByTrace(tr)); got != writers*perWriter {
+		t.Fatalf("ring holds %d of the trace's decisions, want %d", got, writers*perWriter)
 	}
 }

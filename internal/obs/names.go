@@ -84,11 +84,9 @@ const (
 
 	// Distributed observability (registered by internal/serve; absent
 	// from library-only expositions).
-	MObsEvents        = "bitgen_obs_events_total"
-	MObsEventsDropped = "bitgen_obs_events_dropped_total"
-	MObsBundleWrites  = "bitgen_obs_bundle_writes_total"
-	MObsBundleErrors  = "bitgen_obs_bundle_errors_total"
-	MObsBundleBytes   = "bitgen_obs_bundle_last_bytes"
+	MObsBundleWrites = "bitgen_obs_bundle_writes_total"
+	MObsBundleErrors = "bitgen_obs_bundle_errors_total"
+	MObsBundleBytes  = "bitgen_obs_bundle_last_bytes"
 
 	// SLO layer (registered by internal/serve per endpoint).
 	MSLORequests = "bitgen_slo_requests_total"
@@ -165,11 +163,9 @@ const (
 	HClusterPeerSkips        = "Forward attempts skipped by an open peer breaker, per peer."
 	HClusterPeerFlips        = "Peer breaker state transitions, per peer and destination state."
 
-	HObsEvents        = "Structured events admitted to the event ring, per level."
-	HObsEventsDropped = "Structured events shed by the Debug/Info rate limiter."
-	HObsBundleWrites  = "Diagnostic flight-recorder bundles written, per trigger."
-	HObsBundleErrors  = "Diagnostic bundle writes that failed."
-	HObsBundleBytes   = "Size in bytes of the most recently written diagnostic bundle."
+	HObsBundleWrites = "Diagnostic flight-recorder bundles written, per trigger."
+	HObsBundleErrors = "Diagnostic bundle writes that failed."
+	HObsBundleBytes  = "Size in bytes of the most recently written diagnostic bundle."
 
 	HSLORequests = "Requests observed by the SLO tracker, per endpoint."
 	HSLOGood     = "Requests within the endpoint's latency objective and non-erroring."

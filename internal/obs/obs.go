@@ -2,8 +2,8 @@
 // (one record in one lock-cheap ring, exportable as Chrome trace_event JSON
 // for chrome://tracing / Perfetto), a metrics registry (counters, gauges,
 // histograms with a Prometheus text-exposition writer and an expvar
-// bridge), a structured event log, and the Observer that carries them
-// through the pipeline.
+// bridge), a ring of decisions recorded as instant spans, and the Observer
+// that carries them through the pipeline.
 //
 // Every hook is nil-safe: instrumented packages call methods on a possibly
 // nil *Observer / *Span / *Counter, and a nil receiver compiles down to a
@@ -15,9 +15,8 @@ package obs
 import "context"
 
 // Observer bundles the observability sinks threaded through the
-// pipeline: the metrics registry, the structured event log and the span
-// ring. Any field may be nil to enable a subset; a nil *Observer disables
-// everything.
+// pipeline: the metrics registry, the decision ring and the span ring. Any
+// field may be nil to enable a subset; a nil *Observer disables everything.
 type Observer struct {
 	Metrics *Registry
 	Events  *EventLog
@@ -55,13 +54,11 @@ func (o *Observer) For(ctx context.Context) *Observer {
 // for a nil span.
 func (o *Observer) Tracing() bool { return o != nil && o.Spans != nil }
 
-// Event records a structured event on the observer's event log;
-// nil-safe and free when the log is absent.
-func (o *Observer) Event(level Level, typ string, trace TraceID, fields ...Field) {
-	if o == nil || o.Events == nil {
-		return
+// Event records a decision on the observer's decision ring; nil-safe.
+func (o *Observer) Event(level Level, name string, trace TraceID, args ...Arg) {
+	if o != nil {
+		o.Events.Emit(level, name, trace, args...)
 	}
-	o.Events.Emit(level, typ, trace, fields...)
 }
 
 // RecordSpan adds a completed span to the ring; nil-safe.

@@ -118,6 +118,16 @@ func (a *Args) UnmarshalJSON(data []byte) error {
 	return err
 }
 
+// Get returns the value of the named annotation, nil when absent.
+func (a Args) Get(key string) any {
+	for _, arg := range a {
+		if arg.Key == key {
+			return arg.Val
+		}
+	}
+	return nil
+}
+
 func (a Args) asMap() map[string]any {
 	m := make(map[string]any, len(a)+4)
 	for _, arg := range a {
@@ -126,9 +136,9 @@ func (a Args) asMap() map[string]any {
 	return m
 }
 
-// Ring is the one bounded history buffer, under spans and the event log
-// alike: it grows by append up to its capacity, then overwrites the oldest
-// entry and counts it dropped. Safe for concurrent use.
+// Ring is the one bounded history buffer, under request, engine and
+// decision spans alike: it grows by append up to its capacity, then
+// overwrites the oldest entry and counts it dropped. Safe for concurrent use.
 type Ring[T any] struct {
 	mu    sync.Mutex
 	buf   []T
@@ -204,16 +214,39 @@ type Fragment struct {
 	Node    string         `json:"node"`
 	TraceID string         `json:"trace_id,omitempty"`
 	Spans   []Span         `json:"spans"`
-	Events  []LogEvent     `json:"events"`
 	Lanes   map[int]string `json:"lanes,omitempty"`
 	Dropped uint64         `json:"dropped,omitempty"`
 }
 
+// UnmarshalJSON also reads the "events" section a node from before
+// decisions were spans still sends ({t_us, level, type, trace, fields}),
+// appending each as an instant span after the fragment's spans.
+func (f *Fragment) UnmarshalJSON(data []byte) error {
+	type plain Fragment
+	var v struct {
+		plain
+		Events []struct {
+			T      int64   `json:"t_us"`
+			Level  string  `json:"level"`
+			Type   string  `json:"type"`
+			Trace  TraceID `json:"trace"`
+			Fields Args    `json:"fields"`
+		} `json:"events"`
+	}
+	err := json.Unmarshal(data, &v)
+	*f = Fragment(v.plain)
+	for _, ev := range v.Events {
+		f.Spans = append(f.Spans, Span{Trace: ev.Trace, Name: ev.Type, Start: ev.T * 1e3, Instant: true,
+			Args: append(Args{A("level", ev.Level)}, ev.Fields...)})
+	}
+	return err
+}
+
 // Fragment snapshots the ring as node's fragment: the spans of one trace,
-// or with a zero trace every buffered span. Spans and Events are never nil,
-// so the JSON form always carries both arrays.
+// or with a zero trace every buffered span. Spans is never nil, so the JSON
+// form always carries the array.
 func (r *SpanRing) Fragment(node string, trace TraceID) Fragment {
-	f := Fragment{Node: node, TraceID: trace.String(), Events: []LogEvent{}}
+	f := Fragment{Node: node, TraceID: trace.String()}
 	var keep func(*Span) bool
 	if !trace.IsZero() {
 		keep = func(s *Span) bool { return s.Trace == trace }
@@ -242,8 +275,7 @@ type chromeEvent struct {
 // WriteChromeTrace draws fragments as Chrome trace_event JSON ("JSON Object
 // Format"; open it in chrome://tracing or ui.perfetto.dev): one process per
 // fragment (pid = index + 1, named by its node), one thread per lane, spans
-// as complete ("X") events or thread-scoped instants, log events as
-// process-scoped instants. Timestamps are microseconds from the earliest
+// as complete ("X") events or thread-scoped instants. Timestamps are microseconds from the earliest
 // record, so the viewer opens at t=0.
 func WriteChromeTrace(w io.Writer, frags []Fragment) error {
 	t0, dropped := int64(math.MaxInt64), uint64(0)
@@ -251,9 +283,6 @@ func WriteChromeTrace(w io.Writer, frags []Fragment) error {
 		dropped += f.Dropped
 		for i := range f.Spans {
 			t0 = min(t0, f.Spans[i].Start)
-		}
-		for i := range f.Events {
-			t0 = min(t0, f.Events[i].TimeUnixMicro*1e3)
 		}
 	}
 	events := []chromeEvent{}
@@ -293,16 +322,6 @@ func WriteChromeTrace(w io.Writer, frags []Fragment) error {
 				dur := float64(s.Dur) / 1e3
 				ce.Dur = &dur
 			}
-		}
-		for _, ev := range f.Events {
-			args := map[string]any{"level": ev.Level.String()}
-			if !ev.Trace.IsZero() {
-				args["trace"] = ev.Trace.String()
-			}
-			for j := 0; j < int(ev.NFields); j++ {
-				args[ev.Fields[j].Key] = ev.Fields[j].Value()
-			}
-			add(ev.Type, "", "i", ev.TimeUnixMicro*1e3-t0, pid, 0, args).Scope = "p"
 		}
 	}
 	doc := struct {

@@ -30,8 +30,8 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	if o.For(context.Background()) != nil || o.For(nil) != nil {
 		t.Fatal("nil observer under an untraced context resolved to a sink")
 	}
-	if f := NewSpanRing(4).Fragment("n", NewTraceID()); f.Spans == nil || f.Events == nil || len(f.Spans) != 0 {
-		t.Fatalf("empty ring fragment = %+v, want empty non-nil sections", f)
+	if f := NewSpanRing(4).Fragment("n", NewTraceID()); f.Spans == nil || len(f.Spans) != 0 {
+		t.Fatalf("empty ring fragment = %+v, want an empty non-nil spans section", f)
 	}
 	metricsOnly := &Observer{Metrics: NewRegistry()}
 	if metricsOnly.Tracing() || metricsOnly.Span("c", "n", 0) != nil {
@@ -103,7 +103,8 @@ func TestObserverForPicksTheCallsSink(t *testing.T) {
 }
 
 // TestRingWrapKeepsNewestAndCountsDropped is the one table over the one
-// ring, instantiated with both record types it holds in production.
+// ring, instantiated as the span ring and as the decision ring (through
+// Emit and ByTrace).
 func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
 	mine := NewTraceID()
 	type ring interface {
@@ -112,7 +113,9 @@ func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
 		total() uint64
 		dropped() uint64
 	}
-	spans, events := spanRingT{&Ring[Span]{max: 4}, mine}, eventRingT{&Ring[LogEvent]{max: 4}, mine}
+	decisions := NewEventLog(EventLogConfig{})
+	decisions.ring.max = 4
+	spans, events := spanRingT{&Ring[Span]{max: 4}, mine}, eventRingT{decisions, mine}
 	for name, r := range map[string]ring{"spans": spans, "events": events} {
 		t.Run(name, func(t *testing.T) {
 			if got := r.snapshot(false); len(got) != 0 || r.dropped() != 0 {
@@ -172,29 +175,29 @@ func (r spanRingT) total() uint64   { return r.Total() }
 func (r spanRingT) dropped() uint64 { return r.Dropped() }
 
 type eventRingT struct {
-	*Ring[LogEvent]
+	*EventLog
 	mine TraceID
 }
 
 func (r eventRingT) add(i int, tagged bool) {
-	ev := LogEvent{TimeUnixMicro: int64(i)}
+	var tr TraceID
 	if tagged {
-		ev.Trace = r.mine
+		tr = r.mine
 	}
-	r.Add(ev)
+	r.Emit(LevelWarn, "ev", tr, A("i", i))
 }
 func (r eventRingT) snapshot(byTrace bool) (out []int) {
-	var keep func(*LogEvent) bool
+	evs := r.Events()
 	if byTrace {
-		keep = func(e *LogEvent) bool { return e.Trace == r.mine }
+		evs = r.ByTrace(r.mine)
 	}
-	for _, e := range r.Snapshot(keep) {
-		out = append(out, int(e.TimeUnixMicro))
+	for _, e := range evs {
+		out = append(out, e.Args.Get("i").(int))
 	}
 	return out
 }
-func (r eventRingT) total() uint64   { return r.Total() }
-func (r eventRingT) dropped() uint64 { return r.Dropped() }
+func (r eventRingT) total() uint64   { return r.ring.Total() }
+func (r eventRingT) dropped() uint64 { return r.ring.Dropped() }
 
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
@@ -264,7 +267,7 @@ func id8(b byte) (s SpanID) {
 // both shapes it draws: an engine's own trace (one fragment: lanes named or
 // defaulted, a span, a nested span, an instant, dropped spans) and a stitched
 // cluster trace (three fragments: a process per node, request spans with their
-// IDs, engine spans under them, a log event, a node with nothing to show).
+// IDs, engine spans under them, a decision, a node with nothing to show).
 func TestChromeTraceExport(t *testing.T) {
 	const t0 = 1_700_000_000_000_000_000
 	engine := []Fragment{{
@@ -278,13 +281,11 @@ func TestChromeTraceExport(t *testing.T) {
 		},
 	}}
 	trace := id16(0xab)
-	var ev LogEvent
-	ev.TimeUnixMicro, ev.Level, ev.Type, ev.Trace = t0/1e3+40, LevelWarn, "breaker", trace
-	ev.Fields[0], ev.Fields[1], ev.NFields = FStr("peer", "b:1"), FInt("streak", 3), 2
 	stitched := []Fragment{
-		{Node: "http://a:1", TraceID: trace.String(), Events: []LogEvent{ev}, Spans: []Span{
+		{Node: "http://a:1", TraceID: trace.String(), Spans: []Span{
 			{Trace: trace, ID: id8(1), Parent: id8(9), Name: "match", Node: "http://a:1", Start: t0, Dur: 90000, Status: 200, Args: []Arg{A("path", "/v1/match")}},
 			{Trace: trace, ID: id8(2), Parent: id8(1), Name: "forward", Node: "http://a:1", Start: t0 + 5000, Dur: 80000, Status: 200, Args: []Arg{A("served_by", "http://b:1")}},
+			{Trace: trace, ID: id8(6), Name: "breaker", Start: t0 + 40000, Instant: true, Args: []Arg{A("level", "warn"), A("peer", "b:1"), A("streak", 3)}},
 		}},
 		{Node: "http://b:1", TraceID: trace.String(), Lanes: map[int]string{1: "kernel/group-0"}, Spans: []Span{
 			{Trace: trace, ID: id8(3), Parent: id8(2), Name: "match", Node: "http://b:1", Start: t0 + 20000, Dur: 50000, Status: 200},
@@ -336,9 +337,10 @@ func TestChromeTraceExport(t *testing.T) {
 
 // TestSpanJSONKeepsTheFragmentKeys: a fragment recorded by a node of the
 // commit before the span models merged (testdata/fragment_c11addc.json,
-// captured from the /v1/trace/{id} of a c11addc bitgend whose peer was down) decodes into today's record, and a
-// request span re-encodes to exactly the keys it had, so stitchers and
-// bundle readers of either age read both.
+// captured from the /v1/trace/{id} of a c11addc bitgend whose peer was down)
+// decodes into today's record — its legacy "events" as instant decision
+// spans after its spans — and a request span re-encodes to exactly the keys
+// it had, so stitchers and bundle readers of either age read both.
 func TestSpanJSONKeepsTheFragmentKeys(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fragment_c11addc.json")
 	if err != nil {
@@ -348,8 +350,17 @@ func TestSpanJSONKeepsTheFragmentKeys(t *testing.T) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatalf("a parent-commit fragment does not decode: %v", err)
 	}
-	if len(f.Spans) != 3 || f.Node != "http://127.0.0.1:41875" || len(f.Events) != 3 || f.Events[1].Type != "standby-serve" {
+	if len(f.Spans) != 6 || f.Node != "http://127.0.0.1:41875" {
 		t.Fatalf("decoded fragment = %+v", f)
+	}
+	for i, name := range []string{"forward-error", "standby-serve", "snapshot-fetch-error"} {
+		if d := f.Spans[3+i]; d.Name != name || !d.Instant || d.Trace.String() != f.TraceID || d.Dur != 0 {
+			t.Fatalf("legacy event %d decoded as %+v, want the instant decision %q", i, d, name)
+		}
+	}
+	if sb := f.Spans[4]; sb.Start != 1791004510481027*1e3 || len(sb.Args) != 2 ||
+		sb.Args.Get("key") != "cc204dd1ed72" || sb.Args.Get("level") != "info" {
+		t.Fatalf("standby-serve decoded as %+v", sb)
 	}
 	fwd := f.Spans[0]
 	if fwd.Name != "forward" || fwd.Trace.String() != f.TraceID || fwd.ID.String() != "875babbd431627ad" ||

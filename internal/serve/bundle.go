@@ -20,7 +20,7 @@ import (
 // happens — a peer breaker opens, a snapshot is quarantined, a request
 // is served degraded, an SLO endpoint enters fast burn — the server
 // writes a diagnostic bundle capturing the moments before the anomaly:
-// the recent request spans, the structured event ring, the SLO report,
+// the recent request spans, the decision ring, the SLO report,
 // a metrics snapshot and a full goroutine dump. The bundle is one JSON
 // file wrapped with a sha256 of its body so tooling (cmd/obscheck) can
 // prove it wasn't truncated or edited.
@@ -39,15 +39,15 @@ const (
 // is already deterministic, and histogram +Inf bounds have no JSON
 // rendering.
 type bundleBody struct {
-	Reason             string         `json:"reason"`
-	Trace              string         `json:"trace,omitempty"`
-	Node               string         `json:"node"`
-	GeneratedUnixMicro int64          `json:"generated_us"`
-	Spans              []obs.Span     `json:"spans"`
-	Events             []obs.LogEvent `json:"events"`
-	SLO                obs.SLOReport  `json:"slo"`
-	Metrics            string         `json:"metrics"`
-	Goroutines         string         `json:"goroutines"`
+	Reason             string        `json:"reason"`
+	Trace              string        `json:"trace,omitempty"`
+	Node               string        `json:"node"`
+	GeneratedUnixMicro int64         `json:"generated_us"`
+	Spans              []obs.Span    `json:"spans"`
+	Decisions          []obs.Span    `json:"decisions"`
+	SLO                obs.SLOReport `json:"slo"`
+	Metrics            string        `json:"metrics"`
+	Goroutines         string        `json:"goroutines"`
 }
 
 // bundleEnvelope wraps the body with its integrity checksum. Body is a
@@ -70,13 +70,10 @@ func (s *Server) buildBundle(reason string, trace obs.TraceID) ([]byte, error) {
 		Node:               s.nodeName(),
 		GeneratedUnixMicro: time.Now().UnixMicro(),
 		Spans:              s.spans.Snapshot(nil),
-		Events:             s.events.Events(),
+		Decisions:          s.events.Events(),
 		SLO:                s.slo.Report(),
 		Metrics:            metrics.String(),
 		Goroutines:         string(stack),
-	}
-	if body.Events == nil {
-		body.Events = []obs.LogEvent{}
 	}
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -86,40 +83,38 @@ func (s *Server) buildBundle(reason string, trace obs.TraceID) ([]byte, error) {
 	return json.Marshal(bundleEnvelope{SHA256: hex.EncodeToString(sum[:]), Body: raw})
 }
 
-// writeBundle seals a bundle and writes it to BundleDir, returning the
-// file path. Filenames embed the trigger, a wall-clock stamp and a
-// process-unique ID so replicas sharing one directory never collide.
-func (s *Server) writeBundle(reason string, trace obs.TraceID) (string, error) {
+// dumpBundle seals one bundle and, when BundleDir is set, writes exactly
+// those bytes there. Filenames embed the trigger, a wall-clock stamp and a
+// process-unique ID so replicas sharing one directory never collide. A
+// failed write is counted and returned alongside the bundle, which is still
+// good to serve.
+func (s *Server) dumpBundle(reason string, trace obs.TraceID) ([]byte, error) {
 	data, err := s.buildBundle(reason, trace)
-	if err == nil && s.cfg.BundleDir == "" {
-		err = fmt.Errorf("no bundle directory configured")
-	}
-	var path string
-	if err == nil {
+	if err == nil && s.cfg.BundleDir != "" {
 		name := fmt.Sprintf("bitgen-bundle-%s-%d-%s.json",
 			reason, time.Now().UnixNano(), obs.NewSpanID().String())
-		path = filepath.Join(s.cfg.BundleDir, name)
-		err = os.WriteFile(path, data, 0o644)
+		path := filepath.Join(s.cfg.BundleDir, name)
+		if err = os.WriteFile(path, data, 0o644); err == nil {
+			s.reg.Counter(obs.MObsBundleWrites, obs.HObsBundleWrites, obs.L("trigger", reason)).Inc()
+			s.reg.Gauge(obs.MObsBundleBytes, obs.HObsBundleBytes).Set(float64(len(data)))
+			s.events.Emit(obs.LevelInfo, "bundle-written", trace,
+				obs.A("trigger", reason), obs.A("path", path), obs.A("bytes", len(data)))
+		}
 	}
 	if err != nil {
 		s.reg.Counter(obs.MObsBundleErrors, obs.HObsBundleErrors).Inc()
-		return "", err
 	}
-	s.reg.Counter(obs.MObsBundleWrites, obs.HObsBundleWrites, obs.L("trigger", reason)).Inc()
-	s.reg.Gauge(obs.MObsBundleBytes, obs.HObsBundleBytes).Set(float64(len(data)))
-	s.events.Emit(obs.LevelInfo, "bundle-written", trace,
-		obs.FStr("trigger", reason), obs.FStr("path", path), obs.FInt("bytes", int64(len(data))))
-	return path, nil
+	return data, err
 }
 
-// onAnomalyEvent is the event log's Warn+ hook: events that indicate an
-// anomaly trip an asynchronous, rate-limited bundle dump. It runs
+// onAnomalyEvent is the decision ring's Warn+ hook: decisions that indicate
+// an anomaly trip an asynchronous, rate-limited bundle dump. It runs
 // synchronously inside Emit, so it must only classify and hand off.
-func (s *Server) onAnomalyEvent(ev obs.LogEvent) {
+func (s *Server) onAnomalyEvent(ev obs.Span) {
 	var trigger string
-	switch ev.Type {
+	switch ev.Name {
 	case "breaker":
-		if to, _ := ev.Field("to"); to == "open" {
+		if ev.Args.Get("to") == "open" {
 			trigger = triggerBreakerOpen
 		}
 	case "snapshot-quarantine":
@@ -155,28 +150,20 @@ func (s *Server) noteAnomaly(trigger string, trace obs.TraceID) {
 	}
 	go func() {
 		defer atomic.StoreInt32(&s.bundleBusy, 0)
-		_, _ = s.writeBundle(trigger, trace)
+		_, _ = s.dumpBundle(trigger, trace)
 	}()
 }
 
 // handleBundle serves GET /debug/bundle: a freshly sealed diagnostic
-// bundle, returned inline and — when BundleDir is configured — also
-// written to disk (trigger "manual", exempt from the anomaly rate
-// limit).
+// bundle, returned inline and — when BundleDir is configured — the same
+// bytes written to disk (trigger "manual", exempt from the anomaly rate
+// limit). Disk trouble does not hide the inline bundle.
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	tc, _ := obs.TraceContextFrom(r.Context())
-	data, err := s.buildBundle(triggerManual, tc.Trace)
-	if err != nil {
-		s.reg.Counter(obs.MObsBundleErrors, obs.HObsBundleErrors).Inc()
+	data, err := s.dumpBundle(triggerManual, tc.Trace)
+	if data == nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Class: "internal"})
 		return
-	}
-	if s.cfg.BundleDir != "" {
-		if _, werr := s.writeBundle(triggerManual, tc.Trace); werr != nil {
-			// Disk trouble must not hide the inline bundle; the error
-			// counter already recorded it.
-			_ = werr
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

@@ -271,7 +271,8 @@ func argOf(sp *obs.Span, key string) any {
 // whose body carries the node's spans, events, SLO report, metrics
 // exposition and a goroutine dump.
 func TestDebugBundleEndpoint(t *testing.T) {
-	s := mustNew(t, Config{})
+	bundleDir := t.TempDir()
+	s := mustNew(t, Config{BundleDir: bundleDir})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/match", "application/json",
@@ -293,6 +294,22 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	sum := sha256.Sum256(env.Body)
 	if hex.EncodeToString(sum[:]) != env.SHA256 {
 		t.Fatal("bundle sha256 does not cover the body bytes")
+	}
+	// The disk copy is the bundle that was served, not a second one.
+	written, _ := filepath.Glob(filepath.Join(bundleDir, "bitgen-bundle-"+triggerManual+"-*.json"))
+	if len(written) != 1 {
+		t.Fatalf("BundleDir holds %d manual bundles, want 1", len(written))
+	}
+	raw, err := os.ReadFile(written[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk bundleEnvelope
+	if err := json.Unmarshal(raw, &disk); err != nil {
+		t.Fatal(err)
+	}
+	if disk.SHA256 != env.SHA256 {
+		t.Fatalf("written bundle sealed as %.12s…, served bundle as %.12s…", disk.SHA256, env.SHA256)
 	}
 	var bb bundleBody
 	if err := json.Unmarshal(env.Body, &bb); err != nil {
@@ -364,11 +381,11 @@ func TestAnomalyBundleOnQuarantine(t *testing.T) {
 
 	sawQuarantine, sawEvict := false, false
 	for _, ev := range s.Events().Events() {
-		switch ev.Type {
+		switch ev.Name {
 		case "snapshot-quarantine":
 			sawQuarantine = true
-			if k, _ := ev.Field("key"); k != key {
-				t.Fatalf("quarantine event key = %q, want %q", k, key)
+			if k := ev.Args.Get("key"); k != key || ev.Args.Get("level") != "warn" {
+				t.Fatalf("quarantine decision key = %v level %v, want %q warn", k, ev.Args.Get("level"), key)
 			}
 		case "cache-evict":
 			sawEvict = true
@@ -451,7 +468,7 @@ func TestSLOEndpointServesReport(t *testing.T) {
 	// The fast-burn anomaly landed in the event log.
 	sawBurn := false
 	for _, ev := range s.Events().Events() {
-		if ev.Type == "slo-fast-burn" {
+		if ev.Name == "slo-fast-burn" {
 			sawBurn = true
 		}
 	}

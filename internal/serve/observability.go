@@ -137,7 +137,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 
 // handleTraceFragment serves GET /v1/trace/{traceID}: this node's
 // fragment of one distributed trace — the spans in its ring and the
-// event-ring entries for that trace ID. The stitcher (bitgend -stitch,
+// decisions for that trace ID. The stitcher (bitgend -stitch,
 // StitchTrace) merges fragments from every ring peer into one timeline.
 func (s *Server) handleTraceFragment(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
@@ -149,7 +149,7 @@ func (s *Server) handleTraceFragment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	frag := s.spans.Fragment(s.nodeName(), tid)
-	frag.Events = s.events.ByTrace(tid)
+	frag.Spans = append(frag.Spans, s.events.ByTrace(tid)...)
 	writeJSON(w, http.StatusOK, frag)
 }
 
@@ -160,9 +160,9 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 }
 
 // onFastBurn is the SLO tracker's anomaly hook: an endpoint entering
-// fast burn lands in the event log as a Warn event, which in turn trips
-// the flight recorder's bundle dump via onAnomalyEvent.
+// fast burn is recorded as a Warn decision, which in turn trips the flight
+// recorder's bundle dump via onAnomalyEvent.
 func (s *Server) onFastBurn(endpoint string, burn float64) {
 	s.events.Emit(obs.LevelWarn, "slo-fast-burn", obs.TraceID{},
-		obs.FStr("endpoint", endpoint), obs.FFloat("burn_rate", burn))
+		obs.A("endpoint", endpoint), obs.A("burn_rate", burn))
 }

@@ -35,8 +35,8 @@ type registry struct {
 	// snapshot load/peer fetch when the server has persistence wired.
 	build func(ctx context.Context, key string, patterns []string, foldCase bool) (*bitgen.Engine, error)
 	reg   *obs.Registry
-	// events, when non-nil, records cache evictions in the structured
-	// event log (set by the server after construction).
+	// events, when non-nil, records cache evictions as decisions (set by
+	// the server after construction).
 	events *obs.EventLog
 	// resident tracks the measured resident bytes of completed cached
 	// engines (private + each shared block once), decremented on evict.
@@ -214,11 +214,10 @@ func (r *registry) evictLocked() {
 			uncharged := r.releaseLocked(victim)
 			r.resident.Add(-float64(victim.bytes + uncharged))
 			r.events.Emit(obs.LevelInfo, "cache-evict", obs.TraceID{},
-				obs.FStr("key", victim.key), obs.FInt("bytes", victim.bytes),
-				obs.FInt("shared_freed", uncharged))
+				obs.A("key", victim.key), obs.A("bytes", victim.bytes), obs.A("shared_freed", uncharged))
 		} else {
 			r.events.Emit(obs.LevelInfo, "cache-evict", obs.TraceID{},
-				obs.FStr("key", victim.key), obs.FInt("bytes", victim.bytes))
+				obs.A("key", victim.key), obs.A("bytes", victim.bytes))
 		}
 		r.reg.Counter(obs.MServeCacheEvictions, obs.HServeCacheEvictions).Inc()
 	}

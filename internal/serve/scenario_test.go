@@ -799,22 +799,19 @@ func TestObsClusterSelfTest(t *testing.T) {
 			bb.GeneratedUnixMicro, armed.UnixMicro())
 	}
 	foundOpen := false
-	for _, ev := range bb.Events {
-		if ev.Type != "breaker" {
+	for _, ev := range bb.Decisions {
+		if ev.Name != "breaker" || ev.Args.Get("to") != "open" || ev.Args.Get("level") != "warn" {
 			continue
 		}
-		if to, _ := ev.Field("to"); to != "open" {
-			continue
-		}
-		if peer, _ := ev.Field("peer"); peer == hostOf(nodes[owner].URL) || peer == nodes[owner].URL {
+		if peer := ev.Args.Get("peer"); peer == hostOf(nodes[owner].URL) || peer == nodes[owner].URL {
 			foundOpen = true
 		}
 	}
 	if !foundOpen {
-		t.Fatal("bundle has no breaker-open event for the owner peer")
+		t.Fatal("bundle has no breaker-open decision for the owner peer")
 	}
-	t.Logf("flight recorder ok: breaker-open bundle %s verified (%d events, %d spans)",
-		filepath.Base(bundlePath), len(bb.Events), len(bb.Spans))
+	t.Logf("flight recorder ok: breaker-open bundle %s verified (%d decisions, %d spans)",
+		filepath.Base(bundlePath), len(bb.Decisions), len(bb.Spans))
 
 	// Phase 3: the SLO endpoint reports the traffic we just served.
 	_, sloBody, _, err := send(client, http.MethodGet, nodes[entry].URL+"/v1/slo", "", "", nil)

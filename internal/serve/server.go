@@ -63,7 +63,7 @@ type Config struct {
 	// BundleDir, when set, enables the anomaly flight recorder's disk
 	// dumps: on a breaker open, snapshot quarantine, degraded serve or
 	// SLO fast burn (and on GET /debug/bundle), a diagnostic bundle —
-	// recent request spans, the event ring, a metrics snapshot, the SLO
+	// recent request spans, the decision ring, a metrics snapshot, the SLO
 	// report and a goroutine dump — is written there as a single
 	// integrity-checksummed JSON file. Empty disables disk dumps; the
 	// /debug/bundle endpoint still serves bundles inline.
@@ -150,9 +150,9 @@ type Server struct {
 	// cluster, when non-nil, routes pattern-set keys across replicas.
 	cluster *cluster.Router
 
-	// Observability plane: the structured event log, the span ring (one
-	// span per request, plus the engine's spans of a request that arrived
-	// tagged), and the SLO tracker. All three are always on — they are
+	// Observability plane: the decision ring, the span ring (one span per
+	// request, plus the engine's spans of a request that arrived tagged),
+	// and the SLO tracker. All three are always on — they are
 	// rings, not I/O — and feed /v1/trace/{id}, /v1/slo and the anomaly
 	// bundle dumps.
 	events *obs.EventLog
@@ -186,10 +186,7 @@ func New(cfg Config) (*Server, error) {
 		idle:    make(chan struct{}),
 	}
 	s.spans = obs.NewSpanRing(spanRingCapacity)
-	s.events = obs.NewEventLog(obs.EventLogConfig{
-		Metrics: s.reg,
-		OnEvent: s.onAnomalyEvent,
-	})
+	s.events = obs.NewEventLog(obs.EventLogConfig{OnEvent: s.onAnomalyEvent})
 	sloCfg := obs.SLOConfig{
 		Objectives: map[string]obs.SLOObjective{
 			"match": {LatencyP99: cfg.SLOMatchP99, Availability: cfg.SLOAvailability},
@@ -279,7 +276,7 @@ func New(cfg Config) (*Server, error) {
 // EnableCluster wires consistent-hash routing across the configured
 // replicas. Call once, before serving traffic. The router registers its
 // cluster.* families into this server's registry and records each forward
-// in the span ring and the event log (/v1/trace/{id}).
+// in the span ring and its decisions in the decision ring (/v1/trace/{id}).
 func (s *Server) EnableCluster(cc cluster.Config) error {
 	r, err := cluster.New(cc, &obs.Observer{Metrics: s.reg, Events: s.events, Spans: s.spans})
 	if err != nil {
@@ -298,7 +295,7 @@ func (s *Server) Cluster() *cluster.Router { return s.cluster }
 // match/scan endpoints — an SLO observation.
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
-// Events returns the structured event log (tests and bundle dumps).
+// Events returns the decision ring (tests and bundle dumps).
 func (s *Server) Events() *obs.EventLog { return s.events }
 
 // Spans returns the span ring.

@@ -134,7 +134,7 @@ func (s *Server) noteVerifyFailure(err error) (condemned bool) {
 		reason == snapshot.ReasonVersion
 }
 
-// noteQuarantine records a condemned snapshot in the event log; the
+// noteQuarantine records a condemned snapshot as a decision; the
 // Warn level routes it through the anomaly flight recorder.
 func (s *Server) noteQuarantine(key string, err error) {
 	reason := snapshot.ReasonStoreIO
@@ -143,7 +143,7 @@ func (s *Server) noteQuarantine(key string, err error) {
 		reason = se.Reason
 	}
 	s.events.Emit(obs.LevelWarn, "snapshot-quarantine", obs.TraceID{},
-		obs.FStr("key", key), obs.FStr("reason", reason), obs.FStr("error", err.Error()))
+		obs.A("key", key), obs.A("reason", reason), obs.A("error", err.Error()))
 }
 
 // warmStart pre-populates the engine cache from the snapshot directory at
@@ -216,14 +216,11 @@ func (s *Server) scrub() (snapshot.ScrubResult, error) {
 	if res.Quarantined > 0 || err != nil {
 		level = obs.LevelWarn
 	}
-	fields := []obs.Field{
-		obs.FInt("checked", int64(res.Checked)),
-		obs.FInt("quarantined", int64(res.Quarantined)),
-	}
+	args := []obs.Arg{obs.A("checked", res.Checked), obs.A("quarantined", res.Quarantined)}
 	if err != nil {
-		fields = append(fields, obs.FStr("error", err.Error()))
+		args = append(args, obs.A("error", err.Error()))
 	}
-	s.events.Emit(level, "snapshot-scrub", obs.TraceID{}, fields...)
+	s.events.Emit(level, "snapshot-scrub", obs.TraceID{}, args...)
 	return res, err
 }
 

@@ -14,7 +14,7 @@ import (
 
 // Cross-node trace stitching: each replica serves its fragment of a
 // distributed trace at /v1/trace/{traceID} (the spans in its ring and the
-// event-ring entries tagged with that ID); StitchTrace fetches the
+// decisions tagged with that ID); StitchTrace fetches the
 // fragment from every ring peer and obs.WriteChromeTrace draws them as one
 // timeline with a process per node. `bitgend -stitch` and the observability
 // cluster scenario (scenario_test.go) drive it.
