@@ -162,14 +162,15 @@ profile-sigs:
 # benchmark's stream_light op as a Go benchmark (BenchmarkScanReaderLight: a
 # match every ~16 B, so the S2P transpose, the match collector and the emit
 # stage are over half of it), 40 iterations from a test binary built once, top
-# 25 by flat time, then the collector and the transpose line by line.
+# 25 by flat time, then the collector, the transpose and the fused bitwise
+# pair (kernel.fused2) line by line.
 profile-light:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderLight -test.benchtime 40x \
 		-test.cpuprofile $(PROFILE_DIR)/light.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/light.prof
-	$(GO) tool pprof -list 'ScanSession..mergeMatches|transpose.transpose(Words|Block)' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/light.prof | \
+	$(GO) tool pprof -list 'ScanSession..mergeMatches|transpose.transpose(Words|Block)|kernel.fused2' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/light.prof | \
 		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-control is the control path's CPU profile as a command: the repo
@@ -224,7 +225,8 @@ profile-compile:
 # classes over one 256 KiB chunk), and
 # ShiftWords is the shift kernels' cost per word, in internal/kernel one link
 # of an AND chain with the shift moved, folded and only tested: what deferral
-# saves per link), one
+# saves per link; Fused2 the nine fused bitwise pairs on one 258-word window
+# in ns per word, each beside the same pair as two plain passes), one
 # iteration of BenchmarkCompileMegaset/500 (the compile_megaset op with its
 # allocation count; a line of its own because a slash in -bench filters every
 # other benchmark's sub-benchmarks) and of BenchmarkCompileSigs (what setup_s
@@ -236,7 +238,7 @@ profile-compile:
 # trace validated by obscheck (the pipeline stage lanes ride the same
 # schema the whole-input scan does).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|SharedClasses|IntoOps|ShiftWords|NextSetBitSweep|Positions' \
+	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|SharedClasses|IntoOps|ShiftWords|Fused2|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/engine ./internal/kernel
 	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'CompileSigs$$' -benchtime 1x .

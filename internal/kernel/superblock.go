@@ -13,8 +13,9 @@ package kernel
 // On top of the flat encoding, the compiler fuses single-def single-use
 // temporaries (found by dfg.CountUseDef) into their consumer: an
 // advance-then-mask pair like T = S >> k; M = T & CC — the hot step of
-// bitstream regex matching — becomes one µop whose intermediate lives in a
-// register tile inside the fused loop and never touches a window buffer,
+// bitstream regex matching — becomes one µop whose shifted words exist only
+// inside its loop, and so does a pair of AND / OR / AND-NOT µops (fused2, one
+// straight loop per pair): the intermediate never touches a window buffer,
 // halving that pair's memory traffic.
 //
 // Two mechanisms move a shift to its reader; each covers shifts the other
@@ -38,11 +39,12 @@ package kernel
 // Skipping, at the granularity of a tile, a 64th of the window or more. Every
 // register carries a live-tile mask (window.go) and mask 0 is the known-zero
 // register: a taken guard gives what it skips mask 0 instead of clearing it.
-// The plain bitwise µops and the shift-binaries bound their result's mask by
-// their operands' before reading a word (binMask) — 0 when an absorbing operand
-// is known zero or the two are live in different tiles, and then the destination
-// is known zero and no word moves. Otherwise the word kernel runs over the runs
-// of live tiles only (regFile.bin); the AND-type kernels report the OR of what
+// The plain bitwise µops, the shift-binaries and the fused pairs bound their
+// result's mask by their operands' before reading a word (binMask) — 0 when an
+// absorbing operand is known zero or the two are live in different tiles, and
+// then the destination is known zero and no word moves. Otherwise a fused pair
+// runs over the window and the others' word kernel over the runs of live tiles
+// only (regFile.bin); the AND-type kernels report the OR of what
 // they stored (the host analog of the atomicOr flag of Section 6), a run that
 // stored zeros leaves the mask, and a result whose OR has few bit columns is
 // rescanned for the tiles it occupies, so the match of two dense class streams
@@ -97,17 +99,11 @@ const (
 	sbShiftAndNot // dst = shift(a,k) &^ c
 	sbShiftUnderAndNot
 	// sbShiftUnderAndNot is dst = c &^ shift(a,k).
-	// sbFuse2 is the generic fused bitwise pair dst = outer(inner(a,b), c)
-	// (or outer(c, inner) when swap is set), executed tile-at-a-time with
-	// the inner result held in a small register tile.
+	// sbFuse2 is a fused bitwise pair dst = outer(inner(a,b), c), inner and
+	// outer each And, Or or AndNot: one straight loop over the window per
+	// pair (fused2), the inner result never stored.
 	sbFuse2
 )
-
-// sbTileWords is the register-tile size of the generic fused executor:
-// the inner result of a fused pair is staged through a [sbTileWords]uint64
-// local, the host analog of keeping the intermediate in the thread's
-// registers for one W-bit unit block.
-const sbTileWords = 8
 
 // sbBinCode maps an IR bitwise operator to its plain µop, sbShiftCode a plain
 // bitwise µop to the fused dst = op(shift(a,k), c) with the shifted operand on
@@ -121,9 +117,8 @@ var (
 // sbOp is one compiled µop.
 type sbOp struct {
 	code  sbOpCode
-	inner sbOpCode // sbFuse2: inner bitwise op (sbAnd..sbAndNot)
-	outer sbOpCode // sbFuse2: outer bitwise op
-	swap  bool     // sbFuse2: outer operands are (c, inner) not (inner, c)
+	inner sbOpCode // sbFuse2: inner bitwise op (sbAnd, sbOr, sbAndNot)
+	outer sbOpCode // sbFuse2: outer bitwise op, the inner result on its left
 
 	dst, a, b, c ir.VarID
 	k            int32 // shift distance, or basis bit for sbMatchBasis
@@ -385,8 +380,9 @@ func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
 //     consumer: a rebalanced batch T1..T8 = shifts; M1 = M0 & T1; ... becomes
 //     one shift-and per link, and each shift dies with the chain when the
 //     running conjunction is known zero.
-//   - a bitwise op immediately before a, whose result is then staged through
-//     a register tile.
+//   - an AND, OR or AND-NOT immediately before a, when a is one of the three
+//     too and, if an AND-NOT, reads it on the left: the nine pairs fused2 has
+//     a loop for. XOR pairs and c &^ inner stay two µops.
 //
 // On success the defining µop is removed and the fused µop appended in a's
 // position.
@@ -424,15 +420,15 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 			if bin.Op == ir.OpAndNot && !tIsX {
 				fused.code = sbShiftUnderAndNot
 			}
-		case sbAnd, sbOr, sbXor, sbAndNot:
+		case sbAnd, sbOr, sbAndNot:
 			// A pair reads all three operands at once; over a deferred shift
 			// the two ops stay apart so the first can end the chain.
-			if di < last || c.lazy[def.a] || c.lazy[def.b] || c.lazy[other] {
+			if di < last || bin.Op == ir.OpXor || bin.Op == ir.OpAndNot && !tIsX ||
+				c.lazy[def.a] || c.lazy[def.b] || c.lazy[other] {
 				continue
 			}
 			fused.code, fused.inner, fused.b, fused.gid = sbFuse2, def.code, def.b, -1
 			fused.outer = sbBinCode[bin.Op]
-			fused.swap = bin.Op == ir.OpAndNot && !tIsX // dst = c &^ inner
 		default:
 			continue
 		}
@@ -641,13 +637,17 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 				ex.stats.UnitOps += units
 			}
 		case sbFuse2:
-			a := ex.readWindowed(op.a, charge)
-			b := ex.readWindowed(op.b, charge)
-			cw := ex.readWindowed(op.c, charge)
-			if dst := ex.regs.buf(op.dst); fused2(op, dst, a, b, cw) == 0 {
-				ex.regs.zero(op.dst)
+			ex.bind(op.a, charge)
+			ex.bind(op.b, charge)
+			ex.bind(op.c, charge)
+			r := ex.regs
+			a, b, cw := r.get(op.a), r.get(op.b), r.get(op.c) // before buf: dst may be one of them
+			if binMask(op.outer, binMask(op.inner, r.live[op.a], r.live[op.b]), r.live[op.c]) == 0 {
+				r.zero(op.dst)
+			} else if dst := r.buf(op.dst); fused2(op.inner, op.outer, dst, a, b, cw) == 0 {
+				r.zero(op.dst)
 			} else {
-				ex.regs.maskTail(dst)
+				r.maskTail(dst)
 			}
 			if charge {
 				ex.stats.UnitOps += 2 * units
@@ -869,70 +869,68 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int, in uint64) (or uint
 	return or
 }
 
-// fused2 computes dst = outer(inner(a,b), c) (or outer(c, inner) when swap)
-// tile-at-a-time: the inner result is staged through a register tile, never
-// a window buffer. Pure elementwise, so aliasing dst with any operand is
-// safe within a tile. Returns the OR of every word stored, like
-// fusedShiftBin.
-func fused2(op *sbOp, dst, a, b, c []uint64) (or uint64) {
-	var t [sbTileWords]uint64
+// fused2 computes dst = outer(inner(a, b), c), inner and outer each And, Or or
+// AndNot, in one straight loop over the words — no intermediate, no dispatch
+// inside the loop — and returns the OR of every word it stored, like
+// fusedShiftBin. Elementwise, so dst may alias any operand. Any other pair
+// stores nothing: tryFuse never makes one.
+func fused2(inner, outer sbOpCode, dst, a, b, c []uint64) (or uint64) {
 	n := len(dst)
-	for base := 0; base < n; base += sbTileWords {
-		m := n - base
-		if m > sbTileWords {
-			m = sbTileWords
+	a, b, c = a[:n], b[:n], c[:n]
+	switch inner<<4 | outer {
+	case sbAnd<<4 | sbAnd:
+		for i := range dst {
+			w := (a[i] & b[i]) & c[i]
+			dst[i] = w
+			or |= w
 		}
-		switch op.inner {
-		case sbAnd:
-			for i := 0; i < m; i++ {
-				t[i] = a[base+i] & b[base+i]
-			}
-		case sbOr:
-			for i := 0; i < m; i++ {
-				t[i] = a[base+i] | b[base+i]
-			}
-		case sbXor:
-			for i := 0; i < m; i++ {
-				t[i] = a[base+i] ^ b[base+i]
-			}
-		case sbAndNot:
-			for i := 0; i < m; i++ {
-				t[i] = a[base+i] &^ b[base+i]
-			}
+	case sbOr<<4 | sbAnd:
+		for i := range dst {
+			w := (a[i] | b[i]) & c[i]
+			dst[i] = w
+			or |= w
 		}
-		switch op.outer {
-		case sbAnd:
-			for i := 0; i < m; i++ {
-				w := t[i] & c[base+i]
-				dst[base+i] = w
-				or |= w
-			}
-		case sbOr:
-			for i := 0; i < m; i++ {
-				w := t[i] | c[base+i]
-				dst[base+i] = w
-				or |= w
-			}
-		case sbXor:
-			for i := 0; i < m; i++ {
-				w := t[i] ^ c[base+i]
-				dst[base+i] = w
-				or |= w
-			}
-		case sbAndNot:
-			if op.swap {
-				for i := 0; i < m; i++ {
-					w := c[base+i] &^ t[i]
-					dst[base+i] = w
-					or |= w
-				}
-			} else {
-				for i := 0; i < m; i++ {
-					w := t[i] &^ c[base+i]
-					dst[base+i] = w
-					or |= w
-				}
-			}
+	case sbAndNot<<4 | sbAnd:
+		for i := range dst {
+			w := (a[i] &^ b[i]) & c[i]
+			dst[i] = w
+			or |= w
+		}
+	case sbAnd<<4 | sbOr:
+		for i := range dst {
+			w := (a[i] & b[i]) | c[i]
+			dst[i] = w
+			or |= w
+		}
+	case sbOr<<4 | sbOr:
+		for i := range dst {
+			w := (a[i] | b[i]) | c[i]
+			dst[i] = w
+			or |= w
+		}
+	case sbAndNot<<4 | sbOr:
+		for i := range dst {
+			w := (a[i] &^ b[i]) | c[i]
+			dst[i] = w
+			or |= w
+		}
+	case sbAnd<<4 | sbAndNot:
+		for i := range dst {
+			w := (a[i] & b[i]) &^ c[i]
+			dst[i] = w
+			or |= w
+		}
+	case sbOr<<4 | sbAndNot:
+		for i := range dst {
+			w := (a[i] | b[i]) &^ c[i]
+			dst[i] = w
+			or |= w
+		}
+	case sbAndNot<<4 | sbAndNot:
+		for i := range dst {
+			w := (a[i] &^ b[i]) &^ c[i]
+			dst[i] = w
+			or |= w
 		}
 	}
 	return or

@@ -20,6 +20,7 @@ import (
 	"bitgen/internal/passes"
 	"bitgen/internal/rx"
 	"bitgen/internal/transpose"
+	"bitgen/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -202,18 +203,29 @@ func TestCTAStatsGolden(t *testing.T) {
 	}
 }
 
+// fusedPairCodes are the µops fused2 pairs: inner and outer each one of them,
+// nine pairs.
+var fusedPairCodes = []sbOpCode{sbAnd, sbOr, sbAndNot}
+
+// pairName names the fused pair outer(inner(a, b), c) "inner-outer".
+func pairName(inner, outer sbOpCode) string {
+	name := map[sbOpCode]string{sbAnd: "and", sbOr: "or", sbXor: "xor", sbAndNot: "andnot"}
+	return name[inner] + "-" + name[outer]
+}
+
 // TestFusedWordKernels checks the two fused µop kernels word for word
 // against the unfused composition they replace, including dst aliasing an
 // operand (the window register file hands out aliased buffers when a
 // statement overwrites its own source), and that the OR-reduction they return
 // is zero exactly when they stored all zeros (an all-zero operand forces that
 // for the absorbing ops). The shift kernel is also run over every run of words
-// with its carry-in, as regFile.bin runs it over a run of live tiles.
+// with its carry-in, as regFile.bin runs it over a run of live tiles; fused2
+// runs the nine pairs it has a loop for, up to a default-grid window.
 func TestFusedWordKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	binary := map[sbOpCode]func(dst, x, y []uint64){
 		sbAnd: func(dst, x, y []uint64) { andWords(dst, x, y) }, sbOr: orWords,
-		sbXor: xorWords, sbAndNot: func(dst, x, y []uint64) { andNotWords(dst, x, y) },
+		sbAndNot: func(dst, x, y []uint64) { andNotWords(dst, x, y) },
 	}
 	random := func(n int) []uint64 {
 		w := make([]uint64, n)
@@ -223,10 +235,9 @@ func TestFusedWordKernels(t *testing.T) {
 		return w
 	}
 	clone, equal := slices.Clone[[]uint64], slices.Equal[[]uint64]
-	// Lengths straddle the sbTileWords register tile.
 	for _, n := range []int{0, 1, 7, 8, 9, 33} {
 		for _, zeroC := range []bool{false, true} {
-			a, b, c := random(n), random(n), random(n)
+			a, c := random(n), random(n)
 			if zeroC {
 				clear(c)
 			}
@@ -293,33 +304,160 @@ func TestFusedWordKernels(t *testing.T) {
 				}
 			}
 
-			inner := make([]uint64, n)
-			for ic, innerFn := range binary {
-				for oc, outerFn := range binary {
-					for _, swap := range []bool{false, true} {
-						innerFn(inner, a, b)
-						if swap && oc == sbAndNot {
-							outerFn(want, c, inner)
-						} else {
-							// swap only has meaning for the one non-commutative
-							// outer op; the compiler never sets it otherwise.
-							outerFn(want, inner, c)
-						}
-						op := &sbOp{code: sbFuse2, inner: ic, outer: oc, swap: swap}
-						fresh := make([]uint64, n)
-						if or := fused2(op, fresh, a, b, c); (or != 0) != anyWords(want) {
-							t.Fatalf("fused2 inner=%d outer=%d swap=%v n=%d returned OR %#x for result any=%v", ic, oc, swap, n, or, anyWords(want))
-						}
-						onA, onC := clone(a), clone(c)
-						fused2(op, onA, onA, b, c)
-						fused2(op, onC, a, b, onC)
-						if !equal(fresh, want) || !equal(onA, want) || !equal(onC, want) {
-							t.Fatalf("fused2 inner=%d outer=%d swap=%v n=%d diverges", ic, oc, swap, n)
-						}
+		}
+	}
+
+	for _, n := range []int{0, 1, 7, 8, 9, 258} {
+		for _, zeroC := range []bool{false, true} {
+			a, b, c := random(n), random(n), random(n)
+			if zeroC {
+				clear(c)
+			}
+			inner, want := make([]uint64, n), make([]uint64, n)
+			for _, ic := range fusedPairCodes {
+				for _, oc := range fusedPairCodes {
+					binary[ic](inner, a, b)
+					binary[oc](want, inner, c)
+					fresh := make([]uint64, n)
+					if or := fused2(ic, oc, fresh, a, b, c); (or != 0) != anyWords(want) {
+						t.Fatalf("fused2 inner=%d outer=%d n=%d returned OR %#x for result any=%v", ic, oc, n, or, anyWords(want))
+					}
+					onA, onB, onC := clone(a), clone(b), clone(c)
+					fused2(ic, oc, onA, onA, b, c)
+					fused2(ic, oc, onB, a, onB, c)
+					fused2(ic, oc, onC, a, b, onC)
+					if !equal(fresh, want) || !equal(onA, want) || !equal(onB, want) || !equal(onC, want) {
+						t.Fatalf("fused2 inner=%d outer=%d n=%d diverges (fresh=%v dst==a %v dst==b %v dst==c %v)",
+							ic, oc, n, equal(fresh, want), equal(onA, want), equal(onB, want), equal(onC, want))
 					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkFused2 prices each of the nine fused pairs on one default-grid
+// window (258 words) in ns per word, beside the same pair run as two plain
+// binWords passes through a window buffer.
+func BenchmarkFused2(b *testing.B) {
+	const ww = 258
+	x, y, z, tmp, dst := make([]uint64, ww), make([]uint64, ww), make([]uint64, ww), make([]uint64, ww), make([]uint64, ww)
+	for i := range x {
+		x[i], y[i], z[i] = uint64(i)*0x9e3779b97f4a7c15, ^uint64(i)*0xbf58476d1ce4e5b9, uint64(i)<<7^0x94d049bb133111eb
+	}
+	for _, ic := range fusedPairCodes {
+		for _, oc := range fusedPairCodes {
+			run := func(way string, pair func()) {
+				b.Run(pairName(ic, oc)+"/"+way, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pair()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/ww, "ns/word")
+				})
+			}
+			run("fused", func() { fused2(ic, oc, dst, x, y, z) })
+			run("two-pass", func() {
+				binWords(ic, tmp, x, y, 0, 0)
+				binWords(oc, dst, tmp, z, 0, 0)
+			})
+		}
+	}
+}
+
+// TestEveryFusedPairHasALoop compiles what the engine compiles — the ten
+// generators at scale 0.05, the four stream_light patterns and the
+// 500-signature megaset, in groups as wide as the default grid makes them,
+// through the engine's default passes — and fails on any sbFuse2 µop whose
+// pair fused2 has no loop for: it would fall through fused2's switch and read
+// as zero.
+func TestEveryFusedPairHasALoop(t *testing.T) {
+	light := &workload.App{Name: "stream_light", Input: []byte(strings.Repeat("the quick brown fox quacks at 0123 lazy dogs\n", 40))}
+	for _, pat := range []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`} {
+		light.Regexes = append(light.Regexes, lower.Regex{Name: pat, AST: rx.MustParse(pat)})
+	}
+	apps := []*workload.App{light}
+	for _, name := range workload.Names() {
+		app, err := workload.Load(name, workload.Options{RegexScale: 0.05, InputBytes: 1 << 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	mega, err := workload.Megaset(500, 1, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps = append(apps, mega)
+
+	hasLoop := make(map[string]bool)
+	for _, ic := range fusedPairCodes {
+		for _, oc := range fusedPairCodes {
+			hasLoop[pairName(ic, oc)] = true
+		}
+	}
+	grid := gpusim.DefaultGrid()
+	for _, app := range apps {
+		basis := transpose.Transpose(app.Input)
+		fused := make(map[string]int)
+		per := (len(app.Regexes) + grid.CTAs - 1) / grid.CTAs
+		for lo := 0; lo < len(app.Regexes); lo += per {
+			p, err := lower.Group(app.Regexes[lo:min(lo+per, len(app.Regexes))], lower.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes.Rebalance(p, passes.RebalanceOptions{})
+			passes.MergeBarriers(p, passes.MergeOptions{MergeSize: 8})
+			passes.InsertGuards(p, passes.ZBSOptions{Interval: 8})
+			s, err := NewSession(p, Config{Grid: grid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Run(context.Background(), basis); err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			eachProgram(s.pl, func(sp *sbProgram) {
+				for _, op := range sp.ops {
+					if pair := pairName(op.inner, op.outer); op.code == sbFuse2 {
+						if !hasLoop[pair] {
+							t.Errorf("%s: S%d fuses the pair %s (codes %d, %d), which fused2 has no loop for", app.Name, op.dst, pair, op.inner, op.outer)
+						}
+						fused[pair]++
+					}
+				}
+			})
+			s.Close()
+		}
+		t.Logf("%s: fused pairs: %v", app.Name, fused)
+	}
+}
+
+// TestFusedPairOverAKnownZeroOperand: M = (A | C) & Z fuses into one pair, and
+// with Z known zero its bound is 0 — M is known zero in every window without
+// fused2 running or M ever getting storage. N = (A | C) &^ Z, the pair whose
+// right operand absorbs nothing, must still compute (runHandBuilt checks it
+// against the interpreter).
+func TestFusedPairOverAKnownZeroOperand(t *testing.T) {
+	b := ir.NewBuilder()
+	sa, sb, sc := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b')), b.MatchClass(charclass.Single('c'))
+	z := b.And(sa, sb) // no byte is both
+	m := b.And(b.Or(sa, sc), z)
+	b.Output("z", z)
+	b.Output("re", b.Or(m, sc))
+	b.Output("n", b.AndNot(b.Or(sa, sc), z))
+	s := runHandBuilt(t, b.Program(), strings.Repeat("abc cab bca ", 40))
+	var pair *sbOp
+	eachProgram(s.pl, func(p *sbProgram) {
+		for i := range p.ops {
+			if p.ops[i].code == sbFuse2 && p.ops[i].dst == m {
+				pair = &p.ops[i]
+			}
+		}
+	})
+	if pair == nil || pair.inner != sbOr || pair.outer != sbAnd || pair.c != z {
+		t.Fatalf("S%d = (a | c) & S%d did not compile to one And-over-Or pair: %+v", m, z, pair)
+	}
+	if r := s.ex.regs; !r.isZero(m) || r.own[m] != nil {
+		t.Fatalf("S%d over the known-zero S%d: known zero %v, %d words of storage; want known zero and none", m, z, r.isZero(m), len(r.own[m]))
 	}
 }
 

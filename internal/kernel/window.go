@@ -35,10 +35,11 @@ import (
 //
 // Partial masks are set by the bitwise µops (bin: the operands' masks combined,
 // zero runs dropped, a sparse result rescanned), shift, and the probe's flood of
-// a loop condition; they are used by the same µops, by any (guards, if and
-// while heads) and by force. Everything else — sbAdd, sbStarThru, sbFuse2,
-// sbNot, commitWindow, checkCarryBoundary — reads whole windows through get and
-// writes whole windows through buf, whose mask is full.
+// a loop condition; they are used by the same µops, by sbFuse2 (a pair they
+// bound to 0 is known zero, any other runs over whole windows), by any (guards,
+// if and while heads) and by force. Everything else — sbAdd, sbStarThru, sbNot,
+// commitWindow, checkCarryBoundary — reads whole windows through get and writes
+// whole windows through buf, whose mask is full.
 //
 // get returns a slice to READ in every state. Code that writes a register it
 // did not just obtain from buf goes through mut, the copy-on-write accessor; a
