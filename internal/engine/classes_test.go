@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math/rand"
 	"slices"
@@ -103,6 +104,9 @@ func TestClassEvalMatchesMatchStream(t *testing.T) {
 				if got.Len() != want.Len() || !slices.Equal(got.Words(), want.Words()) {
 					t.Fatalf("%s, %d bytes: class %v differs from MatchStream", name, len(input), cl)
 				}
+				if !slices.Equal(basis.Occ[i], lineOccupancy(got.Words())) {
+					t.Fatalf("%s, %d bytes: class %v has the occupancy %x, its words %x", name, len(input), cl, basis.Occ[i], lineOccupancy(got.Words()))
+				}
 			}
 		}
 		tr.Close()
@@ -113,8 +117,75 @@ func TestClassEvalMatchesMatchStream(t *testing.T) {
 	}
 }
 
+// lineOccupancy is the occupancy bitmap of w word by word: bit l%64 of word
+// l/64 is set when a word of line l is.
+func lineOccupancy(w []uint64) []uint64 {
+	lines := (len(w) + transpose.LineWords - 1) / transpose.LineWords
+	occ := make([]uint64, (lines+63)/64)
+	for i, x := range w {
+		if x != 0 {
+			occ[i/transpose.LineWords/64] |= 1 << (i / transpose.LineWords % 64)
+		}
+	}
+	return occ
+}
+
+// TestOccupancyAnswersLikeTheWords checks Basis.AnyWords over the occupancy
+// compute writes against a scan of the words it answers for, for every range
+// of a 40-word chunk — every start mod 8, every width under 8 words and wider
+// ones over full lines — on one session's streams, chunk after chunk: a class
+// whose bits lie in chosen words only (nowhere, in one edge word of a line,
+// in the middle of one, in two lines apart) and a class the ops set only past
+// the input, in the last word of a whole line, which Reinit clears. Raw
+// planes and ranges leaving the stream have no answer.
+func TestOccupancyAnswersLikeTheWords(t *testing.T) {
+	p, err := lower.SharedProgram([]charclass.Class{charclass.Single('a'), charclass.Single('b').Negate()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := newClassEval(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := arena.NewTracker(nil)
+	defer tr.Close()
+	basis := &transpose.Basis{}
+	cs := newClassStreams(ev, basis, tr)
+	const n = 39*64 + 37 // five whole lines, the last word partial
+	for _, at := range [][]int{nil, {0}, {7}, {8}, {12}, {15}, {16, 23}, {3, 33}, {38}, {39}} {
+		input := bytes.Repeat([]byte{'b'}, n)
+		for _, w := range at {
+			input[w*64+5] = 'a'
+		}
+		transpose.TransposeInto(basis, input)
+		cs.compute(ev, basis, tr)
+		for j := range basis.Ext {
+			words := basis.Ext[j].Words()
+			for from := 0; from < len(words); from++ {
+				for width := 1; from+width <= len(words); width++ {
+					want := slices.ContainsFunc(words[from:from+width], func(x uint64) bool { return x != 0 })
+					if set, ok := basis.AnyWords(transpose.NumBasis+j, from, width); !ok || set != want {
+						t.Fatalf("'a' in words %v: class %d over words [%d, %d): answered %v (ok %v), the words say %v", at, j, from, from+width, set, ok, want)
+					}
+				}
+			}
+			if _, ok := basis.AnyWords(transpose.NumBasis+j, len(words)-3, 4); ok {
+				t.Fatalf("class %d answered for a range past its %d words", j, len(words))
+			}
+		}
+		if _, ok := basis.AnyWords(3, 0, 8); ok {
+			t.Fatal("a raw plane answered from occupancy it does not have")
+		}
+	}
+	basis.Occ[0] = basis.Occ[0][:0]
+	if _, ok := basis.AnyWords(transpose.NumBasis, 0, 8); ok {
+		t.Fatal("a class whose bitmap does not cover it answered")
+	}
+}
+
 // BenchmarkSharedClasses is the evaluator alone on stream_sigs' shared
-// classes (the Yara set at scale 0.05) over one 256 KiB chunk of its input.
+// classes (the Yara set at scale 0.05) over one 256 KiB chunk of its input,
+// the occupancy of every class stream included.
 func BenchmarkSharedClasses(b *testing.B) {
 	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 256 << 10, Seed: 1})
 	if err != nil {

@@ -683,12 +683,9 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 		// nullable regexes own one extra match — the empty match at the
 		// end-of-input offset, which sits one position past the kernel's
 		// input-length streams. The session's streams align with this table.
+		counts := ss.sess[gi].Counts()
 		for oi, o := range e.groups[gi].Outputs {
-			s := outs[oi]
-			n := 0
-			if !ss.sess[gi].IsZero(s) {
-				n = s.Popcount()
-			}
+			s, n := outs[oi], counts[oi]
 			if o.Nullable {
 				n++
 				nullRanks = append(nullRanks, e.outRanks[gi][oi])

@@ -160,6 +160,7 @@ type ctaExec struct {
 	// window state
 	ws, cs, ce, weBits int
 	ww                 int
+	loadBytes          int64 // a basis load's DRAM read: the window's bytes over SharedInputCTAs
 	needBits           int
 	saturate           bool
 	culprit            ir.Stmt
@@ -192,15 +193,6 @@ func newExec(p *ir.Program) *ctaExec {
 		ex.isOut[o.Var] = true
 	}
 	ex.buildBarrierSchedule()
-	if n := len(ex.groupSrcs); n > 0 {
-		maxGid := 0
-		for gid := range ex.groupSrcs {
-			if gid > maxGid {
-				maxGid = gid
-			}
-		}
-		ex.wgChargedAt = make([]uint32, maxGid+1)
-	}
 	return ex
 }
 
@@ -272,6 +264,7 @@ func (ex *ctaExec) buildBarrierSchedule() {
 	if sched == nil {
 		return
 	}
+	ex.wgChargedAt = make([]uint32, len(sched.Groups))
 	for gid, group := range sched.Groups {
 		if len(group) < 2 {
 			continue // singleton groups behave like unscheduled shifts
@@ -324,15 +317,10 @@ func (ex *ctaExec) globalStream(v ir.VarID) *bitstream.Stream {
 	return ex.zero
 }
 
-// chargeStreamRead charges a full-stream DRAM read of variable v.
-func (ex *ctaExec) chargeStreamRead() {
-	ex.stats.DRAMReadBytes += ex.streamBytes()
-}
-
 // execCtl evaluates an if/while with a global (whole-stream) condition.
 func (ex *ctaExec) execCtl(c *ctlSeg) error {
 	evalCond := func() bool {
-		ex.chargeStreamRead()
+		ex.stats.DRAMReadBytes += ex.streamBytes()
 		ex.stats.UnitOps += ex.streamUnits()
 		return ex.globalStream(c.cond).Any()
 	}
@@ -368,7 +356,7 @@ func (ex *ctaExec) execCtl(c *ctlSeg) error {
 // source.
 func (ex *ctaExec) execStream(a *ir.Assign) {
 	read := func(v ir.VarID) *bitstream.Stream {
-		ex.chargeStreamRead()
+		ex.stats.DRAMReadBytes += ex.streamBytes()
 		return ex.globalStream(v)
 	}
 	opFactor := int64(1)
@@ -490,10 +478,7 @@ func (ex *ctaExec) execFused(seg *fusedSeg) error {
 		if err := ex.canceled(); err != nil {
 			return err
 		}
-		ce := cs + blockBits
-		if ce > ex.n {
-			ce = ex.n
-		}
+		ce := min(cs+blockBits, ex.n)
 		// Adapt the starting overlap: keep the previous window's converged
 		// margin as a hint (chains persist across windows), decaying back
 		// toward the static value.
@@ -512,9 +497,7 @@ func (ex *ctaExec) execFused(seg *fusedSeg) error {
 		ex.stats.RecomputedBits += int64(leftMargin + rightMargin)
 		dyn := int64(leftMargin - min(baseDL, cs))
 		ex.stats.DynDeltaSum += dyn
-		if dyn > ex.stats.DynDeltaMax {
-			ex.stats.DynDeltaMax = dyn
-		}
+		ex.stats.DynDeltaMax = max(ex.stats.DynDeltaMax, dyn)
 	}
 	return nil
 }
@@ -648,21 +631,11 @@ func findDynamicStmt(stmts []ir.Stmt) ir.Stmt {
 // the offending loop or carry is materialized stream-wise (Section 8.2).
 func (ex *ctaExec) growOverlap(dl, cs int) (int, error) {
 	limit := ex.cfg.Grid.BlockBits()
-	grown := dl * 2
-	if grown < 64 {
-		grown = 64
-	}
-	if grown > cs {
-		// No point extending past the stream start.
-		grown = align64(cs)
-	}
+	grown := min(max(dl*2, 64), align64(cs)) // no point extending past the stream start
 	if dl >= limit || (grown == dl && dl >= cs) {
 		return 0, &overflowError{stmt: ex.culprit, need: grown}
 	}
-	if grown > limit {
-		grown = align64(limit)
-	}
-	if grown <= dl {
+	if grown = min(grown, align64(limit)); grown <= dl {
 		return 0, &overflowError{stmt: ex.culprit, need: grown}
 	}
 	return grown, nil
@@ -756,18 +729,11 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 // are flooded over the margins (the probe pass); when charge is set, costs
 // are accounted.
 func (ex *ctaExec) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, charge bool) error {
-	ex.ws = cs - dl
-	if ex.ws < 0 {
-		ex.ws = 0
-	}
-	ex.cs, ex.ce = cs, ce
-	ex.weBits = ce + dr
-	if ex.weBits > ex.n {
-		ex.weBits = ex.n
-	}
+	ex.ws, ex.cs, ex.ce, ex.weBits = max(cs-dl, 0), cs, ce, min(ce+dr, ex.n)
 	wsWord := ex.ws / 64
 	weWord := (ex.weBits + 63) / 64
 	ex.ww = weWord - wsWord
+	ex.loadBytes = ex.windowBytes() / int64(ex.cfg.SharedInputCTAs)
 	ex.regs.beginWindow(ex.ww)
 	ex.regs.endBit = ex.weBits - ex.ws
 	ex.needBits = 0
@@ -831,12 +797,8 @@ func (ex *ctaExec) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
 	if runLen == 0 && !reachesStart {
 		return
 	}
-	runStart := boundary - runLen // relative to window start; 0 if reachesStart
-	if reachesStart {
-		runStart = 0
-	}
-	unsafe := ex.curAnalysis.StaticMaxAdvance // stale-margin width in bits
-	if reachesStart || runStart < unsafe {
+	// A run starting in the window's first StaticMaxAdvance bits may be stale.
+	if reachesStart || boundary-runLen < ex.curAnalysis.StaticMaxAdvance {
 		ex.needBits = max(ex.needBits, boundary+64)
 		if ex.culprit == nil {
 			ex.culprit = a
@@ -845,9 +807,7 @@ func (ex *ctaExec) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
 	}
 	// Chain fully visible and sourced in safe territory: record the
 	// realized dynamic dependency distance.
-	if int64(runLen) > ex.stats.DynDeltaMax {
-		ex.stats.DynDeltaMax = int64(runLen)
-	}
+	ex.stats.DynDeltaMax = max(ex.stats.DynDeltaMax, int64(runLen))
 }
 
 // trackSMemPeak records the high-water shared-memory footprint: streams

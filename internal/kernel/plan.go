@@ -78,8 +78,6 @@ type ctlSeg struct {
 	cond    ir.VarID
 	isWhile bool
 	body    *plan
-	// src identifies the original statement (for fallback bookkeeping).
-	src ir.Stmt
 }
 
 // streamSeg executes a single instruction over the whole stream, block by
@@ -149,7 +147,7 @@ func buildPlan(stmts []ir.Stmt, mode Mode, materialize map[ir.Stmt]bool) *plan {
 			flush()
 			p.nodes = append(p.nodes, &ctlSeg{
 				cond: x.Cond, isWhile: false,
-				body: buildPlan(x.Body, mode, materialize), src: s,
+				body: buildPlan(x.Body, mode, materialize),
 			})
 		case *ir.While:
 			if mode == ModeDTM && !materialize[s] {
@@ -159,7 +157,7 @@ func buildPlan(stmts []ir.Stmt, mode Mode, materialize map[ir.Stmt]bool) *plan {
 			flush()
 			p.nodes = append(p.nodes, &ctlSeg{
 				cond: x.Cond, isWhile: true,
-				body: buildPlan(x.Body, mode, materialize), src: s,
+				body: buildPlan(x.Body, mode, materialize),
 			})
 		default:
 			panic(fmt.Sprintf("kernel: unknown statement %T", s))

@@ -1,9 +1,8 @@
 package kernel
 
 import (
-	"errors"
-
 	"context"
+	"errors"
 
 	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
@@ -40,7 +39,8 @@ type Session struct {
 	loops         int
 	staticDelta   int64
 
-	outs []*bitstream.Stream // reused result slice, aligned with prog.Outputs
+	outs   []*bitstream.Stream // reused result slice, aligned with prog.Outputs
+	counts []int               // the set bits of each of outs
 }
 
 // NewSession validates the program and builds the executor state. Buffers
@@ -53,10 +53,11 @@ func NewSession(p *ir.Program, cfg Config, a *arena.Arena) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		prog: p,
-		base: cfg,
-		tr:   arena.NewTracker(a),
-		outs: make([]*bitstream.Stream, len(p.Outputs)),
+		prog:   p,
+		base:   cfg,
+		tr:     arena.NewTracker(a),
+		outs:   make([]*bitstream.Stream, len(p.Outputs)),
+		counts: make([]int, len(p.Outputs)),
 	}
 	s.ex = newExec(p)
 	s.ex.alloc = s.tr.Words
@@ -135,18 +136,22 @@ func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Confi
 	}
 
 	for i, o := range s.prog.Outputs {
-		str := ex.globals[o.Var]
+		str, n := ex.globals[o.Var], 0
 		if str == nil {
 			// No window committed a set bit: the shared read-only zero.
 			str = ex.zero
-		} else if !cfg.FullOutputWrites {
+		} else if n = str.Popcount(); !cfg.FullOutputWrites {
 			// Compact outputs: one 32-bit position per match.
-			ex.stats.DRAMWriteBytes += 4 * int64(str.Popcount())
+			ex.stats.DRAMWriteBytes += 4 * int64(n)
 		}
-		s.outs[i] = str
+		s.outs[i], s.counts[i] = str, n
 	}
 	return s.outs, ex.stats, nil
 }
+
+// Counts returns the set bits of each stream the last Run returned, counted
+// once there; valid as long as the streams are.
+func (s *Session) Counts() []int { return s.counts }
 
 // IsZero reports whether str is the shared zero stream Run returns for an
 // output nothing was committed to; collectors skip those unscanned.

@@ -50,7 +50,8 @@ package kernel
 // rescanned for the tiles it occupies, so the match of two dense class streams
 // hands a two-tile mask down its literal chain. A full mask takes the path there
 // was before masks: one kernel call over the window. Copies and shifts hand
-// their source's mask on; guards, ifs and while heads scan live tiles only;
+// their source's mask on; guards, ifs and while heads scan live tiles only,
+// but a class prologue's guards ask the basis's line occupancy instead;
 // every other µop reads and writes whole windows, which window.go's storage
 // invariant keeps correct. Operands that are not register-resident are bound
 // as read-only views of their stream, not copied.
@@ -62,7 +63,9 @@ package kernel
 // assignments. A merged barrier group pays its barrier pair and one
 // shared-memory store per distinct source once per window (chargeShift). A
 // taken guard charges one unit pass per assignment it skips, nested bodies
-// included. A short-circuited µop binds its operands first, so residency is
+// included. A class prologue run as one node (execPrologue) charges, pair by
+// pair up to its first taken guard, what the load and the guard charge as
+// nodes. A short-circuited µop binds its operands first, so residency is
 // what it would have been, and charges exactly what the executed one does; a
 // view load charges the DRAM read the copy did, and so does the read of a
 // live-out whose commits were all zero and never materialized it. A deferred
@@ -167,6 +170,10 @@ type sbNode struct {
 	// unit pass each. A guard's range is resolved to cover every node it skips.
 	zlo, zhi   int32
 	zeroCharge int32
+	// pairs marks the first of a maximal run of (one-µop basis load, guard on
+	// it) node pairs — a class prologue, which execPrologue runs — with its
+	// length.
+	pairs int32
 }
 
 // sbProgram is the compiled form of one fused segment's statement list.
@@ -292,6 +299,15 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		}
 		nd.skip = int32(k - ni - 1)
 		nd.zhi = p.nodes[k-1].zhi
+	}
+	// Mark the prologues from the back, so a pair's successor knows its run.
+	for ni := len(p.nodes) - 2; ni >= 0; ni-- {
+		ld, g := &p.nodes[ni], &p.nodes[ni+1]
+		if ld.kind == sbRunNode && ld.hi == ld.lo+1 && p.ops[ld.lo].code == sbMatchBasis && g.kind == sbGuardNode && g.cond == p.ops[ld.lo].dst {
+			if ld.pairs = 1; ni+2 < len(p.nodes) {
+				ld.pairs, p.nodes[ni+2].pairs = 1+p.nodes[ni+2].pairs, 0
+			}
+		}
 	}
 	p.nOps += len(p.ops)
 	for oi := range p.ops {
@@ -458,30 +474,18 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 		nd := &nodes[i]
 		switch nd.kind {
 		case sbRunNode:
-			if err := ex.execSBRun(p, nd.lo, nd.hi, charge); err != nil {
+			if nd.pairs > 0 {
+				i = ex.execPrologue(p, i, charge)
+			} else if err := ex.execSBRun(p, nd.lo, nd.hi, charge); err != nil {
 				return err
 			}
 		case sbGuardNode:
 			ex.bind(nd.cond, charge)
 			if charge {
-				// The guard's zero test piggybacks on the producing
-				// instruction's atomicOr flag (Section 6): it costs a
-				// block-wide reduction but no extra barrier.
-				ex.stats.UnitOps += ex.windowUnits()
-				ex.stats.SMemWriteBytes += int64(ex.cfg.Grid.Threads) * 4
-				ex.stats.GuardChecks++
+				ex.chargeGuards(1)
 			}
 			if ex.cfg.HonorGuards && !ex.regs.any(nd.cond) {
-				// Taken: tag what it skips known zero, writing no memory.
-				for _, v := range p.zeroDsts[nd.zlo:nd.zhi] {
-					ex.regs.zero(v)
-				}
-				if charge {
-					ex.stats.UnitOps += int64(nd.zeroCharge) * ex.windowUnits()
-					ex.stats.GuardSkips++
-					ex.stats.SkippedStmts += int64(nd.skipN)
-				}
-				i += int(nd.skip)
+				i = ex.takeGuard(p, i, charge)
 			}
 		case sbIfNode:
 			ex.bind(nd.cond, charge)
@@ -501,6 +505,60 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 		}
 	}
 	return nil
+}
+
+// chargeGuards charges n guards' zero tests. Each piggybacks on the producing
+// instruction's atomicOr flag (Section 6): a block-wide reduction but no extra
+// barrier.
+func (ex *ctaExec) chargeGuards(n int64) {
+	ex.stats.UnitOps += n * ex.windowUnits()
+	ex.stats.SMemWriteBytes += n * int64(ex.cfg.Grid.Threads) * 4
+	ex.stats.GuardChecks += n
+}
+
+// takeGuard fires the guard node gi: it tags what the guard skips known zero,
+// writing no memory, charges the skip and returns the last node skipped.
+func (ex *ctaExec) takeGuard(p *sbProgram, gi int, charge bool) int {
+	nd := &p.nodes[gi]
+	for _, v := range p.zeroDsts[nd.zlo:nd.zhi] {
+		ex.regs.zero(v)
+	}
+	if charge {
+		ex.stats.UnitOps += int64(nd.zeroCharge) * ex.windowUnits()
+		ex.stats.GuardSkips++
+		ex.stats.SkippedStmts += int64(nd.skipN)
+	}
+	return gi + int(nd.skip)
+}
+
+// execPrologue runs the class prologue marked at node ni as one node and
+// returns the last node it covered. Each guard is answered exactly from the
+// basis's line occupancy, by regs.any where there is none; the first taken
+// one fires as its node would.
+func (ex *ctaExec) execPrologue(p *sbProgram, ni int, charge bool) int {
+	nd := &p.nodes[ni]
+	loads := p.ops[nd.lo : nd.lo+nd.pairs] // a guard node has no µops: the loads are adjacent
+	last, n := ni+2*len(loads)-1, int64(len(loads))
+	for k := range loads {
+		op := &loads[k]
+		ex.regs.view(op.dst, ex.basis.Bit(int(op.k)), ex.ws/64)
+		if ex.afterOp != nil {
+			ex.afterOp()
+		}
+		if !ex.cfg.HonorGuards {
+			continue
+		}
+		// Without ok the window has no occupancy, and set says nothing.
+		if set, ok := ex.basis.AnyWords(int(op.k), ex.ws/64, ex.ww); !set && (ok || !ex.regs.any(op.dst)) {
+			n, last = int64(k+1), ex.takeGuard(p, ni+2*k+1, charge)
+			break
+		}
+	}
+	if charge {
+		ex.stats.DRAMReadBytes += n * ex.loadBytes
+		ex.chargeGuards(n)
+	}
+	return last
 }
 
 // execSBWhile iterates a compiled loop body until its condition is zero
@@ -619,7 +677,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 		case sbMatchBasis:
 			ex.regs.view(op.dst, ex.basis.Bit(int(op.k)), ex.ws/64)
 			if charge {
-				ex.stats.DRAMReadBytes += ex.windowBytes() / int64(ex.cfg.SharedInputCTAs)
+				ex.stats.DRAMReadBytes += ex.loadBytes
 			}
 		case sbShiftAnd, sbShiftOr, sbShiftXor, sbShiftAndNot, sbShiftUnderAndNot:
 			ex.bind(op.a, charge)

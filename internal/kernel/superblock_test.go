@@ -364,12 +364,48 @@ func BenchmarkFused2(b *testing.B) {
 	}
 }
 
+// shareClasses binds the classes that two or more parts expand, as the engine
+// shares them, as basis's extended streams with their line occupancy, and
+// returns their slots.
+func shareClasses(parts [][]lower.Regex, basis *transpose.Basis) map[charclass.Class]int {
+	counts := make(map[charclass.Class]int)
+	var order []charclass.Class
+	for _, part := range parts {
+		for _, cl := range lower.Classes(part) {
+			if counts[cl]++; counts[cl] == 1 {
+				order = append(order, cl)
+			}
+		}
+	}
+	slots := make(map[charclass.Class]int)
+	for _, cl := range order {
+		if counts[cl] >= 2 && len(slots) < 256 {
+			slots[cl] = len(basis.Ext)
+			s := charclass.MatchStream(cl, basis)
+			basis.Ext, basis.Occ = append(basis.Ext, s), append(basis.Occ, occupancy(s))
+		}
+	}
+	return slots
+}
+
+// occupancy is the line occupancy of s, 64 lines a bitmap word.
+func occupancy(s *bitstream.Stream) []uint64 {
+	w := s.Words()
+	occ := make([]uint64, (len(w)+64*transpose.LineWords-1)/(64*transpose.LineWords))
+	for i := range occ {
+		occ[i] = transpose.LineBits(w[i*64*transpose.LineWords : min((i+1)*64*transpose.LineWords, len(w))])
+	}
+	return occ
+}
+
 // TestEveryFusedPairHasALoop compiles what the engine compiles — the ten
 // generators at scale 0.05, the four stream_light patterns and the
 // 500-signature megaset, in groups as wide as the default grid makes them,
-// through the engine's default passes — and fails on any sbFuse2 µop whose
-// pair fused2 has no loop for: it would fall through fused2's switch and read
-// as zero.
+// reading the classes groups share as extended basis streams, through the
+// engine's default passes — and fails on any sbFuse2 µop whose pair fused2
+// has no loop for: it would fall through fused2's switch and read as zero. It
+// logs the class prologues (execPrologue's nodes) and their pairs, and fails
+// if the Yara groups compile none.
 func TestEveryFusedPairHasALoop(t *testing.T) {
 	light := &workload.App{Name: "stream_light", Input: []byte(strings.Repeat("the quick brown fox quacks at 0123 lazy dogs\n", 40))}
 	for _, pat := range []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`} {
@@ -398,10 +434,15 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 	grid := gpusim.DefaultGrid()
 	for _, app := range apps {
 		basis := transpose.Transpose(app.Input)
+		var parts [][]lower.Regex
+		for lo, per := 0, (len(app.Regexes)+grid.CTAs-1)/grid.CTAs; lo < len(app.Regexes); lo += per {
+			parts = append(parts, app.Regexes[lo:min(lo+per, len(app.Regexes))])
+		}
+		shared := shareClasses(parts, basis)
 		fused := make(map[string]int)
-		per := (len(app.Regexes) + grid.CTAs - 1) / grid.CTAs
-		for lo := 0; lo < len(app.Regexes); lo += per {
-			p, err := lower.Group(app.Regexes[lo:min(lo+per, len(app.Regexes))], lower.Options{})
+		var prologues, pairs, most int
+		for _, part := range parts {
+			p, err := lower.Group(part, lower.Options{SharedCC: shared, SharedExtBits: len(shared)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,10 +465,193 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 						fused[pair]++
 					}
 				}
+				for _, nd := range sp.nodes {
+					if nd.pairs > 0 {
+						prologues, pairs, most = prologues+1, pairs+int(nd.pairs), max(most, int(nd.pairs))
+					}
+				}
 			})
 			s.Close()
 		}
-		t.Logf("%s: fused pairs: %v", app.Name, fused)
+		t.Logf("%s: fused pairs: %v; %d shared classes, %d class-prologue pairs in %d nodes (at most %d a node)",
+			app.Name, fused, len(shared), pairs, prologues, most)
+		if app.Name == "Yara" && prologues == 0 {
+			t.Errorf("Yara: no group compiles a class prologue node")
+		}
+	}
+}
+
+// prologueGrid has 32-word windows: four occupancy lines each.
+var prologueGrid = gpusim.Grid{CTAs: 4, Threads: 64, UnitBits: 32, UnitsPerThread: 1}
+
+// prologueProgram is a group's class prologue in miniature: n loads S_k =
+// b<8+k>, each followed by a guard on it that skips everything after it, then
+// a body computing the conjunction of them all — or, when bare, the prologue
+// ends the program but for the one statement its last guard must skip, a copy
+// of S_{n-1}. On prologueBasis the guards are sound: what a taken one skips
+// is zero in its window.
+func prologueProgram(n int, bare bool) *ir.Program {
+	b := ir.NewBuilder()
+	loads := make([]ir.VarID, n)
+	for k := range loads {
+		loads[k] = b.Emit(ir.MatchBasis{Bit: transpose.NumBasis + k})
+	}
+	out := b.Emit(ir.Copy{Src: loads[n-1]})
+	if !bare {
+		for _, s := range loads[:n-1] {
+			out = b.And(out, s)
+		}
+	}
+	b.Output("re", out)
+	p := b.Program()
+	p.ExtBits = n
+	var stmts []ir.Stmt
+	for i, s := range p.Stmts {
+		if stmts = append(stmts, s); i < n {
+			stmts = append(stmts, &ir.Guard{Cond: loads[i]})
+		}
+	}
+	for g, s := range stmts {
+		if guard, ok := s.(*ir.Guard); ok {
+			guard.Skip = len(stmts) - g - 1
+		}
+	}
+	p.Stmts = stmts
+	return p
+}
+
+// prologueBasis is a basis of a little under `windows` blocks of prologueGrid
+// whose class k is set everywhere but in block k — the last class in none of
+// the first n blocks — its line occupancy bound when occ is set.
+func prologueBasis(n, windows int, occ bool) *transpose.Basis {
+	block := prologueGrid.BlockBits()
+	bits := windows*block - 100
+	basis := transpose.Transpose(make([]byte, bits))
+	for k := 0; k < n; k++ {
+		s := bitstream.NewOnes(bits)
+		for i := k * block; i < min((k+1)*block, bits); i++ {
+			s.Clear(i)
+		}
+		for i := 0; k == n-1 && i < n*block; i++ {
+			s.Clear(i)
+		}
+		basis.Ext = append(basis.Ext, s)
+		if occ {
+			w := s.Words()
+			lines := make([]uint64, (len(w)+511)/512)
+			for i := range lines {
+				lines[i] = transpose.LineBits(w[i*512 : min((i+1)*512, len(w))])
+			}
+			basis.Occ = append(basis.Occ, lines)
+		}
+	}
+	return basis
+}
+
+// TestPrologueChargesWhatItsPairsDid runs hand-built prologues of n pairs, pair
+// k's class absent from block k only, with and without line occupancy on the
+// basis, guards honored or not, the prologue ending the program or not. The
+// compiler must mark the whole prologue on its first load. A run must produce
+// the interpreter's outputs and charge CTAStats struct-equal to the same
+// program run pair by pair, as two nodes a pair. Window by window, in the
+// real pass and the probe pass (which charges nothing), execPrologue must
+// resume where the taken guard's node would, tag what it skips known zero and
+// charge each pair it reached: one DRAM load, one guard check.
+func TestPrologueChargesWhatItsPairsDid(t *testing.T) {
+	const windows = 6
+	for _, n := range []int{1, 4} {
+		for _, bare := range []bool{false, true} {
+			p := prologueProgram(n, bare)
+			for _, occ := range []bool{true, false} {
+				basis := prologueBasis(n, windows, occ)
+				for _, honor := range []bool{true, false} {
+					label := fmt.Sprintf("n=%d bare=%v occ=%v guards=%v", n, bare, occ, honor)
+					checkPrologue(t, label, p, basis, n, windows, Config{Grid: prologueGrid, Mode: ModeDTM, HonorGuards: honor})
+				}
+			}
+		}
+	}
+}
+
+func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.Basis, n, windows int, cfg Config) {
+	t.Helper()
+	want := interpRef(t, p, basis)["re"]
+	// run runs p twice on one session under the mask audit — the first run
+	// compiles — the second time pair by pair when asked.
+	run := func(pairwise bool) (*Session, gpusim.CTAStats) {
+		s, err := NewSession(p, cfg, &arena.Arena{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		var audit maskAudit
+		audit.attach(t, label, s)
+		var stats gpusim.CTAStats
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 && pairwise {
+				eachProgram(s.pl, func(sp *sbProgram) {
+					for i := range sp.nodes {
+						sp.nodes[i].pairs = 0
+					}
+				})
+			}
+			var outs []*bitstream.Stream
+			if outs, stats, err = s.Run(context.Background(), basis); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !outs[0].Equal(want) {
+				t.Fatalf("%s: output diverges from the interpreter:\n got  %s\n want %s", label, outs[0], want)
+			}
+		}
+		return s, stats
+	}
+	s, batched := run(false)
+	if _, pairwise := run(true); batched != pairwise {
+		t.Fatalf("%s: the prologue node charges\n %+v\nits pairs as nodes charge\n %+v", label, batched, pairwise)
+	}
+
+	sp := s.pl.nodes[0].(*fusedSeg).sprog
+	for i, nd := range sp.nodes {
+		if wantPairs := int32(n); i > 0 && nd.pairs != 0 || i == 0 && nd.pairs != wantPairs {
+			t.Fatalf("%s: node %d is marked with %d pairs; want the first node marked with %d, no other", label, i, nd.pairs, n)
+		}
+	}
+	ex, block := s.ex, prologueGrid.BlockBits()
+	loads := 0
+	ex.afterOp = func() { loads++ }
+	empty := &fusedSeg{sprog: &sbProgram{}}
+	for w := 0; w < windows; w++ {
+		for _, charge := range []bool{true, false} {
+			ex.stats, loads = gpusim.CTAStats{}, 0
+			if err := ex.execWindowOnce(empty, w*block, min((w+1)*block, basis.N), 0, 0, !charge, charge); err != nil {
+				t.Fatal(err)
+			}
+			units := ex.windowUnits()
+			last := ex.execPrologue(sp, 0, charge)
+			pairs, wantLast, want := int64(n), 2*n-1, gpusim.CTAStats{}
+			if w < n && cfg.HonorGuards {
+				g := &sp.nodes[2*w+1]
+				pairs, wantLast = int64(w+1), len(sp.nodes)-1
+				for _, v := range sp.zeroDsts[g.zlo:g.zhi] {
+					if !ex.regs.isZero(v) {
+						t.Fatalf("%s: window %d: the guard on S%d fired but S%d is not known zero", label, w, g.cond, v)
+					}
+				}
+				if charge {
+					want.UnitOps, want.GuardSkips, want.SkippedStmts = int64(g.zeroCharge)*units, 1, int64(g.skipN)
+				}
+			}
+			if charge {
+				want.UnitOps += pairs * units
+				want.DRAMReadBytes = pairs * int64(ex.ww) * 8
+				want.SMemWriteBytes = pairs * int64(prologueGrid.Threads) * 4
+				want.GuardChecks = pairs
+			}
+			if last != wantLast || ex.stats != want || int64(loads) != pairs {
+				t.Fatalf("%s: window %d (charge %v): %d loads audited, resumed after node %d, charged\n %+v\nwant %d, node %d and\n %+v",
+					label, w, charge, loads, last, ex.stats, pairs, wantLast, want)
+			}
+		}
 	}
 }
 
