@@ -143,10 +143,11 @@ bench-quick:
 
 # profile-sigs is the superblock executor's CPU profile as a command: the
 # repo benchmark's stream_sigs op as a Go benchmark (BenchmarkScanReaderSigs:
-# the kernel's execFused ≈ 70 % of the samples, its class prologues 14–18 %,
-# the shared-class evaluator 8–10 %, on two cores), 30 iterations
-# from a test binary built once, top 25 by flat time, then the shared-class
-# evaluator and the class-prologue node (execPrologue) line by line. The
+# the kernel's execFused ≈ 60–65 % of the samples, its class prologues
+# (execPrologue) 1–3 %, the window's class set (Basis.Present) ≈ 1 %, the
+# shared-class evaluator 9–12 %, on two cores), 30 iterations from a test
+# binary built once, top 25 by flat time, then the class-prologue node, the
+# class set and the shared-class evaluator line by line. The
 # binary and the profile stay in PROFILE_DIR for `go tool pprof -list` /
 # -peek; run it on the parent commit and the change for a before/after pair.
 PROFILE_DIR ?= /tmp/bitgen-profile
@@ -156,7 +157,7 @@ profile-sigs:
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderSigs -test.benchtime 30x \
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
-	$(GO) tool pprof -list 'classEval..run|ctaExec..execPrologue' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
+	$(GO) tool pprof -list 'ctaExec..execPrologue|Basis..Present|classEval..run' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
 		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-light is the host layers' CPU profile as a command: the repo

@@ -13,7 +13,7 @@ const (
 	// classTile is how many words of every shared-class stream the evaluator
 	// computes before it moves to the next tile (8 KiB of input): a register's
 	// tile stays in L1 from the op that writes it to the last one that reads it.
-	// It is 16 occupancy lines, a quarter of an occupancy word (compute).
+	// It is 16 presence lines (compute).
 	classTile = 128
 	// The slots an op reads without computing them are the eight basis
 	// planes and an all-ones tile; the class streams follow, then registers.
@@ -158,20 +158,21 @@ func (ev *classEval) run(slots [][]uint64, n int) {
 
 // classStreams is a scan session's side of the evaluator: the class streams,
 // bound as the basis's extended streams, their backing store (stride words a
-// stream), their line occupancy (occStride words a stream) and the slot table.
+// stream), their presence rows (presW words a line) and the slot table.
 type classStreams struct {
-	streams   []bitstream.Stream
-	words     []uint64
-	stride    int
-	occ       []uint64
-	occStride int
-	slots     [][]uint64
+	streams []bitstream.Stream
+	words   []uint64
+	stride  int
+	pres    []uint64
+	presW   int
+	slots   [][]uint64
 }
 
-// newClassStreams binds the streams as basis.Ext, their occupancy as
-// basis.Occ, and borrows the all-ones and register tiles from tr.
+// newClassStreams binds the streams as basis.Ext and borrows the all-ones and
+// register tiles from tr.
 func newClassStreams(ev *classEval, basis *transpose.Basis, tr *arena.Tracker) *classStreams {
-	cs := &classStreams{streams: make([]bitstream.Stream, ev.outs), slots: make([][]uint64, classInputs+ev.outs+ev.regs)}
+	cs := &classStreams{streams: make([]bitstream.Stream, ev.outs), presW: (ev.outs + 63) / 64,
+		slots: make([][]uint64, classInputs+ev.outs+ev.regs)}
 	tiles := tr.Words((1 + ev.regs) * classTile)
 	for i := range classTile {
 		tiles[i] = ^uint64(0)
@@ -184,19 +185,18 @@ func newClassStreams(ev *classEval, basis *transpose.Basis, tr *arena.Tracker) *
 	for i := range cs.streams {
 		basis.Ext[i] = &cs.streams[i]
 	}
-	basis.Occ = make([][]uint64, ev.outs)
 	return cs
 }
 
 // compute writes ev's class streams of the freshly transposed basis and their
-// line occupancy, one tile at a time, growing their backing store from tr
-// when a chunk outgrows it.
+// presence rows, one tile at a time, growing their backing store from tr when
+// a chunk outgrows it.
 func (cs *classStreams) compute(ev *classEval, basis *transpose.Basis, tr *arena.Tracker) {
-	nw := bitstream.WordsFor(basis.N)
-	occWords := ((nw+transpose.LineWords-1)/transpose.LineWords + 63) / 64
+	nw, w := bitstream.WordsFor(basis.N), cs.presW
+	lines := (nw + transpose.LineWords - 1) / transpose.LineWords
 	if nw > cs.stride {
 		cs.words, cs.stride = tr.Words(len(cs.streams)*nw), nw
-		cs.occ, cs.occStride = tr.Words(len(cs.streams)*occWords), occWords
+		cs.pres = tr.Words(lines * w)
 	}
 	for t := 0; t < nw; t += classTile {
 		for j := range transpose.NumBasis {
@@ -207,28 +207,27 @@ func (cs *classStreams) compute(ev *classEval, basis *transpose.Basis, tr *arena
 		}
 		n := min(classTile, nw-t)
 		ev.run(cs.slots, n)
-		// The tile's lines while it is in L1. A tile's lines divide an
-		// occupancy word, so the first tile of a word overwrites it.
-		l := t / transpose.LineWords
+		// The tile's rows while its words are in L1.
+		rows := cs.pres[t/transpose.LineWords*w:][:(n+transpose.LineWords-1)/transpose.LineWords*w]
+		clear(rows)
 		for i := range cs.streams {
-			m, o := transpose.LineBits(cs.slots[classInputs+i][:n])<<(l%64), &cs.occ[i*cs.occStride+l/64]
-			if l%64 == 0 {
-				*o = m
-			} else {
-				*o |= m
-			}
+			transpose.MarkPresence(rows, w, i, cs.slots[classInputs+i][:n])
 		}
 	}
 	// After the ops, not before: Reinit clears the bits past the input in the
 	// last word, which the ops that read the all-ones tile set, so the last
-	// line's bit is derived again.
-	last := (nw - 1) / transpose.LineWords
+	// line's row is derived again.
+	var row []uint64
+	if nw > 0 {
+		row = cs.pres[(lines-1)*w:][:w]
+		clear(row)
+	}
 	for i := range cs.streams {
-		words, occ := cs.words[i*cs.stride:], cs.occ[i*cs.occStride:][:occWords]
+		words := cs.words[i*cs.stride:]
 		cs.streams[i].Reinit(words, basis.N)
 		if nw > 0 {
-			occ[last/64] = occ[last/64]&^(1<<(last%64)) | transpose.LineBits(words[last*transpose.LineWords:nw])<<(last%64)
+			transpose.MarkPresence(row, w, i, words[(lines-1)*transpose.LineWords:nw])
 		}
-		basis.Occ[i] = occ
 	}
+	basis.Pres, basis.PresW = cs.pres[:lines*w], w
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/bitstream"
 	"bitgen/internal/charclass"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
@@ -66,10 +67,11 @@ func sharedPrograms(t testing.TB) map[string]*ir.Program {
 }
 
 // TestClassEvalMatchesMatchStream checks every shared class the evaluator
-// computes against charclass.MatchStream, word for word (tails included), on
-// random bytes at lengths around a word and a tile, each program on one
-// session's streams that shrink and grow between chunks. The streams are
-// borrowed from an arena that balances once the tracker closes.
+// computes against charclass.MatchStream, word for word (tails included), and
+// every presence row against the streams' words, on random bytes at lengths
+// around a word and a tile, each program on one session's streams that shrink
+// and grow between chunks. The streams are borrowed from an arena that
+// balances once the tracker closes.
 func TestClassEvalMatchesMatchStream(t *testing.T) {
 	progs := sharedPrograms(t)
 	if len(progs) < 6 {
@@ -104,9 +106,9 @@ func TestClassEvalMatchesMatchStream(t *testing.T) {
 				if got.Len() != want.Len() || !slices.Equal(got.Words(), want.Words()) {
 					t.Fatalf("%s, %d bytes: class %v differs from MatchStream", name, len(input), cl)
 				}
-				if !slices.Equal(basis.Occ[i], lineOccupancy(got.Words())) {
-					t.Fatalf("%s, %d bytes: class %v has the occupancy %x, its words %x", name, len(input), cl, basis.Occ[i], lineOccupancy(got.Words()))
-				}
+			}
+			if want := presence(basis); basis.PresW != (len(classes)+63)/64 || !slices.Equal(basis.Pres, want) {
+				t.Fatalf("%s, %d bytes: %d-word presence rows %x, the words say %x", name, len(input), basis.PresW, basis.Pres, want)
 			}
 		}
 		tr.Close()
@@ -117,75 +119,92 @@ func TestClassEvalMatchesMatchStream(t *testing.T) {
 	}
 }
 
-// lineOccupancy is the occupancy bitmap of w word by word: bit l%64 of word
-// l/64 is set when a word of line l is.
-func lineOccupancy(w []uint64) []uint64 {
-	lines := (len(w) + transpose.LineWords - 1) / transpose.LineWords
-	occ := make([]uint64, (lines+63)/64)
-	for i, x := range w {
-		if x != 0 {
-			occ[i/transpose.LineWords/64] |= 1 << (i / transpose.LineWords % 64)
+// presence is the presence rows of basis's extended streams word by word:
+// bit j of row l is set when a word of line l of Ext[j] is.
+func presence(basis *transpose.Basis) []uint64 {
+	w := (len(basis.Ext) + 63) / 64
+	rows := make([]uint64, (bitstream.WordsFor(basis.N)+transpose.LineWords-1)/transpose.LineWords*w)
+	for j, s := range basis.Ext {
+		for i, x := range s.Words() {
+			if x != 0 {
+				rows[i/transpose.LineWords*w+j/64] |= 1 << (j % 64)
+			}
 		}
 	}
-	return occ
+	return rows
 }
 
-// TestOccupancyAnswersLikeTheWords checks Basis.AnyWords over the occupancy
-// compute writes against a scan of the words it answers for, for every range
-// of a 40-word chunk — every start mod 8, every width under 8 words and wider
-// ones over full lines — on one session's streams, chunk after chunk: a class
-// whose bits lie in chosen words only (nowhere, in one edge word of a line,
-// in the middle of one, in two lines apart) and a class the ops set only past
-// the input, in the last word of a whole line, which Reinit clears. Raw
-// planes and ranges leaving the stream have no answer.
+// TestOccupancyAnswersLikeTheWords checks Basis.Present over the presence rows
+// compute writes against the words of every range of a 40-word chunk — every
+// start mod 8, every width — on one session's streams, chunk after chunk. A
+// stream is in a range's set exactly when a whole line inside the range has a
+// set bit: membership implies the range has one, and a bit in a whole line
+// implies membership. 'a' lies in chosen words only (nowhere, in an edge word
+// of a line, in the middle of one, two lines apart); [^b] there too, and past
+// the input in the last word of a whole line, which Reinit clears. A second
+// program puts 64 classes of bytes the input lacks first: they lie nowhere,
+// and move 'a' and [^b] to the second word of every row.
 func TestOccupancyAnswersLikeTheWords(t *testing.T) {
-	p, err := lower.SharedProgram([]charclass.Class{charclass.Single('a'), charclass.Single('b').Negate()})
-	if err != nil {
-		t.Fatal(err)
+	var absent []charclass.Class
+	for c := range 64 {
+		absent = append(absent, charclass.Single(byte(0x80+c)))
 	}
-	ev, err := newClassEval(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := arena.NewTracker(nil)
-	defer tr.Close()
-	basis := &transpose.Basis{}
-	cs := newClassStreams(ev, basis, tr)
-	const n = 39*64 + 37 // five whole lines, the last word partial
-	for _, at := range [][]int{nil, {0}, {7}, {8}, {12}, {15}, {16, 23}, {3, 33}, {38}, {39}} {
-		input := bytes.Repeat([]byte{'b'}, n)
-		for _, w := range at {
-			input[w*64+5] = 'a'
+	pair := []charclass.Class{charclass.Single('a'), charclass.Single('b').Negate()}
+	nonZero := func(x uint64) bool { return x != 0 }
+	var edge, second int
+	for _, classes := range [][]charclass.Class{pair, append(absent, pair...)} {
+		p, err := lower.SharedProgram(classes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		transpose.TransposeInto(basis, input)
-		cs.compute(ev, basis, tr)
-		for j := range basis.Ext {
-			words := basis.Ext[j].Words()
-			for from := 0; from < len(words); from++ {
-				for width := 1; from+width <= len(words); width++ {
-					want := slices.ContainsFunc(words[from:from+width], func(x uint64) bool { return x != 0 })
-					if set, ok := basis.AnyWords(transpose.NumBasis+j, from, width); !ok || set != want {
-						t.Fatalf("'a' in words %v: class %d over words [%d, %d): answered %v (ok %v), the words say %v", at, j, from, from+width, set, ok, want)
+		ev, err := newClassEval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := arena.NewTracker(nil)
+		defer tr.Close()
+		basis := &transpose.Basis{}
+		cs := newClassStreams(ev, basis, tr)
+		set := make([]uint64, (len(classes)+63)/64)
+		const n = 39*64 + 37 // five whole lines, the last word partial
+		for _, at := range [][]int{nil, {0}, {7}, {8}, {12}, {15}, {16, 23}, {3, 33}, {38}, {39}} {
+			input := bytes.Repeat([]byte{'b'}, n)
+			for _, w := range at {
+				input[w*64+5] = 'a'
+			}
+			transpose.TransposeInto(basis, input)
+			cs.compute(ev, basis, tr)
+			for from := 0; from < 40; from++ {
+				for width := 1; from+width <= 40; width++ {
+					basis.Present(set, from, width)
+					lo, hi := (from+transpose.LineWords-1)/transpose.LineWords*transpose.LineWords, (from+width)/transpose.LineWords*transpose.LineWords
+					for j, s := range basis.Ext {
+						words := s.Words()
+						inLines := lo < hi && slices.ContainsFunc(words[lo:hi], nonZero)
+						in, inRange := set[j/64]>>(j%64)&1 != 0, slices.ContainsFunc(words[from:from+width], nonZero)
+						if in != inLines || in && !inRange {
+							t.Fatalf("'a' in words %v, %d classes: stream %d over words [%d, %d): in the set %v; a bit in a whole line %v, in the range %v",
+								at, len(classes), j, from, from+width, in, inLines, inRange)
+						}
+						if inRange && !in {
+							edge++
+						}
+						if in && j >= 64 {
+							second++
+						}
 					}
 				}
 			}
-			if _, ok := basis.AnyWords(transpose.NumBasis+j, len(words)-3, 4); ok {
-				t.Fatalf("class %d answered for a range past its %d words", j, len(words))
-			}
-		}
-		if _, ok := basis.AnyWords(3, 0, 8); ok {
-			t.Fatal("a raw plane answered from occupancy it does not have")
 		}
 	}
-	basis.Occ[0] = basis.Occ[0][:0]
-	if _, ok := basis.AnyWords(transpose.NumBasis, 0, 8); ok {
-		t.Fatal("a class whose bitmap does not cover it answered")
+	if edge == 0 || second == 0 {
+		t.Fatalf("%d ranges with bits in edge words only, %d memberships in a row's second word; want both", edge, second)
 	}
 }
 
 // BenchmarkSharedClasses is the evaluator alone on stream_sigs' shared
 // classes (the Yara set at scale 0.05) over one 256 KiB chunk of its input,
-// the occupancy of every class stream included.
+// the presence rows included.
 func BenchmarkSharedClasses(b *testing.B) {
 	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 256 << 10, Seed: 1})
 	if err != nil {

@@ -173,6 +173,14 @@ type ctaExec struct {
 	// wgChargedAt[gid] == wgGen (epoch tagging, no per-window map).
 	wgGen       uint32
 	wgChargedAt []uint32
+	// loadBit[v] >= 0 marks v a class prologue's load of that basis stream,
+	// charged at its pair and bound on first read (bind); -1 for any other.
+	// sbCompiler marks them, Session.rebuild clears them with the plan. pres
+	// is the window's set of present extended streams, computed when presAt
+	// == wgGen (windowSet).
+	loadBit []int32
+	pres    []uint64
+	presAt  uint32
 	// afterOp, when set, runs after every µop. Never set outside tests: they
 	// check the register file's mask invariants there.
 	afterOp func()
@@ -188,6 +196,7 @@ func newExec(p *ir.Program) *ctaExec {
 		committed: make([]bool, p.NumVars),
 		isOut:     make([]bool, p.NumVars),
 		regs:      newRegFile(p.NumVars),
+		loadBit:   make([]int32, p.NumVars),
 	}
 	for _, o := range p.Outputs {
 		ex.isOut[o.Var] = true
@@ -212,6 +221,7 @@ func (ex *ctaExec) reset(ctx context.Context, basis *transpose.Basis, cfg Config
 	ex.unitsPerWord = int64(64 / cfg.Grid.UnitBits)
 	clear(ex.globals)
 	clear(ex.committed)
+	ex.pres = slices.Grow(ex.pres[:0], basis.PresW)[:basis.PresW]
 	ex.regs.alloc = ex.alloc
 	if ex.zero == nil || ex.zero.Len() != ex.n {
 		ex.zero = ex.reinitStream(ex.zero, ex.n)
@@ -756,8 +766,13 @@ func (ex *ctaExec) windowBytes() int64 { return int64(ex.ww) * 8 }
 // materialized stream, not copied, or the known-zero tag when nothing stored
 // to it — only zeros were committed so far, which is charged as the load it
 // models all the same, or it was never written (validated conditional defs).
+// A prologue's load (loadBit) binds its basis view, charged at its pair.
 func (ex *ctaExec) bind(v ir.VarID, charge bool) {
 	if ex.regs.has(v) {
+		return
+	}
+	if k := ex.loadBit[v]; k >= 0 {
+		ex.regs.view(v, ex.basis.Bit(int(k)), ex.ws/64)
 		return
 	}
 	g := ex.globals[v]

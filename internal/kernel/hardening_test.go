@@ -3,11 +3,16 @@ package kernel
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bgerr"
+	"bitgen/internal/charclass"
 	"bitgen/internal/faultinject"
+	"bitgen/internal/gpusim"
 	"bitgen/internal/ir"
 	"bitgen/internal/lower"
 	"bitgen/internal/transpose"
@@ -112,6 +117,180 @@ func TestInjectedForceFallbackStaysExact(t *testing.T) {
 	}
 	if inj.Fired(faultinject.ForceFallback) == 0 {
 		t.Fatal("force-fallback point never fired")
+	}
+}
+
+// TestFallbackMaterializesAPrologueLoad is the overlap fallback that
+// materializes a load a class prologue left to bind on first read: S = b8
+// heads a one-pair prologue, and a loop that reads S, pushed onto the
+// materialized path by an injected overflow, makes S cross a segment
+// boundary. The rebuilt plan must drop S's mark (ctaExec.loadBit): a stale one
+// binds S's basis view in the loop body without the DRAM read of the
+// committed stream. The run after the fallback must match the interpreter and
+// charge what a session built on that plan from the start charges.
+func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
+	b := ir.NewBuilder()
+	s := b.Emit(ir.MatchBasis{Bit: transpose.NumBasis})
+	m, acc := b.NewVar(), b.NewVar()
+	b.EmitTo(m, ir.Copy{Src: s})
+	b.EmitTo(acc, ir.Copy{Src: m})
+	b.While(m, func() {
+		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: s})
+		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: m})
+	})
+	b.Output("re", acc)
+	p := b.Program()
+	p.ExtBits = 1
+	// What the guard skips is zero where S is: acc only ever holds S's bits.
+	p.Stmts = slices.Insert(p.Stmts, 1, ir.Stmt(&ir.Guard{Cond: s, Skip: len(p.Stmts) - 1}))
+	loop := p.Stmts[len(p.Stmts)-1]
+
+	basis := transpose.Transpose([]byte(strings.Repeat("aaab xaab yyyyyyyy zzzzzzzzzzzzzz ", 12)))
+	basis.Ext = append(basis.Ext, charclass.MatchStream(charclass.Single('a'), basis))
+	want := interpRef(t, p, basis)["re"]
+	inj := faultinject.New(11).ArmNth(faultinject.ForceFallback, 1)
+	cfg := Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true, Inject: inj}
+	fell, err := NewSession(p, cfg, &arena.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fell.Close()
+	cfg.Inject = nil
+	planned, err := NewSession(p, cfg, &arena.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer planned.Close()
+	planned.materialize = map[ir.Stmt]bool{loop: true}
+	planned.rebuild()
+	var stats [2]gpusim.CTAStats
+	for i, sess := range []*Session{fell, planned} {
+		outs, st, err := sess.Run(context.Background(), basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !outs[0].Equal(want) {
+			t.Fatalf("session %d: output diverges from the interpreter:\n got  %s\n want %s", i, outs[0], want)
+		}
+		stats[i] = st
+	}
+	if fell.Fallbacks() != 1 || !fell.isMat[s] || fell.ex.loadBit[s] >= 0 {
+		t.Fatalf("after the fallback: %d fallbacks, S%d materialized %v, marked to bind on first read %v; want 1, true, false",
+			fell.Fallbacks(), s, fell.isMat[s], fell.ex.loadBit[s] >= 0)
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("the run after the fallback charges\n %+v\na session planned so from the start\n %+v", stats[0], stats[1])
+	}
+}
+
+// TestPrologueLoadDefinedTwiceStaysEager: V is defined under an if in one
+// segment, where W = V | C reads it — as zero in a window the if skips — and
+// then by a prologue's load in a later one, the two split by a loop on the
+// materialized path. V crosses no segment boundary, and in its second segment
+// it is defined once, but it must not be left to bind on first read: the
+// first segment would read the basis view there instead of zero, from the
+// second run of the session on.
+func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
+	b := ir.NewBuilder()
+	a, c := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
+	v, m := b.NewVar(), b.NewVar()
+	b.If(c, func() { b.EmitTo(v, ir.Copy{Src: a}) })
+	w := b.Or(v, c)
+	b.EmitTo(m, ir.Copy{Src: a})
+	b.While(m, func() { b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: a}) })
+	loop := b.Program().Stmts[len(b.Program().Stmts)-1]
+	b.EmitTo(v, ir.MatchBasis{Bit: transpose.NumBasis})
+	z := b.And(v, a)
+	b.Output("re", b.Or(w, z))
+	p := b.Program()
+	p.ExtBits = 1
+	at := slices.IndexFunc(p.Stmts, func(st ir.Stmt) bool {
+		x, ok := st.(*ir.Assign)
+		return ok && x.Expr == ir.Expr(ir.MatchBasis{Bit: transpose.NumBasis})
+	})
+	p.Stmts = slices.Insert(p.Stmts, at+1, ir.Stmt(&ir.Guard{Cond: v, Skip: 1}))
+
+	basis := transpose.Transpose([]byte(strings.Repeat("ab bb xb ac ba bb yy bb ", 10)))
+	basis.Ext = append(basis.Ext, charclass.MatchStream(charclass.Single('b'), basis))
+	want := interpRef(t, p, basis)["re"]
+	sess, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	sess.materialize = map[ir.Stmt]bool{loop: true}
+	sess.rebuild()
+	for run := 0; run < 2; run++ {
+		outs, _, err := sess.Run(context.Background(), basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !outs[0].Equal(want) {
+			t.Fatalf("run %d: output diverges from the interpreter:\n got  %s\n want %s", run, outs[0], want)
+		}
+	}
+	if len(sess.pl.nodes) != 3 || sess.isMat[v] || sess.ex.loadBit[v] >= 0 {
+		t.Fatalf("%d plan nodes, S%d materialized %v, marked to bind on first read %v; want 3, false, false",
+			len(sess.pl.nodes), v, sess.isMat[v], sess.ex.loadBit[v] >= 0)
+	}
+}
+
+// TestPrologueLoadsThatMustBindEagerly: a prologue's load may be left to
+// bind on first read only when nothing can see the register before that
+// read. Not when it is an output — its guard skips Y = 0, so nothing reads
+// it and the window would commit zero — and not when it is defined twice,
+// here V = A read by W before the load V = b8 rewrites it: V & A would read
+// the old V. Both run on windows of whole lines where 'b' is in every
+// one, so the set test does take its fast path.
+func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
+	for _, shape := range []string{"output", "defined twice"} {
+		b := ir.NewBuilder()
+		a, c := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
+		v := b.NewVar()
+		var w ir.VarID
+		if shape == "defined twice" {
+			b.EmitTo(v, ir.Copy{Src: a})
+			w = b.Or(v, c)
+		}
+		b.If(c, func() { b.Emit(ir.Copy{Src: c}) }) // the load is a node of its own
+		b.EmitTo(v, ir.MatchBasis{Bit: transpose.NumBasis})
+		y := b.Emit(ir.Zero{})
+		if shape == "output" {
+			b.Output("v", v)
+			b.Output("re", y)
+		} else {
+			b.Output("w", w)
+			b.Output("re", b.And(v, a))
+		}
+		p := b.Program()
+		p.ExtBits = 1
+		at := slices.IndexFunc(p.Stmts, func(st ir.Stmt) bool {
+			x, ok := st.(*ir.Assign)
+			return ok && x.Expr == ir.Expr(ir.MatchBasis{Bit: transpose.NumBasis})
+		})
+		p.Stmts = slices.Insert(p.Stmts, at+1, ir.Stmt(&ir.Guard{Cond: v, Skip: 1}))
+
+		basis := transpose.Transpose([]byte(strings.Repeat("ab ba cab bb ", 400)))
+		basis.Ext = append(basis.Ext, charclass.MatchStream(charclass.Single('b'), basis))
+		presenceRows(basis)
+		want := interpRef(t, p, basis)
+		sess, err := NewSession(p, Config{Grid: prologueGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		outs, _, err := sess.Run(context.Background(), basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range p.Outputs {
+			if !outs[i].Equal(want[o.Name]) {
+				t.Fatalf("%s: output %s diverges from the interpreter:\n got  %s\n want %s", shape, o.Name, outs[i], want[o.Name])
+			}
+		}
+		if sess.ex.loadBit[v] >= 0 {
+			t.Fatalf("%s: S%d is marked to bind on first read", shape, v)
+		}
 	}
 }
 

@@ -67,11 +67,16 @@ func NewSession(p *ir.Program, cfg Config, a *arena.Arena) (*Session, error) {
 }
 
 // rebuild recomputes the plan-derived state. Called at construction and
-// after an overlap fallback grows the materialize set (rare; allocates).
+// after an overlap fallback grows the materialize set (rare; allocates). The
+// new plan's segments compile again and mark again which loads bind on first
+// read: the fallback may have materialized one.
 func (s *Session) rebuild() {
 	s.pl = buildPlan(s.prog.Stmts, s.base.Mode, s.materialize)
 	s.isMat, s.intermediates = liveness(s.pl, s.prog)
 	s.loops = s.pl.countLoops()
+	for v := range s.ex.loadBit {
+		s.ex.loadBit[v] = -1
+	}
 }
 
 // SetTrace makes later Runs record through o on lane: pooled sessions change hands.

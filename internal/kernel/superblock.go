@@ -51,10 +51,12 @@ package kernel
 // hands a two-tile mask down its literal chain. A full mask takes the path there
 // was before masks: one kernel call over the window. Copies and shifts hand
 // their source's mask on; guards, ifs and while heads scan live tiles only,
-// but a class prologue's guards ask the basis's line occupancy instead;
-// every other µop reads and writes whole windows, which window.go's storage
-// invariant keeps correct. Operands that are not register-resident are bound
-// as read-only views of their stream, not copied.
+// but a class prologue answers all its guards with one set test — the classes
+// present in the window's whole lines, from the basis's presence rows — and
+// leaves its loads to bind on first read; every other µop reads and writes
+// whole windows, which window.go's storage invariant keeps correct. Operands
+// that are not register-resident are bound as read-only views of their
+// stream, not copied.
 //
 // Charging contract. Modeled cost is a function of the IR program and the
 // window geometry, never of how the segment was compiled or of what the data
@@ -65,18 +67,21 @@ package kernel
 // taken guard charges one unit pass per assignment it skips, nested bodies
 // included. A class prologue run as one node (execPrologue) charges, pair by
 // pair up to its first taken guard, what the load and the guard charge as
-// nodes. A short-circuited µop binds its operands first, so residency is
-// what it would have been, and charges exactly what the executed one does; a
-// view load charges the DRAM read the copy did, and so does the read of a
-// live-out whose commits were all zero and never materialized it. A deferred
-// shift binds its source and charges at its own position; whoever folds or
-// forces it charges only itself. The saturation probe pass (charge == false)
-// charges nothing. testdata/ctastats.golden pins these rules case by case.
+// nodes; a load it leaves to bind on first read charges there, read or not,
+// and its binding charges nothing. A short-circuited µop binds its operands
+// first, so residency is what it would have been, and charges exactly what
+// the executed one does; a view load charges the DRAM read the copy did, and
+// so does the read of a live-out whose commits were all zero and never
+// materialized it. A deferred shift binds its source and charges at its own
+// position; whoever folds or forces it charges only itself. The saturation
+// probe pass (charge == false) charges nothing. testdata/ctastats.golden pins
+// these rules case by case.
 
 import (
 	"bitgen/internal/bitstream"
 	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
+	"bitgen/internal/transpose"
 )
 
 type sbOpCode uint8
@@ -98,7 +103,6 @@ const (
 	// intermediate exists only in registers inside the loop.
 	sbShiftAnd    // dst = shift(a,k) & c
 	sbShiftOr     // dst = shift(a,k) | c
-	sbShiftXor    // dst = shift(a,k) ^ c
 	sbShiftAndNot // dst = shift(a,k) &^ c
 	sbShiftUnderAndNot
 	// sbShiftUnderAndNot is dst = c &^ shift(a,k).
@@ -109,12 +113,12 @@ const (
 )
 
 // sbBinCode maps an IR bitwise operator to its plain µop, sbShiftCode a plain
-// bitwise µop to the fused dst = op(shift(a,k), c) with the shifted operand on
-// the left. AND-NOT alone does not commute: shifted on the right it is
-// sbShiftUnderAndNot.
+// AND, OR or AND-NOT µop to the fused dst = op(shift(a,k), c) with the shifted
+// operand on the left. AND-NOT alone does not commute: shifted on the right it
+// is sbShiftUnderAndNot. XOR has no shift form: lowering never emits an XOR.
 var (
 	sbBinCode   = [...]sbOpCode{ir.OpAnd: sbAnd, ir.OpOr: sbOr, ir.OpXor: sbXor, ir.OpAndNot: sbAndNot}
-	sbShiftCode = [...]sbOpCode{sbAnd: sbShiftAnd, sbOr: sbShiftOr, sbXor: sbShiftXor, sbAndNot: sbShiftAndNot}
+	sbShiftCode = [...]sbOpCode{sbAnd: sbShiftAnd, sbOr: sbShiftOr, sbAndNot: sbShiftAndNot}
 )
 
 // sbOp is one compiled µop.
@@ -172,8 +176,11 @@ type sbNode struct {
 	zeroCharge int32
 	// pairs marks the first of a maximal run of (one-µop basis load, guard on
 	// it) node pairs — a class prologue, which execPrologue runs — with its
-	// length.
+	// length. mask is 1 + the offset in the program's masks of the extended
+	// streams its loads read, bit j for Ext[j], when every load binds on first
+	// read (ctaExec.loadBit); 0 otherwise.
 	pairs int32
+	mask  int32
 }
 
 // sbProgram is the compiled form of one fused segment's statement list.
@@ -181,6 +188,7 @@ type sbProgram struct {
 	ops      []sbOp
 	nodes    []sbNode
 	zeroDsts []ir.VarID // what taken guards tag known zero, node after node
+	masks    []uint64   // prologue masks, ⌈ExtBits/64⌉ words each
 	// nOps and nFused total the µops and fused pairs across nested bodies
 	// (the superblock span's attributes).
 	nOps   int
@@ -198,17 +206,22 @@ type sbCompiler struct {
 	seen  []int32
 	loops int
 	lazy  []bool
+	// depth counts the enclosing if and while bodies; whole says the segment
+	// is the program.
+	depth int
+	whole bool
 }
 
 // newSBCompiler prepares the compilation of a fused segment's statements; an
 // is the segment's dataflow analysis (while nodes bake in its loop growth).
 func (ex *ctaExec) newSBCompiler(stmts []ir.Stmt, an *dfg.Analysis) *sbCompiler {
 	return &sbCompiler{
-		ex:   ex,
-		ud:   dfg.CountUseDef(stmts, ex.prog.NumVars),
-		an:   an,
-		seen: make([]int32, ex.prog.NumVars),
-		lazy: make([]bool, ex.prog.NumVars),
+		ex:    ex,
+		ud:    dfg.CountUseDef(stmts, ex.prog.NumVars),
+		an:    an,
+		seen:  make([]int32, ex.prog.NumVars),
+		lazy:  make([]bool, ex.prog.NumVars),
+		whole: len(stmts) > 0 && len(stmts) == len(ex.prog.Stmts) && stmts[0] == ex.prog.Stmts[0],
 	}
 }
 
@@ -248,16 +261,18 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 			emit(sbNode{kind: sbGuardNode, cond: x.Cond, skipN: int32(x.Skip)}, nil, i+1)
 			i++
 		case *ir.If:
+			c.depth++
 			body := c.compile(x.Body)
+			c.depth--
 			p.nOps += body.nOps
 			p.nFused += body.nFused
 			dsts, charge := zeroInfoStmts(x.Body)
 			emit(sbNode{kind: sbIfNode, cond: x.Cond, body: body, zeroCharge: charge}, dsts, i+1)
 			i++
 		case *ir.While:
-			c.loops++
+			c.loops, c.depth = c.loops+1, c.depth+1
 			body := c.compile(x.Body)
-			c.loops--
+			c.loops, c.depth = c.loops-1, c.depth-1
 			p.nOps += body.nOps
 			p.nFused += body.nFused
 			dsts, charge := zeroInfoStmts(x.Body)
@@ -284,7 +299,10 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 	}
 	// Resolve guard skips: a guard at statement g covers statements
 	// [g+1, g+1+Skip); the cut points guarantee following nodes nest whole
-	// inside that range.
+	// inside that range. At top level a taken guard tags known zero only the
+	// destinations something may still read: one read after the range,
+	// committed, or defined again. Any other reads as zero while absent (bind).
+	// A guard in a body tags them all: a loop may read them again.
 	for ni := range p.nodes {
 		nd := &p.nodes[ni]
 		if nd.kind != sbGuardNode {
@@ -299,6 +317,15 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		}
 		nd.skip = int32(k - ni - 1)
 		nd.zhi = p.nodes[k-1].zhi
+		if c.depth == 0 {
+			lo := int32(len(p.zeroDsts))
+			for _, v := range p.zeroDsts[nd.zlo:nd.zhi] {
+				if c.ud.Last[v] > int32(end) || c.ex.isMat[v] || c.ex.isOut[v] || c.ud.Defs[v] > 1 {
+					p.zeroDsts = append(p.zeroDsts, v)
+				}
+			}
+			nd.zlo, nd.zhi = lo, int32(len(p.zeroDsts))
+		}
 	}
 	// Mark the prologues from the back, so a pair's successor knows its run.
 	for ni := len(p.nodes) - 2; ni >= 0; ni-- {
@@ -309,6 +336,11 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 			}
 		}
 	}
+	for ni := range p.nodes {
+		if p.nodes[ni].pairs > 0 && c.depth == 0 && c.whole {
+			c.lazyPrologue(p, ni)
+		}
+	}
 	p.nOps += len(p.ops)
 	for oi := range p.ops {
 		if p.ops[oi].nStmts > 1 {
@@ -316,6 +348,28 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		}
 	}
 	return p
+}
+
+// lazyPrologue gives the prologue at node ni of a segment that is the whole
+// program its mask when every load reads an extended stream into a
+// destination that its first reader may bind: defined nowhere else — so, the
+// program being valid, no statement before the load reads it — and neither
+// materialized nor an output. It marks those loads in ex.loadBit.
+func (c *sbCompiler) lazyPrologue(p *sbProgram, ni int) {
+	nd := &p.nodes[ni]
+	loads := p.ops[nd.lo : nd.lo+nd.pairs]
+	for _, op := range loads {
+		if v := op.dst; op.k < transpose.NumBasis || c.ud.Defs[v] != 1 || c.ex.isMat[v] || c.ex.isOut[v] {
+			return
+		}
+	}
+	nd.mask = int32(len(p.masks)) + 1
+	p.masks = append(p.masks, make([]uint64, (c.ex.prog.ExtBits+63)/64)...)
+	for _, op := range loads {
+		j := op.k - transpose.NumBasis
+		p.masks[nd.mask-1+j/64] |= 1 << (j % 64)
+		c.ex.loadBit[op.dst] = op.k
+	}
 }
 
 // zeroInfoStmts collects the assignment destinations (recursively) and the
@@ -391,8 +445,9 @@ func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
 // (materialized or an output), defined by a still-unfused µop — pairs only,
 // no chains. Two shapes fuse:
 //
-//   - a bit-granular shift (|k| in 1..63) anywhere earlier in the run, as
-//     long as its source is not redefined before a. The shift sinks to its
+//   - a bit-granular shift (|k| in 1..63) anywhere earlier in the run into an
+//     AND, OR or AND-NOT, as long as its source is not redefined before a.
+//     The shift sinks to its
 //     consumer: a rebalanced batch T1..T8 = shifts; M1 = M0 & T1; ... becomes
 //     one shift-and per link, and each shift dies with the chain when the
 //     running conjunction is known zero.
@@ -425,8 +480,8 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 		switch def.code {
 		case sbShift:
 			k := int(def.k)
-			if k == 0 || k > 63 || k < -63 {
-				continue // word-offset shifts stay standalone
+			if k == 0 || k > 63 || k < -63 || bin.Op == ir.OpXor {
+				continue // word-offset shifts stay standalone, and so do XORs
 			}
 			if di < last && redefines(p.ops[di+1:], def.a) {
 				continue
@@ -532,24 +587,26 @@ func (ex *ctaExec) takeGuard(p *sbProgram, gi int, charge bool) int {
 }
 
 // execPrologue runs the class prologue marked at node ni as one node and
-// returns the last node it covered. Each guard is answered exactly from the
-// basis's line occupancy, by regs.any where there is none; the first taken
-// one fires as its node would.
+// returns the last node it covered. When guards are not honored, or every
+// stream its loads read is present in the window (its mask inside windowSet),
+// no guard can fire and nothing is done per pair: the loads bind on first
+// read (bind). Otherwise it runs pair by pair, binding each load and
+// answering its guard from the window's set, else exactly by regs.any; the
+// first taken one fires as its node would.
 func (ex *ctaExec) execPrologue(p *sbProgram, ni int, charge bool) int {
 	nd := &p.nodes[ni]
 	loads := p.ops[nd.lo : nd.lo+nd.pairs] // a guard node has no µops: the loads are adjacent
 	last, n := ni+2*len(loads)-1, int64(len(loads))
-	for k := range loads {
-		op := &loads[k]
-		ex.regs.view(op.dst, ex.basis.Bit(int(op.k)), ex.ws/64)
-		if ex.afterOp != nil {
-			ex.afterOp()
-		}
-		if !ex.cfg.HonorGuards {
-			continue
-		}
-		// Without ok the window has no occupancy, and set says nothing.
-		if set, ok := ex.basis.AnyWords(int(op.k), ex.ws/64, ex.ww); !set && (ok || !ex.regs.any(op.dst)) {
+	honor := ex.cfg.HonorGuards
+	if nd.mask == 0 || honor && !covers(ex.windowSet(), p.masks[nd.mask-1:][:(ex.prog.ExtBits+63)/64]) {
+		set := ex.windowSet()
+		for k := range loads {
+			op := &loads[k]
+			ex.regs.view(op.dst, ex.basis.Bit(int(op.k)), ex.ws/64)
+			j := int(op.k) - transpose.NumBasis
+			if !honor || j >= 0 && j/64 < len(set) && set[j/64]>>(j%64)&1 != 0 || ex.regs.any(op.dst) {
+				continue
+			}
 			n, last = int64(k+1), ex.takeGuard(p, ni+2*k+1, charge)
 			break
 		}
@@ -559,6 +616,29 @@ func (ex *ctaExec) execPrologue(p *sbProgram, ni int, charge bool) int {
 		ex.chargeGuards(n)
 	}
 	return last
+}
+
+// windowSet returns the extended streams present in the whole lines of the
+// current window (transpose.Basis.Present), ORed once a window.
+func (ex *ctaExec) windowSet() []uint64 {
+	if ex.presAt != ex.wgGen {
+		ex.presAt = ex.wgGen
+		ex.basis.Present(ex.pres, ex.ws/64, ex.ww)
+	}
+	return ex.pres
+}
+
+// covers reports whether every bit of mask is in set.
+func covers(set, mask []uint64) bool {
+	if len(mask) > len(set) {
+		return false
+	}
+	for i, m := range mask {
+		if m&^set[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // execSBWhile iterates a compiled loop body until its condition is zero
@@ -679,7 +759,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if charge {
 				ex.stats.DRAMReadBytes += ex.loadBytes
 			}
-		case sbShiftAnd, sbShiftOr, sbShiftXor, sbShiftAndNot, sbShiftUnderAndNot:
+		case sbShiftAnd, sbShiftOr, sbShiftAndNot, sbShiftUnderAndNot:
 			ex.bind(op.a, charge)
 			ex.bind(op.c, charge)
 			r := ex.regs
@@ -720,8 +800,8 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 
 // execBin executes dst = a op b for the four plain bitwise µops. Operands are
 // bound first, as a load would, and the result's mask taken before either is
-// read: a dead conjunction computes nothing, a live one folds a deferred
-// operand in.
+// read: a dead conjunction computes nothing, a live AND, OR or AND-NOT folds
+// a deferred operand in (an XOR forces it).
 func (ex *ctaExec) execBin(op *sbOp, charge bool) {
 	r := ex.regs
 	ex.bind(op.a, charge)
@@ -731,11 +811,11 @@ func (ex *ctaExec) execBin(op *sbOp, charge bool) {
 		r.zero(op.dst)
 		return
 	}
-	if src, k, ok := r.deferredSrc(op.a); ok {
+	if src, k, ok := r.deferredSrc(op.a); ok && op.code != sbXor {
 		r.bin(sbShiftCode[op.code], op.dst, src, k, r.get(op.b), m)
 		return
 	}
-	if src, k, ok := r.deferredSrc(op.b); ok {
+	if src, k, ok := r.deferredSrc(op.b); ok && op.code != sbXor {
 		code := sbShiftCode[op.code]
 		if op.code == sbAndNot {
 			code = sbShiftUnderAndNot
@@ -763,7 +843,7 @@ func binMask(code sbOpCode, mx, my uint64) uint64 {
 }
 
 // binWords is the word kernel of a bitwise µop over one run of words: for the
-// five shift codes dst = code(shift(a, k), c), in being a's neighbour word
+// four shift codes dst = code(shift(a, k), c), in being a's neighbour word
 // across the edge the shift pulls from, for the four plain ones dst =
 // code(a, c). It returns the OR of the words it stored; OR and XOR, which keep
 // none, report every column set.
@@ -845,15 +925,6 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int, in uint64) (or uint
 			w := ((a[0] << s) | (in >> r)) | c[0]
 			dst[0] = w
 			or |= w
-		case sbShiftXor:
-			for i := n - 1; i >= 1; i-- {
-				w := ((a[i] << s) | (a[i-1] >> r)) ^ c[i]
-				dst[i] = w
-				or |= w
-			}
-			w := ((a[0] << s) | (in >> r)) ^ c[0]
-			dst[0] = w
-			or |= w
 		case sbShiftAndNot:
 			for i := n - 1; i >= 1; i-- {
 				w := ((a[i] << s) | (a[i-1] >> r)) &^ c[i]
@@ -894,15 +965,6 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int, in uint64) (or uint
 			or |= w
 		}
 		w := ((a[n-1] >> s) | (in << r)) | c[n-1]
-		dst[n-1] = w
-		or |= w
-	case sbShiftXor:
-		for i := 0; i < n-1; i++ {
-			w := ((a[i] >> s) | (a[i+1] << r)) ^ c[i]
-			dst[i] = w
-			or |= w
-		}
-		w := ((a[n-1] >> s) | (in << r)) ^ c[n-1]
 		dst[n-1] = w
 		or |= w
 	case sbShiftAndNot:

@@ -249,7 +249,6 @@ func TestFusedWordKernels(t *testing.T) {
 			}{
 				{sbShiftAnd, binary[sbAnd]},
 				{sbShiftOr, orWords},
-				{sbShiftXor, xorWords},
 				{sbShiftAndNot, binary[sbAndNot]},
 				{sbShiftUnderAndNot, func(dst, s, c []uint64) { andNotWords(dst, c, s) }},
 			}
@@ -365,7 +364,7 @@ func BenchmarkFused2(b *testing.B) {
 }
 
 // shareClasses binds the classes that two or more parts expand, as the engine
-// shares them, as basis's extended streams with their line occupancy, and
+// shares them, as basis's extended streams with their presence rows, and
 // returns their slots.
 func shareClasses(parts [][]lower.Regex, basis *transpose.Basis) map[charclass.Class]int {
 	counts := make(map[charclass.Class]int)
@@ -381,21 +380,26 @@ func shareClasses(parts [][]lower.Regex, basis *transpose.Basis) map[charclass.C
 	for _, cl := range order {
 		if counts[cl] >= 2 && len(slots) < 256 {
 			slots[cl] = len(basis.Ext)
-			s := charclass.MatchStream(cl, basis)
-			basis.Ext, basis.Occ = append(basis.Ext, s), append(basis.Occ, occupancy(s))
+			basis.Ext = append(basis.Ext, charclass.MatchStream(cl, basis))
 		}
 	}
+	presenceRows(basis)
 	return slots
 }
 
-// occupancy is the line occupancy of s, 64 lines a bitmap word.
-func occupancy(s *bitstream.Stream) []uint64 {
-	w := s.Words()
-	occ := make([]uint64, (len(w)+64*transpose.LineWords-1)/(64*transpose.LineWords))
-	for i := range occ {
-		occ[i] = transpose.LineBits(w[i*64*transpose.LineWords : min((i+1)*64*transpose.LineWords, len(w))])
+// presenceRows binds basis's presence rows as the engine writes them, from
+// its extended streams' words.
+func presenceRows(basis *transpose.Basis) {
+	w := (len(basis.Ext) + 63) / 64
+	lines := (bitstream.WordsFor(basis.N) + transpose.LineWords - 1) / transpose.LineWords
+	basis.Pres, basis.PresW = make([]uint64, lines*w), w
+	for j, s := range basis.Ext {
+		for i, x := range s.Words() {
+			if x != 0 {
+				basis.Pres[i/transpose.LineWords*w+j/64] |= 1 << (j % 64)
+			}
+		}
 	}
-	return occ
 }
 
 // TestEveryFusedPairHasALoop compiles what the engine compiles — the ten
@@ -404,8 +408,9 @@ func occupancy(s *bitstream.Stream) []uint64 {
 // reading the classes groups share as extended basis streams, through the
 // engine's default passes — and fails on any sbFuse2 µop whose pair fused2
 // has no loop for: it would fall through fused2's switch and read as zero. It
-// logs the class prologues (execPrologue's nodes) and their pairs, and fails
-// if the Yara groups compile none.
+// logs the class prologues (execPrologue's nodes), their pairs and how many
+// have a mask, and fails if the Yara groups compile none with a mask or a
+// prologue that loads a raw plane has one.
 func TestEveryFusedPairHasALoop(t *testing.T) {
 	light := &workload.App{Name: "stream_light", Input: []byte(strings.Repeat("the quick brown fox quacks at 0123 lazy dogs\n", 40))}
 	for _, pat := range []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`} {
@@ -440,7 +445,7 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 		}
 		shared := shareClasses(parts, basis)
 		fused := make(map[string]int)
-		var prologues, pairs, most int
+		var prologues, pairs, most, masked int
 		for _, part := range parts {
 			p, err := lower.Group(part, lower.Options{SharedCC: shared, SharedExtBits: len(shared)})
 			if err != nil {
@@ -466,37 +471,46 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 					}
 				}
 				for _, nd := range sp.nodes {
-					if nd.pairs > 0 {
-						prologues, pairs, most = prologues+1, pairs+int(nd.pairs), max(most, int(nd.pairs))
+					if nd.pairs == 0 {
+						continue
+					}
+					prologues, pairs, most = prologues+1, pairs+int(nd.pairs), max(most, int(nd.pairs))
+					if nd.mask != 0 {
+						masked++
+					}
+					raw := slices.ContainsFunc(sp.ops[nd.lo:nd.lo+nd.pairs], func(op sbOp) bool { return op.k < transpose.NumBasis })
+					if raw && nd.mask != 0 {
+						t.Errorf("%s: a prologue loading a raw plane has a mask", app.Name)
 					}
 				}
 			})
 			s.Close()
 		}
-		t.Logf("%s: fused pairs: %v; %d shared classes, %d class-prologue pairs in %d nodes (at most %d a node)",
-			app.Name, fused, len(shared), pairs, prologues, most)
-		if app.Name == "Yara" && prologues == 0 {
-			t.Errorf("Yara: no group compiles a class prologue node")
+		t.Logf("%s: fused pairs: %v; %d shared classes, %d class-prologue pairs in %d nodes (at most %d a node, %d with a mask)",
+			app.Name, fused, len(shared), pairs, prologues, most, masked)
+		if app.Name == "Yara" && masked == 0 {
+			t.Errorf("Yara: no group compiles a class prologue node with a mask")
 		}
 	}
 }
 
-// prologueGrid has 32-word windows: four occupancy lines each.
+// prologueGrid has 32-word blocks: four presence lines each.
 var prologueGrid = gpusim.Grid{CTAs: 4, Threads: 64, UnitBits: 32, UnitsPerThread: 1}
 
 // prologueProgram is a group's class prologue in miniature: n loads S_k =
 // b<8+k>, each followed by a guard on it that skips everything after it, then
-// a body computing the conjunction of them all — or, when bare, the prologue
-// ends the program but for the one statement its last guard must skip, a copy
-// of S_{n-1}. On prologueBasis the guards are sound: what a taken one skips
-// is zero in its window.
+// a body: S_{n-1} advanced by one bit and ANDed with every other load — or,
+// when bare, the advance alone, so that the loads before the last are read by
+// their guards only. The advance gives every window but the first a one-word
+// left margin, so a window starts on a line's last word. On prologueBasis the
+// guards are sound: what a taken one skips is zero in its window.
 func prologueProgram(n int, bare bool) *ir.Program {
 	b := ir.NewBuilder()
 	loads := make([]ir.VarID, n)
 	for k := range loads {
 		loads[k] = b.Emit(ir.MatchBasis{Bit: transpose.NumBasis + k})
 	}
-	out := b.Emit(ir.Copy{Src: loads[n-1]})
+	out := b.Advance(loads[n-1], 1)
 	if !bare {
 		for _, s := range loads[:n-1] {
 			out = b.And(out, s)
@@ -520,60 +534,81 @@ func prologueProgram(n int, bare bool) *ir.Program {
 	return p
 }
 
-// prologueBasis is a basis of a little under `windows` blocks of prologueGrid
-// whose class k is set everywhere but in block k — the last class in none of
-// the first n blocks — its line occupancy bound when occ is set.
-func prologueBasis(n, windows int, occ bool) *transpose.Basis {
+// prologueWindows is the number of prologueGrid blocks prologueBasis spans.
+func prologueWindows(n int) int { return 2*n + 2 }
+
+// prologueBasis spans prologueWindows(n) blocks of prologueGrid but 100 bits.
+// Its class k is set everywhere except in block k and the margin word before
+// it — absent from window k, where guard k fires unless an earlier one did —
+// and in block n+k, which leaves it the margin word of window n+k only: absent
+// from every whole line there but set in an edge word, a guard the pair loop
+// must not take. The last class is also clear in the first n blocks, so the
+// advance a taken guard skips is zero. From window 2n on every class is in
+// every line. Presence rows are bound when rows is set.
+func prologueBasis(n int, rows bool) *transpose.Basis {
 	block := prologueGrid.BlockBits()
-	bits := windows*block - 100
+	bits := prologueWindows(n)*block - 100
 	basis := transpose.Transpose(make([]byte, bits))
 	for k := 0; k < n; k++ {
 		s := bitstream.NewOnes(bits)
-		for i := k * block; i < min((k+1)*block, bits); i++ {
-			s.Clear(i)
+		clearBits := func(lo, hi int) {
+			for i := max(lo, 0); i < hi; i++ {
+				s.Clear(i)
+			}
 		}
-		for i := 0; k == n-1 && i < n*block; i++ {
-			s.Clear(i)
+		clearBits(k*block-64, (k+1)*block)
+		clearBits((n+k)*block, (n+k+1)*block)
+		if k == n-1 {
+			clearBits(0, n*block)
 		}
 		basis.Ext = append(basis.Ext, s)
-		if occ {
-			w := s.Words()
-			lines := make([]uint64, (len(w)+511)/512)
-			for i := range lines {
-				lines[i] = transpose.LineBits(w[i*512 : min((i+1)*512, len(w))])
-			}
-			basis.Occ = append(basis.Occ, lines)
-		}
+	}
+	if rows {
+		presenceRows(basis)
 	}
 	return basis
 }
 
-// TestPrologueChargesWhatItsPairsDid runs hand-built prologues of n pairs, pair
-// k's class absent from block k only, with and without line occupancy on the
-// basis, guards honored or not, the prologue ending the program or not. The
-// compiler must mark the whole prologue on its first load. A run must produce
-// the interpreter's outputs and charge CTAStats struct-equal to the same
-// program run pair by pair, as two nodes a pair. Window by window, in the
-// real pass and the probe pass (which charges nothing), execPrologue must
-// resume where the taken guard's node would, tag what it skips known zero and
-// charge each pair it reached: one DRAM load, one guard check.
+// prologueCoverage counts the windows TestPrologueChargesWhatItsPairsDid
+// reached of each kind, so that a basis that stops making them fails.
+type prologueCoverage struct {
+	taken, edge, set, unread int
+}
+
+// TestPrologueChargesWhatItsPairsDid runs hand-built prologues of n pairs on
+// prologueBasis — windows where a guard fires, where a class is absent from
+// every whole line but set in an edge word, and where every class is present
+// — with and without presence rows, guards honored or not, the prologue
+// ending the program or not. The compiler must mark the whole prologue on its
+// first load and give it the mask of its classes. A run must produce the
+// interpreter's outputs and charge CTAStats struct-equal to the same program
+// run pair by pair, as two nodes a pair, and so must every window, in the real
+// pass and in the probe pass (which charges nothing). Window by window,
+// execPrologue must resume where the first guard the words say is taken
+// would, tag the output it skips known zero and nothing else, bind no load
+// when every class is present or guards are off, and charge each pair it
+// reached one DRAM load and one guard check — a load no µop reads included.
 func TestPrologueChargesWhatItsPairsDid(t *testing.T) {
-	const windows = 6
+	var seen prologueCoverage
 	for _, n := range []int{1, 4} {
 		for _, bare := range []bool{false, true} {
 			p := prologueProgram(n, bare)
-			for _, occ := range []bool{true, false} {
-				basis := prologueBasis(n, windows, occ)
+			for _, rows := range []bool{true, false} {
+				basis := prologueBasis(n, rows)
 				for _, honor := range []bool{true, false} {
-					label := fmt.Sprintf("n=%d bare=%v occ=%v guards=%v", n, bare, occ, honor)
-					checkPrologue(t, label, p, basis, n, windows, Config{Grid: prologueGrid, Mode: ModeDTM, HonorGuards: honor})
+					label := fmt.Sprintf("n=%d bare=%v rows=%v guards=%v", n, bare, rows, honor)
+					checkPrologue(t, label, p, basis, n, Config{Grid: prologueGrid, Mode: ModeDTM, HonorGuards: honor}, &seen)
 				}
 			}
 		}
 	}
+	if seen.taken == 0 || seen.edge == 0 || seen.set == 0 || seen.unread == 0 {
+		t.Fatalf("windows reached: %+v; want a taken guard, an edge-word class, every class present and a load no µop read", seen)
+	}
+	t.Logf("windows reached: %+v", seen)
 }
 
-func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.Basis, n, windows int, cfg Config) {
+func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.Basis, n int, cfg Config, seen *prologueCoverage) {
 	t.Helper()
 	want := interpRef(t, p, basis)["re"]
 	// run runs p twice on one session under the mask audit — the first run
@@ -616,30 +651,72 @@ func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.B
 			t.Fatalf("%s: node %d is marked with %d pairs; want the first node marked with %d, no other", label, i, nd.pairs, n)
 		}
 	}
-	ex, block := s.ex, prologueGrid.BlockBits()
-	loads := 0
-	ex.afterOp = func() { loads++ }
-	empty := &fusedSeg{sprog: &sbProgram{}}
-	for w := 0; w < windows; w++ {
+	if sp.nodes[0].mask != 1 || !slices.Equal(sp.masks, []uint64{1<<n - 1}) {
+		t.Fatalf("%s: the prologue's mask is %x, want its %d classes", label, sp.masks, n)
+	}
+	flat := *sp
+	flat.nodes = slices.Clone(sp.nodes)
+	flat.nodes[0].pairs = 0
+	ex, block, out := s.ex, prologueGrid.BlockBits(), p.Outputs[0].Var
+	loads := make([]ir.VarID, n)
+	for k := range loads {
+		loads[k] = sp.ops[k].dst
+	}
+	for w := 0; w < prologueWindows(n); w++ {
+		cs, ce := w*block, min((w+1)*block, basis.N)
 		for _, charge := range []bool{true, false} {
-			ex.stats, loads = gpusim.CTAStats{}, 0
-			if err := ex.execWindowOnce(empty, w*block, min((w+1)*block, basis.N), 0, 0, !charge, charge); err != nil {
+			// The whole window, marked and then pair by pair.
+			var stats [2]gpusim.CTAStats
+			var words [2][]uint64
+			unread := false
+			for i, prog := range []*sbProgram{sp, &flat} {
+				ex.stats = gpusim.CTAStats{}
+				if err := ex.execWindowOnce(&fusedSeg{sprog: prog}, cs, ce, 64, 0, !charge, charge); err != nil {
+					t.Fatal(err)
+				}
+				stats[i], words[i] = ex.stats, slices.Clone(ex.committedWords(out, 0, ex.ww))
+				unread = unread || i == 0 && !ex.regs.has(loads[0])
+			}
+			if stats[0] != stats[1] || !slices.Equal(words[0], words[1]) {
+				t.Fatalf("%s: window %d (charge %v): the prologue node charges\n %+v\nits pairs as nodes\n %+v\n(output words equal: %v)",
+					label, w, charge, stats[0], stats[1], slices.Equal(words[0], words[1]))
+			}
+
+			// The prologue alone, against what the window's words say.
+			ex.stats = gpusim.CTAStats{}
+			if err := ex.execWindowOnce(&fusedSeg{sprog: &sbProgram{}}, cs, ce, 64, 0, !charge, charge); err != nil {
 				t.Fatal(err)
 			}
-			units := ex.windowUnits()
+			units, from := ex.windowUnits(), ex.ws/64
+			taken, fast, edge := -1, true, false
+			for k := 0; k < n; k++ {
+				words, nonZero := basis.Ext[k].Words()[from:from+ex.ww], func(x uint64) bool { return x != 0 }
+				lo := (from + transpose.LineWords - 1) / transpose.LineWords * transpose.LineWords
+				hi := (from + ex.ww) / transpose.LineWords * transpose.LineWords
+				set := slices.ContainsFunc(words, nonZero)
+				inLines := basis.PresW > 0 && lo < hi && slices.ContainsFunc(words[lo-from:hi-from], nonZero)
+				fast = fast && inLines
+				if cfg.HonorGuards && taken < 0 {
+					edge = edge || set && !inLines && basis.PresW > 0
+					if !set {
+						taken = k
+					}
+				}
+			}
+			fast = fast || !cfg.HonorGuards
 			last := ex.execPrologue(sp, 0, charge)
 			pairs, wantLast, want := int64(n), 2*n-1, gpusim.CTAStats{}
-			if w < n && cfg.HonorGuards {
-				g := &sp.nodes[2*w+1]
-				pairs, wantLast = int64(w+1), len(sp.nodes)-1
-				for _, v := range sp.zeroDsts[g.zlo:g.zhi] {
-					if !ex.regs.isZero(v) {
-						t.Fatalf("%s: window %d: the guard on S%d fired but S%d is not known zero", label, w, g.cond, v)
-					}
+			if taken >= 0 {
+				g := &sp.nodes[2*taken+1]
+				pairs, wantLast = int64(taken+1), len(sp.nodes)-1
+				if tagged := sp.zeroDsts[g.zlo:g.zhi]; !slices.Equal(tagged, []ir.VarID{out}) || !ex.regs.isZero(out) {
+					t.Fatalf("%s: window %d: the guard on S%d fired and tags %v (S%d known zero: %v); want the output S%d alone",
+						label, w, g.cond, tagged, out, ex.regs.isZero(out), out)
 				}
 				if charge {
 					want.UnitOps, want.GuardSkips, want.SkippedStmts = int64(g.zeroCharge)*units, 1, int64(g.skipN)
 				}
+				seen.taken++
 			}
 			if charge {
 				want.UnitOps += pairs * units
@@ -647,11 +724,151 @@ func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.B
 				want.SMemWriteBytes = pairs * int64(prologueGrid.Threads) * 4
 				want.GuardChecks = pairs
 			}
-			if last != wantLast || ex.stats != want || int64(loads) != pairs {
-				t.Fatalf("%s: window %d (charge %v): %d loads audited, resumed after node %d, charged\n %+v\nwant %d, node %d and\n %+v",
-					label, w, charge, loads, last, ex.stats, pairs, wantLast, want)
+			for k, v := range loads {
+				if bound := ex.regs.has(v) && !ex.regs.isZero(v); bound != (!fast && int64(k) < pairs) {
+					t.Fatalf("%s: window %d (charge %v): load S%d bound %v; every class present: %v, pairs reached %d",
+						label, w, charge, v, bound, fast, pairs)
+				}
+			}
+			if last != wantLast || ex.stats != want {
+				t.Fatalf("%s: window %d (charge %v): resumed after node %d, charged\n %+v\nwant node %d and\n %+v",
+					label, w, charge, last, ex.stats, wantLast, want)
+			}
+			if edge && taken < 0 {
+				seen.edge++
+			}
+			if fast && cfg.HonorGuards {
+				seen.set++
+			}
+			if unread && fast && n > 1 && charge {
+				seen.unread++
 			}
 		}
+	}
+}
+
+// TestTakenGuardTagsWhatIsReadAfterIt guards D = G & C, G zero in most windows
+// of the input, in four hand-built programs: D read after the guard's range,
+// D an output, D defined a second time, D read nowhere. The taken guard must
+// tag D known zero in the first three and not in the last, whose D reads as
+// zero absent. Outputs must equal the interpreter's, and CTAStats must be
+// struct-equal to the same program whose guard tags its whole range.
+func TestTakenGuardTagsWhatIsReadAfterIt(t *testing.T) {
+	cases := []struct {
+		name   string
+		tagged bool
+		build  func(b *ir.Builder, sa, sc, g ir.VarID) ir.VarID // returns D
+	}{
+		{"read after", true, func(b *ir.Builder, sa, sc, g ir.VarID) ir.VarID {
+			d := b.And(g, sc)
+			b.Output("re", b.Or(d, sa))
+			return d
+		}},
+		{"output", true, func(b *ir.Builder, sa, sc, g ir.VarID) ir.VarID {
+			d := b.And(g, sc)
+			b.Output("d", d)
+			b.Output("re", sa)
+			return d
+		}},
+		{"defined twice", true, func(b *ir.Builder, sa, sc, g ir.VarID) ir.VarID {
+			d := b.NewVar()
+			b.EmitTo(d, ir.Copy{Src: sa})
+			pre := b.Or(d, sc)
+			b.EmitTo(d, ir.Bin{Op: ir.OpAnd, X: g, Y: sc})
+			b.Output("re", pre)
+			return d
+		}},
+		{"never read", false, func(b *ir.Builder, sa, sc, g ir.VarID) ir.VarID {
+			d := b.And(g, sc)
+			b.Output("re", b.Or(sa, sc))
+			return d
+		}},
+	}
+	input := []byte(strings.Repeat("abc cab ", 8) + strings.Repeat("xyz cc ", 30))
+	basis := transpose.Transpose(input)
+	for _, tc := range cases {
+		b := ir.NewBuilder()
+		sa, sb, sc := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b')), b.MatchClass(charclass.Single('c'))
+		g := b.And(b.Advance(sa, 1), sb) // "ab" ends here
+		d := tc.build(b, sa, sc, g)
+		p := b.Program()
+		// The guard skips D's (last) definition alone.
+		at := slices.IndexFunc(p.Stmts, func(s ir.Stmt) bool {
+			a, ok := s.(*ir.Assign)
+			return ok && a.Dst == d && a.Expr == ir.Expr(ir.Bin{Op: ir.OpAnd, X: g, Y: sc})
+		})
+		p.Stmts = slices.Insert(p.Stmts, at, ir.Stmt(&ir.Guard{Cond: g, Skip: 1}))
+
+		want := interpRef(t, p, basis)
+		var stats [2]gpusim.CTAStats
+		for pass := range stats {
+			s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, _, err := s.Run(context.Background(), basis); err != nil { // compiles
+				t.Fatal(err)
+			}
+			sp := s.pl.nodes[0].(*fusedSeg).sprog
+			gi := slices.IndexFunc(sp.nodes, func(nd sbNode) bool { return nd.kind == sbGuardNode })
+			nd := &sp.nodes[gi]
+			if tagged := slices.Contains(sp.zeroDsts[nd.zlo:nd.zhi], d); tagged != tc.tagged {
+				t.Fatalf("%s: the guard tags %v; D is S%d, want it tagged: %v", tc.name, sp.zeroDsts[nd.zlo:nd.zhi], d, tc.tagged)
+			}
+			if pass == 1 {
+				nd.zlo, nd.zhi = sp.nodes[gi+1].zlo, sp.nodes[gi+int(nd.skip)].zhi
+			}
+			outs, st, err := s.Run(context.Background(), basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range p.Outputs {
+				if !outs[i].Equal(want[o.Name]) {
+					t.Fatalf("%s (pass %d): output %s diverges from the interpreter:\n got  %s\n want %s", tc.name, pass, o.Name, outs[i], want[o.Name])
+				}
+			}
+			stats[pass] = st
+		}
+		if stats[0] != stats[1] || stats[0].GuardSkips == 0 {
+			t.Fatalf("%s: the filtered guard charges\n %+v\nthe guard tagging its whole range\n %+v\n(want equal, with skips)", tc.name, stats[0], stats[1])
+		}
+	}
+}
+
+// TestGuardInALoopTagsWhatItSkips: a guard in a while body keeps its whole
+// list. D = G & Y, defined once, is read after the guard's range in the same
+// iteration only — as a top-level guard's D would be dropped from the list —
+// but the iteration that takes the guard must read it as zero, not as what an
+// earlier iteration computed; the loop's last E, which reads it, is the output.
+func TestGuardInALoopTagsWhatItSkips(t *testing.T) {
+	b := ir.NewBuilder()
+	x, y := b.Basis(7), b.Basis(6) // odd bytes; bytes with bit 1 set
+	m, e := b.NewVar(), b.NewVar()
+	b.EmitTo(m, ir.Copy{Src: x})
+	var g, d ir.VarID
+	b.While(m, func() {
+		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: x})
+		g = b.And(m, y)
+		d = b.And(g, y)
+		b.EmitTo(e, ir.Bin{Op: ir.OpOr, X: d, Y: m})
+	})
+	b.Output("re", b.Emit(ir.Copy{Src: e}))
+	p := b.Program()
+	loop := p.Stmts[len(p.Stmts)-2].(*ir.While)
+	at := slices.IndexFunc(loop.Body, func(s ir.Stmt) bool { a, ok := s.(*ir.Assign); return ok && a.Dst == d })
+	loop.Body = slices.Insert(loop.Body, at, ir.Stmt(&ir.Guard{Cond: g, Skip: 1}))
+	s := runHandBuilt(t, p, strings.Repeat("cca ac ccca a cac ", 12))
+	tagged := false
+	eachProgram(s.pl, func(sp *sbProgram) {
+		for _, nd := range sp.nodes {
+			if nd.kind == sbGuardNode && nd.cond == g {
+				tagged = slices.Contains(sp.zeroDsts[nd.zlo:nd.zhi], d)
+			}
+		}
+	})
+	if !tagged {
+		t.Fatalf("the guard on S%d in the loop body does not tag S%d", g, d)
 	}
 }
 
@@ -855,6 +1072,23 @@ func TestDeferralKeepsSourceWords(t *testing.T) {
 		}
 		if op := ops[after]; op == nil || !op.lazy {
 			t.Fatalf("the shift after the loop S%d: op %+v, want standalone and deferrable", after, op)
+		}
+	})
+	t.Run("an XOR forces a deferred shift", func(t *testing.T) {
+		// Each T has two readers, so it stays a standalone, deferrable shift;
+		// the AND folds it, the XOR — which has no shift form — forces it,
+		// the shift on its left or on its right.
+		b := ir.NewBuilder()
+		sa, sb := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
+		left, right := b.Advance(sa, 3), b.Advance(sb, 5)
+		b.Output("and", b.Or(b.And(sb, left), b.And(right, sa)))
+		b.Output("xor", b.Or(b.Xor(left, sb), b.Xor(sa, right)))
+		b.Output("sunk", b.Xor(b.Advance(sa, 2), sb)) // a single reader: not sunk into it either
+		s := runHandBuilt(t, b.Program(), strings.Repeat("abab bbab aaab ", 14))
+		for _, v := range []ir.VarID{left, right} {
+			if op := shiftOps(s)[v]; op == nil || !op.lazy {
+				t.Fatalf("S%d: op %+v, want standalone and deferrable", v, op)
+			}
 		}
 	})
 	t.Run("a deferred shift that is a live-out is computed at commit", func(t *testing.T) {

@@ -41,12 +41,12 @@ type Basis struct {
 	// binds here so every group's program reads them through Bit(8+i).
 	// TransposeInto leaves Ext alone; the engine rebinds it per chunk.
 	Ext []*bitstream.Stream
-	// Occ holds, aligned with Ext, each extended stream's line occupancy: bit
-	// i of Occ[j] clear means words [LineWords*i, LineWords*(i+1)) of Ext[j]
-	// are all zero, and every set bit names a line with a set bit. The engine
-	// writes it with the streams; AnyWords answers from it. A stream whose
-	// bitmap is missing, or covers fewer lines than it has, has none.
-	Occ [][]uint64
+	// Pres holds the extended streams' presence rows, PresW words a line:
+	// bit j of row l (word j/64 of Pres[PresW*l:]) is set exactly when Ext[j]
+	// has a set bit in words [LineWords*l, LineWords*(l+1)). The engine writes
+	// them with the streams; Present ORs them over a range.
+	Pres  []uint64
+	PresW int
 
 	// words are the owned backing buffers the Streams point into; headers
 	// hold the eight Stream values so reuse allocates nothing.
@@ -185,62 +185,44 @@ func (b *Basis) Bit(j int) *bitstream.Stream {
 	return b.Ext[j-NumBasis]
 }
 
-// LineWords is the width of an occupancy line in words: 64 bytes of stream,
-// one bit of Basis.Occ.
+// LineWords is the width of a presence line in words: 64 bytes of stream,
+// one row of Basis.Pres.
 const LineWords = 8
 
-// LineBits returns the occupancy of w's lines, at most 64 of them: bit i set
-// when a word of w[LineWords*i:] up to the next line, or w's end, is non-zero.
-func LineBits(w []uint64) (m uint64) {
-	i := 0
-	for ; i+LineWords <= len(w); i += LineWords {
-		if l := (*[LineWords]uint64)(w[i:]); l[0]|l[1]|l[2]|l[3]|l[4]|l[5]|l[6]|l[7] != 0 {
-			m |= 1 << (i / LineWords)
+// MarkPresence sets bit j in each presence row of rows, w words a row, whose
+// line of words has a set bit: row l covers words[LineWords*l:] up to the next
+// line, or the end of words.
+func MarkPresence(rows []uint64, w, j int, words []uint64) {
+	bit, r, i := uint64(1)<<(j%64), j/64, 0
+	for ; i+LineWords <= len(words); i, r = i+LineWords, r+w {
+		if l := (*[LineWords]uint64)(words[i:]); l[0]|l[1]|l[2]|l[3]|l[4]|l[5]|l[6]|l[7] != 0 {
+			rows[r] |= bit
 		}
 	}
-	if anyWords(w[i:]) {
-		m |= 1 << (i / LineWords)
+	var tail uint64
+	for _, x := range words[i:] {
+		tail |= x
 	}
-	return m
+	if tail != 0 {
+		rows[r] |= bit
+	}
 }
 
-// AnyWords reports whether extended stream j has a set bit in words [from,
-// from+n), answered from its occupancy: a set bit for a line wholly inside
-// the range decides it, and only when there is none are the range's partial
-// edge lines read. ok is false — set says nothing — for a raw plane, a
-// stream without occupancy or a range that leaves the stream.
-func (b *Basis) AnyWords(j, from, n int) (set, ok bool) {
-	if j -= NumBasis; j < 0 || j >= len(b.Occ) {
-		return false, false
-	}
-	w, occ := b.Ext[j].Words(), b.Occ[j]
-	if from < 0 || from+n > len(w) || len(occ)*64*LineWords < len(w) {
-		return false, false
-	}
-	// Lines [lo, hi) lie wholly inside; their bits, a bitmap word at a time.
-	lo, hi := (from+LineWords-1)/LineWords, (from+n)/LineWords
-	for l := lo; l < hi; l = (l | 63) + 1 {
-		m := occ[l/64] >> (l % 64)
-		if hi-l < 64 {
-			m &= 1<<(hi-l) - 1
+// Present sets dst, PresW words, to the OR of the presence rows of the lines
+// wholly inside words [from, from+n). A stream in that set has a set bit in
+// the range; one outside it may still have some in the range's partial edge
+// lines, so its absence is only a hint until those words are read.
+func (b *Basis) Present(dst []uint64, from, n int) {
+	w := b.PresW
+	end := min((from+n)/LineWords*w, len(b.Pres))
+	rows := b.Pres[min((from+LineWords-1)/LineWords*w, end):end]
+	for i := range dst {
+		var set uint64
+		for r := i; r < len(rows); r += w {
+			set |= rows[r]
 		}
-		if m != 0 {
-			return true, true
-		}
+		dst[i] = set
 	}
-	if lo >= hi {
-		return anyWords(w[from : from+n]), true
-	}
-	return anyWords(w[from:lo*LineWords]) || anyWords(w[hi*LineWords:from+n]), true
-}
-
-func anyWords(w []uint64) bool {
-	for _, x := range w {
-		if x != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // BytesMoved returns the number of bytes the transpose kernel reads plus
