@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick profile-sigs profile-light profile-control profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick paper paper-check profile-sigs profile-light profile-control profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,22 @@ loc:
 	> results/loc.json
 	@echo "loc: wrote results/loc.json"
 
+# paper regenerates the paper's tables and figures: results/{table1,fig11,
+# fig12,table4,table5,fig13,fig14,fig15,extras}.csv and, rendered, results/
+# bitbench.log (≈ 40 s on two cores). It is their only writer.
+# TestPaperArtifactsReproduce (internal/experiments) re-derives every modeled
+# cell of those CSVs and fails on any difference, so a change that moves one
+# commits the regenerated files with it.
+paper:
+	$(GO) run ./cmd/bitbench -exp all -csv results > results/bitbench.log
+
+# paper-check is that test with the paper build tag, under which it also
+# derives fig11 and fig15: their ngAP and icgrep cells take the reference NFA
+# simulation and the whole-stream interpreter over every application, too long
+# for `go test` (all nine ≈ 21 s on two cores, the other seven ≈ 11 s).
+paper-check:
+	$(GO) test -count=1 -tags paper -run '^TestPaperArtifactsReproduce$$' ./internal/experiments
+
 # bench-serve regenerates results/BENCH_serve.json: a 1-node baseline vs
 # a 3-node cluster with a mid-run replica kill, reporting p50/p99
 # latency, saturation throughput, and post-kill recovery time.
@@ -128,8 +144,9 @@ bench-serve:
 # installed), build, the full suite under the race detector, the
 # fault-injection suite, the observability and bench smokes (the service,
 # cluster and snapshot scenarios run inside `race`), a quick pass of the
-# repo benchmark, and the per-package line count.
-ci: vet lint vuln build race fault obs-smoke bench-smoke bench-quick obs-cluster-smoke megaset-smoke loc
+# repo benchmark, every modeled cell of the paper artifacts (paper-check),
+# and the per-package line count.
+ci: vet lint vuln build race fault obs-smoke bench-smoke bench-quick obs-cluster-smoke megaset-smoke paper-check loc
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bitgen"
+	"bitgen/internal/experiments"
 	"bitgen/internal/transpose"
 )
 
@@ -78,7 +79,7 @@ func (r *chunkSource) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func runBench(benchTime string, minScanMBs float64) (renderable, error) {
+func runBench(benchTime string, minScanMBs float64) (experiments.Artifact, error) {
 	// Long enough runs that per-call setup (sessions, channels) amortizes to
 	// zero and allocs/op reports the steady-state loop. CI smoke runs pass a
 	// short -bench-time; the default favors stable numbers.

@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	bitbench -exp all                 # every artifact, default scale
+//	bitbench -exp all -csv results    # every artifact, default scale: `make paper`
 //	bitbench -exp fig11 -scale 0.1    # Table 2 / Figure 11 at 10% regex scale
 //	bitbench -exp table5 -input 500000
 //	bitbench -exp fig12 -apps Yara,Brill -csv out/
 //
 // Experiments: table1, fig11 (alias table2), fig12 (alias table3), table4,
-// table5, fig13 (alias table6), fig14, fig15, all.
+// table5, fig13 (alias table6), fig14, fig15, extras, all.
 package main
 
 import (
@@ -26,33 +26,15 @@ import (
 
 type artifact struct {
 	name string
-	run  func(*experiments.Suite) (renderable, error)
+	run  func(*experiments.Suite) (experiments.Artifact, error)
 	// file overrides the artifact's output base name (default: name).
 	file string
-}
-
-type renderable interface {
-	Render() string
-	CSV() string
 }
 
 // jsonRenderable is implemented by artifacts that also emit a structured
 // JSON form (written under the -json directory).
 type jsonRenderable interface {
 	JSON() ([]byte, error)
-}
-
-var artifacts = []artifact{
-	{name: "table1", run: func(s *experiments.Suite) (renderable, error) { return s.Table1() }},
-	{name: "fig11", run: func(s *experiments.Suite) (renderable, error) { return s.Table2Figure11() }},
-	{name: "fig12", run: func(s *experiments.Suite) (renderable, error) { return s.Figure12Breakdown() }},
-	{name: "table4", run: func(s *experiments.Suite) (renderable, error) { return s.Table4Memory() }},
-	{name: "table5", run: func(s *experiments.Suite) (renderable, error) { return s.Table5Recompute() }},
-	{name: "fig13", run: func(s *experiments.Suite) (renderable, error) { return s.Figure13MergeSize() }},
-	{name: "fig14", run: func(s *experiments.Suite) (renderable, error) { return s.Figure14Interval() }},
-	{name: "fig15", run: func(s *experiments.Suite) (renderable, error) { return s.Figure15Portability() }},
-	{name: "extras", run: func(s *experiments.Suite) (renderable, error) { return s.AblationExtras() }},
-	{name: "ctasweep", run: func(s *experiments.Suite) (renderable, error) { return s.CTASweep() }},
 }
 
 var aliases = map[string]string{
@@ -62,7 +44,7 @@ var aliases = map[string]string{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, all)")
+	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, extras, all)")
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's regex counts to generate")
 	inputBytes := flag.Int("input", 1_000_000, "input size in bytes")
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: all ten)")
@@ -95,15 +77,19 @@ func main() {
 	// The profile, bench and mem artifacts exercise the public API rather
 	// than the experiment harness; they are opt-in and not part of "all".
 	extraArtifacts := []artifact{
-		{name: "profile", run: func(s *experiments.Suite) (renderable, error) {
+		{name: "profile", run: func(s *experiments.Suite) (experiments.Artifact, error) {
 			return runProfile(s)
 		}},
-		{name: "bench", run: func(*experiments.Suite) (renderable, error) {
+		{name: "bench", run: func(*experiments.Suite) (experiments.Artifact, error) {
 			return runBench(*benchTime, *minScanMBs)
 		}, file: "BENCH_scan"},
-		{name: "mem", run: func(*experiments.Suite) (renderable, error) {
+		{name: "mem", run: func(*experiments.Suite) (experiments.Artifact, error) {
 			return runMem(*memSizes, *seed, *memCeilingMB<<20, *memBudget)
 		}, file: "BENCH_mem"},
+	}
+	var artifacts []artifact
+	for _, a := range experiments.Artifacts {
+		artifacts = append(artifacts, artifact{name: a.Name, run: a.Run})
 	}
 	var selected []artifact
 	if name == "all" {

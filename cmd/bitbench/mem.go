@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bitgen"
+	"bitgen/internal/experiments"
 	"bitgen/internal/workload"
 )
 
@@ -67,7 +68,7 @@ var memOptions = &bitgen.Options{Limits: bitgen.Limits{MaxPatterns: -1}}
 // resident-bytes ceiling, compile-time budget — apply to the largest size
 // only (the smoke's 100k point); smaller sizes are recorded for the
 // trajectory.
-func runMem(sizesSpec string, seed int64, ceilingBytes int64, budget time.Duration) (renderable, error) {
+func runMem(sizesSpec string, seed int64, ceilingBytes int64, budget time.Duration) (experiments.Artifact, error) {
 	sizes, err := parseMemSizes(sizesSpec)
 	if err != nil {
 		return nil, err

@@ -58,11 +58,6 @@ type Config struct {
 	// Result.Outputs, for tests and cross-checks that compare whole streams;
 	// the public engine reads Result.Matches and leaves it off.
 	KeepOutputs bool
-	// TransposeShare scales the transpose kernel's charged traffic; the
-	// reduced-scale experiment methodology runs k% of the workload on a
-	// k%-scaled device, so it charges k% of the (once-per-input)
-	// transpose. Zero means 1 (full charge).
-	TransposeShare float64
 	// MaxWhileIterations caps global fixpoint loops. Zero selects
 	// DefaultMaxWhileIterations; -1 selects the kernel's adaptive 2n+16
 	// bound. Hitting the cap returns an error satisfying
@@ -660,16 +655,12 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 		e.PutSession(ss) // which drops it unless err is a cancellation
 		return nil, err
 	}
-	share := e.cfg.TransposeShare
-	if share == 0 {
-		share = 1
-	}
 	res := &Result{
 		MatchCounts: make(map[string]int),
 		Stats: gpusim.KernelStats{
 			PerCTA:         append([]gpusim.CTAStats(nil), ss.stats...),
 			InputBytes:     int64(len(input)),
-			TransposeBytes: int64(float64(ss.basis.BytesMoved()) * share),
+			TransposeBytes: ss.basis.BytesMoved(),
 		},
 	}
 	keepOutputs := collect && e.cfg.KeepOutputs

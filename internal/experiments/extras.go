@@ -64,7 +64,7 @@ func (s *Suite) AblationExtras() (*ExtrasResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, eng, err := s.runBitGen(app, cfg)
+			res, pass, err := s.runBitGen(app, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, scheme, err)
 			}
@@ -77,7 +77,7 @@ func (s *Suite) AblationExtras() (*ExtrasResult, error) {
 				sync /= float64(n)
 			}
 			row.ShiftBarriersPerCTA = append(row.ShiftBarriersPerCTA, sync)
-			row.DedupedCopies = append(row.DedupedCopies, eng.PassStats.DedupedCopies)
+			row.DedupedCopies = append(row.DedupedCopies, pass.DedupedCopies)
 		}
 		out.Rows = append(out.Rows, row)
 	}

@@ -27,19 +27,6 @@ func TestExtrasRenderAndCSV(t *testing.T) {
 	}
 }
 
-func TestCTASweepRenderAndCSV(t *testing.T) {
-	r := &CTASweepResult{
-		Counts: CTACounts,
-		Rows:   []CTASweepRow{{App: "Demo", ThroughputMBs: []float64{1, 2, 3, 4}}},
-	}
-	if !strings.Contains(r.Render(), "CTA=256") {
-		t.Errorf("render malformed:\n%s", r.Render())
-	}
-	if !strings.Contains(r.CSV(), "Demo,1.00,2.00,3.00,4.00") {
-		t.Errorf("csv malformed:\n%s", r.CSV())
-	}
-}
-
 func TestMemoryRenderAndCSV(t *testing.T) {
 	r := &MemoryResult{Rows: []MemoryRow{
 		{Scheme: "Base", Loops: 260.7, IntermediateStreams: 317.8, DRAMReadMB: 177.9, DRAMWrittenMB: 85.2},

@@ -56,16 +56,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Suite caches generated applications and compiled artifacts across
-// experiments.
+// Suite caches generated applications, BitGen runs and NFA simulations
+// across experiments: the artifacts share most of their runs (every one runs
+// the full configuration), and each run is deterministic.
 type Suite struct {
 	opts Options
 	apps map[string]*workload.App
+	runs map[runKey]bitGenRun
+	sims map[string]nfa.SimStats
+}
+
+type runKey struct {
+	app string
+	cfg engine.Config
+}
+
+// bitGenRun is what the artifacts read of one compiled-and-run engine.
+type bitGenRun struct {
+	res  *engine.Result
+	pass engine.PassStats
 }
 
 // NewSuite prepares a suite.
 func NewSuite(opts Options) *Suite {
-	return &Suite{opts: opts.withDefaults(), apps: make(map[string]*workload.App)}
+	return &Suite{
+		opts: opts.withDefaults(),
+		apps: make(map[string]*workload.App),
+		runs: make(map[runKey]bitGenRun),
+		sims: make(map[string]nfa.SimStats),
+	}
 }
 
 // Opts returns the effective options.
@@ -89,30 +108,40 @@ func (s *Suite) App(name string) (*workload.App, error) {
 }
 
 // runBitGen compiles and runs one application under a configuration,
-// returning the engine result. The CTA count scales with the regex scale
-// so each CTA carries a paper-sized group: the paper distributes e.g.
-// Yara's 3,358 regexes over 256 CTAs (~13 per group); at 5% scale we use
-// ~13 CTAs to keep the same per-CTA program size, which is what the
-// barrier/compute balance depends on.
-func (s *Suite) runBitGen(app *workload.App, cfg engine.Config) (*engine.Result, *engine.Engine, error) {
+// returning the engine result and what the passes did; callers share it and
+// must not modify it. The CTA count scales with the regex scale so each CTA
+// carries a paper-sized group: the paper distributes e.g. Yara's 3,358
+// regexes over 256 CTAs (~13 per group); at 5% scale we use ~13 CTAs to keep
+// the same per-CTA program size, which is what the barrier/compute balance
+// depends on.
+func (s *Suite) runBitGen(app *workload.App, cfg engine.Config) (*engine.Result, engine.PassStats, error) {
 	cfg.Grid = s.gridFor(app, cfg.Grid)
 	if cfg.Device.Name == "" {
 		cfg.Device = gpusim.RTX3090
 	}
 	cfg.Device = scaleDevice(cfg.Device, s.opts.RegexScale)
-	if s.opts.RegexScale < 1 {
-		cfg.TransposeShare = s.opts.RegexScale
+	key := runKey{app.Name, cfg}
+	if run, ok := s.runs[key]; ok {
+		return run.res, run.pass, nil
 	}
 	e, err := engine.Compile(app.Regexes, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: compile: %w", app.Name, err)
+		return nil, engine.PassStats{}, fmt.Errorf("%s: compile: %w", app.Name, err)
 	}
 	// Counters and counts only: the tables never read match positions.
 	res, err := e.RunCounts(context.Background(), app.Input)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: run: %w", app.Name, err)
+		return nil, engine.PassStats{}, fmt.Errorf("%s: run: %w", app.Name, err)
 	}
-	return res, e, nil
+	if s.opts.RegexScale < 1 {
+		// The transpose runs once per input, whatever the pattern count: k%
+		// of the workload on a k%-scaled device is charged k% of it.
+		res.Stats.TransposeBytes = int64(float64(res.Stats.TransposeBytes) * s.opts.RegexScale)
+		res.Time = gpusim.EstimateTime(cfg.Device, cfg.Grid, &res.Stats)
+		res.ThroughputMBs = gpusim.ThroughputMBs(res.Stats.InputBytes, res.Time.TotalSec)
+	}
+	s.runs[key] = bitGenRun{res, e.PassStats}
+	return res, e.PassStats, nil
 }
 
 // scaleDevice shrinks a device profile proportionally to the regex scale:
@@ -160,19 +189,23 @@ func bitGenConfig() engine.Config { return engine.BitGenDefault() }
 // runNgAP simulates the NFA engine for an application and models its time
 // on a device.
 func (s *Suite) runNgAP(app *workload.App, device gpusim.Device) (float64, nfa.SimStats, error) {
-	asts := make([]rx.Node, len(app.Regexes))
-	names := make([]string, len(app.Regexes))
-	for i, r := range app.Regexes {
-		asts[i] = r.AST
-		names[i] = r.Name
+	stats, ok := s.sims[app.Name]
+	if !ok {
+		asts := make([]rx.Node, len(app.Regexes))
+		names := make([]string, len(app.Regexes))
+		for i, r := range app.Regexes {
+			asts[i] = r.AST
+			names[i] = r.Name
+		}
+		n, err := nfa.Build(names, asts)
+		if err != nil {
+			return 0, nfa.SimStats{}, err
+		}
+		stats = nfa.Simulate(n, app.Input).Stats
+		s.sims[app.Name] = stats
 	}
-	n, err := nfa.Build(names, asts)
-	if err != nil {
-		return 0, nfa.SimStats{}, err
-	}
-	sim := nfa.Simulate(n, app.Input)
 	model := nfa.DefaultNgAPModel()
-	return model.ThroughputMBsScaled(device, sim.Stats, s.worklistScale(app)), sim.Stats, nil
+	return model.ThroughputMBsScaled(device, stats, s.worklistScale(app)), stats, nil
 }
 
 // worklistScale extrapolates the simulated regex subset to the paper's

@@ -47,11 +47,10 @@ func (s *Suite) Figure13MergeSize() (*MergeSweepResult, error) {
 				return nil, err
 			}
 			cfg := engine.Config{Mode: kernel.ModeDTM, ShiftRebalancing: true, MergeSize: ms}
-			res, eng, err := s.runBitGen(app, cfg)
+			res, _, err := s.runBitGen(app, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/merge%d: %w", name, ms, err)
 			}
-			_ = eng
 			for _, c := range res.Stats.PerCTA {
 				row.SyncPerCTA += float64(c.ShiftBarriers)
 				row.SMemAccessMB += float64(c.SMemReadBytes+c.SMemWriteBytes) / 1e6

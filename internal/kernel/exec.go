@@ -28,9 +28,6 @@ type Config struct {
 	// across this many CTAs (the L2 effect of every CTA reading the same
 	// transposed input). Zero means 1 (no sharing).
 	SharedInputCTAs int
-	// FullOutputWrites charges full match-stream writes to DRAM instead
-	// of compact match positions.
-	FullOutputWrites bool
 	// MaxWhileIterations bounds global fixpoint loops; zero = 2n+16.
 	// Hitting the cap returns an error satisfying errors.Is(err,
 	// bgerr.ErrLimit) — never silent truncation.
@@ -727,7 +724,7 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 			}
 			storeWindow(g, fromWord, ex.regs.get(v), fromWord-wsWord, toWord-fromWord)
 		}
-		if ex.isOut[v] && !ex.cfg.FullOutputWrites {
+		if ex.isOut[v] {
 			continue // compact outputs are charged at the end
 		}
 		ex.stats.DRAMWriteBytes += int64(toWord-fromWord) * 8

@@ -145,8 +145,9 @@ func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Confi
 		if str == nil {
 			// No window committed a set bit: the shared read-only zero.
 			str = ex.zero
-		} else if n = str.Popcount(); !cfg.FullOutputWrites {
+		} else {
 			// Compact outputs: one 32-bit position per match.
+			n = str.Popcount()
 			ex.stats.DRAMWriteBytes += 4 * int64(n)
 		}
 		s.outs[i], s.counts[i] = str, n

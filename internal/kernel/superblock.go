@@ -20,9 +20,11 @@ package kernel
 //
 // Two mechanisms move a shift to its reader; each covers shifts the other
 // cannot. Compile-time sinking (tryFuse): a single-use bit-distance shift fuses
-// into its consumer from anywhere earlier in its run, while bodies included
-// (without it oneshot_control's op_p50_ms goes 7.1 -> 9.5 ms) — but not across
-// a cut, and InsertGuards guards a rebalanced batch's own shifts. Run-time
+// into its consumer from anywhere earlier in its run, while bodies included —
+// but not across a cut, and InsertGuards guards a rebalanced batch's own
+// shifts. Deferral cannot stand in for it: deferring every shift, loop bodies
+// included, costs a standalone µop per loop-body shift, and oneshot_control's
+// op_p50_ms went 2.37 -> 2.69 ms (DESIGN §14, Superblock formation). Run-time
 // deferral (compileRun, window.go): a shift left standalone — consumer behind a
 // cut, several readers, a word distance — records "shift(src, k), not computed"
 // instead of moving words. Plain bitwise µops fold it into their own pass once
@@ -104,8 +106,6 @@ const (
 	sbShiftAnd    // dst = shift(a,k) & c
 	sbShiftOr     // dst = shift(a,k) | c
 	sbShiftAndNot // dst = shift(a,k) &^ c
-	sbShiftUnderAndNot
-	// sbShiftUnderAndNot is dst = c &^ shift(a,k).
 	// sbFuse2 is a fused bitwise pair dst = outer(inner(a,b), c), inner and
 	// outer each And, Or or AndNot: one straight loop over the window per
 	// pair (fused2), the inner result never stored.
@@ -114,8 +114,9 @@ const (
 
 // sbBinCode maps an IR bitwise operator to its plain µop, sbShiftCode a plain
 // AND, OR or AND-NOT µop to the fused dst = op(shift(a,k), c) with the shifted
-// operand on the left. AND-NOT alone does not commute: shifted on the right it
-// is sbShiftUnderAndNot. XOR has no shift form: lowering never emits an XOR.
+// operand on the left. AND-NOT alone does not commute, and a shift on its right
+// is computed, not fused: no workload reads one there. XOR has no shift form:
+// lowering never emits an XOR.
 var (
 	sbBinCode   = [...]sbOpCode{ir.OpAnd: sbAnd, ir.OpOr: sbOr, ir.OpXor: sbXor, ir.OpAndNot: sbAndNot}
 	sbShiftCode = [...]sbOpCode{sbAnd: sbShiftAnd, sbOr: sbShiftOr, sbAndNot: sbShiftAndNot}
@@ -446,7 +447,8 @@ func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
 // no chains. Two shapes fuse:
 //
 //   - a bit-granular shift (|k| in 1..63) anywhere earlier in the run into an
-//     AND, OR or AND-NOT, as long as its source is not redefined before a.
+//     AND, an OR or the left of an AND-NOT, as long as its source is not
+//     redefined before a.
 //     The shift sinks to its
 //     consumer: a rebalanced batch T1..T8 = shifts; M1 = M0 & T1; ... becomes
 //     one shift-and per link, and each shift dies with the chain when the
@@ -480,17 +482,14 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 		switch def.code {
 		case sbShift:
 			k := int(def.k)
-			if k == 0 || k > 63 || k < -63 || bin.Op == ir.OpXor {
-				continue // word-offset shifts stay standalone, and so do XORs
+			if k == 0 || k > 63 || k < -63 || bin.Op == ir.OpXor || bin.Op == ir.OpAndNot && !tIsX {
+				continue // word-offset shifts stay standalone, and so do XORs and c &^ shift
 			}
 			if di < last && redefines(p.ops[di+1:], def.a) {
 				continue
 			}
 			fused.k, fused.gid, fused.nsrcs = def.k, def.gid, def.nsrcs
 			fused.code = sbShiftCode[sbBinCode[bin.Op]]
-			if bin.Op == ir.OpAndNot && !tIsX {
-				fused.code = sbShiftUnderAndNot
-			}
 		case sbAnd, sbOr, sbAndNot:
 			// A pair reads all three operands at once; over a deferred shift
 			// the two ops stay apart so the first can end the chain.
@@ -759,7 +758,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if charge {
 				ex.stats.DRAMReadBytes += ex.loadBytes
 			}
-		case sbShiftAnd, sbShiftOr, sbShiftAndNot, sbShiftUnderAndNot:
+		case sbShiftAnd, sbShiftOr, sbShiftAndNot:
 			ex.bind(op.a, charge)
 			ex.bind(op.c, charge)
 			r := ex.regs
@@ -801,7 +800,8 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 // execBin executes dst = a op b for the four plain bitwise µops. Operands are
 // bound first, as a load would, and the result's mask taken before either is
 // read: a dead conjunction computes nothing, a live AND, OR or AND-NOT folds
-// a deferred operand in (an XOR forces it).
+// a deferred operand in — except the right of an AND-NOT, which is forced, as
+// either side of an XOR is.
 func (ex *ctaExec) execBin(op *sbOp, charge bool) {
 	r := ex.regs
 	ex.bind(op.a, charge)
@@ -815,12 +815,8 @@ func (ex *ctaExec) execBin(op *sbOp, charge bool) {
 		r.bin(sbShiftCode[op.code], op.dst, src, k, r.get(op.b), m)
 		return
 	}
-	if src, k, ok := r.deferredSrc(op.b); ok && op.code != sbXor {
-		code := sbShiftCode[op.code]
-		if op.code == sbAndNot {
-			code = sbShiftUnderAndNot
-		}
-		r.bin(code, op.dst, src, k, r.get(op.a), m)
+	if src, k, ok := r.deferredSrc(op.b); ok && (op.code == sbAnd || op.code == sbOr) {
+		r.bin(sbShiftCode[op.code], op.dst, src, k, r.get(op.a), m)
 		return
 	}
 	r.bin(op.code, op.dst, r.get(op.a), 0, r.get(op.b), m)
@@ -836,14 +832,12 @@ func binMask(code sbOpCode, mx, my uint64) uint64 {
 		return mx & my
 	case sbAndNot, sbShiftAndNot:
 		return mx
-	case sbShiftUnderAndNot:
-		return my
 	}
 	return mx | my
 }
 
 // binWords is the word kernel of a bitwise µop over one run of words: for the
-// four shift codes dst = code(shift(a, k), c), in being a's neighbour word
+// three shift codes dst = code(shift(a, k), c), in being a's neighbour word
 // across the edge the shift pulls from, for the four plain ones dst =
 // code(a, c). It returns the OR of the words it stored; OR and XOR, which keep
 // none, report every column set.
@@ -934,15 +928,6 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int, in uint64) (or uint
 			w := ((a[0] << s) | (in >> r)) &^ c[0]
 			dst[0] = w
 			or |= w
-		case sbShiftUnderAndNot:
-			for i := n - 1; i >= 1; i-- {
-				w := c[i] &^ ((a[i] << s) | (a[i-1] >> r))
-				dst[i] = w
-				or |= w
-			}
-			w := c[0] &^ ((a[0] << s) | (in >> r))
-			dst[0] = w
-			or |= w
 		}
 		return or
 	}
@@ -974,15 +959,6 @@ func fusedShiftBin(code sbOpCode, dst, a, c []uint64, k int, in uint64) (or uint
 			or |= w
 		}
 		w := ((a[n-1] >> s) | (in << r)) &^ c[n-1]
-		dst[n-1] = w
-		or |= w
-	case sbShiftUnderAndNot:
-		for i := 0; i < n-1; i++ {
-			w := c[i] &^ ((a[i] >> s) | (a[i+1] << r))
-			dst[i] = w
-			or |= w
-		}
-		w := c[n-1] &^ ((a[n-1] >> s) | (in << r))
 		dst[n-1] = w
 		or |= w
 	}

@@ -127,8 +127,8 @@ func randomCases(t *testing.T) []pinnedCase {
 	return out
 }
 
-// gridCases runs one pattern on realistic geometry: large windows,
-// shared-input amortization, full output writes.
+// gridCases runs one pattern on realistic geometry: large windows and
+// shared-input amortization.
 func gridCases() []pinnedCase {
 	input := make([]byte, 8192)
 	for i := range input {
@@ -145,7 +145,7 @@ func gridCases() []pinnedCase {
 			label: fmt.Sprintf("grid-%dx%d", g.CTAs, g.Threads),
 			prog:  optimize(lower.MustSingle("re", "qu[a-z]{2,6}k"), false),
 			input: input,
-			cfg:   Config{Grid: g, Mode: ModeDTM, SharedInputCTAs: 4, FullOutputWrites: true},
+			cfg:   Config{Grid: g, Mode: ModeDTM, SharedInputCTAs: 4},
 		})
 	}
 	return out
@@ -250,7 +250,6 @@ func TestFusedWordKernels(t *testing.T) {
 				{sbShiftAnd, binary[sbAnd]},
 				{sbShiftOr, orWords},
 				{sbShiftAndNot, binary[sbAndNot]},
-				{sbShiftUnderAndNot, func(dst, s, c []uint64) { andNotWords(dst, c, s) }},
 			}
 			for _, op := range shiftOps {
 				for k := -63; k <= 63; k++ {
@@ -1153,5 +1152,75 @@ func TestSinkRespectsSourceRedefinition(t *testing.T) {
 	}
 	if !slices.Equal(standalone, []ir.VarID{t1}) || !slices.Equal(fused, []ir.VarID{t2}) {
 		t.Fatalf("standalone shifts %v, sunk shifts %v; want [S%d] and [S%d]", standalone, fused, t1, t2)
+	}
+}
+
+// TestAndNotForcesAShiftOnItsRight covers c &^ (a << k), the one bitwise read
+// of a shift that neither sinking nor deferral folds (no workload has one): the
+// shift stays a standalone µop and the AND-NOT forces it. Three shapes, each
+// against the interpreter: the shift's single reader in its run, the reader
+// behind a guard cut, and a shift that is itself a live-out.
+func TestAndNotForcesAShiftOnItsRight(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		guard, shown bool
+	}{
+		{"single reader in the run", false, false},
+		{"reader behind a guard cut", true, false},
+		{"live-out shift", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ir.NewBuilder()
+			sa, sb := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
+			tt := b.Advance(sa, 3)
+			d := b.AndNot(sb, tt)
+			b.Output("re", d)
+			if tc.shown {
+				b.Output("t", tt)
+			}
+			p := b.Program()
+			if tc.guard {
+				// A zero c makes the AND-NOT zero: the guard InsertGuards would place.
+				at := slices.IndexFunc(p.Stmts, func(s ir.Stmt) bool { a, ok := s.(*ir.Assign); return ok && a.Dst == d })
+				p.Stmts = slices.Insert(p.Stmts, at, ir.Stmt(&ir.Guard{Cond: sb, Skip: 1}))
+			}
+			s := runHandBuilt(t, p, strings.Repeat("ab bab aaab xbbab ", 14))
+			if op := shiftOps(s)[tt]; op == nil || !op.lazy {
+				t.Fatalf("S%d = S%d << 3: op %+v, want standalone and deferrable", tt, sa, op)
+			}
+			if st := s.ex.regs.state[tt]; st != regOwned {
+				t.Fatalf("S%d ended the window in state %d, want forced into owned storage", tt, st)
+			}
+		})
+	}
+}
+
+// TestProbeFloodsTheRightMargin is the one shape for which the saturation
+// probe's right margin matters: a loop whose body looks back on its own
+// condition, so markers flow left. A run of a's from byte 378 ends at an x on
+// byte 448; the loop marks the run back from the x. The third window commits
+// bytes [256, 384) and sees up to byte 448, not the x: its real pass marks
+// nothing, and only markers flooded right of its committed range reach the a's
+// inside it, so the probe disagrees, the left overlap grows to its one-block
+// limit without reaching the stream start, and the loop falls back to exact
+// stream-wise execution. The run is short enough that the fourth window, which
+// sees the x, converges within the limit: without the right margin nothing
+// falls back and bytes 378–383 stay unmarked. Lowered programs have no such
+// loop (DESIGN §6, Dynamic Δ for loops).
+func TestProbeFloodsTheRightMargin(t *testing.T) {
+	b := ir.NewBuilder()
+	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
+	m, acc := b.NewVar(), b.NewVar()
+	b.EmitTo(m, ir.Copy{Src: sx})
+	b.EmitTo(acc, ir.Zero{})
+	b.While(m, func() {
+		n := b.AndNot(b.And(b.Emit(ir.Shift{Src: m, K: -1}), sa), acc)
+		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: n})
+		b.EmitTo(m, ir.Copy{Src: n})
+	})
+	b.Output("run", acc)
+	s := runHandBuilt(t, b.Program(), strings.Repeat("z", 378)+strings.Repeat("a", 70)+"x"+strings.Repeat("z", 99))
+	if s.Fallbacks() == 0 {
+		t.Fatal("the loop ran windowed to the end; want the probe to push it onto the fallback")
 	}
 }

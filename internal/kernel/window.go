@@ -285,7 +285,7 @@ func (r *regFile) any(v ir.VarID) bool {
 	return false
 }
 
-// bin stores v = code(shift(a, k), c) for the four shift codes, v = code(a, c)
+// bin stores v = code(shift(a, k), c) for the three shift codes, v = code(a, c)
 // with k 0 for the four plain ones; m != 0 are the tiles binMask bounds the
 // result by. A full m — or one in so many runs that walking them would cost
 // more (runCostWords) — is one kernel call over the window. Otherwise the kernel

@@ -606,7 +606,7 @@ func TestBinOverTileRunsMatchesWholeWindow(t *testing.T) {
 		k    int
 	}
 	ops := []opcase{{sbAnd, 0}, {sbOr, 0}, {sbXor, 0}, {sbAndNot, 0}}
-	for _, code := range []sbOpCode{sbShiftAnd, sbShiftOr, sbShiftAndNot, sbShiftUnderAndNot} {
+	for _, code := range []sbOpCode{sbShiftAnd, sbShiftOr, sbShiftAndNot} {
 		for _, k := range []int{1, 7, 63, -1, -7, -63} {
 			ops = append(ops, opcase{code, k})
 		}
