@@ -164,7 +164,12 @@ bench-quick:
 # (execPrologue) 1–3 %, the window's class set (Basis.Present) ≈ 1 %, the
 # shared-class evaluator 9–12 %, on two cores), 30 iterations from a test
 # binary built once, top 25 by flat time, then the class-prologue node, the
-# class set and the shared-class evaluator line by line. The
+# class set, the shared-class evaluator, the match collector (mergeMatches)
+# and the commit of a window's live-outs (commitWindow) line by line. Output
+# handling — collector, commit and the end-of-run output Popcount — read
+# 7.9–10.1 % of the samples while the kernel returned chunk-wide output
+# streams and 2.0–2.2 % with compact outputs (the collector under 0.4 %, the
+# Popcount gone; two alternated runs a side on the 2-core host). The
 # binary and the profile stay in PROFILE_DIR for `go tool pprof -list` /
 # -peek; run it on the parent commit and the change for a before/after pair.
 PROFILE_DIR ?= /tmp/bitgen-profile
@@ -174,7 +179,7 @@ profile-sigs:
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderSigs -test.benchtime 30x \
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
-	$(GO) tool pprof -list 'ctaExec..execPrologue|Basis..Present|classEval..run' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
+	$(GO) tool pprof -list 'ctaExec..execPrologue|Basis..Present|classEval..run|ScanSession..mergeMatches|ctaExec..commitWindow' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
 		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-light is the host layers' CPU profile as a command: the repo

@@ -17,6 +17,38 @@ func randomStreamD(rng *rand.Rand, n int, density float64) *Stream {
 	return s
 }
 
+// TestCompactMatchesStream: a stream's words appended window by window, as
+// a kernel commits them, keep exactly its non-zero words in ascending order,
+// count its set bits and expand back to it — on streams from empty to dense,
+// with a partial last word, appended in one go or in uneven windows.
+func TestCompactMatchesStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 64, 200, 4097} {
+		for _, density := range []float64{0, 0.001, 0.05, 1} {
+			s := randomStreamD(rng, n, density)
+			for _, window := range []int{len(s.Words()) + 1, 3, 1} {
+				var c Compact
+				for lo := 0; lo < len(s.Words()); lo += window {
+					c = c.AppendWords(s.Words()[lo:min(lo+window, len(s.Words()))], lo)
+				}
+				nonZero := 0
+				for i, w := range s.Words() {
+					if w != 0 {
+						if nonZero >= len(c) || c[nonZero] != (Word{Index: i, Bits: w}) {
+							t.Fatalf("n=%d density %v window %d: word %d missing or out of order in %v", n, density, window, i, c)
+						}
+						nonZero++
+					}
+				}
+				if len(c) != nonZero || c.Popcount() != s.Popcount() || !c.Stream(n).Equal(s) {
+					t.Fatalf("n=%d density %v window %d: %d words for %d non-zero, popcount %d for %d, or a different expansion",
+						n, density, window, len(c), nonZero, c.Popcount(), s.Popcount())
+				}
+			}
+		}
+	}
+}
+
 // TestIntoOpsMatchAllocating checks every *Into op against its allocating
 // twin over random streams, including the dst-aliases-operand cases the
 // in-place kernel path relies on.

@@ -185,22 +185,6 @@ func TestNextSetBit(t *testing.T) {
 	}
 }
 
-func TestCountRange(t *testing.T) {
-	s := FromPositions(100, 5, 10, 50, 99)
-	if got := s.CountRange(0, 100); got != 4 {
-		t.Fatalf("full = %d", got)
-	}
-	if got := s.CountRange(6, 51); got != 2 {
-		t.Fatalf("mid = %d", got)
-	}
-	if got := s.CountRange(99, 99); got != 0 {
-		t.Fatalf("empty = %d", got)
-	}
-	if got := s.CountRange(-10, 1000); got != 4 {
-		t.Fatalf("clamped = %d", got)
-	}
-}
-
 func TestQuickNextSetBitMatchesPositions(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -14,6 +14,7 @@ package bitstream
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -204,19 +205,42 @@ func (s *Stream) NextSetBit(from int) int {
 	return -1
 }
 
-// CountRange returns the number of set bits in [from, to).
-func (s *Stream) CountRange(from, to int) int {
-	if from < 0 {
-		from = 0
+// Word is one word of a Compact stream: the bits of word Index.
+type Word struct {
+	Index int
+	Bits  uint64
+}
+
+// Compact is a stream held as its non-zero words, ascending by Index.
+type Compact []Word
+
+// AppendWords appends the non-zero ones of words, words[i] being word base+i,
+// to c with no branch: every word is stored, and kept only if non-zero.
+func (c Compact) AppendWords(words []uint64, base int) Compact {
+	n := len(c)
+	c = slices.Grow(c, len(words))[:n+len(words)]
+	for i, w := range words {
+		c[n] = Word{Index: base + i, Bits: w}
+		n += int((w | -w) >> 63)
 	}
-	if to > s.n {
-		to = s.n
+	return c[:n]
+}
+
+// Popcount returns the number of set bits.
+func (c Compact) Popcount() (n int) {
+	for _, w := range c {
+		n += bits.OnesCount64(w.Bits)
 	}
-	count := 0
-	for p := s.NextSetBit(from); p >= 0 && p < to; p = s.NextSetBit(p + 1) {
-		count++
+	return n
+}
+
+// Stream expands c into a new n-bit stream.
+func (c Compact) Stream(n int) *Stream {
+	s := New(n)
+	for _, w := range c {
+		s.words[w.Index] = w.Bits
 	}
-	return count
+	return s
 }
 
 // Equal reports whether two streams have the same length and bits.

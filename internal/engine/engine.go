@@ -632,7 +632,7 @@ func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) 
 
 // RunCounts is RunContext without materializing anything per match: no
 // Result.Matches and, regardless of Config.KeepOutputs, no match streams.
-// The session's output streams are only counted, which is what makes
+// The session's outputs are only counted, which is what makes
 // counts-only scans cheaper than full runs on match-dense inputs.
 func (e *Engine) RunCounts(ctx context.Context, input []byte) (*Result, error) {
 	return e.run(ctx, e.cfg.Obs.For(ctx), input, false)
@@ -673,10 +673,10 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 		// Walk the program's output table: it carries the Nullable flag, and
 		// nullable regexes own one extra match — the empty match at the
 		// end-of-input offset, which sits one position past the kernel's
-		// input-length streams. The session's streams align with this table.
+		// input-length streams. The session's outputs align with this table.
 		counts := ss.sess[gi].Counts()
 		for oi, o := range e.groups[gi].Outputs {
-			s, n := outs[oi], counts[oi]
+			n := counts[oi]
 			if o.Nullable {
 				n++
 				nullRanks = append(nullRanks, e.outRanks[gi][oi])
@@ -684,13 +684,10 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 			res.MatchCounts[o.Name] = n
 			res.TotalMatches += int64(n)
 			if keepOutputs {
-				// The session owns (and will overwrite) its stream buffers;
-				// retained outputs must not alias them. Extend copies too.
+				s := outs[oi].Stream(len(input))
 				if o.Nullable {
 					s = s.Extend(1)
 					s.Set(s.Len() - 1)
-				} else {
-					s = s.Clone()
 				}
 				res.Outputs[o.Name] = s
 			}
@@ -707,7 +704,7 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 		}
 	}
 	res.IntermediateFootprintBytes, err = ss.checkBudget(len(input))
-	// Every session-owned stream has been counted or copied: the session can
+	// Every session-owned output has been counted or copied: the session can
 	// serve the next call (unless a fallback made it non-fresh; see PutSession).
 	ss.clearOuts()
 	e.PutSession(ss)

@@ -16,8 +16,8 @@ import (
 
 // mergeFixture compiles n literal patterns ("p0000"…, so pattern i has rank
 // i) and executes them over nbits bytes none of them matches: every output is
-// parked as its kernel session's shared zero, exactly as a matchless scan
-// leaves it. park then stands a directly built stream in for one of them.
+// parked with no words, exactly as a matchless scan leaves it. park then
+// stands the words of a directly built stream in for one of them.
 func mergeFixture(tb testing.TB, n, nbits int) *ScanSession {
 	tb.Helper()
 	regexes := make([]string, n)
@@ -38,37 +38,35 @@ func mergeFixture(tb testing.TB, n, nbits int) *ScanSession {
 	if err := ss.execute(context.Background(), bytes.Repeat([]byte{'x'}, nbits), false); err != nil {
 		tb.Fatal(err)
 	}
-	for gi, outs := range ss.outs {
-		for _, s := range outs {
-			if !ss.sess[gi].IsZero(s) {
-				tb.Fatal("the fixture's input materialized an output")
+	for _, outs := range ss.outs {
+		for _, words := range outs {
+			if len(words) > 0 {
+				tb.Fatal("the fixture's input committed a word to an output")
 			}
 		}
 	}
 	return ss
 }
 
-// park makes s the parked output of the pattern of the given rank.
+// park makes s's non-zero words the parked output of the pattern of the
+// given rank.
 func park(ss *ScanSession, rank int, s *bitstream.Stream) {
 	for gi, ranks := range ss.e.outRanks {
 		if oi := slices.Index(ranks, int32(rank)); oi >= 0 {
-			ss.outs[gi][oi] = s
+			ss.outs[gi][oi] = bitstream.Compact(nil).AppendWords(s.Words(), 0)
 			return
 		}
 	}
 	panic(fmt.Sprintf("no output of rank %d", rank))
 }
 
-// naiveMerge is the collector's reference: every live output's Positions(),
-// cut at newFrom, sorted by (End, Rank).
+// naiveMerge is the collector's reference: every output's words expanded
+// back to a stream, its Positions() cut at newFrom, sorted by (End, Rank).
 func naiveMerge(ss *ScanSession, base, newFrom int64) []ScanMatch {
 	var want []ScanMatch
 	for gi, outs := range ss.outs {
-		for oi, s := range outs {
-			if ss.sess[gi].IsZero(s) {
-				continue
-			}
-			for _, p := range s.Positions() {
+		for oi, words := range outs {
+			for _, p := range words.Stream(ss.basis.N).Positions() {
 				if end := base + int64(p); end >= newFrom {
 					want = append(want, ScanMatch{End: end, Rank: ss.e.outRanks[gi][oi]})
 				}
@@ -120,6 +118,9 @@ func TestMergeMatchesAgainstNaive(t *testing.T) {
 		{"one live output with no set bit", 100, map[int][]int{4: nil}},
 		{"nothing live", 100, nil},
 		{"a single bit, the last", 129, map[int][]int{1: {128}}},
+		{"words only in the carried overlap", 640, map[int][]int{2: {5, 63}, 6: {64, 127}, 3: {300}}},
+		{"the only word the last, partial one", 200, map[int][]int{5: {192, 199}, 0: {199}}},
+		{"two words a tile apart", 64 * 200, map[int][]int{4: {64*64 - 1, 64 * 64}, 7: {64*64 - 1, 64*128 + 3}}},
 	}
 	ss := mergeFixture(t, patterns, 64)
 	interleaved := false

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime/debug"
 	"slices"
@@ -50,10 +51,9 @@ type ScanSession struct {
 	basis   *transpose.Basis
 	classes *classStreams // the shared-class streams, bound as basis.Ext; nil without any
 	sess    []*kernel.Session
-	outs    [][]*bitstream.Stream // per-group output streams of the last execute
+	outs    [][]bitstream.Compact // per-group outputs of the last execute
 	stats   []gpusim.CTAStats     // per-group counters of the last execute
-	live    []liveOut             // mergeMatches scratch, with active and hits, reused across chunks
-	active  []liveOut
+	live    []liveOut             // mergeMatches scratch, with hits, reused across chunks
 	hits    []liveWord
 	tr      *arena.Tracker
 	// obs is the borrowing call's observer (Observer.For), set by GetSession
@@ -71,13 +71,11 @@ type ScanSession struct {
 	failed bool
 }
 
-// liveOut is one materialized output stream during the match merge, and
-// liveWord one of its words that has a set bit.
+// liveOut is a cursor over the words of an output the match merge has not
+// reached yet, and liveWord one of them dealt out to its word's hit list.
 type (
 	liveOut struct {
-		s     *bitstream.Stream
-		words []uint64 // s.Words()
-		next  int      // s's next set bit past the tiles merged so far, -1 for none
+		words bitstream.Compact
 		rank  int32
 	}
 	liveWord struct {
@@ -124,7 +122,7 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, er
 		ss.Close()
 		return nil, err
 	}
-	ss.outs = make([][]*bitstream.Stream, len(ss.sess))
+	ss.outs = make([][]bitstream.Compact, len(ss.sess))
 	ss.stats = make([]gpusim.CTAStats, len(ss.sess))
 	return ss, nil
 }
@@ -201,7 +199,7 @@ func (e *Engine) PutSession(ss *ScanSession) {
 }
 
 // execute transposes chunk, computes the shared-class streams and launches
-// every CTA group over the result, leaving the output streams in ss.outs
+// every CTA group over the result, leaving the outputs in ss.outs
 // and the counters in ss.stats until clearOuts. wide selects the launch
 // width (see ScanSession). On error nothing is left parked.
 func (ss *ScanSession) execute(ctx context.Context, chunk []byte, wide bool) error {
@@ -266,8 +264,8 @@ func (ss *ScanSession) launchAll(ctx context.Context) error {
 
 func isCanceled(err error) bool { return errors.Is(err, bgerr.ErrCanceled) }
 
-// launch executes one CTA group over the current basis, parking its output
-// streams in ss.outs[gi] and its counters in ss.stats[gi]. It is the only
+// launch executes one CTA group over the current basis, parking its outputs
+// in ss.outs[gi] and its counters in ss.stats[gi]. It is the only
 // place the engine launches a kernel. A panic inside the kernel is
 // contained: it surfaces as a *bgerr.InternalError carrying the group
 // index, its pattern names and the stack, and neither the other groups nor
@@ -307,7 +305,7 @@ func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 			Arg("barriers", stats.Barriers).
 			Arg("guard_skips", stats.GuardSkips).End()
 	}
-	// The streams stay valid until this group's session runs again — i.e.
+	// The outputs stay valid until this group's session runs again — i.e.
 	// across the remaining groups of this chunk and the merge that follows.
 	ss.outs[gi], ss.stats[gi] = outs, stats
 	return nil
@@ -342,48 +340,55 @@ func (ss *ScanSession) Scan(ctx context.Context, chunk []byte, base, newFrom int
 	return ss.mergeMatches(base, newFrom, dst), nil
 }
 
-// mergeMatches is the engine's only match collector: a word-synchronous
-// merge of the parked output streams into dst. The live outputs — a matchless
-// one's shared zero is never walked — are collected once, in rank order, each
-// with the position of its next set bit. A tile of words is walked, all at
-// once, by the outputs that have a bit in it: word w of each is ORed and the
-// union's set bits are emitted ascending, each with the outputs that hit it in
-// rank order; the others scan ahead on their own (NextSetBit). That is (End,
-// Rank) — (End, Pattern) — order by construction, in O(live words + matches).
+// mergeMatches is the engine's only match collector: a tile-synchronous merge
+// of the parked outputs into dst. Each output is a cursor over its non-zero
+// words, collected once in rank order. A tile of 64 words starts at the next
+// word any cursor holds; every cursor deals the words it has in the tile, in
+// rank order, to their words' hit lists — one compare for one with none.
+// Walking the tile's occupied words, each list's words are ORed and the union's
+// set bits emitted ascending, each with the outputs that hit it in rank order:
+// (End, Rank) — (End, Pattern) — order by construction, in O(live words +
+// matches). A zero word is never read.
 func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []ScanMatch {
-	// Short enough that a sparse output is rarely walked through words it has
-	// nothing in; long enough that polling every live output costs little.
-	const mergeTile = 64
+	const mergeTile = 64 // a tile's occupancy is one uint64
 	// Positions inside the carried-over overlap were already reported by the
 	// previous chunk: start at newFrom's word, with the bits below it masked.
 	start := int(max(newFrom-base, 0))
 	w0, mask := start>>6, ^uint64(0)<<(uint(start)&63)
-	live, active, hits := ss.live[:0], ss.active, ss.hits
+	live, hits, next := ss.live[:0], ss.hits, math.MaxInt
 	for gi, outs := range ss.outs {
-		for oi, s := range outs {
-			if !ss.sess[gi].IsZero(s) {
-				live = append(live, liveOut{s: s, words: s.Words(), next: s.NextSetBit(start), rank: ss.e.outRanks[gi][oi]})
+		for oi, words := range outs {
+			i, _ := slices.BinarySearchFunc(words, w0, func(x bitstream.Word, w int) int { return cmp.Compare(x.Index, w) })
+			if i < len(words) {
+				live = append(live, liveOut{words: words[i:], rank: ss.e.outRanks[gi][oi]})
+				next = min(next, words[i].Index)
 			}
 		}
 	}
 	slices.SortFunc(live, func(a, b liveOut) int { return cmp.Compare(a.rank, b.rank) })
-	for t, nw := w0, bitstream.WordsFor(ss.basis.N); t < nw; t += mergeTile {
-		hi := min(t+mergeTile, nw)
-		active = active[:0]
-		for i := range live {
-			if o := &live[i]; uint(o.next) < uint(hi)<<6 { // -1: no bit left
-				active = append(active, *o)
-				o.next = o.s.NextSetBit(hi << 6)
+	for t := next; t != math.MaxInt; t = next {
+		// Word t+i's hit list is hits[i*stride:][:nh[i]].
+		stride, occ := len(live), uint64(0)
+		var nh [mergeTile]int32
+		hits, next = slices.Grow(hits[:0], mergeTile*stride)[:mergeTile*stride], math.MaxInt
+		for j := range live {
+			o, k := &live[j], 0
+			for ; k < len(o.words) && o.words[k].Index < t+mergeTile; k++ {
+				i := o.words[k].Index - t
+				hits[i*stride+int(nh[i])] = liveWord{word: o.words[k].Bits, rank: o.rank}
+				nh[i]++
+				occ |= 1 << uint(i)
+			}
+			if o.words = o.words[k:]; len(o.words) > 0 {
+				next = min(next, o.words[0].Index)
 			}
 		}
-		for w := t; w < hi && len(active) > 0; w++ {
-			union, room := uint64(0), 1
-			hits = hits[:0]
-			for i := range active {
-				if x := active[i].words[w]; x != 0 {
-					union, room = union|x, room+bits.OnesCount64(x)
-					hits = append(hits, liveWord{word: x, rank: active[i].rank})
-				}
+		for ; occ != 0; occ &= occ - 1 {
+			i := bits.TrailingZeros64(occ)
+			w, union, room := t+i, uint64(0), 1
+			at := hits[i*stride:][:nh[i]]
+			for _, h := range at {
+				union, room = union|h.word, room+bits.OnesCount64(h.word)
 			}
 			if w == w0 {
 				union &= mask
@@ -394,7 +399,7 @@ func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []Scan
 			dst = slices.Grow(dst, room)[:n+room]
 			for end := base + int64(w)<<6; union != 0; union &= union - 1 {
 				b := uint(bits.TrailingZeros64(union))
-				for _, h := range hits {
+				for _, h := range at {
 					dst[n] = ScanMatch{End: end + int64(b), Rank: h.rank}
 					n += int(h.word >> b & 1)
 				}
@@ -402,11 +407,11 @@ func (ss *ScanSession) mergeMatches(base, newFrom int64, dst []ScanMatch) []Scan
 			dst = dst[:n]
 		}
 	}
-	ss.live, ss.active, ss.hits = live[:0], active[:0], hits[:0]
+	ss.live, ss.hits = live[:0], hits[:0]
 	return dst
 }
 
-// clearOuts drops the parked stream references so a failed or finished
+// clearOuts drops the parked output references so a failed or finished
 // chunk cannot alias buffers the next execute will overwrite.
 func (ss *ScanSession) clearOuts() {
 	for gi := range ss.outs {

@@ -101,7 +101,7 @@ func RunContext(ctx context.Context, p *ir.Program, basis *transpose.Basis, cfg 
 		FallbackSegments: s.Fallbacks(),
 	}
 	for i, o := range p.Outputs {
-		res.Outputs[o.Name] = outs[i].Clone()
+		res.Outputs[o.Name] = outs[i].Stream(basis.N)
 	}
 	return res, nil
 }
@@ -136,6 +136,7 @@ type ctaExec struct {
 	// later read is charged as a load even while only zeros were committed and
 	// the global is still nil (commitWindow).
 	committed []bool
+	words     []bitstream.Compact // each output's non-zero words this run, retained like bufs
 	// zero is a shared read-only all-zero stream returned for never-written
 	// reads; it is never stored into globals and never written.
 	zero  *bitstream.Stream
@@ -191,6 +192,7 @@ func newExec(p *ir.Program) *ctaExec {
 		globals:   make([]*bitstream.Stream, p.NumVars),
 		bufs:      make([]*bitstream.Stream, p.NumVars),
 		committed: make([]bool, p.NumVars),
+		words:     make([]bitstream.Compact, p.NumVars),
 		isOut:     make([]bool, p.NumVars),
 		regs:      newRegFile(p.NumVars),
 		loadBit:   make([]int32, p.NumVars),
@@ -218,12 +220,11 @@ func (ex *ctaExec) reset(ctx context.Context, basis *transpose.Basis, cfg Config
 	ex.unitsPerWord = int64(64 / cfg.Grid.UnitBits)
 	clear(ex.globals)
 	clear(ex.committed)
+	for _, o := range ex.prog.Outputs {
+		ex.words[o.Var] = ex.words[o.Var][:0]
+	}
 	ex.pres = slices.Grow(ex.pres[:0], basis.PresW)[:basis.PresW]
 	ex.regs.alloc = ex.alloc
-	if ex.zero == nil || ex.zero.Len() != ex.n {
-		ex.zero = ex.reinitStream(ex.zero, ex.n)
-		ex.zero.ZeroInto()
-	}
 }
 
 // newWords allocates a word buffer through the configured allocator.
@@ -320,6 +321,10 @@ func (ex *ctaExec) streamUnits() int64 { return int64(ex.nWords) * ex.unitsPerWo
 func (ex *ctaExec) globalStream(v ir.VarID) *bitstream.Stream {
 	if s := ex.globals[v]; s != nil {
 		return s
+	}
+	if ex.zero == nil || ex.zero.Len() != ex.n {
+		ex.zero = ex.reinitStream(ex.zero, ex.n)
+		ex.zero.ZeroInto()
 	}
 	return ex.zero
 }
@@ -688,7 +693,8 @@ func (ex *ctaExec) probeAgrees(liveOut []ir.VarID, lo, hi int) bool {
 }
 
 // commitWindow stores the committed range of live-out variables to global
-// memory and charges the DRAM writes.
+// memory and charges the DRAM writes; an output not isMat appends its non-zero
+// words to ex.words instead.
 func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 	if len(liveOut) > 0 && ex.cfg.Inject.Fire(faultinject.TileCorrupt) {
 		// Injected shared-memory tile corruption: flip deterministic bits
@@ -706,8 +712,11 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 	wsWord := ex.ws / 64
 	for _, v := range liveOut {
 		ex.committed[v] = true
-		g := ex.globals[v]
-		if !ex.regs.has(v) || ex.regs.isZero(v) {
+		g, zero := ex.globals[v], !ex.regs.has(v) || ex.regs.isZero(v)
+		switch {
+		case !ex.isMat[v] && !zero: // a compact output's global stays nil
+			ex.words[v] = ex.words[v].AppendWords(ex.regs.get(v)[fromWord-wsWord:toWord-wsWord], fromWord)
+		case zero:
 			// Not computed this window (an untaken if) or known zero (guarded
 			// off, or produced all zero): the committed value is zero, which a
 			// global no window has stored to yet says by staying nil.
@@ -716,7 +725,7 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 				clear(words[min(fromWord, len(words)):min(toWord, len(words))])
 				maskStreamTail(g)
 			}
-		} else {
+		default:
 			if g == nil {
 				// First non-zero commit: the windows before this one were zero.
 				g = ex.ensureGlobal(v)

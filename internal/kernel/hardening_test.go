@@ -165,7 +165,7 @@ func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 	planned.rebuild()
 	var stats [2]gpusim.CTAStats
 	for i, sess := range []*Session{fell, planned} {
-		outs, st, err := sess.Run(context.Background(), basis)
+		outs, st, err := runStreams(sess, basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
 	sess.materialize = map[ir.Stmt]bool{loop: true}
 	sess.rebuild()
 	for run := 0; run < 2; run++ {
-		outs, _, err := sess.Run(context.Background(), basis)
+		outs, _, err := runStreams(sess, basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		outs, _, err := sess.Run(context.Background(), basis)
+		outs, _, err := runStreams(sess, basis)
 		if err != nil {
 			t.Fatal(err)
 		}

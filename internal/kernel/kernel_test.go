@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -28,6 +29,16 @@ func interpRef(t *testing.T, p *ir.Program, basis *transpose.Basis) map[string]*
 		t.Fatalf("interpreter: %v", err)
 	}
 	return res.Outputs
+}
+
+// runStreams is s.Run with its compact outputs expanded to streams.
+func runStreams(s *Session, basis *transpose.Basis) ([]*bitstream.Stream, gpusim.CTAStats, error) {
+	outs, stats, err := s.Run(context.Background(), basis)
+	streams := make([]*bitstream.Stream, len(outs))
+	for i, o := range outs {
+		streams[i] = o.Stream(basis.N)
+	}
+	return streams, stats, err
 }
 
 // checkAllModes asserts every execution mode matches the interpreter.

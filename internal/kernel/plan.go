@@ -187,11 +187,12 @@ func (p *plan) countLoops() int {
 // defined in one segment and read in another, (b) used as the condition of
 // a globally-executed if/while, (c) read inside a ctl body before being
 // (re)defined in the current body pass — a loop-carried value from the
-// previous global iteration — and (d) program outputs. Returns the
-// materialization set and the number of non-output ("intermediate")
-// streams (Table 4's #Intermediate Bitstream column).
+// previous global iteration — and (d) outputs, but those defined in one
+// top-level fused segment only (topDef), which commitWindow keeps compact.
+// Returns the materialization set and the number of non-output
+// ("intermediate") streams (Table 4's #Intermediate Bitstream column).
 func liveness(p *plan, prog *ir.Program) (materialized []bool, intermediates int) {
-	materialized = make([]bool, prog.NumVars)
+	materialized, topDef := make([]bool, prog.NumVars), make([]bool, prog.NumVars)
 	defSeg := make([]int, prog.NumVars)
 	for i := range defSeg {
 		defSeg[i] = -1
@@ -226,6 +227,7 @@ func liveness(p *plan, prog *ir.Program) (materialized []bool, intermediates int
 							for _, v := range ir.Operands(y.Expr) {
 								use(v)
 							}
+							topDef[y.Dst] = !insideCtl && (defSeg[y.Dst] == -1 || topDef[y.Dst] && defSeg[y.Dst] == segID)
 							definedHere[y.Dst] = true
 							defSeg[y.Dst] = segID
 						case *ir.Guard:
@@ -254,7 +256,7 @@ func liveness(p *plan, prog *ir.Program) (materialized []bool, intermediates int
 						materialized[v] = true
 					}
 				}
-				defSeg[x.assign.Dst] = segID
+				defSeg[x.assign.Dst], topDef[x.assign.Dst] = segID, false
 			case *ctlSeg:
 				materialized[x.cond] = true
 				scanPlan(x.body, true)
@@ -264,7 +266,7 @@ func liveness(p *plan, prog *ir.Program) (materialized []bool, intermediates int
 	scanPlan(p, false)
 	outputs := make(map[ir.VarID]bool)
 	for _, o := range prog.Outputs {
-		materialized[o.Var] = true
+		materialized[o.Var] = materialized[o.Var] || !topDef[o.Var]
 		outputs[o.Var] = true
 	}
 	for v, m := range materialized {

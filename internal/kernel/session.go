@@ -23,7 +23,7 @@ import (
 //
 // A Session is NOT safe for concurrent use: one session serves one
 // goroutine (the scanner runs one session per pipeline worker per CTA
-// group). The streams returned by Run alias session-owned buffers; they are
+// group). The outputs returned by Run alias session-owned buffers; they are
 // valid, read-only, until the next Run or Close.
 type Session struct {
 	prog *ir.Program
@@ -39,7 +39,7 @@ type Session struct {
 	loops         int
 	staticDelta   int64
 
-	outs   []*bitstream.Stream // reused result slice, aligned with prog.Outputs
+	outs   []bitstream.Compact // reused result slice, aligned with prog.Outputs
 	counts []int               // the set bits of each of outs
 }
 
@@ -56,7 +56,7 @@ func NewSession(p *ir.Program, cfg Config, a *arena.Arena) (*Session, error) {
 		prog:   p,
 		base:   cfg,
 		tr:     arena.NewTracker(a),
-		outs:   make([]*bitstream.Stream, len(p.Outputs)),
+		outs:   make([]bitstream.Compact, len(p.Outputs)),
 		counts: make([]int, len(p.Outputs)),
 	}
 	s.ex = newExec(p)
@@ -87,13 +87,13 @@ func (s *Session) SetTrace(o *obs.Observer, lane int) { s.base.Obs, s.base.Trace
 // FallbackSegments equivalent; fallbacks persist across runs).
 func (s *Session) Fallbacks() int { return len(s.materialize) }
 
-// Run executes the program over basis on one simulated CTA. The returned
-// streams align with the program's Outputs and are owned by the session:
-// they are valid, read-only, until the next Run or Close. Cancellation is
-// checked at every block-window boundary, global while-loop iteration and
-// fixpoint retry; a canceled run returns an error satisfying
-// errors.Is(err, bgerr.ErrCanceled).
-func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]*bitstream.Stream, gpusim.CTAStats, error) {
+// Run executes the program over basis on one simulated CTA. It returns the
+// program's Outputs, in order, each as the non-zero words committed to it —
+// none for a matchless one — owned by the session: valid, read-only, until
+// the next Run or Close. Cancellation is checked at every block-window
+// boundary, global while-loop iteration and fixpoint retry; a canceled run
+// returns an error satisfying errors.Is(err, bgerr.ErrCanceled).
+func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]bitstream.Compact, gpusim.CTAStats, error) {
 	cfg := s.base.withDefaults(basis.N)
 	for attempt := 0; ; attempt++ {
 		span := cfg.Obs.Span("kernel", "kernel-attempt", cfg.TraceLane).Arg("attempt", attempt)
@@ -122,7 +122,7 @@ func (s *Session) Run(ctx context.Context, basis *transpose.Basis) ([]*bitstream
 	}
 }
 
-func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Config) ([]*bitstream.Stream, gpusim.CTAStats, error) {
+func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Config) ([]bitstream.Compact, gpusim.CTAStats, error) {
 	ex := s.ex
 	ex.reset(ctx, basis, cfg)
 	if err := ex.canceled(); err != nil {
@@ -141,27 +141,19 @@ func (s *Session) runOnce(ctx context.Context, basis *transpose.Basis, cfg Confi
 	}
 
 	for i, o := range s.prog.Outputs {
-		str, n := ex.globals[o.Var], 0
-		if str == nil {
-			// No window committed a set bit: the shared read-only zero.
-			str = ex.zero
-		} else {
-			// Compact outputs: one 32-bit position per match.
-			n = str.Popcount()
-			ex.stats.DRAMWriteBytes += 4 * int64(n)
+		if g := ex.globals[o.Var]; g != nil && len(ex.words[o.Var]) == 0 {
+			// Read back by a later segment, the output kept its global stream.
+			ex.words[o.Var] = ex.words[o.Var].AppendWords(g.Words(), 0)
 		}
-		s.outs[i], s.counts[i] = str, n
+		// Compact outputs: one 32-bit position per match.
+		s.outs[i], s.counts[i] = ex.words[o.Var], ex.words[o.Var].Popcount()
+		ex.stats.DRAMWriteBytes += 4 * int64(s.counts[i])
 	}
 	return s.outs, ex.stats, nil
 }
 
-// Counts returns the set bits of each stream the last Run returned, counted
-// once there; valid as long as the streams are.
+// Counts returns the set bits of each output the last Run returned.
 func (s *Session) Counts() []int { return s.counts }
-
-// IsZero reports whether str is the shared zero stream Run returns for an
-// output nothing was committed to; collectors skip those unscanned.
-func (s *Session) IsZero(str *bitstream.Stream) bool { return str == s.ex.zero }
 
 // Close releases every pooled buffer the session borrowed. The session —
 // and any streams Run returned — must not be used afterwards.

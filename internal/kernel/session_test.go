@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/charclass"
+	"bitgen/internal/faultinject"
+	"bitgen/internal/ir"
 	"bitgen/internal/lower"
 	"bitgen/internal/transpose"
 )
@@ -33,7 +36,6 @@ func TestSessionReuseMatchesFreshSession(t *testing.T) {
 			strings.Repeat("zzz", 40) + "xy",
 		}},
 	}
-	ctx := context.Background()
 	for _, mode := range allModes {
 		for _, c := range cases {
 			p := lower.MustSingle("re", c.pattern)
@@ -49,11 +51,11 @@ func TestSessionReuseMatchesFreshSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantStats, err := fresh.Run(ctx, basis)
+				want, wantStats, err := runStreams(fresh, basis)
 				if err != nil {
 					t.Fatalf("%v fresh session %q: %v", mode, c.pattern, err)
 				}
-				outs, stats, err := reused.Run(ctx, basis)
+				outs, stats, err := runStreams(reused, basis)
 				if err != nil {
 					t.Fatalf("%v reused session %q: %v", mode, c.pattern, err)
 				}
@@ -96,7 +98,7 @@ func TestSessionFallbackPersistsExact(t *testing.T) {
 	for i, input := range inputs {
 		basis := transpose.Transpose([]byte(input))
 		want := interpRef(t, p, basis)["re"]
-		outs, _, err := sess.Run(context.Background(), basis)
+		outs, _, err := runStreams(sess, basis)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -106,6 +108,69 @@ func TestSessionFallbackPersistsExact(t *testing.T) {
 	}
 	if sess.Fallbacks() == 0 {
 		t.Fatal("expected a materialized fallback segment")
+	}
+}
+
+// TestReadBackOutputMatchesInterpreter: an output a later segment reads keeps
+// its global stream and is compacted from it at the end of the run; one only
+// its own segment reads is compacted window by window, with no global. AC is
+// read back after the loop in DTM−, in Base (a shift of its own) and in DTM
+// once the loop falls back, not in plain DTM; TWICE is defined in two
+// segments in Base, in one in the others. Every output must equal the
+// interpreter's, on a second run too, also when its only word is the input's
+// last, partial one.
+func TestReadBackOutputMatchesInterpreter(t *testing.T) {
+	b := ir.NewBuilder()
+	a, c := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
+	ac := b.And(b.Advance(a, 1), c)
+	b.Output("ac", ac)
+	m, acc := b.NewVar(), b.NewVar()
+	b.EmitTo(m, ir.Copy{Src: ac})
+	b.EmitTo(acc, ir.Copy{Src: ac})
+	b.While(m, func() {
+		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: c})
+		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: m})
+	})
+	b.Output("acc", acc)
+	b.Output("next", b.Or(b.Advance(ac, 1), acc))
+	twice := b.NewVar() // defined by a fused segment, then, in Base, by a shift of its own
+	b.EmitTo(twice, ir.Copy{Src: ac})
+	b.EmitTo(twice, ir.Shift{Src: ac, K: 2})
+	b.Output("twice", twice)
+	p := b.Program()
+
+	inputs := []string{strings.Repeat("xacc yac acccc z ", 20), strings.Repeat("x", 298) + "ac"}
+	for _, plan := range []struct {
+		name     string
+		mode     Mode
+		fallback bool
+	}{{"DTM", ModeDTM, false}, {"DTM-", ModeDTMStatic, false}, {"Base", ModeBase, false}, {"DTM, fallen back", ModeDTM, true}} {
+		cfg := Config{Grid: tinyGrid, Mode: plan.mode}
+		if plan.fallback {
+			cfg.Inject = faultinject.New(5).ArmNth(faultinject.ForceFallback, 1)
+		}
+		sess, err := NewSession(p, cfg, &arena.Arena{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, input := range append(inputs, inputs...) {
+			basis := transpose.Transpose([]byte(input))
+			want := interpRef(t, p, basis)
+			outs, _, err := runStreams(sess, basis)
+			if err != nil {
+				t.Fatalf("%s: %v", plan.name, err)
+			}
+			for i, o := range p.Outputs {
+				if !outs[i].Equal(want[o.Name]) {
+					t.Fatalf("%s, %d-byte input: output %s diverges from the interpreter:\n got  %s\n want %s",
+						plan.name, len(input), o.Name, outs[i], want[o.Name])
+				}
+			}
+		}
+		if readBack := plan.name != "DTM"; sess.isMat[ac] != readBack || sess.Fallbacks() != len(sess.materialize) || plan.fallback != (sess.Fallbacks() == 1) {
+			t.Fatalf("%s: AC materialized %v, want %v; %d fallbacks", plan.name, sess.isMat[ac], readBack, sess.Fallbacks())
+		}
+		sess.Close()
 	}
 }
 

@@ -493,6 +493,106 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 	}
 }
 
+// TestDeferredClassGuardsAgainstPresence measures, without changing the
+// executor, what the presence rows could answer of the guards on deferred
+// shifts of class views (S' = S << k; if (!S') skip): the stream_sigs set's
+// groups, compiled as the engine does, over one 256 KiB chunk of its input, run
+// window by window through a copy of execSBProg's node loop that counts, at
+// every guard node, those whose condition is such a shift and, of them, those
+// an OR of the rows over the whole lines of the source range the shift reads
+// would answer "present". One 4 MiB stream_sigs op is 16 such chunks.
+func TestDeferredClassGuardsAgainstPresence(t *testing.T) {
+	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	basis := transpose.Transpose(bytes.Repeat(app.Input, 2))
+	parts := make([][]lower.Regex, len(app.Regexes)) // the default grid's 256 CTAs: one signature a group
+	for i := range app.Regexes {
+		parts[i] = app.Regexes[i : i+1]
+	}
+	shared := shareClasses(parts, basis)
+	set := make([]uint64, basis.PresW)
+	var evals, deferred, present int
+	for _, part := range parts {
+		p, err := lower.Group(part, lower.Options{SharedCC: shared, SharedExtBits: len(shared)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes.Rebalance(p, passes.RebalanceOptions{})
+		passes.MergeBarriers(p, passes.MergeOptions{MergeSize: 8})
+		passes.InsertGuards(p, passes.ZBSOptions{Interval: 8})
+		cfg := Config{Grid: gpusim.DefaultGrid(), Mode: ModeDTM, HonorGuards: true}
+		s, err := NewSession(p, cfg, &arena.Arena{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Run(context.Background(), basis); err != nil { // compiles every segment
+			t.Fatal(err)
+		}
+		ex, r := s.ex, s.ex.regs
+		ex.reset(context.Background(), basis, s.base.withDefaults(basis.N))
+		ex.isMat = s.isMat
+		for _, node := range s.pl.nodes {
+			seg, ok := node.(*fusedSeg)
+			if !ok || seg.an.HasDynamic || seg.an.HasCarry {
+				t.Fatalf("%s: a plan node other than a static fused segment", part[0].Name)
+			}
+			ex.curAnalysis = seg.an
+			dl, dr := align64(seg.an.StaticMaxAdvance), align64(-seg.an.StaticMinOffset)
+			for cs := 0; cs < ex.n; cs += cfg.Grid.BlockBits() {
+				ce := min(cs+cfg.Grid.BlockBits(), ex.n)
+				if err := ex.execWindowOnce(&fusedSeg{sprog: &sbProgram{}}, cs, ce, dl, dr, false, true); err != nil {
+					t.Fatal(err)
+				}
+				nodes := seg.sprog.nodes
+				for i := 0; i < len(nodes); i++ {
+					switch nd := &nodes[i]; nd.kind {
+					case sbRunNode:
+						if nd.pairs > 0 {
+							i = ex.execPrologue(seg.sprog, i, true)
+						} else if err := ex.execSBRun(seg.sprog, nd.lo, nd.hi, true); err != nil {
+							t.Fatal(err)
+						}
+					case sbGuardNode:
+						ex.bind(nd.cond, true)
+						evals++
+						v := nd.cond
+						j := slices.IndexFunc(basis.Ext, func(s *bitstream.Stream) bool {
+							return r.state[v] == regDeferred && r.live[v] != 0 && &r.val[v][0] == &s.Words()[ex.ws/64]
+						})
+						any := r.any(v)
+						if j >= 0 {
+							deferred++
+							k := int(r.shiftK[v])
+							from, to := ex.ws/64+(max(-k, 0)+63)/64, ex.ws/64+min(r.endBit-k, r.ww*64)/64
+							basis.Present(set, from, max(to-from, 0))
+							if set[j/64]>>(j%64)&1 != 0 {
+								present++
+								if !any {
+									t.Fatalf("%s: the rows call class %d present where its shift reads no bit", part[0].Name, j)
+								}
+							}
+						}
+						if !any {
+							i = ex.takeGuard(seg.sprog, i, true)
+						}
+					default:
+						t.Fatalf("%s: node kind %d in a straight-line group", part[0].Name, nd.kind)
+					}
+				}
+				ex.commitWindow(seg.liveOut, cs, ce)
+			}
+		}
+		s.Close()
+	}
+	t.Logf("%d groups, one 256 KiB chunk: %d guard-node evaluations, %d on deferred shifts of class views, %d of them answered present by the rows (×16 for a 4 MiB op: %d, %d, %d)",
+		len(parts), evals, deferred, present, 16*evals, 16*deferred, 16*present)
+	if deferred == 0 {
+		t.Fatal("no guard on a deferred shift of a class view was evaluated")
+	}
+}
+
 // prologueGrid has 32-word blocks: four presence lines each.
 var prologueGrid = gpusim.Grid{CTAs: 4, Threads: 64, UnitBits: 32, UnitsPerThread: 1}
 
@@ -630,7 +730,7 @@ func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.B
 				})
 			}
 			var outs []*bitstream.Stream
-			if outs, stats, err = s.Run(context.Background(), basis); err != nil {
+			if outs, stats, err = runStreams(s, basis); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if !outs[0].Equal(want) {
@@ -818,7 +918,7 @@ func TestTakenGuardTagsWhatIsReadAfterIt(t *testing.T) {
 			if pass == 1 {
 				nd.zlo, nd.zhi = sp.nodes[gi+1].zlo, sp.nodes[gi+int(nd.skip)].zhi
 			}
-			outs, st, err := s.Run(context.Background(), basis)
+			outs, st, err := runStreams(s, basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -996,7 +1096,7 @@ func runHandBuilt(t *testing.T, p *ir.Program, input string) *Session {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	outs, _, err := s.Run(context.Background(), basis)
+	outs, _, err := runStreams(s, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1133,7 +1233,7 @@ func TestSinkRespectsSourceRedefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	outs, _, err := s.Run(context.Background(), basis)
+	outs, _, err := runStreams(s, basis)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -401,7 +401,8 @@ func BenchmarkShiftWordsLink(b *testing.B) {
 
 // TestKnownZeroLiveOutCommitsZeros drives commitWindow directly: a live-out
 // register tagged known zero must clear exactly the committed range of its
-// global, like an absent one.
+// global, like an absent one — here the output, as if a later segment read it
+// back. Compact, the output appends only the window's non-zero words.
 func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 	p := lower.MustSingle("re", "ab")
 	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
@@ -412,8 +413,12 @@ func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 	basis := transpose.Transpose(make([]byte, 64*4))
 	ex := s.ex
 	ex.reset(context.Background(), basis, s.base.withDefaults(basis.N))
-	ex.isMat = s.isMat
 	v := p.Outputs[0].Var
+	if s.isMat[v] {
+		t.Fatalf("output S%d is materialized; nothing reads it back", v)
+	}
+	ex.isMat = slices.Clone(s.isMat)
+	ex.isMat[v] = true
 	g := ex.ensureGlobal(v)
 	g.OnesInto()
 	ex.ws, ex.weBits, ex.ww = 64, 64*3, 2
@@ -423,6 +428,14 @@ func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 	want := []uint64{^uint64(0), 0, ^uint64(0), ^uint64(0)}
 	if !slices.Equal(g.Words(), want) {
 		t.Fatalf("global after committing a known-zero register = %x, want %x", g.Words(), want)
+	}
+
+	ex.isMat[v] = false
+	ex.commitWindow([]ir.VarID{v}, 64, 128)
+	copy(ex.regs.mut(v), []uint64{0, 5})
+	ex.commitWindow([]ir.VarID{v}, 64, 192)
+	if got, want := ex.words[v], (bitstream.Compact{{Index: 2, Bits: 5}}); !slices.Equal(got, want) {
+		t.Fatalf("compact output after a known-zero and a {0, 5} window = %v, want %v", got, want)
 	}
 }
 
@@ -546,7 +559,7 @@ func TestMasksHoldAfterEveryOp(t *testing.T) {
 		// Twice: the second run starts on the buffers and dirty masks of the
 		// first, its first window narrower than the last one before it.
 		for run := 0; run < 2; run++ {
-			outs, _, err := s.Run(context.Background(), basis)
+			outs, _, err := runStreams(s, basis)
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)
 			}
