@@ -42,6 +42,7 @@ import (
 	"bitgen/internal/engine"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/lower"
+	"bitgen/internal/nfa"
 	"bitgen/internal/obs"
 	"bitgen/internal/rx"
 )
@@ -72,9 +73,9 @@ type Options struct {
 	// defaults (see Limits). Violations return errors satisfying
 	// errors.Is(err, ErrLimit).
 	Limits Limits
-	// Resilience, when non-nil, pins Run, CountOnly and ScanReader to one
-	// backend — the bitstream engine, the hybrid baseline or the NFA
-	// reference — and names it in Result.Backend. See ResilienceOptions.
+	// Resilience, when non-nil, pins Run and CountOnly to the NFA
+	// reference and names it in Result.Backend. Its one production caller
+	// is the repo benchmark's oracle. See ResilienceOptions.
 	Resilience *ResilienceOptions
 	// Observability, when non-nil, enables scan tracing and/or metrics
 	// collection (see ObservabilityOptions, Engine.WriteTrace,
@@ -181,12 +182,10 @@ type Result struct {
 	// duplicate patterns distinguishable.
 	IndexCounts []int
 	// Stats is the modeled execution summary. Zero on an engine pinned to
-	// the hybrid or NFA backend: only the bitstream engine models GPU
-	// execution.
+	// the NFA reference: only the bitstream engine models GPU execution.
 	Stats Stats
-	// Backend names the backend Options.Resilience pinned
-	// (BackendBitstream, BackendHybrid or BackendNFA). Empty when
-	// Options.Resilience is nil.
+	// Backend is BackendNFA on an engine Options.Resilience pinned, empty
+	// otherwise. Its one production reader is the repo benchmark's oracle.
 	Backend string
 	// Profile is the per-scan profile artifact joining the cost-model
 	// time breakdown with observed per-kernel counters. Non-nil only
@@ -202,13 +201,10 @@ type Result struct {
 type Engine struct {
 	inner    *engine.Engine
 	patterns []string
-	// unique lists the distinct pattern strings actually compiled, in
-	// first-occurrence order; duplicate entries in patterns share one
-	// compiled regex (identical pattern strings always have identical
-	// match sets) and results fan back out per public index.
-	unique []string
-	// indexesOf maps each unique pattern string to its public indexes in
-	// patterns, ascending.
+	// indexesOf maps each distinct pattern string to its public indexes in
+	// patterns, ascending: duplicate entries share one compiled regex
+	// (identical pattern strings always have identical match sets) and
+	// results fan back out per public index.
 	indexesOf map[string][]int
 	// rankIndexes is indexesOf keyed by the inner engine's match rank
 	// instead of the pattern string — Run and the streaming emit stage fan
@@ -226,11 +222,9 @@ type Engine struct {
 	// lists every pattern with no finite bound (streaming refusal).
 	maxLen    int
 	unbounded []string
-	// backend is the Options.Resilience pin ("" without one), reported in
-	// Result.Backend; fallback is the pinned hybrid or NFA automaton, nil
+	// ref is the NFA Options.Resilience pinned Run and CountOnly to; nil
 	// when the bitstream engine serves.
-	backend  string
-	fallback *fallback
+	ref *nfa.NFA
 	// obs carries the engine's own span ring and metrics registry; nil when
 	// Options.Observability was not set (every hook is nil-safe).
 	obs *obs.Observer
@@ -285,7 +279,7 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 	// have identical match sets, so the engine runs the unique set and
 	// results fan back out to every public index afterwards.
 	regexes := make([]lower.Regex, 0, len(patterns))
-	var unique, unbounded, nullable []string
+	var unbounded, nullable []string
 	indexesOf := make(map[string][]int, len(patterns))
 	maxLen := 0
 	pspan := observer.Span("compile", "parse", 0)
@@ -298,7 +292,6 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 			continue
 		}
 		indexesOf[p] = []int{i}
-		unique = append(unique, p)
 		ast, err := rx.ParseWith(p, rx.Options{FoldCase: opts.FoldCase})
 		if err != nil {
 			return nil, err
@@ -322,9 +315,9 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 		return nil, err
 	}
 	e := &Engine{
-		inner:    inner,
-		patterns: patterns,
-		unique:   unique, indexesOf: indexesOf, nullable: nullable,
+		inner:     inner,
+		patterns:  patterns,
+		indexesOf: indexesOf, nullable: nullable,
 		limits: limits,
 		maxLen: maxLen, unbounded: unbounded,
 		obs:         observer,
@@ -333,14 +326,7 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 		optsHash:    optionsHash(opts),
 	}
 	e.initRankIndexes()
-	err = e.pinBackend(opts.Resilience, func() ([]rx.Node, error) {
-		asts := make([]rx.Node, len(regexes))
-		for i := range regexes {
-			asts[i] = regexes[i].AST
-		}
-		return asts, nil
-	})
-	if err != nil {
+	if err := e.pinNFA(opts.Resilience, regexes); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -443,14 +429,14 @@ func (e *Engine) Patterns() []string { return append([]string(nil), e.patterns..
 
 // ResidentBytes reports the measured bytes of durable compiled state this
 // engine keeps resident: packed group programs, output tables,
-// the shared character-class program, and — when pinned to the hybrid or NFA
-// backend — that automaton's tables. Transient per-scan buffers are
+// the shared character-class program, and — when pinned to the NFA
+// reference — the NFA's tables. Transient per-scan buffers are
 // excluded. This is the value the serve layer's refcount-aware cache
 // accounting starts from.
 func (e *Engine) ResidentBytes() int64 {
 	n := e.inner.ResidentBytes()
-	if e.fallback != nil {
-		n += e.fallback.resident
+	if e.ref != nil {
+		n += e.ref.SizeBytes()
 	}
 	return n
 }
@@ -560,12 +546,12 @@ func (e *Engine) RunContext(ctx context.Context, input []byte) (*Result, error) 
 	return res, nil
 }
 
-// runContext runs one scan on the pinned backend.
+// runContext runs one scan on the bitstream engine, or on the pinned NFA.
 func (e *Engine) runContext(ctx context.Context, input []byte) (*Result, error) {
 	var inner *engine.Result
 	var err error
-	if e.fallback != nil {
-		inner, err = e.runFallback(ctx, input)
+	if e.ref != nil {
+		inner, err = e.runNFA(ctx, input)
 	} else {
 		inner, err = e.inner.RunContext(ctx, input)
 	}
@@ -573,7 +559,9 @@ func (e *Engine) runContext(ctx context.Context, input []byte) (*Result, error) 
 		return nil, err
 	}
 	res := e.toResult(inner)
-	res.Backend = e.backend
+	if e.ref != nil {
+		res.Backend = BackendNFA
+	}
 	return res, nil
 }
 
@@ -586,8 +574,7 @@ func (e *Engine) CountOnly(input []byte) (map[string]int, error) {
 }
 
 // CountOnlyContext is CountOnly honoring a context (see RunContext). On
-// an engine pinned to the hybrid or NFA backend that automaton lists the
-// matches and they are counted.
+// an engine pinned to the NFA reference the NFA's matches are counted.
 func (e *Engine) CountOnlyContext(ctx context.Context, input []byte) (map[string]int, error) {
 	if err := e.checkInput(input); err != nil {
 		return nil, err
@@ -612,8 +599,8 @@ func (e *Engine) CountOnlyContext(ctx context.Context, input []byte) (map[string
 func (e *Engine) countOnlyContext(ctx context.Context, input []byte) (map[string]int, error) {
 	var res *engine.Result
 	var err error
-	if e.fallback != nil {
-		res, err = e.runFallback(ctx, input)
+	if e.ref != nil {
+		res, err = e.runNFA(ctx, input)
 	} else {
 		res, err = e.inner.RunCounts(ctx, input)
 	}
@@ -643,8 +630,12 @@ func (e *Engine) RunMulti(inputs [][]byte) (*MultiResult, error) {
 	return e.RunMultiContext(context.Background(), inputs)
 }
 
-// RunMultiContext is RunMulti honoring a context (see RunContext).
+// RunMultiContext is RunMulti honoring a context (see RunContext). An
+// engine pinned to the NFA reference refuses it with an *UnsupportedError.
 func (e *Engine) RunMultiContext(ctx context.Context, inputs [][]byte) (*MultiResult, error) {
+	if e.ref != nil {
+		return nil, errPinned("RunMulti")
+	}
 	for _, input := range inputs {
 		if err := e.checkInput(input); err != nil {
 			return nil, err

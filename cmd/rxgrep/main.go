@@ -30,7 +30,6 @@ func main() {
 	flag.Var(&pats, "e", "pattern (repeatable)")
 	foldCase := flag.Bool("i", false, "case-insensitive")
 	quiet := flag.Bool("q", false, "suppress match lines; print only the summary")
-	backend := flag.String("backend", "", cli.BackendUsage)
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or ui.perfetto.dev)")
 	metrics := flag.Bool("metrics", false, "print Prometheus text exposition of the scan's metrics to stdout")
 	profilePath := flag.String("profile", "", "write the per-scan profile artifact (JSON) to this file ('-' for stdout)")
@@ -65,7 +64,6 @@ func main() {
 	}
 	eng, err := bitgen.Compile(pats, &bitgen.Options{
 		FoldCase:      *foldCase,
-		Resilience:    cli.Resilience(*backend),
 		Observability: obsOpts,
 	})
 	if err != nil {
@@ -129,12 +127,8 @@ func main() {
 		}
 	}
 	if res != nil {
-		served := res.Backend
-		if served == "" {
-			served = "bitstream (direct)"
-		}
-		fmt.Fprintf(os.Stderr, "rxgrep: %d matching lines, %d matches via %s, %.1f MB/s modeled\n",
-			len(lines), len(matches), served, res.Stats.ThroughputMBs)
+		fmt.Fprintf(os.Stderr, "rxgrep: %d matching lines, %d matches, %.1f MB/s modeled\n",
+			len(lines), len(matches), res.Stats.ThroughputMBs)
 	} else {
 		fmt.Fprintf(os.Stderr, "rxgrep: %d matching lines, %d matches via pipelined stream (%dB chunks)\n",
 			len(lines), len(matches), *streamChunk)
@@ -155,7 +149,7 @@ func main() {
 	}
 	if *profilePath != "" {
 		if res == nil || res.Profile == nil {
-			fmt.Fprintln(os.Stderr, "rxgrep: no profile (a fallback backend served the scan)")
+			fmt.Fprintln(os.Stderr, "rxgrep: no profile (a streamed scan has none)")
 		} else {
 			buf, err := res.Profile.JSON()
 			if err == nil {

@@ -42,31 +42,29 @@ var compressionInputs = [][]byte{
 }
 
 // TestStateCompressionDifferential checks the packed, shared-basis compiled
-// state on the class-sharing and duplicate-heavy sets: compiled under every
-// backend pin, or none, which adds the wide cells, each input passes the
-// harness.
+// state on the class-sharing and duplicate-heavy sets: each input passes the
+// harness's wide cells, and an engine pinned to the NFA reference keeps its
+// contract on the same sets.
 func TestStateCompressionDifferential(t *testing.T) {
 	for _, set := range []struct {
 		name     string
 		patterns []string
 	}{{"shared-class", sharedClassPatterns}, {"duplicate-heavy", duplicateHeavyPatterns}} {
-		for _, backend := range []string{"", BackendBitstream, BackendHybrid, BackendNFA} {
-			k := corpus{patterns: set.patterns, wide: backend == ""}
-			label := set.name + "/default"
-			if backend != "" {
-				k.opts, label = &Options{Resilience: &ResilienceOptions{ForceBackend: backend}}, set.name+"/"+backend
+		t.Run(set.name+"/default", func(t *testing.T) {
+			c := &conformance{t: t}
+			for _, input := range compressionInputs {
+				c.row(corpus{patterns: set.patterns, input: input, wide: true})
 			}
-			t.Run(label, func(t *testing.T) {
-				c := &conformance{t: t}
-				for _, input := range compressionInputs {
-					k.input = input
-					c.row(k)
-				}
-				if set.name == "shared-class" && c.shared == 0 {
-					t.Fatal("no engine of the set shares a class between groups")
-				}
-			})
-		}
+			if set.name == "shared-class" && c.shared == 0 {
+				t.Fatal("no engine of the set shares a class between groups")
+			}
+		})
+		t.Run(set.name+"/nfa", func(t *testing.T) {
+			e := MustCompile(set.patterns, &Options{Resilience: nfaPin})
+			for _, input := range compressionInputs {
+				checkNFAPin(t, set.name, e, input)
+			}
+		})
 	}
 }
 

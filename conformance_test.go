@@ -12,17 +12,20 @@ import (
 	"testing"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/bitstream"
 	"bitgen/internal/faultinject"
+	"bitgen/internal/hybrid"
 	"bitgen/internal/nfa"
 	"bitgen/internal/rx"
 	"bitgen/internal/workload"
 )
 
 // The conformance harness is the engine's one correctness check: every entry
-// point, backend pin, snapshot round-trip, launch geometry, GOMAXPROCS, worker
-// count, chunk size and fault plan must produce the (End, Pattern, Index)
-// sequence of DESIGN §3.1 that reference computes, or the typed error
-// errors.go names for the cell.
+// point, snapshot round-trip, launch geometry, GOMAXPROCS, worker count, chunk
+// size and fault plan must produce the (End, Pattern, Index) sequence of
+// DESIGN §3.1 that reference computes, or the typed error errors.go names for
+// the cell. The two baselines, the hybrid matcher and one combined NFA, must
+// produce it too.
 
 // reference lists the matches of patterns in input the slow way: each public
 // index is simulated alone on a Glushkov NFA built for its pattern only, and
@@ -41,10 +44,15 @@ func reference(t testing.TB, patterns []string, input []byte) []Match {
 			out = append(out, Match{Pattern: p, Index: i, End: end})
 		}
 	}
-	slices.SortFunc(out, func(a, b Match) int {
+	sortMatches(out)
+	return out
+}
+
+// sortMatches puts ms in (End, Pattern, Index) order.
+func sortMatches(ms []Match) {
+	slices.SortFunc(ms, func(a, b Match) int {
 		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Pattern, b.Pattern), cmp.Compare(a.Index, b.Index))
 	})
-	return out
 }
 
 // tinyGeometry launches 4-thread CTAs: 128-bit blocks, on which loops and
@@ -60,9 +68,9 @@ type conformance struct {
 }
 
 // corpus is one pattern set, the input to match it on, and how widely to
-// check it. wide adds the fresh engine decoded under each backend pin, the
-// set on tinyGeometry and the fault plans; opts, when set, must pin no backend
-// for that. Each extra adds the chunk size maxLen+extra to the ScanReader cells.
+// check it. wide adds the fresh engine's decoded copy, the set on tinyGeometry
+// and the fault plans. Each extra adds the chunk size maxLen+extra to the
+// ScanReader cells.
 type corpus struct {
 	patterns []string
 	input    []byte
@@ -84,11 +92,12 @@ func (c *conformance) row(k corpus) {
 	}
 }
 
-// set checks k on its fresh engine and, when wide, on that engine decoded
-// under each backend pin, on tinyGeometry and under faults.
+// set checks k on its fresh engine and, when wide, on that engine's decoded
+// copy, on tinyGeometry and under faults; and it checks the baselines.
 func (c *conformance) set(label string, k corpus) {
 	t, patterns, input, wide := c.t, k.patterns, k.input, k.wide
 	want := reference(t, patterns, input)
+	baselines(t, label, patterns, input, want)
 	fresh, err := Compile(patterns, k.opts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -105,16 +114,11 @@ func (c *conformance) set(label string, k corpus) {
 	}
 	names, engines := []string{"fresh"}, []*Engine{fresh}
 	if wide {
-		snap := EncodeEngine(fresh)
-		for _, b := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-			o := *cmp.Or(k.opts, &Options{})
-			o.Resilience = &ResilienceOptions{ForceBackend: b}
-			e, err := DecodeEngine(snap, &o)
-			if err != nil {
-				t.Fatalf("%s: decode for %s: %v", label, b, err)
-			}
-			names, engines = append(names, "decoded/"+b), append(engines, e)
+		decoded, err := DecodeEngine(EncodeEngine(fresh), k.opts)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", label, err)
 		}
+		names, engines = append(names, "decoded"), append(engines, decoded)
 		tiny, err := Compile(patterns, &tinyGeometry)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -135,7 +139,7 @@ func (c *conformance) set(label string, k corpus) {
 		s := c.entryPoints(label+"/"+names[i], e, streams, wants, chunks, refusals)
 		if i == 0 {
 			stats = s
-		} else if names[i] == "decoded/"+BackendBitstream && s != stats {
+		} else if names[i] == "decoded" && s != stats {
 			t.Fatalf("%s: the decoded engine models %+v, the fresh one %+v", label, s, stats)
 		}
 	}
@@ -167,14 +171,12 @@ func (c *conformance) entryPoints(label string, e *Engine, streams [][]byte, wan
 	}
 	sameCounts(t, label+": Run", res.Counts, wantCounts)
 	sameCounts(t, label+": CountOnly", counts, wantCounts)
-	if e.fallback == nil {
-		mr, err := e.RunMulti(streams)
-		if err != nil {
-			t.Fatalf("%s: RunMulti: %v", label, err)
-		}
-		for i := range streams {
-			same(t, label+": RunMulti stream", mr.PerStream[i].Matches, wants[i])
-		}
+	mr, err := e.RunMulti(streams)
+	if err != nil {
+		t.Fatalf("%s: RunMulti: %v", label, err)
+	}
+	for i := range streams {
+		same(t, label+": RunMulti stream", mr.PerStream[i].Matches, wants[i])
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, chunk := range chunks {
@@ -206,6 +208,47 @@ func (c *conformance) entryPoints(label string, e *Engine, streams [][]byte, wan
 	// Nothing since, pooled sessions included, wrote the first result.
 	same(t, label+": an earlier Run's Matches", res.Matches, want)
 	return res.Stats
+}
+
+// baselines checks the paper's two comparison matchers against want: the
+// hybrid Aho-Corasick decomposition (two shards, so shard outputs merge) and
+// one NFA built over every distinct pattern. Both answer per distinct pattern
+// string; each answer fans out to every index of that string.
+func baselines(t testing.TB, label string, patterns []string, input []byte, want []Match) {
+	t.Helper()
+	names := slices.Clone(patterns)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	asts := make([]rx.Node, len(names))
+	for i, p := range names {
+		asts[i] = rx.MustParse(p)
+	}
+	h, err := hybrid.Compile(names, asts, hybrid.Options{Threads: 2})
+	if err != nil {
+		t.Fatalf("%s: hybrid: %v", label, err)
+	}
+	n, err := nfa.Build(names, asts)
+	if err != nil {
+		t.Fatalf("%s: nfa: %v", label, err)
+	}
+	hs, ns := h.Scan(input).Outputs, nfa.Simulate(n, input).Outputs
+	for _, m := range []struct {
+		name   string
+		stream func(i int) *bitstream.Stream
+	}{
+		{"hybrid", func(i int) *bitstream.Stream { return hs[names[i]] }},
+		{"combined NFA", func(i int) *bitstream.Stream { return ns[i] }},
+	} {
+		var got []Match
+		for i, p := range patterns {
+			s := m.stream(sort.SearchStrings(names, p))
+			for end := s.NextSetBit(0); end >= 0; end = s.NextSetBit(end + 1) {
+				got = append(got, Match{Pattern: p, Index: i, End: end})
+			}
+		}
+		sortMatches(got)
+		same(t, label+": "+m.name, got, want)
+	}
 }
 
 // faults arms one fault at a time on the bitstream engine e under each entry
@@ -419,7 +462,7 @@ func fuzzSet(t *testing.T, seed uint64) ([]string, *Engine) {
 }
 
 // FuzzBackendsAgree runs the harness's cells on generated pattern sets: every
-// backend pin, entry point and chunk size must list the reference's matches.
+// matcher, entry point and chunk size must list the reference's matches.
 func FuzzBackendsAgree(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s.seed, []byte(s.data))

@@ -1,6 +1,5 @@
-// Package cli holds the small bits shared by the demo commands: a
-// one-line renderer for the public error taxonomy, so every tool reports
-// failures the same way, and the usage text for the -backend flag.
+// Package cli holds what the commands share: a one-line renderer for the
+// public error taxonomy, so every tool reports failures the same way.
 package cli
 
 import (
@@ -9,9 +8,6 @@ import (
 
 	"bitgen"
 )
-
-// BackendUsage documents the -backend flag.
-const BackendUsage = "pin the backend (bitstream, hybrid or nfa); empty runs the bitstream kernel unpinned"
 
 // Describe renders err as a one-line message that leads with the error's
 // class from the public taxonomy, so scripts (and humans) can tell a
@@ -57,14 +53,4 @@ func Describe(err error) string {
 		}
 		return err.Error()
 	}
-}
-
-// Resilience translates the -backend flag value into engine options: empty
-// means no pin (the bitstream engine, Result.Backend empty), anything else
-// pins that backend. Unknown names surface as ErrUnsupported at Compile.
-func Resilience(backend string) *bitgen.ResilienceOptions {
-	if backend == "" {
-		return nil
-	}
-	return &bitgen.ResilienceOptions{ForceBackend: backend}
 }

@@ -15,27 +15,13 @@ type acNode struct {
 
 // AhoCorasick is a compiled multi-string matcher.
 type AhoCorasick struct {
-	nodes    []acNode
-	patterns [][]byte
-}
-
-// SizeBytes reports the automaton's resident memory: the dense per-node
-// transition rows, output lists and the stored patterns.
-func (ac *AhoCorasick) SizeBytes() int64 {
-	var size int64
-	for i := range ac.nodes {
-		size += 4*256 + 24 + 4*int64(len(ac.nodes[i].out))
-	}
-	for _, p := range ac.patterns {
-		size += 24 + int64(len(p))
-	}
-	return size
+	nodes []acNode
 }
 
 // NewAhoCorasick builds the automaton for the given byte patterns.
 // Empty patterns are ignored.
 func NewAhoCorasick(patterns [][]byte) *AhoCorasick {
-	ac := &AhoCorasick{patterns: patterns}
+	ac := &AhoCorasick{}
 	ac.nodes = append(ac.nodes, acNode{})
 	// Phase 1: trie.
 	tri := []map[byte]int32{make(map[byte]int32)}
@@ -98,6 +84,3 @@ func (ac *AhoCorasick) Scan(input []byte, visit func(Hit)) {
 		}
 	}
 }
-
-// NumStates reports the automaton size (for stats).
-func (ac *AhoCorasick) NumStates() int { return len(ac.nodes) }

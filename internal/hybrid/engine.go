@@ -1,15 +1,12 @@
 package hybrid
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
 
-	"bitgen/internal/bgerr"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/nfa"
-	"bitgen/internal/obs"
 	"bitgen/internal/rx"
 )
 
@@ -26,9 +23,6 @@ type Options struct {
 	// confirmation; longer or unbounded patterns take the general NFA
 	// path. Zero means 256.
 	MaxRegionLen int
-	// Obs, when non-nil, records a span per ScanContext call with the
-	// scan's Stats as arguments. Nil is free.
-	Obs *obs.Observer
 }
 
 func (o Options) withDefaults() Options {
@@ -94,27 +88,6 @@ type prefiltEntry struct {
 }
 
 type region struct{ lo, hi int }
-
-// SizeBytes reports the engine's durable compiled state: each shard's
-// Aho-Corasick prefilter, confirmation NFAs and general-path NFA. Scan
-// scratch is excluded.
-func (e *Engine) SizeBytes() int64 {
-	var size int64
-	for _, sh := range e.shards {
-		if sh.ac != nil {
-			size += sh.ac.SizeBytes()
-		}
-		if sh.general != nil {
-			size += sh.general.SizeBytes()
-		}
-		for i := range sh.prefilt {
-			if sh.prefilt[i].nfa != nil {
-				size += sh.prefilt[i].nfa.SizeBytes()
-			}
-		}
-	}
-	return size
-}
 
 // Compile builds the engine for a set of regexes.
 func Compile(names []string, asts []rx.Node, opts Options) (*Engine, error) {
@@ -196,30 +169,6 @@ func compileShard(names []string, asts []rx.Node, idx []int, opts Options) (*sha
 	return sh, nil
 }
 
-// ScanContext is Scan honoring a context, checked before the scan and
-// between shard joins; cancellation returns an error satisfying
-// errors.Is(err, bgerr.ErrCanceled). It is what an engine pinned to the
-// hybrid backend runs (bitgen.BackendHybrid).
-func (e *Engine) ScanContext(ctx context.Context, input []byte) (*ScanResult, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, bgerr.Canceled(err)
-		}
-	}
-	span := e.opts.Obs.For(ctx).Span("hybrid", "hybrid-scan", 0).Arg("input_bytes", len(input))
-	res := e.Scan(input)
-	span.Arg("literal_hits", res.Stats.LiteralHits).
-		Arg("confirmed_bytes", res.Stats.ConfirmedBytes).
-		Arg("general_bytes", res.Stats.GeneralBytes).
-		End()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, bgerr.Canceled(err)
-		}
-	}
-	return res, nil
-}
-
 // Scan matches all regexes over input. With Threads > 1 the shards run
 // concurrently.
 func (e *Engine) Scan(input []byte) *ScanResult {
@@ -261,9 +210,7 @@ func (sh *shard) scan(input []byte) (map[string]*bitstream.Stream, Stats) {
 		out[name] = bitstream.New(len(input))
 	}
 	// Per-scan region lists live on the stack, not the shard: a compiled
-	// Engine is immutable during Scan, so concurrent scans (a public Engine
-	// pinned to the hybrid backend runs one per call and per ScanReader
-	// worker) do not race.
+	// Engine is immutable during Scan.
 	regions := make([][]region, len(sh.prefilt))
 	// Pass 1: prefilter.
 	sh.ac.Scan(input, func(h Hit) {

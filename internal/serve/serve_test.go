@@ -97,22 +97,6 @@ func TestMatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestMatchServedThroughLadder: /v1/match runs through Engine.RunContext,
-// so the backend Config.Engine.Resilience pins serves it and the response
-// names it.
-func TestMatchServedThroughLadder(t *testing.T) {
-	_, hs := newTestServer(t, Config{Engine: bitgen.Options{
-		Resilience: &bitgen.ResilienceOptions{ForceBackend: bitgen.BackendNFA},
-	}})
-	code, mr, er := postMatch(t, hs.URL, `{"patterns":["ab+"],"input":"xabbx"}`)
-	if code != http.StatusOK {
-		t.Fatalf("status = %d (%+v)", code, er)
-	}
-	if mr.Backend != bitgen.BackendNFA || len(mr.Matches) != 2 {
-		t.Errorf("backend = %q with %d matches, want %q with 2", mr.Backend, len(mr.Matches), bitgen.BackendNFA)
-	}
-}
-
 func TestMatchErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 

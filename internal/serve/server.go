@@ -489,7 +489,6 @@ type jsonMatch struct {
 type matchResponse struct {
 	Set         string         `json:"set"`
 	Cache       string         `json:"cache"` // "hit" or "miss"
-	Backend     string         `json:"backend,omitempty"`
 	Matches     []jsonMatch    `json:"matches"`
 	Counts      map[string]int `json:"counts"`
 	IndexCounts []int          `json:"index_counts"`
@@ -686,7 +685,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	resp := matchResponse{
 		Set:         key,
 		Cache:       "miss",
-		Backend:     res.Backend,
 		Counts:      res.Counts,
 		IndexCounts: res.IndexCounts,
 	}

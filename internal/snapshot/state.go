@@ -17,8 +17,8 @@ const (
 // EngineState is the serializable compiled state of a bitgen.Engine: the
 // lowered, optimized bitstream programs plus the compile-time metadata the
 // root API derives from the pattern list (duplicate indexes, nullable set,
-// streaming bounds). Everything runtime-only — observers, arenas, the
-// backend pin — is reconstructed at load, not persisted.
+// streaming bounds). Everything runtime-only — observers, arenas — is
+// reconstructed at load, not persisted.
 type EngineState struct {
 	// Patterns is the caller's pattern list verbatim, duplicates and order
 	// preserved, so a loaded engine fans match indexes out identically.

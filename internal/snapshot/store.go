@@ -73,9 +73,6 @@ func NewStore(dir string, reg *obs.Registry, inj *faultinject.Injector) (*Store,
 	}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the snapshot path for a pattern-set key.
 func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, key+Ext)
@@ -184,11 +181,6 @@ func (s *Store) Quarantine(key string) {
 	if err := os.Rename(path, path+BadExt); err == nil {
 		s.quarantines.Inc()
 	}
-}
-
-// Remove deletes the snapshot for key (not its .bad sidecar, if any).
-func (s *Store) Remove(key string) {
-	os.Remove(s.Path(key))
 }
 
 // Keys lists the pattern-set keys of every (non-quarantined) snapshot.

@@ -10,7 +10,7 @@ import (
 
 // ObservabilityOptions enable the engine's observability layer: a span
 // tracer over the full pipeline (compile phases, per-kernel launches, the
-// streaming stages, a pinned fallback's scans) exportable as Chrome trace_event
+// streaming stages, a pinned NFA's scans) exportable as Chrome trace_event
 // JSON (chrome://tracing, Perfetto), and a metrics registry (counters,
 // gauges, histograms) with a Prometheus text-exposition writer and an
 // expvar bridge. With Options.Observability nil (the default) every

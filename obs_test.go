@@ -108,8 +108,8 @@ func TestScanReaderCountsEachInputByteOnce(t *testing.T) {
 
 // TestTraceContainsPipelineSpans drives a full compile + scan with tracing
 // on and asserts the exported Chrome trace carries spans for the compile
-// phases and the kernel launch — and, on an engine pinned to the hybrid or
-// NFA backend, for that automaton's scan.
+// phases and the kernel launch — and, on an engine pinned to the NFA
+// reference, for its simulation.
 func TestTraceContainsPipelineSpans(t *testing.T) {
 	for _, tc := range []struct {
 		backend string
@@ -119,7 +119,6 @@ func TestTraceContainsPipelineSpans(t *testing.T) {
 			"compile", "parse", "compile-group", "lower-group", "passes", // compile phases
 			"run", "transpose", "kernel-launch", "kernel-attempt", "estimate", // scan + kernel launches
 		}},
-		{BackendHybrid, []string{"compile", "run", "hybrid-scan"}},
 		{BackendNFA, []string{"compile", "run", "nfa-simulate"}},
 	} {
 		opts := &Options{Observability: &ObservabilityOptions{Trace: true}}
@@ -332,17 +331,18 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-// TestPinnedBackendsUnderConcurrentRuns hammers an engine pinned to each
-// backend from many goroutines (run it with -race): the hybrid and NFA
-// automata are re-entrant like the bitstream engine, every Run returns the
-// unpinned engine's matches, and the scan counter sees every one.
+// TestPinnedBackendsUnderConcurrentRuns hammers an unpinned engine and one
+// pinned to the NFA reference from many goroutines (run it with -race): the
+// pinned NFA is re-entrant like the bitstream engine, every Run returns the
+// reference's matches, and the scan counter sees every one.
 func TestPinnedBackendsUnderConcurrentRuns(t *testing.T) {
-	_, want := compilePinned(t, nil)
-	for _, name := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-		eng := MustCompile(pinPatterns, &Options{
-			Observability: &ObservabilityOptions{Metrics: true},
-			Resilience:    &ResilienceOptions{ForceBackend: name},
-		})
+	want := reference(t, pinPatterns, []byte(pinInput))
+	for _, backend := range []string{"", BackendNFA} {
+		opts := &Options{Observability: &ObservabilityOptions{Metrics: true}}
+		if backend != "" {
+			opts.Resilience = nfaPin
+		}
+		eng := MustCompile(pinPatterns, opts)
 		const scanners, scansPer = 8, 25
 		var wg sync.WaitGroup
 		for g := 0; g < scanners; g++ {
@@ -352,11 +352,11 @@ func TestPinnedBackendsUnderConcurrentRuns(t *testing.T) {
 				for i := 0; i < scansPer; i++ {
 					res, err := eng.Run([]byte(pinInput))
 					if err != nil {
-						t.Errorf("%s: concurrent run: %v", name, err)
+						t.Errorf("%q: concurrent run: %v", backend, err)
 						return
 					}
-					if res.Backend != name || !slices.Equal(res.Matches, want) {
-						t.Errorf("%s: served by %q, %d matches, want %d", name, res.Backend, len(res.Matches), len(want))
+					if res.Backend != backend || !slices.Equal(res.Matches, want) {
+						t.Errorf("%q: served by %q, %d matches, want %d", backend, res.Backend, len(res.Matches), len(want))
 						return
 					}
 				}
@@ -364,7 +364,7 @@ func TestPinnedBackendsUnderConcurrentRuns(t *testing.T) {
 		}
 		wg.Wait()
 		if got := eng.MetricsSnapshot().Counter(obs.MScans); got != scanners*scansPer {
-			t.Errorf("%s: %s = %g, want %d", name, obs.MScans, got, scanners*scansPer)
+			t.Errorf("%q: %s = %g, want %d", backend, obs.MScans, got, scanners*scansPer)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bitgen
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"bitgen/internal/faultinject"
@@ -12,70 +13,60 @@ var pinPatterns = []string{"cat", "d.g", "\\d{2}"}
 
 const pinInput = "cat 42 dog dig 7 catalog dug 19 cat"
 
-// compilePinned compiles with the given pin and returns the engine plus the
-// expected match set: an unpinned engine's.
-func compilePinned(t *testing.T, ropts *ResilienceOptions) (*Engine, []Match) {
+// nfaPin is the one backend pin an engine can carry.
+var nfaPin = &ResilienceOptions{ForceBackend: BackendNFA}
+
+// checkNFAPin checks the contract of an engine pinned to the NFA reference on
+// one input: Run lists the reference's matches, names the NFA in
+// Result.Backend and models nothing, and CountOnly agrees with that Run.
+func checkNFAPin(t testing.TB, label string, e *Engine, input []byte) {
 	t.Helper()
-	baseline, err := Compile(pinPatterns, nil)
+	res, err := e.Run(input)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: pinned Run: %v", label, err)
 	}
-	want, err := baseline.Run([]byte(pinInput))
+	want := reference(t, e.patterns, input)
+	same(t, label+": pinned Run", res.Matches, want)
+	if _, wantIndex := countsOf(want, len(e.patterns)); !slices.Equal(res.IndexCounts, wantIndex) {
+		t.Fatalf("%s: pinned IndexCounts %v, the reference's %v", label, res.IndexCounts, wantIndex)
+	}
+	if res.Backend != BackendNFA || res.Stats != (Stats{}) {
+		t.Fatalf("%s: served by %q with stats %+v, want %q with none", label, res.Backend, res.Stats, BackendNFA)
+	}
+	counts, err := e.CountOnly(input)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: pinned CountOnly: %v", label, err)
 	}
-	if len(want.Matches) == 0 {
-		t.Fatal("baseline found no matches; test input is broken")
-	}
-	e, err := Compile(pinPatterns, &Options{Resilience: ropts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, want.Matches
+	sameCounts(t, label+": pinned CountOnly", counts, res.Counts)
 }
 
-func sameMatches(t *testing.T, got []Match, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("got %d matches, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("match %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestResilientRunHappyPathServesBitstream: an empty pin is the bitstream
-// engine — with its modeled stats, named in Result.Backend.
+// TestResilientRunHappyPathServesBitstream: an unpinned engine is the
+// bitstream engine — it lists the NFA pin's matches with modeled stats.
 func TestResilientRunHappyPathServesBitstream(t *testing.T) {
-	e, want := compilePinned(t, &ResilienceOptions{})
-	res, err := e.Run([]byte(pinInput))
+	pinned := MustCompile(pinPatterns, &Options{Resilience: nfaPin})
+	want, err := pinned.Run([]byte(pinInput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMatches(t, res.Matches, want)
-	if res.Backend != BackendBitstream {
-		t.Fatalf("served by %q, want %q", res.Backend, BackendBitstream)
+	res, err := MustCompile(pinPatterns, nil).Run([]byte(pinInput))
+	if err != nil {
+		t.Fatal(err)
 	}
+	same(t, "unpinned Run", res.Matches, want.Matches)
 	if res.Stats.ModeledTime <= 0 {
-		t.Fatal("bitstream-served result lost its modeled stats")
-	}
-	if e.fallback != nil {
-		t.Fatal("a bitstream pin compiled a fallback automaton")
+		t.Fatal("the bitstream engine's result lost its modeled stats")
 	}
 }
 
 // TestHealthZeroWhenResilienceDisabled: an engine compiled without
-// Options.Resilience names no backend in Result.Backend and carries no
-// fallback automaton.
+// Options.Resilience names no backend in Result.Backend and carries no NFA.
 func TestHealthZeroWhenResilienceDisabled(t *testing.T) {
 	plain, err := Compile(pinPatterns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.fallback != nil {
-		t.Fatal("an unpinned engine compiled a fallback automaton")
+	if plain.ref != nil || plain.ResidentBytes() != plain.inner.ResidentBytes() {
+		t.Fatal("an unpinned engine built an NFA")
 	}
 	res, err := plain.Run([]byte(pinInput))
 	if err != nil {
@@ -86,41 +77,32 @@ func TestHealthZeroWhenResilienceDisabled(t *testing.T) {
 	}
 }
 
-// TestForceBackendPinsTheLadder: every pin serves Run and CountOnly with the
-// unpinned engine's answer and names itself; a hybrid or NFA pin compiles
-// that one automaton and counts it resident; an unknown name is refused.
+// TestForceBackendPinsTheLadder pins the contract of the one pin left: a
+// BackendNFA engine's Run equals the reference, its CountOnly agrees, and
+// it counts its NFA resident; ScanReader and RunMulti on it, DecodeEngine
+// under it and every other ForceBackend value are refused as unsupported.
 func TestForceBackendPinsTheLadder(t *testing.T) {
 	plain := MustCompile(pinPatterns, nil)
-	for _, name := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-		e, want := compilePinned(t, &ResilienceOptions{ForceBackend: name})
-		res, err := e.Run([]byte(pinInput))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sameMatches(t, res.Matches, want)
-		if res.Backend != name {
-			t.Fatalf("forced %q but served by %q", name, res.Backend)
-		}
-		counts, err := e.CountOnly([]byte(pinInput))
-		if err != nil {
-			t.Fatalf("%s: CountOnly: %v", name, err)
-		}
-		for _, p := range pinPatterns {
-			if counts[p] != res.Counts[p] {
-				t.Fatalf("%s: CountOnly[%s] = %d, Run counts %d", name, p, counts[p], res.Counts[p])
-			}
-		}
-		if fallback := e.fallback != nil; fallback != (name != BackendBitstream) {
-			t.Fatalf("%s: fallback automaton compiled = %v", name, fallback)
-		}
-		if grew := e.ResidentBytes() > plain.ResidentBytes(); grew != (name != BackendBitstream) {
-			t.Fatalf("%s: resident %d bytes, unpinned %d", name, e.ResidentBytes(), plain.ResidentBytes())
-		}
+	e, err := Compile(pinPatterns, &Options{Resilience: nfaPin})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Compile(pinPatterns, &Options{
-		Resilience: &ResilienceOptions{ForceBackend: "abacus"},
-	}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("unknown forced backend returned %v, want ErrUnsupported", err)
+	checkNFAPin(t, "pinPatterns", e, []byte(pinInput))
+	if e.ResidentBytes() <= plain.ResidentBytes() {
+		t.Fatalf("pinned engine resident %d bytes, unpinned %d", e.ResidentBytes(), plain.ResidentBytes())
+	}
+	refusals := map[string]error{
+		"ScanReader": e.ScanReader(bytes.NewReader([]byte(pinInput)), 16, func(Match) {}),
+	}
+	_, refusals["RunMulti"] = e.RunMulti([][]byte{[]byte(pinInput)})
+	_, refusals["DecodeEngine"] = DecodeEngine(EncodeEngine(plain), &Options{Resilience: nfaPin})
+	for _, name := range []string{"", "bitstream", "hybrid", "abacus"} {
+		_, refusals["ForceBackend "+name] = Compile(pinPatterns, &Options{Resilience: &ResilienceOptions{ForceBackend: name}})
+	}
+	for call, err := range refusals {
+		if !errors.As(err, new(*UnsupportedError)) {
+			t.Errorf("%s: %v, want an *UnsupportedError", call, err)
+		}
 	}
 }
 
@@ -129,7 +111,8 @@ func TestForceBackendPinsTheLadder(t *testing.T) {
 // a kernel panic as *InternalError — through Run, CountOnly and a
 // ScanReader chunk alike — and the engine serves the next call.
 func TestPinnedBitstreamFaultsSurfaceTyped(t *testing.T) {
-	e, want := compilePinned(t, &ResilienceOptions{ForceBackend: BackendBitstream})
+	e := MustCompile(pinPatterns, nil)
+	want := reference(t, pinPatterns, []byte(pinInput))
 	clean := e.inner
 	calls := map[string]func() error{
 		"Run": func() error { _, err := e.Run([]byte(pinInput)); return err },
@@ -155,21 +138,18 @@ func TestPinnedBitstreamFaultsSurfaceTyped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: engine unusable after the faults: %v", name, err)
 		}
-		sameMatches(t, res.Matches, want)
+		same(t, name+": the next Run", res.Matches, want)
 	}
 }
 
 func TestTerminalErrorsDoNotFailOver(t *testing.T) {
-	for _, name := range []string{BackendBitstream, BackendHybrid, BackendNFA} {
-		e, err := Compile(pinPatterns, &Options{
-			Resilience: &ResilienceOptions{ForceBackend: name},
-			Limits:     Limits{MaxInputBytes: 8},
-		})
+	for _, ropts := range []*ResilienceOptions{nil, nfaPin} {
+		e, err := Compile(pinPatterns, &Options{Resilience: ropts, Limits: Limits{MaxInputBytes: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Run(bytes.Repeat([]byte("x"), 9)); !errors.Is(err, ErrLimit) {
-			t.Fatalf("%s: oversized input returned %v, want ErrLimit", name, err)
+			t.Fatalf("pinned %v: oversized input returned %v, want ErrLimit", ropts != nil, err)
 		}
 	}
 }

@@ -36,7 +36,7 @@ type scanJob struct {
 	offset  int64        // absolute stream offset of data[0]
 	newFrom int64        // first absolute offset not yet emitted
 	// Worker output: the matches at absolute offsets >= newFrom, in (End,
-	// rank) order, from an engine session or the pinned fallback automaton.
+	// rank) order.
 	matches []engine.ScanMatch
 	err     error
 }
@@ -46,15 +46,14 @@ type scanJob struct {
 //	reader ──work──▶ workers (one chunk each) ──results──▶ in-order emit
 //
 // The reader cuts the stream into chunks overlapping by maxLen-1 bytes, in
-// pooled buffers; each worker runs whole chunks — on an engine.ScanSession
-// borrowed from the engine's pool for the call (the one Run borrows from), or
-// on the pinned hybrid or NFA automaton — and keeps the matches ending in the
-// chunk's fresh bytes; the emit stage reorders completed chunks by
-// sequence number, so matches appear in (End, Pattern, Index) order
-// whatever the worker count. Chunk N+1 is being read and scanned while
-// chunk N's matches are emitted. All stages shut down — and every pooled
-// buffer is returned — before the call returns, on success, error and
-// cancellation alike.
+// pooled buffers; each worker runs whole chunks on an engine.ScanSession
+// borrowed from the engine's pool for the call (the one Run borrows from) and
+// keeps the matches ending in the chunk's fresh bytes; the emit stage
+// reorders completed chunks by sequence number, so matches appear in (End,
+// Pattern, Index) order whatever the worker count. Chunk N+1 is being read
+// and scanned while chunk N's matches are emitted. All stages shut down —
+// and every pooled buffer is returned — before the call returns, on
+// success, error and cancellation alike.
 func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxLen int, emit func(Match)) error {
 	overlap := maxLen - 1
 	workers := e.scanWorkers
@@ -166,12 +165,9 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			lane := scanLaneWorker - w
 			o.NameLane(lane, "scan/worker")
 			// PutSession drops the session if a chunk failed on it.
-			var ss *engine.ScanSession
-			var ssErr error
-			if e.fallback == nil {
-				if ss, ssErr = e.inner.GetSession(o, lane, false); ss != nil {
-					defer e.inner.PutSession(ss)
-				}
+			ss, ssErr := e.inner.GetSession(o, lane, false)
+			if ss != nil {
+				defer e.inner.PutSession(ss)
 			}
 			for j := range work {
 				j.matches = j.matches[:0]
@@ -183,7 +179,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 					if traced {
 						cspan = o.Span("scan", "scan-chunk", lane).Arg("seq", j.seq)
 					}
-					j.scan(pctx, e, ss, ssErr)
+					j.scan(pctx, ss, ssErr)
 					n := len(j.matches)
 					if traced {
 						cspan.Arg("matches", n).End()
@@ -253,22 +249,18 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	return readerErr
 }
 
-// scan runs the job's chunk — on the pinned fallback automaton when the
-// engine has one, else on the worker's session — containing any panic as a
-// typed internal error (mirroring Run's containment) so one poisoned chunk
-// cannot take down the pipeline.
-func (j *scanJob) scan(ctx context.Context, e *Engine, ss *engine.ScanSession, ssErr error) {
+// scan runs the job's chunk on the worker's session, containing any panic
+// as a typed internal error (mirroring Run's containment) so one poisoned
+// chunk cannot take down the pipeline.
+func (j *scanJob) scan(ctx context.Context, ss *engine.ScanSession, ssErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.err = &bgerr.InternalError{Op: "scan", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	switch {
-	case ssErr != nil:
+	if ssErr != nil {
 		j.err = ssErr
-	case e.fallback != nil:
-		j.matches, j.err = e.scanFallback(ctx, j.data, j.offset, j.newFrom, j.matches)
-	default:
-		j.matches, j.err = ss.Scan(ctx, j.data, j.offset, j.newFrom, j.matches)
+		return
 	}
+	j.matches, j.err = ss.Scan(ctx, j.data, j.offset, j.newFrom, j.matches)
 }

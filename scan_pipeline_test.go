@@ -406,7 +406,7 @@ func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
 }
 
 // TestScanReaderLadderStopsAtFirstFailingChunk pins first-failure semantics
-// on a pinned engine with one worker: no chunk past the failing one may reach
+// on an engine with one worker: no chunk past the failing one may reach
 // the engine. Every launch from chunk j's on fails, so the scan must end with
 // chunk j's error after exactly j+1 launches — although the reader has chunks
 // j+1 and j+2 queued by then — having emitted every match that ends before
@@ -416,7 +416,6 @@ func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
 	patterns, input := straddleCorpus(154) // 13 chunks
 	eng, err := Compile(patterns, &Options{
 		CTAs: 1, Threads: 64, ScanWorkers: 1, // one group: one launch per chunk
-		Resilience: &ResilienceOptions{ForceBackend: BackendBitstream},
 	})
 	if err != nil {
 		t.Fatal(err)

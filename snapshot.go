@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"bitgen/internal/bgerr"
-	"bitgen/internal/rx"
 	"bitgen/internal/snapshot"
 )
 
@@ -39,10 +38,11 @@ func hashCompileOptions(h hash.Hash, opts *Options) {
 
 // optionsHash fingerprints every compile-relevant option: a snapshot may
 // only be loaded under Options that would have compiled the identical
-// engine. Runtime-only options — ScanWorkers, Resilience, Observability —
-// are deliberately excluded: they reconfigure execution, not compilation,
-// so a snapshot saved by a plain process warm-starts a traced or
-// backend-pinned one.
+// engine. Runtime-only options — ScanWorkers, Observability — are
+// deliberately excluded: they reconfigure execution, not compilation, so a
+// snapshot saved by a plain process warm-starts a traced one. Resilience
+// is excluded too: an engine compiled with it saves like any other, and
+// DecodeEngine refuses to load under it.
 func optionsHash(opts *Options) string {
 	h := sha256.New()
 	hashField(h, "bitgen-snapshot-options-v3")
@@ -56,10 +56,10 @@ func optionsHash(opts *Options) string {
 // bounds) the public API derives from the pattern list. LoadEngine
 // restores it without recompiling.
 //
-// Runtime-only state — the backend pin, observability hooks, scan arenas —
-// is not persisted; LoadEngine rebuilds it from its own Options. Engines
-// compiled with Resilience save fine: only the bitstream engine's compiled
-// form is persisted, and the loader rebuilds a hybrid or NFA pin.
+// Runtime-only state — observability hooks, scan arenas — is not persisted;
+// LoadEngine rebuilds it from its own Options. Engines compiled with
+// Resilience save fine: only the bitstream engine's compiled form is
+// persisted, not the pinned NFA.
 func SaveEngine(w io.Writer, e *Engine) error {
 	if e == nil || e.inner == nil {
 		return fmt.Errorf("bitgen: SaveEngine: nil engine")
@@ -98,9 +98,11 @@ func EncodeEngine(e *Engine) []byte {
 // silently served with drifted semantics. Every failure satisfies
 // errors.Is(err, ErrSnapshot); callers fall back to Compile.
 //
-// Runtime-only options (ScanWorkers, Resilience, Observability) need not
-// match the saving process: they take effect on the loaded engine exactly
-// as they would on a fresh compile.
+// Runtime-only options (ScanWorkers, Observability) need not match the
+// saving process: they take effect on the loaded engine exactly as they
+// would on a fresh compile. Options with Resilience set are refused with an
+// *UnsupportedError: a snapshot holds no pattern ASTs to build the NFA
+// from.
 func LoadEngine(r io.Reader, opts *Options) (*Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -113,6 +115,9 @@ func LoadEngine(r io.Reader, opts *Options) (*Engine, error) {
 func DecodeEngine(data []byte, opts *Options) (*Engine, error) {
 	if opts == nil {
 		opts = &Options{}
+	}
+	if opts.Resilience != nil {
+		return nil, errPinned("loading a snapshot")
 	}
 	st, err := snapshot.Decode(data)
 	if err != nil {
@@ -142,18 +147,14 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 	}
 	// The duplicate-index fan-out is derived from the persisted pattern
 	// list, not re-parsed: identical inputs produce identical indexes.
-	var unique []string
 	indexesOf := make(map[string][]int, len(st.Patterns))
 	for i, p := range st.Patterns {
-		if _, seen := indexesOf[p]; !seen {
-			unique = append(unique, p)
-		}
 		indexesOf[p] = append(indexesOf[p], i)
 	}
 	e := &Engine{
-		inner:    inner,
-		patterns: st.Patterns,
-		unique:   unique, indexesOf: indexesOf, nullable: st.Nullable,
+		inner:     inner,
+		patterns:  st.Patterns,
+		indexesOf: indexesOf, nullable: st.Nullable,
 		limits: limits,
 		maxLen: st.MaxLen, unbounded: st.Unbounded,
 		obs:         observer,
@@ -162,25 +163,5 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 		optsHash:    st.OptionsHash,
 	}
 	e.initRankIndexes()
-	// A hybrid or NFA pin is a runtime construction over the pattern ASTs;
-	// snapshots persist only the bitstream programs, so it is rebuilt by
-	// re-parsing — cheap next to lowering.
-	err = e.pinBackend(opts.Resilience, func() ([]rx.Node, error) {
-		asts := make([]rx.Node, len(unique))
-		for i, p := range unique {
-			ast, err := rx.ParseWith(p, rx.Options{FoldCase: st.FoldCase})
-			if err != nil {
-				return nil, &bgerr.SnapshotError{
-					Reason: snapshot.ReasonCorrupt,
-					Detail: fmt.Sprintf("persisted pattern %q no longer parses: %v", p, err),
-				}
-			}
-			asts[i] = ast
-		}
-		return asts, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return e, nil
 }

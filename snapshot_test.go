@@ -79,27 +79,24 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripBackends loads under each backend pin: the snapshot
-// path must preserve cross-backend agreement.
+// TestSnapshotRoundTripBackends: a snapshot loads into the bitstream engine
+// only. The loaded engine answers like the fresh one; a load under the NFA
+// pin is refused, since a snapshot holds no pattern ASTs to build it from.
 func TestSnapshotRoundTripBackends(t *testing.T) {
 	fresh := compileFresh(t, nil)
 	want, err := fresh.Run(snapInput)
 	if err != nil {
 		t.Fatalf("fresh Run: %v", err)
 	}
-	for _, backend := range []string{"bitstream", "hybrid", "nfa"} {
-		opts := &Options{Resilience: &ResilienceOptions{ForceBackend: backend}}
-		loaded := roundTrip(t, fresh, opts)
-		got, err := loaded.Run(snapInput)
-		if err != nil {
-			t.Fatalf("loaded Run via %s: %v", backend, err)
-		}
-		if !reflect.DeepEqual(got.Matches, want.Matches) {
-			t.Fatalf("backend %s: loaded matches differ:\n got %+v\nwant %+v", backend, got.Matches, want.Matches)
-		}
-		if !reflect.DeepEqual(got.IndexCounts, want.IndexCounts) {
-			t.Fatalf("backend %s: IndexCounts differ: %v != %v", backend, got.IndexCounts, want.IndexCounts)
-		}
+	got, err := roundTrip(t, fresh, nil).Run(snapInput)
+	if err != nil {
+		t.Fatalf("loaded Run: %v", err)
+	}
+	if !reflect.DeepEqual(got.Matches, want.Matches) || !reflect.DeepEqual(got.IndexCounts, want.IndexCounts) {
+		t.Fatalf("loaded engine differs:\n got %+v %v\nwant %+v %v", got.Matches, got.IndexCounts, want.Matches, want.IndexCounts)
+	}
+	if _, err := DecodeEngine(EncodeEngine(fresh), &Options{Resilience: nfaPin}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("a load under the NFA pin: %v, want ErrUnsupported", err)
 	}
 }
 
@@ -286,10 +283,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSnapshotResilienceSaved saves an engine that was compiled WITH a
-// backend pin and loads it plain: only compiled state persists.
+// TestSnapshotResilienceSaved saves an engine that was compiled WITH the
+// NFA pin and loads it plain: only compiled state persists.
 func TestSnapshotResilienceSaved(t *testing.T) {
-	fresh := compileFresh(t, &Options{Resilience: &ResilienceOptions{}})
+	fresh := compileFresh(t, &Options{Resilience: nfaPin})
 	loaded := roundTrip(t, fresh, nil)
 	want, err := fresh.Run(snapInput)
 	if err != nil {

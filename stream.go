@@ -47,11 +47,14 @@ func (e *Engine) ScanReader(r io.Reader, chunkSize int, emit func(Match)) error 
 // Run on the whole stream would list them; a chunk that fails ends the scan
 // with its error after every match of the chunks before it was emitted.
 // Each worker runs its chunks on a reusable engine session, so the
-// steady-state chunk loop performs no heap allocation — or, on an engine
-// pinned to the hybrid or NFA backend, on that automaton.
+// steady-state chunk loop performs no heap allocation. An engine pinned to
+// the NFA reference refuses to stream with an *UnsupportedError.
 func (e *Engine) ScanReaderContext(ctx context.Context, r io.Reader, chunkSize int, emit func(Match)) error {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if e.ref != nil {
+		return errPinned("ScanReader")
 	}
 	if chunkSize == 0 {
 		chunkSize = 256 << 10
