@@ -37,7 +37,7 @@ vuln:
 # classes, panic containment, cancellation, first-failure streaming, the
 # backend pin and the cluster's peer breaker; then every test that runs the
 # conformance harness (its fault plans included), fuzz seeds too.
-HARNESS = Conformance|BackendsAgree|FuzzSnapshotRoundTrip|ChunkBoundaries|CountOnlyMatchesRunCounts|DuplicatePatterns|NullableEndOfInputAcross|RunCollectsLike|SignatureSet|ScanPipelinedMatchesSequential|ScanReaderBoundaryStraddle|ScanReaderMatchesWholeInput|ScanReaderLadderMatchesRun|ScanWorkersOption|StateCompressionDifferential
+HARNESS = Conformance|MatchersAgree|FuzzSnapshotRoundTrip|ChunkBoundaries|CountOnlyMatchesRunCounts|DuplicatePatterns|NullableEndOfInputAcross|RunCollectsLike|SignatureSet|ScanPipelinedMatchesSequential|ScanReaderBoundaryStraddle|ScanReaderMatchesWholeInput|ScanReaderLadderMatchesRun|ScanWorkersOption|StateCompressionDifferential
 fault:
 	$(GO) test -race -run 'Injected|Hardened|WhileCap|Cancel|Limit|Concurrent|ErrorClass|Faults|ForceBackend|Pinned|FailingChunk|Terminal|Breaker' \
 		./internal/faultinject/ ./internal/kernel/ ./internal/engine/ ./internal/cluster/ .
@@ -48,7 +48,7 @@ fault:
 # the parser. FUZZTIME=2m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz '^FuzzBackendsAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzBackendsAgree$$' .
+	$(GO) test -fuzz '^FuzzMatchersAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgree$$' .
 	$(GO) test -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME) -run '^FuzzSnapshotRoundTrip$$' .
 	$(GO) test -fuzz '^FuzzScanReaderChunkBoundaries$$' -fuzztime $(FUZZTIME) -run '^FuzzScanReaderChunkBoundaries$$' .
 	$(GO) test -fuzz '^FuzzLower$$' -fuzztime $(FUZZTIME) -run '^FuzzLower$$' ./internal/lower
@@ -61,7 +61,7 @@ fuzz:
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
 	printf 'error: timeout after 30ms\nok line\nfatal: disk full\n' > $$tmp/input.txt && \
-	$(GO) run ./cmd/rxgrep -q -metrics -trace $$tmp/trace.json -profile $$tmp/profile.json \
+	$(GO) run ./cmd/bitgen -q -metrics -trace $$tmp/trace.json -profile $$tmp/profile.json \
 		'error|fatal' $$tmp/input.txt > $$tmp/metrics.txt && \
 	$(GO) run ./cmd/obscheck -trace $$tmp/trace.json -metrics $$tmp/metrics.txt && \
 	rm -rf $$tmp
@@ -269,6 +269,6 @@ bench-smoke:
 	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
 	@tmp=$$(mktemp -d) && \
 	i=0; while [ $$i -lt 2000 ]; do echo "error: timeout after 30ms on line $$i; retry ok"; i=$$((i+1)); done > $$tmp/input.txt && \
-	$(GO) run ./cmd/rxgrep -q -stream 4096 -trace $$tmp/trace.json 'error|fatal' $$tmp/input.txt && \
+	$(GO) run ./cmd/bitgen -q -stream 4096 -trace $$tmp/trace.json 'error|fatal' $$tmp/input.txt && \
 	$(GO) run ./cmd/obscheck -trace $$tmp/trace.json && \
 	rm -rf $$tmp

@@ -58,17 +58,6 @@ type Options struct {
 	Device string
 	// CTAs overrides the number of CTA groups (default 256).
 	CTAs int
-	// Threads overrides the CTA size (default 512).
-	Threads int
-	// DisableShiftRebalancing turns off the Section 5 pass.
-	DisableShiftRebalancing bool
-	// DisableZeroBlockSkipping turns off the Section 6 pass.
-	DisableZeroBlockSkipping bool
-	// MergeSize bounds barrier merging (default 8; ignored when shift
-	// rebalancing is disabled).
-	MergeSize int
-	// IntervalSize is the zero-block-skipping guard spacing (default 8).
-	IntervalSize int
 	// Limits bounds resource use; the zero value applies the documented
 	// defaults (see Limits). Violations return errors satisfying
 	// errors.Is(err, ErrLimit).
@@ -86,6 +75,11 @@ type Options struct {
 	// concurrently (default GOMAXPROCS). Even one worker pipelines: the
 	// reader stays a chunk ahead of execution.
 	ScanWorkers int
+
+	// threads overrides the CTA size (default 512). Only package tests set
+	// it, to reach small blocks (loops and carries that cross them, the
+	// overlap fallback); the paper's knobs live on engine.Config.
+	threads int
 }
 
 // Default resource limits, applied when the corresponding Limits field is
@@ -365,22 +359,10 @@ func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer
 	if opts.CTAs > 0 {
 		grid.CTAs = opts.CTAs
 	}
-	if opts.Threads > 0 {
-		grid.Threads = opts.Threads
+	if opts.threads > 0 {
+		grid.Threads = opts.threads
 	}
 	cfg.Grid = grid
-	if opts.DisableShiftRebalancing {
-		cfg.ShiftRebalancing = false
-		cfg.MergeSize = 0
-	} else if opts.MergeSize > 0 {
-		cfg.MergeSize = opts.MergeSize
-	}
-	if opts.DisableZeroBlockSkipping {
-		cfg.ZeroBlockSkipping = false
-	}
-	if opts.IntervalSize > 0 {
-		cfg.IntervalSize = opts.IntervalSize
-	}
 	if limits.MaxProgramInstructions > 0 {
 		cfg.MaxProgramInstructions = limits.MaxProgramInstructions
 	}
@@ -396,15 +378,15 @@ func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer
 // the pattern list as given — order and duplicates included, since
 // Match.Index and Result.IndexCounts number the entries — and every Options
 // field that changes the compiled engine (syntax flags, device, launch
-// geometry, optimization toggles, limits). Two (patterns, opts) pairs with
-// equal keys compile to engines with identical results, so serving layers use
-// the key to share one cached *Engine across identical requests.
+// geometry, limits). Two (patterns, opts) pairs with equal keys compile to
+// engines with identical results, so serving layers use the key to share
+// one cached *Engine across identical requests.
 func PatternSetKey(patterns []string, opts *Options) string {
 	if opts == nil {
 		opts = &Options{}
 	}
 	h := sha256.New()
-	hashField(h, "bitgen-pattern-set-v3")
+	hashField(h, "bitgen-pattern-set-v4")
 	for _, p := range patterns {
 		hashField(h, p)
 	}

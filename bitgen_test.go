@@ -82,8 +82,8 @@ func TestOptionValidation(t *testing.T) {
 func TestDeviceOption(t *testing.T) {
 	input := []byte(strings.Repeat("flag{secret} noise noise ", 200))
 	patterns := []string{"flag\\{[a-z]+\\}"}
-	slow := MustCompile(patterns, &Options{Device: "RTX 3090", CTAs: 8, Threads: 32})
-	fast := MustCompile(patterns, &Options{Device: "L40S", CTAs: 8, Threads: 32})
+	slow := MustCompile(patterns, &Options{Device: "RTX 3090", CTAs: 8, threads: 32})
+	fast := MustCompile(patterns, &Options{Device: "L40S", CTAs: 8, threads: 32})
 	rSlow, err := slow.Run(input)
 	if err != nil {
 		t.Fatal(err)
@@ -100,37 +100,8 @@ func TestDeviceOption(t *testing.T) {
 	}
 }
 
-func TestOptimizationToggles(t *testing.T) {
-	patterns := []string{"abcdefgh", "qrstuvwx"}
-	input := []byte(strings.Repeat("zzzzzzzzabcdefghzzzz ", 100))
-	// Shift rebalancing + merging alone must cut barriers; ZBS guards are
-	// disabled here because on a matching input their checks add barriers.
-	full := MustCompile(patterns, &Options{CTAs: 2, Threads: 32, DisableZeroBlockSkipping: true})
-	plain := MustCompile(patterns, &Options{
-		CTAs: 2, Threads: 32,
-		DisableShiftRebalancing:  true,
-		DisableZeroBlockSkipping: true,
-	})
-	rFull, err := full.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rPlain, err := plain.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range rFull.Counts {
-		if rFull.Counts[p] != rPlain.Counts[p] {
-			t.Errorf("toggle changed semantics for %q", p)
-		}
-	}
-	if rFull.Stats.Barriers >= rPlain.Stats.Barriers {
-		t.Error("optimizations did not reduce barriers")
-	}
-}
-
 func TestConcurrentRuns(t *testing.T) {
-	eng := MustCompile([]string{"cat", "do(g|ve)s?"}, &Options{CTAs: 2, Threads: 32})
+	eng := MustCompile([]string{"cat", "do(g|ve)s?"}, &Options{CTAs: 2, threads: 32})
 	inputs := [][]byte{
 		[]byte(strings.Repeat("cat dove ", 100)),
 		[]byte(strings.Repeat("dogs dogs ", 100)),

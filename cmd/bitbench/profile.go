@@ -26,7 +26,7 @@ type profileReport struct {
 // runProfile scans each selected application through the public API with
 // metrics enabled and collects the per-scan profile artifact. The
 // numbers are gpusim.PerCTATime / the engine's TimeBreakdown — the same
-// values the rxgrep -profile exporter writes, by construction.
+// values the bitgen -profile exporter writes, by construction.
 func runProfile(s *experiments.Suite) (*profileReport, error) {
 	apps := s.Opts().Apps
 	if len(apps) == 0 {

@@ -1,8 +1,8 @@
 // Command obscheck validates observability artifacts: Chrome trace_event
 // JSON files (the one format obs.WriteChromeTrace writes: an engine's own
-// trace from rxgrep -trace / Engine.WriteTrace, or with -nodes a stitched
+// trace from bitgen -trace / Engine.WriteTrace, or with -nodes a stitched
 // multi-node cluster trace from bitgend -stitch / serve.StitchTrace),
-// Prometheus text-exposition dumps (rxgrep -metrics /
+// Prometheus text-exposition dumps (bitgen -metrics /
 // Engine.WritePrometheus), and anomaly flight-recorder bundles (bitgend
 // /debug/bundle). It is the checker behind `make obs-smoke` and
 // `make obs-cluster-smoke`.

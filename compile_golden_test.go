@@ -53,7 +53,9 @@ func goldenSets(t testing.TB) []goldenSet {
 // the six generators after stream_light, at 0945957. The
 // artifact must not depend on how wide the host is, so every set compiles
 // under GOMAXPROCS 1, 2 and 4 against the same line. Rewrite the golden
-// (-update-golden) only for a deliberate change to lowering or a pass.
+// (-update-golden) only for a deliberate change to lowering or a pass, or
+// for a new options-hash domain tag: the snapshot carries the options
+// fingerprint, so a tag bump moves every sha256 and nothing else.
 func TestCompiledArtifactGolden(t *testing.T) {
 	const golden = "testdata/compile.golden"
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

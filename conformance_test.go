@@ -57,7 +57,7 @@ func sortMatches(ms []Match) {
 
 // tinyGeometry launches 4-thread CTAs: 128-bit blocks, on which loops and
 // carry chains outgrow the overlap and take the materialized fallback.
-var tinyGeometry = Options{CTAs: 2, Threads: 4}
+var tinyGeometry = Options{CTAs: 2, threads: 4}
 
 // conformance runs the cells of one test and counts what its corpus reached,
 // so a corpus that stops straddling a chunk boundary, taking a fallback,
@@ -461,9 +461,9 @@ func fuzzSet(t *testing.T, seed uint64) ([]string, *Engine) {
 	return patterns, e
 }
 
-// FuzzBackendsAgree runs the harness's cells on generated pattern sets: every
+// FuzzMatchersAgree runs the harness's cells on generated pattern sets: every
 // matcher, entry point and chunk size must list the reference's matches.
-func FuzzBackendsAgree(f *testing.F) {
+func FuzzMatchersAgree(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s.seed, []byte(s.data))
 	}

@@ -8,9 +8,9 @@ import "bitgen/internal/ir"
 // single-def single-use temporaries: a value defined by one instruction and
 // consumed exactly once by the instruction that immediately follows can be
 // fused into its consumer and live entirely in registers inside one fused
-// pass, never touching a window buffer or a backing stream. Last is 1 + the
-// index of the last top-level statement that reads each variable, a read in
-// an if or while body counting as its enclosing statement's; 0 for none.
+// pass, never touching a window buffer or a backing stream. Last is
+// ir.LastReads: 1 + the index of the last top-level statement that reads
+// each variable, 0 for none.
 type UseDef struct {
 	Defs []int32
 	Uses []int32
@@ -26,32 +26,16 @@ func (ud UseDef) SingleUseTemp(v ir.VarID) bool {
 // CountUseDef tallies definitions and uses over stmts (recursing into
 // if/while bodies). numVars bounds the variable space.
 func CountUseDef(stmts []ir.Stmt, numVars int) UseDef {
-	all := make([]int32, 3*numVars)
-	ud := UseDef{Defs: all[:numVars], Uses: all[numVars : 2*numVars], Last: all[2*numVars:]}
+	counts := make([]int32, 2*numVars)
+	ud := UseDef{Defs: counts[:numVars], Uses: counts[numVars:], Last: ir.LastReads(stmts, numVars)}
 	var buf [2]ir.VarID
-	var at int32
-	use := func(v ir.VarID) {
-		ud.Uses[v]++
-		ud.Last[v] = at
-	}
-	visit := func(s ir.Stmt) {
-		switch x := s.(type) {
-		case *ir.Assign:
-			for _, v := range ir.OperandsInto(x.Expr, &buf) {
-				use(v)
-			}
-			ud.Defs[x.Dst]++
-		case *ir.Guard:
-			use(x.Cond)
-		case *ir.If:
-			use(x.Cond)
-		case *ir.While:
-			use(x.Cond)
+	ir.WalkStmts(stmts, func(s ir.Stmt) {
+		for _, v := range ir.ReadsInto(s, &buf) {
+			ud.Uses[v]++
 		}
-	}
-	for i := range stmts {
-		at = int32(i + 1)
-		ir.WalkStmts(stmts[i:i+1], visit)
-	}
+		if a, ok := s.(*ir.Assign); ok {
+			ud.Defs[a.Dst]++
+		}
+	})
 	return ud
 }

@@ -282,7 +282,8 @@ func TestPartitionFewerRegexesThanCTAs(t *testing.T) {
 }
 
 func TestAblationLadderConfigs(t *testing.T) {
-	// The five rows of Table 3 must all compile, run, and agree.
+	// The five rows of Table 3 must all compile, run, and agree, and Shift
+	// Rebalancing with barrier merging must cut DTM's barriers.
 	regexes := mustRegexes(t, "ab(cd)*e", "xy+z", "hello", "w[aeiou]rld.*end")
 	input := []byte(strings.Repeat("abcdcde xyyz hello world...end ", 30))
 	configs := map[string]Config{
@@ -293,6 +294,7 @@ func TestAblationLadderConfigs(t *testing.T) {
 		"ZBS":  BitGenDefault(),
 	}
 	var wantCounts map[string]int
+	barriers := map[string]int64{}
 	for name, cfg := range configs {
 		cfg.Grid = smallGrid
 		e, err := Compile(regexes, cfg)
@@ -303,6 +305,7 @@ func TestAblationLadderConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		barriers[name] = res.Stats.Total().Barriers
 		if wantCounts == nil {
 			wantCounts = res.MatchCounts
 			continue
@@ -312,6 +315,9 @@ func TestAblationLadderConfigs(t *testing.T) {
 				t.Errorf("%s: count for %q = %d, want %d", name, k, res.MatchCounts[k], v)
 			}
 		}
+	}
+	if barriers["SR"] >= barriers["DTM"] {
+		t.Errorf("SR barriers = %d, DTM %d: rebalancing did not cut them", barriers["SR"], barriers["DTM"])
 	}
 }
 

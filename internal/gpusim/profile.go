@@ -14,7 +14,7 @@ const ProfileSchema = "bitgen-profile/v1"
 // per kernel launch — the join the paper's evaluation tables are made of
 // (Tables 4-6 are columns of Totals and Kernels; Figure 12's breakdown is
 // Time). It marshals to stable JSON for the bitbench "profile" artifact
-// and the rxgrep trace workflow.
+// and the bitgen -profile workflow.
 type Profile struct {
 	Schema string `json:"schema"`
 	// Device is the GPU profile the times were modeled on.

@@ -37,16 +37,15 @@ type InterpOptions struct {
 type Result struct {
 	// Outputs maps each program output name to its match stream.
 	Outputs map[string]*bitstream.Stream
-	// Vars is the final environment, indexed by VarID (nil = never
-	// assigned).
-	Vars  []*bitstream.Stream
-	Stats ExecStats
+	Stats   ExecStats
 }
 
 // Interpret executes a bitstream program over the full input, one
 // instruction at a time across the entire stream — the execution model of
 // CPU bitstream engines like icgrep, and the golden reference for the GPU
-// executors.
+// executors. A stream that is not an output is dropped after its last
+// top-level read (LastReads), so the live set, not the program, bounds
+// memory.
 func Interpret(p *Program, basis *transpose.Basis, opts InterpOptions) (*Result, error) {
 	n := basis.N
 	maxIter := opts.MaxWhileIterations
@@ -61,12 +60,11 @@ func Interpret(p *Program, basis *transpose.Basis, opts InterpOptions) (*Result,
 		maxIter: maxIter,
 		honor:   opts.HonorGuards,
 	}
-	if err := env.runBody(p.Stmts); err != nil {
+	if err := env.runTop(); err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Outputs: make(map[string]*bitstream.Stream, len(p.Outputs)),
-		Vars:    env.vars,
 		Stats:   env.stats,
 	}
 	for _, o := range p.Outputs {
@@ -123,13 +121,45 @@ type interpEnv struct {
 // as all-zero — the same semantics the block-wise executors give their
 // window-fresh register files. Textual use-before-def is still rejected by
 // Validate.
-func (e *interpEnv) get(v VarID) (*bitstream.Stream, error) {
+func (e *interpEnv) get(v VarID) *bitstream.Stream {
 	s := e.vars[v]
 	if s == nil {
 		s = bitstream.New(e.n)
 		e.vars[v] = s
 	}
-	return s, nil
+	return s
+}
+
+// runTop runs the program's top-level statements one at a time, each
+// through runBody, and drops every non-output stream once the statements
+// run or skipped so far include its last read.
+func (e *interpEnv) runTop() error {
+	p := e.prog
+	output := make([]bool, p.NumVars)
+	for _, o := range p.Outputs {
+		output[o.Var] = true
+	}
+	dead := make([][]VarID, len(p.Stmts)+1)
+	for v, at := range LastReads(p.Stmts, p.NumVars) {
+		if at > 0 && !output[v] {
+			dead[at] = append(dead[at], VarID(v))
+		}
+	}
+	for i := 0; i < len(p.Stmts); {
+		next := i + 1
+		if g, ok := p.Stmts[i].(*Guard); ok && e.honor {
+			next += g.Skip
+		}
+		if err := e.runBody(p.Stmts[i:next]); err != nil {
+			return err
+		}
+		for ; i < next; i++ {
+			for _, v := range dead[i+1] {
+				e.vars[v] = nil
+			}
+		}
+	}
+	return nil
 }
 
 func (e *interpEnv) runBody(body []Stmt) error {
@@ -140,11 +170,7 @@ func (e *interpEnv) runBody(body []Stmt) error {
 				return err
 			}
 		case *If:
-			cond, err := e.get(x.Cond)
-			if err != nil {
-				return err
-			}
-			if cond.Any() {
+			if e.get(x.Cond).Any() {
 				if err := e.runBody(x.Body); err != nil {
 					return err
 				}
@@ -152,11 +178,7 @@ func (e *interpEnv) runBody(body []Stmt) error {
 		case *While:
 			iters := 0
 			for {
-				cond, err := e.get(x.Cond)
-				if err != nil {
-					return err
-				}
-				if !cond.Any() {
+				if !e.get(x.Cond).Any() {
 					break
 				}
 				if iters++; iters > e.maxIter {
@@ -171,11 +193,7 @@ func (e *interpEnv) runBody(body []Stmt) error {
 			if !e.honor {
 				continue
 			}
-			cond, err := e.get(x.Cond)
-			if err != nil {
-				return err
-			}
-			if !cond.Any() {
+			if !e.get(x.Cond).Any() {
 				e.stats.GuardSkips++
 				for _, s := range body[i+1 : i+1+x.Skip] {
 					e.zeroDefs(s)
@@ -214,26 +232,12 @@ func (e *interpEnv) assign(a *Assign) error {
 	case Ones:
 		out = bitstream.NewOnes(e.n)
 	case Copy:
-		s, err := e.get(x.Src)
-		if err != nil {
-			return err
-		}
-		out = s.Clone()
+		out = e.get(x.Src).Clone()
 	case Not:
-		s, err := e.get(x.Src)
-		if err != nil {
-			return err
-		}
-		out = s.Not()
+		out = e.get(x.Src).Not()
 	case Bin:
-		sx, err := e.get(x.X)
-		if err != nil {
-			return err
-		}
-		sy, err := e.get(x.Y)
-		if err != nil {
-			return err
-		}
+		sx := e.get(x.X)
+		sy := e.get(x.Y)
 		switch x.Op {
 		case OpAnd:
 			out = sx.And(sy)
@@ -247,31 +251,11 @@ func (e *interpEnv) assign(a *Assign) error {
 			return fmt.Errorf("ir: unknown binop %v", x.Op)
 		}
 	case Shift:
-		s, err := e.get(x.Src)
-		if err != nil {
-			return err
-		}
-		out = s.Shift(x.K)
+		out = e.get(x.Src).Shift(x.K)
 	case Add:
-		sx, err := e.get(x.X)
-		if err != nil {
-			return err
-		}
-		sy, err := e.get(x.Y)
-		if err != nil {
-			return err
-		}
-		out = sx.Add(sy)
+		out = e.get(x.X).Add(e.get(x.Y))
 	case StarThru:
-		m, err := e.get(x.M)
-		if err != nil {
-			return err
-		}
-		c, err := e.get(x.C)
-		if err != nil {
-			return err
-		}
-		out = bitstream.MatchStar(m, c)
+		out = bitstream.MatchStar(e.get(x.M), e.get(x.C))
 	case MatchBasis:
 		out = e.basis.Bit(x.Bit).Clone()
 	default:

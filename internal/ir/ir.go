@@ -292,6 +292,43 @@ func OperandsInto(e Expr, buf *[2]VarID) []VarID {
 	return buf[:0]
 }
 
+// ReadsInto writes the variables s itself reads into buf and returns the
+// filled prefix: an assignment's operands, or a guard's, if's or while's
+// condition. Bodies are not entered.
+func ReadsInto(s Stmt, buf *[2]VarID) []VarID {
+	switch x := s.(type) {
+	case *Assign:
+		return OperandsInto(x.Expr, buf)
+	case *Guard:
+		buf[0] = x.Cond
+	case *If:
+		buf[0] = x.Cond
+	case *While:
+		buf[0] = x.Cond
+	default:
+		return buf[:0]
+	}
+	return buf[:1]
+}
+
+// LastReads returns, per variable, 1 + the index of the last statement of
+// stmts that reads it, a read inside an if or while body counting as its
+// enclosing statement's; 0 for a variable stmts never reads. Nothing in
+// stmts reads a variable's value after that statement.
+func LastReads(stmts []Stmt, numVars int) []int32 {
+	last := make([]int32, numVars)
+	var buf [2]VarID
+	for i := range stmts {
+		at := int32(i + 1)
+		WalkStmts(stmts[i:i+1], func(s Stmt) {
+			for _, v := range ReadsInto(s, &buf) {
+				last[v] = at
+			}
+		})
+	}
+	return last
+}
+
 // WalkStmts visits every statement (pre-order, recursing into bodies).
 func WalkStmts(list []Stmt, fn func(Stmt)) {
 	for _, s := range list {

@@ -110,6 +110,35 @@ func TestListing3KleeneStar(t *testing.T) {
 	}
 }
 
+// TestLastReadsCountsBodyReadsAtTheirStatement pins the liveness rule
+// Interpret frees streams by: a read inside a while body is the loop's
+// read, so a stream the loop reads stays live for every iteration.
+func TestLastReadsCountsBodyReadsAtTheirStatement(t *testing.T) {
+	b := NewBuilder()
+	x := b.Emit(Ones{})  // 1
+	y := b.Emit(Zero{})  // 2
+	m := b.Emit(Copy{x}) // 3
+	b.While(m, func() {  // 4
+		b.EmitTo(m, Bin{OpAnd, m, y})
+	})
+	z := b.Emit(Not{x}) // 5
+	b.Output("z", z)
+	p := b.Program()
+	last := LastReads(p.Stmts, p.NumVars)
+	for v, want := range map[VarID]int32{x: 5, y: 4, m: 4, z: 0} {
+		if last[v] != want {
+			t.Errorf("LastReads[S%d] = %d, want %d", v, last[v], want)
+		}
+	}
+	res, err := Interpret(p, transpose.Transpose([]byte("abc")), InterpOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outputs["z"].String(); got != "..." {
+		t.Errorf("z = %q, want ...", got)
+	}
+}
+
 func TestWhileLoopIterationCap(t *testing.T) {
 	// while(ones) { nothing changes } must hit the iteration cap.
 	b := NewBuilder()

@@ -37,7 +37,7 @@ func (r *trickleReader) Read(p []byte) (int, error) {
 // ErrCanceled promptly and hand back every pooled buffer (run under -race
 // this also shakes out reader/worker/emit data races).
 func TestScanPipelinedCancellation(t *testing.T) {
-	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, Threads: 32})
+	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, threads: 32})
 	for _, workers := range []int{1, 4} {
 		a := &arena.Arena{}
 		eng.scanArena, eng.scanWorkers = a, workers
@@ -106,7 +106,7 @@ func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
 	input := []byte(strings.Repeat(unit, chunks*chunk/len(unit)+1))[:chunks*chunk]
 
 	for _, workers := range []int{1, 2, 4} {
-		eng := MustCompile([]string{"fox|dog", "l.zy"}, &Options{CTAs: 2, Threads: 64, ScanWorkers: workers})
+		eng := MustCompile([]string{"fox|dog", "l.zy"}, &Options{CTAs: 2, threads: 64, ScanWorkers: workers})
 		groups := eng.inner.Groups()
 		if len(groups) != 2 {
 			t.Fatalf("compiled %d groups, test assumes 2", len(groups))
@@ -265,7 +265,7 @@ func TestRunUnboundedAllocs(t *testing.T) {
 // read-failure path (semantics are pinned by TestScanReaderMidStreamReadFailure)
 // and asserts the failure leaks no pooled buffers.
 func TestScanPipelinedReadFailureReturnsBuffers(t *testing.T) {
-	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, Threads: 32})
+	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, threads: 32})
 	a := &arena.Arena{}
 	eng.scanArena, eng.scanWorkers = a, 2
 	input := []byte(strings.Repeat("xxcatxxx", 400))
@@ -286,7 +286,7 @@ func TestScanPipelinedReadFailureReturnsBuffers(t *testing.T) {
 // long stream, normalized per extra chunk, must be ~zero. The strict
 // zero-allocs/op proof is BenchmarkScanReader, where setup amortizes away.
 func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
-	eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, Threads: 32})
+	eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, threads: 32})
 	unit := []byte(strings.Repeat("the cat sat on the dog ", 180)) // ~4KB ≈ one chunk
 	const chunk = 4096
 	// A scan that finds the engine's session pool short builds a session:
@@ -346,7 +346,7 @@ func TestScanPipelinedMatchesSequential(t *testing.T) {
 	extra := []int{2, 8, 9, 88, 1015, 1 + rng.Intn(300), 1 + rng.Intn(300), 1 + rng.Intn(300)}
 	c := &conformance{t: t}
 	c.set("as given", corpus{patterns: []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", "0\\d{3}"}, input: []byte(sb.String()),
-		opts: &Options{CTAs: 2, Threads: 64}, extra: extra})
+		opts: &Options{CTAs: 2, threads: 64}, extra: extra})
 	if c.straddled == 0 {
 		t.Fatal("degenerate corpus: no match straddles a chunk boundary")
 	}
@@ -370,7 +370,7 @@ func TestScanWorkersOption(t *testing.T) {
 	input := []byte(strings.Repeat("a cat, a dog. ", 2000))
 	want := reference(t, []string{"cat|dog"}, input)
 	for _, workers := range []int{0, 1, 2, 8} {
-		eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, Threads: 32, ScanWorkers: workers})
+		eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, threads: 32, ScanWorkers: workers})
 		if eng.scanWorkers != workers {
 			t.Fatalf("scanWorkers = %d, want %d", eng.scanWorkers, workers)
 		}
@@ -402,7 +402,7 @@ func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
 			t.Fatalf("chunk %d: %d of the %d boundaries straddled", chunk, n, all)
 		}
 	}
-	(&conformance{t: t}).row(corpus{patterns: patterns, input: input, opts: &Options{CTAs: 2, Threads: 64}, wide: true})
+	(&conformance{t: t}).row(corpus{patterns: patterns, input: input, opts: &Options{CTAs: 2, threads: 64}, wide: true})
 }
 
 // TestScanReaderLadderStopsAtFirstFailingChunk pins first-failure semantics
@@ -415,7 +415,7 @@ func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
 	const chunk, j = 64, 5
 	patterns, input := straddleCorpus(154) // 13 chunks
 	eng, err := Compile(patterns, &Options{
-		CTAs: 1, Threads: 64, ScanWorkers: 1, // one group: one launch per chunk
+		CTAs: 1, threads: 64, ScanWorkers: 1, // one group: one launch per chunk
 	})
 	if err != nil {
 		t.Fatal(err)

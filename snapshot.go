@@ -26,10 +26,8 @@ func hashField(h hash.Hash, s string) {
 // both call it, so a new Options field that changes the compiled engine
 // is added here once and reaches both hashes.
 func hashCompileOptions(h hash.Hash, opts *Options) {
-	hashField(h, fmt.Sprintf("%t|%s|%d|%d|%t|%t|%d|%d",
-		opts.FoldCase, opts.Device, opts.CTAs, opts.Threads,
-		opts.DisableShiftRebalancing, opts.DisableZeroBlockSkipping,
-		opts.MergeSize, opts.IntervalSize))
+	hashField(h, fmt.Sprintf("%t|%s|%d|%d",
+		opts.FoldCase, opts.Device, opts.CTAs, opts.threads))
 	hashField(h, fmt.Sprintf("%d|%d|%d|%d|%d",
 		opts.Limits.MaxInputBytes, opts.Limits.MaxPatterns,
 		opts.Limits.MaxProgramInstructions, opts.Limits.MaxWhileIterations,
@@ -45,7 +43,7 @@ func hashCompileOptions(h hash.Hash, opts *Options) {
 // DecodeEngine refuses to load under it.
 func optionsHash(opts *Options) string {
 	h := sha256.New()
-	hashField(h, "bitgen-snapshot-options-v3")
+	hashField(h, "bitgen-snapshot-options-v4")
 	hashCompileOptions(h, opts)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -93,9 +91,9 @@ func EncodeEngine(e *Engine) []byte {
 // every section checksum are checked, the decoded programs are re-validated
 // against IR invariants, and the snapshot's options fingerprint must equal
 // the caller's — a snapshot compiled under different compile-relevant
-// Options (syntax flags, device, geometry, optimization toggles, Limits)
-// is refused with a *SnapshotError (reason "options-mismatch") rather than
-// silently served with drifted semantics. Every failure satisfies
+// Options (syntax flags, device, geometry, Limits) is refused with a
+// *SnapshotError (reason "options-mismatch") rather than silently served
+// with drifted semantics. Every failure satisfies
 // errors.Is(err, ErrSnapshot); callers fall back to Compile.
 //
 // Runtime-only options (ScanWorkers, Observability) need not match the

@@ -112,7 +112,8 @@ func TestSnapshotOptionsMismatch(t *testing.T) {
 	cases := []*Options{
 		{FoldCase: true},
 		{CTAs: 8},
-		{DisableZeroBlockSkipping: true},
+		{Device: "L40S"},
+		{threads: 64},
 		{Limits: Limits{MaxWhileIterations: 7}},
 	}
 	for _, opts := range cases {
@@ -132,24 +133,30 @@ func TestSnapshotOptionsMismatch(t *testing.T) {
 		}
 	}
 
-	// A snapshot written before the options-hash domain moved to v3 is
+	// A snapshot written before the options-hash domain moved to v4 is
 	// otherwise intact (same container, same packed groups): patch in the
-	// hash the v2 formula stored for default options. It must be refused
-	// as options-mismatch — a negotiation refusal that leaves the file in
-	// place for recompilation — never as corrupt, which would quarantine.
+	// hash the v2 or v3 formula stored for default options. It must be
+	// refused as options-mismatch — a negotiation refusal that leaves the
+	// file in place for recompilation — never as corrupt, which would
+	// quarantine.
 	st, err := snapshot.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	hashField(h, "bitgen-snapshot-options-v2")
-	hashField(h, "false||0|0|false|false|0|0|false")
-	hashField(h, "0|0|0|0|0")
-	st.OptionsHash = hex.EncodeToString(h.Sum(nil))
-	_, err = DecodeEngine(snapshot.Encode(st), nil)
-	var se *SnapshotError
-	if !errors.As(err, &se) || se.Reason != "options-mismatch" {
-		t.Fatalf("pre-v3 options hash: want options-mismatch, got %v", err)
+	for domain, fields := range map[string]string{
+		"bitgen-snapshot-options-v2": "false||0|0|false|false|0|0|false",
+		"bitgen-snapshot-options-v3": "false||0|0|false|false|0|0",
+	} {
+		h := sha256.New()
+		hashField(h, domain)
+		hashField(h, fields)
+		hashField(h, "0|0|0|0|0")
+		st.OptionsHash = hex.EncodeToString(h.Sum(nil))
+		_, err = DecodeEngine(snapshot.Encode(st), nil)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Reason != "options-mismatch" {
+			t.Fatalf("%s options hash: want options-mismatch, got %v", domain, err)
+		}
 	}
 }
 
