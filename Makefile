@@ -179,7 +179,7 @@ profile-sigs:
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench ScanReaderSigs -test.benchtime 30x \
 		-test.cpuprofile $(PROFILE_DIR)/sigs.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof
-	$(GO) tool pprof -list 'ctaExec..execPrologue|Basis..Present|classEval..run|ScanSession..mergeMatches|ctaExec..commitWindow' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
+	$(GO) tool pprof -list 'Executor..execPrologue|Basis..Present|classEval..run|ScanSession..mergeMatches|Executor..commitWindow' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/sigs.prof | \
 		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-light is the host layers' CPU profile as a command: the repo
@@ -210,7 +210,7 @@ profile-control:
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench RunControl -test.benchtime 300x \
 		-test.cpuprofile $(PROFILE_DIR)/control.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof
-	$(GO) tool pprof -list 'ctaExec..runWindowToFixpoint' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof | \
+	$(GO) tool pprof -list 'Executor..runWindowToFixpoint' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof | \
 		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s'
 
 # profile-compile is the compile path's CPU and allocation profile as a
@@ -222,8 +222,11 @@ profile-control:
 # profiler's stack walks are a fifth of the CPU profile. BENCH_SIZE=10000 is
 # the regime where a group holds ~39 patterns and the passes dominate;
 # BENCH=CompileSigs is what setup_s times on stream_sigs (BenchmarkCompileSigs:
-# a cold compile of the 168-signature set plus its first 256 KiB ScanReader).
-# Run it on the parent commit and the change for a before/after pair.
+# a cold compile of the 168-signature set plus its first 256 KiB ScanReader);
+# BENCH=LoadAndFirstRun is the load half of the megaset cycle alone
+# (BenchmarkLoadAndFirstRun: DecodeEngine and the first Run, the compile and
+# the snapshot outside the timer). Run it on the parent commit and the change
+# for a before/after pair.
 BENCH_SIZE ?= 500
 BENCH ?= CompileMegaset/$(BENCH_SIZE)
 profile-compile:

@@ -76,6 +76,41 @@ func compileAndFirstScanSigs(tb testing.TB) func() error {
 	}
 }
 
+// BenchmarkLoadAndFirstRun is the load half of BenchmarkCompileMegaset/500:
+// decode the snapshot and serve the loaded engine's first Run, which builds
+// its session — every group's kernel compiled, one executor per worker.
+// Compile and EncodeEngine stay outside the timer.
+func BenchmarkLoadAndFirstRun(b *testing.B) {
+	op := loadAndFirstRunMegaset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func loadAndFirstRunMegaset(tb testing.TB) func() error {
+	app, err := workload.Megaset(500, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := Compile(app.Patterns, megasetOpts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob := EncodeEngine(eng)
+	return func() error {
+		loaded, err := DecodeEngine(blob, megasetOpts)
+		if err != nil {
+			return err
+		}
+		_, err = loaded.Run(app.Input)
+		return err
+	}
+}
+
 // TestCompileMegasetAllocationBudget is the allocation gate on the compile
 // path: one Compile of the benchmark's 500-signature megaset keeps ~0.5 MB
 // and may allocate at most 31 MB on the way, in at most 20 collector cycles:
@@ -97,14 +132,28 @@ func TestCompileMegasetAllocationBudget(t *testing.T) {
 }
 
 // TestCompileSigsAllocationBudget is the same gate on BenchmarkCompileSigs's
-// op, where the first scan's sessions — five tables and a register file per
-// group, all sized by the program's NumVars — allocate as much as the compile:
-// it measures 55.9 MB in 714 k objects (65.2 MB under the race detector, hence
-// 81) where it measured 123.5 MB in 1 416 k before the variable space was
-// dense. Its cycle count follows the heap the tests before it left — 2 to 6,
-// 6 to 28 under the race detector — so that bound is loose.
+// op: the compile, then the first scan's session — each group's kernel
+// compiled once, one executor for the worker's every group. It measures
+// 28.4 MB in 621 k objects (37.3 MB under the race detector, hence 47) where it
+// measured 55.9 MB in 714 k when every group had an executor of its own — five
+// tables and a register file sized by its program's NumVars — and 123.5 MB in
+// 1 416 k before the variable space was dense. Its cycle count follows the heap
+// the tests before it left — 2 to 7, 6 to 28 under the race detector — so that
+// bound is loose.
 func TestCompileSigsAllocationBudget(t *testing.T) {
-	allocationBudget(t, "Compile+first scan(Yara 168)", 81e6, 35, compileAndFirstScanSigs(t))
+	allocationBudget(t, "Compile+first scan(Yara 168)", 47e6, 35, compileAndFirstScanSigs(t))
+}
+
+// TestLoadAndFirstRunAllocationBudget is the gate on BenchmarkLoadAndFirstRun's
+// op: loading the megaset's snapshot, which decodes every group once and
+// compiles its kernel into the session that seeds the pool, then the first
+// Run on one executor per worker. It measures 11.4 MB in 72 k objects, 19.5 MB
+// under the race detector — whose sync.Pool drops Puts, the seeded session
+// among them, so the Run builds its own — hence 25 MB; 36.3 MB when the Run
+// decoded every group again and gave each an executor of its own. Cycles: 1,
+// 5 under the race detector.
+func TestLoadAndFirstRunAllocationBudget(t *testing.T) {
+	allocationBudget(t, "DecodeEngine+first Run(Megaset 500)", 25e6, 10, loadAndFirstRunMegaset(t))
 }
 
 // allocationBudget runs op twice — the first warms the pooled pass scratch —

@@ -58,6 +58,9 @@ type Analysis struct {
 	// instructions, whose carry chains create data-dependent cross-block
 	// dependencies the executor must check at runtime.
 	HasCarry bool
+	// free holds the interval buffers of ifs and whiles analyzed so far, for
+	// the next one's copies: runBody allocates one per nesting level.
+	free [][]Interval
 }
 
 // Analyze computes offset intervals and loop growth for a program.
@@ -74,10 +77,9 @@ func AnalyzeBody(stmts []ir.Stmt, numVars int) *Analysis {
 		VarInterval: make([]Interval, numVars),
 		LoopGrowth:  make(map[*ir.While]int),
 	}
-	env := make([]Interval, numVars)
-	a.runBody(stmts, env)
-	copy(a.VarInterval, env)
-	for _, iv := range env {
+	a.runBody(stmts, a.VarInterval)
+	a.free = nil
+	for _, iv := range a.VarInterval {
 		if iv.Hi > a.StaticMaxAdvance {
 			a.StaticMaxAdvance = iv.Hi
 		}
@@ -107,20 +109,21 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 		case *ir.If:
 			// Either branch may be taken: join the branch effect with the
 			// fall-through state.
-			branch := append([]Interval(nil), env...)
+			branch := a.clone(env)
 			a.runBody(x.Body, branch)
 			for i := range env {
 				env[i] = env[i].union(branch[i])
 			}
+			a.free = append(a.free, branch)
 		case *ir.While:
 			// First once-through gives the static contribution; a second
 			// pass measures per-iteration growth.
-			first := append([]Interval(nil), env...)
+			first := a.clone(env)
 			a.runBody(x.Body, first)
 			for i := range env {
 				first[i] = first[i].union(env[i]) // zero-iteration path
 			}
-			second := append([]Interval(nil), first...)
+			second := a.clone(first)
 			a.runBody(x.Body, second)
 			growth := 0
 			for i := range second {
@@ -135,12 +138,22 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 				a.LoopGrowth[x] = growth
 			}
 			copy(env, first)
+			a.free = append(a.free, first, second)
 		case *ir.Guard:
 			// No dataflow effect.
 		default:
 			panic(fmt.Sprintf("dfg: unknown statement %T", s))
 		}
 	}
+}
+
+// clone copies env into a buffer from free.
+func (a *Analysis) clone(env []Interval) []Interval {
+	var c []Interval
+	if n := len(a.free); n > 0 {
+		c, a.free = a.free[n-1], a.free[:n-1]
+	}
+	return append(c[:0], env...)
 }
 
 func exprInterval(e ir.Expr, env []Interval) Interval {

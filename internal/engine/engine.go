@@ -283,7 +283,7 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 	// worker compiled it or when.
 	e.groups = make([]Group, len(parts))
 	stats := make([]PassStats, len(parts))
-	err = fanOut(len(parts), func(gi int) error {
+	err = fanOut(len(parts), func(_, gi int) error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return bgerr.Canceled(err)
@@ -450,13 +450,15 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 		}
 		sharedOutputs = len(shared.Outputs)
 	}
-	err := fanOut(len(groups), func(i int) error {
+	e := &Engine{cfg: cfg, groups: groups, shared: shared, classes: classes, PassStats: ps}
+	sess := make([]*kernel.Session, len(groups))
+	err := fanOut(len(groups), func(_, i int) error {
 		g := &groups[i]
 		prog, err := ir.DecodeProgram(g.Packed)
 		if err != nil {
 			return fmt.Errorf("engine: restored group %d: %w", i, err)
 		}
-		if err := ir.Validate(prog); err != nil {
+		if sess[i], err = kernel.Compile(prog, e.kernelConfig()); err != nil { // which validates it
 			return fmt.Errorf("engine: restored group %d invalid: %w", i, err)
 		}
 		if prog.ExtBits > sharedOutputs {
@@ -469,9 +471,11 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, groups: groups, shared: shared, classes: classes, PassStats: ps}
 	e.initMatchRanks()
 	e.initRunPool()
+	// The groups are decoded and compiled once, here: they seed the pool, and
+	// the loaded engine's first scan builds no kernel.
+	e.runPool.Put(e.sessionOf(sess, 0, e.runArena))
 	return e, nil
 }
 

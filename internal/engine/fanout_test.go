@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bgerr"
 	"bitgen/internal/gpusim"
 	"bitgen/internal/workload"
@@ -46,7 +48,7 @@ func TestFanOutReturnsLowestFailure(t *testing.T) {
 			const n = 64
 			fails := map[int]bool{17 + round%5: true, 23: true, 40: true}
 			var ran [n]atomic.Int32
-			err := fanOut(n, func(i int) error {
+			err := fanOut(n, func(_, i int) error {
 				ran[i].Add(1)
 				if i%3 == round%3 {
 					runtime.Gosched() // let a later index overtake an earlier one
@@ -66,7 +68,7 @@ func TestFanOutReturnsLowestFailure(t *testing.T) {
 				}
 			}
 		}
-		if err := fanOut(0, func(int) error { return errors.New("ran") }); err != nil {
+		if err := fanOut(0, func(int, int) error { return errors.New("ran") }); err != nil {
 			t.Fatalf("procs %d: empty fan-out: %v", procs, err)
 		}
 		settledGoroutines(t, base)
@@ -86,7 +88,7 @@ func TestFanOutReraisesWorkerPanic(t *testing.T) {
 					t.Fatalf("recovered %v, want the worker's panic value", r)
 				}
 			}()
-			_ = fanOut(32, func(i int) error {
+			_ = fanOut(32, func(_, i int) error {
 				if i == 9 {
 					panic("boom")
 				}
@@ -204,4 +206,71 @@ func TestCompileCanceledInFlight(t *testing.T) {
 		t.Fatalf("err = %v, want ErrLimit", err)
 	}
 	settledGoroutines(t, base)
+}
+
+// TestFanOutSlotsAreExclusive: the worker slot fn is handed is below the
+// width, and no two calls in flight hold the same one.
+func TestFanOutSlotsAreExclusive(t *testing.T) {
+	atProcs(t, 4)
+	var busy [4]atomic.Int32
+	for round := 0; round < 50; round++ {
+		if err := fanOut(64, func(w, i int) error {
+			if w < 0 || w >= len(busy) || busy[w].Add(1) != 1 {
+				return fmt.Errorf("index %d on slot %d, which is out of range or in use", i, w)
+			}
+			runtime.Gosched()
+			busy[w].Add(-1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWideLaunchSharesCompiledGroups: two fanOut workers launch the groups of
+// one session, each on an executor of its own over the compiled groups they
+// share — run it with -race. Every wide execute, from the first on, finds the
+// matches and charges the CTAStats of a session whose one executor ran every
+// group in turn, over inputs whose length changes.
+func TestWideLaunchSharesCompiledGroups(t *testing.T) {
+	atProcs(t, 2)
+	app, err := workload.Load("Brill", workload.Options{RegexScale: 0.02, InputBytes: 24 << 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Compile(mustRegexes(t, app.Patterns...), BitGenDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := e.NewScanSession(0, &arena.Arena{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	serial, err := e.NewScanSession(0, &arena.Arena{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close()
+	ctx, matches := context.Background(), 0
+	for round, n := range []int{len(app.Input), len(app.Input) / 3, len(app.Input)} {
+		input := app.Input[:n]
+		if err := wide.execute(ctx, input, true); err != nil {
+			t.Fatal(err)
+		}
+		got := wide.mergeMatches(0, 0, nil)
+		wide.clearOuts()
+		want, err := serial.Scan(ctx, input, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(wide.stats, serial.stats) {
+			t.Fatalf("round %d: the wide launch found %d matches, the serial one %d; CTAStats equal %v",
+				round, len(got), len(want), slices.Equal(wide.stats, serial.stats))
+		}
+		matches += len(got)
+	}
+	if len(e.groups) < 8 || matches == 0 || wide.xs[1] == nil || serial.xs[1] != nil {
+		t.Fatalf("%d groups, %d matches; the wide launch used a second executor %v, the serial one %v", len(e.groups), matches, wide.xs[1] != nil, serial.xs[1] != nil)
+	}
 }

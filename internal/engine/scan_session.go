@@ -30,27 +30,33 @@ type ScanMatch struct {
 }
 
 // ScanSession is the engine's only chunk executor: a transpose basis, the
-// shared-class streams and one kernel session per CTA group, reused from
+// shared-class streams, every CTA group's compiled kernel (kernel.Session,
+// built once, shared by the session's workers) and one kernel.Executor per
+// worker that has launched on it — the register file, window scratch and
+// global streams, reused by every group the worker runs — all reused from
 // chunk to chunk so a steady-state scan of same-sized chunks performs zero
 // heap allocations. Both entry points borrow theirs from the engine's pool
 // (GetSession) — a streaming scan one per pipeline worker for the length of
-// the call, one-shot Run one per call — so compiled superblock programs,
-// dataflow analyses and window buffers outlive the call that built them.
-// NewScanSession builds an unpooled one on the caller's arena. All reach the
-// kernels through execute and launch and collect matches through
-// mergeMatches. One session serves one call at a time; concurrency comes from
-// running several sessions.
+// the call, one-shot Run one per call — so compiled kernels and buffers
+// outlive the call that built them. NewScanSession builds an unpooled one on
+// the caller's arena; every buffer, the executors' included, comes from that
+// arena and returns to it at Close. All reach the kernels through execute and
+// launch and collect matches through mergeMatches. One session serves one
+// call at a time; concurrency comes from running several sessions.
 //
 // The two entry points differ only in how wide they launch. Scan runs the
 // groups of a chunk one after another in the calling goroutine — the
 // pipeline parallelizes across chunks, which keeps the per-chunk path free
-// of goroutine and channel churn. Run has a single block of input, so it
-// launches the groups through fanOut, at the width of the host.
+// of goroutine and channel churn, on executor 0. Run has a single block of
+// input, so it launches the groups through fanOut, at the width of the host,
+// each worker on the executor of its slot.
 type ScanSession struct {
 	e       *Engine
 	basis   *transpose.Basis
 	classes *classStreams // the shared-class streams, bound as basis.Ext; nil without any
 	sess    []*kernel.Session
+	xs      []*kernel.Executor // per worker slot, built on first use: Scan runs on xs[0]
+	ar      *arena.Arena
 	outs    [][]bitstream.Compact // per-group outputs of the last execute
 	stats   []gpusim.CTAStats     // per-group counters of the last execute
 	live    []liveOut             // mergeMatches scratch, with hits, reused across chunks
@@ -98,7 +104,23 @@ func (e *Engine) NewScanSession(maxChunkBytes int, a *arena.Arena, lane int) (*S
 }
 
 func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, error) {
-	ss := &ScanSession{e: e, basis: &transpose.Basis{}, tr: arena.NewTracker(a)}
+	sess := make([]*kernel.Session, len(e.groups))
+	err := fanOut(len(e.groups), func(_, gi int) error {
+		var err error
+		if sess[gi], err = kernel.Compile(e.groups[gi].Prog(), e.kernelConfig()); err != nil {
+			return fmt.Errorf("engine: group %d: %w", gi, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e.sessionOf(sess, maxChunkBytes, a), nil
+}
+
+// sessionOf builds a session around the compiled groups sess.
+func (e *Engine) sessionOf(sess []*kernel.Session, maxChunkBytes int, a *arena.Arena) *ScanSession {
+	ss := &ScanSession{e: e, basis: &transpose.Basis{}, tr: arena.NewTracker(a), ar: a, sess: sess}
 	// Basis backing from the arena: one bit per input byte, eight planes.
 	nw := bitstream.WordsFor(maxChunkBytes)
 	if nw > 0 {
@@ -109,22 +131,10 @@ func (e *Engine) newSession(maxChunkBytes int, a *arena.Arena) (*ScanSession, er
 	if e.classes != nil {
 		ss.classes = newClassStreams(e.classes, ss.basis, ss.tr)
 	}
-	ss.sess = make([]*kernel.Session, len(e.groups))
-	err := fanOut(len(e.groups), func(gi int) error {
-		ks, err := kernel.NewSession(e.groups[gi].Prog(), e.kernelConfig(), a)
-		if err != nil {
-			return fmt.Errorf("engine: group %d: %w", gi, err)
-		}
-		ss.sess[gi] = ks
-		return nil
-	})
-	if err != nil {
-		ss.Close()
-		return nil, err
-	}
-	ss.outs = make([][]bitstream.Compact, len(ss.sess))
-	ss.stats = make([]gpusim.CTAStats, len(ss.sess))
-	return ss, nil
+	ss.xs = make([]*kernel.Executor, len(sess)) // fanOut's slots are below its n
+	ss.outs = make([][]bitstream.Compact, len(sess))
+	ss.stats = make([]gpusim.CTAStats, len(sess))
+	return ss
 }
 
 // kernelConfig is the one kernel configuration this engine launches with,
@@ -154,15 +164,15 @@ func (e *Engine) initRunPool() {
 	e.runArena = &arena.Arena{}
 }
 
-// GetSession borrows a session from the pool, or builds one: a kernel session
-// per CTA group, built through fanOut (≈ 300 allocations a group — 1.3 k for
-// four groups, 76 k for the 256 of a 500-signature set), then every segment's
-// superblock compile on first use — what pooling saves each Run and each
-// ScanReader worker. Its spans are recorded through o, the borrowing call's
-// observer, on lane, or with groupLanes each group's on its own (see
-// ScanSession). Construction cannot fail for an engine that compiled — the
-// programs already validated — but the error is surfaced rather than
-// swallowed for defense in depth.
+// GetSession borrows a session from the pool, or builds one: every CTA group
+// decoded and compiled through fanOut in one pass (≈ 250 allocations a group,
+// the decode's included — 64 k for the 256 of a 500-signature set), then one
+// executor per worker on the first launch — what pooling saves each Run and
+// each ScanReader worker. A restored engine's pool starts with one. Its spans
+// are recorded through o, the borrowing call's observer, on lane, or with
+// groupLanes each group's on its own (see ScanSession). Construction cannot
+// fail for an engine that compiled — the programs already validated — but the
+// error is surfaced rather than swallowed for defense in depth.
 func (e *Engine) GetSession(o *obs.Observer, lane int, groupLanes bool) (*ScanSession, error) {
 	ss, ok := e.runPool.Get().(*ScanSession)
 	if !ok {
@@ -228,7 +238,7 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, wide bool) err
 		err = ss.launchAll(ctx)
 	default:
 		for gi := 0; gi < len(ss.sess) && err == nil; gi++ {
-			err = ss.launch(ctx, gi)
+			err = ss.launch(ctx, 0, gi)
 		}
 	}
 	if err != nil {
@@ -245,11 +255,11 @@ func (ss *ScanSession) execute(ctx context.Context, chunk []byte, wide bool) err
 // done records the cancellation instead of launching.
 func (ss *ScanSession) launchAll(ctx context.Context) error {
 	errs := make([]error, len(ss.sess))
-	fanOut(len(ss.sess), func(gi int) error {
+	fanOut(len(ss.sess), func(w, gi int) error {
 		if err := ctx.Err(); err != nil {
 			errs[gi] = bgerr.Canceled(err)
 		} else {
-			errs[gi] = ss.launch(ctx, gi)
+			errs[gi] = ss.launch(ctx, w, gi)
 		}
 		return nil
 	})
@@ -264,13 +274,14 @@ func (ss *ScanSession) launchAll(ctx context.Context) error {
 
 func isCanceled(err error) bool { return errors.Is(err, bgerr.ErrCanceled) }
 
-// launch executes one CTA group over the current basis, parking its outputs
-// in ss.outs[gi] and its counters in ss.stats[gi]. It is the only
-// place the engine launches a kernel. A panic inside the kernel is
-// contained: it surfaces as a *bgerr.InternalError carrying the group
-// index, its pattern names and the stack, and neither the other groups nor
-// the goroutine that called it (a fanOut worker, under launchAll) see it.
-func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
+// launch executes one CTA group over the current basis on worker slot w's
+// executor, parking its outputs in ss.outs[gi] and its counters in
+// ss.stats[gi]. It is the only place the engine launches a kernel. A panic
+// inside the kernel is contained: it surfaces as a *bgerr.InternalError
+// carrying the group index, its pattern names and the stack, and neither the
+// other groups nor the goroutine that called it (a fanOut worker, under
+// launchAll) see it.
+func (ss *ScanSession) launch(ctx context.Context, w, gi int) (err error) {
 	e := ss.e
 	defer func() {
 		if r := recover(); r != nil {
@@ -292,8 +303,11 @@ func (ss *ScanSession) launch(ctx context.Context, gi int) (err error) {
 				Arg("group", gi).Arg("patterns", len(e.groups[gi].Names))
 		}
 	}
+	if ss.xs[w] == nil {
+		ss.xs[w] = kernel.NewExecutor(ss.ar)
+	}
 	ss.sess[gi].SetTrace(ss.obs, lane)
-	outs, stats, err := ss.sess[gi].Run(ctx, ss.basis)
+	outs, stats, err := ss.sess[gi].Run(ctx, ss.xs[w], ss.basis)
 	if err != nil {
 		err = fmt.Errorf("engine: group %d: %w", gi, err)
 		lspan.Arg("error", err.Error()).End()
@@ -422,11 +436,11 @@ func (ss *ScanSession) clearOuts() {
 // Close releases every pooled buffer the session borrowed. The session must
 // not be used afterwards.
 func (ss *ScanSession) Close() {
-	for _, ks := range ss.sess {
-		if ks != nil { // a failed newSession leaves the unbuilt groups' slots empty
-			ks.Close()
+	for _, x := range ss.xs {
+		if x != nil {
+			x.Close()
 		}
 	}
-	ss.sess = nil
+	ss.sess, ss.xs = nil, nil
 	ss.tr.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bgerr"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/dfg"
@@ -83,15 +84,17 @@ func Run(p *ir.Program, basis *transpose.Basis, cfg Config) (*RunResult, error) 
 	return RunContext(context.Background(), p, basis, cfg)
 }
 
-// RunContext is Run honoring a context, as a one-shot Session (see
-// Session.Run for the cancellation contract); the result owns its streams.
+// RunContext is Run honoring a context, as a one-shot Session on an executor
+// of its own (see Session.Run for the cancellation contract); the result owns
+// its streams.
 func RunContext(ctx context.Context, p *ir.Program, basis *transpose.Basis, cfg Config) (*RunResult, error) {
-	s, err := NewSession(p, cfg, nil)
+	s, err := Compile(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	outs, stats, err := s.Run(ctx, basis)
+	ex := NewExecutor(nil)
+	defer ex.Close()
+	outs, stats, err := s.Run(ctx, ex, basis)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +111,7 @@ func RunContext(ctx context.Context, p *ir.Program, basis *transpose.Basis, cfg 
 
 // canceled converts the run's done context into the taxonomy's canceled error,
 // polling the Done channel reset captured: ctx.Err takes a mutex per window.
-func (ex *ctaExec) canceled() error {
+func (ex *Executor) canceled() error {
 	select {
 	case <-ex.done:
 		return bgerr.Canceled(ex.ctx.Err())
@@ -117,35 +120,40 @@ func (ex *ctaExec) canceled() error {
 	}
 }
 
-type ctaExec struct {
+// Executor is one worker's mutable kernel state: the register file, window
+// scratch, probe slab and the per-variable stream tables. Its tables are
+// sized to the largest program it has run and reused by every program it
+// runs, so one worker launching many CTA groups holds one set of buffers;
+// nothing in it outlives a run but storage. Not safe for concurrent use.
+type Executor struct {
 	ctx    context.Context
 	done   <-chan struct{} // ctx.Done(), nil for a context that cannot end
 	cfg    Config
-	prog   *ir.Program
+	k      *compiled // the program of the current run
 	basis  *transpose.Basis
 	n      int // input bits
 	nWords int
 	stats  gpusim.CTAStats
 	// globals holds each variable's materialized stream for THIS run; nil
 	// means not yet written (reads as zero). bufs retains the backing
-	// streams across runs of a reused executor so the steady state of a
-	// streaming scan allocates nothing.
+	// streams across runs, bufH their arena handles, so the steady state of
+	// a streaming scan allocates nothing; release returns one.
 	globals []*bitstream.Stream
 	bufs    []*bitstream.Stream
+	bufH    []*arena.Words
 	// committed marks the variables a fused segment has committed this run: a
 	// later read is charged as a load even while only zeros were committed and
 	// the global is still nil (commitWindow).
 	committed []bool
-	words     []bitstream.Compact // each output's non-zero words this run, retained like bufs
+	words     []bitstream.Compact // each output's non-zero words this run: the session's buffers
 	// zero is a shared read-only all-zero stream returned for never-written
 	// reads; it is never stored into globals and never written.
-	zero  *bitstream.Stream
-	isMat []bool
-	isOut []bool
-	regs  *regFile
-	// alloc provides word buffers for stream backing storage; nil means
-	// plain make. Sessions wire it to a pooled arena tracker.
-	alloc func(n int) []uint64
+	zero *bitstream.Stream
+	regs *regFile
+	// tr provides the word buffers of everything but the global streams,
+	// which come from a.
+	tr *arena.Tracker
+	a  *arena.Arena
 	// unitsPerWord converts 64-bit simulation words into the device's
 	// W-bit accounting units.
 	unitsPerWord int64
@@ -162,83 +170,59 @@ type ctaExec struct {
 	needBits           int
 	saturate           bool
 	culprit            ir.Stmt
-	// barrier-merge schedule, read by sbCompiler.baseOp: segments compile
-	// lazily on first execution (and again after an overlap fallback
-	// rebuilds the plan), so the index outlives construction.
-	groupOf   map[*ir.Assign]int
-	groupSrcs map[int]map[ir.VarID]bool
 	// per-window group tracking: gid was charged this window iff
-	// wgChargedAt[gid] == wgGen (epoch tagging, no per-window map).
+	// wgChargedAt[gid] == wgGen (epoch tagging, no per-window map; the
+	// epoch runs on across programs).
 	wgGen       uint32
 	wgChargedAt []uint32
-	// loadBit[v] >= 0 marks v a class prologue's load of that basis stream,
-	// charged at its pair and bound on first read (bind); -1 for any other.
-	// sbCompiler marks them, Session.rebuild clears them with the plan. pres
-	// is the window's set of present extended streams, computed when presAt
-	// == wgGen (windowSet).
-	loadBit []int32
-	pres    []uint64
-	presAt  uint32
+	// pres is the window's set of present extended streams, computed when
+	// presAt == wgGen (windowSet).
+	pres   []uint64
+	presAt uint32
 	// afterOp, when set, runs after every µop. Never set outside tests: they
 	// check the register file's mask invariants there.
 	afterOp func()
 }
 
-// newExec builds the per-program executor state (allocated once; reusable
-// across runs via reset).
-func newExec(p *ir.Program) *ctaExec {
-	ex := &ctaExec{
-		prog:      p,
-		globals:   make([]*bitstream.Stream, p.NumVars),
-		bufs:      make([]*bitstream.Stream, p.NumVars),
-		committed: make([]bool, p.NumVars),
-		words:     make([]bitstream.Compact, p.NumVars),
-		isOut:     make([]bool, p.NumVars),
-		regs:      newRegFile(p.NumVars),
-		loadBit:   make([]int32, p.NumVars),
+// grow returns s extended with zero values to at least n elements.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
 	}
-	for _, o := range p.Outputs {
-		ex.isOut[o.Var] = true
-	}
-	ex.buildBarrierSchedule()
-	return ex
+	return s
 }
 
-// reset prepares the executor for one run over basis. Buffers retained in
-// bufs, regs and the scratch slices are reused; only the n-dependent
-// headers are re-pointed when the input size changes.
-func (ex *ctaExec) reset(ctx context.Context, basis *transpose.Basis, cfg Config) {
+// reset prepares the executor for one run of k over basis. Buffers retained
+// in bufs, regs and the scratch slices are reused; the tables grow only for a
+// program larger than any before, and only the n-dependent headers are
+// re-pointed when the input size changes.
+func (ex *Executor) reset(ctx context.Context, k *compiled, basis *transpose.Basis, cfg Config) {
 	ex.ctx, ex.done = ctx, nil
 	if ctx != nil {
 		ex.done = ctx.Done()
 	}
-	ex.cfg = cfg
+	ex.cfg, ex.k = cfg, k
 	ex.basis = basis
 	ex.n = basis.N
 	ex.nWords = bitstream.WordsFor(basis.N)
 	ex.stats = gpusim.CTAStats{}
 	ex.unitsPerWord = int64(64 / cfg.Grid.UnitBits)
+	nv := k.prog.NumVars
+	ex.globals, ex.bufs, ex.bufH = grow(ex.globals, nv), grow(ex.bufs, nv), grow(ex.bufH, nv)
+	ex.committed, ex.words = grow(ex.committed, nv), grow(ex.words, nv)
+	ex.regs.grow(nv)
+	if b := k.prog.Barriers; b != nil {
+		ex.wgChargedAt = grow(ex.wgChargedAt, len(b.Groups))
+	}
 	clear(ex.globals)
 	clear(ex.committed)
-	for _, o := range ex.prog.Outputs {
-		ex.words[o.Var] = ex.words[o.Var][:0]
-	}
 	ex.pres = slices.Grow(ex.pres[:0], basis.PresW)[:basis.PresW]
-	ex.regs.alloc = ex.alloc
-}
-
-// newWords allocates a word buffer through the configured allocator.
-func (ex *ctaExec) newWords(n int) []uint64 {
-	if ex.alloc != nil {
-		return ex.alloc(n)
-	}
-	return make([]uint64, n)
 }
 
 // reinitStream re-points s at an n-bit view of its own backing words,
 // allocating fresh storage only when the capacity is insufficient (or s is
 // nil). Contents are unspecified; callers fully overwrite.
-func (ex *ctaExec) reinitStream(s *bitstream.Stream, n int) *bitstream.Stream {
+func (ex *Executor) reinitStream(s *bitstream.Stream, n int) *bitstream.Stream {
 	nw := bitstream.WordsFor(n)
 	if s != nil {
 		if w := s.Words(); cap(w) >= nw {
@@ -246,79 +230,67 @@ func (ex *ctaExec) reinitStream(s *bitstream.Stream, n int) *bitstream.Stream {
 			return s
 		}
 	}
-	return bitstream.FromWords(ex.newWords(nw), n)
+	return bitstream.FromWords(ex.tr.Words(nw), n)
 }
 
 // ensureGlobal returns variable v's stream for writing, reusing the
 // retained buffer when possible. The returned stream is registered in
 // globals; its previous contents are unspecified and the caller must
 // overwrite the range it commits.
-func (ex *ctaExec) ensureGlobal(v ir.VarID) *bitstream.Stream {
+func (ex *Executor) ensureGlobal(v ir.VarID) *bitstream.Stream {
 	if s := ex.globals[v]; s != nil {
 		return s
 	}
-	s := ex.reinitStream(ex.bufs[v], ex.n)
-	ex.bufs[v] = s
-	ex.globals[v] = s
-	return s
+	if s := ex.bufs[v]; s == nil || cap(s.Words()) < ex.nWords {
+		ex.release(v)
+		ex.bufH[v] = ex.a.GetWords(ex.nWords)
+		ex.bufs[v] = bitstream.FromWords(ex.bufH[v].W, ex.n)
+	}
+	ex.globals[v] = ex.reinitStream(ex.bufs[v], ex.n)
+	return ex.globals[v]
 }
 
-// buildBarrierSchedule indexes the program's barrier schedule (produced by
-// the Shift Rebalancing pass) for O(1) lookup during execution.
-func (ex *ctaExec) buildBarrierSchedule() {
-	ex.groupOf = make(map[*ir.Assign]int)
-	ex.groupSrcs = make(map[int]map[ir.VarID]bool)
-	sched := ex.prog.Barriers
-	if sched == nil {
-		return
-	}
-	ex.wgChargedAt = make([]uint32, len(sched.Groups))
-	for gid, group := range sched.Groups {
-		if len(group) < 2 {
-			continue // singleton groups behave like unscheduled shifts
-		}
-		srcs := make(map[ir.VarID]bool)
-		for _, a := range group {
-			ex.groupOf[a] = gid
-			if sh, ok := a.Expr.(ir.Shift); ok {
-				srcs[sh.Src] = true
-			}
-		}
-		ex.groupSrcs[gid] = srcs
-	}
+// release returns v's global stream to the arena: after the plan node that
+// touches it last, or when the executor closes.
+func (ex *Executor) release(v ir.VarID) {
+	ex.a.PutWords(ex.bufH[v])
+	ex.globals[v], ex.bufs[v], ex.bufH[v] = nil, nil, nil
 }
 
 // ---------- plan walking ----------
 
-func (ex *ctaExec) execPlan(pl *plan) error {
+func (ex *Executor) execPlan(pl *plan) error {
 	for _, node := range pl.nodes {
-		switch x := node.(type) {
-		case *fusedSeg:
-			if err := ex.execFused(x); err != nil {
-				return err
-			}
-		case *streamSeg:
-			ex.execStream(x.assign)
-		case *ctlSeg:
-			if err := ex.execCtl(x); err != nil {
-				return err
-			}
+		if err := ex.execNode(node); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+func (ex *Executor) execNode(node planNode) error {
+	switch x := node.(type) {
+	case *fusedSeg:
+		return ex.execFused(x)
+	case *streamSeg:
+		ex.execStream(x.assign)
+	case *ctlSeg:
+		return ex.execCtl(x)
+	}
+	return nil
+}
+
 // streamBytes is the size of one full materialized bitstream.
-func (ex *ctaExec) streamBytes() int64 { return int64(ex.nWords) * 8 }
+func (ex *Executor) streamBytes() int64 { return int64(ex.nWords) * 8 }
 
 // streamUnits is the op count of one full-stream pass.
-func (ex *ctaExec) streamUnits() int64 { return int64(ex.nWords) * ex.unitsPerWord }
+func (ex *Executor) streamUnits() int64 { return int64(ex.nWords) * ex.unitsPerWord }
 
 // globalStream returns the materialized stream for v, or the shared
 // read-only zero stream for a variable that was never written on the taken
 // path. The shared zero is never registered in globals, so a later write to
 // v gets its own buffer.
-func (ex *ctaExec) globalStream(v ir.VarID) *bitstream.Stream {
+func (ex *Executor) globalStream(v ir.VarID) *bitstream.Stream {
 	if s := ex.globals[v]; s != nil {
 		return s
 	}
@@ -330,7 +302,7 @@ func (ex *ctaExec) globalStream(v ir.VarID) *bitstream.Stream {
 }
 
 // execCtl evaluates an if/while with a global (whole-stream) condition.
-func (ex *ctaExec) execCtl(c *ctlSeg) error {
+func (ex *Executor) execCtl(c *ctlSeg) error {
 	evalCond := func() bool {
 		ex.stats.DRAMReadBytes += ex.streamBytes()
 		ex.stats.UnitOps += ex.streamUnits()
@@ -366,7 +338,7 @@ func (ex *ctaExec) execCtl(c *ctlSeg) error {
 // buffer: the elementwise ops tolerate dst aliasing an operand, and the
 // shift (which does not) detours through scratch when dst is its own
 // source.
-func (ex *ctaExec) execStream(a *ir.Assign) {
+func (ex *Executor) execStream(a *ir.Assign) {
 	read := func(v ir.VarID) *bitstream.Stream {
 		ex.stats.DRAMReadBytes += ex.streamBytes()
 		return ex.globalStream(v)
@@ -432,10 +404,10 @@ func (ex *ctaExec) execStream(a *ir.Assign) {
 }
 
 // ensureScratch guarantees tmpT and tmpS hold at least n words.
-func (ex *ctaExec) ensureScratch(n int) {
+func (ex *Executor) ensureScratch(n int) {
 	if cap(ex.tmpT) < n {
-		ex.tmpT = ex.newWords(n)
-		ex.tmpS = ex.newWords(n)
+		ex.tmpT = ex.tr.Words(n)
+		ex.tmpS = ex.tr.Words(n)
 	}
 	ex.tmpT = ex.tmpT[:cap(ex.tmpT)]
 	ex.tmpS = ex.tmpS[:cap(ex.tmpS)]
@@ -448,32 +420,14 @@ func align64(bits int) int { return (bits + 63) &^ 63 }
 // execFused runs a fused segment window by window with Dependency-Aware
 // Thread-Data Mapping: each window covers its commit range plus overlap
 // margins; all segment values are recomputed inside the window.
-func (ex *ctaExec) execFused(seg *fusedSeg) error {
+func (ex *Executor) execFused(seg *fusedSeg) error {
 	an := seg.an
-	if an == nil {
-		an = dfg.AnalyzeBody(seg.stmts, ex.prog.NumVars)
-		seg.an = an
-	}
 	ex.curAnalysis = an
 	blockBits := ex.cfg.Grid.BlockBits()
 	dynamic := an.HasDynamic || an.HasCarry
 	baseDL := align64(an.StaticMaxAdvance)
 	baseDR := align64(-an.StaticMinOffset)
-
-	// liveOut: variables this segment must commit to global memory.
-	if !seg.liveOutSet {
-		seg.liveOut = ex.segmentLiveOut(seg)
-		seg.liveOutSet = true
-	}
 	liveOut := seg.liveOut
-
-	// Compile the segment to superblock µops on first execution (the
-	// compiler needs the resolved analysis for loop growth and the
-	// executor's materialization/barrier state, both fixed by now).
-	if seg.sprog == nil {
-		seg.sprog = ex.newSBCompiler(seg.stmts, an).compile(seg.stmts)
-	}
-
 	if ex.n == 0 {
 		return nil
 	}
@@ -514,28 +468,10 @@ func (ex *ctaExec) execFused(seg *fusedSeg) error {
 	return nil
 }
 
-// segmentLiveOut lists the variables defined in the segment that must be
-// committed (materialized or outputs).
-func (ex *ctaExec) segmentLiveOut(seg *fusedSeg) []ir.VarID {
-	seen := make(map[ir.VarID]bool)
-	var out []ir.VarID
-	ir.WalkStmts(seg.stmts, func(s ir.Stmt) {
-		a, ok := s.(*ir.Assign)
-		if !ok {
-			return
-		}
-		if (ex.isMat[a.Dst] || ex.isOut[a.Dst]) && !seen[a.Dst] {
-			seen[a.Dst] = true
-			out = append(out, a.Dst)
-		}
-	})
-	return out
-}
-
 // runWindowToFixpoint executes one window, growing the left overlap until
 // the committed bits are provably independent of unseen history, then
 // commits live-out values. It returns the converged left-overlap in bits.
-func (ex *ctaExec) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, dl, dr int, dynamic bool, liveOut []ir.VarID) (int, error) {
+func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, dl, dr int, dynamic bool, liveOut []ir.VarID) (int, error) {
 	if dynamic && ex.cfg.Inject.Fire(faultinject.ForceFallback) {
 		// Injected Section 8.2 overflow: push the segment's loop or carry
 		// onto the materialized fallback path.
@@ -641,7 +577,7 @@ func findDynamicStmt(stmts []ir.Stmt) ir.Stmt {
 // growOverlap doubles the left overlap, honoring the block-size limit: the
 // overlap distance Δ is capped at one block (the paper's T·W·U), beyond which
 // the offending loop or carry is materialized stream-wise (Section 8.2).
-func (ex *ctaExec) growOverlap(dl, cs int) (int, error) {
+func (ex *Executor) growOverlap(dl, cs int) (int, error) {
 	limit := ex.cfg.Grid.BlockBits()
 	grown := min(max(dl*2, 64), align64(cs)) // no point extending past the stream start
 	if dl >= limit || (grown == dl && dl >= cs) {
@@ -655,7 +591,7 @@ func (ex *ctaExec) growOverlap(dl, cs int) (int, error) {
 
 // committedWords returns words [lo, hi) — the committed range — of live-out
 // v's register, zeros for one that is absent (an untaken if) or known zero.
-func (ex *ctaExec) committedWords(v ir.VarID, lo, hi int) []uint64 {
+func (ex *Executor) committedWords(v ir.VarID, lo, hi int) []uint64 {
 	if w := ex.regs.get(v); w != nil {
 		return w[lo:hi]
 	}
@@ -663,10 +599,10 @@ func (ex *ctaExec) committedWords(v ir.VarID, lo, hi int) []uint64 {
 }
 
 // saveCommitted keeps every live-out's committed words in the probe scratch.
-func (ex *ctaExec) saveCommitted(liveOut []ir.VarID, lo, hi int) {
+func (ex *Executor) saveCommitted(liveOut []ir.VarID, lo, hi int) {
 	n := hi - lo
 	if len(ex.probeWords) < n*len(liveOut) {
-		ex.probeWords = ex.newWords(n * len(liveOut))
+		ex.probeWords = ex.tr.Words(n * len(liveOut))
 	}
 	for i, v := range liveOut {
 		copy(ex.probeWords[i*n:], ex.committedWords(v, lo, hi))
@@ -678,7 +614,7 @@ func (ex *ctaExec) saveCommitted(liveOut []ir.VarID, lo, hi int) {
 // commitWindow must store — except that a live-out all zero there is made known
 // zero: the real pass may have known it, and committing the zero words the probe
 // computed would materialize a global no window has a set bit for.
-func (ex *ctaExec) probeAgrees(liveOut []ir.VarID, lo, hi int) bool {
+func (ex *Executor) probeAgrees(liveOut []ir.VarID, lo, hi int) bool {
 	n := hi - lo
 	for i, v := range liveOut {
 		saved := ex.probeWords[i*n : (i+1)*n]
@@ -695,7 +631,7 @@ func (ex *ctaExec) probeAgrees(liveOut []ir.VarID, lo, hi int) bool {
 // commitWindow stores the committed range of live-out variables to global
 // memory and charges the DRAM writes; an output not isMat appends its non-zero
 // words to ex.words instead.
-func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
+func (ex *Executor) commitWindow(liveOut []ir.VarID, cs, ce int) {
 	if len(liveOut) > 0 && ex.cfg.Inject.Fire(faultinject.TileCorrupt) {
 		// Injected shared-memory tile corruption: flip deterministic bits
 		// in the first live-out register before it is committed. The fault
@@ -714,7 +650,7 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 		ex.committed[v] = true
 		g, zero := ex.globals[v], !ex.regs.has(v) || ex.regs.isZero(v)
 		switch {
-		case !ex.isMat[v] && !zero: // a compact output's global stays nil
+		case !ex.k.isMat[v] && !zero: // a compact output's global stays nil
 			ex.words[v] = ex.words[v].AppendWords(ex.regs.get(v)[fromWord-wsWord:toWord-wsWord], fromWord)
 		case zero:
 			// Not computed this window (an untaken if) or known zero (guarded
@@ -733,7 +669,7 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 			}
 			storeWindow(g, fromWord, ex.regs.get(v), fromWord-wsWord, toWord-fromWord)
 		}
-		if ex.isOut[v] {
+		if ex.k.isOut[v] {
 			continue // compact outputs are charged at the end
 		}
 		ex.stats.DRAMWriteBytes += int64(toWord-fromWord) * 8
@@ -744,7 +680,7 @@ func (ex *ctaExec) commitWindow(liveOut []ir.VarID, cs, ce int) {
 // [cs-dl, ce+dr). When saturate is set, loop conditions and carry inputs
 // are flooded over the margins (the probe pass); when charge is set, costs
 // are accounted.
-func (ex *ctaExec) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, charge bool) error {
+func (ex *Executor) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, charge bool) error {
 	ex.ws, ex.cs, ex.ce, ex.weBits = max(cs-dl, 0), cs, ce, min(ce+dr, ex.n)
 	wsWord := ex.ws / 64
 	weWord := (ex.weBits + 63) / 64
@@ -763,22 +699,22 @@ func (ex *ctaExec) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, c
 }
 
 // windowUnits is the op count of one full-window pass.
-func (ex *ctaExec) windowUnits() int64 { return int64(ex.ww) * ex.unitsPerWord }
+func (ex *Executor) windowUnits() int64 { return int64(ex.ww) * ex.unitsPerWord }
 
 // windowBytes is the byte size of one window buffer.
-func (ex *ctaExec) windowBytes() int64 { return int64(ex.ww) * 8 }
+func (ex *Executor) windowBytes() int64 { return int64(ex.ww) * 8 }
 
 // bind makes operand v register-resident without reading it: a view of its
 // materialized stream, not copied, or the known-zero tag when nothing stored
 // to it — only zeros were committed so far, which is charged as the load it
 // models all the same, or it was never written (validated conditional defs).
 // A prologue's load (loadBit) binds its basis view, charged at its pair.
-func (ex *ctaExec) bind(v ir.VarID, charge bool) {
+func (ex *Executor) bind(v ir.VarID, charge bool) {
 	if ex.regs.has(v) {
 		return
 	}
-	if k := ex.loadBit[v]; k >= 0 {
-		ex.regs.view(v, ex.basis.Bit(int(k)), ex.ws/64)
+	if k := ex.k.loadBit[v]; k > 0 {
+		ex.regs.view(v, ex.basis.Bit(int(k)-1), ex.ws/64)
 		return
 	}
 	g := ex.globals[v]
@@ -793,7 +729,7 @@ func (ex *ctaExec) bind(v ir.VarID, charge bool) {
 }
 
 // readWindowed binds operand v and returns its window value for reading.
-func (ex *ctaExec) readWindowed(v ir.VarID, charge bool) []uint64 {
+func (ex *Executor) readWindowed(v ir.VarID, charge bool) []uint64 {
 	ex.bind(v, charge)
 	return ex.regs.get(v)
 }
@@ -804,7 +740,7 @@ func (ex *ctaExec) readWindowed(v ir.VarID, charge bool) []uint64 {
 // inside the unsafe left margin — either before the window start, or in
 // the first StaticMaxAdvance bits where recomputed values may themselves be
 // stale. If so the window must grow.
-func (ex *ctaExec) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
+func (ex *Executor) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
 	if ex.ws == 0 {
 		return // stream start: carry-in of zero is exact
 	}
@@ -833,7 +769,7 @@ func (ex *ctaExec) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
 
 // trackSMemPeak records the high-water shared-memory footprint: streams
 // co-resident for one merged barrier group, at one T×W tile per stream.
-func (ex *ctaExec) trackSMemPeak(streams int) {
+func (ex *Executor) trackSMemPeak(streams int) {
 	tile := int64(ex.cfg.Grid.Threads * ex.cfg.Grid.UnitBits / 8)
 	if peak := int64(streams) * tile; peak > ex.stats.SMemPeakBytes {
 		ex.stats.SMemPeakBytes = peak

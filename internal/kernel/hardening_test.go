@@ -124,7 +124,7 @@ func TestInjectedForceFallbackStaysExact(t *testing.T) {
 // materializes a load a class prologue left to bind on first read: S = b8
 // heads a one-pair prologue, and a loop that reads S, pushed onto the
 // materialized path by an injected overflow, makes S cross a segment
-// boundary. The rebuilt plan must drop S's mark (ctaExec.loadBit): a stale one
+// boundary. The rebuilt plan must drop S's mark (compiled.loadBit): a stale one
 // binds S's basis view in the loop body without the DRAM read of the
 // committed stream. The run after the fallback must match the interpreter and
 // charge what a session built on that plan from the start charges.
@@ -150,21 +150,20 @@ func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 	want := interpRef(t, p, basis)["re"]
 	inj := faultinject.New(11).ArmNth(faultinject.ForceFallback, 1)
 	cfg := Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true, Inject: inj}
-	fell, err := NewSession(p, cfg, &arena.Arena{})
+	fell, err := newTestSession(p, cfg, &arena.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fell.Close()
 	cfg.Inject = nil
-	planned, err := NewSession(p, cfg, &arena.Arena{})
+	planned, err := newTestSession(p, cfg, &arena.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer planned.Close()
-	planned.materialize = map[ir.Stmt]bool{loop: true}
-	planned.rebuild()
+	planned.compiled = compile(p, cfg.Mode, map[ir.Stmt]bool{loop: true})
 	var stats [2]gpusim.CTAStats
-	for i, sess := range []*Session{fell, planned} {
+	for i, sess := range []testSession{fell, planned} {
 		outs, st, err := runStreams(sess, basis)
 		if err != nil {
 			t.Fatal(err)
@@ -174,9 +173,9 @@ func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 		}
 		stats[i] = st
 	}
-	if fell.Fallbacks() != 1 || !fell.isMat[s] || fell.ex.loadBit[s] >= 0 {
+	if fell.Fallbacks() != 1 || !fell.isMat[s] || fell.loadBit[s] > 0 {
 		t.Fatalf("after the fallback: %d fallbacks, S%d materialized %v, marked to bind on first read %v; want 1, true, false",
-			fell.Fallbacks(), s, fell.isMat[s], fell.ex.loadBit[s] >= 0)
+			fell.Fallbacks(), s, fell.isMat[s], fell.loadBit[s] > 0)
 	}
 	if stats[0] != stats[1] {
 		t.Fatalf("the run after the fallback charges\n %+v\na session planned so from the start\n %+v", stats[0], stats[1])
@@ -213,13 +212,12 @@ func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
 	basis := transpose.Transpose([]byte(strings.Repeat("ab bb xb ac ba bb yy bb ", 10)))
 	basis.Ext = append(basis.Ext, charclass.MatchStream(charclass.Single('b'), basis))
 	want := interpRef(t, p, basis)["re"]
-	sess, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+	sess, err := newTestSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sess.materialize = map[ir.Stmt]bool{loop: true}
-	sess.rebuild()
+	sess.compiled = compile(p, ModeDTM, map[ir.Stmt]bool{loop: true})
 	for run := 0; run < 2; run++ {
 		outs, _, err := runStreams(sess, basis)
 		if err != nil {
@@ -229,9 +227,9 @@ func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
 			t.Fatalf("run %d: output diverges from the interpreter:\n got  %s\n want %s", run, outs[0], want)
 		}
 	}
-	if len(sess.pl.nodes) != 3 || sess.isMat[v] || sess.ex.loadBit[v] >= 0 {
+	if len(sess.pl.nodes) != 3 || sess.isMat[v] || sess.loadBit[v] > 0 {
 		t.Fatalf("%d plan nodes, S%d materialized %v, marked to bind on first read %v; want 3, false, false",
-			len(sess.pl.nodes), v, sess.isMat[v], sess.ex.loadBit[v] >= 0)
+			len(sess.pl.nodes), v, sess.isMat[v], sess.loadBit[v] > 0)
 	}
 }
 
@@ -274,7 +272,7 @@ func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
 		basis.Ext = append(basis.Ext, charclass.MatchStream(charclass.Single('b'), basis))
 		presenceRows(basis)
 		want := interpRef(t, p, basis)
-		sess, err := NewSession(p, Config{Grid: prologueGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+		sess, err := newTestSession(p, Config{Grid: prologueGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +286,7 @@ func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
 				t.Fatalf("%s: output %s diverges from the interpreter:\n got  %s\n want %s", shape, o.Name, outs[i], want[o.Name])
 			}
 		}
-		if sess.ex.loadBit[v] >= 0 {
+		if sess.loadBit[v] > 0 {
 			t.Fatalf("%s: S%d is marked to bind on first read", shape, v)
 		}
 	}

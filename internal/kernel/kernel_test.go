@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/charclass"
 	"bitgen/internal/gpusim"
@@ -31,8 +32,28 @@ func interpRef(t *testing.T, p *ir.Program, basis *transpose.Basis) map[string]*
 	return res.Outputs
 }
 
+// testSession is a compiled program with an executor of its own.
+type testSession struct {
+	*Session
+	ex *Executor
+}
+
+func newTestSession(p *ir.Program, cfg Config, a *arena.Arena) (testSession, error) {
+	s, err := Compile(p, cfg)
+	if err != nil {
+		return testSession{}, err
+	}
+	return testSession{s, NewExecutor(a)}, nil
+}
+
+func (s testSession) Run(ctx context.Context, basis *transpose.Basis) ([]bitstream.Compact, gpusim.CTAStats, error) {
+	return s.Session.Run(ctx, s.ex, basis)
+}
+
+func (s testSession) Close() { s.ex.Close() }
+
 // runStreams is s.Run with its compact outputs expanded to streams.
-func runStreams(s *Session, basis *transpose.Basis) ([]*bitstream.Stream, gpusim.CTAStats, error) {
+func runStreams(s testSession, basis *transpose.Basis) ([]*bitstream.Stream, gpusim.CTAStats, error) {
 	outs, stats, err := s.Run(context.Background(), basis)
 	streams := make([]*bitstream.Stream, len(outs))
 	for i, o := range outs {

@@ -80,6 +80,10 @@ package kernel
 // these rules case by case.
 
 import (
+	"math"
+	"slices"
+	"sync"
+
 	"bitgen/internal/bitstream"
 	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
@@ -127,25 +131,22 @@ type sbOp struct {
 	code  sbOpCode
 	inner sbOpCode // sbFuse2: inner bitwise op (sbAnd, sbOr, sbAndNot)
 	outer sbOpCode // sbFuse2: outer bitwise op, the inner result on its left
+	lazy  bool     // sbShift: record a deferral instead of moving words
+	// k is the shift distance, the basis bit of sbMatchBasis, or for sbAdd
+	// and sbStarThru the index of its statement in the program's carries.
+	k int32
 
 	dst, a, b, c ir.VarID
-	k            int32 // shift distance, or basis bit for sbMatchBasis
-	lazy         bool  // sbShift: record a deferral instead of moving words
 
-	// Precomputed barrier-merge charge descriptor for shift µops: gid < 0
-	// means unscheduled (each shift pays its own barrier pair), otherwise
-	// the group is charged once per window with nsrcs distinct sources.
-	gid   int32
-	nsrcs int32
+	// Barrier-merge group of shift µops: gid < 0 means unscheduled (each
+	// shift pays its own barrier pair), otherwise the group is charged once
+	// per window with compiled.nsrcs[gid] distinct sources.
+	gid int32
 
 	// nStmts counts the source assignments folded into this µop (2 for a
 	// fused pair); a taken guard charges one zeroing pass per source
 	// statement.
 	nStmts int32
-
-	// stmt is the originating assignment, kept for carry-boundary and
-	// overlap-fallback attribution (the materialize set is keyed by it).
-	stmt *ir.Assign
 }
 
 type sbNodeKind uint8
@@ -161,13 +162,9 @@ const (
 // of µops, or a guard/if/while control point between runs.
 type sbNode struct {
 	kind   sbNodeKind
-	lo, hi int32    // ops[lo:hi] for sbRunNode
-	cond   ir.VarID // guard/if/while condition
-	skip   int32    // guard: following nodes covered by the skip range
-	skipN  int32    // guard: skipped top-level statement count (SkippedStmts)
-	growth int      // while: marker growth per iteration (from dfg analysis)
-	body   *sbProgram
-	while  *ir.While // while: overflow culprit
+	lo, hi int32 // ops[lo:hi] for sbRunNode
+	skip   int32 // guard: following nodes covered by the skip range
+	skipN  int32 // guard: skipped top-level statement count (SkippedStmts)
 
 	// Guard zeroing. A run/if/while node owns zeroDsts[zlo:zhi] of its program
 	// — every destination later code may read; fused temporaries are dead past
@@ -179,9 +176,13 @@ type sbNode struct {
 	// it) node pairs — a class prologue, which execPrologue runs — with its
 	// length. mask is 1 + the offset in the program's masks of the extended
 	// streams its loads read, bit j for Ext[j], when every load binds on first
-	// read (ctaExec.loadBit); 0 otherwise.
+	// read (compiled.loadBit); 0 otherwise.
 	pairs int32
 	mask  int32
+
+	cond   ir.VarID // guard/if/while condition
+	growth int      // while: marker growth per iteration (from dfg analysis)
+	body   *sbProgram
 }
 
 // sbProgram is the compiled form of one fused segment's statement list.
@@ -190,39 +191,107 @@ type sbProgram struct {
 	nodes    []sbNode
 	zeroDsts []ir.VarID // what taken guards tag known zero, node after node
 	masks    []uint64   // prologue masks, ⌈ExtBits/64⌉ words each
+	// carries are the Add and StarThru statements, kept for carry-boundary
+	// and overlap-fallback attribution (the materialize set is keyed by them).
+	carries []*ir.Assign
 	// nOps and nFused total the µops and fused pairs across nested bodies
 	// (the superblock span's attributes).
 	nOps   int
 	nFused int
+	// loop is the while statement whose body this is (the overflow culprit),
+	// nil for any other list.
+	loop *ir.While
 }
 
 // ---------- compilation ----------
 
 type sbCompiler struct {
-	ex *ctaExec
+	k  *compiled
 	ud dfg.UseDef
 	an *dfg.Analysis
-	// Deferrable shifts (see compileRun): definitions passed so far per
-	// variable, enclosing while bodies, destinations that qualified.
-	seen  []int32
-	loops int
-	lazy  []bool
+	// Build scratch, reused by every segment of the program. Deferrable
+	// shifts (see compileRun): definitions passed so far per variable,
+	// enclosing while bodies, destinations that qualified; seen and lazy are
+	// zeroed again after each segment. cut and stmtHi are stacks, one frame
+	// per statement list being compiled.
+	seen   []int32
+	loops  int
+	lazy   []bool
+	cut    []bool
+	stmtHi []int
+	pre    []int32 // guard resolution: see compile
+	thr    []int32
+	// The barrier-merge index: each shift's group, when it has two or more
+	// members.
+	gidOf map[*ir.Assign]int32
 	// depth counts the enclosing if and while bodies; whole says the segment
 	// is the program.
 	depth int
 	whole bool
 }
 
-// newSBCompiler prepares the compilation of a fused segment's statements; an
-// is the segment's dataflow analysis (while nodes bake in its loop growth).
-func (ex *ctaExec) newSBCompiler(stmts []ir.Stmt, an *dfg.Analysis) *sbCompiler {
-	return &sbCompiler{
-		ex:    ex,
-		ud:    dfg.CountUseDef(stmts, ex.prog.NumVars),
-		an:    an,
-		seen:  make([]int32, ex.prog.NumVars),
-		lazy:  make([]bool, ex.prog.NumVars),
-		whole: len(stmts) > 0 && len(stmts) == len(ex.prog.Stmts) && stmts[0] == ex.prog.Stmts[0],
+// sbScratch recycles compilers, with their scratch, across the programs a
+// process compiles.
+var sbScratch = sync.Pool{New: func() any { return new(sbCompiler) }}
+
+// newSBCompiler prepares the compilation of k's segments, indexing the
+// program's barrier schedule (produced by the Shift Rebalancing pass). Its
+// seen and lazy are NumVars zeros; put it back with done.
+func newSBCompiler(k *compiled) *sbCompiler {
+	c := sbScratch.Get().(*sbCompiler)
+	c.k, c.seen, c.lazy = k, grow(c.seen, k.prog.NumVars)[:k.prog.NumVars], grow(c.lazy, k.prog.NumVars)
+	c.thr = grow(c.thr, k.prog.NumVars)
+	if c.gidOf == nil {
+		c.gidOf = make(map[*ir.Assign]int32)
+	}
+	if sched := k.prog.Barriers; sched != nil {
+		k.nsrcs = make([]int32, len(sched.Groups))
+		for gid, group := range sched.Groups {
+			if len(group) < 2 {
+				continue // singleton groups behave like unscheduled shifts
+			}
+			for i, a := range group {
+				c.gidOf[a] = int32(gid)
+				sh, ok := a.Expr.(ir.Shift)
+				if ok && !slices.ContainsFunc(group[:i], func(b *ir.Assign) bool { x, ok := b.Expr.(ir.Shift); return ok && x.Src == sh.Src }) {
+					k.nsrcs[gid]++
+				}
+			}
+		}
+	}
+	return c
+}
+
+// done returns c to sbScratch, dropping what it referenced.
+func (c *sbCompiler) done() {
+	clear(c.gidOf)
+	c.k, c.an, c.ud, c.whole = nil, nil, dfg.UseDef{}, false
+	sbScratch.Put(c)
+}
+
+// compilePlan compiles every fused segment of pl, nested ones included: its
+// analysis (while nodes bake in its loop growth), superblock program and
+// live-out set.
+func (c *sbCompiler) compilePlan(pl *plan) {
+	for _, node := range pl.nodes {
+		switch x := node.(type) {
+		case *fusedSeg:
+			p := c.k.prog
+			c.an, c.ud = dfg.AnalyzeBody(x.stmts, p.NumVars), dfg.CountUseDef(x.stmts, p.NumVars)
+			c.whole = len(x.stmts) > 0 && len(x.stmts) == len(p.Stmts) && x.stmts[0] == p.Stmts[0]
+			x.an, x.sprog = c.an, c.compile(x.stmts)
+			// Every destination was seen: the first sight of each lists it.
+			ir.WalkStmts(x.stmts, func(s ir.Stmt) {
+				if a, ok := s.(*ir.Assign); ok {
+					if c.seen[a.Dst] != 0 && (c.k.isMat[a.Dst] || c.k.isOut[a.Dst]) {
+						x.liveOut = append(x.liveOut, a.Dst)
+					}
+					c.seen[a.Dst], c.lazy[a.Dst] = 0, false
+				}
+			})
+		case *ctlSeg:
+			c.compilePlan(x.body)
+		}
 	}
 }
 
@@ -231,35 +300,53 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 	// Superblocks must not straddle a guard's skip range: cut at every
 	// control statement and at every guard-range end so a firing guard
 	// covers whole nodes.
-	cut := make([]bool, len(stmts)+1)
+	base := len(c.cut)
+	c.cut = slices.Grow(c.cut, len(stmts)+1)[:base+len(stmts)+1]
+	cut := c.cut[base:]
+	clear(cut)
+	nodes, ops := 0, 0 // what p will hold, ops at most: sized once
 	for i, s := range stmts {
 		switch x := s.(type) {
 		case *ir.Guard:
 			cut[i], cut[i+1] = true, true
-			end := i + 1 + x.Skip
-			if end > len(stmts) {
-				end = len(stmts)
-			}
-			cut[end] = true
+			cut[min(i+1+x.Skip, len(stmts))] = true
 		case *ir.If, *ir.While:
 			cut[i], cut[i+1] = true, true
+		case *ir.Assign:
+			ops++
+			if i > 0 && !cut[i] {
+				continue // inside a run
+			}
 		}
+		nodes++
 	}
+	p.nodes, p.ops, p.zeroDsts = make([]sbNode, 0, nodes), make([]sbOp, 0, ops), make([]ir.VarID, 0, ops)
 	// stmtHi records each node's statement range end for resolving guard
 	// skip counts into node counts afterwards.
-	var stmtHi []int
-	emit := func(n sbNode, dsts []ir.VarID, hi int) {
-		n.zlo = int32(len(p.zeroDsts))
-		p.zeroDsts = append(p.zeroDsts, dsts...)
-		n.zhi = int32(len(p.zeroDsts))
+	hiBase := len(c.stmtHi)
+	emit := func(n sbNode, zlo int32, hi int) {
+		n.zlo, n.zhi = zlo, int32(len(p.zeroDsts))
 		p.nodes = append(p.nodes, n)
-		stmtHi = append(stmtHi, hi)
+		c.stmtHi = append(c.stmtHi, hi)
+	}
+	// bodyZero lists what a taken guard must zero when its range covers a
+	// nested if/while — every assignment destination of the body — and
+	// returns how many.
+	bodyZero := func(body []ir.Stmt) (charge int32) {
+		ir.WalkStmts(body, func(s ir.Stmt) {
+			if a, ok := s.(*ir.Assign); ok {
+				p.zeroDsts = append(p.zeroDsts, a.Dst)
+				charge++
+			}
+		})
+		return charge
 	}
 	i := 0
 	for i < len(stmts) {
+		zlo := int32(len(p.zeroDsts))
 		switch x := stmts[i].(type) {
 		case *ir.Guard:
-			emit(sbNode{kind: sbGuardNode, cond: x.Cond, skipN: int32(x.Skip)}, nil, i+1)
+			emit(sbNode{kind: sbGuardNode, cond: x.Cond, skipN: int32(x.Skip)}, zlo, i+1)
 			i++
 		case *ir.If:
 			c.depth++
@@ -267,18 +354,17 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 			c.depth--
 			p.nOps += body.nOps
 			p.nFused += body.nFused
-			dsts, charge := zeroInfoStmts(x.Body)
-			emit(sbNode{kind: sbIfNode, cond: x.Cond, body: body, zeroCharge: charge}, dsts, i+1)
+			emit(sbNode{kind: sbIfNode, cond: x.Cond, body: body, zeroCharge: bodyZero(x.Body)}, zlo, i+1)
 			i++
 		case *ir.While:
 			c.loops, c.depth = c.loops+1, c.depth+1
 			body := c.compile(x.Body)
+			body.loop = x
 			c.loops, c.depth = c.loops-1, c.depth-1
 			p.nOps += body.nOps
 			p.nFused += body.nFused
-			dsts, charge := zeroInfoStmts(x.Body)
 			emit(sbNode{kind: sbWhileNode, cond: x.Cond, body: body,
-				growth: c.an.LoopGrowth[x], while: x, zeroCharge: charge}, dsts, i+1)
+				growth: c.an.LoopGrowth[x], zeroCharge: bodyZero(x.Body)}, zlo, i+1)
 			i++
 		default:
 			// Maximal straight-line run up to the next cut point.
@@ -289,12 +375,11 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 			lo := int32(len(p.ops))
 			c.compileRun(p, stmts[i:j])
 			nd := sbNode{kind: sbRunNode, lo: lo, hi: int32(len(p.ops))}
-			var dsts []ir.VarID
 			for oi := nd.lo; oi < nd.hi; oi++ {
-				dsts = append(dsts, p.ops[oi].dst)
+				p.zeroDsts = append(p.zeroDsts, p.ops[oi].dst)
 				nd.zeroCharge += p.ops[oi].nStmts
 			}
-			emit(nd, dsts, j)
+			emit(nd, zlo, j)
 			i = j
 		}
 	}
@@ -304,30 +389,41 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 	// destinations something may still read: one read after the range,
 	// committed, or defined again. Any other reads as zero while absent (bind).
 	// A guard in a body tags them all: a loop may read them again.
+	// pre[k] sums the zero charges of the nodes before k, guards' still 0; at
+	// top level thr[v] is 1 + the last statement reading v, or MaxInt32 for a
+	// destination a taken guard always tags.
+	stmtHi := c.stmtHi[hiBase:]
+	c.pre = append(c.pre[:0], 0)
+	for i := range p.nodes {
+		c.pre = append(c.pre, c.pre[i]+p.nodes[i].zeroCharge)
+	}
+	for _, v := range p.zeroDsts {
+		if c.thr[v] = c.ud.Last[v]; c.k.isMat[v] || c.k.isOut[v] || c.ud.Defs[v] > 1 {
+			c.thr[v] = math.MaxInt32
+		}
+	}
 	for ni := range p.nodes {
 		nd := &p.nodes[ni]
 		if nd.kind != sbGuardNode {
 			continue
 		}
 		end := min(stmtHi[ni]+int(nd.skipN), len(stmts))
-		k := ni + 1
-		for ; k < len(p.nodes) && stmtHi[k] <= end; k++ {
-			if p.nodes[k].kind != sbGuardNode {
-				nd.zeroCharge += p.nodes[k].zeroCharge
-			}
-		}
+		k, _ := slices.BinarySearch(stmtHi[ni+1:], end+1)
+		k += ni + 1
+		nd.zeroCharge += c.pre[k] - c.pre[ni+1]
 		nd.skip = int32(k - ni - 1)
 		nd.zhi = p.nodes[k-1].zhi
 		if c.depth == 0 {
 			lo := int32(len(p.zeroDsts))
 			for _, v := range p.zeroDsts[nd.zlo:nd.zhi] {
-				if c.ud.Last[v] > int32(end) || c.ex.isMat[v] || c.ex.isOut[v] || c.ud.Defs[v] > 1 {
+				if c.thr[v] > int32(end) {
 					p.zeroDsts = append(p.zeroDsts, v)
 				}
 			}
 			nd.zlo, nd.zhi = lo, int32(len(p.zeroDsts))
 		}
 	}
+	c.cut, c.stmtHi = c.cut[:base], c.stmtHi[:hiBase]
 	// Mark the prologues from the back, so a pair's successor knows its run.
 	for ni := len(p.nodes) - 2; ni >= 0; ni-- {
 		ld, g := &p.nodes[ni], &p.nodes[ni+1]
@@ -355,35 +451,22 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 // program its mask when every load reads an extended stream into a
 // destination that its first reader may bind: defined nowhere else — so, the
 // program being valid, no statement before the load reads it — and neither
-// materialized nor an output. It marks those loads in ex.loadBit.
+// materialized nor an output. It marks those loads in compiled.loadBit.
 func (c *sbCompiler) lazyPrologue(p *sbProgram, ni int) {
 	nd := &p.nodes[ni]
 	loads := p.ops[nd.lo : nd.lo+nd.pairs]
 	for _, op := range loads {
-		if v := op.dst; op.k < transpose.NumBasis || c.ud.Defs[v] != 1 || c.ex.isMat[v] || c.ex.isOut[v] {
+		if v := op.dst; op.k < transpose.NumBasis || c.ud.Defs[v] != 1 || c.k.isMat[v] || c.k.isOut[v] {
 			return
 		}
 	}
 	nd.mask = int32(len(p.masks)) + 1
-	p.masks = append(p.masks, make([]uint64, (c.ex.prog.ExtBits+63)/64)...)
+	p.masks = append(p.masks, make([]uint64, (c.k.prog.ExtBits+63)/64)...)
 	for _, op := range loads {
 		j := op.k - transpose.NumBasis
 		p.masks[nd.mask-1+j/64] |= 1 << (j % 64)
-		c.ex.loadBit[op.dst] = op.k
+		c.k.loadBit[op.dst] = op.k + 1
 	}
-}
-
-// zeroInfoStmts collects the assignment destinations (recursively) and the
-// assignment count of a statement list — what a taken guard must zero and
-// charge when its range covers a nested if/while.
-func zeroInfoStmts(stmts []ir.Stmt) (dsts []ir.VarID, charge int32) {
-	ir.WalkStmts(stmts, func(s ir.Stmt) {
-		if a, ok := s.(*ir.Assign); ok {
-			dsts = append(dsts, a.Dst)
-			charge++
-		}
-	})
-	return dsts, charge
 }
 
 // compileRun translates a straight-line assignment run into µops, fusing
@@ -406,13 +489,13 @@ func (c *sbCompiler) compileRun(p *sbProgram, stmts []ir.Stmt) {
 		if c.tryFuse(p, runStart, a) {
 			continue
 		}
-		p.ops = append(p.ops, c.baseOp(a))
+		p.ops = append(p.ops, c.baseOp(p, a))
 	}
 }
 
 // baseOp translates one assignment to its unfused µop.
-func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
-	op := sbOp{dst: a.Dst, gid: -1, nStmts: 1, stmt: a}
+func (c *sbCompiler) baseOp(p *sbProgram, a *ir.Assign) sbOp {
+	op := sbOp{dst: a.Dst, gid: -1, nStmts: 1}
 	switch e := a.Expr.(type) {
 	case ir.Zero:
 		op.code = sbZero
@@ -426,14 +509,13 @@ func (c *sbCompiler) baseOp(a *ir.Assign) sbOp {
 		op.code, op.a, op.b = sbBinCode[e.Op], e.X, e.Y
 	case ir.Shift:
 		op.code, op.a, op.k, op.lazy = sbShift, e.Src, int32(e.K), c.lazy[a.Dst]
-		if gid, ok := c.ex.groupOf[a]; ok {
-			op.gid = int32(gid)
-			op.nsrcs = int32(len(c.ex.groupSrcs[gid]))
+		if gid, ok := c.gidOf[a]; ok {
+			op.gid = gid
 		}
 	case ir.Add:
-		op.code, op.a, op.b = sbAdd, e.X, e.Y
+		op.code, op.a, op.b, op.k, p.carries = sbAdd, e.X, e.Y, int32(len(p.carries)), append(p.carries, a)
 	case ir.StarThru:
-		op.code, op.a, op.b = sbStarThru, e.M, e.C
+		op.code, op.a, op.b, op.k, p.carries = sbStarThru, e.M, e.C, int32(len(p.carries)), append(p.carries, a)
 	case ir.MatchBasis:
 		op.code, op.k = sbMatchBasis, int32(e.Bit)
 	}
@@ -471,14 +553,14 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 		if t != bin.X && t != bin.Y {
 			continue
 		}
-		if def.nStmts != 1 || !c.ud.SingleUseTemp(t) || c.ex.isMat[t] || c.ex.isOut[t] {
+		if def.nStmts != 1 || !c.ud.SingleUseTemp(t) || c.k.isMat[t] || c.k.isOut[t] {
 			continue
 		}
 		other, tIsX := bin.Y, true
 		if bin.Y == t {
 			other, tIsX = bin.X, false
 		}
-		fused := sbOp{dst: a.Dst, a: def.a, c: other, nStmts: 2, stmt: def.stmt}
+		fused := sbOp{dst: a.Dst, a: def.a, c: other, nStmts: 2}
 		switch def.code {
 		case sbShift:
 			k := int(def.k)
@@ -488,7 +570,7 @@ func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
 			if di < last && redefines(p.ops[di+1:], def.a) {
 				continue
 			}
-			fused.k, fused.gid, fused.nsrcs = def.k, def.gid, def.nsrcs
+			fused.k, fused.gid = def.k, def.gid
 			fused.code = sbShiftCode[sbBinCode[bin.Op]]
 		case sbAnd, sbOr, sbAndNot:
 			// A pair reads all three operands at once; over a deferred shift
@@ -522,7 +604,7 @@ func redefines(ops []sbOp, v ir.VarID) bool {
 
 // execSBProg runs a compiled segment program over the current window,
 // charging per the contract in this file's header when charge is set.
-func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
+func (ex *Executor) execSBProg(p *sbProgram, charge bool) error {
 	nodes := p.nodes
 	for i := 0; i < len(nodes); i++ {
 		nd := &nodes[i]
@@ -564,7 +646,7 @@ func (ex *ctaExec) execSBProg(p *sbProgram, charge bool) error {
 // chargeGuards charges n guards' zero tests. Each piggybacks on the producing
 // instruction's atomicOr flag (Section 6): a block-wide reduction but no extra
 // barrier.
-func (ex *ctaExec) chargeGuards(n int64) {
+func (ex *Executor) chargeGuards(n int64) {
 	ex.stats.UnitOps += n * ex.windowUnits()
 	ex.stats.SMemWriteBytes += n * int64(ex.cfg.Grid.Threads) * 4
 	ex.stats.GuardChecks += n
@@ -572,7 +654,7 @@ func (ex *ctaExec) chargeGuards(n int64) {
 
 // takeGuard fires the guard node gi: it tags what the guard skips known zero,
 // writing no memory, charges the skip and returns the last node skipped.
-func (ex *ctaExec) takeGuard(p *sbProgram, gi int, charge bool) int {
+func (ex *Executor) takeGuard(p *sbProgram, gi int, charge bool) int {
 	nd := &p.nodes[gi]
 	for _, v := range p.zeroDsts[nd.zlo:nd.zhi] {
 		ex.regs.zero(v)
@@ -592,12 +674,12 @@ func (ex *ctaExec) takeGuard(p *sbProgram, gi int, charge bool) int {
 // read (bind). Otherwise it runs pair by pair, binding each load and
 // answering its guard from the window's set, else exactly by regs.any; the
 // first taken one fires as its node would.
-func (ex *ctaExec) execPrologue(p *sbProgram, ni int, charge bool) int {
+func (ex *Executor) execPrologue(p *sbProgram, ni int, charge bool) int {
 	nd := &p.nodes[ni]
 	loads := p.ops[nd.lo : nd.lo+nd.pairs] // a guard node has no µops: the loads are adjacent
 	last, n := ni+2*len(loads)-1, int64(len(loads))
 	honor := ex.cfg.HonorGuards
-	if nd.mask == 0 || honor && !covers(ex.windowSet(), p.masks[nd.mask-1:][:(ex.prog.ExtBits+63)/64]) {
+	if nd.mask == 0 || honor && !covers(ex.windowSet(), p.masks[nd.mask-1:][:(ex.k.prog.ExtBits+63)/64]) {
 		set := ex.windowSet()
 		for k := range loads {
 			op := &loads[k]
@@ -619,7 +701,7 @@ func (ex *ctaExec) execPrologue(p *sbProgram, ni int, charge bool) int {
 
 // windowSet returns the extended streams present in the whole lines of the
 // current window (transpose.Basis.Present), ORed once a window.
-func (ex *ctaExec) windowSet() []uint64 {
+func (ex *Executor) windowSet() []uint64 {
 	if ex.presAt != ex.wgGen {
 		ex.presAt = ex.wgGen
 		ex.basis.Present(ex.pres, ex.ws/64, ex.ww)
@@ -642,7 +724,7 @@ func covers(set, mask []uint64) bool {
 
 // execSBWhile iterates a compiled loop body until its condition is zero
 // over the whole window, recording the overlap the iterations demand.
-func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
+func (ex *Executor) execSBWhile(nd *sbNode, charge bool) error {
 	iters := 0
 	maxIters := ex.weBits - ex.ws + 16
 	for {
@@ -660,8 +742,8 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 			return nil
 		}
 		if iters++; iters > maxIters {
-			ex.culprit = nd.while
-			return &overflowError{stmt: nd.while, need: ex.cfg.Grid.BlockBits() + 1}
+			ex.culprit = nd.body.loop
+			return &overflowError{stmt: nd.body.loop, need: ex.cfg.Grid.BlockBits() + 1}
 		}
 		if charge {
 			ex.stats.WhileIterations++
@@ -669,7 +751,7 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 		if nd.growth > 0 {
 			ex.needBits += nd.growth
 			if ex.culprit == nil {
-				ex.culprit = nd.while
+				ex.culprit = nd.body.loop
 			}
 		}
 		if err := ex.execSBProg(nd.body, charge); err != nil {
@@ -679,7 +761,7 @@ func (ex *ctaExec) execSBWhile(nd *sbNode, charge bool) error {
 }
 
 // execSBRun executes one superblock's µops over the current window.
-func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
+func (ex *Executor) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 	units := ex.windowUnits()
 	for oi := lo; oi < hi; oi++ {
 		op := &p.ops[oi]
@@ -733,7 +815,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			dst := ex.regs.buf(op.dst)
 			bitstream.AddWords(dst, x, y)
 			ex.regs.maskTail(dst)
-			ex.checkCarryBoundary(op.stmt, x, y)
+			ex.checkCarryBoundary(p.carries[op.k], x, y)
 			if charge {
 				ex.stats.UnitOps += 3 * units
 				ex.stats.Barriers++ // carry exchange across threads
@@ -745,7 +827,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			dst := ex.regs.buf(op.dst)
 			starThruWords(dst, m, cc, ex.tmpT, ex.tmpS)
 			ex.regs.maskTail(dst)
-			ex.checkCarryBoundary(op.stmt, cc, nil)
+			ex.checkCarryBoundary(p.carries[op.k], cc, nil)
 			if charge {
 				ex.stats.UnitOps += 7 * units
 				ex.stats.Barriers += 2 // marker-shift neighborhood + carry exchange
@@ -802,7 +884,7 @@ func (ex *ctaExec) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 // read: a dead conjunction computes nothing, a live AND, OR or AND-NOT folds
 // a deferred operand in — except the right of an AND-NOT, which is forced, as
 // either side of an XOR is.
-func (ex *ctaExec) execBin(op *sbOp, charge bool) {
+func (ex *Executor) execBin(op *sbOp, charge bool) {
 	r := ex.regs
 	ex.bind(op.a, charge)
 	ex.bind(op.b, charge)
@@ -860,7 +942,7 @@ func binWords(code sbOpCode, dst, a, c []uint64, k int, in uint64) uint64 {
 // chargeShift accounts a windowed shift's synchronization and shared-memory
 // traffic, honoring the barrier-merge schedule (the group descriptor was
 // resolved at compile time).
-func (ex *ctaExec) chargeShift(op *sbOp, units int64) {
+func (ex *Executor) chargeShift(op *sbOp, units int64) {
 	ex.stats.UnitOps += 2 * units
 	if op.gid < 0 {
 		ex.stats.Barriers += 2
@@ -877,8 +959,9 @@ func (ex *ctaExec) chargeShift(op *sbOp, units int64) {
 		ex.stats.ShiftBarriers += 2
 		// One shared-memory store per distinct source in the group
 		// (redundant-copy elimination, Section 5.3).
-		ex.stats.SMemWriteBytes += int64(op.nsrcs) * ex.windowBytes()
-		ex.trackSMemPeak(int(op.nsrcs))
+		n := ex.k.nsrcs[gid]
+		ex.stats.SMemWriteBytes += int64(n) * ex.windowBytes()
+		ex.trackSMemPeak(int(n))
 	}
 	ex.stats.SMemReadBytes += ex.windowBytes()
 }

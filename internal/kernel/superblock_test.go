@@ -453,7 +453,7 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 			passes.Rebalance(p, passes.RebalanceOptions{})
 			passes.MergeBarriers(p, passes.MergeOptions{MergeSize: 8})
 			passes.InsertGuards(p, passes.ZBSOptions{Interval: 8})
-			s, err := NewSession(p, Config{Grid: grid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+			s, err := newTestSession(p, Config{Grid: grid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,7 +523,7 @@ func TestDeferredClassGuardsAgainstPresence(t *testing.T) {
 		passes.MergeBarriers(p, passes.MergeOptions{MergeSize: 8})
 		passes.InsertGuards(p, passes.ZBSOptions{Interval: 8})
 		cfg := Config{Grid: gpusim.DefaultGrid(), Mode: ModeDTM, HonorGuards: true}
-		s, err := NewSession(p, cfg, &arena.Arena{})
+		s, err := newTestSession(p, cfg, &arena.Arena{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,8 +531,7 @@ func TestDeferredClassGuardsAgainstPresence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex, r := s.ex, s.ex.regs
-		ex.reset(context.Background(), basis, s.base.withDefaults(basis.N))
-		ex.isMat = s.isMat
+		ex.reset(context.Background(), s.compiled, basis, s.cfg.withDefaults(basis.N))
 		for _, node := range s.pl.nodes {
 			seg, ok := node.(*fusedSeg)
 			if !ok || seg.an.HasDynamic || seg.an.HasCarry {
@@ -712,8 +711,8 @@ func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.B
 	want := interpRef(t, p, basis)["re"]
 	// run runs p twice on one session under the mask audit — the first run
 	// compiles — the second time pair by pair when asked.
-	run := func(pairwise bool) (*Session, gpusim.CTAStats) {
-		s, err := NewSession(p, cfg, &arena.Arena{})
+	run := func(pairwise bool) (testSession, gpusim.CTAStats) {
+		s, err := newTestSession(p, cfg, &arena.Arena{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -901,7 +900,7 @@ func TestTakenGuardTagsWhatIsReadAfterIt(t *testing.T) {
 		want := interpRef(t, p, basis)
 		var stats [2]gpusim.CTAStats
 		for pass := range stats {
-			s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+			s, err := newTestSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1073,7 +1072,7 @@ func eachProgram(pl *plan, visit func(*sbProgram)) {
 
 // shiftOps indexes the standalone shift µops a session compiled by their
 // destination.
-func shiftOps(s *Session) map[ir.VarID]*sbOp {
+func shiftOps(s testSession) map[ir.VarID]*sbOp {
 	ops := make(map[ir.VarID]*sbOp)
 	eachProgram(s.pl, func(p *sbProgram) {
 		for i := range p.ops {
@@ -1088,10 +1087,10 @@ func shiftOps(s *Session) map[ir.VarID]*sbOp {
 // runHandBuilt executes p over input in DTM on tiny blocks, asserts every
 // output equals the interpreter's and returns the session, its last window's
 // registers still in place.
-func runHandBuilt(t *testing.T, p *ir.Program, input string) *Session {
+func runHandBuilt(t *testing.T, p *ir.Program, input string) testSession {
 	t.Helper()
 	basis := transpose.Transpose([]byte(input))
-	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
+	s, err := newTestSession(p, Config{Grid: tinyGrid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1228,7 +1227,7 @@ func TestSinkRespectsSourceRedefinition(t *testing.T) {
 	p := b.Program()
 
 	basis := transpose.Transpose([]byte(strings.Repeat("abba bab aab ", 40)))
-	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
+	s, err := newTestSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1247,11 +1246,11 @@ func TestSinkRespectsSourceRedefinition(t *testing.T) {
 		case sbShift:
 			standalone = append(standalone, op.dst)
 		case sbShiftAnd:
-			fused = append(fused, op.stmt.Dst)
+			fused = append(fused, op.a)
 		}
 	}
-	if !slices.Equal(standalone, []ir.VarID{t1}) || !slices.Equal(fused, []ir.VarID{t2}) {
-		t.Fatalf("standalone shifts %v, sunk shifts %v; want [S%d] and [S%d]", standalone, fused, t1, t2)
+	if !slices.Equal(standalone, []ir.VarID{t1}) || !slices.Equal(fused, []ir.VarID{y}) {
+		t.Fatalf("standalone shifts %v, sunk shifts of %v; want [S%d] and that of [S%d]", standalone, fused, t1, y)
 	}
 }
 

@@ -75,16 +75,12 @@ const (
 	regDeferred
 )
 
-func newRegFile(numVars int) *regFile {
-	return &regFile{
-		own:    make([][]uint64, numVars),
-		val:    make([][]uint64, numVars),
-		shiftK: make([]int32, numVars),
-		state:  make([]regState, numVars),
-		epoch:  make([]uint32, numVars),
-		live:   make([]uint64, numVars),
-		dirty:  make([]uint64, numVars),
-	}
+// grow sizes the file for numVars variables. Registers hold nothing of a
+// program between windows but storage, so one file serves every program an
+// executor runs: the epoch invalidates values, dirty describes the storage.
+func (r *regFile) grow(numVars int) {
+	r.own, r.val, r.shiftK = grow(r.own, numVars), grow(r.val, numVars), grow(r.shiftK, numVars)
+	r.state, r.epoch, r.live, r.dirty = grow(r.state, numVars), grow(r.epoch, numVars), grow(r.live, numVars), grow(r.dirty, numVars)
 }
 
 func (r *regFile) newWords(n int) []uint64 {

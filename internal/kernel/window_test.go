@@ -16,6 +16,13 @@ import (
 	"bitgen/internal/workload"
 )
 
+// newRegFile returns a register file sized for numVars variables.
+func newRegFile(numVars int) *regFile {
+	r := &regFile{}
+	r.grow(numVars)
+	return r
+}
+
 func TestRegFileEpochInvalidation(t *testing.T) {
 	r := newRegFile(4)
 	r.beginWindow(2)
@@ -405,20 +412,22 @@ func BenchmarkShiftWordsLink(b *testing.B) {
 // back. Compact, the output appends only the window's non-zero words.
 func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 	p := lower.MustSingle("re", "ab")
-	s, err := NewSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
+	s, err := newTestSession(p, Config{Grid: tinyGrid, Mode: ModeDTM}, &arena.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	basis := transpose.Transpose(make([]byte, 64*4))
 	ex := s.ex
-	ex.reset(context.Background(), basis, s.base.withDefaults(basis.N))
+	ex.reset(context.Background(), s.compiled, basis, s.cfg.withDefaults(basis.N))
 	v := p.Outputs[0].Var
 	if s.isMat[v] {
 		t.Fatalf("output S%d is materialized; nothing reads it back", v)
 	}
-	ex.isMat = slices.Clone(s.isMat)
-	ex.isMat[v] = true
+	k := *s.compiled
+	k.isMat = slices.Clone(s.isMat)
+	k.isMat[v] = true
+	ex.k = &k
 	g := ex.ensureGlobal(v)
 	g.OnesInto()
 	ex.ws, ex.weBits, ex.ww = 64, 64*3, 2
@@ -430,7 +439,7 @@ func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 		t.Fatalf("global after committing a known-zero register = %x, want %x", g.Words(), want)
 	}
 
-	ex.isMat[v] = false
+	k.isMat[v] = false
 	ex.commitWindow([]ir.VarID{v}, 64, 128)
 	copy(ex.regs.mut(v), []uint64{0, 5})
 	ex.commitWindow([]ir.VarID{v}, 64, 192)
@@ -441,7 +450,7 @@ func TestKnownZeroLiveOutCommitsZeros(t *testing.T) {
 
 // ---------- the live-tile mask contract ----------
 
-// maskAudit checks the register file's mask invariants wherever ctaExec.afterOp
+// maskAudit checks the register file's mask invariants wherever Executor.afterOp
 // fires — after every µop, a probe's flooded loop condition still in place —
 // and records what the run covered, so a case set that never reaches a partial mask, a probe pass or a
 // second window width fails instead of passing vacuously.
@@ -454,7 +463,7 @@ type maskAudit struct {
 }
 
 // attach installs the audit on s; every violation is a test error under label.
-func (a *maskAudit) attach(t *testing.T, label string, s *Session) {
+func (a *maskAudit) attach(t *testing.T, label string, s testSession) {
 	ex := s.ex
 	if a.widths == nil {
 		a.widths = make(map[int]bool)
@@ -550,7 +559,7 @@ func TestMasksHoldAfterEveryOp(t *testing.T) {
 	var audit maskAudit
 	for _, c := range cases {
 		basis := transpose.Transpose(c.input)
-		s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
+		s, err := newTestSession(c.prog, c.cfg, &arena.Arena{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
@@ -708,7 +717,7 @@ func TestViewsAreNeverWritten(t *testing.T) {
 	for _, set := range [][]pinnedCase{handpickedCases(), randomCases(t), gridCases()} {
 		for _, c := range set {
 			basis := transpose.Transpose(c.input)
-			s, err := NewSession(c.prog, c.cfg, &arena.Arena{})
+			s, err := newTestSession(c.prog, c.cfg, &arena.Arena{})
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)
 			}

@@ -164,16 +164,24 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 			defer wg.Done()
 			lane := scanLaneWorker - w
 			o.NameLane(lane, "scan/worker")
-			// PutSession drops the session if a chunk failed on it.
-			ss, ssErr := e.inner.GetSession(o, lane, false)
-			if ss != nil {
-				defer e.inner.PutSession(ss)
-			}
+			// The session is borrowed when the first chunk arrives: a worker
+			// that never gets one builds nothing. PutSession drops it if a
+			// chunk failed on it.
+			var ss *engine.ScanSession
+			var ssErr error
+			defer func() {
+				if ss != nil {
+					e.inner.PutSession(ss)
+				}
+			}()
 			for j := range work {
 				j.matches = j.matches[:0]
 				if j.seq > failedSeq.Load() {
 					j.err = bgerr.Canceled(context.Canceled)
 				} else {
+					if ss == nil && ssErr == nil {
+						ss, ssErr = e.inner.GetSession(o, lane, false)
+					}
 					start := time.Now()
 					var cspan *obs.Span
 					if traced {
