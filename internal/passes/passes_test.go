@@ -109,31 +109,35 @@ func TestRebalanceIntroducesLookbacks(t *testing.T) {
 	}
 }
 
+// guardedIfProgram builds a body whose rewrite orphans a shift: an If whose
+// body advances a value deeper than the class it is ANDed with, led by a
+// guard when guarded.
+func guardedIfProgram(guarded bool) *ir.Program {
+	b := ir.NewBuilder()
+	a := b.MatchClass(charclass.Single('a'))
+	c := b.MatchClass(charclass.Single('b'))
+	deep := b.And(b.Not(b.Not(a)), a) // deeper than c: the rewrite is profitable
+	out := b.NewVar()
+	b.EmitTo(out, ir.Zero{})
+	b.If(a, func() {
+		s := b.Advance(deep, 1)
+		s2 := b.Advance(b.And(s, c), 2)
+		b.EmitTo(out, ir.Bin{Op: ir.OpAnd, X: s2, Y: c})
+	})
+	b.Output("ab.b", out)
+	p := b.Program()
+	if guarded {
+		body := &p.Stmts[len(p.Stmts)-1].(*ir.If).Body
+		*body = append([]ir.Stmt{&ir.Guard{Cond: a, Skip: 1}}, *body...)
+	}
+	return p
+}
+
 // TestRebalanceLeavesGuardedBodiesWhole: a body that already holds a guard
 // keeps every statement through the rounds and the sweep (skip counts), so
 // the shift a rewrite orphans there stays where it is; the same body without
 // the guard loses it. Both still compute what they did.
 func TestRebalanceLeavesGuardedBodiesWhole(t *testing.T) {
-	build := func(guarded bool) *ir.Program {
-		b := ir.NewBuilder()
-		a := b.MatchClass(charclass.Single('a'))
-		c := b.MatchClass(charclass.Single('b'))
-		deep := b.And(b.Not(b.Not(a)), a) // deeper than c: the rewrite is profitable
-		out := b.NewVar()
-		b.EmitTo(out, ir.Zero{})
-		b.If(a, func() {
-			s := b.Advance(deep, 1)
-			s2 := b.Advance(b.And(s, c), 2)
-			b.EmitTo(out, ir.Bin{Op: ir.OpAnd, X: s2, Y: c})
-		})
-		b.Output("ab.b", out)
-		p := b.Program()
-		if guarded {
-			body := &p.Stmts[len(p.Stmts)-1].(*ir.If).Body
-			*body = append([]ir.Stmt{&ir.Guard{Cond: a, Skip: 1}}, *body...)
-		}
-		return p
-	}
 	count := func(p *ir.Program) (n int) {
 		ir.WalkStmts(p.Stmts, func(ir.Stmt) { n++ })
 		return n
@@ -141,7 +145,7 @@ func TestRebalanceLeavesGuardedBodiesWhole(t *testing.T) {
 	input := []byte("abxb abbb ab b aabab " + strings.Repeat("abab", 20))
 	var grew [2]int
 	for i, guarded := range []bool{false, true} {
-		p := build(guarded)
+		p := guardedIfProgram(guarded)
 		before, want := count(p), runInterp(t, p, input)
 		if Rebalance(p, RebalanceOptions{}).Rewrites == 0 {
 			t.Fatalf("guarded=%v: nothing rewritten, nothing orphaned", guarded)
