@@ -225,8 +225,10 @@ profile-control:
 # a cold compile of the 168-signature set plus its first 256 KiB ScanReader);
 # BENCH=LoadAndFirstRun is the load half of the megaset cycle alone
 # (BenchmarkLoadAndFirstRun: DecodeEngine and the first Run, the compile and
-# the snapshot outside the timer). Run it on the parent commit and the change
-# for a before/after pair.
+# the snapshot outside the timer); BENCH=Rebalance is Shift Rebalancing alone
+# over the lowered groups of the Yara-168 set and the megaset-500
+# (BenchmarkRebalance, the clones made outside the timer). Run it on the
+# parent commit and the change for a before/after pair.
 BENCH_SIZE ?= 500
 BENCH ?= CompileMegaset/$(BENCH_SIZE)
 profile-compile:

@@ -5,6 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"bitgen/internal/charclass"
+	"bitgen/internal/ir"
+	"bitgen/internal/lower"
+	"bitgen/internal/passes"
 	"bitgen/internal/workload"
 )
 
@@ -76,6 +80,86 @@ func compileAndFirstScanSigs(tb testing.TB) func() error {
 	}
 }
 
+// BenchmarkRebalance is Shift Rebalancing alone over the programs Compile
+// lowers for the 168-signature Yara set and the 500-signature megaset: one op
+// rebalances every group of one compile, each a clone made outside the timer.
+// `make profile-compile BENCH=Rebalance` profiles it.
+func BenchmarkRebalance(b *testing.B) {
+	yara, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mega, err := workload.Megaset(500, 1, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, set := range []struct {
+		name string
+		app  *workload.App
+		opts *Options
+	}{{"Yara168", yara, nil}, {"Megaset500", mega, megasetOpts}} {
+		b.Run(set.name, func(b *testing.B) {
+			progs := loweredGroups(b, set.app, set.opts)
+			clones := make([]*ir.Program, len(progs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j, p := range progs {
+					clones[j] = p.Clone()
+				}
+				b.StartTimer()
+				for _, p := range clones {
+					passes.Rebalance(p, passes.RebalanceOptions{})
+				}
+			}
+		})
+	}
+}
+
+// loweredGroups returns the programs Compile lowers for app's patterns, one
+// per CTA group, before any pass: the groups' patterns and shared classes
+// are read back from a compiled engine.
+func loweredGroups(tb testing.TB, app *workload.App, opts *Options) []*ir.Program {
+	eng, err := Compile(app.Patterns, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	byName := make(map[string]lower.Regex, len(app.Regexes))
+	for _, r := range app.Regexes {
+		byName[r.Name] = r
+	}
+	var parts [][]lower.Regex
+	for _, g := range eng.inner.Groups() {
+		var part []lower.Regex
+		for _, name := range g.Names {
+			part = append(part, byName[name])
+		}
+		parts = append(parts, part)
+	}
+	slots := map[charclass.Class]int{}
+	if sp := eng.inner.Shared(); sp != nil {
+		slotOf := make(map[string]int, len(sp.Outputs))
+		for i, o := range sp.Outputs {
+			slotOf[o.Name] = i
+		}
+		for _, part := range parts {
+			for _, cl := range lower.Classes(part) {
+				if i, ok := slotOf[cl.Key()]; ok {
+					slots[cl] = i
+				}
+			}
+		}
+	}
+	progs := make([]*ir.Program, len(parts))
+	for i, part := range parts {
+		if progs[i], err = lower.Group(part, lower.Options{SharedCC: slots, SharedExtBits: len(slots)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return progs
+}
+
 // BenchmarkLoadAndFirstRun is the load half of BenchmarkCompileMegaset/500:
 // decode the snapshot and serve the loaded engine's first Run, which builds
 // its session — every group's kernel compiled, one executor per worker.
@@ -113,19 +197,20 @@ func loadAndFirstRunMegaset(tb testing.TB) func() error {
 
 // TestCompileMegasetAllocationBudget is the allocation gate on the compile
 // path: one Compile of the benchmark's 500-signature megaset keeps ~0.5 MB
-// and may allocate at most 31 MB on the way, in at most 20 collector cycles:
-// a quarter above the 25.0 MB and 16 cycles it measures under the race
-// detector, the costlier of the two modes the suite runs in (19.3 MB and 10–11
-// without; 23.9 MB and 14 without before Rebalance stopped re-walking its
-// orphans and left a dense variable space behind; 105 MB in 552 k objects and
-// 42–58 cycles before the passes reused their scratch across rounds and
-// groups).
+// and may allocate at most 29 MB on the way, in at most 20 collector cycles:
+// a quarter above the 22.1–23.1 MB it measures under the race detector, the
+// costlier of the two modes the suite runs in, where it takes 15–17 cycles
+// (14.4 MB in 137 k objects and 7–8 cycles without; 19.3 MB in 381 k before
+// Rebalance ran its rounds on pointer-free records and ZeroPaths built its
+// chains in one array; 23.9 MB before Rebalance stopped re-walking its orphans
+// and left a dense variable space behind; 105 MB in 552 k objects and 42–58
+// cycles before the passes reused their scratch across rounds and groups).
 func TestCompileMegasetAllocationBudget(t *testing.T) {
 	app, err := workload.Megaset(500, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocationBudget(t, "Compile(Megaset 500)", 31e6, 20, func() error {
+	allocationBudget(t, "Compile(Megaset 500)", 29e6, 20, func() error {
 		_, err := Compile(app.Patterns, megasetOpts)
 		return err
 	})
@@ -134,14 +219,15 @@ func TestCompileMegasetAllocationBudget(t *testing.T) {
 // TestCompileSigsAllocationBudget is the same gate on BenchmarkCompileSigs's
 // op: the compile, then the first scan's session — each group's kernel
 // compiled once, one executor for the worker's every group. It measures
-// 28.4 MB in 621 k objects (37.3 MB under the race detector, hence 47) where it
-// measured 55.9 MB in 714 k when every group had an executor of its own — five
-// tables and a register file sized by its program's NumVars — and 123.5 MB in
-// 1 416 k before the variable space was dense. Its cycle count follows the heap
-// the tests before it left — 2 to 7, 6 to 28 under the race detector — so that
-// bound is loose.
+// 18.5 MB in 118 k objects (28.4–30.9 MB under the race detector, hence 39)
+// where it measured 28.4 MB in 621 k before Rebalance ran its rounds on
+// pointer-free records, 55.9 MB in 714 k when every group had an executor of
+// its own — five tables and a register file sized by its program's NumVars —
+// and 123.5 MB in 1 416 k before the variable space was dense. Its cycle count
+// follows the heap the tests before it left — 2 to 7, 6 to 28 under the race
+// detector — so that bound is loose.
 func TestCompileSigsAllocationBudget(t *testing.T) {
-	allocationBudget(t, "Compile+first scan(Yara 168)", 47e6, 35, compileAndFirstScanSigs(t))
+	allocationBudget(t, "Compile+first scan(Yara 168)", 39e6, 35, compileAndFirstScanSigs(t))
 }
 
 // TestLoadAndFirstRunAllocationBudget is the gate on BenchmarkLoadAndFirstRun's

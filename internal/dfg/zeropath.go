@@ -98,17 +98,23 @@ func (ix *occIndex) occurrences(v ir.VarID) []int32 {
 
 // ZeroPaths discovers maximal zero paths in a straight-line run of
 // assignments. Paths shorter than two on-path statements are discarded:
-// guarding a single instruction cannot pay for the branch.
+// guarding a single instruction cannot pay for the branch. The chains are
+// built in one backing array sized to the run (it grows only if the kept
+// paths share statements); each path's Stmts is a capacity-clipped window.
 func ZeroPaths(run []*ir.Assign, numVars int) []ZeroPath {
 	ix := buildOccIndex(run, numVars)
 	onPath := make([]bool, len(run))
 	var paths []ZeroPath
+	buf := make([]int, 0, len(run))
 	for head := 0; head < len(run); head++ {
 		if onPath[head] {
 			continue // already the interior of a longer path
 		}
-		chain := followChain(run, head, ix)
+		start := len(buf)
+		buf = followChain(run, head, ix, buf)
+		chain := buf[start:len(buf):len(buf)]
 		if len(chain) < 2 {
+			buf = buf[:start]
 			continue
 		}
 		for _, idx := range chain {
@@ -124,14 +130,13 @@ func ZeroPaths(run []*ir.Assign, numVars int) []ZeroPath {
 }
 
 // followChain greedily extends a zero path from the definition at run
-// index head: at each step it takes the next statement that consumes the
-// current value zero-preservingly (and whose result is therefore also
-// guaranteed zero), honoring redefinitions of the tracked variable. Only
-// statements mentioning the tracked variable are visited, via the
-// occurrence index.
-func followChain(run []*ir.Assign, head int, ix *occIndex) []int {
+// index head, appending it to chain: at each step it takes the next
+// statement that consumes the current value zero-preservingly (and whose
+// result is therefore also guaranteed zero), honoring redefinitions of the
+// tracked variable. Only statements mentioning the tracked variable are
+// visited, via the occurrence index.
+func followChain(run []*ir.Assign, head int, ix *occIndex, chain []int) []int {
 	cur := run[head].Dst
-	var chain []int
 	j := head
 	for {
 		list := ix.occurrences(cur)

@@ -3,47 +3,56 @@ package passes
 import (
 	"testing"
 
+	"bitgen/internal/ir"
 	"bitgen/internal/lower"
 	"bitgen/internal/workload"
 )
 
-// TestRebalanceRoundAllocatesOnlyWhatItMints: once the first round has sized
-// the scratch, a fixpoint round allocates what its rewrites leave in the
-// program and nothing else. A rewrite mints two assignments and boxes three
-// expressions (the counter shift, the inner AND and the rewritten statement's
-// new shift), a fusion of a live statement boxes one and one of lifted orphan
-// reads none (fused counts both); the constant covers the body's and the
-// tables' amortized growth. Before the scratch a round rebuilt its run list,
-// depth table, pre-statement lists and the body (twice) every time.
+// TestRebalanceRoundAllocatesOnlyWhatItMints: the rounds run on the work form
+// alone — a rewrite appends two records, a fusion edits one — so once a
+// scratch has served the program, no round allocates at all. The whole pass
+// then allocates at most two objects per assignment it leaves in the program
+// (its boxed expression, and its share of the slab and the grown bodies) plus
+// a constant. Before the work form a round allocated two assignments and three
+// boxed expressions per rewrite and a boxed shift per fusion.
 func TestRebalanceRoundAllocatesOnlyWhatItMints(t *testing.T) {
 	app, err := workload.Megaset(12, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := lower.Group(app.Regexes, lower.Options{})
+	lowered, err := lower.Group(app.Regexes, lower.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := newRebalancer(p, new(scratch))
+	s := new(scratch)
+	s.rebalance(lowered.Clone()) // grows the scratch to the program
+	rb := newRebalancer(lowered.Clone(), s)
 	var res RebalanceResult
-	rb.round(&res)
-	if res.Rewrites == 0 {
-		t.Fatal("first round rewrote nothing")
-	}
-	for measured := 2; measured <= 4; measured += 2 {
-		var fused, rewrites int
-		allocs := testing.AllocsPerRun(1, func() { // a warm-up round, then the measured one
-			before := res.Rewrites
-			fused, _ = rb.round(&res)
-			rewrites = res.Rewrites - before
-		})
-		if rewrites == 0 {
-			t.Fatalf("round %d rewrote nothing: the program is too shallow to measure", measured+1)
+	for round, changed := 1, true; changed; round += 2 { // a round, then the measured one
+		before := res.Rewrites
+		allocs := testing.AllocsPerRun(1, func() { _, changed = rb.round(&res) })
+		if round == 1 && res.Rewrites == before {
+			t.Fatal("the first rounds rewrote nothing: the program is too shallow to measure")
 		}
-		if bound := float64(5*rewrites + fused + 8); allocs > bound {
-			t.Errorf("round %d: %v allocations for %d rewrites and %d fusions, want at most %v",
-				measured+1, allocs, rewrites, fused, bound)
+		if allocs != 0 {
+			t.Errorf("round %d: %v allocations for %d rewrites", round+1, allocs, res.Rewrites-before)
 		}
-		t.Logf("round %d: %v allocations, %d rewrites, %d fusions", measured+1, allocs, rewrites, fused)
 	}
+
+	var progs [2]*ir.Program
+	for i := range progs {
+		progs[i] = lowered.Clone()
+	}
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() { s.rebalance(progs[run]); run++ })
+	assigns := 0
+	ir.WalkStmts(progs[1].Stmts, func(st ir.Stmt) {
+		if _, ok := st.(*ir.Assign); ok {
+			assigns++
+		}
+	})
+	if bound := float64(2*assigns + 8); allocs > bound {
+		t.Errorf("Rebalance: %v allocations for %d assignments left, want at most %v", allocs, assigns, bound)
+	}
+	t.Logf("Rebalance: %v allocations, %d assignments left, %d rewrites", allocs, assigns, res.Rewrites)
 }

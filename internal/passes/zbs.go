@@ -47,7 +47,7 @@ func InsertGuards(p *ir.Program, opts ZBSOptions) ZBSResult {
 	s := getScratch()
 	// Every textual use in the program plus outputs, counted once up front:
 	// a skipped definition escapes its range when a use lies outside it.
-	s.analyze(p)
+	s.countUses(p)
 	s.reads = grown(s.reads[:0], p.NumVars, runReads{})
 	s.guardBody(p, &p.Stmts, opts, &res)
 	s.release()
