@@ -106,15 +106,6 @@ func simulate(ctx context.Context, n *NFA, input []byte) (*SimResult, error) {
 			}
 		}
 	}
-	// Follow masks per state.
-	followMask := make([][]uint64, numStates)
-	for s := 0; s < numStates; s++ {
-		m := make([]uint64, words)
-		for _, q := range n.FollowOf(int32(s)) {
-			m[q/64] |= 1 << (uint(q) % 64)
-		}
-		followMask[s] = m
-	}
 	// Accept mask (any regex) and per-state accept lists for reporting.
 	acceptAny := make([]uint64, words)
 	for s := 0; s < numStates; s++ {
@@ -135,8 +126,10 @@ func simulate(ctx context.Context, n *NFA, input []byte) (*SimResult, error) {
 		for w := range pending {
 			pending[w] = 0
 		}
-		// Expand follow sets of active states; the start state (bit 0) is
-		// always active (unanchored matching).
+		// Expand follow sets of active states from the CSR lists, one bit
+		// per edge: a dense per-state mask would cost numStates bits per
+		// active state. The start state (bit 0) is always active
+		// (unanchored matching).
 		active[0] |= 1
 		for w, a := range active {
 			for a != 0 {
@@ -144,9 +137,8 @@ func simulate(ctx context.Context, n *NFA, input []byte) (*SimResult, error) {
 				a &= a - 1
 				s := w*64 + b
 				res.Stats.FollowFetches++
-				fm := followMask[s]
-				for k := range pending {
-					pending[k] |= fm[k]
+				for _, q := range n.FollowOf(int32(s)) {
+					pending[q/64] |= 1 << (uint(q) % 64)
 				}
 			}
 		}
