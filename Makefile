@@ -118,21 +118,24 @@ loc:
 	> results/loc.json
 	@echo "loc: wrote results/loc.json"
 
-# paper regenerates the paper's tables and figures: results/{table1,fig11,
-# fig12,table4,table5,fig13,fig14,fig15,extras}.csv and, rendered, results/
-# bitbench.log (≈ 40 s on two cores). It is their only writer.
+# paper regenerates the paper's tables and figures at the paper's regex
+# counts: results/{table1,fig11,fig12,table4,table5,fig13,fig14,fig15,
+# extras}.csv and, rendered, results/bitbench.log (≈ 8 min and ≈ 4 GiB
+# resident on two cores). It also writes the same artifacts for a 5 % subset
+# of every application's patterns into internal/experiments/testdata/paper,
+# the pins `go test` checks. It is the only writer of both.
 # TestPaperArtifactsReproduce (internal/experiments) re-derives every modeled
 # cell of those CSVs and fails on any difference, so a change that moves one
 # commits the regenerated files with it.
 paper:
 	$(GO) run ./cmd/bitbench -exp all -csv results > results/bitbench.log
+	$(GO) run ./cmd/bitbench -exp all -scale 0.05 -csv internal/experiments/testdata/paper > /dev/null
 
-# paper-check is that test with the paper build tag, under which it also
-# derives fig11 and fig15: their ngAP and icgrep cells take the reference NFA
-# simulation and the whole-stream interpreter over every application, too long
-# for `go test` (all nine ≈ 21 s on two cores, the other seven ≈ 11 s).
+# paper-check is that test with the paper build tag, under which it derives
+# every artifact at the paper's scale and checks it against results/ (≈ 4–5
+# min on two cores); without the tag, `go test` checks the 5 % pins.
 paper-check:
-	$(GO) test -count=1 -tags paper -run '^TestPaperArtifactsReproduce$$' ./internal/experiments
+	$(GO) test -count=1 -timeout 30m -tags paper -run '^TestPaperArtifactsReproduce$$' ./internal/experiments
 
 # bench-serve regenerates results/BENCH_serve.json: a 1-node baseline vs
 # a 3-node cluster with a mid-run replica kill, reporting p50/p99

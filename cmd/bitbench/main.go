@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bitbench -exp all -csv results    # every artifact, default scale: `make paper`
+//	bitbench -exp all -csv results    # every artifact at the paper's scale: `make paper`
 //	bitbench -exp fig11 -scale 0.1    # Table 2 / Figure 11 at 10% regex scale
 //	bitbench -exp table5 -input 500000
 //	bitbench -exp fig12 -apps Yara,Brill -csv out/
@@ -45,7 +45,7 @@ var aliases = map[string]string{
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, extras, all)")
-	scale := flag.Float64("scale", 0.05, "fraction of the paper's regex counts to generate")
+	scale := flag.Float64("scale", 1, "fraction of the paper's regex counts to generate")
 	inputBytes := flag.Int("input", 1_000_000, "input size in bytes")
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: all ten)")
 	seed := flag.Int64("seed", 0, "workload generation seed")

@@ -10,33 +10,30 @@ import (
 	"testing"
 )
 
-// slowArtifacts need the two reference runs, the NFA simulation (ngAP) and the
-// whole-stream interpreter (icgrep), both single-threaded: ≈ 1/3 of the CPU
-// time of deriving every artifact. `go test` leaves them to `make paper-check`.
-var slowArtifacts = map[string]bool{"fig11": true, "fig15": true}
-
-// checkSlowArtifacts is set by the paper build tag (paper_check_test.go).
-var checkSlowArtifacts = false
+// paperScale and paperDir are the regex scale TestPaperArtifactsReproduce
+// derives the artifacts at and the directory of the CSVs it checks them
+// against: by default the 0.05 subset pinned under testdata/paper, under the
+// paper build tag (paper_check_test.go) the paper's scale and results/.
+var (
+	paperScale = 0.05
+	paperDir   = filepath.Join("testdata", "paper")
+)
 
 // TestPaperArtifactsReproduce re-derives every modeled cell of the committed
-// paper artifacts — results/<name>.csv as `make paper` wrote them, at the
-// suite's default settings — and fails on any difference. fig11's HS-1T and
-// HS-MT columns are timed on the host, not modeled: they are the only cells it
-// leaves alone. A change that moves a modeled number regenerates the artifacts
-// (`make paper`) in the same commit, so its diff shows what moved. It is not
-// built with -race: the detector's shadow memory on these runs outgrows a
-// 7 GiB host.
+// paper artifacts — the CSVs `make paper` wrote into paperDir — and fails on
+// any difference. fig11's HS-1T and HS-MT columns are timed on the host, not
+// modeled: they are the only cells it leaves alone. A change that moves a
+// modeled number regenerates the artifacts (`make paper`) in the same commit,
+// so its diff shows what moved. It is not built with -race: the detector's
+// shadow memory on these runs outgrows a 7 GiB host.
 func TestPaperArtifactsReproduce(t *testing.T) {
 	// The Base mode and the icgrep interpreter materialize every intermediate
 	// stream of a 1 MB input: collect early rather than let the heap double
 	// (≈ 4.7 GB resident without the limit, 1.3–1.9 GB with it).
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
-	s := NewSuite(Options{})
+	s := NewSuite(Options{RegexScale: paperScale})
 	for _, a := range Artifacts {
 		t.Run(a.Name, func(t *testing.T) {
-			if slowArtifacts[a.Name] && !checkSlowArtifacts {
-				t.Skip("derived by make paper-check")
-			}
 			run, wallClock := a.Run, map[string]bool{}
 			if a.Name == "fig11" {
 				run = func(s *Suite) (Artifact, error) { return s.overall(false) }
@@ -46,7 +43,7 @@ func TestPaperArtifactsReproduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join("..", "..", "results", a.Name+".csv"))
+			want, err := os.ReadFile(filepath.Join(paperDir, a.Name+".csv"))
 			if err != nil {
 				t.Fatal(err)
 			}
