@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bitgen/internal/engine"
+	"bitgen/internal/gpusim"
 	"bitgen/internal/workload"
 )
 
@@ -16,7 +17,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // TestEngineStatsGolden pins the modeled cost of the full engine — compile,
 // passes, grouping and the kernel executor — on all ten applications: the
 // launch-total CTAStats and the overlap-fallback count under the default
-// BitGen configuration. Host-side changes must leave these bytes alone;
+// BitGen configuration on three CTAs (fewer where an application has fewer
+// regexes). Host-side changes must leave these bytes alone;
 // rewrite the golden (-update-golden) only for a deliberate change to the
 // passes or the cost model. The file was generated with the kernel's
 // former statement-at-a-time interpreter, before the superblock executor
@@ -30,7 +32,10 @@ func TestEngineStatsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := s.runBitGen(app, engine.BitGenDefault())
+		cfg := engine.BitGenDefault()
+		cfg.Grid = gpusim.DefaultGrid()
+		cfg.Grid.CTAs = 3
+		res, _, err := s.runBitGen(app, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
