@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"math"
-
-	"bitgen/internal/ir"
-	"bitgen/internal/transpose"
-)
+import "bitgen/internal/ir"
 
 // CPU model for the icgrep analog: single-core SIMD bitstream execution on
 // the paper's Xeon Platinum 8562Y+. One core sustains a fraction of the
@@ -35,39 +30,16 @@ const hsSIMDFactor = 12.0
 // path.
 const hsNFAFactor = 3.0
 
-// interpStats summarizes one whole-stream interpretation.
-type interpStats struct {
-	instructions int64
-	bytesTouched int64
-}
-
-// interpretForStats runs the reference interpreter, returning its dynamic
-// cost counters.
-func interpretForStats(p *ir.Program, input []byte) (*transpose.Basis, interpStats, error) {
-	basis := transpose.Transpose(input)
-	res, err := ir.Interpret(p, basis, ir.InterpOptions{})
-	if err != nil {
-		return nil, interpStats{}, err
-	}
-	return basis, interpStats{
-		instructions: res.Stats.Instructions,
-		bytesTouched: res.Stats.StreamBytesTouched,
-	}, nil
-}
-
 // cpuBitstreamTime models icgrep's execution time from interpreter
 // counters: compute and memory streaming overlap imperfectly, so the time
 // is their maximum plus a 20% serialization tax.
-func cpuBitstreamTime(st interpStats, inputBytes int) float64 {
-	unitOps := float64(st.instructions) * float64(inputBytes) / 32.0
+func cpuBitstreamTime(st ir.ExecStats, inputBytes int) float64 {
+	unitOps := float64(st.Instructions) * float64(inputBytes) / 32.0
 	compute := unitOps / cpuOpsPerSec
-	mem := float64(st.bytesTouched) / cpuStreamBytesPerSec
+	mem := float64(st.StreamBytesTouched) / cpuStreamBytesPerSec
 	t := compute
 	if mem > t {
 		t = mem
 	}
 	return t * 1.2
 }
-
-func logOf(v float64) float64 { return math.Log(v) }
-func expOf(v float64) float64 { return math.Exp(v) }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"bitgen/internal/engine"
 )
 
 // RecomputeRow is one application's DTM overhead profile (Table 5).
@@ -35,7 +37,7 @@ func (s *Suite) Table5Recompute() (*RecomputeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := s.runBitGen(app, bitGenConfig())
+		res, _, err := s.runBitGen(app, engine.BitGenDefault())
 		if err != nil {
 			return nil, err
 		}

@@ -147,7 +147,7 @@ func (s *Suite) Figure14Interval() (*IntervalResult, error) {
 		row := IntervalRow{App: name}
 		var base float64
 		for i, interval := range IntervalSizes {
-			cfg := bitGenConfig()
+			cfg := engine.BitGenDefault()
 			cfg.IntervalSize = interval
 			res, _, err := s.runBitGen(app, cfg)
 			if err != nil {
