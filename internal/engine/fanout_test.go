@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,6 +228,26 @@ func TestFanOutSlotsAreExclusive(t *testing.T) {
 	}
 }
 
+// handOff is a context whose first Err call — a wide launch checks it as it
+// claims a group — waits for a second one: the claim of another fanOut worker,
+// which then launches its group on an executor of its own. It forces the
+// launch across two executors whatever the scheduler does.
+type handOff struct {
+	context.Context
+	calls  atomic.Int64
+	once   sync.Once
+	second chan struct{}
+}
+
+func (h *handOff) Err() error {
+	if h.calls.Add(1) == 1 {
+		<-h.second
+	} else {
+		h.once.Do(func() { close(h.second) })
+	}
+	return nil
+}
+
 // TestWideLaunchSharesCompiledGroups: two fanOut workers launch the groups of
 // one session, each on an executor of its own over the compiled groups they
 // share — run it with -race. Every wide execute, from the first on, finds the
@@ -255,7 +276,7 @@ func TestWideLaunchSharesCompiledGroups(t *testing.T) {
 	ctx, matches := context.Background(), 0
 	for round, n := range []int{len(app.Input), len(app.Input) / 3, len(app.Input)} {
 		input := app.Input[:n]
-		if err := wide.execute(ctx, input, true); err != nil {
+		if err := wide.execute(&handOff{Context: ctx, second: make(chan struct{})}, input, true); err != nil {
 			t.Fatal(err)
 		}
 		got := wide.mergeMatches(0, 0, nil)

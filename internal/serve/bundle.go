@@ -94,7 +94,7 @@ func (s *Server) dumpBundle(reason string, trace obs.TraceID) ([]byte, error) {
 		name := fmt.Sprintf("bitgen-bundle-%s-%d-%s.json",
 			reason, time.Now().UnixNano(), obs.NewSpanID().String())
 		path := filepath.Join(s.cfg.BundleDir, name)
-		if err = os.WriteFile(path, data, 0o644); err == nil {
+		if err = writeAtomic(path, data); err == nil {
 			s.reg.Counter(obs.MObsBundleWrites, obs.HObsBundleWrites, obs.L("trigger", reason)).Inc()
 			s.reg.Gauge(obs.MObsBundleBytes, obs.HObsBundleBytes).Set(float64(len(data)))
 			s.events.Emit(obs.LevelInfo, "bundle-written", trace,
@@ -105,6 +105,30 @@ func (s *Server) dumpBundle(reason string, trace obs.TraceID) ([]byte, error) {
 		s.reg.Counter(obs.MObsBundleErrors, obs.HObsBundleErrors).Inc()
 	}
 	return data, err
+}
+
+// writeAtomic writes data to a temporary file beside path and renames it
+// into place, so a reader globbing for sealed bundles never sees a partial
+// one: the temporary name is dot-prefixed and lacks the .json suffix.
+func writeAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".bitgen-bundle-tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // onAnomalyEvent is the decision ring's Warn+ hook: decisions that indicate
