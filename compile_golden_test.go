@@ -69,7 +69,7 @@ func TestCompiledArtifactGolden(t *testing.T) {
 				t.Fatalf("%s: %v", set.name, err)
 			}
 			l := fmt.Sprintf("%s patterns=%d groups=%d sha256=%x %+v\n", set.name, len(set.patterns),
-				len(eng.inner.PackedBlocks()), sha256.Sum256(EncodeEngine(eng)), eng.inner.PassStats)
+				len(eng.inner.Groups()), sha256.Sum256(EncodeEngine(eng)), eng.inner.PassStats)
 			if line != "" && l != line {
 				t.Errorf("%s compiles differently at GOMAXPROCS %d:\n%s%s", set.name, procs, line, l)
 			}

@@ -8,10 +8,8 @@ import (
 // Packed program codec: a compact, deterministic byte form of a Program.
 //
 // The packed form is the engine's resident representation (a handful of
-// bytes per instruction instead of ~72 bytes of boxed pointer IR), the
-// payload the snapshot format persists per group, and the content unit the
-// serve layer's intern store deduplicates across engines (content address
-// = hash of the packed bytes). Those three uses share one
+// bytes per instruction instead of ~72 bytes of boxed pointer IR) and the
+// payload the snapshot format persists per group. Both uses share one
 // invariant: EncodeProgram is a pure function of program structure, so
 // EncodeProgram(DecodeProgram(b)) == b and structurally identical programs
 // encode byte-identically.

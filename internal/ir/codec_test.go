@@ -42,8 +42,8 @@ func codecFixture() *Program {
 }
 
 // TestCodecRoundTrip: decode(encode(p)) preserves program semantics and
-// the re-encoding is byte-identical — the property the intern store's
-// content addressing and snapshot byte-stability rest on.
+// the re-encoding is byte-identical — the property snapshot byte-stability
+// rests on.
 func TestCodecRoundTrip(t *testing.T) {
 	p := codecFixture()
 	data := EncodeProgram(p)

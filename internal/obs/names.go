@@ -140,7 +140,7 @@ const (
 	HServeBatches         = "Match requests executed, one launch each: batched_requests / batches is 1 exactly (kept for the repo benchmark's serve.batch_mean)."
 	HServeBatchedRequests = "Match requests executed; always equal to bitgen_serve_batches_total (kept for the repo benchmark's serve.batch_mean)."
 	HServeDrains          = "Graceful drains initiated."
-	HServeResidentBytes   = "Measured resident bytes of the engines in the LRU cache: per-engine private state plus each interned shared block counted once (refcount-aware; decremented on evict and release)."
+	HServeResidentBytes   = "Measured resident bytes of the engines in the LRU cache: the sum of the cached engines' ResidentBytes (decremented on evict)."
 
 	HSnapSaves           = "Engine snapshots persisted (atomic write-rename)."
 	HSnapSaveErrors      = "Snapshot persistence attempts that failed (I/O or injected fault)."

@@ -12,7 +12,6 @@ import (
 
 	"bitgen"
 	"bitgen/internal/bgerr"
-	"bitgen/internal/intern"
 	"bitgen/internal/obs"
 )
 
@@ -23,12 +22,10 @@ import (
 // request holding an engine that gets evicted mid-flight simply finishes
 // on it; eviction only drops the cache reference.
 //
-// Resident-bytes accounting is measured, not proxied: each engine's
-// packed compiled-state blocks are interned in a refcounted
-// content-addressed store at adoption, so identical compiled structures
-// shared by several cached engines are held — and charged to the gauge —
-// exactly once. The gauge is at all times Σ per-engine private bytes +
-// store.SharedBytes().
+// Resident-bytes accounting is measured, not proxied: each engine is
+// charged its own ResidentBytes when it enters the cache and uncharged
+// when it is evicted, so the gauge is at all times the sum of the cached
+// engines' ResidentBytes.
 type registry struct {
 	cap int
 	// build produces the engine for a key on miss — compile, or a
@@ -39,10 +36,8 @@ type registry struct {
 	// the server after construction).
 	events *obs.EventLog
 	// resident tracks the measured resident bytes of completed cached
-	// engines (private + each shared block once), decremented on evict.
+	// engines, decremented on evict.
 	resident *obs.Gauge
-	// blocks dedupes identical packed compiled state across engines.
-	blocks intern.Store
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -59,14 +54,10 @@ type entry struct {
 	ready    chan struct{}
 	eng      *bitgen.Engine
 	err      error
-	// bytes is the engine's measured private resident size: its
-	// ResidentBytes minus the interned shared blocks, which the block
-	// store accounts once across all referencing engines.
-	bytes int64
-	// blockKeys are the engine's references into the block store,
-	// released on evict.
-	blockKeys []intern.Key
-	lastUse   int64
+	// bytes is the engine's ResidentBytes, charged to the gauge while the
+	// entry is cached.
+	bytes   int64
+	lastUse int64
 }
 
 func newRegistry(capacity int, reg *obs.Registry,
@@ -78,37 +69,6 @@ func newRegistry(capacity int, reg *obs.Registry,
 		resident: reg.Gauge(obs.MServeResidentBytes, obs.HServeResidentBytes),
 		entries:  make(map[string]*entry),
 	}
-}
-
-// adopt interns a newly built engine's packed compiled-state blocks,
-// rebinding them to the store's canonical copies, and returns the
-// engine's private resident bytes (its measured footprint minus the
-// shared block contents), the store references taken, and the shared
-// bytes newly charged to the store (nonzero only for blocks no other
-// cached engine holds). Gauge delta for adopting an engine is
-// private + charged.
-func (r *registry) adopt(eng *bitgen.Engine) (private int64, keys []intern.Key, charged int64) {
-	total := eng.ResidentBytes()
-	var sharedLen int64
-	eng.RebindPackedBlocks(func(b []byte) []byte {
-		canonical, key, c := r.blocks.Acquire(b)
-		keys = append(keys, key)
-		charged += c
-		sharedLen += int64(len(b))
-		return canonical
-	})
-	return total - sharedLen, keys, charged
-}
-
-// releaseLocked drops an entry's block references, returning the shared
-// bytes uncharged from the store (nonzero only for blocks no remaining
-// engine holds).
-func (r *registry) releaseLocked(e *entry) (uncharged int64) {
-	for _, k := range e.blockKeys {
-		uncharged += r.blocks.Release(k)
-	}
-	e.blockKeys = nil
-	return uncharged
 }
 
 // get returns the cached entry for key, compiling the unique patterns on
@@ -170,9 +130,8 @@ func (r *registry) get(ctx context.Context, key string, patterns []string, foldC
 		}
 		r.mu.Unlock()
 	} else {
-		var charged int64
-		e.bytes, e.blockKeys, charged = r.adopt(e.eng)
-		r.resident.Add(float64(e.bytes + charged))
+		e.bytes = e.eng.ResidentBytes()
+		r.resident.Add(float64(e.bytes))
 	}
 	close(e.ready)
 	if e.err != nil {
@@ -210,25 +169,17 @@ func (r *registry) evictLocked() {
 			return
 		}
 		delete(r.entries, victim.key)
-		if victim.err == nil {
-			uncharged := r.releaseLocked(victim)
-			r.resident.Add(-float64(victim.bytes + uncharged))
-			r.events.Emit(obs.LevelInfo, "cache-evict", obs.TraceID{},
-				obs.A("key", victim.key), obs.A("bytes", victim.bytes), obs.A("shared_freed", uncharged))
-		} else {
-			r.events.Emit(obs.LevelInfo, "cache-evict", obs.TraceID{},
-				obs.A("key", victim.key), obs.A("bytes", victim.bytes))
-		}
+		r.resident.Add(-float64(victim.bytes))
+		r.events.Emit(obs.LevelInfo, "cache-evict", obs.TraceID{},
+			obs.A("key", victim.key), obs.A("bytes", victim.bytes))
 		r.reg.Counter(obs.MServeCacheEvictions, obs.HServeCacheEvictions).Inc()
 	}
 }
 
 // insertReady installs an already-built engine (snapshot warm start at
 // boot). Existing entries win: a concurrent request may have compiled
-// first, and replacing its entry would strand the bytes and block
-// references it charged. The
-// engine's blocks are interned only once the entry actually enters the
-// cache, so a losing insert takes no store references.
+// first, and replacing its entry would strand the bytes it charged. The
+// engine is charged only once the entry actually enters the cache.
 func (r *registry) insertReady(key string, patterns []string, foldCase bool, eng *bitgen.Engine) bool {
 	e := &entry{
 		key:      key,
@@ -246,15 +197,14 @@ func (r *registry) insertReady(key string, patterns []string, foldCase bool, eng
 	r.tick++
 	e.lastUse = r.tick
 	r.entries[key] = e
-	var charged int64
-	e.bytes, e.blockKeys, charged = r.adopt(eng)
-	r.resident.Add(float64(e.bytes + charged))
+	e.bytes = eng.ResidentBytes()
+	r.resident.Add(float64(e.bytes))
 	r.evictLocked()
 	return true
 }
 
 // lookup returns the completed entry for key without compiling, for the
-// /metrics?set= and /trace?set= endpoints.
+// /metrics?set= and /v1/snapshot?set= endpoints.
 func (r *registry) lookup(key string) *entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
