@@ -128,7 +128,7 @@ func (c *conformance) set(label string, k corpus) {
 		}
 		names, engines = append(names, "tiny"), append(engines, tiny)
 	}
-	// RunMulti's streams — the input, a prefix, nothing — and their references.
+	// The streams Run checks — the input, a prefix, nothing — and their references.
 	streams := [][]byte{input, input[:len(input)/3], {}}
 	wants := [][]Match{want, reference(t, patterns, streams[1]), reference(t, patterns, nil)}
 	refusals := map[int]string{}
@@ -152,7 +152,7 @@ func (c *conformance) set(label string, k corpus) {
 func streamable(e *Engine) bool { return len(e.unbounded) == 0 && len(e.nullable) == 0 && e.maxLen > 0 }
 
 // entryPoints checks every entry point of e against wants (on streams[0], but
-// RunMulti on all streams) and returns its Run's modeled statistics. refusals
+// Run on all streams) and returns its Run's modeled statistics. refusals
 // holds, per chunk size, the first engine's refusal: all must refuse alike.
 func (c *conformance) entryPoints(label string, e *Engine, streams [][]byte, wants [][]Match, chunks []int, refusals map[int]string) Stats {
 	t, input, want := c.t, streams[0], wants[0]
@@ -171,12 +171,12 @@ func (c *conformance) entryPoints(label string, e *Engine, streams [][]byte, wan
 	}
 	sameCounts(t, label+": Run", res.Counts, wantCounts)
 	sameCounts(t, label+": CountOnly", counts, wantCounts)
-	mr, err := e.RunMulti(streams)
-	if err != nil {
-		t.Fatalf("%s: RunMulti: %v", label, err)
-	}
-	for i := range streams {
-		same(t, label+": RunMulti stream", mr.PerStream[i].Matches, wants[i])
+	for i := 1; i < len(streams); i++ {
+		r, err := e.Run(streams[i])
+		if err != nil {
+			t.Fatalf("%s: Run stream %d: %v", label, i, err)
+		}
+		same(t, label+": Run stream", r.Matches, wants[i])
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, chunk := range chunks {

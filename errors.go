@@ -2,8 +2,8 @@ package bitgen
 
 import "bitgen/internal/bgerr"
 
-// The error taxonomy. Every public entry point (Compile, Run, RunMulti,
-// CountOnly, ScanReader and their Context variants) fails structured:
+// The error taxonomy. Every public entry point (Compile, Run, CountOnly,
+// ScanReader and their Context variants) fails structured:
 // callers can classify any returned error with errors.Is / errors.As
 // against these identities.
 //

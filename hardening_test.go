@@ -40,9 +40,6 @@ func TestMaxInputBytesLimit(t *testing.T) {
 	if _, err := e.CountOnly(make([]byte, 17)); !errors.Is(err, ErrLimit) {
 		t.Fatalf("oversized CountOnly returned %v, want ErrLimit", err)
 	}
-	if _, err := e.RunMulti([][]byte{[]byte("ok"), make([]byte, 17)}); !errors.Is(err, ErrLimit) {
-		t.Fatalf("oversized RunMulti stream returned %v, want ErrLimit", err)
-	}
 	if _, err := e.Run([]byte("the cat sat")); err != nil {
 		t.Fatalf("in-limit Run failed: %v", err)
 	}
@@ -163,9 +160,9 @@ func TestInternalErrorSurfacesThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestConcurrentUseOneEngine exercises Run, RunMulti, CountOnly and
-// ScanReader from many goroutines on a single Engine; run under -race it
-// proves the compiled Engine is safely shareable.
+// TestConcurrentUseOneEngine exercises Run (on the input and on a prefix),
+// CountOnly and ScanReader from many goroutines on a single Engine; run
+// under -race it proves the compiled Engine is safely shareable.
 func TestConcurrentUseOneEngine(t *testing.T) {
 	e, err := Compile([]string{"cat", "d.g", "\\d{2}"}, nil)
 	if err != nil {
@@ -177,6 +174,11 @@ func TestConcurrentUseOneEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	refMatches, err := e.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := input[:len(input)/2]
+	refPrefix, err := e.Run(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +215,13 @@ func TestConcurrentUseOneEngine(t *testing.T) {
 						}
 					}
 				case 2:
-					mr, err := e.RunMulti([][]byte{input, input[:len(input)/2]})
+					res, err := e.Run(prefix)
 					if err != nil {
 						errc <- err
 						return
 					}
-					if len(mr.PerStream) != 2 {
-						errc <- fmt.Errorf("RunMulti returned %d streams", len(mr.PerStream))
+					if len(res.Matches) != len(refPrefix.Matches) {
+						errc <- fmt.Errorf("concurrent Run on the prefix saw %d matches, want %d", len(res.Matches), len(refPrefix.Matches))
 						return
 					}
 				case 3:

@@ -461,51 +461,6 @@ func TestSequentialFootprintAtScaleExceedsMemory(t *testing.T) {
 	}
 }
 
-func TestRunMultiMIMD(t *testing.T) {
-	regexes := mustRegexes(t, "cat", "d[ou]g")
-	cfg := BitGenDefault()
-	cfg.Grid = smallGrid
-	e, err := Compile(regexes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := [][]byte{
-		[]byte(strings.Repeat("cat dog ", 40)),
-		[]byte(strings.Repeat("dug cot ", 40)),
-		[]byte(strings.Repeat("no pets ", 40)),
-	}
-	multi, err := e.RunMulti(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi.PerStream) != 3 {
-		t.Fatalf("%d streams", len(multi.PerStream))
-	}
-	if multi.PerStream[0].MatchCounts["cat"] != 40 || multi.PerStream[0].MatchCounts["d[ou]g"] != 40 {
-		t.Errorf("stream 0 counts = %v", multi.PerStream[0].MatchCounts)
-	}
-	if multi.PerStream[1].MatchCounts["cat"] != 0 || multi.PerStream[1].MatchCounts["d[ou]g"] != 40 {
-		t.Errorf("stream 1 counts = %v", multi.PerStream[1].MatchCounts)
-	}
-	if multi.PerStream[2].TotalMatches != 0 {
-		t.Errorf("stream 2 matched %d", multi.PerStream[2].TotalMatches)
-	}
-	// The combined launch must model at least one stream's time, and the
-	// aggregate throughput must exceed a single stream's (more resident
-	// CTAs amortize the device).
-	single, err := e.Run(inputs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Time.TotalSec < single.Time.TotalSec*0.99 {
-		t.Errorf("multi time %.3g below single-stream time %.3g", multi.Time.TotalSec, single.Time.TotalSec)
-	}
-	if multi.ThroughputMBs <= single.ThroughputMBs {
-		t.Errorf("MIMD aggregate throughput %.1f not above single %.1f",
-			multi.ThroughputMBs, single.ThroughputMBs)
-	}
-}
-
 func runOn(t *testing.T, regexes []lower.Regex, input []byte, d gpusim.Device) float64 {
 	t.Helper()
 	cfg := BitGenDefault()

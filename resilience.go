@@ -23,8 +23,8 @@ const BackendNFA = "nfa"
 // caller is the repo benchmark's oracle, which compiles against this type;
 // nothing serves through it. With Options.Resilience set, Run and CountOnly
 // answer from one simulation of an NFA built over the unique patterns and
-// every Result names it in Result.Backend; ScanReader, RunMulti and
-// DecodeEngine refuse the engine or options with an *UnsupportedError. The
+// every Result names it in Result.Backend; ScanReader and DecodeEngine
+// refuse the engine or options with an *UnsupportedError. The
 // bitstream engine is compiled beside the NFA, so the engine still saves,
 // explains and reports its compiled state.
 type ResilienceOptions struct {

@@ -79,8 +79,8 @@ func TestHealthZeroWhenResilienceDisabled(t *testing.T) {
 
 // TestForceBackendPinsTheLadder pins the contract of the one pin left: a
 // BackendNFA engine's Run equals the reference, its CountOnly agrees, and
-// it counts its NFA resident; ScanReader and RunMulti on it, DecodeEngine
-// under it and every other ForceBackend value are refused as unsupported.
+// it counts its NFA resident; ScanReader on it, DecodeEngine under it and
+// every other ForceBackend value are refused as unsupported.
 func TestForceBackendPinsTheLadder(t *testing.T) {
 	plain := MustCompile(pinPatterns, nil)
 	e, err := Compile(pinPatterns, &Options{Resilience: nfaPin})
@@ -94,7 +94,6 @@ func TestForceBackendPinsTheLadder(t *testing.T) {
 	refusals := map[string]error{
 		"ScanReader": e.ScanReader(bytes.NewReader([]byte(pinInput)), 16, func(Match) {}),
 	}
-	_, refusals["RunMulti"] = e.RunMulti([][]byte{[]byte(pinInput)})
 	_, refusals["DecodeEngine"] = DecodeEngine(EncodeEngine(plain), &Options{Resilience: nfaPin})
 	for _, name := range []string{"", "bitstream", "hybrid", "abacus"} {
 		_, refusals["ForceBackend "+name] = Compile(pinPatterns, &Options{Resilience: &ResilienceOptions{ForceBackend: name}})

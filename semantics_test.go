@@ -177,39 +177,21 @@ func TestScanReaderRefusesNullablePatterns(t *testing.T) {
 	}
 }
 
-// TestRunMultiEdgeCases covers previously untested inputs: an empty input
-// slice, empty member inputs, and a nullable pattern over an empty stream.
-func TestRunMultiEdgeCases(t *testing.T) {
-	e := MustCompile([]string{"ab"}, nil)
-	mr, err := e.RunMulti(nil)
+// TestRunEmptyInput: an empty input matches nothing for a pattern that
+// needs a byte, and a nullable pattern matches it once, at offset 0.
+func TestRunEmptyInput(t *testing.T) {
+	res, err := MustCompile([]string{"ab"}, nil).Run(nil)
 	if err != nil {
-		t.Fatalf("RunMulti(nil): %v", err)
+		t.Fatalf("Run(nil): %v", err)
 	}
-	if len(mr.PerStream) != 0 {
-		t.Fatalf("RunMulti(nil) PerStream = %d, want 0", len(mr.PerStream))
+	if len(res.Matches) != 0 {
+		t.Errorf("ab on empty input matched: %v", res.Matches)
 	}
-
-	mr, err = e.RunMulti([][]byte{{}, []byte("ab")})
-	if err != nil {
-		t.Fatalf("RunMulti with empty member: %v", err)
-	}
-	if len(mr.PerStream) != 2 {
-		t.Fatalf("PerStream = %d, want 2", len(mr.PerStream))
-	}
-	if len(mr.PerStream[0].Matches) != 0 {
-		t.Errorf("empty input matched: %v", mr.PerStream[0].Matches)
-	}
-	if got := endsOf(mr.PerStream[1].Matches, 0); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("second stream ends = %v, want [1]", got)
-	}
-
-	// A nullable pattern matches the empty input once, at offset 0.
-	en := MustCompile([]string{"a*"}, nil)
-	mr, err = en.RunMulti([][]byte{{}})
+	res, err = MustCompile([]string{"a*"}, nil).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := endsOf(mr.PerStream[0].Matches, 0); !reflect.DeepEqual(got, []int{0}) {
+	if got := endsOf(res.Matches, 0); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("a* on empty input ends = %v, want [0]", got)
 	}
 }
