@@ -65,10 +65,6 @@ func TestStatsAddAndMean(t *testing.T) {
 	if tot.UnitOps != 400 || tot.Barriers != 6 || tot.DynDeltaMax != 7 {
 		t.Fatalf("Total = %+v", tot)
 	}
-	mean := ks.MeanPerCTA()
-	if mean.UnitOps != 200 || mean.DRAMReadBytes != 20 {
-		t.Fatalf("Mean = %+v", mean)
-	}
 }
 
 func TestRecomputePercent(t *testing.T) {

@@ -106,31 +106,3 @@ func (k *KernelStats) Total() CTAStats {
 	}
 	return t
 }
-
-// MeanPerCTA averages counters across CTAs (the "average per CTA" rows of
-// Tables 4-6).
-func (k *KernelStats) MeanPerCTA() CTAStats {
-	t := k.Total()
-	n := int64(len(k.PerCTA))
-	if n == 0 {
-		return t
-	}
-	t.UnitOps /= n
-	t.DRAMReadBytes /= n
-	t.DRAMWriteBytes /= n
-	t.SMemReadBytes /= n
-	t.SMemWriteBytes /= n
-	t.Barriers /= n
-	t.ShiftBarriers /= n
-	t.Loops /= n
-	t.IntermediateStreams /= n
-	t.Windows /= n
-	t.CommittedBits /= n
-	t.RecomputedBits /= n
-	t.DynDeltaSum /= n
-	t.GuardSkips /= n
-	t.GuardChecks /= n
-	t.SkippedStmts /= n
-	t.WhileIterations /= n
-	return t
-}

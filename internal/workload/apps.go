@@ -70,16 +70,6 @@ func Names() []string {
 	return out
 }
 
-// PaperRegexCount returns Table 1's #Regex for an application.
-func PaperRegexCount(name string) (int, error) {
-	for _, s := range specs {
-		if s.name == name {
-			return s.paperCount, nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown application %q", name)
-}
-
 // Load generates an application deterministically.
 func Load(name string, opts Options) (*App, error) {
 	opts = opts.withDefaults()

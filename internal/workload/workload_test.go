@@ -75,23 +75,20 @@ func TestUnknownApp(t *testing.T) {
 	if _, err := Load("NotAnApp", Options{}); err == nil {
 		t.Fatal("unknown application accepted")
 	}
-	if _, err := PaperRegexCount("NotAnApp"); err == nil {
-		t.Fatal("unknown application accepted by PaperRegexCount")
-	}
 }
 
 func TestPaperCounts(t *testing.T) {
-	// Spot-check Table 1's regex counts.
+	// Table 1's regex counts: scale 1 loads every one.
 	for name, want := range map[string]int{
 		"Brill": 1849, "ClamAV": 491, "Dotstar": 1279, "Protomata": 2338,
 		"Snort": 1873, "Yara": 3358, "Bro217": 227, "ExactMatch": 298,
 		"Ranges1": 298, "TCP": 300,
 	} {
-		got, err := PaperRegexCount(name)
+		app, err := Load(name, Options{RegexScale: 1, InputBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if got := len(app.Patterns); got != want {
 			t.Errorf("%s count = %d, want %d", name, got, want)
 		}
 	}
