@@ -54,8 +54,7 @@ func main() {
 		device     = flag.String("device", "", "GPU profile for the cost model (default RTX 3090)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 
-		snapDir   = flag.String("snapshot-dir", "", "directory for compiled-engine snapshots: engines persist there write-behind and the cache warm-starts from it at boot (created if missing; empty disables persistence)")
-		snapScrub = flag.Duration("snapshot-scrub-interval", time.Minute, "how often the background scrubber re-verifies resting snapshots and quarantines corrupt ones (negative disables)")
+		snapDir = flag.String("snapshot-dir", "", "directory for compiled-engine snapshots: engines persist there write-behind and a cache miss loads from it before compiling (created if missing; empty disables persistence)")
 
 		peers        = flag.String("peers", "", "comma-separated replica base URLs (every replica, same set everywhere) — enables cluster mode")
 		advertise    = flag.String("advertise", "", "this replica's base URL as peers reach it (default http://<addr>)")
@@ -91,19 +90,18 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		MaxCachedEngines:      *cacheSize,
-		MaxQueue:              *maxQueue,
-		MaxConcurrent:         *maxConc,
-		DefaultTimeout:        *timeout,
-		MaxTimeout:            *maxTimeout,
-		MaxBodyBytes:          *maxBody,
-		Engine:                bitgen.Options{Device: *device},
-		SnapshotDir:           *snapDir,
-		SnapshotScrubInterval: *snapScrub,
-		SLOMatchP99:           *sloMatchP99,
-		SLOScanP99:            *sloScanP99,
-		SLOAvailability:       *sloAvail,
-		BundleDir:             *bundleDir,
+		MaxCachedEngines: *cacheSize,
+		MaxQueue:         *maxQueue,
+		MaxConcurrent:    *maxConc,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		MaxBodyBytes:     *maxBody,
+		Engine:           bitgen.Options{Device: *device},
+		SnapshotDir:      *snapDir,
+		SLOMatchP99:      *sloMatchP99,
+		SLOScanP99:       *sloScanP99,
+		SLOAvailability:  *sloAvail,
+		BundleDir:        *bundleDir,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bitgend:", cli.Describe(err))

@@ -101,8 +101,8 @@ func TestStateCompressionResidency(t *testing.T) {
 // TestSnapshotByteIdentity: snapshots are stable under a load/save cycle —
 // EncodeEngine(DecodeEngine(data)) reproduces data byte for byte, because
 // the packed group blocks are stored verbatim and re-emitted verbatim.
-// This is what lets a warm-started server content-address snapshot blocks
-// against live engines.
+// This is what lets /v1/snapshot re-encode a cached engine and hand a peer
+// the same bytes as the file on disk.
 func TestSnapshotByteIdentity(t *testing.T) {
 	t.Run("compressed", func(t *testing.T) {
 		e, err := Compile(sharedClassPatterns, nil)

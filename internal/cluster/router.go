@@ -305,15 +305,7 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 		r.ob.RecordSpan(sp)
 	}()
 
-	var candidates []*peer
-	if p := r.peers[route.Owner]; p != nil {
-		candidates = append(candidates, p)
-	}
-	if p := r.peers[route.Successor]; p != nil && route.Successor != route.Owner {
-		candidates = append(candidates, p)
-	}
-
-	if res := r.race(ctx, tc.Trace, candidates, path, contentType, body, stream); res != nil {
+	if res := r.race(ctx, tc.Trace, r.candidates(route), path, contentType, body, stream); res != nil {
 		return res, true
 	}
 	if route.SelfStandby {
@@ -326,6 +318,20 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 			obs.A("key", short(route.Key)), obs.A("owner", route.Owner))
 	}
 	return nil, false
+}
+
+// candidates lists the remote replicas that may serve a route, owner
+// first: the owner and the successor, minus this node (peers holds only
+// remote replicas).
+func (r *Router) candidates(route Route) []*peer {
+	var out []*peer
+	if p := r.peers[route.Owner]; p != nil {
+		out = append(out, p)
+	}
+	if p := r.peers[route.Successor]; p != nil && route.Successor != route.Owner {
+		out = append(out, p)
+	}
+	return out
 }
 
 // race runs the candidate attempts: the first candidate launches
@@ -464,10 +470,12 @@ const maxSnapshotFetchBytes = 64 << 20
 // answered 404 — which is a normal cache miss, not a fault. A non-nil err
 // means attempts were made and all failed; the caller decides whether
 // that is worth a metric. The returned bytes are NOT verified here: the
-// serve layer decodes and checksums them before trusting anything.
-func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, from string, err error) {
+// serve layer decodes and checksums them before trusting anything. The
+// snapshot-fetch span records which peer answered.
+func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, err error) {
 	tc, _ := obs.TraceContextFrom(ctx)
 	start := r.now()
+	var from string
 	defer func() {
 		args := []obs.Arg{{Key: "key", Val: short(key)}, {Key: "from", Val: from}}
 		if err != nil {
@@ -478,16 +486,8 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 			Start: obs.SpanTime(start), Dur: int64(r.now().Sub(start)), Args: args,
 		})
 	}()
-	route := r.Route(key)
-	var candidates []*peer
-	if p := r.peers[route.Owner]; p != nil {
-		candidates = append(candidates, p)
-	}
-	if p := r.peers[route.Successor]; p != nil && route.Successor != route.Owner {
-		candidates = append(candidates, p)
-	}
 	var lastErr error
-	for _, p := range candidates {
+	for _, p := range r.candidates(r.Route(key)) {
 		if !p.br.allow(r.now()) {
 			p.skips.Inc()
 			continue
@@ -497,7 +497,7 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 			if ctx.Err() != nil {
 				// Caller gave up mid-fetch: no verdict on the peer.
 				p.br.abandon()
-				return nil, "", aerr
+				return nil, aerr
 			}
 			p.br.failure(r.now(), aerr)
 			r.ob.Event(obs.LevelWarn, "snapshot-fetch-error", tc.Trace,
@@ -507,11 +507,12 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, fr
 		}
 		p.br.success()
 		if status == http.StatusOK {
-			return b, p.url, nil
+			from = p.url
+			return b, nil
 		}
 		// 404: the peer is healthy but has no snapshot — try the next.
 	}
-	return nil, "", lastErr
+	return nil, lastErr
 }
 
 // fetchSnapshotFrom executes one snapshot GET against one peer. A 404 is

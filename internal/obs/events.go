@@ -7,7 +7,7 @@ import (
 
 // Decisions are the points the metrics only count and spans only time:
 // breaker transitions, hedge winners and losers, degraded/standby serves,
-// snapshot quarantines and scrub verdicts, cache evictions, SLO fast burns,
+// snapshot quarantines, cache evictions, SLO fast burns,
 // bundle writes. Each is recorded as an instant Span named after its kind,
 // tagged with the request's trace, a "level" attr and its details as args,
 // in a ring of its own (EventLog): a busy server wraps its request ring in

@@ -62,10 +62,8 @@ const (
 	MSnapSaves           = "bitgen_snapshot_saves_total"
 	MSnapSaveErrors      = "bitgen_snapshot_save_errors_total"
 	MSnapLoads           = "bitgen_snapshot_loads_total"
-	MSnapWarmStarts      = "bitgen_snapshot_warm_starts_total"
 	MSnapVerifyFailures  = "bitgen_snapshot_verify_failures_total"
 	MSnapQuarantines     = "bitgen_snapshot_quarantines_total"
-	MSnapScrubRuns       = "bitgen_snapshot_scrub_runs_total"
 	MSnapPeerFetches     = "bitgen_snapshot_peer_fetches_total"
 	MSnapPeerFetchErrors = "bitgen_snapshot_peer_fetch_errors_total"
 
@@ -145,10 +143,8 @@ const (
 	HSnapSaves           = "Engine snapshots persisted (atomic write-rename)."
 	HSnapSaveErrors      = "Snapshot persistence attempts that failed (I/O or injected fault)."
 	HSnapLoads           = "Engines successfully restored from a verified snapshot."
-	HSnapWarmStarts      = "Engines warm-started into the serve cache from the snapshot dir or a peer at boot."
 	HSnapVerifyFailures  = "Snapshots refused at load, per reason (corrupt, truncated, version-mismatch, options-mismatch, key-mismatch)."
 	HSnapQuarantines     = "Corrupt or truncated snapshots renamed to a .bad sidecar."
-	HSnapScrubRuns       = "Background integrity-scrub passes over the snapshot store."
 	HSnapPeerFetches     = "Snapshots fetched from a ring owner/successor on cache miss."
 	HSnapPeerFetchErrors = "Peer snapshot fetches that failed or returned no snapshot."
 

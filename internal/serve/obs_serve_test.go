@@ -344,11 +344,10 @@ func TestDebugBundleEndpoint(t *testing.T) {
 func TestAnomalyBundleOnQuarantine(t *testing.T) {
 	snapDir, bundleDir := t.TempDir(), t.TempDir()
 	s := mustNew(t, Config{
-		MaxCachedEngines:      1,
-		SnapshotDir:           snapDir,
-		SnapshotScrubInterval: -1,
-		BundleDir:             bundleDir,
-		BundleMinInterval:     time.Millisecond,
+		MaxCachedEngines:  1,
+		SnapshotDir:       snapDir,
+		BundleDir:         bundleDir,
+		BundleMinInterval: time.Millisecond,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

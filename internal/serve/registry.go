@@ -176,33 +176,6 @@ func (r *registry) evictLocked() {
 	}
 }
 
-// insertReady installs an already-built engine (snapshot warm start at
-// boot). Existing entries win: a concurrent request may have compiled
-// first, and replacing its entry would strand the bytes it charged. The
-// engine is charged only once the entry actually enters the cache.
-func (r *registry) insertReady(key string, patterns []string, foldCase bool, eng *bitgen.Engine) bool {
-	e := &entry{
-		key:      key,
-		patterns: append([]string(nil), patterns...),
-		foldCase: foldCase,
-		ready:    make(chan struct{}),
-		eng:      eng,
-	}
-	close(e.ready)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, exists := r.entries[key]; exists {
-		return false
-	}
-	r.tick++
-	e.lastUse = r.tick
-	r.entries[key] = e
-	e.bytes = eng.ResidentBytes()
-	r.resident.Add(float64(e.bytes))
-	r.evictLocked()
-	return true
-}
-
 // lookup returns the completed entry for key without compiling, for the
 // /metrics?set= and /v1/snapshot?set= endpoints.
 func (r *registry) lookup(key string) *entry {

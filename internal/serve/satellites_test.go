@@ -307,7 +307,7 @@ func TestNoGoroutineOutlivesServer(t *testing.T) {
 		return func(t *testing.T) {
 			dir := t.TempDir()
 			base := baseline()
-			s := mustNew(t, Config{SnapshotDir: dir}) // with the scrubber running
+			s := mustNew(t, Config{SnapshotDir: dir})
 			h := s.Handler()
 			drive(t, func(path, body string) int {
 				w := httptest.NewRecorder()

@@ -71,11 +71,11 @@ func sameMatches(got, want []jsonMatch) error {
 
 // TestSelfTest exercises the full request surface of one server: match
 // (cold compile, then warm cache hit, duplicate patterns, nullable
-// end-of-input), streaming scan, metrics, graceful drain, and a snapshot
-// warm start — a second server booted on the same snapshot directory must
-// answer with zero compiles.
+// end-of-input), streaming scan, metrics, graceful drain, and a restart
+// from snapshot — a second server booted on the same snapshot directory
+// must answer its first request from the persisted file with zero compiles.
 func TestSelfTest(t *testing.T) {
-	cfg := Config{SnapshotDir: t.TempDir(), SnapshotScrubInterval: -1}
+	cfg := Config{SnapshotDir: t.TempDir()}
 	srv, hs := newTestServer(t, cfg)
 	client := &http.Client{Timeout: 30 * time.Second}
 	get := func(url string) (int, []byte) {
@@ -181,28 +181,28 @@ func TestSelfTest(t *testing.T) {
 	}
 	t.Log("drain ok: healthz 503, new requests rejected")
 
-	// 6. Warm start: a second server booted on the same snapshot directory
-	// must serve the set from the persisted snapshot — zero compiles, the
-	// first request is already a cache hit.
+	// 6. Restart: a second server booted on the same snapshot directory
+	// misses its cache on the first request and serves the set from the
+	// persisted snapshot — one load, zero compiles.
 	srv2, hs2 := newTestServer(t, cfg)
 	code, mr, er = postMatch(t, hs2.URL, reqBody)
 	if code != http.StatusOK {
-		t.Fatalf("warm start: match status %d: %+v", code, er)
+		t.Fatalf("restart: match status %d: %+v", code, er)
 	}
-	if mr.Cache != "hit" {
-		t.Fatalf("warm start: first request cache = %q, want hit (snapshot pre-populates)", mr.Cache)
+	if mr.Cache != "miss" {
+		t.Fatalf("restart: first request cache = %q, want miss", mr.Cache)
 	}
 	if !sameIdx(mr.IndexCounts) {
-		t.Fatalf("warm start: index_counts = %v, want %v", mr.IndexCounts, wantIdx)
+		t.Fatalf("restart: index_counts = %v, want %v", mr.IndexCounts, wantIdx)
 	}
-	warmSnap := srv2.Metrics().Snapshot()
-	if got := warmSnap.Counter("bitgen_serve_engine_compiles_total"); got != 0 {
-		t.Fatalf("warm start: compiles = %v, want 0", got)
+	restartSnap := srv2.Metrics().Snapshot()
+	if got := restartSnap.Counter("bitgen_serve_engine_compiles_total"); got != 0 {
+		t.Fatalf("restart: compiles = %v, want 0", got)
 	}
-	if got := warmSnap.Counter("bitgen_snapshot_warm_starts_total"); got < 1 {
-		t.Fatalf("warm start: warm_starts = %v, want >= 1", got)
+	if got := restartSnap.Counter("bitgen_snapshot_loads_total"); got != 1 {
+		t.Fatalf("restart: snapshot loads = %v, want 1", got)
 	}
-	t.Log("warm start ok: restarted server answered identically with zero compiles")
+	t.Log("restart ok: restarted server answered identically from the snapshot with zero compiles")
 }
 
 // TestClusterSelfTest is the cluster acceptance scenario. It boots three
@@ -394,11 +394,11 @@ func TestClusterSelfTest(t *testing.T) {
 
 // TestSnapshotSelfTest is the persistence acceptance scenario. It walks
 // the crash-safety contract end to end against a real snapshot directory:
-// write-behind persistence, warm start with zero compiles, and the full
-// injected fault matrix — a flipped byte, a torn write (crash before
+// write-behind persistence, a restart served from snapshot with zero
+// compiles, and the full injected fault matrix — a flipped byte, a torn write (crash before
 // rename), a stale format version, and a short read. Every fault must be
-// detected at load, quarantined when the file is condemned, and hidden
-// from clients: the request always succeeds via recompile.
+// detected when a request first loads the file, quarantined when the file
+// is condemned, and hidden from clients: the request always succeeds via recompile.
 func TestSnapshotSelfTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-server persistence scenario")
@@ -414,7 +414,7 @@ func TestSnapshotSelfTest(t *testing.T) {
 	// their node before the next one boots and the cleanup covers a Fatal.
 	boot := func(inj *faultinject.Injector) *node {
 		t.Helper()
-		srv := mustNew(t, Config{SnapshotDir: dir, SnapshotScrubInterval: -1, Inject: inj})
+		srv := mustNew(t, Config{SnapshotDir: dir, Inject: inj})
 		hs := httptest.NewServer(srv.Handler())
 		n := &node{srv: srv, base: hs.URL, stop: func() { hs.Close(); srv.Close() }}
 		t.Cleanup(n.stop)
@@ -454,8 +454,8 @@ func TestSnapshotSelfTest(t *testing.T) {
 	a.stop()
 	t.Logf("persist ok: compile wrote %s", key[:12]+snapshot.Ext)
 
-	// Phase 2: flip one byte. The restarted server must detect it (warm
-	// start or first load), quarantine the file, and serve the request by
+	// Phase 2: flip one byte. The restarted server must detect it when the
+	// first request loads the file, quarantine it, and serve the request by
 	// recompiling — the client never sees the corruption.
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -488,27 +488,28 @@ func TestSnapshotSelfTest(t *testing.T) {
 	b.stop()
 	t.Log("corruption ok: flipped byte detected, quarantined, served via recompile")
 
-	// Phase 3: warm start. The recompile above re-persisted the snapshot;
-	// a fresh server must answer from it with zero compiles.
+	// Phase 3: restart. The recompile above re-persisted the snapshot; a
+	// fresh server's first request misses its cache and is answered from
+	// that file with zero compiles.
 	c := boot(nil)
 	got, err = match(c, pats, input)
 	if err != nil {
-		t.Fatalf("phase 3 (warm start): %v", err)
+		t.Fatalf("phase 3 (restart): %v", err)
 	}
 	if err := sameMatches(got.Matches, want.Matches); err != nil {
-		t.Fatalf("phase 3: warm-started result differs: %v", err)
+		t.Fatalf("phase 3: result served from snapshot differs: %v", err)
 	}
-	if got.Cache != "hit" {
-		t.Fatalf("phase 3: cache = %q, want hit", got.Cache)
+	if got.Cache != "miss" {
+		t.Fatalf("phase 3: cache = %q, want miss", got.Cache)
 	}
-	if n := counter(c, "bitgen_snapshot_warm_starts_total"); n < 1 {
-		t.Fatalf("phase 3: warm_starts = %v, want >= 1", n)
+	if n := counter(c, "bitgen_snapshot_loads_total"); n != 1 {
+		t.Fatalf("phase 3: snapshot loads = %v, want 1", n)
 	}
 	if n := counter(c, "bitgen_serve_engine_compiles_total"); n != 0 {
 		t.Fatalf("phase 3: compiles = %v, want 0", n)
 	}
 	c.stop()
-	t.Log("warm start ok: restart answered from snapshot, zero compiles")
+	t.Log("restart ok: first request answered from snapshot, zero compiles")
 
 	// Phase 4: torn write — the save "crashes" before rename. No file may
 	// land at the final path and the request is unaffected (the compiled
@@ -531,7 +532,7 @@ func TestSnapshotSelfTest(t *testing.T) {
 
 	// Phase 5: stale version — a snapshot stamped with a future format
 	// version is saved cleanly but must be refused (version-mismatch, not
-	// corrupt) and quarantined on the next boot.
+	// corrupt) and quarantined when the next boot first loads it.
 	injVer := faultinject.New(2)
 	injVer.ArmNth(faultinject.SnapStaleVersion, 1)
 	e := boot(injVer)
@@ -541,11 +542,15 @@ func TestSnapshotSelfTest(t *testing.T) {
 	}
 	e.stop()
 	f := boot(nil)
+	verRes, err := match(f, verPats, "stalever stalversion")
+	if err != nil {
+		t.Fatalf("phase 5: recompile after version refusal: %v", err)
+	}
 	if n := reasonCounter(f, snapshot.ReasonVersion); n != 1 {
 		t.Fatalf("phase 5: verify_failures{version-mismatch} = %v, want 1", n)
 	}
-	if _, err := match(f, verPats, "stalever stalversion"); err != nil {
-		t.Fatalf("phase 5: recompile after version refusal: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, verRes.Set+snapshot.Ext+snapshot.BadExt)); err != nil {
+		t.Fatalf("phase 5: quarantine sidecar missing: %v", err)
 	}
 	f.stop()
 	t.Log("stale version ok: future-version snapshot refused, quarantined, recompiled")
@@ -555,43 +560,18 @@ func TestSnapshotSelfTest(t *testing.T) {
 	injRead := faultinject.New(3)
 	injRead.ArmNth(faultinject.SnapShortRead, 1)
 	g := boot(injRead)
-	if n := reasonCounter(g, snapshot.ReasonTruncate); n < 1 {
-		t.Fatalf("phase 6: verify_failures{truncated} = %v, want >= 1", n)
-	}
 	got, err = match(g, pats, input)
 	if err != nil {
 		t.Fatalf("phase 6 (short read): %v", err)
+	}
+	if n := reasonCounter(g, snapshot.ReasonTruncate); n != 1 {
+		t.Fatalf("phase 6: verify_failures{truncated} = %v, want 1", n)
 	}
 	if err := sameMatches(got.Matches, want.Matches); err != nil {
 		t.Fatalf("phase 6: result differs after short read: %v", err)
 	}
 	g.stop()
 	t.Log("short read ok: truncated load refused, set still serves correctly")
-
-	// Phase 7: the scrubber. Corrupt a resting snapshot behind the
-	// server's back; one scrub pass must find and quarantine it.
-	h := boot(nil)
-	keys, err := h.srv.snap.Keys()
-	if err != nil || len(keys) == 0 {
-		t.Fatalf("phase 7: no resting snapshots to scrub (err %v)", err)
-	}
-	victim := h.srv.snap.Path(keys[0])
-	raw, err = os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(victim, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.srv.scrub()
-	if err != nil {
-		t.Fatalf("phase 7: scrub: %v", err)
-	}
-	if res.Checked < 1 || res.Quarantined != 1 {
-		t.Fatalf("phase 7: scrub checked %d quarantined %d, want >=1 and 1", res.Checked, res.Quarantined)
-	}
-	t.Log("scrub ok: resting corruption found and quarantined")
 }
 
 // TestObsClusterSelfTest is the observability acceptance scenario. It

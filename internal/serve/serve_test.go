@@ -97,8 +97,13 @@ func TestMatchEndpoint(t *testing.T) {
 	}
 }
 
+// serveErrors reads bitgen_serve_errors_total for one endpoint.
+func serveErrors(s *Server, endpoint string) float64 {
+	return s.Metrics().Snapshot().Counter(`bitgen_serve_errors_total{endpoint="` + endpoint + `"}`)
+}
+
 func TestMatchErrors(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
 
 	code, _, er := postMatch(t, hs.URL, `{"patterns":["a["],"input":"x"}`)
 	if code != http.StatusBadRequest || er.Class != "parse" {
@@ -108,9 +113,13 @@ func TestMatchErrors(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("empty patterns: status %d, want 400", code)
 	}
+	before := serveErrors(s, "match")
 	code, _, er = postMatch(t, hs.URL, `not json`)
 	if code != http.StatusBadRequest {
 		t.Errorf("bad json: status %d, want 400", code)
+	}
+	if d := serveErrors(s, "match") - before; d != 1 {
+		t.Errorf("bad json: serve_errors{endpoint=match} rose by %v, want 1", d)
 	}
 	resp, err := http.Get(hs.URL + "/v1/match")
 	if err != nil {
@@ -175,7 +184,7 @@ func TestCacheEviction(t *testing.T) {
 // TestScanEndpoint streams a body through /v1/scan and checks NDJSON
 // output, duplicate-pattern fan-out, and the done trailer.
 func TestScanEndpoint(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
 
 	resp, err := http.Post(hs.URL+"/v1/scan?pattern=ab&pattern=ab&chunk=3",
 		"application/octet-stream", strings.NewReader("xxabxxabxx"))
@@ -228,6 +237,20 @@ func TestScanEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || er.Class != "unsupported" {
 			t.Errorf("scan?%s: status %d class %q, want 400 unsupported", query, resp.StatusCode, er.Class)
 		}
+	}
+
+	// A scan without a pattern is a 400 counted once as a scan error.
+	before := serveErrors(s, "scan")
+	resp, err = http.Post(hs.URL+"/v1/scan", "application/octet-stream", strings.NewReader("aaa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("pattern-less scan: status %d, want 400", resp.StatusCode)
+	}
+	if d := serveErrors(s, "scan") - before; d != 1 {
+		t.Errorf("pattern-less scan: serve_errors{endpoint=scan} rose by %v, want 1", d)
 	}
 }
 

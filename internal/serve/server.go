@@ -49,14 +49,10 @@ type Config struct {
 	// always enabled so /metrics?set= has data.
 	Engine bitgen.Options
 	// SnapshotDir, when set, enables engine persistence: compiled engines
-	// are saved there write-behind, the cache warm-starts from it at boot,
-	// and /v1/snapshot serves its contents to cluster peers. Empty
-	// disables persistence entirely.
+	// are saved there write-behind, a cache miss loads the set's snapshot
+	// from it before compiling, and /v1/snapshot serves its contents to
+	// cluster peers. Empty disables persistence entirely.
 	SnapshotDir string
-	// SnapshotScrubInterval paces the background integrity scrubber over
-	// SnapshotDir (default 1m when persistence is on; negative disables
-	// the scrubber).
-	SnapshotScrubInterval time.Duration
 	// Inject arms deterministic persistence faults on the snapshot store
 	// (tests).
 	Inject *faultinject.Injector
@@ -170,7 +166,7 @@ type Server struct {
 }
 
 // New builds a Server. The returned server owns a background context for
-// admission waits and the snapshot scrubber; Drain (or Close) releases it.
+// admission waits; Drain (or Close) releases it.
 // New fails only when SnapshotDir is set but unusable — a server that
 // cannot honor its persistence contract should not boot.
 func New(cfg Config) (*Server, error) {
@@ -219,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Counter(obs.MServeBatchedRequests, obs.HServeBatchedRequests)
 	s.reg.Counter(obs.MServeDrains, obs.HServeDrains)
 	s.reg.Counter(obs.MSnapLoads, obs.HSnapLoads)
-	s.reg.Counter(obs.MSnapWarmStarts, obs.HSnapWarmStarts)
 	s.reg.Counter(obs.MSnapPeerFetches, obs.HSnapPeerFetches)
 	s.reg.Counter(obs.MSnapPeerFetchErrors, obs.HSnapPeerFetchErrors)
 	for _, reason := range []string{
@@ -250,14 +245,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.snap = store
-		s.warmStart()
-		if cfg.SnapshotScrubInterval >= 0 {
-			interval := cfg.SnapshotScrubInterval
-			if interval == 0 {
-				interval = time.Minute
-			}
-			go s.scrubLoop(interval)
-		}
 	}
 
 	s.mux.HandleFunc("/v1/match", s.handleMatch)
@@ -352,7 +339,7 @@ func (s *Server) Close() {
 }
 
 // release ends what outlives requests: the server context (admission
-// waits, the scrubber) and the router's idle peer connections.
+// waits) and the router's idle peer connections.
 func (s *Server) release() {
 	s.cancel()
 	if s.cluster != nil {
@@ -441,6 +428,52 @@ func (s *Server) admit(ctx context.Context) (release func(), status int, err err
 		s.maybeIdleLocked()
 		s.mu.Unlock()
 	}, 0, nil
+}
+
+// route is the step both matching endpoints take before admission:
+// forwarding proxies I/O, not engine work, so it must never hold an
+// execution slot — a saturated cluster whose slots are all held by
+// forwards waiting in each other's admission queues starves itself. A
+// received forward (never re-forwarded) and an owned key run here; any
+// other key is to be forwarded along the returned route, except on a
+// draining replica, which rejects it with 503 and returns ok false.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, endpoint, key string) (route cluster.Route, forward, ok bool) {
+	if s.cluster == nil {
+		return route, false, true
+	}
+	if r.Header.Get(cluster.HeaderForwarded) == "1" {
+		s.cluster.NoteReceivedForward()
+		return route, false, true
+	}
+	route = s.cluster.Route(key)
+	switch {
+	case route.SelfOwner:
+		s.cluster.NoteLocal()
+		return route, false, true
+	case s.Draining():
+		s.reg.Counter(obs.MServeRejected, obs.HServeRejected).Inc()
+		s.reject(w, endpoint, http.StatusServiceUnavailable, errDraining)
+		return route, false, false
+	}
+	return route, true, true
+}
+
+// acquire admits a request that runs here and fetches its engine from the
+// cache, building it on a miss. On failure it has answered the request
+// and returns a nil entry; otherwise the caller must call release once.
+func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, endpoint, key string, patterns []string, foldCase bool) (e *entry, hit bool, release func()) {
+	release, status, err := s.admit(ctx)
+	if err != nil {
+		s.reject(w, endpoint, status, err)
+		return nil, false, nil
+	}
+	e, hit, err = s.cache.get(ctx, key, patterns, foldCase)
+	if err != nil {
+		s.fail(w, endpoint, statusOf(err, true), err, true)
+		release()
+		return nil, false, nil
+	}
+	return e, hit, release
 }
 
 // requestCtx derives the per-request deadline: the client's timeout_ms
@@ -626,23 +659,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	opts := s.engineOptions(req.FoldCase)
 	key := bitgen.PatternSetKey(req.Patterns, &opts)
 
-	// Cluster routing happens BEFORE admission: forwarding proxies I/O,
-	// not engine work, so it must never hold an execution slot — a
-	// saturated cluster whose slots are all held by forwards waiting in
-	// each other's admission queues starves itself. Only requests that
-	// execute locally (owned keys, received forwards, degraded fallbacks)
-	// pass through admit.
-	if s.cluster != nil {
-		if r.Header.Get(cluster.HeaderForwarded) == "1" {
-			// A peer already routed this here: serve it, never re-forward.
-			s.cluster.NoteReceivedForward()
-		} else if route := s.cluster.Route(key); route.SelfOwner {
-			s.cluster.NoteLocal()
-		} else if s.Draining() {
-			s.reg.Counter(obs.MServeRejected, obs.HServeRejected).Inc()
-			s.reject(w, "match", http.StatusServiceUnavailable, errDraining)
-			return
-		} else if res, ok := s.cluster.Forward(ctx, route, "/v1/match", "application/json", body, false); ok {
+	route, forward, ok := s.route(w, r, "match", key)
+	if !ok {
+		return
+	}
+	if forward {
+		if res, ok := s.cluster.Forward(ctx, route, "/v1/match", "application/json", body, false); ok {
 			if res.ContentType != "" {
 				w.Header().Set("Content-Type", res.ContentType)
 			}
@@ -654,18 +676,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		// or degraded serve): fall through and compile locally.
 	}
 
-	release, status, err := s.admit(ctx)
-	if err != nil {
-		s.reject(w, "match", status, err)
+	e, hit, release := s.acquire(ctx, w, "match", key, req.Patterns, req.FoldCase)
+	if e == nil {
 		return
 	}
 	defer release()
-
-	e, hit, err := s.cache.get(ctx, key, req.Patterns, req.FoldCase)
-	if err != nil {
-		s.fail(w, "match", statusOf(err, true), err, true)
-		return
-	}
 
 	// Both counters step once per executed match (batch_mean = 1): they
 	// stay only because benchmark/serve.go reads them.
@@ -738,50 +753,35 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	opts := s.engineOptions(foldCase)
 	key := bitgen.PatternSetKey(patterns, &opts)
 
-	// As in handleMatch: route before admission, so a forwarded scan
-	// never pins a local execution slot while the owner does the work.
 	var input io.Reader = r.Body
-	if s.cluster != nil {
-		if r.Header.Get(cluster.HeaderForwarded) == "1" {
-			s.cluster.NoteReceivedForward()
-		} else if route := s.cluster.Route(key); route.SelfOwner {
-			s.cluster.NoteLocal()
-		} else if s.Draining() {
-			s.reg.Counter(obs.MServeRejected, obs.HServeRejected).Inc()
-			s.reject(w, "scan", http.StatusServiceUnavailable, errDraining)
+	route, forward, ok := s.route(w, r, "scan", key)
+	if !ok {
+		return
+	}
+	if forward {
+		// Buffer up to maxScanForwardBytes so hedged attempts can replay
+		// the body; larger streams are served locally instead.
+		buf, err := io.ReadAll(io.LimitReader(r.Body, maxScanForwardBytes+1))
+		if err != nil {
+			s.fail(w, "scan", http.StatusBadRequest, err, false)
 			return
-		} else {
-			// Buffer up to maxScanForwardBytes so hedged attempts can
-			// replay the body; larger streams are served locally instead.
-			buf, rerr := io.ReadAll(io.LimitReader(r.Body, maxScanForwardBytes+1))
-			if rerr != nil {
-				s.fail(w, "scan", http.StatusBadRequest, rerr, false)
+		}
+		if len(buf) <= maxScanForwardBytes {
+			if res, ok := s.cluster.Forward(ctx, route, r.URL.RequestURI(), "application/octet-stream", buf, true); ok {
+				s.relayScan(w, res)
 				return
 			}
-			if len(buf) <= maxScanForwardBytes {
-				if res, ok := s.cluster.Forward(ctx, route, r.URL.RequestURI(), "application/octet-stream", buf, true); ok {
-					s.relayScan(w, res)
-					return
-				}
-				input = bytes.NewReader(buf)
-			} else {
-				input = io.MultiReader(bytes.NewReader(buf), r.Body)
-			}
+			input = bytes.NewReader(buf)
+		} else {
+			input = io.MultiReader(bytes.NewReader(buf), r.Body)
 		}
 	}
 
-	release, status, err := s.admit(ctx)
-	if err != nil {
-		s.reject(w, "scan", status, err)
+	e, _, release := s.acquire(ctx, w, "scan", key, patterns, foldCase)
+	if e == nil {
 		return
 	}
 	defer release()
-
-	e, _, err := s.cache.get(ctx, key, patterns, foldCase)
-	if err != nil {
-		s.fail(w, "scan", statusOf(err, true), err, true)
-		return
-	}
 
 	// Stream matches as NDJSON while the body is still being read. Once
 	// the first line is written the status is committed, so a mid-stream

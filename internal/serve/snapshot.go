@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"bitgen"
 	"bitgen/internal/obs"
@@ -14,9 +13,9 @@ import (
 
 // This file is the server's persistence layer: buildEngine is the cache's
 // miss path (local snapshot, then peer snapshot, then compile with
-// write-behind), warmStart pre-populates the cache at boot, and the scrub
-// loop re-verifies resting snapshots so silent corruption is quarantined
-// before a restart trips over it.
+// write-behind) and the only way a snapshot enters the cache. A file that
+// rotted while resting is verified, refused and quarantined the first time
+// a request reads it.
 
 // buildEngine produces the engine for one cache miss. The ladder is
 // cheapest-first: a verified local snapshot, a verified snapshot fetched
@@ -70,13 +69,13 @@ func (s *Server) loadLocalSnapshot(key string, opts *bitgen.Options) (*bitgen.En
 }
 
 // fetchPeerSnapshot asks the cluster for the key's snapshot and, on a
-// verified hit, persists it locally so the next restart warm-starts
-// without asking again.
+// verified hit, persists it locally so the next restart loads it from
+// disk without asking again.
 func (s *Server) fetchPeerSnapshot(ctx context.Context, key string, opts *bitgen.Options) (*bitgen.Engine, bool) {
 	if s.cluster == nil {
 		return nil, false
 	}
-	data, from, err := s.cluster.FetchSnapshot(ctx, key)
+	data, err := s.cluster.FetchSnapshot(ctx, key)
 	if err != nil {
 		s.reg.Counter(obs.MSnapPeerFetchErrors, obs.HSnapPeerFetchErrors).Inc()
 		return nil, false
@@ -96,7 +95,6 @@ func (s *Server) fetchPeerSnapshot(ctx context.Context, key string, opts *bitgen
 	if s.snap != nil {
 		_ = s.snap.Save(key, data)
 	}
-	_ = from
 	return eng, true
 }
 
@@ -144,84 +142,6 @@ func (s *Server) noteQuarantine(key string, err error) {
 	}
 	s.events.Emit(obs.LevelWarn, "snapshot-quarantine", obs.TraceID{},
 		obs.A("key", key), obs.A("reason", reason), obs.A("error", err.Error()))
-}
-
-// warmStart pre-populates the engine cache from the snapshot directory at
-// boot, newest-boot-cheapest: a restarted replica serves its working set
-// with zero compiles. Snapshots that no longer decode (or no longer hash
-// to their filename under the current base options) are skipped — and
-// quarantined when the file itself is condemned.
-func (s *Server) warmStart() {
-	keys, err := s.snap.Keys()
-	if err != nil {
-		return
-	}
-	warm := s.reg.Counter(obs.MSnapWarmStarts, obs.HSnapWarmStarts)
-	loaded := 0
-	for _, key := range keys {
-		if loaded >= s.cfg.MaxCachedEngines {
-			break
-		}
-		data, err := s.snap.Load(key)
-		if err != nil {
-			continue
-		}
-		meta, err := snapshot.PeekMeta(data)
-		if err != nil {
-			if s.noteVerifyFailure(err) {
-				s.snap.Quarantine(key)
-				s.noteQuarantine(key, err)
-			}
-			continue
-		}
-		opts := s.engineOptions(meta.FoldCase)
-		eng, err := s.decodeSnapshot(key, data, &opts)
-		if err != nil {
-			if s.noteVerifyFailure(err) {
-				s.snap.Quarantine(key)
-				s.noteQuarantine(key, err)
-			}
-			continue
-		}
-		if s.cache.insertReady(key, eng.Patterns(), meta.FoldCase, eng) {
-			warm.Inc()
-			loaded++
-		}
-	}
-}
-
-// scrubLoop periodically re-verifies every resting snapshot until the
-// server context ends. Scrub results are visible as the
-// bitgen_snapshot_scrub_runs / quarantines counters.
-func (s *Server) scrubLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			s.scrub()
-		}
-	}
-}
-
-// scrub runs one integrity pass over the store — the scrubber's unit of
-// work — and records its verdict: Info when the pass was clean, Warn
-// when it condemned snapshots (resting corruption is an anomaly worth a
-// look even though serving already routed around it).
-func (s *Server) scrub() (snapshot.ScrubResult, error) {
-	res, err := s.snap.Scrub()
-	level := obs.LevelInfo
-	if res.Quarantined > 0 || err != nil {
-		level = obs.LevelWarn
-	}
-	args := []obs.Arg{obs.A("checked", res.Checked), obs.A("quarantined", res.Quarantined)}
-	if err != nil {
-		args = append(args, obs.A("error", err.Error()))
-	}
-	s.events.Emit(level, "snapshot-scrub", obs.TraceID{}, args...)
-	return res, err
 }
 
 // handleSnapshot serves a pattern set's snapshot bytes to cluster peers

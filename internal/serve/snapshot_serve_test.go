@@ -14,14 +14,15 @@ import (
 	"bitgen/internal/snapshot"
 )
 
-// TestSnapshotWarmStart: a server booted on a directory holding another
-// server's snapshots answers from them — first request is a cache hit,
-// zero compiles, warm_starts counted, resident gauge charged.
-func TestSnapshotWarmStart(t *testing.T) {
+// TestSnapshotRestart: a server booted on a directory holding another
+// server's snapshots misses its cache on the first request and answers it
+// from the persisted file — one snapshot load, zero compiles, identical
+// matches, resident gauge charged.
+func TestSnapshotRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"patterns":["warm+start","wx?"],"input":"warmmstart wx"}`
 
-	s1, hs1 := newTestServer(t, Config{SnapshotDir: dir, SnapshotScrubInterval: -1})
+	s1, hs1 := newTestServer(t, Config{SnapshotDir: dir})
 	code, want, _ := postMatch(t, hs1.URL, body)
 	if code != http.StatusOK {
 		t.Fatalf("cold match: status %d", code)
@@ -32,79 +33,128 @@ func TestSnapshotWarmStart(t *testing.T) {
 	hs1.Close()
 	s1.Close()
 
-	s2, hs2 := newTestServer(t, Config{SnapshotDir: dir, SnapshotScrubInterval: -1})
+	s2, hs2 := newTestServer(t, Config{SnapshotDir: dir})
 	code, got, _ := postMatch(t, hs2.URL, body)
 	if code != http.StatusOK {
-		t.Fatalf("warm match: status %d", code)
+		t.Fatalf("restarted match: status %d", code)
 	}
-	if got.Cache != "hit" {
-		t.Errorf("warm-started request cache = %q, want hit", got.Cache)
+	if got.Cache != "miss" {
+		t.Errorf("first request after restart cache = %q, want miss", got.Cache)
 	}
-	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("warm matches = %v, fresh = %v", got.Matches, want.Matches)
-	}
-	for i := range want.Matches {
-		if got.Matches[i] != want.Matches[i] {
-			t.Errorf("warm match %d = %v, want %v", i, got.Matches[i], want.Matches[i])
-		}
+	if err := sameMatches(got.Matches, want.Matches); err != nil {
+		t.Fatalf("restarted server: %v", err)
 	}
 	snap := s2.Metrics().Snapshot()
 	if n := snap.Counter("bitgen_serve_engine_compiles_total"); n != 0 {
 		t.Errorf("compiles = %v, want 0", n)
 	}
-	if n := snap.Counter("bitgen_snapshot_warm_starts_total"); n != 1 {
-		t.Errorf("warm_starts = %v, want 1", n)
+	if n := snap.Counter("bitgen_snapshot_loads_total"); n != 1 {
+		t.Errorf("snapshot loads = %v, want 1", n)
 	}
 	if g := snap.Gauges["bitgen_serve_engine_cache_resident_bytes"]; g <= 0 {
-		t.Errorf("resident bytes = %v, want > 0 after warm start", g)
+		t.Errorf("resident bytes = %v, want > 0 after the snapshot load", g)
 	}
 }
 
-// TestSnapshotOptionsMismatchRefusedNotQuarantined: a snapshot written
-// under different base engine options is refused at warm start without
-// condemning the file — it is still valid for its own configuration.
+// TestSnapshotOptionsMismatchRefusedNotQuarantined: a snapshot that does
+// not fit the request is never condemned. Under drifted base options the
+// set hashes to another key, so the old file is never even addressed; a
+// file cross-wired under another set's key decodes but fails the
+// content-address check, which refuses it without quarantine and serves
+// the set by compiling it.
 func TestSnapshotOptionsMismatchRefusedNotQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	body := `{"patterns":["optmis+"],"input":"optmiss"}`
-
-	s1, hs1 := newTestServer(t, Config{SnapshotDir: dir, SnapshotScrubInterval: -1})
-	if code, _, _ := postMatch(t, hs1.URL, body); code != http.StatusOK {
-		t.Fatal("cold match failed")
-	}
-	hs1.Close()
-	s1.Close()
-
-	cfg := Config{SnapshotDir: dir, SnapshotScrubInterval: -1}
-	cfg.Engine.CTAs = 8 // compile-relevant drift
-	s2, hs2 := newTestServer(t, cfg)
-	snap := s2.Metrics().Snapshot()
-	// The options drift changes the pattern-set key too, so warm start
-	// refuses before even decoding: key-mismatch, and nothing quarantined.
-	refusals := 0.0
-	for k, v := range snap.Counters {
-		if strings.HasPrefix(k, "bitgen_snapshot_verify_failures_total") {
-			refusals += v
+	noSidecars := func(t *testing.T, dir string) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if filepath.Ext(e.Name()) == snapshot.BadExt {
+				t.Errorf("quarantine sidecar %s exists, want none", e.Name())
+			}
 		}
 	}
-	if refusals != 1 {
-		t.Errorf("verify failures = %v, want 1", refusals)
-	}
-	if n := snap.Counter("bitgen_snapshot_quarantines_total"); n != 0 {
-		t.Errorf("quarantines = %v, want 0 (negotiation refusal keeps the file)", n)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) == snapshot.BadExt {
-			t.Errorf("quarantine sidecar %s exists, want none", e.Name())
+
+	t.Run("options-drift", func(t *testing.T) {
+		dir := t.TempDir()
+		body := `{"patterns":["optmis+"],"input":"optmiss"}`
+		s1, hs1 := newTestServer(t, Config{SnapshotDir: dir})
+		code, old, _ := postMatch(t, hs1.URL, body)
+		if code != http.StatusOK {
+			t.Fatal("cold match failed")
 		}
-	}
-	// The set still serves (recompiled under the new options).
-	if code, _, _ := postMatch(t, hs2.URL, body); code != http.StatusOK {
-		t.Error("match under drifted options failed")
-	}
+		hs1.Close()
+		s1.Close()
+
+		cfg := Config{SnapshotDir: dir}
+		cfg.Engine.CTAs = 8 // compile-relevant drift
+		s2, hs2 := newTestServer(t, cfg)
+		if code, _, _ := postMatch(t, hs2.URL, body); code != http.StatusOK {
+			t.Fatal("match under drifted options failed")
+		}
+		snap := s2.Metrics().Snapshot()
+		refusals := 0.0
+		for k, v := range snap.Counters {
+			if strings.HasPrefix(k, "bitgen_snapshot_verify_failures_total") {
+				refusals += v
+			}
+		}
+		if refusals != 0 {
+			t.Errorf("verify failures = %v, want 0 (the old file is never addressed)", refusals)
+		}
+		if n := snap.Counter("bitgen_snapshot_quarantines_total"); n != 0 {
+			t.Errorf("quarantines = %v, want 0", n)
+		}
+		if n := snap.Counter("bitgen_serve_engine_compiles_total"); n != 1 {
+			t.Errorf("compiles = %v, want 1", n)
+		}
+		if _, err := os.Stat(filepath.Join(dir, old.Set+snapshot.Ext)); err != nil {
+			t.Errorf("the first configuration's snapshot is gone: %v", err)
+		}
+		noSidecars(t, dir)
+	})
+
+	t.Run("cross-wired", func(t *testing.T) {
+		dir := t.TempDir()
+		bodyA := `{"patterns":["crossa+"],"input":"crossaa crossb"}`
+		bodyB := `{"patterns":["crossb[0-9]?"],"input":"crossaa crossb7"}`
+		s1, hs1 := newTestServer(t, Config{SnapshotDir: dir})
+		_, a, _ := postMatch(t, hs1.URL, bodyA)
+		code, want, _ := postMatch(t, hs1.URL, bodyB)
+		if code != http.StatusOK || a.Set == "" {
+			t.Fatal("cold matches failed")
+		}
+		hs1.Close()
+		s1.Close()
+		raw, err := os.ReadFile(filepath.Join(dir, a.Set+snapshot.Ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, want.Set+snapshot.Ext), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, hs2 := newTestServer(t, Config{SnapshotDir: dir})
+		code, got, er := postMatch(t, hs2.URL, bodyB)
+		if code != http.StatusOK {
+			t.Fatalf("cross-wired set: status %d: %+v", code, er)
+		}
+		if err := sameMatches(got.Matches, want.Matches); err != nil {
+			t.Fatalf("cross-wired set served the wrong engine: %v", err)
+		}
+		snap := s2.Metrics().Snapshot()
+		if n := snap.Counter(`bitgen_snapshot_verify_failures_total{reason="key-mismatch"}`); n != 1 {
+			t.Errorf("verify_failures{key-mismatch} = %v, want 1", n)
+		}
+		if n := snap.Counter("bitgen_snapshot_quarantines_total"); n != 0 {
+			t.Errorf("quarantines = %v, want 0 (a negotiation refusal keeps the file)", n)
+		}
+		if n := snap.Counter("bitgen_serve_engine_compiles_total"); n != 1 {
+			t.Errorf("compiles = %v, want 1", n)
+		}
+		noSidecars(t, dir)
+	})
 }
 
 // TestResidentBytesGauge: the resident-bytes gauge equals the sum of the
@@ -213,7 +263,7 @@ func TestSnapshotPeerFetch(t *testing.T) {
 	servers := make([]*Server, 2)
 	urls := make([]string, 2)
 	for i := range servers {
-		servers[i] = mustNew(t, Config{SnapshotDir: dirs[i], SnapshotScrubInterval: -1})
+		servers[i] = mustNew(t, Config{SnapshotDir: dirs[i]})
 		hs := httptest.NewServer(servers[i].Handler())
 		urls[i] = hs.URL
 		i := i

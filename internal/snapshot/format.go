@@ -1,7 +1,7 @@
 // Package snapshot persists compiled engine state: a versioned,
 // checksummed binary format for the lowered bitstream programs and
 // compile-time metadata of a bitgen.Engine, plus an atomic on-disk store
-// with corruption quarantine and a background scrubber.
+// with corruption quarantine.
 //
 // The format is defensive by construction. Every section carries its own
 // CRC-32C, the whole file carries a trailing CRC, and the header carries
@@ -35,8 +35,8 @@ import (
 // FormatVersion is the snapshot format this build writes and reads.
 // Loaders refuse any other version: snapshot compatibility is negotiated,
 // never guessed. v2 stores each group's program as its packed byte blob
-// (the same content unit the engine keeps resident and the serve layer
-// interns) and adds the shared character-class program section.
+// (the same bytes the engine keeps resident) and adds the shared
+// character-class program section.
 const FormatVersion = 2
 
 var magic = [8]byte{'B', 'G', 'E', 'N', 'S', 'N', 'A', 'P'}
@@ -140,7 +140,7 @@ func readSection(data []byte, off int, i uint32) (section, int, error) {
 
 // splitContainer validates the framing — magic, version, per-section CRCs
 // and the whole-file CRC — and returns the sections. Every decode and
-// every integrity scrub goes through here.
+// every Verify goes through here.
 func splitContainer(data []byte) ([]section, error) {
 	count, err := checkHeader(data)
 	if err != nil {
@@ -165,23 +165,9 @@ func splitContainer(data []byte) ([]section, error) {
 	return sections, nil
 }
 
-// splitFirstSection frames and CRC-checks only the first section — the
-// cheap path under PeekMeta.
-func splitFirstSection(data []byte) (section, error) {
-	count, err := checkHeader(data)
-	if err != nil {
-		return section{}, err
-	}
-	if count == 0 {
-		return section{}, corrupt("no sections")
-	}
-	s, _, err := readSection(data, 16, 0)
-	return s, err
-}
-
 // Verify checks the snapshot's framing integrity — magic, version, every
-// section CRC, the file CRC — without decoding engine state. The store's
-// scrubber uses it to re-verify resident snapshots cheaply.
+// section CRC, the file CRC — without decoding engine state. The serve
+// layer checks disk bytes with it before handing them to a peer.
 func Verify(data []byte) error {
 	_, err := splitContainer(data)
 	return err

@@ -6,7 +6,7 @@ import (
 )
 
 // Section names of the v2 format. Decode requires exactly these four, in
-// this order; Meta comes first so PeekMeta can stop after one section.
+// this order.
 const (
 	sectionMeta   = "meta"
 	sectionPasses = "passes"
@@ -36,9 +36,8 @@ type EngineState struct {
 	Nullable  []string
 	Unbounded []string
 	// Groups are the per-CTA compiled programs. v2 persists each program as
-	// its packed byte blob — the same content unit the engine keeps resident
-	// and the serve layer interns — so snapshots of compressed engines
-	// round-trip byte-identically. Decode leaves Outputs empty; Restore fills
+	// its packed byte blob — the same bytes the engine keeps resident — so
+	// snapshots of compressed engines round-trip byte-identically. Decode leaves Outputs empty; Restore fills
 	// them from the validated programs.
 	Groups []engine.Group
 	// Shared is the engine-wide character-class program whose outputs bind
@@ -47,14 +46,6 @@ type EngineState struct {
 	Shared *ir.Program
 	// PassStats aggregates what the optimization passes did at compile.
 	PassStats engine.PassStats
-}
-
-// Meta is the cheap-to-decode identity of a snapshot, used by the serve
-// layer's warm start to rebuild the cache key before paying a full decode.
-type Meta struct {
-	Patterns    []string
-	FoldCase    bool
-	OptionsHash string
 }
 
 // Encode serializes the state into the framed, checksummed container.
@@ -186,27 +177,4 @@ func (st *EngineState) Restore(cfg engine.Config) (*engine.Engine, error) {
 		return nil, corrupt("%v", err)
 	}
 	return e, nil
-}
-
-// PeekMeta decodes only the header and the (CRC-verified) first section —
-// enough to recompute a cache key without decoding programs. The rest of
-// the file is not verified; callers that intend to serve the snapshot must
-// still Decode (or Verify) it.
-func PeekMeta(data []byte) (*Meta, error) {
-	first, err := splitFirstSection(data)
-	if err != nil {
-		return nil, err
-	}
-	if first.name != sectionMeta {
-		return nil, corrupt("first section is %q, want %q", first.name, sectionMeta)
-	}
-	md := &dec{b: first.payload, section: sectionMeta}
-	m := &Meta{}
-	m.Patterns = md.strs("pattern")
-	m.FoldCase = md.boolean("fold-case")
-	m.OptionsHash = md.str("options-hash")
-	if md.err != nil {
-		return nil, md.err
-	}
-	return m, nil
 }

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"bitgen/internal/bgerr"
 	"bitgen/internal/faultinject"
@@ -53,7 +52,6 @@ type Store struct {
 	saves       *obs.Counter
 	saveErrors  *obs.Counter
 	quarantines *obs.Counter
-	scrubRuns   *obs.Counter
 }
 
 // NewStore opens (creating if needed) a snapshot directory. The registry
@@ -69,7 +67,6 @@ func NewStore(dir string, reg *obs.Registry, inj *faultinject.Injector) (*Store,
 		saves:       reg.Counter(obs.MSnapSaves, obs.HSnapSaves),
 		saveErrors:  reg.Counter(obs.MSnapSaveErrors, obs.HSnapSaveErrors),
 		quarantines: reg.Counter(obs.MSnapQuarantines, obs.HSnapQuarantines),
-		scrubRuns:   reg.Counter(obs.MSnapScrubRuns, obs.HSnapScrubRuns),
 	}, nil
 }
 
@@ -181,67 +178,6 @@ func (s *Store) Quarantine(key string) {
 	if err := os.Rename(path, path+BadExt); err == nil {
 		s.quarantines.Inc()
 	}
-}
-
-// Keys lists the pattern-set keys of every (non-quarantined) snapshot.
-func (s *Store) Keys() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, &bgerr.SnapshotError{Reason: ReasonStoreIO, Path: s.dir, Detail: err.Error()}
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, Ext) {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, Ext))
-	}
-	return keys, nil
-}
-
-// ScrubResult summarizes one integrity pass.
-type ScrubResult struct {
-	Checked     int
-	Quarantined int
-}
-
-// Scrub re-verifies every resident snapshot's framing and checksums,
-// quarantining any that fail — the background defense against silent
-// on-disk corruption between writes and reads. Version-mismatched files
-// are quarantined too: this store will never be able to serve them.
-func (s *Store) Scrub() (ScrubResult, error) {
-	keys, err := s.Keys()
-	if err != nil {
-		return ScrubResult{}, err
-	}
-	var res ScrubResult
-	for _, key := range keys {
-		path := s.Path(key)
-		before, err := os.Stat(path)
-		if err != nil {
-			continue // racing an eviction/replacement; next pass re-checks
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		res.Checked++
-		if err := Verify(data); err != nil {
-			// A concurrent Save may have renamed a fresh, valid snapshot
-			// into place between our read and this verdict; quarantining
-			// now would discard that work. Only quarantine if the file is
-			// still the one we read — otherwise let the next pass judge it.
-			after, statErr := os.Stat(path)
-			if statErr != nil || !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
-				continue
-			}
-			s.Quarantine(key)
-			res.Quarantined++
-		}
-	}
-	s.scrubRuns.Inc()
-	return res, nil
 }
 
 // KeyPattern loosely validates that a string looks like a pattern-set key

@@ -38,7 +38,7 @@ func hashCompileOptions(h hash.Hash, opts *Options) {
 // only be loaded under Options that would have compiled the identical
 // engine. Runtime-only options — ScanWorkers, Observability — are
 // deliberately excluded: they reconfigure execution, not compilation, so a
-// snapshot saved by a plain process warm-starts a traced one. Resilience
+// snapshot saved by a plain process loads into a traced one. Resilience
 // is excluded too: an engine compiled with it saves like any other, and
 // DecodeEngine refuses to load under it.
 func optionsHash(opts *Options) string {
