@@ -18,9 +18,9 @@
 // in any order, on every replica) and -advertise with this replica's own
 // URL. Pattern-set keys route across replicas on a consistent-hash ring;
 // each key has a deterministic owner plus its ring successor as a warm
-// standby, guarded by per-peer circuit breakers with hedged retry. When
-// no candidate is reachable the replica compiles locally and serves
-// (degraded, never down).
+// standby. A forward goes to the owner and fails over to the successor,
+// each guarded by a per-peer circuit breaker. When neither is reachable
+// the replica compiles locally and serves (degraded, never down).
 package main
 
 import (
@@ -58,8 +58,6 @@ func main() {
 
 		peers        = flag.String("peers", "", "comma-separated replica base URLs (every replica, same set everywhere) — enables cluster mode")
 		advertise    = flag.String("advertise", "", "this replica's base URL as peers reach it (default http://<addr>)")
-		vnodes       = flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
-		hedge        = flag.Duration("hedge", 25*time.Millisecond, "delay before hedging a forward to the warm standby (negative disables)")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive peer failures before its breaker opens")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe (jittered)")
 
@@ -121,8 +119,6 @@ func main() {
 		err := srv.EnableCluster(cluster.Config{
 			Self:             self,
 			Peers:            peerList,
-			VNodes:           *vnodes,
-			HedgeDelay:       *hedge,
 			BreakerThreshold: *brkThreshold,
 			BreakerCooldown:  *brkCooldown,
 			Seed:             uint64(time.Now().UnixNano()),

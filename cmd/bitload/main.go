@@ -76,12 +76,18 @@ type sloCompliance struct {
 	Compliance       float64 `json:"compliance"`
 }
 
+// killStats reports the kill. FailuresAfterKill counts every failed
+// request that completed after it, most of them sent to the killed
+// replica itself before the modeled load balancer stops routing there.
+// FailuresViaSurvivors counts only those sent to a live replica: the
+// router's contract is that it is 0.
 type killStats struct {
-	RecoveryMS        float64 `json:"recovery_ms"`
-	FailuresAfterKill int64   `json:"failures_after_kill"`
-	DegradedServes    float64 `json:"degraded_serves"`
-	StandbyServes     float64 `json:"standby_serves"`
-	ReceivedForwards  float64 `json:"received_forwards"`
+	RecoveryMS           float64 `json:"recovery_ms"`
+	FailuresAfterKill    int64   `json:"failures_after_kill"`
+	FailuresViaSurvivors int64   `json:"failures_via_survivors"`
+	DegradedServes       float64 `json:"degraded_serves"`
+	StandbyServes        float64 `json:"standby_serves"`
+	ReceivedForwards     float64 `json:"received_forwards"`
 }
 
 // warmStats contrasts a cold boot (every set compiled) against a restart
@@ -137,12 +143,14 @@ func newWorkload(sets int, scanFrac float64) *workload {
 	return w
 }
 
-// sample is one request outcome: latency and wall-clock completion time.
+// sample is one request outcome: latency, wall-clock completion time and
+// the replica it was sent to.
 type sample struct {
-	lat  time.Duration
-	done time.Time
-	kind byte // 's' served, 'r' rejected, 'f' failed
-	scan bool // streaming /v1/scan rather than /v1/match
+	lat    time.Duration
+	done   time.Time
+	target string
+	kind   byte // 's' served, 'r' rejected, 'f' failed
+	scan   bool // streaming /v1/scan rather than /v1/match
 }
 
 // attachObs fills a phase's latency histogram and SLO compliance from its
@@ -251,7 +259,7 @@ func run(w *workload, targets []string, clients int, d time.Duration, onMid func
 					resp, err = client.Post(target+"/v1/match",
 						"application/json", strings.NewReader(w.matchBodies[set]))
 				}
-				s := sample{lat: time.Since(t0), done: time.Now(), kind: 'f', scan: scan}
+				s := sample{lat: time.Since(t0), done: time.Now(), target: target, kind: 'f', scan: scan}
 				if err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
@@ -388,6 +396,9 @@ func main() {
 		for _, s := range samples {
 			if s.kind == 'f' && s.done.After(kt) {
 				ks.FailuresAfterKill++
+				if s.target != nodes[2].URL {
+					ks.FailuresViaSurvivors++
+				}
 				if ms := float64(s.done.Sub(kt)) / float64(time.Millisecond); ms > ks.RecoveryMS {
 					ks.RecoveryMS = ms
 				}
@@ -405,8 +416,8 @@ func main() {
 		rep.Kill = &ks
 		log.Printf("3-node: %d served, p50 %.2fms p99 %.2fms, %.0f rps, %d failed, %d rejected",
 			st3.Served, st3.P50MS, st3.P99MS, st3.ThroughputRPS, st3.Failed, st3.Rejected)
-		log.Printf("kill: recovery %.0fms, %d failures after kill, standby %.0f degraded %.0f",
-			ks.RecoveryMS, ks.FailuresAfterKill, ks.StandbyServes, ks.DegradedServes)
+		log.Printf("kill: recovery %.0fms, %d failures after kill (%d via survivors), standby %.0f degraded %.0f",
+			ks.RecoveryMS, ks.FailuresAfterKill, ks.FailuresViaSurvivors, ks.StandbyServes, ks.DegradedServes)
 
 		// Phase 3: cold vs warm restart. Boot a replica on a snapshot
 		// directory and drive every set once (cold: all compiled,

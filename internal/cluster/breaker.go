@@ -55,10 +55,6 @@ type breaker struct {
 	onState func(from, to BreakerState, reason string)
 
 	consecFails int
-	attempts    uint64
-	successes   uint64
-	failures    uint64
-	skips       uint64
 	lastFailure string
 }
 
@@ -77,14 +73,12 @@ func (b *breaker) allow(now time.Time) bool {
 	from := b.state
 	switch b.state {
 	case breakerClosed:
-		b.attempts++
 		b.mu.Unlock()
 		return true
 	case breakerOpen:
 		if now.Sub(b.openedAt) >= b.effCooldown {
 			b.state = breakerHalfOpen
 			b.probing = true
-			b.attempts++
 			b.mu.Unlock()
 			b.notify(from, breakerHalfOpen, "cooldown-elapsed")
 			return true
@@ -92,12 +86,10 @@ func (b *breaker) allow(now time.Time) bool {
 	case breakerHalfOpen:
 		if !b.probing {
 			b.probing = true
-			b.attempts++
 			b.mu.Unlock()
 			return true
 		}
 	}
-	b.skips++
 	b.mu.Unlock()
 	return false
 }
@@ -106,7 +98,6 @@ func (b *breaker) allow(now time.Time) bool {
 // streak resets.
 func (b *breaker) success() {
 	b.mu.Lock()
-	b.successes++
 	b.consecFails = 0
 	from := b.state
 	b.state = breakerClosed
@@ -119,7 +110,6 @@ func (b *breaker) success() {
 // reaches the threshold or when a half-open probe fails.
 func (b *breaker) failure(now time.Time, err error) {
 	b.mu.Lock()
-	b.failures++
 	b.consecFails++
 	reason := err.Error()
 	b.lastFailure = reason
@@ -163,10 +153,6 @@ func (b *breaker) snapshot() PeerHealth {
 	return PeerHealth{
 		State:               b.state,
 		ConsecutiveFailures: b.consecFails,
-		Attempts:            b.attempts,
-		Successes:           b.successes,
-		Failures:            b.failures,
-		Skips:               b.skips,
 		LastFailure:         b.lastFailure,
 	}
 }

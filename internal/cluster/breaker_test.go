@@ -35,6 +35,9 @@ func TestBreakerLifecycle(t *testing.T) {
 	if br.state != breakerOpen {
 		t.Fatalf("state after threshold failures = %v, want open", br.state)
 	}
+	if h := br.snapshot(); h.ConsecutiveFailures != 2 || h.LastFailure != "boom" {
+		t.Fatalf("snapshot when open = %+v, want 2 consecutive failures", h)
+	}
 	if br.allow(now.Add(500 * time.Millisecond)) {
 		t.Fatal("open breaker admitted an attempt before cooldown")
 	}
@@ -69,8 +72,9 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("reasons = %v, want %v", reasons, wantReasons)
 		}
 	}
-	if h := br.snapshot(); h.Attempts != 3 || h.Successes != 1 || h.Failures != 2 || h.Skips != 2 || h.LastFailure != "boom" {
-		t.Fatalf("snapshot = %+v", h)
+	// A success ends the streak but keeps the last error for /v1/cluster.
+	if h := br.snapshot(); h.ConsecutiveFailures != 0 || h.LastFailure != "boom" {
+		t.Fatalf("snapshot after recovery = %+v", h)
 	}
 }
 

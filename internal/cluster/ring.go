@@ -7,12 +7,12 @@
 //
 // Forwarding is guarded per peer by a circuit breaker (breaker.go:
 // closed/open/half-open with deterministically jittered cooldowns) and
-// hedged to the successor replica when the owner is slow
-// or faulting. When no live owner is reachable the receiving node
-// degrades gracefully: it compiles locally and counts a degraded serve
-// instead of erroring. The transport consults internal/faultinject's
-// network points (peer-refuse, peer-slow, peer-drop, peer-partition) so
-// every failure mode is reproducible in tests.
+// fails over to the successor replica when the owner is breaker-blocked
+// or fails. When neither is reachable the receiving node degrades
+// gracefully: it compiles locally and counts a degraded serve instead of
+// erroring. The transport consults internal/faultinject's network points
+// (peer-refuse, peer-drop, peer-partition) so every failure mode is
+// reproducible in tests.
 package cluster
 
 import (
@@ -22,20 +22,16 @@ import (
 	"sort"
 )
 
-// Bounds on virtual nodes per replica: enough for even key spread,
-// bounded so ring construction and memory stay O(replicas).
-const (
-	DefaultVNodes = 64
-	MaxVNodes     = 512
-)
+// vnodes is the virtual points per replica: enough for an even key
+// spread. Every replica must use the same value, so it is not a setting.
+const vnodes = 64
 
-// Ring is an immutable consistent-hash ring: each node contributes a
-// bounded number of virtual points, and a key is owned by the node whose
+// Ring is an immutable consistent-hash ring: each node contributes vnodes
+// virtual points, and a key is owned by the node whose
 // point follows the key's hash clockwise. Lookup is O(log(nodes·vnodes)).
 type Ring struct {
 	nodes  []string
 	points []ringPoint // sorted by hash
-	vnodes int
 }
 
 type ringPoint struct {
@@ -45,9 +41,8 @@ type ringPoint struct {
 
 // NewRing builds a ring over the node names (replica base URLs).
 // Duplicates collapse; order is irrelevant (nodes are sorted so every
-// replica builds the identical ring from the same peer list). vnodes <= 0
-// selects DefaultVNodes; values above MaxVNodes are clamped.
-func NewRing(nodes []string, vnodes int) (*Ring, error) {
+// replica builds the identical ring from the same peer list).
+func NewRing(nodes []string) (*Ring, error) {
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -63,13 +58,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 		return nil, errors.New("cluster: ring needs at least one node")
 	}
 	sort.Strings(uniq)
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if vnodes > MaxVNodes {
-		vnodes = MaxVNodes
-	}
-	r := &Ring{nodes: uniq, vnodes: vnodes}
+	r := &Ring{nodes: uniq}
 	r.points = make([]ringPoint, 0, len(uniq)*vnodes)
 	for i, n := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -88,9 +77,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 
 // Nodes returns the ring's members in sorted order.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// VNodes returns the virtual nodes per member after clamping.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner returns the node that owns key.
 func (r *Ring) Owner(key string) string {

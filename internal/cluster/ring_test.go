@@ -16,11 +16,11 @@ func testKeys(n int) []string {
 // TestRingDeterministicAcrossPeerOrder proves every replica builds the
 // identical ring regardless of the order its -peers flag lists them.
 func TestRingDeterministicAcrossPeerOrder(t *testing.T) {
-	a, err := NewRing([]string{"http://n1:1", "http://n2:1", "http://n3:1"}, 64)
+	a, err := NewRing([]string{"http://n1:1", "http://n2:1", "http://n3:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"http://n3:1", "http://n1:1", "http://n2:1", "http://n2:1"}, 64)
+	b, err := NewRing([]string{"http://n3:1", "http://n1:1", "http://n2:1", "http://n2:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,9 @@ func TestRingDeterministicAcrossPeerOrder(t *testing.T) {
 // fair share of keys.
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r, err := NewRing(nodes, 0) // default vnodes
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.VNodes() != DefaultVNodes {
-		t.Fatalf("VNodes = %d, want default %d", r.VNodes(), DefaultVNodes)
 	}
 	counts := map[string]int{}
 	keys := testKeys(3000)
@@ -63,11 +60,11 @@ func TestRingBalance(t *testing.T) {
 // TestRingRemovalMovesBoundedKeys: removing one of N nodes must move only
 // the dead node's keys — consistent hashing's defining property.
 func TestRingRemovalMovesBoundedKeys(t *testing.T) {
-	full, err := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 64)
+	full, err := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"http://a:1", "http://b:1"}, 64)
+	reduced, err := NewRing([]string{"http://a:1", "http://b:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +89,16 @@ func TestRingRemovalMovesBoundedKeys(t *testing.T) {
 // TestRingSuccessorIsWarmStandby: the successor must be a distinct node,
 // and on a one-node ring there is none.
 func TestRingSuccessorIsWarmStandby(t *testing.T) {
-	solo, err := NewRing([]string{"http://only:1"}, 8)
+	solo, err := NewRing([]string{"http://only:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o, s := solo.OwnerSuccessor("k"); o != "http://only:1" || s != "" {
 		t.Fatalf("one-node ring: owner %q successor %q", o, s)
 	}
-	r, err := NewRing([]string{"http://a:1", "http://b:1"}, 700) // clamped to MaxVNodes
+	r, err := NewRing([]string{"http://a:1", "http://b:1"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.VNodes() != MaxVNodes {
-		t.Fatalf("VNodes = %d, want clamped %d", r.VNodes(), MaxVNodes)
 	}
 	for _, k := range testKeys(200) {
 		o, s := r.OwnerSuccessor(k)
@@ -115,10 +109,10 @@ func TestRingSuccessorIsWarmStandby(t *testing.T) {
 }
 
 func TestRingErrors(t *testing.T) {
-	if _, err := NewRing(nil, 8); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{""}, 8); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty node name accepted")
 	}
 }

@@ -23,19 +23,12 @@ type Config struct {
 	// must be configured with the same set (order-independent) so all
 	// ring views agree.
 	Peers []string
-	// VNodes is the virtual nodes per replica on the hash ring
-	// (default DefaultVNodes, clamped to MaxVNodes).
-	VNodes int
 	// BreakerThreshold / BreakerCooldown parameterize the per-peer
 	// breakers (defaults 3 failures / 5s; a negative threshold never opens
 	// on a failure streak), with cooldowns jittered deterministically from
 	// Seed.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HedgeDelay is how long a forward waits on the owner before
-	// launching a hedged duplicate to the successor (default 25ms;
-	// negative disables hedging — failover stays sequential).
-	HedgeDelay time.Duration
 	// Seed drives breaker-cooldown jitter.
 	Seed uint64
 	// Inject arms deterministic network faults on the transport.
@@ -72,8 +65,8 @@ type peer struct {
 }
 
 // Router places keys on the ring and forwards requests to their owners,
-// guarded by per-peer breakers with hedged retry to the successor. It is
-// safe for concurrent use.
+// guarded by per-peer breakers, failing over to the successor. It is safe
+// for concurrent use.
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -83,7 +76,6 @@ type Router struct {
 	now    func() time.Time
 
 	local    *obs.Counter
-	hedges   *obs.Counter
 	degraded *obs.Counter
 	standby  *obs.Counter
 	received *obs.Counter
@@ -99,7 +91,7 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	if _, err := url.Parse(cfg.Self); err != nil {
 		return nil, fmt.Errorf("cluster: bad Self %q: %w", cfg.Self, err)
 	}
-	ring, err := NewRing(append(append([]string(nil), cfg.Peers...), cfg.Self), cfg.VNodes)
+	ring, err := NewRing(append(append([]string(nil), cfg.Peers...), cfg.Self))
 	if err != nil {
 		return nil, err
 	}
@@ -108,9 +100,6 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
-	}
-	if cfg.HedgeDelay == 0 {
-		cfg.HedgeDelay = 25 * time.Millisecond
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -139,7 +128,6 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 	reg := ob.Reg()
 	reg.Gauge(obs.MClusterPeers, obs.HClusterPeers).Set(float64(len(ring.Nodes())))
 	r.local = reg.Counter(obs.MClusterLocalServes, obs.HClusterLocalServes)
-	r.hedges = reg.Counter(obs.MClusterHedges, obs.HClusterHedges)
 	r.degraded = reg.Counter(obs.MClusterDegradedServes, obs.HClusterDegradedServes)
 	r.standby = reg.Counter(obs.MClusterStandbyServes, obs.HClusterStandbyServes)
 	r.received = reg.Counter(obs.MClusterReceivedForwards, obs.HClusterReceivedForwards)
@@ -220,9 +208,6 @@ type PeerHealth struct {
 	Name                string
 	State               BreakerState
 	ConsecutiveFailures int
-	// Attempts counts the forwards the breaker admitted, Successes and
-	// Failures their outcomes, Skips the attempts it refused.
-	Attempts, Successes, Failures, Skips uint64
 	// LastFailure is the most recent failure's error text.
 	LastFailure string
 }
@@ -271,11 +256,13 @@ func (e *errPeerStatus) Error() string {
 	return fmt.Sprintf("cluster: peer %s answered %d", e.peer, e.status)
 }
 
-// Forward routes one request for key to its owner replica, hedging to
-// the successor when the owner is slow, breaker-blocked, or failing.
-// body must be the complete request payload (it is replayed across
-// attempts); stream selects a streaming response (the caller relays
-// res.Stream) versus a buffered one.
+// Forward routes one request for key to its owner replica, failing over
+// to the successor when the owner is breaker-blocked or fails. A slow but
+// live owner is waited for: a buffered attempt up to forwardTimeout, a
+// streaming one up to the request's deadline. body must be the complete
+// request payload (it is replayed on failover); stream selects a
+// streaming response (the caller relays and closes res.Stream) versus a
+// buffered one.
 //
 // ok=false means no remote candidate could serve: the caller must
 // execute locally. Forward has already counted the outcome (standby
@@ -305,7 +292,17 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 		r.ob.RecordSpan(sp)
 	}()
 
-	if res := r.race(ctx, tc.Trace, r.candidates(route), path, contentType, body, stream); res != nil {
+	r.walk(ctx, route, func(p *peer) (bool, error) {
+		p.fwd.Inc()
+		var err error
+		res, err = r.attempt(ctx, p, path, contentType, body, stream)
+		return true, err
+	}, func(p *peer, err error) {
+		p.fails.Inc()
+		r.ob.Event(obs.LevelWarn, "forward-error", tc.Trace,
+			obs.A("peer", p.host), obs.A("error", err.Error()))
+	})
+	if res != nil {
 		return res, true
 	}
 	if route.SelfStandby {
@@ -320,143 +317,40 @@ func (r *Router) Forward(ctx context.Context, route Route, path, contentType str
 	return nil, false
 }
 
-// candidates lists the remote replicas that may serve a route, owner
-// first: the owner and the successor, minus this node (peers holds only
-// remote replicas).
-func (r *Router) candidates(route Route) []*peer {
-	var out []*peer
-	if p := r.peers[route.Owner]; p != nil {
-		out = append(out, p)
-	}
-	if p := r.peers[route.Successor]; p != nil && route.Successor != route.Owner {
-		out = append(out, p)
-	}
-	return out
-}
-
-// race runs the candidate attempts: the first candidate launches
-// immediately, the next after HedgeDelay (or as soon as the previous
-// attempt fails). First relayable response wins; losers are canceled.
-func (r *Router) race(ctx context.Context, trace obs.TraceID, candidates []*peer, path, contentType string, body []byte, stream bool) *ForwardResult {
-	if len(candidates) == 0 {
-		return nil
-	}
-	type outcome struct {
-		res    *ForwardResult
-		err    error
-		p      *peer
-		hedged bool
-		cancel context.CancelFunc
-	}
-	resc := make(chan outcome, len(candidates))
-	inflight := 0
-	next := 0
-	launched := 0
-	pending := make(map[*peer]context.CancelFunc, len(candidates))
-	launch := func(hedged bool) {
-		for next < len(candidates) {
-			p := candidates[next]
-			next++
-			if !p.br.allow(r.now()) {
-				p.skips.Inc()
-				continue
-			}
-			if hedged {
-				r.hedges.Inc()
-				r.ob.Event(obs.LevelInfo, "hedge", trace,
-					obs.A("to", p.host), obs.A("path", path))
-			}
-			p.fwd.Inc()
-			launched++
-			actx, cancel := context.WithCancel(ctx)
-			if !stream {
-				actx, cancel = context.WithTimeout(ctx, forwardTimeout)
-			}
-			pending[p] = cancel
-			inflight++
-			go func() {
-				res, err := r.attempt(actx, p, path, contentType, body, stream)
-				resc <- outcome{res: res, err: err, p: p, hedged: hedged, cancel: cancel}
-			}()
-			return
+// walk tries a route's remote replicas in order, owner then successor,
+// each under its breaker; a breaker-blocked peer is skipped. try runs one
+// attempt, and done=true on a nil error ends the walk. A failed attempt
+// counts against the peer's breaker, is reported to failed, and the walk
+// moves on; if the caller has given up, the probe is released without a
+// verdict and the walk stops. walk returns the last attempt's error.
+func (r *Router) walk(ctx context.Context, route Route, try func(*peer) (done bool, err error), failed func(*peer, error)) error {
+	var last error
+	for _, n := range [...]string{route.Owner, route.Successor} {
+		p := r.peers[n] // nil for this node and for "" (no successor)
+		if p == nil {
+			continue
 		}
-	}
-
-	launch(false)
-	if inflight == 0 {
-		return nil // every candidate breaker-blocked
-	}
-	var hedgeTimer <-chan time.Time
-	if r.cfg.HedgeDelay > 0 && next < len(candidates) {
-		t := time.NewTimer(r.cfg.HedgeDelay)
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
-	for inflight > 0 {
-		select {
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			launch(true)
-		case o := <-resc:
-			inflight--
-			delete(pending, o.p)
-			if o.err != nil {
-				if ctx.Err() != nil {
-					// Caller gave up: don't judge the peer.
-					o.p.br.abandon()
-				} else {
-					o.p.fails.Inc()
-					o.p.br.failure(r.now(), o.err)
-					r.ob.Event(obs.LevelWarn, "forward-error", trace,
-						obs.A("peer", o.p.host), obs.A("error", o.err.Error()),
-						obs.A("hedged", o.hedged))
-				}
-				o.cancel()
-				launch(false) // immediate failover if a candidate remains
-				continue
-			}
-			// Winner: cancel the losers and drain their outcomes
-			// off-thread so a slow loser never delays the response.
-			o.p.br.success()
-			if launched > 1 {
-				// More than one attempt ran: record who won the race (the
-				// hedged duplicate or the failover retry, vs the owner).
-				r.ob.Event(obs.LevelInfo, "hedge-win", trace,
-					obs.A("peer", o.p.host), obs.A("hedged", o.hedged))
-			}
-			for _, cancel := range pending {
-				cancel()
-			}
-			if remaining := inflight; remaining > 0 {
-				go func() {
-					for i := 0; i < remaining; i++ {
-						lo := <-resc
-						if lo.err != nil {
-							// We canceled it — no verdict on the peer.
-							lo.p.br.abandon()
-						} else {
-							lo.p.br.success()
-							if lo.res.Stream != nil {
-								lo.res.Stream.Close()
-							}
-						}
-						r.ob.Event(obs.LevelDebug, "hedge-loss", trace,
-							obs.A("peer", lo.p.host), obs.A("hedged", lo.hedged))
-						lo.cancel()
-					}
-				}()
-			}
-			if o.res.Stream != nil {
-				// The stream stays open past this call: tie the attempt
-				// context's release to Close.
-				o.res.Stream = &cancelOnClose{ReadCloser: o.res.Stream, cancel: o.cancel}
-			} else {
-				o.cancel()
-			}
-			return o.res
+		if !p.br.allow(r.now()) {
+			p.skips.Inc()
+			continue
 		}
+		done, err := try(p)
+		if err == nil {
+			p.br.success()
+			if done {
+				return nil
+			}
+			continue
+		}
+		if ctx.Err() != nil {
+			p.br.abandon()
+			return err
+		}
+		p.br.failure(r.now(), err)
+		failed(p, err)
+		last = err
 	}
-	return nil
+	return last
 }
 
 // maxSnapshotFetchBytes bounds one peer snapshot transfer; anything
@@ -486,33 +380,18 @@ func (r *Router) FetchSnapshot(ctx context.Context, key string) (data []byte, er
 			Start: obs.SpanTime(start), Dur: int64(r.now().Sub(start)), Args: args,
 		})
 	}()
-	var lastErr error
-	for _, p := range r.candidates(r.Route(key)) {
-		if !p.br.allow(r.now()) {
-			p.skips.Inc()
-			continue
-		}
-		b, status, aerr := r.fetchSnapshotFrom(ctx, p, key)
-		if aerr != nil {
-			if ctx.Err() != nil {
-				// Caller gave up mid-fetch: no verdict on the peer.
-				p.br.abandon()
-				return nil, aerr
-			}
-			p.br.failure(r.now(), aerr)
-			r.ob.Event(obs.LevelWarn, "snapshot-fetch-error", tc.Trace,
-				obs.A("peer", p.host), obs.A("error", aerr.Error()))
-			lastErr = aerr
-			continue
-		}
-		p.br.success()
+	err = r.walk(ctx, r.Route(key), func(p *peer) (bool, error) {
+		b, status, err := r.fetchSnapshotFrom(ctx, p, key)
 		if status == http.StatusOK {
-			from = p.url
-			return b, nil
+			data, from = b, p.url
 		}
-		// 404: the peer is healthy but has no snapshot — try the next.
-	}
-	return nil, lastErr
+		// A 404 is a healthy miss: the walk goes on to the next peer.
+		return status == http.StatusOK, err
+	}, func(p *peer, err error) {
+		r.ob.Event(obs.LevelWarn, "snapshot-fetch-error", tc.Trace,
+			obs.A("peer", p.host), obs.A("error", err.Error()))
+	})
+	return data, err
 }
 
 // fetchSnapshotFrom executes one snapshot GET against one peer. A 404 is
@@ -553,8 +432,14 @@ func (r *Router) fetchSnapshotFrom(ctx context.Context, p *peer, key string) ([]
 	}
 }
 
-// attempt executes one forward to one peer.
+// attempt executes one forward to one peer: a buffered one under
+// forwardTimeout, a streaming one under the request context alone.
 func (r *Router) attempt(ctx context.Context, p *peer, path, contentType string, body []byte, stream bool) (*ForwardResult, error) {
+	if !stream {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, forwardTimeout)
+		defer cancel()
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -590,19 +475,6 @@ func (r *Router) attempt(ctx context.Context, p *peer, path, contentType string,
 		return nil, err // mid-read drop: transient, candidate failed
 	}
 	return res, nil
-}
-
-// cancelOnClose releases an attempt context when the relayed stream is
-// closed.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelOnClose) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
 }
 
 // short abbreviates a pattern-set key for span attributes and events.

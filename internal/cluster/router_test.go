@@ -19,6 +19,7 @@ type fakePeer struct {
 	hs       *httptest.Server
 	hits     atomic.Int64
 	deadline atomic.Value // last HeaderDeadlineMS seen
+	delay    atomic.Int64 // nanoseconds to wait before replying
 }
 
 func newFakePeer(t *testing.T, reply string, status int) *fakePeer {
@@ -27,6 +28,7 @@ func newFakePeer(t *testing.T, reply string, status int) *fakePeer {
 	p.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p.hits.Add(1)
 		p.deadline.Store(r.Header.Get(HeaderDeadlineMS))
+		time.Sleep(time.Duration(p.delay.Load()))
 		if r.Header.Get(HeaderForwarded) != "1" {
 			http.Error(w, "missing forwarded header", http.StatusBadRequest)
 			return
@@ -65,74 +67,44 @@ func newTestRouter(t *testing.T, cfg Config) (*Router, *obs.Registry) {
 
 // TestRouterForwardsToOwner: a key owned by a remote peer is forwarded
 // there with the forwarded marker and a propagated deadline; the local
-// and successor peers see nothing.
+// and successor peers see nothing, also when the live owner is slow.
 func TestRouterForwardsToOwner(t *testing.T) {
-	a := newFakePeer(t, `{"ok":1}`, 200)
-	b := newFakePeer(t, `{"ok":2}`, 200)
-	self := "http://self.invalid:1"
-	rt, reg := newTestRouter(t, Config{
-		Self:  self,
-		Peers: []string{self, a.hs.URL, b.hs.URL},
-	})
+	for _, delay := range []time.Duration{0, 60 * time.Millisecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			a := newFakePeer(t, `{"ok":1}`, 200)
+			a.delay.Store(int64(delay))
+			b := newFakePeer(t, `{"ok":2}`, 200)
+			self := "http://self.invalid:1"
+			rt, reg := newTestRouter(t, Config{
+				Self:  self,
+				Peers: []string{self, a.hs.URL, b.hs.URL},
+			})
 
-	key := keyOwnedBy(t, rt.Ring(), a.hs.URL, "")
-	route := rt.Route(key)
-	if route.SelfOwner {
-		t.Fatal("route should be remote")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, ok := rt.Forward(ctx, route, "/v1/match", "application/json", []byte(`{}`), false)
-	if !ok {
-		t.Fatal("forward failed")
-	}
-	if res.Peer != a.hs.URL || string(res.Body) != `{"ok":1}` {
-		t.Fatalf("served by %s body %q, want owner a", res.Peer, res.Body)
-	}
-	if a.hits.Load() != 1 {
-		t.Fatalf("owner hits = %d, want 1", a.hits.Load())
-	}
-	if dl, _ := a.deadline.Load().(string); dl == "" {
-		t.Error("forward carried no propagated deadline")
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counter(obs.MClusterForwards + `{peer="` + a.host() + `"}`); got != 1 {
-		t.Errorf("forwards counter = %v, want 1", got)
-	}
-}
-
-// TestRouterHedgesToSuccessor: when the owner is slow past HedgeDelay,
-// the successor is hedged and its answer wins.
-func TestRouterHedgesToSuccessor(t *testing.T) {
-	slow := &fakePeer{}
-	release := make(chan struct{})
-	slow.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		slow.hits.Add(1)
-		<-release
-		io.WriteString(w, `{"from":"slow"}`)
-	}))
-	defer slow.hs.Close()
-	defer close(release)
-	fast := newFakePeer(t, `{"from":"fast"}`, 200)
-
-	self := "http://self.invalid:1"
-	rt, reg := newTestRouter(t, Config{
-		Self:       self,
-		Peers:      []string{self, slow.hs.URL, fast.hs.URL},
-		HedgeDelay: 10 * time.Millisecond,
-	})
-	key := keyOwnedBy(t, rt.Ring(), slow.hs.URL, fast.hs.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, ok := rt.Forward(ctx, rt.Route(key), "/v1/match", "application/json", []byte(`{}`), false)
-	if !ok {
-		t.Fatal("forward failed")
-	}
-	if res.Peer != fast.hs.URL {
-		t.Fatalf("served by %s, want hedged successor", res.Peer)
-	}
-	if got := reg.Snapshot().Counter(obs.MClusterHedges); got != 1 {
-		t.Errorf("hedges = %v, want 1", got)
+			key := keyOwnedBy(t, rt.Ring(), a.hs.URL, b.hs.URL)
+			route := rt.Route(key)
+			if route.SelfOwner {
+				t.Fatal("route should be remote")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			res, ok := rt.Forward(ctx, route, "/v1/match", "application/json", []byte(`{}`), false)
+			if !ok {
+				t.Fatal("forward failed")
+			}
+			if res.Peer != a.hs.URL || string(res.Body) != `{"ok":1}` {
+				t.Fatalf("served by %s body %q, want owner a", res.Peer, res.Body)
+			}
+			if a.hits.Load() != 1 || b.hits.Load() != 0 {
+				t.Fatalf("owner hits = %d, successor hits = %d, want 1 and 0", a.hits.Load(), b.hits.Load())
+			}
+			if dl, _ := a.deadline.Load().(string); dl == "" {
+				t.Error("forward carried no propagated deadline")
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counter(obs.MClusterForwards + `{peer="` + a.host() + `"}`); got != 1 {
+				t.Errorf("forwards counter = %v, want 1", got)
+			}
+		})
 	}
 }
 
@@ -151,7 +123,6 @@ func TestRouterBreakerOpensAndSkips(t *testing.T) {
 		Peers:            []string{self, owner.hs.URL, succ.hs.URL},
 		BreakerThreshold: 2,
 		BreakerCooldown:  10 * time.Second,
-		HedgeDelay:       -1, // sequential failover: deterministic attempt counts
 		Inject:           in,
 		Now:              func() time.Time { return now },
 	})
@@ -206,10 +177,9 @@ func TestRouterDegradedAndStandbyAccounting(t *testing.T) {
 		Arm(faultinject.PeerPartition.For(dead.host()), faultinject.Spec{Nth: 1, Repeat: true}).
 		Arm(faultinject.PeerPartition.For(other.host()), faultinject.Spec{Nth: 1, Repeat: true})
 	rt, reg := newTestRouter(t, Config{
-		Self:       self,
-		Peers:      []string{self, dead.hs.URL, other.hs.URL},
-		HedgeDelay: -1,
-		Inject:     in,
+		Self:   self,
+		Peers:  []string{self, dead.hs.URL, other.hs.URL},
+		Inject: in,
 	})
 
 	// Key whose owner is dead and successor is self: standby serve.
@@ -237,15 +207,18 @@ func TestRouterDegradedAndStandbyAccounting(t *testing.T) {
 func TestRouterRelaysPeer4xx(t *testing.T) {
 	bad := newFakePeer(t, `{"error":"bad pattern"}`, 400)
 	self := "http://self.invalid:1"
-	rt, _ := newTestRouter(t, Config{Self: self, Peers: []string{self, bad.hs.URL}})
+	rt, reg := newTestRouter(t, Config{Self: self, Peers: []string{self, bad.hs.URL}})
 	key := keyOwnedBy(t, rt.Ring(), bad.hs.URL, "")
 	res, ok := rt.Forward(context.Background(), rt.Route(key), "/v1/match", "application/json", []byte(`{}`), false)
 	if !ok || res.Status != 400 {
 		t.Fatalf("4xx relay: ok=%v res=%+v, want relayed 400", ok, res)
 	}
 	h := rt.Health()
-	if len(h) != 1 || h[0].Failures != 0 {
+	if len(h) != 1 || h[0].ConsecutiveFailures != 0 {
 		t.Fatalf("peer health = %+v, want zero failures after 4xx relay", h)
+	}
+	if got := reg.Snapshot().Counter(obs.MClusterForwardErrors + `{peer="` + bad.host() + `"}`); got != 0 {
+		t.Errorf("forward errors = %v, want 0 after 4xx relay", got)
 	}
 }
 
@@ -256,7 +229,7 @@ func TestRouterPeer503FailsOver(t *testing.T) {
 	up := newFakePeer(t, `{"ok":1}`, 200)
 	self := "http://self.invalid:1"
 	rt, _ := newTestRouter(t, Config{
-		Self: self, Peers: []string{self, draining.hs.URL, up.hs.URL}, HedgeDelay: -1,
+		Self: self, Peers: []string{self, draining.hs.URL, up.hs.URL},
 	})
 	key := keyOwnedBy(t, rt.Ring(), draining.hs.URL, up.hs.URL)
 	res, ok := rt.Forward(context.Background(), rt.Route(key), "/v1/match", "application/json", []byte(`{}`), false)

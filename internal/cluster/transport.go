@@ -28,13 +28,9 @@ const (
 type Transport struct {
 	Base   http.RoundTripper
 	Inject *faultinject.Injector
-	// SlowDelay is the latency added when PeerSlow fires (default 50ms).
-	SlowDelay time.Duration
 	// DropAfter is how many response-body bytes pass before a fired
 	// PeerDrop cuts the stream (default 256).
 	DropAfter int64
-	// Sleep is a test hook; nil means time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // fire consults both the peer-scoped and unscoped variants of a point.
@@ -44,8 +40,8 @@ func (t *Transport) fire(p faultinject.Point, peer string) bool {
 
 // RoundTrip sends the request, applying armed faults for the target peer
 // (req.URL.Host). Injected network failures are transient-class
-// (errors.Is(err, bgerr.ErrTransient)), so the router's retry/hedge
-// machinery treats them exactly like real connection failures.
+// (errors.Is(err, bgerr.ErrTransient)), so the router's failover treats
+// them exactly like real connection failures.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	peer := req.URL.Host
 	if t.fire(faultinject.PeerPartition, peer) {
@@ -55,20 +51,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.fire(faultinject.PeerRefuse, peer) {
 		return nil, bgerr.Transient(fmt.Errorf("cluster: connection refused by %s: %w",
 			peer, faultinject.ErrInjected))
-	}
-	if t.fire(faultinject.PeerSlow, peer) {
-		d := t.SlowDelay
-		if d <= 0 {
-			d = 50 * time.Millisecond
-		}
-		sleep := t.Sleep
-		if sleep == nil {
-			sleep = time.Sleep
-		}
-		sleep(d)
-		if err := req.Context().Err(); err != nil {
-			return nil, bgerr.Transient(fmt.Errorf("cluster: slow peer %s: %w", peer, err))
-		}
 	}
 	if dl, ok := req.Context().Deadline(); ok && req.Header.Get(HeaderDeadlineMS) == "" {
 		remain := time.Until(dl).Milliseconds()

@@ -47,9 +47,6 @@ const (
 	// PeerRefuse fails a peer dial/request before any bytes are exchanged
 	// — the connection-refused shape of a crashed replica.
 	PeerRefuse Point = "peer-refuse"
-	// PeerSlow delays a peer request by the transport's configured
-	// SlowDelay before it proceeds — a congested or GC-pausing replica.
-	PeerSlow Point = "peer-slow"
 	// PeerDrop cuts a peer response mid-stream after a deterministic
 	// number of body bytes — a connection reset during an NDJSON relay.
 	PeerDrop Point = "peer-drop"

@@ -73,7 +73,6 @@ const (
 	MClusterLocalServes      = "bitgen_cluster_local_serves_total"
 	MClusterForwards         = "bitgen_cluster_forwards_total"
 	MClusterForwardErrors    = "bitgen_cluster_forward_errors_total"
-	MClusterHedges           = "bitgen_cluster_hedges_total"
 	MClusterDegradedServes   = "bitgen_cluster_degraded_serves_total"
 	MClusterStandbyServes    = "bitgen_cluster_standby_serves_total"
 	MClusterReceivedForwards = "bitgen_cluster_received_forwards_total"
@@ -152,7 +151,6 @@ const (
 	HClusterLocalServes      = "Requests for keys this node owns, served locally."
 	HClusterForwards         = "Requests forwarded to a peer, per peer."
 	HClusterForwardErrors    = "Forwards that failed (network fault, 5xx, or deadline), per peer."
-	HClusterHedges           = "Hedged secondary forwards launched to the successor replica."
 	HClusterDegradedServes   = "Keys served by local compile because every live owner was unreachable."
 	HClusterStandbyServes    = "Keys served locally by the warm-standby successor while the owner was down."
 	HClusterReceivedForwards = "Forwarded requests received from peers (served locally, never re-forwarded)."

@@ -13,8 +13,8 @@ import (
 // the receiver can parent its own span under it, and the optional third
 // field is the deep bit (TraceContext.Deep; absent means 0, which is what a
 // peer from before the field existed sends). It travels alongside
-// X-Bitgen-Forwarded and X-Bitgen-Deadline-Ms on every cluster forward,
-// hedge and snapshot fetch.
+// X-Bitgen-Forwarded and X-Bitgen-Deadline-Ms on every cluster forward
+// (the failover attempt included) and snapshot fetch.
 const TraceHeader = "X-Bitgen-Trace"
 
 // TraceID is a 128-bit distributed request identifier. The zero value
@@ -160,8 +160,8 @@ type ctxTrace struct {
 }
 
 // WithTraceContext attaches the trace context to ctx; the cluster
-// transport reads it back to stamp TraceHeader on outbound forwards,
-// hedges and snapshot fetches. ring and node are the span ring, and the node
+// transport reads it back to stamp TraceHeader on outbound forwards and
+// snapshot fetches. ring and node are the span ring, and the node
 // name to stamp, that Observer.For hands to calls made under ctx when tc is
 // deep; nil and "" elsewhere.
 func WithTraceContext(ctx context.Context, tc TraceContext, ring *SpanRing, node string) context.Context {

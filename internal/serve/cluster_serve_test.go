@@ -17,8 +17,7 @@ import (
 
 // bootCluster starts n in-process replicas with cluster routing enabled.
 // Every replica gets its own seeded injector so tests can arm network
-// faults on a single node's transport. Hedging is disabled (HedgeDelay
-// -1) so failover is sequential and metric accounting is deterministic.
+// faults on a single node's transport.
 func bootCluster(t *testing.T, n int, mutate func(i int, cc *cluster.Config)) ([]*Server, []string, []*faultinject.Injector) {
 	t.Helper()
 	servers := make([]*Server, n)
@@ -39,11 +38,10 @@ func bootCluster(t *testing.T, n int, mutate func(i int, cc *cluster.Config)) ([
 	})
 	for i := range servers {
 		cc := cluster.Config{
-			Self:       urls[i],
-			Peers:      urls,
-			HedgeDelay: -1,
-			Seed:       uint64(77 + i),
-			Inject:     injs[i],
+			Self:   urls[i],
+			Peers:  urls,
+			Seed:   uint64(77 + i),
+			Inject: injs[i],
 		}
 		if mutate != nil {
 			mutate(i, &cc)

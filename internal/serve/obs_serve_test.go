@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"bitgen"
-	"bitgen/internal/cluster"
 	"bitgen/internal/obs"
 	"bitgen/internal/workload"
 )
@@ -161,7 +160,7 @@ func TestTracePropagation3Nodes(t *testing.T) {
 // under its match span while the idle third node records nothing. /trace, the
 // per-engine trace endpoint of the second span model, is gone.
 func TestForwardRecordedOnce(t *testing.T) {
-	nodes, err := BootCluster(3, Config{}, func(i int, cc *cluster.Config) { cc.HedgeDelay = -1 })
+	nodes, err := BootCluster(3, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

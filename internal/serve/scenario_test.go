@@ -225,7 +225,6 @@ func TestClusterSelfTest(t *testing.T) {
 		cc.Inject = injs[i]
 		cc.BreakerThreshold = breakerThreshold
 		cc.BreakerCooldown = breakerCooldown
-		cc.HedgeDelay = -1 // sequential failover keeps accounting exact
 		cc.Seed = uint64(7 * (i + 1))
 	})
 	if err != nil {
@@ -610,8 +609,7 @@ func TestObsClusterSelfTest(t *testing.T) {
 		cc.Inject = injs[i]
 		cc.BreakerThreshold = breakerThreshold
 		cc.BreakerCooldown = breakerCooldown
-		cc.HedgeDelay = -1 // sequential failover: deterministic span order
-		cc.DropAfter = 8   // cut the owner's response almost immediately
+		cc.DropAfter = 8 // cut the owner's response almost immediately
 		cc.Seed = uint64(7 * (i + 1))
 	})
 	if err != nil {

@@ -360,8 +360,8 @@ func (s *Server) maybeIdleLocked() {
 const spanRingCapacity = 8192
 
 // maxScanForwardBytes bounds how much of a /v1/scan body is buffered for
-// cluster forwarding: buffered bodies can be replayed across hedged
-// attempts, larger streams are served locally.
+// cluster forwarding: the buffer is there so failover to the successor can
+// replay the body; larger streams are served locally.
 const maxScanForwardBytes = 1 << 20
 
 var (
@@ -759,8 +759,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if forward {
-		// Buffer up to maxScanForwardBytes so hedged attempts can replay
-		// the body; larger streams are served locally instead.
+		// Buffer up to maxScanForwardBytes so failover to the successor
+		// can replay the body; larger streams are served locally instead.
 		buf, err := io.ReadAll(io.LimitReader(r.Body, maxScanForwardBytes+1))
 		if err != nil {
 			s.fail(w, "scan", http.StatusBadRequest, err, false)
@@ -876,9 +876,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		URL       string `json:"url"`
 		State     string `json:"state"`
 		Failures  int    `json:"consecutive_failures"`
-		Attempts  uint64 `json:"attempts"`
-		Successes uint64 `json:"successes"`
-		Skips     uint64 `json:"skips"`
 		LastError string `json:"last_error,omitempty"`
 	}
 	health := s.cluster.Health()
@@ -886,15 +883,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	for _, p := range health {
 		peers = append(peers, peerJSON{
 			URL: p.URL, State: p.State.String(), Failures: p.ConsecutiveFailures,
-			Attempts: p.Attempts, Successes: p.Successes, Skips: p.Skips,
 			LastError: p.LastFailure,
 		})
 	}
 	resp := map[string]any{
-		"self":   s.cluster.Self(),
-		"nodes":  s.cluster.Ring().Nodes(),
-		"vnodes": s.cluster.Ring().VNodes(),
-		"peers":  peers,
+		"self":  s.cluster.Self(),
+		"nodes": s.cluster.Ring().Nodes(),
+		"peers": peers,
 	}
 	if key := r.URL.Query().Get("key"); key != "" {
 		rt := s.cluster.Route(key)

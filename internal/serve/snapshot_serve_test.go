@@ -271,7 +271,7 @@ func TestSnapshotPeerFetch(t *testing.T) {
 	}
 	for i := range servers {
 		if err := servers[i].EnableCluster(cluster.Config{
-			Self: urls[i], Peers: urls, HedgeDelay: -1, Seed: uint64(31 + i),
+			Self: urls[i], Peers: urls, Seed: uint64(31 + i),
 		}); err != nil {
 			t.Fatal(err)
 		}
