@@ -85,7 +85,8 @@ snapshot-smoke:
 # the stitched /v1/trace view, with the entry node's forward span naming
 # the successor that served the failover; (2) the ensuing breaker-open
 # Warn decision to trip the anomaly flight recorder into a sha256-sealed
-# bundle containing that decision; (3) /v1/slo to report the served traffic.
+# bundle containing that decision; (3) the entry node's
+# bitgen_serve_request_seconds histogram to count the served traffic.
 # The scenario is TestObsClusterSelfTest (`make race` runs it too); here
 # its -obs-out test flag hands the two artifacts to obscheck, which
 # validates them structurally.

@@ -61,12 +61,9 @@ func main() {
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive peer failures before its breaker opens")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe (jittered)")
 
-		sloMatchP99 = flag.Duration("slo-match-p99", 250*time.Millisecond, "/v1/match latency objective: slower successes spend error budget (negative disables)")
-		sloScanP99  = flag.Duration("slo-scan-p99", 2*time.Second, "/v1/scan latency objective (negative disables)")
-		sloAvail    = flag.Float64("slo-availability", 0.999, "good-request objective for /v1/match and /v1/scan")
-		bundleDir   = flag.String("bundle-dir", "", "directory for anomaly flight-recorder bundles (created if missing; empty keeps bundles inline-only via /debug/bundle)")
-		stitch      = flag.String("stitch", "", "trace ID to stitch: fetch /v1/trace/<id> from every -peers replica, merge into one Chrome trace, exit")
-		stitchOut   = flag.String("o", "", "output file for -stitch (default stdout)")
+		bundleDir = flag.String("bundle-dir", "", "directory for anomaly flight-recorder bundles (created if missing; empty keeps bundles inline-only via /debug/bundle)")
+		stitch    = flag.String("stitch", "", "trace ID to stitch: fetch /v1/trace/<id> from every -peers replica, merge into one Chrome trace, exit")
+		stitchOut = flag.String("o", "", "output file for -stitch (default stdout)")
 	)
 	flag.Parse()
 
@@ -96,9 +93,6 @@ func main() {
 		MaxBodyBytes:     *maxBody,
 		Engine:           bitgen.Options{Device: *device},
 		SnapshotDir:      *snapDir,
-		SLOMatchP99:      *sloMatchP99,
-		SLOScanP99:       *sloScanP99,
-		SLOAvailability:  *sloAvail,
 		BundleDir:        *bundleDir,
 	})
 	if err != nil {

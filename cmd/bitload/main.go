@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bitgen/internal/obs"
 	"bitgen/internal/serve"
 )
 
@@ -46,7 +47,7 @@ type phaseStats struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 	// LatencyHist is the served-request latency histogram (cumulative
 	// counts per upper bound, +Inf last), the same classic-histogram shape
-	// the server's bitgen_slo_request_seconds family exposes — so a bench
+	// the server's bitgen_serve_request_seconds family exposes — so a bench
 	// report and a scrape are directly comparable.
 	LatencyHist []latencyBucket `json:"latency_hist,omitempty"`
 	// SLO is the client-observed compliance against the match/scan latency
@@ -60,9 +61,15 @@ type latencyBucket struct {
 	Count int64   `json:"count"`
 }
 
-// latencyBounds are the fixed bucket upper bounds (milliseconds) —
-// obs.SLOLatencyBuckets scaled to ms, so the two histograms line up.
-var latencyBounds = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+// latencyBounds are the bucket upper bounds in milliseconds: the server's
+// obs.RequestSecondsBuckets scaled to ms, so the two histograms line up.
+var latencyBounds = func() []float64 {
+	ms := make([]float64, len(obs.RequestSecondsBuckets))
+	for i, b := range obs.RequestSecondsBuckets {
+		ms[i] = b * 1000
+	}
+	return ms
+}()
 
 // sloCompliance is the client-side view of the serve SLO: a request is
 // good when it was served (2xx) within its endpoint's latency objective.

@@ -7,11 +7,12 @@ import (
 
 // Decisions are the points the metrics only count and spans only time:
 // breaker transitions, forward errors, degraded/standby serves, snapshot
-// quarantines, cache evictions, SLO fast burns, bundle writes. Each is recorded as an instant Span named after its kind,
-// tagged with the request's trace, a "level" attr and its details as args,
-// in a ring of its own (EventLog): a busy server wraps its request ring in
-// under a second, and that must not push decisions out. Debug/Info decisions
-// are token-bucket limited; Warn and above are never shed.
+// quarantines, cache evictions, bundle writes. Each is recorded as an
+// instant Span named after its kind, tagged with the request's trace, a
+// "level" attr and its details as args, in a ring of its own (EventLog): a
+// busy server wraps its request ring in under a second, and that must not
+// push decisions out. Debug/Info decisions are token-bucket limited; Warn
+// and above are never shed.
 
 // Level is a decision's severity.
 type Level uint8

@@ -43,6 +43,7 @@ const (
 	// Serving layer (registered by internal/serve, not RegisterBase: the
 	// exposition of a library-only process carries no serve families).
 	MServeRequests        = "bitgen_serve_requests_total"
+	MServeRequestSecs     = "bitgen_serve_request_seconds"
 	MServeErrors          = "bitgen_serve_errors_total"
 	MServeRejected        = "bitgen_serve_rejected_total"
 	MServeInFlight        = "bitgen_serve_in_flight"
@@ -84,15 +85,6 @@ const (
 	MObsBundleWrites = "bitgen_obs_bundle_writes_total"
 	MObsBundleErrors = "bitgen_obs_bundle_errors_total"
 	MObsBundleBytes  = "bitgen_obs_bundle_last_bytes"
-
-	// SLO layer (registered by internal/serve per endpoint).
-	MSLORequests = "bitgen_slo_requests_total"
-	MSLOGood     = "bitgen_slo_good_total"
-	MSLOBreaches = "bitgen_slo_breaches_total"
-	MSLOLatency  = "bitgen_slo_request_seconds"
-	MSLOBurnFast = "bitgen_slo_burn_rate_fast"
-	MSLOBurnSlow = "bitgen_slo_burn_rate_slow"
-	MSLOBudget   = "bitgen_slo_error_budget_remaining"
 )
 
 // Help strings, exposed so registration sites stay consistent.
@@ -126,6 +118,7 @@ const (
 	HEngineResidentBytes = "Measured resident bytes of durable compiled state per engine (packed programs, output tables, shared class program)."
 
 	HServeRequests        = "HTTP requests admitted, per endpoint."
+	HServeRequestSecs     = "End-to-end request latency seconds, per endpoint (match and scan), any status."
 	HServeErrors          = "HTTP requests that returned an error status, per endpoint."
 	HServeRejected        = "Requests rejected at admission (queue full or draining)."
 	HServeInFlight        = "Requests currently executing."
@@ -160,14 +153,6 @@ const (
 	HObsBundleWrites = "Diagnostic flight-recorder bundles written, per trigger."
 	HObsBundleErrors = "Diagnostic bundle writes that failed."
 	HObsBundleBytes  = "Size in bytes of the most recently written diagnostic bundle."
-
-	HSLORequests = "Requests observed by the SLO tracker, per endpoint."
-	HSLOGood     = "Requests within the endpoint's latency objective and non-erroring."
-	HSLOBreaches = "Requests outside the endpoint's objective (error or too slow)."
-	HSLOLatency  = "End-to-end request latency seconds, per endpoint."
-	HSLOBurnFast = "Error-budget burn rate over the fast (short) window, per endpoint."
-	HSLOBurnSlow = "Error-budget burn rate over the slow (long) window, per endpoint."
-	HSLOBudget   = "Fraction of the error budget remaining since process start, per endpoint."
 )
 
 // ScanSecondsBuckets are the histogram bounds for per-scan host latency:
@@ -175,6 +160,13 @@ const (
 var ScanSecondsBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+}
+
+// RequestSecondsBuckets are the histogram bounds for end-to-end serve
+// request latency: 1ms to 30s.
+var RequestSecondsBuckets = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+	0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
 // CompileSecondsBuckets are the histogram bounds for per-compile wall

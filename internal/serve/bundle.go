@@ -18,10 +18,9 @@ import (
 
 // The anomaly flight recorder's dump side: when something notable
 // happens — a peer breaker opens, a snapshot is quarantined, a request
-// is served degraded, an SLO endpoint enters fast burn — the server
-// writes a diagnostic bundle capturing the moments before the anomaly:
-// the recent request spans, the decision ring, the SLO report,
-// a metrics snapshot and a full goroutine dump. The bundle is one JSON
+// is served degraded — the server writes a diagnostic bundle capturing
+// the moments before the anomaly: the recent request spans, the decision
+// ring, a metrics snapshot and a full goroutine dump. The bundle is one JSON
 // file wrapped with a sha256 of its body so tooling (cmd/obscheck) can
 // prove it wasn't truncated or edited.
 
@@ -31,7 +30,6 @@ const (
 	triggerBreakerOpen = "breaker-open"
 	triggerQuarantine  = "snapshot-quarantine"
 	triggerDegraded    = "degraded-serve"
-	triggerFastBurn    = "slo-fast-burn"
 )
 
 // bundleBody is the diagnostic payload. Metrics are embedded as the
@@ -39,15 +37,14 @@ const (
 // is already deterministic, and histogram +Inf bounds have no JSON
 // rendering.
 type bundleBody struct {
-	Reason             string        `json:"reason"`
-	Trace              string        `json:"trace,omitempty"`
-	Node               string        `json:"node"`
-	GeneratedUnixMicro int64         `json:"generated_us"`
-	Spans              []obs.Span    `json:"spans"`
-	Decisions          []obs.Span    `json:"decisions"`
-	SLO                obs.SLOReport `json:"slo"`
-	Metrics            string        `json:"metrics"`
-	Goroutines         string        `json:"goroutines"`
+	Reason             string     `json:"reason"`
+	Trace              string     `json:"trace,omitempty"`
+	Node               string     `json:"node"`
+	GeneratedUnixMicro int64      `json:"generated_us"`
+	Spans              []obs.Span `json:"spans"`
+	Decisions          []obs.Span `json:"decisions"`
+	Metrics            string     `json:"metrics"`
+	Goroutines         string     `json:"goroutines"`
 }
 
 // bundleEnvelope wraps the body with its integrity checksum. Body is a
@@ -71,7 +68,6 @@ func (s *Server) buildBundle(reason string, trace obs.TraceID) ([]byte, error) {
 		GeneratedUnixMicro: time.Now().UnixMicro(),
 		Spans:              s.spans.Snapshot(nil),
 		Decisions:          s.events.Events(),
-		SLO:                s.slo.Report(),
 		Metrics:            metrics.String(),
 		Goroutines:         string(stack),
 	}
@@ -145,8 +141,6 @@ func (s *Server) onAnomalyEvent(ev obs.Span) {
 		trigger = triggerQuarantine
 	case "degraded-serve":
 		trigger = triggerDegraded
-	case "slo-fast-burn":
-		trigger = triggerFastBurn
 	}
 	if trigger == "" {
 		return
@@ -155,15 +149,15 @@ func (s *Server) onAnomalyEvent(ev obs.Span) {
 }
 
 // noteAnomaly schedules one bundle dump for an anomaly, dropping
-// triggers that arrive inside BundleMinInterval of the last dump or
+// triggers that arrive inside bundleMinInterval of the last dump or
 // while a dump is already writing.
 func (s *Server) noteAnomaly(trigger string, trace obs.TraceID) {
-	if s.cfg.BundleDir == "" || s.cfg.BundleMinInterval < 0 {
+	if s.cfg.BundleDir == "" {
 		return
 	}
 	now := time.Now().UnixNano()
 	last := atomic.LoadInt64(&s.lastBundleUnixNano)
-	if last != 0 && now-last < int64(s.cfg.BundleMinInterval) {
+	if last != 0 && now-last < int64(s.cfg.bundleMinInterval) {
 		return
 	}
 	if !atomic.CompareAndSwapInt64(&s.lastBundleUnixNano, last, now) {

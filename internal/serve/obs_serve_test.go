@@ -267,8 +267,8 @@ func argOf(sp *obs.Span, key string) any {
 }
 
 // TestDebugBundleEndpoint: /debug/bundle returns a sha256-sealed envelope
-// whose body carries the node's spans, events, SLO report, metrics
-// exposition and a goroutine dump.
+// whose body carries the node's spans, events, metrics exposition (with
+// the request-latency histogram) and a goroutine dump.
 func TestDebugBundleEndpoint(t *testing.T) {
 	bundleDir := t.TempDir()
 	s := mustNew(t, Config{BundleDir: bundleDir})
@@ -326,14 +326,10 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	if !strings.Contains(bb.Metrics, "# TYPE") {
 		t.Fatal("bundle metrics exposition missing")
 	}
-	found := false
-	for _, ep := range bb.SLO.Endpoints {
-		if ep.Endpoint == "match" && ep.Total > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("bundle SLO report missing match traffic: %+v", bb.SLO.Endpoints)
+	const matchCount = obs.MServeRequestSecs + `_count{endpoint="match"} `
+	i := strings.Index(bb.Metrics, matchCount)
+	if i < 0 || strings.HasPrefix(bb.Metrics[i+len(matchCount):], "0\n") {
+		t.Fatalf("bundle metrics show no match latency samples despite served traffic:\n%s", bb.Metrics)
 	}
 }
 
@@ -346,7 +342,7 @@ func TestAnomalyBundleOnQuarantine(t *testing.T) {
 		MaxCachedEngines:  1,
 		SnapshotDir:       snapDir,
 		BundleDir:         bundleDir,
-		BundleMinInterval: time.Millisecond,
+		bundleMinInterval: time.Millisecond,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -420,17 +416,26 @@ func TestAnomalyBundleOnQuarantine(t *testing.T) {
 	}
 }
 
-// TestSLOEndpointServesReport: /v1/slo reflects served traffic, including
-// latency-objective breaches configured through the test seam.
-func TestSLOEndpointServesReport(t *testing.T) {
-	s := mustNew(t, Config{
-		SLOMatchP99: time.Nanosecond, // everything breaches
-		tuneSLO: func(c *obs.SLOConfig) {
-			c.MinWindowRequests = 1
-		},
-	})
+// TestRequestLatencyHistogram: bitgen_serve_request_seconds exposes a
+// match and a scan series before any traffic, and each counts exactly
+// the requests served on its endpoint.
+func TestRequestLatencyHistogram(t *testing.T) {
+	s := mustNew(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	counts := func() (match, scan uint64) {
+		t.Helper()
+		hs := s.Metrics().Snapshot().Histograms
+		m, okM := hs[obs.MServeRequestSecs+`{endpoint="match"}`]
+		sc, okS := hs[obs.MServeRequestSecs+`{endpoint="scan"}`]
+		if !okM || !okS {
+			t.Fatalf("request-latency series missing: match %v, scan %v", okM, okS)
+		}
+		return m.Count, sc.Count
+	}
+	if m, sc := counts(); m != 0 || sc != 0 {
+		t.Fatalf("before traffic: match %d, scan %d samples, want 0 and 0", m, sc)
+	}
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(ts.URL+"/v1/match", "application/json",
 			strings.NewReader(`{"patterns":["foo"],"input":"xfoox"}`))
@@ -439,39 +444,14 @@ func TestSLOEndpointServesReport(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/v1/slo")
+	resp, err := http.Post(ts.URL+"/v1/scan?pattern=foo&chunk=8", "application/octet-stream",
+		strings.NewReader("xxfooxxfoo"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var rep obs.SLOReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	var match *obs.SLOEndpointReport
-	for i := range rep.Endpoints {
-		if rep.Endpoints[i].Endpoint == "match" {
-			match = &rep.Endpoints[i]
-		}
-	}
-	if match == nil || match.Total != 3 {
-		t.Fatalf("slo report = %+v, want 3 match requests", rep.Endpoints)
-	}
-	if match.Good != 0 {
-		t.Fatalf("1ns objective should breach every request: %+v", match)
-	}
-	if match.ErrorBudgetRemaining != 0 {
-		t.Fatalf("budget should be exhausted: %+v", match)
-	}
-	// The fast-burn anomaly landed in the event log.
-	sawBurn := false
-	for _, ev := range s.Events().Events() {
-		if ev.Name == "slo-fast-burn" {
-			sawBurn = true
-		}
-	}
-	if !sawBurn {
-		t.Fatal("no slo-fast-burn event despite total breach")
+	resp.Body.Close()
+	if m, sc := counts(); m != 3 || sc != 1 {
+		t.Fatalf("after 3 match and 1 scan requests: match %d, scan %d samples", m, sc)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // This file is the serve layer's half of the distributed observability
 // plane: the per-request middleware that parses or mints the trace
-// context, records completed requests into the span ring and the SLO
-// tracker, and the /v1/trace/{id} and /v1/slo endpoints the cross-node
-// stitcher and dashboards read.
+// context and records completed requests into the span ring and the
+// request-latency histograms, and the /v1/trace/{id} endpoint the
+// cross-node stitcher reads.
 
 // nodeName is this replica's identity on spans and bundles: the cluster
 // advertised URL, or "local" standalone.
@@ -22,18 +22,6 @@ func (s *Server) nodeName() string {
 		return s.cluster.Self()
 	}
 	return "local"
-}
-
-// sloEndpointOf maps a request path to its SLO endpoint name ("" for
-// paths without an objective).
-func sloEndpointOf(path string) string {
-	switch path {
-	case "/v1/match":
-		return "match"
-	case "/v1/scan":
-		return "scan"
-	}
-	return ""
 }
 
 // spanNameOf maps a request path to its request span's name (""
@@ -51,7 +39,7 @@ func spanNameOf(path string) string {
 	return ""
 }
 
-// statusWriter captures the response status for span/SLO recording.
+// statusWriter captures the response status for span recording.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -85,11 +73,12 @@ func (w *flushWriter) Flush() { w.f.Flush() }
 // from X-Bitgen-Trace when a peer or client supplied one, minted
 // otherwise) injected into the request context, the response echoes the
 // trace ID, and completed match/scan/snapshot requests land in the span
-// ring — match and scan also in the SLO tracker. A trace is deep when the
-// caller chose its ID (the header arrived on a request no peer forwarded)
-// or the forwarding peer says so: then the context also carries the ring,
-// and the engine records its spans there under the request's (obs.For).
-// Untagged traffic pays one span per request and nothing else.
+// ring — match and scan also in their latency histogram. A trace is deep
+// when the caller chose its ID (the header arrived on a request no peer
+// forwarded) or the forwarding peer says so: then the context also carries
+// the ring, and the engine records its spans there under the request's
+// (obs.For). Untagged traffic pays one span (and one histogram sample) per
+// request and nothing else.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		forwarded := r.Header.Get(cluster.HeaderForwarded) == "1"
@@ -118,10 +107,9 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		if ep := sloEndpointOf(r.URL.Path); ep != "" {
-			s.slo.Observe(ep, dur, status >= 500)
-		}
 		if name := spanNameOf(r.URL.Path); name != "" {
+			// nil for snapshot, which has no histogram (Observe ignores nil).
+			s.requestSecs[name].Observe(dur.Seconds())
 			sp := obs.Span{
 				Trace: tc.Trace, ID: tc.Span, Parent: parent.Span, Name: name, Node: s.nodeName(),
 				Start: obs.SpanTime(start), Dur: int64(dur), Status: status,
@@ -151,18 +139,4 @@ func (s *Server) handleTraceFragment(w http.ResponseWriter, r *http.Request) {
 	frag := s.spans.Fragment(s.nodeName(), tid)
 	frag.Spans = append(frag.Spans, s.events.ByTrace(tid)...)
 	writeJSON(w, http.StatusOK, frag)
-}
-
-// handleSLO serves GET /v1/slo: per-endpoint objectives, compliance,
-// rolling burn rates and remaining error budget.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slo.Report())
-}
-
-// onFastBurn is the SLO tracker's anomaly hook: an endpoint entering
-// fast burn is recorded as a Warn decision, which in turn trips the flight
-// recorder's bundle dump via onAnomalyEvent.
-func (s *Server) onFastBurn(endpoint string, burn float64) {
-	s.events.Emit(obs.LevelWarn, "slo-fast-burn", obs.TraceID{},
-		obs.A("endpoint", endpoint), obs.A("burn_rate", burn))
 }

@@ -586,7 +586,8 @@ func TestSnapshotSelfTest(t *testing.T) {
 //     whose Warn event trips the anomaly flight recorder into writing an
 //     integrity-checksummed diagnostic bundle that contains the
 //     correlated breaker-open event;
-//   - /v1/slo reports per-endpoint compliance for the traffic served.
+//   - the entry node's bitgen_serve_request_seconds histogram counts the
+//     match traffic served.
 //
 // Bundles land in a directory of the test's own, so a stale one can never
 // be picked up; with -obs-out the stitched Chrome trace (stitched.json)
@@ -603,7 +604,7 @@ func TestObsClusterSelfTest(t *testing.T) {
 	injs := make([]*faultinject.Injector, 3)
 	nodes, err := BootCluster(3, Config{
 		BundleDir:         artifactDir,
-		BundleMinInterval: time.Millisecond,
+		bundleMinInterval: time.Millisecond,
 	}, func(i int, cc *cluster.Config) {
 		injs[i] = faultinject.New(uint64(42 + i))
 		cc.Inject = injs[i]
@@ -791,25 +792,14 @@ func TestObsClusterSelfTest(t *testing.T) {
 	t.Logf("flight recorder ok: breaker-open bundle %s verified (%d decisions, %d spans)",
 		filepath.Base(bundlePath), len(bb.Decisions), len(bb.Spans))
 
-	// Phase 3: the SLO endpoint reports the traffic we just served.
-	_, sloBody, _, err := send(client, http.MethodGet, nodes[entry].URL+"/v1/slo", "", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	// Phase 3: the entry node's request-latency histogram counts the match
+	// traffic we just served.
+	key := obs.MServeRequestSecs + `{endpoint="match"}`
+	if n := nodes[entry].Server.Metrics().Snapshot().Histograms[key].Count; n == 0 {
+		t.Fatalf("%s counts no requests on the entry node", key)
+	} else {
+		t.Logf("latency ok: %s counts %d requests", key, n)
 	}
-	var rep obs.SLOReport
-	if err := json.Unmarshal(sloBody, &rep); err != nil {
-		t.Fatal(err)
-	}
-	matchSeen := false
-	for _, ep := range rep.Endpoints {
-		if ep.Endpoint == "match" && ep.Total > 0 {
-			matchSeen = true
-		}
-	}
-	if !matchSeen {
-		t.Fatalf("/v1/slo reports no match traffic: %+v", rep.Endpoints)
-	}
-	t.Log("slo ok: /v1/slo reports match-endpoint compliance")
 	injs[entry].Disarm(dropPoint)
 
 	if *obsOut != "" {

@@ -57,29 +57,16 @@ type Config struct {
 	// (tests).
 	Inject *faultinject.Injector
 	// BundleDir, when set, enables the anomaly flight recorder's disk
-	// dumps: on a breaker open, snapshot quarantine, degraded serve or
-	// SLO fast burn (and on GET /debug/bundle), a diagnostic bundle —
-	// recent request spans, the decision ring, a metrics snapshot, the SLO
-	// report and a goroutine dump — is written there as a single
-	// integrity-checksummed JSON file. Empty disables disk dumps; the
-	// /debug/bundle endpoint still serves bundles inline.
+	// dumps: on a breaker open, snapshot quarantine or degraded serve (and
+	// on GET /debug/bundle), a diagnostic bundle — recent request spans,
+	// the decision ring, a metrics snapshot and a goroutine dump — is
+	// written there as a single integrity-checksummed JSON file. Empty
+	// disables disk dumps; the /debug/bundle endpoint still serves bundles
+	// inline.
 	BundleDir string
-	// BundleMinInterval rate-limits anomaly-triggered bundle dumps
-	// (default 30s; negative disables anomaly dumps, manual /debug/bundle
-	// dumps still work).
-	BundleMinInterval time.Duration
-	// SLOMatchP99 / SLOScanP99 are the per-endpoint latency objectives: a
-	// request slower than its endpoint's objective spends error budget
-	// even when it succeeds (defaults 250ms / 2s; negative disables the
-	// latency criterion for that endpoint).
-	SLOMatchP99 time.Duration
-	SLOScanP99  time.Duration
-	// SLOAvailability is the good-request objective shared by both
-	// endpoints (default 0.999 — an error budget of 0.1%).
-	SLOAvailability float64
-	// tuneSLO, when set (tests), adjusts the SLO tracker's window
-	// configuration before construction.
-	tuneSLO func(*obs.SLOConfig)
+	// bundleMinInterval rate-limits anomaly-triggered bundle dumps
+	// (default 30s; tests shorten it).
+	bundleMinInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -101,17 +88,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.BundleMinInterval == 0 {
-		c.BundleMinInterval = 30 * time.Second
-	}
-	if c.SLOMatchP99 == 0 {
-		c.SLOMatchP99 = 250 * time.Millisecond
-	}
-	if c.SLOScanP99 == 0 {
-		c.SLOScanP99 = 2 * time.Second
-	}
-	if c.SLOAvailability <= 0 || c.SLOAvailability >= 1 {
-		c.SLOAvailability = obs.DefaultAvailability
+	if c.bundleMinInterval <= 0 {
+		c.bundleMinInterval = 30 * time.Second
 	}
 	return c
 }
@@ -139,6 +117,9 @@ type Server struct {
 
 	inFlight   *obs.Gauge
 	queueDepth *obs.Gauge
+	// requestSecs holds the match and scan request-latency histograms,
+	// keyed by span name (withObs observes them; read-only after New).
+	requestSecs map[string]*obs.Histogram
 
 	// snap is the engine persistence store; nil when SnapshotDir is unset.
 	snap *snapshot.Store
@@ -146,14 +127,12 @@ type Server struct {
 	// cluster, when non-nil, routes pattern-set keys across replicas.
 	cluster *cluster.Router
 
-	// Observability plane: the decision ring, the span ring (one span per
-	// request, plus the engine's spans of a request that arrived tagged),
-	// and the SLO tracker. All three are always on — they are
-	// rings, not I/O — and feed /v1/trace/{id}, /v1/slo and the anomaly
-	// bundle dumps.
+	// Observability plane: the decision ring and the span ring (one span
+	// per request, plus the engine's spans of a request that arrived
+	// tagged). Both are always on — they are rings, not I/O — and feed
+	// /v1/trace/{id} and the anomaly bundle dumps.
 	events *obs.EventLog
 	spans  *obs.SpanRing
-	slo    *obs.SLO
 
 	// Anomaly bundle state: lastBundleUnixNano rate-limits triggered
 	// dumps, bundleBusy collapses concurrent triggers into one writer.
@@ -183,25 +162,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.spans = obs.NewSpanRing(spanRingCapacity)
 	s.events = obs.NewEventLog(obs.EventLogConfig{OnEvent: s.onAnomalyEvent})
-	sloCfg := obs.SLOConfig{
-		Objectives: map[string]obs.SLOObjective{
-			"match": {LatencyP99: cfg.SLOMatchP99, Availability: cfg.SLOAvailability},
-			"scan":  {LatencyP99: cfg.SLOScanP99, Availability: cfg.SLOAvailability},
-		},
-		Metrics:    s.reg,
-		OnFastBurn: s.onFastBurn,
-	}
-	if cfg.tuneSLO != nil {
-		cfg.tuneSLO(&sloCfg)
-	}
-	s.slo = obs.NewSLO(sloCfg)
 	s.cache = newRegistry(cfg.MaxCachedEngines, s.reg, s.buildEngine)
 	s.cache.events = s.events
 
 	// Register every serve family eagerly so a scrape before the first
 	// request still exposes the full schema.
+	s.requestSecs = make(map[string]*obs.Histogram, 2)
 	for _, ep := range []string{"match", "scan"} {
 		s.reg.Counter(obs.MServeRequests, obs.HServeRequests, obs.L("endpoint", ep))
+		s.requestSecs[ep] = s.reg.Histogram(obs.MServeRequestSecs, obs.HServeRequestSecs,
+			obs.RequestSecondsBuckets, obs.L("endpoint", ep))
 		s.reg.Counter(obs.MServeErrors, obs.HServeErrors, obs.L("endpoint", ep))
 	}
 	s.reg.Counter(obs.MServeRejected, obs.HServeRejected)
@@ -224,7 +194,7 @@ func New(cfg Config) (*Server, error) {
 		s.reg.Counter(obs.MSnapVerifyFailures, obs.HSnapVerifyFailures, obs.L("reason", reason))
 	}
 	for _, trigger := range []string{
-		triggerManual, triggerBreakerOpen, triggerQuarantine, triggerDegraded, triggerFastBurn,
+		triggerManual, triggerBreakerOpen, triggerQuarantine, triggerDegraded,
 	} {
 		s.reg.Counter(obs.MObsBundleWrites, obs.HObsBundleWrites, obs.L("trigger", trigger))
 	}
@@ -255,7 +225,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/trace/", s.handleTraceFragment)
-	s.mux.HandleFunc("/v1/slo", s.handleSLO)
 	s.mux.HandleFunc("/debug/bundle", s.handleBundle)
 	return s, nil
 }
@@ -279,7 +248,7 @@ func (s *Server) Cluster() *cluster.Router { return s.cluster }
 // Handler returns the service's HTTP handler, wrapped in the
 // observability middleware: every request gets a trace context (parsed
 // from X-Bitgen-Trace or minted), a request span, and — for the
-// match/scan endpoints — an SLO observation.
+// match/scan endpoints — a request-latency observation.
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
 // Events returns the decision ring (tests and bundle dumps).
