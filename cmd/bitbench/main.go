@@ -9,7 +9,11 @@
 //	bitbench -exp fig12 -apps Yara,Brill -csv out/
 //
 // Experiments: table1, fig11 (alias table2), fig12 (alias table3), table4,
-// table5, fig13 (alias table6), fig14, fig15, extras, all.
+// table5, fig13 (alias table6), fig14, fig15, extras, all; and, outside
+// "all", bench (host hot paths and the scan worker matrix, `make
+// bench-smoke`'s throughput floor) and mem (the megaset residency gate,
+// `make megaset-smoke`). Per-scan modeled profiles come from
+// `bitgen -profile`.
 package main
 
 import (
@@ -44,7 +48,7 @@ var aliases = map[string]string{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, extras, all)")
+	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, extras, all, bench, mem)")
 	scale := flag.Float64("scale", 1, "fraction of the paper's regex counts to generate")
 	inputBytes := flag.Int("input", 1_000_000, "input size in bytes")
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: all ten)")
@@ -74,12 +78,9 @@ func main() {
 	if canonical, ok := aliases[name]; ok {
 		name = canonical
 	}
-	// The profile, bench and mem artifacts exercise the public API rather
-	// than the experiment harness; they are opt-in and not part of "all".
+	// The bench and mem artifacts exercise the public API rather than the
+	// experiment harness; they are opt-in and not part of "all".
 	extraArtifacts := []artifact{
-		{name: "profile", run: func(s *experiments.Suite) (experiments.Artifact, error) {
-			return runProfile(s)
-		}},
 		{name: "bench", run: func(*experiments.Suite) (experiments.Artifact, error) {
 			return runBench(*benchTime, *minScanMBs)
 		}, file: "BENCH_scan"},

@@ -166,40 +166,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the cumulative
-// buckets by linear interpolation within the containing bucket — the
-// same estimate Prometheus's histogram_quantile makes. The last finite
-// upper bound is returned for samples in the +Inf bucket; 0 on empty.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(s.Count)
-	var prevCum uint64
-	prevBound := 0.0
-	for _, b := range s.Buckets {
-		if float64(b.Count) >= target {
-			if math.IsInf(b.UpperBound, 1) {
-				return prevBound
-			}
-			in := b.Count - prevCum
-			if in == 0 {
-				return b.UpperBound
-			}
-			frac := (target - float64(prevCum)) / float64(in)
-			return prevBound + (b.UpperBound-prevBound)*frac
-		}
-		prevCum = b.Count
-		if !math.IsInf(b.UpperBound, 1) {
-			prevBound = b.UpperBound
-		}
-	}
-	return prevBound
-}
-
 // series is one (family, labelset) instrument.
 type series struct {
 	labels string // rendered `{k="v",...}` or ""

@@ -283,8 +283,7 @@ func TestScanPipelinedReadFailureReturnsBuffers(t *testing.T) {
 // TestScanPipelinedSteadyStateAllocs pins the arena contract end to end:
 // scanning more chunks must not allocate more. Per-call setup (goroutines,
 // channels, borrowing sessions) is constant, so the alloc delta between a short and a
-// long stream, normalized per extra chunk, must be ~zero. The strict
-// zero-allocs/op proof is BenchmarkScanReader, where setup amortizes away.
+// long stream, normalized per extra chunk, must be ~zero.
 func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
 	eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, threads: 32})
 	unit := []byte(strings.Repeat("the cat sat on the dog ", 180)) // ~4KB ≈ one chunk

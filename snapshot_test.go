@@ -310,3 +310,41 @@ func TestSnapshotResilienceSaved(t *testing.T) {
 		t.Fatalf("plain loaded engine reports backend %q", got.Backend)
 	}
 }
+
+// TestPatternSetKeyPinned pins the bytes of PatternSetKey and of the
+// snapshot options hash. Persisted snapshot file names and cluster ring
+// placement are derived from them, so moving or renaming an Options field
+// must leave every value here unchanged; a deliberate change bumps the
+// hash domain tags and rewrites this table.
+func TestPatternSetKeyPinned(t *testing.T) {
+	patterns := []string{"abc", "a?", "abc", "colou?r"}
+	for _, c := range []struct {
+		name      string
+		opts      *Options
+		key, hash string
+	}{
+		{"nil", nil,
+			"9029cbde917e04626f2bfcfa7d493464b8a55843171ba7dd38baeddfdf98800b",
+			"2a407ac450a3a19eec0b2bf1de9be94891b59e60a725f9f02a07b600dbf7b424"},
+		{"foldcase", &Options{FoldCase: true},
+			"c22a5bb770973e0ef69d7903c56cb0646508bf3d6d174d45d72a4c2cd84d25af",
+			"7b0e82a6dbf8cce3b07fe996eba27da24acce24191542db3e8266231812125bb"},
+		{"device", &Options{Device: "H100 NVL"},
+			"02f88b2c1326eb7af323aeef60c0eb628ca052519e5451c8e720215269280e48",
+			"56e7bf721ed6a7f5584521af9c0bcf2fd85010571e1d0ea40d52c1a6eb865547"},
+		{"limits", &Options{Limits: Limits{MaxPatterns: -1}},
+			"ab94e42cd4554b2d71c7713c75b6bbadfb21025ff3c84b78dc6108b417b028eb",
+			"a1868d628d728d62b05bfbd1224d6300690ce5ac6d14364cdd60251b8e5659d2"},
+	} {
+		if got := PatternSetKey(patterns, c.opts); got != c.key {
+			t.Errorf("%s: PatternSetKey = %s, want %s", c.name, got, c.key)
+		}
+		opts := c.opts
+		if opts == nil {
+			opts = &Options{}
+		}
+		if got := optionsHash(opts); got != c.hash {
+			t.Errorf("%s: optionsHash = %s, want %s", c.name, got, c.hash)
+		}
+	}
+}
