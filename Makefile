@@ -37,7 +37,7 @@ vuln:
 # classes, panic containment, cancellation, first-failure streaming, the
 # backend pin and the cluster's peer breaker; then every test that runs the
 # conformance harness (its fault plans included), fuzz seeds too.
-HARNESS = Conformance|MatchersAgree|FuzzSnapshotRoundTrip|ChunkBoundaries|CountOnlyMatchesRunCounts|DuplicatePatterns|NullableEndOfInputAcross|RunCollectsLike|SignatureSet|ScanPipelinedMatchesSequential|ScanReaderBoundaryStraddle|ScanReaderMatchesWholeInput|ScanReaderLadderMatchesRun|ScanWorkersOption|StateCompressionDifferential
+HARNESS = Conformance|MatchersAgree|FuzzSnapshotRoundTrip|ChunkBoundaries|CountOnlyMatchesRunCounts|DuplicatePatterns|NullableEndOfInputAcross|RunCollectsLike|SignatureSet|ScanPipelinedMatchesSequential|ScanReaderBoundaryStraddle|ScanReaderMatchesWholeInput|ScanReaderLadderMatchesRun|ScanWorkerCounts|StateCompressionDifferential
 fault:
 	$(GO) test -race -run 'Injected|Hardened|WhileCap|Cancel|Limit|Concurrent|ErrorClass|Faults|ForceBackend|Pinned|FailingChunk|Terminal|Breaker' \
 		./internal/faultinject/ ./internal/kernel/ ./internal/engine/ ./internal/cluster/ .
@@ -264,18 +264,25 @@ profile-compile:
 # allocation count; a line of its own because a slash in -bench filters every
 # other benchmark's sub-benchmarks) and of BenchmarkCompileSigs (what setup_s
 # times on stream_sigs), a
-# short-mode run of the bitbench matrix (single-core and GOMAXPROCS x
-# workers multicore rows) with a hard throughput floor — 54.1 MB/s is the pipelined scanner's
-# pre-superblock seed baseline, so any regression back to it fails the
-# build — then a real pipelined streaming scan with tracing on, its
-# trace validated by obscheck (the pipeline stage lanes ride the same
-# schema the whole-input scan does).
+# 200 ms run of BenchmarkScanReader (four patterns, 256 KiB chunks, one
+# chunk worker per core) whose MB/s field is held to a hard throughput
+# floor — 54.1 MB/s is the pipelined scanner's pre-superblock seed
+# baseline, so any regression back to it fails the build, as does a failed
+# or missing benchmark line — then a real pipelined streaming scan with
+# tracing on, its trace validated by obscheck (the pipeline stage lanes
+# ride the same schema the whole-input scan does).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'ScanReader|RunControl|TransposeInto|MergeMatches|SharedClasses|IntoOps|ShiftWords|Fused2|NextSetBitSweep|Positions' \
 		-benchtime 100ms . ./internal/bitstream ./internal/transpose ./internal/engine ./internal/kernel
 	$(GO) test -run '^$$' -bench 'CompileMegaset/500$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'CompileSigs$$' -benchtime 1x .
-	$(GO) run ./cmd/bitbench -exp bench -bench-time 200ms -min-scan-mbs 54.1
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkScanReader$$' -benchtime 200ms .) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk -v floor=54.1 ' \
+		$$1 ~ /^BenchmarkScanReader(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "MB/s") mbs = $$i } \
+		END { if (mbs == "") { print "bench-smoke: no MB/s on a BenchmarkScanReader line"; exit 1 } \
+			if (mbs + 0 < floor + 0) { printf "bench-smoke: BenchmarkScanReader %s MB/s is below the %s MB/s floor\n", mbs, floor; exit 1 } \
+			printf "bench-smoke: BenchmarkScanReader %s MB/s, floor %s MB/s\n", mbs, floor }'
 	@tmp=$$(mktemp -d) && \
 	i=0; while [ $$i -lt 2000 ]; do echo "error: timeout after 30ms on line $$i; retry ok"; i=$$((i+1)); done > $$tmp/input.txt && \
 	$(GO) run ./cmd/bitgen -q -stream 4096 -trace $$tmp/trace.json 'error|fatal' $$tmp/input.txt && \

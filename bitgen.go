@@ -56,8 +56,6 @@ type Options struct {
 	// Device selects the GPU profile by name: "RTX 3090" (default),
 	// "H100 NVL", or "L40S".
 	Device string
-	// CTAs overrides the number of CTA groups (default 256).
-	CTAs int
 	// Limits bounds resource use; the zero value applies the documented
 	// defaults (see Limits). Violations return errors satisfying
 	// errors.Is(err, ErrLimit).
@@ -71,15 +69,12 @@ type Options struct {
 	// Engine.MetricsSnapshot, Engine.WritePrometheus). Nil — the default
 	// — compiles every instrumentation hook down to a pointer check.
 	Observability *ObservabilityOptions
-	// ScanWorkers sets how many chunk workers ScanReader's pipeline runs
-	// concurrently (default GOMAXPROCS). Even one worker pipelines: the
-	// reader stays a chunk ahead of execution.
-	ScanWorkers int
 
-	// threads overrides the CTA size (default 512). Only package tests set
-	// it, to reach small blocks (loops and carries that cross them, the
-	// overlap fallback); the paper's knobs live on engine.Config.
-	threads int
+	// ctas and threads override the CTA count (default 256) and CTA size
+	// (default 512). Only package tests set them, to reach few groups and
+	// small blocks (loops and carries that cross them, the overlap
+	// fallback); the paper's launch geometry lives on engine.Config.Grid.
+	ctas, threads int
 }
 
 // Default resource limits, applied when the corresponding Limits field is
@@ -222,7 +217,8 @@ type Engine struct {
 	// obs carries the engine's own span ring and metrics registry; nil when
 	// Options.Observability was not set (every hook is nil-safe).
 	obs *obs.Observer
-	// scanWorkers is Options.ScanWorkers; <=0 means GOMAXPROCS.
+	// scanWorkers is how many chunk workers ScanReader runs; <=0 means one
+	// per host core (runtime.NumCPU). Only package tests set it.
 	scanWorkers int
 	// scanArena overrides the pipelined scanner's buffer pool; nil selects
 	// arena.Default. Tests set it to assert get/put balance.
@@ -314,10 +310,9 @@ func CompileContext(ctx context.Context, patterns []string, opts *Options) (*Eng
 		indexesOf: indexesOf, nullable: nullable,
 		limits: limits,
 		maxLen: maxLen, unbounded: unbounded,
-		obs:         observer,
-		scanWorkers: opts.ScanWorkers,
-		foldCase:    opts.FoldCase,
-		optsHash:    optionsHash(opts),
+		obs:      observer,
+		foldCase: opts.FoldCase,
+		optsHash: optionsHash(opts),
 	}
 	e.initRankIndexes()
 	if err := e.pinNFA(opts.Resilience, regexes); err != nil {
@@ -356,8 +351,8 @@ func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer
 	cfg := engine.BitGenDefault()
 	cfg.Device = dev
 	grid := gpusim.DefaultGrid()
-	if opts.CTAs > 0 {
-		grid.CTAs = opts.CTAs
+	if opts.ctas > 0 {
+		grid.CTAs = opts.ctas
 	}
 	if opts.threads > 0 {
 		grid.Threads = opts.threads
@@ -377,10 +372,10 @@ func buildEngineConfig(opts *Options, dev gpusim.Device, limits Limits, observer
 // PatternSetKey returns a content hash identifying a compiled pattern set:
 // the pattern list as given — order and duplicates included, since
 // Match.Index and Result.IndexCounts number the entries — and every Options
-// field that changes the compiled engine (syntax flags, device, launch
-// geometry, limits). Two (patterns, opts) pairs with equal keys compile to
-// engines with identical results, so serving layers use the key to share
-// one cached *Engine across identical requests.
+// field that changes the compiled engine (syntax flags, device, limits).
+// Two (patterns, opts) pairs with equal keys compile to engines with
+// identical results, so serving layers use the key to share one cached
+// *Engine across identical requests.
 func PatternSetKey(patterns []string, opts *Options) string {
 	if opts == nil {
 		opts = &Options{}
@@ -391,8 +386,10 @@ func PatternSetKey(patterns []string, opts *Options) string {
 		hashField(h, p)
 	}
 	hashCompileOptions(h, opts)
-	// Not compile-relevant, but a cached *Engine carries its worker count.
-	hashField(h, fmt.Sprint(opts.ScanWorkers))
+	// The literal stands where a per-engine worker count was hashed before
+	// it stopped being an option, so keys, snapshot names and ring
+	// placement did not move.
+	hashField(h, "0")
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -82,8 +82,8 @@ func TestOptionValidation(t *testing.T) {
 func TestDeviceOption(t *testing.T) {
 	input := []byte(strings.Repeat("flag{secret} noise noise ", 200))
 	patterns := []string{"flag\\{[a-z]+\\}"}
-	slow := MustCompile(patterns, &Options{Device: "RTX 3090", CTAs: 8, threads: 32})
-	fast := MustCompile(patterns, &Options{Device: "L40S", CTAs: 8, threads: 32})
+	slow := MustCompile(patterns, &Options{Device: "RTX 3090", ctas: 8, threads: 32})
+	fast := MustCompile(patterns, &Options{Device: "L40S", ctas: 8, threads: 32})
 	rSlow, err := slow.Run(input)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestDeviceOption(t *testing.T) {
 }
 
 func TestConcurrentRuns(t *testing.T) {
-	eng := MustCompile([]string{"cat", "do(g|ve)s?"}, &Options{CTAs: 2, threads: 32})
+	eng := MustCompile([]string{"cat", "do(g|ve)s?"}, &Options{ctas: 2, threads: 32})
 	inputs := [][]byte{
 		[]byte(strings.Repeat("cat dove ", 100)),
 		[]byte(strings.Repeat("dogs dogs ", 100)),

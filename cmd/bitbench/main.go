@@ -10,10 +10,9 @@
 //
 // Experiments: table1, fig11 (alias table2), fig12 (alias table3), table4,
 // table5, fig13 (alias table6), fig14, fig15, extras, all; and, outside
-// "all", bench (host hot paths and the scan worker matrix, `make
-// bench-smoke`'s throughput floor) and mem (the megaset residency gate,
-// `make megaset-smoke`). Per-scan modeled profiles come from
-// `bitgen -profile`.
+// "all", mem (the megaset residency gate, `make megaset-smoke`). Host hot
+// paths are Go benchmarks (`make bench-smoke`); per-scan modeled profiles
+// come from `bitgen -profile`.
 package main
 
 import (
@@ -48,7 +47,7 @@ var aliases = map[string]string{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, extras, all, bench, mem)")
+	exp := flag.String("exp", "all", "experiment to run (table1, fig11, fig12, table4, table5, fig13, fig14, fig15, extras, all, mem)")
 	scale := flag.Float64("scale", 1, "fraction of the paper's regex counts to generate")
 	inputBytes := flag.Int("input", 1_000_000, "input size in bytes")
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: all ten)")
@@ -56,8 +55,6 @@ func main() {
 	hsThreads := flag.Int("hs-threads", 8, "HS-MT goroutine count")
 	csvDir := flag.String("csv", "", "directory to also write CSV files into")
 	jsonDir := flag.String("json", "", "directory to also write JSON artifacts into (artifacts that support it)")
-	benchTime := flag.String("bench-time", "3s", "per-benchmark measuring time for -exp bench (e.g. 200ms for CI smoke)")
-	minScanMBs := flag.Float64("min-scan-mbs", 0, "fail -exp bench when the pipelined scan falls below this MB/s (0 = no gate)")
 	memSizes := flag.String("mem-sizes", "1000,10000,100000", "comma-separated megaset pattern counts for -exp mem")
 	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "fail -exp mem when the largest size's resident bytes exceed this many MiB (0 = no gate)")
 	memBudget := flag.Duration("mem-budget", 0, "fail -exp mem when the largest size's compile exceeds this duration (0 = no gate)")
@@ -78,12 +75,9 @@ func main() {
 	if canonical, ok := aliases[name]; ok {
 		name = canonical
 	}
-	// The bench and mem artifacts exercise the public API rather than the
-	// experiment harness; they are opt-in and not part of "all".
+	// The mem artifact exercises the public API rather than the experiment
+	// harness; it is opt-in and not part of "all".
 	extraArtifacts := []artifact{
-		{name: "bench", run: func(*experiments.Suite) (experiments.Artifact, error) {
-			return runBench(*benchTime, *minScanMBs)
-		}, file: "BENCH_scan"},
 		{name: "mem", run: func(*experiments.Suite) (experiments.Artifact, error) {
 			return runMem(*memSizes, *seed, *memCeilingMB<<20, *memBudget)
 		}, file: "BENCH_mem"},

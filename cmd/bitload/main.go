@@ -13,6 +13,9 @@
 // the full benchmark matrix: a 1-node baseline phase, then a 3-node
 // phase that kills one replica at the midpoint. The JSON report contrasts
 // the two so routing overhead and failover cost are visible side by side.
+// After writing it, bitload exits 1 if any request sent to a surviving
+// replica after the kill failed (failures_via_survivors > 0): failover
+// must hide a dead replica from every request that reaches a live one.
 package main
 
 import (
@@ -487,13 +490,20 @@ func main() {
 	enc = append(enc, '\n')
 	if *out == "" {
 		os.Stdout.Write(enc)
-		return
+	} else {
+		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(*out, enc, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("wrote %s", *out)
 	}
-	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
-		log.Fatal(err)
+	// The failover contract, checked after the report is out so a failing
+	// run still leaves its numbers.
+	if rep.Kill != nil && rep.Kill.FailuresViaSurvivors > 0 {
+		log.Printf("kill: %d failed requests were sent to a live replica; the failover contract is 0",
+			rep.Kill.FailuresViaSurvivors)
+		os.Exit(1)
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", *out)
 }

@@ -57,7 +57,7 @@ func sortMatches(ms []Match) {
 
 // tinyGeometry launches 4-thread CTAs: 128-bit blocks, on which loops and
 // carry chains outgrow the overlap and take the materialized fallback.
-var tinyGeometry = Options{CTAs: 2, threads: 4}
+var tinyGeometry = Options{ctas: 2, threads: 4}
 
 // conformance runs the cells of one test and counts what its corpus reached,
 // so a corpus that stops straddling a chunk boundary, taking a fallback,

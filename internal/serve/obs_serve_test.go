@@ -450,8 +450,18 @@ func TestRequestLatencyHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if m, sc := counts(); m != 3 || sc != 1 {
-		t.Fatalf("after 3 match and 1 scan requests: match %d, scan %d samples", m, sc)
+	// withObs observes after the handler returns, which can be after the
+	// client has read the whole response: wait for the last sample.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		m, sc := counts()
+		if m == 3 && sc == 1 {
+			break
+		}
+		if m > 3 || sc > 1 || time.Now().After(deadline) {
+			t.Fatalf("after 3 match and 1 scan requests: match %d, scan %d samples", m, sc)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

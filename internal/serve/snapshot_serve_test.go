@@ -88,7 +88,7 @@ func TestSnapshotOptionsMismatchRefusedNotQuarantined(t *testing.T) {
 		s1.Close()
 
 		cfg := Config{SnapshotDir: dir}
-		cfg.Engine.CTAs = 8 // compile-relevant drift
+		cfg.Engine.Device = "H100 NVL" // compile-relevant drift
 		s2, hs2 := newTestServer(t, cfg)
 		if code, _, _ := postMatch(t, hs2.URL, body); code != http.StatusOK {
 			t.Fatal("match under drifted options failed")

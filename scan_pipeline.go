@@ -58,7 +58,7 @@ func (e *Engine) scanPipelined(ctx context.Context, r io.Reader, chunkSize, maxL
 	overlap := maxLen - 1
 	workers := e.scanWorkers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = runtime.NumCPU()
 	}
 	ar := e.scanArena
 	if ar == nil {

@@ -18,6 +18,7 @@ import (
 	"bitgen/internal/arena"
 	"bitgen/internal/engine"
 	"bitgen/internal/faultinject"
+	"bitgen/internal/obs"
 	"bitgen/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func (r *trickleReader) Read(p []byte) (int, error) {
 // ErrCanceled promptly and hand back every pooled buffer (run under -race
 // this also shakes out reader/worker/emit data races).
 func TestScanPipelinedCancellation(t *testing.T) {
-	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"cat"}, &Options{ctas: 1, threads: 32})
 	for _, workers := range []int{1, 4} {
 		a := &arena.Arena{}
 		eng.scanArena, eng.scanWorkers = a, workers
@@ -106,7 +107,8 @@ func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
 	input := []byte(strings.Repeat(unit, chunks*chunk/len(unit)+1))[:chunks*chunk]
 
 	for _, workers := range []int{1, 2, 4} {
-		eng := MustCompile([]string{"fox|dog", "l.zy"}, &Options{CTAs: 2, threads: 64, ScanWorkers: workers})
+		eng := MustCompile([]string{"fox|dog", "l.zy"}, &Options{ctas: 2, threads: 64})
+		eng.scanWorkers = workers
 		groups := eng.inner.Groups()
 		if len(groups) != 2 {
 			t.Fatalf("compiled %d groups, test assumes 2", len(groups))
@@ -197,9 +199,9 @@ func TestScanReaderBorrowsPooledSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := MustCompile(app.Patterns, &Options{ScanWorkers: 1})
+	eng := MustCompile(app.Patterns, nil)
 	a := &arena.Arena{}
-	eng.scanArena = a
+	eng.scanArena, eng.scanWorkers = a, 1
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	scan := func() {
 		if err := eng.ScanReader(bytes.NewReader(app.Input), 4099, func(Match) {}); err != nil {
@@ -265,7 +267,7 @@ func TestRunUnboundedAllocs(t *testing.T) {
 // read-failure path (semantics are pinned by TestScanReaderMidStreamReadFailure)
 // and asserts the failure leaks no pooled buffers.
 func TestScanPipelinedReadFailureReturnsBuffers(t *testing.T) {
-	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"cat"}, &Options{ctas: 1, threads: 32})
 	a := &arena.Arena{}
 	eng.scanArena, eng.scanWorkers = a, 2
 	input := []byte(strings.Repeat("xxcatxxx", 400))
@@ -285,7 +287,7 @@ func TestScanPipelinedReadFailureReturnsBuffers(t *testing.T) {
 // channels, borrowing sessions) is constant, so the alloc delta between a short and a
 // long stream, normalized per extra chunk, must be ~zero.
 func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
-	eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"cat|dog"}, &Options{ctas: 1, threads: 32})
 	unit := []byte(strings.Repeat("the cat sat on the dog ", 180)) // ~4KB ≈ one chunk
 	const chunk = 4096
 	// A scan that finds the engine's session pool short builds a session:
@@ -345,7 +347,7 @@ func TestScanPipelinedMatchesSequential(t *testing.T) {
 	extra := []int{2, 8, 9, 88, 1015, 1 + rng.Intn(300), 1 + rng.Intn(300), 1 + rng.Intn(300)}
 	c := &conformance{t: t}
 	c.set("as given", corpus{patterns: []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", "0\\d{3}"}, input: []byte(sb.String()),
-		opts: &Options{CTAs: 2, threads: 64}, extra: extra})
+		opts: &Options{ctas: 2, threads: 64}, extra: extra})
 	if c.straddled == 0 {
 		t.Fatal("degenerate corpus: no match straddles a chunk boundary")
 	}
@@ -363,21 +365,44 @@ func TestSignatureSetEntryPointsEqualNFA(t *testing.T) {
 	(&conformance{t: t}).row(corpus{patterns: app.Patterns, input: app.Input})
 }
 
-// TestScanWorkersOption pins that Options.ScanWorkers reaches the scanner
-// and that any worker count streams the reference's matches.
-func TestScanWorkersOption(t *testing.T) {
+// TestScanWorkerCounts pins that any worker count, the default (0)
+// included, streams the reference's matches.
+func TestScanWorkerCounts(t *testing.T) {
 	input := []byte(strings.Repeat("a cat, a dog. ", 2000))
 	want := reference(t, []string{"cat|dog"}, input)
+	eng := MustCompile([]string{"cat|dog"}, &Options{ctas: 1, threads: 32})
 	for _, workers := range []int{0, 1, 2, 8} {
-		eng := MustCompile([]string{"cat|dog"}, &Options{CTAs: 1, threads: 32, ScanWorkers: workers})
-		if eng.scanWorkers != workers {
-			t.Fatalf("scanWorkers = %d, want %d", eng.scanWorkers, workers)
-		}
+		eng.scanWorkers = workers
 		var got []Match
 		if err := eng.ScanReader(bytes.NewReader(input), 1024, func(m Match) { got = append(got, m) }); err != nil {
 			t.Fatal(err)
 		}
 		same(t, fmt.Sprintf("workers %d", workers), got, want)
+	}
+}
+
+// TestScanWorkersDefaultToCores pins the default worker count to the host's
+// cores, not to GOMAXPROCS: at GOMAXPROCS 1 a traced scan still names one
+// scan/worker lane per core.
+func TestScanWorkersDefaultToCores(t *testing.T) {
+	if runtime.NumCPU() == 1 {
+		t.Skip("one core: the default cannot be told from GOMAXPROCS 1")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng := MustCompile([]string{"cat"}, &Options{ctas: 1, threads: 32,
+		Observability: &ObservabilityOptions{Trace: true}})
+	input := strings.NewReader(strings.Repeat("a cat sat. ", 1000))
+	if err := eng.ScanReader(input, 1024, func(Match) {}); err != nil {
+		t.Fatal(err)
+	}
+	workers := 0
+	for _, name := range eng.obs.Spans.Fragment("", obs.TraceID{}).Lanes {
+		if name == "scan/worker" {
+			workers++
+		}
+	}
+	if workers != runtime.NumCPU() {
+		t.Fatalf("%d scan/worker lanes at GOMAXPROCS 1, want one per core (%d)", workers, runtime.NumCPU())
 	}
 }
 
@@ -401,7 +426,7 @@ func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
 			t.Fatalf("chunk %d: %d of the %d boundaries straddled", chunk, n, all)
 		}
 	}
-	(&conformance{t: t}).row(corpus{patterns: patterns, input: input, opts: &Options{CTAs: 2, threads: 64}, wide: true})
+	(&conformance{t: t}).row(corpus{patterns: patterns, input: input, opts: &Options{ctas: 2, threads: 64}, wide: true})
 }
 
 // TestScanReaderLadderStopsAtFirstFailingChunk pins first-failure semantics
@@ -413,12 +438,12 @@ func TestScanReaderLadderMatchesRunAcrossChunkSizes(t *testing.T) {
 func TestScanReaderLadderStopsAtFirstFailingChunk(t *testing.T) {
 	const chunk, j = 64, 5
 	patterns, input := straddleCorpus(154) // 13 chunks
-	eng, err := Compile(patterns, &Options{
-		CTAs: 1, threads: 64, ScanWorkers: 1, // one group: one launch per chunk
-	})
+	// One group: one launch per chunk.
+	eng, err := Compile(patterns, &Options{ctas: 1, threads: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.scanWorkers = 1
 	want, err := eng.Run(input)
 	if err != nil {
 		t.Fatal(err)

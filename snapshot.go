@@ -27,7 +27,7 @@ func hashField(h hash.Hash, s string) {
 // is added here once and reaches both hashes.
 func hashCompileOptions(h hash.Hash, opts *Options) {
 	hashField(h, fmt.Sprintf("%t|%s|%d|%d",
-		opts.FoldCase, opts.Device, opts.CTAs, opts.threads))
+		opts.FoldCase, opts.Device, opts.ctas, opts.threads))
 	hashField(h, fmt.Sprintf("%d|%d|%d|%d|%d",
 		opts.Limits.MaxInputBytes, opts.Limits.MaxPatterns,
 		opts.Limits.MaxProgramInstructions, opts.Limits.MaxWhileIterations,
@@ -36,9 +36,9 @@ func hashCompileOptions(h hash.Hash, opts *Options) {
 
 // optionsHash fingerprints every compile-relevant option: a snapshot may
 // only be loaded under Options that would have compiled the identical
-// engine. Runtime-only options — ScanWorkers, Observability — are
-// deliberately excluded: they reconfigure execution, not compilation, so a
-// snapshot saved by a plain process loads into a traced one. Resilience
+// engine. Observability, the runtime-only option, is deliberately
+// excluded: it reconfigures execution, not compilation, so a snapshot
+// saved by a plain process loads into a traced one. Resilience
 // is excluded too: an engine compiled with it saves like any other, and
 // DecodeEngine refuses to load under it.
 func optionsHash(opts *Options) string {
@@ -96,9 +96,9 @@ func EncodeEngine(e *Engine) []byte {
 // with drifted semantics. Every failure satisfies
 // errors.Is(err, ErrSnapshot); callers fall back to Compile.
 //
-// Runtime-only options (ScanWorkers, Observability) need not match the
-// saving process: they take effect on the loaded engine exactly as they
-// would on a fresh compile. Options with Resilience set are refused with an
+// Observability, the runtime-only option, need not match the saving
+// process: it takes effect on the loaded engine exactly as it would on a
+// fresh compile. Options with Resilience set are refused with an
 // *UnsupportedError: a snapshot holds no pattern ASTs to build the NFA
 // from.
 func LoadEngine(r io.Reader, opts *Options) (*Engine, error) {
@@ -155,10 +155,9 @@ func restoreEngine(st *snapshot.EngineState, opts *Options) (*Engine, error) {
 		indexesOf: indexesOf, nullable: st.Nullable,
 		limits: limits,
 		maxLen: st.MaxLen, unbounded: st.Unbounded,
-		obs:         observer,
-		scanWorkers: opts.ScanWorkers,
-		foldCase:    st.FoldCase,
-		optsHash:    st.OptionsHash,
+		obs:      observer,
+		foldCase: st.FoldCase,
+		optsHash: st.OptionsHash,
 	}
 	e.initRankIndexes()
 	return e, nil

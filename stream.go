@@ -42,8 +42,8 @@ func (e *Engine) ScanReader(r io.Reader, chunkSize int, emit func(Match)) error 
 // ScanReaderContext is ScanReader honoring a context, checked before each
 // chunk is read and inside the per-chunk run (see RunContext).
 //
-// Chunks flow through a bounded three-stage pipeline (read → chunk workers
-// → in-order emit). Matches are emitted in (End, Pattern, Index) order, as
+// Chunks flow through a bounded three-stage pipeline (read → chunk workers,
+// one per host core → in-order emit). Matches are emitted in (End, Pattern, Index) order, as
 // Run on the whole stream would list them; a chunk that fails ends the scan
 // with its error after every match of the chunks before it was emitted.
 // Each worker runs its chunks on a reusable engine session, so the

@@ -17,7 +17,7 @@ func TestScanReaderMatchesWholeInput(t *testing.T) {
 		b.WriteString(words[rng.Intn(len(words))])
 	}
 	(&conformance{t: t}).set("as given", corpus{patterns: []string{"cat", "d[ou]g{1,2}", "bird?"}, input: []byte(b.String()),
-		opts: &Options{CTAs: 2, threads: 32}, extra: []int{4092}})
+		opts: &Options{ctas: 2, threads: 32}, extra: []int{4092}})
 }
 
 // TestScanReaderBoundaryStraddle places a match across every 1000-byte chunk
@@ -30,11 +30,11 @@ func TestScanReaderBoundaryStraddle(t *testing.T) {
 	if n := straddles(reference(t, []string{"abcde"}, input), 1000); n != 4 {
 		t.Fatalf("the corpus straddles %d of the 4 chunk boundaries", n)
 	}
-	(&conformance{t: t}).row(corpus{patterns: []string{"abcde"}, input: input, opts: &Options{CTAs: 1, threads: 32}, wide: true, extra: []int{995}})
+	(&conformance{t: t}).row(corpus{patterns: []string{"abcde"}, input: input, opts: &Options{ctas: 1, threads: 32}, wide: true, extra: []int{995}})
 }
 
 func TestScanReaderRejectsUnbounded(t *testing.T) {
-	eng := MustCompile([]string{"ab*c"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"ab*c"}, &Options{ctas: 1, threads: 32})
 	err := eng.ScanReader(strings.NewReader("abc"), 1024, func(Match) {})
 	if err == nil {
 		t.Fatal("unbounded pattern accepted for streaming")
@@ -42,7 +42,7 @@ func TestScanReaderRejectsUnbounded(t *testing.T) {
 }
 
 func TestScanReaderRejectsTinyChunks(t *testing.T) {
-	eng := MustCompile([]string{"abcdefghij"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"abcdefghij"}, &Options{ctas: 1, threads: 32})
 	err := eng.ScanReader(strings.NewReader("x"), 5, func(Match) {})
 	if err == nil {
 		t.Fatal("chunk smaller than max match accepted")
@@ -69,7 +69,7 @@ func (r *brokenReader) Read(p []byte) (int, error) {
 }
 
 func TestScanReaderMidStreamReadFailure(t *testing.T) {
-	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"cat"}, &Options{ctas: 1, threads: 32})
 	input := []byte(strings.Repeat("xxcatxxx", 400)) // 3200 bytes, match every 8
 	const fail = 2500
 	var got []Match
@@ -114,7 +114,7 @@ func TestScanReaderMidStreamReadFailure(t *testing.T) {
 }
 
 func TestScanReaderImmediateReadFailure(t *testing.T) {
-	eng := MustCompile([]string{"cat"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"cat"}, &Options{ctas: 1, threads: 32})
 	err := eng.ScanReader(&brokenReader{fail: 0}, 1024, func(Match) {
 		t.Fatal("emit called despite the reader failing at offset 0")
 	})
@@ -125,7 +125,7 @@ func TestScanReaderImmediateReadFailure(t *testing.T) {
 }
 
 func TestScanReaderShortInput(t *testing.T) {
-	eng := MustCompile([]string{"hi"}, &Options{CTAs: 1, threads: 32})
+	eng := MustCompile([]string{"hi"}, &Options{ctas: 1, threads: 32})
 	count := 0
 	if err := eng.ScanReader(strings.NewReader("hi"), 1024, func(Match) { count++ }); err != nil {
 		t.Fatal(err)
