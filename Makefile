@@ -44,11 +44,13 @@ fault:
 	$(GO) test -race -run '$(HARNESS)' .
 
 # Short smoke runs of the fuzz targets: the conformance harness on generated
-# pattern sets, on their snapshots and at fuzzed chunk sizes; lowering; and
-# the parser. FUZZTIME=2m for a longer local soak.
+# pattern sets, on their snapshots and at fuzzed chunk sizes; Engine.Run
+# against Go's regexp; lowering; and the parser. FUZZTIME=2m for a longer
+# local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzMatchersAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgree$$' .
+	$(GO) test -fuzz '^FuzzMatchersAgreeStdlib$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgreeStdlib$$' .
 	$(GO) test -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME) -run '^FuzzSnapshotRoundTrip$$' .
 	$(GO) test -fuzz '^FuzzScanReaderChunkBoundaries$$' -fuzztime $(FUZZTIME) -run '^FuzzScanReaderChunkBoundaries$$' .
 	$(GO) test -fuzz '^FuzzLower$$' -fuzztime $(FUZZTIME) -run '^FuzzLower$$' ./internal/lower
@@ -83,17 +85,18 @@ snapshot-smoke:
 # 3-replica loopback cluster, cut one peer path mid-response, and require
 # (1) a client-supplied trace ID to appear in spans on all three nodes of
 # the stitched /v1/trace view, with the entry node's forward span naming
-# the successor that served the failover; (2) the ensuing breaker-open
-# Warn decision to trip the anomaly flight recorder into a sha256-sealed
-# bundle containing that decision; (3) the entry node's
+# the successor that served the failover and its forward-error decision
+# under that trace; (2) the entry node's
+# bitgen_cluster_peer_breaker_transitions_total{to="open"} to count the
+# owner's breaker opening as the fault continues; (3) the entry node's
 # bitgen_serve_request_seconds histogram to count the served traffic.
 # The scenario is TestObsClusterSelfTest (`make race` runs it too); here
-# its -obs-out test flag hands the two artifacts to obscheck, which
-# validates them structurally.
+# its -obs-out test flag hands the stitched trace to obscheck, which
+# validates it structurally.
 obs-cluster-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) test -count=1 -run '^TestObsClusterSelfTest$$' ./internal/serve -obs-out $$tmp && \
-	$(GO) run ./cmd/obscheck -trace $$tmp/stitched.json -nodes 3 -bundle $$tmp/bundle.json && \
+	$(GO) run ./cmd/obscheck -trace $$tmp/stitched.json -nodes 3 && \
 	rm -rf $$tmp
 
 # megaset-smoke is the compiled-state residency gate: compile the

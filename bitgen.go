@@ -381,7 +381,9 @@ func PatternSetKey(patterns []string, opts *Options) string {
 		opts = &Options{}
 	}
 	h := sha256.New()
-	hashField(h, "bitgen-pattern-set-v4")
+	// v5: under FoldCase a bracket class folds before it negates, so a
+	// negated class compiles to a different program than under v4.
+	hashField(h, "bitgen-pattern-set-v5")
 	for _, p := range patterns {
 		hashField(h, p)
 	}

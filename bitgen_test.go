@@ -56,14 +56,26 @@ func TestMatchEndsAgainstStdlib(t *testing.T) {
 	}
 }
 
+// TestFoldCase: FoldCase folds a bracket class before it negates it, so
+// the negated classes count what Go's (?i) counts.
 func TestFoldCase(t *testing.T) {
-	eng := MustCompile([]string{"warning"}, &Options{FoldCase: true})
-	counts, err := eng.CountOnly([]byte("WARNING Warning warning"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["warning"] != 3 {
-		t.Fatalf("counts = %v", counts)
+	for _, tc := range []struct {
+		input    string
+		patterns []string
+		want     []int
+	}{
+		{"WARNING Warning warning", []string{"warning"}, []int{3}},
+		{"aAbB1_", []string{"[^a]", "[^a-z]", "[^A-Z0-9]"}, []int{4, 2, 1}},
+	} {
+		counts, err := MustCompile(tc.patterns, &Options{FoldCase: true}).CountOnly([]byte(tc.input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range tc.patterns {
+			if counts[p] != tc.want[i] {
+				t.Errorf("%q on %q: %d matches, want %d", p, tc.input, counts[p], tc.want[i])
+			}
+		}
 	}
 }
 

@@ -61,7 +61,6 @@ func main() {
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive peer failures before its breaker opens")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe (jittered)")
 
-		bundleDir = flag.String("bundle-dir", "", "directory for anomaly flight-recorder bundles (created if missing; empty keeps bundles inline-only via /debug/bundle)")
 		stitch    = flag.String("stitch", "", "trace ID to stitch: fetch /v1/trace/<id> from every -peers replica, merge into one Chrome trace, exit")
 		stitchOut = flag.String("o", "", "output file for -stitch (default stdout)")
 	)
@@ -93,7 +92,6 @@ func main() {
 		MaxBodyBytes:     *maxBody,
 		Engine:           bitgen.Options{Device: *device},
 		SnapshotDir:      *snapDir,
-		BundleDir:        *bundleDir,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bitgend:", cli.Describe(err))

@@ -3,8 +3,7 @@
 // trace from bitgen -trace / Engine.WriteTrace, or with -nodes a stitched
 // multi-node cluster trace from bitgend -stitch / serve.StitchTrace),
 // Prometheus text-exposition dumps (bitgen -metrics /
-// Engine.WritePrometheus), and anomaly flight-recorder bundles (bitgend
-// /debug/bundle). It is the checker behind `make obs-smoke` and
+// Engine.WritePrometheus). It is the checker behind `make obs-smoke` and
 // `make obs-cluster-smoke`.
 //
 // Usage:
@@ -12,7 +11,6 @@
 //	obscheck -trace out.json
 //	obscheck -trace stitched.json -nodes 3
 //	obscheck -metrics metrics.txt
-//	obscheck -bundle bundle.json
 //
 // Exit status 0 when every given artifact is well-formed; 1 with a
 // diagnostic otherwise.
@@ -20,12 +18,9 @@ package main
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"regexp"
@@ -38,10 +33,9 @@ func main() {
 	tracePath := flag.String("trace", "", "Chrome trace_event JSON file to validate")
 	metricsPath := flag.String("metrics", "", "Prometheus text-exposition file to validate")
 	nodes := flag.Int("nodes", 0, "with -trace: the file is a stitched cluster trace (bitgend -stitch output) whose spans share one trace ID across at least this many nodes")
-	bundlePath := flag.String("bundle", "", "anomaly flight-recorder bundle (sha256-sealed JSON) to validate")
 	flag.Parse()
-	if *tracePath == "" && *metricsPath == "" && *bundlePath == "" {
-		fmt.Fprintln(os.Stderr, "usage: obscheck [-trace FILE [-nodes N]] [-metrics FILE] [-bundle FILE]")
+	if *tracePath == "" && *metricsPath == "" {
+		fmt.Fprintln(os.Stderr, "usage: obscheck [-trace FILE [-nodes N]] [-metrics FILE]")
 		os.Exit(2)
 	}
 	ok := true
@@ -59,14 +53,6 @@ func main() {
 			ok = false
 		} else {
 			fmt.Printf("obscheck: %s: valid Prometheus exposition\n", *metricsPath)
-		}
-	}
-	if *bundlePath != "" {
-		if err := checkBundle(*bundlePath); err != nil {
-			fmt.Fprintf(os.Stderr, "obscheck: %s: %s\n", *bundlePath, err)
-			ok = false
-		} else {
-			fmt.Printf("obscheck: %s: valid anomaly bundle (sha256 verified)\n", *bundlePath)
 		}
 	}
 	if !ok {
@@ -188,10 +174,6 @@ func checkMetrics(path string) error {
 		return err
 	}
 	defer f.Close()
-	return checkMetricsReader(f)
-}
-
-func checkMetricsReader(f io.Reader) error {
 	typed := map[string]string{} // family → type
 	type histKey struct{ name, labels string }
 	buckets := map[histKey]map[float64]float64{} // series → le → value
@@ -303,95 +285,6 @@ func checkMetricsReader(f io.Reader) error {
 		if c, ok := counts[key]; ok && bs[les[len(les)-1]] != c {
 			return fmt.Errorf("histogram %s: +Inf bucket %g != count %g", key.name, bs[les[len(les)-1]], c)
 		}
-	}
-	return nil
-}
-
-// bundleEnvelope / bundleBody mirror the serve layer's flight-recorder
-// bundle format. Body stays a RawMessage so the checksum is recomputed
-// over exactly the written bytes.
-type bundleEnvelope struct {
-	SHA256 string          `json:"sha256"`
-	Body   json.RawMessage `json:"body"`
-}
-
-type bundleBody struct {
-	Reason             string            `json:"reason"`
-	Node               string            `json:"node"`
-	GeneratedUnixMicro int64             `json:"generated_us"`
-	Spans              []json.RawMessage `json:"spans"`
-	Decisions          []decision        `json:"decisions"`
-	Metrics            string            `json:"metrics"`
-	Goroutines         string            `json:"goroutines"`
-}
-
-// decision is the part of an instant span a bundle's decision must carry.
-type decision struct {
-	Name    string `json:"name"`
-	Start   *int64 `json:"start_us"`
-	Instant bool   `json:"instant"`
-	Attrs   struct {
-		Level string `json:"level"`
-	} `json:"attrs"`
-}
-
-// checkBundle validates an anomaly flight-recorder bundle: the envelope
-// checksum must match the body bytes, and the body must carry every
-// diagnostic section — a reason, the recording node, a timestamp, at
-// least one decision, a goroutine dump, and a metrics snapshot that is
-// itself valid Prometheus exposition. Every decision must be an instant
-// span with a name, a start_us and a level among debug/info/warn/error.
-func checkBundle(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var env bundleEnvelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return fmt.Errorf("not a sealed bundle: %w", err)
-	}
-	if env.SHA256 == "" {
-		return fmt.Errorf("missing sha256 seal")
-	}
-	sum := sha256.Sum256(env.Body)
-	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
-		return fmt.Errorf("integrity failure: body hashes to %.12s…, sealed as %.12s…", got, env.SHA256)
-	}
-	var body bundleBody
-	if err := json.Unmarshal(env.Body, &body); err != nil {
-		return fmt.Errorf("body: %w", err)
-	}
-	if body.Reason == "" {
-		return fmt.Errorf("body missing reason")
-	}
-	if body.Node == "" {
-		return fmt.Errorf("body missing node")
-	}
-	if body.GeneratedUnixMicro <= 0 {
-		return fmt.Errorf("body missing generated_us")
-	}
-	if len(body.Decisions) == 0 {
-		return fmt.Errorf("body has no decisions — a bundle must capture the decision ring")
-	}
-	for i, d := range body.Decisions {
-		switch {
-		case d.Name == "" || d.Start == nil || !d.Instant:
-			return fmt.Errorf("decisions[%d] (%q): not an instant span with a name and start_us", i, d.Name)
-		case d.Attrs.Level != "debug" && d.Attrs.Level != "info" && d.Attrs.Level != "warn" && d.Attrs.Level != "error":
-			return fmt.Errorf("decisions[%d] (%q): level %q is not debug/info/warn/error", i, d.Name, d.Attrs.Level)
-		}
-	}
-	if body.Spans == nil {
-		return fmt.Errorf("body missing spans section")
-	}
-	if body.Goroutines == "" {
-		return fmt.Errorf("body missing goroutine dump")
-	}
-	if body.Metrics == "" {
-		return fmt.Errorf("body missing metrics snapshot")
-	}
-	if err := checkMetricsReader(strings.NewReader(body.Metrics)); err != nil {
-		return fmt.Errorf("embedded metrics snapshot: %w", err)
 	}
 	return nil
 }

@@ -48,20 +48,18 @@ type breaker struct {
 	jitterSeed  uint64
 	opens       uint64
 	effCooldown time.Duration // cooldown chosen at the most recent open
-	// onState, when non-nil, observes every state transition together with
-	// the reason that triggered it: the failing error's text for an open,
-	// else "success", "cooldown-elapsed" or "probe-abandoned". It is invoked
-	// outside the lock and must be safe for concurrent use.
-	onState func(from, to BreakerState, reason string)
+	// onState, when non-nil, observes every state transition. It is
+	// invoked outside the lock and must be safe for concurrent use.
+	onState func(from, to BreakerState)
 
 	consecFails int
 	lastFailure string
 }
 
 // notify reports a state change to the observer hook, outside the lock.
-func (b *breaker) notify(from, to BreakerState, reason string) {
+func (b *breaker) notify(from, to BreakerState) {
 	if from != to && b.onState != nil {
-		b.onState(from, to, reason)
+		b.onState(from, to)
 	}
 }
 
@@ -80,7 +78,7 @@ func (b *breaker) allow(now time.Time) bool {
 			b.state = breakerHalfOpen
 			b.probing = true
 			b.mu.Unlock()
-			b.notify(from, breakerHalfOpen, "cooldown-elapsed")
+			b.notify(from, breakerHalfOpen)
 			return true
 		}
 	case breakerHalfOpen:
@@ -103,7 +101,7 @@ func (b *breaker) success() {
 	b.state = breakerClosed
 	b.probing = false
 	b.mu.Unlock()
-	b.notify(from, breakerClosed, "success")
+	b.notify(from, breakerClosed)
 }
 
 // failure records a failed attempt; the breaker opens when the streak
@@ -111,8 +109,7 @@ func (b *breaker) success() {
 func (b *breaker) failure(now time.Time, err error) {
 	b.mu.Lock()
 	b.consecFails++
-	reason := err.Error()
-	b.lastFailure = reason
+	b.lastFailure = err.Error()
 	from := b.state
 	b.probing = false
 	opened := from == breakerHalfOpen || (b.threshold > 0 && b.consecFails >= b.threshold)
@@ -128,7 +125,7 @@ func (b *breaker) failure(now time.Time, err error) {
 	}
 	b.mu.Unlock()
 	if opened {
-		b.notify(from, breakerOpen, reason)
+		b.notify(from, breakerOpen)
 	}
 }
 
@@ -143,7 +140,7 @@ func (b *breaker) abandon() {
 	b.probing = false
 	to := b.state
 	b.mu.Unlock()
-	b.notify(from, to, "probe-abandoned")
+	b.notify(from, to)
 }
 
 // snapshot copies the observable state (URL and Name are the caller's).

@@ -9,13 +9,12 @@ import (
 // TestBreakerLifecycle walks a peer breaker through closed → open →
 // half-open → closed with a controlled clock.
 func TestBreakerLifecycle(t *testing.T) {
-	var flips, reasons []string
+	var flips []string
 	br := &breaker{
 		threshold: 2,
 		cooldown:  time.Second,
-		onState: func(from, to BreakerState, reason string) {
+		onState: func(from, to BreakerState) {
 			flips = append(flips, from.String()+">"+to.String())
-			reasons = append(reasons, reason)
 		},
 	}
 	now := time.Unix(1000, 0)
@@ -62,14 +61,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	for i := range want {
 		if flips[i] != want[i] {
 			t.Fatalf("flips = %v, want %v", flips, want)
-		}
-	}
-	// The transition reasons carry why each flip happened: the error that
-	// opened the breaker, then the lifecycle words.
-	wantReasons := []string{"boom", "cooldown-elapsed", "success"}
-	for i := range wantReasons {
-		if reasons[i] != wantReasons[i] {
-			t.Fatalf("reasons = %v, want %v", reasons, wantReasons)
 		}
 	}
 	// A success ends the streak but keeps the last error for /v1/cluster.

@@ -155,17 +155,9 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 			threshold:  cfg.BreakerThreshold,
 			cooldown:   cfg.BreakerCooldown,
 			jitterSeed: cfg.Seed ^ hashKey(n),
-			onState: func(from, to BreakerState, reason string) {
+			onState: func(_, to BreakerState) {
 				reg.Counter(obs.MClusterPeerFlips, obs.HClusterPeerFlips,
 					obs.L("peer", host), obs.L("to", to.String())).Inc()
-				level := obs.LevelInfo
-				if to == breakerOpen {
-					level = obs.LevelWarn
-				}
-				ob.Event(level, "breaker", obs.TraceID{},
-					obs.A("layer", "cluster"), obs.A("peer", host),
-					obs.A("from", from.String()), obs.A("to", to.String()),
-					obs.A("reason", reason))
 			},
 		}
 		r.peers[n] = p

@@ -5,14 +5,16 @@ import (
 	"time"
 )
 
-// Decisions are the points the metrics only count and spans only time:
-// breaker transitions, forward errors, degraded/standby serves, snapshot
-// quarantines, cache evictions, bundle writes. Each is recorded as an
-// instant Span named after its kind, tagged with the request's trace, a
-// "level" attr and its details as args, in a ring of its own (EventLog): a
-// busy server wraps its request ring in under a second, and that must not
-// push decisions out. Debug/Info decisions are token-bucket limited; Warn
-// and above are never shed.
+// Decisions are the routing choices of one request that the metrics only
+// count and spans only time: forward errors, standby and degraded serves,
+// failed peer snapshot fetches. Each is recorded as an instant Span named
+// after its kind, tagged with the request's trace, a "level" attr and its
+// details as args, in a ring of its own (EventLog): a busy server wraps its
+// request ring in under a second, and that must not push decisions out.
+// /v1/trace/{id} reads them back by trace (ByTrace). A fact that belongs to
+// no request (a breaker flip, a quarantine, an eviction) is a counter, not a
+// decision. Debug/Info decisions are token-bucket limited; Warn and above
+// are never shed.
 
 // Level is a decision's severity.
 type Level uint8
@@ -48,10 +50,6 @@ const (
 type EventLogConfig struct {
 	// Now overrides the clock (tests).
 	Now func() time.Time
-	// OnEvent, when set, is invoked synchronously for every decision at
-	// Warn or above — the anomaly flight-recorder trigger. It must not
-	// call back into the log.
-	OnEvent func(Span)
 }
 
 // EventLog is the decision ring. Emit is safe on a nil receiver; all
@@ -89,9 +87,6 @@ func (l *EventLog) Emit(level Level, name string, trace TraceID, args ...Arg) {
 		sp.ID = NewSpanID()
 	}
 	l.ring.Add(sp)
-	if l.cfg.OnEvent != nil && level >= LevelWarn {
-		l.cfg.OnEvent(sp)
-	}
 }
 
 // admit takes a token from the bucket, refilled at decisionRate.

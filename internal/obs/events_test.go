@@ -91,18 +91,6 @@ func TestEventLogRateLimitSparesWarnings(t *testing.T) {
 	}
 }
 
-func TestEventLogOnEventFiresWarnAndAbove(t *testing.T) {
-	var fired []string
-	l := NewEventLog(EventLogConfig{OnEvent: func(sp Span) { fired = append(fired, sp.Name+":"+sp.Args.Get("level").(string)) }})
-	l.Emit(LevelDebug, "d", TraceID{})
-	l.Emit(LevelInfo, "i", TraceID{})
-	l.Emit(LevelWarn, "w", TraceID{})
-	l.Emit(LevelError, "e", TraceID{})
-	if len(fired) != 2 || fired[0] != "w:warn" || fired[1] != "e:error" {
-		t.Fatalf("OnEvent fired for %v, want [w:warn e:error]", fired)
-	}
-}
-
 func TestEventLogByTrace(t *testing.T) {
 	l := NewEventLog(EventLogConfig{})
 	tr := NewTraceID()
@@ -149,7 +137,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 
 // TestEventLogConcurrentEmitAndDump is the -race check: writers hammer the
 // ring from many goroutines while readers snapshot, filter, and JSON-dump it
-// concurrently (the flight recorder's bundle path).
+// concurrently (the /v1/trace/{id} path).
 func TestEventLogConcurrentEmitAndDump(t *testing.T) {
 	l := NewEventLog(EventLogConfig{})
 	tr := NewTraceID()

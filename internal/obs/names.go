@@ -79,12 +79,6 @@ const (
 	MClusterReceivedForwards = "bitgen_cluster_received_forwards_total"
 	MClusterPeerSkips        = "bitgen_cluster_peer_skips_total"
 	MClusterPeerFlips        = "bitgen_cluster_peer_breaker_transitions_total"
-
-	// Distributed observability (registered by internal/serve; absent
-	// from library-only expositions).
-	MObsBundleWrites = "bitgen_obs_bundle_writes_total"
-	MObsBundleErrors = "bitgen_obs_bundle_errors_total"
-	MObsBundleBytes  = "bitgen_obs_bundle_last_bytes"
 )
 
 // Help strings, exposed so registration sites stay consistent.
@@ -149,10 +143,6 @@ const (
 	HClusterReceivedForwards = "Forwarded requests received from peers (served locally, never re-forwarded)."
 	HClusterPeerSkips        = "Forward attempts skipped by an open peer breaker, per peer."
 	HClusterPeerFlips        = "Peer breaker state transitions, per peer and destination state."
-
-	HObsBundleWrites = "Diagnostic flight-recorder bundles written, per trigger."
-	HObsBundleErrors = "Diagnostic bundle writes that failed."
-	HObsBundleBytes  = "Size in bytes of the most recently written diagnostic bundle."
 )
 
 // ScanSecondsBuckets are the histogram bounds for per-scan host latency:

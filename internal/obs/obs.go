@@ -14,7 +14,7 @@ package obs
 
 import "context"
 
-// Observer bundles the observability sinks threaded through the
+// Observer groups the observability sinks threaded through the
 // pipeline: the metrics registry, the decision ring and the span ring. Any
 // field may be nil to enable a subset; a nil *Observer disables everything.
 type Observer struct {

@@ -35,7 +35,7 @@ func A(key string, val any) Arg { return Arg{Key: key, Val: val} }
 // (spanNow): anchored to the wall clock once, monotonic after, so spans of
 // different nodes merge on one timeline and spans of one process never
 // reorder. IDs are zero outside a distributed trace. The JSON form (trace
-// fragments, bundles) keeps the request-span keys every release has written
+// fragments) keeps the request-span keys every release has written
 // and adds cat / lane / instant when set; IDs are hexed and times cut to
 // microseconds only there.
 type Span struct {
@@ -208,8 +208,8 @@ func (r *SpanRing) NameLane(lane int, name string) {
 	r.mu.Unlock()
 }
 
-// Fragment is one node's share of a trace — what GET /v1/trace/{id} serves,
-// what a bundle embeds, and what the Chrome writer draws as one process.
+// Fragment is one node's share of a trace — what GET /v1/trace/{id} serves
+// and what the Chrome writer draws as one process.
 type Fragment struct {
 	Node    string         `json:"node"`
 	TraceID string         `json:"trace_id,omitempty"`

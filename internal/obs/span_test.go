@@ -340,7 +340,7 @@ func TestChromeTraceExport(t *testing.T) {
 // captured from the /v1/trace/{id} of a c11addc bitgend whose peer was down)
 // decodes into today's record — its legacy "events" as instant decision
 // spans after its spans — and a request span re-encodes to exactly the keys
-// it had, so stitchers and bundle readers of either age read both.
+// it had, so stitchers of either age read both.
 func TestSpanJSONKeepsTheFragmentKeys(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fragment_c11addc.json")
 	if err != nil {

@@ -364,10 +364,16 @@ func (p *parser) parseClass() (Node, error) {
 		}
 		cl.Add(lo)
 	}
+	// Fold the listed set before negating it, as Go's (?i) does: under
+	// FoldCase [^a] excludes both a and A. The complement of a folded set
+	// is folded already.
+	if p.opts.FoldCase {
+		cl = cl.FoldCase()
+	}
 	if negate {
 		cl = cl.Negate()
 	}
-	return p.cc(cl), nil
+	return CC{cl}, nil
 }
 
 // classAtom parses one element inside a bracket expression: either a single

@@ -3,15 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -21,6 +18,7 @@ import (
 
 	"bitgen"
 	"bitgen/internal/obs"
+	"bitgen/internal/snapshot"
 	"bitgen/internal/workload"
 )
 
@@ -266,84 +264,13 @@ func argOf(sp *obs.Span, key string) any {
 	return nil
 }
 
-// TestDebugBundleEndpoint: /debug/bundle returns a sha256-sealed envelope
-// whose body carries the node's spans, events, metrics exposition (with
-// the request-latency histogram) and a goroutine dump.
-func TestDebugBundleEndpoint(t *testing.T) {
-	bundleDir := t.TempDir()
-	s := mustNew(t, Config{BundleDir: bundleDir})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/match", "application/json",
-		strings.NewReader(`{"patterns":["foo"],"input":"xfoox"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	bresp, err := http.Get(ts.URL + "/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bresp.Body.Close()
-	var env bundleEnvelope
-	if err := json.NewDecoder(bresp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(env.Body)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		t.Fatal("bundle sha256 does not cover the body bytes")
-	}
-	// The disk copy is the bundle that was served, not a second one.
-	written, _ := filepath.Glob(filepath.Join(bundleDir, "bitgen-bundle-"+triggerManual+"-*.json"))
-	if len(written) != 1 {
-		t.Fatalf("BundleDir holds %d manual bundles, want 1", len(written))
-	}
-	raw, err := os.ReadFile(written[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var disk bundleEnvelope
-	if err := json.Unmarshal(raw, &disk); err != nil {
-		t.Fatal(err)
-	}
-	if disk.SHA256 != env.SHA256 {
-		t.Fatalf("written bundle sealed as %.12s…, served bundle as %.12s…", disk.SHA256, env.SHA256)
-	}
-	var bb bundleBody
-	if err := json.Unmarshal(env.Body, &bb); err != nil {
-		t.Fatal(err)
-	}
-	if bb.Reason != triggerManual {
-		t.Fatalf("reason = %q, want %q", bb.Reason, triggerManual)
-	}
-	if len(bb.Spans) == 0 {
-		t.Fatal("bundle has no spans despite served traffic")
-	}
-	if !strings.Contains(bb.Goroutines, "goroutine") {
-		t.Fatal("bundle goroutine dump missing")
-	}
-	if !strings.Contains(bb.Metrics, "# TYPE") {
-		t.Fatal("bundle metrics exposition missing")
-	}
-	const matchCount = obs.MServeRequestSecs + `_count{endpoint="match"} `
-	i := strings.Index(bb.Metrics, matchCount)
-	if i < 0 || strings.HasPrefix(bb.Metrics[i+len(matchCount):], "0\n") {
-		t.Fatalf("bundle metrics show no match latency samples despite served traffic:\n%s", bb.Metrics)
-	}
-}
-
-// TestAnomalyBundleOnQuarantine: a snapshot quarantine (a Warn event)
-// trips the flight recorder into writing a sealed bundle to BundleDir,
-// and the eviction that forced the reload lands in the event log.
-func TestAnomalyBundleOnQuarantine(t *testing.T) {
-	snapDir, bundleDir := t.TempDir(), t.TempDir()
-	s := mustNew(t, Config{
-		MaxCachedEngines:  1,
-		SnapshotDir:       snapDir,
-		BundleDir:         bundleDir,
-		bundleMinInterval: time.Millisecond,
-	})
+// TestSnapshotQuarantineIsCounted: a corrupt snapshot met on a cache-miss
+// reload is renamed to its .bad sidecar and counted — one quarantine, one
+// verify failure under its reason, and the two evictions of a one-engine
+// cache — and leaves no decision: a fact that belongs to no request is a
+// counter.
+func TestSnapshotQuarantineIsCounted(t *testing.T) {
+	s := mustNew(t, Config{MaxCachedEngines: 1, SnapshotDir: t.TempDir()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	post := func(pattern string) {
@@ -370,49 +297,22 @@ func TestAnomalyBundleOnQuarantine(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	corrupt := obs.MSnapVerifyFailures + `{reason="` + snapshot.ReasonCorrupt + `"}`
+	before := s.Metrics().Snapshot()
 	post("bar") // capacity 1: evicts foo's engine
-	post("foo") // reload hits the corrupt snapshot → quarantine → compile
+	post("foo") // evicts bar; the reload hits the corrupt snapshot → quarantine → compile
+	after := s.Metrics().Snapshot()
 
-	sawQuarantine, sawEvict := false, false
-	for _, ev := range s.Events().Events() {
-		switch ev.Name {
-		case "snapshot-quarantine":
-			sawQuarantine = true
-			if k := ev.Args.Get("key"); k != key || ev.Args.Get("level") != "warn" {
-				t.Fatalf("quarantine decision key = %v level %v, want %q warn", k, ev.Args.Get("level"), key)
-			}
-		case "cache-evict":
-			sawEvict = true
+	if _, err := os.Stat(path + snapshot.BadExt); err != nil {
+		t.Fatalf(".bad sidecar missing: %v", err)
+	}
+	for name, want := range map[string]float64{obs.MSnapQuarantines: 1, corrupt: 1, obs.MServeCacheEvictions: 2} {
+		if d := after.Counter(name) - before.Counter(name); d != want {
+			t.Errorf("%s went up by %v, want %v", name, d, want)
 		}
 	}
-	if !sawQuarantine {
-		t.Fatal("no snapshot-quarantine event recorded")
-	}
-	if !sawEvict {
-		t.Fatal("no cache-evict event recorded")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		paths, _ := filepath.Glob(filepath.Join(bundleDir, "bitgen-bundle-"+triggerQuarantine+"-*.json"))
-		if len(paths) > 0 {
-			raw, err := os.ReadFile(paths[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			var env bundleEnvelope
-			if err := json.Unmarshal(raw, &env); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(env.Body)
-			if hex.EncodeToString(sum[:]) != env.SHA256 {
-				t.Fatal("quarantine bundle failed integrity check")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no quarantine bundle written")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if evs := s.Events().Events(); len(evs) != 0 {
+		t.Fatalf("quarantine and eviction left %d decisions (first %q), want none", len(evs), evs[0].Name)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // request-latency histograms, and the /v1/trace/{id} endpoint the
 // cross-node stitcher reads.
 
-// nodeName is this replica's identity on spans and bundles: the cluster
+// nodeName is this replica's identity on spans and fragments: the cluster
 // advertised URL, or "local" standalone.
 func (s *Server) nodeName() string {
 	if s.cluster != nil {

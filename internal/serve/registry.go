@@ -32,9 +32,6 @@ type registry struct {
 	// snapshot load/peer fetch when the server has persistence wired.
 	build func(ctx context.Context, key string, patterns []string, foldCase bool) (*bitgen.Engine, error)
 	reg   *obs.Registry
-	// events, when non-nil, records cache evictions as decisions (set by
-	// the server after construction).
-	events *obs.EventLog
 	// resident tracks the measured resident bytes of completed cached
 	// engines, decremented on evict.
 	resident *obs.Gauge
@@ -170,8 +167,6 @@ func (r *registry) evictLocked() {
 		}
 		delete(r.entries, victim.key)
 		r.resident.Add(-float64(victim.bytes))
-		r.events.Emit(obs.LevelInfo, "cache-evict", obs.TraceID{},
-			obs.A("key", victim.key), obs.A("bytes", victim.bytes))
 		r.reg.Counter(obs.MServeCacheEvictions, obs.HServeCacheEvictions).Inc()
 	}
 }

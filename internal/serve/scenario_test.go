@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,9 +28,9 @@ import (
 // servers on loopback listeners; `make serve-smoke`, `cluster-smoke`,
 // `snapshot-smoke` and `obs-cluster-smoke` run them one at a time.
 
-// obsOut, when set, receives TestObsClusterSelfTest's stitched.json and
-// bundle.json so `make obs-cluster-smoke` can hand them to cmd/obscheck.
-var obsOut = flag.String("obs-out", "", "directory that receives TestObsClusterSelfTest's stitched.json and bundle.json")
+// obsOut, when set, receives TestObsClusterSelfTest's stitched.json so
+// `make obs-cluster-smoke` can hand it to cmd/obscheck.
+var obsOut = flag.String("obs-out", "", "directory that receives TestObsClusterSelfTest's stitched.json")
 
 // send posts body (or GETs when method says so) and returns the status,
 // the whole response body and the response headers.
@@ -581,17 +579,15 @@ func TestSnapshotSelfTest(t *testing.T) {
 //   - one client-supplied trace ID propagates across the failover — the
 //     stitched /v1/trace view contains spans from all three nodes under
 //     that single ID, including the entry node's forward span naming the
-//     successor that actually served;
+//     successor that actually served and its forward-error decision for
+//     the owner;
 //   - continuing the fault opens the entry node's breaker for the owner,
-//     whose Warn event trips the anomaly flight recorder into writing an
-//     integrity-checksummed diagnostic bundle that contains the
-//     correlated breaker-open event;
+//     which its bitgen_cluster_peer_breaker_transitions_total counts;
 //   - the entry node's bitgen_serve_request_seconds histogram counts the
 //     match traffic served.
 //
-// Bundles land in a directory of the test's own, so a stale one can never
-// be picked up; with -obs-out the stitched Chrome trace (stitched.json)
-// and the bundle (bundle.json) are copied there for cmd/obscheck.
+// With -obs-out the stitched Chrome trace (stitched.json) is written there
+// for cmd/obscheck.
 func TestObsClusterSelfTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster scenario")
@@ -600,12 +596,8 @@ func TestObsClusterSelfTest(t *testing.T) {
 		breakerThreshold = 2
 		breakerCooldown  = 300 * time.Millisecond
 	)
-	artifactDir := t.TempDir()
 	injs := make([]*faultinject.Injector, 3)
-	nodes, err := BootCluster(3, Config{
-		BundleDir:         artifactDir,
-		bundleMinInterval: time.Millisecond,
-	}, func(i int, cc *cluster.Config) {
+	nodes, err := BootCluster(3, Config{}, func(i int, cc *cluster.Config) {
 		injs[i] = faultinject.New(uint64(42 + i))
 		cc.Inject = injs[i]
 		cc.BreakerThreshold = breakerThreshold
@@ -670,7 +662,6 @@ func TestObsClusterSelfTest(t *testing.T) {
 	// sequential failover reruns the request on the successor — so one
 	// trace crosses all three nodes.
 	dropPoint := faultinject.PeerDrop.For(hostOf(nodes[owner].URL))
-	armed := time.Now()
 	injs[entry].Arm(dropPoint, faultinject.Spec{Nth: 1, Repeat: true})
 	tc := obs.NewTraceContext()
 	code, msg, hdr, err := post(nodes[entry].URL, map[string]string{obs.TraceHeader: tc.Header()})
@@ -703,20 +694,28 @@ func TestObsClusterSelfTest(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	var forwardSpan *obs.Span
+	var forwardSpan, forwardErr *obs.Span
 	for _, f := range st.Fragments {
 		for i := range f.Spans {
 			sp := f.Spans[i]
 			if sp.Trace != tc.Trace {
 				t.Fatalf("span %s/%s carries trace %s, want %s", sp.Node, sp.Name, sp.Trace, tc.Trace.String())
 			}
-			if sp.Name == "forward" && sp.Node == nodes[entry].URL {
+			switch {
+			case f.Node != nodes[entry].URL:
+			case sp.Name == "forward":
 				forwardSpan = &f.Spans[i]
+			case sp.Name == "forward-error" && sp.Instant && argOf(&sp, "peer") == hostOf(nodes[owner].URL):
+				forwardErr = &f.Spans[i]
 			}
 		}
 	}
 	if forwardSpan == nil {
 		t.Fatal("no forward span recorded on the entry node")
+	}
+	if forwardErr == nil {
+		t.Fatalf("no forward-error decision for the owner %s under trace %s on the entry node",
+			nodes[owner].URL, tc.Trace.String())
 	}
 	if got := argOf(forwardSpan, "served_by"); got != nodes[successor].URL {
 		t.Fatalf("forward span served_by = %q, want the successor %s (failover)", got, nodes[successor].URL)
@@ -729,8 +728,8 @@ func TestObsClusterSelfTest(t *testing.T) {
 		tc.Trace.String(), nodes[successor].URL, st.SpanCount())
 
 	// Phase 2: keep the drop armed and push the owner's failure streak
-	// past the breaker threshold. The breaker-open Warn event must trip
-	// the flight recorder into writing a bundle.
+	// past the breaker threshold. The entry node counts the owner's breaker
+	// opening.
 	for i := 0; i < breakerThreshold+1; i++ {
 		code, msg, _, err := post(nodes[entry].URL, nil)
 		if err != nil {
@@ -740,57 +739,12 @@ func TestObsClusterSelfTest(t *testing.T) {
 			t.Fatalf("breaker phase: status %d: %s", code, msg)
 		}
 	}
-	// The writer creates the file and then fills it, so a bundle counts
-	// as arrived once its envelope parses.
-	var bundlePath string
-	var raw []byte
-	var env bundleEnvelope
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		matches, _ := filepath.Glob(filepath.Join(artifactDir, "bitgen-bundle-"+triggerBreakerOpen+"-*.json"))
-		if len(matches) > 0 {
-			if raw, err = os.ReadFile(matches[0]); err == nil {
-				err = json.Unmarshal(raw, &env)
-			}
-			if err == nil {
-				bundlePath = matches[0]
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no breaker-open bundle appeared in %s (last error %v)", artifactDir, err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	opened := obs.MClusterPeerFlips + `{peer="` + hostOf(nodes[owner].URL) + `",to="open"}`
+	if n := nodes[entry].Server.Metrics().Snapshot().Counter(opened); n < 1 {
+		t.Fatalf("%s = %v on the entry node, want >= 1", opened, n)
+	} else {
+		t.Logf("breaker ok: %s = %v", opened, n)
 	}
-	sum := sha256.Sum256(env.Body)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		t.Fatalf("bundle %s: sha256 mismatch", bundlePath)
-	}
-	var bb bundleBody
-	if err := json.Unmarshal(env.Body, &bb); err != nil {
-		t.Fatal(err)
-	}
-	if bb.Node != nodes[entry].URL {
-		t.Fatalf("bundle node = %q, want the entry node %s", bb.Node, nodes[entry].URL)
-	}
-	if bb.GeneratedUnixMicro < armed.UnixMicro() {
-		t.Fatalf("bundle generated at %d µs, before this run armed its fault at %d µs: a stale bundle",
-			bb.GeneratedUnixMicro, armed.UnixMicro())
-	}
-	foundOpen := false
-	for _, ev := range bb.Decisions {
-		if ev.Name != "breaker" || ev.Args.Get("to") != "open" || ev.Args.Get("level") != "warn" {
-			continue
-		}
-		if peer := ev.Args.Get("peer"); peer == hostOf(nodes[owner].URL) || peer == nodes[owner].URL {
-			foundOpen = true
-		}
-	}
-	if !foundOpen {
-		t.Fatal("bundle has no breaker-open decision for the owner peer")
-	}
-	t.Logf("flight recorder ok: breaker-open bundle %s verified (%d decisions, %d spans)",
-		filepath.Base(bundlePath), len(bb.Decisions), len(bb.Spans))
 
 	// Phase 3: the entry node's request-latency histogram counts the match
 	// traffic we just served.
@@ -803,10 +757,8 @@ func TestObsClusterSelfTest(t *testing.T) {
 	injs[entry].Disarm(dropPoint)
 
 	if *obsOut != "" {
-		for name, data := range map[string][]byte{"stitched.json": chrome, "bundle.json": raw} {
-			if err := os.WriteFile(filepath.Join(*obsOut, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(filepath.Join(*obsOut, "stitched.json"), chrome, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -56,17 +55,6 @@ type Config struct {
 	// Inject arms deterministic persistence faults on the snapshot store
 	// (tests).
 	Inject *faultinject.Injector
-	// BundleDir, when set, enables the anomaly flight recorder's disk
-	// dumps: on a breaker open, snapshot quarantine or degraded serve (and
-	// on GET /debug/bundle), a diagnostic bundle — recent request spans,
-	// the decision ring, a metrics snapshot and a goroutine dump — is
-	// written there as a single integrity-checksummed JSON file. Empty
-	// disables disk dumps; the /debug/bundle endpoint still serves bundles
-	// inline.
-	BundleDir string
-	// bundleMinInterval rate-limits anomaly-triggered bundle dumps
-	// (default 30s; tests shorten it).
-	bundleMinInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -87,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.bundleMinInterval <= 0 {
-		c.bundleMinInterval = 30 * time.Second
 	}
 	return c
 }
@@ -130,14 +115,9 @@ type Server struct {
 	// Observability plane: the decision ring and the span ring (one span
 	// per request, plus the engine's spans of a request that arrived
 	// tagged). Both are always on — they are rings, not I/O — and feed
-	// /v1/trace/{id} and the anomaly bundle dumps.
+	// /v1/trace/{id}.
 	events *obs.EventLog
 	spans  *obs.SpanRing
-
-	// Anomaly bundle state: lastBundleUnixNano rate-limits triggered
-	// dumps, bundleBusy collapses concurrent triggers into one writer.
-	lastBundleUnixNano int64 // atomic
-	bundleBusy         int32 // atomic
 
 	// matchRun, when non-nil (tests), replaces Engine.RunContext as
 	// /v1/match's executor, to hold a request in flight.
@@ -161,9 +141,8 @@ func New(cfg Config) (*Server, error) {
 		idle:    make(chan struct{}),
 	}
 	s.spans = obs.NewSpanRing(spanRingCapacity)
-	s.events = obs.NewEventLog(obs.EventLogConfig{OnEvent: s.onAnomalyEvent})
+	s.events = obs.NewEventLog(obs.EventLogConfig{})
 	s.cache = newRegistry(cfg.MaxCachedEngines, s.reg, s.buildEngine)
-	s.cache.events = s.events
 
 	// Register every serve family eagerly so a scrape before the first
 	// request still exposes the full schema.
@@ -193,20 +172,6 @@ func New(cfg Config) (*Server, error) {
 	} {
 		s.reg.Counter(obs.MSnapVerifyFailures, obs.HSnapVerifyFailures, obs.L("reason", reason))
 	}
-	for _, trigger := range []string{
-		triggerManual, triggerBreakerOpen, triggerQuarantine, triggerDegraded,
-	} {
-		s.reg.Counter(obs.MObsBundleWrites, obs.HObsBundleWrites, obs.L("trigger", trigger))
-	}
-	s.reg.Counter(obs.MObsBundleErrors, obs.HObsBundleErrors)
-	s.reg.Gauge(obs.MObsBundleBytes, obs.HObsBundleBytes)
-
-	if cfg.BundleDir != "" {
-		if err := os.MkdirAll(cfg.BundleDir, 0o755); err != nil {
-			cancel()
-			return nil, fmt.Errorf("bundle dir: %w", err)
-		}
-	}
 
 	if cfg.SnapshotDir != "" {
 		store, err := snapshot.NewStore(cfg.SnapshotDir, s.reg, cfg.Inject)
@@ -225,7 +190,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/trace/", s.handleTraceFragment)
-	s.mux.HandleFunc("/debug/bundle", s.handleBundle)
 	return s, nil
 }
 
@@ -251,7 +215,7 @@ func (s *Server) Cluster() *cluster.Router { return s.cluster }
 // match/scan endpoints — a request-latency observation.
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
-// Events returns the decision ring (tests and bundle dumps).
+// Events returns the decision ring (tests; /v1/trace/{id} reads it by trace).
 func (s *Server) Events() *obs.EventLog { return s.events }
 
 // Spans returns the span ring.
@@ -323,9 +287,8 @@ func (s *Server) maybeIdleLocked() {
 	}
 }
 
-// spanRingCapacity bounds the span ring, and with it the spans section of a
-// bundle: seconds of untagged traffic, or the engine spans of a few tagged
-// scans. The ring grows towards it by append.
+// spanRingCapacity bounds the span ring: seconds of untagged traffic, or the
+// engine spans of a few tagged scans. The ring grows towards it by append.
 const spanRingCapacity = 8192
 
 // maxScanForwardBytes bounds how much of a /v1/scan body is buffered for

@@ -60,7 +60,6 @@ func (s *Server) loadLocalSnapshot(key string, opts *bitgen.Options) (*bitgen.En
 	if err != nil {
 		if s.noteVerifyFailure(err) {
 			s.snap.Quarantine(key)
-			s.noteQuarantine(key, err)
 		}
 		return nil, false
 	}
@@ -132,18 +131,6 @@ func (s *Server) noteVerifyFailure(err error) (condemned bool) {
 		reason == snapshot.ReasonVersion
 }
 
-// noteQuarantine records a condemned snapshot as a decision; the
-// Warn level routes it through the anomaly flight recorder.
-func (s *Server) noteQuarantine(key string, err error) {
-	reason := snapshot.ReasonStoreIO
-	var se *bitgen.SnapshotError
-	if errors.As(err, &se) {
-		reason = se.Reason
-	}
-	s.events.Emit(obs.LevelWarn, "snapshot-quarantine", obs.TraceID{},
-		obs.A("key", key), obs.A("reason", reason), obs.A("error", err.Error()))
-}
-
 // handleSnapshot serves a pattern set's snapshot bytes to cluster peers
 // (GET /v1/snapshot?set=<key>). A cached engine is the authority and is
 // re-encoded fresh; otherwise verified on-disk bytes are served. Disk
@@ -172,7 +159,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 				return
 			} else if s.noteVerifyFailure(verr) {
 				s.snap.Quarantine(key)
-				s.noteQuarantine(key, verr)
 			}
 		}
 	}

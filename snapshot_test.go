@@ -322,16 +322,16 @@ func TestPatternSetKeyPinned(t *testing.T) {
 		key, hash string
 	}{
 		{"nil", nil,
-			"9029cbde917e04626f2bfcfa7d493464b8a55843171ba7dd38baeddfdf98800b",
+			"192b0c917bc3c2b41cd4dc45756dbbd2a366ef5b1634c50cb16bca803ae6d686",
 			"2a407ac450a3a19eec0b2bf1de9be94891b59e60a725f9f02a07b600dbf7b424"},
 		{"foldcase", &Options{FoldCase: true},
-			"c22a5bb770973e0ef69d7903c56cb0646508bf3d6d174d45d72a4c2cd84d25af",
+			"a2d9863b86c183150b614ab107983ac8f65b8f6466c2997b790fa73e8d691b7b",
 			"7b0e82a6dbf8cce3b07fe996eba27da24acce24191542db3e8266231812125bb"},
 		{"device", &Options{Device: "H100 NVL"},
-			"02f88b2c1326eb7af323aeef60c0eb628ca052519e5451c8e720215269280e48",
+			"665a56ad42e02618c034e3ffe3a71e6b8bc40f1eab31af3d16b1400ecaf66249",
 			"56e7bf721ed6a7f5584521af9c0bcf2fd85010571e1d0ea40d52c1a6eb865547"},
 		{"limits", &Options{Limits: Limits{MaxPatterns: -1}},
-			"ab94e42cd4554b2d71c7713c75b6bbadfb21025ff3c84b78dc6108b417b028eb",
+			"46f6f437a99700c9ea4ad04b334d5e1570a0f4ce3f3794a269eebc99c5795fa2",
 			"a1868d628d728d62b05bfbd1224d6300690ce5ac6d14364cdd60251b8e5659d2"},
 	} {
 		if got := PatternSetKey(patterns, c.opts); got != c.key {
