@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick paper paper-check profile-sigs profile-light profile-control profile-compile obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
+.PHONY: build test race vet lint vuln fault fuzz ci bench bench-smoke bench-quick paper paper-check profile-sigs profile-light profile-control profile-compile profile-serve obs-smoke serve-smoke cluster-smoke snapshot-smoke obs-cluster-smoke megaset-smoke bench-serve loc
 
 build:
 	$(GO) build ./...
@@ -45,8 +45,8 @@ fault:
 
 # Short smoke runs of the fuzz targets: the conformance harness on generated
 # pattern sets, on their snapshots and at fuzzed chunk sizes; Engine.Run
-# against Go's regexp; lowering; and the parser. FUZZTIME=2m for a longer
-# local soak.
+# against Go's regexp; lowering; the parser; and /v1/match's one-pass body
+# decoder against encoding/json. FUZZTIME=2m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzMatchersAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgree$$' .
@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzScanReaderChunkBoundaries$$' -fuzztime $(FUZZTIME) -run '^FuzzScanReaderChunkBoundaries$$' .
 	$(GO) test -fuzz '^FuzzLower$$' -fuzztime $(FUZZTIME) -run '^FuzzLower$$' ./internal/lower
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run '^FuzzParse$$' ./internal/rx
+	$(GO) test -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime $(FUZZTIME) -run '^FuzzDecodeMatchRequest$$' ./internal/serve
 
 # obs-smoke runs a real scan with tracing and metrics on and validates
 # the exported artifacts: the Chrome trace_event JSON schema (loadable in
@@ -219,6 +220,23 @@ profile-control:
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof
 	$(GO) tool pprof -list 'Executor..runWindowToFixpoint' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof | \
 		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s'
+
+# profile-serve is the serve layer's CPU profile as a command: the repo
+# benchmark's serve_mixed match op as a Go benchmark (BenchmarkServeMatch/
+# handler: one /v1/match of nine Bro217-style patterns over a 4 KiB input
+# through Handler and an httptest recorder, the registry warm), 20 000
+# iterations from a test binary built once, top 25 by flat time, then
+# handleMatch line by line: the body read and decode against the engine's
+# Run and the response encode. BenchmarkServeMatch/decode/one_pass and
+# /decode/encoding_json time the body's decode alone.
+profile-serve:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/serve.test ./internal/serve
+	cd internal/serve && $(PROFILE_DIR)/serve.test -test.run '^$$' -test.bench 'ServeMatch/handler' -test.benchtime 20000x \
+		-test.cpuprofile $(PROFILE_DIR)/serve.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve.prof
+	$(GO) tool pprof -list 'Server..handleMatch' $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve.prof | \
+		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-compile is the compile path's CPU and allocation profile as a
 # command: the repo benchmark's compile_megaset op as a Go benchmark

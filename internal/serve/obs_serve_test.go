@@ -402,7 +402,7 @@ func TestScanStreamingSurvivesObsMiddleware(t *testing.T) {
 
 // bro9 is the serve_mixed match op of the repo benchmark: nine Bro217-style
 // patterns and one 4 KiB window of their input.
-func bro9(t *testing.T) ([]string, []byte) {
+func bro9(t testing.TB) ([]string, []byte) {
 	t.Helper()
 	app, err := workload.Load("Bro217", workload.Options{RegexScale: 9.0 / 227, InputBytes: 4096, Seed: 1})
 	if err != nil {

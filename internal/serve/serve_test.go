@@ -17,7 +17,7 @@ import (
 	"bitgen"
 )
 
-func mustNew(t *testing.T, cfg Config) *Server {
+func mustNew(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -413,21 +412,28 @@ func (s *Server) acquire(ctx context.Context, w http.ResponseWriter, endpoint, k
 // forwarded requests, and always capped at MaxTimeout — a forwarded
 // request can never pin a cluster slot longer than the server allows.
 func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
+	d := min(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
+		d = s.clampMS(timeoutMS)
 	}
 	if h := r.Header.Get(cluster.HeaderDeadlineMS); h != "" {
 		if ms, err := strconv.Atoi(h); err == nil && ms > 0 {
-			if hd := time.Duration(ms) * time.Millisecond; hd < d || timeoutMS <= 0 {
+			if hd := s.clampMS(ms); hd < d || timeoutMS <= 0 {
 				d = hd
 			}
 		}
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
 	return context.WithTimeout(r.Context(), d)
+}
+
+// clampMS converts a positive millisecond count to a duration of at most
+// MaxTimeout, clamping before it multiplies: from ≈ 9.2e12 ms the product
+// would wrap negative and expire the request at once.
+func (s *Server) clampMS(ms int) time.Duration {
+	if int64(ms) > int64(s.cfg.MaxTimeout/time.Millisecond) {
+		return s.cfg.MaxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // ---- wire types ----
@@ -558,7 +564,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "match", http.StatusMethodNotAllowed, errors.New("POST required"), false)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		st := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
@@ -567,22 +573,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "match", st, err, false)
 		return
 	}
-	var req matchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, "match", http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err), false)
+	req, input, err := decodeMatch(body)
+	if err != nil {
+		s.fail(w, "match", http.StatusBadRequest, err, false)
 		return
-	}
-	if len(req.Patterns) == 0 {
-		s.fail(w, "match", http.StatusBadRequest, errors.New("patterns must be non-empty"), false)
-		return
-	}
-	input := []byte(req.Input)
-	if req.InputBase64 != "" {
-		input, err = base64.StdEncoding.DecodeString(req.InputBase64)
-		if err != nil {
-			s.fail(w, "match", http.StatusBadRequest, fmt.Errorf("invalid input_base64: %w", err), false)
-			return
-		}
 	}
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)

@@ -45,7 +45,7 @@ func TestInstantiateAppPatterns(t *testing.T) {
 				// tests cover those through the NFA cross-check.
 				continue
 			}
-			re := regexp.MustCompile("^(?:" + rx.ToGoRegexp(ast) + ")$")
+			re := regexp.MustCompile("^(?:" + pat + ")$")
 			if !re.MatchString(s) {
 				t.Errorf("%s: instance of %q does not match: %q", name, pat, s)
 			}
