@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,16 @@ func TestMaxTimeoutClamp(t *testing.T) {
 	check("peer deadline tightens", fwd, 60_000, 15*time.Millisecond)
 	fwd.Header.Set(cluster.HeaderDeadlineMS, "600000")
 	check("peer deadline clamped too", fwd, 0, 80*time.Millisecond)
+
+	// ≈ 1e13 ms: in nanoseconds it overflows an int64 unless clamped first.
+	const huge = "10000000000000"
+	ms, err := strconv.Atoi(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("client asks 1e13 ms, clamped", r, ms, 80*time.Millisecond)
+	fwd.Header.Set(cluster.HeaderDeadlineMS, huge)
+	check("peer asks 1e13 ms, clamped", fwd, 0, 80*time.Millisecond)
 }
 
 // TestMaxTimeoutClampEndToEnd: a request asking for a 60s budget against
