@@ -92,12 +92,13 @@ snapshot-smoke:
 # owner's breaker opening as the fault continues; (3) the entry node's
 # bitgen_serve_request_seconds histogram to count the served traffic.
 # The scenario is TestObsClusterSelfTest (`make race` runs it too); here
-# its -obs-out test flag hands the stitched trace to obscheck, which
-# validates it structurally.
+# its -obs-out test flag hands the stitched trace and node 0's /metrics
+# (labelled histograms, per-peer series) to obscheck, which validates the
+# trace structurally and the exposition's grammar.
 obs-cluster-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) test -count=1 -run '^TestObsClusterSelfTest$$' ./internal/serve -obs-out $$tmp && \
-	$(GO) run ./cmd/obscheck -trace $$tmp/stitched.json -nodes 3 && \
+	$(GO) run ./cmd/obscheck -trace $$tmp/stitched.json -nodes 3 -metrics $$tmp/metrics.txt && \
 	rm -rf $$tmp
 
 # megaset-smoke is the compiled-state residency gate: compile the

@@ -10,7 +10,7 @@
 //	GET  /v1/snapshot ?set=<key> persisted engine snapshot bytes (peers)
 //	GET  /v1/cluster ring membership + per-peer breaker health
 //	GET  /healthz    200 ok / 503 draining
-//	GET  /metrics    serve-layer Prometheus; ?set=<key> for one engine
+//	GET  /metrics    Prometheus exposition (serve, snapshot, cluster families)
 //	GET  /v1/trace/  <trace-id>: this replica's spans and events of one request
 //	                 (with the engine's spans when the caller tagged it)
 //

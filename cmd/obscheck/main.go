@@ -1,10 +1,10 @@
 // Command obscheck validates observability artifacts: Chrome trace_event
 // JSON files (the one format obs.WriteChromeTrace writes: an engine's own
 // trace from bitgen -trace / Engine.WriteTrace, or with -nodes a stitched
-// multi-node cluster trace from bitgend -stitch / serve.StitchTrace),
+// multi-node cluster trace from bitgend -stitch / serve.StitchTrace), and
 // Prometheus text-exposition dumps (bitgen -metrics /
-// Engine.WritePrometheus). It is the checker behind `make obs-smoke` and
-// `make obs-cluster-smoke`.
+// Engine.WritePrometheus, or a bitgend /metrics scrape). It is the checker
+// behind `make obs-smoke` and `make obs-cluster-smoke`.
 //
 // Usage:
 //

@@ -75,7 +75,6 @@ type Router struct {
 	ob     *obs.Observer
 	now    func() time.Time
 
-	local    *obs.Counter
 	degraded *obs.Counter
 	standby  *obs.Counter
 	received *obs.Counter
@@ -126,8 +125,6 @@ func New(cfg Config, ob *obs.Observer) (*Router, error) {
 		}},
 	}
 	reg := ob.Reg()
-	reg.Gauge(obs.MClusterPeers, obs.HClusterPeers).Set(float64(len(ring.Nodes())))
-	r.local = reg.Counter(obs.MClusterLocalServes, obs.HClusterLocalServes)
 	r.degraded = reg.Counter(obs.MClusterDegradedServes, obs.HClusterDegradedServes)
 	r.standby = reg.Counter(obs.MClusterStandbyServes, obs.HClusterStandbyServes)
 	r.received = reg.Counter(obs.MClusterReceivedForwards, obs.HClusterReceivedForwards)
@@ -186,9 +183,6 @@ func (r *Router) Route(key string) Route {
 		SelfStandby: succ == r.cfg.Self,
 	}
 }
-
-// NoteLocal counts a locally-served key this node owns.
-func (r *Router) NoteLocal() { r.local.Inc() }
 
 // NoteReceivedForward counts a forwarded request received from a peer.
 func (r *Router) NoteReceivedForward() { r.received.Inc() }

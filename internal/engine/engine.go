@@ -699,8 +699,7 @@ func (e *Engine) run(ctx context.Context, o *obs.Observer, input []byte, collect
 	res.ThroughputMBs = gpusim.ThroughputMBs(res.Stats.InputBytes, res.Time.TotalSec)
 	espan.Arg("modeled_sec", res.Time.TotalSec).End()
 	res.ExceedsDeviceMemory = float64(res.IntermediateFootprintBytes) > e.cfg.Device.MemoryGB*1e9
-	if reg := o.Reg(); reg != nil {
-		gpusim.RecordKernelStats(reg, &res.Stats, res.Time)
+	if o.Reg() != nil {
 		names := make([][]string, len(e.groups))
 		for gi := range e.groups {
 			names[gi] = e.groups[gi].Names

@@ -1,10 +1,6 @@
 package gpusim
 
-import (
-	"encoding/json"
-
-	"bitgen/internal/obs"
-)
+import "encoding/json"
 
 // ProfileSchema versions the profile artifact's JSON layout.
 const ProfileSchema = "bitgen-profile/v1"
@@ -83,36 +79,4 @@ func (p *Profile) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// RecordKernelStats aggregates one launch's counters and modeled time
-// into the metrics registry — the bridge that makes the acceptance
-// invariant hold: after one scan, the registry's DRAM/SMem/barrier totals
-// exactly equal KernelStats.Total(). Nil-safe on reg.
-func RecordKernelStats(reg *obs.Registry, ks *KernelStats, tb TimeBreakdown) {
-	if reg == nil {
-		return
-	}
-	t := ks.Total()
-	reg.Counter(obs.MKernelLaunches, obs.HKernelLaunches).AddInt(int64(len(ks.PerCTA)))
-	reg.Counter(obs.MModeledSecs, obs.HModeledSecs).Add(tb.TotalSec)
-	reg.Counter(obs.MDRAMReadBytes, obs.HDRAMReadBytes).AddInt(t.DRAMReadBytes)
-	reg.Counter(obs.MDRAMWriteBytes, obs.HDRAMWriteBytes).AddInt(t.DRAMWriteBytes)
-	reg.Counter(obs.MSMemReadBytes, obs.HSMemReadBytes).AddInt(t.SMemReadBytes)
-	reg.Counter(obs.MSMemWriteBytes, obs.HSMemWriteBytes).AddInt(t.SMemWriteBytes)
-	reg.Counter(obs.MBarriers, obs.HBarriers).AddInt(t.Barriers)
-	reg.Counter(obs.MShiftBarriers, obs.HShiftBarriers).AddInt(t.ShiftBarriers)
-	reg.Counter(obs.MUnitOps, obs.HUnitOps).AddInt(t.UnitOps)
-	reg.Counter(obs.MWindows, obs.HWindows).AddInt(t.Windows)
-	reg.Counter(obs.MGuardChecks, obs.HGuardChecks).AddInt(t.GuardChecks)
-	reg.Counter(obs.MGuardSkips, obs.HGuardSkips).AddInt(t.GuardSkips)
-	reg.Counter(obs.MSkippedStmts, obs.HSkippedStmts).AddInt(t.SkippedStmts)
-	reg.Counter(obs.MCommittedBits, obs.HCommittedBits).AddInt(t.CommittedBits)
-	reg.Counter(obs.MRecomputedBits, obs.HRecomputedBits).AddInt(t.RecomputedBits)
-	reg.Counter(obs.MTransposeBytes, obs.HTransposeBytes).AddInt(ks.TransposeBytes)
-	ratio := 0.0
-	if t.GuardChecks > 0 {
-		ratio = float64(t.GuardSkips) / float64(t.GuardChecks)
-	}
-	reg.Gauge(obs.MZBSSkipRatio, obs.HZBSSkipRatio).Set(ratio)
 }

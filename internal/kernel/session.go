@@ -126,7 +126,6 @@ func (s *Session) Run(ctx context.Context, x *Executor, basis *transpose.Basis) 
 				materialize[ovf.stmt] = true
 				s.compiled = compile(s.prog, cfg.Mode, materialize)
 				cfg.Obs.Instant("kernel", "overlap-fallback", cfg.TraceLane, obs.A("need_bits", ovf.need))
-				cfg.Obs.Reg().Counter(obs.MOverlapFallback, obs.HOverlapFallback).Inc()
 				continue
 			}
 			return nil, gpusim.CTAStats{}, err

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -423,21 +422,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// ExpvarFunc returns an expvar.Func exposing the registry snapshot as
-// JSON, for mounting on the standard /debug/vars page.
-func (r *Registry) ExpvarFunc() expvar.Func {
-	return expvar.Func(func() any { return r.Snapshot() })
-}
-
-// PublishExpvar publishes the registry under the given expvar name; it is
-// a no-op (returning false) when the name is already taken, so repeated
-// engine construction does not panic the process.
-func (r *Registry) PublishExpvar(name string) bool {
-	if r == nil || expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, r.ExpvarFunc())
-	return true
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -110,27 +109,6 @@ func TestPrometheusExposition(t *testing.T) {
 	// Families render in sorted order.
 	if strings.Index(out, "bitgen_ratio") > strings.Index(out, "bitgen_scan_seconds") {
 		t.Fatalf("families unsorted:\n%s", out)
-	}
-}
-
-func TestExpvarBridge(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("bitgen_scans_total", "h").AddInt(7)
-	raw := r.ExpvarFunc().String()
-	var snap struct {
-		Counters map[string]float64
-	}
-	if err := json.Unmarshal([]byte(raw), &snap); err != nil {
-		t.Fatalf("expvar output is not JSON: %v\n%s", err, raw)
-	}
-	if snap.Counters["bitgen_scans_total"] != 7 {
-		t.Fatalf("expvar snapshot = %+v", snap)
-	}
-	if !r.PublishExpvar("bitgen_test_metrics") {
-		t.Fatal("first publish failed")
-	}
-	if r.PublishExpvar("bitgen_test_metrics") {
-		t.Fatal("duplicate publish did not report false")
 	}
 }
 

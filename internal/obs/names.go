@@ -1,38 +1,17 @@
 package obs
 
 // Canonical metric names. Every instrumented package registers through
-// these constants so the exposition is drift-free: the golden metric-name
-// test at the repo root renders the full exposition and compares it
-// against testdata/metrics.golden — adding or renaming a metric must
-// update both, deliberately.
+// these constants. Two goldens pin the schema: testdata/metrics.golden at
+// the repo root (an engine's own registry) and
+// internal/serve/testdata/metrics.golden (a server's, snapshots and cluster
+// on). Each family has one reader, named in DESIGN.md §9; a test fails
+// when a family in either golden has no row there.
 const (
 	// Scan-level (recorded by the public Engine per Run/CountOnly call).
 	MScans          = "bitgen_scans_total"
-	MScanErrors     = "bitgen_scan_errors_total"
 	MScanInputBytes = "bitgen_scan_input_bytes_total"
 	MMatches        = "bitgen_matches_total"
 	MScanHostSecs   = "bitgen_scan_host_seconds"
-
-	// Modeled-kernel counters (aggregated from gpusim.KernelStats; these
-	// are the Nsight-equivalent quantities of the paper's Tables 4-6).
-	MKernelLaunches  = "bitgen_kernel_launches_total"
-	MModeledSecs     = "bitgen_modeled_kernel_seconds_total"
-	MDRAMReadBytes   = "bitgen_dram_read_bytes_total"
-	MDRAMWriteBytes  = "bitgen_dram_write_bytes_total"
-	MSMemReadBytes   = "bitgen_smem_read_bytes_total"
-	MSMemWriteBytes  = "bitgen_smem_write_bytes_total"
-	MBarriers        = "bitgen_barriers_total"
-	MShiftBarriers   = "bitgen_shift_barriers_total"
-	MUnitOps         = "bitgen_unit_ops_total"
-	MWindows         = "bitgen_windows_total"
-	MGuardChecks     = "bitgen_guard_checks_total"
-	MGuardSkips      = "bitgen_guard_skips_total"
-	MSkippedStmts    = "bitgen_skipped_stmts_total"
-	MCommittedBits   = "bitgen_committed_bits_total"
-	MRecomputedBits  = "bitgen_recomputed_bits_total"
-	MTransposeBytes  = "bitgen_transpose_bytes_total"
-	MZBSSkipRatio    = "bitgen_zero_block_skip_ratio"
-	MOverlapFallback = "bitgen_overlap_fallbacks_total"
 
 	// Compile-time families (recorded by the engine per compilation):
 	// wall-clock compile latency and measured resident bytes of the durable
@@ -42,7 +21,6 @@ const (
 
 	// Serving layer (registered by internal/serve, not RegisterBase: the
 	// exposition of a library-only process carries no serve families).
-	MServeRequests        = "bitgen_serve_requests_total"
 	MServeRequestSecs     = "bitgen_serve_request_seconds"
 	MServeErrors          = "bitgen_serve_errors_total"
 	MServeRejected        = "bitgen_serve_rejected_total"
@@ -54,7 +32,6 @@ const (
 	MServeCompiles        = "bitgen_serve_engine_compiles_total"
 	MServeBatches         = "bitgen_serve_batches_total"
 	MServeBatchedRequests = "bitgen_serve_batched_requests_total"
-	MServeDrains          = "bitgen_serve_drains_total"
 	MServeResidentBytes   = "bitgen_serve_engine_cache_resident_bytes"
 
 	// Snapshot persistence (registered by internal/snapshot and
@@ -70,8 +47,6 @@ const (
 
 	// Cluster layer (registered by internal/cluster into the serve
 	// registry; absent from library-only expositions).
-	MClusterPeers            = "bitgen_cluster_peers"
-	MClusterLocalServes      = "bitgen_cluster_local_serves_total"
 	MClusterForwards         = "bitgen_cluster_forwards_total"
 	MClusterForwardErrors    = "bitgen_cluster_forward_errors_total"
 	MClusterDegradedServes   = "bitgen_cluster_degraded_serves_total"
@@ -83,35 +58,14 @@ const (
 
 // Help strings, exposed so registration sites stay consistent.
 const (
-	HScans          = "Scans served through the public Engine (Run, CountOnly, ScanReader chunks)."
-	HScanErrors     = "Scans that returned an error."
+	HScans          = "Scans through the public Engine (Run, CountOnly, ScanReader chunks), failed ones included (failed = this - bitgen_scan_host_seconds_count)."
 	HScanInputBytes = "Input bytes scanned."
 	HMatches        = "Match end positions reported."
-	HScanHostSecs   = "Host wall-clock seconds per scan (simulator time, not modeled GPU time)."
-
-	HKernelLaunches  = "Simulated kernel launches (one per CTA group per scan)."
-	HModeledSecs     = "Modeled GPU kernel seconds (calibrated cost model)."
-	HDRAMReadBytes   = "Modeled global-memory read bytes."
-	HDRAMWriteBytes  = "Modeled global-memory write bytes."
-	HSMemReadBytes   = "Modeled shared-memory read bytes."
-	HSMemWriteBytes  = "Modeled shared-memory write bytes."
-	HBarriers        = "CTA-wide synchronization barriers."
-	HShiftBarriers   = "Barriers caused by SHIFT instructions."
-	HUnitOps         = "W-bit integer unit operations."
-	HWindows         = "Block-window iterations executed."
-	HGuardChecks     = "Zero-block-skipping guards evaluated."
-	HGuardSkips      = "Zero-block-skipping guards taken."
-	HSkippedStmts    = "Statements skipped by taken guards."
-	HCommittedBits   = "Output bits committed (dependency-aware thread-data mapping)."
-	HRecomputedBits  = "Overlap bits recomputed (DTM overhead)."
-	HTransposeBytes  = "Bytes moved by the S2P transpose preprocessing kernel."
-	HZBSSkipRatio    = "Taken/evaluated guard ratio of the most recent scan (why block-skipping was or was not effective)."
-	HOverlapFallback = "Loops or carries that overflowed the overlap limit and were materialized stream-wise."
+	HScanHostSecs   = "Host wall-clock seconds per successful scan (simulator time, not modeled GPU time)."
 
 	HCompileSeconds      = "Wall-clock seconds to compile a pattern set into an engine (lowering, passes, state packing)."
 	HEngineResidentBytes = "Measured resident bytes of durable compiled state per engine (packed programs, output tables, shared class program)."
 
-	HServeRequests        = "HTTP requests admitted, per endpoint."
 	HServeRequestSecs     = "End-to-end request latency seconds, per endpoint (match and scan), any status."
 	HServeErrors          = "HTTP requests that returned an error status, per endpoint."
 	HServeRejected        = "Requests rejected at admission (queue full or draining)."
@@ -123,7 +77,6 @@ const (
 	HServeCompiles        = "Pattern-set compilations executed (singleflight: concurrent first requests share one)."
 	HServeBatches         = "Match requests executed, one launch each: batched_requests / batches is 1 exactly (kept for the repo benchmark's serve.batch_mean)."
 	HServeBatchedRequests = "Match requests executed; always equal to bitgen_serve_batches_total (kept for the repo benchmark's serve.batch_mean)."
-	HServeDrains          = "Graceful drains initiated."
 	HServeResidentBytes   = "Measured resident bytes of the engines in the LRU cache: the sum of the cached engines' ResidentBytes (decremented on evict)."
 
 	HSnapSaves           = "Engine snapshots persisted (atomic write-rename)."
@@ -134,8 +87,6 @@ const (
 	HSnapPeerFetches     = "Snapshots fetched from a ring owner/successor on cache miss."
 	HSnapPeerFetchErrors = "Peer snapshot fetches that failed or returned no snapshot."
 
-	HClusterPeers            = "Replicas on the consistent-hash ring (including this node)."
-	HClusterLocalServes      = "Requests for keys this node owns, served locally."
 	HClusterForwards         = "Requests forwarded to a peer, per peer."
 	HClusterForwardErrors    = "Forwards that failed (network fault, 5xx, or deadline), per peer."
 	HClusterDegradedServes   = "Keys served by local compile because every live owner was unreachable."
@@ -173,34 +124,13 @@ var ResidentBytesBuckets = []float64{
 	4194304, 16777216, 67108864, 268435456, 1073741824,
 }
 
-// RegisterBase eagerly registers every scan-level and modeled-kernel
-// family, so a scrape taken before the first scan (or before the first
-// rare event, like an overlap fallback) still exposes the full schema.
-// Nil-safe on r.
+// RegisterBase eagerly registers every engine family, so a scrape taken
+// before the first scan still exposes the full schema. Nil-safe on r.
 func RegisterBase(r *Registry) {
 	r.Counter(MScans, HScans)
-	r.Counter(MScanErrors, HScanErrors)
 	r.Counter(MScanInputBytes, HScanInputBytes)
 	r.Counter(MMatches, HMatches)
 	r.Histogram(MScanHostSecs, HScanHostSecs, ScanSecondsBuckets)
-	r.Counter(MKernelLaunches, HKernelLaunches)
-	r.Counter(MModeledSecs, HModeledSecs)
-	r.Counter(MDRAMReadBytes, HDRAMReadBytes)
-	r.Counter(MDRAMWriteBytes, HDRAMWriteBytes)
-	r.Counter(MSMemReadBytes, HSMemReadBytes)
-	r.Counter(MSMemWriteBytes, HSMemWriteBytes)
-	r.Counter(MBarriers, HBarriers)
-	r.Counter(MShiftBarriers, HShiftBarriers)
-	r.Counter(MUnitOps, HUnitOps)
-	r.Counter(MWindows, HWindows)
-	r.Counter(MGuardChecks, HGuardChecks)
-	r.Counter(MGuardSkips, HGuardSkips)
-	r.Counter(MSkippedStmts, HSkippedStmts)
-	r.Counter(MCommittedBits, HCommittedBits)
-	r.Counter(MRecomputedBits, HRecomputedBits)
-	r.Counter(MTransposeBytes, HTransposeBytes)
-	r.Gauge(MZBSSkipRatio, HZBSSkipRatio)
-	r.Counter(MOverlapFallback, HOverlapFallback)
 	r.Histogram(MCompileSeconds, HCompileSeconds, CompileSecondsBuckets)
 	r.Histogram(MEngineResidentBytes, HEngineResidentBytes, ResidentBytesBuckets)
 }

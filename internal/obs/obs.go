@@ -1,9 +1,9 @@
 // Package obs is the zero-dependency observability core: one span model
 // (one record in one lock-cheap ring, exportable as Chrome trace_event JSON
 // for chrome://tracing / Perfetto), a metrics registry (counters, gauges,
-// histograms with a Prometheus text-exposition writer and an expvar
-// bridge), a ring of decisions recorded as instant spans, and the Observer
-// that carries them through the pipeline.
+// histograms with a Prometheus text-exposition writer), a ring of decisions
+// recorded as instant spans, and the Observer that carries them through the
+// pipeline.
 //
 // Every hook is nil-safe: instrumented packages call methods on a possibly
 // nil *Observer / *Span / *Counter, and a nil receiver compiles down to a

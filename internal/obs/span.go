@@ -218,30 +218,6 @@ type Fragment struct {
 	Dropped uint64         `json:"dropped,omitempty"`
 }
 
-// UnmarshalJSON also reads the "events" section a node from before
-// decisions were spans still sends ({t_us, level, type, trace, fields}),
-// appending each as an instant span after the fragment's spans.
-func (f *Fragment) UnmarshalJSON(data []byte) error {
-	type plain Fragment
-	var v struct {
-		plain
-		Events []struct {
-			T      int64   `json:"t_us"`
-			Level  string  `json:"level"`
-			Type   string  `json:"type"`
-			Trace  TraceID `json:"trace"`
-			Fields Args    `json:"fields"`
-		} `json:"events"`
-	}
-	err := json.Unmarshal(data, &v)
-	*f = Fragment(v.plain)
-	for _, ev := range v.Events {
-		f.Spans = append(f.Spans, Span{Trace: ev.Trace, Name: ev.Type, Start: ev.T * 1e3, Instant: true,
-			Args: append(Args{A("level", ev.Level)}, ev.Fields...)})
-	}
-	return err
-}
-
 // Fragment snapshots the ring as node's fragment: the spans of one trace,
 // or with a zero trace every buffered span. Spans is never nil, so the JSON
 // form always carries the array.

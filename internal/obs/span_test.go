@@ -338,9 +338,9 @@ func TestChromeTraceExport(t *testing.T) {
 // TestSpanJSONKeepsTheFragmentKeys: a fragment recorded by a node of the
 // commit before the span models merged (testdata/fragment_c11addc.json,
 // captured from the /v1/trace/{id} of a c11addc bitgend whose peer was down)
-// decodes into today's record — its legacy "events" as instant decision
-// spans after its spans — and a request span re-encodes to exactly the keys
-// it had, so stitchers of either age read both.
+// decodes into today's record, and a request span re-encodes to exactly the
+// keys it had. Its "events" section, which no node has sent since decisions
+// became spans, is not read.
 func TestSpanJSONKeepsTheFragmentKeys(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fragment_c11addc.json")
 	if err != nil {
@@ -350,17 +350,8 @@ func TestSpanJSONKeepsTheFragmentKeys(t *testing.T) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatalf("a parent-commit fragment does not decode: %v", err)
 	}
-	if len(f.Spans) != 6 || f.Node != "http://127.0.0.1:41875" {
+	if len(f.Spans) != 3 || f.Node != "http://127.0.0.1:41875" {
 		t.Fatalf("decoded fragment = %+v", f)
-	}
-	for i, name := range []string{"forward-error", "standby-serve", "snapshot-fetch-error"} {
-		if d := f.Spans[3+i]; d.Name != name || !d.Instant || d.Trace.String() != f.TraceID || d.Dur != 0 {
-			t.Fatalf("legacy event %d decoded as %+v, want the instant decision %q", i, d, name)
-		}
-	}
-	if sb := f.Spans[4]; sb.Start != 1791004510481027*1e3 || len(sb.Args) != 2 ||
-		sb.Args.Get("key") != "cc204dd1ed72" || sb.Args.Get("level") != "info" {
-		t.Fatalf("standby-serve decoded as %+v", sb)
 	}
 	fwd := f.Spans[0]
 	if fwd.Name != "forward" || fwd.Trace.String() != f.TraceID || fwd.ID.String() != "875babbd431627ad" ||

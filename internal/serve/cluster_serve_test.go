@@ -109,13 +109,20 @@ func TestClusterForwardsToOwner(t *testing.T) {
 		t.Errorf("owner compiles = %v, want 1", got)
 	}
 
-	// The same request sent straight to the owner is a local serve.
-	code, _, _ = postMatch(t, urls[1], matchBody(pats, input))
-	if code != http.StatusOK {
-		t.Fatalf("owner-local match: status %d", code)
+	// The same request sent straight to the owner is served there, from its
+	// cache: it forwards nothing and receives no further forward.
+	code, mr, _ = postMatch(t, urls[1], matchBody(pats, input))
+	if code != http.StatusOK || mr.Cache != "hit" {
+		t.Fatalf("owner-local match: status %d, cache %q", code, mr.Cache)
 	}
-	if got := servers[1].Metrics().Snapshot().Counter("bitgen_cluster_local_serves_total"); got != 1 {
-		t.Errorf("owner local serves = %v, want 1", got)
+	s1 = servers[1].Metrics().Snapshot()
+	for k, v := range s1.Counters {
+		if strings.HasPrefix(k, "bitgen_cluster_forwards_total{") && v != 0 {
+			t.Errorf("owner forwarded its own key: %s = %v", k, v)
+		}
+	}
+	if got := s1.Counter("bitgen_cluster_received_forwards_total"); got != 1 {
+		t.Errorf("owner received forwards = %v after a local serve, want 1", got)
 	}
 }
 

@@ -412,10 +412,11 @@ func bro9(t testing.TB) ([]string, []byte) {
 }
 
 // TestUntaggedTrafficPaysNothing: a request nobody tagged records its one
-// request span and nothing else — no engine span reaches the ring — and the
-// engine call under its context allocates what an engine with metrics alone
-// allocates: 43 objects for this op at the commit that still compiled every
-// served engine with a tracer of its own (158 with it), plus at most 2.
+// request span and nothing else — no engine span reaches the ring. A served
+// engine compiles with no observability of its own (Config.Engine's, nil by
+// default), so it builds no Result.Profile, and the engine call under an
+// untagged request's context allocates what that engine allocates on its
+// own: 28 objects for this op, plus at most 2.
 func TestUntaggedTrafficPaysNothing(t *testing.T) {
 	s := mustNew(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -438,11 +439,21 @@ func TestUntaggedTrafficPaysNothing(t *testing.T) {
 	}
 
 	opts := s.engineOptions(false)
+	if opts.Observability != nil {
+		t.Fatalf("served engines compile with Observability %+v, want nil", *opts.Observability)
+	}
 	e := s.cache.lookup(bitgen.PatternSetKey(pats, &opts))
 	if e == nil {
 		t.Fatal("served engine not in the cache")
 	}
-	plain, err := bitgen.Compile(pats, &bitgen.Options{Observability: &bitgen.ObservabilityOptions{Metrics: true}})
+	res, err := e.eng.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Profile != nil {
+		t.Fatal("a served engine built a Result.Profile")
+	}
+	plain, err := bitgen.Compile(pats, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +479,8 @@ func TestUntaggedTrafficPaysNothing(t *testing.T) {
 		return best
 	}
 	served, base := allocs(e.eng, ctx), allocs(plain, context.Background())
-	if served > base+2 || served > 43+2 {
-		t.Errorf("RunContext under an untagged request allocates %d objects; an engine with metrics alone %d, and 43 before", served, base)
+	if served > base+2 || served > 28+2 {
+		t.Errorf("RunContext under an untagged request allocates %d objects; the engine on its own %d, the ceiling 28+2", served, base)
 	}
 	if got := s.Spans().Total(); got != 100 {
 		t.Errorf("%d engine spans reached the ring under an untagged context", got-100)

@@ -172,7 +172,7 @@ func (r *registry) evictLocked() {
 }
 
 // lookup returns the completed entry for key without compiling, for the
-// /metrics?set= and /v1/snapshot?set= endpoints.
+// /v1/snapshot?set= endpoint.
 func (r *registry) lookup(key string) *entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -28,9 +28,10 @@ import (
 // servers on loopback listeners; `make serve-smoke`, `cluster-smoke`,
 // `snapshot-smoke` and `obs-cluster-smoke` run them one at a time.
 
-// obsOut, when set, receives TestObsClusterSelfTest's stitched.json so
-// `make obs-cluster-smoke` can hand it to cmd/obscheck.
-var obsOut = flag.String("obs-out", "", "directory that receives TestObsClusterSelfTest's stitched.json")
+// obsOut, when set, receives TestObsClusterSelfTest's stitched.json and
+// node 0's /metrics exposition (metrics.txt) so
+// `make obs-cluster-smoke` can hand both to cmd/obscheck.
+var obsOut = flag.String("obs-out", "", "directory that receives TestObsClusterSelfTest's stitched.json and metrics.txt")
 
 // send posts body (or GETs when method says so) and returns the status,
 // the whole response body and the response headers.
@@ -151,18 +152,25 @@ func TestSelfTest(t *testing.T) {
 	}
 	t.Log("scan ok: 2 matches streamed across chunk boundaries")
 
-	// 4. Metrics: serve families and the per-set engine exposition.
-	_, metricsBody := get(hs.URL + "/metrics")
-	for _, want := range []string{"bitgen_serve_requests_total", "bitgen_serve_batches_total"} {
-		if !bytes.Contains(metricsBody, []byte(want)) {
-			t.Fatalf("/metrics missing %s", want)
+	// 4. Metrics: the request-latency histogram counts both endpoints'
+	// traffic (2 matches, 1 scan). withObs observes after the handler
+	// returns, which can be after the client read the reply: poll briefly.
+	var metricsBody []byte
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		_, metricsBody = get(hs.URL + "/metrics")
+		if bytes.Contains(metricsBody, []byte(`bitgen_serve_request_seconds_count{endpoint="match"} 2`+"\n")) &&
+			bytes.Contains(metricsBody, []byte(`bitgen_serve_request_seconds_count{endpoint="scan"} 1`+"\n")) {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics does not count 2 match and 1 scan requests:\n%s", metricsBody)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	code, setBody := get(hs.URL + "/metrics?set=" + mr.Set)
-	if code != http.StatusOK || !bytes.Contains(setBody, []byte("bitgen_scans_total")) {
-		t.Fatalf("/metrics?set=: status %d, body %.120s", code, setBody)
+	if !bytes.Contains(metricsBody, []byte("bitgen_serve_batches_total 2\n")) {
+		t.Fatalf("/metrics does not count 2 executed matches:\n%s", metricsBody)
 	}
-	t.Log("metrics ok: serve + per-set expositions")
+	t.Log("metrics ok: request_seconds counts 2 matches and 1 scan")
 
 	// 5. Graceful drain: healthz flips to 503, in-flight work finishes,
 	// new requests are rejected.
@@ -586,8 +594,8 @@ func TestSnapshotSelfTest(t *testing.T) {
 //   - the entry node's bitgen_serve_request_seconds histogram counts the
 //     match traffic served.
 //
-// With -obs-out the stitched Chrome trace (stitched.json) is written there
-// for cmd/obscheck.
+// With -obs-out the stitched Chrome trace (stitched.json) and node 0's
+// /metrics (metrics.txt) are written there for cmd/obscheck.
 func TestObsClusterSelfTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster scenario")
@@ -757,8 +765,14 @@ func TestObsClusterSelfTest(t *testing.T) {
 	injs[entry].Disarm(dropPoint)
 
 	if *obsOut != "" {
-		if err := os.WriteFile(filepath.Join(*obsOut, "stitched.json"), chrome, 0o644); err != nil {
-			t.Fatal(err)
+		code, metrics, _, err := send(client, http.MethodGet, nodes[0].URL+"/metrics", "", "", nil)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("node 0 /metrics: status %d, err %v", code, err)
+		}
+		for name, data := range map[string][]byte{"stitched.json": chrome, "metrics.txt": metrics} {
+			if err := os.WriteFile(filepath.Join(*obsOut, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -43,8 +43,7 @@ type Config struct {
 	// Limits.MaxInputBytes still applies to every chunk.
 	MaxBodyBytes int64
 	// Engine is the base bitgen.Options every compiled engine starts
-	// from; per-request knobs (fold_case) overlay it and its metrics are
-	// always enabled so /metrics?set= has data.
+	// from; per-request knobs (fold_case) overlay it.
 	Engine bitgen.Options
 	// SnapshotDir, when set, enables engine persistence: compiled engines
 	// are saved there write-behind, a cache miss loads the set's snapshot
@@ -147,7 +146,6 @@ func New(cfg Config) (*Server, error) {
 	// request still exposes the full schema.
 	s.requestSecs = make(map[string]*obs.Histogram, 2)
 	for _, ep := range []string{"match", "scan"} {
-		s.reg.Counter(obs.MServeRequests, obs.HServeRequests, obs.L("endpoint", ep))
 		s.requestSecs[ep] = s.reg.Histogram(obs.MServeRequestSecs, obs.HServeRequestSecs,
 			obs.RequestSecondsBuckets, obs.L("endpoint", ep))
 		s.reg.Counter(obs.MServeErrors, obs.HServeErrors, obs.L("endpoint", ep))
@@ -161,7 +159,6 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Counter(obs.MServeCompiles, obs.HServeCompiles)
 	s.reg.Counter(obs.MServeBatches, obs.HServeBatches)
 	s.reg.Counter(obs.MServeBatchedRequests, obs.HServeBatchedRequests)
-	s.reg.Counter(obs.MServeDrains, obs.HServeDrains)
 	s.reg.Counter(obs.MSnapLoads, obs.HSnapLoads)
 	s.reg.Counter(obs.MSnapPeerFetches, obs.HSnapPeerFetches)
 	s.reg.Counter(obs.MSnapPeerFetchErrors, obs.HSnapPeerFetchErrors)
@@ -220,13 +217,13 @@ func (s *Server) Events() *obs.EventLog { return s.events }
 // Spans returns the span ring.
 func (s *Server) Spans() *obs.SpanRing { return s.spans }
 
-// Metrics returns the serve-layer registry (for tests and expvar export).
+// Metrics returns the serve-layer registry, the one /metrics renders.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
+// engineOptions is Config.Engine with the request's fold_case overlaid.
 func (s *Server) engineOptions(foldCase bool) bitgen.Options {
 	o := s.cfg.Engine
 	o.FoldCase = foldCase
-	o.Observability = &bitgen.ObservabilityOptions{Metrics: true}
 	return o
 }
 
@@ -244,10 +241,7 @@ func (s *Server) Draining() bool {
 // way.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		s.reg.Counter(obs.MServeDrains, obs.HServeDrains).Inc()
-	}
+	s.draining = true
 	s.maybeIdleLocked()
 	s.mu.Unlock()
 
@@ -379,7 +373,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request, endpoint, key str
 	route = s.cluster.Route(key)
 	switch {
 	case route.SelfOwner:
-		s.cluster.NoteLocal()
 		return route, false, true
 	case s.Draining():
 		s.reg.Counter(obs.MServeRejected, obs.HServeRejected).Inc()
@@ -559,7 +552,6 @@ func (s *Server) reject(w http.ResponseWriter, endpoint string, status int, err 
 // ---- handlers ----
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(obs.MServeRequests, obs.HServeRequests, obs.L("endpoint", "match")).Inc()
 	if r.Method != http.MethodPost {
 		s.fail(w, "match", http.StatusMethodNotAllowed, errors.New("POST required"), false)
 		return
@@ -642,7 +634,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(obs.MServeRequests, obs.HServeRequests, obs.L("endpoint", "scan")).Inc()
 	if r.Method != http.MethodPost {
 		s.fail(w, "scan", http.StatusMethodNotAllowed, errors.New("POST required"), false)
 		return
@@ -839,20 +830,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics serves the serve-layer registry by default; ?set=<key>
-// serves that cached engine's own exposition (scan counters, modeled
-// kernel counters) via Engine.WritePrometheus.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if key := r.URL.Query().Get("set"); key != "" {
-		e := s.cache.lookup(key)
-		if e == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown pattern set " + key, Class: "not_found"})
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = e.eng.WritePrometheus(w)
-		return
-	}
+// handleMetrics serves the serve-layer registry.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.WritePrometheus(w)
 }

@@ -12,14 +12,13 @@ import (
 // tracer over the full pipeline (compile phases, per-kernel launches, the
 // streaming stages, a pinned NFA's scans) exportable as Chrome trace_event
 // JSON (chrome://tracing, Perfetto), and a metrics registry (counters,
-// gauges, histograms) with a Prometheus text-exposition writer and an
-// expvar bridge. With Options.Observability nil (the default) every
-// instrumentation hook reduces to a nil pointer check: no allocation, no
-// lock, no measurable overhead.
+// gauges, histograms) with a Prometheus text-exposition writer. With
+// Options.Observability nil (the default) every instrumentation hook
+// reduces to a nil pointer check: no allocation, no lock, no measurable
+// overhead.
 type ObservabilityOptions struct {
 	// Metrics enables the metrics registry (Engine.MetricsSnapshot,
-	// Engine.WritePrometheus, Engine.PublishExpvar) and the per-scan
-	// Profile artifact on Result.
+	// Engine.WritePrometheus) and the per-scan Profile artifact on Result.
 	Metrics bool
 	// Trace gives the engine a span ring of its own (Engine.WriteTrace):
 	// obs.DefaultSpanCapacity (65536) spans; when full, the oldest are
@@ -80,20 +79,11 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, []obs.Fragment{e.obs.Spans.Fragment("bitgen", obs.TraceID{})})
 }
 
-// PublishExpvar exposes the metrics registry as one expvar variable
-// (visible on /debug/vars when net/http/pprof or expvar handlers are
-// mounted). It reports false when metrics are disabled or the name is
-// already published.
-func (e *Engine) PublishExpvar(name string) bool {
-	if e.obs.Reg() == nil {
-		return false
-	}
-	return e.obs.Reg().PublishExpvar(name)
-}
-
 // observeScan records the scan-level metrics for one public entry-point
 // call. matches is the number of reported match end positions (counted
-// once per scan, whichever rung served it).
+// once per scan, whichever rung served it). A failed scan counts in
+// bitgen_scans_total and its input bytes only, so the scans less the
+// latency samples are the failures.
 func (e *Engine) observeScan(start time.Time, inputBytes int, matches int, err error) {
 	reg := e.obs.Reg()
 	if reg == nil {
@@ -102,7 +92,6 @@ func (e *Engine) observeScan(start time.Time, inputBytes int, matches int, err e
 	reg.Counter(obs.MScans, obs.HScans).Inc()
 	reg.Counter(obs.MScanInputBytes, obs.HScanInputBytes).AddInt(int64(inputBytes))
 	if err != nil {
-		reg.Counter(obs.MScanErrors, obs.HScanErrors).Inc()
 		return
 	}
 	reg.Counter(obs.MMatches, obs.HMatches).AddInt(int64(matches))
