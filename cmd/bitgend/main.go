@@ -6,7 +6,6 @@
 //
 //	POST /v1/match   {"patterns":[...],"input":"..."} → matches JSON
 //	POST /v1/scan    ?pattern=...&chunk=N, body streamed → NDJSON matches
-//	GET  /v1/sets    cached pattern-set keys
 //	GET  /v1/snapshot ?set=<key> persisted engine snapshot bytes (peers)
 //	GET  /v1/cluster ring membership + per-peer breaker health
 //	GET  /healthz    200 ok / 503 draining

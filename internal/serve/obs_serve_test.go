@@ -413,12 +413,14 @@ func bro9(t testing.TB) ([]string, []byte) {
 
 // TestUntaggedTrafficPaysNothing: a request nobody tagged records its one
 // request span and nothing else — no engine span reaches the ring. A served
-// engine compiles with no observability of its own (Config.Engine's, nil by
-// default), so it builds no Result.Profile, and the engine call under an
+// engine compiles with no observability of its own, whatever Config.Engine
+// asks for, so it builds no Result.Profile, and the engine call under an
 // untagged request's context allocates what that engine allocates on its
 // own: 28 objects for this op, plus at most 2.
 func TestUntaggedTrafficPaysNothing(t *testing.T) {
-	s := mustNew(t, Config{})
+	s := mustNew(t, Config{Engine: bitgen.Options{
+		Observability: &bitgen.ObservabilityOptions{Metrics: true, Trace: true},
+	}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	pats, input := bro9(t)

@@ -190,20 +190,3 @@ func (r *registry) lookup(key string) *entry {
 		return nil
 	}
 }
-
-// keys lists the cached, completed pattern-set keys.
-func (r *registry) keys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.entries))
-	for k, e := range r.entries {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, k)
-			}
-		default:
-		}
-	}
-	return out
-}

@@ -176,8 +176,21 @@ func TestCacheEviction(t *testing.T) {
 	if got := snap.Counter("bitgen_serve_engine_cache_evictions_total"); got != 2 {
 		t.Errorf("evictions = %v, want 2", got)
 	}
-	if keys := s.cache.keys(); len(keys) != 2 {
-		t.Errorf("cached sets = %d, want 2", len(keys))
+	opts := s.engineOptions(false)
+	for i := 0; i < 4; i++ {
+		key := bitgen.PatternSetKey([]string{fmt.Sprintf("p%dq", i)}, &opts)
+		if cached := s.cache.lookup(key) != nil; cached != (i >= 2) {
+			t.Errorf("set %d cached = %v, want only the two most recent", i, cached)
+		}
+	}
+	// GET /v1/sets, which listed the cached keys, is gone.
+	resp, err := http.Get(hs.URL + "/v1/sets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/sets: status %d, want 404: the route is gone", resp.StatusCode)
 	}
 }
 

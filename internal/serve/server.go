@@ -43,7 +43,9 @@ type Config struct {
 	// Limits.MaxInputBytes still applies to every chunk.
 	MaxBodyBytes int64
 	// Engine is the base bitgen.Options every compiled engine starts
-	// from; per-request knobs (fold_case) overlay it.
+	// from; per-request knobs (fold_case) overlay it. Its Observability
+	// is ignored: served engines keep no registry or span ring of their
+	// own, and /metrics is the server's registry alone.
 	Engine bitgen.Options
 	// SnapshotDir, when set, enables engine persistence: compiled engines
 	// are saved there write-behind, a cache miss loads the set's snapshot
@@ -180,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 
 	s.mux.HandleFunc("/v1/match", s.handleMatch)
 	s.mux.HandleFunc("/v1/scan", s.handleScan)
-	s.mux.HandleFunc("/v1/sets", s.handleSets)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -220,10 +221,12 @@ func (s *Server) Spans() *obs.SpanRing { return s.spans }
 // Metrics returns the serve-layer registry, the one /metrics renders.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// engineOptions is Config.Engine with the request's fold_case overlaid.
+// engineOptions is Config.Engine with the request's fold_case overlaid and
+// no observability of the engine's own.
 func (s *Server) engineOptions(foldCase bool) bitgen.Options {
 	o := s.cfg.Engine
 	o.FoldCase = foldCase
+	o.Observability = nil
 	return o
 }
 
@@ -816,10 +819,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"sets": s.cache.keys()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
