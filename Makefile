@@ -208,19 +208,21 @@ profile-light:
 
 # profile-control is the control path's CPU profile as a command: the repo
 # benchmark's oneshot_control op as a Go benchmark (BenchmarkRunControl: one
-# Run of 92 unbounded patterns, nearly every window re-executed by the
-# saturation probe), 300 iterations from a test binary built once, top 25 by
-# flat time, then runWindowToFixpoint line by line: the execWindowOnce call
-# with (false, true) is the real pass, the one with (true, false) the probe
-# pass, saveCommitted / probeAgrees the probe's bookkeeping.
+# Run of 92 unbounded patterns, nearly every window probed by the saturation
+# probe), 300 iterations from a test binary built once, top 25 by flat time,
+# then runWindowToFixpoint and probe line by line: the execWindowOnce call is
+# the real pass (the registers it keeps at the fork included), the probe call
+# the probe's suffix from the fork — probe's own lines split it into the
+# restore and the nodes it re-runs — and saveCommitted / probeAgrees the
+# probe's bookkeeping.
 profile-control:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -c -o $(PROFILE_DIR)/bitgen.test .
 	$(PROFILE_DIR)/bitgen.test -test.run '^$$' -test.bench RunControl -test.benchtime 300x \
 		-test.cpuprofile $(PROFILE_DIR)/control.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof
-	$(GO) tool pprof -list 'Executor..runWindowToFixpoint' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof | \
-		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s'
+	$(GO) tool pprof -list 'Executor..(runWindowToFixpoint|probe)$$' $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/control.prof | \
+		grep -E '^ +[0-9.]+m?s +[0-9.]+m?s|^ +\. +[0-9.]+m?s|^ROUTINE'
 
 # profile-serve is the serve layer's CPU profile as a command: the repo
 # benchmark's serve_mixed match op as a Go benchmark (BenchmarkServeMatch/

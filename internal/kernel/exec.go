@@ -161,8 +161,12 @@ type Executor struct {
 	curAnalysis *dfg.Analysis
 	// scratch buffers for StarThru and for aliased whole-stream shifts
 	tmpT, tmpS []uint64
-	// saturation-probe scratch, retained: each live-out's committed words.
-	probeWords []uint64
+	// saturation-probe scratch, retained: each live-out's committed words,
+	// and the registers and culprit the fork saved (saveFork).
+	probeWords  []uint64
+	forkRegs    []savedReg
+	forkWords   []uint64
+	forkCulprit ir.Stmt
 	// window state
 	ws, cs, ce, weBits int
 	ww                 int
@@ -451,7 +455,7 @@ func (ex *Executor) execFused(seg *fusedSeg) error {
 		if dl > baseDL {
 			dl = max(baseDL, align64(dl/2))
 		}
-		committed, err := ex.runWindowToFixpoint(seg, an, cs, ce, dl, baseDR, dynamic, liveOut)
+		committed, err := ex.runWindowToFixpoint(seg, cs, ce, dl, baseDR, dynamic, liveOut)
 		if err != nil {
 			return err
 		}
@@ -471,7 +475,7 @@ func (ex *Executor) execFused(seg *fusedSeg) error {
 // runWindowToFixpoint executes one window, growing the left overlap until
 // the committed bits are provably independent of unseen history, then
 // commits live-out values. It returns the converged left-overlap in bits.
-func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce, dl, dr int, dynamic bool, liveOut []ir.VarID) (int, error) {
+func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, cs, ce, dl, dr int, dynamic bool, liveOut []ir.VarID) (int, error) {
 	if dynamic && ex.cfg.Inject.Fire(faultinject.ForceFallback) {
 		// Injected Section 8.2 overflow: push the segment's loop or carry
 		// onto the materialized fallback path.
@@ -481,7 +485,7 @@ func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce,
 		if err := ex.canceled(); err != nil {
 			return 0, err
 		}
-		if err := ex.execWindowOnce(seg, cs, ce, dl, dr, false, true); err != nil {
+		if err := ex.execWindowOnce(seg, cs, ce, dl, dr); err != nil {
 			return 0, err
 		}
 		if !dynamic || cs == 0 {
@@ -505,7 +509,7 @@ func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce,
 			ex.commitWindow(liveOut, cs, ce)
 			return dl, nil
 		}
-		if !segHasPropagatingLoop(an) {
+		if seg.fork == nil {
 			// Carry-only segment: checkCarryBoundary vouched for every
 			// cross-block conduit, no probe needed. (A loop that merely
 			// did not fire locally is NOT safe to skip: missing history
@@ -515,12 +519,12 @@ func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce,
 		}
 		// Save the committed words, then run the saturation probe: the
 		// same window with the overlap margins flooded with markers at
-		// every loop head. By monotonicity of the closure loops, equality
-		// of committed bits proves no history beyond the margin could
-		// change them.
+		// every loop head, resumed at the fork. By monotonicity of the
+		// closure loops, equality of committed bits proves no history
+		// beyond the margin could change them.
 		lo, hi := (cs-ex.ws)/64, (ce+63)/64-ex.ws/64
 		ex.saveCommitted(liveOut, lo, hi)
-		if err := ex.execWindowOnce(seg, cs, ce, dl, dr, true, false); err != nil {
+		if err := ex.probe(seg); err != nil {
 			return 0, err
 		}
 		if ex.probeAgrees(liveOut, lo, hi) {
@@ -539,18 +543,6 @@ func (ex *Executor) runWindowToFixpoint(seg *fusedSeg, an *dfg.Analysis, cs, ce,
 		}
 		dl = grown
 	}
-}
-
-// segHasPropagatingLoop reports whether the segment contains a while loop
-// whose body advances markers (growth > 0) — the only construct requiring
-// the saturation probe.
-func segHasPropagatingLoop(an *dfg.Analysis) bool {
-	for _, g := range an.LoopGrowth {
-		if g > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // findDynamicStmt returns the first while loop or carry assignment in a
@@ -676,11 +668,27 @@ func (ex *Executor) commitWindow(liveOut []ir.VarID, cs, ce int) {
 	}
 }
 
-// execWindowOnce evaluates every statement of the segment over the window
-// [cs-dl, ce+dr). When saturate is set, loop conditions and carry inputs
-// are flooded over the margins (the probe pass); when charge is set, costs
-// are accounted.
-func (ex *Executor) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, charge bool) error {
+// execWindowOnce is a window's real pass: every statement of the segment over
+// the window [cs-dl, ce+dr), costs accounted. In a window the probe may re-run
+// — the segment forks, and history before the window is unseen — it keeps the
+// registers the probe resumes from at the fork (saveFork).
+func (ex *Executor) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int) error {
+	ex.openWindow(cs, ce, dl, dr)
+	p := seg.sprog
+	if seg.fork == nil || ex.ws == 0 {
+		return ex.execSBProg(p, true)
+	}
+	f := seg.fork.node
+	if err := ex.execSBNodes(p, 0, f, true); err != nil {
+		return err
+	}
+	ex.saveFork(seg.fork)
+	return ex.execSBNodes(p, f, len(p.nodes), true)
+}
+
+// openWindow sets the executor up for the window [cs-dl, ce+dr): geometry,
+// scratch, and a register file with every register absent.
+func (ex *Executor) openWindow(cs, ce, dl, dr int) {
 	ex.ws, ex.cs, ex.ce, ex.weBits = max(cs-dl, 0), cs, ce, min(ce+dr, ex.n)
 	wsWord := ex.ws / 64
 	weWord := (ex.weBits + 63) / 64
@@ -690,12 +698,44 @@ func (ex *Executor) execWindowOnce(seg *fusedSeg, cs, ce, dl, dr int, saturate, 
 	ex.regs.endBit = ex.weBits - ex.ws
 	ex.needBits = 0
 	ex.culprit = nil
-	ex.saturate = saturate
+	ex.saturate = false
 	ex.wgGen++ // invalidates wgChargedAt without clearing
 	ex.ensureScratch(ex.ww)
 	ex.tmpT = ex.tmpT[:ex.ww]
 	ex.tmpS = ex.tmpS[:ex.ww]
-	return ex.execSBProg(seg.sprog, charge)
+}
+
+// saveFork keeps, at the segment's fork f, what the real pass goes on to
+// overwrite and the probe starts from: the registers of f.save and the culprit
+// (the overflow's statement when the probe disagrees at the block limit).
+// needBits is read after the real pass only.
+func (ex *Executor) saveFork(f *segFork) {
+	if n := len(f.save) * ex.ww; len(ex.forkWords) < n {
+		ex.forkWords = ex.tr.Words(n)
+	}
+	ex.forkRegs = ex.forkRegs[:0]
+	for i, v := range f.save {
+		ex.forkRegs = append(ex.forkRegs, ex.regs.save(v, ex.forkWords[i*ex.ww:]))
+	}
+	ex.forkCulprit = ex.culprit
+}
+
+// probe is the saturation probe pass over the window the real pass left: the
+// segment's nodes from its fork on, with the registers as saveFork found them
+// and loop conditions flooded over the margins (execSBWhile), charging nothing.
+// Nothing before the fork floods, so the nodes there computed what a probe of
+// the whole window would; their registers the real pass left as they were.
+// Carry inputs are not flooded: checkCarryBoundary vouches for carries.
+func (ex *Executor) probe(seg *fusedSeg) error {
+	f := seg.fork
+	for i, v := range f.save {
+		ex.regs.restore(v, ex.forkRegs[i], ex.forkWords[i*ex.ww:])
+	}
+	for _, v := range f.drop {
+		ex.regs.drop(v)
+	}
+	ex.culprit, ex.saturate = ex.forkCulprit, true
+	return ex.execSBNodes(seg.sprog, f.node, len(seg.sprog.nodes), false)
 }
 
 // windowUnits is the op count of one full-window pass.

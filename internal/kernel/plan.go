@@ -60,12 +60,14 @@ type planNode interface{ isPlanNode() }
 // Under ModeDTM it may contain nested control flow, executed window-locally.
 // Compile fills in the segment's dataflow analysis, its live-out set — what
 // it must commit: materialized or outputs — and its superblock program (see
-// superblock.go), reused across windows and chunks.
+// superblock.go), reused across windows and chunks, and for a segment the
+// saturation probe may re-run, where the probe resumes the real pass (fork).
 type fusedSeg struct {
 	stmts   []ir.Stmt
 	an      *dfg.Analysis
 	liveOut []ir.VarID
 	sprog   *sbProgram
+	fork    *segFork // nil: no loop of the segment propagates, nothing is probed
 }
 
 // ctlSeg is an if or while whose condition is evaluated globally (on a

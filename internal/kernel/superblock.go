@@ -221,6 +221,7 @@ type sbCompiler struct {
 	stmtHi []int
 	pre    []int32 // guard resolution: see compile
 	thr    []int32
+	mark   []uint8 // fork: which side of the fork assigns each variable
 	// The barrier-merge index: each shift's group, when it has two or more
 	// members.
 	gidOf map[*ir.Assign]int32
@@ -280,6 +281,9 @@ func (c *sbCompiler) compilePlan(pl *plan) {
 			c.an, c.ud = dfg.AnalyzeBody(x.stmts, p.NumVars), dfg.CountUseDef(x.stmts, p.NumVars)
 			c.whole = len(x.stmts) > 0 && len(x.stmts) == len(p.Stmts) && x.stmts[0] == p.Stmts[0]
 			x.an, x.sprog = c.an, c.compile(x.stmts)
+			if propagates(c.an) {
+				x.fork = c.fork(x.sprog)
+			}
 			// Every destination was seen: the first sight of each lists it.
 			ir.WalkStmts(x.stmts, func(s ir.Stmt) {
 				if a, ok := s.(*ir.Assign); ok {
@@ -293,6 +297,97 @@ func (c *sbCompiler) compilePlan(pl *plan) {
 			c.compilePlan(x.body)
 		}
 	}
+}
+
+// propagates reports whether the segment contains a while loop whose body
+// advances markers (growth > 0) — the only construct requiring the saturation
+// probe.
+func propagates(an *dfg.Analysis) bool {
+	for _, g := range an.LoopGrowth {
+		if g > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// segFork is where the saturation probe of a segment resumes its window's real
+// pass (Executor.probe). The probe floods loop conditions only, so everything
+// before the first loop computes the same in both passes: the probe restores
+// the registers the real pass's continuation overwrote and re-runs the top-level
+// nodes from node on.
+type segFork struct {
+	node int
+	// save are the µop destinations assigned both before and at or after node —
+	// a loop's carried initial values: their registers at the fork are copied
+	// out (Executor.saveFork) and put back for the probe. drop are those
+	// assigned only at or after node, nested bodies included: the probe starts
+	// with them absent, as the window did. Every other register the
+	// continuation leaves as the fork found it, but for a deferred shift forced
+	// into storage and a fused temporary a taken guard tagged zero, which
+	// nothing reads.
+	save, drop []ir.VarID
+}
+
+// fork places the fork of a segment compiled to p: at the first top-level node
+// containing a while, moved back while a node before it — a guard's skip range
+// or a class prologue — reaches it, so the real pass's node loop lands on it
+// exactly.
+func (c *sbCompiler) fork(p *sbProgram) *segFork {
+	nodes := p.nodes
+	f := slices.IndexFunc(nodes, hasWhile)
+	for i := 0; i < f; i++ {
+		reach := i
+		if nd := &nodes[i]; nd.kind == sbGuardNode {
+			reach += int(nd.skip)
+		} else if nd.pairs > 0 {
+			reach += 2*int(nd.pairs) - 1
+		}
+		if reach >= f {
+			f, i = i, -1
+		}
+	}
+	c.mark = grow(c.mark, c.k.prog.NumVars)
+	for i := range nodes {
+		side := uint8(1) // before the fork; 2 at or after it
+		if i >= f {
+			side = 2
+		}
+		eachDst(p, &nodes[i], func(v ir.VarID) { c.mark[v] |= side })
+	}
+	fk := &segFork{node: f}
+	for i := range nodes {
+		eachDst(p, &nodes[i], func(v ir.VarID) {
+			switch c.mark[v] {
+			case 3:
+				fk.save = append(fk.save, v)
+			case 2:
+				fk.drop = append(fk.drop, v)
+			}
+			c.mark[v] = 0
+		})
+	}
+	return fk
+}
+
+// eachDst calls fn with the destination of every µop of node nd of p, nested
+// bodies included. A fused temporary is none: no register holds it.
+func eachDst(p *sbProgram, nd *sbNode, fn func(ir.VarID)) {
+	switch nd.kind {
+	case sbRunNode:
+		for _, op := range p.ops[nd.lo:nd.hi] {
+			fn(op.dst)
+		}
+	case sbIfNode, sbWhileNode:
+		for i := range nd.body.nodes {
+			eachDst(nd.body, &nd.body.nodes[i], fn)
+		}
+	}
+}
+
+// hasWhile reports whether nd is a while or an if holding one at any depth.
+func hasWhile(nd sbNode) bool {
+	return nd.kind == sbWhileNode || nd.kind == sbIfNode && slices.ContainsFunc(nd.body.nodes, hasWhile)
 }
 
 func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
@@ -605,8 +700,13 @@ func redefines(ops []sbOp, v ir.VarID) bool {
 // execSBProg runs a compiled segment program over the current window,
 // charging per the contract in this file's header when charge is set.
 func (ex *Executor) execSBProg(p *sbProgram, charge bool) error {
-	nodes := p.nodes
-	for i := 0; i < len(nodes); i++ {
+	return ex.execSBNodes(p, 0, len(p.nodes), charge)
+}
+
+// execSBNodes runs nodes [lo, hi) of p, which no node of them reaches past.
+func (ex *Executor) execSBNodes(p *sbProgram, lo, hi int, charge bool) error {
+	nodes := p.nodes[:hi]
+	for i := lo; i < len(nodes); i++ {
 		nd := &nodes[i]
 		switch nd.kind {
 		case sbRunNode:

@@ -386,6 +386,56 @@ func shareClasses(parts [][]lower.Regex, basis *transpose.Basis) map[charclass.C
 	return slots
 }
 
+// generatorApps returns the four stream_light patterns over a log of at least
+// 1 800 bytes, the ten generators at scale 0.05 and the 500-signature megaset,
+// each over inputBytes of its own input.
+func generatorApps(t *testing.T, inputBytes int) []*workload.App {
+	t.Helper()
+	line := "the quick brown fox quacks at 0123 lazy dogs\n"
+	light := &workload.App{Name: "stream_light", Input: []byte(strings.Repeat(line, max(40, inputBytes/len(line))))}
+	for _, pat := range []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`} {
+		light.Regexes = append(light.Regexes, lower.Regex{Name: pat, AST: rx.MustParse(pat)})
+	}
+	apps := []*workload.App{light}
+	for _, name := range workload.Names() {
+		app, err := workload.Load(name, workload.Options{RegexScale: 0.05, InputBytes: inputBytes, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	mega, err := workload.Megaset(500, 1, inputBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(apps, mega)
+}
+
+// groupPrograms splits app's patterns into groups as wide as grid makes them,
+// adds the classes groups share to basis as extended streams and lowers each
+// group through the engine's default passes. It returns the programs and the
+// number of shared classes.
+func groupPrograms(t *testing.T, app *workload.App, basis *transpose.Basis, grid gpusim.Grid) ([]*ir.Program, int) {
+	t.Helper()
+	var parts [][]lower.Regex
+	for lo, per := 0, (len(app.Regexes)+grid.CTAs-1)/grid.CTAs; lo < len(app.Regexes); lo += per {
+		parts = append(parts, app.Regexes[lo:min(lo+per, len(app.Regexes))])
+	}
+	shared := shareClasses(parts, basis)
+	progs := make([]*ir.Program, len(parts))
+	for i, part := range parts {
+		p, err := lower.Group(part, lower.Options{SharedCC: shared, SharedExtBits: len(shared)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes.Rebalance(p, passes.RebalanceOptions{})
+		passes.MergeBarriers(p, passes.MergeOptions{MergeSize: 8})
+		passes.InsertGuards(p, passes.ZBSOptions{Interval: 8})
+		progs[i] = p
+	}
+	return progs, len(shared)
+}
+
 // presenceRows binds basis's presence rows as the engine writes them, from
 // its extended streams' words.
 func presenceRows(basis *transpose.Basis) {
@@ -411,24 +461,6 @@ func presenceRows(basis *transpose.Basis) {
 // have a mask, and fails if the Yara groups compile none with a mask or a
 // prologue that loads a raw plane has one.
 func TestEveryFusedPairHasALoop(t *testing.T) {
-	light := &workload.App{Name: "stream_light", Input: []byte(strings.Repeat("the quick brown fox quacks at 0123 lazy dogs\n", 40))}
-	for _, pat := range []string{"fox|dog", "qu[a-z]{2,6}k", "l.zy", `0\d{3}`} {
-		light.Regexes = append(light.Regexes, lower.Regex{Name: pat, AST: rx.MustParse(pat)})
-	}
-	apps := []*workload.App{light}
-	for _, name := range workload.Names() {
-		app, err := workload.Load(name, workload.Options{RegexScale: 0.05, InputBytes: 1 << 10, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, app)
-	}
-	mega, err := workload.Megaset(500, 1, 1<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apps = append(apps, mega)
-
 	hasLoop := make(map[string]bool)
 	for _, ic := range fusedPairCodes {
 		for _, oc := range fusedPairCodes {
@@ -436,23 +468,12 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 		}
 	}
 	grid := gpusim.DefaultGrid()
-	for _, app := range apps {
+	for _, app := range generatorApps(t, 1<<10) {
 		basis := transpose.Transpose(app.Input)
-		var parts [][]lower.Regex
-		for lo, per := 0, (len(app.Regexes)+grid.CTAs-1)/grid.CTAs; lo < len(app.Regexes); lo += per {
-			parts = append(parts, app.Regexes[lo:min(lo+per, len(app.Regexes))])
-		}
-		shared := shareClasses(parts, basis)
+		progs, shared := groupPrograms(t, app, basis, grid)
 		fused := make(map[string]int)
 		var prologues, pairs, most, masked int
-		for _, part := range parts {
-			p, err := lower.Group(part, lower.Options{SharedCC: shared, SharedExtBits: len(shared)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			passes.Rebalance(p, passes.RebalanceOptions{})
-			passes.MergeBarriers(p, passes.MergeOptions{MergeSize: 8})
-			passes.InsertGuards(p, passes.ZBSOptions{Interval: 8})
+		for _, p := range progs {
 			s, err := newTestSession(p, Config{Grid: grid, Mode: ModeDTM, HonorGuards: true}, &arena.Arena{})
 			if err != nil {
 				t.Fatal(err)
@@ -486,7 +507,7 @@ func TestEveryFusedPairHasALoop(t *testing.T) {
 			s.Close()
 		}
 		t.Logf("%s: fused pairs: %v; %d shared classes, %d class-prologue pairs in %d nodes (at most %d a node, %d with a mask)",
-			app.Name, fused, len(shared), pairs, prologues, most, masked)
+			app.Name, fused, shared, pairs, prologues, most, masked)
 		if app.Name == "Yara" && masked == 0 {
 			t.Errorf("Yara: no group compiles a class prologue node with a mask")
 		}
@@ -541,9 +562,7 @@ func TestDeferredClassGuardsAgainstPresence(t *testing.T) {
 			dl, dr := align64(seg.an.StaticMaxAdvance), align64(-seg.an.StaticMinOffset)
 			for cs := 0; cs < ex.n; cs += cfg.Grid.BlockBits() {
 				ce := min(cs+cfg.Grid.BlockBits(), ex.n)
-				if err := ex.execWindowOnce(&fusedSeg{sprog: &sbProgram{}}, cs, ce, dl, dr, false, true); err != nil {
-					t.Fatal(err)
-				}
+				ex.openWindow(cs, ce, dl, dr)
 				nodes := seg.sprog.nodes
 				for i := 0; i < len(nodes); i++ {
 					switch nd := &nodes[i]; nd.kind {
@@ -769,7 +788,7 @@ func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.B
 			unread := false
 			for i, prog := range []*sbProgram{sp, &flat} {
 				ex.stats = gpusim.CTAStats{}
-				if err := ex.execWindowOnce(&fusedSeg{sprog: prog}, cs, ce, 64, 0, !charge, charge); err != nil {
+				if err := wholeWindow(ex, prog, cs, ce, 64, 0, !charge, charge); err != nil {
 					t.Fatal(err)
 				}
 				stats[i], words[i] = ex.stats, slices.Clone(ex.committedWords(out, 0, ex.ww))
@@ -782,9 +801,7 @@ func checkPrologue(t *testing.T, label string, p *ir.Program, basis *transpose.B
 
 			// The prologue alone, against what the window's words say.
 			ex.stats = gpusim.CTAStats{}
-			if err := ex.execWindowOnce(&fusedSeg{sprog: &sbProgram{}}, cs, ce, 64, 0, !charge, charge); err != nil {
-				t.Fatal(err)
-			}
+			ex.openWindow(cs, ce, 64, 0)
 			units, from := ex.windowUnits(), ex.ws/64
 			taken, fast, edge := -1, true, false
 			for k := 0; k < n; k++ {

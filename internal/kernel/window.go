@@ -115,6 +115,41 @@ func (r *regFile) beginWindow(ww int) {
 	r.full = ^uint64(0) >> (64 - nt)
 }
 
+// savedReg is a register as save found it, its words kept by the caller.
+type savedReg struct {
+	live uint64
+	has  bool
+}
+
+// save copies v's value into buf, ww words, and returns its state. A deferred
+// v would be forced; the fork saves none: it saves variables defined twice,
+// and compileRun defers only a shift into a variable defined once.
+func (r *regFile) save(v ir.VarID, buf []uint64) savedReg {
+	s := savedReg{live: r.live[v], has: r.has(v)}
+	if s.has && s.live != 0 {
+		copy(buf[:r.ww], r.get(v))
+	}
+	return s
+}
+
+// restore makes v, in the window it was saved in, the register save found, as
+// owned storage holding buf's words — zero outside the live tiles, as the
+// saved words were.
+func (r *regFile) restore(v ir.VarID, s savedReg, buf []uint64) {
+	switch {
+	case !s.has:
+		r.drop(v)
+	case s.live == 0:
+		r.zero(v)
+	default:
+		copy(r.storage(v), buf[:r.ww])
+		r.setOwned(v, r.full, s.live)
+	}
+}
+
+// drop makes v absent in the current window.
+func (r *regFile) drop(v ir.VarID) { r.epoch[v] = r.cur - 1 }
+
 // has reports whether v holds a value in the current window.
 func (r *regFile) has(v ir.VarID) bool { return r.epoch[v] == r.cur }
 

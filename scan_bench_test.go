@@ -137,9 +137,10 @@ func BenchmarkScanReaderLight(b *testing.B) {
 // BenchmarkRunControl is the repo benchmark's oneshot_control op as a Go
 // benchmark: one Engine.Run of the Brill-style set (92 unbounded, while-heavy
 // patterns ScanReader refuses) over its generated 128 KiB input, default
-// options, the session pool warm. Most windows are re-executed by the
-// saturation probe (DESIGN §6), so `make profile-control` reads real pass,
-// probe pass and probe bookkeeping off runWindowToFixpoint's listing.
+// options, the session pool warm. Most windows are probed by the saturation
+// probe (DESIGN §6), so `make profile-control` reads the real pass, the probe's
+// suffix from the fork (Executor.probe) and the probe's bookkeeping
+// (saveCommitted, probeAgrees) off runWindowToFixpoint's listing.
 func BenchmarkRunControl(b *testing.B) {
 	app, err := workload.Load("Brill", workload.Options{RegexScale: 0.05, InputBytes: 128 << 10, Seed: 1})
 	if err != nil {
