@@ -45,8 +45,9 @@ fault:
 
 # Short smoke runs of the fuzz targets: the conformance harness on generated
 # pattern sets, on their snapshots and at fuzzed chunk sizes; Engine.Run
-# against Go's regexp; lowering; the parser; and /v1/match's one-pass body
-# decoder against encoding/json. FUZZTIME=2m for a longer local soak.
+# against Go's regexp; lowering; the parser; /v1/match's one-pass body
+# decoder against encoding/json; and the shared-class evaluator against byte
+# membership. FUZZTIME=2m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzMatchersAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgree$$' .
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLower$$' -fuzztime $(FUZZTIME) -run '^FuzzLower$$' ./internal/lower
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run '^FuzzParse$$' ./internal/rx
 	$(GO) test -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime $(FUZZTIME) -run '^FuzzDecodeMatchRequest$$' ./internal/serve
+	$(GO) test -fuzz '^FuzzClassEval$$' -fuzztime $(FUZZTIME) -run '^FuzzClassEval$$' ./internal/engine
 
 # obs-smoke runs a real scan with tracing and metrics on and validates
 # the exported artifacts: the Chrome trace_event JSON schema (loadable in
@@ -171,7 +173,7 @@ bench-quick:
 # repo benchmark's stream_sigs op as a Go benchmark (BenchmarkScanReaderSigs:
 # the kernel's execFused ≈ 60–65 % of the samples, its class prologues
 # (execPrologue) 1–3 %, the window's class set (Basis.Present) ≈ 1 %, the
-# shared-class evaluator 9–12 %, on two cores), 30 iterations from a test
+# shared-class evaluator ≈ 5–6 %, on two cores), 30 iterations from a test
 # binary built once, top 25 by flat time, then the class-prologue node, the
 # class set, the shared-class evaluator, the match collector (mergeMatches)
 # and the commit of a window's live-outs (commitWindow) line by line. Output

@@ -138,18 +138,8 @@ func loweredGroups(tb testing.TB, app *workload.App, opts *Options) []*ir.Progra
 		parts = append(parts, part)
 	}
 	slots := map[charclass.Class]int{}
-	if sp := eng.inner.Shared(); sp != nil {
-		slotOf := make(map[string]int, len(sp.Outputs))
-		for i, o := range sp.Outputs {
-			slotOf[o.Name] = i
-		}
-		for _, part := range parts {
-			for _, cl := range lower.Classes(part) {
-				if i, ok := slotOf[cl.Key()]; ok {
-					slots[cl] = i
-				}
-			}
-		}
+	for i, cl := range eng.inner.SharedClasses() {
+		slots[cl] = i
 	}
 	progs := make([]*ir.Program, len(parts))
 	for i, part := range parts {

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
+	"bitgen/internal/engine"
 	"bitgen/internal/workload"
 )
 
@@ -46,9 +48,23 @@ func goldenSets(t testing.TB) []goldenSet {
 	return sets
 }
 
+// groupsDigest is the sha256 of the compiled groups alone — every group's
+// packed program, names and character count — so the golden tells a change of
+// program apart from a change of snapshot format.
+func groupsDigest(groups []engine.Group) []byte {
+	h := sha256.New()
+	for _, g := range groups {
+		hashField(h, string(g.Packed))
+		hashField(h, strings.Join(g.Names, "\x00"))
+		hashField(h, strconv.Itoa(g.Chars))
+	}
+	return h.Sum(nil)
+}
+
 // TestCompiledArtifactGolden pins what Compile produces, byte for byte: the
-// sha256 of each set's snapshot (packed group programs, shared-class program,
-// pass statistics, public metadata) and its PassStats, generated at bb67ef7 —
+// groups' digest (groupsDigest, after the group count), the sha256 of each
+// set's snapshot (packed group programs, shared classes, pass statistics,
+// public metadata) and its PassStats, generated at bb67ef7 —
 // before CTA groups compiled concurrently on reused pass scratch — and, for
 // the six generators after stream_light, at 0945957. The
 // artifact must not depend on how wide the host is, so every set compiles
@@ -68,8 +84,9 @@ func TestCompiledArtifactGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", set.name, err)
 			}
-			l := fmt.Sprintf("%s patterns=%d groups=%d sha256=%x %+v\n", set.name, len(set.patterns),
-				len(eng.inner.Groups()), sha256.Sum256(EncodeEngine(eng)), eng.inner.PassStats)
+			groups := eng.inner.Groups()
+			l := fmt.Sprintf("%s patterns=%d groups=%d:%x sha256=%x %+v\n", set.name, len(set.patterns),
+				len(groups), groupsDigest(groups), sha256.Sum256(EncodeEngine(eng)), eng.inner.PassStats)
 			if line != "" && l != line {
 				t.Errorf("%s compiles differently at GOMAXPROCS %d:\n%s%s", set.name, procs, line, l)
 			}

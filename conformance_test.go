@@ -102,7 +102,7 @@ func (c *conformance) set(label string, k corpus) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if fresh.inner.Shared() != nil {
+	if fresh.inner.SharedClasses() != nil {
 		c.shared++
 	}
 	if len(fresh.nullable) > 0 {

@@ -11,7 +11,10 @@
 package charclass
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -119,29 +122,38 @@ func (cl Class) IsEmpty() bool {
 // Size returns the number of bytes in the class.
 func (cl Class) Size() int {
 	n := 0
-	for c := 0; c < 256; c++ {
-		if cl.Contains(byte(c)) {
-			n++
-		}
+	for _, w := range cl.bits {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// Key returns a compact content address of the class: the 32 membership
+// Bytes returns the class's 32 membership bytes: bit c%8 of byte c/8 is set
+// when c is a member.
+func (cl Class) Bytes() [32]byte {
+	var b [32]byte
+	for i, w := range cl.bits {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
+	}
+	return b
+}
+
+// FromBytes is the class whose membership bytes are b (see Bytes).
+func FromBytes(b [32]byte) Class {
+	var cl Class
+	for i := range cl.bits {
+		cl.bits[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return cl
+}
+
+// Key returns a compact content address of the class: its 32 membership
 // bytes hex-packed into a fixed-width string. Classes are equal exactly when
 // their keys are equal, so the key orders and deduplicates shared
 // character-class streams deterministically across engines.
 func (cl Class) Key() string {
-	var b [64]byte
-	const hex = "0123456789abcdef"
-	for i, w := range cl.bits {
-		for j := 0; j < 8; j++ {
-			v := byte(w >> (8 * j))
-			b[i*16+j*2] = hex[v>>4]
-			b[i*16+j*2+1] = hex[v&0xf]
-		}
-	}
-	return string(b[:])
+	b := cl.Bytes()
+	return hex.EncodeToString(b[:])
 }
 
 // FoldCase returns the class closed under ASCII case folding: if it contains

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bitgen/internal/ir"
+	"bitgen/internal/transpose"
 )
 
 // TestGroupsReturnsClones guards the aliasing fix: Groups() must deep-copy
@@ -84,7 +85,7 @@ func TestRestoreAcceptsSparseVariableSpace(t *testing.T) {
 		p.NumVars += 1000*len(p.Outputs) + 1
 		groups[gi].Packed = ir.EncodeProgram(p)
 	}
-	restored, err := Restore(cfg, groups, e.Shared(), e.PassStats)
+	restored, err := Restore(cfg, groups, e.SharedClasses(), e.PassStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,5 +100,48 @@ func TestRestoreAcceptsSparseVariableSpace(t *testing.T) {
 	}
 	if len(want.Matches) == 0 || !reflect.DeepEqual(got.Matches, want.Matches) {
 		t.Fatalf("sparse restore matched %v, dense engine %v", got.Matches, want.Matches)
+	}
+}
+
+// TestSharedIsBuiltFromTheSets: Shared() is the frozen benchmark's view of
+// the shared classes, built from the stored sets — one output per class,
+// named by its key, in slot order, computing the class over the raw basis —
+// and SharedClasses() is a copy of those sets.
+func TestSharedIsBuiltFromTheSets(t *testing.T) {
+	cfg := BitGenDefault()
+	cfg.Grid = smallGrid
+	e, err := Compile(mustRegexes(t, "[a-f]x[0-9]", "[a-f]y[0-9]", "z[0-9][a-f]"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := e.SharedClasses()
+	if len(sets) == 0 {
+		t.Fatal("the engine shares no classes")
+	}
+	p := e.Shared()
+	if p.ExtBits != 0 || len(p.Outputs) != len(sets) {
+		t.Fatalf("Shared(): %d outputs, ExtBits %d, for %d classes", len(p.Outputs), p.ExtBits, len(sets))
+	}
+	input := make([]byte, 256)
+	for c := range input {
+		input[c] = byte(c)
+	}
+	res, err := ir.Interpret(p, transpose.Transpose(input), ir.InterpOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range p.Outputs {
+		if o.Name != sets[i].Key() {
+			t.Fatalf("output %d is %q, class %v", i, o.Name, sets[i])
+		}
+		for c := range input {
+			if res.Outputs[o.Name].Test(c) != sets[i].Contains(byte(c)) {
+				t.Fatalf("output %d at byte %#x: %v, class %v", i, c, res.Outputs[o.Name].Test(c), sets[i])
+			}
+		}
+	}
+	sets[0] = sets[0].Negate()
+	if e.SharedClasses()[0] == sets[0] {
+		t.Fatal("SharedClasses() leaked the engine's sets")
 	}
 }

@@ -1,11 +1,12 @@
 package engine
 
 import (
-	"fmt"
+	"slices"
+	"unsafe"
 
 	"bitgen/internal/arena"
 	"bitgen/internal/bitstream"
-	"bitgen/internal/ir"
+	"bitgen/internal/charclass"
 	"bitgen/internal/transpose"
 )
 
@@ -21,13 +22,27 @@ const (
 	classInputs = slotOnes + 1
 )
 
-// classOp computes one tile of slot dst as slot x op slot y.
+// classOpKind is the bitwise operation of a classOp.
+type classOpKind int32
+
+const (
+	opAnd classOpKind = iota
+	opOr
+	opXor
+	opAndNot // x &^ y
+)
+
+// classOp computes one tile of slot dst as slot x op slot y. It is 16 bytes,
+// the size ResidentBytes charges an op.
 type classOp struct {
-	op        ir.BinOp
+	op        classOpKind
 	dst, x, y int32
 }
 
-// classEval is the shared-class program as the host runs it: straight-line
+// classOpBytes is what one op of a compiled evaluator keeps resident.
+const classOpBytes = int64(unsafe.Sizeof(classOp{}))
+
+// classEval is the shared classes as the host computes them: straight-line
 // binary ops, value-numbered so that no two compute the same expression, and
 // register-allocated by last use.
 type classEval struct {
@@ -35,72 +50,154 @@ type classEval struct {
 	outs, regs int
 }
 
-// newClassEval compiles a shared-class program. It is the trust boundary for
-// a restored program too, so it refuses anything lower.SharedProgram does not
-// emit: control flow, extended-basis reads, and any expression other than
-// Bin, Not, Zero, Ones and a raw MatchBasis.
-func newClassEval(p *ir.Program) (*classEval, error) {
-	if err := ir.Validate(p); err != nil {
-		return nil, err
+// classBuilder value-numbers the ops a set of classes compiles to. vals[v] is
+// value v: an op over earlier values x and y (commutative ones in ascending
+// order) and, once it has one, its slot dst. The first classInputs values are
+// the input slots; last[v] is v's last reader. nibble[q] memoizes quad q's
+// 4-bit predicates by truth table: quad 0 is planes b0–b3 (the high nibble,
+// b0 its most significant bit), quad 1 planes b4–b7 (the low nibble), and bit
+// t of a table is set when the predicate holds for nibble value t.
+type classBuilder struct {
+	vals   []classOp
+	last   []int
+	index  map[classOp]int32
+	nibble [2]map[uint16]int32
+}
+
+// node returns the value x op y, adding it unless an equal one exists. An
+// And with the all-ones slot is its other operand.
+func (b *classBuilder) node(op classOpKind, x, y int32) int32 {
+	switch {
+	case op == opAnd && x == slotOnes:
+		return y
+	case op == opAnd && y == slotOnes:
+		return x
+	case op != opAndNot && x > y:
+		x, y = y, x
 	}
-	if p.ExtBits != 0 {
-		return nil, fmt.Errorf("shared-class program declares %d extended basis streams", p.ExtBits)
+	v := classOp{op: op, dst: -1, x: x, y: y}
+	n, seen := b.index[v]
+	if !seen {
+		n = int32(len(b.vals))
+		b.index[v] = n
+		b.vals, b.last = append(b.vals, v), append(b.last, 0)
+		b.last[x], b.last[y] = int(n), int(n)
 	}
-	// vals[v] is value v: an op over earlier values x and y (commutative ones
-	// in ascending order) and, once it has one, its slot dst. The first
-	// classInputs values are the input slots; last[v] is v's last reader.
-	vals := make([]classOp, classInputs, classInputs+len(p.Stmts))
-	for j := range vals {
-		vals[j].dst = int32(j)
+	return n
+}
+
+// nibbleMasks[k] is the set of nibble values where plane 4·quad+k reads 0:
+// those whose bit 3-k is clear.
+var nibbleMasks = [4]uint16{0x00ff, 0x0f0f, 0x3333, 0x5555}
+
+// pred returns the value of a 4-bit predicate that is not always false (one
+// always true is the all-ones slot), decomposed on the first of its quad's
+// planes it reads, most significant first (a BDD over four variables; a
+// predicate that does not read a plane has equal halves along it), every
+// sub-predicate memoized across classes.
+func (b *classBuilder) pred(quad int, table uint16) int32 {
+	if table == 0xffff {
+		return slotOnes
 	}
-	last := make([]int, len(vals), cap(vals))
-	index := make(map[classOp]int32)
-	num := make([]int32, p.NumVars)
-	for _, s := range p.Stmts {
-		a, ok := s.(*ir.Assign)
-		if !ok {
-			return nil, fmt.Errorf("shared-class program has a %T statement", s)
+	if v, ok := b.nibble[quad][table]; ok {
+		return v
+	}
+	var v int32
+	for bit, m := range nibbleMasks {
+		// The cofactors where the plane reads 0 and 1, spread over both halves.
+		sh := uint(8 >> bit)
+		f0, f1 := table&m, table&^m
+		f0, f1 = f0|f0<<sh, f1|f1>>sh
+		if f0 == f1 {
+			continue
 		}
-		v := classOp{dst: -1}
-		switch x := a.Expr.(type) {
-		case ir.MatchBasis:
-			num[a.Dst] = int32(x.Bit) // a raw plane: Validate bounds it by ExtBits
-			continue
-		case ir.Zero:
-			v.op = ir.OpXor // plane 0 ^ plane 0
-		case ir.Ones:
-			num[a.Dst] = slotOnes
-			continue
-		case ir.Not:
-			v.op, v.x, v.y = ir.OpAndNot, slotOnes, num[x.Src]
-		case ir.Bin:
-			if uint(x.Op) > uint(ir.OpAndNot) {
-				return nil, fmt.Errorf("shared-class program has binary op %d", x.Op)
-			}
-			v.op, v.x, v.y = x.Op, num[x.X], num[x.Y]
-			if x.Op != ir.OpAndNot && v.x > v.y {
-				v.x, v.y = v.y, v.x
-			}
+		x := int32(4*quad + bit)
+		switch {
+		case f0 == 0:
+			v = b.node(opAnd, x, b.pred(quad, f1))
+		case f1 == 0:
+			v = b.node(opAndNot, b.pred(quad, f0), x)
+		case f1 == 0xffff:
+			v = b.node(opOr, x, b.pred(quad, f0))
+		case f0 == 0xffff: // ¬x ∨ f1 = ¬(x ∧ ¬f1)
+			v = b.node(opAndNot, slotOnes, b.node(opAndNot, x, b.pred(quad, f1)))
+		case f1 == ^f0:
+			v = b.node(opXor, x, b.pred(quad, f0))
 		default:
-			return nil, fmt.Errorf("shared-class program has a %T expression", a.Expr)
+			v = b.node(opOr, b.node(opAnd, x, b.pred(quad, f1)), b.node(opAndNot, b.pred(quad, f0), x))
 		}
-		n, seen := index[v]
-		if !seen {
-			n = int32(len(vals))
-			index[v] = n
-			vals, last = append(vals, v), append(last, 0)
-			last[v.x], last[v.y] = int(n), int(n)
-		}
-		num[a.Dst] = n
+		break // the remaining planes are f0's and f1's to decide
 	}
+	b.nibble[quad][table] = v
+	return v
+}
+
+// class returns the value of cl's match stream: the OR, over the distinct
+// non-empty rows of low nibbles, of (the high nibbles holding that row) ∧ (the
+// row). A class of more than 128 bytes is the complement of the rest.
+func (b *classBuilder) class(cl charclass.Class) int32 {
+	neg := cl.Size() > 128
+	if neg {
+		cl = cl.Negate()
+	}
+	set := cl.Bytes()
+	var rows [16]uint16 // rows[h]: the low nibbles l with byte h<<4|l in cl
+	for h := range rows {
+		rows[h] = uint16(set[2*h]) | uint16(set[2*h+1])<<8
+	}
+	v := int32(-1)
+	for h, row := range rows {
+		if row == 0 || slices.Index(rows[:h], row) >= 0 {
+			continue
+		}
+		var his uint16
+		for g := h; g < len(rows); g++ {
+			if rows[g] == row {
+				his |= 1 << g
+			}
+		}
+		term := b.node(opAnd, b.pred(0, his), b.pred(1, row))
+		if v < 0 {
+			v = term
+		} else {
+			v = b.node(opOr, v, term)
+		}
+	}
+	switch {
+	case v < 0 && neg: // every byte
+		return slotOnes
+	case v < 0:
+		return b.node(opAndNot, slotOnes, slotOnes)
+	case neg:
+		return b.node(opAndNot, slotOnes, v)
+	}
+	return v
+}
+
+// newClassEval compiles shared classes, output i computing sets[i]'s match
+// stream over the raw basis. Any list of sets compiles.
+func newClassEval(sets []charclass.Class) *classEval {
+	b := &classBuilder{
+		vals:   make([]classOp, classInputs),
+		last:   make([]int, classInputs),
+		index:  make(map[classOp]int32),
+		nibble: [2]map[uint16]int32{{}, {}},
+	}
+	for j := range b.vals {
+		b.vals[j].dst = int32(j)
+	}
+	num := make([]int32, len(sets))
+	for i, cl := range sets {
+		num[i] = b.class(cl)
+	}
+	vals, last := b.vals, b.last
 
 	// An output's value is computed straight into its stream; an input, or a
 	// value an earlier output holds, is copied there (v | v).
-	ev := &classEval{outs: len(p.Outputs)}
-	for i, o := range p.Outputs {
-		v := num[o.Var]
+	ev := &classEval{outs: len(sets)}
+	for i, v := range num {
 		if vals[v].dst >= 0 {
-			vals, last = append(vals, classOp{op: ir.OpOr, x: v, y: v}), append(last, 0)
+			vals, last = append(vals, classOp{op: opOr, x: v, y: v}), append(last, 0)
 			v = int32(len(vals) - 1)
 		}
 		vals[v].dst = int32(classInputs + i)
@@ -126,7 +223,7 @@ func newClassEval(p *ir.Program) (*classEval, error) {
 		}
 		ev.ops = append(ev.ops, classOp{op: op.op, dst: op.dst, x: vals[op.x].dst, y: vals[op.y].dst})
 	}
-	return ev, nil
+	return ev
 }
 
 // run runs every op over the first n words of each slot. It is a function of
@@ -136,19 +233,19 @@ func (ev *classEval) run(slots [][]uint64, n int) {
 	for _, op := range ev.ops {
 		d, x, y := slots[op.dst][:n], slots[op.x][:n], slots[op.y][:n]
 		switch op.op {
-		case ir.OpAnd:
+		case opAnd:
 			for i := range d {
 				d[i] = x[i] & y[i]
 			}
-		case ir.OpOr:
+		case opOr:
 			for i := range d {
 				d[i] = x[i] | y[i]
 			}
-		case ir.OpXor:
+		case opXor:
 			for i := range d {
 				d[i] = x[i] ^ y[i]
 			}
-		case ir.OpAndNot:
+		case opAndNot:
 			for i := range d {
 				d[i] = x[i] &^ y[i]
 			}

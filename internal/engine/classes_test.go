@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/hex"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,112 +10,192 @@ import (
 	"bitgen/internal/bitstream"
 	"bitgen/internal/charclass"
 	"bitgen/internal/gpusim"
-	"bitgen/internal/ir"
-	"bitgen/internal/lower"
 	"bitgen/internal/transpose"
 	"bitgen/internal/workload"
 )
 
-// classOfKey inverts charclass.Class.Key: hex byte c/8 holds member c at bit c%8.
-func classOfKey(t testing.TB, key string) charclass.Class {
-	t.Helper()
-	raw, err := hex.DecodeString(key)
-	if err != nil || len(raw) != 32 {
-		t.Fatalf("output %q is not a class key", key)
-	}
-	var cl charclass.Class
-	for c := 0; c < 256; c++ {
-		if raw[c/8]>>(c%8)&1 != 0 {
-			cl.Add(byte(c))
-		}
-	}
-	return cl
+// sharedApp is one input to the evaluator tests: a name, the classes the
+// engine shares for it, and an input to compute them over.
+type sharedApp struct {
+	name  string
+	sets  []charclass.Class
+	input []byte
 }
 
-// sharedPrograms returns the shared-class program the engine builds for every
-// workload generator at the default grid, for a 500-signature megaset, and
-// for a hand-written set whose Not and Ones outputs set bits past any input
-// that does not fill its last word (and the empty class, which is Zero).
-func sharedPrograms(t testing.TB) map[string]*ir.Program {
+// sharedApps returns the classes the engine shares for every workload
+// generator at the default grid, and for a 500-signature megaset, each with
+// 20 000 bytes of its own input (not a whole number of words); and a
+// hand-written list of the edge sizes: 0, 1, 129, 255 and 256 members.
+func sharedApps(t testing.TB) []sharedApp {
 	t.Helper()
-	progs := make(map[string]*ir.Program)
+	var apps []sharedApp
 	share := func(name string, app *workload.App, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := &Engine{}
-		if _, err := e.initShared(partition(app.Regexes, gpusim.DefaultGrid().CTAs)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		e.initShared(partition(app.Regexes, gpusim.DefaultGrid().CTAs))
 		if e.shared != nil {
-			progs[name] = e.shared
+			apps = append(apps, sharedApp{name, e.shared, app.Input})
 		}
 	}
 	for _, name := range workload.Names() {
-		app, err := workload.Load(name, workload.Options{InputBytes: 64, Seed: 1})
+		app, err := workload.Load(name, workload.Options{InputBytes: 20_000, Seed: 1})
 		share(name, app, err)
 	}
-	app, err := workload.Megaset(500, 1, 64)
+	app, err := workload.Megaset(500, 1, 20_000)
 	share("megaset-500", app, err)
-	hand, err := lower.SharedProgram([]charclass.Class{charclass.Single('a').Negate(), charclass.Dot(), charclass.Any(), charclass.Empty()})
-	if err != nil {
-		t.Fatal(err)
+	var odd charclass.Class // 129 members: every even byte, and 0x01
+	for c := 0; c < 256; c += 2 {
+		odd.Add(byte(c))
 	}
-	progs["hand"] = hand
-	return progs
+	odd.Add(1)
+	hand := []charclass.Class{charclass.Empty(), charclass.Single('a'), odd, charclass.Single('a').Negate(),
+		charclass.Dot(), charclass.Any(), charclass.Range(0x80, 0xff), charclass.Range('0', '9')}
+	apps = append(apps, sharedApp{"hand", hand, []byte("a0\n\x80\xff")})
+	return apps
+}
+
+// evalOps pins the evaluator's ops for every generator's shared classes
+// (sharedApps): now, and at the BDD-per-class evaluator this one replaced
+// (a chain per class, value-numbered across classes). The decoder must
+// stay within 65 % of the old count.
+var evalOps = map[string]struct{ ops, old int }{
+	"Brill":       {62, 133},
+	"Dotstar":     {67, 142},
+	"Protomata":   {121, 245},
+	"Snort":       {146, 277},
+	"Yara":        {88, 171},
+	"Ranges1":     {62, 133},
+	"TCP":         {82, 163},
+	"ClamAV":      {314, 517},
+	"Bro217":      {68, 137},
+	"ExactMatch":  {62, 133},
+	"megaset-500": {314, 517},
+}
+
+// checkStreams holds basis's extended streams to the sets byte by byte: bit i
+// of stream j is set exactly when input[i] is in sets[j], and no bit past the
+// input is; and its presence rows to the streams' words.
+func checkStreams(t *testing.T, what string, sets []charclass.Class, basis *transpose.Basis, input []byte) {
+	t.Helper()
+	if len(basis.Ext) != len(sets) {
+		t.Fatalf("%s: %d streams for %d classes", what, len(basis.Ext), len(sets))
+	}
+	for j, cl := range sets {
+		s := basis.Bit(transpose.NumBasis + j)
+		words := s.Words()
+		if s.Len() != len(input) || len(words) != bitstream.WordsFor(len(input)) {
+			t.Fatalf("%s: class %v: %d bits in %d words for %d bytes", what, cl, s.Len(), len(words), len(input))
+		}
+		for w, x := range words {
+			var want uint64
+			for b := range 64 {
+				if i := 64*w + b; i < len(input) && cl.Contains(input[i]) {
+					want |= 1 << b
+				}
+			}
+			if x != want {
+				t.Fatalf("%s, %d bytes: class %v word %d is %016x, its bytes say %016x", what, len(input), cl, w, x, want)
+			}
+		}
+	}
+	if want := presence(basis); basis.PresW != (len(sets)+63)/64 || !slices.Equal(basis.Pres, want) {
+		t.Fatalf("%s, %d bytes: %d-word presence rows %x, the words say %x", what, len(input), basis.PresW, basis.Pres, want)
+	}
 }
 
 // TestClassEvalMatchesMatchStream checks every shared class the evaluator
-// computes against charclass.MatchStream, word for word (tails included), and
-// every presence row against the streams' words, on random bytes at lengths
-// around a word and a tile, each program on one session's streams that shrink
-// and grow between chunks. The streams are borrowed from an arena that
-// balances once the tracker closes.
+// computes against byte membership, bit for bit (tails included), and every
+// presence row against the streams' words: over every byte value, over the
+// generator's own input, and over random bytes at lengths around a word and a
+// tile, each list on one session's streams that shrink and grow between
+// chunks. The streams are borrowed from an arena that balances once the
+// tracker closes. It pins each generator's op count (evalOps).
 func TestClassEvalMatchesMatchStream(t *testing.T) {
-	progs := sharedPrograms(t)
-	if len(progs) < 6 {
-		t.Fatalf("only %d workloads share classes", len(progs))
+	apps := sharedApps(t)
+	if len(apps) < 6 {
+		t.Fatalf("only %d workloads share classes", len(apps))
 	}
 	tile := classTile * 64
+	every := make([]byte, 3*256+37) // every byte value, three times, then 37 more
+	for i := range every {
+		every[i] = byte(i)
+	}
 	lengths := []int{70001, 1, 63, tile + 1, 64, 65, tile - 1, tile, 0, 70001}
 	rng := rand.New(rand.NewSource(7))
-	inputs := make([][]byte, len(lengths))
-	for i, n := range lengths {
-		inputs[i] = make([]byte, n)
-		rng.Read(inputs[i])
-	}
-	for name, p := range progs {
-		ev, err := newClassEval(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		classes := make([]charclass.Class, len(p.Outputs))
-		for i, o := range p.Outputs {
-			classes[i] = classOfKey(t, o.Name)
-		}
+	for _, app := range apps {
+		ev := newClassEval(app.sets)
 		a := &arena.Arena{}
 		tr := arena.NewTracker(a)
 		basis := &transpose.Basis{}
 		cs := newClassStreams(ev, basis, tr)
+		inputs := [][]byte{every, app.input}
+		for _, n := range lengths {
+			input := make([]byte, n)
+			rng.Read(input)
+			inputs = append(inputs, input)
+		}
 		for _, input := range inputs {
 			transpose.TransposeInto(basis, input)
 			cs.compute(ev, basis, tr)
-			for i, cl := range classes {
-				got, want := basis.Bit(transpose.NumBasis+i), charclass.MatchStream(cl, basis)
-				if got.Len() != want.Len() || !slices.Equal(got.Words(), want.Words()) {
-					t.Fatalf("%s, %d bytes: class %v differs from MatchStream", name, len(input), cl)
-				}
-			}
-			if want := presence(basis); basis.PresW != (len(classes)+63)/64 || !slices.Equal(basis.Pres, want) {
-				t.Fatalf("%s, %d bytes: %d-word presence rows %x, the words say %x", name, len(input), basis.PresW, basis.Pres, want)
-			}
+			checkStreams(t, app.name, app.sets, basis, input)
 		}
 		tr.Close()
 		if err := a.CheckBalanced(); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", app.name, err)
 		}
-		t.Logf("%s: %d classes, %d statements → %d ops, %d registers", name, ev.outs, len(p.Stmts), len(ev.ops), ev.regs)
+		t.Logf("%s: %d classes → %d ops, %d registers", app.name, ev.outs, len(ev.ops), ev.regs)
+		if app.name == "hand" {
+			continue
+		}
+		pin, ok := evalOps[app.name]
+		switch {
+		case !ok:
+			t.Errorf("%s: no pinned op count", app.name)
+		case len(ev.ops) != pin.ops:
+			t.Errorf("%s: %d ops, pinned %d", app.name, len(ev.ops), pin.ops)
+		case 100*pin.ops > 65*pin.old:
+			t.Errorf("%s: %d ops is more than 65 %% of the old evaluator's %d", app.name, pin.ops, pin.old)
+		}
 	}
+}
+
+// FuzzClassEval computes random classes over random input and holds every
+// stream and presence row to byte membership. The first 32 bytes of sets
+// drive the class sizes (a byte b gives a class of about b members, or its
+// complement); classes after the first 32 reuse the earlier bytes.
+func FuzzClassEval(f *testing.F) {
+	f.Add([]byte{0, 1, 128, 129, 255, 254, 16, 240}, int64(1), []byte("ab\x00\xff\x80 0123456789"))
+	f.Add([]byte{200}, int64(2), bytes.Repeat([]byte{0x41, 0xc1}, 100))
+	f.Add([]byte{}, int64(3), []byte{})
+	f.Fuzz(func(t *testing.T, sizes []byte, seed int64, input []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		n := min(len(sizes), 300)
+		sets := make([]charclass.Class, n)
+		for i := range sets {
+			size := int(sizes[i%32])
+			if i >= 32 {
+				size = int(sizes[i%32] ^ sizes[i%len(sizes)])
+			}
+			for range size {
+				sets[i].Add(byte(rng.Intn(256)))
+			}
+			if size%2 == 1 {
+				sets[i] = sets[i].Negate()
+			}
+		}
+		ev := newClassEval(sets)
+		tr := arena.NewTracker(nil)
+		defer tr.Close()
+		basis := &transpose.Basis{}
+		cs := newClassStreams(ev, basis, tr)
+		for _, in := range [][]byte{input, input[:len(input)/2]} {
+			transpose.TransposeInto(basis, in)
+			cs.compute(ev, basis, tr)
+			checkStreams(t, "fuzz", sets, basis, in)
+		}
+	})
 }
 
 // presence is the presence rows of basis's extended streams word by word:
@@ -153,14 +232,7 @@ func TestOccupancyAnswersLikeTheWords(t *testing.T) {
 	nonZero := func(x uint64) bool { return x != 0 }
 	var edge, second int
 	for _, classes := range [][]charclass.Class{pair, append(absent, pair...)} {
-		p, err := lower.SharedProgram(classes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := newClassEval(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := newClassEval(classes)
 		tr := arena.NewTracker(nil)
 		defer tr.Close()
 		basis := &transpose.Basis{}
@@ -211,9 +283,7 @@ func BenchmarkSharedClasses(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := &Engine{}
-	if _, err := e.initShared(partition(app.Regexes, gpusim.DefaultGrid().CTAs)); err != nil {
-		b.Fatal(err)
-	}
+	e.initShared(partition(app.Regexes, gpusim.DefaultGrid().CTAs))
 	basis := transpose.Transpose(app.Input)
 	tr := arena.NewTracker(nil)
 	defer tr.Close()

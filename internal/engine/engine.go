@@ -161,12 +161,12 @@ func (g *Group) Clone() Group {
 type Engine struct {
 	cfg    Config
 	groups []Group
-	// shared, when non-nil, computes the match streams of character classes
-	// used by several CTA groups. It is the stored form (snapshots, resident
-	// bytes); classes is what runs it: every scan session evaluates it once
-	// per chunk over the raw basis and binds its outputs as extended basis
-	// streams.
-	shared  *ir.Program
+	// shared lists the character classes several CTA groups use, as byte
+	// sets in extended-basis slot order. It is the stored form (snapshots,
+	// resident bytes); classes is what computes them: every scan session
+	// evaluates it once per chunk over the raw basis and binds its outputs as
+	// extended basis streams. Both are nil when no class is shared.
+	shared  []charclass.Class
 	classes *classEval
 	// matchNames lists every output name across groups in ascending order;
 	// a name's index is its rank, the integer stand-in for byte-wise string
@@ -274,16 +274,13 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 	start := time.Now()
 	e := &Engine{cfg: cfg}
 	parts := partition(regexes, cfg.Grid.CTAs)
-	sharedCC, err := e.initShared(parts)
-	if err != nil {
-		return nil, err
-	}
+	sharedCC := e.initShared(parts)
 	// The groups are independent by construction (that is what lets the GPU
 	// run them as separate CTAs): nothing in a group's output depends on which
 	// worker compiled it or when.
 	e.groups = make([]Group, len(parts))
 	stats := make([]PassStats, len(parts))
-	err = fanOut(len(parts), func(_, gi int) error {
+	err := fanOut(len(parts), func(_, gi int) error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return bgerr.Canceled(err)
@@ -332,11 +329,11 @@ const maxSharedClasses = 256
 
 // initShared selects the character classes worth computing once per scan —
 // those expanded by at least two CTA groups — in deterministic first-use
-// order, and builds the shared program producing their match streams.
+// order, and compiles the evaluator producing their match streams.
 // Single-group engines share nothing.
-func (e *Engine) initShared(parts []part) (map[charclass.Class]int, error) {
+func (e *Engine) initShared(parts []part) map[charclass.Class]int {
 	if len(parts) < 2 {
-		return nil, nil
+		return nil
 	}
 	counts := make(map[charclass.Class]int)
 	var order []charclass.Class
@@ -358,43 +355,51 @@ func (e *Engine) initShared(parts []part) (map[charclass.Class]int, error) {
 		}
 	}
 	if len(classes) == 0 {
-		return nil, nil
+		return nil
 	}
-	prog, err := lower.SharedProgram(classes)
-	if err == nil {
-		e.classes, err = newClassEval(prog)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	e.shared = prog
+	e.shared, e.classes = classes, newClassEval(classes)
 	slots := make(map[charclass.Class]int, len(classes))
 	for i, cl := range classes {
 		slots[cl] = i
 	}
-	return slots, nil
+	return slots
 }
 
-// Shared returns a copy of the shared-class program, or nil when the engine
-// shares no classes (snapshots persist it; the copy keeps internal state
-// unaliased).
+// SharedClasses returns a copy of the shared classes in slot order, or nil
+// when the engine shares none. Snapshots persist them.
+func (e *Engine) SharedClasses() []charclass.Class {
+	return slices.Clone(e.shared)
+}
+
+// Shared returns the shared classes as an IR program, one output per class
+// named by its key, in slot order, or nil when the engine shares none. It is
+// built on each call and nothing in the engine runs it: only the repo
+// benchmark's ledger reads it, to lower groups against the same slots.
 func (e *Engine) Shared() *ir.Program {
 	if e.shared == nil {
 		return nil
 	}
-	return e.shared.Clone()
+	p, err := lower.SharedProgram(e.shared)
+	if err != nil {
+		panic(err) // a builder's program of plain classes is always valid
+	}
+	return p
 }
 
 // ResidentBytes measures the engine's durable compiled state: every group's
-// stored program form, names and output tables, the shared-class program,
-// and the rank tables. Transient scan state (scan sessions, pooled
-// or not, and their arenas) is excluded — it exists only while scans run.
+// stored program form, names and output tables, the shared classes' 32-byte
+// sets and their evaluator's ops, and the rank tables. Transient scan state
+// (scan sessions, pooled or not, and their arenas) is excluded — it exists
+// only while scans run.
 func (e *Engine) ResidentBytes() int64 {
 	var sz int64 = 128
 	for i := range e.groups {
 		sz += e.groups[i].SizeBytes()
 	}
-	sz += ir.ProgramSizeBytes(e.shared)
+	sz += 32 * int64(len(e.shared))
+	if e.classes != nil {
+		sz += classOpBytes * int64(len(e.classes.ops))
+	}
 	for _, n := range e.matchNames {
 		sz += 16 + int64(len(n))
 	}
@@ -408,11 +413,10 @@ func (e *Engine) ResidentBytes() int64 {
 // snapshot-load path. No lowering or passes run; the groups carry their
 // already-transformed packed programs. Every program is decoded and
 // re-validated so a snapshot that passed checksums but violates IR
-// invariants is still refused before it can execute. shared, when non-nil,
-// is the engine's shared-class program — refused unless it is the
-// straight-line class program Compile builds; groups whose programs read
-// extended basis bits require it.
-func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Engine, error) {
+// invariants is still refused before it can execute. shared lists the
+// engine's shared classes in slot order: at most maxSharedClasses of them,
+// and at least as many as any group's program reads as extended basis bits.
+func Restore(cfg Config, groups []Group, shared []charclass.Class, ps PassStats) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Grid.Validate(); err != nil {
 		return nil, err
@@ -420,16 +424,13 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("engine: no groups")
 	}
-	var classes *classEval
-	sharedOutputs := 0
-	if shared != nil {
-		var err error
-		if classes, err = newClassEval(shared); err != nil {
-			return nil, fmt.Errorf("engine: restored shared program invalid: %w", err)
-		}
-		sharedOutputs = len(shared.Outputs)
+	if len(shared) > maxSharedClasses {
+		return nil, fmt.Errorf("engine: %d shared classes, at most %d", len(shared), maxSharedClasses)
 	}
-	e := &Engine{cfg: cfg, groups: groups, shared: shared, classes: classes, PassStats: ps}
+	e := &Engine{cfg: cfg, groups: groups, PassStats: ps}
+	if len(shared) > 0 {
+		e.shared, e.classes = shared, newClassEval(shared)
+	}
 	sess := make([]*kernel.Session, len(groups))
 	err := fanOut(len(groups), func(_, i int) error {
 		g := &groups[i]
@@ -440,9 +441,9 @@ func Restore(cfg Config, groups []Group, shared *ir.Program, ps PassStats) (*Eng
 		if sess[i], err = kernel.Compile(prog, e.kernelConfig()); err != nil { // which validates it
 			return fmt.Errorf("engine: restored group %d invalid: %w", i, err)
 		}
-		if prog.ExtBits > sharedOutputs {
-			return fmt.Errorf("engine: restored group %d reads %d shared streams, shared program provides %d",
-				i, prog.ExtBits, sharedOutputs)
+		if prog.ExtBits > len(shared) {
+			return fmt.Errorf("engine: restored group %d reads %d shared streams, %d classes are shared",
+				i, prog.ExtBits, len(shared))
 		}
 		g.Outputs = prog.Outputs
 		return nil

@@ -145,8 +145,8 @@ func MustDecodeProgram(data []byte) *Program {
 
 // ProgramSizeBytes estimates the resident heap footprint of the boxed
 // pointer-IR form of p: statement nodes, boxed expressions, slice headers,
-// outputs, and the barrier schedule. The engine's shared-class program is
-// resident in this form; group programs are resident packed.
+// outputs, and the barrier schedule. No engine state is resident in this
+// form: group programs are resident packed, and this prices what that saves.
 func ProgramSizeBytes(p *Program) int64 {
 	if p == nil {
 		return 0

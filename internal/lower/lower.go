@@ -123,9 +123,9 @@ func Classes(regexes []Regex) []charclass.Class {
 
 // SharedProgram lowers a list of character classes into one bitstream
 // program with an output per class, named by the class content key and in
-// slot order. The engine interprets it once per scan chunk over the raw
-// basis and binds the outputs as extended basis streams 8..8+n-1, so every
-// group that references a shared class reads the same precomputed stream.
+// slot order: output i is extended basis stream 8+i of the groups that share
+// the classes. The engine computes those streams from the classes' byte sets,
+// not from this program; Engine.Shared builds it for the repo benchmark.
 func SharedProgram(classes []charclass.Class) (*ir.Program, error) {
 	b := ir.NewBuilder()
 	for _, cl := range classes {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"bitgen"
 	"bitgen/internal/cluster"
 	"bitgen/internal/snapshot"
 )
@@ -53,6 +55,68 @@ func TestSnapshotRestart(t *testing.T) {
 	}
 	if g := snap.Gauges["bitgen_serve_engine_cache_resident_bytes"]; g <= 0 {
 		t.Errorf("resident bytes = %v, want > 0 after the snapshot load", g)
+	}
+}
+
+// TestFormatV2SnapshotRecompiles: testdata/v2.bgsnap is a snapshot the
+// previous format wrote (v2, its shared classes stored as an IR program) for
+// a set whose three groups share classes. Under its own key in a fresh
+// server's directory it is refused as version-mismatch before anything is
+// decoded, quarantined, and the set is compiled, served and saved again in
+// the current format.
+func TestFormatV2SnapshotRecompiles(t *testing.T) {
+	patterns := []string{"v2snap[a-f]+x", "old[a-f][0-9]", "[a-f][0-9]z"}
+	body := `{"patterns":["v2snap[a-f]+x","old[a-f][0-9]","[a-f][0-9]z"],"input":"v2snapabcx old7 e5z"}`
+	old, err := os.ReadFile("testdata/v2.bgsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *bitgen.SnapshotError
+	if _, err := bitgen.DecodeEngine(old, nil); !errors.As(err, &se) || se.Reason != snapshot.ReasonVersion {
+		t.Fatalf("decoding the v2 snapshot: want %s, got %v", snapshot.ReasonVersion, err)
+	}
+
+	dir := t.TempDir()
+	s, hs := newTestServer(t, Config{SnapshotDir: dir})
+	opts := s.engineOptions(false)
+	key := bitgen.PatternSetKey(patterns, &opts)
+	path := filepath.Join(dir, key+snapshot.Ext)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, got, er := postMatch(t, hs.URL, body)
+	if code != http.StatusOK || got.Set != key {
+		t.Fatalf("match over a v2 snapshot: status %d, set %.12s (want %.12s): %+v", code, got.Set, key, er)
+	}
+	want := []jsonMatch{{Pattern: "v2snap[a-f]+x", Index: 0, End: 9}, {Pattern: "[a-f][0-9]z", Index: 2, End: 18}}
+	if err := sameMatches(got.Matches, want); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Metrics().Snapshot()
+	for name, n := range map[string]float64{
+		`bitgen_snapshot_verify_failures_total{reason="version-mismatch"}`: 1,
+		"bitgen_snapshot_quarantines_total":                                1,
+		"bitgen_snapshot_loads_total":                                      0,
+		"bitgen_serve_engine_compiles_total":                               1,
+		"bitgen_snapshot_saves_total":                                      1,
+	} {
+		if got := snap.Counter(name); got != n {
+			t.Errorf("%s = %v, want %v", name, got, n)
+		}
+	}
+	if _, err := os.Stat(path + snapshot.BadExt); err != nil {
+		t.Errorf("the v2 file was not quarantined: %v", err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := bitgen.DecodeEngine(saved, &opts)
+	if err != nil {
+		t.Fatalf("the re-saved snapshot: %v", err)
+	}
+	if eng.Patterns()[0] != patterns[0] {
+		t.Fatalf("the re-saved snapshot holds %q", eng.Patterns())
 	}
 }
 

@@ -34,10 +34,11 @@ import (
 
 // FormatVersion is the snapshot format this build writes and reads.
 // Loaders refuse any other version: snapshot compatibility is negotiated,
-// never guessed. v2 stores each group's program as its packed byte blob
-// (the same bytes the engine keeps resident) and adds the shared
-// character-class program section.
-const FormatVersion = 2
+// never guessed. v2 stored each group's program as its packed byte blob
+// (the same bytes the engine keeps resident) and added the shared
+// character-class program; v3 stores the shared classes as their 32-byte
+// membership sets instead of that program.
+const FormatVersion = 3
 
 var magic = [8]byte{'B', 'G', 'E', 'N', 'S', 'N', 'A', 'P'}
 

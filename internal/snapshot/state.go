@@ -1,11 +1,14 @@
 package snapshot
 
 import (
+	"bitgen/internal/charclass"
 	"bitgen/internal/engine"
-	"bitgen/internal/ir"
 )
 
-// Section names of the v2 format. Decode requires exactly these four, in
+// classBytes is the stored size of one shared class: its membership bytes.
+const classBytes = 32
+
+// Section names of the v3 format. Decode requires exactly these four, in
 // this order.
 const (
 	sectionMeta   = "meta"
@@ -35,15 +38,15 @@ type EngineState struct {
 	MaxLen    int
 	Nullable  []string
 	Unbounded []string
-	// Groups are the per-CTA compiled programs. v2 persists each program as
-	// its packed byte blob — the same bytes the engine keeps resident — so
+	// Groups are the per-CTA compiled programs, each persisted as its packed
+	// byte blob — the same bytes the engine keeps resident — so
 	// snapshots of compressed engines round-trip byte-identically. Decode leaves Outputs empty; Restore fills
 	// them from the validated programs.
 	Groups []engine.Group
-	// Shared is the engine-wide character-class program whose outputs bind
-	// the extended basis bits (MatchBasis ≥ 8) that group programs may read.
-	// Nil when the engine has no cross-group shared classes.
-	Shared *ir.Program
+	// Shared lists the character classes whose match streams bind the
+	// extended basis bits (MatchBasis ≥ 8) that group programs may read, in
+	// slot order. Nil when the engine has no cross-group shared classes.
+	Shared []charclass.Class
 	// PassStats aggregates what the optimization passes did at compile.
 	PassStats engine.PassStats
 }
@@ -77,11 +80,10 @@ func Encode(st *EngineState) []byte {
 	}
 
 	var shared enc
-	if st.Shared == nil {
-		shared.boolean(false)
-	} else {
-		shared.boolean(true)
-		shared.blob(ir.EncodeProgram(st.Shared))
+	shared.count(len(st.Shared))
+	for _, cl := range st.Shared {
+		b := cl.Bytes()
+		shared.b = append(shared.b, b[:]...)
 	}
 
 	return container([]section{
@@ -151,14 +153,11 @@ func Decode(data []byte) (*EngineState, error) {
 	}
 
 	sd := &dec{b: sections[3].payload, section: sectionShared}
-	if sd.boolean("shared-program flag") {
-		blob := sd.blob("shared program")
-		if sd.err == nil {
-			p, err := ir.DecodeProgram(blob)
-			if err != nil {
-				return nil, corrupt("shared program undecodable: %v", err)
-			}
-			st.Shared = p
+	if n := sd.count("shared class", classBytes); n > 0 {
+		st.Shared = make([]charclass.Class, n)
+		for i := range st.Shared {
+			st.Shared[i] = charclass.FromBytes([classBytes]byte(sd.b))
+			sd.b = sd.b[classBytes:]
 		}
 	}
 	if err := sd.done(); err != nil {
@@ -168,9 +167,9 @@ func Decode(data []byte) (*EngineState, error) {
 }
 
 // Restore builds the engine the state describes. engine.Restore is the trust
-// boundary — every program decoded and validated, each group's extended-basis
-// bits checked against the shared program's outputs — and its refusal of a
-// checksummed snapshot is reported as corruption.
+// boundary — every program decoded and validated, the shared classes
+// counted, each group's extended-basis bits checked against that count — and
+// its refusal of a checksummed snapshot is reported as corruption.
 func (st *EngineState) Restore(cfg engine.Config) (*engine.Engine, error) {
 	e, err := engine.Restore(cfg, st.Groups, st.Shared, st.PassStats)
 	if err != nil {

@@ -2,11 +2,14 @@ package bitgen
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 
+	"bitgen/internal/arena"
+	"bitgen/internal/engine"
 	"bitgen/internal/workload"
 )
 
@@ -83,6 +86,44 @@ func BenchmarkScanReaderSigs(b *testing.B) {
 		if err := eng.ScanReader(src, 0, func(Match) {}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkScanSessionChunkSize is the measurement behind DESIGN §17's
+// window-major row: stream_sigs' signature set (Yara at scale 0.05) over its
+// own 256 KiB input, scanned with ScanSession.Scan on one unpooled session
+// (one worker) in chunks of 16 KiB — one kernel window per group, so each
+// group's class loads and shifts run back to back with every other group's
+// over the same 16 KiB — or of 256 KiB, sixteen windows per group. One op is
+// the whole 256 KiB. Each size under its own CPU profile:
+//
+//	go test -run '^$' -bench 'ScanSessionChunkSize/16KiB' -benchtime 300x -cpuprofile cpu16.prof .
+//	go tool pprof -top bitgen.test cpu16.prof | grep fusedShiftBin
+func BenchmarkScanSessionChunkSize(b *testing.B) {
+	app, err := workload.Load("Yara", workload.Options{RegexScale: 0.05, InputBytes: 256 << 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := MustCompile(app.Patterns, nil)
+	for _, chunk := range []int{16 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", chunk>>10), func(b *testing.B) {
+			ss, err := eng.inner.NewScanSession(chunk, &arena.Arena{}, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ss.Close()
+			var dst []engine.ScanMatch
+			b.SetBytes(int64(len(app.Input)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for at := 0; at < len(app.Input); at += chunk {
+					if dst, err = ss.Scan(context.Background(), app.Input[at:at+chunk], int64(at), int64(at), dst[:0]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func EncodeEngine(e *Engine) []byte {
 		Nullable:    e.nullable,
 		Unbounded:   e.unbounded,
 		Groups:      e.inner.Groups(),
-		Shared:      e.inner.Shared(),
+		Shared:      e.inner.SharedClasses(),
 		PassStats:   e.inner.PassStats,
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"bitgen/internal/charclass"
 	"bitgen/internal/ir"
 	"bitgen/internal/snapshot"
 	"bitgen/internal/workload"
@@ -185,21 +187,9 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 // and validated once, by engine.Restore, not by snapshot.Decode. A snapshot
 // whose framing and CRCs are intact but whose group program violates IR
 // invariants — or is not a program at all — still never becomes an engine,
-// and is refused as corrupt, the reason that quarantines the file. So is a
-// valid shared-class program that is not the straight-line class program
-// Compile builds: it would run on the host evaluator, which reads raw basis
-// planes only.
+// and is refused as corrupt, the reason that quarantines the file.
 func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
 	good := EncodeEngine(compileFresh(t, nil))
-	// shared replaces the shared-class program with one of as many outputs,
-	// each naming variable 0, so every group still finds its streams.
-	shared := func(st *snapshot.EngineState, extBits int, stmts ...ir.Stmt) {
-		p := &ir.Program{NumVars: 1, ExtBits: extBits, Stmts: stmts}
-		for _, o := range st.Shared.Outputs {
-			p.Outputs = append(p.Outputs, ir.Output{Name: o.Name})
-		}
-		st.Shared = p
-	}
 	for name, damage := range map[string]func(st *snapshot.EngineState){
 		"outputs name never-assigned variables": func(st *snapshot.EngineState) {
 			p := ir.MustDecodeProgram(st.Groups[0].Packed)
@@ -207,23 +197,81 @@ func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
 			st.Groups[0].Packed = ir.EncodeProgram(p)
 		},
 		"not a program": func(st *snapshot.EngineState) { st.Groups[0].Packed = []byte{0xff, 0xfe, 0xfd} },
-		"shared program reads an extended basis stream": func(st *snapshot.EngineState) {
-			shared(st, 1, &ir.Assign{Dst: 0, Expr: ir.MatchBasis{Bit: 8}})
-		},
-		"shared program loops": func(st *snapshot.EngineState) {
-			shared(st, 0, &ir.Assign{Dst: 0, Expr: ir.MatchBasis{Bit: 1}},
-				&ir.While{Cond: 0, Body: []ir.Stmt{&ir.Assign{Dst: 0, Expr: ir.Zero{}}}})
-		},
 	} {
 		st, err := snapshot.Decode(good)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Shared == nil {
-			t.Fatal("the snapshot shares no classes")
-		}
 		damage(st)
 		_, err = DecodeEngine(snapshot.Encode(st), nil)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt {
+			t.Fatalf("%s: want a corrupt refusal, got %v", name, err)
+		}
+	}
+}
+
+// withShared returns snap with its last section, the shared classes, holding
+// payload instead, every checksum recomputed: damage behind valid framing.
+func withShared(snap, payload []byte) []byte {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	off := 16
+	for range binary.LittleEndian.Uint32(snap[12:]) - 1 {
+		off += 2 + int(binary.LittleEndian.Uint16(snap[off:]))
+		off += 8 + int(binary.LittleEndian.Uint64(snap[off:])) + 4
+	}
+	off += 2 + int(binary.LittleEndian.Uint16(snap[off:]))
+	out := binary.LittleEndian.AppendUint64(slices.Clone(snap[:off]), uint64(len(payload)))
+	out = append(out, payload...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+}
+
+// sharedPayload is a shared section declaring len(sets) classes followed by
+// their membership bytes.
+func sharedPayload(sets []charclass.Class) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(sets)))
+	for _, cl := range sets {
+		set := cl.Bytes()
+		b = append(b, set[:]...)
+	}
+	return b
+}
+
+// damagedShared are the shared sections a v3 loader must refuse as corrupt,
+// made from an engine's classes (at least one): the last set cut short, a
+// byte past the last set, 257 sets, and one set fewer than the groups read.
+func damagedShared(sets []charclass.Class) map[string][]byte {
+	whole := sharedPayload(sets)
+	many := make([]charclass.Class, 257)
+	for i := range many {
+		many[i] = sets[0]
+	}
+	return map[string][]byte{
+		"a truncated set":                  whole[:len(whole)-1],
+		"a trailing byte":                  append(slices.Clone(whole), 0),
+		"257 sets":                         sharedPayload(many),
+		"a set the groups read is missing": sharedPayload(sets[:len(sets)-1]),
+	}
+}
+
+// TestSnapshotSharedSectionRefused: a v3 shared section holds the classes'
+// byte sets, and the loader trusts two rules about it — at most 256 whole
+// sets, and at least as many as every group's program reads. A section that
+// breaks either, behind valid checksums, is refused as corrupt. Rewriting the
+// section with the engine's own sets reproduces the snapshot byte for byte.
+func TestSnapshotSharedSectionRefused(t *testing.T) {
+	eng := compileFresh(t, nil)
+	sets := eng.inner.SharedClasses()
+	if len(sets) == 0 {
+		t.Fatal("the snapshot shares no classes")
+	}
+	good := EncodeEngine(eng)
+	if rewritten := withShared(good, sharedPayload(sets)); !bytes.Equal(rewritten, good) {
+		t.Fatal("rewriting the shared section with the engine's own sets changed the snapshot")
+	}
+	for name, payload := range damagedShared(sets) {
+		_, err := DecodeEngine(withShared(good, payload), nil)
 		var se *SnapshotError
 		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt {
 			t.Fatalf("%s: want a corrupt refusal, got %v", name, err)
@@ -279,7 +327,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		flipped, huge := slices.Clone(snap), slices.Clone(snap)
 		flipped[seed%uint64(len(snap))] ^= 0x10
 		binary.LittleEndian.PutUint64(huge[18+int(binary.LittleEndian.Uint16(huge[16:18])):], math.MaxUint64-seed%5)
-		for _, hostile := range [][]byte{flipped, huge} {
+		hostiles := [][]byte{flipped, huge}
+		if sets := e.inner.SharedClasses(); len(sets) > 0 {
+			for _, payload := range damagedShared(sets) {
+				hostiles = append(hostiles, withShared(snap, payload))
+			}
+		}
+		for _, hostile := range hostiles {
 			if _, err := DecodeEngine(hostile, nil); !errors.Is(err, ErrSnapshot) {
 				t.Fatalf("a damaged snapshot: want ErrSnapshot, got %v", err)
 			}
