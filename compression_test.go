@@ -87,7 +87,7 @@ func TestStateCompressionResidency(t *testing.T) {
 	// tables and rank tables are the same in both layouts.
 	boxed := packed
 	for _, g := range e.inner.Groups() {
-		boxed += ir.ProgramSizeBytes(g.Prog()) - (int64(len(g.Packed)) + 24)
+		boxed += programSizeBytes(g.Prog()) - (int64(len(g.Packed)) + 24)
 	}
 	if packed <= 0 {
 		t.Fatalf("resident bytes must be measured, got %d", packed)
@@ -164,4 +164,36 @@ func TestNullableRefusalDeduped(t *testing.T) {
 	if !reflect.DeepEqual(ue.Patterns, want) {
 		t.Fatalf("refusal pattern list = %v, want deduplicated %v", ue.Patterns, want)
 	}
+}
+
+// programSizeBytes estimates the resident heap footprint of the boxed
+// pointer-IR form of p: statement nodes, boxed expressions, slice headers,
+// outputs, and the barrier schedule.
+func programSizeBytes(p *ir.Program) int64 {
+	sz := 64 + stmtsSizeBytes(p.Stmts) // Program struct itself
+	for _, o := range p.Outputs {
+		sz += 32 + int64(len(o.Name)) // Output struct + name bytes
+	}
+	if p.Barriers != nil {
+		sz += 48 // schedule struct + groups slice header
+		for _, g := range p.Barriers.Groups {
+			sz += 24 + 8*int64(len(g)) // member slice header + pointers
+		}
+	}
+	return sz
+}
+
+func stmtsSizeBytes(list []ir.Stmt) int64 {
+	sz := 24 + 16*int64(len(list)) // slice header + interface values
+	for _, s := range list {
+		switch x := s.(type) {
+		case *ir.Assign:
+			sz += 24 + 24 // Assign node + boxed Expr payload
+		case *ir.While:
+			sz += 16 + stmtsSizeBytes(x.Body)
+		case *ir.Guard:
+			sz += 24
+		}
+	}
+	return sz
 }

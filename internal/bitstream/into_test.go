@@ -70,7 +70,6 @@ func TestIntoOpsMatchAllocating(t *testing.T) {
 		check("AndNotInto", x.AndNot(y), func(d *Stream) *Stream { return x.AndNotInto(y, d) })
 		check("NotInto", x.Not(), func(d *Stream) *Stream { return x.NotInto(d) })
 		check("CopyInto", x.Clone(), func(d *Stream) *Stream { return x.CopyInto(d) })
-		check("AddInto", x.Add(y), func(d *Stream) *Stream { return x.AddInto(y, d) })
 		for _, k := range []int{0, 1, 3, 64, 65, n + 2} {
 			check("AdvanceInto", x.Advance(k), func(d *Stream) *Stream { return x.AdvanceInto(k, d) })
 			check("LookbackInto", x.Lookback(k), func(d *Stream) *Stream { return x.LookbackInto(k, d) })
@@ -96,7 +95,6 @@ func TestIntoOpsMatchAllocating(t *testing.T) {
 		alias("XorInto", x.Xor(y), func(d *Stream) *Stream { return d.XorInto(y, d) })
 		alias("AndNotInto", x.AndNot(y), func(d *Stream) *Stream { return d.AndNotInto(y, d) })
 		alias("NotInto", x.Not(), func(d *Stream) *Stream { return d.NotInto(d) })
-		alias("AddInto", x.Add(y), func(d *Stream) *Stream { return d.AddInto(y, d) })
 		alias("MatchStarInto", MatchStar(x, y), func(d *Stream) *Stream {
 			return MatchStarInto(d, d, y, tmpT, tmpS)
 		})
@@ -170,7 +168,6 @@ func BenchmarkIntoOps(b *testing.B) {
 		{"XorInto", func() { x.XorInto(y, dst) }},
 		{"AndNotInto", func() { x.AndNotInto(y, dst) }},
 		{"NotInto", func() { x.NotInto(dst) }},
-		{"AddInto", func() { x.AddInto(y, dst) }},
 		{"ShiftInto", func() { x.ShiftInto(17, dst) }},
 		{"MatchStarInto", func() { MatchStarInto(dst, x, y, tmpT, tmpS) }},
 	} {

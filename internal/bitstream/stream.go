@@ -506,7 +506,7 @@ func ShiftWords(dst, src []uint64, k int) {
 // The *Into variants write their result into a caller-supplied destination
 // stream instead of allocating a new one; they are the allocation-free hot
 // path of the streaming scanner. Every elementwise op (And/Or/Xor/AndNot/
-// Not/Copy/Add/MatchStar) permits dst to alias any operand: dst[i] is
+// Not/Copy/MatchStar) permits dst to alias any operand: dst[i] is
 // written only after the operands' word i is read. ShiftInto/AdvanceInto/
 // LookbackInto move words between indices and therefore require dst not to
 // alias src (except for a zero shift). All variants panic on a length
@@ -580,14 +580,6 @@ func (s *Stream) NotInto(dst *Stream) *Stream {
 func (s *Stream) CopyInto(dst *Stream) *Stream {
 	s.checkSameLen(dst)
 	copy(dst.words, s.words)
-	return dst
-}
-
-// AddInto sets dst = s + t (see Add). dst may alias s or t.
-func (s *Stream) AddInto(t, dst *Stream) *Stream {
-	s.checkInto(t, dst)
-	AddWords(dst.words, s.words, t.words)
-	dst.maskTail()
 	return dst
 }
 

@@ -47,19 +47,23 @@ type Analysis struct {
 	// [s - StaticMaxAdvance, e - StaticMinOffset).
 	StaticMaxAdvance int // = max(0, max Hi)
 	StaticMinOffset  int // = min(0, min Lo)
-	// LoopGrowth maps each while statement to the additional overlap bits
-	// one extra iteration of its body can require (the paper's μ·k term).
-	// The interleaved executor accumulates these at runtime to form the
-	// dynamic Δ(n).
+	// LoopGrowth maps each while statement to the additional left overlap
+	// bits — past data — one extra iteration of its body can require (the
+	// paper's μ·k term): the growth of its intervals' Hi. The interleaved
+	// executor accumulates these at runtime to form the dynamic Δ(n).
 	LoopGrowth map[*ir.While]int
-	// HasDynamic reports whether any loop has non-zero growth.
+	// LoopRightGrowth maps each while statement whose intervals' Lo falls on
+	// every iteration — a body that reads further into future data each time
+	// round — to that fall. Lowered programs have none; nil when empty.
+	LoopRightGrowth map[*ir.While]int
+	// HasDynamic reports whether any loop has non-zero left growth.
 	HasDynamic bool
-	// HasCarry reports whether the program contains Add or StarThru
-	// instructions, whose carry chains create data-dependent cross-block
-	// dependencies the executor must check at runtime.
+	// HasCarry reports whether the program contains StarThru instructions,
+	// whose carry chains create data-dependent cross-block dependencies the
+	// executor must check at runtime.
 	HasCarry bool
-	// free holds the interval buffers of ifs and whiles analyzed so far, for
-	// the next one's copies: runBody allocates one per nesting level.
+	// free holds the interval buffers of whiles analyzed so far, for the
+	// next one's copies: runBody allocates one per nesting level.
 	free [][]Interval
 }
 
@@ -101,20 +105,10 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 	for _, s := range body {
 		switch x := s.(type) {
 		case *ir.Assign:
-			switch x.Expr.(type) {
-			case ir.Add, ir.StarThru:
+			if _, ok := x.Expr.(ir.StarThru); ok {
 				a.HasCarry = true
 			}
 			env[x.Dst] = exprInterval(x.Expr, env)
-		case *ir.If:
-			// Either branch may be taken: join the branch effect with the
-			// fall-through state.
-			branch := a.clone(env)
-			a.runBody(x.Body, branch)
-			for i := range env {
-				env[i] = env[i].union(branch[i])
-			}
-			a.free = append(a.free, branch)
 		case *ir.While:
 			// First once-through gives the static contribution; a second
 			// pass measures per-iteration growth.
@@ -125,17 +119,19 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 			}
 			second := a.clone(first)
 			a.runBody(x.Body, second)
-			growth := 0
+			growth, right := 0, 0
 			for i := range second {
-				if d := second[i].Hi - first[i].Hi; d > growth {
-					growth = d
-				}
-				if d := first[i].Lo - second[i].Lo; d > growth {
-					growth = d
-				}
+				growth = max(growth, second[i].Hi-first[i].Hi)
+				right = max(right, first[i].Lo-second[i].Lo)
 			}
 			if prev, ok := a.LoopGrowth[x]; !ok || growth > prev {
 				a.LoopGrowth[x] = growth
+			}
+			if right > a.LoopRightGrowth[x] {
+				if a.LoopRightGrowth == nil {
+					a.LoopRightGrowth = make(map[*ir.While]int)
+				}
+				a.LoopRightGrowth[x] = right
 			}
 			copy(env, first)
 			a.free = append(a.free, first, second)
@@ -168,14 +164,10 @@ func exprInterval(e ir.Expr, env []Interval) Interval {
 		return env[x.X].union(env[x.Y])
 	case ir.Shift:
 		return env[x.Src].shift(x.K)
-	case ir.Add:
-		// Carries move toward the future by a data-dependent distance;
-		// the static component is the operand union (runtime checks
-		// handle boundary-crossing carry runs).
-		return env[x.X].union(env[x.Y])
 	case ir.StarThru:
 		// Statically the marker is read at j and j-1 and the class at j;
-		// the run-length-dependent reach backwards through C is dynamic.
+		// the run-length-dependent reach backwards through C is dynamic
+		// (runtime checks handle boundary-crossing carry runs).
 		return env[x.M].union(env[x.M].shift(1)).union(env[x.C])
 	}
 	panic(fmt.Sprintf("dfg: unknown expression %T", e))

@@ -214,20 +214,25 @@ func TestZeroPathsRespectRedefinition(t *testing.T) {
 	}
 }
 
-func TestAnalyzeIfJoins(t *testing.T) {
-	// Shift inside an if must still count toward Δ.
+// TestLoopGrowthSplitsLeftFromRight: a loop that looks back on its own
+// condition reads one bit further into future data each iteration — right
+// growth 1, left growth 0 — while a lowered loop grows left only.
+func TestLoopGrowthSplitsLeftFromRight(t *testing.T) {
 	b := ir.NewBuilder()
-	s0 := b.MatchClass(charclass.Single('a'))
-	res := b.NewVar()
-	b.EmitTo(res, ir.Zero{})
-	b.If(s0, func() {
-		t0 := b.Advance(s0, 3)
-		b.EmitTo(res, ir.Copy{Src: t0})
+	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
+	m := b.Emit(ir.Copy{Src: sx})
+	b.While(m, func() {
+		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Emit(ir.Shift{Src: m, K: -1}), Y: sa})
 	})
-	out := b.Or(res, s0)
-	b.Output("re", out)
-	a := Analyze(b.Program())
-	if a.StaticDelta != 3 {
-		t.Fatalf("StaticDelta = %d, want 3", a.StaticDelta)
+	b.Output("run", m)
+	p := b.Program()
+	loop := p.Stmts[len(p.Stmts)-1].(*ir.While)
+	a := Analyze(p)
+	if a.LoopGrowth[loop] != 0 || a.LoopRightGrowth[loop] != 1 || a.HasDynamic {
+		t.Fatalf("lookback loop: left growth %d, right growth %d, dynamic %v; want 0, 1, false",
+			a.LoopGrowth[loop], a.LoopRightGrowth[loop], a.HasDynamic)
+	}
+	if a := Analyze(lower.MustSingle("re", "a(bc)*d")); a.LoopRightGrowth != nil {
+		t.Fatalf("a lowered loop grows right: %v", a.LoopRightGrowth)
 	}
 }

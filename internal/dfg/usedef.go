@@ -3,7 +3,7 @@ package dfg
 import "bitgen/internal/ir"
 
 // UseDef summarizes how a statement list touches each variable: Defs counts
-// assignments, Uses counts reads — instruction operands and guard/if/while
+// assignments, Uses counts reads — instruction operands and guard/while
 // conditions alike. The kernel's superblock compiler consults it to find
 // single-def single-use temporaries: a value defined by one instruction and
 // consumed exactly once by the instruction that immediately follows can be
@@ -24,7 +24,7 @@ func (ud UseDef) SingleUseTemp(v ir.VarID) bool {
 }
 
 // CountUseDef tallies definitions and uses over stmts (recursing into
-// if/while bodies). numVars bounds the variable space.
+// while bodies). numVars bounds the variable space.
 func CountUseDef(stmts []ir.Stmt, numVars int) UseDef {
 	counts := make([]int32, 2*numVars)
 	ud := UseDef{Defs: counts[:numVars], Uses: counts[numVars:], Last: ir.LastReads(stmts, numVars)}

@@ -418,12 +418,12 @@ func TestExplainReport(t *testing.T) {
 }
 
 func TestSequentialFootprintAtScaleExceedsMemory(t *testing.T) {
-	// Section 3.2: at the paper's scale, sequential execution's
-	// materialized intermediates exceed device memory. Verify the
+	// Section 3.2: at the paper's scale, the materialized intermediates of
+	// execution that is not interleaved exceed device memory. Verify the
 	// footprint arithmetic: our small run's footprint, extrapolated to
 	// 256 CTAs × 1 MB inputs × a paper-sized program, crosses 24 GB.
 	regexes := mustRegexes(t, "ab(cd)*e", "xy+z", "hello", "w[aeiou]rld")
-	cfg := Config{Mode: kernel.ModeSequential, Grid: smallGrid, KeepOutputs: false}
+	cfg := Config{Mode: kernel.ModeBase, Grid: smallGrid, KeepOutputs: false}
 	e, err := Compile(regexes, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestSequentialFootprintAtScaleExceedsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.IntermediateFootprintBytes <= 0 {
-		t.Fatal("sequential run reported no intermediate footprint")
+		t.Fatal("Base run reported no intermediate footprint")
 	}
 	if res.ExceedsDeviceMemory {
 		t.Fatal("tiny run cannot exceed 24GB")

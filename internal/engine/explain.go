@@ -69,10 +69,8 @@ func (e *Engine) Explain() *Report {
 		rep.Totals.Not += gr.Stats.Not
 		rep.Totals.Xor += gr.Stats.Xor
 		rep.Totals.Shift += gr.Stats.Shift
-		rep.Totals.Add += gr.Stats.Add
 		rep.Totals.Star += gr.Stats.Star
 		rep.Totals.While += gr.Stats.While
-		rep.Totals.If += gr.Stats.If
 		rep.Totals.Assigns += gr.Stats.Assigns
 	}
 	return rep

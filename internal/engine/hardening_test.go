@@ -112,9 +112,9 @@ func TestKernelFaultsCarryTheirErrorClass(t *testing.T) {
 		{faultinject.KernelPanic, func(err error) bool { return errors.As(err, &ie) }},
 		{faultinject.WhileCap, func(err error) bool { return errors.Is(err, bgerr.ErrLimit) }},
 	} {
-		// Sequential mode runs the loop as a global while, where the cap sits.
+		// Base mode runs the loop as a global while, where the cap sits.
 		inj := faultinject.New(1).ArmNth(tc.point, 1)
-		e, err := Compile(mustRegexes(t, "x(de)*y"), Config{Mode: kernel.ModeSequential, Grid: smallGrid, Inject: inj})
+		e, err := Compile(mustRegexes(t, "x(de)*y"), Config{Mode: kernel.ModeBase, Grid: smallGrid, Inject: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,9 +171,9 @@ func TestMaxProgramInstructionsRefusal(t *testing.T) {
 }
 
 func TestMemoryBudgetRefusal(t *testing.T) {
-	// Sequential mode materializes every intermediate, so even a small
+	// Base mode materializes what crosses its loops, so even a small
 	// pattern set exceeds a one-byte budget.
-	cfg := Config{Mode: kernel.ModeSequential, Grid: smallGrid, MemoryBudgetBytes: 1}
+	cfg := Config{Mode: kernel.ModeBase, Grid: smallGrid, MemoryBudgetBytes: 1}
 	e, err := Compile(mustRegexes(t, "cat", "dog(gy)?"), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 	cfg.Grid.CTAs = 2
 	for _, budget := range []int64{0, 1} {
 		if cfg.MemoryBudgetBytes = budget; budget > 0 {
-			cfg.Mode = kernel.ModeSequential // materializes every intermediate
+			cfg.Mode = kernel.ModeBase // materializes what crosses its loops
 		}
 		if e, err = Compile(mustRegexes(t, "ab*c", "b+c"), cfg); err != nil {
 			t.Fatal(err)

@@ -68,9 +68,6 @@ func (b *Builder) AndNot(x, y VarID) VarID { return b.Emit(Bin{OpAndNot, x, y}) 
 // Xor emits x ^ y.
 func (b *Builder) Xor(x, y VarID) VarID { return b.Emit(Bin{OpXor, x, y}) }
 
-// Sum emits the arithmetic addition x + y (MatchStar's carry smear).
-func (b *Builder) Sum(x, y VarID) VarID { return b.Emit(Add{x, y}) }
-
 // Not emits ~x.
 func (b *Builder) Not(x VarID) VarID { return b.Emit(Not{x}) }
 
@@ -80,15 +77,6 @@ func (b *Builder) Advance(x VarID, k int) VarID {
 		panic(fmt.Sprintf("ir: Advance distance %d", k))
 	}
 	return b.Emit(Shift{x, k})
-}
-
-// If opens an if(cond) block, runs body, and closes it.
-func (b *Builder) If(cond VarID, body func()) {
-	blk := &If{Cond: cond}
-	*b.top() = append(*b.top(), blk)
-	b.stack = append(b.stack, &blk.Body)
-	body()
-	b.stack = b.stack[:len(b.stack)-1]
 }
 
 // While opens a while(cond) block, runs body, and closes it.

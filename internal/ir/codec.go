@@ -2,6 +2,7 @@ package ir
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -16,9 +17,11 @@ import (
 //
 // Statement and expression tags are frozen (they are also the snapshot v1
 // wire values); new tags append and require a snapshot format-version bump.
+// Statement tag 2 and expression tag 6 are reserved: they carried an if
+// statement and a raw addition, which no compile ever emitted, and a packed
+// program holding either is refused like any unknown tag.
 const (
 	tagAssign = 1
-	tagIf     = 2
 	tagWhile  = 3
 	tagGuard  = 4
 
@@ -28,10 +31,13 @@ const (
 	tagNot        = 3
 	tagBin        = 4
 	tagShift      = 5
-	tagAdd        = 6
 	tagStarThru   = 7
 	tagMatchBasis = 8
 )
+
+// ErrMalformed is what DecodeProgram's errors wrap: the bytes are not a
+// packed program.
+var ErrMalformed = errors.New("ir: malformed packed program")
 
 // EncodeProgram serializes p into its packed byte form.
 //
@@ -81,7 +87,8 @@ func EncodeProgram(p *Program) []byte {
 
 // DecodeProgram parses a packed program. It checks structural framing only;
 // callers that execute the result must still run Validate (decode of bytes
-// produced by EncodeProgram from a validated program cannot fail).
+// produced by EncodeProgram from a validated program cannot fail). Its
+// errors wrap ErrMalformed.
 func DecodeProgram(data []byte) (*Program, error) {
 	d := &progDec{b: data}
 	p := &Program{}
@@ -127,7 +134,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 		return nil, d.err
 	}
 	if len(d.b) != 0 {
-		return nil, fmt.Errorf("ir: %d undecoded trailing bytes in packed program", len(d.b))
+		return nil, fmt.Errorf("%w: %d undecoded trailing bytes", ErrMalformed, len(d.b))
 	}
 	return p, nil
 }
@@ -141,45 +148,6 @@ func MustDecodeProgram(data []byte) *Program {
 		panic("ir: corrupt packed program: " + err.Error())
 	}
 	return p
-}
-
-// ProgramSizeBytes estimates the resident heap footprint of the boxed
-// pointer-IR form of p: statement nodes, boxed expressions, slice headers,
-// outputs, and the barrier schedule. No engine state is resident in this
-// form: group programs are resident packed, and this prices what that saves.
-func ProgramSizeBytes(p *Program) int64 {
-	if p == nil {
-		return 0
-	}
-	var sz int64 = 64 // Program struct itself
-	sz += stmtsSizeBytes(p.Stmts)
-	for _, o := range p.Outputs {
-		sz += 32 + int64(len(o.Name)) // Output struct + name bytes
-	}
-	if p.Barriers != nil {
-		sz += 48 // schedule struct + groups slice header
-		for _, g := range p.Barriers.Groups {
-			sz += 24 + 8*int64(len(g)) // member slice header + pointers
-		}
-	}
-	return sz
-}
-
-func stmtsSizeBytes(list []Stmt) int64 {
-	sz := 24 + 16*int64(len(list)) // slice header + interface values
-	for _, s := range list {
-		switch x := s.(type) {
-		case *Assign:
-			sz += 24 + 24 // Assign node + boxed Expr payload
-		case *If:
-			sz += 16 + stmtsSizeBytes(x.Body)
-		case *While:
-			sz += 16 + stmtsSizeBytes(x.Body)
-		case *Guard:
-			sz += 24
-		}
-	}
-	return sz
 }
 
 // ---- packed-payload primitives ----
@@ -212,10 +180,6 @@ func (e *progEnc) stmts(list []Stmt) {
 			e.uvarint(tagAssign)
 			e.varint(int64(x.Dst))
 			e.expr(x.Expr)
-		case *If:
-			e.uvarint(tagIf)
-			e.varint(int64(x.Cond))
-			e.stmts(x.Body)
 		case *While:
 			e.uvarint(tagWhile)
 			e.varint(int64(x.Cond))
@@ -251,10 +215,6 @@ func (e *progEnc) expr(x Expr) {
 		e.uvarint(tagShift)
 		e.varint(int64(v.Src))
 		e.varint(int64(v.K))
-	case Add:
-		e.uvarint(tagAdd)
-		e.varint(int64(v.X))
-		e.varint(int64(v.Y))
 	case StarThru:
 		e.uvarint(tagStarThru)
 		e.varint(int64(v.M))
@@ -276,7 +236,7 @@ type progDec struct {
 
 func (d *progDec) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("ir: malformed packed program: %s", what)
+		d.err = fmt.Errorf("%w: %s", ErrMalformed, what)
 	}
 }
 
@@ -363,10 +323,6 @@ func (d *progDec) stmts() []Stmt {
 			a := &Assign{Dst: VarID(d.varint("assign dst"))}
 			a.Expr = d.expr()
 			out = append(out, a)
-		case tagIf:
-			s := &If{Cond: VarID(d.varint("if cond"))}
-			s.Body = d.stmts()
-			out = append(out, s)
 		case tagWhile:
 			s := &While{Cond: VarID(d.varint("while cond"))}
 			s.Body = d.stmts()
@@ -402,8 +358,6 @@ func (d *progDec) expr() Expr {
 		return Bin{Op: op, X: VarID(d.varint("bin x")), Y: VarID(d.varint("bin y"))}
 	case tagShift:
 		return Shift{Src: VarID(d.varint("shift src")), K: int(d.varint("shift k"))}
-	case tagAdd:
-		return Add{X: VarID(d.varint("add x")), Y: VarID(d.varint("add y"))}
 	case tagStarThru:
 		return StarThru{M: VarID(d.varint("starthru m")), C: VarID(d.varint("starthru c"))}
 	case tagMatchBasis:

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -19,14 +20,12 @@ func codecFixture() *Program {
 		&Assign{Dst: 3, Expr: Bin{Op: OpAndNot, X: 2, Y: 0}},
 		shiftA,
 		shiftB,
-		&Assign{Dst: 6, Expr: Add{X: 4, Y: 5}},
+		&Assign{Dst: 6, Expr: Bin{Op: OpAnd, X: 4, Y: 5}},
 		&Assign{Dst: 7, Expr: StarThru{M: 6, C: 2}},
 		&Guard{Cond: 7, Skip: 2},
 		&Assign{Dst: 8, Expr: Bin{Op: OpOr, X: 7, Y: 6}},
 		&Assign{Dst: 9, Expr: Bin{Op: OpXor, X: 8, Y: 0}},
-		&If{Cond: 9, Body: []Stmt{
-			&Assign{Dst: 10, Expr: Bin{Op: OpAnd, X: 9, Y: 1}},
-		}},
+		&Assign{Dst: 10, Expr: Bin{Op: OpAnd, X: 9, Y: 1}},
 		&While{Cond: 10, Body: []Stmt{
 			&Assign{Dst: 11, Expr: Shift{Src: 10, K: 3}},
 			&Assign{Dst: 10, Expr: Bin{Op: OpAndNot, X: 11, Y: 9}},
@@ -105,5 +104,61 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeProgram(nil); err == nil {
 		t.Fatal("empty input decoded without error")
+	}
+}
+
+// TestCodecRefusesReservedTags: statement tag 2 and expression tag 6 carried
+// an if statement and a raw addition, which the IR no longer has. Each is
+// spliced in where a while and a StarThru — the same layouts — decode, and
+// DecodeProgram refuses it with ErrMalformed.
+func TestCodecRefusesReservedTags(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		valid, reserved uint64
+		stmt            bool
+	}{
+		{"statement tag 2", tagWhile, 2, true},
+		{"expression tag 6", tagStarThru, 6, false},
+	} {
+		// S0 = ~0, then while (S0): S0 = 0, or S1 = MatchStar(S0, S0).
+		pack := func(tag uint64) []byte {
+			var e progEnc
+			e.varint(2) // num-vars
+			e.varint(0) // ext-bits
+			e.count(1)
+			e.str("o")
+			e.varint(0)
+			e.boolean(false)
+			e.count(2)
+			e.uvarint(tagAssign)
+			e.varint(0)
+			e.uvarint(tagOnes)
+			if c.stmt {
+				e.uvarint(tag)
+				e.varint(0)
+				e.count(1)
+				e.uvarint(tagAssign)
+				e.varint(0)
+				e.uvarint(tagZero)
+			} else {
+				e.uvarint(tagAssign)
+				e.varint(1)
+				e.uvarint(tag)
+				e.varint(0)
+				e.varint(0)
+			}
+			e.boolean(false)
+			return e.b
+		}
+		p, err := DecodeProgram(pack(c.valid))
+		if err != nil {
+			t.Fatalf("%s: the valid splice: %v", c.name, err)
+		}
+		if err := Validate(p); err != nil {
+			t.Fatalf("%s: the valid splice: %v", c.name, err)
+		}
+		if _, err := DecodeProgram(pack(c.reserved)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: %v, want an error wrapping ErrMalformed", c.name, err)
+		}
 	}
 }

@@ -20,7 +20,6 @@ func TestExprStringAllForms(t *testing.T) {
 		"S1 &~ S2":          Bin{OpAndNot, 1, 2},
 		"S1 >> 3":           Shift{1, 3},
 		"S1 << 3":           Shift{1, -3},
-		"S1 + S2":           Add{1, 2},
 		"MatchStar(S1, S2)": StarThru{1, 2},
 		"b5":                MatchBasis{5},
 	}
@@ -46,9 +45,6 @@ func TestProgramStringWithControlFlow(t *testing.T) {
 	v := b.Emit(Ones{})
 	w := b.NewVar()
 	b.EmitTo(w, Zero{})
-	b.If(v, func() {
-		b.EmitTo(w, Copy{v})
-	})
 	b.While(w, func() {
 		b.EmitTo(w, Zero{})
 	})
@@ -57,7 +53,7 @@ func TestProgramStringWithControlFlow(t *testing.T) {
 	p.Stmts = append(p.Stmts, &Assign{Dst: w, Expr: Copy{v}})
 	b.Output("x", w)
 	text := p.String()
-	for _, want := range []string{"if (S0):", "while (S1):", "if (!S0) skip 0", "# output x"} {
+	for _, want := range []string{"while (S1):", "if (!S0) skip 0", "# output x"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
@@ -66,7 +62,7 @@ func TestProgramStringWithControlFlow(t *testing.T) {
 
 func TestValidateMoreErrors(t *testing.T) {
 	// Unknown basis bit caught (done elsewhere); here: guard cond OK but
-	// skip covering an If whose body defines vars — exercise zeroDefs on
+	// skip covering a while whose body defines vars — exercise zeroDefs on
 	// nested statements via interpretation.
 	b := NewBuilder()
 	cond := b.MatchClass(charclass.Single('q')) // absent from input
@@ -74,8 +70,8 @@ func TestValidateMoreErrors(t *testing.T) {
 	guard := &Guard{Cond: cond, Skip: 1}
 	p := b.Program()
 	p.Stmts = append(p.Stmts, guard)
-	ifStmt := &If{Cond: cond, Body: []Stmt{&Assign{Dst: dead, Expr: Ones{}}}}
-	p.Stmts = append(p.Stmts, ifStmt)
+	loop := &While{Cond: cond, Body: []Stmt{&Assign{Dst: dead, Expr: Ones{}}}}
+	p.Stmts = append(p.Stmts, loop)
 	out := b.Or(dead, cond)
 	b.Output("o", out)
 	if err := Validate(p); err != nil {
@@ -87,7 +83,7 @@ func TestValidateMoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Outputs["o"].Any() {
-		t.Fatal("guarded-off if body leaked ones")
+		t.Fatal("guarded-off loop body leaked ones")
 	}
 	if res.Stats.GuardSkips != 1 {
 		t.Fatalf("GuardSkips = %d", res.Stats.GuardSkips)
@@ -128,13 +124,11 @@ func TestCollectStatsControlFlow(t *testing.T) {
 	b := NewBuilder()
 	v := b.Emit(Ones{})
 	x := b.Xor(v, v)
-	s := b.Sum(v, x)
 	st := b.Emit(StarThru{M: v, C: x})
-	b.If(v, func() { b.EmitTo(x, Copy{v}) })
+	b.While(x, func() { b.EmitTo(x, Zero{}) })
 	b.Output("o", st)
-	_ = s
 	stats := CollectStats(b.Program())
-	if stats.Xor != 1 || stats.Add != 1 || stats.Star != 1 || stats.If != 1 {
+	if stats.Xor != 1 || stats.Star != 1 || stats.While != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 }
@@ -171,7 +165,7 @@ func TestBuilderMatchClassInsideControlFlowPanics(t *testing.T) {
 	}()
 	b := NewBuilder()
 	v := b.Emit(Ones{})
-	b.If(v, func() {
+	b.While(v, func() {
 		b.MatchClass(charclass.Single('x'))
 	})
 }

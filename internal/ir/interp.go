@@ -169,12 +169,6 @@ func (e *interpEnv) runBody(body []Stmt) error {
 			if err := e.assign(x); err != nil {
 				return err
 			}
-		case *If:
-			if e.get(x.Cond).Any() {
-				if err := e.runBody(x.Body); err != nil {
-					return err
-				}
-			}
 		case *While:
 			iters := 0
 			for {
@@ -213,10 +207,6 @@ func (e *interpEnv) zeroDefs(s Stmt) {
 	switch x := s.(type) {
 	case *Assign:
 		e.vars[x.Dst] = bitstream.New(e.n)
-	case *If:
-		for _, b := range x.Body {
-			e.zeroDefs(b)
-		}
 	case *While:
 		for _, b := range x.Body {
 			e.zeroDefs(b)
@@ -252,8 +242,6 @@ func (e *interpEnv) assign(a *Assign) error {
 		}
 	case Shift:
 		out = e.get(x.Src).Shift(x.K)
-	case Add:
-		out = e.get(x.X).Add(e.get(x.Y))
 	case StarThru:
 		out = bitstream.MatchStar(e.get(x.M), e.get(x.C))
 	case MatchBasis:

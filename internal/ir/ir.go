@@ -1,13 +1,13 @@
 // Package ir defines the bitstream-program intermediate representation of
 // the paper's Listing 2: a sequence of bitstream instructions (bitwise
 // operations and shifts over unbounded bitstreams in three-address form)
-// plus structured control flow (if / while) whose conditions are bitstreams
+// plus while loops and zero-block guards whose conditions are bitstreams
 // tested for "any bit set" (popcount > 0).
 //
-// The same IR feeds four consumers: the whole-stream CPU interpreter (the
-// icgrep analog and golden reference), the sequential block-wise GPU
-// executor, the interleaved GPU executor, and the analysis/transformation
-// passes (dataflow graph, shift rebalancing, zero-block skipping).
+// The same IR feeds three consumers: the whole-stream CPU interpreter (the
+// icgrep analog and golden reference), the block-wise GPU executor, and the
+// analysis/transformation passes (dataflow graph, shift rebalancing,
+// zero-block skipping).
 package ir
 
 import "bitgen/internal/charclass"
@@ -75,23 +75,17 @@ type Shift struct {
 	K   int
 }
 
-// Add is arithmetic addition of two bitstreams (carries ripple toward the
-// future). It implements Parabix's MatchStar: the Kleene closure of a
-// character class lowers to one advance plus one Add instead of a
-// fixed-point loop, which is why applications dominated by ".*" patterns
-// show tiny dynamic overlap distances in Table 5. Like Shift, Add creates
-// cross-block dependencies (a carry may enter from the previous block); the
-// interleaved executor detects boundary-crossing carry runs at runtime.
-type Add struct {
-	X, Y VarID
-}
-
 // StarThru is the fused MatchStar instruction: given end-position markers M
 // and a class stream C, it computes, with T = (M >> 1) & C,
 // ((((T + C) ^ C) | T) & C) | M — every position reachable from a marker
-// through a run of class bytes, plus the markers themselves. It is
-// zero-preserving in M (no markers in, no matches out), which keeps CC-star
-// chains on zero paths for ZBS.
+// through a run of class bytes, plus the markers themselves. The Kleene
+// closure of a character class lowers to it instead of a fixed-point loop,
+// which is why applications dominated by ".*" patterns show tiny dynamic
+// overlap distances in Table 5. Its carry creates cross-block dependencies
+// (a carry may enter from the previous block); the interleaved executor
+// detects boundary-crossing carry runs at runtime. It is zero-preserving in
+// M (no markers in, no matches out), which keeps CC-star chains on zero
+// paths for ZBS.
 type StarThru struct {
 	M, C VarID
 }
@@ -107,7 +101,6 @@ func (Copy) isExpr()       {}
 func (Not) isExpr()        {}
 func (Bin) isExpr()        {}
 func (Shift) isExpr()      {}
-func (Add) isExpr()        {}
 func (StarThru) isExpr()   {}
 func (MatchBasis) isExpr() {}
 
@@ -118,15 +111,6 @@ type Stmt interface{ isStmt() }
 type Assign struct {
 	Dst  VarID
 	Expr Expr
-}
-
-// If executes Body when Cond has any bit set in the active window. When the
-// branch is not taken, variables keep their prior values; the lowering
-// zero-initializes branch results before the if, exactly as the paper's
-// Figure 3 does (S8 = 0 before the if).
-type If struct {
-	Cond VarID
-	Body []Stmt
 }
 
 // While repeatedly executes Body while Cond has any bit set in the active
@@ -148,7 +132,6 @@ type Guard struct {
 }
 
 func (*Assign) isStmt() {}
-func (*If) isStmt()     {}
 func (*While) isStmt()  {}
 func (*Guard) isStmt()  {}
 
@@ -245,8 +228,6 @@ func cloneStmts(list []Stmt) []Stmt {
 		case *Assign:
 			c := *x
 			out[i] = &c
-		case *If:
-			out[i] = &If{Cond: x.Cond, Body: cloneStmts(x.Body)}
 		case *While:
 			out[i] = &While{Cond: x.Cond, Body: cloneStmts(x.Body)}
 		case *Guard:
@@ -282,9 +263,6 @@ func OperandsInto(e Expr, buf *[2]VarID) []VarID {
 	case Shift:
 		buf[0] = x.Src
 		return buf[:1]
-	case Add:
-		buf[0], buf[1] = x.X, x.Y
-		return buf[:2]
 	case StarThru:
 		buf[0], buf[1] = x.M, x.C
 		return buf[:2]
@@ -293,15 +271,13 @@ func OperandsInto(e Expr, buf *[2]VarID) []VarID {
 }
 
 // ReadsInto writes the variables s itself reads into buf and returns the
-// filled prefix: an assignment's operands, or a guard's, if's or while's
+// filled prefix: an assignment's operands, or a guard's or while's
 // condition. Bodies are not entered.
 func ReadsInto(s Stmt, buf *[2]VarID) []VarID {
 	switch x := s.(type) {
 	case *Assign:
 		return OperandsInto(x.Expr, buf)
 	case *Guard:
-		buf[0] = x.Cond
-	case *If:
 		buf[0] = x.Cond
 	case *While:
 		buf[0] = x.Cond
@@ -312,7 +288,7 @@ func ReadsInto(s Stmt, buf *[2]VarID) []VarID {
 }
 
 // LastReads returns, per variable, 1 + the index of the last statement of
-// stmts that reads it, a read inside an if or while body counting as its
+// stmts that reads it, a read inside a while body counting as its
 // enclosing statement's; 0 for a variable stmts never reads. Nothing in
 // stmts reads a variable's value after that statement.
 func LastReads(stmts []Stmt, numVars int) []int32 {
@@ -333,10 +309,7 @@ func LastReads(stmts []Stmt, numVars int) []int32 {
 func WalkStmts(list []Stmt, fn func(Stmt)) {
 	for _, s := range list {
 		fn(s)
-		switch x := s.(type) {
-		case *If:
-			WalkStmts(x.Body, fn)
-		case *While:
+		if x, ok := s.(*While); ok {
 			WalkStmts(x.Body, fn)
 		}
 	}
@@ -344,13 +317,13 @@ func WalkStmts(list []Stmt, fn func(Stmt)) {
 
 // Stats summarizes a program's instruction mix (the columns of Table 1).
 type Stats struct {
-	And, Or, Not, Xor, Shift, Add, Star, While, If int
-	Assigns                                        int
+	And, Or, Not, Xor, Shift, Star, While int
+	Assigns                               int
 }
 
 // Total returns the total instruction count.
 func (s Stats) Total() int {
-	return s.And + s.Or + s.Not + s.Xor + s.Shift + s.Add + s.Star + s.While + s.If
+	return s.And + s.Or + s.Not + s.Xor + s.Shift + s.Star + s.While
 }
 
 // CollectStats counts the instruction mix of a program.
@@ -374,15 +347,11 @@ func CollectStats(p *Program) Stats {
 				st.Not++
 			case Shift:
 				st.Shift++
-			case Add:
-				st.Add++
 			case StarThru:
 				st.Star++
 			}
 		case *While:
 			st.While++
-		case *If:
-			st.If++
 		}
 	})
 	return st

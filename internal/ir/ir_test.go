@@ -8,7 +8,8 @@ import (
 	"bitgen/internal/transpose"
 )
 
-// buildFigure3 hand-builds the paper's Figure 3 program for /(abc)|d/.
+// buildFigure3 hand-builds the paper's Figure 3 program for /(abc)|d/, its
+// if (S6) as the zero-block guard that skips the body and zeroes S8.
 func buildFigure3() *Program {
 	b := NewBuilder()
 	s1 := b.MatchClass(charclass.Single('a'))
@@ -17,13 +18,10 @@ func buildFigure3() *Program {
 	s4 := b.MatchClass(charclass.Single('d'))
 	s5 := b.Advance(s1, 1)
 	s6 := b.And(s5, s2) // ab
-	s8 := b.NewVar()
-	b.EmitTo(s8, Zero{})
-	b.If(s6, func() {
-		s7 := b.Advance(s6, 1)
-		b.EmitTo(s8, Bin{OpAnd, s7, s3}) // abc
-	})
-	s9 := b.Or(s8, s4) // abc|d
+	*b.top() = append(*b.top(), &Guard{Cond: s6, Skip: 2})
+	s7 := b.Advance(s6, 1)
+	s8 := b.And(s7, s3) // abc
+	s9 := b.Or(s8, s4)  // abc|d
 	b.Output("(abc)|d", s9)
 	return b.Program()
 }
@@ -45,15 +43,18 @@ func TestFigure3Program(t *testing.T) {
 }
 
 func TestFigure3IfNotTaken(t *testing.T) {
-	// With no "ab" anywhere, the if body is skipped and S8 stays zero.
+	// With no "ab" anywhere, the guard skips the if body and S8 is zero.
 	p := buildFigure3()
 	basis := transpose.Transpose([]byte("axdxxaxc"))
-	res, err := Interpret(p, basis, InterpOptions{})
+	res, err := Interpret(p, basis, InterpOptions{HonorGuards: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Outputs["(abc)|d"].String(); got != "..1....." {
 		t.Fatalf("S9 = %q, want only the d match", got)
+	}
+	if res.Stats.GuardSkips != 1 {
+		t.Fatalf("GuardSkips = %d, want the body skipped", res.Stats.GuardSkips)
 	}
 }
 
@@ -232,7 +233,7 @@ func TestCollectStats(t *testing.T) {
 	if st.And == 0 || st.Not == 0 || st.Or == 0 {
 		t.Errorf("unexpected zero counts: %+v", st)
 	}
-	if st.Total() != st.And+st.Or+st.Not+st.Xor+st.Shift+st.While+st.If {
+	if st.Total() != st.And+st.Or+st.Not+st.Xor+st.Shift+st.While {
 		t.Error("Total inconsistent")
 	}
 }

@@ -25,9 +25,6 @@ func writeStmts(b *strings.Builder, list []Stmt, depth int) {
 		switch x := s.(type) {
 		case *Assign:
 			fmt.Fprintf(b, "%sS%d = %s\n", indent, x.Dst, ExprString(x.Expr))
-		case *If:
-			fmt.Fprintf(b, "%sif (S%d):\n", indent, x.Cond)
-			writeStmts(b, x.Body, depth+1)
 		case *While:
 			fmt.Fprintf(b, "%swhile (S%d):\n", indent, x.Cond)
 			writeStmts(b, x.Body, depth+1)
@@ -55,8 +52,6 @@ func ExprString(e Expr) string {
 			return fmt.Sprintf("S%d >> %d", x.Src, x.K)
 		}
 		return fmt.Sprintf("S%d << %d", x.Src, -x.K)
-	case Add:
-		return fmt.Sprintf("S%d + S%d", x.X, x.Y)
 	case StarThru:
 		return fmt.Sprintf("MatchStar(S%d, S%d)", x.M, x.C)
 	case MatchBasis:

@@ -3,8 +3,8 @@ package ir
 import "fmt"
 
 // Validate checks structural well-formedness: every variable is defined
-// before use (conservatively: a definition inside an if/while body counts,
-// because predicated execution zero-initializes), variable ids are in
+// before use (conservatively: a definition inside a while body counts, since
+// a variable no iteration assigned reads as zero), variable ids are in
 // range, guards do not skip past the end of their body, and shift distances
 // are sane. It returns the first problem found.
 func Validate(p *Program) error {
@@ -47,13 +47,6 @@ func validateBody(p *Program, body []Stmt, defined []bool) error {
 				return fmt.Errorf("ir: assignment to S%d out of range [0,%d)", x.Dst, p.NumVars)
 			}
 			defined[x.Dst] = true
-		case *If:
-			if err := checkUse(p, x.Cond, defined); err != nil {
-				return err
-			}
-			if err := validateBody(p, x.Body, defined); err != nil {
-				return err
-			}
 		case *While:
 			if err := checkUse(p, x.Cond, defined); err != nil {
 				return err

@@ -12,45 +12,6 @@ import (
 	"bitgen/internal/transpose"
 )
 
-// buildIfProgram builds a program with a hand-written if (the lowering
-// never emits ifs, so the executors' if-paths need direct coverage).
-func buildIfProgram() *ir.Program {
-	b := ir.NewBuilder()
-	sa := b.MatchClass(charclass.Single('a'))
-	sb := b.MatchClass(charclass.Single('b'))
-	res := b.NewVar()
-	b.EmitTo(res, ir.Zero{})
-	b.If(sa, func() {
-		t := b.Advance(sa, 1)
-		b.EmitTo(res, ir.Bin{Op: ir.OpAnd, X: t, Y: sb})
-	})
-	out := b.Or(res, sb)
-	b.Output("re", out)
-	return b.Program()
-}
-
-func TestIfStatementAllModes(t *testing.T) {
-	for _, input := range []string{
-		strings.Repeat("ab", 40),                                 // branch taken everywhere
-		strings.Repeat("xb", 40),                                 // branch never taken
-		strings.Repeat("x", 40) + "ab" + strings.Repeat("b", 40), // mixed blocks
-	} {
-		p := buildIfProgram()
-		basis := transpose.Transpose([]byte(input))
-		want := interpRef(t, p, basis)["re"]
-		for _, mode := range allModes {
-			res, err := Run(p, basis, Config{Grid: tinyGrid, Mode: mode})
-			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
-			}
-			if !res.Outputs["re"].Equal(want) {
-				t.Errorf("%v on %q: if-program diverges:\n got  %s\n want %s",
-					mode, input, res.Outputs["re"], want)
-			}
-		}
-	}
-}
-
 func TestLookbackShiftAllModes(t *testing.T) {
 	// Hand-written lookback (<<): the rebalancer emits these, so the
 	// executors must handle negative shifts with right-margin overlap.
@@ -71,31 +32,6 @@ func TestLookbackShiftAllModes(t *testing.T) {
 		}
 		if !res.Outputs["re"].Equal(want) {
 			t.Errorf("%v: lookback diverges:\n got  %s\n want %s", mode, res.Outputs["re"], want)
-		}
-	}
-}
-
-func TestRawAddInstructionAllModes(t *testing.T) {
-	// Raw Add (not the fused StarThru): exercises the generic carry
-	// boundary check.
-	b := ir.NewBuilder()
-	sa := b.MatchClass(charclass.Single('a'))
-	sb := b.MatchClass(charclass.Single('b'))
-	sum := b.Sum(sa, sb)
-	out := b.And(sum, sb)
-	b.Output("re", out)
-	p := b.Program()
-	// Long 'a' runs so carries cross the 128-bit blocks.
-	input := strings.Repeat("a", 300) + "b" + strings.Repeat("ab", 50)
-	basis := transpose.Transpose([]byte(input))
-	want := interpRef(t, p, basis)["re"]
-	for _, mode := range allModes {
-		res, err := Run(p, basis, Config{Grid: tinyGrid, Mode: mode})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if !res.Outputs["re"].Equal(want) {
-			t.Errorf("%v: raw Add diverges:\n got  %s\n want %s", mode, res.Outputs["re"], want)
 		}
 	}
 }

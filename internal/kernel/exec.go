@@ -305,18 +305,12 @@ func (ex *Executor) globalStream(v ir.VarID) *bitstream.Stream {
 	return ex.zero
 }
 
-// execCtl evaluates an if/while with a global (whole-stream) condition.
+// execCtl runs a while with a global (whole-stream) condition.
 func (ex *Executor) execCtl(c *ctlSeg) error {
 	evalCond := func() bool {
 		ex.stats.DRAMReadBytes += ex.streamBytes()
 		ex.stats.UnitOps += ex.streamUnits()
 		return ex.globalStream(c.cond).Any()
-	}
-	if !c.isWhile {
-		if evalCond() {
-			return ex.execPlan(c.body)
-		}
-		return nil
 	}
 	iters := 0
 	for evalCond() {
@@ -388,11 +382,8 @@ func (ex *Executor) execStream(a *ir.Assign) {
 			src.ShiftInto(e.K, dst)
 		}
 		opFactor = 2
-		// Sequential shifts read the adjacent block too (Figure 5 (b)).
+		// Stream-wise shifts read the adjacent block too (Figure 5 (b)).
 		ex.stats.DRAMReadBytes += ex.streamBytes() / int64(max(1, ex.n/ex.cfg.Grid.BlockBits()))
-	case ir.Add:
-		read(e.X).AddInto(read(e.Y), ex.ensureGlobal(a.Dst))
-		opFactor = 3
 	case ir.StarThru:
 		m, c := read(e.M), read(e.C)
 		ex.ensureScratch(ex.nWords)
@@ -557,8 +548,7 @@ func findDynamicStmt(stmts []ir.Stmt) ir.Stmt {
 		case *ir.While:
 			found = x
 		case *ir.Assign:
-			switch x.Expr.(type) {
-			case ir.Add, ir.StarThru:
+			if _, ok := x.Expr.(ir.StarThru); ok {
 				found = x
 			}
 		}
@@ -582,7 +572,8 @@ func (ex *Executor) growOverlap(dl, cs int) (int, error) {
 }
 
 // committedWords returns words [lo, hi) — the committed range — of live-out
-// v's register, zeros for one that is absent (an untaken if) or known zero.
+// v's register, zeros for one that is absent (a loop that did not run) or
+// known zero.
 func (ex *Executor) committedWords(v ir.VarID, lo, hi int) []uint64 {
 	if w := ex.regs.get(v); w != nil {
 		return w[lo:hi]
@@ -645,9 +636,9 @@ func (ex *Executor) commitWindow(liveOut []ir.VarID, cs, ce int) {
 		case !ex.k.isMat[v] && !zero: // a compact output's global stays nil
 			ex.words[v] = ex.words[v].AppendWords(ex.regs.get(v)[fromWord-wsWord:toWord-wsWord], fromWord)
 		case zero:
-			// Not computed this window (an untaken if) or known zero (guarded
-			// off, or produced all zero): the committed value is zero, which a
-			// global no window has stored to yet says by staying nil.
+			// Not computed this window (a loop that did not run) or known zero
+			// (guarded off, or produced all zero): the committed value is zero,
+			// which a global no window has stored to yet says by staying nil.
 			if g != nil {
 				words := g.Words()
 				clear(words[min(fromWord, len(words)):min(toWord, len(words))])
@@ -776,21 +767,16 @@ func (ex *Executor) readWindowed(v ir.VarID, charge bool) []uint64 {
 
 // checkCarryBoundary inspects whether a carry chain could have entered the
 // window from unseen (or not-yet-recomputed) history: a run of ones in the
-// carry-propagating operand that crosses the commit boundary and begins
+// carry-propagating class c that crosses the commit boundary and begins
 // inside the unsafe left margin — either before the window start, or in
 // the first StaticMaxAdvance bits where recomputed values may themselves be
 // stale. If so the window must grow.
-func (ex *Executor) checkCarryBoundary(a *ir.Assign, c []uint64, c2 []uint64) {
+func (ex *Executor) checkCarryBoundary(a *ir.Assign, c []uint64) {
 	if ex.ws == 0 {
 		return // stream start: carry-in of zero is exact
 	}
 	boundary := ex.cs - ex.ws
-	probe := c
-	if c2 != nil {
-		probe = ex.tmpT[:len(c)]
-		orWords(probe, c, c2)
-	}
-	runLen, reachesStart := onesRunCrossing(probe, boundary)
+	runLen, reachesStart := onesRunCrossing(c, boundary)
 	if runLen == 0 && !reachesStart {
 		return
 	}

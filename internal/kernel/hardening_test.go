@@ -36,7 +36,7 @@ func spinProgram() *ir.Program {
 func TestWhileCapReturnsTypedLimitError(t *testing.T) {
 	p := spinProgram()
 	basis := transpose.Transpose([]byte("0123456789abcdef"))
-	_, err := Run(p, basis, Config{Grid: tinyGrid, Mode: ModeSequential, MaxWhileIterations: 8})
+	_, err := Run(p, basis, Config{Grid: tinyGrid, Mode: ModeBase, MaxWhileIterations: 8})
 	if err == nil {
 		t.Fatal("spin program with cap 8 returned no error")
 	}
@@ -54,7 +54,7 @@ func TestCancellationInterruptsSpinPromptly(t *testing.T) {
 	basis := transpose.Transpose([]byte("0123456789abcdef"))
 	// A cap this large would spin for many minutes; cancellation must cut
 	// it short at a while-iteration boundary.
-	cfg := Config{Grid: tinyGrid, Mode: ModeSequential, MaxWhileIterations: 1 << 30}
+	cfg := Config{Grid: tinyGrid, Mode: ModeBase, MaxWhileIterations: 1 << 30}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -90,7 +90,7 @@ func TestInjectedWhileCapTripsRegardlessOfBound(t *testing.T) {
 	input := "x" + "dedededede" + "y"
 	basis := transpose.Transpose([]byte(input))
 	inj := faultinject.New(3).ArmNth(faultinject.WhileCap, 1)
-	_, err := Run(p, basis, Config{Grid: tinyGrid, Mode: ModeSequential, Inject: inj})
+	_, err := Run(p, basis, Config{Grid: tinyGrid, Mode: ModeBase, Inject: inj})
 	if !errors.Is(err, bgerr.ErrLimit) {
 		t.Fatalf("injected while-cap returned %v, want ErrLimit", err)
 	}
@@ -161,7 +161,7 @@ func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer planned.Close()
-	planned.compiled = compile(p, cfg.Mode, map[ir.Stmt]bool{loop: true})
+	planned.compiled = compile(p, planned.an, cfg.Mode, map[ir.Stmt]bool{loop: true})
 	var stats [2]gpusim.CTAStats
 	for i, sess := range []testSession{fell, planned} {
 		outs, st, err := runStreams(sess, basis)
@@ -182,18 +182,21 @@ func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 	}
 }
 
-// TestPrologueLoadDefinedTwiceStaysEager: V is defined under an if in one
-// segment, where W = V | C reads it — as zero in a window the if skips — and
-// then by a prologue's load in a later one, the two split by a loop on the
-// materialized path. V crosses no segment boundary, and in its second segment
+// TestPrologueLoadDefinedTwiceStaysEager: V is defined in a loop that runs
+// once where C is, in one segment, where W = V | C reads it — as absent, so
+// zero, in a window the loop does not enter — and then by a prologue's load
+// in a later one, the two split by a loop on the materialized path. V crosses no segment boundary, and in its second segment
 // it is defined once, but it must not be left to bind on first read: the
 // first segment would read the basis view there instead of zero, from the
 // second run of the session on.
 func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
 	b := ir.NewBuilder()
 	a, c := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
-	v, m := b.NewVar(), b.NewVar()
-	b.If(c, func() { b.EmitTo(v, ir.Copy{Src: a}) })
+	v, m, once := b.NewVar(), b.NewVar(), b.Emit(ir.Copy{Src: c})
+	b.While(once, func() {
+		b.EmitTo(v, ir.Copy{Src: a})
+		b.EmitTo(once, ir.Zero{})
+	})
 	w := b.Or(v, c)
 	b.EmitTo(m, ir.Copy{Src: a})
 	b.While(m, func() { b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: a}) })
@@ -217,7 +220,7 @@ func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sess.compiled = compile(p, ModeDTM, map[ir.Stmt]bool{loop: true})
+	sess.compiled = compile(p, sess.an, ModeDTM, map[ir.Stmt]bool{loop: true})
 	for run := 0; run < 2; run++ {
 		outs, _, err := runStreams(sess, basis)
 		if err != nil {
@@ -250,7 +253,8 @@ func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
 			b.EmitTo(v, ir.Copy{Src: a})
 			w = b.Or(v, c)
 		}
-		b.If(c, func() { b.Emit(ir.Copy{Src: c}) }) // the load is a node of its own
+		once := b.Emit(ir.Copy{Src: c})
+		b.While(once, func() { b.EmitTo(once, ir.Zero{}) }) // the load is a node of its own
 		b.EmitTo(v, ir.MatchBasis{Bit: transpose.NumBasis})
 		y := b.Emit(ir.Zero{})
 		if shape == "output" {

@@ -20,7 +20,7 @@ import (
 // boundaries, stressing the recompute machinery.
 var tinyGrid = gpusim.Grid{CTAs: 1, Threads: 4, UnitBits: 32, UnitsPerThread: 1}
 
-var allModes = []Mode{ModeSequential, ModeBase, ModeDTMStatic, ModeDTM}
+var allModes = []Mode{ModeBase, ModeDTMStatic, ModeDTM}
 
 // interpRef runs the golden whole-stream interpreter.
 func interpRef(t *testing.T, p *ir.Program, basis *transpose.Basis) map[string]*bitstream.Stream {
@@ -228,9 +228,9 @@ func TestQuickRandomProgramsAllModes(t *testing.T) {
 }
 
 func TestStatsShapeAcrossModes(t *testing.T) {
-	// Table 4's qualitative shape: Sequential/Base materialize many
-	// intermediates and many loops; DTM- collapses loops; DTM reaches one
-	// loop and zero intermediates, with far less DRAM traffic.
+	// Table 4's qualitative shape: Base materializes many intermediates and
+	// many loops; DTM- collapses loops; DTM reaches one loop and zero
+	// intermediates, with far less DRAM traffic.
 	p := lower.MustSingle("re", "a(bc)*d|e[fg]{2,5}h")
 	input := []byte(strings.Repeat("abcbcd efgfgh xxxx ", 40))
 	basis := transpose.Transpose(input)
@@ -241,14 +241,13 @@ func TestStatsShapeAcrossModes(t *testing.T) {
 		}
 		return res.Stats
 	}
-	seq := get(ModeSequential)
 	base := get(ModeBase)
 	dtmMinus := get(ModeDTMStatic)
 	dtm := get(ModeDTM)
 
-	if !(seq.Loops >= base.Loops && base.Loops > dtmMinus.Loops && dtmMinus.Loops > dtm.Loops) {
-		t.Errorf("loop counts not decreasing: seq=%d base=%d dtm-=%d dtm=%d",
-			seq.Loops, base.Loops, dtmMinus.Loops, dtm.Loops)
+	if !(base.Loops > dtmMinus.Loops && dtmMinus.Loops > dtm.Loops) {
+		t.Errorf("loop counts not decreasing: base=%d dtm-=%d dtm=%d",
+			base.Loops, dtmMinus.Loops, dtm.Loops)
 	}
 	if dtm.Loops != 1 {
 		t.Errorf("DTM loops = %d, want 1", dtm.Loops)
@@ -256,8 +255,8 @@ func TestStatsShapeAcrossModes(t *testing.T) {
 	if dtm.IntermediateStreams != 0 {
 		t.Errorf("DTM intermediates = %d, want 0", dtm.IntermediateStreams)
 	}
-	if seq.IntermediateStreams == 0 || base.IntermediateStreams == 0 {
-		t.Error("sequential/base should materialize intermediates")
+	if base.IntermediateStreams == 0 {
+		t.Error("base should materialize intermediates")
 	}
 	dramDTM := dtm.DRAMReadBytes + dtm.DRAMWriteBytes
 	dramBase := base.DRAMReadBytes + base.DRAMWriteBytes

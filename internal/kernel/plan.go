@@ -1,7 +1,6 @@
 // Package kernel implements the paper's execution models for bitstream
-// programs on the simulated GPU: sequential block-wise execution (Figure 1a
-// / Figure 5), the partially-fused "Base" of the ablation study, and
-// interleaved execution with Dependency-Aware Thread-Data Mapping
+// programs on the simulated GPU: the partially-fused "Base" of the ablation
+// study, and interleaved execution with Dependency-Aware Thread-Data Mapping
 // (Section 4), including the dynamic overlap handling for while loops and
 // MatchStar carries, barrier-merged shift schedules from Shift Rebalancing
 // (Section 5), and Zero Block Skipping guards (Section 6).
@@ -19,17 +18,17 @@ import (
 	"bitgen/internal/ir"
 )
 
-// Mode selects the execution model (the rows of Table 3).
+// Mode selects the execution model (the rows of Table 3). The zero Mode is
+// ModeBase, which materializes what crosses its loops. Mode is not among the
+// options hashCompileOptions folds into pattern-set keys and snapshots, so
+// its numbering moves no key.
 type Mode int
 
 const (
-	// ModeSequential runs every instruction in its own block-wise loop,
-	// materializing every intermediate bitstream (Figure 1 (a)).
-	ModeSequential Mode = iota
 	// ModeBase fuses only runs of shift-free bitwise instructions; every
 	// shift, carry or control statement gets its own loop (the ablation
 	// baseline of Table 3).
-	ModeBase
+	ModeBase Mode = iota
 	// ModeDTMStatic ("DTM-") interleaves straight-line code, resolving
 	// static cross-block dependencies by recomputation; control flow
 	// still splits loops and materializes intermediates.
@@ -41,8 +40,6 @@ const (
 
 func (m Mode) String() string {
 	switch m {
-	case ModeSequential:
-		return "Sequential"
 	case ModeBase:
 		return "Base"
 	case ModeDTMStatic:
@@ -70,20 +67,19 @@ type fusedSeg struct {
 	fork    *segFork // nil: no loop of the segment propagates, nothing is probed
 }
 
-// ctlSeg is an if or while whose condition is evaluated globally (on a
-// materialized stream) and whose body is a nested plan. Used by all modes
-// except ModeDTM (and by ModeDTM for loops in the materialize fallback set).
+// ctlSeg is a while whose condition is evaluated globally (on a materialized
+// stream) and whose body is a nested plan. Used by all modes except ModeDTM
+// (and by ModeDTM for loops in the materialize fallback set).
 type ctlSeg struct {
-	cond    ir.VarID
-	isWhile bool
-	body    *plan
+	cond ir.VarID
+	body *plan
 }
 
 // streamSeg executes a single instruction over the whole stream, block by
 // block in order, forwarding shift neighborhoods and carries between
-// consecutive blocks (always exact). Sequential mode uses it for every
-// instruction; Base mode for shifts and carries; DTM uses it as the
-// Section 8.2 fallback when a carry chain exceeds the overlap limit.
+// consecutive blocks (always exact). Base mode uses it for shifts and
+// carries; DTM uses it as the Section 8.2 fallback when a carry chain
+// exceeds the overlap limit.
 type streamSeg struct {
 	assign *ir.Assign
 }
@@ -116,24 +112,19 @@ func buildPlan(stmts []ir.Stmt, mode Mode, materialize map[ir.Stmt]bool) *plan {
 	for i, s := range stmts {
 		switch x := s.(type) {
 		case *ir.Assign:
-			own := mode == ModeSequential || materialize[s]
+			own := materialize[s]
 			switch x.Expr.(type) {
-			case ir.Shift, ir.Add, ir.StarThru:
+			case ir.Shift, ir.StarThru:
 				own = own || mode == ModeBase
 			}
 			if own {
 				flush(i)
 				p.nodes = append(p.nodes, &streamSeg{assign: x})
 			}
-		case *ir.If:
-			if mode != ModeDTM || materialize[s] {
-				flush(i)
-				p.nodes = append(p.nodes, &ctlSeg{cond: x.Cond, body: buildPlan(x.Body, mode, materialize)})
-			}
 		case *ir.While:
 			if mode != ModeDTM || materialize[s] {
 				flush(i)
-				p.nodes = append(p.nodes, &ctlSeg{cond: x.Cond, isWhile: true, body: buildPlan(x.Body, mode, materialize)})
+				p.nodes = append(p.nodes, &ctlSeg{cond: x.Cond, body: buildPlan(x.Body, mode, materialize)})
 			}
 		case *ir.Guard: // stays in the open segment
 		default:
@@ -162,7 +153,7 @@ func (p *plan) countLoops() int {
 // liveness computes which variables must be materialized in global memory:
 // a variable whose value crosses a fused-segment boundary. That covers (a)
 // defined in one segment and read in another, (b) used as the condition of
-// a globally-executed if/while, (c) read inside a ctl body before being
+// a globally-executed while, (c) read inside a ctl body before being
 // (re)defined in the current body pass — a loop-carried value from the
 // previous global iteration — and (d) outputs, but those defined in one
 // top-level fused segment only (topDef), which commitWindow keeps compact.
@@ -197,8 +188,6 @@ func liveness(p *plan, prog *ir.Program, defSeg []int32) (materialized, isOut []
 			case *ir.Assign:
 				topDef[y.Dst] = !insideCtl && (defSeg[y.Dst] == 0 || topDef[y.Dst] && defSeg[y.Dst] == seg)
 				defSeg[y.Dst] = seg
-			case *ir.If:
-				scanStmts(y.Body, insideCtl)
 			case *ir.While:
 				// Window-local loop: what the head re-reads after the body
 				// redefines it stays in registers, so one pass marks all.

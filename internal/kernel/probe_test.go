@@ -116,35 +116,40 @@ func committedAll(ex *Executor, liveOut []ir.VarID, lo, hi int) []uint64 {
 	return w
 }
 
-// forkProgram is the fork's adversary: a first loop inside an if; m and acc,
-// which it carries, and v assigned before the fork, v XORed with acc after it,
-// so a stale acc or v shows in v; an if after the loop on the a's no marker
-// reached, defining w — the real pass takes it wherever an unseeded run of a's
+// forkProgram is the fork's adversary: a first loop inside the skip range of a
+// guard, where the fork moves back to; m and acc, which the loop carries, and v
+// assigned before the fork, v XORed with acc after it, so a stale acc or v
+// shows in v; a guard after the loop on the a's no marker reached, over w's
+// definition — the real pass computes w wherever an unseeded run of a's
 // crosses the commit boundary, the probe, whose flooded margin marks that run,
-// does not; and d, a shift left deferred before the fork (two readers, no loop
+// skips it; and d, a shift left deferred before the fork (two readers, no loop
 // around it) that the loop's AND-NOT forces after it.
 func forkProgram() *ir.Program {
 	b := ir.NewBuilder()
 	sx, sa, sb := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
-	v, m, acc, w := b.NewVar(), b.NewVar(), b.NewVar(), b.NewVar()
+	v, m, acc := b.NewVar(), b.NewVar(), b.NewVar()
 	b.EmitTo(v, ir.Copy{Src: sa})
 	d := b.Advance(sb, 2)
 	b.EmitTo(m, ir.Copy{Src: sx})
 	b.EmitTo(acc, ir.Zero{})
-	b.If(sa, func() {
-		b.While(m, func() {
-			n := b.AndNot(b.And(b.Advance(m, 1), sa), acc)
-			b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: n})
-			b.EmitTo(m, ir.Bin{Op: ir.OpAndNot, X: n, Y: d})
-		})
+	b.While(m, func() {
+		n := b.AndNot(b.And(b.Advance(m, 1), sa), acc)
+		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: n})
+		b.EmitTo(m, ir.Bin{Op: ir.OpAndNot, X: n, Y: d})
 	})
 	b.EmitTo(v, ir.Bin{Op: ir.OpXor, X: v, Y: acc})
 	c := b.AndNot(sa, acc)
-	b.If(c, func() { b.EmitTo(w, ir.Copy{Src: c}) })
+	w := b.Emit(ir.Copy{Src: c})
 	b.Output("acc", acc)
 	b.Output("v", v)
 	b.Output("w", b.Or(w, d))
-	return b.Program()
+	p := b.Program()
+	// No a in the window: the loop leaves acc and m zero. No unmarked a: w is.
+	at := slices.IndexFunc(p.Stmts, func(s ir.Stmt) bool { _, ok := s.(*ir.While); return ok })
+	p.Stmts = slices.Insert(p.Stmts, at, ir.Stmt(&ir.Guard{Cond: sa, Skip: 1}))
+	at = slices.IndexFunc(p.Stmts, func(s ir.Stmt) bool { a, ok := s.(*ir.Assign); return ok && a.Dst == w })
+	p.Stmts = slices.Insert(p.Stmts, at, ir.Stmt(&ir.Guard{Cond: c, Skip: 1}))
+	return p
 }
 
 // forkInput lays out n bytes on tiny-grid windows (128 bytes a block, a
@@ -152,8 +157,8 @@ func forkProgram() *ir.Program {
 // across the second window's commit boundary; x's seeding short runs at 20 and
 // at 240, the second across the third boundary (each iteration of the loop
 // grows its overlap by 2 bits, and a run longer than 32 would push it past the
-// block limit, onto a fallback a loop inside an if cannot take); b's here and
-// there, one at 150 so d is set in the second window's commit range.
+// block limit, onto the fallback); b's here and there, one at 150 so d is set
+// in the second window's commit range.
 func forkInput(n int) string {
 	in := []byte(strings.Repeat("z", n))
 	for i := range in {
@@ -175,8 +180,9 @@ func TestForkedProbeOnAnAdversary(t *testing.T) {
 	for _, n := range []int{100, 200, 300} {
 		s := runHandBuilt(t, forkProgram(), forkInput(n))
 		seg := s.pl.nodes[0].(*fusedSeg)
-		if f := seg.fork; f == nil || seg.sprog.nodes[f.node].kind != sbIfNode || len(f.save) != 3 || len(f.drop) == 0 {
-			t.Fatalf("%d bytes: the fork %+v; want it at the first if, saving v, m and acc", n, f)
+		nodes := seg.sprog.nodes
+		if f := seg.fork; f == nil || nodes[f.node].kind != sbGuardNode || nodes[f.node+1].kind != sbWhileNode || len(f.save) != 3 || len(f.drop) == 0 {
+			t.Fatalf("%d bytes: the fork %+v; want it at the guard over the loop, saving v, m and acc", n, f)
 		}
 	}
 }
@@ -186,9 +192,8 @@ func TestForkedProbeOnAnAdversary(t *testing.T) {
 // committed words and culprit — at every overlap of every probed window: the
 // groups of the ten generators at scale 0.05, the four stream_light patterns
 // and the 500-signature megaset over 40 KiB (three windows of the default
-// grid), then hand-built loops whose probe must disagree: forkProgram,
-// TestProbeFloodsTheRightMargin's lookback and a marker chain seeded before the
-// window that crosses its commit boundary.
+// grid), then hand-built loops whose probe must disagree: forkProgram and a
+// marker chain seeded before the window that crosses its commit boundary.
 func TestSuffixProbeMatchesWholeWindowProbe(t *testing.T) {
 	grid := gpusim.DefaultGrid()
 	var n probeCount
@@ -215,7 +220,6 @@ func TestSuffixProbeMatchesWholeWindowProbe(t *testing.T) {
 		input string
 	}{
 		{"fork adversary", forkProgram(), forkInput(300)},
-		{"right margin", rightMarginProgram(), rightMarginInput},
 		{"seeded before the window", chainProgram(), strings.Repeat("z", 150) + "x" + strings.Repeat("a", 200) + "z"},
 	}
 	for _, h := range hand {
@@ -246,23 +250,3 @@ func chainProgram() *ir.Program {
 	b.Output("run", acc)
 	return b.Program()
 }
-
-// rightMarginProgram is TestProbeFloodsTheRightMargin's loop, which marks the
-// run of a's in front of each x, looking back on its own condition.
-func rightMarginProgram() *ir.Program {
-	b := ir.NewBuilder()
-	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
-	m, acc := b.NewVar(), b.NewVar()
-	b.EmitTo(m, ir.Copy{Src: sx})
-	b.EmitTo(acc, ir.Zero{})
-	b.While(m, func() {
-		n := b.AndNot(b.And(b.Emit(ir.Shift{Src: m, K: -1}), sa), acc)
-		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: n})
-		b.EmitTo(m, ir.Copy{Src: n})
-	})
-	b.Output("run", acc)
-	return b.Program()
-}
-
-// rightMarginInput is TestProbeFloodsTheRightMargin's input.
-var rightMarginInput = strings.Repeat("z", 378) + strings.Repeat("a", 70) + "x" + strings.Repeat("z", 99)

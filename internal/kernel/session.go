@@ -3,9 +3,11 @@ package kernel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/bgerr"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/dfg"
 	"bitgen/internal/faultinject"
@@ -39,14 +41,16 @@ type Session struct {
 // program — the barrier-merge schedule baked into its µops — built eagerly in
 // one pass and read-only afterwards.
 type compiled struct {
-	prog          *ir.Program
+	prog *ir.Program
+	// an is the whole program's analysis: its static Δ, and the analysis of
+	// a fused segment that is the whole program.
+	an            *dfg.Analysis
 	pl            *plan
 	materialize   map[ir.Stmt]bool // loops and carries on the fallback path; nil for none
 	isMat, isOut  []bool
 	nsrcs         []int32 // distinct shift sources of each barrier-merge group
 	intermediates int
 	loops         int
-	staticDelta   int64
 	// loadBit[v] > 0 marks v a class prologue's load of basis stream
 	// loadBit[v]-1, charged at its pair and bound on first read
 	// (Executor.bind); 0 for any other.
@@ -56,7 +60,10 @@ type compiled struct {
 	drop [][]ir.VarID
 }
 
-// Compile validates the program and compiles it for cfg.Mode.
+// Compile validates the program and compiles it for cfg.Mode. It refuses,
+// with a *bgerr.UnsupportedError, a loop whose carried values read further
+// into future data on every iteration (dfg.Analysis.LoopRightGrowth): no
+// right overlap margin bounds what such a loop reads, and lowering emits none.
 func Compile(p *ir.Program, cfg Config) (*Session, error) {
 	if err := cfg.withDefaults(1).Grid.Validate(); err != nil {
 		return nil, err
@@ -64,28 +71,33 @@ func Compile(p *ir.Program, cfg Config) (*Session, error) {
 	if err := ir.Validate(p); err != nil {
 		return nil, err
 	}
+	an := dfg.Analyze(p)
+	if an.LoopRightGrowth != nil {
+		var loop *ir.While
+		ir.WalkStmts(p.Stmts, func(s ir.Stmt) {
+			if w, ok := s.(*ir.While); ok && loop == nil && an.LoopRightGrowth[w] > 0 {
+				loop = w
+			}
+		})
+		return nil, &bgerr.UnsupportedError{Feature: fmt.Sprintf("while (S%d), a loop that reads further ahead each iteration", loop.Cond)}
+	}
 	return &Session{
-		compiled: compile(p, cfg.Mode, nil),
+		compiled: compile(p, an, cfg.Mode, nil),
 		cfg:      cfg,
 		outs:     make([]bitstream.Compact, len(p.Outputs)),
 		counts:   make([]int, len(p.Outputs)),
 	}, nil
 }
 
-// compile builds the compiled form of p with the loops and carries of
-// materialize on the fallback path.
-func compile(p *ir.Program, mode Mode, materialize map[ir.Stmt]bool) *compiled {
-	k := &compiled{prog: p, materialize: materialize, pl: buildPlan(p.Stmts, mode, materialize)}
+// compile builds the compiled form of p, analyzed as an, with the loops and
+// carries of materialize on the fallback path.
+func compile(p *ir.Program, an *dfg.Analysis, mode Mode, materialize map[ir.Stmt]bool) *compiled {
+	k := &compiled{prog: p, an: an, materialize: materialize, pl: buildPlan(p.Stmts, mode, materialize)}
 	c := newSBCompiler(k)
 	defer c.done()
 	k.isMat, k.isOut, k.intermediates = liveness(k.pl, p, c.seen)
 	k.loops, k.loadBit = k.pl.countLoops(), make([]int32, p.NumVars)
 	c.compilePlan(k.pl)
-	if c.whole {
-		k.staticDelta = int64(c.an.StaticDelta) // the program is its one segment
-	} else {
-		k.staticDelta = int64(dfg.Analyze(p).StaticDelta)
-	}
 	k.drop = lastTouches(k, c.seen)
 	return k
 }
@@ -124,7 +136,7 @@ func (s *Session) Run(ctx context.Context, x *Executor, basis *transpose.Basis) 
 					materialize = make(map[ir.Stmt]bool)
 				}
 				materialize[ovf.stmt] = true
-				s.compiled = compile(s.prog, cfg.Mode, materialize)
+				s.compiled = compile(s.prog, s.an, cfg.Mode, materialize)
 				cfg.Obs.Instant("kernel", "overlap-fallback", cfg.TraceLane, obs.A("need_bits", ovf.need))
 				continue
 			}
@@ -144,7 +156,7 @@ func (s *Session) runOnce(ctx context.Context, ex *Executor, basis *transpose.Ba
 	}
 	ex.stats.Loops = int64(s.loops)
 	ex.stats.IntermediateStreams = int64(s.intermediates)
-	ex.stats.StaticDelta = s.staticDelta
+	ex.stats.StaticDelta = int64(s.an.StaticDelta)
 	// The executor appends each output's words to the session's own buffers.
 	for i, o := range s.prog.Outputs {
 		ex.words[o.Var] = s.outs[i][:0]

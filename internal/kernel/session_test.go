@@ -91,12 +91,15 @@ func TestExecutorServesEveryProgram(t *testing.T) {
 	cases := slices.Concat(handpickedCases(), gridCases(), sparseCases(t)) // Base, DTM− and DTM plans
 	cases = append(cases, pinnedCase{label: "fallback", prog: lower.MustSingle("re", "ab*c"),
 		input: []byte("a" + strings.Repeat("b", 2000) + "c abc"), cfg: Config{Grid: tinyGrid, Mode: ModeDTM}})
-	// V is defined only under an if no window takes: every read of it is of an
+	// V is defined only in a loop no window enters: every read of it is of an
 	// absent register, which a run must not find left over from the last.
 	b := ir.NewBuilder()
 	ca, cc := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
-	v := b.NewVar()
-	b.If(cc, func() { b.EmitTo(v, ir.Copy{Src: ca}) })
+	v, once := b.NewVar(), b.Emit(ir.Copy{Src: cc})
+	b.While(once, func() {
+		b.EmitTo(v, ir.Copy{Src: ca})
+		b.EmitTo(once, ir.Zero{})
+	})
 	b.Output("re", b.Or(b.Advance(v, 1), ca))
 	absent := pinnedCase{label: "absent", prog: b.Program(), input: []byte(strings.Repeat("ab ", 90)), cfg: Config{Grid: tinyGrid, Mode: ModeDTM}}
 	for i := range cases {

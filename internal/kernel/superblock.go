@@ -28,11 +28,11 @@ package kernel
 // deferral (compileRun, window.go): a shift left standalone — consumer behind a
 // cut, several readers, a word distance — records "shift(src, k), not computed"
 // instead of moving words. Plain bitwise µops fold it into their own pass once
-// the result's mask is known not to be 0 (execBin), a guard or if answers from
-// the source words (regFile.any), every other reader forces it (regFile.get/mut),
-// and two bitwise ops over a deferred operand are not pair-fused: a conjunction
-// over a guard-cut batch stops at its first zero link and the shifts behind it
-// are never computed. Invariant: a deferred shift yields the words its source
+// the result's mask is known not to be 0 (execBin), a guard or while head
+// answers from the source words (regFile.any), every other reader forces it
+// (regFile.get/mut), and two bitwise ops over a deferred operand are not
+// pair-fused: a conjunction over a guard-cut batch stops at its first zero link
+// and the shifts behind it are never computed. Invariant: a deferred shift yields the words its source
 // held at the shift's position — proved at compile time (compileRun has the
 // conditions), not policed at run time; any other shift runs where the IR put
 // it.
@@ -52,7 +52,7 @@ package kernel
 // rescanned for the tiles it occupies, so the match of two dense class streams
 // hands a two-tile mask down its literal chain. A full mask takes the path there
 // was before masks: one kernel call over the window. Copies and shifts hand
-// their source's mask on; guards, ifs and while heads scan live tiles only,
+// their source's mask on; guards and while heads scan live tiles only,
 // but a class prologue answers all its guards with one set test — the classes
 // present in the window's whole lines, from the basis's presence rows — and
 // leaves its loads to bind on first read; every other µop reads and writes
@@ -84,7 +84,6 @@ import (
 	"slices"
 	"sync"
 
-	"bitgen/internal/bitstream"
 	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
 	"bitgen/internal/transpose"
@@ -102,7 +101,6 @@ const (
 	sbXor
 	sbAndNot
 	sbShift
-	sbAdd
 	sbStarThru
 	sbMatchBasis
 	// Fused shift+bitwise pairs: dst = op(shift(a,k), c). The shifted
@@ -132,8 +130,8 @@ type sbOp struct {
 	inner sbOpCode // sbFuse2: inner bitwise op (sbAnd, sbOr, sbAndNot)
 	outer sbOpCode // sbFuse2: outer bitwise op, the inner result on its left
 	lazy  bool     // sbShift: record a deferral instead of moving words
-	// k is the shift distance, the basis bit of sbMatchBasis, or for sbAdd
-	// and sbStarThru the index of its statement in the program's carries.
+	// k is the shift distance, the basis bit of sbMatchBasis, or for
+	// sbStarThru the index of its statement in the program's carries.
 	k int32
 
 	dst, a, b, c ir.VarID
@@ -154,19 +152,18 @@ type sbNodeKind uint8
 const (
 	sbRunNode sbNodeKind = iota
 	sbGuardNode
-	sbIfNode
 	sbWhileNode
 )
 
 // sbNode is one schedulable element of a compiled segment: a superblock run
-// of µops, or a guard/if/while control point between runs.
+// of µops, or a guard/while control point between runs.
 type sbNode struct {
 	kind   sbNodeKind
 	lo, hi int32 // ops[lo:hi] for sbRunNode
 	skip   int32 // guard: following nodes covered by the skip range
 	skipN  int32 // guard: skipped top-level statement count (SkippedStmts)
 
-	// Guard zeroing. A run/if/while node owns zeroDsts[zlo:zhi] of its program
+	// Guard zeroing. A run/while node owns zeroDsts[zlo:zhi] of its program
 	// — every destination later code may read; fused temporaries are dead past
 	// their consumer and need none — and zeroCharge source assignments, one
 	// unit pass each. A guard's range is resolved to cover every node it skips.
@@ -180,7 +177,7 @@ type sbNode struct {
 	pairs int32
 	mask  int32
 
-	cond   ir.VarID // guard/if/while condition
+	cond   ir.VarID // guard/while condition
 	growth int      // while: marker growth per iteration (from dfg analysis)
 	body   *sbProgram
 }
@@ -191,7 +188,7 @@ type sbProgram struct {
 	nodes    []sbNode
 	zeroDsts []ir.VarID // what taken guards tag known zero, node after node
 	masks    []uint64   // prologue masks, ⌈ExtBits/64⌉ words each
-	// carries are the Add and StarThru statements, kept for carry-boundary
+	// carries are the StarThru statements, kept for carry-boundary
 	// and overlap-fallback attribution (the materialize set is keyed by them).
 	carries []*ir.Assign
 	// nOps and nFused total the µops and fused pairs across nested bodies
@@ -225,7 +222,7 @@ type sbCompiler struct {
 	// The barrier-merge index: each shift's group, when it has two or more
 	// members.
 	gidOf map[*ir.Assign]int32
-	// depth counts the enclosing if and while bodies; whole says the segment
+	// depth counts the enclosing while bodies; whole says the segment
 	// is the program.
 	depth int
 	whole bool
@@ -278,8 +275,11 @@ func (c *sbCompiler) compilePlan(pl *plan) {
 		switch x := node.(type) {
 		case *fusedSeg:
 			p := c.k.prog
-			c.an, c.ud = dfg.AnalyzeBody(x.stmts, p.NumVars), dfg.CountUseDef(x.stmts, p.NumVars)
 			c.whole = len(x.stmts) > 0 && len(x.stmts) == len(p.Stmts) && x.stmts[0] == p.Stmts[0]
+			if c.an = c.k.an; !c.whole {
+				c.an = dfg.AnalyzeBody(x.stmts, p.NumVars)
+			}
+			c.ud = dfg.CountUseDef(x.stmts, p.NumVars)
 			x.an, x.sprog = c.an, c.compile(x.stmts)
 			if propagates(c.an) {
 				x.fork = c.fork(x.sprog)
@@ -329,13 +329,12 @@ type segFork struct {
 	save, drop []ir.VarID
 }
 
-// fork places the fork of a segment compiled to p: at the first top-level node
-// containing a while, moved back while a node before it — a guard's skip range
-// or a class prologue — reaches it, so the real pass's node loop lands on it
-// exactly.
+// fork places the fork of a segment compiled to p: at its first top-level
+// while, moved back while a node before it — a guard's skip range or a class
+// prologue — reaches it, so the real pass's node loop lands on it exactly.
 func (c *sbCompiler) fork(p *sbProgram) *segFork {
 	nodes := p.nodes
-	f := slices.IndexFunc(nodes, hasWhile)
+	f := slices.IndexFunc(nodes, func(nd sbNode) bool { return nd.kind == sbWhileNode })
 	for i := 0; i < f; i++ {
 		reach := i
 		if nd := &nodes[i]; nd.kind == sbGuardNode {
@@ -378,16 +377,11 @@ func eachDst(p *sbProgram, nd *sbNode, fn func(ir.VarID)) {
 		for _, op := range p.ops[nd.lo:nd.hi] {
 			fn(op.dst)
 		}
-	case sbIfNode, sbWhileNode:
+	case sbWhileNode:
 		for i := range nd.body.nodes {
 			eachDst(nd.body, &nd.body.nodes[i], fn)
 		}
 	}
-}
-
-// hasWhile reports whether nd is a while or an if holding one at any depth.
-func hasWhile(nd sbNode) bool {
-	return nd.kind == sbWhileNode || nd.kind == sbIfNode && slices.ContainsFunc(nd.body.nodes, hasWhile)
 }
 
 func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
@@ -405,7 +399,7 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		case *ir.Guard:
 			cut[i], cut[i+1] = true, true
 			cut[min(i+1+x.Skip, len(stmts))] = true
-		case *ir.If, *ir.While:
+		case *ir.While:
 			cut[i], cut[i+1] = true, true
 		case *ir.Assign:
 			ops++
@@ -425,7 +419,7 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		c.stmtHi = append(c.stmtHi, hi)
 	}
 	// bodyZero lists what a taken guard must zero when its range covers a
-	// nested if/while — every assignment destination of the body — and
+	// nested while — every assignment destination of the body — and
 	// returns how many.
 	bodyZero := func(body []ir.Stmt) (charge int32) {
 		ir.WalkStmts(body, func(s ir.Stmt) {
@@ -442,14 +436,6 @@ func (c *sbCompiler) compile(stmts []ir.Stmt) *sbProgram {
 		switch x := stmts[i].(type) {
 		case *ir.Guard:
 			emit(sbNode{kind: sbGuardNode, cond: x.Cond, skipN: int32(x.Skip)}, zlo, i+1)
-			i++
-		case *ir.If:
-			c.depth++
-			body := c.compile(x.Body)
-			c.depth--
-			p.nOps += body.nOps
-			p.nFused += body.nFused
-			emit(sbNode{kind: sbIfNode, cond: x.Cond, body: body, zeroCharge: bodyZero(x.Body)}, zlo, i+1)
 			i++
 		case *ir.While:
 			c.loops, c.depth = c.loops+1, c.depth+1
@@ -607,8 +593,6 @@ func (c *sbCompiler) baseOp(p *sbProgram, a *ir.Assign) sbOp {
 		if gid, ok := c.gidOf[a]; ok {
 			op.gid = gid
 		}
-	case ir.Add:
-		op.code, op.a, op.b, op.k, p.carries = sbAdd, e.X, e.Y, int32(len(p.carries)), append(p.carries, a)
 	case ir.StarThru:
 		op.code, op.a, op.b, op.k, p.carries = sbStarThru, e.M, e.C, int32(len(p.carries)), append(p.carries, a)
 	case ir.MatchBasis:
@@ -723,17 +707,6 @@ func (ex *Executor) execSBNodes(p *sbProgram, lo, hi int, charge bool) error {
 			if ex.cfg.HonorGuards && !ex.regs.any(nd.cond) {
 				i = ex.takeGuard(p, i, charge)
 			}
-		case sbIfNode:
-			ex.bind(nd.cond, charge)
-			if charge {
-				ex.stats.UnitOps += ex.windowUnits()
-				ex.stats.Barriers++
-			}
-			if ex.regs.any(nd.cond) {
-				if err := ex.execSBProg(nd.body, charge); err != nil {
-					return err
-				}
-			}
 		case sbWhileNode:
 			if err := ex.execSBWhile(nd, charge); err != nil {
 				return err
@@ -830,9 +803,9 @@ func (ex *Executor) execSBWhile(nd *sbNode, charge bool) error {
 	for {
 		ex.bind(nd.cond, charge)
 		if ex.saturate && iters == 0 {
-			// Probe pass: flood the margins of the loop condition so any
-			// possible cross-boundary propagation is triggered.
-			ex.regs.flood(nd.cond, ex.cs-ex.ws, ex.ce-ex.ws)
+			// Probe pass: flood the left margin of the loop condition so any
+			// possible propagation across the commit boundary is triggered.
+			ex.regs.flood(nd.cond, ex.cs-ex.ws)
 		}
 		if charge {
 			ex.stats.UnitOps += ex.windowUnits()
@@ -909,25 +882,13 @@ func (ex *Executor) execSBRun(p *sbProgram, lo, hi int32, charge bool) error {
 			if charge {
 				ex.chargeShift(op, units)
 			}
-		case sbAdd:
-			x := ex.readWindowed(op.a, charge)
-			y := ex.readWindowed(op.b, charge)
-			dst := ex.regs.buf(op.dst)
-			bitstream.AddWords(dst, x, y)
-			ex.regs.maskTail(dst)
-			ex.checkCarryBoundary(p.carries[op.k], x, y)
-			if charge {
-				ex.stats.UnitOps += 3 * units
-				ex.stats.Barriers++ // carry exchange across threads
-				ex.stats.SMemWriteBytes += int64(ex.cfg.Grid.Threads) * 8
-			}
 		case sbStarThru:
 			m := ex.readWindowed(op.a, charge)
 			cc := ex.readWindowed(op.b, charge)
 			dst := ex.regs.buf(op.dst)
 			starThruWords(dst, m, cc, ex.tmpT, ex.tmpS)
 			ex.regs.maskTail(dst)
-			ex.checkCarryBoundary(p.carries[op.k], cc, nil)
+			ex.checkCarryBoundary(p.carries[op.k], cc)
 			if charge {
 				ex.stats.UnitOps += 7 * units
 				ex.stats.Barriers += 2 // marker-shift neighborhood + carry exchange

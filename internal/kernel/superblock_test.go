@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"bitgen/internal/arena"
+	"bitgen/internal/bgerr"
 	"bitgen/internal/bitstream"
 	"bitgen/internal/charclass"
 	"bitgen/internal/gpusim"
@@ -1161,27 +1163,30 @@ func TestDeferredShiftBehindDeadChainIsNeverComputed(t *testing.T) {
 // its source held where the IR put the shift.
 func TestDeferralKeepsSourceWords(t *testing.T) {
 	t.Run("a shift in a while body stays eager", func(t *testing.T) {
-		// A marker walks a run of b's behind each a. T is assigned under an if
-		// only the first iteration takes, from a source S that every iteration
-		// rewrites first — so later iterations read the T of the first, and a
-		// T left deferred on S's register would have moved with the marker.
+		// A marker walks a run of b's behind each a. T is a shift of S, which
+		// every iteration rewrites, behind a guard on S: an iteration may
+		// rewrite S's register ahead of a reader that kept T, so a shift in a
+		// loop body is never deferred.
 		b := ir.NewBuilder()
 		sa, sb := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
 		m, acc := b.NewVar(), b.NewVar()
 		b.EmitTo(m, ir.Copy{Src: sa})
 		b.EmitTo(acc, ir.Zero{})
-		var tt ir.VarID
+		var s, tt ir.VarID
 		b.While(m, func() {
-			s := b.Emit(ir.Copy{Src: m})
-			b.If(b.And(s, sa), func() { tt = b.Advance(s, 1) })
+			s = b.Emit(ir.Copy{Src: m})
+			tt = b.Advance(s, 1)
 			b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: tt})
 			b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: sb})
 		})
 		after := b.Advance(acc, 2) // every definition of acc is behind it: deferrable
 		b.Output("acc", acc)
 		b.Output("after", b.Or(after, b.And(after, sb)))
-		s := runHandBuilt(t, b.Program(), strings.Repeat("abbb ab xa abbbbbb ", 12))
-		ops := shiftOps(s)
+		p := b.Program()
+		body := &p.Stmts[slices.IndexFunc(p.Stmts, func(st ir.Stmt) bool { _, ok := st.(*ir.While); return ok })].(*ir.While).Body
+		*body = slices.Insert(*body, 1, ir.Stmt(&ir.Guard{Cond: s, Skip: 1}))
+		st := runHandBuilt(t, p, strings.Repeat("abbb ab xa abbbbbb ", 12))
+		ops := shiftOps(st)
 		if op := ops[tt]; op == nil || op.lazy {
 			t.Fatalf("the loop body's shift S%d: op %+v, want standalone and eager", tt, op)
 		}
@@ -1311,19 +1316,25 @@ func TestAndNotForcesAShiftOnItsRight(t *testing.T) {
 	}
 }
 
-// TestProbeFloodsTheRightMargin is the one shape for which the saturation
-// probe's right margin matters: a loop whose body looks back on its own
-// condition, so markers flow left. A run of a's from byte 378 ends at an x on
-// byte 448; the loop marks the run back from the x. The third window commits
-// bytes [256, 384) and sees up to byte 448, not the x: its real pass marks
-// nothing, and only markers flooded right of its committed range reach the a's
-// inside it, so the probe disagrees, the left overlap grows to its one-block
-// limit without reaching the stream start, and the loop falls back to exact
-// stream-wise execution. The run is short enough that the fourth window, which
-// sees the x, converges within the limit: without the right margin nothing
-// falls back and bytes 378–383 stay unmarked. Lowered programs have no such
-// loop (DESIGN §6, Dynamic Δ for loops).
-func TestProbeFloodsTheRightMargin(t *testing.T) {
+// TestCompileRefusesRightReachingLoop: a loop that looks back on its own
+// condition, so markers flow left and every iteration reads one bit further
+// into future data, is refused in every mode with a typed unsupported error.
+// Run windowed, no right margin bounds what it reads: the saturation probe
+// floods only the left one (DESIGN §6, Dynamic Δ for loops). Lowered
+// programs have no such loop.
+func TestCompileRefusesRightReachingLoop(t *testing.T) {
+	for _, mode := range allModes {
+		_, err := Compile(rightMarginProgram(), Config{Grid: tinyGrid, Mode: mode})
+		var ue *bgerr.UnsupportedError
+		if !errors.Is(err, bgerr.ErrUnsupported) || !errors.As(err, &ue) {
+			t.Fatalf("%v: Compile returned %v; want a *bgerr.UnsupportedError", mode, err)
+		}
+	}
+}
+
+// rightMarginProgram marks the run of a's in front of each x, looking back on
+// its loop's own condition.
+func rightMarginProgram() *ir.Program {
 	b := ir.NewBuilder()
 	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
 	m, acc := b.NewVar(), b.NewVar()
@@ -1335,8 +1346,5 @@ func TestProbeFloodsTheRightMargin(t *testing.T) {
 		b.EmitTo(m, ir.Copy{Src: n})
 	})
 	b.Output("run", acc)
-	s := runHandBuilt(t, b.Program(), strings.Repeat("z", 378)+strings.Repeat("a", 70)+"x"+strings.Repeat("z", 99))
-	if s.Fallbacks() == 0 {
-		t.Fatal("the loop ran windowed to the end; want the probe to push it onto the fallback")
-	}
+	return b.Program()
 }

@@ -36,8 +36,8 @@ import (
 // Partial masks are set by the bitwise µops (bin: the operands' masks combined,
 // zero runs dropped, a sparse result rescanned), shift, and the probe's flood of
 // a loop condition; they are used by the same µops, by sbFuse2 (a pair they
-// bound to 0 is known zero, any other runs over whole windows), by any (guards,
-// if and while heads) and by force. Everything else — sbAdd, sbStarThru, sbNot,
+// bound to 0 is known zero, any other runs over whole windows), by any (guards
+// and while heads) and by force. Everything else — sbStarThru, sbNot,
 // commitWindow, checkCarryBoundary — reads whole windows through get and writes
 // whole windows through buf, whose mask is full.
 //
@@ -383,12 +383,13 @@ func (r *regFile) tighten(b []uint64, m, or uint64) uint64 {
 	return m
 }
 
-// flood sets v's bits [0, left) and from bit right to the window's last word —
-// the saturation probe's overlap margins (runWindowToFixpoint) — keeping its
-// others, and marks live only the tiles it touched: a known-zero loop condition
-// becomes a register with two live tiles for the clear of what its storage last
-// held, not of the window, and what the probe computes from it stays as narrow.
-func (r *regFile) flood(v ir.VarID, left, right int) {
+// flood sets v's bits [0, left) — the saturation probe's left overlap margin
+// (runWindowToFixpoint) — keeping its others, and marks live only the tiles it
+// touched: a known-zero loop condition becomes a register with the margin's
+// tiles live for the clear of what its storage last held, not of the window,
+// and what the probe computes from it stays as narrow. No loop reaches right:
+// Compile refuses one whose carried values read further ahead each iteration.
+func (r *regFile) flood(v ir.VarID, left int) {
 	switch {
 	case r.has(v) && r.live[v] != 0 && r.state[v] != regOwned:
 		r.mut(v) // every tile live: a view copied, a deferred shift computed
@@ -398,27 +399,17 @@ func (r *regFile) flood(v ir.VarID, left, right int) {
 		r.val[v], r.state[v], r.epoch[v] = b, regOwned, r.cur
 		r.live[v], r.dirty[v] = 0, r.dirty[v]&^(r.full>>1)
 	}
-	b, touched := r.val[v], uint64(0)
-	if left > 0 {
-		for i := 0; i < left/64; i++ {
-			b[i] = ^uint64(0)
-		}
-		if left%64 != 0 {
-			b[left/64] |= (1 << (uint(left) % 64)) - 1
-		}
-		touched = r.tiles(0, (left+63)/64)
+	if left <= 0 {
+		return
 	}
-	if right < r.endBit {
-		w := right / 64
-		if right%64 != 0 {
-			b[w] |= ^uint64(0) << (uint(right) % 64)
-			w++
-		}
-		for ; w < len(b); w++ {
-			b[w] = ^uint64(0)
-		}
-		touched |= r.tiles(right/64, len(b))
+	b := r.val[v]
+	for i := 0; i < left/64; i++ {
+		b[i] = ^uint64(0)
 	}
+	if left%64 != 0 {
+		b[left/64] |= (1 << (uint(left) % 64)) - 1
+	}
+	touched := r.tiles(0, (left+63)/64)
 	r.live[v], r.dirty[v] = r.live[v]|touched, r.dirty[v]|touched
 }
 

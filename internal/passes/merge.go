@@ -30,10 +30,7 @@ func MergeBarriers(p *ir.Program, opts MergeOptions) *ir.BarrierSchedule {
 
 func mergeBody(p *ir.Program, body *[]ir.Stmt, opts MergeOptions, sched *ir.BarrierSchedule) {
 	for _, s := range *body {
-		switch x := s.(type) {
-		case *ir.If:
-			mergeBody(p, &x.Body, opts, sched)
-		case *ir.While:
+		if x, ok := s.(*ir.While); ok {
 			mergeBody(p, &x.Body, opts, sched)
 		}
 	}

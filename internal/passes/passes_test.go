@@ -109,25 +109,26 @@ func TestRebalanceIntroducesLookbacks(t *testing.T) {
 	}
 }
 
-// guardedIfProgram builds a body whose rewrite orphans a shift: an If whose
-// body advances a value deeper than the class it is ANDed with, led by a
-// guard when guarded.
-func guardedIfProgram(guarded bool) *ir.Program {
+// guardedBodyProgram builds a body whose rewrite orphans a shift: a loop
+// that runs once, whose body advances a value deeper than the class it is
+// ANDed with, led by a guard when guarded.
+func guardedBodyProgram(guarded bool) *ir.Program {
 	b := ir.NewBuilder()
 	a := b.MatchClass(charclass.Single('a'))
 	c := b.MatchClass(charclass.Single('b'))
 	deep := b.And(b.Not(b.Not(a)), a) // deeper than c: the rewrite is profitable
-	out := b.NewVar()
+	out, once := b.NewVar(), b.Emit(ir.Copy{Src: a})
 	b.EmitTo(out, ir.Zero{})
-	b.If(a, func() {
+	b.While(once, func() {
 		s := b.Advance(deep, 1)
 		s2 := b.Advance(b.And(s, c), 2)
 		b.EmitTo(out, ir.Bin{Op: ir.OpAnd, X: s2, Y: c})
+		b.EmitTo(once, ir.Zero{})
 	})
 	b.Output("ab.b", out)
 	p := b.Program()
 	if guarded {
-		body := &p.Stmts[len(p.Stmts)-1].(*ir.If).Body
+		body := &p.Stmts[len(p.Stmts)-1].(*ir.While).Body
 		*body = append([]ir.Stmt{&ir.Guard{Cond: a, Skip: 1}}, *body...)
 	}
 	return p
@@ -145,7 +146,7 @@ func TestRebalanceLeavesGuardedBodiesWhole(t *testing.T) {
 	input := []byte("abxb abbb ab b aabab " + strings.Repeat("abab", 20))
 	var grew [2]int
 	for i, guarded := range []bool{false, true} {
-		p := guardedIfProgram(guarded)
+		p := guardedBodyProgram(guarded)
 		before, want := count(p), runInterp(t, p, input)
 		if Rebalance(p, RebalanceOptions{}).Rewrites == 0 {
 			t.Fatalf("guarded=%v: nothing rewritten, nothing orphaned", guarded)

@@ -73,28 +73,26 @@ const (
 	kCopy
 	kNot
 	kShift
-	kAdd
 	kStarThru
 	kBasis
-	kIf // the control statements come last: kind < kIf is an assignment
-	kWhile
+	kWhile // the control statements come last: kind < kWhile is an assignment
 	kGuard
 )
 
 // kinds gives, per assignment kind, how many of x, y it reads and its depth:
-// inc more than the deepest operand its masks keep. Constants, basis reads,
-// Add and StarThru are at 0, a Copy as deep as its source.
+// inc more than the deepest operand its masks keep. Constants, basis reads
+// and StarThru are at 0, a Copy as deep as its source.
 var kinds = [kGuard + 1]struct {
 	operands    int
 	dx, dy, inc int32
 }{
 	kAnd: {2, -1, -1, 1}, kOr: {2, -1, -1, 1}, kXor: {2, -1, -1, 1}, kAndNot: {2, -1, -1, 1},
-	kCopy: {1, -1, 0, 0}, kNot: {1, -1, 0, 1}, kShift: {1, -1, 0, 1}, kAdd: {operands: 2}, kStarThru: {operands: 2},
+	kCopy: {1, -1, 0, 0}, kNot: {1, -1, 0, 1}, kShift: {1, -1, 0, 1}, kStarThru: {operands: 2},
 }
 
 // rec is one statement of the work form. An assignment is dst = kind(x, y),
-// k its shift distance or basis bit; an If or While tests dst and runs body
-// x; a Guard tests dst and skips k statements.
+// k its shift distance or basis bit; a While tests dst and runs body x; a
+// Guard tests dst and skips k statements.
 type rec struct {
 	kind         uint8
 	dst, x, y, k int32
@@ -154,8 +152,6 @@ func (rb *rebalancer) convert(list []ir.Stmt) int32 {
 		switch x := st.(type) {
 		case *ir.Assign:
 			r = assignRec(x)
-		case *ir.If:
-			r = rec{kind: kIf, dst: int32(x.Cond), x: rb.convert(x.Body)}
 		case *ir.While:
 			r = rec{kind: kWhile, dst: int32(x.Cond), x: rb.convert(x.Body)}
 		case *ir.Guard:
@@ -175,7 +171,7 @@ func (rb *rebalancer) convert(list []ir.Stmt) int32 {
 
 // count adds record id's reads to uses and an assignment's definition to def.
 func (rb *rebalancer) count(id int32, r *rec) {
-	if r.kind >= kIf {
+	if r.kind >= kWhile {
 		rb.vars[r.dst].uses++
 		return
 	}
@@ -205,8 +201,6 @@ func assignRec(a *ir.Assign) rec {
 		r.kind, r.x, r.y = uint8(e.Op), int32(e.X), int32(e.Y)
 	case ir.Shift:
 		r.kind, r.x, r.k = kShift, int32(e.Src), int32(e.K)
-	case ir.Add:
-		r.kind, r.x, r.y = kAdd, int32(e.X), int32(e.Y)
 	case ir.StarThru:
 		r.kind, r.x, r.y = kStarThru, int32(e.M), int32(e.C)
 	case ir.MatchBasis:
@@ -231,8 +225,6 @@ func (r *rec) expr() ir.Expr {
 		return ir.Not{Src: x}
 	case kShift:
 		return ir.Shift{Src: x, K: int(r.k)}
-	case kAdd:
-		return ir.Add{X: x, Y: y}
 	case kStarThru:
 		return ir.StarThru{M: x, C: y}
 	case kBasis:
@@ -262,7 +254,7 @@ func (rb *rebalancer) body(bi int32, res *RebalanceResult) {
 		b = rb.liftOrphans(b)
 	}
 	for i := 0; i < len(b); i++ { // the record after a run is no assignment
-		if s.recs[b[i]].kind < kIf {
+		if s.recs[b[i]].kind < kWhile {
 			i += rb.rewriteRun(b[i:], i, res)
 		}
 	}
@@ -295,7 +287,7 @@ func (rb *rebalancer) rewriteRun(run []int32, base int, res *RebalanceResult) in
 	recs, vars := s.recs, s.vars
 	for idx, id := range run {
 		r := &recs[id]
-		if r.kind >= kIf {
+		if r.kind >= kWhile {
 			run = run[:idx]
 			break
 		}
@@ -414,7 +406,7 @@ func (rb *rebalancer) fuseShiftChains(bi int32) (fused int) {
 				r.x, r.k = x, k+r.k
 				fused++
 			}
-		case kIf, kWhile:
+		case kWhile:
 			fused += rb.fuseShiftChains(r.x)
 		}
 	}
@@ -519,9 +511,9 @@ func (rb *rebalancer) recount(bi int32) (minted int) {
 		r := &s.recs[id]
 		rb.count(id, r)
 		switch {
-		case r.kind == kIf || r.kind == kWhile:
+		case r.kind == kWhile:
 			minted += rb.recount(r.x)
-		case r.kind < kIf && s.guarded[bi]:
+		case r.kind < kWhile && s.guarded[bi]:
 			s.mark[r.dst] |= markPinned
 		}
 		if int(id) >= len(s.stmts) {
@@ -582,8 +574,6 @@ func (rb *rebalancer) write(bi int32, list []ir.Stmt, slab *[]ir.Assign) []ir.St
 			if int(id) >= len(s.stmts) || assignRec(x) != *r {
 				x.Dst, x.Expr = ir.VarID(r.dst), r.expr()
 			}
-		case *ir.If:
-			x.Cond, x.Body = ir.VarID(r.dst), rb.write(r.x, x.Body, slab)
 		case *ir.While:
 			x.Cond, x.Body = ir.VarID(r.dst), rb.write(r.x, x.Body, slab)
 		case *ir.Guard:

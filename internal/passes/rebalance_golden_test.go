@@ -64,7 +64,7 @@ func TestRebalanceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	line("megaset500/2", lowered(mega.Regexes, 2))
-	line("guarded-if", []*ir.Program{guardedIfProgram(false), guardedIfProgram(true)})
+	line("guarded-body", []*ir.Program{guardedBodyProgram(false), guardedBodyProgram(true)})
 
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {

@@ -68,7 +68,7 @@ func (s *scratch) release() {
 }
 
 // countUses fills s.uses with every read of a variable program-wide:
-// assignment operands, If/While/Guard conditions, and outputs.
+// assignment operands, While/Guard conditions, and outputs.
 func (s *scratch) countUses(p *ir.Program) {
 	s.uses = grown(s.uses[:0], p.NumVars, 0)
 	uses := s.uses

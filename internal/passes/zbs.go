@@ -63,10 +63,7 @@ type insertion struct {
 
 func (s *scratch) guardBody(p *ir.Program, body *[]ir.Stmt, opts ZBSOptions, res *ZBSResult) {
 	for _, st := range *body {
-		switch x := st.(type) {
-		case *ir.If:
-			s.guardBody(p, &x.Body, opts, res)
-		case *ir.While:
+		if x, ok := st.(*ir.While); ok {
 			s.guardBody(p, &x.Body, opts, res)
 		}
 	}

@@ -186,18 +186,20 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 // TestSnapshotInvalidProgramBehindValidChecksums: the programs are decoded
 // and validated once, by engine.Restore, not by snapshot.Decode. A snapshot
 // whose framing and CRCs are intact but whose group program violates IR
-// invariants — or is not a program at all — still never becomes an engine,
-// and is refused as corrupt, the reason that quarantines the file.
+// invariants, is not a program at all, holds a reserved tag or a loop the
+// kernel refuses still never becomes an engine, and is refused as corrupt,
+// the reason that quarantines the file.
 func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
 	good := EncodeEngine(compileFresh(t, nil))
-	for name, damage := range map[string]func(st *snapshot.EngineState){
+	damages := map[string]func(st *snapshot.EngineState){
 		"outputs name never-assigned variables": func(st *snapshot.EngineState) {
 			p := ir.MustDecodeProgram(st.Groups[0].Packed)
 			p.Stmts = nil
 			st.Groups[0].Packed = ir.EncodeProgram(p)
 		},
 		"not a program": func(st *snapshot.EngineState) { st.Groups[0].Packed = []byte{0xff, 0xfe, 0xfd} },
-	} {
+	}
+	for name, damage := range damages {
 		st, err := snapshot.Decode(good)
 		if err != nil {
 			t.Fatal(err)
@@ -209,6 +211,46 @@ func TestSnapshotInvalidProgramBehindValidChecksums(t *testing.T) {
 			t.Fatalf("%s: want a corrupt refusal, got %v", name, err)
 		}
 	}
+	for want, payload := range hostileGroups() {
+		_, err := DecodeEngine(withGroup(t, good, payload), nil)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Reason != snapshot.ReasonCorrupt || !strings.Contains(se.Detail, want) {
+			t.Fatalf("%s: want a corrupt refusal naming it, got %v", want, err)
+		}
+	}
+}
+
+// hostileGroups are group programs a v3 loader must refuse behind valid
+// checksums, keyed by what the refusal names: two with output o = S0 = ~0 of
+// 2 variables, then statement tag 2, an if (S0) with an empty body, or
+// expression tag 6, S1 = S0 + S0 — the tags of constructs the IR no longer
+// has, in the layouts they had — and a loop that reads one bit further ahead
+// each iteration, which the kernel refuses to compile.
+func hostileGroups() map[string][]byte {
+	head := []byte{4, 0, 1, 1, 'o', 0, 0, 2, 1, 0, 1} // header, output, 2 statements: S0 = ~0
+	b := ir.NewBuilder()
+	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
+	m := b.Emit(ir.Copy{Src: sx})
+	b.While(m, func() {
+		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Emit(ir.Shift{Src: m, K: -1}), Y: sa})
+	})
+	b.Output("run", m)
+	return map[string][]byte{
+		"statement tag":                      append(slices.Clone(head), 2, 0, 0, 0),       // if (S0), no statements; no barrier schedule
+		"expression tag":                     append(slices.Clone(head), 1, 2, 6, 0, 0, 0), // S1 = S0 + S0; no barrier schedule
+		"reads further ahead each iteration": ir.EncodeProgram(b.Program()),
+	}
+}
+
+// withGroup returns snap with its first group's program replaced by payload,
+// the checksums recomputed.
+func withGroup(t *testing.T, snap, payload []byte) []byte {
+	st, err := snapshot.Decode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Groups[0].Packed = payload
+	return snapshot.Encode(st)
 }
 
 // withShared returns snap with its last section, the shared classes, holding
@@ -314,9 +356,10 @@ func TestSnapshotNamesLowestBadGroup(t *testing.T) {
 }
 
 // FuzzSnapshotRoundTrip saves generated pattern sets' engines: a snapshot with
-// one byte flipped, or with a section length near MaxUint64 (which an additive
-// bounds check would wrap), is ErrSnapshot, and the intact one, decoded under
-// each backend pin, passes the harness's cells.
+// one byte flipped, with a section length near MaxUint64 (which an additive
+// bounds check would wrap), with a damaged shared section or with a hostile
+// group program (hostileGroups) is ErrSnapshot, and the intact one, decoded
+// under each backend pin, passes the harness's cells.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s.seed, []byte(s.data))
@@ -328,6 +371,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		flipped[seed%uint64(len(snap))] ^= 0x10
 		binary.LittleEndian.PutUint64(huge[18+int(binary.LittleEndian.Uint16(huge[16:18])):], math.MaxUint64-seed%5)
 		hostiles := [][]byte{flipped, huge}
+		for _, payload := range hostileGroups() {
+			hostiles = append(hostiles, withGroup(t, snap, payload))
+		}
 		if sets := e.inner.SharedClasses(); len(sets) > 0 {
 			for _, payload := range damagedShared(sets) {
 				hostiles = append(hostiles, withShared(snap, payload))
