@@ -46,8 +46,8 @@ fault:
 # Short smoke runs of the fuzz targets: the conformance harness on generated
 # pattern sets, on their snapshots and at fuzzed chunk sizes; Engine.Run
 # against Go's regexp; lowering; the parser; /v1/match's one-pass body
-# decoder against encoding/json; and the shared-class evaluator against byte
-# membership. FUZZTIME=2m for a longer local soak.
+# decoder and its append reply encoder against encoding/json; and the
+# shared-class evaluator against byte membership. FUZZTIME=2m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzMatchersAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgree$$' .
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLower$$' -fuzztime $(FUZZTIME) -run '^FuzzLower$$' ./internal/lower
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run '^FuzzParse$$' ./internal/rx
 	$(GO) test -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime $(FUZZTIME) -run '^FuzzDecodeMatchRequest$$' ./internal/serve
+	$(GO) test -fuzz '^FuzzEncodeMatchResponse$$' -fuzztime $(FUZZTIME) -run '^FuzzEncodeMatchResponse$$' ./internal/serve
 	$(GO) test -fuzz '^FuzzClassEval$$' -fuzztime $(FUZZTIME) -run '^FuzzClassEval$$' ./internal/engine
 
 # obs-smoke runs a real scan with tracing and metrics on and validates
@@ -246,13 +247,16 @@ profile-serve:
 # profile-compile is the compile path's CPU and allocation profile as a
 # command: the repo benchmark's compile_megaset op as a Go benchmark
 # (BenchmarkCompileMegaset/500: compile 500 signatures, snapshot, load, first
-# scan), 30 iterations from a test binary built once, top 25 by flat CPU time
-# and by allocated bytes. The two profiles come from two runs: at a sampling
-# rate fine enough to attribute 4 KB tables (-memprofilerate 4096) the heap
-# profiler's stack walks are a fifth of the CPU profile. BENCH_SIZE=10000 is
-# the regime where a group holds ~39 patterns and the passes dominate;
-# BENCH=CompileSigs is what setup_s times on stream_sigs (BenchmarkCompileSigs:
-# a cold compile of the 168-signature set plus its first 256 KiB ScanReader);
+# scan; ≈ 14 MB in 82 k objects and 2 collector cycles an op, gc/op beside
+# B/op and allocs/op), 30 iterations from a test binary built once, top 25 by
+# flat CPU time, by allocated bytes (collector cycles follow bytes) and by
+# allocated objects (malloc time follows objects). The two profiles come
+# from two runs: at a sampling rate fine enough to attribute 4 KB tables
+# (-memprofilerate 4096) the heap profiler's stack walks are a fifth of the
+# CPU profile. BENCH_SIZE=10000 is the regime where a group holds ~39
+# patterns and the passes dominate; BENCH=CompileSigs is what setup_s times
+# on stream_sigs (BenchmarkCompileSigs: a cold compile of the 168-signature
+# set plus its first 256 KiB ScanReader);
 # BENCH=LoadAndFirstRun is the load half of the megaset cycle alone
 # (BenchmarkLoadAndFirstRun: DecodeEngine and the first Run, the compile and
 # the snapshot outside the timer); BENCH=Rebalance is Shift Rebalancing alone
@@ -270,6 +274,7 @@ profile-compile:
 		-test.memprofile $(PROFILE_DIR)/compile-mem.prof -test.memprofilerate 4096
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile-mem.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/bitgen.test $(PROFILE_DIR)/compile-mem.prof
 
 # bench-smoke is the fast perf gate: short runs of the streaming-scan and
 # bitstream hot-path benchmarks (catching gross regressions and alloc

@@ -33,22 +33,49 @@ func BenchmarkCompileMegaset(b *testing.B) {
 			}
 			b.SetBytes(size)
 			b.ReportAllocs()
-			b.ResetTimer()
+			gc := startGCCount(b)
 			for i := 0; i < b.N; i++ {
-				eng, err := Compile(app.Patterns, megasetOpts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				loaded, err := DecodeEngine(EncodeEngine(eng), megasetOpts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := loaded.Run(app.Input); err != nil {
+				if err := megasetCycle(app); err != nil {
 					b.Fatal(err)
 				}
 			}
+			gc.report(b)
 		})
 	}
+}
+
+// megasetCycle is one compile_megaset op: compile, snapshot, load, first Run.
+func megasetCycle(app *workload.App) error {
+	eng, err := Compile(app.Patterns, megasetOpts)
+	if err != nil {
+		return err
+	}
+	loaded, err := DecodeEngine(EncodeEngine(eng), megasetOpts)
+	if err != nil {
+		return err
+	}
+	_, err = loaded.Run(app.Input)
+	return err
+}
+
+// gcCount reports collector cycles per op, the gc/op column beside B/op and
+// allocs/op: malloc time follows the objects a benchmark allocates, the
+// cycles the collector runs follow its bytes.
+type gcCount uint32
+
+// startGCCount resets b's timer and notes the collector cycles so far.
+func startGCCount(b *testing.B) gcCount {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ResetTimer()
+	return gcCount(ms.NumGC)
+}
+
+func (c gcCount) report(b *testing.B) {
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.NumGC-uint32(c))/float64(b.N), "gc/op")
 }
 
 // BenchmarkCompileSigs is what the repo benchmark's setup_s times on
@@ -157,12 +184,13 @@ func loweredGroups(tb testing.TB, app *workload.App, opts *Options) []*ir.Progra
 func BenchmarkLoadAndFirstRun(b *testing.B) {
 	op := loadAndFirstRunMegaset(b)
 	b.ReportAllocs()
-	b.ResetTimer()
+	gc := startGCCount(b)
 	for i := 0; i < b.N; i++ {
 		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	gc.report(b)
 }
 
 func loadAndFirstRunMegaset(tb testing.TB) func() error {
@@ -187,20 +215,25 @@ func loadAndFirstRunMegaset(tb testing.TB) func() error {
 
 // TestCompileMegasetAllocationBudget is the allocation gate on the compile
 // path: one Compile of the benchmark's 500-signature megaset keeps ~0.5 MB
-// and may allocate at most 29 MB on the way, in at most 20 collector cycles:
-// a quarter above the 22.1–23.1 MB it measures under the race detector, the
-// costlier of the two modes the suite runs in, where it takes 15–17 cycles
-// (14.4 MB in 137 k objects and 7–8 cycles without; 19.3 MB in 381 k before
-// Rebalance ran its rounds on pointer-free records and ZeroPaths built its
-// chains in one array; 23.9 MB before Rebalance stopped re-walking its orphans
-// and left a dense variable space behind; 105 MB in 552 k objects and 42–58
-// cycles before the passes reused their scratch across rounds and groups).
+// and may allocate at most 24 MB on the way, in at most 17 collector cycles:
+// a quarter above the 16.9–19.1 MB it measures under the race detector, the
+// costlier of the two modes the suite runs in (its sync.Pool drops a quarter
+// of the pooled scratch), where it takes 11–13 cycles (4.8 MB in 53 k objects
+// and 3 cycles without). Before: 22.1–23.1 MB and 15–17 cycles under the race
+// detector, 14.4 MB in 137 k objects and 7–8 cycles without, until the ASTs
+// were simplified once, the merge, zero-path and loop analyses ran on pooled
+// scratch and lowering allocated its statements in blocks; 19.3 MB in 381 k
+// before Rebalance ran its rounds on pointer-free records and ZeroPaths built
+// its chains in one array; 23.9 MB before Rebalance stopped re-walking its
+// orphans and left a dense variable space behind; 105 MB in 552 k objects and
+// 42–58 cycles before the passes reused their scratch across rounds and
+// groups.
 func TestCompileMegasetAllocationBudget(t *testing.T) {
 	app, err := workload.Megaset(500, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocationBudget(t, "Compile(Megaset 500)", 29e6, 20, func() error {
+	allocationBudget(t, "Compile(Megaset 500)", 24e6, 17, func() error {
 		_, err := Compile(app.Patterns, megasetOpts)
 		return err
 	})
@@ -209,8 +242,10 @@ func TestCompileMegasetAllocationBudget(t *testing.T) {
 // TestCompileSigsAllocationBudget is the same gate on BenchmarkCompileSigs's
 // op: the compile, then the first scan's session — each group's kernel
 // compiled once, one executor for the worker's every group. It measures
-// 18.5 MB in 118 k objects (28.4–30.9 MB under the race detector, hence 39)
-// where it measured 28.4 MB in 621 k before Rebalance ran its rounds on
+// 11.2–11.7 MB in 45 k objects (28.3–31.7 MB under the race detector, hence
+// 39) where it measured 18.5 MB in 118 k until lowering and decoding took
+// statements from blocks and the passes' analyses ran on pooled scratch,
+// 28.4 MB in 621 k before Rebalance ran its rounds on
 // pointer-free records, 55.9 MB in 714 k when every group had an executor of
 // its own — five tables and a register file sized by its program's NumVars —
 // and 123.5 MB in 1 416 k before the variable space was dense. Its cycle count
@@ -223,13 +258,33 @@ func TestCompileSigsAllocationBudget(t *testing.T) {
 // TestLoadAndFirstRunAllocationBudget is the gate on BenchmarkLoadAndFirstRun's
 // op: loading the megaset's snapshot, which decodes every group once and
 // compiles its kernel into the session that seeds the pool, then the first
-// Run on one executor per worker. It measures 11.4 MB in 72 k objects, 19.5 MB
-// under the race detector — whose sync.Pool drops Puts, the seeded session
-// among them, so the Run builds its own — hence 25 MB; 36.3 MB when the Run
-// decoded every group again and gave each an executor of its own. Cycles: 1,
-// 5 under the race detector.
+// Run on one executor per worker. It measures 8.9 MB in 28 k objects and 1
+// cycle; under the race detector 9.9–10.1 MB, or 16.1 MB when its sync.Pool
+// drops the seeded session's Put and the Run builds a session of its own, in
+// 1–4 cycles, hence 21 MB and 5 cycles. Before: 11.4 MB in 72 k objects,
+// 19.5 MB under the race detector, until the decoder took a program's
+// statements from one block per kind; 36.3 MB when the Run decoded every
+// group again and gave each an executor of its own.
 func TestLoadAndFirstRunAllocationBudget(t *testing.T) {
-	allocationBudget(t, "DecodeEngine+first Run(Megaset 500)", 25e6, 10, loadAndFirstRunMegaset(t))
+	allocationBudget(t, "DecodeEngine+first Run(Megaset 500)", 21e6, 5, loadAndFirstRunMegaset(t))
+}
+
+// TestMegasetCycleAllocationBudget is the gate on the whole compile_megaset
+// op, BenchmarkCompileMegaset/500's: Compile, EncodeEngine, DecodeEngine and
+// the loaded engine's first Run. It measures 14.0 MB in 82 k objects and 1–2
+// cycles; under the race detector 28.3–35.0 MB in 7–13 cycles, hence 44 MB
+// and 17 cycles. The cycle allocated 26.3 MB in 200 k objects before the
+// ASTs were simplified once, the passes and analyses ran on pooled scratch,
+// the encoders wrote into buffers sized once and the builder and the decoder
+// allocated statements in blocks.
+func TestMegasetCycleAllocationBudget(t *testing.T) {
+	app, err := workload.Megaset(500, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocationBudget(t, "Compile+snapshot+load+first Run(Megaset 500)", 44e6, 17, func() error {
+		return megasetCycle(app)
+	})
 }
 
 // allocationBudget runs op twice — the first warms the pooled pass scratch —

@@ -7,6 +7,8 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"bitgen/internal/ir"
 )
@@ -34,9 +36,6 @@ func (iv Interval) shift(k int) Interval {
 
 // Analysis holds the results of analyzing one program.
 type Analysis struct {
-	// VarInterval is the offset interval of each variable after one
-	// once-through execution of every loop body (the static component).
-	VarInterval []Interval
 	// StaticDelta is the paper's Δ without loop accumulation:
 	// max over paths of (max δ - min δ), i.e. Hi(max) - Lo(min) over all
 	// reachable values.
@@ -50,7 +49,8 @@ type Analysis struct {
 	// LoopGrowth maps each while statement to the additional left overlap
 	// bits — past data — one extra iteration of its body can require (the
 	// paper's μ·k term): the growth of its intervals' Hi. The interleaved
-	// executor accumulates these at runtime to form the dynamic Δ(n).
+	// executor accumulates these at runtime to form the dynamic Δ(n). Nil
+	// when the body holds no loop.
 	LoopGrowth map[*ir.While]int
 	// LoopRightGrowth maps each while statement whose intervals' Lo falls on
 	// every iteration — a body that reads further into future data each time
@@ -62,10 +62,20 @@ type Analysis struct {
 	// whose carry chains create data-dependent cross-block dependencies the
 	// executor must check at runtime.
 	HasCarry bool
-	// free holds the interval buffers of whiles analyzed so far, for the
-	// next one's copies: runBody allocates one per nesting level.
+}
+
+// intervals is the working memory of one analysis: the offset interval of
+// every variable — after one once-through execution of every loop body, the
+// static component — and the spare tables the loops' copies come from
+// (runBody takes two per nesting level). Analyses take one from
+// intervalPool, so the kernel compiling a program's segments one after
+// another keeps reusing the same tables.
+type intervals struct {
+	a    *Analysis
 	free [][]Interval
 }
+
+var intervalPool = sync.Pool{New: func() any { return new(intervals) }}
 
 // Analyze computes offset intervals and loop growth for a program.
 func Analyze(p *ir.Program) *Analysis {
@@ -77,13 +87,13 @@ func Analyze(p *ir.Program) *Analysis {
 // exactly the situation of a fused segment whose inputs are materialized
 // streams in global memory.
 func AnalyzeBody(stmts []ir.Stmt, numVars int) *Analysis {
-	a := &Analysis{
-		VarInterval: make([]Interval, numVars),
-		LoopGrowth:  make(map[*ir.While]int),
-	}
-	a.runBody(stmts, a.VarInterval)
-	a.free = nil
-	for _, iv := range a.VarInterval {
+	a := &Analysis{}
+	w := intervalPool.Get().(*intervals)
+	w.a = a
+	env := slices.Grow(w.clone(nil), numVars)[:numVars]
+	clear(env)
+	w.runBody(stmts, env)
+	for _, iv := range env {
 		if iv.Hi > a.StaticMaxAdvance {
 			a.StaticMaxAdvance = iv.Hi
 		}
@@ -97,11 +107,14 @@ func AnalyzeBody(stmts []ir.Stmt, numVars int) *Analysis {
 			a.HasDynamic = true
 		}
 	}
+	w.a, w.free = nil, append(w.free, env)
+	intervalPool.Put(w)
 	return a
 }
 
 // runBody interprets a body abstractly, updating env in place.
-func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
+func (w *intervals) runBody(body []ir.Stmt, env []Interval) {
+	a := w.a
 	for _, s := range body {
 		switch x := s.(type) {
 		case *ir.Assign:
@@ -112,19 +125,22 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 		case *ir.While:
 			// First once-through gives the static contribution; a second
 			// pass measures per-iteration growth.
-			first := a.clone(env)
-			a.runBody(x.Body, first)
+			first := w.clone(env)
+			w.runBody(x.Body, first)
 			for i := range env {
 				first[i] = first[i].union(env[i]) // zero-iteration path
 			}
-			second := a.clone(first)
-			a.runBody(x.Body, second)
+			second := w.clone(first)
+			w.runBody(x.Body, second)
 			growth, right := 0, 0
 			for i := range second {
 				growth = max(growth, second[i].Hi-first[i].Hi)
 				right = max(right, first[i].Lo-second[i].Lo)
 			}
 			if prev, ok := a.LoopGrowth[x]; !ok || growth > prev {
+				if a.LoopGrowth == nil {
+					a.LoopGrowth = make(map[*ir.While]int)
+				}
 				a.LoopGrowth[x] = growth
 			}
 			if right > a.LoopRightGrowth[x] {
@@ -134,7 +150,7 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 				a.LoopRightGrowth[x] = right
 			}
 			copy(env, first)
-			a.free = append(a.free, first, second)
+			w.free = append(w.free, first, second)
 		case *ir.Guard:
 			// No dataflow effect.
 		default:
@@ -143,11 +159,11 @@ func (a *Analysis) runBody(body []ir.Stmt, env []Interval) {
 	}
 }
 
-// clone copies env into a buffer from free.
-func (a *Analysis) clone(env []Interval) []Interval {
+// clone copies env into a spare table.
+func (w *intervals) clone(env []Interval) []Interval {
 	var c []Interval
-	if n := len(a.free); n > 0 {
-		c, a.free = a.free[n-1], a.free[:n-1]
+	if n := len(w.free); n > 0 {
+		c, w.free = w.free[n-1], w.free[:n-1]
 	}
 	return append(c[:0], env...)
 }

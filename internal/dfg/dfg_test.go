@@ -160,7 +160,7 @@ func TestZeroPathsFigure10Shape(t *testing.T) {
 	for _, s := range p.Stmts {
 		run = append(run, s.(*ir.Assign))
 	}
-	paths := ZeroPaths(run, p.NumVars)
+	paths := new(PathFinder).ZeroPaths(run, p.NumVars)
 	if len(paths) == 0 {
 		t.Fatalf("no zero paths found in\n%s", p)
 	}
@@ -202,7 +202,7 @@ func TestZeroPathsRespectRedefinition(t *testing.T) {
 		{Dst: 3, Expr: ir.Bin{Op: ir.OpAnd, X: 2, Y: 1}},
 	}
 	p.Stmts = []ir.Stmt{run[0], run[1], run[2], run[3], run[4]}
-	paths := ZeroPaths(run, p.NumVars)
+	paths := new(PathFinder).ZeroPaths(run, p.NumVars)
 	for _, pth := range paths {
 		if pth.Head == 0 {
 			for _, idx := range pth.Stmts {

@@ -15,6 +15,7 @@ type UseDef struct {
 	Defs []int32
 	Uses []int32
 	Last []int32
+	both []int32 // Defs and Uses, back to back
 }
 
 // SingleUseTemp reports whether v is a fusion-eligible temporary within the
@@ -23,11 +24,12 @@ func (ud UseDef) SingleUseTemp(v ir.VarID) bool {
 	return ud.Defs[v] == 1 && ud.Uses[v] == 1
 }
 
-// CountUseDef tallies definitions and uses over stmts (recursing into
-// while bodies). numVars bounds the variable space.
-func CountUseDef(stmts []ir.Stmt, numVars int) UseDef {
-	counts := make([]int32, 2*numVars)
-	ud := UseDef{Defs: counts[:numVars], Uses: counts[numVars:], Last: ir.LastReads(stmts, numVars)}
+// Count tallies definitions and uses over stmts (recursing into while
+// bodies) into ud, reusing its tables. numVars bounds the variable space.
+func (ud *UseDef) Count(stmts []ir.Stmt, numVars int) {
+	ud.both = zeroed(ud.both, 2*numVars)
+	ud.Defs, ud.Uses = ud.both[:numVars], ud.both[numVars:]
+	ud.Last = ir.LastReadsInto(ud.Last, stmts, numVars)
 	var buf [2]ir.VarID
 	ir.WalkStmts(stmts, func(s ir.Stmt) {
 		for _, v := range ir.ReadsInto(s, &buf) {
@@ -37,5 +39,4 @@ func CountUseDef(stmts []ir.Stmt, numVars int) UseDef {
 			ud.Defs[a.Dst]++
 		}
 	})
-	return ud
 }

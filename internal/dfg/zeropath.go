@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"slices"
 	"sort"
 
 	"bitgen/internal/ir"
@@ -44,6 +45,17 @@ type ZeroPath struct {
 	Stmts []int
 }
 
+// PathFinder is ZeroPaths' working memory — the occurrence index, the
+// on-path marks, the chains and the path list — kept from run to run so a
+// pass that finds the paths of every run of every group program sizes it
+// once. The zero value is ready to use.
+type PathFinder struct {
+	ix     occIndex
+	onPath []bool
+	chains []int
+	paths  []ZeroPath
+}
+
 // occIndex is a CSR index over one run: for each variable, the ordered run
 // positions of the statements that read or define it. Chain-following
 // steps through a variable's occurrence list directly instead of scanning
@@ -55,23 +67,29 @@ type occIndex struct {
 	dat  []int32
 }
 
-func buildOccIndex(run []*ir.Assign, numVars int) *occIndex {
-	ix := &occIndex{
-		off:  make([]int32, numVars+1),
-		fill: make([]int32, numVars),
-	}
-	counts := make([]int32, numVars)
+// zeroed returns s resized to n entries, all zero, reallocated only to grow.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// build indexes run over numVars variables, reusing ix's tables.
+func (ix *occIndex) build(run []*ir.Assign, numVars int) {
+	ix.off = zeroed(ix.off, numVars+1)
+	ix.fill = zeroed(ix.fill, numVars) // each variable's count first, then its fill
 	var buf [2]ir.VarID
 	for _, a := range run {
 		for _, v := range ir.OperandsInto(a.Expr, &buf) {
-			counts[v]++
+			ix.fill[v]++
 		}
-		counts[a.Dst]++
+		ix.fill[a.Dst]++
 	}
 	for i := 0; i < numVars; i++ {
-		ix.off[i+1] = ix.off[i] + counts[i]
+		ix.off[i+1] = ix.off[i] + ix.fill[i]
 	}
-	ix.dat = make([]int32, ix.off[numVars])
+	clear(ix.fill)
+	ix.dat = zeroed(ix.dat, int(ix.off[numVars]))
 	add := func(v ir.VarID, j int32) {
 		// One entry per (statement, variable) even when the statement
 		// mentions the variable twice (AND(v,v), or dst == operand): the
@@ -88,7 +106,6 @@ func buildOccIndex(run []*ir.Assign, numVars int) *occIndex {
 		}
 		add(a.Dst, int32(j))
 	}
-	return ix
 }
 
 // occurrences returns the ordered run positions mentioning v.
@@ -99,33 +116,32 @@ func (ix *occIndex) occurrences(v ir.VarID) []int32 {
 // ZeroPaths discovers maximal zero paths in a straight-line run of
 // assignments. Paths shorter than two on-path statements are discarded:
 // guarding a single instruction cannot pay for the branch. The chains are
-// built in one backing array sized to the run (it grows only if the kept
-// paths share statements); each path's Stmts is a capacity-clipped window.
-func ZeroPaths(run []*ir.Assign, numVars int) []ZeroPath {
-	ix := buildOccIndex(run, numVars)
-	onPath := make([]bool, len(run))
-	var paths []ZeroPath
-	buf := make([]int, 0, len(run))
+// built in one backing array (it grows only if the kept paths share
+// statements); each path's Stmts is a capacity-clipped window. The paths are
+// f's: they stay valid until its next ZeroPaths.
+func (f *PathFinder) ZeroPaths(run []*ir.Assign, numVars int) []ZeroPath {
+	f.ix.build(run, numVars)
+	f.onPath = zeroed(f.onPath, len(run))
+	paths := f.paths[:0]
+	buf := f.chains[:0]
 	for head := 0; head < len(run); head++ {
-		if onPath[head] {
+		if f.onPath[head] {
 			continue // already the interior of a longer path
 		}
 		start := len(buf)
-		buf = followChain(run, head, ix, buf)
+		buf = followChain(run, head, &f.ix, buf)
 		chain := buf[start:len(buf):len(buf)]
 		if len(chain) < 2 {
 			buf = buf[:start]
 			continue
 		}
 		for _, idx := range chain {
-			onPath[idx] = true
+			f.onPath[idx] = true
 		}
-		paths = append(paths, ZeroPath{
-			Cond:  run[head].Dst,
-			Head:  head,
-			Stmts: chain,
-		})
+		paths = append(paths, ZeroPath{Cond: run[head].Dst, Head: head, Stmts: chain})
 	}
+	f.chains = buf
+	f.paths = paths
 	return paths
 }
 

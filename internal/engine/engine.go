@@ -25,6 +25,7 @@ import (
 	"bitgen/internal/lower"
 	"bitgen/internal/obs"
 	"bitgen/internal/passes"
+	"bitgen/internal/rx"
 )
 
 // DefaultMaxWhileIterations is the real default cap on global while-loop
@@ -273,7 +274,13 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 	}
 	start := time.Now()
 	e := &Engine{cfg: cfg}
-	parts := partition(regexes, cfg.Grid.CTAs)
+	// Simplify once: the shared-class count and every group's lowering walk
+	// these trees, and rx.Simplify hands an already simple tree back as is.
+	simple := make([]lower.Regex, len(regexes))
+	for i, r := range regexes {
+		simple[i] = lower.Regex{Name: r.Name, AST: rx.Simplify(r.AST)}
+	}
+	parts := partition(simple, cfg.Grid.CTAs)
 	sharedCC := e.initShared(parts)
 	// The groups are independent by construction (that is what lets the GPU
 	// run them as separate CTAs): nothing in a group's output depends on which
@@ -335,19 +342,26 @@ func (e *Engine) initShared(parts []part) map[charclass.Class]int {
 	if len(parts) < 2 {
 		return nil
 	}
-	counts := make(map[charclass.Class]int)
+	// groups counts the parts expanding each class; last is the latest of
+	// them, plus one, so a class repeated within a part counts once.
+	type uses struct{ groups, last int }
+	counts := make(map[charclass.Class]uses)
 	var order []charclass.Class
-	for _, p := range parts {
-		for _, cl := range lower.Classes(p.regexes) {
-			if counts[cl] == 0 {
+	for pi, p := range parts {
+		lower.EachClass(p.regexes, func(cl charclass.Class) {
+			u := counts[cl]
+			if u.last == pi+1 {
+				return
+			}
+			if u.groups == 0 {
 				order = append(order, cl)
 			}
-			counts[cl]++
-		}
+			counts[cl] = uses{u.groups + 1, pi + 1}
+		})
 	}
 	var classes []charclass.Class
 	for _, cl := range order {
-		if counts[cl] >= 2 {
+		if counts[cl].groups >= 2 {
 			classes = append(classes, cl)
 			if len(classes) == maxSharedClasses {
 				break
@@ -544,6 +558,11 @@ func (e *Engine) Groups() []Group {
 	}
 	return out
 }
+
+// Stored returns the compiled groups and the shared classes as the engine
+// holds them, not copies, for a snapshot to write out. Callers must not
+// modify them.
+func (e *Engine) Stored() ([]Group, []charclass.Class) { return e.groups, e.shared }
 
 // WithInjector returns a shallow copy of the engine whose runs consult the
 // given fault injector (the compiled groups are shared; a compiled Engine

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sync"
 
 	"bitgen/internal/charclass"
 )
@@ -11,24 +12,30 @@ import (
 type Builder struct {
 	prog  *Program
 	stack []*[]Stmt // innermost body last
+	// slab is where the next assignments are allocated: one block of them at
+	// a time, each as large as all the blocks before it, 32 to 1 024.
+	slab []Assign
+	made int
 	// ccCache shares the instruction sequence of repeated character
-	// classes within one program (common in multi-regex groups).
+	// classes within one program (common in multi-regex groups). It comes
+	// from ccCachePool and goes back when Program is called.
 	ccCache map[charclass.Class]VarID
 	// basisCache shares MatchBasis reads.
 	basisCache [8]VarID
-	// extCache shares extended-basis (shared character-class) reads.
-	extCache map[int]VarID
 	// shared maps classes whose match streams the engine computes once per
 	// scan to their extended-basis slot; MatchClass reads MatchBasis{8+slot}
 	// for them instead of expanding the class inline.
 	shared map[charclass.Class]int
-	// CCs records every distinct class expanded, for diagnostics.
-	CCs []CCRef
 }
+
+// ccCachePool recycles the class caches of finished builders: a group's
+// lowering fills one with every class it expands, so a fresh map per group
+// regrows the same tables.
+var ccCachePool = sync.Pool{New: func() any { return make(map[charclass.Class]VarID) }}
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	b := &Builder{prog: &Program{}, ccCache: make(map[charclass.Class]VarID)}
+	b := &Builder{prog: &Program{}}
 	b.stack = append(b.stack, &b.prog.Stmts)
 	for i := range b.basisCache {
 		b.basisCache[i] = NoVar
@@ -47,7 +54,13 @@ func (b *Builder) Emit(expr Expr) VarID {
 
 // EmitTo appends an assignment of expr to an existing variable.
 func (b *Builder) EmitTo(dst VarID, expr Expr) {
-	*b.top() = append(*b.top(), &Assign{Dst: dst, Expr: expr})
+	if len(b.slab) == 0 {
+		b.slab = make([]Assign, min(max(b.made, 32), 1024))
+	}
+	a := &b.slab[0]
+	b.slab, b.made = b.slab[1:], b.made+1
+	a.Dst, a.Expr = dst, expr
+	*b.top() = append(*b.top(), a)
 }
 
 // NewVar allocates a variable without assigning it.
@@ -115,6 +128,9 @@ func (b *Builder) SetShared(shared map[charclass.Class]int, extBits int) {
 // their precomputed extended-basis stream instead. Only valid at top level
 // (outside control flow), which is where lowering emits all class matches.
 func (b *Builder) MatchClass(cl charclass.Class) VarID {
+	if b.ccCache == nil {
+		b.ccCache = ccCachePool.Get().(map[charclass.Class]VarID)
+	}
 	if v, ok := b.ccCache[cl]; ok {
 		return v
 	}
@@ -123,26 +139,13 @@ func (b *Builder) MatchClass(cl charclass.Class) VarID {
 	}
 	var v VarID
 	if slot, ok := b.shared[cl]; ok {
-		v = b.extBasis(8 + slot)
+		// Distinct classes have distinct slots: the class cache is the
+		// stream's cache too.
+		v = b.Emit(MatchBasis{8 + slot})
 	} else {
 		v = b.matchExpr(charclass.Compile(cl))
 	}
 	b.ccCache[cl] = v
-	b.CCs = append(b.CCs, CCRef{Class: cl, Var: v})
-	return v
-}
-
-// extBasis returns the variable holding extended basis stream j (j >= 8),
-// emitting the read on first use.
-func (b *Builder) extBasis(j int) VarID {
-	if v, ok := b.extCache[j]; ok {
-		return v
-	}
-	v := b.Emit(MatchBasis{j})
-	if b.extCache == nil {
-		b.extCache = make(map[int]VarID)
-	}
-	b.extCache[j] = v
 	return v
 }
 
@@ -183,10 +186,16 @@ func (b *Builder) OutputNullable(name string, v VarID) {
 	b.prog.Outputs = append(b.prog.Outputs, Output{Name: name, Var: v, Nullable: true})
 }
 
-// Program finalizes and returns the built program.
+// Program finalizes and returns the built program. The class cache goes
+// back to its pool: a class matched after this call is expanded afresh.
 func (b *Builder) Program() *Program {
 	if len(b.stack) != 1 {
 		panic("ir: unclosed control-flow scope")
+	}
+	if b.ccCache != nil {
+		clear(b.ccCache)
+		ccCachePool.Put(b.ccCache)
+		b.ccCache = nil
 	}
 	return b.prog
 }

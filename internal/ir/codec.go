@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // Packed program codec: a compact, deterministic byte form of a Program.
@@ -49,7 +51,8 @@ var ErrMalformed = errors.New("ir: malformed packed program")
 //	barrier flag [+ merge-size, deduped-copies,
 //	              group count × member count × pre-order assign index]
 func EncodeProgram(p *Program) []byte {
-	var e progEnc
+	e := encPool.Get().(*progEnc)
+	e.b = e.b[:0]
 	e.varint(int64(p.NumVars))
 	e.varint(int64(p.ExtBits))
 	e.count(len(p.Outputs))
@@ -61,28 +64,40 @@ func EncodeProgram(p *Program) []byte {
 	e.stmts(p.Stmts)
 	// The barrier schedule references statements by pointer identity;
 	// persist it as indices into the program's pre-order *Assign sequence
-	// and rebuild the pointers at decode.
+	// and rebuild the pointers at decode. Only the members need an index.
 	if p.Barriers == nil {
 		e.boolean(false)
-		return e.b
-	}
-	e.boolean(true)
-	index := make(map[*Assign]int)
-	WalkStmts(p.Stmts, func(s Stmt) {
-		if a, ok := s.(*Assign); ok {
-			index[a] = len(index)
+	} else {
+		e.boolean(true)
+		index := e.index
+		for _, grp := range p.Barriers.Groups {
+			for _, a := range grp {
+				index[a] = 0
+			}
 		}
-	})
-	e.varint(int64(p.Barriers.MergeSize))
-	e.varint(int64(p.Barriers.DedupedCopies))
-	e.count(len(p.Barriers.Groups))
-	for _, grp := range p.Barriers.Groups {
-		e.count(len(grp))
-		for _, a := range grp {
-			e.varint(int64(index[a]))
+		i := 0
+		WalkStmts(p.Stmts, func(s Stmt) {
+			if a, ok := s.(*Assign); ok {
+				if _, member := index[a]; member {
+					index[a] = i
+				}
+				i++
+			}
+		})
+		e.varint(int64(p.Barriers.MergeSize))
+		e.varint(int64(p.Barriers.DedupedCopies))
+		e.count(len(p.Barriers.Groups))
+		for _, grp := range p.Barriers.Groups {
+			e.count(len(grp))
+			for _, a := range grp {
+				e.varint(int64(index[a]))
+			}
 		}
+		clear(index)
 	}
-	return e.b
+	out := slices.Clone(e.b)
+	encPool.Put(e)
+	return out
 }
 
 // DecodeProgram parses a packed program. It checks structural framing only;
@@ -101,32 +116,33 @@ func DecodeProgram(data []byte) (*Program, error) {
 		p.Outputs[i].Var = VarID(d.varint("output var"))
 		p.Outputs[i].Nullable = d.boolean("output nullable")
 	}
+	// The statements are allocated in two blocks, assignments and guards,
+	// sized by a first pass over the tree; the assignments land in
+	// pre-order, so a barrier member's index is its slot.
+	nAssign, nGuard := d.tally()
+	d.assigns, d.guards = make([]Assign, nAssign), make([]Guard, nGuard)
+	slab := d.assigns
 	p.Stmts = d.stmts()
 	if d.boolean("barrier-schedule flag") {
-		var assigns []*Assign
-		WalkStmts(p.Stmts, func(s Stmt) {
-			if a, ok := s.(*Assign); ok {
-				assigns = append(assigns, a)
-			}
-		})
 		bs := &BarrierSchedule{
 			MergeSize:     int(d.varint("merge-size")),
 			DedupedCopies: int(d.varint("deduped-copies")),
 		}
 		ng := d.count("barrier group", 1)
 		bs.Groups = make([][]*Assign, 0, ng)
+		members := make([]*Assign, 0, len(d.b)) // each member is at least one byte
 		for i := 0; i < ng && d.err == nil; i++ {
 			na := d.count("barrier member", 1)
-			grp := make([]*Assign, 0, na)
+			from := len(members)
 			for j := 0; j < na && d.err == nil; j++ {
 				idx := d.varint("barrier assign index")
-				if idx < 0 || idx >= int64(len(assigns)) {
+				if idx < 0 || idx >= int64(len(slab)) {
 					d.fail("barrier assign index out of range")
 					break
 				}
-				grp = append(grp, assigns[idx])
+				members = append(members, &slab[idx])
 			}
-			bs.Groups = append(bs.Groups, grp)
+			bs.Groups = append(bs.Groups, members[from:len(members):len(members)])
 		}
 		p.Barriers = bs
 	}
@@ -152,8 +168,16 @@ func MustDecodeProgram(data []byte) *Program {
 
 // ---- packed-payload primitives ----
 
-// progEnc is an appending payload writer.
-type progEnc struct{ b []byte }
+// progEnc is an appending payload writer. EncodeProgram takes one from
+// encPool and returns an exact copy of what it wrote, so the buffer's growth
+// is paid once per pool, not once per program; index is the barrier members'
+// pre-order positions, empty between programs.
+type progEnc struct {
+	b     []byte
+	index map[*Assign]int
+}
+
+var encPool = sync.Pool{New: func() any { return &progEnc{index: make(map[*Assign]int)} }}
 
 func (e *progEnc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *progEnc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
@@ -228,10 +252,13 @@ func (e *progEnc) expr(x Expr) {
 }
 
 // progDec is a consuming payload reader: the first malformed field latches
-// an error and every later read returns zero values.
+// an error and every later read returns zero values. assigns and guards are
+// the blocks the statements it decodes are taken from.
 type progDec struct {
-	b   []byte
-	err error
+	b       []byte
+	err     error
+	assigns []Assign
+	guards  []Guard
 }
 
 func (d *progDec) fail(what string) {
@@ -240,13 +267,17 @@ func (d *progDec) fail(what string) {
 	}
 }
 
-func (d *progDec) uvarint(what string) uint64 {
+func (d *progDec) uvarint(what string) uint64 { return d.uvarintOf(what, "") }
+
+// uvarintOf is uvarint of the field named what+part, a name it spells out
+// only on failure.
+func (d *progDec) uvarintOf(what, part string) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		d.fail(what)
+		d.fail(what + part)
 		return 0
 	}
 	d.b = d.b[n:]
@@ -269,7 +300,7 @@ func (d *progDec) varint(what string) int64 {
 // count bounds element counts by the remaining payload so a corrupted count
 // can never drive a huge allocation.
 func (d *progDec) count(what string, minBytes int) int {
-	v := d.uvarint(what + " count")
+	v := d.uvarintOf(what, " count")
 	if d.err != nil {
 		return 0
 	}
@@ -301,7 +332,7 @@ func (d *progDec) boolean(what string) bool {
 }
 
 func (d *progDec) str(what string) string {
-	n := d.uvarint(what + " length")
+	n := d.uvarintOf(what, " length")
 	if d.err != nil {
 		return ""
 	}
@@ -320,7 +351,9 @@ func (d *progDec) stmts() []Stmt {
 	for i := 0; i < n && d.err == nil; i++ {
 		switch tag := d.uvarint("statement tag"); tag {
 		case tagAssign:
-			a := &Assign{Dst: VarID(d.varint("assign dst"))}
+			a := &d.assigns[0]
+			d.assigns = d.assigns[1:]
+			a.Dst = VarID(d.varint("assign dst"))
 			a.Expr = d.expr()
 			out = append(out, a)
 		case tagWhile:
@@ -328,15 +361,56 @@ func (d *progDec) stmts() []Stmt {
 			s.Body = d.stmts()
 			out = append(out, s)
 		case tagGuard:
-			out = append(out, &Guard{
-				Cond: VarID(d.varint("guard cond")),
-				Skip: int(d.varint("guard skip")),
-			})
+			g := &d.guards[0]
+			d.guards = d.guards[1:]
+			g.Cond = VarID(d.varint("guard cond"))
+			g.Skip = int(d.varint("guard skip"))
+			out = append(out, g)
 		default:
 			d.fail("statement tag")
 		}
 	}
 	return out
+}
+
+// tally counts the assignments and guards of the statement tree ahead of d
+// without consuming it or building anything. On malformed bytes it stops
+// where it is: its counts then bound what stmts decodes before failing at
+// the same field.
+func (d progDec) tally() (assigns, guards int) {
+	d.skipStmts(&assigns, &guards)
+	return assigns, guards
+}
+
+func (d *progDec) skipStmts(assigns, guards *int) {
+	n := d.count("statement", 2)
+	for i := 0; i < n && d.err == nil; i++ {
+		switch d.uvarint("statement tag") {
+		case tagAssign:
+			*assigns++
+			d.varint("assign dst")
+			switch d.uvarint("expression tag") {
+			case tagCopy, tagNot, tagMatchBasis:
+				d.varint("operand")
+			case tagBin:
+				d.uvarint("bin op")
+				d.varint("bin x")
+				d.varint("bin y")
+			case tagShift, tagStarThru:
+				d.varint("operand")
+				d.varint("operand")
+			}
+		case tagWhile:
+			d.varint("while cond")
+			d.skipStmts(assigns, guards)
+		case tagGuard:
+			*guards++
+			d.varint("guard cond")
+			d.varint("guard skip")
+		default:
+			return
+		}
+	}
 }
 
 func (d *progDec) expr() Expr {

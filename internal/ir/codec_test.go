@@ -3,6 +3,7 @@ package ir
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -81,8 +82,9 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecRejectsCorruption: every single-byte corruption of a packed
-// program must either decode to a structurally valid program or fail
-// cleanly — never panic (the decoder faces snapshot bytes from disk).
+// program, and random rewrites of a few bytes, must either decode to a
+// structurally valid program or fail cleanly — never panic (the decoder
+// faces snapshot bytes from disk).
 func TestCodecRejectsCorruption(t *testing.T) {
 	data := EncodeProgram(codecFixture())
 	for i := range data {
@@ -98,6 +100,22 @@ func TestCodecRejectsCorruption(t *testing.T) {
 				_ = Validate(p) // may fail; must not panic
 			}
 		}()
+	}
+	// Random rewrites of up to four bytes, some truncated: the statement
+	// blocks sized by the decoder's first pass must hold whatever its second
+	// decodes, and a negative variable count must not reach a make.
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 20000; k++ {
+		mut := append([]byte(nil), data...)
+		for j := rng.Intn(4); j >= 0; j-- {
+			mut[rng.Intn(len(mut))] = byte(rng.Intn(256))
+		}
+		if rng.Intn(4) == 0 {
+			mut = mut[:rng.Intn(len(mut))]
+		}
+		if p, err := DecodeProgram(mut); err == nil && Validate(p) == nil {
+			_ = EncodeProgram(p)
+		}
 	}
 	if _, err := DecodeProgram(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated program decoded without error")

@@ -10,7 +10,7 @@
 // zero-block skipping).
 package ir
 
-import "bitgen/internal/charclass"
+import "slices"
 
 // VarID names a bitstream variable (SSA-ish: the lowering assigns each
 // variable once per static occurrence, but loop bodies reassign loop-carried
@@ -292,12 +292,18 @@ func ReadsInto(s Stmt, buf *[2]VarID) []VarID {
 // enclosing statement's; 0 for a variable stmts never reads. Nothing in
 // stmts reads a variable's value after that statement.
 func LastReads(stmts []Stmt, numVars int) []int32 {
-	last := make([]int32, numVars)
-	var buf [2]VarID
+	return LastReadsInto(nil, stmts, numVars)
+}
+
+// LastReadsInto is LastReads into buf's storage, reallocated only to grow.
+func LastReadsInto(buf []int32, stmts []Stmt, numVars int) []int32 {
+	last := slices.Grow(buf[:0], numVars)[:numVars]
+	clear(last)
+	var reads [2]VarID
 	for i := range stmts {
 		at := int32(i + 1)
 		WalkStmts(stmts[i:i+1], func(s Stmt) {
-			for _, v := range ReadsInto(s, &buf) {
+			for _, v := range ReadsInto(s, &reads) {
 				last[v] = at
 			}
 		})
@@ -355,11 +361,4 @@ func CollectStats(p *Program) Stats {
 		}
 	})
 	return st
-}
-
-// CCRef is a compiled character class retained for diagnostics: the lowering
-// registers each class it expands so tools can report them.
-type CCRef struct {
-	Class charclass.Class
-	Var   VarID
 }

@@ -273,12 +273,13 @@ func TestCloneIsDeep(t *testing.T) {
 func TestBuilderCachesClasses(t *testing.T) {
 	b := NewBuilder()
 	v1 := b.MatchClass(charclass.Single('a'))
+	n := len(b.prog.Stmts)
 	v2 := b.MatchClass(charclass.Single('a'))
 	if v1 != v2 {
 		t.Fatal("identical classes not cached")
 	}
-	if len(b.CCs) != 1 {
-		t.Fatalf("CCs = %d entries, want 1", len(b.CCs))
+	if len(b.prog.Stmts) != n {
+		t.Fatalf("the cached class emitted %d more statements", len(b.prog.Stmts)-n)
 	}
 }
 

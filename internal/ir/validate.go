@@ -8,6 +8,9 @@ import "fmt"
 // range, guards do not skip past the end of their body, and shift distances
 // are sane. It returns the first problem found.
 func Validate(p *Program) error {
+	if p.NumVars < 0 {
+		return fmt.Errorf("ir: %d variables", p.NumVars)
+	}
 	defined := make([]bool, p.NumVars)
 	if err := validateBody(p, p.Stmts, defined); err != nil {
 		return err

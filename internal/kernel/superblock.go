@@ -11,7 +11,7 @@ package kernel
 // interpreter is the reference for its outputs.
 //
 // On top of the flat encoding, the compiler fuses single-def single-use
-// temporaries (found by dfg.CountUseDef) into their consumer: an
+// temporaries (found by dfg.UseDef.Count) into their consumer: an
 // advance-then-mask pair like T = S >> k; M = T & CC — the hot step of
 // bitstream regex matching — becomes one µop whose shifted words exist only
 // inside its loop, and so does a pair of AND / OR / AND-NOT µops (fused2, one
@@ -263,7 +263,7 @@ func newSBCompiler(k *compiled) *sbCompiler {
 // done returns c to sbScratch, dropping what it referenced.
 func (c *sbCompiler) done() {
 	clear(c.gidOf)
-	c.k, c.an, c.ud, c.whole = nil, nil, dfg.UseDef{}, false
+	c.k, c.an, c.whole = nil, nil, false // c.ud keeps its tables
 	sbScratch.Put(c)
 }
 
@@ -279,7 +279,7 @@ func (c *sbCompiler) compilePlan(pl *plan) {
 			if c.an = c.k.an; !c.whole {
 				c.an = dfg.AnalyzeBody(x.stmts, p.NumVars)
 			}
-			c.ud = dfg.CountUseDef(x.stmts, p.NumVars)
+			c.ud.Count(x.stmts, p.NumVars)
 			x.an, x.sprog = c.an, c.compile(x.stmts)
 			if propagates(c.an) {
 				x.fork = c.fork(x.sprog)

@@ -110,15 +110,26 @@ func Group(regexes []Regex, opts Options) (*ir.Program, error) {
 func Classes(regexes []Regex) []charclass.Class {
 	var out []charclass.Class
 	seen := make(map[charclass.Class]bool)
+	EachClass(regexes, func(cl charclass.Class) {
+		if !seen[cl] {
+			seen[cl] = true
+			out = append(out, cl)
+		}
+	})
+	return out
+}
+
+// EachClass calls fn for every character class a set of regexes expands
+// during lowering, repeats included, in first-use order over the simplified
+// ASTs. ASTs the caller simplified already are walked as they are.
+func EachClass(regexes []Regex, fn func(charclass.Class)) {
 	for _, re := range regexes {
 		rx.Walk(rx.Simplify(re.AST), func(n rx.Node) {
-			if cc, ok := n.(rx.CC); ok && !seen[cc.Class] {
-				seen[cc.Class] = true
-				out = append(out, cc.Class)
+			if cc, ok := n.(rx.CC); ok {
+				fn(cc.Class)
 			}
 		})
 	}
-	return out
 }
 
 // SharedProgram lowers a list of character classes into one bitstream

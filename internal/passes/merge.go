@@ -1,6 +1,10 @@
 package passes
 
-import "bitgen/internal/ir"
+import (
+	"slices"
+
+	"bitgen/internal/ir"
+)
 
 // MergeOptions control barrier merging.
 type MergeOptions struct {
@@ -23,33 +27,62 @@ func MergeBarriers(p *ir.Program, opts MergeOptions) *ir.BarrierSchedule {
 		opts.MergeSize = 8
 	}
 	sched := &ir.BarrierSchedule{MergeSize: opts.MergeSize}
-	mergeBody(p, &p.Stmts, opts, sched)
+	s := getScratch()
+	s.defSeq = grown(s.defSeq, p.NumVars, -1)
+	s.inRun = grown(s.inRun, p.NumVars, 0)
+	s.pend = grown(s.pend, p.NumVars, 0)
+	s.mergeBody(p.Stmts, opts.MergeSize, sched)
+	s.release()
 	p.Barriers = sched
 	return sched
 }
 
-func mergeBody(p *ir.Program, body *[]ir.Stmt, opts MergeOptions, sched *ir.BarrierSchedule) {
-	for _, s := range *body {
-		if x, ok := s.(*ir.While); ok {
-			mergeBody(p, &x.Body, opts, sched)
+func (s *scratch) mergeBody(body []ir.Stmt, size int, sched *ir.BarrierSchedule) {
+	for _, st := range body {
+		if x, ok := st.(*ir.While); ok {
+			s.mergeBody(x.Body, size, sched)
 		}
 	}
 	// Process maximal runs of assignments. Guards end a run: moving a
 	// statement across a guard would change what the guard skips.
 	start := 0
-	for i := 0; i <= len(*body); i++ {
+	for i := 0; i <= len(body); i++ {
 		isAssign := false
-		if i < len(*body) {
-			_, isAssign = (*body)[i].(*ir.Assign)
+		if i < len(body) {
+			_, isAssign = body[i].(*ir.Assign)
 		}
 		if isAssign {
 			continue
 		}
 		if i > start {
-			mergeRun(p, body, start, i, opts, sched)
+			s.mergeRun(body[start:i], size, sched)
 		}
 		start = i + 1
 	}
+}
+
+// Bits of scratch.inRun: the current run defines, or reads, the variable.
+const (
+	defInRun uint8 = 1 << iota
+	readInRun
+)
+
+// member is a shift merged upward into the barrier group led by the
+// statement at position leader of the run's new order.
+type member struct {
+	leader int32
+	a      *ir.Assign
+}
+
+// runMerge is mergeRun's placement state; its tables are the scratch's.
+type runMerge struct {
+	s    *scratch
+	size int
+	seq  int32 // placement sequence number of the next statement placed
+	// The current barrier group: its leader's position in s.order and
+	// sequence number, and how many shifts it holds (0: no group yet).
+	leader, leaderSeq int32
+	n                 int
 }
 
 // mergeRun schedules the shifts of one straight-line run as early as their
@@ -63,21 +96,31 @@ func mergeBody(p *ir.Program, body *[]ir.Stmt, opts MergeOptions, sched *ir.Barr
 // compile cost on 10^5-statement ClamAV-class group programs.) The
 // deferred splice is sound because a shift is flushed at its first use:
 // everything already placed after the leader predates that use and so
-// cannot read the shift's value.
-func mergeRun(p *ir.Program, body *[]ir.Stmt, start, end int, opts MergeOptions, sched *ir.BarrierSchedule) {
-	orig := make([]*ir.Assign, 0, end-start)
-	for _, s := range (*body)[start:end] {
-		orig = append(orig, s.(*ir.Assign))
+// cannot read the shift's value. Every table entry the run sets is back at
+// its fill value when it returns.
+func (s *scratch) mergeRun(body []ir.Stmt, size int, sched *ir.BarrierSchedule) {
+	orig := s.run[:0]
+	for _, st := range body {
+		orig = append(orig, st.(*ir.Assign))
 	}
+	s.run = orig
+	var buf [2]ir.VarID
+	defer func() {
+		for _, a := range orig {
+			for _, v := range ir.OperandsInto(a.Expr, &buf) {
+				s.inRun[v] = 0
+			}
+			s.inRun[a.Dst], s.defSeq[a.Dst] = 0, -1
+		}
+	}()
 	// Reject runs with variable redefinition: reordering is only safe in
 	// single-assignment runs (the lowering emits SSA-shaped straight-line
 	// code except for loop-carried variables, which live in loop bodies).
-	seenDef := make([]bool, p.NumVars)
 	for _, a := range orig {
-		if seenDef[a.Dst] {
+		if s.inRun[a.Dst]&defInRun != 0 {
 			return
 		}
-		seenDef[a.Dst] = true
+		s.inRun[a.Dst] |= defInRun
 	}
 
 	// Deferred scheduling: shifts are held back until their first use,
@@ -88,99 +131,95 @@ func mergeRun(p *ir.Program, body *[]ir.Stmt, start, end int, opts MergeOptions,
 	// consumed by later segments) are NOT deferred: moving them to the
 	// run's end would stretch zero paths across unrelated regexes'
 	// code and poison ZBS validation.
-	var buf [2]ir.VarID
-	usedInRun := make([]bool, p.NumVars)
 	for _, a := range orig {
 		for _, v := range ir.OperandsInto(a.Expr, &buf) {
-			usedInRun[v] = true
+			s.inRun[v] |= readInRun
 		}
 	}
-	newOrder := make([]*ir.Assign, 0, len(orig))
-	members := make(map[*ir.Assign][]*ir.Assign) // group leader → merged shifts
-	definedSeq := make([]int32, p.NumVars)       // -1 = external or not yet placed
-	for i := range definedSeq {
-		definedSeq[i] = -1
-	}
-	seq := int32(0)
-	place := func(a *ir.Assign) {
-		definedSeq[a.Dst] = seq
-		seq++
-	}
-	pend := make([]*ir.Assign, p.NumVars) // deferred shifts by destination
-	type group struct {
-		leader    *ir.Assign
-		leaderSeq int32
-		size      int
-	}
-	var cur *group
-	// operandsBefore reports whether every operand was placed strictly
-	// before the group leader (external definitions count as before).
-	// Sequence order matches position order relative to any leader:
-	// merged members are placed after their leader both in time and in
-	// the final splice.
-	operandsBefore := func(a *ir.Assign, leaderSeq int32) bool {
-		for _, v := range ir.OperandsInto(a.Expr, &buf) {
-			if definedSeq[v] >= leaderSeq {
-				return false
-			}
-		}
-		return true
-	}
-	var flushShift func(a *ir.Assign)
-	flushShift = func(a *ir.Assign) {
-		pend[a.Dst] = nil
-		for _, v := range ir.OperandsInto(a.Expr, &buf) {
-			if dep := pend[v]; dep != nil {
-				flushShift(dep)
-			}
-		}
-		if cur != nil && cur.size < opts.MergeSize && operandsBefore(a, cur.leaderSeq) {
-			members[cur.leader] = append(members[cur.leader], a)
-			place(a)
-			cur.size++
-			return
-		}
-		newOrder = append(newOrder, a)
-		place(a)
-		cur = &group{leader: a, leaderSeq: definedSeq[a.Dst], size: 1}
-	}
-	for _, a := range orig {
-		if _, isShift := a.Expr.(ir.Shift); isShift && usedInRun[a.Dst] {
-			pend[a.Dst] = a
+	s.order, s.members = s.order[:0], s.members[:0]
+	m := runMerge{s: s, size: size}
+	for i, a := range orig {
+		if isShiftAssign(a) && s.inRun[a.Dst]&readInRun != 0 {
+			s.pend[a.Dst] = int32(i + 1) // deferred shifts by destination
 			continue
 		}
 		for _, v := range ir.OperandsInto(a.Expr, &buf) {
-			if dep := pend[v]; dep != nil {
-				flushShift(dep)
+			if dep := s.pend[v]; dep != 0 {
+				m.flush(orig[dep-1])
 			}
 		}
 		if isShiftAssign(a) {
 			// Un-deferred shift: schedule it here, still merging with the
 			// current group when possible.
-			flushShift(a)
+			m.flush(a)
 			continue
 		}
-		newOrder = append(newOrder, a)
-		place(a)
+		s.order = append(s.order, a)
+		m.place(a)
 	}
 	// Should not happen (every deferred shift has an in-run use), but
 	// flush defensively in original order.
 	for _, a := range orig {
-		if pend[a.Dst] != nil && isShiftAssign(a) {
-			flushShift(a)
+		if s.pend[a.Dst] != 0 && isShiftAssign(a) {
+			m.flush(a)
 		}
 	}
 
-	final := newOrder[:0:0]
-	for _, a := range newOrder {
+	final, rest := s.final[:0], s.members
+	for i, a := range s.order {
 		final = append(final, a)
-		final = append(final, members[a]...)
+		for ; len(rest) > 0 && rest[0].leader == int32(i); rest = rest[1:] {
+			final = append(final, rest[0].a)
+		}
 	}
+	s.final = final
 	for i, a := range final {
-		(*body)[start+i] = a
+		body[i] = a
 	}
+	s.groupAdjacent(final, size, sched)
+}
 
-	groupAdjacent(final, opts, sched)
+func (m *runMerge) place(a *ir.Assign) {
+	m.s.defSeq[a.Dst] = m.seq
+	m.seq++
+}
+
+// operandsBefore reports whether every operand of a was placed strictly
+// before the current group's leader (external definitions count as
+// before). Sequence order matches position order relative to any leader:
+// merged members are placed after their leader both in time and in the
+// final splice.
+func (m *runMerge) operandsBefore(a *ir.Assign) bool {
+	var buf [2]ir.VarID
+	for _, v := range ir.OperandsInto(a.Expr, &buf) {
+		if m.s.defSeq[v] >= m.leaderSeq {
+			return false
+		}
+	}
+	return true
+}
+
+// flush places the deferred shift a, the deferred shifts it reads first:
+// merged into the current group when it has room and a's operands precede
+// its leader, else as the leader of a new group.
+func (m *runMerge) flush(a *ir.Assign) {
+	s := m.s
+	s.pend[a.Dst] = 0
+	var buf [2]ir.VarID
+	for _, v := range ir.OperandsInto(a.Expr, &buf) {
+		if dep := s.pend[v]; dep != 0 {
+			m.flush(s.run[dep-1])
+		}
+	}
+	if m.n > 0 && m.n < m.size && m.operandsBefore(a) {
+		s.members = append(s.members, member{leader: m.leader, a: a})
+		m.place(a)
+		m.n++
+		return
+	}
+	s.order = append(s.order, a)
+	m.leader, m.leaderSeq, m.n = int32(len(s.order)-1), m.seq, 1
+	m.place(a)
 }
 
 func isShiftAssign(a *ir.Assign) bool {
@@ -188,35 +227,41 @@ func isShiftAssign(a *ir.Assign) bool {
 	return ok
 }
 
-// groupAdjacent records runs of adjacent shifts as barrier groups.
-func groupAdjacent(newOrder []*ir.Assign, opts MergeOptions, sched *ir.BarrierSchedule) {
-	// Group consecutive shifts, chunked by the merge size; count the
-	// shared-memory copies saved by duplicate sources within a group.
-	var cur []*ir.Assign
-	flushGroup := func() {
-		if len(cur) >= 2 {
-			sched.Groups = append(sched.Groups, cur)
-			srcs := make(map[ir.VarID]bool)
-			for _, m := range cur {
-				if sh, ok := m.Expr.(ir.Shift); ok {
-					if srcs[sh.Src] {
-						sched.DedupedCopies++
-					}
-					srcs[sh.Src] = true
-				}
-			}
+// groupAdjacent records runs of adjacent shifts as barrier groups, chunked
+// by the merge size, and counts the shared-memory copies saved by duplicate
+// sources within a group. The groups of one run share one backing array.
+func (s *scratch) groupAdjacent(final []*ir.Assign, size int, sched *ir.BarrierSchedule) {
+	spans, total, n := s.spans[:0], 0, 0
+	closeGroup := func(end int) {
+		if n >= 2 {
+			spans = append(spans, [2]int32{int32(end - n), int32(end)})
+			total += n
 		}
-		cur = nil
+		n = 0
 	}
-	for _, a := range newOrder {
-		if _, isShift := a.Expr.(ir.Shift); isShift {
-			if len(cur) == opts.MergeSize {
-				flushGroup()
-			}
-			cur = append(cur, a)
+	for i, a := range final {
+		if !isShiftAssign(a) {
+			closeGroup(i)
 			continue
 		}
-		flushGroup()
+		if n == size {
+			closeGroup(i)
+		}
+		n++
 	}
-	flushGroup()
+	closeGroup(len(final))
+	s.spans = spans
+	backing := make([]*ir.Assign, total)
+	for _, sp := range spans {
+		g := backing[: sp[1]-sp[0] : sp[1]-sp[0]]
+		backing = backing[len(g):]
+		copy(g, final[sp[0]:sp[1]])
+		sched.Groups = append(sched.Groups, g)
+		for j, a := range g {
+			src := a.Expr.(ir.Shift).Src
+			if slices.ContainsFunc(g[:j], func(b *ir.Assign) bool { return b.Expr.(ir.Shift).Src == src }) {
+				sched.DedupedCopies++
+			}
+		}
+	}
 }

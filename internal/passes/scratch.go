@@ -3,6 +3,7 @@ package passes
 import (
 	"sync"
 
+	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
 )
 
@@ -27,6 +28,13 @@ type scratch struct {
 	vars  []variable // Rebalance: uses, definition and run state of each variable
 	mark  []uint8    // Rebalance's dead-code elimination: pinned / dead bits of its one record
 	stack []int32    // dead-code worklist
+	// MergeBarriers: each variable's placement sequence number in the
+	// current run (-1 for none), whether the run defines or reads it
+	// (defInRun, readInRun), and the deferred shift defining it (1 + its
+	// run position, 0 for none).
+	defSeq []int32
+	inRun  []uint8
+	pend   []int32
 	// Rebalance, indexed by readKey (variable and shift direction): how many
 	// lifted orphans read the variable, and the keys fusion looks at this round.
 	orphanReads []int32
@@ -41,13 +49,18 @@ type scratch struct {
 	post    []int32
 	stmts   []ir.Stmt
 	// Position-indexed.
-	run     []*ir.Assign // InsertGuards: the current straight-line run
-	preAt   []int32      // Rebalance: body positions that get pre-statements, ascending,
-	pre     []int32      // and the first of the two records (counter, inner) spliced before each
-	onPath  []int32      // InsertGuards: zero-path stamp per run position
-	taken   []bool       // InsertGuards: run position already anchors a guard
-	inserts []insertion  // InsertGuards: guards planned for the current body
-	guardAt []int32      // InsertGuards: per body position, index into inserts or -1
+	run     []*ir.Assign   // InsertGuards, MergeBarriers: the current straight-line run
+	order   []*ir.Assign   // MergeBarriers: the run's statements placed, merged shifts aside,
+	members []member       // the shifts merged into each group, by leader position,
+	final   []*ir.Assign   // and the run's new order
+	spans   [][2]int32     // MergeBarriers: each barrier group's [from, to) in final
+	preAt   []int32        // Rebalance: body positions that get pre-statements, ascending,
+	pre     []int32        // and the first of the two records (counter, inner) spliced before each
+	onPath  []int32        // InsertGuards: zero-path stamp per run position
+	taken   []bool         // InsertGuards: run position already anchors a guard
+	inserts []insertion    // InsertGuards: guards planned for the current body
+	guardAt []int32        // InsertGuards: per body position, index into inserts or -1
+	paths   dfg.PathFinder // InsertGuards: the zero paths of the current run
 }
 
 // runReads summarizes the reads of one variable within a straight-line run:
@@ -64,6 +77,9 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func (s *scratch) release() {
 	clear(s.stmts[:cap(s.stmts)])
 	clear(s.run[:cap(s.run)])
+	clear(s.order[:cap(s.order)])
+	clear(s.members[:cap(s.members)])
+	clear(s.final[:cap(s.final)])
 	scratchPool.Put(s)
 }
 

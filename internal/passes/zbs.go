@@ -3,7 +3,6 @@ package passes
 import (
 	"slices"
 
-	"bitgen/internal/dfg"
 	"bitgen/internal/ir"
 )
 
@@ -102,13 +101,16 @@ func (s *scratch) guardBody(p *ir.Program, body *[]ir.Stmt, opts ZBSOptions, res
 	// whose final position the walk has already fixed (it lies after the
 	// anchor) and left in s.guardAt.
 	b = slices.Grow(b, len(s.inserts))[:n+len(s.inserts)]
+	guards := make([]ir.Guard, len(s.inserts)) // the body's guards, one block
 	w := len(b)
 	for r := n - 1; w > r+1; r-- {
 		k := s.guardAt[r]
 		if k >= 0 {
 			w--
 			ins := s.inserts[k]
-			b[w] = &ir.Guard{Cond: ins.cond, Skip: int(s.guardAt[ins.last]) - w}
+			g := &guards[k]
+			g.Cond, g.Skip = ins.cond, int(s.guardAt[ins.last])-w
+			b[w] = g
 			res.GuardsInserted++
 		}
 		w--
@@ -124,7 +126,7 @@ func (s *scratch) guardBody(p *ir.Program, body *[]ir.Stmt, opts ZBSOptions, res
 // per path so candidate validation never allocates — at ClamAV megaset
 // scale a run holds the whole group program and every AND chain is a path.
 func (s *scratch) planRunGuards(run []*ir.Assign, base, numVars int, opts ZBSOptions, res *ZBSResult) {
-	paths := dfg.ZeroPaths(run, numVars)
+	paths := s.paths.ZeroPaths(run, numVars)
 	res.PathsFound += len(paths)
 	// Where the run reads each variable. Reads elsewhere — another body, a
 	// condition, an output — show as a shortfall against s.uses.

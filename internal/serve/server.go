@@ -633,7 +633,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			resp.Matches[i] = jsonMatch{Pattern: m.Pattern, Index: m.Index, End: m.End}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeMatchResponse(w, &resp)
 }
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {

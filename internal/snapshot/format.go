@@ -68,25 +68,45 @@ type section struct {
 	payload []byte
 }
 
-// container assembles the outer framing around encoded sections.
-func container(sections []section) []byte {
-	size := 8 + 4 + 4 + 4 // magic + version + count + file CRC
-	for _, s := range sections {
-		size += 2 + len(s.name) + 8 + len(s.payload) + 4
-	}
+// writer builds a container in one buffer: each section's payload is
+// written in place after its header, whose length field is filled in once
+// the payload is done.
+type writer struct {
+	out   []byte
+	count int
+}
+
+// containerBound is the framing of a container of n sections whose names
+// are nameBytes long together: what it holds beyond the payloads.
+func containerBound(n, nameBytes int) int {
+	return 8 + 4 + 4 + 4 + n*(2+8+4) + nameBytes // magic, version, count, file CRC; per section
+}
+
+func newWriter(size int) *writer {
 	out := make([]byte, 0, size)
 	out = append(out, magic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(sections)))
-	for _, s := range sections {
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(s.name)))
-		out = append(out, s.name...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
-		out = append(out, s.payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(s.payload, castagnoli))
-	}
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
-	return out
+	out = binary.LittleEndian.AppendUint32(out, 0) // section count, set by finish
+	return &writer{out: out}
+}
+
+// section appends a section named name whose payload fill writes.
+func (w *writer) section(name string, fill func(*enc)) {
+	w.out = binary.LittleEndian.AppendUint16(w.out, uint16(len(name)))
+	w.out = append(w.out, name...)
+	at := len(w.out)
+	e := enc{b: binary.LittleEndian.AppendUint64(w.out, 0)}
+	fill(&e)
+	payload := e.b[at+8:]
+	binary.LittleEndian.PutUint64(e.b[at:], uint64(len(payload)))
+	w.out = binary.LittleEndian.AppendUint32(e.b, crc32.Checksum(payload, castagnoli))
+	w.count++
+}
+
+// finish writes the section count and the file CRC and returns the file.
+func (w *writer) finish() []byte {
+	binary.LittleEndian.PutUint32(w.out[12:], uint32(w.count))
+	return binary.LittleEndian.AppendUint32(w.out, crc32.Checksum(w.out, castagnoli))
 }
 
 // checkHeader validates magic and version (in that order, before any CRC)
@@ -223,13 +243,17 @@ func (d *dec) fail(what string) {
 	}
 }
 
-func (d *dec) uvarint(what string) uint64 {
+func (d *dec) uvarint(what string) uint64 { return d.uvarintOf(what, "") }
+
+// uvarintOf is uvarint of the field named what+part, a name it spells out
+// only on failure.
+func (d *dec) uvarintOf(what, part string) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		d.fail(what)
+		d.fail(what + part)
 		return 0
 	}
 	d.b = d.b[n:]
@@ -253,7 +277,7 @@ func (d *dec) varint(what string) int64 {
 // bytes each, bounding it by the remaining payload so a corrupted count
 // can never drive a huge allocation.
 func (d *dec) count(what string, minBytes int) int {
-	v := d.uvarint(what + " count")
+	v := d.uvarintOf(what, " count")
 	if d.err != nil {
 		return 0
 	}
@@ -285,7 +309,7 @@ func (d *dec) boolean(what string) bool {
 }
 
 func (d *dec) str(what string) string {
-	n := d.uvarint(what + " length")
+	n := d.uvarintOf(what, " length")
 	if d.err != nil {
 		return ""
 	}
@@ -299,7 +323,7 @@ func (d *dec) str(what string) string {
 }
 
 func (d *dec) blob(what string) []byte {
-	n := d.uvarint(what + " length")
+	n := d.uvarintOf(what, " length")
 	if d.err != nil {
 		return nil
 	}

@@ -1,23 +1,57 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"bitgen/internal/bgerr"
+	"bitgen/internal/charclass"
+	"bitgen/internal/engine"
 	"bitgen/internal/faultinject"
 	"bitgen/internal/obs"
 )
 
 // testKey is a plausible 64-hex pattern-set key.
 var testKey = strings.Repeat("ab12", 16)
+
+// TestEncodeSizesItsBufferOnce: Encode writes the whole container into the
+// one buffer encodedSizeBound sized, never growing it, and Decode reads the
+// state back. Every varint here is long and the group payloads are large.
+func TestEncodeSizesItsBufferOnce(t *testing.T) {
+	st := &EngineState{
+		Patterns:    []string{"abc", strings.Repeat("x", 300), ""},
+		FoldCase:    true,
+		OptionsHash: strings.Repeat("f", 64),
+		MaxLen:      math.MaxInt64,
+		Nullable:    []string{""},
+		Groups: []engine.Group{
+			{Names: []string{"abc", ""}, Chars: 3, Packed: bytes.Repeat([]byte{7}, 200)},
+			{Names: []string{strings.Repeat("x", 300)}, Chars: math.MinInt64, Packed: bytes.Repeat([]byte{9}, 70000)},
+		},
+		Shared:    []charclass.Class{charclass.Single('a'), charclass.Dot()},
+		PassStats: engine.PassStats{Rewrites: -1, MergedGroups: math.MaxInt64, GuardsInserted: 3},
+	}
+	data := Encode(st)
+	if cap(data) != encodedSizeBound(st) {
+		t.Errorf("Encode grew its buffer: cap %d, bound %d, %d bytes written", cap(data), encodedSizeBound(st), len(data))
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("round trip: got %+v, want %+v", got, st)
+	}
+}
 
 // testSnapshot builds a small but structurally real snapshot container.
 func testSnapshot() []byte {
@@ -355,4 +389,17 @@ func TestKeyPattern(t *testing.T) {
 			t.Fatalf("bad key %q accepted", bad)
 		}
 	}
+}
+
+// container frames hand-built section payloads, as Encode frames its own.
+func container(sections []section) []byte {
+	names := 0
+	for _, s := range sections {
+		names += len(s.name) + len(s.payload)
+	}
+	w := newWriter(containerBound(len(sections), names))
+	for _, s := range sections {
+		w.section(s.name, func(e *enc) { e.b = append(e.b, s.payload...) })
+	}
+	return w.finish()
 }

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"encoding/binary"
+
 	"bitgen/internal/charclass"
 	"bitgen/internal/engine"
 )
@@ -51,47 +53,65 @@ type EngineState struct {
 	PassStats engine.PassStats
 }
 
-// Encode serializes the state into the framed, checksummed container.
+// Encode serializes the state into the framed, checksummed container. The
+// sections are written in place into one buffer sized once.
 func Encode(st *EngineState) []byte {
-	var meta enc
-	meta.strs(st.Patterns)
-	meta.boolean(st.FoldCase)
-	meta.str(st.OptionsHash)
-	meta.varint(int64(st.MaxLen))
-	meta.strs(st.Nullable)
-	meta.strs(st.Unbounded)
-
-	var passes enc
-	passes.varint(int64(st.PassStats.Rewrites))
-	passes.varint(int64(st.PassStats.MergedGroups))
-	passes.varint(int64(st.PassStats.DedupedCopies))
-	passes.varint(int64(st.PassStats.ZeroPaths))
-	passes.varint(int64(st.PassStats.GuardsInserted))
-
-	var groups enc
-	groups.count(len(st.Groups))
-	for i := range st.Groups {
-		g := &st.Groups[i]
-		groups.strs(g.Names)
-		groups.varint(int64(g.Chars))
-		// The stored packed bytes go out verbatim, so re-encoding a decoded
-		// snapshot reproduces the group section byte for byte.
-		groups.blob(g.Packed)
-	}
-
-	var shared enc
-	shared.count(len(st.Shared))
-	for _, cl := range st.Shared {
-		b := cl.Bytes()
-		shared.b = append(shared.b, b[:]...)
-	}
-
-	return container([]section{
-		{name: sectionMeta, payload: meta.b},
-		{name: sectionPasses, payload: passes.b},
-		{name: sectionGroups, payload: groups.b},
-		{name: sectionShared, payload: shared.b},
+	w := newWriter(encodedSizeBound(st))
+	w.section(sectionMeta, func(meta *enc) {
+		meta.strs(st.Patterns)
+		meta.boolean(st.FoldCase)
+		meta.str(st.OptionsHash)
+		meta.varint(int64(st.MaxLen))
+		meta.strs(st.Nullable)
+		meta.strs(st.Unbounded)
 	})
+	w.section(sectionPasses, func(passes *enc) {
+		passes.varint(int64(st.PassStats.Rewrites))
+		passes.varint(int64(st.PassStats.MergedGroups))
+		passes.varint(int64(st.PassStats.DedupedCopies))
+		passes.varint(int64(st.PassStats.ZeroPaths))
+		passes.varint(int64(st.PassStats.GuardsInserted))
+	})
+	w.section(sectionGroups, func(groups *enc) {
+		groups.count(len(st.Groups))
+		for i := range st.Groups {
+			g := &st.Groups[i]
+			groups.strs(g.Names)
+			groups.varint(int64(g.Chars))
+			// The stored packed bytes go out verbatim, so re-encoding a decoded
+			// snapshot reproduces the group section byte for byte.
+			groups.blob(g.Packed)
+		}
+	})
+	w.section(sectionShared, func(shared *enc) {
+		shared.count(len(st.Shared))
+		for _, cl := range st.Shared {
+			b := cl.Bytes()
+			shared.b = append(shared.b, b[:]...)
+		}
+	})
+	return w.finish()
+}
+
+// encodedSizeBound bounds the container Encode writes for st: every varint
+// at its longest.
+func encodedSizeBound(st *EngineState) int {
+	const v = binary.MaxVarintLen64
+	strs := func(ss []string) int {
+		n := v
+		for _, s := range ss {
+			n += v + len(s)
+		}
+		return n
+	}
+	n := containerBound(4, len(sectionMeta)+len(sectionPasses)+len(sectionGroups)+len(sectionShared))
+	n += strs(st.Patterns) + 1 + v + len(st.OptionsHash) + v + strs(st.Nullable) + strs(st.Unbounded)
+	n += 5 * v
+	n += v
+	for i := range st.Groups {
+		n += strs(st.Groups[i].Names) + v + v + len(st.Groups[i].Packed)
+	}
+	return n + v + classBytes*len(st.Shared)
 }
 
 // Decode parses a snapshot: framing and CRCs first (splitContainer), then

@@ -72,6 +72,7 @@ func SaveEngine(w io.Writer, e *Engine) error {
 // EncodeEngine returns the snapshot bytes SaveEngine would write. Serving
 // layers use it directly to persist through an atomic store.
 func EncodeEngine(e *Engine) []byte {
+	groups, shared := e.inner.Stored()
 	return snapshot.Encode(&snapshot.EngineState{
 		Patterns:    e.patterns,
 		FoldCase:    e.foldCase,
@@ -79,8 +80,8 @@ func EncodeEngine(e *Engine) []byte {
 		MaxLen:      e.maxLen,
 		Nullable:    e.nullable,
 		Unbounded:   e.unbounded,
-		Groups:      e.inner.Groups(),
-		Shared:      e.inner.SharedClasses(),
+		Groups:      groups,
+		Shared:      shared,
 		PassStats:   e.inner.PassStats,
 	})
 }
