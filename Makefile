@@ -46,8 +46,10 @@ fault:
 # Short smoke runs of the fuzz targets: the conformance harness on generated
 # pattern sets, on their snapshots and at fuzzed chunk sizes; Engine.Run
 # against Go's regexp; lowering; the parser; /v1/match's one-pass body
-# decoder and its append reply encoder against encoding/json; and the
-# shared-class evaluator against byte membership. FUZZTIME=2m for a longer local soak.
+# decoder and its append reply encoder against encoding/json; the
+# shared-class evaluator against byte membership; and the packed-program
+# decoder (no panic, ErrMalformed errors, canonical re-encoding). FUZZTIME=2m
+# for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzMatchersAgree$$' -fuzztime $(FUZZTIME) -run '^FuzzMatchersAgree$$' .
@@ -59,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime $(FUZZTIME) -run '^FuzzDecodeMatchRequest$$' ./internal/serve
 	$(GO) test -fuzz '^FuzzEncodeMatchResponse$$' -fuzztime $(FUZZTIME) -run '^FuzzEncodeMatchResponse$$' ./internal/serve
 	$(GO) test -fuzz '^FuzzClassEval$$' -fuzztime $(FUZZTIME) -run '^FuzzClassEval$$' ./internal/engine
+	$(GO) test -fuzz '^FuzzDecodeProgram$$' -fuzztime $(FUZZTIME) -run '^FuzzDecodeProgram$$' ./internal/ir
 
 # obs-smoke runs a real scan with tracing and metrics on and validates
 # the exported artifacts: the Chrome trace_event JSON schema (loadable in
@@ -247,10 +250,13 @@ profile-serve:
 # profile-compile is the compile path's CPU and allocation profile as a
 # command: the repo benchmark's compile_megaset op as a Go benchmark
 # (BenchmarkCompileMegaset/500: compile 500 signatures, snapshot, load, first
-# scan; ≈ 14 MB in 82 k objects and 2 collector cycles an op, gc/op beside
+# scan; ≈ 13.7 MB in 31 k objects and ≈ 5 collector cycles an op, gc/op beside
 # B/op and allocs/op), 30 iterations from a test binary built once, top 25 by
-# flat CPU time, by allocated bytes (collector cycles follow bytes) and by
-# allocated objects (malloc time follows objects). The two profiles come
+# flat CPU time, by allocated bytes (collector cycles follow bytes: arena words
+# and the kernels' compiled form ≈ 21 % each, the lowering's assignment
+# blocks ≈ 16 %, the decoder ≈ 12 %) and by allocated objects (malloc time
+# follows objects: the regex parser's nodes ≈ 34 %, the assignment blocks
+# ≈ 9 %, the decoder ≈ 8 %; expression boxes, 61 % before, are gone). The two profiles come
 # from two runs: at a sampling rate fine enough to attribute 4 KB tables
 # (-memprofilerate 4096) the heap profiler's stack walks are a fifth of the
 # CPU profile. BENCH_SIZE=10000 is the regime where a group holds ~39

@@ -216,10 +216,11 @@ func loadAndFirstRunMegaset(tb testing.TB) func() error {
 // TestCompileMegasetAllocationBudget is the allocation gate on the compile
 // path: one Compile of the benchmark's 500-signature megaset keeps ~0.5 MB
 // and may allocate at most 24 MB on the way, in at most 17 collector cycles:
-// a quarter above the 16.9–19.1 MB it measures under the race detector, the
+// a quarter above the 16.6–19.0 MB it measures under the race detector, the
 // costlier of the two modes the suite runs in (its sync.Pool drops a quarter
-// of the pooled scratch), where it takes 11–13 cycles (4.8 MB in 53 k objects
-// and 3 cycles without). Before: 22.1–23.1 MB and 15–17 cycles under the race
+// of the pooled scratch), where it takes 8–10 cycles (4.4 MB in 20 k objects
+// and 1–2 cycles without). Before: 4.8 MB in 53 k objects while expressions
+// were boxed; 22.1–23.1 MB and 15–17 cycles under the race
 // detector, 14.4 MB in 137 k objects and 7–8 cycles without, until the ASTs
 // were simplified once, the merge, zero-path and loop analyses ran on pooled
 // scratch and lowering allocated its statements in blocks; 19.3 MB in 381 k
@@ -242,8 +243,9 @@ func TestCompileMegasetAllocationBudget(t *testing.T) {
 // TestCompileSigsAllocationBudget is the same gate on BenchmarkCompileSigs's
 // op: the compile, then the first scan's session — each group's kernel
 // compiled once, one executor for the worker's every group. It measures
-// 11.2–11.7 MB in 45 k objects (28.3–31.7 MB under the race detector, hence
-// 39) where it measured 18.5 MB in 118 k until lowering and decoding took
+// 10.3–10.9 MB in 17 k objects (27.4–30.0 MB under the race detector, hence
+// 39) where it measured 11.2–11.7 MB in 45 k while expressions were boxed,
+// 18.5 MB in 118 k until lowering and decoding took
 // statements from blocks and the passes' analyses ran on pooled scratch,
 // 28.4 MB in 621 k before Rebalance ran its rounds on
 // pointer-free records, 55.9 MB in 714 k when every group had an executor of
@@ -258,10 +260,11 @@ func TestCompileSigsAllocationBudget(t *testing.T) {
 // TestLoadAndFirstRunAllocationBudget is the gate on BenchmarkLoadAndFirstRun's
 // op: loading the megaset's snapshot, which decodes every group once and
 // compiles its kernel into the session that seeds the pool, then the first
-// Run on one executor per worker. It measures 8.9 MB in 28 k objects and 1
-// cycle; under the race detector 9.9–10.1 MB, or 16.1 MB when its sync.Pool
-// drops the seeded session's Put and the Run builds a session of its own, in
-// 1–4 cycles, hence 21 MB and 5 cycles. Before: 11.4 MB in 72 k objects,
+// Run on one executor per worker. It measures 8.7 MB in 11 k objects and 1–2
+// cycles; under the race detector 9.7–9.9 MB in 1–3 cycles (16.1 MB while a
+// sync.Pool held the seeded session and could drop it, the Run then building
+// its own), hence 21 MB and 5 cycles. Before: 8.9 MB in 28 k objects while
+// expressions were boxed; 11.4 MB in 72 k objects,
 // 19.5 MB under the race detector, until the decoder took a program's
 // statements from one block per kind; 36.3 MB when the Run decoded every
 // group again and gave each an executor of its own.
@@ -271,9 +274,11 @@ func TestLoadAndFirstRunAllocationBudget(t *testing.T) {
 
 // TestMegasetCycleAllocationBudget is the gate on the whole compile_megaset
 // op, BenchmarkCompileMegaset/500's: Compile, EncodeEngine, DecodeEngine and
-// the loaded engine's first Run. It measures 14.0 MB in 82 k objects and 1–2
-// cycles; under the race detector 28.3–35.0 MB in 7–13 cycles, hence 44 MB
-// and 17 cycles. The cycle allocated 26.3 MB in 200 k objects before the
+// the loaded engine's first Run. It measures 13.7 MB in 31 k objects and 3–4
+// cycles (1–2 while dead engines' sessions stayed live in a sync.Pool); under
+// the race detector 27.5–28.4 MB in 8–9 cycles, hence 44 MB and 17 cycles.
+// It allocated 14.0 MB in 82 k objects while expressions were boxed, and
+// 26.3 MB in 200 k objects before the
 // ASTs were simplified once, the passes and analyses ran on pooled scratch,
 // the encoders wrote into buffers sized once and the builder and the decoder
 // allocated statements in blocks.

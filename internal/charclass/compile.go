@@ -11,7 +11,7 @@ import (
 // character class yields an Expr; the lowering stage turns it into bitstream
 // instructions.
 type Expr interface {
-	isExpr()
+	classExpr()
 	String() string
 }
 
@@ -33,12 +33,12 @@ type And struct{ X, Y Expr }
 // Or disjoins two sub-expressions.
 type Or struct{ X, Y Expr }
 
-func (True) isExpr()  {}
-func (False) isExpr() {}
-func (Basis) isExpr() {}
-func (Not) isExpr()   {}
-func (And) isExpr()   {}
-func (Or) isExpr()    {}
+func (True) classExpr()  {}
+func (False) classExpr() {}
+func (Basis) classExpr() {}
+func (Not) classExpr()   {}
+func (And) classExpr()   {}
+func (Or) classExpr()    {}
 
 func (True) String() string    { return "1" }
 func (False) String() string   { return "0" }

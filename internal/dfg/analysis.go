@@ -118,7 +118,7 @@ func (w *intervals) runBody(body []ir.Stmt, env []Interval) {
 	for _, s := range body {
 		switch x := s.(type) {
 		case *ir.Assign:
-			if _, ok := x.Expr.(ir.StarThru); ok {
+			if x.Expr.Op == ir.OpStarThru {
 				a.HasCarry = true
 			}
 			env[x.Dst] = exprInterval(x.Expr, env)
@@ -169,22 +169,20 @@ func (w *intervals) clone(env []Interval) []Interval {
 }
 
 func exprInterval(e ir.Expr, env []Interval) Interval {
-	switch x := e.(type) {
-	case ir.Zero, ir.Ones, ir.MatchBasis:
+	switch e.Op {
+	case ir.OpZero, ir.OpOnes, ir.OpBasis:
 		return Interval{}
-	case ir.Copy:
-		return env[x.Src]
-	case ir.Not:
-		return env[x.Src]
-	case ir.Bin:
-		return env[x.X].union(env[x.Y])
-	case ir.Shift:
-		return env[x.Src].shift(x.K)
-	case ir.StarThru:
+	case ir.OpCopy, ir.OpNot:
+		return env[e.X]
+	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpAndNot:
+		return env[e.X].union(env[e.Y])
+	case ir.OpShift:
+		return env[e.X].shift(int(e.K))
+	case ir.OpStarThru:
 		// Statically the marker is read at j and j-1 and the class at j;
 		// the run-length-dependent reach backwards through C is dynamic
 		// (runtime checks handle boundary-crossing carry runs).
-		return env[x.M].union(env[x.M].shift(1)).union(env[x.C])
+		return env[e.X].union(env[e.X].shift(1)).union(env[e.Y])
 	}
-	panic(fmt.Sprintf("dfg: unknown expression %T", e))
+	panic(fmt.Sprintf("dfg: unknown operation %d", e.Op))
 }

@@ -6,21 +6,13 @@ import "bitgen/internal/ir"
 // sources (constants, basis reads) are 0, anything else one more than its
 // deepest operand (a Copy as deep as its source).
 func exprDepth(e ir.Expr, varDepth []int) int {
-	switch x := e.(type) {
-	case ir.Zero, ir.Ones, ir.MatchBasis:
-		return 0
-	case ir.Copy:
-		return varDepth[x.Src]
-	case ir.Not:
-		return varDepth[x.Src] + 1
-	case ir.Bin:
-		d := varDepth[x.X]
-		if varDepth[x.Y] > d {
-			d = varDepth[x.Y]
-		}
-		return d + 1
-	case ir.Shift:
-		return varDepth[x.Src] + 1
+	switch e.Op {
+	case ir.OpCopy:
+		return varDepth[e.X]
+	case ir.OpNot, ir.OpShift:
+		return varDepth[e.X] + 1
+	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpAndNot:
+		return max(varDepth[e.X], varDepth[e.Y]) + 1
 	}
 	return 0
 }

@@ -41,9 +41,9 @@ func TestMixedDirectionDelta(t *testing.T) {
 	// second example).
 	p := &ir.Program{NumVars: 3}
 	p.Stmts = []ir.Stmt{
-		&ir.Assign{Dst: 0, Expr: ir.MatchBasis{Bit: 0}},
-		&ir.Assign{Dst: 1, Expr: ir.Shift{Src: 0, K: 1}},
-		&ir.Assign{Dst: 2, Expr: ir.Shift{Src: 1, K: -2}},
+		&ir.Assign{Dst: 0, Expr: ir.Expr{Op: ir.OpBasis, K: 0}},
+		&ir.Assign{Dst: 1, Expr: ir.Expr{Op: ir.OpShift, X: 0, K: 1}},
+		&ir.Assign{Dst: 2, Expr: ir.Expr{Op: ir.OpShift, X: 1, K: -2}},
 	}
 	a := Analyze(p)
 	if a.StaticDelta != 2 {
@@ -117,16 +117,16 @@ func TestZeroPreservingUse(t *testing.T) {
 		e    ir.Expr
 		want bool
 	}{
-		{ir.Shift{Src: v, K: 1}, true},
-		{ir.Copy{Src: v}, true},
-		{ir.Bin{Op: ir.OpAnd, X: v, Y: 9}, true},
-		{ir.Bin{Op: ir.OpAnd, X: 9, Y: v}, true},
-		{ir.Bin{Op: ir.OpAndNot, X: v, Y: 9}, true},
-		{ir.Bin{Op: ir.OpAndNot, X: 9, Y: v}, false},
-		{ir.Bin{Op: ir.OpOr, X: v, Y: 9}, false},
-		{ir.Bin{Op: ir.OpXor, X: v, Y: 9}, false},
-		{ir.Not{Src: v}, false},
-		{ir.Shift{Src: 9, K: 1}, false},
+		{ir.Expr{Op: ir.OpShift, X: v, K: 1}, true},
+		{ir.Expr{Op: ir.OpCopy, X: v}, true},
+		{ir.Expr{Op: ir.OpAnd, X: v, Y: 9}, true},
+		{ir.Expr{Op: ir.OpAnd, X: 9, Y: v}, true},
+		{ir.Expr{Op: ir.OpAndNot, X: v, Y: 9}, true},
+		{ir.Expr{Op: ir.OpAndNot, X: 9, Y: v}, false},
+		{ir.Expr{Op: ir.OpOr, X: v, Y: 9}, false},
+		{ir.Expr{Op: ir.OpXor, X: v, Y: 9}, false},
+		{ir.Expr{Op: ir.OpNot, X: v}, false},
+		{ir.Expr{Op: ir.OpShift, X: 9, K: 1}, false},
 	}
 	for _, c := range cases {
 		if got := ZeroPreservingUse(c.e, v); got != c.want {
@@ -195,11 +195,11 @@ func TestZeroPathsRespectRedefinition(t *testing.T) {
 	// v is redefined by a non-zero-preserving op mid-run: the chain stops.
 	p := &ir.Program{NumVars: 4}
 	run := []*ir.Assign{
-		{Dst: 0, Expr: ir.MatchBasis{Bit: 0}},
-		{Dst: 1, Expr: ir.Shift{Src: 0, K: 1}}, // on chain from 0
-		{Dst: 1, Expr: ir.Not{Src: 0}},         // redefines 1 (kills chain via 1)
-		{Dst: 2, Expr: ir.Shift{Src: 1, K: 1}}, // uses the NOT result
-		{Dst: 3, Expr: ir.Bin{Op: ir.OpAnd, X: 2, Y: 1}},
+		{Dst: 0, Expr: ir.Expr{Op: ir.OpBasis, K: 0}},
+		{Dst: 1, Expr: ir.Expr{Op: ir.OpShift, X: 0, K: 1}}, // on chain from 0
+		{Dst: 1, Expr: ir.Expr{Op: ir.OpNot, X: 0}},         // redefines 1 (kills chain via 1)
+		{Dst: 2, Expr: ir.Expr{Op: ir.OpShift, X: 1, K: 1}}, // uses the NOT result
+		{Dst: 3, Expr: ir.Expr{Op: ir.OpAnd, X: 2, Y: 1}},
 	}
 	p.Stmts = []ir.Stmt{run[0], run[1], run[2], run[3], run[4]}
 	paths := new(PathFinder).ZeroPaths(run, p.NumVars)
@@ -220,9 +220,9 @@ func TestZeroPathsRespectRedefinition(t *testing.T) {
 func TestLoopGrowthSplitsLeftFromRight(t *testing.T) {
 	b := ir.NewBuilder()
 	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
-	m := b.Emit(ir.Copy{Src: sx})
+	m := b.Emit(ir.Expr{Op: ir.OpCopy, X: sx})
 	b.While(m, func() {
-		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Emit(ir.Shift{Src: m, K: -1}), Y: sa})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Emit(ir.Expr{Op: ir.OpShift, X: m, K: -1}), Y: sa})
 	})
 	b.Output("run", m)
 	p := b.Program()

@@ -12,22 +12,13 @@ import (
 // positive side of ANDNOT, SHIFT and COPY preserve zero; OR, XOR and NOT do
 // not (Section 6).
 func ZeroPreservingUse(e ir.Expr, v ir.VarID) bool {
-	switch x := e.(type) {
-	case ir.Copy:
-		return x.Src == v
-	case ir.Shift:
-		return x.Src == v
-	case ir.StarThru:
-		// No markers in, no matches out (the class operand does not
-		// preserve zero: MatchStar(M, 0) = M).
-		return x.M == v
-	case ir.Bin:
-		switch x.Op {
-		case ir.OpAnd:
-			return x.X == v || x.Y == v
-		case ir.OpAndNot:
-			return x.X == v
-		}
+	switch e.Op {
+	case ir.OpCopy, ir.OpShift, ir.OpAndNot, ir.OpStarThru:
+		// StarThru: no markers in, no matches out (the class operand does
+		// not preserve zero: MatchStar(M, 0) = M).
+		return e.X == v
+	case ir.OpAnd:
+		return e.X == v || e.Y == v
 	}
 	return false
 }

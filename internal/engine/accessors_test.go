@@ -79,7 +79,7 @@ func TestRestoreAcceptsSparseVariableSpace(t *testing.T) {
 		}
 		for oi := range p.Outputs {
 			hi := ir.VarID(p.NumVars + 1000*(oi+1))
-			p.Stmts = append(p.Stmts, &ir.Assign{Dst: hi, Expr: ir.Copy{Src: p.Outputs[oi].Var}})
+			p.Stmts = append(p.Stmts, &ir.Assign{Dst: hi, Expr: ir.Expr{Op: ir.OpCopy, X: p.Outputs[oi].Var}})
 			p.Outputs[oi].Var = hi
 		}
 		p.NumVars += 1000*len(p.Outputs) + 1

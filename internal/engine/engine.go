@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"bitgen/internal/arena"
@@ -112,8 +111,8 @@ func BitGenDefault() Config {
 }
 
 // Group is one CTA's compiled workload. The transformed bitstream program
-// is resident only as Packed, the compact byte form (~10× smaller than the
-// boxed pointer IR); Prog materializes it for execution.
+// is resident only as Packed, the compact byte form (≈ 4.7× smaller than the
+// decoded program on a megaset slice); Prog materializes it for execution.
 type Group struct {
 	// Packed is the program's packed byte form: the resident state and the
 	// snapshot payload.
@@ -180,7 +179,7 @@ type Engine struct {
 	// runPool recycles the ScanSessions Run and streaming scans execute on;
 	// runArena backs them so their retained buffers never imbalance
 	// arena.Default. See initRunPool.
-	runPool  *sync.Pool
+	runPool  *sessionPool
 	runArena *arena.Arena
 }
 
@@ -302,7 +301,7 @@ func CompileContext(ctx context.Context, regexes []lower.Regex, cfg Config) (*En
 		if err != nil {
 			return err
 		}
-		// The compact byte form is the resident state; the boxed program
+		// The compact byte form is the resident state; the decoded program
 		// becomes garbage once sessions decode their own.
 		e.groups[gi] = Group{Packed: ir.EncodeProgram(prog), Names: names, Chars: part.chars, Outputs: prog.Outputs}
 		return nil
@@ -469,7 +468,7 @@ func Restore(cfg Config, groups []Group, shared []charclass.Class, ps PassStats)
 	e.initRunPool()
 	// The groups are decoded and compiled once, here: they seed the pool, and
 	// the loaded engine's first scan builds no kernel.
-	e.runPool.Put(e.sessionOf(sess, 0, e.runArena))
+	e.runPool.put(e.sessionOf(sess, 0, e.runArena))
 	return e, nil
 }
 

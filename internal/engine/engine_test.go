@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -475,4 +476,37 @@ func runOn(t *testing.T, regexes []lower.Regex, input []byte, d gpusim.Device) f
 		t.Fatal(err)
 	}
 	return res.Time.TotalSec
+}
+
+// TestIdleEngineRunsWarm pins that an engine left idle across collector
+// cycles keeps a pooled session: the Run after two runtime.GC calls reuses
+// it, allocating under half of what the first Run's session build did, where
+// a pool the collector empties decodes and compiles every group's kernel
+// again.
+func TestIdleEngineRunsWarm(t *testing.T) {
+	regexes := mustRegexes(t, "cat", "dog(gy)?", "b[ir]rd", "fi(sh)+", "h[aeiou]mster", "a[0-9]+z", "x(yz)*w", "q.u")
+	cfg := BitGenDefault()
+	cfg.Grid = smallGrid
+	e, err := Compile(regexes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte(strings.Repeat("cat doggy bird fishsh hamster a12z xyzw quu ", 8))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Run(input); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	cold := run()
+	runtime.GC()
+	runtime.GC()
+	warm := run()
+	t.Logf("first Run %d objects, Run after two collector cycles %d", cold, warm)
+	if 2*warm > cold {
+		t.Fatalf("Run after two collector cycles allocated %d objects, the first Run %d: the idle engine lost its session", warm, cold)
+	}
 }

@@ -223,7 +223,7 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 	if res.Fallbacks == 0 {
 		t.Fatal("input did not force an overlap fallback")
 	}
-	if ss := e.runPool.Get(); ss != nil {
+	if ss := e.runPool.get(); ss != nil {
 		t.Fatal("a session that took a fallback went back to the pool")
 	}
 	if res, err = e.Run([]byte("abc abbc")); err != nil {
@@ -241,7 +241,7 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 	if _, err := e.Run([]byte("abc")); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want the injected launch failure", err)
 	}
-	if ss := e.runPool.Get(); ss != nil {
+	if ss := e.runPool.get(); ss != nil {
 		t.Fatal("a session whose launch failed went back to the pool")
 	}
 
@@ -263,7 +263,7 @@ func TestPooledSessionNotReusedAfterFallbackOrError(t *testing.T) {
 		t.Fatalf("err = %v, want the contained kernel panic", err)
 	}
 	e.PutSession(ss)
-	if ss := e.runPool.Get(); ss != nil {
+	if ss := e.runPool.get(); ss != nil {
 		t.Fatal("a session that saw a kernel panic went back to the pool")
 	}
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -160,8 +161,41 @@ func (e *Engine) kernelConfig() kernel.Config {
 // never Closed), which would read as a leak to anything auditing the global
 // arena's balance (the serving layer does, after every aborted scan).
 func (e *Engine) initRunPool() {
-	e.runPool = &sync.Pool{}
+	e.runPool = &sessionPool{max: runtime.NumCPU()}
 	e.runArena = &arena.Arena{}
+}
+
+// sessionPool is an engine's free list of idle sessions. It retains at most
+// max of them — runtime.NumCPU(), the most one ScanReader call borrows — for
+// the engine's lifetime, each with its groups' kernels and their buffers; a
+// session put back beyond that is dropped. Unlike a sync.Pool, collector
+// cycles do not empty it, so an engine idle across them still runs warm.
+type sessionPool struct {
+	mu   sync.Mutex
+	free []*ScanSession
+	max  int
+}
+
+// get takes an idle session, or returns nil when there is none.
+func (p *sessionPool) get() *ScanSession {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	ss := p.free[n-1]
+	p.free[n-1], p.free = nil, p.free[:n-1]
+	return ss
+}
+
+// put keeps ss unless max sessions are idle already.
+func (p *sessionPool) put(ss *ScanSession) {
+	p.mu.Lock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, ss)
+	}
+	p.mu.Unlock()
 }
 
 // GetSession borrows a session from the pool, or builds one: every CTA group
@@ -174,8 +208,8 @@ func (e *Engine) initRunPool() {
 // fail for an engine that compiled — the programs already validated — but the
 // error is surfaced rather than swallowed for defense in depth.
 func (e *Engine) GetSession(o *obs.Observer, lane int, groupLanes bool) (*ScanSession, error) {
-	ss, ok := e.runPool.Get().(*ScanSession)
-	if !ok {
+	ss := e.runPool.get()
+	if ss == nil {
 		var err error
 		if ss, err = e.newSession(0, e.runArena); err != nil {
 			return nil, err
@@ -185,7 +219,8 @@ func (e *Engine) GetSession(o *obs.Observer, lane int, groupLanes bool) (*ScanSe
 	return ss, nil
 }
 
-// PutSession returns a borrowed session to the pool — unless it is no longer
+// PutSession returns a borrowed session to the pool — unless the pool holds
+// its cap already (see sessionPool), or the session is no longer
 // indistinguishable from a fresh one; such sessions are dropped and rebuilt
 // on demand. A session whose kernels took a materialization fallback would
 // carry that fallback (and its modeled-time delta) into an unrelated future
@@ -205,7 +240,7 @@ func (e *Engine) PutSession(ss *ScanSession) {
 		}
 		ks.SetTrace(nil, 0)
 	}
-	e.runPool.Put(ss)
+	e.runPool.put(ss)
 }
 
 // execute transposes chunk, computes the shared-class streams and launches

@@ -20,10 +20,10 @@ type Builder struct {
 	// classes within one program (common in multi-regex groups). It comes
 	// from ccCachePool and goes back when Program is called.
 	ccCache map[charclass.Class]VarID
-	// basisCache shares MatchBasis reads.
+	// basisCache shares basis reads.
 	basisCache [8]VarID
 	// shared maps classes whose match streams the engine computes once per
-	// scan to their extended-basis slot; MatchClass reads MatchBasis{8+slot}
+	// scan to their extended-basis slot; MatchClass reads basis bit 8+slot
 	// for them instead of expanding the class inline.
 	shared map[charclass.Class]int
 }
@@ -67,29 +67,29 @@ func (b *Builder) EmitTo(dst VarID, expr Expr) {
 func (b *Builder) NewVar() VarID { return b.prog.NewVar() }
 
 // Zero emits an all-zero assignment.
-func (b *Builder) Zero() VarID { return b.Emit(Zero{}) }
+func (b *Builder) Zero() VarID { return b.Emit(Expr{Op: OpZero}) }
 
 // And emits x & y.
-func (b *Builder) And(x, y VarID) VarID { return b.Emit(Bin{OpAnd, x, y}) }
+func (b *Builder) And(x, y VarID) VarID { return b.Emit(Expr{Op: OpAnd, X: x, Y: y}) }
 
 // Or emits x | y.
-func (b *Builder) Or(x, y VarID) VarID { return b.Emit(Bin{OpOr, x, y}) }
+func (b *Builder) Or(x, y VarID) VarID { return b.Emit(Expr{Op: OpOr, X: x, Y: y}) }
 
 // AndNot emits x &^ y.
-func (b *Builder) AndNot(x, y VarID) VarID { return b.Emit(Bin{OpAndNot, x, y}) }
+func (b *Builder) AndNot(x, y VarID) VarID { return b.Emit(Expr{Op: OpAndNot, X: x, Y: y}) }
 
 // Xor emits x ^ y.
-func (b *Builder) Xor(x, y VarID) VarID { return b.Emit(Bin{OpXor, x, y}) }
+func (b *Builder) Xor(x, y VarID) VarID { return b.Emit(Expr{Op: OpXor, X: x, Y: y}) }
 
 // Not emits ~x.
-func (b *Builder) Not(x VarID) VarID { return b.Emit(Not{x}) }
+func (b *Builder) Not(x VarID) VarID { return b.Emit(Expr{Op: OpNot, X: x}) }
 
 // Advance emits the paper's x >> k (k > 0).
 func (b *Builder) Advance(x VarID, k int) VarID {
 	if k <= 0 {
 		panic(fmt.Sprintf("ir: Advance distance %d", k))
 	}
-	return b.Emit(Shift{x, k})
+	return b.Emit(Expr{Op: OpShift, X: x, K: int32(k)})
 }
 
 // While opens a while(cond) block, runs body, and closes it.
@@ -107,13 +107,13 @@ func (b *Builder) Basis(j int) VarID {
 	if b.basisCache[j] != NoVar {
 		return b.basisCache[j]
 	}
-	v := b.Emit(MatchBasis{j})
+	v := b.Emit(Expr{Op: OpBasis, K: int32(j)})
 	b.basisCache[j] = v
 	return v
 }
 
 // SetShared registers the engine's shared character classes: MatchClass
-// reads slot i of the map via MatchBasis{8+i} instead of expanding the
+// reads slot i of the map as basis bit 8+i instead of expanding the
 // class, and the built program declares extBits extended basis streams
 // (extBits may exceed the map's size when the engine shares more classes
 // than this group uses).
@@ -141,7 +141,7 @@ func (b *Builder) MatchClass(cl charclass.Class) VarID {
 	if slot, ok := b.shared[cl]; ok {
 		// Distinct classes have distinct slots: the class cache is the
 		// stream's cache too.
-		v = b.Emit(MatchBasis{8 + slot})
+		v = b.Emit(Expr{Op: OpBasis, K: int32(8 + slot)})
 	} else {
 		v = b.matchExpr(charclass.Compile(cl))
 	}
@@ -152,9 +152,9 @@ func (b *Builder) MatchClass(cl charclass.Class) VarID {
 func (b *Builder) matchExpr(e charclass.Expr) VarID {
 	switch x := e.(type) {
 	case charclass.True:
-		return b.Emit(Ones{})
+		return b.Emit(Expr{Op: OpOnes})
 	case charclass.False:
-		return b.Emit(Zero{})
+		return b.Emit(Expr{Op: OpZero})
 	case charclass.Basis:
 		return b.Basis(x.Bit)
 	case charclass.Not:

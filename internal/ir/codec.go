@@ -11,9 +11,10 @@ import (
 // Packed program codec: a compact, deterministic byte form of a Program.
 //
 // The packed form is the engine's resident representation (a handful of
-// bytes per instruction instead of ~72 bytes of boxed pointer IR) and the
-// payload the snapshot format persists per group. Both uses share one
-// invariant: EncodeProgram is a pure function of program structure, so
+// bytes per instruction instead of the 48 a decoded assignment takes, its
+// Assign and its slot in a statement list) and the payload the snapshot
+// format persists per group. Both uses share one invariant:
+// EncodeProgram is a pure function of program structure, so
 // EncodeProgram(DecodeProgram(b)) == b and structurally identical programs
 // encode byte-identically.
 //
@@ -21,7 +22,9 @@ import (
 // wire values); new tags append and require a snapshot format-version bump.
 // Statement tag 2 and expression tag 6 are reserved: they carried an if
 // statement and a raw addition, which no compile ever emitted, and a packed
-// program holding either is refused like any unknown tag.
+// program holding either is refused like any unknown tag. An expression is
+// its tag, the Op for tagBin, then the operands Op.Arity names and, for a
+// shift or a basis read, K.
 const (
 	tagAssign = 1
 	tagWhile  = 3
@@ -36,6 +39,18 @@ const (
 	tagStarThru   = 7
 	tagMatchBasis = 8
 )
+
+// opTag is each operation's expression tag. tagOp inverts it, the bin
+// sub-op aside, and maps the reserved tag 6 to NumOps.
+var (
+	opTag = [NumOps]uint8{OpAnd: tagBin, OpOr: tagBin, OpXor: tagBin, OpAndNot: tagBin, OpZero: tagZero, OpOnes: tagOnes,
+		OpCopy: tagCopy, OpNot: tagNot, OpShift: tagShift, OpStarThru: tagStarThru, OpBasis: tagMatchBasis}
+	tagOp = [...]Op{tagZero: OpZero, tagOnes: OpOnes, tagCopy: OpCopy, tagNot: OpNot, tagBin: OpAnd, tagShift: OpShift,
+		6: NumOps, tagStarThru: OpStarThru, tagMatchBasis: OpBasis}
+)
+
+// hasK reports whether op's K is part of its packed form.
+func hasK(op Op) bool { return op == OpShift || op == OpBasis }
 
 // ErrMalformed is what DecodeProgram's errors wrap: the bytes are not a
 // packed program.
@@ -219,35 +234,18 @@ func (e *progEnc) stmts(list []Stmt) {
 }
 
 func (e *progEnc) expr(x Expr) {
-	switch v := x.(type) {
-	case Zero:
-		e.uvarint(tagZero)
-	case Ones:
-		e.uvarint(tagOnes)
-	case Copy:
-		e.uvarint(tagCopy)
-		e.varint(int64(v.Src))
-	case Not:
-		e.uvarint(tagNot)
-		e.varint(int64(v.Src))
-	case Bin:
-		e.uvarint(tagBin)
-		e.uvarint(uint64(v.Op))
-		e.varint(int64(v.X))
-		e.varint(int64(v.Y))
-	case Shift:
-		e.uvarint(tagShift)
-		e.varint(int64(v.Src))
-		e.varint(int64(v.K))
-	case StarThru:
-		e.uvarint(tagStarThru)
-		e.varint(int64(v.M))
-		e.varint(int64(v.C))
-	case MatchBasis:
-		e.uvarint(tagMatchBasis)
-		e.varint(int64(v.Bit))
-	default:
-		panic("ir: unknown expression type in EncodeProgram")
+	e.uvarint(uint64(opTag[x.Op]))
+	if x.Op.IsBin() {
+		e.uvarint(uint64(x.Op))
+	}
+	if n := x.Op.Arity(); n > 0 {
+		e.varint(int64(x.X))
+		if n > 1 {
+			e.varint(int64(x.Y))
+		}
+	}
+	if hasK(x.Op) {
+		e.varint(int64(x.K))
 	}
 }
 
@@ -389,17 +387,7 @@ func (d *progDec) skipStmts(assigns, guards *int) {
 		case tagAssign:
 			*assigns++
 			d.varint("assign dst")
-			switch d.uvarint("expression tag") {
-			case tagCopy, tagNot, tagMatchBasis:
-				d.varint("operand")
-			case tagBin:
-				d.uvarint("bin op")
-				d.varint("bin x")
-				d.varint("bin y")
-			case tagShift, tagStarThru:
-				d.varint("operand")
-				d.varint("operand")
-			}
+			d.expr()
 		case tagWhile:
 			d.varint("while cond")
 			d.skipStmts(assigns, guards)
@@ -413,31 +401,33 @@ func (d *progDec) skipStmts(assigns, guards *int) {
 	}
 }
 
-func (d *progDec) expr() Expr {
-	switch tag := d.uvarint("expression tag"); tag {
-	case tagZero:
-		return Zero{}
-	case tagOnes:
-		return Ones{}
-	case tagCopy:
-		return Copy{Src: VarID(d.varint("copy src"))}
-	case tagNot:
-		return Not{Src: VarID(d.varint("not src"))}
-	case tagBin:
-		op := BinOp(d.uvarint("bin op"))
-		if op > OpAndNot {
-			d.fail("bin op")
-			return Zero{}
-		}
-		return Bin{Op: op, X: VarID(d.varint("bin x")), Y: VarID(d.varint("bin y"))}
-	case tagShift:
-		return Shift{Src: VarID(d.varint("shift src")), K: int(d.varint("shift k"))}
-	case tagStarThru:
-		return StarThru{M: VarID(d.varint("starthru m")), C: VarID(d.varint("starthru c"))}
-	case tagMatchBasis:
-		return MatchBasis{Bit: int(d.varint("matchbasis bit"))}
-	default:
+func (d *progDec) expr() (x Expr) {
+	tag := d.uvarint("expression tag")
+	if tag >= uint64(len(tagOp)) || tagOp[tag] == NumOps {
 		d.fail("expression tag")
-		return Zero{}
+		return x
 	}
+	if x.Op = tagOp[tag]; tag == tagBin {
+		op := d.uvarint("bin op")
+		if op > uint64(OpAndNot) {
+			d.fail("bin op")
+			return Expr{}
+		}
+		x.Op = Op(op)
+	}
+	if n := x.Op.Arity(); n > 0 {
+		x.X = VarID(d.varint("operand"))
+		if n > 1 {
+			x.Y = VarID(d.varint("second operand"))
+		}
+	}
+	if hasK(x.Op) {
+		k := d.varint("shift distance or basis bit")
+		if k != int64(int32(k)) {
+			d.fail("shift distance or basis bit out of range")
+			return Expr{}
+		}
+		x.K = int32(k)
+	}
+	return x
 }

@@ -12,24 +12,24 @@ import (
 // extended basis bits.
 func codecFixture() *Program {
 	p := &Program{NumVars: 12, ExtBits: 3}
-	shiftA := &Assign{Dst: 4, Expr: Shift{Src: 2, K: 1}}
-	shiftB := &Assign{Dst: 5, Expr: Shift{Src: 3, K: -2}}
+	shiftA := &Assign{Dst: 4, Expr: Expr{Op: OpShift, X: 2, K: 1}}
+	shiftB := &Assign{Dst: 5, Expr: Expr{Op: OpShift, X: 3, K: -2}}
 	p.Stmts = []Stmt{
-		&Assign{Dst: 0, Expr: MatchBasis{Bit: 9}},
-		&Assign{Dst: 1, Expr: Copy{Src: 0}},
-		&Assign{Dst: 2, Expr: Not{Src: 1}},
-		&Assign{Dst: 3, Expr: Bin{Op: OpAndNot, X: 2, Y: 0}},
+		&Assign{Dst: 0, Expr: Expr{Op: OpBasis, K: 9}},
+		&Assign{Dst: 1, Expr: Expr{Op: OpCopy, X: 0}},
+		&Assign{Dst: 2, Expr: Expr{Op: OpNot, X: 1}},
+		&Assign{Dst: 3, Expr: Expr{Op: OpAndNot, X: 2, Y: 0}},
 		shiftA,
 		shiftB,
-		&Assign{Dst: 6, Expr: Bin{Op: OpAnd, X: 4, Y: 5}},
-		&Assign{Dst: 7, Expr: StarThru{M: 6, C: 2}},
+		&Assign{Dst: 6, Expr: Expr{Op: OpAnd, X: 4, Y: 5}},
+		&Assign{Dst: 7, Expr: Expr{Op: OpStarThru, X: 6, Y: 2}},
 		&Guard{Cond: 7, Skip: 2},
-		&Assign{Dst: 8, Expr: Bin{Op: OpOr, X: 7, Y: 6}},
-		&Assign{Dst: 9, Expr: Bin{Op: OpXor, X: 8, Y: 0}},
-		&Assign{Dst: 10, Expr: Bin{Op: OpAnd, X: 9, Y: 1}},
+		&Assign{Dst: 8, Expr: Expr{Op: OpOr, X: 7, Y: 6}},
+		&Assign{Dst: 9, Expr: Expr{Op: OpXor, X: 8, Y: 0}},
+		&Assign{Dst: 10, Expr: Expr{Op: OpAnd, X: 9, Y: 1}},
 		&While{Cond: 10, Body: []Stmt{
-			&Assign{Dst: 11, Expr: Shift{Src: 10, K: 3}},
-			&Assign{Dst: 10, Expr: Bin{Op: OpAndNot, X: 11, Y: 9}},
+			&Assign{Dst: 11, Expr: Expr{Op: OpShift, X: 10, K: 3}},
+			&Assign{Dst: 10, Expr: Expr{Op: OpAndNot, X: 11, Y: 9}},
 		}},
 	}
 	p.Outputs = []Output{{Name: "alpha", Var: 9}, {Name: "beta", Var: 10}}
@@ -179,4 +179,85 @@ func TestCodecRefusesReservedTags(t *testing.T) {
 			t.Fatalf("%s: %v, want an error wrapping ErrMalformed", c.name, err)
 		}
 	}
+}
+
+// TestDecodeProgramAllocatesPerProgram pins that decoding takes a program's
+// assignments from one block and builds their expressions in place: twice the
+// assignments cost no more allocations than the constant per-program ones.
+func TestDecodeProgramAllocatesPerProgram(t *testing.T) {
+	packed := func(links int) []byte {
+		b := NewBuilder()
+		v := b.Basis(0)
+		for range links {
+			v = b.And(b.Advance(v, 1), b.Basis(1))
+		}
+		b.Output("o", v)
+		return EncodeProgram(b.Program())
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := DecodeProgram(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	n, n2 := allocs(packed(100)), allocs(packed(200))
+	if n2 > n+2 {
+		t.Fatalf("DecodeProgram: %v allocations for 402 assignments, %v for 202", n2, n)
+	}
+}
+
+// FuzzDecodeProgram: arbitrary bytes never panic the decoder, every error
+// wraps ErrMalformed, and a program that decodes re-encodes canonically:
+// EncodeProgram(DecodeProgram(EncodeProgram(p))) == EncodeProgram(p).
+func FuzzDecodeProgram(f *testing.F) {
+	f.Add(EncodeProgram(codecFixture()))
+	// S0 = ~0, then a statement of tag stmt, or S1 = an expression of tag
+	// expr over S0 and S0 (bin op binOp when expr is the bin tag).
+	seed := func(stmt, expr, binOp uint64) []byte {
+		var e progEnc
+		e.varint(2) // num-vars
+		e.varint(0) // ext-bits
+		e.count(1)
+		e.str("o")
+		e.varint(0)
+		e.boolean(false)
+		e.count(2)
+		e.uvarint(tagAssign)
+		e.varint(0)
+		e.uvarint(tagOnes)
+		e.uvarint(stmt)
+		e.varint(1)
+		if stmt == tagAssign {
+			e.uvarint(expr)
+			if expr == tagBin {
+				e.uvarint(binOp)
+			}
+			e.varint(0)
+			e.varint(0)
+		}
+		e.boolean(false)
+		return e.b
+	}
+	f.Add(seed(2, 0, 0))
+	f.Add(seed(tagAssign, 6, 0))
+	f.Add(seed(tagAssign, tagBin, uint64(OpAndNot)+1))
+	f.Add(seed(tagAssign, tagStarThru, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProgram(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("error %v does not wrap ErrMalformed", err)
+			}
+			return
+		}
+		once := EncodeProgram(p)
+		again, err := DecodeProgram(once)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if twice := EncodeProgram(again); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding not canonical:\n%x\n%x", once, twice)
+		}
+	})
 }

@@ -10,29 +10,29 @@ import (
 
 func TestExprStringAllForms(t *testing.T) {
 	cases := map[string]Expr{
-		"0":                 Zero{},
-		"~0":                Ones{},
-		"S1":                Copy{1},
-		"~S1":               Not{1},
-		"S1 & S2":           Bin{OpAnd, 1, 2},
-		"S1 | S2":           Bin{OpOr, 1, 2},
-		"S1 ^ S2":           Bin{OpXor, 1, 2},
-		"S1 &~ S2":          Bin{OpAndNot, 1, 2},
-		"S1 >> 3":           Shift{1, 3},
-		"S1 << 3":           Shift{1, -3},
-		"MatchStar(S1, S2)": StarThru{1, 2},
-		"b5":                MatchBasis{5},
+		"0":                 Expr{Op: OpZero},
+		"~0":                Expr{Op: OpOnes},
+		"S1":                Expr{Op: OpCopy, X: 1},
+		"~S1":               Expr{Op: OpNot, X: 1},
+		"S1 & S2":           Expr{Op: OpAnd, X: 1, Y: 2},
+		"S1 | S2":           Expr{Op: OpOr, X: 1, Y: 2},
+		"S1 ^ S2":           Expr{Op: OpXor, X: 1, Y: 2},
+		"S1 &~ S2":          Expr{Op: OpAndNot, X: 1, Y: 2},
+		"S1 >> 3":           Expr{Op: OpShift, X: 1, K: 3},
+		"S1 << 3":           Expr{Op: OpShift, X: 1, K: -3},
+		"MatchStar(S1, S2)": Expr{Op: OpStarThru, X: 1, Y: 2},
+		"b5":                Expr{Op: OpBasis, K: 5},
 	}
 	for want, e := range cases {
 		if got := ExprString(e); got != want {
-			t.Errorf("ExprString(%T) = %q, want %q", e, got, want)
+			t.Errorf("ExprString(%+v) = %q, want %q", e, got, want)
 		}
 	}
 }
 
 func TestBinOpStrings(t *testing.T) {
-	for op, want := range map[BinOp]string{
-		OpAnd: "&", OpOr: "|", OpXor: "^", OpAndNot: "&~", BinOp(99): "?",
+	for op, want := range map[Op]string{
+		OpAnd: "&", OpOr: "|", OpXor: "^", OpAndNot: "&~", OpShift: "?", Op(99): "?",
 	} {
 		if got := op.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", op, got, want)
@@ -42,15 +42,15 @@ func TestBinOpStrings(t *testing.T) {
 
 func TestProgramStringWithControlFlow(t *testing.T) {
 	b := NewBuilder()
-	v := b.Emit(Ones{})
+	v := b.Emit(Expr{Op: OpOnes})
 	w := b.NewVar()
-	b.EmitTo(w, Zero{})
+	b.EmitTo(w, Expr{Op: OpZero})
 	b.While(w, func() {
-		b.EmitTo(w, Zero{})
+		b.EmitTo(w, Expr{Op: OpZero})
 	})
 	p := b.Program()
 	p.Stmts = append(p.Stmts, &Guard{Cond: v, Skip: 0}) // for printing only
-	p.Stmts = append(p.Stmts, &Assign{Dst: w, Expr: Copy{v}})
+	p.Stmts = append(p.Stmts, &Assign{Dst: w, Expr: Expr{Op: OpCopy, X: v}})
 	b.Output("x", w)
 	text := p.String()
 	for _, want := range []string{"while (S1):", "if (!S0) skip 0", "# output x"} {
@@ -70,7 +70,7 @@ func TestValidateMoreErrors(t *testing.T) {
 	guard := &Guard{Cond: cond, Skip: 1}
 	p := b.Program()
 	p.Stmts = append(p.Stmts, guard)
-	loop := &While{Cond: cond, Body: []Stmt{&Assign{Dst: dead, Expr: Ones{}}}}
+	loop := &While{Cond: cond, Body: []Stmt{&Assign{Dst: dead, Expr: Expr{Op: OpOnes}}}}
 	p.Stmts = append(p.Stmts, loop)
 	out := b.Or(dead, cond)
 	b.Output("o", out)
@@ -101,9 +101,9 @@ func TestInterpretMissingOutput(t *testing.T) {
 func TestInterpretWhileZeroIterations(t *testing.T) {
 	b := NewBuilder()
 	z := b.Zero()
-	acc := b.Emit(Ones{})
+	acc := b.Emit(Expr{Op: OpOnes})
 	b.While(z, func() {
-		b.EmitTo(acc, Zero{})
+		b.EmitTo(acc, Expr{Op: OpZero})
 	})
 	b.Output("acc", acc)
 	p := b.Program()
@@ -122,10 +122,10 @@ func TestInterpretWhileZeroIterations(t *testing.T) {
 
 func TestCollectStatsControlFlow(t *testing.T) {
 	b := NewBuilder()
-	v := b.Emit(Ones{})
+	v := b.Emit(Expr{Op: OpOnes})
 	x := b.Xor(v, v)
-	st := b.Emit(StarThru{M: v, C: x})
-	b.While(x, func() { b.EmitTo(x, Zero{}) })
+	st := b.Emit(Expr{Op: OpStarThru, X: v, Y: x})
+	b.While(x, func() { b.EmitTo(x, Expr{Op: OpZero}) })
 	b.Output("o", st)
 	stats := CollectStats(b.Program())
 	if stats.Xor != 1 || stats.Star != 1 || stats.While != 1 {
@@ -136,7 +136,7 @@ func TestCollectStatsControlFlow(t *testing.T) {
 func TestCloneGuard(t *testing.T) {
 	p := &Program{NumVars: 1}
 	p.Stmts = []Stmt{
-		&Assign{Dst: 0, Expr: Zero{}},
+		&Assign{Dst: 0, Expr: Expr{Op: OpZero}},
 		&Guard{Cond: 0, Skip: 0},
 	}
 	q := p.Clone()
@@ -164,7 +164,7 @@ func TestBuilderMatchClassInsideControlFlowPanics(t *testing.T) {
 		}
 	}()
 	b := NewBuilder()
-	v := b.Emit(Ones{})
+	v := b.Emit(Expr{Op: OpOnes})
 	b.While(v, func() {
 		b.MatchClass(charclass.Single('x'))
 	})

@@ -216,43 +216,36 @@ func (e *interpEnv) zeroDefs(s Stmt) {
 
 func (e *interpEnv) assign(a *Assign) error {
 	var out *bitstream.Stream
-	switch x := a.Expr.(type) {
-	case Zero:
+	switch x := a.Expr; x.Op {
+	case OpZero:
 		out = bitstream.New(e.n)
-	case Ones:
+	case OpOnes:
 		out = bitstream.NewOnes(e.n)
-	case Copy:
-		out = e.get(x.Src).Clone()
-	case Not:
-		out = e.get(x.Src).Not()
-	case Bin:
-		sx := e.get(x.X)
-		sy := e.get(x.Y)
-		switch x.Op {
-		case OpAnd:
-			out = sx.And(sy)
-		case OpOr:
-			out = sx.Or(sy)
-		case OpXor:
-			out = sx.Xor(sy)
-		case OpAndNot:
-			out = sx.AndNot(sy)
-		default:
-			return fmt.Errorf("ir: unknown binop %v", x.Op)
-		}
-	case Shift:
-		out = e.get(x.Src).Shift(x.K)
-	case StarThru:
-		out = bitstream.MatchStar(e.get(x.M), e.get(x.C))
-	case MatchBasis:
-		out = e.basis.Bit(x.Bit).Clone()
+	case OpCopy:
+		out = e.get(x.X).Clone()
+	case OpNot:
+		out = e.get(x.X).Not()
+	case OpAnd:
+		out = e.get(x.X).And(e.get(x.Y))
+	case OpOr:
+		out = e.get(x.X).Or(e.get(x.Y))
+	case OpXor:
+		out = e.get(x.X).Xor(e.get(x.Y))
+	case OpAndNot:
+		out = e.get(x.X).AndNot(e.get(x.Y))
+	case OpShift:
+		out = e.get(x.X).Shift(int(x.K))
+	case OpStarThru:
+		out = bitstream.MatchStar(e.get(x.X), e.get(x.Y))
+	case OpBasis:
+		out = e.basis.Bit(int(x.K)).Clone()
 	default:
-		return fmt.Errorf("ir: unknown expression %T", a.Expr)
+		return fmt.Errorf("ir: unknown operation %d", x.Op)
 	}
 	e.vars[a.Dst] = out
 	e.stats.Instructions++
 	// Operand reads + result write, in bytes of full-stream traffic.
 	nBytes := int64((e.n + 7) / 8)
-	e.stats.StreamBytesTouched += nBytes * int64(len(Operands(a.Expr))+1)
+	e.stats.StreamBytesTouched += nBytes * int64(a.Expr.Op.Arity()+1)
 	return nil
 }

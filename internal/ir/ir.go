@@ -4,10 +4,11 @@
 // plus while loops and zero-block guards whose conditions are bitstreams
 // tested for "any bit set" (popcount > 0).
 //
-// The same IR feeds three consumers: the whole-stream CPU interpreter (the
-// icgrep analog and golden reference), the block-wise GPU executor, and the
-// analysis/transformation passes (dataflow graph, shift rebalancing,
-// zero-block skipping).
+// An instruction is one pointer-free Expr value — an Op over up to two
+// variables and a constant — and the same form feeds every consumer: the
+// whole-stream CPU interpreter (the icgrep analog and golden reference), the
+// block-wise GPU executor, the analysis/transformation passes (dataflow
+// graph, shift rebalancing, zero-block skipping) and the packed codec.
 package ir
 
 import "slices"
@@ -20,89 +21,64 @@ type VarID int
 // NoVar is the zero VarID used to mean "none".
 const NoVar VarID = -1
 
-// BinOp enumerates binary bitwise operations.
-type BinOp int
+// Op enumerates the instructions an assignment computes. The four binary
+// bitwise operations come first: their values are the packed form's bin
+// sub-op (see codec.go).
+type Op uint8
 
 const (
-	OpAnd BinOp = iota
-	OpOr
-	OpXor
-	OpAndNot
+	OpAnd    Op = iota // X & Y
+	OpOr               // X | Y
+	OpXor              // X ^ Y
+	OpAndNot           // X &^ Y
+	OpZero             // the all-zero bitstream
+	OpOnes             // the all-one bitstream (bounded by the input length)
+	OpCopy             // X
+	OpNot              // ~X
+	// OpShift moves X's bits by K in paper stream terms: K > 0 is the
+	// paper's "S >> K" (Advance, toward the future), K < 0 is "S << -K"
+	// (Lookback). Shifts are the only instructions that create cross-block
+	// dependencies.
+	OpShift
+	// OpStarThru is the fused MatchStar instruction: given end-position
+	// markers M = X and a class stream C = Y, it computes, with
+	// T = (M >> 1) & C, ((((T + C) ^ C) | T) & C) | M — every position
+	// reachable from a marker through a run of class bytes, plus the
+	// markers themselves. The Kleene closure of a character class lowers to
+	// it instead of a fixed-point loop, which is why applications dominated
+	// by ".*" patterns show tiny dynamic overlap distances in Table 5. Its
+	// carry creates cross-block dependencies (a carry may enter from the
+	// previous block); the interleaved executor detects boundary-crossing
+	// carry runs at runtime. It is zero-preserving in M (no markers in, no
+	// matches out), which keeps CC-star chains on zero paths for ZBS.
+	OpStarThru
+	// OpBasis reads basis bitstream K, one of the eight transposed input
+	// bits or an extended (shared-class) stream. The lowering expands
+	// character classes into bitwise operations over basis reads, so
+	// instruction counts reflect the real bitwise work.
+	OpBasis
+	NumOps // one past the last operation
 )
 
-func (op BinOp) String() string {
-	switch op {
-	case OpAnd:
-		return "&"
-	case OpOr:
-		return "|"
-	case OpXor:
-		return "^"
-	case OpAndNot:
-		return "&~"
-	}
-	return "?"
-}
+// arity is how many of X, Y each operation reads.
+var arity = [NumOps]int{OpAnd: 2, OpOr: 2, OpXor: 2, OpAndNot: 2, OpCopy: 1, OpNot: 1, OpShift: 1, OpStarThru: 2}
 
-// Expr is the right-hand side of an assignment. Operands are variables,
-// keeping the program in three-address form for the analyses.
-type Expr interface{ isExpr() }
+// Arity returns how many of X, Y op reads: X alone, or X and Y.
+func (op Op) Arity() int { return arity[op] }
 
-// Zero is the all-zero bitstream.
-type Zero struct{}
+// IsBin reports whether op is one of the four binary bitwise operations.
+func (op Op) IsBin() bool { return op <= OpAndNot }
 
-// Ones is the all-one bitstream (bounded by the input length).
-type Ones struct{}
-
-// Copy reads another variable.
-type Copy struct{ Src VarID }
-
-// Not is bitwise complement of a variable.
-type Not struct{ Src VarID }
-
-// Bin applies a binary bitwise operation to two variables.
-type Bin struct {
-	Op   BinOp
+// Expr is the right-hand side of an assignment, Op over variables, keeping
+// the program in three-address form for the analyses. X is a unary
+// operation's source or StarThru's markers, Y the second operand or
+// StarThru's class, K a shift's distance or a basis read's bit; fields an
+// operation does not use are zero. K sits beside Op, in its padding.
+type Expr struct {
+	Op   Op
+	K    int32
 	X, Y VarID
 }
-
-// Shift moves bits by a constant distance in paper stream terms:
-// K > 0 is the paper's "S >> K" (Advance, toward the future), K < 0 is
-// "S << -K" (Lookback). Shifts are the only instructions that create
-// cross-block dependencies.
-type Shift struct {
-	Src VarID
-	K   int
-}
-
-// StarThru is the fused MatchStar instruction: given end-position markers M
-// and a class stream C, it computes, with T = (M >> 1) & C,
-// ((((T + C) ^ C) | T) & C) | M — every position reachable from a marker
-// through a run of class bytes, plus the markers themselves. The Kleene
-// closure of a character class lowers to it instead of a fixed-point loop,
-// which is why applications dominated by ".*" patterns show tiny dynamic
-// overlap distances in Table 5. Its carry creates cross-block dependencies
-// (a carry may enter from the previous block); the interleaved executor
-// detects boundary-crossing carry runs at runtime. It is zero-preserving in
-// M (no markers in, no matches out), which keeps CC-star chains on zero
-// paths for ZBS.
-type StarThru struct {
-	M, C VarID
-}
-
-// MatchBasis reads one of the eight transposed basis bitstreams. The
-// lowering expands character classes into Bin/Not over MatchBasis values, so
-// instruction counts reflect the real bitwise work.
-type MatchBasis struct{ Bit int }
-
-func (Zero) isExpr()       {}
-func (Ones) isExpr()       {}
-func (Copy) isExpr()       {}
-func (Not) isExpr()        {}
-func (Bin) isExpr()        {}
-func (Shift) isExpr()      {}
-func (StarThru) isExpr()   {}
-func (MatchBasis) isExpr() {}
 
 // Stmt is one statement of a bitstream program.
 type Stmt interface{ isStmt() }
@@ -158,7 +134,7 @@ type Program struct {
 	// produced by the Shift Rebalancing pass (see package passes).
 	Barriers *BarrierSchedule
 	// ExtBits is the number of extended basis streams the program may read
-	// beyond the eight raw transposed streams: MatchBasis bits in
+	// beyond the eight raw transposed streams: basis bits in
 	// [8, 8+ExtBits) address shared character-class streams computed once
 	// per engine scan (see package lower's shared-CC support).
 	ExtBits int
@@ -240,34 +216,11 @@ func cloneStmts(list []Stmt) []Stmt {
 	return out
 }
 
-// Operands returns the variables read by an expression.
-func Operands(e Expr) []VarID {
-	var buf [2]VarID
-	return append([]VarID(nil), OperandsInto(e, &buf)...)
-}
-
-// OperandsInto is Operands without the per-call allocation: it writes the
-// operand VarIDs into buf and returns the filled prefix. Compiler passes
-// that walk whole programs per fixpoint round use this on their hot path.
+// OperandsInto writes the variables e reads into buf and returns the
+// filled prefix.
 func OperandsInto(e Expr, buf *[2]VarID) []VarID {
-	switch x := e.(type) {
-	case Copy:
-		buf[0] = x.Src
-		return buf[:1]
-	case Not:
-		buf[0] = x.Src
-		return buf[:1]
-	case Bin:
-		buf[0], buf[1] = x.X, x.Y
-		return buf[:2]
-	case Shift:
-		buf[0] = x.Src
-		return buf[:1]
-	case StarThru:
-		buf[0], buf[1] = x.M, x.C
-		return buf[:2]
-	}
-	return buf[:0]
+	buf[0], buf[1] = e.X, e.Y
+	return buf[:arity[e.Op]]
 }
 
 // ReadsInto writes the variables s itself reads into buf and returns the
@@ -339,21 +292,18 @@ func CollectStats(p *Program) Stats {
 		switch x := s.(type) {
 		case *Assign:
 			st.Assigns++
-			switch e := x.Expr.(type) {
-			case Bin:
-				switch e.Op {
-				case OpAnd, OpAndNot:
-					st.And++
-				case OpOr:
-					st.Or++
-				case OpXor:
-					st.Xor++
-				}
-			case Not:
+			switch x.Expr.Op {
+			case OpAnd, OpAndNot:
+				st.And++
+			case OpOr:
+				st.Or++
+			case OpXor:
+				st.Xor++
+			case OpNot:
 				st.Not++
-			case Shift:
+			case OpShift:
 				st.Shift++
-			case StarThru:
+			case OpStarThru:
 				st.Star++
 			}
 		case *While:

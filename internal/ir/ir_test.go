@@ -66,17 +66,17 @@ func buildKleene() *Program {
 	sc := b.MatchClass(charclass.Single('c'))
 	sd := b.MatchClass(charclass.Single('d'))
 	s1 := b.NewVar()
-	b.EmitTo(s1, Copy{sa})
+	b.EmitTo(s1, Expr{Op: OpCopy, X: sa})
 	s10 := b.NewVar()
-	b.EmitTo(s10, Copy{s1})
+	b.EmitTo(s10, Expr{Op: OpCopy, X: s1})
 	b.While(s1, func() {
 		s5 := b.Advance(s1, 1)
 		s6 := b.And(sb, s5)
 		s7 := b.Advance(s6, 1)
 		s8 := b.And(sc, s7)
 		s9 := b.Not(s10)
-		b.EmitTo(s1, Bin{OpAnd, s8, s9})
-		b.EmitTo(s10, Bin{OpOr, s10, s8})
+		b.EmitTo(s1, Expr{Op: OpAnd, X: s8, Y: s9})
+		b.EmitTo(s10, Expr{Op: OpOr, X: s10, Y: s8})
 	})
 	s11 := b.Advance(s10, 1)
 	s12 := b.And(sd, s11)
@@ -116,13 +116,13 @@ func TestListing3KleeneStar(t *testing.T) {
 // read, so a stream the loop reads stays live for every iteration.
 func TestLastReadsCountsBodyReadsAtTheirStatement(t *testing.T) {
 	b := NewBuilder()
-	x := b.Emit(Ones{})  // 1
-	y := b.Emit(Zero{})  // 2
-	m := b.Emit(Copy{x}) // 3
-	b.While(m, func() {  // 4
-		b.EmitTo(m, Bin{OpAnd, m, y})
+	x := b.Emit(Expr{Op: OpOnes})       // 1
+	y := b.Emit(Expr{Op: OpZero})       // 2
+	m := b.Emit(Expr{Op: OpCopy, X: x}) // 3
+	b.While(m, func() {                 // 4
+		b.EmitTo(m, Expr{Op: OpAnd, X: m, Y: y})
 	})
-	z := b.Emit(Not{x}) // 5
+	z := b.Emit(Expr{Op: OpNot, X: x}) // 5
 	b.Output("z", z)
 	p := b.Program()
 	last := LastReads(p.Stmts, p.NumVars)
@@ -143,9 +143,9 @@ func TestLastReadsCountsBodyReadsAtTheirStatement(t *testing.T) {
 func TestWhileLoopIterationCap(t *testing.T) {
 	// while(ones) { nothing changes } must hit the iteration cap.
 	b := NewBuilder()
-	v := b.Emit(Ones{})
+	v := b.Emit(Expr{Op: OpOnes})
 	b.While(v, func() {
-		b.EmitTo(v, Copy{v})
+		b.EmitTo(v, Expr{Op: OpCopy, X: v})
 	})
 	b.Output("x", v)
 	p := b.Program()
@@ -158,27 +158,27 @@ func TestWhileLoopIterationCap(t *testing.T) {
 func TestValidateCatchesErrors(t *testing.T) {
 	// Use before definition.
 	p := &Program{NumVars: 2}
-	p.Stmts = []Stmt{&Assign{Dst: 0, Expr: Copy{1}}}
+	p.Stmts = []Stmt{&Assign{Dst: 0, Expr: Expr{Op: OpCopy, X: 1}}}
 	if err := Validate(p); err == nil {
 		t.Error("use-before-def not caught")
 	}
 	// Out-of-range output.
-	p = &Program{NumVars: 1, Stmts: []Stmt{&Assign{Dst: 0, Expr: Zero{}}}}
+	p = &Program{NumVars: 1, Stmts: []Stmt{&Assign{Dst: 0, Expr: Expr{Op: OpZero}}}}
 	p.Outputs = []Output{{Name: "x", Var: 5}}
 	if err := Validate(p); err == nil {
 		t.Error("out-of-range output not caught")
 	}
 	// Zero-distance shift.
 	p = &Program{NumVars: 2, Stmts: []Stmt{
-		&Assign{Dst: 0, Expr: Zero{}},
-		&Assign{Dst: 1, Expr: Shift{0, 0}},
+		&Assign{Dst: 0, Expr: Expr{Op: OpZero}},
+		&Assign{Dst: 1, Expr: Expr{Op: OpShift, X: 0, K: 0}},
 	}}
 	if err := Validate(p); err == nil {
 		t.Error("zero shift not caught")
 	}
 	// Guard skipping past end of body.
 	p = &Program{NumVars: 1, Stmts: []Stmt{
-		&Assign{Dst: 0, Expr: Zero{}},
+		&Assign{Dst: 0, Expr: Expr{Op: OpZero}},
 		&Guard{Cond: 0, Skip: 3},
 	}}
 	if err := Validate(p); err == nil {
@@ -192,7 +192,7 @@ func TestGuardEquivalence(t *testing.T) {
 	sa := b.MatchClass(charclass.Single('a'))
 	sz := b.MatchClass(charclass.Single('z')) // absent from input: all-zero
 	g := b.NewVar()
-	b.EmitTo(g, Copy{sz})
+	b.EmitTo(g, Expr{Op: OpCopy, X: sz})
 	// Zero path: t1 = g >> 1; t2 = t1 & sa; out = t2 | sa
 	*b.top() = append(*b.top(), &Guard{Cond: g, Skip: 2})
 	t1 := b.Advance(g, 1)
@@ -284,7 +284,7 @@ func TestBuilderCachesClasses(t *testing.T) {
 }
 
 func TestMatchBasisOutOfRangeCaught(t *testing.T) {
-	p := &Program{NumVars: 1, Stmts: []Stmt{&Assign{Dst: 0, Expr: MatchBasis{9}}}}
+	p := &Program{NumVars: 1, Stmts: []Stmt{&Assign{Dst: 0, Expr: Expr{Op: OpBasis, K: 9}}}}
 	if err := Validate(p); err == nil {
 		t.Fatal("basis bit out of range not caught")
 	}

@@ -34,28 +34,37 @@ func writeStmts(b *strings.Builder, list []Stmt, depth int) {
 	}
 }
 
+// String is a binary bitwise operation's listing symbol, "?" for any other
+// operation.
+func (op Op) String() string {
+	if op.IsBin() {
+		return [...]string{"&", "|", "^", "&~"}[op]
+	}
+	return "?"
+}
+
 // ExprString renders an expression in listing style.
 func ExprString(e Expr) string {
-	switch x := e.(type) {
-	case Zero:
+	switch e.Op {
+	case OpZero:
 		return "0"
-	case Ones:
+	case OpOnes:
 		return "~0"
-	case Copy:
-		return fmt.Sprintf("S%d", x.Src)
-	case Not:
-		return fmt.Sprintf("~S%d", x.Src)
-	case Bin:
-		return fmt.Sprintf("S%d %s S%d", x.X, x.Op, x.Y)
-	case Shift:
-		if x.K >= 0 {
-			return fmt.Sprintf("S%d >> %d", x.Src, x.K)
+	case OpCopy:
+		return fmt.Sprintf("S%d", e.X)
+	case OpNot:
+		return fmt.Sprintf("~S%d", e.X)
+	case OpAnd, OpOr, OpXor, OpAndNot:
+		return fmt.Sprintf("S%d %s S%d", e.X, e.Op, e.Y)
+	case OpShift:
+		if e.K >= 0 {
+			return fmt.Sprintf("S%d >> %d", e.X, e.K)
 		}
-		return fmt.Sprintf("S%d << %d", x.Src, -x.K)
-	case StarThru:
-		return fmt.Sprintf("MatchStar(S%d, S%d)", x.M, x.C)
-	case MatchBasis:
-		return fmt.Sprintf("b%d", x.Bit)
+		return fmt.Sprintf("S%d << %d", e.X, -e.K)
+	case OpStarThru:
+		return fmt.Sprintf("MatchStar(S%d, S%d)", e.X, e.Y)
+	case OpBasis:
+		return fmt.Sprintf("b%d", e.K)
 	}
-	return fmt.Sprintf("?%T", e)
+	return fmt.Sprintf("?op%d", uint8(e.Op))
 }

@@ -31,20 +31,20 @@ func validateBody(p *Program, body []Stmt, defined []bool) error {
 	for i, s := range body {
 		switch x := s.(type) {
 		case *Assign:
-			for _, v := range OperandsInto(x.Expr, &buf) {
+			e := x.Expr
+			if e.Op >= NumOps {
+				return fmt.Errorf("ir: unknown operation %d assigned to S%d", e.Op, x.Dst)
+			}
+			for _, v := range OperandsInto(e, &buf) {
 				if err := checkUse(p, v, defined); err != nil {
 					return err
 				}
 			}
-			if sh, ok := x.Expr.(Shift); ok {
-				if sh.K == 0 {
-					return fmt.Errorf("ir: zero-distance shift assigned to S%d", x.Dst)
-				}
+			if e.Op == OpShift && e.K == 0 {
+				return fmt.Errorf("ir: zero-distance shift assigned to S%d", x.Dst)
 			}
-			if mb, ok := x.Expr.(MatchBasis); ok {
-				if mb.Bit < 0 || mb.Bit > 7+p.ExtBits {
-					return fmt.Errorf("ir: basis bit %d out of range (8 raw + %d shared)", mb.Bit, p.ExtBits)
-				}
+			if e.Op == OpBasis && (e.K < 0 || int(e.K) > 7+p.ExtBits) {
+				return fmt.Errorf("ir: basis bit %d out of range (8 raw + %d shared)", e.K, p.ExtBits)
 			}
 			if x.Dst < 0 || int(x.Dst) >= p.NumVars {
 				return fmt.Errorf("ir: assignment to S%d out of range [0,%d)", x.Dst, p.NumVars)

@@ -18,7 +18,7 @@ func TestLookbackShiftAllModes(t *testing.T) {
 	b := ir.NewBuilder()
 	sa := b.MatchClass(charclass.Single('a'))
 	sb := b.MatchClass(charclass.Single('b'))
-	look := b.Emit(ir.Shift{Src: sb, K: -2}) // b two positions ahead
+	look := b.Emit(ir.Expr{Op: ir.OpShift, X: sb, K: -2}) // b two positions ahead
 	out := b.And(sa, look)
 	b.Output("re", out)
 	p := b.Program()

@@ -342,55 +342,50 @@ func (ex *Executor) execStream(a *ir.Assign) {
 		return ex.globalStream(v)
 	}
 	opFactor := int64(1)
-	switch e := a.Expr.(type) {
-	case ir.Zero:
+	switch e := a.Expr; e.Op {
+	case ir.OpZero:
 		ex.ensureGlobal(a.Dst).ZeroInto()
-	case ir.Ones:
+	case ir.OpOnes:
 		ex.ensureGlobal(a.Dst).OnesInto()
-	case ir.Copy:
-		src := read(e.Src)
+	case ir.OpCopy:
+		src := read(e.X)
 		if dst := ex.ensureGlobal(a.Dst); dst != src {
 			src.CopyInto(dst)
 		}
-	case ir.Not:
-		read(e.Src).NotInto(ex.ensureGlobal(a.Dst))
-	case ir.Bin:
-		x, y := read(e.X), read(e.Y)
-		dst := ex.ensureGlobal(a.Dst)
-		switch e.Op {
-		case ir.OpAnd:
-			x.AndInto(y, dst)
-		case ir.OpOr:
-			x.OrInto(y, dst)
-		case ir.OpXor:
-			x.XorInto(y, dst)
-		case ir.OpAndNot:
-			x.AndNotInto(y, dst)
-		}
-	case ir.Shift:
-		src := read(e.Src)
+	case ir.OpNot:
+		read(e.X).NotInto(ex.ensureGlobal(a.Dst))
+	case ir.OpAnd:
+		read(e.X).AndInto(read(e.Y), ex.ensureGlobal(a.Dst))
+	case ir.OpOr:
+		read(e.X).OrInto(read(e.Y), ex.ensureGlobal(a.Dst))
+	case ir.OpXor:
+		read(e.X).XorInto(read(e.Y), ex.ensureGlobal(a.Dst))
+	case ir.OpAndNot:
+		read(e.X).AndNotInto(read(e.Y), ex.ensureGlobal(a.Dst))
+	case ir.OpShift:
+		src := read(e.X)
 		dst := ex.ensureGlobal(a.Dst)
 		if dst == src && e.K != 0 {
 			// Word-moving op on an aliased destination: shift through
 			// scratch, then copy back (the scratch is retained, so the
 			// steady state still allocates nothing).
 			ex.ensureScratch(ex.nWords)
-			bitstream.ShiftWords(ex.tmpT[:ex.nWords], src.Words(), e.K)
+			bitstream.ShiftWords(ex.tmpT[:ex.nWords], src.Words(), int(e.K))
 			copy(dst.Words(), ex.tmpT[:ex.nWords])
 			maskStreamTail(dst)
 		} else {
-			src.ShiftInto(e.K, dst)
+			src.ShiftInto(int(e.K), dst)
 		}
 		opFactor = 2
 		// Stream-wise shifts read the adjacent block too (Figure 5 (b)).
 		ex.stats.DRAMReadBytes += ex.streamBytes() / int64(max(1, ex.n/ex.cfg.Grid.BlockBits()))
-	case ir.StarThru:
-		m, c := read(e.M), read(e.C)
+	case ir.OpStarThru:
+		m, c := read(e.X), read(e.Y)
 		ex.ensureScratch(ex.nWords)
 		bitstream.MatchStarInto(ex.ensureGlobal(a.Dst), m, c, ex.tmpT, ex.tmpS)
 		opFactor = 7
-	case ir.MatchBasis:
-		ex.basis.Bit(e.Bit).CopyInto(ex.ensureGlobal(a.Dst))
+	case ir.OpBasis:
+		ex.basis.Bit(int(e.K)).CopyInto(ex.ensureGlobal(a.Dst))
 		ex.stats.DRAMReadBytes += ex.streamBytes() / int64(ex.cfg.SharedInputCTAs)
 	}
 	ex.stats.UnitOps += opFactor * ex.streamUnits()
@@ -548,7 +543,7 @@ func findDynamicStmt(stmts []ir.Stmt) ir.Stmt {
 		case *ir.While:
 			found = x
 		case *ir.Assign:
-			if _, ok := x.Expr.(ir.StarThru); ok {
+			if x.Expr.Op == ir.OpStarThru {
 				found = x
 			}
 		}

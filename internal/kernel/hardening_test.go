@@ -24,9 +24,9 @@ func spinProgram() *ir.Program {
 	p := &ir.Program{}
 	c := p.NewVar()
 	p.Stmts = []ir.Stmt{
-		&ir.Assign{Dst: c, Expr: ir.Ones{}},
+		&ir.Assign{Dst: c, Expr: ir.Expr{Op: ir.OpOnes}},
 		&ir.While{Cond: c, Body: []ir.Stmt{
-			&ir.Assign{Dst: c, Expr: ir.Ones{}},
+			&ir.Assign{Dst: c, Expr: ir.Expr{Op: ir.OpOnes}},
 		}},
 	}
 	p.Outputs = []ir.Output{{Name: "spin", Var: c}}
@@ -130,13 +130,13 @@ func TestInjectedForceFallbackStaysExact(t *testing.T) {
 // charge what a session built on that plan from the start charges.
 func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 	b := ir.NewBuilder()
-	s := b.Emit(ir.MatchBasis{Bit: transpose.NumBasis})
+	s := b.Emit(ir.Expr{Op: ir.OpBasis, K: transpose.NumBasis})
 	m, acc := b.NewVar(), b.NewVar()
-	b.EmitTo(m, ir.Copy{Src: s})
-	b.EmitTo(acc, ir.Copy{Src: m})
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: s})
+	b.EmitTo(acc, ir.Expr{Op: ir.OpCopy, X: m})
 	b.While(m, func() {
-		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: s})
-		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: m})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Advance(m, 1), Y: s})
+		b.EmitTo(acc, ir.Expr{Op: ir.OpOr, X: acc, Y: m})
 	})
 	b.Output("re", acc)
 	p := b.Program()
@@ -192,23 +192,23 @@ func TestFallbackMaterializesAPrologueLoad(t *testing.T) {
 func TestPrologueLoadDefinedTwiceStaysEager(t *testing.T) {
 	b := ir.NewBuilder()
 	a, c := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
-	v, m, once := b.NewVar(), b.NewVar(), b.Emit(ir.Copy{Src: c})
+	v, m, once := b.NewVar(), b.NewVar(), b.Emit(ir.Expr{Op: ir.OpCopy, X: c})
 	b.While(once, func() {
-		b.EmitTo(v, ir.Copy{Src: a})
-		b.EmitTo(once, ir.Zero{})
+		b.EmitTo(v, ir.Expr{Op: ir.OpCopy, X: a})
+		b.EmitTo(once, ir.Expr{Op: ir.OpZero})
 	})
 	w := b.Or(v, c)
-	b.EmitTo(m, ir.Copy{Src: a})
-	b.While(m, func() { b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: a}) })
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: a})
+	b.While(m, func() { b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Advance(m, 1), Y: a}) })
 	loop := b.Program().Stmts[len(b.Program().Stmts)-1]
-	b.EmitTo(v, ir.MatchBasis{Bit: transpose.NumBasis})
+	b.EmitTo(v, ir.Expr{Op: ir.OpBasis, K: transpose.NumBasis})
 	z := b.And(v, a)
 	b.Output("re", b.Or(w, z))
 	p := b.Program()
 	p.ExtBits = 1
 	at := slices.IndexFunc(p.Stmts, func(st ir.Stmt) bool {
 		x, ok := st.(*ir.Assign)
-		return ok && x.Expr == ir.Expr(ir.MatchBasis{Bit: transpose.NumBasis})
+		return ok && x.Expr == ir.Expr{Op: ir.OpBasis, K: transpose.NumBasis}
 	})
 	p.Stmts = slices.Insert(p.Stmts, at+1, ir.Stmt(&ir.Guard{Cond: v, Skip: 1}))
 
@@ -250,13 +250,13 @@ func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
 		v := b.NewVar()
 		var w ir.VarID
 		if shape == "defined twice" {
-			b.EmitTo(v, ir.Copy{Src: a})
+			b.EmitTo(v, ir.Expr{Op: ir.OpCopy, X: a})
 			w = b.Or(v, c)
 		}
-		once := b.Emit(ir.Copy{Src: c})
-		b.While(once, func() { b.EmitTo(once, ir.Zero{}) }) // the load is a node of its own
-		b.EmitTo(v, ir.MatchBasis{Bit: transpose.NumBasis})
-		y := b.Emit(ir.Zero{})
+		once := b.Emit(ir.Expr{Op: ir.OpCopy, X: c})
+		b.While(once, func() { b.EmitTo(once, ir.Expr{Op: ir.OpZero}) }) // the load is a node of its own
+		b.EmitTo(v, ir.Expr{Op: ir.OpBasis, K: transpose.NumBasis})
+		y := b.Emit(ir.Expr{Op: ir.OpZero})
 		if shape == "output" {
 			b.Output("v", v)
 			b.Output("re", y)
@@ -268,7 +268,7 @@ func TestPrologueLoadsThatMustBindEagerly(t *testing.T) {
 		p.ExtBits = 1
 		at := slices.IndexFunc(p.Stmts, func(st ir.Stmt) bool {
 			x, ok := st.(*ir.Assign)
-			return ok && x.Expr == ir.Expr(ir.MatchBasis{Bit: transpose.NumBasis})
+			return ok && x.Expr == ir.Expr{Op: ir.OpBasis, K: transpose.NumBasis}
 		})
 		p.Stmts = slices.Insert(p.Stmts, at+1, ir.Stmt(&ir.Guard{Cond: v, Skip: 1}))
 

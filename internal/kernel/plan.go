@@ -113,8 +113,7 @@ func buildPlan(stmts []ir.Stmt, mode Mode, materialize map[ir.Stmt]bool) *plan {
 		switch x := s.(type) {
 		case *ir.Assign:
 			own := materialize[s]
-			switch x.Expr.(type) {
-			case ir.Shift, ir.StarThru:
+			if op := x.Expr.Op; op == ir.OpShift || op == ir.OpStarThru {
 				own = own || mode == ModeBase
 			}
 			if own {

@@ -128,18 +128,18 @@ func forkProgram() *ir.Program {
 	b := ir.NewBuilder()
 	sx, sa, sb := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
 	v, m, acc := b.NewVar(), b.NewVar(), b.NewVar()
-	b.EmitTo(v, ir.Copy{Src: sa})
+	b.EmitTo(v, ir.Expr{Op: ir.OpCopy, X: sa})
 	d := b.Advance(sb, 2)
-	b.EmitTo(m, ir.Copy{Src: sx})
-	b.EmitTo(acc, ir.Zero{})
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: sx})
+	b.EmitTo(acc, ir.Expr{Op: ir.OpZero})
 	b.While(m, func() {
 		n := b.AndNot(b.And(b.Advance(m, 1), sa), acc)
-		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: n})
-		b.EmitTo(m, ir.Bin{Op: ir.OpAndNot, X: n, Y: d})
+		b.EmitTo(acc, ir.Expr{Op: ir.OpOr, X: acc, Y: n})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAndNot, X: n, Y: d})
 	})
-	b.EmitTo(v, ir.Bin{Op: ir.OpXor, X: v, Y: acc})
+	b.EmitTo(v, ir.Expr{Op: ir.OpXor, X: v, Y: acc})
 	c := b.AndNot(sa, acc)
-	w := b.Emit(ir.Copy{Src: c})
+	w := b.Emit(ir.Expr{Op: ir.OpCopy, X: c})
 	b.Output("acc", acc)
 	b.Output("v", v)
 	b.Output("w", b.Or(w, d))
@@ -241,11 +241,11 @@ func chainProgram() *ir.Program {
 	b := ir.NewBuilder()
 	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
 	m, acc := b.NewVar(), b.NewVar()
-	b.EmitTo(m, ir.Copy{Src: sx})
-	b.EmitTo(acc, ir.Zero{})
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: sx})
+	b.EmitTo(acc, ir.Expr{Op: ir.OpZero})
 	b.While(m, func() {
-		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: sa})
-		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: m})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Advance(m, 1), Y: sa})
+		b.EmitTo(acc, ir.Expr{Op: ir.OpOr, X: acc, Y: m})
 	})
 	b.Output("run", acc)
 	return b.Program()

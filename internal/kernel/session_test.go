@@ -95,10 +95,10 @@ func TestExecutorServesEveryProgram(t *testing.T) {
 	// absent register, which a run must not find left over from the last.
 	b := ir.NewBuilder()
 	ca, cc := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('c'))
-	v, once := b.NewVar(), b.Emit(ir.Copy{Src: cc})
+	v, once := b.NewVar(), b.Emit(ir.Expr{Op: ir.OpCopy, X: cc})
 	b.While(once, func() {
-		b.EmitTo(v, ir.Copy{Src: ca})
-		b.EmitTo(once, ir.Zero{})
+		b.EmitTo(v, ir.Expr{Op: ir.OpCopy, X: ca})
+		b.EmitTo(once, ir.Expr{Op: ir.OpZero})
 	})
 	b.Output("re", b.Or(b.Advance(v, 1), ca))
 	absent := pinnedCase{label: "absent", prog: b.Program(), input: []byte(strings.Repeat("ab ", 90)), cfg: Config{Grid: tinyGrid, Mode: ModeDTM}}
@@ -198,17 +198,17 @@ func TestReadBackOutputMatchesInterpreter(t *testing.T) {
 	ac := b.And(b.Advance(a, 1), c)
 	b.Output("ac", ac)
 	m, acc := b.NewVar(), b.NewVar()
-	b.EmitTo(m, ir.Copy{Src: ac})
-	b.EmitTo(acc, ir.Copy{Src: ac})
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: ac})
+	b.EmitTo(acc, ir.Expr{Op: ir.OpCopy, X: ac})
 	b.While(m, func() {
-		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: c})
-		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: m})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Advance(m, 1), Y: c})
+		b.EmitTo(acc, ir.Expr{Op: ir.OpOr, X: acc, Y: m})
 	})
 	b.Output("acc", acc)
 	b.Output("next", b.Or(b.Advance(ac, 1), acc))
 	twice := b.NewVar() // defined by a fused segment, then, in Base, by a shift of its own
-	b.EmitTo(twice, ir.Copy{Src: ac})
-	b.EmitTo(twice, ir.Shift{Src: ac, K: 2})
+	b.EmitTo(twice, ir.Expr{Op: ir.OpCopy, X: ac})
+	b.EmitTo(twice, ir.Expr{Op: ir.OpShift, X: ac, K: 2})
 	b.Output("twice", twice)
 	p := b.Program()
 

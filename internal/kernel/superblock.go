@@ -250,8 +250,7 @@ func newSBCompiler(k *compiled) *sbCompiler {
 			}
 			for i, a := range group {
 				c.gidOf[a] = int32(gid)
-				sh, ok := a.Expr.(ir.Shift)
-				if ok && !slices.ContainsFunc(group[:i], func(b *ir.Assign) bool { x, ok := b.Expr.(ir.Shift); return ok && x.Src == sh.Src }) {
+				if sh := a.Expr; sh.Op == ir.OpShift && !slices.ContainsFunc(group[:i], func(b *ir.Assign) bool { return b.Expr.Op == ir.OpShift && b.Expr.X == sh.X }) {
 					k.nsrcs[gid]++
 				}
 			}
@@ -563,7 +562,7 @@ func (c *sbCompiler) compileRun(p *sbProgram, stmts []ir.Stmt) {
 	runStart := len(p.ops)
 	for _, s := range stmts {
 		a := s.(*ir.Assign)
-		if sh, ok := a.Expr.(ir.Shift); ok && c.loops == 0 && c.ud.Defs[a.Dst] == 1 && c.seen[sh.Src] == c.ud.Defs[sh.Src] {
+		if sh := a.Expr; sh.Op == ir.OpShift && c.loops == 0 && c.ud.Defs[a.Dst] == 1 && c.seen[sh.X] == c.ud.Defs[sh.X] {
 			c.lazy[a.Dst] = true
 		}
 		c.seen[a.Dst]++
@@ -577,26 +576,26 @@ func (c *sbCompiler) compileRun(p *sbProgram, stmts []ir.Stmt) {
 // baseOp translates one assignment to its unfused µop.
 func (c *sbCompiler) baseOp(p *sbProgram, a *ir.Assign) sbOp {
 	op := sbOp{dst: a.Dst, gid: -1, nStmts: 1}
-	switch e := a.Expr.(type) {
-	case ir.Zero:
+	switch e := a.Expr; e.Op {
+	case ir.OpZero:
 		op.code = sbZero
-	case ir.Ones:
+	case ir.OpOnes:
 		op.code = sbOnes
-	case ir.Copy:
-		op.code, op.a = sbCopy, e.Src
-	case ir.Not:
-		op.code, op.a = sbNot, e.Src
-	case ir.Bin:
+	case ir.OpCopy:
+		op.code, op.a = sbCopy, e.X
+	case ir.OpNot:
+		op.code, op.a = sbNot, e.X
+	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpAndNot:
 		op.code, op.a, op.b = sbBinCode[e.Op], e.X, e.Y
-	case ir.Shift:
-		op.code, op.a, op.k, op.lazy = sbShift, e.Src, int32(e.K), c.lazy[a.Dst]
+	case ir.OpShift:
+		op.code, op.a, op.k, op.lazy = sbShift, e.X, e.K, c.lazy[a.Dst]
 		if gid, ok := c.gidOf[a]; ok {
 			op.gid = gid
 		}
-	case ir.StarThru:
-		op.code, op.a, op.b, op.k, p.carries = sbStarThru, e.M, e.C, int32(len(p.carries)), append(p.carries, a)
-	case ir.MatchBasis:
-		op.code, op.k = sbMatchBasis, int32(e.Bit)
+	case ir.OpStarThru:
+		op.code, op.a, op.b, op.k, p.carries = sbStarThru, e.X, e.Y, int32(len(p.carries)), append(p.carries, a)
+	case ir.OpBasis:
+		op.code, op.k = sbMatchBasis, e.K
 	}
 	return op
 }
@@ -621,8 +620,8 @@ func (c *sbCompiler) baseOp(p *sbProgram, a *ir.Assign) sbOp {
 // On success the defining µop is removed and the fused µop appended in a's
 // position.
 func (c *sbCompiler) tryFuse(p *sbProgram, runStart int, a *ir.Assign) bool {
-	bin, ok := a.Expr.(ir.Bin)
-	if !ok || bin.X == bin.Y {
+	bin := a.Expr
+	if !bin.Op.IsBin() || bin.X == bin.Y {
 		return false
 	}
 	last := len(p.ops) - 1

@@ -627,7 +627,7 @@ func prologueProgram(n int, bare bool) *ir.Program {
 	b := ir.NewBuilder()
 	loads := make([]ir.VarID, n)
 	for k := range loads {
-		loads[k] = b.Emit(ir.MatchBasis{Bit: transpose.NumBasis + k})
+		loads[k] = b.Emit(ir.Expr{Op: ir.OpBasis, K: int32(transpose.NumBasis + k)})
 	}
 	out := b.Advance(loads[n-1], 1)
 	if !bare {
@@ -889,9 +889,9 @@ func TestTakenGuardTagsWhatIsReadAfterIt(t *testing.T) {
 		}},
 		{"defined twice", true, func(b *ir.Builder, sa, sc, g ir.VarID) ir.VarID {
 			d := b.NewVar()
-			b.EmitTo(d, ir.Copy{Src: sa})
+			b.EmitTo(d, ir.Expr{Op: ir.OpCopy, X: sa})
 			pre := b.Or(d, sc)
-			b.EmitTo(d, ir.Bin{Op: ir.OpAnd, X: g, Y: sc})
+			b.EmitTo(d, ir.Expr{Op: ir.OpAnd, X: g, Y: sc})
 			b.Output("re", pre)
 			return d
 		}},
@@ -912,7 +912,7 @@ func TestTakenGuardTagsWhatIsReadAfterIt(t *testing.T) {
 		// The guard skips D's (last) definition alone.
 		at := slices.IndexFunc(p.Stmts, func(s ir.Stmt) bool {
 			a, ok := s.(*ir.Assign)
-			return ok && a.Dst == d && a.Expr == ir.Expr(ir.Bin{Op: ir.OpAnd, X: g, Y: sc})
+			return ok && a.Dst == d && a.Expr == ir.Expr{Op: ir.OpAnd, X: g, Y: sc}
 		})
 		p.Stmts = slices.Insert(p.Stmts, at, ir.Stmt(&ir.Guard{Cond: g, Skip: 1}))
 
@@ -962,15 +962,15 @@ func TestGuardInALoopTagsWhatItSkips(t *testing.T) {
 	b := ir.NewBuilder()
 	x, y := b.Basis(7), b.Basis(6) // odd bytes; bytes with bit 1 set
 	m, e := b.NewVar(), b.NewVar()
-	b.EmitTo(m, ir.Copy{Src: x})
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: x})
 	var g, d ir.VarID
 	b.While(m, func() {
-		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: x})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Advance(m, 1), Y: x})
 		g = b.And(m, y)
 		d = b.And(g, y)
-		b.EmitTo(e, ir.Bin{Op: ir.OpOr, X: d, Y: m})
+		b.EmitTo(e, ir.Expr{Op: ir.OpOr, X: d, Y: m})
 	})
-	b.Output("re", b.Emit(ir.Copy{Src: e}))
+	b.Output("re", b.Emit(ir.Expr{Op: ir.OpCopy, X: e}))
 	p := b.Program()
 	loop := p.Stmts[len(p.Stmts)-2].(*ir.While)
 	at := slices.IndexFunc(loop.Body, func(s ir.Stmt) bool { a, ok := s.(*ir.Assign); return ok && a.Dst == d })
@@ -1170,14 +1170,14 @@ func TestDeferralKeepsSourceWords(t *testing.T) {
 		b := ir.NewBuilder()
 		sa, sb := b.MatchClass(charclass.Single('a')), b.MatchClass(charclass.Single('b'))
 		m, acc := b.NewVar(), b.NewVar()
-		b.EmitTo(m, ir.Copy{Src: sa})
-		b.EmitTo(acc, ir.Zero{})
+		b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: sa})
+		b.EmitTo(acc, ir.Expr{Op: ir.OpZero})
 		var s, tt ir.VarID
 		b.While(m, func() {
-			s = b.Emit(ir.Copy{Src: m})
+			s = b.Emit(ir.Expr{Op: ir.OpCopy, X: m})
 			tt = b.Advance(s, 1)
-			b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: tt})
-			b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Advance(m, 1), Y: sb})
+			b.EmitTo(acc, ir.Expr{Op: ir.OpOr, X: acc, Y: tt})
+			b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Advance(m, 1), Y: sb})
 		})
 		after := b.Advance(acc, 2) // every definition of acc is behind it: deferrable
 		b.Output("acc", acc)
@@ -1214,7 +1214,7 @@ func TestDeferralKeepsSourceWords(t *testing.T) {
 	t.Run("a deferred shift that is a live-out is computed at commit", func(t *testing.T) {
 		b := ir.NewBuilder()
 		sa := b.MatchClass(charclass.Single('a'))
-		adv, back := b.Advance(sa, 3), b.Emit(ir.Shift{Src: sa, K: -70})
+		adv, back := b.Advance(sa, 3), b.Emit(ir.Expr{Op: ir.OpShift, X: sa, K: -70})
 		b.Output("adv", adv)
 		b.Output("back", back)
 		// 203 bytes: the last window ends inside a word, so the tail mask matters.
@@ -1241,9 +1241,9 @@ func TestSinkRespectsSourceRedefinition(t *testing.T) {
 	x := b.MatchClass(charclass.Single('a'))
 	y := b.MatchClass(charclass.Single('b'))
 	src := b.Or(x, y)
-	t1 := b.Advance(src, 1)                           // reads src before ...
-	t2 := b.Advance(y, 2)                             // (sinkable: y is never rewritten)
-	b.EmitTo(src, ir.Bin{Op: ir.OpAnd, X: src, Y: x}) // ... src is overwritten
+	t1 := b.Advance(src, 1)                            // reads src before ...
+	t2 := b.Advance(y, 2)                              // (sinkable: y is never rewritten)
+	b.EmitTo(src, ir.Expr{Op: ir.OpAnd, X: src, Y: x}) // ... src is overwritten
 	m := b.And(t1, y)
 	b.Output("re", b.Or(m, b.And(t2, x)))
 	p := b.Program()
@@ -1338,12 +1338,12 @@ func rightMarginProgram() *ir.Program {
 	b := ir.NewBuilder()
 	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
 	m, acc := b.NewVar(), b.NewVar()
-	b.EmitTo(m, ir.Copy{Src: sx})
-	b.EmitTo(acc, ir.Zero{})
+	b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: sx})
+	b.EmitTo(acc, ir.Expr{Op: ir.OpZero})
 	b.While(m, func() {
-		n := b.AndNot(b.And(b.Emit(ir.Shift{Src: m, K: -1}), sa), acc)
-		b.EmitTo(acc, ir.Bin{Op: ir.OpOr, X: acc, Y: n})
-		b.EmitTo(m, ir.Copy{Src: n})
+		n := b.AndNot(b.And(b.Emit(ir.Expr{Op: ir.OpShift, X: m, K: -1}), sa), acc)
+		b.EmitTo(acc, ir.Expr{Op: ir.OpOr, X: acc, Y: n})
+		b.EmitTo(m, ir.Expr{Op: ir.OpCopy, X: n})
 	})
 	b.Output("run", acc)
 	return b.Program()

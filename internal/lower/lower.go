@@ -39,7 +39,7 @@ type Options struct {
 	// on its own (zero, the pipeline lane, for a caller lowering one).
 	Lane int
 	// SharedCC maps character classes the engine computes once per scan to
-	// their extended-basis slot; groups read MatchBasis{8+slot} for them
+	// their extended-basis slot; groups read basis bit 8+slot for them
 	// instead of expanding the class inline. SharedExtBits is the engine's
 	// total extended-stream count (>= every slot + 1).
 	SharedCC      map[charclass.Class]int
@@ -195,7 +195,7 @@ func (l *lowerer) materialize(m marker) ir.VarID {
 	if !m.any {
 		return m.v
 	}
-	return l.b.Emit(ir.Ones{})
+	return l.b.Emit(ir.Expr{Op: ir.OpOnes})
 }
 
 // lower emits instructions matching node starting from marker m and returns
@@ -291,15 +291,15 @@ func (l *lowerer) lowerStar(m marker, sub rx.Node) (marker, error) {
 	}
 	if cl, ok := asSingleClass(sub); ok {
 		cc := l.b.MatchClass(cl)
-		return marker{v: l.b.Emit(ir.StarThru{M: m.v, C: cc})}, nil
+		return marker{v: l.b.Emit(ir.Expr{Op: ir.OpStarThru, X: m.v, Y: cc})}, nil
 	}
 	// Note: when sub itself can match empty, t below includes the frontier
 	// positions; the AndNot against result removes them, so the fixpoint
 	// still converges while non-empty paths keep extending the marker.
 	result := l.b.NewVar()
-	l.b.EmitTo(result, ir.Copy{Src: m.v})
+	l.b.EmitTo(result, ir.Expr{Op: ir.OpCopy, X: m.v})
 	frontier := l.b.NewVar()
-	l.b.EmitTo(frontier, ir.Copy{Src: m.v})
+	l.b.EmitTo(frontier, ir.Expr{Op: ir.OpCopy, X: m.v})
 	var loopErr error
 	l.b.While(frontier, func() {
 		t, err := l.lower(marker{v: frontier}, sub)
@@ -308,8 +308,8 @@ func (l *lowerer) lowerStar(m marker, sub rx.Node) (marker, error) {
 			return
 		}
 		// New positions only: frontier = t & ~result; result |= frontier.
-		l.b.EmitTo(frontier, ir.Bin{Op: ir.OpAndNot, X: l.materialize(t), Y: result})
-		l.b.EmitTo(result, ir.Bin{Op: ir.OpOr, X: result, Y: frontier})
+		l.b.EmitTo(frontier, ir.Expr{Op: ir.OpAndNot, X: l.materialize(t), Y: result})
+		l.b.EmitTo(result, ir.Expr{Op: ir.OpOr, X: result, Y: frontier})
 	})
 	if loopErr != nil {
 		return marker{}, loopErr

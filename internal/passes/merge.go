@@ -139,7 +139,7 @@ func (s *scratch) mergeRun(body []ir.Stmt, size int, sched *ir.BarrierSchedule) 
 	s.order, s.members = s.order[:0], s.members[:0]
 	m := runMerge{s: s, size: size}
 	for i, a := range orig {
-		if isShiftAssign(a) && s.inRun[a.Dst]&readInRun != 0 {
+		if a.Expr.Op == ir.OpShift && s.inRun[a.Dst]&readInRun != 0 {
 			s.pend[a.Dst] = int32(i + 1) // deferred shifts by destination
 			continue
 		}
@@ -148,7 +148,7 @@ func (s *scratch) mergeRun(body []ir.Stmt, size int, sched *ir.BarrierSchedule) 
 				m.flush(orig[dep-1])
 			}
 		}
-		if isShiftAssign(a) {
+		if a.Expr.Op == ir.OpShift {
 			// Un-deferred shift: schedule it here, still merging with the
 			// current group when possible.
 			m.flush(a)
@@ -160,7 +160,7 @@ func (s *scratch) mergeRun(body []ir.Stmt, size int, sched *ir.BarrierSchedule) 
 	// Should not happen (every deferred shift has an in-run use), but
 	// flush defensively in original order.
 	for _, a := range orig {
-		if s.pend[a.Dst] != 0 && isShiftAssign(a) {
+		if s.pend[a.Dst] != 0 && a.Expr.Op == ir.OpShift {
 			m.flush(a)
 		}
 	}
@@ -222,11 +222,6 @@ func (m *runMerge) flush(a *ir.Assign) {
 	m.place(a)
 }
 
-func isShiftAssign(a *ir.Assign) bool {
-	_, ok := a.Expr.(ir.Shift)
-	return ok
-}
-
 // groupAdjacent records runs of adjacent shifts as barrier groups, chunked
 // by the merge size, and counts the shared-memory copies saved by duplicate
 // sources within a group. The groups of one run share one backing array.
@@ -240,7 +235,7 @@ func (s *scratch) groupAdjacent(final []*ir.Assign, size int, sched *ir.BarrierS
 		n = 0
 	}
 	for i, a := range final {
-		if !isShiftAssign(a) {
+		if a.Expr.Op != ir.OpShift {
 			closeGroup(i)
 			continue
 		}
@@ -258,8 +253,7 @@ func (s *scratch) groupAdjacent(final []*ir.Assign, size int, sched *ir.BarrierS
 		copy(g, final[sp[0]:sp[1]])
 		sched.Groups = append(sched.Groups, g)
 		for j, a := range g {
-			src := a.Expr.(ir.Shift).Src
-			if slices.ContainsFunc(g[:j], func(b *ir.Assign) bool { return b.Expr.(ir.Shift).Src == src }) {
+			if slices.ContainsFunc(g[:j], func(b *ir.Assign) bool { return b.Expr.X == a.Expr.X }) {
 				sched.DedupedCopies++
 			}
 		}

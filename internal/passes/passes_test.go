@@ -99,7 +99,7 @@ func TestRebalanceIntroducesLookbacks(t *testing.T) {
 	neg := 0
 	ir.WalkStmts(p.Stmts, func(s ir.Stmt) {
 		if a, ok := s.(*ir.Assign); ok {
-			if sh, ok := a.Expr.(ir.Shift); ok && sh.K < 0 {
+			if a.Expr.Op == ir.OpShift && a.Expr.K < 0 {
 				neg++
 			}
 		}
@@ -117,13 +117,13 @@ func guardedBodyProgram(guarded bool) *ir.Program {
 	a := b.MatchClass(charclass.Single('a'))
 	c := b.MatchClass(charclass.Single('b'))
 	deep := b.And(b.Not(b.Not(a)), a) // deeper than c: the rewrite is profitable
-	out, once := b.NewVar(), b.Emit(ir.Copy{Src: a})
-	b.EmitTo(out, ir.Zero{})
+	out, once := b.NewVar(), b.Emit(ir.Expr{Op: ir.OpCopy, X: a})
+	b.EmitTo(out, ir.Expr{Op: ir.OpZero})
 	b.While(once, func() {
 		s := b.Advance(deep, 1)
 		s2 := b.Advance(b.And(s, c), 2)
-		b.EmitTo(out, ir.Bin{Op: ir.OpAnd, X: s2, Y: c})
-		b.EmitTo(once, ir.Zero{})
+		b.EmitTo(out, ir.Expr{Op: ir.OpAnd, X: s2, Y: c})
+		b.EmitTo(once, ir.Expr{Op: ir.OpZero})
 	})
 	b.Output("ab.b", out)
 	p := b.Program()

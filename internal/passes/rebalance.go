@@ -2,9 +2,10 @@
 // Rebalancing with barrier merging (Section 5) and Zero Block Skipping
 // guard insertion (Section 6). All passes preserve whole-stream semantics;
 // the test suite verifies transformed programs against the interpreter.
-// Rebalance runs its fixpoint on a flat, pointer-free copy of the program —
-// one record per statement — and writes the program back once;
-// MergeBarriers and InsertGuards work on the boxed IR.
+// Rebalance runs its fixpoint on one record per statement — an assignment's
+// ir.Expr with its destination, a control statement's condition and body —
+// indexed by body instead of linked by pointers, and writes the program back
+// once; MergeBarriers and InsertGuards work on the statement tree.
 package passes
 
 import (
@@ -62,40 +63,34 @@ func (s *scratch) rebalance(p *ir.Program) RebalanceResult {
 	return res
 }
 
-// Record kinds: an assignment's is its expression's, a Bin's its ir.BinOp.
+// Record kinds past an assignment's ir.Op: kind < kWhile is an assignment.
 const (
-	kAnd = uint8(ir.OpAnd) + iota
-	kOr
-	kXor
-	kAndNot
-	kZero
-	kOnes
-	kCopy
-	kNot
-	kShift
-	kStarThru
-	kBasis
-	kWhile // the control statements come last: kind < kWhile is an assignment
+	kWhile = ir.NumOps + iota
 	kGuard
 )
 
-// kinds gives, per assignment kind, how many of x, y it reads and its depth:
-// inc more than the deepest operand its masks keep. Constants, basis reads
-// and StarThru are at 0, a Copy as deep as its source.
-var kinds = [kGuard + 1]struct {
-	operands    int
-	dx, dy, inc int32
-}{
-	kAnd: {2, -1, -1, 1}, kOr: {2, -1, -1, 1}, kXor: {2, -1, -1, 1}, kAndNot: {2, -1, -1, 1},
-	kCopy: {1, -1, 0, 0}, kNot: {1, -1, 0, 1}, kShift: {1, -1, 0, 1}, kStarThru: {operands: 2},
+// depths gives, per operation, an assignment's depth: inc more than the
+// deepest operand its masks keep. Constants, basis reads and StarThru are at
+// 0, a Copy as deep as its source.
+var depths = [ir.NumOps]struct{ dx, dy, inc int32 }{
+	ir.OpAnd: {-1, -1, 1}, ir.OpOr: {-1, -1, 1}, ir.OpXor: {-1, -1, 1}, ir.OpAndNot: {-1, -1, 1},
+	ir.OpCopy: {-1, 0, 0}, ir.OpNot: {-1, 0, 1}, ir.OpShift: {-1, 0, 1},
 }
 
 // rec is one statement of the work form. An assignment is dst = kind(x, y),
-// k its shift distance or basis bit; a While tests dst and runs body x; a
-// Guard tests dst and skips k statements.
+// k its shift distance or basis bit, each an ir.Expr field; a While tests
+// dst and runs body x; a Guard tests dst and skips k statements.
 type rec struct {
-	kind         uint8
+	kind         ir.Op
 	dst, x, y, k int32
+}
+
+// operands is how many of x, y the record reads.
+func (r *rec) operands() int {
+	if r.kind >= kWhile {
+		return 0
+	}
+	return r.kind.Arity()
 }
 
 // variable is what the rounds know of one variable.
@@ -151,7 +146,8 @@ func (rb *rebalancer) convert(list []ir.Stmt) int32 {
 		var r rec
 		switch x := st.(type) {
 		case *ir.Assign:
-			r = assignRec(x)
+			e := x.Expr
+			r = rec{kind: e.Op, dst: int32(x.Dst), x: int32(e.X), y: int32(e.Y), k: e.K}
 		case *ir.While:
 			r = rec{kind: kWhile, dst: int32(x.Cond), x: rb.convert(x.Body)}
 		case *ir.Guard:
@@ -176,7 +172,7 @@ func (rb *rebalancer) count(id int32, r *rec) {
 		return
 	}
 	ops := [2]int32{r.x, r.y}
-	for _, v := range ops[:kinds[r.kind].operands] {
+	for _, v := range ops[:r.operands()] {
 		rb.vars[v].uses++
 	}
 	if d := &rb.vars[r.dst].def; *d != noDef {
@@ -184,53 +180,6 @@ func (rb *rebalancer) count(id int32, r *rec) {
 	} else {
 		*d = id
 	}
-}
-
-func assignRec(a *ir.Assign) rec {
-	r := rec{dst: int32(a.Dst)}
-	switch e := a.Expr.(type) {
-	case ir.Zero:
-		r.kind = kZero
-	case ir.Ones:
-		r.kind = kOnes
-	case ir.Copy:
-		r.kind, r.x = kCopy, int32(e.Src)
-	case ir.Not:
-		r.kind, r.x = kNot, int32(e.Src)
-	case ir.Bin:
-		r.kind, r.x, r.y = uint8(e.Op), int32(e.X), int32(e.Y)
-	case ir.Shift:
-		r.kind, r.x, r.k = kShift, int32(e.Src), int32(e.K)
-	case ir.StarThru:
-		r.kind, r.x, r.y = kStarThru, int32(e.M), int32(e.C)
-	case ir.MatchBasis:
-		r.kind, r.k = kBasis, int32(e.Bit)
-	default:
-		panic("passes: unknown expression type")
-	}
-	return r
-}
-
-// expr is the expression of an assignment record.
-func (r *rec) expr() ir.Expr {
-	x, y := ir.VarID(r.x), ir.VarID(r.y)
-	switch r.kind {
-	case kZero:
-		return ir.Zero{}
-	case kOnes:
-		return ir.Ones{}
-	case kCopy:
-		return ir.Copy{Src: x}
-	case kNot:
-		return ir.Not{Src: x}
-	case kShift:
-		return ir.Shift{Src: x, K: int(r.k)}
-	case kStarThru:
-		return ir.StarThru{M: x, C: y}
-	case kBasis:
-		return ir.MatchBasis{Bit: int(r.k)}
-	}
-	return ir.Bin{Op: ir.BinOp(r.kind), X: x, Y: y}
 }
 
 // round rewrites every run, nested bodies before theirs, fuses shift chains,
@@ -291,7 +240,7 @@ func (rb *rebalancer) rewriteRun(run []int32, base int, res *RebalanceResult) in
 			run = run[:idx]
 			break
 		}
-		kind := &kinds[r.kind]
+		kind := &depths[r.kind]
 		d := max(vars[r.x].depth&kind.dx, vars[r.y].depth&kind.dy) + kind.inc
 		v := &vars[r.dst]
 		if v.at >= 0 {
@@ -306,7 +255,7 @@ func (rb *rebalancer) rewriteRun(run []int32, base int, res *RebalanceResult) in
 	s.vars = grown(s.vars, minted+2*len(run), outsideRun)
 	s.orphanReads = grown(s.orphanReads, 2*(minted+2*len(run)), 0)
 	for idx, id := range run {
-		if r := &s.recs[id]; r.kind == kAnd {
+		if r := &s.recs[id]; r.kind == ir.OpAnd {
 			x, y := r.x, r.y
 			if rb.tryRewrite(run, idx, x, y) || rb.tryRewrite(run, idx, y, x) {
 				s.preAt = append(s.preAt, int32(base+idx))
@@ -332,7 +281,7 @@ func (rb *rebalancer) rewriteRun(run []int32, base int, res *RebalanceResult) in
 func (rb *rebalancer) tryRewrite(run []int32, idx int, shiftVar, other int32) bool {
 	s := rb.scratch
 	sIdx := s.vars[shiftVar].at // redefinedInRun is past idx
-	if sIdx < 0 || int(sIdx) >= idx || s.recs[run[sIdx]].kind != kShift || s.vars[shiftVar].uses != 1 {
+	if sIdx < 0 || int(sIdx) >= idx || s.recs[run[sIdx]].kind != ir.OpShift || s.vars[shiftVar].uses != 1 {
 		return false
 	}
 	// The new statements read src and other here: neither may be redefined.
@@ -347,11 +296,11 @@ func (rb *rebalancer) tryRewrite(run []int32, idx int, shiftVar, other int32) bo
 	// later hoists the counter-shift to where B is available.
 	counter, inner := int32(rb.p.NewVar()), int32(rb.p.NewVar())
 	dst := s.recs[run[idx]].dst
-	s.recs[run[idx]] = rec{kind: kShift, dst: dst, x: inner, k: k}
+	s.recs[run[idx]] = rec{kind: ir.OpShift, dst: dst, x: inner, k: k}
 	c := int32(len(s.recs))
 	s.recs = append(s.recs,
-		rec{kind: kShift, dst: counter, x: other, k: -k},
-		rec{kind: kAnd, dst: inner, x: src, y: counter})
+		rec{kind: ir.OpShift, dst: counter, x: other, k: -k},
+		rec{kind: ir.OpAnd, dst: inner, x: src, y: counter})
 	s.pre = append(s.pre, c)
 	// The fresh variables stay out of at (they become rewrite sources only
 	// next round) but are in def, which this round's fusion reads.
@@ -380,7 +329,7 @@ func (rb *rebalancer) liftOrphans(b []int32) []int32 {
 	kept := 0
 	for _, id := range b {
 		r := &s.recs[id]
-		if v := &s.vars[r.dst]; v.uses == 0 && r.kind == kShift && v.def == id {
+		if v := &s.vars[r.dst]; v.uses == 0 && r.kind == ir.OpShift && v.def == id {
 			key := readKey(r.x, r.k)
 			s.orphanReads[key]++
 			s.offered = append(s.offered, key)
@@ -401,7 +350,7 @@ func (rb *rebalancer) fuseShiftChains(bi int32) (fused int) {
 	s := rb.scratch
 	for _, id := range s.bodies[bi] {
 		switch r := &s.recs[id]; r.kind {
-		case kShift:
+		case ir.OpShift:
 			if x, k, ok := rb.retarget(r.x, r.k, 1); ok {
 				r.x, r.k = x, k+r.k
 				fused++
@@ -447,7 +396,7 @@ func (rb *rebalancer) retarget(src, k, n int32) (int32, int32, bool) {
 	}
 	inner := &s.recs[d]
 	// Mixed directions do not compose exactly.
-	if inner.kind != kShift || s.vars[inner.x].def == redefined || (inner.k > 0) != (k > 0) {
+	if inner.kind != ir.OpShift || s.vars[inner.x].def == redefined || (inner.k > 0) != (k > 0) {
 		return 0, 0, false
 	}
 	s.vars[src].uses -= n
@@ -492,7 +441,7 @@ func (rb *rebalancer) eliminateDeadCode() (minted int) {
 		s.mark[v] |= markDead
 		r := &s.recs[s.vars[v].def]
 		ops := [2]int32{r.x, r.y}
-		for _, u := range ops[:kinds[r.kind].operands] {
+		for _, u := range ops[:r.operands()] {
 			s.vars[u].uses--
 			if removable(u) {
 				stack = append(stack, u)
@@ -556,7 +505,7 @@ func (rb *rebalancer) write(bi int32, list []ir.Stmt, slab *[]ir.Assign) []ir.St
 		if s.mark[r.dst]&markDead != 0 { // never a condition: it has a read
 			continue
 		}
-		if n := kinds[r.kind].operands; n > 0 {
+		if n := r.operands(); n > 0 {
 			r.x = rb.rename(r.x)
 			if n > 1 {
 				r.y = rb.rename(r.y)
@@ -570,10 +519,8 @@ func (rb *rebalancer) write(bi int32, list []ir.Stmt, slab *[]ir.Assign) []ir.St
 			st, *slab = &(*slab)[0], (*slab)[1:]
 		}
 		switch x := st.(type) {
-		case *ir.Assign: // most converted ones come through unchanged: keep their boxes
-			if int(id) >= len(s.stmts) || assignRec(x) != *r {
-				x.Dst, x.Expr = ir.VarID(r.dst), r.expr()
-			}
+		case *ir.Assign:
+			x.Dst, x.Expr = ir.VarID(r.dst), ir.Expr{Op: r.kind, X: ir.VarID(r.x), Y: ir.VarID(r.y), K: r.k}
 		case *ir.While:
 			x.Cond, x.Body = ir.VarID(r.dst), rb.write(r.x, x.Body, slab)
 		case *ir.Guard:

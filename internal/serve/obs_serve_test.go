@@ -461,9 +461,9 @@ func TestUntaggedTrafficPaysNothing(t *testing.T) {
 	}
 	// What withObs hands an untagged request: a minted, shallow trace.
 	ctx := obs.WithTraceContext(context.Background(), obs.NewTraceContext(), s.Spans(), s.nodeName())
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC cycle empties the session pool
-	// The pool may still lose the session (under the race detector it drops
-	// one Put in four on purpose): best of a few tries, each after a run that
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC cycle empties the arena's sync.Pools
+	// Those may still lose a buffer (under the race detector they drop one
+	// Put in four on purpose): best of a few tries, each after a run that
 	// leaves a session behind.
 	allocs := func(eng *bitgen.Engine, ctx context.Context) uint64 {
 		best := uint64(math.MaxUint64)

@@ -46,7 +46,7 @@ type EngineState struct {
 	// them from the validated programs.
 	Groups []engine.Group
 	// Shared lists the character classes whose match streams bind the
-	// extended basis bits (MatchBasis ≥ 8) that group programs may read, in
+	// extended basis bits (basis reads ≥ 8) that group programs may read, in
 	// slot order. Nil when the engine has no cross-group shared classes.
 	Shared []charclass.Class
 	// PassStats aggregates what the optimization passes did at compile.

@@ -190,7 +190,7 @@ func TestScanPipelinedContainsInjectedKernelPanic(t *testing.T) {
 
 // TestScanReaderBorrowsPooledSessions: a streaming scan builds no session of
 // its own when the engine's pool has one. With the collector off — a GC cycle
-// may empty a sync.Pool — the second of two back-to-back scans allocates only
+// may empty the arena's sync.Pools — the second of two back-to-back scans allocates only
 // the pipeline's per-call plumbing, where building and compiling one session
 // for this set takes tens of thousands of objects; and nothing it borrows
 // counts against the scan arena or arena.Default.
@@ -208,9 +208,9 @@ func TestScanReaderBorrowsPooledSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// AllocsPerRun(1, f) calls f twice and counts the second call. The pool is
-	// allowed to lose a session now and then (under the race detector it drops
-	// one Put in four on purpose), so a few attempts may be needed.
+	// AllocsPerRun(1, f) calls f twice and counts the second call. The arena is
+	// allowed to lose a buffer now and then (under the race detector a sync.Pool
+	// drops one Put in four on purpose), so a few attempts may be needed.
 	allocs := math.Inf(1)
 	for try := 0; try < 8 && allocs >= 500; try++ {
 		allocs = min(allocs, testing.AllocsPerRun(1, scan))
@@ -293,9 +293,8 @@ func TestScanPipelinedSteadyStateAllocs(t *testing.T) {
 	// A scan that finds the engine's session pool short builds a session:
 	// set-up, not the chunk loop, and TestScanReaderBorrowsPooledSessions'
 	// subject. The pool is taken out of the figure rather than averaged or
-	// minimised away: no GC cycle empties it, and it is stocked with more
-	// warmed-up sessions than the scans below can lose (under the race
-	// detector sync.Pool drops one Put in four on purpose).
+	// minimised away: no GC cycle empties it, and it is stocked with as many
+	// warmed-up sessions as it keeps, more than the scans below borrow.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var stock []*engine.ScanSession
 	for len(stock) < 32 {

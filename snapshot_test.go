@@ -230,9 +230,9 @@ func hostileGroups() map[string][]byte {
 	head := []byte{4, 0, 1, 1, 'o', 0, 0, 2, 1, 0, 1} // header, output, 2 statements: S0 = ~0
 	b := ir.NewBuilder()
 	sx, sa := b.MatchClass(charclass.Single('x')), b.MatchClass(charclass.Single('a'))
-	m := b.Emit(ir.Copy{Src: sx})
+	m := b.Emit(ir.Expr{Op: ir.OpCopy, X: sx})
 	b.While(m, func() {
-		b.EmitTo(m, ir.Bin{Op: ir.OpAnd, X: b.Emit(ir.Shift{Src: m, K: -1}), Y: sa})
+		b.EmitTo(m, ir.Expr{Op: ir.OpAnd, X: b.Emit(ir.Expr{Op: ir.OpShift, X: m, K: -1}), Y: sa})
 	})
 	b.Output("run", m)
 	return map[string][]byte{
