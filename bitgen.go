@@ -87,8 +87,8 @@ const (
 
 // Limits bounds the resources one Engine may consume. For each field the
 // zero value selects the documented default and a negative value disables
-// the check; exceeding an effective limit returns a *LimitError satisfying
-// errors.Is(err, ErrLimit).
+// the check (a negative MaxWhileIterations selects the adaptive 2n+16 bound);
+// exceeding an effective limit returns a *LimitError matching ErrLimit.
 type Limits struct {
 	// MaxInputBytes caps the input size of one Run/CountOnly call (and
 	// each ScanReader chunk). Default DefaultMaxInputBytes.

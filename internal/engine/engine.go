@@ -59,8 +59,8 @@ type Config struct {
 	// the public engine reads Result.Matches and leaves it off.
 	KeepOutputs bool
 	// MaxWhileIterations caps global fixpoint loops. Zero selects
-	// DefaultMaxWhileIterations; -1 selects the kernel's adaptive 2n+16
-	// bound. Hitting the cap returns an error satisfying
+	// DefaultMaxWhileIterations; any negative value selects the kernel's
+	// adaptive 2n+16 bound. Hitting the cap returns an error satisfying
 	// errors.Is(err, bgerr.ErrLimit).
 	MaxWhileIterations int
 	// MaxProgramInstructions refuses compilation when any group's lowered

@@ -92,9 +92,6 @@ func NewSuite(opts Options) *Suite {
 	}
 }
 
-// Opts returns the effective options.
-func (s *Suite) Opts() Options { return s.opts }
-
 // App loads (and caches) one application.
 func (s *Suite) App(name string) (*workload.App, error) {
 	if app, ok := s.apps[name]; ok {

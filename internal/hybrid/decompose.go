@@ -69,15 +69,12 @@ func requiredLiterals(n rx.Node, minLen int) ([]string, bool) {
 			all = append(all, lits...)
 		}
 		return all, true
-	case rx.Plus:
-		return requiredLiterals(x.Sub, minLen)
 	case rx.Repeat:
 		if x.Min >= 1 {
 			return requiredLiterals(x.Sub, minLen)
 		}
-		return nil, false
 	}
-	// Star and Opt are optional: they guarantee nothing.
+	// x*, x? and x{0,m} are optional: they guarantee nothing.
 	return nil, false
 }
 
@@ -100,14 +97,6 @@ func longestRun(c rx.Concat) string {
 			if s, ok := singleByte(x); ok {
 				cur += s
 				continue
-			}
-		case rx.Plus:
-			if cc, ok := x.Sub.(rx.CC); ok {
-				if s, ok := singleByte(cc); ok {
-					cur += s
-					flush()
-					continue
-				}
 			}
 		case rx.Repeat:
 			if cc, ok := x.Sub.(rx.CC); ok && x.Min >= 1 {

@@ -219,20 +219,6 @@ func (l *lowerer) lower(m marker, node rx.Node) (marker, error) {
 		return cur, nil
 	case rx.Alt:
 		return l.lowerAlt(m, x.Alts)
-	case rx.Star:
-		return l.lowerStar(m, x.Sub)
-	case rx.Plus:
-		first, err := l.lower(m, x.Sub)
-		if err != nil {
-			return marker{}, err
-		}
-		return l.lowerStar(first, x.Sub)
-	case rx.Opt:
-		matched, err := l.lower(m, x.Sub)
-		if err != nil {
-			return marker{}, err
-		}
-		return l.union(m, matched), nil
 	case rx.Repeat:
 		return l.lowerRepeat(m, x)
 	}
@@ -319,11 +305,11 @@ func (l *lowerer) lowerStar(m marker, sub rx.Node) (marker, error) {
 
 // asSingleClass reports whether node matches exactly the strings of length
 // one drawn from some class (so node* is a class closure): a CC, an
-// alternation of such nodes, or x+ / x{1,} of such a node (since (x+)* ==
-// x*). Opt and Star sub-cases are excluded: they match empty, and while
-// (x?)* == x* too, the lowering of the enclosing star already handles the
-// empty path through the general union, so restricting to non-empty shapes
-// keeps this predicate simple and evidently correct.
+// alternation of such nodes, or x+ (x{1,}) of such a node (since (x+)* ==
+// x*). x? and x* are excluded: they match empty, and while (x?)* == x*
+// too, the lowering of the enclosing star already handles the empty path
+// through the general union, so restricting to non-empty shapes keeps this
+// predicate simple and evidently correct.
 func asSingleClass(node rx.Node) (charclass.Class, bool) {
 	switch x := node.(type) {
 	case rx.CC:
@@ -342,9 +328,11 @@ func asSingleClass(node rx.Node) (charclass.Class, bool) {
 		if len(x.Parts) == 1 {
 			return asSingleClass(x.Parts[0])
 		}
-	case rx.Plus:
+	case rx.Repeat:
 		// (c+)* reaches exactly the same closure as c*.
-		return asSingleClass(x.Sub)
+		if x.Min == 1 && x.Max == rx.Unbounded {
+			return asSingleClass(x.Sub)
+		}
 	}
 	return charclass.Class{}, false
 }

@@ -177,17 +177,6 @@ func (b *builder) compile(node rx.Node) glushkovSets {
 			out.last = append(out.last, s.last...)
 		}
 		return out
-	case rx.Star:
-		s := b.compile(x.Sub)
-		b.link(s.last, s.first)
-		return glushkovSets{nullable: true, first: s.first, last: s.last}
-	case rx.Plus:
-		s := b.compile(x.Sub)
-		b.link(s.last, s.first)
-		return s
-	case rx.Opt:
-		s := b.compile(x.Sub)
-		return glushkovSets{nullable: true, first: s.first, last: s.last}
 	case rx.Repeat:
 		return b.compileRepeat(x)
 	}
@@ -208,8 +197,13 @@ func concatSets(a, c glushkovSets) glushkovSets {
 }
 
 // compileRepeat expands bounded repetition by duplication, the standard
-// Glushkov treatment.
+// Glushkov treatment. x+ is one copy looped back on itself.
 func (b *builder) compileRepeat(rep rx.Repeat) glushkovSets {
+	if rep.Min == 1 && rep.Max == rx.Unbounded {
+		s := b.compile(rep.Sub)
+		b.link(s.last, s.first)
+		return s
+	}
 	cur := glushkovSets{nullable: true}
 	for i := 0; i < rep.Min; i++ {
 		next := b.compile(rep.Sub)

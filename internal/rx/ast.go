@@ -1,7 +1,8 @@
 // Package rx implements the regular-expression front end: an AST for the
-// paper's Listing-1 grammar (character classes, concatenation, alternation,
-// Kleene star and bounded repetition, plus the derivable R+ and R? forms)
-// and a recursive-descent parser for a practical byte-oriented syntax.
+// paper's Listing-1 grammar and a recursive-descent parser for a practical
+// byte-oriented syntax. The AST has four node kinds: character classes,
+// concatenation, alternation and repetition. Kleene star and the derivable
+// R+ and R? are the repetitions {0,}, {1,} and {0,1}.
 package rx
 
 import (
@@ -34,23 +35,8 @@ type Alt struct {
 	Alts []Node
 }
 
-// Star matches zero or more repetitions (Kleene star).
-type Star struct {
-	Sub Node
-}
-
-// Plus matches one or more repetitions.
-type Plus struct {
-	Sub Node
-}
-
-// Opt matches zero or one occurrence.
-type Opt struct {
-	Sub Node
-}
-
 // Repeat matches between Min and Max repetitions. Max == Unbounded means
-// {Min,} (no upper bound).
+// {Min,} (no upper bound). R*, R+ and R? are {0,}, {1,} and {0,1}.
 type Repeat struct {
 	Sub      Node
 	Min, Max int
@@ -62,9 +48,6 @@ const Unbounded = -1
 func (CC) isNode()     {}
 func (Concat) isNode() {}
 func (Alt) isNode()    {}
-func (Star) isNode()   {}
-func (Plus) isNode()   {}
-func (Opt) isNode()    {}
 func (Repeat) isNode() {}
 
 func (n CC) String() string { return ccString(n.Class) }
@@ -89,17 +72,29 @@ func (n Alt) String() string {
 	return strings.Join(parts, "|")
 }
 
-func (n Star) String() string { return groupString(n.Sub) + "*" }
-func (n Plus) String() string { return groupString(n.Sub) + "+" }
-func (n Opt) String() string  { return groupString(n.Sub) + "?" }
-func (n Repeat) String() string {
+func (n Repeat) String() string { return groupString(n.Sub) + n.suffix() }
+
+// isQuantifier reports whether the bounds are one of '*', '+' and '?'.
+func (n Repeat) isQuantifier() bool {
+	return n.Min <= 1 && n.Max == Unbounded || n.Min == 0 && n.Max == 1
+}
+
+// suffix renders the bounds as a postfix operator, in a syntax both this
+// package and Go's regexp parse: '*', '+' and '?' for {0,}, {1,} and {0,1}.
+func (n Repeat) suffix() string {
 	switch {
+	case n.Max == Unbounded && n.Min == 0:
+		return "*"
+	case n.Max == Unbounded && n.Min == 1:
+		return "+"
+	case n.Min == 0 && n.Max == 1:
+		return "?"
 	case n.Max == Unbounded:
-		return fmt.Sprintf("%s{%d,}", groupString(n.Sub), n.Min)
+		return fmt.Sprintf("{%d,}", n.Min)
 	case n.Min == n.Max:
-		return fmt.Sprintf("%s{%d}", groupString(n.Sub), n.Min)
+		return fmt.Sprintf("{%d}", n.Min)
 	default:
-		return fmt.Sprintf("%s{%d,%d}", groupString(n.Sub), n.Min, n.Max)
+		return fmt.Sprintf("{%d,%d}", n.Min, n.Max)
 	}
 }
 
@@ -171,12 +166,6 @@ func Walk(n Node, fn func(Node)) {
 		for _, a := range x.Alts {
 			Walk(a, fn)
 		}
-	case Star:
-		Walk(x.Sub, fn)
-	case Plus:
-		Walk(x.Sub, fn)
-	case Opt:
-		Walk(x.Sub, fn)
 	case Repeat:
 		Walk(x.Sub, fn)
 	}
@@ -205,10 +194,6 @@ func MinLength(n Node) int {
 			}
 		}
 		return m
-	case Star, Opt:
-		return 0
-	case Plus:
-		return MinLength(x.Sub)
 	case Repeat:
 		return x.Min * MinLength(x.Sub)
 	}
@@ -248,10 +233,6 @@ func MaxLength(n Node) int {
 			}
 		}
 		return best
-	case Star, Plus:
-		return Unbounded
-	case Opt:
-		return MaxLength(x.Sub)
 	case Repeat:
 		if x.Max == Unbounded {
 			return Unbounded

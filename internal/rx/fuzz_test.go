@@ -9,6 +9,7 @@ func FuzzParse(f *testing.F) {
 		"a(bc)*d", "(abc)|d", "[a-z0-9]+@[a-z]{2,}", "a{2,5}?", "\\d\\w\\s",
 		"((((((((((a))))))))))", "[^\\x00-\\x1f]*", "a|", "|a", "{", "}", "[]",
 		"a{999}", "\\", "(?:x)", "[a-\\d]", "....", "x" + string(rune(0x80)),
+		"a{0,}", "a{1,}", "a{0,1}", "(a{1,})*", "((ab)?){0,}",
 	} {
 		f.Add(seed)
 	}

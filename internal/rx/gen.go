@@ -65,11 +65,11 @@ func genNode(rng *rand.Rand, o *GenOptions, depth int) Node {
 		sub := genNonEmpty(rng, o, depth-1)
 		switch rng.Intn(3) {
 		case 0:
-			return Star{sub}
+			return Repeat{Sub: sub, Min: 0, Max: Unbounded}
 		case 1:
-			return Plus{sub}
+			return Repeat{Sub: sub, Min: 1, Max: Unbounded}
 		default:
-			return Opt{sub}
+			return Repeat{Sub: sub, Min: 0, Max: 1}
 		}
 	case r < 0.9:
 		sub := genNonEmpty(rng, o, depth-1)

@@ -40,24 +40,9 @@ func writeGo(b *strings.Builder, n Node) {
 			writeGo(b, a)
 			b.WriteString(")")
 		}
-	case Star:
-		writeGoSub(b, x.Sub)
-		b.WriteByte('*')
-	case Plus:
-		writeGoSub(b, x.Sub)
-		b.WriteByte('+')
-	case Opt:
-		writeGoSub(b, x.Sub)
-		b.WriteByte('?')
 	case Repeat:
 		writeGoSub(b, x.Sub)
-		if x.Max == Unbounded {
-			fmt.Fprintf(b, "{%d,}", x.Min)
-		} else if x.Min == x.Max {
-			fmt.Fprintf(b, "{%d}", x.Min)
-		} else {
-			fmt.Fprintf(b, "{%d,%d}", x.Min, x.Max)
-		}
+		b.WriteString(x.suffix())
 	default:
 		panic(fmt.Sprintf("rx: unknown node %T", n))
 	}

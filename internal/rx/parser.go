@@ -132,13 +132,13 @@ func (p *parser) parseRepeat() (Node, error) {
 		switch p.peek() {
 		case '*':
 			p.pos++
-			atom = Star{atom}
+			atom = Repeat{Sub: atom, Min: 0, Max: Unbounded}
 		case '+':
 			p.pos++
-			atom = Plus{atom}
+			atom = Repeat{Sub: atom, Min: 1, Max: Unbounded}
 		case '?':
 			p.pos++
-			atom = Opt{atom}
+			atom = Repeat{Sub: atom, Min: 0, Max: 1}
 		case '{':
 			rep, ok, err := p.tryParseBounds()
 			if err != nil {

@@ -35,53 +35,25 @@ func TestParsePaperExample(t *testing.T) {
 	if !ok || len(c.Parts) != 3 {
 		t.Fatalf("a(bc)*d parsed to %#v", n)
 	}
-	if _, ok := c.Parts[1].(Star); !ok {
-		t.Fatalf("middle part is %T, want Star", c.Parts[1])
+	if rep, ok := c.Parts[1].(Repeat); !ok || rep.Min != 0 || rep.Max != Unbounded {
+		t.Fatalf("middle part is %#v, want a star", c.Parts[1])
 	}
 }
 
 func TestParsePostfixOperators(t *testing.T) {
-	for pattern, wantType := range map[string]string{
-		"a*":     "rx.Star",
-		"a+":     "rx.Plus",
-		"a?":     "rx.Opt",
-		"a{2,5}": "rx.Repeat",
-		"a{3}":   "rx.Repeat",
-		"a{2,}":  "rx.Repeat",
+	for pattern, want := range map[string][2]int{
+		"a*":     {0, Unbounded},
+		"a+":     {1, Unbounded},
+		"a?":     {0, 1},
+		"a{2,5}": {2, 5},
+		"a{3}":   {3, 3},
+		"a{2,}":  {2, Unbounded},
 	} {
-		n := MustParse(pattern)
-		if got := typeName(n); got != wantType {
-			t.Errorf("%q parsed to %s, want %s", pattern, got, wantType)
+		rep, ok := MustParse(pattern).(Repeat)
+		if !ok || rep.Min != want[0] || rep.Max != want[1] {
+			t.Errorf("%q parsed to %#v, want Repeat{%d,%d}", pattern, MustParse(pattern), want[0], want[1])
 		}
 	}
-	rep := MustParse("a{2,5}").(Repeat)
-	if rep.Min != 2 || rep.Max != 5 {
-		t.Errorf("a{2,5} bounds = {%d,%d}", rep.Min, rep.Max)
-	}
-	rep = MustParse("a{2,}").(Repeat)
-	if rep.Min != 2 || rep.Max != Unbounded {
-		t.Errorf("a{2,} bounds = {%d,%d}", rep.Min, rep.Max)
-	}
-}
-
-func typeName(n Node) string {
-	switch n.(type) {
-	case Star:
-		return "rx.Star"
-	case Plus:
-		return "rx.Plus"
-	case Opt:
-		return "rx.Opt"
-	case Repeat:
-		return "rx.Repeat"
-	case CC:
-		return "rx.CC"
-	case Concat:
-		return "rx.Concat"
-	case Alt:
-		return "rx.Alt"
-	}
-	return "?"
 }
 
 func TestParseClasses(t *testing.T) {
@@ -193,7 +165,7 @@ func TestMaxLength(t *testing.T) {
 		"[a-f]":           1, // class
 		".\\d[^x]":        3,
 		"ab|cde|f":        3, // Alt takes the longest arm
-		"ab?c":            3, // Opt counts its operand
+		"ab?c":            3, // ? counts its operand
 		"(ab)?":           2,
 		"a{3,5}":          5,
 		"a{0}":            0,

@@ -12,8 +12,10 @@ import (
 //   - alternations of single-byte-class alternatives merge into one class
 //     ((a|b|[cd]) → [a-d]), shrinking the lowered program;
 //   - duplicate alternatives are removed;
-//   - degenerate repetitions collapse (x{1} → x, x{0,} → x*, x{1,} → x+,
-//     (x*)* → x*, (x?)? → x?, (x+)+ → x+, (x*)? → x*, (x?)* → x*);
+//   - degenerate repetitions collapse (x{1} → x, x{0} → ε), and a
+//     quantifier ('*', '+' or '?') over a quantifier becomes one over the
+//     inner operand with the wider range: the smaller minimum and the larger
+//     maximum ((x*)* → x*, (x?)? → x?, (x+)? → x*, (x?)+ → x*);
 //   - empty concatenations inside operators fold away.
 //
 // The pass is idempotent and preserves all-match end-position semantics
@@ -61,61 +63,20 @@ func simplify(n Node) (Node, bool) {
 		return Concat{parts}, true
 	case Alt:
 		return simplifyAlt(n, x)
-	case Star:
-		sub, changed := simplify(x.Sub)
-		switch inner := sub.(type) {
-		case Star:
-			return inner, true // (x*)* = x*
-		case Plus:
-			return Star{inner.Sub}, true // (x+)* = x*
-		case Opt:
-			return Star{inner.Sub}, true // (x?)* = x*
-		}
-		if !changed {
-			return n, false
-		}
-		return Star{sub}, true
-	case Plus:
-		sub, changed := simplify(x.Sub)
-		switch inner := sub.(type) {
-		case Star:
-			return inner, true // (x*)+ = x*
-		case Plus:
-			return inner, true // (x+)+ = x+
-		case Opt:
-			return Star{inner.Sub}, true // (x?)+ = x*
-		}
-		if !changed {
-			return n, false
-		}
-		return Plus{sub}, true
-	case Opt:
-		sub, changed := simplify(x.Sub)
-		switch inner := sub.(type) {
-		case Star:
-			return inner, true // (x*)? = x*
-		case Opt:
-			return inner, true // (x?)? = x?
-		case Plus:
-			return Star{inner.Sub}, true // (x+)? = x*
-		}
-		if !changed {
-			return n, false
-		}
-		return Opt{sub}, true
 	case Repeat:
 		sub, changed := simplify(x.Sub)
-		switch {
+		switch inner, nested := sub.(Repeat); {
 		case x.Min == 1 && x.Max == 1:
 			return sub, true
-		case x.Min == 0 && x.Max == Unbounded:
-			return Simplify(Star{sub}), true
-		case x.Min == 1 && x.Max == Unbounded:
-			return Simplify(Plus{sub}), true
-		case x.Min == 0 && x.Max == 1:
-			return Simplify(Opt{sub}), true
 		case x.Min == 0 && x.Max == 0:
 			return Concat{}, true // matches only the empty string
+		case nested && x.isQuantifier() && inner.isQuantifier():
+			// (x*)+ = x*, (x?)? = x?, (x+)? = x*, ...: the wider range.
+			inner.Min = min(x.Min, inner.Min)
+			if x.Max == Unbounded {
+				inner.Max = Unbounded
+			}
+			return inner, true
 		}
 		if !changed {
 			return n, false

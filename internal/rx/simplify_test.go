@@ -145,15 +145,6 @@ func dump(n Node) string {
 				walk(a)
 				b.WriteByte(' ')
 			}
-		case Star:
-			b.WriteString("Star(")
-			walk(x.Sub)
-		case Plus:
-			b.WriteString("Plus(")
-			walk(x.Sub)
-		case Opt:
-			b.WriteString("Opt(")
-			walk(x.Sub)
 		case Repeat:
 			fmt.Fprintf(&b, "Repeat%d,%d(", x.Min, x.Max)
 			walk(x.Sub)
@@ -214,48 +205,20 @@ func simplifyRebuild(n Node) Node {
 			return merged[0]
 		}
 		return Alt{merged}
-	case Star:
-		switch inner := simplifyRebuild(x.Sub).(type) {
-		case Star:
-			return inner
-		case Plus:
-			return Star{inner.Sub}
-		case Opt:
-			return Star{inner.Sub}
-		default:
-			return Star{inner}
-		}
-	case Plus:
-		switch inner := simplifyRebuild(x.Sub).(type) {
-		case Star, Plus:
-			return inner
-		case Opt:
-			return Star{inner.Sub}
-		default:
-			return Plus{inner}
-		}
-	case Opt:
-		switch inner := simplifyRebuild(x.Sub).(type) {
-		case Star, Opt:
-			return inner
-		case Plus:
-			return Star{inner.Sub}
-		default:
-			return Opt{inner}
-		}
 	case Repeat:
 		sub := simplifyRebuild(x.Sub)
 		switch {
 		case x.Min == 1 && x.Max == 1:
 			return sub
-		case x.Min == 0 && x.Max == Unbounded:
-			return simplifyRebuild(Star{sub})
-		case x.Min == 1 && x.Max == Unbounded:
-			return simplifyRebuild(Plus{sub})
-		case x.Min == 0 && x.Max == 1:
-			return simplifyRebuild(Opt{sub})
 		case x.Min == 0 && x.Max == 0:
 			return Concat{}
+		}
+		if inner, ok := sub.(Repeat); ok && x.isQuantifier() && inner.isQuantifier() {
+			lo, hi := min(x.Min, inner.Min), inner.Max
+			if x.Max == Unbounded {
+				hi = Unbounded
+			}
+			return Repeat{Sub: inner.Sub, Min: lo, Max: hi}
 		}
 		return Repeat{Sub: sub, Min: x.Min, Max: x.Max}
 	}

@@ -183,21 +183,14 @@ func instantiateInto(rng *rand.Rand, node rx.Node, b *strings.Builder) {
 		if len(x.Alts) > 0 {
 			instantiateInto(rng, x.Alts[rng.Intn(len(x.Alts))], b)
 		}
-	case rx.Star:
-		for i := rng.Intn(3); i > 0; i-- {
-			instantiateInto(rng, x.Sub, b)
-		}
-	case rx.Plus:
-		for i := 1 + rng.Intn(2); i > 0; i-- {
-			instantiateInto(rng, x.Sub, b)
-		}
-	case rx.Opt:
-		if rng.Intn(2) == 0 {
-			instantiateInto(rng, x.Sub, b)
-		}
 	case rx.Repeat:
 		n := x.Min
-		if x.Max != rx.Unbounded && x.Max > x.Min && rng.Intn(2) == 0 {
+		switch {
+		case x.Max == rx.Unbounded && x.Min <= 1: // x* and x+: up to 2 copies
+			n += rng.Intn(3 - x.Min)
+		case x.Min == 0 && x.Max == 1: // x?: a coin flip
+			n = 1 - rng.Intn(2)
+		case x.Max != rx.Unbounded && x.Max > x.Min && rng.Intn(2) == 0:
 			n += rng.Intn(x.Max - x.Min + 1)
 		}
 		for i := 0; i < n; i++ {
